@@ -8,13 +8,12 @@
 //!   staleness per hierarchy level, plus the overlay-wide scalars.
 //! * `roads-inspect check` — strict schema validation via
 //!   [`AuditReport::from_json`]: a truncated or hand-edited artifact
-//!   fails with a message naming the offending entry instead of
-//!   producing a half-empty view. [`is_audit_doc`] routes `check`
-//!   between this schema and the other artifact schemas.
+//!   fails with a message naming every offending path instead of
+//!   producing a half-empty view.
 //!
 //! [`Auditor`]: roads_runtime::Auditor
 
-pub use roads_runtime::{is_audit_doc, AuditReport};
+pub use roads_runtime::AuditReport;
 
 /// The per-level fidelity table plus overlay-wide scalars.
 pub fn render_audit_table(report: &AuditReport) -> String {
@@ -132,7 +131,7 @@ mod tests {
     fn artifact_round_trips_through_the_renderer_path() {
         let r = report();
         let doc = Json::parse(&r.to_json().to_string_pretty()).unwrap();
-        assert!(is_audit_doc(&doc));
+        assert!(AuditReport::has_marker(&doc));
         let parsed = AuditReport::from_json(&doc).unwrap();
         assert_eq!(parsed, r);
         assert_eq!(render_audit_table(&parsed), render_audit_table(&r));
@@ -142,7 +141,7 @@ mod tests {
     fn parser_rejects_corrupt_documents() {
         // Not an audit document at all.
         let other = Json::obj(vec![("slow_queries", Json::num(1.0))]);
-        assert!(!is_audit_doc(&other));
+        assert!(!AuditReport::has_marker(&other));
         assert!(AuditReport::from_json(&other)
             .unwrap_err()
             .contains("marker"));

@@ -88,7 +88,7 @@ use roads_runtime::{
 use roads_summary::SummaryConfig;
 use roads_telemetry::{results_dir, OpenMetricsSnapshot, Recorder, Registry, TailSampler};
 use roads_workload::{default_schema, generate_node_records, RecordWorkloadConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -323,6 +323,15 @@ fn a_branch(net: &RoadsNetwork) -> ServerId {
         .map(ServerId)
         .find(|&s| s != tree.root() && !tree.children(s).is_empty())
         .expect("hierarchy has an internal non-root server")
+}
+
+/// Exit unless the artifact at `path` was written: a run whose bundle is
+/// incomplete must not look green.
+fn written(path: &Path, result: std::io::Result<()>) {
+    if let Err(e) = result {
+        eprintln!("error: could not write {}: {e}", path.display());
+        std::process::exit(1);
+    }
 }
 
 fn main() {
@@ -645,139 +654,77 @@ fn main() {
     let incident_report = watchdog.stop();
     cluster.shutdown();
 
-    let report = BenchReport::new(m.config, benches);
-    match report.write(&out) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
+    written(&out, BenchReport::new(m.config, benches).write(&out));
+    println!("wrote {}", out.display());
 
     // The tail of this run: retained slow/failed/incomplete queries with
     // full provenance, next to the bench report.
-    let slow_path = match out.parent() {
-        Some(dir) if dir.as_os_str().is_empty() => PathBuf::from("SLOW_QUERIES.json"),
-        Some(dir) => dir.join("SLOW_QUERIES.json"),
-        None => PathBuf::from("SLOW_QUERIES.json"),
-    };
-    match std::fs::write(&slow_path, tail.report().to_string_pretty()) {
-        Ok(()) => println!(
-            "wrote {} ({} retained of {} observed, threshold {:.2} ms)",
-            slow_path.display(),
-            tail.retained().len(),
-            tail.observed(),
-            tail.threshold_ms()
-        ),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", slow_path.display());
-            std::process::exit(1);
-        }
-    }
+    let slow_path = out.with_file_name("SLOW_QUERIES.json");
+    let slow_report = tail.report();
+    written(&slow_path, slow_report.write(&slow_path));
+    println!(
+        "wrote {} ({} retained of {} observed, threshold {:.2} ms)",
+        slow_path.display(),
+        slow_report.retained.len(),
+        slow_report.observed,
+        slow_report.threshold_ms
+    );
 
     // The audit of this run: cumulative per-level fidelity plus the final
-    // divergence/staleness state, next to the bench report.
-    let audit_path = match out.parent() {
-        Some(dir) if dir.as_os_str().is_empty() => PathBuf::from("AUDIT.json"),
-        Some(dir) => dir.join("AUDIT.json"),
-        None => PathBuf::from("AUDIT.json"),
-    };
-    match audit_report.write(&audit_path) {
-        Ok(()) => println!(
-            "wrote {} ({} ticks, {} probes, divergence {:.2}%, staleness p99 {})",
-            audit_path.display(),
-            audit_report.ticks,
-            audit_report.probes(),
-            audit_report.divergence * 100.0,
-            audit_report.staleness_p99
-        ),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", audit_path.display());
-            std::process::exit(1);
-        }
-    }
+    // divergence/staleness state.
+    let audit_path = out.with_file_name("AUDIT.json");
+    written(&audit_path, audit_report.write(&audit_path));
+    println!(
+        "wrote {} ({} ticks, {} probes, divergence {:.2}%, staleness p99 {})",
+        audit_path.display(),
+        audit_report.ticks,
+        audit_report.probes(),
+        audit_report.divergence * 100.0,
+        audit_report.staleness_p99
+    );
 
-    // The planner/cache summary of this run (validated by `roads-inspect
-    // check`, rendered by `roads-inspect plan`), plus the raw OpenMetrics
+    // The planner/cache summary of this run, plus the raw OpenMetrics
     // scrape of the planner registry — CI asserts a non-zero
     // `roads.cache.hits` against it.
-    let plan_path = match out.parent() {
-        Some(dir) if dir.as_os_str().is_empty() => PathBuf::from("PLAN.json"),
-        Some(dir) => dir.join("PLAN.json"),
-        None => PathBuf::from("PLAN.json"),
-    };
-    match plan_report.write(&plan_path) {
-        Ok(()) => println!(
-            "wrote {} ({} queries, contacts {} → {}, cache hit rate {:.1}%)",
-            plan_path.display(),
-            plan_report.queries,
-            plan_report.greedy_contacts,
-            plan_report.planned_contacts,
-            100.0 * plan_report.cache_hit_rate(),
-        ),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", plan_path.display());
-            std::process::exit(1);
-        }
-    }
-    let scrape_path = match out.parent() {
-        Some(dir) if dir.as_os_str().is_empty() => PathBuf::from("PLANNER_METRICS.txt"),
-        Some(dir) => dir.join("PLANNER_METRICS.txt"),
-        None => PathBuf::from("PLANNER_METRICS.txt"),
-    };
-    match std::fs::write(&scrape_path, &planner_scrape) {
-        Ok(()) => println!("wrote {}", scrape_path.display()),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", scrape_path.display());
-            std::process::exit(1);
-        }
-    }
+    let plan_path = out.with_file_name("PLAN.json");
+    written(&plan_path, plan_report.write(&plan_path));
+    println!(
+        "wrote {} ({} queries, contacts {} → {}, cache hit rate {:.1}%)",
+        plan_path.display(),
+        plan_report.queries,
+        plan_report.greedy_contacts,
+        plan_report.planned_contacts,
+        100.0 * plan_report.cache_hit_rate(),
+    );
+    let scrape_path = out.with_file_name("PLANNER_METRICS.txt");
+    written(&scrape_path, std::fs::write(&scrape_path, &planner_scrape));
+    println!("wrote {}", scrape_path.display());
 
-    // The incremental-update summary of this run (validated by
-    // `roads-inspect check`, which re-enforces the 10x floor offline;
-    // rendered by `roads-inspect delta`).
-    let delta_path = match out.parent() {
-        Some(dir) if dir.as_os_str().is_empty() => PathBuf::from("DELTA.json"),
-        Some(dir) => dir.join("DELTA.json"),
-        None => PathBuf::from("DELTA.json"),
-    };
-    match delta_report.write(&delta_path) {
-        Ok(()) => println!(
-            "wrote {} ({} records, {} changes/round, delta {:.1}x over full)",
-            delta_path.display(),
-            delta_report.records,
-            delta_report.churn_changes,
-            delta_report.speedup,
-        ),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", delta_path.display());
-            std::process::exit(1);
-        }
-    }
+    // The incremental-update summary of this run (`roads-inspect check`
+    // re-enforces the 10x floor offline).
+    let delta_path = out.with_file_name("DELTA.json");
+    written(&delta_path, delta_report.write(&delta_path));
+    println!(
+        "wrote {} ({} records, {} changes/round, delta {:.1}x over full)",
+        delta_path.display(),
+        delta_report.records,
+        delta_report.churn_changes,
+        delta_report.speedup,
+    );
 
     // The incident timeline of this run: every detector firing coalesced
     // into incidents, correlated with the failover kills and the
-    // straggler episode (validated by `roads-inspect check`, rendered by
-    // `roads-inspect incidents`).
-    let incidents_path = match out.parent() {
-        Some(dir) if dir.as_os_str().is_empty() => PathBuf::from("INCIDENTS.json"),
-        Some(dir) => dir.join("INCIDENTS.json"),
-        None => PathBuf::from("INCIDENTS.json"),
-    };
-    match incident_report.write(&incidents_path) {
-        Ok(()) => println!(
-            "wrote {} ({} ticks, {} firings, {} incidents, {} matched, {} false alarms)",
-            incidents_path.display(),
-            incident_report.ticks,
-            incident_report.firings,
-            incident_report.rows.len(),
-            incident_report.matched(),
-            incident_report.false_alarms,
-        ),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", incidents_path.display());
-            std::process::exit(1);
-        }
-    }
+    // straggler episode.
+    let incidents_path = out.with_file_name("INCIDENTS.json");
+    written(&incidents_path, incident_report.write(&incidents_path));
+    println!(
+        "wrote {} ({} ticks, {} firings, {} incidents, {} matched, {} false alarms)",
+        incidents_path.display(),
+        incident_report.ticks,
+        incident_report.firings,
+        incident_report.rows.len(),
+        incident_report.matched(),
+        incident_report.false_alarms,
+    );
     print_metrics_digest(&reg.snapshot());
 }

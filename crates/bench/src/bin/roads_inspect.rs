@@ -30,25 +30,16 @@
 //! `check` exits non-zero when a figure document is missing or malformed,
 //! or when its trace file is missing, malformed, or contains zero complete
 //! (`ph == "X"`) spans — the CI smoke test runs it after a `--quick`
-//! figure binary. Documents carrying a `benches` key take the
-//! `BENCH_*.json` schema path instead ([`roads_bench::suite`]): unknown
-//! `schema_version`s, empty bench lists and non-finite statistics fail,
-//! and no trace file is expected. Documents carrying a `slow_queries` key
-//! (the `SLOW_QUERIES.json` tail-sampler report written by `bench_suite`)
-//! validate through [`roads_bench::explain_view::parse_slow_doc`]: every
-//! retained entry must parse back into a [`QueryExplain`] and its retained
-//! flight-recorder events must form a valid span tree. Documents carrying
-//! an `audit` key (the `AUDIT.json` auditor report) validate through the
-//! strict [`roads_bench::audit_view::AuditReport`] parser: every scalar
-//! and per-level row must be present and well-typed. Documents carrying
-//! a `delta_schema_version` key (the `DELTA.json` incremental-update
-//! summary written by `bench_suite`) validate through
-//! [`roads_bench::delta_view::DeltaReport`], which re-enforces the delta
-//! path's 10x speedup floor and its accounting invariants offline.
-//! Documents carrying an `incidents` key (the `INCIDENTS.json` watchdog
-//! report) validate through the strict
-//! [`roads_bench::incident_view::IncidentReport`] parser: every incident
-//! row, suspected cause, and fault match must be present and well-typed.
+//! figure binary. A document carrying the marker key of a strict artifact
+//! — `BENCH_ROADS`, `SLOW_QUERIES`, `AUDIT`, `PLAN`, `DELTA`, `INCIDENTS`,
+//! one row each in [`roads_bench::artifacts::ARTIFACTS`] — takes that
+//! row's path instead and expects no trace file: the artifact layer
+//! ([`roads_telemetry::json::artifact`]) requires every declared field to
+//! be present and well-typed and names each offending path
+//! (`levels[0].probes`), then the artifact's own `validate` re-enforces
+//! its cross-field invariants offline (no duplicate benches, retained
+//! span trees reconstruct, planned ≤ greedy contacts, the delta path's
+//! 10x floor and change accounting).
 //!
 //! `incidents` renders the watchdog incident timeline of an
 //! `INCIDENTS.json` artifact: one block per incident with its firing
@@ -78,16 +69,22 @@
 //!
 //! [`FigureExport`]: roads_telemetry::FigureExport
 
-use roads_bench::{audit_view, delta_view, explain_view, incident_view, plan_view, suite};
+use roads_bench::{artifacts, explain_view, suite};
 use roads_telemetry::{
-    critical_path, parse_openmetrics, slowest_trace, span_tree_root, trace_ids, Event, EventKind,
-    Json, SpanId, TraceId,
+    critical_path, json, parse_openmetrics, slowest_trace, span_tree_root, trace_ids, Event,
+    EventKind, Json, SlowDoc, SpanId, TraceId,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // `slow`, `audit`, `plan`, `delta`, `incidents`: the artifact views.
+    if let [cmd, path] = args.as_slice() {
+        if let Some(render) = artifacts::view(cmd) {
+            return print_view(path, render);
+        }
+    }
     match args.split_first() {
         Some((cmd, rest)) if cmd == "summary" && rest.len() == 1 => summary(&rest[0]),
         Some((cmd, rest)) if cmd == "diff" && rest.len() == 2 => diff(&rest[0], &rest[1]),
@@ -97,11 +94,6 @@ fn main() -> ExitCode {
         Some((cmd, rest)) if cmd == "explain" && (rest.len() == 1 || rest.len() == 2) => {
             explain(&rest[0], rest.get(1).and_then(|q| q.parse().ok()))
         }
-        Some((cmd, rest)) if cmd == "slow" && rest.len() == 1 => slow(&rest[0]),
-        Some((cmd, rest)) if cmd == "audit" && rest.len() == 1 => audit(&rest[0]),
-        Some((cmd, rest)) if cmd == "plan" && rest.len() == 1 => plan(&rest[0]),
-        Some((cmd, rest)) if cmd == "delta" && rest.len() == 1 => delta(&rest[0]),
-        Some((cmd, rest)) if cmd == "incidents" && rest.len() == 1 => incidents(&rest[0]),
         _ => {
             eprintln!("usage: roads-inspect summary <base>");
             eprintln!("       roads-inspect diff <base-a> <base-b>");
@@ -131,11 +123,6 @@ fn expand(base: &str) -> (PathBuf, PathBuf) {
         PathBuf::from(format!("{stem}.json")),
         PathBuf::from(format!("{stem}.trace.json")),
     )
-}
-
-fn load_json(path: &PathBuf) -> Result<Json, String> {
-    let body = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Json::parse(&body).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Reconstruct flight-recorder events from an exported Chrome trace:
@@ -217,7 +204,7 @@ fn references_of(doc: &Json) -> Vec<(String, f64, f64)> {
 
 fn summary(base: &str) -> ExitCode {
     let (fig_path, trace_path) = expand(base);
-    let doc = match load_json(&fig_path) {
+    let doc = match json::load_json(&fig_path) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("error: {e}");
@@ -258,7 +245,7 @@ fn summary(base: &str) -> ExitCode {
         }
     }
 
-    match load_json(&trace_path).and_then(|d| parse_trace_events(&d)) {
+    match json::load_json(&trace_path).and_then(|d| parse_trace_events(&d)) {
         Ok(events) if !events.is_empty() => {
             let traces = trace_ids(&events);
             println!(
@@ -291,7 +278,7 @@ fn summary(base: &str) -> ExitCode {
 fn diff(base_a: &str, base_b: &str) -> ExitCode {
     let (fig_a, _) = expand(base_a);
     let (fig_b, _) = expand(base_b);
-    let (doc_a, doc_b) = match (load_json(&fig_a), load_json(&fig_b)) {
+    let (doc_a, doc_b) = match (json::load_json(&fig_a), json::load_json(&fig_b)) {
         (Ok(a), Ok(b)) => (a, b),
         (a, b) => {
             for r in [a, b] {
@@ -344,155 +331,42 @@ fn diff(base_a: &str, base_b: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The verdict on one `check` argument: the `OK` summary, or the `FAIL`
+/// reason (which names the offending file).
+fn check_one(base: &str) -> Result<String, String> {
+    let (fig_path, trace_path) = expand(base);
+    let doc = json::load_json(&fig_path)?;
+    // Strict artifacts validate through their row of the table and carry
+    // no trace file.
+    if let Some(row) = artifacts::row_for(&doc) {
+        return (row.check)(&doc).map_err(|e| format!("{}: {e}", fig_path.display()));
+    }
+    if doc.get("figure").and_then(Json::as_str_val).is_none() {
+        return Err(format!("{}: not a figure document", fig_path.display()));
+    }
+    let events = json::load_json(&trace_path).and_then(|d| parse_trace_events(&d))?;
+    let spans = events.iter().filter(|e| e.dur_us > 0).count();
+    if spans == 0 {
+        return Err(format!(
+            "{}: no complete (ph=X) spans",
+            trace_path.display()
+        ));
+    }
+    // Every recorded trace must form a valid span tree.
+    let traces = trace_ids(&events);
+    for &t in &traces {
+        let tev: Vec<Event> = events.iter().filter(|e| e.trace == t).copied().collect();
+        span_tree_root(&tev, t)
+            .map_err(|e| format!("{}: trace {}: {e}", trace_path.display(), t.0))?;
+    }
+    Ok(format!("{spans} spans, {} traces", traces.len()))
+}
+
 fn check(bases: &[String]) -> ExitCode {
     let mut failed = false;
     for base in bases {
-        let (fig_path, trace_path) = expand(base);
-        match load_json(&fig_path) {
-            // Bench reports validate against the BENCH_*.json schema and
-            // carry no trace file.
-            Ok(doc) if suite::is_bench_doc(&doc) => {
-                match suite::check_bench_doc(&doc) {
-                    Ok(()) => {
-                        let n = doc
-                            .get("benches")
-                            .and_then(Json::as_arr)
-                            .map_or(0, |a| a.len());
-                        println!("OK   {base}: bench report, {n} benches");
-                    }
-                    Err(e) => {
-                        eprintln!("FAIL {}: {e}", fig_path.display());
-                        failed = true;
-                    }
-                }
-                continue;
-            }
-            // Auditor reports (AUDIT.json) validate every scalar and
-            // per-level row through the strict parser; no trace file.
-            Ok(doc) if audit_view::is_audit_doc(&doc) => {
-                match audit_view::AuditReport::from_json(&doc) {
-                    Ok(report) => println!(
-                        "OK   {base}: audit report, {} ticks, {} levels, {} probes",
-                        report.ticks,
-                        report.levels.len(),
-                        report.probes()
-                    ),
-                    Err(e) => {
-                        eprintln!("FAIL {}: {e}", fig_path.display());
-                        failed = true;
-                    }
-                }
-                continue;
-            }
-            // Planner reports (PLAN.json) validate shape plus the
-            // planner's core invariant (planned contacts ≤ greedy); no
-            // trace file.
-            Ok(doc) if plan_view::is_plan_doc(&doc) => {
-                match plan_view::PlanReport::from_json(&doc) {
-                    Ok(report) => println!(
-                        "OK   {base}: plan report, {} queries, contacts {} → {}, hit rate {:.1}%",
-                        report.queries,
-                        report.greedy_contacts,
-                        report.planned_contacts,
-                        100.0 * report.cache_hit_rate()
-                    ),
-                    Err(e) => {
-                        eprintln!("FAIL {}: {e}", fig_path.display());
-                        failed = true;
-                    }
-                }
-                continue;
-            }
-            // Incremental-update reports (DELTA.json) validate shape
-            // plus the delta path's invariants (>= 10x speedup, bytes
-            // and change accounting); no trace file.
-            Ok(doc) if delta_view::is_delta_doc(&doc) => {
-                match delta_view::DeltaReport::from_json(&doc) {
-                    Ok(report) => println!(
-                        "OK   {base}: delta report, {} records, {} changes/round, {:.1}x over full",
-                        report.records, report.churn_changes, report.speedup
-                    ),
-                    Err(e) => {
-                        eprintln!("FAIL {}: {e}", fig_path.display());
-                        failed = true;
-                    }
-                }
-                continue;
-            }
-            // Watchdog reports (INCIDENTS.json) validate every incident
-            // row, cause, and match through the strict parser; no trace
-            // file.
-            Ok(doc) if incident_view::is_incidents_doc(&doc) => {
-                match incident_view::IncidentReport::from_json(&doc) {
-                    Ok(report) => println!(
-                        "OK   {base}: incident report, {} ticks, {} incidents ({} matched, {} false alarms)",
-                        report.ticks,
-                        report.rows.len(),
-                        report.matched(),
-                        report.false_alarms
-                    ),
-                    Err(e) => {
-                        eprintln!("FAIL {}: {e}", fig_path.display());
-                        failed = true;
-                    }
-                }
-                continue;
-            }
-            // Tail-sampler reports (SLOW_QUERIES.json) validate each
-            // retained explain record and its span tree; no trace file.
-            Ok(doc) if explain_view::is_slow_doc(&doc) => {
-                match explain_view::parse_slow_doc(&doc) {
-                    Ok(slow) => println!(
-                        "OK   {base}: slow-query report, {} retained of {} observed",
-                        slow.retained.len(),
-                        slow.observed
-                    ),
-                    Err(e) => {
-                        eprintln!("FAIL {}: {e}", fig_path.display());
-                        failed = true;
-                    }
-                }
-                continue;
-            }
-            Ok(doc) if doc.get("figure").and_then(Json::as_str_val).is_some() => {}
-            Ok(_) => {
-                eprintln!("FAIL {}: not a figure document", fig_path.display());
-                failed = true;
-                continue;
-            }
-            Err(e) => {
-                eprintln!("FAIL {e}");
-                failed = true;
-                continue;
-            }
-        }
-        match load_json(&trace_path).and_then(|d| parse_trace_events(&d)) {
-            Ok(events) => {
-                let spans = events.iter().filter(|e| e.dur_us > 0).count();
-                if spans == 0 {
-                    eprintln!("FAIL {}: no complete (ph=X) spans", trace_path.display());
-                    failed = true;
-                    continue;
-                }
-                // Every recorded trace must form a valid span tree.
-                let mut bad = None;
-                for t in trace_ids(&events) {
-                    let tev: Vec<Event> = events.iter().filter(|e| e.trace == t).copied().collect();
-                    if let Err(e) = span_tree_root(&tev, t) {
-                        bad = Some(format!("trace {}: {e}", t.0));
-                        break;
-                    }
-                }
-                if let Some(why) = bad {
-                    eprintln!("FAIL {}: {why}", trace_path.display());
-                    failed = true;
-                } else {
-                    println!(
-                        "OK   {base}: {spans} spans, {} traces",
-                        trace_ids(&events).len()
-                    );
-                }
-            }
+        match check_one(base) {
+            Ok(summary) => println!("OK   {base}: {summary}"),
             Err(e) => {
                 eprintln!("FAIL {e}");
                 failed = true;
@@ -558,20 +432,8 @@ fn bench_diff(args: &[String]) -> ExitCode {
     }
 }
 
-fn load_slow_doc(path: &str) -> Result<explain_view::SlowDoc, String> {
-    let (fig_path, _) = expand(path);
-    let doc = load_json(&fig_path)?;
-    if !explain_view::is_slow_doc(&doc) {
-        return Err(format!(
-            "{}: not a slow-query report (no slow_queries key)",
-            fig_path.display()
-        ));
-    }
-    explain_view::parse_slow_doc(&doc).map_err(|e| format!("{}: {e}", fig_path.display()))
-}
-
 fn explain(path: &str, query_id: Option<u64>) -> ExitCode {
-    let slow = match load_slow_doc(path) {
+    let slow = match SlowDoc::load(&expand(path).0) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
@@ -609,103 +471,15 @@ fn explain(path: &str, query_id: Option<u64>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn slow(path: &str) -> ExitCode {
-    match load_slow_doc(path) {
-        Ok(doc) => {
-            print!("{}", explain_view::render_slow_table(&doc));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn audit(path: &str) -> ExitCode {
+/// Load the artifact at `path`, parse it strictly and print `render`'s
+/// view of it.
+fn print_view(path: &str, render: artifacts::Describe) -> ExitCode {
     let (fig_path, _) = expand(path);
-    let report = load_json(&fig_path).and_then(|doc| {
-        if !audit_view::is_audit_doc(&doc) {
-            return Err(format!(
-                "{}: not an audit report (no audit key)",
-                fig_path.display()
-            ));
-        }
-        audit_view::AuditReport::from_json(&doc).map_err(|e| format!("{}: {e}", fig_path.display()))
-    });
-    match report {
-        Ok(report) => {
-            print!("{}", audit_view::render_audit_table(&report));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn plan(path: &str) -> ExitCode {
-    let (fig_path, _) = expand(path);
-    let report = load_json(&fig_path).and_then(|doc| {
-        if !plan_view::is_plan_doc(&doc) {
-            return Err(format!(
-                "{}: not a plan report (no plan_schema_version key)",
-                fig_path.display()
-            ));
-        }
-        plan_view::PlanReport::from_json(&doc).map_err(|e| format!("{}: {e}", fig_path.display()))
-    });
-    match report {
-        Ok(report) => {
-            print!("{}", plan_view::render_plan_table(&report));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn delta(path: &str) -> ExitCode {
-    let (fig_path, _) = expand(path);
-    let report = load_json(&fig_path).and_then(|doc| {
-        if !delta_view::is_delta_doc(&doc) {
-            return Err(format!(
-                "{}: not a delta report (no delta_schema_version key)",
-                fig_path.display()
-            ));
-        }
-        delta_view::DeltaReport::from_json(&doc).map_err(|e| format!("{}: {e}", fig_path.display()))
-    });
-    match report {
-        Ok(report) => {
-            print!("{}", delta_view::render_delta_table(&report));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn incidents(path: &str) -> ExitCode {
-    let (fig_path, _) = expand(path);
-    let report = load_json(&fig_path).and_then(|doc| {
-        if !incident_view::is_incidents_doc(&doc) {
-            return Err(format!(
-                "{}: not an incident report (no incidents key)",
-                fig_path.display()
-            ));
-        }
-        incident_view::IncidentReport::from_json(&doc)
-            .map_err(|e| format!("{}: {e}", fig_path.display()))
-    });
-    match report {
-        Ok(report) => {
-            print!("{}", incident_view::render_incident_table(&report));
+    let rendered = json::load_json(&fig_path)
+        .and_then(|doc| render(&doc).map_err(|e| format!("{}: {e}", fig_path.display())));
+    match rendered {
+        Ok(text) => {
+            print!("{text}");
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -14,19 +14,18 @@
 //! * `roads-inspect delta <artifact>` — the summary table
 //!   ([`render_delta_table`]).
 //! * `roads-inspect check` — strict schema validation via
-//!   [`DeltaReport::from_json`], including the delta path's core
-//!   invariant (the incremental round stays at least an order of
-//!   magnitude faster than the full round) so a regression fails the
-//!   artifact check, not just a bench diff. [`is_delta_doc`] routes
-//!   `check` between this schema and the other artifact schemas.
+//!   `DeltaReport::from_json` (derived by the artifact layer), including
+//!   the delta path's core invariant (the incremental round stays at
+//!   least an order of magnitude faster than the full round) so a
+//!   regression fails the artifact check, not just a bench diff.
 
-use roads_telemetry::Json;
+use roads_telemetry::{artifact, json_fields};
 
 /// Current `DELTA.json` schema version.
 pub const DELTA_SCHEMA_VERSION: u64 = 1;
 
 /// The minimum full-round / delta-round speedup a healthy incremental
-/// path must sustain; [`DeltaReport::from_json`] rejects artifacts below
+/// path must sustain; `DeltaReport::from_json` rejects artifacts below
 /// it.
 pub const MIN_DELTA_SPEEDUP: f64 = 10.0;
 
@@ -90,152 +89,87 @@ impl DeltaReport {
         }
     }
 
-    /// Serialize to the on-disk document shape.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "delta_schema_version",
-                Json::num(self.schema_version as f64),
-            ),
-            ("config", Json::str(self.config.clone())),
-            ("servers", Json::num(self.servers as f64)),
-            ("records", Json::num(self.records as f64)),
-            ("churn_changes", Json::num(self.churn_changes as f64)),
-            ("full_ms", Json::num(self.full_ms)),
-            ("delta_ms", Json::num(self.delta_ms)),
-            ("speedup", Json::num(self.speedup)),
-            ("full_bytes", Json::num(self.full_bytes as f64)),
-            ("delta_bytes", Json::num(self.delta_bytes as f64)),
-            ("applied", Json::num(self.applied as f64)),
-            ("rejected", Json::num(self.rejected as f64)),
-            ("dirty_servers", Json::num(self.dirty_servers as f64)),
-            ("dirty_branches", Json::num(self.dirty_branches as f64)),
-            ("shard_rebuilds", Json::num(self.shard_rebuilds as f64)),
-        ])
-    }
-
-    /// Parse and validate a delta document. Beyond shape, this enforces
-    /// the incremental path's invariants: the recorded speedup is
-    /// consistent with the timings and at least [`MIN_DELTA_SPEEDUP`],
-    /// the delta round never moves more bytes than the full round, the
-    /// dirty sets fit the network, and the change accounting adds up.
-    pub fn from_json(doc: &Json) -> Result<DeltaReport, String> {
-        let version = doc
-            .get("delta_schema_version")
-            .and_then(Json::as_f64)
-            .ok_or("missing delta_schema_version marker")?;
-        if version != DELTA_SCHEMA_VERSION as f64 {
-            return Err(format!(
-                "unknown delta_schema_version {version} (this build reads {DELTA_SCHEMA_VERSION})"
-            ));
+    /// The incremental path's invariants: timings are positive, the
+    /// recorded speedup is consistent with them and at least
+    /// [`MIN_DELTA_SPEEDUP`], the delta round never moves more bytes than
+    /// the full round, the dirty sets fit the network, and the change
+    /// accounting adds up.
+    fn validate(&self) -> Result<(), String> {
+        for (key, ms) in [
+            ("full_ms", self.full_ms),
+            ("delta_ms", self.delta_ms),
+            ("speedup", self.speedup),
+        ] {
+            if ms <= 0.0 {
+                return Err(format!("{key} must be a positive duration, got {ms}"));
+            }
         }
-        let config = doc
-            .get("config")
-            .and_then(Json::as_str_val)
-            .ok_or("missing config")?
-            .to_string();
-        let count = |key: &str| -> Result<u64, String> {
-            let v = doc
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing or non-numeric {key}"))?;
-            if !v.is_finite() || v < 0.0 || v.fract() != 0.0 {
-                return Err(format!("{key} must be a non-negative integer, got {v}"));
-            }
-            Ok(v as u64)
-        };
-        let millis = |key: &str| -> Result<f64, String> {
-            let v = doc
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing or non-numeric {key}"))?;
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!("{key} must be a positive duration, got {v}"));
-            }
-            Ok(v)
-        };
-        let report = DeltaReport {
-            schema_version: version as u64,
-            config,
-            servers: count("servers")?,
-            records: count("records")?,
-            churn_changes: count("churn_changes")?,
-            full_ms: millis("full_ms")?,
-            delta_ms: millis("delta_ms")?,
-            speedup: millis("speedup")?,
-            full_bytes: count("full_bytes")?,
-            delta_bytes: count("delta_bytes")?,
-            applied: count("applied")?,
-            rejected: count("rejected")?,
-            dirty_servers: count("dirty_servers")?,
-            dirty_branches: count("dirty_branches")?,
-            shard_rebuilds: count("shard_rebuilds")?,
-        };
-        if report.servers == 0 || report.records == 0 {
+        if self.servers == 0 || self.records == 0 {
             return Err("empty churn network".to_string());
         }
-        if report.churn_changes == 0 {
+        if self.churn_changes == 0 {
             return Err("no churn changes in the delta round".to_string());
         }
-        if report.applied + report.rejected != report.churn_changes {
+        if self.applied + self.rejected != self.churn_changes {
             return Err(format!(
                 "change accounting does not add up: {} applied + {} rejected != {} changes",
-                report.applied, report.rejected, report.churn_changes
+                self.applied, self.rejected, self.churn_changes
             ));
         }
-        if report.dirty_servers > report.servers {
+        if self.dirty_servers > self.servers {
             return Err(format!(
                 "more dirty servers than servers ({} > {})",
-                report.dirty_servers, report.servers
+                self.dirty_servers, self.servers
             ));
         }
-        if report.dirty_branches < report.dirty_servers {
+        if self.dirty_branches < self.dirty_servers {
             return Err(format!(
                 "dirty branch closure smaller than the dirty server set ({} < {})",
-                report.dirty_branches, report.dirty_servers
+                self.dirty_branches, self.dirty_servers
             ));
         }
-        if report.delta_bytes > report.full_bytes {
+        if self.delta_bytes > self.full_bytes {
             return Err(format!(
                 "delta round moved more bytes than the full round ({} > {})",
-                report.delta_bytes, report.full_bytes
+                self.delta_bytes, self.full_bytes
             ));
         }
-        let expected = report.full_ms / report.delta_ms;
-        if (report.speedup - expected).abs() > 1e-6 * expected.max(1.0) {
+        let expected = self.full_ms / self.delta_ms;
+        if (self.speedup - expected).abs() > 1e-6 * expected.max(1.0) {
             return Err(format!(
                 "speedup {} inconsistent with timings ({} / {} ms)",
-                report.speedup, report.full_ms, report.delta_ms
+                self.speedup, self.full_ms, self.delta_ms
             ));
         }
-        if report.speedup < MIN_DELTA_SPEEDUP {
+        if self.speedup < MIN_DELTA_SPEEDUP {
             return Err(format!(
                 "delta round only {:.1}x faster than the full round — \
                  the incremental path must stay >= {MIN_DELTA_SPEEDUP:.0}x",
-                report.speedup
+                self.speedup
             ));
         }
-        Ok(report)
-    }
-
-    /// Load and validate a report from disk.
-    pub fn load(path: &std::path::Path) -> Result<DeltaReport, String> {
-        let body = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let doc = Json::parse(&body).map_err(|e| format!("{}: {e}", path.display()))?;
-        Self::from_json(&doc).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Write the pretty-printed document.
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json().to_string_pretty())
+        Ok(())
     }
 }
 
-/// Whether this is a delta document at all (any version): used by
-/// `roads-inspect check` to route between artifact schemas.
-pub fn is_delta_doc(doc: &Json) -> bool {
-    doc.get("delta_schema_version").is_some()
-}
+json_fields!(DeltaReport {
+    schema_version as "delta_schema_version",
+    config,
+    servers,
+    records,
+    churn_changes,
+    full_ms,
+    delta_ms,
+    speedup,
+    full_bytes,
+    delta_bytes,
+    applied,
+    rejected,
+    dirty_servers,
+    dirty_branches,
+    shard_rebuilds,
+});
+artifact!(DeltaReport, "delta_schema_version", DELTA_SCHEMA_VERSION);
 
 /// The incremental-update summary table.
 pub fn render_delta_table(r: &DeltaReport) -> String {
@@ -269,6 +203,7 @@ pub fn render_delta_table(r: &DeltaReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use roads_telemetry::Json;
 
     fn report() -> DeltaReport {
         DeltaReport {
@@ -294,7 +229,7 @@ mod tests {
     fn artifact_round_trips() {
         let r = report();
         let doc = Json::parse(&r.to_json().to_string_pretty()).unwrap();
-        assert!(is_delta_doc(&doc));
+        assert!(DeltaReport::has_marker(&doc));
         let parsed = DeltaReport::from_json(&doc).unwrap();
         assert_eq!(parsed, r);
     }
@@ -355,7 +290,7 @@ mod tests {
     #[test]
     fn check_rejects_corrupt_documents() {
         let other = Json::obj(vec![("benches", Json::num(1.0))]);
-        assert!(!is_delta_doc(&other));
+        assert!(!DeltaReport::has_marker(&other));
         assert!(DeltaReport::from_json(&other)
             .unwrap_err()
             .contains("marker"));

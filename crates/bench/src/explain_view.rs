@@ -1,138 +1,17 @@
-//! Offline views of the query explain plane: parse and render
-//! `SLOW_QUERIES.json` artifacts written by a [`TailSampler`].
-//!
-//! Three consumers share this module:
+//! Offline views of the query explain plane: render `SLOW_QUERIES.json`
+//! artifacts written by a [`TailSampler`]. The format itself — writer,
+//! strict reader, span-tree check — lives with the sampler in
+//! [`roads_telemetry::tail`] ([`SlowDoc`]).
 //!
 //! * `roads-inspect explain <artifact>` — hop-by-hop waterfall plus the
 //!   decision tree of each retained query ([`render_waterfall`],
 //!   [`render_decision_tree`]).
 //! * `roads-inspect slow <artifact>` — the ranked tail table with p99
 //!   latency attribution ([`render_slow_table`]).
-//! * `roads-inspect check` — strict schema validation
-//!   ([`parse_slow_doc`]): every retained entry must carry a parseable
-//!   reason and explain record, and retained flight-recorder events must
-//!   form a valid span tree for the explain's trace.
 //!
 //! [`TailSampler`]: roads_telemetry::TailSampler
 
-use roads_telemetry::{
-    event_from_json, span_tree_root, Event, ExplainHop, HopOutcome, Json, QueryExplain,
-    RetainReason, TraceId,
-};
-
-/// One retained entry of a `SLOW_QUERIES.json` document.
-#[derive(Debug, Clone)]
-pub struct RetainedEntry {
-    /// Why the sampler kept it.
-    pub reason: RetainReason,
-    /// The provenance record.
-    pub explain: QueryExplain,
-    /// Flight-recorder events of the same trace (may be empty).
-    pub events: Vec<Event>,
-}
-
-/// A parsed `SLOW_QUERIES.json` document.
-#[derive(Debug, Clone)]
-pub struct SlowDoc {
-    /// Retention threshold at write time (ms).
-    pub threshold_ms: f64,
-    /// Queries the sampler observed in total.
-    pub observed: u64,
-    /// Queries folded into the histogram but not retained.
-    pub dropped: u64,
-    /// Retained tail queries, ranked slowest first.
-    pub retained: Vec<RetainedEntry>,
-    /// Histogram exemplars: `(bucket_ms, trace_id)` pairs.
-    pub exemplars: Vec<(f64, u64)>,
-}
-
-/// Whether the document carries the `SLOW_QUERIES.json` marker key:
-/// used by `roads-inspect check` to route between schemas.
-pub fn is_slow_doc(doc: &Json) -> bool {
-    doc.get("slow_queries").is_some()
-}
-
-/// Parse and validate a `SLOW_QUERIES.json` document. Strict: a
-/// truncated or hand-edited artifact fails with a message naming the
-/// offending entry instead of producing a half-empty view.
-pub fn parse_slow_doc(doc: &Json) -> Result<SlowDoc, String> {
-    let num = |key: &str| -> Result<f64, String> {
-        let v = doc
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing or non-numeric {key}"))?;
-        if !v.is_finite() {
-            return Err(format!("non-finite {key}"));
-        }
-        Ok(v)
-    };
-    let threshold_ms = num("threshold_ms")?;
-    let observed = num("observed")? as u64;
-    let dropped = num("dropped")? as u64;
-    let entries = doc
-        .get("retained")
-        .and_then(Json::as_arr)
-        .ok_or("missing retained array")?;
-    let mut retained = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        let reason = entry
-            .get("reason")
-            .and_then(Json::as_str_val)
-            .and_then(RetainReason::parse)
-            .ok_or_else(|| format!("retained[{i}]: missing or unknown reason"))?;
-        let explain = entry
-            .get("explain")
-            .ok_or_else(|| format!("retained[{i}]: missing explain record"))
-            .and_then(|e| {
-                QueryExplain::from_json(e).map_err(|why| format!("retained[{i}]: {why}"))
-            })?;
-        let events = match entry.get("events").and_then(Json::as_arr) {
-            Some(evs) => evs
-                .iter()
-                .map(event_from_json)
-                .collect::<Result<Vec<Event>, String>>()
-                .map_err(|why| format!("retained[{i}]: {why}"))?,
-            None => Vec::new(),
-        };
-        if !events.is_empty() {
-            // The retained trace must reconstruct: one causal span tree
-            // for the query the explain record describes.
-            let trace = TraceId(explain.trace_id);
-            span_tree_root(&events, trace)
-                .map_err(|why| format!("retained[{i}]: trace {}: {why}", explain.trace_id))?;
-        }
-        retained.push(RetainedEntry {
-            reason,
-            explain,
-            events,
-        });
-    }
-    let exemplars = match doc.get("exemplars").and_then(Json::as_arr) {
-        Some(arr) => arr
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let bucket = e
-                    .get("bucket_ms")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("exemplars[{i}]: missing bucket_ms"))?;
-                let trace = e
-                    .get("trace_id")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("exemplars[{i}]: missing trace_id"))?;
-                Ok((bucket, trace as u64))
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-        None => Vec::new(),
-    };
-    Ok(SlowDoc {
-        threshold_ms,
-        observed,
-        dropped,
-        retained,
-        exemplars,
-    })
-}
+use roads_telemetry::{ExplainHop, HopOutcome, QueryExplain, SlowDoc};
 
 fn outcome_label(h: &ExplainHop) -> &'static str {
     match h.outcome {
@@ -341,7 +220,9 @@ pub fn render_slow_table(doc: &SlowDoc) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roads_telemetry::{ExplainDecision, LatencySplit, SummaryKind, TailConfig, TailSampler};
+    use roads_telemetry::{
+        Event, ExplainDecision, Json, LatencySplit, SummaryKind, TailConfig, TailSampler,
+    };
 
     fn hop(
         server: u32,
@@ -435,9 +316,9 @@ mod tests {
             floor_ms: 0.0001,
         });
         s.observe(explain(), false, Vec::new());
-        let doc = Json::parse(&s.report().to_string_pretty()).unwrap();
-        assert!(is_slow_doc(&doc));
-        let parsed = parse_slow_doc(&doc).unwrap();
+        let doc = Json::parse(&s.report().to_json().to_string_pretty()).unwrap();
+        assert!(SlowDoc::has_marker(&doc));
+        let parsed = SlowDoc::from_json(&doc).unwrap();
         assert_eq!(parsed.observed, 1);
         assert_eq!(parsed.retained.len(), 1);
         assert_eq!(parsed.retained[0].explain.query_id, 7);
@@ -450,7 +331,7 @@ mod tests {
     #[test]
     fn parser_rejects_corrupt_documents() {
         let missing = Json::obj(vec![("slow_queries", Json::num(1.0))]);
-        assert!(parse_slow_doc(&missing)
+        assert!(SlowDoc::from_json(&missing)
             .unwrap_err()
             .contains("threshold_ms"));
 
@@ -460,7 +341,7 @@ mod tests {
                 "retained":[{"reason":"slow","explain":{"query_id":1}}],"exemplars":[]}"#,
         )
         .unwrap();
-        let err = parse_slow_doc(&bad).unwrap_err();
+        let err = SlowDoc::from_json(&bad).unwrap_err();
         assert!(err.contains("retained[0]"), "{err}");
 
         // An unknown retention reason.
@@ -469,7 +350,7 @@ mod tests {
                 "retained":[{"reason":"meh","explain":{}}],"exemplars":[]}"#,
         )
         .unwrap();
-        assert!(parse_slow_doc(&bad_reason)
+        assert!(SlowDoc::from_json(&bad_reason)
             .unwrap_err()
             .contains("unknown reason"));
     }
@@ -493,8 +374,8 @@ mod tests {
             detail: 0,
         };
         s.observe(explain(), false, vec![orphan]);
-        let doc = Json::parse(&s.report().to_string_pretty()).unwrap();
-        let err = parse_slow_doc(&doc).unwrap_err();
+        let doc = Json::parse(&s.report().to_json().to_string_pretty()).unwrap();
+        let err = SlowDoc::from_json(&doc).unwrap_err();
         assert!(err.contains("trace 42"), "{err}");
     }
 }

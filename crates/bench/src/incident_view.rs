@@ -10,13 +10,12 @@
 //!   correlated tail-sampled slow queries.
 //! * `roads-inspect check` — strict schema validation via
 //!   [`IncidentReport::from_json`]: a truncated or hand-edited artifact
-//!   fails with a message naming the offending entry instead of
-//!   producing a half-empty view. [`is_incidents_doc`] routes `check`
-//!   between this schema and the other artifact schemas.
+//!   fails with a message naming every offending path instead of
+//!   producing a half-empty view.
 //!
 //! [`Watchdog`]: roads_runtime::Watchdog
 
-pub use roads_runtime::{is_incidents_doc, CauseKind, Incident, IncidentReport};
+pub use roads_runtime::{CauseKind, Incident, IncidentReport};
 
 /// The incident timeline: a summary header plus one block per incident.
 pub fn render_incident_table(report: &IncidentReport) -> String {
@@ -181,7 +180,7 @@ mod tests {
     fn artifact_round_trips_through_the_renderer_path() {
         let r = report();
         let doc = Json::parse(&r.to_json().to_string_pretty()).unwrap();
-        assert!(is_incidents_doc(&doc));
+        assert!(IncidentReport::has_marker(&doc));
         let parsed = IncidentReport::from_json(&doc).unwrap();
         assert_eq!(parsed, r);
         assert_eq!(render_incident_table(&parsed), render_incident_table(&r));
@@ -191,7 +190,7 @@ mod tests {
     fn parser_rejects_corrupt_documents() {
         // Not an incidents document at all.
         let other = Json::obj(vec![("audit", Json::num(1.0))]);
-        assert!(!is_incidents_doc(&other));
+        assert!(!IncidentReport::has_marker(&other));
         assert!(IncidentReport::from_json(&other)
             .unwrap_err()
             .contains("marker"));

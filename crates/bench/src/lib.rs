@@ -12,6 +12,7 @@
 //! over 10 runs. Binaries accept `--runs N` and `--quick` (a scaled-down
 //! sweep for smoke testing).
 
+pub mod artifacts;
 pub mod audit_view;
 pub mod chart;
 pub mod delta_view;

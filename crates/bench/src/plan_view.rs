@@ -15,12 +15,12 @@
 //! * `roads-inspect plan <artifact>` — the summary table
 //!   ([`render_plan_table`]).
 //! * `roads-inspect check` — strict schema validation via
-//!   [`PlanReport::from_json`], including the planner's core invariant
-//!   (planned contacts never exceed greedy contacts) so a regression
-//!   fails the artifact check, not just a bench diff. [`is_plan_doc`]
-//!   routes `check` between this schema and the other artifact schemas.
+//!   `PlanReport::from_json` (derived by the artifact layer), including
+//!   the planner's core invariant (planned contacts never exceed greedy
+//!   contacts) so a regression fails the artifact check, not just a
+//!   bench diff.
 
-use roads_telemetry::Json;
+use roads_telemetry::{artifact, json_fields};
 
 /// Current `PLAN.json` schema version.
 pub const PLAN_SCHEMA_VERSION: u64 = 1;
@@ -73,111 +73,39 @@ impl PlanReport {
         }
     }
 
-    /// Serialize to the on-disk document shape.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("plan_schema_version", Json::num(self.schema_version as f64)),
-            ("config", Json::str(self.config.clone())),
-            ("queries", Json::num(self.queries as f64)),
-            ("planned_queries", Json::num(self.planned_queries as f64)),
-            ("pruned_probes", Json::num(self.pruned_probes as f64)),
-            ("greedy_contacts", Json::num(self.greedy_contacts as f64)),
-            ("planned_contacts", Json::num(self.planned_contacts as f64)),
-            ("cache_hits", Json::num(self.cache_hits as f64)),
-            ("cache_misses", Json::num(self.cache_misses as f64)),
-            (
-                "cache_invalidations",
-                Json::num(self.cache_invalidations as f64),
-            ),
-            ("cache_hit_rate", Json::num(self.cache_hit_rate())),
-        ])
-    }
-
-    /// Parse and validate a plan document. Beyond shape, this enforces
-    /// the planner's invariants: planned contacts never exceed greedy
-    /// contacts, counts are non-negative integers, and the recorded hit
-    /// rate is consistent with the counts.
-    pub fn from_json(doc: &Json) -> Result<PlanReport, String> {
-        let version = doc
-            .get("plan_schema_version")
-            .and_then(Json::as_f64)
-            .ok_or("missing plan_schema_version marker")?;
-        if version != PLAN_SCHEMA_VERSION as f64 {
-            return Err(format!(
-                "unknown plan_schema_version {version} (this build reads {PLAN_SCHEMA_VERSION})"
-            ));
-        }
-        let config = doc
-            .get("config")
-            .and_then(Json::as_str_val)
-            .ok_or("missing config")?
-            .to_string();
-        let count = |key: &str| -> Result<u64, String> {
-            let v = doc
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing or non-numeric {key}"))?;
-            if !v.is_finite() || v < 0.0 || v.fract() != 0.0 {
-                return Err(format!("{key} must be a non-negative integer, got {v}"));
-            }
-            Ok(v as u64)
-        };
-        let report = PlanReport {
-            schema_version: version as u64,
-            config,
-            queries: count("queries")?,
-            planned_queries: count("planned_queries")?,
-            pruned_probes: count("pruned_probes")?,
-            greedy_contacts: count("greedy_contacts")?,
-            planned_contacts: count("planned_contacts")?,
-            cache_hits: count("cache_hits")?,
-            cache_misses: count("cache_misses")?,
-            cache_invalidations: count("cache_invalidations")?,
-        };
-        if report.queries == 0 {
+    /// The planner's invariants: the comparison pass ran, and planned
+    /// contacts never exceed greedy contacts. (That the recorded hit rate
+    /// agrees with the counts is checked by the layer: `cache_hit_rate`
+    /// is a computed member.)
+    fn validate(&self) -> Result<(), String> {
+        if self.queries == 0 {
             return Err("no queries in the comparison pass".to_string());
         }
-        if report.planned_contacts > report.greedy_contacts {
+        if self.planned_contacts > self.greedy_contacts {
             return Err(format!(
                 "planned dispatch contacted more servers than greedy ({} > {}) — \
                  the planner must never widen a query",
-                report.planned_contacts, report.greedy_contacts
+                self.planned_contacts, self.greedy_contacts
             ));
         }
-        let rate = doc
-            .get("cache_hit_rate")
-            .and_then(Json::as_f64)
-            .ok_or("missing cache_hit_rate")?;
-        if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-            return Err(format!("cache_hit_rate out of range: {rate}"));
-        }
-        if (rate - report.cache_hit_rate()).abs() > 1e-6 {
-            return Err(format!(
-                "cache_hit_rate {rate} inconsistent with hits/misses ({}/{})",
-                report.cache_hits, report.cache_misses
-            ));
-        }
-        Ok(report)
-    }
-
-    /// Load and validate a report from disk.
-    pub fn load(path: &std::path::Path) -> Result<PlanReport, String> {
-        let body = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let doc = Json::parse(&body).map_err(|e| format!("{}: {e}", path.display()))?;
-        Self::from_json(&doc).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Write the pretty-printed document.
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json().to_string_pretty())
+        Ok(())
     }
 }
 
-/// Whether this is a plan document at all (any version): used by
-/// `roads-inspect check` to route between artifact schemas.
-pub fn is_plan_doc(doc: &Json) -> bool {
-    doc.get("plan_schema_version").is_some()
-}
+json_fields!(PlanReport as r {
+    schema_version as "plan_schema_version",
+    config,
+    queries,
+    planned_queries,
+    pruned_probes,
+    greedy_contacts,
+    planned_contacts,
+    cache_hits,
+    cache_misses,
+    cache_invalidations,
+    "cache_hit_rate" = r.cache_hit_rate(),
+});
+artifact!(PlanReport, "plan_schema_version", PLAN_SCHEMA_VERSION);
 
 /// The planner/cache summary table.
 pub fn render_plan_table(r: &PlanReport) -> String {
@@ -210,6 +138,7 @@ pub fn render_plan_table(r: &PlanReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use roads_telemetry::Json;
 
     fn report() -> PlanReport {
         PlanReport {
@@ -230,7 +159,7 @@ mod tests {
     fn artifact_round_trips() {
         let r = report();
         let doc = Json::parse(&r.to_json().to_string_pretty()).unwrap();
-        assert!(is_plan_doc(&doc));
+        assert!(PlanReport::has_marker(&doc));
         let parsed = PlanReport::from_json(&doc).unwrap();
         assert_eq!(parsed, r);
     }
@@ -256,7 +185,7 @@ mod tests {
     #[test]
     fn check_rejects_corrupt_documents() {
         let other = Json::obj(vec![("benches", Json::num(1.0))]);
-        assert!(!is_plan_doc(&other));
+        assert!(!PlanReport::has_marker(&other));
         assert!(PlanReport::from_json(&other)
             .unwrap_err()
             .contains("marker"));

@@ -4,17 +4,16 @@
 //! network build, update propagation, live query-plane throughput,
 //! failover recovery) and writes its results as one `BENCH_ROADS.json`
 //! document at the repository root. This module owns that document's
-//! schema — [`BenchReport`] / [`BenchRecord`] with `to_json`/`from_json`
-//! round-tripping through the workspace's hand-rolled
-//! [`Json`](roads_telemetry::Json) — plus the regression comparator
-//! behind `roads-inspect bench-diff OLD NEW --fail-over <pct>` and the
-//! schema validator behind `roads-inspect check`.
+//! schema — [`BenchReport`] / [`BenchRecord`], declared on the workspace
+//! artifact layer ([`roads_telemetry::json::artifact`]) — plus the
+//! regression comparator behind `roads-inspect bench-diff OLD NEW
+//! --fail-over <pct>`.
 //!
 //! Regression direction is inferred from the unit: throughput units
 //! (`qps`, anything per-second) regress when they *drop*, everything
 //! else (latencies, byte counts) regresses when it *grows*.
 
-use roads_telemetry::{Json, MetricsSnapshot};
+use roads_telemetry::{artifact, json_fields, MetricsSnapshot};
 
 /// Schema version written by this build; `from_json` rejects documents
 /// carrying any other version so CI never silently compares
@@ -81,132 +80,43 @@ impl BenchReport {
         }
     }
 
-    /// Serialize to the on-disk document shape.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(self.schema_version as f64)),
-            ("commit", Json::str(self.commit.clone())),
-            ("config", Json::str(self.config.clone())),
-            (
-                "benches",
-                Json::Arr(
-                    self.benches
-                        .iter()
-                        .map(|b| {
-                            Json::obj(vec![
-                                ("name", Json::str(b.name.clone())),
-                                ("unit", Json::str(b.unit.clone())),
-                                ("value", Json::num(b.value)),
-                                ("p50", Json::num(b.p50)),
-                                ("p99", Json::num(b.p99)),
-                                ("samples", Json::num(b.samples as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Parse and validate a bench document. Rejects unknown
-    /// `schema_version`s, empty or duplicate bench lists, and
-    /// non-finite statistics (the JSON writer turns NaN into `null`, so
-    /// a NaN upstream surfaces here as a non-numeric field).
-    pub fn from_json(doc: &Json) -> Result<BenchReport, String> {
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_f64)
-            .ok_or("missing schema_version")?;
-        if version != BENCH_SCHEMA_VERSION as f64 {
-            return Err(format!(
-                "unknown schema_version {version} (this build reads {BENCH_SCHEMA_VERSION})"
-            ));
-        }
-        let commit = doc
-            .get("commit")
-            .and_then(Json::as_str_val)
-            .ok_or("missing commit")?
-            .to_string();
-        let config = doc
-            .get("config")
-            .and_then(Json::as_str_val)
-            .ok_or("missing config")?
-            .to_string();
-        let entries = doc
-            .get("benches")
-            .and_then(Json::as_arr)
-            .ok_or("missing benches array")?;
-        if entries.is_empty() {
+    /// Rejects empty or duplicate bench lists and sample-less records
+    /// (non-finite statistics never get this far: the JSON writer turns
+    /// NaN into `null`, which the reader reports as a non-numeric field).
+    fn validate(&self) -> Result<(), String> {
+        if self.benches.is_empty() {
             return Err("empty bench list".to_string());
         }
-        let mut benches = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let name = entry
-                .get("name")
-                .and_then(Json::as_str_val)
-                .ok_or("bench missing name")?
-                .to_string();
-            let field = |key: &str| -> Result<f64, String> {
-                let v = entry
-                    .get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("bench {name}: missing or non-numeric {key}"))?;
-                if !v.is_finite() {
-                    return Err(format!("bench {name}: non-finite {key}"));
-                }
-                Ok(v)
-            };
-            if benches.iter().any(|b: &BenchRecord| b.name == name) {
-                return Err(format!("duplicate bench name {name}"));
+        for (i, b) in self.benches.iter().enumerate() {
+            if self.benches[..i]
+                .iter()
+                .any(|earlier| earlier.name == b.name)
+            {
+                return Err(format!("duplicate bench name {}", b.name));
             }
-            let samples = field("samples")?;
-            if samples < 1.0 {
-                return Err(format!("bench {name}: no samples"));
+            if b.samples == 0 {
+                return Err(format!("bench {}: no samples", b.name));
             }
-            benches.push(BenchRecord {
-                unit: entry
-                    .get("unit")
-                    .and_then(Json::as_str_val)
-                    .ok_or_else(|| format!("bench {name}: missing unit"))?
-                    .to_string(),
-                value: field("value")?,
-                p50: field("p50")?,
-                p99: field("p99")?,
-                samples: samples as usize,
-                name,
-            });
         }
-        Ok(BenchReport {
-            schema_version: version as u64,
-            commit,
-            config,
-            benches,
-        })
-    }
-
-    /// Load and validate a report from disk.
-    pub fn load(path: &std::path::Path) -> Result<BenchReport, String> {
-        let body = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let doc = Json::parse(&body).map_err(|e| format!("{}: {e}", path.display()))?;
-        Self::from_json(&doc).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Write the pretty-printed document.
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json().to_string_pretty())
+        Ok(())
     }
 }
 
-/// Validate an already-parsed document as a bench report.
-pub fn check_bench_doc(doc: &Json) -> Result<(), String> {
-    BenchReport::from_json(doc).map(|_| ())
-}
-
-/// Whether this is a bench document at all (any `schema_version`): used
-/// by `roads-inspect check` to route between figure and bench schemas.
-pub fn is_bench_doc(doc: &Json) -> bool {
-    doc.get("benches").is_some()
-}
+json_fields!(BenchRecord {
+    name,
+    unit,
+    value,
+    p50,
+    p99,
+    samples
+});
+json_fields!(BenchReport {
+    schema_version,
+    commit,
+    config,
+    benches
+});
+artifact!(BenchReport, "schema_version", BENCH_SCHEMA_VERSION);
 
 /// Regression direction: throughput units improve upward, everything
 /// else (time, bytes) improves downward.
@@ -375,6 +285,12 @@ pub fn print_metrics_digest(snap: &MetricsSnapshot) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use roads_telemetry::Json;
+
+    /// Validate an already-parsed document as a bench report.
+    fn check_bench_doc(doc: &Json) -> Result<(), String> {
+        BenchReport::from_json(doc).map(|_| ())
+    }
 
     fn report(pairs: &[(&str, &str, f64)]) -> BenchReport {
         BenchReport {
@@ -408,6 +324,7 @@ mod tests {
     fn report_round_trips_through_json() {
         let r = report(&[("build_1t", "ms", 120.5), ("qps_overlay", "qps", 850.0)]);
         let doc = r.to_json();
+        assert!(BenchReport::has_marker(&doc));
         assert_eq!(BenchReport::from_json(&doc), Ok(r.clone()));
         // And through the actual text serialization.
         let parsed = Json::parse(&doc.to_string_pretty()).unwrap();

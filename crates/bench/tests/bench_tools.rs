@@ -241,6 +241,66 @@ fn check_fails_cleanly_on_truncated_and_corrupt_artifacts() {
     assert!(out.contains("FAIL"), "{out}");
 }
 
+/// Strictness the per-artifact readers had drifted on: a negative or
+/// fractional count used to be truncated by `as u64`, and a hop that lost
+/// `dur_us` used to read as 0. Through the one artifact layer each fails
+/// `check`, naming the offending path.
+#[test]
+fn check_rejects_bad_counts_and_missing_required_fields_by_path() {
+    let audit = tmp("negative_probes_audit.json");
+    std::fs::write(
+        &audit,
+        r#"{"audit":1,"epoch":1,"ticks":2,"divergence":0,"staleness_p99":0,
+            "max_drift":0,"bloom_saturation":0,
+            "levels":[{"level":0,"entries":4,"probes":-1,"false_positives":0,
+                       "false_negatives":0,"diverged":0,"staleness_max":0,
+                       "live_probes":0,"live_false_positives":0}]}"#,
+    )
+    .unwrap();
+    let (ok, out) = inspect(&["check", audit.to_str().unwrap()]);
+    assert!(!ok, "a negative count must fail:\n{out}");
+    assert!(out.contains("levels[0].probes"), "{out}");
+
+    let incidents = tmp("fractional_firings_incidents.json");
+    std::fs::write(
+        &incidents,
+        r#"{"incidents":1,"ticks":2,"interval_ms":100,"firings":1.5,"false_alarms":0,
+            "rows":[]}"#,
+    )
+    .unwrap();
+    let (ok, out) = inspect(&["check", incidents.to_str().unwrap()]);
+    assert!(!ok, "a fractional count must fail:\n{out}");
+    assert!(out.contains("firings: firings must be an integer"), "{out}");
+
+    let slow = tmp("hop_without_dur_slow.json");
+    std::fs::write(
+        &slow,
+        r#"{"slow_queries":1,"threshold_ms":1.0,"observed":1,"dropped":0,
+            "retained":[{"reason":"slow","explain":{
+                "query_id":9,"trace_id":0,"entry":0,"response_us":5000,
+                "complete":true,"deadline_hit":false,"records":1,
+                "attribution":{"queue_us":1,"network_us":2,"compute_us":3,
+                               "retry_us":0,"failover_us":0},
+                "hops":[{"server":0,"decision":"entry","false_positive":false,
+                         "outcome":"replied","at_us":0,"local_matches":1,
+                         "split":{"queue_us":1,"network_us":2,"compute_us":3,
+                                  "backoff_us":0}}]}}],
+            "exemplars":[]}"#,
+    )
+    .unwrap();
+    let (ok, out) = inspect(&["check", slow.to_str().unwrap()]);
+    assert!(!ok, "a hop without dur_us must fail:\n{out}");
+    assert!(out.contains("retained[0].explain.hops[0].dur_us"), "{out}");
+    // The same fixture with the field restored is a valid document, so
+    // the failure above is about `dur_us` and nothing else.
+    let fixed = std::fs::read_to_string(&slow)
+        .unwrap()
+        .replace(r#""at_us":0,"#, r#""at_us":0,"dur_us":5000,"#);
+    std::fs::write(&slow, fixed).unwrap();
+    let (ok, out) = inspect(&["check", slow.to_str().unwrap()]);
+    assert!(ok, "the repaired fixture must pass:\n{out}");
+}
+
 #[test]
 fn health_renders_a_table_from_a_live_scrape() {
     use roads_core::{RoadsConfig, RoadsNetwork, ServerId};

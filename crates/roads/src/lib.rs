@@ -73,8 +73,8 @@ pub use policy::{
 };
 pub use queryexec::{
     execute_query, execute_query_explained, execute_query_mode, execute_query_planned,
-    execute_query_planned_traced, execute_query_recorded, execute_query_traced, explain_from_trace,
-    record_query_events, trace_to_telemetry, ForwardingMode, QueryOutcome, SearchScope, TraceEvent,
+    execute_query_recorded, execute_query_traced, explain_from_trace, record_query_events,
+    trace_to_telemetry, verdict_kind, ForwardingMode, QueryOutcome, SearchScope, TraceEvent,
     TraceRole,
 };
 pub use store::{

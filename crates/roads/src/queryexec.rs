@@ -242,29 +242,6 @@ pub fn execute_query_planned(
     )
 }
 
-/// [`execute_query_planned`] that also returns the contact trace.
-pub fn execute_query_planned_traced(
-    net: &RoadsNetwork,
-    delays: &DelaySpace,
-    query: &Query,
-    start: ServerId,
-    scope: SearchScope,
-    plan: &QueryPlan,
-) -> (QueryOutcome, Vec<TraceEvent>) {
-    let mut trace = Vec::new();
-    let outcome = execute_query_inner(
-        net,
-        delays,
-        query,
-        start,
-        scope,
-        ForwardingMode::default(),
-        Some(plan),
-        Some(&mut trace),
-    );
-    (outcome, trace)
-}
-
 /// Classify a contact trace into a telemetry [`QueryTrace`]
 /// (`roads_telemetry`), attributing a [`HopReason`] to every visit.
 ///
@@ -320,26 +297,19 @@ pub fn trace_to_telemetry(
     }
 }
 
-/// Map an [`AttributeSummary::kind_name`](roads_summary::AttributeSummary)
-/// label into the telemetry vocabulary.
-fn summary_kind(label: &str) -> Option<SummaryKind> {
-    Some(match label {
-        "histogram" => SummaryKind::Histogram,
-        "multires" => SummaryKind::MultiRes,
-        "set" => SummaryKind::ValueSet,
-        "bloom" => SummaryKind::Bloom,
-        _ => return None,
-    })
+/// The summary kind a [`SummaryVerdict`] hinged on, in the explain
+/// plane's vocabulary: the fuzziest kind participating in a match (the
+/// candidate false-positive source), or the kind that proved a prune.
+pub fn verdict_kind(verdict: SummaryVerdict) -> Option<SummaryKind> {
+    let (SummaryVerdict::Match { fuzziest: label } | SummaryVerdict::Prune { decided_by: label }) =
+        verdict;
+    label.and_then(SummaryKind::from_summary_label)
 }
 
 /// The summary kind likeliest to have *caused* the routing decision that
-/// contacted `server`: the fuzziest kind participating in its branch
-/// summary's match (the candidate false-positive source).
+/// contacted `server`: what its branch summary's verdict hinged on.
 fn deciding_kind(net: &RoadsNetwork, server: ServerId, query: &Query) -> Option<SummaryKind> {
-    match net.branch_summary(server).decide(query) {
-        SummaryVerdict::Match { fuzziest } => fuzziest.and_then(summary_kind),
-        SummaryVerdict::Prune { decided_by } => decided_by.and_then(summary_kind),
-    }
+    verdict_kind(net.branch_summary(server).decide(query))
 }
 
 /// Build a [`QueryExplain`] provenance record from a finished simulation
@@ -1282,8 +1252,17 @@ mod tests {
         let q = point_query(&net, leaf.0 as f64 / 30.0);
         let greedy = execute_query(&net, &delays, &q, leaf, SearchScope::full());
         let plan = plan_query(&net, &q, leaf, SearchScope::full());
-        let (planned, trace) =
-            execute_query_planned_traced(&net, &delays, &q, leaf, SearchScope::full(), &plan);
+        let mut trace = Vec::new();
+        let planned = execute_query_inner(
+            &net,
+            &delays,
+            &q,
+            leaf,
+            SearchScope::full(),
+            ForwardingMode::default(),
+            Some(&plan),
+            Some(&mut trace),
+        );
         assert_eq!(planned.matching_servers, greedy.matching_servers);
         assert_eq!(planned.matching_records, greedy.matching_records);
         assert!(planned.servers_contacted < greedy.servers_contacted);

@@ -2,10 +2,9 @@
 //! replication overlay.
 //!
 //! Runs the `roads-core` audit plane ([`ReplicaLedger`],
-//! [`audit_probe`](roads_core::audit_probe)) on a wall-clock schedule,
-//! mirroring the tail sampler's lifecycle (`roads_telemetry::Sampler`): a
-//! condvar-paced thread, `tick_now` for deterministic tests, one final
-//! tick on shutdown, and `stop()` returning the final [`AuditReport`].
+//! [`audit_probe`](roads_core::audit_probe)) on a wall-clock schedule: a
+//! [`Periodic`] thread (one final tick on shutdown), `tick_now` for
+//! deterministic tests, and `stop()` returning the final [`AuditReport`].
 //!
 //! Each tick is budgeted — `probes_per_tick` queries rotate through the
 //! probe set, so the ground-truth sweep amortizes over many ticks instead
@@ -23,10 +22,11 @@ use roads_core::audit::{audit_probe, LevelAudit, ReplicaLedger};
 use roads_core::{RoadsNetwork, ServerId};
 use roads_records::Query;
 use roads_summary::AttributeSummary;
-use roads_telemetry::{labeled, Counter, Gauge, Json, Registry};
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::thread::JoinHandle;
+use roads_telemetry::{
+    artifact, json_fields, labeled, Counter, FirstTick, Gauge, Periodic, Registry,
+};
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex as StdMutex};
 use std::time::Duration;
 
 /// Liveness oracle for the auditor: `true` while a server is up. An
@@ -225,100 +225,38 @@ impl AuditReport {
         self.levels.iter().map(|l| l.false_negatives).sum()
     }
 
-    /// Serialize as the `AUDIT.json` document (marker key `audit`).
-    pub fn to_json(&self) -> Json {
-        let levels = self
-            .levels
-            .iter()
-            .map(|l| {
-                Json::obj(vec![
-                    ("level", Json::num(l.level as f64)),
-                    ("entries", Json::num(l.entries as f64)),
-                    ("probes", Json::num(l.probes as f64)),
-                    ("false_positives", Json::num(l.false_positives as f64)),
-                    ("false_negatives", Json::num(l.false_negatives as f64)),
-                    ("diverged", Json::num(l.diverged as f64)),
-                    ("staleness_max", Json::num(l.staleness_max as f64)),
-                    ("live_probes", Json::num(l.live_probes as f64)),
-                    (
-                        "live_false_positives",
-                        Json::num(l.live_false_positives as f64),
-                    ),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            ("audit", Json::num(1.0)),
-            ("epoch", Json::num(self.epoch as f64)),
-            ("ticks", Json::num(self.ticks as f64)),
-            ("divergence", Json::num(self.divergence)),
-            ("staleness_p99", Json::num(self.staleness_p99 as f64)),
-            ("max_drift", Json::num(self.max_drift)),
-            ("bloom_saturation", Json::num(self.bloom_saturation)),
-            ("levels", Json::arr(levels)),
-        ])
-    }
-
-    /// Strict parse of a document produced by [`to_json`]: every field
-    /// must be present and well-typed, errors name the offending entry.
-    ///
-    /// [`to_json`]: AuditReport::to_json
-    pub fn from_json(doc: &Json) -> Result<AuditReport, String> {
-        if doc.get("audit").and_then(Json::as_f64) != Some(1.0) {
-            return Err("not an audit document (missing `audit: 1` marker)".into());
-        }
-        let num = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("audit document missing `{key}`"))
-        };
-        let levels_json = doc
-            .get("levels")
-            .and_then(Json::as_arr)
-            .ok_or("audit document missing `levels` array")?;
-        let mut levels = Vec::with_capacity(levels_json.len());
-        for (i, row) in levels_json.iter().enumerate() {
-            let field = |key: &str| {
-                row.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("levels[{i}] missing `{key}`"))
-            };
-            levels.push(AuditLevelRow {
-                level: field("level")? as usize,
-                entries: field("entries")? as usize,
-                probes: field("probes")? as u64,
-                false_positives: field("false_positives")? as u64,
-                false_negatives: field("false_negatives")? as u64,
-                diverged: field("diverged")? as usize,
-                staleness_max: field("staleness_max")? as u64,
-                live_probes: field("live_probes")? as u64,
-                live_false_positives: field("live_false_positives")? as u64,
-            });
-        }
-        Ok(AuditReport {
-            epoch: num("epoch")? as u64,
-            ticks: num("ticks")? as u64,
-            divergence: num("divergence")?,
-            staleness_p99: num("staleness_p99")? as u64,
-            max_drift: num("max_drift")?,
-            bloom_saturation: num("bloom_saturation")?,
-            levels,
-        })
-    }
-
-    /// Write the document to `path`, creating parent directories.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.to_json().to_string_pretty())
+    /// No cross-field invariant: every scalar and row is an independent
+    /// observation.
+    fn validate(&self) -> Result<(), String> {
+        Ok(())
     }
 }
 
-/// True when a parsed JSON document carries the `AUDIT.json` marker.
-pub fn is_audit_doc(doc: &Json) -> bool {
-    doc.get("audit").is_some()
-}
+/// Current `AUDIT.json` schema version (the value of its `audit` marker).
+pub const AUDIT_SCHEMA_VERSION: u64 = 1;
+
+json_fields!(AuditLevelRow {
+    level,
+    entries,
+    probes,
+    false_positives,
+    false_negatives,
+    diverged,
+    staleness_max,
+    live_probes,
+    live_false_positives,
+});
+json_fields!(AuditReport {
+    "audit" = AUDIT_SCHEMA_VERSION,
+    epoch,
+    ticks,
+    divergence,
+    staleness_p99,
+    max_drift,
+    bloom_saturation,
+    levels,
+});
+artifact!(AuditReport, "audit", AUDIT_SCHEMA_VERSION);
 
 /// Worst Bloom fill ratio across all branch summaries (0 when no
 /// attribute is summarized with a Bloom filter).
@@ -342,11 +280,9 @@ struct AuditorShared {
     probes: Vec<Query>,
     liveness: Liveness,
     state: StdMutex<AuditorState>,
-    cv: Condvar,
 }
 
 struct AuditorState {
-    stop: bool,
     ledger: ReplicaLedger,
     ticks: u64,
     /// Cumulative per-level tallies; `entries`/`diverged`/`staleness_max`
@@ -458,20 +394,22 @@ impl AuditorShared {
     }
 }
 
-/// The background audit thread. `stop` joins it and returns the final
-/// report; dropping without stopping also signals and joins. Either
-/// shutdown path runs one final tick first, so late kills/restarts are
-/// always audited.
+/// The background audit thread, a [`Periodic`]: `stop` joins it and
+/// returns the final report; dropping without stopping also signals and
+/// joins. Either shutdown path runs one final tick first, so late
+/// kills/restarts are always audited.
 pub struct Auditor {
     shared: Arc<AuditorShared>,
-    handle: Option<JoinHandle<()>>,
+    runner: Periodic,
 }
 
 impl Auditor {
     /// Snapshot the overlay into a fresh [`ReplicaLedger`] and start
     /// auditing `net` every [`AuditConfig::interval`], evaluating ground
-    /// truth with `probes` and liveness from `liveness`. The first tick
-    /// runs immediately.
+    /// truth with `probes` and liveness from `liveness`. The first
+    /// scheduled tick fires one full interval after start: an immediate
+    /// tick would offset the refresh phase under manually driven
+    /// schedules (`tick_now` with a long interval).
     pub fn start(
         net: Arc<RoadsNetwork>,
         metrics: Arc<AuditMetrics>,
@@ -479,7 +417,6 @@ impl Auditor {
         probes: Vec<Query>,
         liveness: Liveness,
     ) -> Self {
-        assert!(!cfg.interval.is_zero(), "audit interval must be positive");
         let ledger = ReplicaLedger::new(&net);
         let interval = cfg.interval;
         let shared = Arc::new(AuditorShared {
@@ -489,7 +426,6 @@ impl Auditor {
             probes,
             liveness,
             state: StdMutex::new(AuditorState {
-                stop: false,
                 ledger,
                 ticks: 0,
                 levels: Vec::new(),
@@ -498,40 +434,15 @@ impl Auditor {
                 max_drift: 0.0,
                 bloom_saturation: 0.0,
             }),
-            cv: Condvar::new(),
         });
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("roads-auditor".into())
-            .spawn(move || {
-                let sh = thread_shared;
-                // First scheduled tick fires one full interval after start:
-                // an immediate tick would offset the refresh phase under
-                // manually driven schedules (tick_now with a long interval).
-                let mut next = std::time::Instant::now() + interval;
-                loop {
-                    let mut st = sh.state.lock().expect("auditor state");
-                    while !st.stop && std::time::Instant::now() < next {
-                        let wait = next.saturating_duration_since(std::time::Instant::now());
-                        let (guard, _) = sh.cv.wait_timeout(st, wait).expect("auditor state");
-                        st = guard;
-                    }
-                    let stopping = st.stop;
-                    drop(st);
-                    // One final tick on shutdown: kills/restarts since the
-                    // last scheduled tick must reach the final report.
-                    sh.tick();
-                    if stopping {
-                        return;
-                    }
-                    next += interval;
-                }
-            })
-            .expect("spawn auditor thread");
-        Auditor {
-            shared,
-            handle: Some(handle),
-        }
+        let ticker = Arc::clone(&shared);
+        let runner = Periodic::spawn(
+            "roads-auditor",
+            interval,
+            FirstTick::AfterInterval,
+            move || ticker.tick(),
+        );
+        Auditor { shared, runner }
     }
 
     /// Run one audit tick right now, outside the schedule (deterministic
@@ -549,31 +460,14 @@ impl Auditor {
     /// Stop the background thread and return the final report (written to
     /// [`AuditConfig::report_path`] as well, when configured).
     pub fn stop(mut self) -> AuditReport {
-        self.shutdown();
-        let report = {
-            let st = self.shared.state.lock().expect("auditor state");
-            self.shared.report_locked(&st)
-        };
+        self.runner.stop();
+        let report = self.report();
         if let Some(path) = &self.shared.cfg.report_path {
             if report.write(path).is_ok() {
                 self.shared.metrics.reports.inc();
             }
         }
         report
-    }
-
-    fn shutdown(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.shared.state.lock().expect("auditor state").stop = true;
-            self.shared.cv.notify_all();
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Auditor {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -583,6 +477,7 @@ mod tests {
     use roads_core::RoadsConfig;
     use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
     use roads_summary::SummaryConfig;
+    use roads_telemetry::Json;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn network(n: usize) -> RoadsNetwork {
@@ -688,12 +583,12 @@ mod tests {
         auditor.tick_now();
         let report = auditor.stop();
         let doc = report.to_json();
-        assert!(is_audit_doc(&doc));
+        assert!(AuditReport::has_marker(&doc));
         let back = AuditReport::from_json(&doc).unwrap();
         assert_eq!(back, report);
         // Wrong marker.
         let not_audit = Json::obj(vec![("benches", Json::num(1.0))]);
-        assert!(!is_audit_doc(&not_audit));
+        assert!(!AuditReport::has_marker(&not_audit));
         assert!(AuditReport::from_json(&not_audit).is_err());
         // Missing scalar.
         let mut missing = report.to_json();

@@ -44,16 +44,14 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use roads_core::policy::{apply_policy, OpenPolicy, RequesterId, SharingPolicy};
 use roads_core::{
-    plan_query, CachedResult, DeltaOutcome, PlanAction, ResultCache, RoadsNetwork, SearchScope,
-    ServerId,
+    plan_query, verdict_kind, CachedResult, DeltaOutcome, PlanAction, ResultCache, RoadsNetwork,
+    SearchScope, ServerId,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{Query, Record, WireSize};
-use roads_summary::SummaryVerdict;
 use roads_telemetry::{
     span::timed, trace_events, Event, EventKind, ExplainDecision, ExplainHop, Gauge, Histogram,
-    HopOutcome, LatencySplit, QueryExplain, Recorder, Registry, SpanId, SummaryKind, TailSampler,
-    TraceId,
+    HopOutcome, LatencySplit, QueryExplain, Recorder, Registry, SpanId, TailSampler, TraceId,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -1055,18 +1053,6 @@ struct Driver<'a> {
     attempt_hop: HashMap<u64, usize>,
 }
 
-/// Map a summary kind label (as returned by
-/// `AttributeSummary::kind_name`) to its explain-plane enum.
-fn summary_kind(label: &str) -> Option<SummaryKind> {
-    Some(match label {
-        "histogram" => SummaryKind::Histogram,
-        "multires" => SummaryKind::MultiRes,
-        "set" => SummaryKind::ValueSet,
-        "bloom" => SummaryKind::Bloom,
-        _ => return None,
-    })
-}
-
 impl Driver<'_> {
     fn run(mut self, done_rx: Receiver<Notice>) -> (RuntimeOutcome, Option<QueryExplain>) {
         let cfg = self.cluster.cfg;
@@ -1306,36 +1292,22 @@ impl Driver<'_> {
             // shortcut hops were admitted by the target's *branch*
             // summary; ancestor probes by its *local* summary (the probe
             // asks only about the ancestor's own records).
-            let summary = match decision {
+            let net = &self.cluster.net;
+            let vouching = match decision {
                 ExplainDecision::SummaryDescent | ExplainDecision::OverlayShortcut => {
-                    match self.cluster.net.branch_summary(target).decide(self.query) {
-                        SummaryVerdict::Match { fuzziest } => fuzziest.and_then(summary_kind),
-                        SummaryVerdict::Prune { decided_by } => decided_by.and_then(summary_kind),
-                    }
+                    Some(net.branch_summary(target))
                 }
-                ExplainDecision::AncestorProbe => {
-                    match self.cluster.net.local_summary(target).decide(self.query) {
-                        SummaryVerdict::Match { fuzziest } => fuzziest.and_then(summary_kind),
-                        SummaryVerdict::Prune { decided_by } => decided_by.and_then(summary_kind),
-                    }
-                }
+                ExplainDecision::AncestorProbe => Some(net.local_summary(target)),
                 // A planned descent was admitted by the target's branch
                 // summary; a planned probe by its *local* summary (that is
                 // the planner's pruning criterion).
-                ExplainDecision::Planned => {
-                    let verdict = match mode {
-                        ContactMode::Branch => {
-                            self.cluster.net.branch_summary(target).decide(self.query)
-                        }
-                        _ => self.cluster.net.local_summary(target).decide(self.query),
-                    };
-                    match verdict {
-                        SummaryVerdict::Match { fuzziest } => fuzziest.and_then(summary_kind),
-                        SummaryVerdict::Prune { decided_by } => decided_by.and_then(summary_kind),
-                    }
-                }
+                ExplainDecision::Planned => Some(match mode {
+                    ContactMode::Branch => net.branch_summary(target),
+                    _ => net.local_summary(target),
+                }),
                 _ => None,
             };
+            let summary = vouching.and_then(|s| verdict_kind(s.decide(self.query)));
             self.attempt_hop.insert(id, hops.len());
             hops.push(ExplainHop {
                 server: target.0,

@@ -63,15 +63,13 @@ pub mod health;
 pub mod store;
 pub mod watchdog;
 
-pub use audit::{
-    is_audit_doc, AuditConfig, AuditLevelRow, AuditMetrics, AuditReport, Auditor, Liveness,
-};
+pub use audit::{AuditConfig, AuditLevelRow, AuditMetrics, AuditReport, Auditor, Liveness};
 pub use central::CentralCluster;
 pub use cluster::{ContactMode, RoadsCluster, RuntimeOutcome};
 pub use config::RuntimeConfig;
 pub use health::{ClusterHealth, FaultEvent, FaultKind, FaultLog, ServerHealth};
 pub use store::RecordStore;
 pub use watchdog::{
-    is_incidents_doc, standard_bank, CauseKind, Incident, IncidentReport, MatchedFault, Probe,
-    SuspectedCause, Watchdog, WatchdogConfig, WatchdogMetrics,
+    standard_bank, CauseKind, Incident, IncidentReport, MatchedFault, Probe, SuspectedCause,
+    Watchdog, WatchdogConfig, WatchdogMetrics,
 };

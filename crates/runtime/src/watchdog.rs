@@ -1,9 +1,9 @@
 //! The background watchdog: online anomaly detection over the live
 //! cluster, correlated into incident timelines.
 //!
-//! A [`Watchdog`] mirrors the [`crate::audit::Auditor`] lifecycle — a
-//! condvar-paced thread, `tick_now` for deterministic tests, one final
-//! tick on shutdown, `stop()` returning the final [`IncidentReport`] —
+//! A [`Watchdog`] has the [`crate::audit::Auditor`] lifecycle — a
+//! [`Periodic`] thread (one final tick on shutdown), `tick_now` for
+//! deterministic tests, `stop()` returning the final [`IncidentReport`] —
 //! but instead of probing ground truth it watches the cluster's own
 //! telemetry. Each tick it:
 //!
@@ -32,20 +32,19 @@
 //!
 //! Every outcome lands in pre-resolved `roads.watchdog.*` OpenMetrics
 //! instruments ([`WatchdogMetrics`]), and the incident timeline is
-//! exported as the `INCIDENTS.json` artifact ([`IncidentReport`], same
-//! marker/strict-parse discipline as `AUDIT.json`).
+//! exported as the `INCIDENTS.json` artifact ([`IncidentReport`], on the
+//! same artifact layer as `AUDIT.json`).
 
 use crate::cluster::RoadsCluster;
 use crate::health::{FaultKind, FaultLog};
-use roads_telemetry::BurnRateRule;
 use roads_telemetry::{
-    labeled, Counter, DetectorBank, DetectorFiring, EwmaSpikeDetector, Gauge, Histogram, Json,
-    Registry, TailSampler, ThresholdRule,
+    artifact, json_fields, json_labels, labeled, BurnRateRule, Counter, DetectorBank,
+    DetectorFiring, EwmaSpikeDetector, FirstTick, Gauge, Histogram, Periodic, Registry,
+    TailSampler, ThresholdRule,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::thread::JoinHandle;
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
 /// Most slow-query ids correlated into a single incident.
@@ -260,172 +259,6 @@ impl Incident {
         }
         self.last_ms = self.last_ms.max(f.at_ms);
     }
-
-    fn to_json(&self) -> Json {
-        let causes = self
-            .causes
-            .iter()
-            .map(|c| {
-                Json::obj(vec![
-                    ("kind", Json::str(c.kind.as_str())),
-                    (
-                        "server",
-                        c.server.map_or(Json::Null, |s| Json::num(s as f64)),
-                    ),
-                    ("score", Json::num(c.score)),
-                    ("detail", Json::str(c.detail.as_str())),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            ("id", Json::num(self.id as f64)),
-            ("opened_ms", Json::num(self.opened_ms)),
-            ("last_ms", Json::num(self.last_ms)),
-            ("firings", Json::num(self.firings as f64)),
-            (
-                "detectors",
-                Json::arr(self.detectors.iter().map(Json::str).collect()),
-            ),
-            (
-                "series",
-                Json::arr(self.series.iter().map(Json::str).collect()),
-            ),
-            ("causes", Json::arr(causes)),
-            (
-                "matched",
-                self.matched.map_or(Json::Null, |m| {
-                    Json::obj(vec![
-                        ("kind", Json::str(m.kind.as_str())),
-                        ("server", Json::num(m.server as f64)),
-                        ("onset_ms", Json::num(m.onset_ms)),
-                    ])
-                }),
-            ),
-            (
-                "detection_latency_ms",
-                self.detection_latency_ms.map_or(Json::Null, Json::num),
-            ),
-            ("false_alarm", Json::Bool(self.false_alarm)),
-            (
-                "slow_queries",
-                Json::arr(
-                    self.slow_queries
-                        .iter()
-                        .map(|&q| Json::num(q as f64))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn from_json(i: usize, row: &Json) -> Result<Incident, String> {
-        let field = |key: &str| {
-            row.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("rows[{i}] missing `{key}`"))
-        };
-        let strings = |key: &str| -> Result<Vec<String>, String> {
-            row.get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("rows[{i}] missing `{key}` array"))?
-                .iter()
-                .map(|v| {
-                    v.as_str_val()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("rows[{i}].{key} has a non-string entry"))
-                })
-                .collect()
-        };
-        let causes_json = row
-            .get("causes")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("rows[{i}] missing `causes` array"))?;
-        let mut causes = Vec::with_capacity(causes_json.len());
-        for (j, c) in causes_json.iter().enumerate() {
-            let at = |key: &str| format!("rows[{i}].causes[{j}] missing `{key}`");
-            let kind = c
-                .get("kind")
-                .and_then(Json::as_str_val)
-                .and_then(CauseKind::parse)
-                .ok_or_else(|| format!("rows[{i}].causes[{j}] has an unknown cause `kind`"))?;
-            let server = match c.get("server") {
-                Some(Json::Null) => None,
-                Some(v) => Some(v.as_f64().ok_or_else(|| at("server"))? as u32),
-                None => return Err(at("server")),
-            };
-            causes.push(SuspectedCause {
-                kind,
-                server,
-                score: c
-                    .get("score")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| at("score"))?,
-                detail: c
-                    .get("detail")
-                    .and_then(Json::as_str_val)
-                    .ok_or_else(|| at("detail"))?
-                    .to_string(),
-            });
-        }
-        let matched = match row.get("matched") {
-            Some(Json::Null) => None,
-            Some(m) => {
-                let at = |key: &str| format!("rows[{i}].matched missing `{key}`");
-                Some(MatchedFault {
-                    kind: m
-                        .get("kind")
-                        .and_then(Json::as_str_val)
-                        .and_then(FaultKind::parse)
-                        .ok_or_else(|| format!("rows[{i}].matched has an unknown fault `kind`"))?,
-                    server: m
-                        .get("server")
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| at("server"))? as u32,
-                    onset_ms: m
-                        .get("onset_ms")
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| at("onset_ms"))?,
-                })
-            }
-            None => return Err(format!("rows[{i}] missing `matched`")),
-        };
-        let detection_latency_ms = match row.get("detection_latency_ms") {
-            Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_f64()
-                    .ok_or_else(|| format!("rows[{i}] has a non-numeric `detection_latency_ms`"))?,
-            ),
-            None => return Err(format!("rows[{i}] missing `detection_latency_ms`")),
-        };
-        let false_alarm = match row.get("false_alarm") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err(format!("rows[{i}] missing boolean `false_alarm`")),
-        };
-        let slow_queries = row
-            .get("slow_queries")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("rows[{i}] missing `slow_queries` array"))?
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .map(|q| q as u64)
-                    .ok_or_else(|| format!("rows[{i}].slow_queries has a non-numeric entry"))
-            })
-            .collect::<Result<Vec<u64>, String>>()?;
-        Ok(Incident {
-            id: field("id")? as u64,
-            opened_ms: field("opened_ms")?,
-            last_ms: field("last_ms")?,
-            firings: field("firings")? as u64,
-            detectors: strings("detectors")?,
-            series: strings("series")?,
-            causes,
-            matched,
-            detection_latency_ms,
-            false_alarm,
-            slow_queries,
-        })
-    }
 }
 
 /// The periodic incident artifact (`INCIDENTS.json`), and what `stop()`
@@ -465,65 +298,51 @@ impl IncidentReport {
             .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
 
-    /// Serialize as the `INCIDENTS.json` document (marker key
-    /// `incidents`).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("incidents", Json::num(1.0)),
-            ("ticks", Json::num(self.ticks as f64)),
-            ("interval_ms", Json::num(self.interval_ms)),
-            ("firings", Json::num(self.firings as f64)),
-            ("false_alarms", Json::num(self.false_alarms as f64)),
-            (
-                "rows",
-                Json::arr(self.rows.iter().map(Incident::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Strict parse of a document produced by [`to_json`]: every field
-    /// must be present and well-typed, errors name the offending entry.
-    ///
-    /// [`to_json`]: IncidentReport::to_json
-    pub fn from_json(doc: &Json) -> Result<IncidentReport, String> {
-        if doc.get("incidents").and_then(Json::as_f64) != Some(1.0) {
-            return Err("not an incidents document (missing `incidents: 1` marker)".into());
-        }
-        let num = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("incidents document missing `{key}`"))
-        };
-        let rows_json = doc
-            .get("rows")
-            .and_then(Json::as_arr)
-            .ok_or("incidents document missing `rows` array")?;
-        let mut rows = Vec::with_capacity(rows_json.len());
-        for (i, row) in rows_json.iter().enumerate() {
-            rows.push(Incident::from_json(i, row)?);
-        }
-        Ok(IncidentReport {
-            ticks: num("ticks")? as u64,
-            interval_ms: num("interval_ms")?,
-            firings: num("firings")? as u64,
-            false_alarms: num("false_alarms")? as u64,
-            rows,
-        })
-    }
-
-    /// Write the document to `path`, creating parent directories.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.to_json().to_string_pretty())
+    /// No cross-field invariant is enforced offline: rows are
+    /// independent observations.
+    fn validate(&self) -> Result<(), String> {
+        Ok(())
     }
 }
 
-/// True when a parsed JSON document carries the `INCIDENTS.json` marker.
-pub fn is_incidents_doc(doc: &Json) -> bool {
-    doc.get("incidents").is_some()
-}
+/// Current `INCIDENTS.json` schema version (the value of its `incidents`
+/// marker).
+pub const INCIDENTS_SCHEMA_VERSION: u64 = 1;
+
+json_labels!(CauseKind, FaultKind);
+json_fields!(SuspectedCause {
+    kind,
+    server,
+    score,
+    detail
+});
+json_fields!(MatchedFault {
+    kind,
+    server,
+    onset_ms
+});
+json_fields!(Incident {
+    id,
+    opened_ms,
+    last_ms,
+    firings,
+    detectors,
+    series,
+    causes,
+    matched,
+    detection_latency_ms,
+    false_alarm,
+    slow_queries,
+});
+json_fields!(IncidentReport {
+    "incidents" = INCIDENTS_SCHEMA_VERSION,
+    ticks,
+    interval_ms,
+    firings,
+    false_alarms,
+    rows,
+});
+artifact!(IncidentReport, "incidents", INCIDENTS_SCHEMA_VERSION);
 
 /// The default detector set for an instrumented cluster: a per-server
 /// liveness rule (`server-down`), an EWMA spike detector over the
@@ -565,11 +384,9 @@ struct WatchdogShared {
     probes: Vec<Probe>,
     t0: Instant,
     state: StdMutex<WatchdogState>,
-    cv: Condvar,
 }
 
 struct WatchdogState {
-    stop: bool,
     ticks: u64,
     bank: DetectorBank,
     /// Last raw counter values, for `Rate`/`Ratio` probes.
@@ -893,13 +710,13 @@ fn placeholder() -> Incident {
     }
 }
 
-/// The background watchdog thread. `stop` joins it and returns the
-/// final report; dropping without stopping also signals and joins.
-/// Either shutdown path runs one final tick first, so late faults are
-/// always evaluated.
+/// The background watchdog thread, a [`Periodic`]: `stop` joins it and
+/// returns the final report; dropping without stopping also signals and
+/// joins. Either shutdown path runs one final tick first, so late faults
+/// are always evaluated.
 pub struct Watchdog {
     shared: Arc<WatchdogShared>,
-    handle: Option<JoinHandle<()>>,
+    runner: Periodic,
 }
 
 impl Watchdog {
@@ -907,7 +724,8 @@ impl Watchdog {
     /// evaluating `bank` over the series derived by `probes` and
     /// correlating firings against `fault_log` (and `tail`, when
     /// given). The first scheduled tick fires one full interval after
-    /// start.
+    /// start, matching the auditor: an immediate tick would skew manually
+    /// driven schedules (`tick_now` with a long interval).
     pub fn start(
         registry: Arc<Registry>,
         fault_log: Arc<FaultLog>,
@@ -917,10 +735,6 @@ impl Watchdog {
         bank: DetectorBank,
         probes: Vec<Probe>,
     ) -> Self {
-        assert!(
-            !cfg.interval.is_zero(),
-            "watchdog interval must be positive"
-        );
         let interval = cfg.interval;
         let shared = Arc::new(WatchdogShared {
             registry,
@@ -931,7 +745,6 @@ impl Watchdog {
             probes,
             t0: Instant::now(),
             state: StdMutex::new(WatchdogState {
-                stop: false,
                 ticks: 0,
                 bank,
                 counters_last: BTreeMap::new(),
@@ -944,41 +757,15 @@ impl Watchdog {
                 firings: 0,
                 false_alarms: 0,
             }),
-            cv: Condvar::new(),
         });
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("roads-watchdog".into())
-            .spawn(move || {
-                let sh = thread_shared;
-                // First scheduled tick fires one full interval after
-                // start, matching the auditor: an immediate tick would
-                // skew manually driven schedules (tick_now with a long
-                // interval).
-                let mut next = Instant::now() + interval;
-                loop {
-                    let mut st = sh.state.lock().expect("watchdog state");
-                    while !st.stop && Instant::now() < next {
-                        let wait = next.saturating_duration_since(Instant::now());
-                        let (guard, _) = sh.cv.wait_timeout(st, wait).expect("watchdog state");
-                        st = guard;
-                    }
-                    let stopping = st.stop;
-                    drop(st);
-                    // One final tick on shutdown: faults injected since
-                    // the last scheduled tick must reach the report.
-                    sh.tick();
-                    if stopping {
-                        return;
-                    }
-                    next += interval;
-                }
-            })
-            .expect("spawn watchdog thread");
-        Watchdog {
-            shared,
-            handle: Some(handle),
-        }
+        let ticker = Arc::clone(&shared);
+        let runner = Periodic::spawn(
+            "roads-watchdog",
+            interval,
+            FirstTick::AfterInterval,
+            move || ticker.tick(),
+        );
+        Watchdog { shared, runner }
     }
 
     /// [`Watchdog::start`] wired to an instrumented cluster: the
@@ -1018,11 +805,8 @@ impl Watchdog {
     /// Stop the background thread and return the final report (written
     /// to [`WatchdogConfig::report_path`] as well, when configured).
     pub fn stop(mut self) -> IncidentReport {
-        self.shutdown();
-        let report = {
-            let st = self.shared.state.lock().expect("watchdog state");
-            self.shared.report_locked(&st)
-        };
+        self.runner.stop();
+        let report = self.report();
         if let Some(path) = &self.shared.cfg.report_path {
             if report.write(path).is_ok() {
                 self.shared.metrics.reports.inc();
@@ -1030,26 +814,13 @@ impl Watchdog {
         }
         report
     }
-
-    fn shutdown(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.shared.state.lock().expect("watchdog state").stop = true;
-            self.shared.cv.notify_all();
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use roads_core::ServerId;
+    use roads_telemetry::Json;
 
     /// A watchdog that only ticks when told to.
     fn quiet(
@@ -1309,7 +1080,7 @@ mod tests {
             ],
         };
         let doc = report.to_json();
-        assert!(is_incidents_doc(&doc));
+        assert!(IncidentReport::has_marker(&doc));
         assert_eq!(IncidentReport::from_json(&doc).unwrap(), report);
         assert_eq!(report.matched(), 1);
         assert_eq!(report.max_detection_latency_ms(), Some(110.0));

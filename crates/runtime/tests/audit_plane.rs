@@ -215,7 +215,7 @@ fn audit_report_round_trips_through_json() {
     auditor.tick_now();
     let report = auditor.stop();
     let doc = report.to_json();
-    assert!(roads_runtime::is_audit_doc(&doc));
+    assert!(AuditReport::has_marker(&doc));
     let parsed = AuditReport::from_json(&Json::parse(&doc.to_string_pretty()).unwrap()).unwrap();
     assert_eq!(parsed, report);
     assert!(!parsed.levels.is_empty());

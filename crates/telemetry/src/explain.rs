@@ -16,7 +16,7 @@
 //! here ([`SummaryKind`]); the summary crate maps its concrete
 //! per-attribute representations into it.
 
-use crate::json::Json;
+use crate::{json_fields, json_labels};
 
 /// Which summary representation drove a hop's match/prune decision.
 ///
@@ -55,6 +55,15 @@ impl SummaryKind {
             "bloom" => SummaryKind::Bloom,
             _ => return None,
         })
+    }
+
+    /// The kind behind an `AttributeSummary::kind_name()` label of the
+    /// summary crate, which spells the exact set `"set"`.
+    pub fn from_summary_label(label: &str) -> Option<SummaryKind> {
+        match label {
+            "set" => Some(SummaryKind::ValueSet),
+            other => SummaryKind::parse(other),
+        }
     }
 
     /// Fuzziness rank: higher means likelier to report a false positive.
@@ -175,26 +184,12 @@ pub struct LatencySplit {
     pub backoff_us: f64,
 }
 
-impl LatencySplit {
-    fn to_json(self) -> Json {
-        Json::obj(vec![
-            ("queue_us", Json::num(self.queue_us)),
-            ("network_us", Json::num(self.network_us)),
-            ("compute_us", Json::num(self.compute_us)),
-            ("backoff_us", Json::num(self.backoff_us)),
-        ])
-    }
-
-    fn from_json(doc: &Json) -> LatencySplit {
-        let f = |k: &str| doc.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-        LatencySplit {
-            queue_us: f("queue_us"),
-            network_us: f("network_us"),
-            compute_us: f("compute_us"),
-            backoff_us: f("backoff_us"),
-        }
-    }
-}
+json_fields!(LatencySplit {
+    queue_us,
+    network_us,
+    compute_us,
+    backoff_us
+});
 
 /// One contact attempt along a query's path.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,59 +220,18 @@ pub struct ExplainHop {
     pub split: LatencySplit,
 }
 
-impl ExplainHop {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("server", Json::num(self.server as f64)),
-            ("decision", Json::str(self.decision.as_str())),
-        ];
-        if let Some(kind) = self.summary {
-            pairs.push(("summary", Json::str(kind.as_str())));
-        }
-        pairs.push(("false_positive", Json::Bool(self.false_positive)));
-        pairs.push(("outcome", Json::str(self.outcome.as_str())));
-        pairs.push(("at_us", Json::num(self.at_us)));
-        pairs.push(("dur_us", Json::num(self.dur_us)));
-        if let Some(c) = self.caused_by {
-            pairs.push(("caused_by", Json::num(c as f64)));
-        }
-        pairs.push(("local_matches", Json::num(self.local_matches as f64)));
-        pairs.push(("split", self.split.to_json()));
-        Json::obj(pairs)
-    }
-
-    fn from_json(doc: &Json) -> Result<ExplainHop, String> {
-        let f = |k: &str| doc.get(k).and_then(Json::as_f64);
-        let decision = doc
-            .get("decision")
-            .and_then(Json::as_str_val)
-            .and_then(ExplainDecision::parse)
-            .ok_or("hop missing decision")?;
-        let outcome = doc
-            .get("outcome")
-            .and_then(Json::as_str_val)
-            .and_then(HopOutcome::parse)
-            .ok_or("hop missing outcome")?;
-        Ok(ExplainHop {
-            server: f("server").ok_or("hop missing server")? as u32,
-            decision,
-            summary: doc
-                .get("summary")
-                .and_then(Json::as_str_val)
-                .and_then(SummaryKind::parse),
-            false_positive: matches!(doc.get("false_positive"), Some(Json::Bool(true))),
-            outcome,
-            at_us: f("at_us").unwrap_or(0.0),
-            dur_us: f("dur_us").unwrap_or(0.0),
-            caused_by: f("caused_by").map(|v| v as usize),
-            local_matches: f("local_matches").unwrap_or(0.0) as u64,
-            split: doc
-                .get("split")
-                .map(LatencySplit::from_json)
-                .unwrap_or_default(),
-        })
-    }
-}
+json_fields!(ExplainHop {
+    server,
+    decision,
+    summary?,
+    false_positive,
+    outcome,
+    at_us,
+    dur_us,
+    caused_by?,
+    local_matches,
+    split,
+});
 
 /// Query-level latency attribution, microseconds of *work time* per
 /// component (not critical-path time: concurrent hops' components add).
@@ -301,18 +255,15 @@ impl Attribution {
     pub fn total_us(&self) -> f64 {
         self.queue_us + self.network_us + self.compute_us + self.retry_us + self.failover_us
     }
-
-    /// Serialize for figure data / SLOW_QUERIES artifacts.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("queue_us", Json::num(self.queue_us)),
-            ("network_us", Json::num(self.network_us)),
-            ("compute_us", Json::num(self.compute_us)),
-            ("retry_us", Json::num(self.retry_us)),
-            ("failover_us", Json::num(self.failover_us)),
-        ])
-    }
 }
+
+json_fields!(Attribution {
+    queue_us,
+    network_us,
+    compute_us,
+    retry_us,
+    failover_us
+});
 
 /// The provenance record of one executed query.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -397,53 +348,28 @@ impl QueryExplain {
         }
         a
     }
-
-    /// Serialize the full record.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("query_id", Json::num(self.query_id as f64)),
-            ("trace_id", Json::num(self.trace_id as f64)),
-            ("entry", Json::num(self.entry as f64)),
-            ("response_us", Json::num(self.response_us)),
-            ("complete", Json::Bool(self.complete)),
-            ("deadline_hit", Json::Bool(self.deadline_hit)),
-            ("records", Json::num(self.records as f64)),
-            ("attribution", self.attribution().to_json()),
-            (
-                "hops",
-                Json::arr(self.hops.iter().map(ExplainHop::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Inverse of [`QueryExplain::to_json`]. The serialized `attribution`
-    /// object is derived data and is recomputed, not read back.
-    pub fn from_json(doc: &Json) -> Result<QueryExplain, String> {
-        let f = |k: &str| doc.get(k).and_then(Json::as_f64);
-        let b = |k: &str| matches!(doc.get(k), Some(Json::Bool(true)));
-        let hops = doc
-            .get("hops")
-            .and_then(Json::as_arr)
-            .ok_or("explain missing hops array")?
-            .iter()
-            .map(ExplainHop::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(QueryExplain {
-            query_id: f("query_id").ok_or("explain missing query_id")? as u64,
-            trace_id: f("trace_id").unwrap_or(0.0) as u64,
-            entry: f("entry").unwrap_or(0.0) as u32,
-            response_us: f("response_us").unwrap_or(0.0),
-            complete: b("complete"),
-            deadline_hit: b("deadline_hit"),
-            records: f("records").unwrap_or(0.0) as u64,
-            hops,
-        })
-    }
 }
+
+// The serialized `attribution` is derived data: written from the hops,
+// and a stored copy that disagrees with them marks a corrupt record.
+json_fields!(QueryExplain as q {
+    query_id,
+    trace_id,
+    entry,
+    response_us,
+    complete,
+    deadline_hit,
+    records,
+    "attribution" = q.attribution(),
+    hops,
+});
+
+json_labels!(SummaryKind, ExplainDecision, HopOutcome);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{self, Json, JsonField};
 
     fn sample_explain() -> QueryExplain {
         QueryExplain {
@@ -525,8 +451,8 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_everything() {
         let e = sample_explain();
-        let text = e.to_json().to_string_pretty();
-        let back = QueryExplain::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let text = e.to_field().to_string_pretty();
+        let back: QueryExplain = json::read(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(e, back);
     }
 
@@ -596,8 +522,8 @@ mod tests {
 
     #[test]
     fn from_json_rejects_malformed() {
-        assert!(QueryExplain::from_json(&Json::parse("{}").unwrap()).is_err());
+        assert!(json::read::<QueryExplain>(&Json::parse("{}").unwrap()).is_err());
         let no_outcome = r#"{"query_id":1,"hops":[{"server":1,"decision":"entry"}]}"#;
-        assert!(QueryExplain::from_json(&Json::parse(no_outcome).unwrap()).is_err());
+        assert!(json::read::<QueryExplain>(&Json::parse(no_outcome).unwrap()).is_err());
     }
 }

@@ -6,7 +6,15 @@
 //! explicitly and `roads-inspect` reads them back with [`Json::parse`].
 //! Output is strict JSON: strings are escaped, non-finite numbers
 //! serialize as `null`.
+//!
+//! [`artifact`] is the schema layer on top: every strict artifact the
+//! workspace writes declares its fields once and derives its writer,
+//! reader and checker from that declaration.
 
+pub mod artifact;
+
+// The layer's macros address its helpers as `$crate::json::…`.
+pub use artifact::*;
 use std::fmt::{self, Write as _};
 
 /// A JSON document fragment.

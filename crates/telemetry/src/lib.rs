@@ -32,6 +32,8 @@
 //!   [`Registry`] snapshot (deterministic ordering, label escaping, full
 //!   histogram buckets), a parser for scrape files, and a background
 //!   [`Sampler`] thread feeding a bounded [`Timeline`] ring.
+//! * [`periodic`] — [`Periodic`], the one paced background loop (spawn,
+//!   final tick on stop/drop, join) every background service runs on.
 //! * [`explain`] — per-query provenance: a [`QueryExplain`] record built
 //!   along the query path, one hop per contact attempt with its routing
 //!   decision, summary kind, outcome and latency split, folded into a
@@ -41,7 +43,9 @@
 //!   slow / failed / incomplete queries, with per-histogram-bucket
 //!   exemplar trace ids linking p99 buckets to concrete queries.
 //! * [`json`] / [`export`] — a small hand-rolled JSON value type (writer
-//!   *and* parser) and the `results/<figure>.json` exporter used by every
+//!   *and* parser), the artifact layer on top of it ([`json::artifact`]:
+//!   declare a struct's fields once, derive its strict reader, writer and
+//!   checker) and the `results/<figure>.json` exporter used by every
 //!   `fig*` binary.
 //!
 //! Everything is opt-in: simulation and runtime code paths accept an
@@ -54,6 +58,7 @@ pub mod explain;
 pub mod export;
 pub mod json;
 pub mod openmetrics;
+pub mod periodic;
 pub mod registry;
 pub mod span;
 pub mod stats;
@@ -72,14 +77,17 @@ pub use explain::{
     Attribution, ExplainDecision, ExplainHop, HopOutcome, LatencySplit, QueryExplain, SummaryKind,
 };
 pub use export::{results_dir, FigureExport, ReferencePoint, Series};
-pub use json::Json;
+pub use json::{Json, JsonField};
 pub use openmetrics::{
     labeled, parse as parse_openmetrics, OpenMetricsSnapshot, Sampler, Scrape, ScrapeFamily,
     ScrapeSample,
 };
+pub use periodic::{FirstTick, Periodic};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use span::SpanTimer;
 pub use stats::LatencyStats;
-pub use tail::{event_from_json, RetainReason, RetainedQuery, TailConfig, TailSampler};
+pub use tail::{
+    Exemplar, RetainReason, RetainedQuery, SlowDoc, TailConfig, TailSampler, SLOW_SCHEMA_VERSION,
+};
 pub use timeline::{Timeline, TimelineSeries};
 pub use trace::{aggregate_traces, gini, Hop, HopReason, QueryTrace, TraceReport};

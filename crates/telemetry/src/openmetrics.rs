@@ -31,10 +31,10 @@
 //! of a base into one metric family.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
+use crate::periodic::{FirstTick, Periodic};
 use crate::registry::{HistogramSnapshot, Registry};
 use crate::timeline::Timeline;
 
@@ -528,23 +528,21 @@ pub fn parse(text: &str) -> Result<Scrape, String> {
 struct SamplerShared {
     registry: Arc<Registry>,
     names: Vec<String>,
-    interval: Duration,
     t0: Instant,
     state: StdMutex<SamplerState>,
-    cv: Condvar,
 }
 
 struct SamplerState {
-    stop: bool,
     timeline: Timeline,
 }
 
 impl SamplerShared {
-    /// Take one sample of every selected instrument at elapsed time
-    /// `now_ms`. Counters and gauges record their value; histograms
-    /// record `<name>.count` and `<name>.p99` from one consistent
-    /// single-lock snapshot.
-    fn tick(&self, now_ms: f64) {
+    /// Take one sample of every selected instrument, stamped with the
+    /// time elapsed since start. Counters and gauges record their value;
+    /// histograms record `<name>.count` and `<name>.p99` from one
+    /// consistent single-lock snapshot.
+    fn tick(&self) {
+        let now_ms = self.t0.elapsed().as_secs_f64() * 1e3;
         let mut points: Vec<(String, f64)> = Vec::with_capacity(self.names.len());
         for name in &self.names {
             if let Some(c) = self.registry.find_counter(name) {
@@ -587,14 +585,15 @@ fn percentile_of_snapshot(s: &HistogramSnapshot, q: f64) -> f64 {
 /// A background thread that samples selected registry instruments into a
 /// bounded [`Timeline`] ring at a fixed wall-clock interval.
 ///
-/// `stop` joins the thread and returns the timeline; dropping without
-/// stopping also signals and joins it. Either shutdown path takes one
-/// final sample first, so instrument changes after the last scheduled
-/// tick are never lost. A `scrape` mid-run clones the timeline
-/// accumulated so far without disturbing the schedule.
+/// The thread is a [`Periodic`]: `stop` joins it and returns the
+/// timeline, dropping without stopping also signals and joins it, and
+/// either shutdown path takes one final sample first, so instrument
+/// changes after the last scheduled tick are never lost. A `scrape`
+/// mid-run clones the timeline accumulated so far without disturbing the
+/// schedule.
 pub struct Sampler {
     shared: Arc<SamplerShared>,
-    handle: Option<JoinHandle<()>>,
+    runner: Periodic,
 }
 
 impl Sampler {
@@ -607,55 +606,25 @@ impl Sampler {
         interval: Duration,
         capacity: usize,
     ) -> Self {
-        assert!(!interval.is_zero(), "sampler interval must be positive");
         let shared = Arc::new(SamplerShared {
             registry,
             names: names.iter().map(|s| s.to_string()).collect(),
-            interval,
             t0: Instant::now(),
             state: StdMutex::new(SamplerState {
-                stop: false,
                 timeline: Timeline::with_capacity(interval.as_secs_f64() * 1e3, capacity),
             }),
-            cv: Condvar::new(),
         });
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("om-sampler".into())
-            .spawn(move || {
-                let sh = thread_shared;
-                let mut next = sh.t0;
-                loop {
-                    let mut st = sh.state.lock().expect("sampler state");
-                    while !st.stop && Instant::now() < next {
-                        let wait = next.saturating_duration_since(Instant::now());
-                        let (guard, _) = sh.cv.wait_timeout(st, wait).expect("sampler state");
-                        st = guard;
-                    }
-                    let stopping = st.stop;
-                    drop(st);
-                    // One final sample on shutdown: counter increments
-                    // since the last scheduled tick would otherwise never
-                    // reach the timeline returned by `stop`/seen at drop.
-                    sh.tick(sh.t0.elapsed().as_secs_f64() * 1e3);
-                    if stopping {
-                        return;
-                    }
-                    next += sh.interval;
-                }
-            })
-            .expect("spawn sampler thread");
-        Sampler {
-            shared,
-            handle: Some(handle),
-        }
+        let ticker = Arc::clone(&shared);
+        let runner = Periodic::spawn("om-sampler", interval, FirstTick::Immediately, move || {
+            ticker.tick()
+        });
+        Sampler { shared, runner }
     }
 
     /// Take one sample right now, outside the schedule (tests use this
     /// for deterministic sampling).
     pub fn tick_now(&self) {
-        self.shared
-            .tick(self.shared.t0.elapsed().as_secs_f64() * 1e3);
+        self.shared.tick();
     }
 
     /// Clone the timeline accumulated so far.
@@ -670,27 +639,8 @@ impl Sampler {
 
     /// Stop the background thread and return the final timeline.
     pub fn stop(mut self) -> Timeline {
-        self.shutdown();
-        self.shared
-            .state
-            .lock()
-            .expect("sampler state")
-            .timeline
-            .clone()
-    }
-
-    fn shutdown(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.shared.state.lock().expect("sampler state").stop = true;
-            self.shared.cv.notify_all();
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Sampler {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.runner.stop();
+        self.scrape()
     }
 }
 

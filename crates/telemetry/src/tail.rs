@@ -12,10 +12,11 @@
 //! of one retained query each (exemplar-style), so a p99 bucket in an
 //! exposition links back to a concrete, fully-explained query.
 
-use crate::event::Event;
+use crate::event::{span_tree_root, Event, EventKind, SpanId, TraceId};
 use crate::explain::QueryExplain;
-use crate::json::Json;
+use crate::json::{Json, JsonField};
 use crate::registry::Histogram;
+use crate::{artifact, json_fields, json_labels};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -80,7 +81,7 @@ impl Default for TailConfig {
 }
 
 /// One retained tail query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetainedQuery {
     /// Why it was kept.
     pub reason: RetainReason,
@@ -89,6 +90,100 @@ pub struct RetainedQuery {
     /// Flight-recorder events of the same trace, when a recorder was
     /// attached at observation time.
     pub events: Vec<Event>,
+}
+
+/// One histogram exemplar: a latency bucket linked to a retained trace.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Exemplar {
+    /// The bucket's edge, ms.
+    pub bucket_ms: f64,
+    /// Trace id of one retained query that landed in the bucket.
+    pub trace_id: u64,
+}
+
+/// The `SLOW_QUERIES.json` document: the reservoir of a [`TailSampler`]
+/// at report time. This module owns the format — writer
+/// ([`TailSampler::report`]), strict reader (`SlowDoc::from_json`) and
+/// the check that retained traces reconstruct.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SlowDoc {
+    /// Retention threshold at write time (ms).
+    pub threshold_ms: f64,
+    /// Queries the sampler observed in total.
+    pub observed: u64,
+    /// Queries folded into the histogram but not retained.
+    pub dropped: u64,
+    /// Retained tail queries, ranked slowest first.
+    pub retained: Vec<RetainedQuery>,
+    /// Histogram exemplars, ascending by bucket.
+    pub exemplars: Vec<Exemplar>,
+}
+
+/// Current `SLOW_QUERIES.json` schema version.
+pub const SLOW_SCHEMA_VERSION: u64 = 1;
+
+json_labels!(RetainReason, EventKind);
+
+impl JsonField for TraceId {
+    fn to_field(&self) -> Json {
+        self.0.to_field()
+    }
+
+    fn from_field(value: Option<&Json>, path: &str, errs: &mut Vec<String>) -> Option<TraceId> {
+        u64::from_field(value, path, errs).map(TraceId)
+    }
+}
+
+impl JsonField for SpanId {
+    fn to_field(&self) -> Json {
+        self.0.to_field()
+    }
+
+    fn from_field(value: Option<&Json>, path: &str, errs: &mut Vec<String>) -> Option<SpanId> {
+        u64::from_field(value, path, errs).map(SpanId)
+    }
+}
+
+// Enough of a flight-recorder event to rebuild the span tree: ids, kind,
+// timing.
+json_fields!(Event {
+    at_us,
+    dur_us,
+    node,
+    trace,
+    span,
+    parent,
+    kind,
+    detail
+});
+json_fields!(RetainedQuery { reason, explain, events? });
+json_fields!(Exemplar {
+    bucket_ms,
+    trace_id
+});
+json_fields!(SlowDoc {
+    "slow_queries" = SLOW_SCHEMA_VERSION,
+    threshold_ms,
+    observed,
+    dropped,
+    retained,
+    exemplars,
+});
+artifact!(SlowDoc, "slow_queries", SLOW_SCHEMA_VERSION);
+
+impl SlowDoc {
+    /// Retained flight-recorder events must reconstruct: one causal span
+    /// tree for the query the explain record describes.
+    fn validate(&self) -> Result<(), String> {
+        for (i, q) in self.retained.iter().enumerate() {
+            if !q.events.is_empty() {
+                let trace = q.explain.trace_id;
+                span_tree_root(&q.events, TraceId(trace))
+                    .map_err(|why| format!("retained[{i}]: trace {trace}: {why}"))?;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[derive(Debug, Default)]
@@ -251,92 +346,34 @@ impl TailSampler {
         self.state.lock().dropped
     }
 
-    /// Serialize the reservoir as a `SLOW_QUERIES.json` document:
-    /// retained queries ranked by response time (slowest first), each
-    /// with its retention reason, attribution, full explain record, and
-    /// (when present) flight-recorder events; plus the sampler state
-    /// (threshold, counts, exemplar map).
-    pub fn report(&self) -> Json {
+    /// The reservoir as a `SLOW_QUERIES.json` document: retained queries
+    /// ranked by response time (slowest first), each with its retention
+    /// reason, full explain record and (when present) flight-recorder
+    /// events; plus the sampler state (threshold, counts, exemplar map).
+    pub fn report(&self) -> SlowDoc {
         let g = self.state.lock();
-        let mut ranked: Vec<&RetainedQuery> = g.retained.iter().collect();
-        ranked.sort_by(|a, b| {
+        let mut retained = g.retained.clone();
+        retained.sort_by(|a, b| {
             b.explain
                 .response_us
                 .partial_cmp(&a.explain.response_us)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let queries = ranked
-            .iter()
-            .map(|q| {
-                let mut pairs = vec![
-                    ("reason", Json::str(q.reason.as_str())),
-                    ("explain", q.explain.to_json()),
-                ];
-                if !q.events.is_empty() {
-                    pairs.push((
-                        "events",
-                        Json::arr(q.events.iter().map(event_to_json).collect()),
-                    ));
-                }
-                Json::obj(pairs)
-            })
-            .collect();
-        let exemplars = g
-            .exemplars
-            .iter()
-            .map(|(&edge, &trace)| {
-                Json::obj(vec![
-                    ("bucket_ms", Json::num(f64::from_bits(edge))),
-                    ("trace_id", Json::num(trace as f64)),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            ("slow_queries", Json::num(1.0)),
-            ("threshold_ms", Json::num(self.threshold_ms())),
-            ("observed", Json::num(g.observed as f64)),
-            ("dropped", Json::num(g.dropped as f64)),
-            ("retained", Json::arr(queries)),
-            ("exemplars", Json::arr(exemplars)),
-        ])
+        SlowDoc {
+            threshold_ms: self.threshold_ms(),
+            observed: g.observed,
+            dropped: g.dropped,
+            retained,
+            exemplars: g
+                .exemplars
+                .iter()
+                .map(|(&edge, &trace_id)| Exemplar {
+                    bucket_ms: f64::from_bits(edge),
+                    trace_id,
+                })
+                .collect(),
+        }
     }
-}
-
-/// Serialize one flight-recorder event for the SLOW_QUERIES artifact
-/// (enough to rebuild the span tree: ids, kind, timing).
-fn event_to_json(e: &Event) -> Json {
-    Json::obj(vec![
-        ("at_us", Json::num(e.at_us as f64)),
-        ("dur_us", Json::num(e.dur_us as f64)),
-        ("node", Json::num(e.node as f64)),
-        ("trace", Json::num(e.trace.0 as f64)),
-        ("span", Json::num(e.span.0 as f64)),
-        ("parent", Json::num(e.parent.0 as f64)),
-        ("kind", Json::str(e.kind.as_str())),
-        ("detail", Json::num(e.detail as f64)),
-    ])
-}
-
-/// Parse one event serialized by [`event_to_json`] back into an
-/// [`Event`]. Used by `roads-inspect` to validate retained traces.
-pub fn event_from_json(doc: &Json) -> Result<Event, String> {
-    use crate::event::{EventKind, SpanId, TraceId};
-    let f = |k: &str| doc.get(k).and_then(Json::as_f64);
-    let kind = doc
-        .get("kind")
-        .and_then(Json::as_str_val)
-        .and_then(EventKind::parse)
-        .ok_or("event missing kind")?;
-    Ok(Event {
-        at_us: f("at_us").ok_or("event missing at_us")? as u64,
-        dur_us: f("dur_us").unwrap_or(0.0) as u64,
-        node: f("node").unwrap_or(0.0) as u32,
-        trace: TraceId(f("trace").ok_or("event missing trace")? as u64),
-        span: SpanId(f("span").ok_or("event missing span")? as u64),
-        parent: SpanId(f("parent").unwrap_or(0.0) as u64),
-        kind,
-        detail: f("detail").unwrap_or(0.0) as u64,
-    })
 }
 
 #[cfg(test)]
@@ -463,20 +500,13 @@ mod tests {
         s.observe(explain_ms(1, 10.0, true), false, Vec::new());
         s.observe(explain_ms(2, 99.0, true), false, Vec::new());
         s.observe(explain_ms(3, 55.0, true), false, Vec::new());
-        let doc = s.report();
-        let text = doc.to_string_pretty();
+        let text = s.report().to_json().to_string_pretty();
         let parsed = Json::parse(&text).unwrap();
-        assert!(parsed.get("slow_queries").is_some());
-        let retained = parsed.get("retained").and_then(Json::as_arr).unwrap();
-        let ids: Vec<u64> = retained
-            .iter()
-            .map(|q| {
-                QueryExplain::from_json(q.get("explain").unwrap())
-                    .unwrap()
-                    .query_id
-            })
-            .collect();
+        assert!(SlowDoc::has_marker(&parsed));
+        let doc = SlowDoc::from_json(&parsed).unwrap();
+        let ids: Vec<u64> = doc.retained.iter().map(|q| q.explain.query_id).collect();
         assert_eq!(ids, vec![2, 3, 1], "ranked slowest first");
+        assert_eq!(doc, s.report());
         assert_eq!(s.observed(), 3);
         assert_eq!(s.dropped(), 0);
     }
@@ -504,11 +534,8 @@ mod tests {
             floor_ms: 1.0,
         });
         s.observe(e, false, events.clone());
-        let doc = s.report();
-        let parsed = Json::parse(&doc.to_string_pretty()).unwrap();
-        let retained = parsed.get("retained").and_then(Json::as_arr).unwrap();
-        let evs = retained[0].get("events").and_then(Json::as_arr).unwrap();
-        let back: Vec<Event> = evs.iter().map(|e| event_from_json(e).unwrap()).collect();
-        assert_eq!(back, events);
+        let text = s.report().to_json().to_string_pretty();
+        let back = SlowDoc::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back.retained[0].events, events);
     }
 }
