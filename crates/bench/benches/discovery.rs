@@ -364,6 +364,38 @@ fn bench_recorder_overhead(c: &mut Criterion) {
     g.finish();
 }
 
+/// One dispatch hop of the live cluster (ROADMAP item 1c): a zero-delay
+/// query on a one-server federation is exactly enqueue → pickup → reply.
+fn bench_live_hop(c: &mut Criterion) {
+    let mut g = c.benchmark_group("live_hop");
+    let schema = Schema::unit_numeric(1);
+    let records = vec![(0..8)
+        .map(|i| Record::new_unchecked(RecordId(i), OwnerId(0), vec![Value::Float(i as f64 / 8.0)]))
+        .collect()];
+    let net = RoadsNetwork::build(schema.clone(), RoadsConfig::paper_default(), records);
+    let cluster = RoadsCluster::start(
+        net,
+        DelaySpace::paper(1, 7),
+        RuntimeConfig {
+            delay_scale: 0.0,
+            per_record_retrieval_us: 0,
+            base_query_cost_us: 0,
+            bandwidth_mbps: 1e12,
+            ..RuntimeConfig::paper_like()
+        },
+    );
+    let q = QueryBuilder::new(&schema, QueryId(0))
+        .range("x0", 0.5, 0.55)
+        .build();
+    let out = cluster.query(&q, ServerId(0));
+    assert_eq!((out.servers_contacted, out.records.len()), (1, 1));
+    g.bench_function("one_contact_zero_delay", |b| {
+        b.iter(|| black_box(cluster.query(black_box(&q), ServerId(0))))
+    });
+    g.finish();
+    cluster.shutdown();
+}
+
 fn bench_update_round(c: &mut Criterion) {
     let mut g = c.benchmark_group("update_round");
     g.sample_size(10);
@@ -378,6 +410,7 @@ criterion_group!(
     bench_tree_build,
     bench_query_exec,
     bench_recorder_overhead,
+    bench_live_hop,
     bench_update_round
 );
 criterion_main!(benches);

@@ -26,6 +26,18 @@ fn narrow_query(schema: &Schema) -> Query {
         .build()
 }
 
+/// Six medium-width ranges (the `live_selective` query shape): every
+/// predicate's index run is hundreds of rows wide, so choosing the driving
+/// index must not cost a candidate list per predicate.
+fn six_range_query(schema: &Schema) -> Query {
+    (0..6)
+        .fold(QueryBuilder::new(schema, QueryId(1)), |b, d| {
+            let lo = 0.1 * d as f64;
+            b.range(&format!("x{d}"), lo, lo + 0.25)
+        })
+        .build()
+}
+
 fn bench_search(c: &mut Criterion) {
     let mut g = c.benchmark_group("record_store");
     for &n in &[1_000usize, 10_000, 50_000] {
@@ -44,6 +56,11 @@ fn bench_search(c: &mut Criterion) {
             })
         });
     }
+    let (store, schema) = store_of(2_000);
+    let q = six_range_query(&schema);
+    g.bench_function("indexed_search_six_ranges/2000", |b| {
+        b.iter(|| black_box(&store).search(black_box(&q)))
+    });
     g.finish();
 }
 

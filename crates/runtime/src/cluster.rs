@@ -8,8 +8,9 @@
 //!
 //! # Fault model
 //!
-//! Message delivery runs on a bounded dispatcher pool
-//! ([`crate::faults::Dispatcher`]) instead of one helper thread per
+//! Messages are delivered by whoever holds them when they fall due — the
+//! sending thread at zero delay, otherwise the one timer thread
+//! ([`crate::faults::Dispatcher`]) — never by a helper thread per
 //! contacted server. Every dispatched sub-query carries a per-dispatch
 //! timeout; expiry triggers bounded retry with exponential backoff, then
 //! replica-overlay failover (a mailbox found already closed skips the
@@ -30,7 +31,7 @@
 //! so outcomes — `retries`, `failed_servers`, `servers_contacted`,
 //! recorder events — are attributed to exactly the query that caused
 //! them, never pooled across in-flight queries. The shared pieces (the
-//! dispatcher pool, server mailboxes) are multi-producer by construction.
+//! dispatcher, server mailboxes) are multi-producer by construction.
 //! Admission is bounded by [`RuntimeConfig::max_inflight_queries`]; the
 //! `runtime.inflight_queries` gauge tracks the live count on instrumented
 //! clusters.
@@ -144,7 +145,8 @@ pub enum ContactMode {
 
 pub(crate) enum ServerRequest {
     Query {
-        query: Query,
+        /// One allocation per live query, shared by all its contacts.
+        query: Arc<Query>,
         mode: ContactMode,
         requester: RequesterId,
         reply: ReplyHandle,
@@ -219,7 +221,7 @@ impl ReplyHandle {
     }
 }
 
-/// A unit of timed work on the dispatcher pool.
+/// A unit of timed work for the dispatcher: one non-blocking channel send.
 pub(crate) enum DispatchJob {
     /// Deliver a request to a server's mailbox; a closed mailbox is
     /// reported straight back as [`Notice::Down`].
@@ -446,7 +448,7 @@ impl RoadsCluster {
                 ))
             })
             .collect();
-        let dispatcher = Dispatcher::start(cfg.dispatcher_threads);
+        let dispatcher = Dispatcher::start();
         let live_board = Arc::new(
             (0..net.len())
                 .map(|_| AtomicBool::new(true))
@@ -806,7 +808,7 @@ impl RoadsCluster {
         let (done_tx, done_rx) = unbounded::<Notice>();
         let driver = Driver {
             cluster: self,
-            query,
+            query: Arc::new(query.clone()),
             requester,
             start,
             t0,
@@ -959,7 +961,7 @@ fn spawn_server(
 ) -> ServerSlot {
     let (tx, rx) = unbounded::<ServerRequest>();
     let alive = Arc::new(AtomicBool::new(true));
-    let store = RecordStore::new(net.schema().clone(), net.records(id).to_vec());
+    let store = RecordStore::new(net.schema().clone(), net.records(id));
     let handle = {
         let net = Arc::clone(net);
         let alive = Arc::clone(&alive);
@@ -1010,7 +1012,7 @@ struct Attempt {
 /// Per-query state machine driving dispatch, retry, and failover.
 struct Driver<'a> {
     cluster: &'a RoadsCluster,
-    query: &'a Query,
+    query: Arc<Query>,
     requester: RequesterId,
     start: ServerId,
     t0: Instant,
@@ -1066,7 +1068,7 @@ impl Driver<'_> {
         let plan = cfg.enable_planner.then(|| {
             plan_query(
                 &self.cluster.net,
-                self.query,
+                &self.query,
                 self.start,
                 SearchScope::full(),
             )
@@ -1307,7 +1309,7 @@ impl Driver<'_> {
                 }),
                 _ => None,
             };
-            let summary = vouching.and_then(|s| verdict_kind(s.decide(self.query)));
+            let summary = vouching.and_then(|s| verdict_kind(s.decide(&self.query)));
             self.attempt_hop.insert(id, hops.len());
             hops.push(ExplainHop {
                 server: target.0,
@@ -1360,7 +1362,7 @@ impl Driver<'_> {
             DispatchJob::Send {
                 sender,
                 request: ServerRequest::Query {
-                    query: self.query.clone(),
+                    query: Arc::clone(&self.query),
                     mode,
                     requester: self.requester,
                     reply,
@@ -1434,7 +1436,7 @@ impl Driver<'_> {
                         .cluster
                         .net
                         .branch_summary(server)
-                        .may_match(self.query);
+                        .may_match(&self.query);
                 audit.observe_live(level, spurious);
             }
         }
@@ -1639,7 +1641,7 @@ impl Driver<'_> {
         // whole exercise when no unresolved child branch can match.
         let worth_it =
             net.tree().children(dead).iter().any(|&c| {
-                net.branch_summary(c).may_match(self.query) && !self.resolved.contains(&c)
+                net.branch_summary(c).may_match(&self.query) && !self.resolved.contains(&c)
             });
         if !worth_it {
             return;
@@ -1784,13 +1786,13 @@ impl Driver<'_> {
         let net = &self.cluster.net;
         let children_covered = |s: ServerId| {
             net.tree().children(s).iter().all(|&c| {
-                !net.branch_summary(c).may_match(self.query)
+                !net.branch_summary(c).may_match(&self.query)
                     || self.resolved.contains(&c)
                     || self.failed.contains_key(&c)
             })
         };
         self.failed.iter().all(|(&s, &mode)| {
-            let local_ok = !net.local_summary(s).may_match(self.query);
+            let local_ok = !net.local_summary(s).may_match(&self.query);
             match mode {
                 ContactMode::LocalOnly => local_ok,
                 ContactMode::Branch => local_ok && children_covered(s),
@@ -2413,6 +2415,46 @@ mod tests {
         // The surviving entry still replays from cache.
         let replay = c.query(&miss_q, ServerId(2));
         assert_eq!(replay.servers_contacted, 1, "unaffected entry stays hot");
+        c.shutdown();
+    }
+
+    #[test]
+    fn inverted_range_query_leaves_every_server_alive() {
+        // Regression: an inverted range made `RecordStore::search` slice
+        // its index backwards and panic, unwinding the server thread. The
+        // planner contacts the entry `LocalOnly`, which searches the store
+        // whatever the summaries say.
+        let n = 9;
+        let c = RoadsCluster::start(
+            test_net(n),
+            DelaySpace::paper(n, 21),
+            RuntimeConfig {
+                enable_planner: true,
+                ..RuntimeConfig::test_faulty()
+            },
+        );
+        let inverted = QueryBuilder::new(c.network().schema(), QueryId(60))
+            .range("x1", 0.8, 0.2)
+            .build();
+        let everything = QueryBuilder::new(c.network().schema(), QueryId(61))
+            .range("x1", 0.0, 1.0)
+            .build();
+        for start in 0..n as u32 {
+            let out = c.query(&inverted, ServerId(start));
+            assert!(
+                out.complete,
+                "entry {start}: an empty range is a full answer"
+            );
+            assert!(out.records.is_empty());
+            assert!(out.failed_servers.is_empty());
+        }
+        for s in 0..n as u32 {
+            assert!(c.is_alive(ServerId(s)));
+        }
+        // Every entry still serves.
+        let out = c.query(&everything, ServerId(0));
+        assert!(out.complete);
+        assert_eq!(out.records.len(), n * 20);
         c.shutdown();
     }
 }

@@ -37,15 +37,16 @@ pub struct RuntimeConfig {
     /// Backoff before retry `k` (1-based): `backoff_base_ms << (k - 1)`
     /// milliseconds, i.e. exponential doubling from this base.
     pub backoff_base_ms: u64,
-    /// Worker threads in the bounded dispatcher pool that executes timed
-    /// message deliveries (requests out, replies back). Clamped to ≥ 1.
+    /// Unused since PR 15 (messages are delivered by the sender or the one
+    /// timer thread; there is no pool to size) — delete with the next
+    /// benchmark change: `benchmark/src/workloads.rs` still names it.
     pub dispatcher_threads: usize,
     /// Route around dead `Branch` servers via the replication overlay
     /// (§III-C): re-dispatch the subtree query through a sibling replica.
     /// Disable to measure the availability the overlay buys (fig13).
     pub enable_failover: bool,
     /// Maximum queries in flight at once across all client threads. The
-    /// shared dispatcher pool and per-server mailboxes are safe at any
+    /// shared dispatcher and per-server mailboxes are safe at any
     /// concurrency, but unbounded admission lets a burst of clients queue
     /// arbitrary work behind every mailbox; past this limit `query_as`
     /// blocks until a slot frees. `0` disables admission control.
@@ -81,7 +82,7 @@ impl RuntimeConfig {
             dispatch_timeout_ms: 10_000,
             max_retries: 2,
             backoff_base_ms: 100,
-            dispatcher_threads: 4,
+            dispatcher_threads: 0,
             enable_failover: true,
             max_inflight_queries: 64,
             slo_response_ms: 10_000,
@@ -102,7 +103,7 @@ impl RuntimeConfig {
             dispatch_timeout_ms: 2_000,
             max_retries: 2,
             backoff_base_ms: 10,
-            dispatcher_threads: 2,
+            dispatcher_threads: 0,
             enable_failover: true,
             max_inflight_queries: 16,
             slo_response_ms: 5_000,
@@ -168,7 +169,6 @@ mod tests {
             assert!(cfg.query_deadline_ms > 0, "deadline must be on by default");
             assert!(cfg.dispatch_timeout_ms > 0);
             assert!(cfg.dispatch_timeout_ms < cfg.query_deadline_ms);
-            assert!(cfg.dispatcher_threads >= 1);
             assert!(cfg.enable_failover);
             assert!(
                 cfg.max_inflight_queries >= 1,

@@ -2,11 +2,12 @@
 //!
 //! Three pieces, all used by [`crate::cluster::RoadsCluster`]:
 //!
-//! * [`Dispatcher`] — a timer thread plus a bounded worker pool that
-//!   delivers timed messages (requests after the outbound delay, replies
-//!   after the return delay, retries after backoff). It replaces the old
-//!   one-OS-thread-per-contacted-server dispatch: however wide a query
-//!   fans out, the cluster runs a fixed number of dispatcher threads.
+//! * [`Dispatcher`] — timed message delivery (requests after the
+//!   outbound delay, replies after the return delay, retries after
+//!   backoff). A delivery is one non-blocking channel send, so a message
+//!   that is already due is delivered by the thread that schedules it and
+//!   a delayed one by the single timer thread when it matures: however
+//!   wide a query fans out, the cluster runs one delivery thread.
 //! * [`VisitLedger`] — mode-aware dispatch deduplication. A server visited
 //!   in a narrow mode (`LocalOnly` ancestor probe) can later be re-visited
 //!   in a strictly wider mode (`Branch`); the old set-based dedup silently
@@ -16,15 +17,15 @@
 //! * [`backoff_delay`] — the bounded exponential retry backoff.
 
 use crate::cluster::{ContactMode, DispatchJob};
-use parking_lot::Mutex;
 use roads_core::ServerId;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 
 /// Exponential backoff before retry `tries + 1` of a dispatch: the base
 /// doubles per prior attempt, with the shift capped so large retry counts
@@ -39,18 +40,37 @@ enum TimerCmd {
     Shutdown,
 }
 
+/// What every [`DispatchHandle`] clone shares with the timer thread.
+struct TimerLink {
+    cmd_tx: Sender<TimerCmd>,
+    /// Set by [`Dispatcher::shutdown`] before the timer thread is told to
+    /// stop. Release/Acquire: a scheduler that reads `true` also sees the
+    /// shutdown that set it; it guards no other data.
+    closed: AtomicBool,
+}
+
 /// Cloneable handle for scheduling work on a [`Dispatcher`]; held by the
-/// cluster and embedded in every in-flight reply path. Sends after the
-/// dispatcher shut down are silently dropped (the cluster is going away).
+/// cluster and embedded in every in-flight reply path. Jobs scheduled after
+/// the dispatcher shut down are silently dropped (the cluster is going
+/// away).
 #[derive(Clone)]
 pub(crate) struct DispatchHandle {
-    cmd_tx: Sender<TimerCmd>,
+    link: Arc<TimerLink>,
 }
 
 impl DispatchHandle {
-    /// Schedule `job` to run at `due`.
+    /// Run `job` at `due`: right here on the calling thread when `due` has
+    /// already passed (a job is one non-blocking channel send), otherwise
+    /// on the timer thread once it matures.
     pub(crate) fn schedule(&self, due: Instant, job: DispatchJob) {
-        let _ = self.cmd_tx.send(TimerCmd::Schedule(due, job));
+        if self.link.closed.load(Ordering::Acquire) {
+            return;
+        }
+        if due <= Instant::now() {
+            job.run();
+        } else {
+            let _ = self.link.cmd_tx.send(TimerCmd::Schedule(due, job));
+        }
     }
 
     /// Schedule `job` after `delay` from now.
@@ -83,29 +103,29 @@ impl Ord for Timed {
     }
 }
 
-/// Timer thread + bounded worker pool executing timed [`DispatchJob`]s.
+/// The timer thread: holds delayed [`DispatchJob`]s on a heap and runs each
+/// itself when it matures, so delayed jobs run in exact `(due, arrival)`
+/// order.
 pub(crate) struct Dispatcher {
     handle: DispatchHandle,
     timer: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Dispatcher {
-    /// Start the timer thread and `workers.max(1)` pool workers.
-    pub(crate) fn start(workers: usize) -> Self {
+    /// Start the timer thread.
+    pub(crate) fn start() -> Self {
         let (cmd_tx, cmd_rx) = unbounded::<TimerCmd>();
-        let (job_tx, job_rx) = unbounded::<DispatchJob>();
         let timer = thread::Builder::new()
             .name("roads-dispatch-timer".into())
             .spawn(move || {
                 let mut heap: BinaryHeap<Reverse<Timed>> = BinaryHeap::new();
                 let mut seq = 0u64;
                 loop {
-                    // Fire everything that has matured.
+                    // Run everything that has matured.
                     let now = Instant::now();
                     while heap.peek().is_some_and(|Reverse(t)| t.due <= now) {
                         let Reverse(t) = heap.pop().expect("peeked");
-                        let _ = job_tx.send(t.job);
+                        t.job.run();
                     }
                     // Sleep until the next job matures or a command lands.
                     let cmd = match heap.peek() {
@@ -130,33 +150,16 @@ impl Dispatcher {
                         TimerCmd::Shutdown => break,
                     }
                 }
-                // job_tx drops here; idle workers drain and exit.
             })
             .expect("spawn dispatch timer");
-        // The channel receiver is single-consumer; workers share it behind
-        // a mutex, each blocking in recv() while holding it — the lock is
-        // released between dequeue and job execution, so jobs still spread
-        // across the pool.
-        let job_rx: Arc<Mutex<Receiver<DispatchJob>>> = Arc::new(Mutex::new(job_rx));
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let job_rx = Arc::clone(&job_rx);
-                thread::Builder::new()
-                    .name(format!("roads-dispatch-{i}"))
-                    .spawn(move || loop {
-                        let job = job_rx.lock().recv();
-                        match job {
-                            Ok(job) => job.run(),
-                            Err(_) => break,
-                        }
-                    })
-                    .expect("spawn dispatch worker")
-            })
-            .collect();
         Dispatcher {
-            handle: DispatchHandle { cmd_tx },
+            handle: DispatchHandle {
+                link: Arc::new(TimerLink {
+                    cmd_tx,
+                    closed: AtomicBool::new(false),
+                }),
+            },
             timer: Some(timer),
-            workers,
         }
     }
 
@@ -165,15 +168,13 @@ impl Dispatcher {
         &self.handle
     }
 
-    /// Stop the timer and drain the pool. Jobs not yet matured are
-    /// discarded; jobs already handed to workers finish.
+    /// Stop the timer thread. Jobs not yet matured are discarded, and so
+    /// is every job scheduled from now on.
     pub(crate) fn shutdown(&mut self) {
-        let _ = self.handle.cmd_tx.send(TimerCmd::Shutdown);
+        self.handle.link.closed.store(true, Ordering::Release);
+        let _ = self.handle.link.cmd_tx.send(TimerCmd::Shutdown);
         if let Some(t) = self.timer.take() {
             let _ = t.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
     }
 }
@@ -285,7 +286,7 @@ mod tests {
 
     #[test]
     fn dispatcher_runs_jobs_in_due_order() {
-        let mut d = Dispatcher::start(2);
+        let mut d = Dispatcher::start();
         let order = Arc::new(Mutex::new(Vec::new()));
         let now = Instant::now();
         for (tag, off_ms) in [(1u64, 30u64), (2, 5), (3, 15)] {
@@ -302,7 +303,7 @@ mod tests {
 
     #[test]
     fn dispatcher_shutdown_discards_unmatured_jobs() {
-        let mut d = Dispatcher::start(1);
+        let mut d = Dispatcher::start();
         let ran = Arc::new(Mutex::new(false));
         {
             let ran = Arc::clone(&ran);
@@ -316,5 +317,74 @@ mod tests {
         // Scheduling after shutdown is a silent no-op.
         d.handle()
             .schedule_after(Duration::ZERO, DispatchJob::test_probe(|| {}));
+    }
+
+    #[test]
+    fn dispatcher_runs_due_job_on_calling_thread() {
+        let mut d = Dispatcher::start();
+        let now = Instant::now();
+        for due in [now, now - Duration::from_millis(5)] {
+            let ran_on = Arc::new(Mutex::new(None));
+            {
+                let ran_on = Arc::clone(&ran_on);
+                d.handle().schedule(
+                    due,
+                    DispatchJob::test_probe(move || {
+                        *ran_on.lock() = Some(std::thread::current().id())
+                    }),
+                );
+            }
+            // No waiting: the job ran inside `schedule`.
+            assert_eq!(*ran_on.lock(), Some(std::thread::current().id()));
+        }
+        d.shutdown();
+    }
+
+    #[test]
+    fn dispatcher_delayed_jobs_run_in_due_order_never_early() {
+        let mut d = Dispatcher::start();
+        let (tx, rx) = unbounded::<(u64, Instant, std::thread::ThreadId)>();
+        let now = Instant::now();
+        // Far enough out that a preempted test thread still schedules every
+        // job before any is due.
+        let offsets_ms = [90u64, 60, 75, 60, 110];
+        for (tag, off) in offsets_ms.into_iter().enumerate() {
+            let tx = tx.clone();
+            d.handle().schedule(
+                now + Duration::from_millis(off),
+                DispatchJob::test_probe(move || {
+                    let _ = tx.send((tag as u64, Instant::now(), std::thread::current().id()));
+                }),
+            );
+        }
+        let ran: Vec<_> = (0..offsets_ms.len())
+            .map(|_| rx.recv_timeout(Duration::from_secs(10)).expect("job ran"))
+            .collect();
+        // Due order, arrival order within one due time.
+        let tags: Vec<u64> = ran.iter().map(|r| r.0).collect();
+        assert_eq!(tags, [1, 3, 2, 0, 4]);
+        for (tag, at, thread) in ran {
+            let due = now + Duration::from_millis(offsets_ms[tag as usize]);
+            assert!(at >= due, "job {tag} ran {:?} early", due - at);
+            assert_ne!(thread, std::thread::current().id(), "timer thread runs it");
+        }
+        d.shutdown();
+    }
+
+    #[test]
+    fn dispatcher_schedule_after_shutdown_is_a_noop() {
+        let mut d = Dispatcher::start();
+        d.shutdown();
+        let ran = Arc::new(Mutex::new(0u32));
+        for delay in [Duration::ZERO, Duration::from_millis(1)] {
+            let ran = Arc::clone(&ran);
+            d.handle()
+                .schedule_after(delay, DispatchJob::test_probe(move || *ran.lock() += 1));
+        }
+        // Nothing ran on this thread, and the timer thread is gone (joined
+        // by `shutdown`), so nothing can run later; a second shutdown is
+        // harmless too.
+        d.shutdown();
+        assert_eq!(*ran.lock(), 0);
     }
 }

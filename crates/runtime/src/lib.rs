@@ -19,8 +19,8 @@
 //!   matching servers **in parallel**.
 //! * [`central::CentralCluster`] — the single-server baseline: one round
 //!   trip, but serial retrieval of every matching record.
-//! * `faults` — the fault-tolerant query plane: a bounded dispatcher
-//!   pool delivers timed messages, per-dispatch timeouts trigger bounded
+//! * `faults` — the fault-tolerant query plane: one timer thread
+//!   delivers delayed messages, per-dispatch timeouts trigger bounded
 //!   retry with exponential backoff, and dead branches are routed around
 //!   via the replication overlay (§III-C). [`cluster::RoadsCluster`]
 //!   exposes `kill_server`/`restart_server` for live fault injection and

@@ -4,57 +4,99 @@
 //! attached resource stores, and uses JDBC … to query this database for
 //! specific resource records or to generate summaries". This store provides
 //! the same two operations — exact multi-attribute search and summary
-//! generation — over column indexes: a sorted index per ordered attribute
-//! and a hash index per categorical attribute.
+//! generation — over column indexes: per attribute, a numeric value column
+//! with its rows sorted by value, and a hash index over string values.
 
-use roads_records::{AttrType, Predicate, Query, Record, Schema};
+use roads_records::{Predicate, Query, Record, Schema};
 use roads_summary::{Summary, SummaryConfig};
 use std::collections::HashMap;
+
+/// The numeric view of one attribute across all rows.
+#[derive(Debug, Clone)]
+struct Column {
+    /// `values[row]`; NaN where the record has no numeric value there (a
+    /// string, or NaN itself), which fails every comparison just as
+    /// `Predicate::matches` fails a record without a numeric view. Empty
+    /// when no row has one.
+    values: Vec<f64>,
+    /// The rows with a numeric value, ascending by it (row order among
+    /// equals).
+    sorted: Vec<u32>,
+}
+
+impl Column {
+    /// The run of `sorted` whose values lie in `[lo, hi]`; empty for an
+    /// inverted or NaN-bounded interval.
+    fn range(&self, lo: f64, hi: f64) -> &[u32] {
+        if lo <= hi {
+            let start = self
+                .sorted
+                .partition_point(|&r| self.values[r as usize] < lo);
+            let end = self
+                .sorted
+                .partition_point(|&r| self.values[r as usize] <= hi);
+            &self.sorted[start..end]
+        } else {
+            &[]
+        }
+    }
+}
 
 /// Column-indexed record store.
 #[derive(Debug, Clone)]
 pub struct RecordStore {
     schema: Schema,
     records: Vec<Record>,
-    /// Per ordered attribute: `(value, row)` sorted by value.
-    numeric_idx: Vec<Vec<(f64, u32)>>,
-    /// Per categorical attribute: value → rows.
+    /// Per attribute: the numeric column.
+    columns: Vec<Column>,
+    /// Per attribute: string value → rows, ascending.
     cat_idx: Vec<HashMap<String, Vec<u32>>>,
+}
+
+/// The rows one predicate's index proposes.
+enum Candidates<'a> {
+    /// A run of one index, walked in place.
+    Run(&'a [u32]),
+    /// The per-value row lists of a `OneOf`; merged only if it drives.
+    Lists(&'a HashMap<String, Vec<u32>>, &'a [String]),
 }
 
 impl RecordStore {
     /// Build the store and its indexes.
     pub fn new(schema: Schema, records: Vec<Record>) -> Self {
-        let arity = schema.len();
-        let mut numeric_idx: Vec<Vec<(f64, u32)>> = vec![Vec::new(); arity];
-        let mut cat_idx: Vec<HashMap<String, Vec<u32>>> = vec![HashMap::new(); arity];
+        let mut columns = vec![
+            Column {
+                values: vec![f64::NAN; records.len()],
+                sorted: Vec::new(),
+            };
+            schema.len()
+        ];
+        let mut cat_idx: Vec<HashMap<String, Vec<u32>>> = vec![HashMap::new(); schema.len()];
         for (row, rec) in records.iter().enumerate() {
-            for (attr, def) in schema.iter() {
+            for (attr, _) in schema.iter() {
                 let v = rec.get(attr);
-                match def.ty {
-                    AttrType::Categorical | AttrType::Text => {
-                        if let Some(s) = v.as_str() {
-                            cat_idx[attr.index()]
-                                .entry(s.to_owned())
-                                .or_default()
-                                .push(row as u32);
-                        }
-                    }
-                    _ => {
-                        if let Some(f) = v.as_f64() {
-                            numeric_idx[attr.index()].push((f, row as u32));
-                        }
-                    }
+                if let Some(s) = v.as_str() {
+                    cat_idx[attr.index()]
+                        .entry(s.to_owned())
+                        .or_default()
+                        .push(row as u32);
+                } else if let Some(f) = v.as_f64().filter(|f| !f.is_nan()) {
+                    let col = &mut columns[attr.index()];
+                    col.values[row] = f;
+                    col.sorted.push(row as u32);
                 }
             }
         }
-        for idx in &mut numeric_idx {
-            idx.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite attribute values"));
+        for Column { values, sorted } in &mut columns {
+            if sorted.is_empty() {
+                *values = Vec::new();
+            }
+            sorted.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
         }
         RecordStore {
             schema,
             records,
-            numeric_idx,
+            columns,
             cat_idx,
         }
     }
@@ -79,71 +121,82 @@ impl RecordStore {
         &self.records
     }
 
-    /// Candidate rows for one predicate via the indexes; `None` means the
-    /// predicate cannot be served by an index (full scan required).
-    fn candidates(&self, pred: &Predicate) -> Option<Vec<u32>> {
+    /// A superset of the rows matching `pred`, from its attribute's index
+    /// without allocating: exact for `Range`; for `Eq`/`OneOf` the rows
+    /// holding an equal number or string, whose `Value` variant the record
+    /// check still has to confirm.
+    fn candidates<'a>(&'a self, pred: &'a Predicate) -> Candidates<'a> {
         match pred {
             Predicate::Range { attr, lo, hi } => {
-                let idx = &self.numeric_idx[attr.index()];
-                if idx.is_empty() && !self.records.is_empty() {
-                    return None; // unindexed (categorical attr queried by range)
-                }
-                let start = idx.partition_point(|&(v, _)| v < *lo);
-                let end = idx.partition_point(|&(v, _)| v <= *hi);
-                Some(idx[start..end].iter().map(|&(_, r)| r).collect())
+                Candidates::Run(self.columns[attr.index()].range(*lo, *hi))
             }
-            Predicate::Eq { attr, value } => {
-                if let Some(s) = value.as_str() {
-                    Some(
-                        self.cat_idx[attr.index()]
-                            .get(s)
-                            .cloned()
-                            .unwrap_or_default(),
-                    )
-                } else {
-                    value.as_f64().map(|f| {
-                        let idx = &self.numeric_idx[attr.index()];
-                        let start = idx.partition_point(|&(v, _)| v < f);
-                        let end = idx.partition_point(|&(v, _)| v <= f);
-                        idx[start..end].iter().map(|&(_, r)| r).collect()
-                    })
+            Predicate::Eq { attr, value } => Candidates::Run(match value.as_str() {
+                Some(s) => self.cat_idx[attr.index()].get(s).map_or(&[], Vec::as_slice),
+                None => {
+                    let f = value.as_f64().expect("a value is a string or a number");
+                    self.columns[attr.index()].range(f, f)
                 }
-            }
+            }),
             Predicate::OneOf { attr, values } => {
-                let mut rows: Vec<u32> = values
-                    .iter()
-                    .flat_map(|v| {
-                        self.cat_idx[attr.index()]
-                            .get(v)
-                            .into_iter()
-                            .flatten()
-                            .copied()
-                    })
-                    .collect();
-                rows.sort_unstable();
-                rows.dedup();
-                Some(rows)
+                Candidates::Lists(&self.cat_idx[attr.index()], values)
             }
         }
     }
 
-    /// Exact search: serve the most selective predicate from an index, then
-    /// filter candidates against the full query. Falls back to a full scan
-    /// for index-less queries.
+    /// Exact search: walk the narrowest index run any predicate offers and
+    /// check each of its rows against the other predicates — ranges on the
+    /// value columns, `Eq`/`OneOf` on the record. Results come in the
+    /// driving index's order. An empty query returns everything.
     pub fn search(&self, query: &Query) -> Vec<&Record> {
-        let best = query
-            .predicates()
-            .iter()
-            .filter_map(|p| self.candidates(p))
-            .min_by_key(Vec::len);
-        match best {
-            Some(rows) => rows
-                .into_iter()
-                .map(|r| &self.records[r as usize])
-                .filter(|rec| query.matches(rec))
-                .collect(),
-            None => self.records.iter().filter(|r| query.matches(r)).collect(),
+        let preds = query.predicates();
+        let mut best: Option<(usize, usize, Candidates)> = None;
+        for (i, p) in preds.iter().enumerate() {
+            let cand = self.candidates(p);
+            let width = match &cand {
+                Candidates::Run(rows) => rows.len(),
+                Candidates::Lists(idx, values) => {
+                    values.iter().map(|v| idx.get(v).map_or(0, Vec::len)).sum()
+                }
+            };
+            if width == 0 {
+                return Vec::new();
+            }
+            if best.as_ref().is_none_or(|(w, ..)| width < *w) {
+                best = Some((width, i, cand));
+            }
         }
+        let Some((_, driver, cand)) = best else {
+            return self.records.iter().collect();
+        };
+        let merged: Vec<u32>;
+        let rows = match cand {
+            Candidates::Run(rows) => rows,
+            Candidates::Lists(idx, values) => {
+                let mut rows: Vec<u32> = values
+                    .iter()
+                    .flat_map(|v| idx.get(v).into_iter().flatten().copied())
+                    .collect();
+                rows.sort_unstable();
+                rows.dedup();
+                merged = rows;
+                &merged
+            }
+        };
+        rows.iter()
+            .filter(|&&row| {
+                preds.iter().enumerate().all(|(i, p)| match p {
+                    // The driving run is exactly the rows in its range.
+                    Predicate::Range { attr, lo, hi } => {
+                        i == driver || {
+                            let v = self.columns[attr.index()].values[row as usize];
+                            *lo <= v && v <= *hi
+                        }
+                    }
+                    _ => p.matches(&self.records[row as usize]),
+                })
+            })
+            .map(|&row| &self.records[row as usize])
+            .collect()
     }
 
     /// Number of matching records without materializing them.
@@ -257,6 +310,23 @@ mod tests {
         assert!(s.is_empty());
         let q = QueryBuilder::new(s.schema(), QueryId(7))
             .eq("type", "x")
+            .build();
+        assert!(s.search(&q).is_empty());
+    }
+
+    #[test]
+    fn inverted_range_is_empty() {
+        // Regression: `start = #v < lo` exceeded `end = #v <= hi` and the
+        // index slice panicked ("slice index starts at 50 but ends at 11").
+        let s = store(100);
+        let q = QueryBuilder::new(s.schema(), QueryId(8))
+            .range("rate", 500.0, 100.0)
+            .build();
+        assert!(s.search(&q).is_empty());
+        // Also when another predicate would drive the search.
+        let q = QueryBuilder::new(s.schema(), QueryId(9))
+            .eq("type", "camera")
+            .range("rate", 500.0, 100.0)
             .build();
         assert!(s.search(&q).is_empty());
     }

@@ -2,7 +2,7 @@
 //! owner policies, deadlines, and replica-overlay failover (§III-C).
 //!
 //! Every test drives a real [`RoadsCluster`] — OS threads, channels, the
-//! bounded dispatcher — and kills pieces of it mid-flight. The invariant
+//! timer thread — and kills pieces of it mid-flight. The invariant
 //! under test throughout: `query_as` always returns within the query
 //! deadline, and [`RuntimeOutcome::complete`]/`failed_servers` tell the
 //! truth about what the result may be missing.
@@ -522,7 +522,7 @@ fn failed_standin_helper_is_not_renominated() {
 }
 
 /// Per-query attribution under concurrent churn. Four client threads
-/// share one dispatcher pool, one admission gate (capacity 2) and one
+/// share one dispatcher, one admission gate (capacity 2) and one
 /// flight recorder across three waves — healthy, after killing a leaf,
 /// after restarting it — while a second, panicking leaf dies for good in
 /// wave one. Every outcome must blame only servers that were actually
