@@ -365,7 +365,8 @@ fn bench_recorder_overhead(c: &mut Criterion) {
 }
 
 /// One dispatch hop of the live cluster (ROADMAP item 1c): a zero-delay
-/// query on a one-server federation is exactly enqueue → pickup → reply.
+/// query on a one-server federation is exactly one inline server step —
+/// the client delivers the request, runs it and reads its own reply.
 fn bench_live_hop(c: &mut Criterion) {
     let mut g = c.benchmark_group("live_hop");
     let schema = Schema::unit_numeric(1);

@@ -653,6 +653,15 @@ fn main() {
     let audit_report = auditor.stop();
     let incident_report = watchdog.stop();
     cluster.shutdown();
+    // The live cluster's one thread: how late the timer ran the deliveries
+    // and service completions that matured on it over this whole run.
+    let lag = reg.histogram("runtime.timer_lag_us");
+    println!(
+        "{:<20} {:>10.1} us (p99 of {} timer events)",
+        "timer_lag",
+        lag.percentile(0.99).unwrap_or(0.0),
+        lag.count()
+    );
 
     written(&out, BenchReport::new(m.config, benches).write(&out));
     println!("wrote {}", out.display());

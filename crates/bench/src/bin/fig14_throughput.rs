@@ -16,8 +16,8 @@
 //! Expected shape: queries spend most of their life waiting on emulated
 //! link and retrieval delays, so throughput scales near-linearly with
 //! client threads until the admission gate or a hot server serializes
-//! them. Root-only entry funnels every query through one mailbox and
-//! flattens earlier.
+//! them. Root-only entry funnels every query through one server's FIFO
+//! and flattens earlier.
 
 use roads_bench::chart::{render, Series};
 use roads_bench::parse_args;

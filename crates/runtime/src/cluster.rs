@@ -1,27 +1,43 @@
-//! The live ROADS cluster: one OS thread per server, channels as links.
+//! The live ROADS cluster: servers are state, and whoever delivers a
+//! request runs the server's step.
 //!
 //! The converged control state (hierarchy, summaries, replica sets) comes
 //! from a [`RoadsNetwork`]; what runs *live* here is the part the paper
 //! could not simulate — concurrent query processing against per-server
-//! record stores, with real parallelism across servers and delay-space
-//! latencies applied per message.
+//! record stores, with delay-space latencies applied per message.
+//!
+//! # Servers
+//!
+//! A server is a cell (`Arc<Mutex<Option<Server>>>`): record store, owner
+//! policy, a FIFO of delivered requests and a service clock. It owns no
+//! thread. A message is delivered by whoever holds it when it falls due —
+//! the sending client thread at zero delay, otherwise the one timer thread
+//! ([`crate::faults::Dispatcher`]) — and delivering a request means locking
+//! the target's cell and, unless the server is busy, running `step` (the
+//! per-request protocol logic, a pure function) right there. One server
+//! still handles one request at a time, in arrival order: by its lock while
+//! a step runs, and by its `in_service` flag while a request's *emulated*
+//! backend cost elapses — that cost is a timer event, never a sleep, and
+//! requests arriving meanwhile wait in the FIFO. An *n*-server cluster
+//! therefore owns exactly one thread (the timer). Concurrency is between
+//! queries; one client's fan-out runs back to back on its own thread.
 //!
 //! # Fault model
 //!
-//! Messages are delivered by whoever holds them when they fall due — the
-//! sending thread at zero delay, otherwise the one timer thread
-//! ([`crate::faults::Dispatcher`]) — never by a helper thread per
-//! contacted server. Every dispatched sub-query carries a per-dispatch
-//! timeout; expiry triggers bounded retry with exponential backoff, then
-//! replica-overlay failover (a mailbox found already closed skips the
-//! retry budget — the thread is gone until restarted — and fails over
-//! immediately): a sibling or ancestor holding the dead
-//! server's branch summary (§III-C) stands in and forwards the sub-query
-//! to the dead server's children. A per-query deadline bounds the whole
-//! operation, and [`RuntimeOutcome::complete`] reports truthfully whether
-//! anything may be missing. Threads can be torn down and respawned live
-//! via [`RoadsCluster::kill_server`] / [`RoadsCluster::restart_server`]
-//! for fault injection.
+//! Every dispatched sub-query carries a per-dispatch timeout; expiry
+//! triggers bounded retry with exponential backoff, then replica-overlay
+//! failover (a delivery that finds the target dead skips the retry budget
+//! — it stays dead until restarted — and fails over immediately): a
+//! sibling or ancestor holding the dead server's branch summary (§III-C)
+//! stands in and forwards the sub-query to the dead server's children. A
+//! per-query deadline bounds the whole operation, and
+//! [`RuntimeOutcome::complete`] reports truthfully whether anything may be
+//! missing. Servers can be torn down and brought back live via
+//! [`RoadsCluster::kill_server`] / [`RoadsCluster::restart_server`] for
+//! fault injection. A step that panics (a crashing owner backend) is
+//! contained: it kills that server — queued and in-flight replies are
+//! lost, it reads as dead everywhere until restarted — not the client or
+//! timer thread that happened to deliver the request.
 //!
 //! # Concurrency
 //!
@@ -31,7 +47,7 @@
 //! so outcomes — `retries`, `failed_servers`, `servers_contacted`,
 //! recorder events — are attributed to exactly the query that caused
 //! them, never pooled across in-flight queries. The shared pieces (the
-//! dispatcher, server mailboxes) are multi-producer by construction.
+//! dispatcher, the server cells) are multi-producer by construction.
 //! Admission is bounded by [`RuntimeConfig::max_inflight_queries`]; the
 //! `runtime.inflight_queries` gauge tracks the live count on instrumented
 //! clusters.
@@ -39,7 +55,9 @@
 use crate::audit::{AuditMetrics, Liveness};
 use crate::config::RuntimeConfig;
 use crate::faults::{backoff_delay, mode_rank, DispatchHandle, Dispatcher, VisitLedger};
-use crate::health::{ClusterHealth, FaultKind, FaultLog, RuntimeMetrics, ServerHealth};
+use crate::health::{
+    ClusterHealth, FaultKind, FaultLog, RuntimeMetrics, ServerHealth, ServerInstruments,
+};
 use crate::store::RecordStore;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -54,16 +72,16 @@ use roads_telemetry::{
     span::timed, trace_events, Event, EventKind, ExplainDecision, ExplainHop, Gauge, Histogram,
     HopOutcome, LatencySplit, QueryExplain, Recorder, Registry, SpanId, TailSampler, TraceId,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Counting admission gate bounding concurrent queries over the shared
 /// dispatcher (`max = 0` ⇒ unbounded). Each query holds one slot for its
 /// whole lifetime; acquisition blocks — queries queue at the door instead
-/// of piling unbounded work onto every server mailbox.
+/// of piling unbounded work onto every server's FIFO.
 struct InflightGate {
     max: usize,
     count: StdMutex<usize>,
@@ -143,48 +161,43 @@ pub enum ContactMode {
     },
 }
 
-pub(crate) enum ServerRequest {
-    Query {
-        /// One allocation per live query, shared by all its contacts.
-        query: Arc<Query>,
-        mode: ContactMode,
-        requester: RequesterId,
-        reply: ReplyHandle,
-        /// Stamped by the dispatcher at mailbox delivery; the server's
-        /// pickup-time elapsed reading is the request's queue wait.
-        enqueued: Instant,
-    },
-    Shutdown,
+/// One sub-query on its way to, queued at, or being served by a server.
+pub(crate) struct Request {
+    /// One allocation per live query, shared by all its contacts.
+    query: Arc<Query>,
+    mode: ContactMode,
+    requester: RequesterId,
+    reply: ReplyHandle,
 }
 
 /// What the dispatcher reports back to a querying client.
 pub(crate) enum Notice {
     /// A server's reply landed (after the return delay).
     Reply {
-        attempt: u64,
+        attempt: usize,
         server: ServerId,
         targets: Vec<(ServerId, ContactMode)>,
         records: Vec<Record>,
-        /// Mailbox wait measured by the server (enqueue → pickup), µs.
+        /// FIFO wait measured at the server (delivery → pickup), µs.
         queue_us: f64,
         /// Server-side work (summary evaluation + local search + emulated
         /// backend cost), µs.
         compute_us: f64,
     },
-    /// The target's mailbox was already closed — its thread exited or
-    /// panicked before the request could even be queued. The attempt id
-    /// identifies which dispatch (and server) this was.
-    Down { attempt: u64 },
+    /// The target was dead at delivery — killed or crashed, so the request
+    /// could not even be queued. The attempt id identifies which dispatch
+    /// (and server) this was.
+    Down { attempt: usize },
 }
 
-/// One-shot reply path handed to a server with each request. Replying
-/// schedules delivery after the return delay on the dispatcher; dropping
-/// it (server killed or panicked mid-request) sends nothing, which the
-/// client turns into a timeout instead of a hang.
+/// One-shot reply path travelling with each request. Replying schedules
+/// delivery after the return delay on the dispatcher; dropping it (server
+/// killed or crashed with the request queued or in service) sends nothing,
+/// which the client turns into a timeout instead of a hang.
 pub(crate) struct ReplyHandle {
     timer: DispatchHandle,
     done: Sender<Notice>,
-    attempt: u64,
+    attempt: usize,
     server: ServerId,
     delay_back: Duration,
 }
@@ -219,22 +232,32 @@ impl ReplyHandle {
             },
         );
     }
+
+    /// The target is dead: say so at once, like a refused connection.
+    fn down(self) {
+        let _ = self.done.send(Notice::Down {
+            attempt: self.attempt,
+        });
+    }
 }
 
-/// A unit of timed work for the dispatcher: one non-blocking channel send.
+/// A unit of timed work for the dispatcher. No job blocks or sleeps, so
+/// whichever thread finds it due runs it.
 pub(crate) enum DispatchJob {
-    /// Deliver a request to a server's mailbox; a closed mailbox is
-    /// reported straight back as [`Notice::Down`].
-    Send {
-        sender: Sender<ServerRequest>,
-        request: ServerRequest,
-        done: Sender<Notice>,
-        attempt: u64,
-        /// The target's `runtime.server.queue_depth` gauge, bumped on a
-        /// successful delivery (the server thread decrements on pickup).
-        /// The vendored channel has no `len()`, so depth is maintained
-        /// explicitly at the two endpoints.
-        queue: Option<Arc<Gauge>>,
+    /// Deliver a request to a server — which is to run it, unless the
+    /// server is busy (then it waits in the FIFO) or dead (reported
+    /// straight back as [`Notice::Down`]).
+    Deliver { cell: Cell, request: Request },
+    /// The emulated backend cost of the request in service has elapsed:
+    /// send its reply and serve the next queued request.
+    Finish {
+        cell: Cell,
+        reply: ReplyHandle,
+        targets: Vec<(ServerId, ContactMode)>,
+        records: Vec<Record>,
+        queue_us: f64,
+        /// When the step began; `compute_us` runs from here to the reply.
+        work_t0: Instant,
     },
     /// Deliver a notice to the querying client.
     Notify {
@@ -248,23 +271,40 @@ pub(crate) enum DispatchJob {
 impl DispatchJob {
     pub(crate) fn run(self) {
         match self {
-            DispatchJob::Send {
-                sender,
-                mut request,
-                done,
-                attempt,
-                queue,
+            DispatchJob::Deliver { cell, request } => {
+                let mut slot = cell.lock();
+                let Some(server) = slot.as_mut() else {
+                    return request.reply.down();
+                };
+                if let Some(g) = &server.gauges {
+                    g.queue_depth.add(1);
+                }
+                // The queue-wait clock starts now, at delivery — not at
+                // dispatch, which precedes the network delay.
+                server.fifo.push_back((Instant::now(), request));
+                if !server.in_service {
+                    serve(&cell, &mut slot);
+                }
+            }
+            DispatchJob::Finish {
+                cell,
+                reply,
+                targets,
+                records,
+                queue_us,
+                work_t0,
             } => {
-                // The queue wait clock starts at mailbox delivery, not at
-                // dispatch scheduling (which includes the network delay).
-                if let ServerRequest::Query { enqueued, .. } = &mut request {
-                    *enqueued = Instant::now();
-                }
-                if sender.send(request).is_err() {
-                    let _ = done.send(Notice::Down { attempt });
-                } else if let Some(q) = queue {
-                    q.add(1);
-                }
+                let mut slot = cell.lock();
+                // Killed mid-request: the in-flight reply is lost.
+                let Some(server) = slot.as_mut() else { return };
+                reply.send(
+                    targets,
+                    records,
+                    queue_us,
+                    work_t0.elapsed().as_micros() as f64,
+                );
+                server.in_service = false;
+                serve(&cell, &mut slot);
             }
             DispatchJob::Notify { done, notice } => {
                 let _ = done.send(notice);
@@ -297,7 +337,7 @@ pub struct RuntimeOutcome {
     /// branch could match. `false` promises only that records MAY be
     /// missing — never that returned records are wrong.
     pub complete: bool,
-    /// Servers given up on (mailbox closed or timed out past all
+    /// Servers given up on (found dead at delivery, or timed out past all
     /// retries), ascending by id. Overlay stand-ins that failed are not
     /// listed — only servers whose own data/branch was being queried.
     pub failed_servers: Vec<ServerId>,
@@ -305,36 +345,62 @@ pub struct RuntimeOutcome {
     pub retries: usize,
 }
 
-/// A server thread's read handle onto its own straggler-factor slot
-/// (f64 bit pattern in an `AtomicU64`; 1.0 = healthy).
-#[derive(Clone)]
-struct SlowSlot {
-    board: Arc<Vec<AtomicU64>>,
-    index: usize,
+/// What the cluster knows of a server across its incarnations, readable
+/// without any lock: kill, crash and restart replace the cell, these stay.
+struct ServerFlags {
+    /// Whether the current incarnation is up — the liveness oracle.
+    alive: AtomicBool,
+    /// Straggler factor (f64 bit pattern, 1.0 = healthy): the server scales
+    /// its emulated backend cost by it, `scaled_delay` applies the slower
+    /// endpoint's factor to every message between a pair.
+    slow: AtomicU64,
 }
 
-impl SlowSlot {
-    fn new(board: &Arc<Vec<AtomicU64>>, index: usize) -> Self {
-        SlowSlot {
-            board: Arc::clone(board),
-            index,
-        }
-    }
-
-    fn factor(&self) -> f64 {
-        f64::from_bits(self.board[self.index].load(Ordering::Relaxed))
+impl ServerFlags {
+    fn slow_factor(&self) -> f64 {
+        f64::from_bits(self.slow.load(Ordering::Relaxed))
     }
 }
 
-/// One live server: mailbox, thread, liveness flag, owner policy.
+/// What a server knows — everything [`step`] reads.
+struct ServerState {
+    id: ServerId,
+    store: RecordStore,
+    policy: Arc<dyn SharingPolicy>,
+    /// `runtime.local_search_us` on instrumented clusters.
+    search_hist: Option<Arc<Histogram>>,
+}
+
+/// One incarnation of a live server: passive state plus its service
+/// clock. It runs on whichever thread delivers to it, under its cell's lock.
+pub(crate) struct Server {
+    state: ServerState,
+    net: Arc<RoadsNetwork>,
+    cfg: RuntimeConfig,
+    timer: DispatchHandle,
+    board: Arc<Vec<ServerFlags>>,
+    gauges: Option<ServerInstruments>,
+    /// Delivered requests not yet picked up, in arrival order, each with
+    /// its delivery time.
+    fifo: VecDeque<(Instant, Request)>,
+    /// The emulated backend cost of a served request is still elapsing
+    /// (its `Finish` job is on the timer); deliveries only queue.
+    in_service: bool,
+}
+
+/// A server's cell: `None` = killed or crashed. A fresh `Arc` per
+/// incarnation, so a job addressed to a dead incarnation finds `None`
+/// even after a restart.
+pub(crate) type Cell = Arc<Mutex<Option<Server>>>;
+
+/// One member of the federation: its current incarnation and the owner
+/// policy a restart re-installs.
 struct ServerSlot {
-    sender: Sender<ServerRequest>,
-    handle: Option<JoinHandle<()>>,
-    alive: Arc<AtomicBool>,
+    cell: Cell,
     policy: Arc<dyn SharingPolicy>,
 }
 
-/// A running ROADS federation of server threads.
+/// A running ROADS federation.
 pub struct RoadsCluster {
     net: Arc<RoadsNetwork>,
     delays: Arc<DelaySpace>,
@@ -345,16 +411,9 @@ pub struct RoadsCluster {
     metrics: Option<RuntimeMetrics>,
     recorder: Option<Arc<Recorder>>,
     tail: Option<Arc<TailSampler>>,
-    /// Shared liveness board for the audit plane. Slot `alive` flags are
-    /// replaced wholesale on restart (a fresh `Arc` per spawn), so the
-    /// auditor's liveness closure reads this stable board instead.
-    live_board: Arc<Vec<AtomicBool>>,
-    /// Per-server straggler factors (f64 bit patterns, 1.0 = healthy).
-    /// Stable across restarts like `live_board`; each server thread holds
-    /// its own slot's `Arc` and scales its emulated backend cost by it,
-    /// while `scaled_delay` applies the slower endpoint's factor to every
-    /// message between a pair.
-    slow_board: Arc<Vec<AtomicU64>>,
+    /// Per-server liveness and straggler flags, shared with every server
+    /// incarnation and with the auditor's liveness closure.
+    board: Arc<Vec<ServerFlags>>,
     /// Timestamped log of injected faults (kill/restart/slow/restore),
     /// shared with the watchdog for incident correlation.
     fault_log: Arc<FaultLog>,
@@ -366,8 +425,8 @@ pub struct RoadsCluster {
 }
 
 impl RoadsCluster {
-    /// Spawn one server thread per federation member, every owner using
-    /// the [`OpenPolicy`] (share everything).
+    /// Start one server per federation member, every owner using the
+    /// [`OpenPolicy`] (share everything).
     pub fn start(net: RoadsNetwork, delays: DelaySpace, cfg: RuntimeConfig) -> Self {
         let n = net.len();
         let policies: Vec<Arc<dyn SharingPolicy>> = (0..n)
@@ -379,7 +438,7 @@ impl RoadsCluster {
     /// [`RoadsCluster::start`] with full health instrumentation into
     /// `reg`: phase timing (`runtime.*_us` histograms), query/retry/
     /// deadline-miss/SLO counters, per-mode dispatch-latency histograms,
-    /// per-server mailbox queue-depth and liveness gauges, and labeled
+    /// per-server queue-depth and liveness gauges, and labeled
     /// `runtime.fault_events` counters. Every family is declared at
     /// startup, so an OpenMetrics scrape is complete from the first
     /// moment. The uninstrumented constructors skip every instrument (no
@@ -403,7 +462,7 @@ impl RoadsCluster {
         )
     }
 
-    /// Spawn one server thread per federation member, each enforcing its
+    /// Start one server per federation member, each enforcing its
     /// owner's [`SharingPolicy`] before returning records (§II voluntary
     /// sharing: the owner retains final control over what is returned).
     pub fn start_with_policies(
@@ -424,53 +483,67 @@ impl RoadsCluster {
     ) -> Self {
         assert_eq!(net.len(), delays.len(), "delay space must cover servers");
         assert_eq!(net.len(), policies.len(), "one policy per server");
-        let net = Arc::new(net);
-        let delays = Arc::new(delays);
-        let slow_board = Arc::new(
+        let board = Arc::new(
             (0..net.len())
-                .map(|_| AtomicU64::new(1.0f64.to_bits()))
+                .map(|_| ServerFlags {
+                    alive: AtomicBool::new(false),
+                    slow: AtomicU64::new(1.0f64.to_bits()),
+                })
                 .collect::<Vec<_>>(),
         );
-        let servers = policies
-            .into_iter()
-            .enumerate()
-            .map(|(s, policy)| {
-                Mutex::new(spawn_server(
-                    ServerId(s as u32),
-                    &net,
-                    cfg,
-                    policy,
-                    metrics.as_ref().map(|m| Arc::clone(&m.local_search)),
-                    metrics
-                        .as_ref()
-                        .map(|m| Arc::clone(&m.servers[s].queue_depth)),
-                    SlowSlot::new(&slow_board, s),
-                ))
-            })
-            .collect();
-        let dispatcher = Dispatcher::start();
-        let live_board = Arc::new(
-            (0..net.len())
-                .map(|_| AtomicBool::new(true))
-                .collect::<Vec<_>>(),
-        );
-        RoadsCluster {
-            net,
-            delays,
+        let mut cluster = RoadsCluster {
+            net: Arc::new(net),
+            delays: Arc::new(delays),
             cfg,
-            servers,
-            dispatcher,
+            servers: Vec::new(),
+            dispatcher: Dispatcher::start(metrics.as_ref().map(|m| Arc::clone(&m.timer_lag))),
             gate: InflightGate::new(cfg.max_inflight_queries),
             metrics,
             recorder: None,
             tail: None,
-            live_board,
-            slow_board,
+            board,
             fault_log: Arc::new(FaultLog::new()),
             audit: None,
             cache: (cfg.cache_ttl_rounds > 0)
                 .then(|| Arc::new(ResultCache::new(cfg.cache_ttl_rounds))),
+        };
+        cluster.servers = policies
+            .into_iter()
+            .enumerate()
+            .map(|(s, policy)| {
+                Mutex::new(ServerSlot {
+                    cell: cluster.new_incarnation(ServerId(s as u32), &policy),
+                    policy,
+                })
+            })
+            .collect();
+        cluster
+    }
+
+    /// A fresh incarnation of server `id`: records loaded from the
+    /// converged control state, empty FIFO, marked alive.
+    fn new_incarnation(&self, id: ServerId, policy: &Arc<dyn SharingPolicy>) -> Cell {
+        let gauges = self.metrics.as_ref().map(|m| m.servers[id.index()].clone());
+        if let Some(g) = &gauges {
+            g.alive.set(1);
+            g.queue_depth.set(0);
         }
+        self.board[id.index()].alive.store(true, Ordering::Relaxed);
+        Arc::new(Mutex::new(Some(Server {
+            state: ServerState {
+                id,
+                store: RecordStore::new(self.net.schema().clone(), self.net.records(id)),
+                policy: Arc::clone(policy),
+                search_hist: self.metrics.as_ref().map(|m| Arc::clone(&m.local_search)),
+            },
+            net: Arc::clone(&self.net),
+            cfg: self.cfg,
+            timer: self.dispatcher.handle().clone(),
+            board: Arc::clone(&self.board),
+            gauges,
+            fifo: VecDeque::new(),
+            in_service: false,
+        })))
     }
 
     /// The TTL'd result cache, when [`RuntimeConfig::cache_ttl_rounds`]
@@ -564,17 +637,16 @@ impl RoadsCluster {
         self.audit.as_ref()
     }
 
-    /// A liveness oracle over this cluster's kill/restart bookkeeping,
-    /// safe to hold across restarts (restart replaces the slot's own
-    /// flag, this board is stable). Feed it to
+    /// A liveness oracle over this cluster's kill/crash/restart
+    /// bookkeeping, safe to hold across restarts (restart replaces the
+    /// server's cell, the board is stable). Feed it to
     /// [`crate::audit::Auditor::start`].
     pub fn liveness(&self) -> Liveness {
-        let board = Arc::clone(&self.live_board);
+        let board = Arc::clone(&self.board);
         Arc::new(move |s: ServerId| {
             board
                 .get(s.index())
-                .map(|b| b.load(Ordering::Relaxed))
-                .unwrap_or(false)
+                .is_some_and(|f| f.alive.load(Ordering::Relaxed))
         })
     }
 
@@ -589,60 +661,40 @@ impl RoadsCluster {
         Arc::clone(&self.net)
     }
 
-    /// Tear down server `id`'s thread for fault injection: in-flight work
-    /// is abandoned (its reply is dropped, surfacing to clients as a
-    /// dispatch timeout) and the mailbox closes, so later dispatches fail
-    /// fast. Blocks until the thread exits (at most one emulated backend
-    /// busy period). Returns `false` if the server was already killed.
+    /// Tear down server `id` for fault injection: queued and in-service
+    /// requests are abandoned (their replies are dropped, surfacing to
+    /// clients as dispatch timeouts) and later deliveries find it dead and
+    /// fail fast. Waits at most for the one real step another thread may be
+    /// running on it, never for an emulated busy period. Returns `false`
+    /// if the server was already dead.
     pub fn kill_server(&self, id: ServerId) -> bool {
-        let handle = {
-            let mut slot = self.servers[id.index()].lock();
-            let Some(handle) = slot.handle.take() else {
+        {
+            // The slot lock orders this against a concurrent restart.
+            let slot = self.servers[id.index()].lock();
+            let Some(server) = slot.cell.lock().take() else {
                 return false;
             };
-            slot.alive.store(false, Ordering::Relaxed);
-            // Wake the thread if it is idle in recv(); the flag makes it
-            // drop anything still queued.
-            let _ = slot.sender.send(ServerRequest::Shutdown);
-            handle
-        };
-        self.live_board[id.index()].store(false, Ordering::Relaxed);
-        let _ = handle.join();
+            server.retire();
+        }
         if let Some(m) = &self.metrics {
-            let si = &m.servers[id.index()];
-            si.alive.set(0);
-            // The dead mailbox drops everything still queued.
-            si.queue_depth.set(0);
             m.kills.inc();
         }
         self.fault_log.record(id, FaultKind::Kill, 1.0);
         true
     }
 
-    /// Respawn a killed server with a fresh mailbox, its records reloaded
-    /// from the converged control state and its original sharing policy.
-    /// Returns `false` if the server is not currently killed.
+    /// Bring a killed or crashed server back as a fresh incarnation, its
+    /// records reloaded from the converged control state and its original
+    /// sharing policy. Returns `false` if the server is alive.
     pub fn restart_server(&self, id: ServerId) -> bool {
-        let mut slot = self.servers[id.index()].lock();
-        if slot.handle.is_some() {
-            return false;
+        {
+            let mut slot = self.servers[id.index()].lock();
+            if slot.cell.lock().is_some() {
+                return false;
+            }
+            slot.cell = self.new_incarnation(id, &slot.policy);
         }
-        *slot = spawn_server(
-            id,
-            &self.net,
-            self.cfg,
-            Arc::clone(&slot.policy),
-            self.metrics.as_ref().map(|m| Arc::clone(&m.local_search)),
-            self.metrics
-                .as_ref()
-                .map(|m| Arc::clone(&m.servers[id.index()].queue_depth)),
-            SlowSlot::new(&self.slow_board, id.index()),
-        );
-        self.live_board[id.index()].store(true, Ordering::Relaxed);
         if let Some(m) = &self.metrics {
-            let si = &m.servers[id.index()];
-            si.alive.set(1);
-            si.queue_depth.set(0);
             m.restarts.inc();
         }
         self.fault_log.record(id, FaultKind::Restart, 1.0);
@@ -660,11 +712,11 @@ impl RoadsCluster {
             factor >= 1.0 && factor.is_finite(),
             "straggler factor must be >= 1, got {factor}"
         );
-        let slot = &self.slow_board[id.index()];
-        if f64::from_bits(slot.load(Ordering::Relaxed)) != 1.0 {
+        let flags = &self.board[id.index()];
+        if flags.slow_factor() != 1.0 {
             return false;
         }
-        slot.store(factor.to_bits(), Ordering::Relaxed);
+        flags.slow.store(factor.to_bits(), Ordering::Relaxed);
         if let Some(m) = &self.metrics {
             m.slows.inc();
         }
@@ -675,11 +727,11 @@ impl RoadsCluster {
     /// Restore a straggler to full speed. Returns `false` when the
     /// server was not slowed.
     pub fn restore_server(&self, id: ServerId) -> bool {
-        let slot = &self.slow_board[id.index()];
-        if f64::from_bits(slot.load(Ordering::Relaxed)) == 1.0 {
+        let flags = &self.board[id.index()];
+        if flags.slow_factor() == 1.0 {
             return false;
         }
-        slot.store(1.0f64.to_bits(), Ordering::Relaxed);
+        flags.slow.store(1.0f64.to_bits(), Ordering::Relaxed);
         if let Some(m) = &self.metrics {
             m.restores.inc();
         }
@@ -689,7 +741,7 @@ impl RoadsCluster {
 
     /// The current straggler factor of `id` (1.0 = healthy).
     pub fn slow_factor(&self, id: ServerId) -> f64 {
-        f64::from_bits(self.slow_board[id.index()].load(Ordering::Relaxed))
+        self.board[id.index()].slow_factor()
     }
 
     /// The shared injected-fault log (kills, restarts, stragglers with
@@ -698,16 +750,14 @@ impl RoadsCluster {
         Arc::clone(&self.fault_log)
     }
 
-    /// Whether `id` has a running thread per the kill/restart bookkeeping.
-    /// (A thread that *panicked* still counts as alive here until a
-    /// dispatch discovers its closed mailbox.)
+    /// Whether `id` is up: neither killed nor crashed since its last
+    /// (re)start.
     pub fn is_alive(&self, id: ServerId) -> bool {
-        let slot = self.servers[id.index()].lock();
-        slot.handle.is_some() && slot.alive.load(Ordering::Relaxed)
+        self.board[id.index()].alive.load(Ordering::Relaxed)
     }
 
     /// A point-in-time [`ClusterHealth`] snapshot: per-server liveness,
-    /// mailbox queue depth, reply counts and dispatch p99s plus
+    /// queue depth, reply counts and dispatch p99s plus
     /// cluster-wide query/retry/deadline/failover totals. `None` on an
     /// uninstrumented cluster (start with
     /// [`RoadsCluster::start_instrumented`]).
@@ -815,8 +865,7 @@ impl RoadsCluster {
             trace: rec.map(|r| r.next_trace_id()).unwrap_or(TraceId::NONE),
             rec,
             done_tx,
-            next_attempt: 0,
-            attempts: HashMap::new(),
+            attempts: Vec::new(),
             open: 0,
             ledger: VisitLedger::new(),
             resolved: HashSet::new(),
@@ -830,7 +879,6 @@ impl RoadsCluster {
             deadline_hit: false,
             root_span: SpanId::NONE,
             explain_hops: want_explain.then(Vec::new),
-            attempt_hop: HashMap::new(),
         };
         let (outcome, explain) = driver.run(done_rx);
         if let Some(cache) = &self.cache {
@@ -855,7 +903,7 @@ impl RoadsCluster {
     }
 
     /// Serve a query from the result cache: the entry answers alone, no
-    /// fan-out, no server threads involved. Counted as a completed query
+    /// fan-out, no server involved. Counted as a completed query
     /// plus a `roads.cache.hits` tick; the optional provenance record is a
     /// single `cache-hit` hop.
     fn replay_cached(
@@ -918,77 +966,16 @@ impl RoadsCluster {
         let ms = self.delays.delay_ms(a.index(), b.index()) * self.cfg.delay_scale;
         // Straggler injection: the slower endpoint's factor stretches the
         // whole hop (matching the netsim fault model).
-        let f = f64::from_bits(self.slow_board[a.index()].load(Ordering::Relaxed)).max(
-            f64::from_bits(self.slow_board[b.index()].load(Ordering::Relaxed)),
-        );
+        let f = self.board[a.index()]
+            .slow_factor()
+            .max(self.board[b.index()].slow_factor());
         Duration::from_micros((ms * 1000.0 * f) as u64)
     }
 
-    /// Stop all server threads.
+    /// Stop the cluster: its one thread (the timer) is joined, undelivered
+    /// messages are discarded.
     pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        for slot in &self.servers {
-            let handle = {
-                let mut s = slot.lock();
-                let _ = s.sender.send(ServerRequest::Shutdown);
-                s.handle.take()
-            };
-            if let Some(h) = handle {
-                let _ = h.join();
-            }
-        }
         self.dispatcher.shutdown();
-    }
-}
-
-impl Drop for RoadsCluster {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-fn spawn_server(
-    id: ServerId,
-    net: &Arc<RoadsNetwork>,
-    cfg: RuntimeConfig,
-    policy: Arc<dyn SharingPolicy>,
-    search_hist: Option<Arc<Histogram>>,
-    queue: Option<Arc<Gauge>>,
-    slow: SlowSlot,
-) -> ServerSlot {
-    let (tx, rx) = unbounded::<ServerRequest>();
-    let alive = Arc::new(AtomicBool::new(true));
-    let store = RecordStore::new(net.schema().clone(), net.records(id));
-    let handle = {
-        let net = Arc::clone(net);
-        let alive = Arc::clone(&alive);
-        let policy = Arc::clone(&policy);
-        thread::Builder::new()
-            .name(format!("roads-server-{}", id.0))
-            .spawn(move || {
-                server_loop(
-                    id,
-                    store,
-                    net,
-                    cfg,
-                    policy,
-                    rx,
-                    alive,
-                    search_hist,
-                    queue,
-                    slow,
-                )
-            })
-            .expect("spawn server thread")
-    };
-    ServerSlot {
-        sender: tx,
-        handle: Some(handle),
-        alive,
-        policy,
     }
 }
 
@@ -1019,8 +1006,8 @@ struct Driver<'a> {
     trace: TraceId,
     rec: Option<&'a Recorder>,
     done_tx: Sender<Notice>,
-    next_attempt: u64,
-    attempts: HashMap<u64, Attempt>,
+    /// Every dispatch of this query, indexed by attempt id.
+    attempts: Vec<Attempt>,
     /// Attempts still awaiting a reply.
     open: usize,
     ledger: VisitLedger,
@@ -1047,12 +1034,10 @@ struct Driver<'a> {
     deadline_hit: bool,
     root_span: SpanId,
     /// Explain assembly: one [`ExplainHop`] per dispatched attempt, in
-    /// dispatch order. `None` disables the whole plane (the hot path
-    /// then only pays a branch per dispatch).
+    /// dispatch order — hop `i` belongs to attempt `i`. `None` disables
+    /// the whole plane (the hot path then only pays a branch per
+    /// dispatch).
     explain_hops: Option<Vec<ExplainHop>>,
-    /// Attempt id → index into `explain_hops` (resolves replies,
-    /// timeouts and deadline abandonment back to their hop).
-    attempt_hop: HashMap<u64, usize>,
 }
 
 impl Driver<'_> {
@@ -1087,9 +1072,9 @@ impl Driver<'_> {
             None,
             ExplainDecision::Entry,
         );
-        self.root_span = self.attempts[&entry].span;
+        self.root_span = self.attempts[entry].span;
         self.emit(Event {
-            at_us: self.attempts[&entry].at_us,
+            at_us: self.attempts[entry].at_us,
             dur_us: 0,
             node: self.start.0,
             trace: self.trace,
@@ -1125,26 +1110,30 @@ impl Driver<'_> {
         }
 
         while self.open > 0 {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
+            let wait_start = Instant::now();
+            if deadline.is_some_and(|d| wait_start >= d) {
                 self.deadline_hit = true;
                 break;
             }
-            let next_expiry = self
-                .attempts
-                .values()
-                .filter(|a| a.open)
-                .filter_map(|a| a.expires)
-                .min();
-            let wake = match (next_expiry, deadline) {
-                (Some(e), Some(d)) => Some(e.min(d)),
-                (Some(e), None) => Some(e),
-                (None, d) => d,
-            };
-            let wait_start = Instant::now();
-            let msg = match wake {
-                Some(w) => done_rx.recv_timeout(w.saturating_duration_since(wait_start)),
-                None => done_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            };
+            // At zero delay the next notice is already in the channel;
+            // only a client about to block needs to know when to wake.
+            let msg = done_rx.try_recv().or_else(|_| {
+                let next_expiry = self
+                    .attempts
+                    .iter()
+                    .filter(|a| a.open)
+                    .filter_map(|a| a.expires)
+                    .min();
+                let wake = match (next_expiry, deadline) {
+                    (Some(e), Some(d)) => Some(e.min(d)),
+                    (Some(e), None) => Some(e),
+                    (None, d) => d,
+                };
+                match wake {
+                    Some(w) => done_rx.recv_timeout(w.saturating_duration_since(wait_start)),
+                    None => done_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                }
+            });
             match msg {
                 Ok(Notice::Reply {
                     attempt,
@@ -1169,14 +1158,12 @@ impl Driver<'_> {
                 Ok(Notice::Down { attempt }) => self.attempt_failed(attempt, true),
                 Err(RecvTimeoutError::Timeout) => {
                     let now = Instant::now();
-                    let expired: Vec<u64> = self
-                        .attempts
-                        .iter()
-                        .filter(|(_, a)| a.open && a.expires.is_some_and(|e| e <= now))
-                        .map(|(&id, _)| id)
-                        .collect();
-                    for id in expired {
-                        self.attempt_failed(id, false);
+                    // Failing an attempt may dispatch more (retry,
+                    // failover); those are beyond this range and not yet due.
+                    for id in 0..self.attempts.len() {
+                        if self.attempts[id].expires.is_some_and(|e| e <= now) {
+                            self.attempt_failed(id, false);
+                        }
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
@@ -1188,13 +1175,7 @@ impl Driver<'_> {
         if self.deadline_hit {
             // Out of budget: record every still-pending dispatch as timed
             // out and failed, but start no more work.
-            let open: Vec<u64> = self
-                .attempts
-                .iter()
-                .filter(|(_, a)| a.open)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in open {
+            for id in 0..self.attempts.len() {
                 self.close_at_deadline(id);
             }
         }
@@ -1279,10 +1260,9 @@ impl Driver<'_> {
         tries: u32,
         caused_by: Option<usize>,
         decision: ExplainDecision,
-    ) -> u64 {
+    ) -> usize {
         let cfg = self.cluster.cfg;
-        let id = self.next_attempt;
-        self.next_attempt += 1;
+        let id = self.attempts.len();
         let span = match self.rec {
             Some(r) => r.next_span_id(),
             None => SpanId::NONE,
@@ -1310,7 +1290,6 @@ impl Driver<'_> {
                 _ => None,
             };
             let summary = vouching.and_then(|s| verdict_kind(s.decide(&self.query)));
-            self.attempt_hop.insert(id, hops.len());
             hops.push(ExplainHop {
                 server: target.0,
                 decision,
@@ -1335,21 +1314,18 @@ impl Driver<'_> {
         }
         let expires = (cfg.dispatch_timeout_ms > 0)
             .then(|| Instant::now() + extra_delay + Duration::from_millis(cfg.dispatch_timeout_ms));
-        self.attempts.insert(
-            id,
-            Attempt {
-                server: target,
-                mode,
-                tries,
-                span,
-                at_us,
-                parent,
-                expires,
-                open: true,
-            },
-        );
+        self.attempts.push(Attempt {
+            server: target,
+            mode,
+            tries,
+            span,
+            at_us,
+            parent,
+            expires,
+            open: true,
+        });
         self.open += 1;
-        let sender = self.cluster.servers[target.index()].lock().sender.clone();
+        let cell = Arc::clone(&self.cluster.servers[target.index()].lock().cell);
         let reply = ReplyHandle {
             timer: self.cluster.dispatcher.handle().clone(),
             done: self.done_tx.clone(),
@@ -1359,24 +1335,14 @@ impl Driver<'_> {
         };
         self.cluster.dispatcher.handle().schedule_after(
             extra_delay + delay_out,
-            DispatchJob::Send {
-                sender,
-                request: ServerRequest::Query {
+            DispatchJob::Deliver {
+                cell,
+                request: Request {
                     query: Arc::clone(&self.query),
                     mode,
                     requester: self.requester,
                     reply,
-                    // Re-stamped at mailbox delivery (DispatchJob::run);
-                    // this value is never read.
-                    enqueued: Instant::now(),
                 },
-                done: self.done_tx.clone(),
-                attempt: id,
-                queue: self
-                    .cluster
-                    .metrics
-                    .as_ref()
-                    .map(|m| Arc::clone(&m.servers[target.index()].queue_depth)),
             },
         );
         id
@@ -1384,44 +1350,39 @@ impl Driver<'_> {
 
     fn on_reply(
         &mut self,
-        attempt: u64,
+        attempt: usize,
         server: ServerId,
         targets: Vec<(ServerId, ContactMode)>,
         records: Vec<Record>,
         queue_us: f64,
         compute_us: f64,
     ) {
-        let Some(a) = self.attempts.get_mut(&attempt) else {
-            return;
-        };
+        let a = &mut self.attempts[attempt];
         let (span, at_us, mode) = (a.span, a.at_us, a.mode);
         let parent = a.parent;
         if a.open {
             a.open = false;
             self.open -= 1;
         }
-        let replier_hop = self.attempt_hop.get(&attempt).copied();
+        let replier_hop = self.explain_hops.is_some().then_some(attempt);
         if let Some(hops) = &mut self.explain_hops {
-            if let Some(hi) = replier_hop {
-                // Late replies (racing a retry, or landing after a
-                // timeout verdict) still resolve their hop: the record
-                // should show what actually happened, and it keeps
-                // `distinct_responders` consistent with the outcome's
-                // `servers_contacted`.
-                let h = &mut hops[hi];
-                h.outcome = HopOutcome::Replied;
-                h.dur_us = (self.t0.elapsed().as_micros() as u64).saturating_sub(at_us) as f64;
-                h.local_matches = records.len() as u64;
-                h.split.queue_us = queue_us;
-                h.split.compute_us = compute_us;
-                // A branch summary vouched for this subtree, yet neither
-                // local records nor any further redirect came back: the
-                // lossy summary matched spuriously.
-                h.false_positive = matches!(mode, ContactMode::Branch)
-                    && records.is_empty()
-                    && targets.is_empty()
-                    && h.summary.is_some();
-            }
+            // Late replies (racing a retry, or landing after a timeout
+            // verdict) still resolve their hop: the record should show
+            // what actually happened, and it keeps `distinct_responders`
+            // consistent with the outcome's `servers_contacted`.
+            let h = &mut hops[attempt];
+            h.outcome = HopOutcome::Replied;
+            h.dur_us = (self.t0.elapsed().as_micros() as u64).saturating_sub(at_us) as f64;
+            h.local_matches = records.len() as u64;
+            h.split.queue_us = queue_us;
+            h.split.compute_us = compute_us;
+            // A branch summary vouched for this subtree, yet neither
+            // local records nor any further redirect came back: the
+            // lossy summary matched spuriously.
+            h.false_positive = matches!(mode, ContactMode::Branch)
+                && records.is_empty()
+                && targets.is_empty()
+                && h.summary.is_some();
         }
         if let Some(audit) = &self.cluster.audit {
             // Fold this live outcome into the audit plane. The summary
@@ -1501,17 +1462,14 @@ impl Driver<'_> {
         }
     }
 
-    /// An open attempt's dispatch timed out (`mailbox_closed = false`) or
-    /// its target's mailbox was found closed (`true`): retry if budget
-    /// remains, otherwise fail over. A closed mailbox means the thread
-    /// already exited — it cannot recover without [`RoadsCluster::
-    /// restart_server`], so the retry budget is skipped and failover
-    /// starts immediately.
-    fn attempt_failed(&mut self, attempt: u64, mailbox_closed: bool) {
+    /// An open attempt's dispatch timed out (`target_down = false`) or
+    /// its target was found dead at delivery (`true`): retry if budget
+    /// remains, otherwise fail over. A dead server cannot recover without
+    /// [`RoadsCluster::restart_server`], so the retry budget is skipped
+    /// and failover starts immediately.
+    fn attempt_failed(&mut self, attempt: usize, target_down: bool) {
         let cfg = self.cluster.cfg;
-        let Some(a) = self.attempts.get_mut(&attempt) else {
-            return;
-        };
+        let a = &mut self.attempts[attempt];
         if !a.open {
             return; // reply raced in first, or already expired
         }
@@ -1520,17 +1478,15 @@ impl Driver<'_> {
         let (server, mode, tries, span, at_us, parent) =
             (a.server, a.mode, a.tries, a.span, a.at_us, a.parent);
         let now_us = self.t0.elapsed().as_micros() as u64;
-        let failed_hop = self.attempt_hop.get(&attempt).copied();
+        let failed_hop = self.explain_hops.is_some().then_some(attempt);
         if let Some(hops) = &mut self.explain_hops {
-            if let Some(hi) = failed_hop {
-                let h = &mut hops[hi];
-                h.outcome = if mailbox_closed {
-                    HopOutcome::MailboxDown
-                } else {
-                    HopOutcome::TimedOut
-                };
-                h.dur_us = now_us.saturating_sub(at_us) as f64;
-            }
+            let h = &mut hops[attempt];
+            h.outcome = if target_down {
+                HopOutcome::MailboxDown
+            } else {
+                HopOutcome::TimedOut
+            };
+            h.dur_us = now_us.saturating_sub(at_us) as f64;
         }
         if let Some(m) = &self.cluster.metrics {
             m.dispatch_timeout.inc();
@@ -1545,7 +1501,7 @@ impl Driver<'_> {
             kind: EventKind::DispatchTimeout,
             detail: tries as u64,
         });
-        if !mailbox_closed && tries < cfg.max_retries {
+        if !target_down && tries < cfg.max_retries {
             self.retries += 1;
             if let Some(m) = &self.cluster.metrics {
                 m.retries.inc();
@@ -1671,7 +1627,7 @@ impl Driver<'_> {
             if let Some(m) = &self.cluster.metrics {
                 m.failovers.inc();
             }
-            let span = self.attempts[&id].span;
+            let span = self.attempts[id].span;
             self.emit(Event {
                 at_us: self.t0.elapsed().as_micros() as u64,
                 dur_us: 0,
@@ -1713,7 +1669,7 @@ impl Driver<'_> {
             if let Some(m) = &self.cluster.metrics {
                 m.failovers.inc();
             }
-            let span = self.attempts[&id].span;
+            let span = self.attempts[id].span;
             self.emit(Event {
                 at_us: self.t0.elapsed().as_micros() as u64,
                 dur_us: 0,
@@ -1730,10 +1686,8 @@ impl Driver<'_> {
 
     /// The deadline cut this attempt off: record it, fail its target,
     /// start nothing new.
-    fn close_at_deadline(&mut self, attempt: u64) {
-        let Some(a) = self.attempts.get_mut(&attempt) else {
-            return;
-        };
+    fn close_at_deadline(&mut self, attempt: usize) {
+        let a = &mut self.attempts[attempt];
         if !a.open {
             return;
         }
@@ -1743,11 +1697,9 @@ impl Driver<'_> {
             (a.server, a.mode, a.tries, a.span, a.at_us, a.parent);
         let now_us = self.t0.elapsed().as_micros() as u64;
         if let Some(hops) = &mut self.explain_hops {
-            if let Some(&hi) = self.attempt_hop.get(&attempt) {
-                // Keep the Abandoned placeholder but stamp how long the
-                // hop had been in flight when the deadline cut it off.
-                hops[hi].dur_us = now_us.saturating_sub(at_us) as f64;
-            }
+            // Keep the Abandoned placeholder but stamp how long the hop
+            // had been in flight when the deadline cut it off.
+            hops[attempt].dur_us = now_us.saturating_sub(at_us) as f64;
         }
         if let Some(m) = &self.cluster.metrics {
             m.dispatch_timeout.inc();
@@ -1809,113 +1761,133 @@ impl Driver<'_> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn server_loop(
-    id: ServerId,
-    store: RecordStore,
-    net: Arc<RoadsNetwork>,
-    cfg: RuntimeConfig,
-    policy: Arc<dyn SharingPolicy>,
-    rx: Receiver<ServerRequest>,
-    alive: Arc<AtomicBool>,
-    search_hist: Option<Arc<Histogram>>,
-    queue: Option<Arc<Gauge>>,
-    slow: SlowSlot,
-) {
-    while let Ok(req) = rx.recv() {
-        if !alive.load(Ordering::Relaxed) {
-            break; // killed: close the mailbox without touching queued work
+/// One request against one server: which servers the client should
+/// contact next, and this server's own matching records as its owner's
+/// policy discloses them to `requester`. Knows nothing of time, queues or
+/// threads.
+fn step(
+    state: &ServerState,
+    net: &RoadsNetwork,
+    query: &Query,
+    mode: ContactMode,
+    requester: RequesterId,
+) -> (Vec<(ServerId, ContactMode)>, Vec<Record>) {
+    let branch = |c: &ServerId| (*c, ContactMode::Branch);
+    let (targets, do_local) = match mode {
+        ContactMode::LocalOnly => (Vec::new(), true),
+        ContactMode::Entry => {
+            let ev = net.evaluate(state.id, query, true);
+            let mut t: Vec<_> = ev.child_targets.iter().map(branch).collect();
+            t.extend(ev.replica_targets.iter().map(branch));
+            t.extend(
+                ev.ancestor_targets
+                    .iter()
+                    .map(|&a| (a, ContactMode::LocalOnly)),
+            );
+            (t, ev.local_match)
         }
-        match req {
-            ServerRequest::Shutdown => break,
-            ServerRequest::Query {
-                query,
-                mode,
-                requester,
-                reply,
-                enqueued,
-            } => {
-                // Picked up: it no longer sits in the mailbox. (Kill and
-                // restart reset the gauge, covering requests dropped with
-                // a dead mailbox.)
-                if let Some(q) = &queue {
-                    q.add(-1);
-                }
-                // Mailbox delivery → pickup is pure queue wait; everything
-                // from here to the reply send is this server's compute
-                // (summary evaluation + search + emulated backend cost).
-                let queue_us = enqueued.elapsed().as_micros() as f64;
-                let work_t0 = Instant::now();
-                let (targets, do_local) = match mode {
-                    ContactMode::LocalOnly => (Vec::new(), true),
-                    ContactMode::Entry => {
-                        let ev = net.evaluate(id, &query, true);
-                        let mut t: Vec<(ServerId, ContactMode)> = ev
-                            .child_targets
-                            .iter()
-                            .map(|&c| (c, ContactMode::Branch))
-                            .collect();
-                        t.extend(ev.replica_targets.iter().map(|&r| (r, ContactMode::Branch)));
-                        t.extend(
-                            ev.ancestor_targets
-                                .iter()
-                                .map(|&a| (a, ContactMode::LocalOnly)),
-                        );
-                        (t, ev.local_match)
-                    }
-                    ContactMode::Branch => {
-                        let ev = net.evaluate(id, &query, false);
-                        let t = ev
-                            .child_targets
-                            .iter()
-                            .map(|&c| (c, ContactMode::Branch))
-                            .collect();
-                        (t, ev.local_match)
-                    }
-                    ContactMode::Failover { dead } => {
-                        // Stand in for the crashed server using its branch
-                        // summary replicated here (§III-C): forward to its
-                        // matching children, no local search — this
-                        // helper's own data is queried separately.
-                        let t = net
-                            .tree()
-                            .children(dead)
-                            .iter()
-                            .filter(|c| net.branch_summary(**c).may_match(&query))
-                            .map(|&c| (c, ContactMode::Branch))
-                            .collect();
-                        (t, false)
-                    }
-                };
-                let records: Vec<Record> = if do_local {
-                    let found = match &search_hist {
-                        Some(h) => timed(h, || store.search(&query)),
-                        None => store.search(&query),
-                    };
-                    // The owner's final say: policy filters/redacts what
-                    // actually leaves this server.
-                    apply_policy(policy.as_ref(), requester, found)
-                } else {
-                    Vec::new()
-                };
-                // Emulated backend + result-transfer cost, stretched by
-                // the straggler factor when this server is slowed.
-                let result_bytes: usize = records.iter().map(WireSize::wire_size).sum();
-                let busy_us = cfg.base_query_cost_us
-                    + cfg.per_record_retrieval_us * records.len() as u64
-                    + cfg.transfer_us(result_bytes);
-                let busy_us = (busy_us as f64 * slow.factor()) as u64;
-                thread::sleep(Duration::from_micros(busy_us));
-                if !alive.load(Ordering::Relaxed) {
-                    break; // killed mid-query: the in-flight reply is lost
-                }
-                reply.send(
+        ContactMode::Branch => {
+            let ev = net.evaluate(state.id, query, false);
+            (
+                ev.child_targets.iter().map(branch).collect(),
+                ev.local_match,
+            )
+        }
+        ContactMode::Failover { dead } => {
+            // Stand in for the crashed server using its branch summary
+            // replicated here (§III-C): forward to its matching children,
+            // no local search — this helper's own data is queried
+            // separately.
+            let t = net
+                .tree()
+                .children(dead)
+                .iter()
+                .filter(|c| net.branch_summary(**c).may_match(query))
+                .map(branch)
+                .collect();
+            (t, false)
+        }
+    };
+    if !do_local {
+        return (targets, Vec::new());
+    }
+    let found = match &state.search_hist {
+        Some(h) => timed(h, || state.store.search(query)),
+        None => state.store.search(query),
+    };
+    // The owner's final say: policy filters/redacts what actually leaves
+    // this server.
+    (
+        targets,
+        apply_policy(state.policy.as_ref(), requester, found),
+    )
+}
+
+/// Run `cell`'s server on its FIFO (the caller holds the cell's lock and
+/// saw `Some`). A panic in the step or the owner's policy is a crashed
+/// server, not a crashed deliverer: the incarnation ends as if killed.
+fn serve(cell: &Cell, slot: &mut Option<Server>) {
+    let run = AssertUnwindSafe(|| slot.as_mut().expect("caller saw Some").serve_queue(cell));
+    if catch_unwind(run).is_err() {
+        slot.take().expect("still Some").retire();
+    }
+}
+
+impl Server {
+    /// Serve from the FIFO head until it is empty or a request's emulated
+    /// backend cost puts the server in service.
+    fn serve_queue(&mut self, cell: &Cell) {
+        while let Some((delivered, req)) = self.fifo.pop_front() {
+            if let Some(g) = &self.gauges {
+                g.queue_depth.add(-1);
+            }
+            // Delivery → pickup is pure queue wait; everything from here
+            // to the reply send is this server's compute (summary
+            // evaluation + search + emulated backend cost).
+            let queue_us = delivered.elapsed().as_micros() as f64;
+            let work_t0 = Instant::now();
+            let (targets, records) =
+                step(&self.state, &self.net, &req.query, req.mode, req.requester);
+            // Emulated backend + result-transfer cost, stretched by the
+            // straggler factor when this server is slowed.
+            let result_bytes: usize = records.iter().map(WireSize::wire_size).sum();
+            let busy_us = self.cfg.base_query_cost_us
+                + self.cfg.per_record_retrieval_us * records.len() as u64
+                + self.cfg.transfer_us(result_bytes);
+            let busy_us = (busy_us as f64 * self.board[self.state.id.index()].slow_factor()) as u64;
+            if busy_us == 0 {
+                let compute_us = work_t0.elapsed().as_micros() as f64;
+                req.reply.send(targets, records, queue_us, compute_us);
+                continue;
+            }
+            // A deliverer never sleeps: the cost ends as a timer event —
+            // on the timer thread, since the caller holds this cell's lock.
+            self.in_service = true;
+            self.timer.defer(
+                Instant::now() + Duration::from_micros(busy_us),
+                DispatchJob::Finish {
+                    cell: Arc::clone(cell),
+                    reply: req.reply,
                     targets,
                     records,
                     queue_us,
-                    work_t0.elapsed().as_micros() as f64,
-                );
-            }
+                    work_t0,
+                },
+            );
+            return;
+        }
+    }
+
+    /// This incarnation is over — killed or crashed: it reads as dead on
+    /// the board and the gauges, and dropping it drops every queued
+    /// [`ReplyHandle`], so those clients time out.
+    fn retire(self) {
+        self.board[self.state.id.index()]
+            .alive
+            .store(false, Ordering::Relaxed);
+        if let Some(g) = &self.gauges {
+            g.alive.set(0);
+            g.queue_depth.set(0);
         }
     }
 }
@@ -1926,6 +1898,7 @@ mod tests {
     use roads_core::RoadsConfig;
     use roads_records::{OwnerId, QueryBuilder, QueryId, RecordId, Schema, Value};
     use roads_summary::SummaryConfig;
+    use std::thread;
 
     fn test_net(n: usize) -> RoadsNetwork {
         let schema = Schema::unit_numeric(2);
@@ -2257,6 +2230,61 @@ mod tests {
         c.shutdown();
     }
 
+    /// Regression companion of `fault_injection.rs::
+    /// crashed_server_reads_dead_and_restarts` for the instrumented
+    /// planes, which no public constructor combines with custom policies.
+    #[test]
+    fn crash_shows_in_health_and_gauges() {
+        use roads_core::policy::{Disclosure, TrustClass};
+        struct PanicPolicy;
+        impl SharingPolicy for PanicPolicy {
+            fn classify(&self, _requester: RequesterId) -> TrustClass {
+                panic!("owner backend crashed (injected)")
+            }
+            fn disclose(&self, _class: TrustClass, _record: &Record) -> Disclosure {
+                Disclosure::Full
+            }
+        }
+        let n = 6;
+        let victim = ServerId(4);
+        let mut policies: Vec<Arc<dyn SharingPolicy>> = (0..n)
+            .map(|_| Arc::new(OpenPolicy) as Arc<dyn SharingPolicy>)
+            .collect();
+        policies[victim.index()] = Arc::new(PanicPolicy);
+        let reg = Registry::new();
+        let c = RoadsCluster::start_inner(
+            test_net(n),
+            DelaySpace::paper(n, 21),
+            RuntimeConfig::test_faulty(),
+            policies,
+            Some(RuntimeMetrics::new(&reg, n)),
+        );
+        let q = QueryBuilder::new(c.network().schema(), QueryId(70))
+            .range("x0", 0.0, 1.0)
+            .build();
+        let out = c.query(&q, ServerId(0));
+        assert_eq!(out.failed_servers, vec![victim]);
+
+        let health = c.health().expect("instrumented");
+        assert_eq!(health.alive_count(), n - 1);
+        let row = &health.servers[victim.index()];
+        assert!(!row.alive);
+        assert_eq!(row.queue_depth, 0, "a crash resets the queue gauge");
+        let alive = roads_telemetry::labeled("runtime.server.alive", &[("server", "4")]);
+        assert_eq!(reg.gauge_values()[&alive], 0);
+        assert_eq!(
+            reg.counter_values()
+                [&roads_telemetry::labeled("runtime.fault_events", &[("kind", "kill")])],
+            0,
+            "a crash is not an injected kill"
+        );
+
+        assert!(c.restart_server(victim));
+        assert_eq!(reg.gauge_values()[&alive], 1);
+        assert_eq!(c.health().unwrap().alive_count(), n);
+        c.shutdown();
+    }
+
     #[test]
     fn planner_cluster_matches_greedy_results() {
         let n = 9;
@@ -2421,7 +2449,7 @@ mod tests {
     #[test]
     fn inverted_range_query_leaves_every_server_alive() {
         // Regression: an inverted range made `RecordStore::search` slice
-        // its index backwards and panic, unwinding the server thread. The
+        // its index backwards and panic, killing the server. The
         // planner contacts the entry `LocalOnly`, which searches the store
         // whatever the summaries say.
         let n = 9;

@@ -46,9 +46,9 @@ pub struct RuntimeConfig {
     /// Disable to measure the availability the overlay buys (fig13).
     pub enable_failover: bool,
     /// Maximum queries in flight at once across all client threads. The
-    /// shared dispatcher and per-server mailboxes are safe at any
+    /// shared dispatcher and the server cells are safe at any
     /// concurrency, but unbounded admission lets a burst of clients queue
-    /// arbitrary work behind every mailbox; past this limit `query_as`
+    /// arbitrary work behind every server; past this limit `query_as`
     /// blocks until a slot frees. `0` disables admission control.
     pub max_inflight_queries: usize,
     /// Response-time SLO in milliseconds: on an instrumented cluster,

@@ -4,10 +4,13 @@
 //!
 //! * [`Dispatcher`] — timed message delivery (requests after the
 //!   outbound delay, replies after the return delay, retries after
-//!   backoff). A delivery is one non-blocking channel send, so a message
-//!   that is already due is delivered by the thread that schedules it and
-//!   a delayed one by the single timer thread when it matures: however
-//!   wide a query fans out, the cluster runs one delivery thread.
+//!   backoff) and the servers' service clock (a request's emulated backend
+//!   cost ends as a timer event). Delivering a request *is* running the
+//!   target server's step, and no job ever sleeps, so a message that is
+//!   already due is delivered by the thread that schedules it and a
+//!   delayed one by the single timer thread when it matures: however many
+//!   servers a cluster has and however wide a query fans out, this is the
+//!   only thread the cluster owns.
 //! * [`VisitLedger`] — mode-aware dispatch deduplication. A server visited
 //!   in a narrow mode (`LocalOnly` ancestor probe) can later be re-visited
 //!   in a strictly wider mode (`Branch`); the old set-based dedup silently
@@ -18,6 +21,7 @@
 
 use crate::cluster::{ContactMode, DispatchJob};
 use roads_core::ServerId;
+use roads_telemetry::Histogram;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,15 +64,22 @@ pub(crate) struct DispatchHandle {
 
 impl DispatchHandle {
     /// Run `job` at `due`: right here on the calling thread when `due` has
-    /// already passed (a job is one non-blocking channel send), otherwise
-    /// on the timer thread once it matures.
+    /// already passed (a job never blocks or sleeps), otherwise on the
+    /// timer thread once it matures.
     pub(crate) fn schedule(&self, due: Instant, job: DispatchJob) {
-        if self.link.closed.load(Ordering::Acquire) {
-            return;
-        }
         if due <= Instant::now() {
-            job.run();
+            if !self.link.closed.load(Ordering::Acquire) {
+                job.run();
+            }
         } else {
+            self.defer(due, job);
+        }
+    }
+
+    /// Run `job` on the timer thread at `due`, never on the caller's: for
+    /// a caller that holds the lock the job will take.
+    pub(crate) fn defer(&self, due: Instant, job: DispatchJob) {
+        if !self.link.closed.load(Ordering::Acquire) {
             let _ = self.link.cmd_tx.send(TimerCmd::Schedule(due, job));
         }
     }
@@ -112,8 +123,10 @@ pub(crate) struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// Start the timer thread.
-    pub(crate) fn start() -> Self {
+    /// Start the timer thread. `lag` (`runtime.timer_lag_us` on
+    /// instrumented clusters) records how long after its due time each
+    /// matured job ran — the load signal of this one thread.
+    pub(crate) fn start(lag: Option<Arc<Histogram>>) -> Self {
         let (cmd_tx, cmd_rx) = unbounded::<TimerCmd>();
         let timer = thread::Builder::new()
             .name("roads-dispatch-timer".into())
@@ -125,6 +138,9 @@ impl Dispatcher {
                     let now = Instant::now();
                     while heap.peek().is_some_and(|Reverse(t)| t.due <= now) {
                         let Reverse(t) = heap.pop().expect("peeked");
+                        if let Some(lag) = &lag {
+                            lag.record((Instant::now() - t.due).as_micros() as f64);
+                        }
                         t.job.run();
                     }
                     // Sleep until the next job matures or a command lands.
@@ -286,7 +302,7 @@ mod tests {
 
     #[test]
     fn dispatcher_runs_jobs_in_due_order() {
-        let mut d = Dispatcher::start();
+        let mut d = Dispatcher::start(None);
         let order = Arc::new(Mutex::new(Vec::new()));
         let now = Instant::now();
         for (tag, off_ms) in [(1u64, 30u64), (2, 5), (3, 15)] {
@@ -303,7 +319,7 @@ mod tests {
 
     #[test]
     fn dispatcher_shutdown_discards_unmatured_jobs() {
-        let mut d = Dispatcher::start();
+        let mut d = Dispatcher::start(None);
         let ran = Arc::new(Mutex::new(false));
         {
             let ran = Arc::clone(&ran);
@@ -321,7 +337,7 @@ mod tests {
 
     #[test]
     fn dispatcher_runs_due_job_on_calling_thread() {
-        let mut d = Dispatcher::start();
+        let mut d = Dispatcher::start(None);
         let now = Instant::now();
         for due in [now, now - Duration::from_millis(5)] {
             let ran_on = Arc::new(Mutex::new(None));
@@ -342,7 +358,7 @@ mod tests {
 
     #[test]
     fn dispatcher_delayed_jobs_run_in_due_order_never_early() {
-        let mut d = Dispatcher::start();
+        let mut d = Dispatcher::start(None);
         let (tx, rx) = unbounded::<(u64, Instant, std::thread::ThreadId)>();
         let now = Instant::now();
         // Far enough out that a preempted test thread still schedules every
@@ -373,7 +389,7 @@ mod tests {
 
     #[test]
     fn dispatcher_schedule_after_shutdown_is_a_noop() {
-        let mut d = Dispatcher::start();
+        let mut d = Dispatcher::start(None);
         d.shutdown();
         let ran = Arc::new(Mutex::new(0u32));
         for delay in [Duration::ZERO, Duration::from_millis(1)] {

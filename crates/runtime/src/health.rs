@@ -14,7 +14,7 @@
 //! kill/restart/failover storm shows up as labeled series on one chart.
 //!
 //! [`ClusterHealth`] is the pull API: a consistent-enough point-in-time
-//! table of per-server liveness, mailbox queue depth, reply count and
+//! table of per-server liveness, queue depth, reply count and
 //! dispatch p99 that `roads-inspect health` renders from a scrape and
 //! tests assert on directly.
 
@@ -39,13 +39,13 @@ pub(crate) fn mode_label(mode: ContactMode) -> &'static str {
 /// Per-server instruments, labeled `{server="N"}`.
 #[derive(Debug, Clone)]
 pub(crate) struct ServerInstruments {
-    /// `runtime.server.alive`: 1 while the server thread runs, 0 after a
-    /// kill (until restart).
+    /// `runtime.server.alive`: 1 while the server is up, 0 after a kill
+    /// or crash (until restart).
     pub alive: Arc<Gauge>,
-    /// `runtime.server.queue_depth`: queries sitting in the server's
-    /// mailbox, maintained explicitly — incremented when the dispatcher
-    /// delivers a request, decremented when the server thread picks it
-    /// up, reset on kill/restart (a dead mailbox drops its queue).
+    /// `runtime.server.queue_depth`: requests delivered to the server and
+    /// waiting in its FIFO — incremented at delivery, decremented at
+    /// pickup, reset on kill/crash/restart (a dead server drops its
+    /// queue).
     pub queue_depth: Arc<Gauge>,
     /// `runtime.server.dispatch_latency_ms`: dispatch → reply wall time
     /// for sub-queries answered by this server.
@@ -61,6 +61,11 @@ pub(crate) struct RuntimeMetrics {
     pub local_search: Arc<Histogram>,
     pub channel_wait: Arc<Histogram>,
     pub result_merge: Arc<Histogram>,
+    /// `runtime.timer_lag_us`: how long after its due time the timer
+    /// thread ran each matured job. With modelled delay every delivery —
+    /// and so every server step — runs on that one thread; a growing lag
+    /// is the sign it has become the bottleneck.
+    pub timer_lag: Arc<Histogram>,
     /// `runtime.inflight_queries`: queries admitted past the gate.
     pub inflight: Arc<Gauge>,
     /// `runtime.queries`: queries completed (any outcome).
@@ -69,8 +74,8 @@ pub(crate) struct RuntimeMetrics {
     pub incomplete: Arc<Counter>,
     /// `runtime.deadline_miss`: queries cut short by the query deadline.
     pub deadline_miss: Arc<Counter>,
-    /// `runtime.dispatch_timeouts`: per-dispatch timeouts (incl. closed
-    /// mailboxes and deadline closures).
+    /// `runtime.dispatch_timeouts`: per-dispatch timeouts (incl. targets
+    /// found dead and deadline closures).
     pub dispatch_timeout: Arc<Counter>,
     /// `runtime.retries`: re-dispatches after a timeout.
     pub retries: Arc<Counter>,
@@ -156,6 +161,7 @@ impl RuntimeMetrics {
             local_search: reg.histogram("runtime.local_search_us"),
             channel_wait: reg.histogram("runtime.channel_wait_us"),
             result_merge: reg.histogram("runtime.result_merge_us"),
+            timer_lag: reg.histogram("runtime.timer_lag_us"),
             inflight: reg.gauge("runtime.inflight_queries"),
             queries: reg.counter("runtime.queries"),
             incomplete: reg.counter("runtime.incomplete_queries"),
@@ -207,9 +213,9 @@ impl RuntimeMetrics {
 /// The kind of an injected fault, as logged for incident correlation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Server thread torn down ([`crate::RoadsCluster::kill_server`]).
+    /// Server torn down ([`crate::RoadsCluster::kill_server`]).
     Kill,
-    /// Server respawned ([`crate::RoadsCluster::restart_server`]).
+    /// Server brought back ([`crate::RoadsCluster::restart_server`]).
     Restart,
     /// Straggler injected ([`crate::RoadsCluster::slow_server`]).
     Slow,
@@ -315,9 +321,9 @@ impl FaultLog {
 pub struct ServerHealth {
     /// The server.
     pub server: ServerId,
-    /// Whether its thread is running (kill/restart bookkeeping).
+    /// Whether it is up (neither killed nor crashed since its last start).
     pub alive: bool,
-    /// Queries sitting in its mailbox right now.
+    /// Requests waiting in its FIFO right now.
     pub queue_depth: i64,
     /// Replies received from it since cluster start.
     pub replies: u64,
@@ -412,6 +418,7 @@ mod tests {
         );
         // All four mode-labeled dispatch histograms exist.
         let hists = reg.histogram_snapshots();
+        assert!(hists.contains_key("runtime.timer_lag_us"));
         for mode in ["entry", "branch", "local_only", "failover"] {
             assert!(hists.contains_key(&labeled("runtime.dispatch_latency_ms", &[("mode", mode)])));
         }

@@ -1,4 +1,4 @@
-//! Threaded prototype runtime (§V, "Prototype Benchmarking").
+//! Live prototype runtime (§V, "Prototype Benchmarking").
 //!
 //! The paper benchmarks a Java prototype on a Xeon cluster where every
 //! server fronts a DB2 database of 200K records and the measured metric is
@@ -7,27 +7,35 @@
 //! the part "difficult to simulate or analyze because it may involve a
 //! backend database".
 //!
-//! This crate reproduces that setup with real concurrency:
+//! This crate reproduces that setup live, in one process:
 //!
 //! * [`store::RecordStore`] — an indexed in-memory record store standing in
 //!   for DB2+JDBC, with a calibrated per-record retrieval cost (see
 //!   [`RuntimeConfig::per_record_retrieval_us`]) so retrieval dominates at
 //!   high selectivity exactly as in the paper's testbed.
-//! * [`cluster::RoadsCluster`] — one OS thread per ROADS server, crossbeam
-//!   channels as the network, delay-space latencies applied per message;
+//! * [`cluster::RoadsCluster`] — every ROADS server as passive state (a
+//!   locked cell: record store, owner policy, FIFO of delivered requests,
+//!   service clock) that owns no thread: whoever delivers a request — the
+//!   querying client at zero delay, otherwise the one timer thread — runs
+//!   the server's step. Delay-space latencies apply per message, a
+//!   server's emulated backend cost keeps it busy as a timer event, and
 //!   the client drives the redirect protocol and gathers records from
-//!   matching servers **in parallel**.
+//!   matching servers whose busy periods run **in parallel**. Any number
+//!   of client threads query concurrently; a cluster of any size owns one
+//!   thread.
 //! * [`central::CentralCluster`] — the single-server baseline: one round
 //!   trip, but serial retrieval of every matching record.
 //! * `faults` — the fault-tolerant query plane: one timer thread
-//!   delivers delayed messages, per-dispatch timeouts trigger bounded
-//!   retry with exponential backoff, and dead branches are routed around
-//!   via the replication overlay (§III-C). [`cluster::RoadsCluster`]
-//!   exposes `kill_server`/`restart_server` for live fault injection and
-//!   reports `complete`/`failed_servers`/`retries` per query.
+//!   delivers delayed messages and ends busy periods, per-dispatch
+//!   timeouts trigger bounded retry with exponential backoff, and dead
+//!   branches are routed around via the replication overlay (§III-C).
+//!   [`cluster::RoadsCluster`] exposes `kill_server`/`restart_server` for
+//!   live fault injection, contains a panicking server step as that
+//!   server's crash, and reports `complete`/`failed_servers`/`retries`
+//!   per query.
 //! * [`health`] — the live observability plane: an instrumented cluster
-//!   ([`RoadsCluster::start_instrumented`]) maintains per-server mailbox
-//!   queue-depth and liveness gauges, per-mode and per-server dispatch
+//!   ([`RoadsCluster::start_instrumented`]) maintains per-server
+//!   queue-depth and liveness gauges, the timer thread's lag histogram, per-mode and per-server dispatch
 //!   latency histograms, deadline-miss/SLO-burn counters and labeled
 //!   `runtime.fault_events` series, all scrapeable as OpenMetrics text
 //!   via `roads_telemetry::OpenMetricsSnapshot` and summarized by

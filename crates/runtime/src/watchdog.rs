@@ -62,7 +62,7 @@ pub struct WatchdogConfig {
     /// two to correlate. Faults still active (no restart/restore yet)
     /// match regardless of age.
     pub fault_match: Duration,
-    /// Per-server mailbox depth at or above which queue locality is
+    /// Per-server queue depth at or above which queue locality is
     /// reported as a suspected cause.
     pub queue_alert_depth: i64,
     /// Where to write the periodic `INCIDENTS.json` artifact (none =
@@ -169,7 +169,7 @@ pub enum CauseKind {
     FaultEvent,
     /// Non-zero overlay audit divergence at detection time.
     AuditDivergence,
-    /// An unusually deep per-server mailbox at detection time.
+    /// An unusually deep per-server queue at detection time.
     QueueDepth,
 }
 
@@ -572,7 +572,7 @@ impl WatchdogShared {
                 });
             }
         }
-        // Tier 3: queue-depth locality — the deepest per-server mailbox
+        // Tier 3: queue-depth locality — the deepest per-server queue
         // at or above the alert depth.
         let mut worst: Option<(u32, i64)> = None;
         for (name, v) in self.registry.gauge_values() {

@@ -1,8 +1,8 @@
 //! Fault injection against the live query plane: crashed servers, panicking
 //! owner policies, deadlines, and replica-overlay failover (§III-C).
 //!
-//! Every test drives a real [`RoadsCluster`] — OS threads, channels, the
-//! timer thread — and kills pieces of it mid-flight. The invariant
+//! Every test drives a real [`RoadsCluster`] — client threads, server
+//! cells, the timer thread — and kills pieces of it mid-flight. The invariant
 //! under test throughout: `query_as` always returns within the query
 //! deadline, and [`RuntimeOutcome::complete`]/`failed_servers` tell the
 //! truth about what the result may be missing.
@@ -15,6 +15,7 @@ use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Sch
 use roads_runtime::{RoadsCluster, RuntimeConfig, RuntimeOutcome};
 use roads_summary::SummaryConfig;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -125,6 +126,71 @@ fn panicking_policy_cannot_hang_the_client() {
     );
     assert_eq!(out.failed_servers, vec![victim]);
     assert_eq!(unique_ids(&out).len(), (n - 1) * RECORDS_PER_SERVER);
+    c.shutdown();
+}
+
+/// An owner whose backend crashes on its first query and works afterwards.
+struct PanicOncePolicy(AtomicBool);
+
+impl SharingPolicy for PanicOncePolicy {
+    fn classify(&self, _requester: RequesterId) -> TrustClass {
+        if !self.0.swap(true, Ordering::Relaxed) {
+            panic!("owner backend crashed once (injected)");
+        }
+        TrustClass::Partner
+    }
+
+    fn disclose(&self, _class: TrustClass, _record: &Record) -> Disclosure {
+        Disclosure::Full
+    }
+}
+
+/// Regression: a server whose step panicked used to keep reading as alive
+/// (`is_alive`, `liveness()`; `health()` and the gauges are pinned by the
+/// `crash_shows_in_health_and_gauges` unit test) and `restart_server`
+/// refused to bring it back, forever. A crash is a death: every plane says
+/// so, only the victim is affected, and a restart serves again.
+#[test]
+fn crashed_server_reads_dead_and_restarts() {
+    let n = 9;
+    let net = build_net(n, 3);
+    let victim = {
+        let tree = net.tree();
+        (0..n as u32)
+            .map(ServerId)
+            .find(|&s| tree.children(s).is_empty())
+            .unwrap()
+    };
+    let mut policies: Vec<Arc<dyn SharingPolicy>> = (0..n)
+        .map(|_| Arc::new(roads_core::policy::OpenPolicy) as Arc<_>)
+        .collect();
+    policies[victim.index()] = Arc::new(PanicOncePolicy(AtomicBool::new(false)));
+    let c = RoadsCluster::start_with_policies(
+        net,
+        DelaySpace::paper(n, 77),
+        RuntimeConfig::test_faulty(),
+        policies,
+    );
+    let q = full_query(&c);
+    let root = c.network().tree().root();
+
+    let out = c.query(&q, root);
+    assert_eq!(out.failed_servers, vec![victim]);
+    assert!(!out.complete);
+    let liveness = c.liveness();
+    for s in (0..n as u32).map(ServerId) {
+        assert_eq!(c.is_alive(s), s != victim, "{s:?}");
+        assert_eq!(liveness(s), s != victim, "{s:?}");
+    }
+
+    assert!(
+        c.restart_server(victim),
+        "a crashed server can be restarted"
+    );
+    assert!(c.is_alive(victim) && liveness(victim));
+    let healed = c.query(&q, root);
+    assert!(healed.complete, "the policy panics only once");
+    assert_eq!(unique_ids(&healed).len(), n * RECORDS_PER_SERVER);
     c.shutdown();
 }
 
@@ -702,6 +768,104 @@ fn restart_server_restores_full_service() {
     assert_eq!(unique_ids(&healed).len(), n * RECORDS_PER_SERVER);
     assert!(healed.complete, "restart restores provable completeness");
     assert!(healed.failed_servers.is_empty());
+    c.shutdown();
+}
+
+/// Deliverer-runs under churn: client threads run server steps themselves,
+/// so a kill or restart races every step directly instead of a mailbox.
+/// Eight clients issue random range queries against a zero-delay cluster
+/// while a ninth thread kills and restarts two leaves as fast as it can.
+/// Every outcome is either the oracle's full answer, or says
+/// `complete == false`, blames only victims, and returns exactly the
+/// oracle minus the blamed servers' records. Nothing here waits on a wall
+/// clock: a dead server answers `Down` at once, so no dispatch timeout is
+/// ever armed for long and the only bound in play is `query_deadline_ms`,
+/// which no query should come near.
+#[test]
+fn concurrent_clients_agree_with_oracle_while_servers_churn() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let n = 32;
+    let cfg = RuntimeConfig {
+        delay_scale: 0.0,
+        per_record_retrieval_us: 0,
+        base_query_cost_us: 0,
+        bandwidth_mbps: 1e12,
+        max_inflight_queries: 0,
+        ..RuntimeConfig::test_faulty()
+    };
+    let c = build_cluster(n, 3, cfg);
+    let victims: Vec<ServerId> = {
+        let tree = c.network().tree();
+        (0..n as u32)
+            .map(ServerId)
+            .filter(|&s| tree.children(s).is_empty())
+            .take(2)
+            .collect()
+    };
+    let total = (n * RECORDS_PER_SERVER) as f64;
+    let clients_done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let churn = scope.spawn(|| {
+            let mut rounds = 0u64;
+            while !clients_done.load(Ordering::Acquire) {
+                for &v in &victims {
+                    assert!(c.kill_server(v));
+                    std::thread::yield_now();
+                    assert!(c.restart_server(v));
+                }
+                rounds += 1;
+            }
+            rounds
+        });
+        let clients: Vec<_> = (0..8u64)
+            .map(|client| {
+                let (c, victims) = (&c, &victims);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(0xC0FFEE + client);
+                    let mut incomplete = 0usize;
+                    for i in 0..200u64 {
+                        let lo = rng.gen_range(0.0..0.9);
+                        let hi = lo + rng.gen_range(0.01..0.3);
+                        let q = QueryBuilder::new(c.network().schema(), QueryId(client * 1000 + i))
+                            .range("x0", lo, hi)
+                            .build();
+                        let entry = ServerId(rng.gen_range(0..n as u32));
+                        let out = c.query(&q, entry);
+                        // Record `id` holds x0 = id / total and lives on
+                        // server id / RECORDS_PER_SERVER.
+                        let blamed = |id: u64| {
+                            out.failed_servers
+                                .contains(&ServerId((id as usize / RECORDS_PER_SERVER) as u32))
+                        };
+                        let expect: Vec<u64> = (0..total as u64)
+                            .filter(|&id| (lo..=hi).contains(&(id as f64 / total)))
+                            .filter(|&id| !blamed(id))
+                            .collect();
+                        assert_eq!(unique_ids(&out), expect, "query {lo}..{hi} from {entry:?}");
+                        if out.complete {
+                            continue;
+                        }
+                        incomplete += 1;
+                        assert!(!out.failed_servers.is_empty());
+                        for f in &out.failed_servers {
+                            assert!(victims.contains(f), "blamed live server {f:?}");
+                        }
+                    }
+                    incomplete
+                })
+            })
+            .collect();
+        let incomplete: usize = clients.into_iter().map(|h| h.join().unwrap()).sum();
+        clients_done.store(true, Ordering::Release);
+        let rounds = churn.join().unwrap();
+        assert!(rounds > 0, "the churn thread never ran");
+        // Not asserted > 0: on one CPU the churn thread may only run
+        // between queries. Shown with `--nocapture` for a human.
+        println!("{incomplete} of 1600 queries met a dead victim over {rounds} churn rounds");
+    });
+    for &v in &victims {
+        assert!(c.is_alive(v));
+    }
     c.shutdown();
 }
 

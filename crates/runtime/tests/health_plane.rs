@@ -140,6 +140,47 @@ fn scrape_exposes_queue_gauges_deadline_counters_and_latency_buckets() {
     c.shutdown();
 }
 
+/// The cluster's single point of execution is measured, not guessed: with
+/// modelled delay every delivery matures on the timer thread, which
+/// records how late it ran each one.
+#[test]
+fn scrape_exposes_timer_lag() {
+    let n = 13;
+    let reg = Registry::new();
+    let c = RoadsCluster::start_instrumented(
+        build_net(n),
+        DelaySpace::paper(n, 77),
+        RuntimeConfig::test_fast(),
+        &reg,
+    );
+    let text = OpenMetricsSnapshot::from_registry(&reg).render();
+    assert!(
+        text.contains("# TYPE runtime_timer_lag_us histogram\n"),
+        "declared before any traffic:\n{text}"
+    );
+
+    let root = c.network().tree().root();
+    let out = c.query(&full_query(&c), root);
+    assert_eq!(out.servers_contacted, n);
+    c.shutdown();
+    // The n − 1 remote contacts each matured three times on the timer:
+    // request out, service done, reply back. (The entry is co-located with
+    // the client: only its service crosses the timer.)
+    let lag = &reg.histogram_snapshots()["runtime.timer_lag_us"];
+    assert!(
+        lag.count >= 3 * (n as u64 - 1),
+        "{} timer events",
+        lag.count
+    );
+    let scrape = parse_openmetrics(&OpenMetricsSnapshot::from_registry(&reg).render()).unwrap();
+    let count = scrape
+        .family("runtime_timer_lag_us")
+        .expect("timer lag family")
+        .sample_with("_count", &[])
+        .expect("count sample");
+    assert_eq!(count.value as u64, lag.count);
+}
+
 #[test]
 fn health_snapshot_tracks_kill_restart_and_counts() {
     let n = 13;

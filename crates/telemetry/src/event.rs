@@ -94,7 +94,7 @@ pub enum EventKind {
     /// A query's last result reached the client (detail: total matches).
     QueryComplete,
     /// A dispatched sub-query got no reply within the per-dispatch timeout,
-    /// or its target's mailbox was already closed (detail: tries so far).
+    /// or its target was already dead at delivery (detail: tries so far).
     DispatchTimeout,
     /// A timed-out dispatch was re-sent after backoff (detail: retry
     /// number, 1-based).

@@ -137,7 +137,8 @@ pub enum HopOutcome {
     Replied,
     /// The dispatch timer expired without a reply.
     TimedOut,
-    /// The server's mailbox was closed (killed before pickup).
+    /// The server was dead when the request was delivered (killed or
+    /// crashed).
     MailboxDown,
     /// The query deadline closed the hop before it resolved.
     Abandoned,

@@ -42,7 +42,7 @@ fn main() {
         records.clone(),
     );
     println!(
-        "live cluster: {} server threads, {} records total, {} levels",
+        "live cluster: {} servers, {} records total, {} levels",
         nodes,
         nodes * records_per_node,
         net.tree().levels()
