@@ -7,12 +7,14 @@
 //! rebuild-everything round vs one incremental delta round over the same
 //! network, plus the dirty-server footprint of each delta. The full
 //! round's cost is flat in churn (it always re-aggregates every shard
-//! from its records); the delta round's cost scales with the changed
-//! slice and its dirty branch closure, so the speedup is largest at low
-//! churn and the figure asserts the 10x floor at the 1% point the bench
-//! suite gates on. Propagation bytes shrink with churn too: only dirty
-//! summaries travel.
+//! from its records — one sequential pass over each server's rows); the
+//! delta round's cost scales with the changed slice (random accesses per
+//! change) and its dirty branch closure, so the speedup is largest at
+//! low churn and the figure asserts the speedup floor
+//! ([`MIN_DELTA_SPEEDUP`]) at the 1% point the bench suite gates on.
+//! Propagation bytes shrink with churn too: only dirty summaries travel.
 
+use roads_bench::delta_view::MIN_DELTA_SPEEDUP;
 use roads_bench::{banner, figure_config, parse_args};
 use roads_core::{
     update_round_delta, update_round_full, BuildOptions, RecordDelta, RoadsConfig, RoadsNetwork,
@@ -86,7 +88,7 @@ fn main() {
     );
     let cfg = figure_config();
     let (_quick, _) = parse_args();
-    // The 1M-record scale is part of the claim: the 10x floor below is a
+    // The 1M-record scale is part of the claim: the floor below is a
     // DRAM-resident-scale property, so --quick shrinks only the repeat
     // count (via figure_config), never the federation.
     let (servers, per) = (64, 15_625);
@@ -166,11 +168,12 @@ fn main() {
         full_bytes_series.push((fraction, c.full_bytes as f64));
         delta_bytes_series.push((fraction, c.delta_bytes as f64));
     }
-    // The bench suite gates the 1% point at 10x; the figure re-asserts it
-    // so a --quick CI run catches a slow delta path without the suite.
+    // The bench suite gates the 1% point; the figure re-asserts it so a
+    // --quick CI run catches a slow delta path without the suite.
     assert!(
-        speedup_at_gate >= 10.0,
-        "delta round only {speedup_at_gate:.1}x faster than full at 1% churn (floor: 10x)"
+        speedup_at_gate >= MIN_DELTA_SPEEDUP,
+        "delta round only {speedup_at_gate:.1}x faster than full at 1% churn \
+         (floor: {MIN_DELTA_SPEEDUP:.0}x)"
     );
 
     fig.push_series("full_round_ms", &full_series);
@@ -178,7 +181,7 @@ fn main() {
     fig.push_series("speedup", &speedup_series);
     fig.push_series("full_round_bytes", &full_bytes_series);
     fig.push_series("delta_round_bytes", &delta_bytes_series);
-    fig.push_reference("speedup_at_1pct_churn", speedup_at_gate, 10.0);
+    fig.push_reference("speedup_at_1pct_churn", speedup_at_gate, MIN_DELTA_SPEEDUP);
     fig.push_note(
         "delta rounds fold record diffs into sharded stores and re-aggregate only the dirty \
          branch closure; full rounds rebuild every shard summary from its records",

@@ -39,7 +39,7 @@
 //! (`levels[0].probes`), then the artifact's own `validate` re-enforces
 //! its cross-field invariants offline (no duplicate benches, retained
 //! span trees reconstruct, planned ≤ greedy contacts, the delta path's
-//! 10x floor and change accounting).
+//! speedup floor and change accounting).
 //!
 //! `incidents` renders the watchdog incident timeline of an
 //! `INCIDENTS.json` artifact: one block per incident with its firing

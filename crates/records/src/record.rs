@@ -4,6 +4,7 @@ use crate::attr::{AttrId, Schema};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Globally unique record identifier, assigned by the owning organization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -69,6 +70,10 @@ impl std::error::Error for RecordError {}
 /// Records are *soft state* in ROADS — the owner re-exports them (or their
 /// summary) periodically and stale entries expire (§III-B). Expiry is handled
 /// by the summary layer's TTL wrapper; the record itself is plain data.
+///
+/// The values are immutable once built and shared by every clone, so
+/// handing a record out — a search result, a cache entry, a delta payload,
+/// a second copy of a store — is a reference-count bump, not a copy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Record {
     /// Unique id.
@@ -76,7 +81,7 @@ pub struct Record {
     /// The organization that owns (and retains control of) this record.
     pub owner: OwnerId,
     /// Values, indexed by [`AttrId`].
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Record {
@@ -107,12 +112,16 @@ impl Record {
                 }
             }
         }
-        Ok(Record { id, owner, values })
+        Ok(Record::new_unchecked(id, owner, values))
     }
 
     /// Construct without validation; used by trusted generators on hot paths.
     pub fn new_unchecked(id: RecordId, owner: OwnerId, values: Vec<Value>) -> Self {
-        Record { id, owner, values }
+        Record {
+            id,
+            owner,
+            values: values.into(),
+        }
     }
 
     /// Value of one attribute.
@@ -248,6 +257,28 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RecordError::OutOfDomain { .. }));
+    }
+
+    #[test]
+    fn a_clone_shares_its_values() {
+        let s = camera_schema();
+        let build = || {
+            RecordBuilder::new(&s, RecordId(1), OwnerId(7))
+                .set("type", "camera")
+                .set("encoding", "MPEG2")
+                .set("rate", 100.0)
+                .build()
+                .unwrap()
+        };
+        let r = build();
+        let c = r.clone();
+        assert_eq!(c, r);
+        assert_eq!(format!("{c:?}"), format!("{r:?}"));
+        assert_eq!(c.values().as_ptr(), r.values().as_ptr(), "no copy");
+        // Two builds of the same record are equal but independent.
+        let other = build();
+        assert_eq!(other, r);
+        assert_ne!(other.values().as_ptr(), r.values().as_ptr());
     }
 
     #[test]

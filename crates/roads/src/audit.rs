@@ -301,7 +301,7 @@ pub fn audit_probe(
                 .map(|q| {
                     members
                         .iter()
-                        .any(|&s| is_live(s) && net.records(s).iter().any(|r| q.matches(r)))
+                        .any(|&s| is_live(s) && net.store(s).table().any_match(q))
                 })
                 .collect()
         });

@@ -156,8 +156,8 @@ pub struct RoadsNetwork {
     schema: Schema,
     config: RoadsConfig,
     tree: HierarchyTree,
-    /// Mutable sharded record store of each server (the server is its
-    /// owners' attachment point).
+    /// Record store of each server (the server is its owners' attachment
+    /// point): its table plus the exact shard summaries.
     stores: Vec<ShardedStore>,
     /// Summary of each server's locally attached records.
     local_summary: Vec<Summary>,
@@ -165,9 +165,9 @@ pub struct RoadsNetwork {
     branch_summary: Vec<Summary>,
     /// Replication set of each server (indices into `branch_summary`).
     replicas: Vec<ReplicationSet>,
-    /// Diagnostic: total [`RoadsNetwork::search_local`] invocations. Lets
-    /// tests pin "exactly one local search per contacted server" on the
-    /// query path.
+    /// Diagnostic: total [`RoadsNetwork::search_local`] and
+    /// [`RoadsNetwork::count_local`] invocations. Lets tests pin "exactly
+    /// one local search per contacted server" on the query path.
     search_calls: AtomicU64,
 }
 
@@ -267,7 +267,8 @@ impl RoadsNetwork {
     /// Distinct owners with records attached at `s`.
     pub fn owners_at(&self, s: ServerId) -> Vec<roads_records::OwnerId> {
         let mut owners: Vec<roads_records::OwnerId> = self.stores[s.index()]
-            .snapshot()
+            .table()
+            .records()
             .iter()
             .map(|r| r.owner)
             .collect();
@@ -320,7 +321,7 @@ impl RoadsNetwork {
             StageTimers { reg }
         });
 
-        // Stage 1: every server's store (sharded, with exact per-shard
+        // Stage 1: every server's store (its table, with exact per-shard
         // summaries) and local summary are independent of the others'.
         // Record sets are moved into the workers through per-server
         // mutexes — each is taken exactly once, so there is no contention.
@@ -421,13 +422,13 @@ impl RoadsNetwork {
         self.stores.is_empty()
     }
 
-    /// Snapshot of the records attached at `s` (cloned out of the sharded
-    /// store under per-shard read locks).
+    /// The records attached at `s`, in the store's row order (handles
+    /// sharing the stored values, not copies of them).
     pub fn records(&self, s: ServerId) -> Vec<Record> {
-        self.stores[s.index()].snapshot()
+        self.stores[s.index()].table().records().to_vec()
     }
 
-    /// The sharded record store of `s`.
+    /// The record store of `s`.
     pub fn store(&self, s: ServerId) -> &ShardedStore {
         &self.stores[s.index()]
     }
@@ -490,16 +491,21 @@ impl RoadsNetwork {
         }
     }
 
-    /// Search `s`'s locally attached records exactly. Matches are cloned
-    /// out under per-shard read locks, so searches run concurrently with
-    /// delta application on other shards.
+    /// Search `s`'s locally attached records exactly.
     pub fn search_local(&self, s: ServerId, query: &Query) -> Vec<Record> {
         self.search_calls.fetch_add(1, Ordering::Relaxed);
         self.stores[s.index()].search(query)
     }
 
-    /// Total [`RoadsNetwork::search_local`] invocations so far (diagnostic;
-    /// see the `search_calls` field).
+    /// How many of `s`'s locally attached records match — the local search
+    /// of a caller that needs no record (the simulated query path).
+    pub fn count_local(&self, s: ServerId, query: &Query) -> usize {
+        self.search_calls.fetch_add(1, Ordering::Relaxed);
+        self.stores[s.index()].table().count(query)
+    }
+
+    /// Total local searches so far (diagnostic; see the `search_calls`
+    /// field).
     pub fn local_search_calls(&self) -> u64 {
         self.search_calls.load(Ordering::Relaxed)
     }
@@ -508,7 +514,7 @@ impl RoadsNetwork {
     pub fn matching_servers(&self, query: &Query) -> Vec<ServerId> {
         (0..self.len() as u32)
             .map(ServerId)
-            .filter(|&s| self.stores[s.index()].any_match(query))
+            .filter(|&s| self.stores[s.index()].table().any_match(query))
             .collect()
     }
 
@@ -545,17 +551,26 @@ impl RoadsNetwork {
     /// performs. The resulting summaries are identical to a from-scratch
     /// build over the post-delta record sets (shard summaries are exact
     /// under mutation, and counter merges commute).
+    ///
+    /// Deltas are the one input that arrives from owners, so they are
+    /// checked here, where they enter: a change naming a server this
+    /// federation does not have, or carrying a payload whose arity is not
+    /// the schema's, is counted in [`DeltaOutcome::rejected`] and touches
+    /// nothing; the rest of the delta applies.
     pub fn apply(&mut self, delta: &RecordDelta) -> DeltaOutcome {
         let n = self.len();
+        let arity = self.schema.len();
+        let mut rejected = 0u64;
         // Route changes to their target stores, preserving arrival order.
-        // Changes to one id always target one server (and one shard within
-        // it), so per-server order is the only order that is observable.
+        // Changes to one id always target one server, so per-server order
+        // is the only order that is observable.
         let mut per_server: Vec<Vec<&RecordChange>> = vec![Vec::new(); n];
         for (server, change) in delta.changes() {
-            assert!(
-                server.index() < n,
-                "delta routed to unknown server {server}"
-            );
+            let fits = change.record().is_none_or(|r| r.arity() == arity);
+            if server.index() >= n || !fits {
+                rejected += 1;
+                continue;
+            }
             // Touch the payload while routing: payloads were allocated in
             // delta order, so this pass streams them into cache and the
             // scattered per-store batches below read warm lines.
@@ -567,7 +582,6 @@ impl RoadsNetwork {
 
         let mut dirty_flags = vec![false; n];
         let mut applied = 0u64;
-        let mut rejected = 0u64;
         let mut shard_rebuilds = 0u64;
         // Both sides of the churn feed the invalidation summary: the
         // payloads that entered the stores and the records the batches
@@ -649,7 +663,7 @@ impl RoadsNetwork {
     /// ([`crate::updates::update_round_full`]) and also clears histogram
     /// saturation accumulated by heavy churn.
     pub fn refresh_all_summaries(&mut self) {
-        for (i, store) in self.stores.iter().enumerate() {
+        for (i, store) in self.stores.iter_mut().enumerate() {
             store.rebuild_summaries();
             self.local_summary[i] = store.local_summary();
         }
@@ -1005,14 +1019,7 @@ mod tests {
         assert_eq!(out.dirty_branches, closure);
 
         // Every summary equals a from-scratch build over the final records.
-        let records: Vec<Vec<Record>> = (0..net.len() as u32)
-            .map(|s| net.records(ServerId(s)))
-            .collect();
-        let rebuilt = RoadsNetwork::build(schema.clone(), *net.config(), records);
-        for s in net.tree().servers() {
-            assert_eq!(net.local_summary(s), rebuilt.local_summary(s), "{s}");
-            assert_eq!(net.branch_summary(s), rebuilt.branch_summary(s), "{s}");
-        }
+        assert_equals_rebuild(&net);
 
         // The delta summary covers the inserted *and* the removed values.
         let inserted = QueryBuilder::new(&schema, QueryId(70))
@@ -1034,6 +1041,132 @@ mod tests {
         assert!(out.dirty_branches.is_empty());
         assert_eq!(out.applied, 0);
         assert_eq!(net.branch_summary(net.tree().root()), &before);
+    }
+
+    /// Every summary of `net` equals a from-scratch build over its records.
+    fn assert_equals_rebuild(net: &RoadsNetwork) {
+        let records: Vec<Vec<Record>> = (0..net.len() as u32)
+            .map(|s| net.records(ServerId(s)))
+            .collect();
+        let rebuilt = RoadsNetwork::build(net.schema().clone(), *net.config(), records);
+        for s in net.tree().servers() {
+            assert_eq!(net.local_summary(s), rebuilt.local_summary(s), "{s}");
+            assert_eq!(net.branch_summary(s), rebuilt.branch_summary(s), "{s}");
+        }
+    }
+
+    #[test]
+    fn a_delta_naming_an_unknown_server_is_rejected_not_fatal() {
+        // Regression: `apply` asserted `server < n`, so one stray change
+        // from an owner panicked the whole network.
+        let mut net = small_network();
+        let schema = net.schema().clone();
+        let untouched = net.clone();
+        let mut delta = crate::store::RecordDelta::new();
+        delta
+            .insert(ServerId(7), unit_record(&schema, 100, 1, &[0.5, 0.5]))
+            .remove(ServerId(u32::MAX), RecordId(0))
+            .update(ServerId(99), unit_record(&schema, 3, 3, &[0.5, 0.5]));
+        let out = net.apply(&delta);
+        assert_eq!((out.applied, out.rejected), (0, 3));
+        assert!(out.dirty.is_empty() && out.dirty_branches.is_empty());
+        assert!(
+            out.delta_summary.is_empty(),
+            "a rejected payload is not churn"
+        );
+        for s in net.tree().servers() {
+            assert_eq!(net.records(s), untouched.records(s));
+            assert_eq!(net.branch_summary(s), untouched.branch_summary(s));
+        }
+    }
+
+    #[test]
+    fn a_payload_of_the_wrong_arity_is_rejected_and_the_rest_applies() {
+        // Regression: a short payload was zipped short into the summaries
+        // (a record nobody could find by its missing attributes); nothing
+        // looked at a payload's arity.
+        let mut net = small_network();
+        let schema = net.schema().clone();
+        let leaf = *net.tree().leaves().iter().max().unwrap();
+        let mut delta = crate::store::RecordDelta::new();
+        delta
+            .insert(leaf, unit_record(&schema, 100, 50, &[0.42])) // short
+            .update(ServerId(1), unit_record(&schema, 1, 1, &[0.9, 0.9, 0.9])) // long
+            .insert(ServerId(2), unit_record(&schema, 101, 51, &[])) // empty
+            .update(ServerId(1), unit_record(&schema, 1, 1, &[0.8, 0.2])) // valid
+            .insert(leaf, unit_record(&schema, 102, 52, &[0.3, 0.3])) // valid
+            .remove(ServerId(3), RecordId(3)) // valid
+            .insert(ServerId(40), unit_record(&schema, 103, 53, &[0.1, 0.1])); // unknown
+        let (_, out) = crate::updates::update_round_delta(&mut net, &delta);
+        assert_eq!((out.applied, out.rejected), (3, 4));
+        let mut dirty = vec![ServerId(1), ServerId(3), leaf];
+        dirty.sort();
+        assert_eq!(out.dirty, dirty);
+        assert_eq!(
+            out.delta_summary.record_count(),
+            4,
+            "0.8/0.2 and its old side, 0.3, r3"
+        );
+
+        // Exactly the valid changes landed …
+        let ids = |s: ServerId| -> Vec<u64> { net.records(s).iter().map(|r| r.id.0).collect() };
+        assert_eq!(ids(ServerId(2)), vec![2]);
+        assert!(ids(ServerId(3)).is_empty());
+        assert!(ids(leaf).contains(&102) && !ids(leaf).contains(&100));
+        assert_eq!(
+            net.records(ServerId(1)),
+            vec![unit_record(&schema, 1, 1, &[0.8, 0.2])]
+        );
+        // … and every summary is what a rebuild over them produces.
+        assert_equals_rebuild(&net);
+    }
+
+    #[test]
+    fn a_mutated_clone_leaves_the_base_network_untouched() {
+        // A clone shares its rows with the source; mutating it must not
+        // show through (the update rounds run on such a twin while a live
+        // cluster keeps answering from the base).
+        let base = small_network();
+        let schema = base.schema().clone();
+        let queries: Vec<Query> = (0..7)
+            .map(|s| {
+                let v = s as f64 / 10.0;
+                QueryBuilder::new(&schema, QueryId(s))
+                    .range("x0", v - 0.05, v + 0.05)
+                    .build()
+            })
+            .collect();
+        let answers = |net: &RoadsNetwork| -> Vec<Vec<Record>> {
+            queries
+                .iter()
+                .flat_map(|q| {
+                    net.tree()
+                        .servers()
+                        .into_iter()
+                        .map(|s| net.search_local(s, q))
+                })
+                .collect()
+        };
+        let before = answers(&base);
+        let root_before = base.branch_summary(base.tree().root()).clone();
+
+        let mut twin = base.clone();
+        for s in twin.tree().servers() {
+            let (a, b) = (base.records(s), twin.records(s));
+            assert_eq!(a[0].values().as_ptr(), b[0].values().as_ptr(), "shared");
+        }
+        let mut delta = crate::store::RecordDelta::new();
+        delta
+            .update(ServerId(2), unit_record(&schema, 2, 2, &[0.6, 0.4]))
+            .remove(ServerId(4), RecordId(4))
+            .insert(ServerId(0), unit_record(&schema, 100, 9, &[0.3, 0.7]));
+        assert_eq!(twin.apply(&delta).applied, 3);
+
+        assert_ne!(answers(&twin), before, "the twin did change");
+        assert_eq!(answers(&base), before);
+        assert_eq!(base.branch_summary(base.tree().root()), &root_before);
+        assert_equals_rebuild(&base);
+        assert_equals_rebuild(&twin);
     }
 
     #[test]

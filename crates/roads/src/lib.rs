@@ -78,7 +78,7 @@ pub use queryexec::{
     TraceRole,
 };
 pub use store::{
-    ChangeEffect, DeltaOutcome, RecordChange, RecordDelta, ShardedStore, SHARDS_PER_STORE,
+    DeltaOutcome, RecordChange, RecordDelta, RecordStore, ShardedStore, SHARDS_PER_STORE,
 };
 pub use tree::{BalanceStats, HierarchyTree, ServerId, TreeError};
 pub use updates::{

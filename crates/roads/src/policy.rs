@@ -455,6 +455,20 @@ mod tests {
     }
 
     #[test]
+    fn full_disclosure_shares_and_redaction_copies() {
+        let s = schema();
+        let source = record(&s, 1, "partner", 50.0);
+        let full = apply_policy(&OpenPolicy, RequesterId(1), [&source]);
+        assert_eq!(full, vec![source.clone()]);
+        assert_eq!(full[0].values().as_ptr(), source.values().as_ptr());
+        // A redacted view is a record of its own; the source keeps its values.
+        let hidden = redact(&source, &[s.id("capacity").unwrap()]);
+        assert_ne!(hidden.values().as_ptr(), source.values().as_ptr());
+        assert_ne!(hidden, source);
+        assert_eq!(source, record(&s, 1, "partner", 50.0));
+    }
+
+    #[test]
     fn quota_limits_low_trust_requesters() {
         let s = schema();
         let records: Vec<Record> = (0..10).map(|i| record(&s, i, "public", i as f64)).collect();

@@ -619,19 +619,19 @@ fn execute_query_inner(
             Mode::Branch => net.evaluate(c.server, query, false),
             Mode::LocalOnly => {
                 // Probe local records only; no further redirection.
-                let local = net.search_local(c.server, query);
+                let local = net.count_local(c.server, query);
                 if let Some(t) = trace.as_deref_mut() {
                     t.push(TraceEvent {
                         server: c.server,
                         at_ms: arrive_ms,
                         role: TraceRole::AncestorProbe,
-                        local_matches: local.len(),
+                        local_matches: local,
                         forwarded_to: Vec::new(),
                     });
                 }
-                if !local.is_empty() {
+                if local > 0 {
                     outcome.matching_servers.push(c.server);
-                    outcome.matching_records += local.len();
+                    outcome.matching_records += local;
                 }
                 // Reply (header only) back to the client.
                 outcome.query_bytes += MSG_HEADER_BYTES as u64;
@@ -641,17 +641,17 @@ fn execute_query_inner(
 
         // One local search per contact — its size is reused for both the
         // outcome and the trace event (a second search would double the
-        // compute-time attribution in the explain plane).
+        // compute-time attribution in the explain plane). The simulation
+        // only needs the count, so no record is materialized.
         let local_matches = if ev.local_match {
-            let local = net.search_local(c.server, query);
-            if !local.is_empty() {
-                outcome.matching_servers.push(c.server);
-                outcome.matching_records += local.len();
-            }
-            local.len()
+            net.count_local(c.server, query)
         } else {
             0
         };
+        if local_matches > 0 {
+            outcome.matching_servers.push(c.server);
+            outcome.matching_records += local_matches;
+        }
 
         // Collect redirect targets.
         let mut targets: Vec<(ServerId, Mode)> = ev

@@ -3,8 +3,8 @@
 
 use crate::cluster::RuntimeOutcome;
 use crate::config::RuntimeConfig;
-use crate::store::RecordStore;
 use crossbeam::channel::{unbounded, Sender};
+use roads_core::RecordStore;
 use roads_netsim::DelaySpace;
 use roads_records::{Query, Record, Schema, WireSize};
 use std::sync::Arc;

@@ -58,13 +58,12 @@ use crate::faults::{backoff_delay, mode_rank, DispatchHandle, Dispatcher, VisitL
 use crate::health::{
     ClusterHealth, FaultKind, FaultLog, RuntimeMetrics, ServerHealth, ServerInstruments,
 };
-use crate::store::RecordStore;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use roads_core::policy::{apply_policy, OpenPolicy, RequesterId, SharingPolicy};
 use roads_core::{
-    plan_query, verdict_kind, CachedResult, DeltaOutcome, PlanAction, ResultCache, RoadsNetwork,
-    SearchScope, ServerId,
+    plan_query, verdict_kind, CachedResult, DeltaOutcome, PlanAction, RecordStore, ResultCache,
+    RoadsNetwork, SearchScope, ServerId,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{Query, Record, WireSize};
@@ -520,8 +519,9 @@ impl RoadsCluster {
         cluster
     }
 
-    /// A fresh incarnation of server `id`: records loaded from the
-    /// converged control state, empty FIFO, marked alive.
+    /// A fresh incarnation of server `id`: its own copy of the converged
+    /// control state's record table (shared rows, copied columns), empty
+    /// FIFO, marked alive.
     fn new_incarnation(&self, id: ServerId, policy: &Arc<dyn SharingPolicy>) -> Cell {
         let gauges = self.metrics.as_ref().map(|m| m.servers[id.index()].clone());
         if let Some(g) = &gauges {
@@ -532,7 +532,7 @@ impl RoadsCluster {
         Arc::new(Mutex::new(Some(Server {
             state: ServerState {
                 id,
-                store: RecordStore::new(self.net.schema().clone(), self.net.records(id)),
+                store: self.net.store(id).table().clone(),
                 policy: Arc::clone(policy),
                 search_hist: self.metrics.as_ref().map(|m| Arc::clone(&m.local_search)),
             },

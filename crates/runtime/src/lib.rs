@@ -9,10 +9,13 @@
 //!
 //! This crate reproduces that setup live, in one process:
 //!
-//! * [`store::RecordStore`] — an indexed in-memory record store standing in
-//!   for DB2+JDBC, with a calibrated per-record retrieval cost (see
-//!   [`RuntimeConfig::per_record_retrieval_us`]) so retrieval dominates at
-//!   high selectivity exactly as in the paper's testbed.
+//! * [`RecordStore`] — the in-memory record table standing in for
+//!   DB2+JDBC. It is `roads_core`'s one store, re-exported: the table the
+//!   simulator searches and the update rounds mutate is the table a live
+//!   server answers from (each server's cell owns a copy that shares the
+//!   network's rows). A calibrated per-record retrieval cost (see
+//!   [`RuntimeConfig::per_record_retrieval_us`]) makes retrieval dominate
+//!   at high selectivity exactly as in the paper's testbed.
 //! * [`cluster::RoadsCluster`] — every ROADS server as passive state (a
 //!   locked cell: record store, owner policy, FIFO of delivered requests,
 //!   service clock) that owns no thread: whoever delivers a request — the
@@ -68,7 +71,6 @@ pub mod cluster;
 pub mod config;
 pub(crate) mod faults;
 pub mod health;
-pub mod store;
 pub mod watchdog;
 
 pub use audit::{AuditConfig, AuditLevelRow, AuditMetrics, AuditReport, Auditor, Liveness};
@@ -76,7 +78,7 @@ pub use central::CentralCluster;
 pub use cluster::{ContactMode, RoadsCluster, RuntimeOutcome};
 pub use config::RuntimeConfig;
 pub use health::{ClusterHealth, FaultEvent, FaultKind, FaultLog, ServerHealth};
-pub use store::RecordStore;
+pub use roads_core::RecordStore;
 pub use watchdog::{
     standard_bank, CauseKind, Incident, IncidentReport, MatchedFault, Probe, SuspectedCause,
     Watchdog, WatchdogConfig, WatchdogMetrics,

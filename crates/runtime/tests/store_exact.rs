@@ -1,13 +1,18 @@
-//! `RecordStore::search` is exact: whatever index drives it, it returns
-//! the records a brute-force `Query::matches` scan returns — over random
-//! schemas, records with absent and duplicate values, and queries that
-//! include inverted, point and wrongly-typed predicates.
+//! `RecordStore::search` is exact: it returns the records a brute-force
+//! `Query::matches` scan returns — over random schemas, records with
+//! absent and duplicate values, and queries that include inverted, point
+//! and wrongly-typed predicates — on a table built in bulk and on one
+//! that random upserts and removals keep changing, whose shard summaries
+//! stay equal to a from-scratch summary of its rows.
 
 use proptest::prelude::*;
+use roads_core::{RecordChange, ShardedStore};
 use roads_records::{
     AttrDef, AttrId, OwnerId, Predicate, Query, QueryId, Record, RecordId, Schema, Value,
 };
 use roads_runtime::RecordStore;
+use roads_summary::{Summary, SummaryConfig};
+use std::collections::BTreeMap;
 
 const MAX_ARITY: usize = 4;
 const WORDS: [&str; 5] = ["a", "b", "c", "d", "zz"];
@@ -86,6 +91,11 @@ fn predicate(arity: usize, (attr, shape, a, b): (usize, u8, u32, u32)) -> Predic
     }
 }
 
+fn record(kinds: &[u8], id: u64, codes: &[u32]) -> Record {
+    let values = kinds.iter().zip(codes).map(|(&k, &c)| cell(k, c)).collect();
+    Record::new_unchecked(RecordId(id), OwnerId(0), values)
+}
+
 proptest! {
     #[test]
     fn search_equals_brute_force_scan(
@@ -116,5 +126,86 @@ proptest! {
             .map(|r| r.id.0)
             .collect();
         prop_assert_eq!(found, expected, "query {:?}", query);
+    }
+
+    /// The same exactness while the table changes: a random sequence of
+    /// upserts (new id, existing id, re-insert after a removal) and
+    /// removals (present, absent) against a `BTreeMap` model. After every
+    /// step the table — driven directly, and as the `ShardedStore` a
+    /// network keeps per server — answers like a brute-force scan of the
+    /// model, and the shard summaries merge to the summary of the rows.
+    #[test]
+    fn search_and_summaries_stay_exact_under_churn(
+        kinds in prop::collection::vec(0u8..3, 1..=MAX_ARITY),
+        initial in prop::collection::vec(prop::collection::vec(0u32..40, MAX_ARITY..=MAX_ARITY), 0..12),
+        steps in prop::collection::vec(
+            // (remove?, id, codes): ids from a small pool, so most steps
+            // hit an id that is, or once was, stored.
+            (any::<bool>(), 0u64..16, prop::collection::vec(0u32..40, MAX_ARITY..=MAX_ARITY)),
+            1..40,
+        ),
+        queries in prop::collection::vec(
+            prop::collection::vec((0usize..MAX_ARITY, 0u8..6, 0u32..40, 0u32..40), 0..4),
+            1..4,
+        ),
+    ) {
+        let schema = schema_of(&kinds);
+        let config = SummaryConfig::with_buckets(8);
+        let queries: Vec<Query> = queries
+            .into_iter()
+            .map(|preds| {
+                Query::new(
+                    QueryId(0),
+                    preds.into_iter().map(|p| predicate(kinds.len(), p)).collect(),
+                )
+            })
+            .collect();
+        let seed: Vec<Record> = initial
+            .iter()
+            .enumerate()
+            .map(|(i, codes)| record(&kinds, i as u64, codes))
+            .collect();
+        let mut model: BTreeMap<u64, Record> = seed.iter().map(|r| (r.id.0, r.clone())).collect();
+        let mut table = RecordStore::new(schema.clone(), seed.clone());
+        let mut sharded = ShardedStore::new(&schema, &config, seed);
+
+        for (remove, id, codes) in steps {
+            let change = if remove {
+                prop_assert_eq!(table.remove(RecordId(id)), model.remove(&id));
+                RecordChange::Remove(RecordId(id))
+            } else {
+                let r = record(&kinds, id, &codes);
+                prop_assert_eq!(table.upsert(r.clone()), model.insert(id, r.clone()));
+                RecordChange::Update(r)
+            };
+            let mut churn = Summary::empty(&schema, &config);
+            let effect = sharded.apply_batch(&[&change], &mut churn);
+            prop_assert_eq!(effect.applied + effect.rejected, 1);
+
+            for store in [&table, sharded.table()] {
+                prop_assert_eq!(store.len(), model.len());
+                prop_assert_eq!(store.is_empty(), model.is_empty());
+                for query in &queries {
+                    let expected: Vec<u64> = model
+                        .values()
+                        .filter(|r| query.matches(r))
+                        .map(|r| r.id.0)
+                        .collect();
+                    let mut found: Vec<u64> = store.search(query).iter().map(|r| r.id.0).collect();
+                    found.sort_unstable();
+                    prop_assert_eq!(&found, &expected, "query {:?}", query);
+                    prop_assert_eq!(store.count(query), expected.len());
+                    prop_assert_eq!(store.any_match(query), !expected.is_empty());
+                }
+            }
+            prop_assert_eq!(
+                sharded.local_summary(),
+                Summary::from_records(&schema, &config, sharded.table().records())
+            );
+            prop_assert_eq!(
+                sharded.local_summary(),
+                Summary::from_records(&schema, &config, model.values())
+            );
+        }
     }
 }

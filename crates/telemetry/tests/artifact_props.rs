@@ -248,7 +248,7 @@ fn plan_report(g: &mut Gen) -> PlanReport {
 
 fn delta_report(g: &mut Gen) -> DeltaReport {
     // validate(): accounting adds up, dirty sets fit, bytes shrink, and
-    // the speedup matches the timings and clears the 10x floor.
+    // the speedup matches the timings and clears the speedup floor.
     let servers = 1 + g.below(1_000);
     let churn_changes = 1 + g.count();
     let applied = g.below(churn_changes + 1);
