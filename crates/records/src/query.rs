@@ -59,18 +59,18 @@ impl Predicate {
         }
     }
 
-    /// Evaluate against a record.
+    /// Evaluate against a record. A query is not built against a schema,
+    /// so its attribute may lie outside the record's: that matches nothing.
     pub fn matches(&self, record: &Record) -> bool {
+        let Some(value) = record.values().get(self.attr().index()) else {
+            return false;
+        };
         match self {
-            Predicate::Range { attr, lo, hi } => match record.get_f64(*attr) {
-                Some(v) => *lo <= v && v <= *hi,
-                None => false,
-            },
-            Predicate::Eq { attr, value } => record.get(*attr) == value,
-            Predicate::OneOf { attr, values } => match record.get(*attr).as_str() {
-                Some(s) => values.iter().any(|v| v == s),
-                None => false,
-            },
+            Predicate::Range { lo, hi, .. } => value.as_f64().is_some_and(|v| *lo <= v && v <= *hi),
+            Predicate::Eq { value: wanted, .. } => value == wanted,
+            Predicate::OneOf { values, .. } => value
+                .as_str()
+                .is_some_and(|s| values.iter().any(|v| v == s)),
         }
     }
 
@@ -303,6 +303,32 @@ mod tests {
             }],
         );
         assert!(!q.matches(&r));
+    }
+
+    #[test]
+    fn predicate_on_an_attribute_the_record_lacks_is_false() {
+        // `Query::new` takes no schema: nothing keeps the id in range.
+        let (_, r) = camera(1.0);
+        let stray = AttrId(7);
+        let predicates = vec![
+            Predicate::Range {
+                attr: stray,
+                lo: f64::NEG_INFINITY,
+                hi: f64::INFINITY,
+            },
+            Predicate::Eq {
+                attr: stray,
+                value: Value::Cat("camera".to_owned()),
+            },
+            Predicate::OneOf {
+                attr: stray,
+                values: vec!["camera".to_owned()],
+            },
+        ];
+        for p in &predicates {
+            assert!(!p.matches(&r), "{p:?}");
+        }
+        assert!(!Query::new(QueryId(4), predicates).matches(&r));
     }
 
     #[test]

@@ -11,21 +11,35 @@
 //!   shares: a search result, a second copy of the table (the update
 //!   rounds' twin, a live server's cell) and a delta payload entering the
 //!   table are reference-count bumps, never copies of the values.
-//! * **Columns, not a map.** Beside the rows the table keeps one `f64`
-//!   column per attribute (`NaN` where a value has no numeric view, which
-//!   fails every range exactly as [`Predicate::matches`] does) and an
-//!   id → row map. An upsert is one map probe, one row swap and one store
-//!   per column; a removal swap-removes the row.
-//! * **Search is a column pass.** The first range predicate reads its one
-//!   column front to back and writes the passing row numbers — a
-//!   selection vector — without a branch per row; every further range
-//!   filters that vector against its own column; `Eq`/`OneOf` are checked
-//!   last, on the surviving records. That is O(rows) per search, and
-//!   deliberately so: at the sizes the figures and the benchmark run
-//!   (≤ 200 000 rows of ≤ 120 attributes per server) a sequential pass
-//!   over 8 bytes per row costs less than a sorted index saves once the
-//!   index has to be kept sorted under every change (`DESIGN.md` §6k has
-//!   the measurements).
+//! * **One byte per value.** Beside the rows the table keeps an id → row
+//!   map and, per attribute, a column of *codes*: a value's bucket among
+//!   256 equal-width buckets of the attribute's schema domain — the
+//!   bucketing ROADS summaries apply per server (§III-B), applied per row.
+//!   An upsert is one map probe, one row swap and one byte per column; a
+//!   removal swap-removes the row.
+//! * **Search is a column pass, exact.** The code is one monotone,
+//!   saturating function of the numeric view, applied to stored values and
+//!   query bounds alike, so for a range `lo <= v <= hi` with codes
+//!   `cl = code(lo)`, `ch = code(hi)`, `c = code(v)`:
+//!   - `v` in the range implies `cl <= c <= ch` — the byte compare drops
+//!     no match;
+//!   - `cl < c < ch` implies `lo < v < hi` (were `v <= lo`, monotonicity
+//!     would give `c <= cl`) — an *interior* row matches with no further
+//!     work;
+//!   - a row with `c == cl` or `c == ch` sits in a *boundary* bucket, which
+//!     the range cuts somewhere: only there is the record itself asked,
+//!     with [`Predicate::matches`], the oracle's own function.
+//!
+//!   NaN and values without a numeric view code to 0; they match no range,
+//!   and can pass the compare only as boundary rows, which are verified. A
+//!   domain without width codes everything to 0: every row is a boundary
+//!   row and the search degrades to a verified full scan. The ranges of a
+//!   query are ANDed a block of rows at a time, `Eq`/`OneOf` are checked on
+//!   the surviving records. That is O(rows) per search, and deliberately
+//!   so: at the sizes the figures and the benchmark run (≤ 200 000 rows of
+//!   ≤ 120 attributes per server) a sequential pass over one byte per row
+//!   costs less than a sorted index saves once the index has to be kept
+//!   sorted under every change (`DESIGN.md` §6k has the measurements).
 //!
 //! [`ShardedStore`] is what a [`RoadsNetwork`](crate::engine::RoadsNetwork)
 //! keeps per server: the table plus one *exact* [`Summary`] per id-hash
@@ -42,7 +56,7 @@
 //! update round applies; [`DeltaOutcome`] is what it touched.
 
 use crate::tree::ServerId;
-use roads_records::{Predicate, Query, Record, RecordId, Schema, Value};
+use roads_records::{AttrDef, Predicate, Query, Record, RecordId, Schema, Value};
 use roads_summary::{Summary, SummaryConfig};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -88,38 +102,88 @@ impl std::hash::Hasher for IdHasher {
     }
 }
 
-/// What a range predicate compares: the value's numeric view, NaN (which
-/// fails every comparison) where it has none.
-fn numeric(v: &Value) -> f64 {
-    v.as_f64().unwrap_or(f64::NAN)
+/// Code buckets per attribute domain: a code is one byte.
+const BUCKETS: f64 = 256.0;
+
+/// The code of one attribute: a value's bucket among [`BUCKETS`]
+/// equal-width buckets of the schema domain, saturating outside it.
+///
+/// `code` is monotone — `a <= b` implies `code(a) <= code(b)` for non-NaN
+/// `a`, `b` — because subtracting a constant, scaling by a non-negative
+/// constant and the saturating, truncating cast each are. Everything the
+/// search skips rests on that and on nothing else about the function.
+#[derive(Debug, Clone, Copy)]
+struct Coder {
+    lo: f64,
+    /// Buckets per unit of value; 0 for a domain without (finite) width,
+    /// which sends every value to code 0.
+    scale: f64,
 }
 
-/// Each column paired with `record`'s numeric view for it. The record
-/// must fit the schema: callers taking records from outside check first.
-fn views<'a>(
-    columns: &'a mut [Vec<f64>],
+impl Coder {
+    fn new(def: &AttrDef) -> Self {
+        let width = def.hi - def.lo;
+        let scale = if width > 0.0 && width.is_finite() {
+            BUCKETS / width
+        } else {
+            0.0
+        };
+        Coder { lo: def.lo, scale }
+    }
+
+    /// NaN codes to 0 (`as` casts NaN to 0 and saturates the rest).
+    fn code(self, v: f64) -> u8 {
+        ((v - self.lo) * self.scale) as u8
+    }
+
+    /// The code of a value's numeric view, 0 where it has none.
+    fn code_of(self, v: &Value) -> u8 {
+        self.code(v.as_f64().unwrap_or(f64::NAN))
+    }
+}
+
+/// One attribute's column: `codes[row]` is the code of that row's value.
+#[derive(Debug, Clone)]
+struct CodeColumn {
+    coder: Coder,
+    codes: Vec<u8>,
+}
+
+/// Each column's codes paired with the code of `record`'s value for it.
+/// The record must fit the schema: callers taking records from outside
+/// check first.
+fn coded<'a>(
+    columns: &'a mut [CodeColumn],
     record: &'a Record,
-) -> impl Iterator<Item = (&'a mut Vec<f64>, f64)> {
+) -> impl Iterator<Item = (&'a mut Vec<u8>, u8)> {
     assert_eq!(record.arity(), columns.len(), "record vs schema arity");
-    columns.iter_mut().zip(record.values().iter().map(numeric))
+    columns.iter_mut().zip(record.values()).map(|(column, v)| {
+        let code = column.coder.code_of(v);
+        (&mut column.codes, code)
+    })
 }
 
 fn row_number(row: usize) -> u32 {
     u32::try_from(row).expect("a store holds fewer than 2^32 rows")
 }
 
-/// The record table of one server: shared rows, one `f64` column per
-/// attribute, an id → row map. See the module documentation.
+/// The record table of one server: shared rows, one code byte per value,
+/// an id → row map. See the module documentation for why a search over
+/// lossy codes is exact.
 #[derive(Debug, Clone)]
 pub struct RecordStore {
     schema: Schema,
     rows: Vec<Record>,
     row_of: HashMap<RecordId, u32, BuildHasherDefault<IdHasher>>,
-    /// `columns[attr][row]`: the numeric view of that row's value.
-    columns: Vec<Vec<f64>>,
+    /// One per schema attribute.
+    columns: Vec<CodeColumn>,
 }
 
 impl RecordStore {
+    /// Rows per scan block: the ranges of a query are ANDed into a stack
+    /// buffer of this many flags before any survivor is looked at.
+    pub const BLOCK: usize = 256;
+
     /// Build the table in bulk. A later record with an id already seen
     /// replaces the earlier one, as an upsert would.
     pub fn new(schema: Schema, records: Vec<Record>) -> Self {
@@ -134,12 +198,16 @@ impl RecordStore {
                 }
             }
         }
-        let mut columns: Vec<Vec<f64>> = (0..schema.len())
-            .map(|_| Vec::with_capacity(rows.len()))
+        let mut columns: Vec<CodeColumn> = schema
+            .iter()
+            .map(|(_, def)| CodeColumn {
+                coder: Coder::new(def),
+                codes: vec![0; rows.len()],
+            })
             .collect();
-        for r in &rows {
-            for (column, v) in views(&mut columns, r) {
-                column.push(v);
+        for (row, r) in rows.iter().enumerate() {
+            for (codes, code) in coded(&mut columns, r) {
+                codes[row] = code;
             }
         }
         RecordStore {
@@ -176,14 +244,14 @@ impl RecordStore {
         match self.row_of.entry(record.id) {
             Entry::Occupied(e) => {
                 let row = *e.get() as usize;
-                for (column, v) in views(&mut self.columns, &record) {
-                    column[row] = v;
+                for (codes, code) in coded(&mut self.columns, &record) {
+                    codes[row] = code;
                 }
                 Some(std::mem::replace(&mut self.rows[row], record))
             }
             Entry::Vacant(e) => {
-                for (column, v) in views(&mut self.columns, &record) {
-                    column.push(v);
+                for (codes, code) in coded(&mut self.columns, &record) {
+                    codes.push(code);
                 }
                 e.insert(row_number(self.rows.len()));
                 self.rows.push(record);
@@ -198,7 +266,7 @@ impl RecordStore {
         let row = self.row_of.remove(&id)? as usize;
         let old = self.rows.swap_remove(row);
         for column in &mut self.columns {
-            column.swap_remove(row);
+            column.codes.swap_remove(row);
         }
         if let Some(moved) = self.rows.get(row) {
             self.row_of.insert(moved.id, row as u32);
@@ -206,60 +274,38 @@ impl RecordStore {
         Some(old)
     }
 
-    /// The one search body: the records matching `query`, in row order.
-    /// Ranges cut a selection vector of row numbers column by column; the
-    /// other predicates are checked on what is left. A query without
-    /// predicates selects everything.
-    fn matching<'s, 'q>(
-        &'s self,
-        query: &'q Query,
-    ) -> impl Iterator<Item = &'s Record> + use<'s, 'q> {
-        let preds = query.predicates();
-        let mut selection: Option<Vec<u32>> = None;
-        for p in preds {
-            let Predicate::Range { attr, lo, hi } = p else {
-                continue;
+    /// The one search body: the records matching `query`, in row order,
+    /// found lazily — a block's matches are handed out before the next
+    /// block is scanned. A query without predicates selects everything.
+    fn matching<'s, 'q>(&'s self, query: &'q Query) -> Matching<'s, 'q> {
+        let mut scan = Matching {
+            rows: &self.rows,
+            ranges: Vec::with_capacity(query.predicates().len()),
+            others: Vec::new(),
+            next_block: 0,
+            base: 0,
+            word: WORDS,
+            survivors: [0; WORDS],
+        };
+        for p in query.predicates() {
+            // A query is not built against a schema: an attribute this
+            // one does not have matches nothing.
+            let Some(column) = self.columns.get(p.attr().index()) else {
+                return scan.nothing();
             };
-            let (lo, hi) = (*lo, *hi);
-            let column = &self.columns[attr.index()][..];
-            let selected = match &mut selection {
-                // Every row is a candidate: one sequential pass, each row
-                // number written unconditionally and kept by advancing.
-                None => {
-                    let mut rows = vec![0u32; column.len()];
-                    let mut kept = 0;
-                    for (row, &v) in column.iter().enumerate() {
-                        rows[kept] = row as u32;
-                        kept += usize::from(lo <= v && v <= hi);
-                    }
-                    rows.truncate(kept);
-                    selection.insert(rows)
-                }
-                Some(rows) => {
-                    let mut kept = 0;
-                    for i in 0..rows.len() {
-                        let row = rows[i];
-                        rows[kept] = row;
-                        let v = column[row as usize];
-                        kept += usize::from(lo <= v && v <= hi);
-                    }
-                    rows.truncate(kept);
-                    rows
-                }
-            };
-            if selected.is_empty() {
-                break;
+            match p {
+                Predicate::Range { lo, hi, .. } if lo <= hi => scan.ranges.push(CodeRange {
+                    codes: &column.codes,
+                    lo: column.coder.code(*lo),
+                    hi: column.coder.code(*hi),
+                    predicate: p,
+                }),
+                // Inverted or NaN bounds describe no interval at all.
+                Predicate::Range { .. } => return scan.nothing(),
+                Predicate::Eq { .. } | Predicate::OneOf { .. } => scan.others.push(p),
             }
         }
-        selection
-            .unwrap_or_else(|| (0..row_number(self.rows.len())).collect())
-            .into_iter()
-            .map(|row| &self.rows[row as usize])
-            .filter(move |r| {
-                preds
-                    .iter()
-                    .all(|p| matches!(p, Predicate::Range { .. }) || p.matches(r))
-            })
+        scan
     }
 
     /// Exact search: every stored record matching `query`, in row order.
@@ -272,12 +318,117 @@ impl RecordStore {
         self.matching(query).count()
     }
 
-    /// True when any stored record matches `query`. Costs what
-    /// [`count`](Self::count) costs for the range predicates (each is a
-    /// full pass over its column or the selection); only the record checks
-    /// of `Eq`/`OneOf` stop at the first match.
+    /// True when any stored record matches `query`: scans no further than
+    /// the block holding the first match.
     pub fn any_match(&self, query: &Query) -> bool {
         self.matching(query).next().is_some()
+    }
+}
+
+/// Survivor words per scan block.
+const WORDS: usize = RecordStore::BLOCK / 64;
+const _: () = assert!(WORDS * 64 == RecordStore::BLOCK, "whole survivor words");
+
+/// One range predicate as the scan sees it.
+struct CodeRange<'s, 'q> {
+    /// The codes of its attribute's column.
+    codes: &'s [u8],
+    /// Codes of its bounds; `lo <= hi` because the bounds are ordered and
+    /// the code is monotone.
+    lo: u8,
+    hi: u8,
+    /// Itself, for the rows in a boundary bucket.
+    predicate: &'q Predicate,
+}
+
+/// The scan behind [`RecordStore::matching`], one block of rows at a time.
+struct Matching<'s, 'q> {
+    rows: &'s [Record],
+    ranges: Vec<CodeRange<'s, 'q>>,
+    /// The `Eq`/`OneOf` predicates, checked on the records.
+    others: Vec<&'q Predicate>,
+    /// First row of the next block to scan.
+    next_block: usize,
+    /// First row of the scanned block. Its survivors — rows whose code
+    /// lies in the code span of every range — not yet looked at are the
+    /// set bits of `survivors[word..]`: bit `i` of word `w` is row
+    /// `base + 64 * w + i`.
+    base: usize,
+    word: usize,
+    survivors: [u64; WORDS],
+}
+
+impl Matching<'_, '_> {
+    /// The scan of a query no record can match.
+    fn nothing(mut self) -> Self {
+        self.rows = &[];
+        self
+    }
+
+    /// AND the code compares of every range over the next block of rows
+    /// and gather the flags into the survivor bits.
+    fn scan_block(&mut self) {
+        let start = self.next_block;
+        let len = (self.rows.len() - start).min(RecordStore::BLOCK);
+        let mut flags = [0u8; RecordStore::BLOCK];
+        flags[..len].fill(1);
+        for range in &self.ranges {
+            // One unsigned compare for both bounds: a code below `lo`
+            // wraps around to above the span.
+            let span = range.hi - range.lo;
+            let codes = &range.codes[start..start + len];
+            for (flag, &code) in flags[..len].iter_mut().zip(codes) {
+                *flag &= u8::from(code.wrapping_sub(range.lo) <= span);
+            }
+        }
+        for (word, flags) in self.survivors.iter_mut().zip(flags.chunks_exact(64)) {
+            *word = 0;
+            for (i, eight) in flags.chunks_exact(8).enumerate() {
+                let eight = u64::from_le_bytes(eight.try_into().expect("chunks of eight"));
+                // Eight 0/1 bytes to eight bits: the product lands byte k
+                // on bit 56 + k, and no two partial products share a bit.
+                *word |= (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
+            }
+        }
+        self.base = start;
+        self.word = 0;
+        self.next_block = start + len;
+    }
+
+    /// Whether a survivor matches. The record is asked only by the ranges
+    /// in whose boundary buckets the row sits — strictly inside the code
+    /// span is strictly inside the range — and by the other predicates.
+    fn verified(&self, row: usize, record: &Record) -> bool {
+        let ranges = self.ranges.iter().all(|range| {
+            let code = range.codes[row];
+            (code != range.lo && code != range.hi) || range.predicate.matches(record)
+        });
+        ranges && self.others.iter().all(|p| p.matches(record))
+    }
+}
+
+impl<'s> Iterator for Matching<'s, '_> {
+    type Item = &'s Record;
+
+    fn next(&mut self) -> Option<&'s Record> {
+        loop {
+            while let Some(bits) = self.survivors.get_mut(self.word) {
+                if *bits == 0 {
+                    self.word += 1;
+                    continue;
+                }
+                let row = self.base + 64 * self.word + bits.trailing_zeros() as usize;
+                *bits &= *bits - 1;
+                let record = &self.rows[row];
+                if self.verified(row, record) {
+                    return Some(record);
+                }
+            }
+            if self.next_block == self.rows.len() {
+                return None;
+            }
+            self.scan_block();
+        }
     }
 }
 
@@ -542,7 +693,8 @@ impl ShardedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roads_records::{AttrDef, OwnerId, QueryBuilder, QueryId, RecordBuilder};
+    use proptest::prelude::*;
+    use roads_records::{AttrId, OwnerId, QueryBuilder, QueryId, RecordBuilder};
 
     fn schema() -> Schema {
         Schema::unit_numeric(2)
@@ -865,6 +1017,101 @@ mod tests {
             .range("rate", 500.0, 100.0)
             .build();
         assert!(s.search(&q).is_empty());
+    }
+
+    #[test]
+    fn codes_bucket_the_domain_and_saturate_outside_it() {
+        let coder = Coder::new(&AttrDef::numeric("rate", -50.0, 30.0));
+        assert_eq!(coder.code(-50.0), 0);
+        assert_eq!(coder.code(-10.0), 128);
+        // Rounding may move a bucket's edge by an ulp or so — one below
+        // -10 still codes to 128 — which monotonicity does not mind.
+        assert_eq!(coder.code((-10.0_f64).next_down()), 128);
+        assert_eq!(coder.code(-10.1), 127);
+        assert_eq!(coder.code(30.0), 255, "the domain's end saturates");
+        assert_eq!(coder.code(f64::INFINITY), 255);
+        assert_eq!(coder.code(-51.0), 0);
+        assert_eq!(coder.code(f64::NEG_INFINITY), 0);
+        assert_eq!(coder.code(f64::NAN), 0);
+        assert_eq!(coder.code_of(&Value::Int(-10)), 128);
+        assert_eq!(coder.code_of(&Value::Cat("x".to_owned())), 0);
+        // No width, no code: the search verifies every row instead.
+        for def in [
+            AttrDef::categorical("type"),
+            AttrDef::numeric("inverted", 1.0, 0.0),
+            AttrDef::numeric("unbounded", 0.0, f64::INFINITY),
+        ] {
+            let coder = Coder::new(&def);
+            for v in [-1.0, 0.0, 0.5, 1.0, f64::INFINITY, f64::NAN] {
+                assert_eq!(coder.code(v), 0, "{def:?} {v}");
+            }
+        }
+    }
+
+    proptest! {
+        /// What the interior shortcut rests on, for any domain at all —
+        /// sane, inverted, NaN, infinite, of subnormal width.
+        #[test]
+        fn code_is_monotone(
+            (lo, hi) in prop_oneof![
+                (any::<f64>(), any::<f64>()),
+                (-1e9f64..1e9, 0.0f64..1e13).prop_map(|(lo, width)| (lo, lo + width)),
+            ],
+            // Raw bit patterns, and places relative to the domain: where
+            // the codes step.
+            raw in (any::<f64>(), any::<f64>()),
+            near in (-0.5f64..1.5, -0.5f64..1.5),
+            relative in any::<bool>(),
+        ) {
+            let coder = Coder::new(&AttrDef::numeric("a", lo, hi));
+            let (a, b) = if relative {
+                (lo + near.0 * (hi - lo), lo + near.1 * (hi - lo))
+            } else {
+                raw
+            };
+            if a <= b {
+                prop_assert!(coder.code(a) <= coder.code(b), "{:?}: {} {}", coder, a, b);
+            }
+            if b <= a {
+                prop_assert!(coder.code(b) <= coder.code(a), "{:?}: {} {}", coder, a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn attribute_outside_the_schema_matches_nothing() {
+        // `Query::new` takes no schema: nothing keeps the id in range.
+        let s = table(100);
+        let stray = AttrId(7);
+        let predicates = [
+            Predicate::Range {
+                attr: stray,
+                lo: f64::NEG_INFINITY,
+                hi: f64::INFINITY,
+            },
+            Predicate::Eq {
+                attr: stray,
+                value: Value::Cat("camera".to_owned()),
+            },
+            Predicate::OneOf {
+                attr: stray,
+                values: vec!["camera".to_owned()],
+            },
+        ];
+        for p in predicates {
+            // Alone, and behind a predicate that does match.
+            let everything = Predicate::Range {
+                attr: s.schema().id("rate").expect("in the schema"),
+                lo: 0.0,
+                hi: 1000.0,
+            };
+            for preds in [vec![p.clone()], vec![everything, p]] {
+                let q = Query::new(QueryId(10), preds);
+                assert!(s.search(&q).is_empty(), "{q:?}");
+                assert_eq!(s.count(&q), 0);
+                assert!(!s.any_match(&q));
+            }
+        }
     }
 
     #[test]

@@ -2485,4 +2485,52 @@ mod tests {
         assert_eq!(out.records.len(), n * 20);
         c.shutdown();
     }
+
+    #[test]
+    fn query_on_an_attribute_outside_the_schema_leaves_every_server_alive() {
+        // Regression, sibling of the inverted range: `Query::new` takes no
+        // schema, so a predicate can name an attribute the federation
+        // does not have. The summaries answer "no match" for it, but the
+        // planner contacts the entry `LocalOnly`, which searches the store
+        // whatever they say — and the search indexed out of bounds.
+        use roads_records::{AttrId, Predicate, Query};
+        let n = 9;
+        let c = RoadsCluster::start(
+            test_net(n),
+            DelaySpace::paper(n, 21),
+            RuntimeConfig {
+                enable_planner: true,
+                ..RuntimeConfig::test_faulty()
+            },
+        );
+        let stray = AttrId(7);
+        let predicates = [
+            Predicate::Range {
+                attr: stray,
+                lo: 0.0,
+                hi: 1.0,
+            },
+            Predicate::Eq {
+                attr: stray,
+                value: Value::Float(0.5),
+            },
+            Predicate::OneOf {
+                attr: stray,
+                values: vec!["camera".to_owned()],
+            },
+        ];
+        for (i, p) in predicates.into_iter().enumerate() {
+            let query = Query::new(QueryId(70 + i as u64), vec![p]);
+            for start in 0..n as u32 {
+                let out = c.query(&query, ServerId(start));
+                assert!(out.complete, "entry {start}: nothing matches, fully");
+                assert!(out.records.is_empty());
+                assert!(out.failed_servers.is_empty(), "{query:?}");
+            }
+        }
+        for s in 0..n as u32 {
+            assert!(c.is_alive(ServerId(s)));
+        }
+        c.shutdown();
+    }
 }

@@ -4,6 +4,15 @@
 //! and wrongly-typed predicates — on a table built in bulk and on one
 //! that random upserts and removals keep changing, whose shard summaries
 //! stay equal to a from-scratch summary of its rows.
+//!
+//! The store searches one-byte codes of the values and asks the record
+//! only where a code cannot tell, so the inputs aim at where that could
+//! slip: values and bounds on a code bucket's edge and one ulp either
+//! side, outside the declared domain, infinite and NaN; ranges narrower
+//! than a bucket; domains that are not `[0, 1]`; several ranges on one
+//! attribute (whenever two predicates draw the same one); tables that end
+//! just before, on and just after a scan block's edge, and removals that
+//! move a row from one block into another.
 
 use proptest::prelude::*;
 use roads_core::{RecordChange, ShardedStore};
@@ -16,8 +25,15 @@ use std::collections::BTreeMap;
 
 const MAX_ARITY: usize = 4;
 const WORDS: [&str; 5] = ["a", "b", "c", "d", "zz"];
+const BLOCK: usize = RecordStore::BLOCK;
+/// Table sizes at the edges of the scan: empty, shorter than, equal to
+/// and just past the eight flags gathered at a time, and ragged tails
+/// around one and several blocks.
+const EDGE_SIZES: [usize; 9] = [0, 1, 7, 8, 9, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5];
+const MAX_ROWS: usize = 3 * BLOCK + 5;
 
-/// `kinds[i]`: 0 numeric, 1 integer, 2 categorical.
+/// `kinds[i]`: 0 numeric on `[0, 1]`, 1 integer, 2 categorical, 3 numeric
+/// with a negative lower bound, 4 timestamp-sized.
 fn schema_of(kinds: &[u8]) -> Schema {
     Schema::new(
         kinds
@@ -26,96 +42,159 @@ fn schema_of(kinds: &[u8]) -> Schema {
             .map(|(i, k)| match k {
                 0 => AttrDef::numeric(format!("a{i}"), 0.0, 1.0),
                 1 => AttrDef::integer(format!("a{i}"), 0, 10),
-                _ => AttrDef::categorical(format!("a{i}")),
+                2 => AttrDef::categorical(format!("a{i}")),
+                3 => AttrDef::numeric(format!("a{i}"), -50.0, 30.0),
+                _ => AttrDef::timestamp(format!("a{i}"), 0, 2_000_000_000_000),
             })
             .collect(),
     )
     .expect("distinct attribute names")
 }
 
-/// A cell on a coarse grid, so duplicates are the rule. One code in ten
-/// yields a value of the *other* family — no numeric view in an ordered
-/// attribute, no string view in a categorical one: the absent case.
-fn cell(kind: u8, code: u32) -> Value {
-    let absent = code % 10 == 9;
-    match (kind, absent) {
-        (0, false) => Value::Float((code % 8) as f64 * 0.125),
-        (1, false) => Value::Int((code % 6) as i64),
-        (2, false) => Value::Cat(WORDS[code as usize % 4].to_owned()),
-        (2, true) => Value::Float(0.5),
-        (_, true) => Value::Cat("a".to_owned()),
-        _ => unreachable!("three attribute kinds"),
+/// Where a number lies relative to an attribute's domain: `(shape, k, t)`,
+/// see [`place`]. Cell values and predicate bounds draw from the same
+/// places, so they meet.
+type Point = (u8, u32, f64);
+
+fn point() -> impl Strategy<Value = Point> {
+    (0u8..16, 0u32..1024, 0.0f64..1.0)
+}
+
+fn place(def: &AttrDef, (shape, k, t): Point) -> f64 {
+    let width = def.hi - def.lo;
+    // Where the store's code steps up to `bucket`, give or take the
+    // rounding the neighbours cover. Half the draws share nine buckets,
+    // so that values and bounds meet in one.
+    let bucket = if k < 512 { k % 9 * 32 } else { k % 257 };
+    let edge = def.lo + bucket as f64 * (width / 256.0);
+    match shape {
+        // A coarse grid reaching one cell past the domain on either side:
+        // duplicates are the rule.
+        0..=3 => def.lo + ((k % 11) as f64 - 1.0) * 0.125 * width,
+        4 | 5 => def.lo + t * width,
+        6 | 7 => edge + t * (width / 256.0),
+        8 => edge,
+        9 => edge.next_up(),
+        10 => edge.next_down(),
+        11 => def.lo - t * width,
+        12 => def.hi + t * width,
+        13 => f64::INFINITY,
+        14 => f64::NEG_INFINITY,
+        _ => f64::NAN,
     }
 }
 
-fn grid(code: u32) -> f64 {
-    (code % 11) as f64 * 0.125 - 0.125
+/// One cell. One in ten is a value of the *other* family — no numeric
+/// view in an ordered attribute, no string view in a categorical one: the
+/// absent case.
+fn cell(def: &AttrDef, kind: u8, p: Point) -> Value {
+    let absent = p.1 % 10 == 9;
+    match (kind, absent) {
+        (2, false) => Value::Cat(WORDS[p.1 as usize % 4].to_owned()),
+        (2, true) => Value::Float(0.5),
+        (_, true) => Value::Cat("a".to_owned()),
+        (1, false) => Value::Int(place(def, p).round() as i64),
+        (4, false) => Value::Timestamp(place(def, p).round() as i64),
+        (_, false) => Value::Float(place(def, p)),
+    }
 }
 
-/// `(attribute, shape, a, b)` → one predicate; `shape` picks the variant.
-fn predicate(arity: usize, (attr, shape, a, b): (usize, u8, u32, u32)) -> Predicate {
-    let attr = AttrId((attr % arity) as u16);
+/// What one predicate is drawn from: `(attribute, shape, a, b)`, where
+/// `shape` picks the variant, see [`predicate`].
+type PredicateDraw = (usize, u8, Point, Point);
+
+fn predicate_draw() -> impl Strategy<Value = PredicateDraw> {
+    (0usize..MAX_ARITY, 0u8..8, point(), point())
+}
+
+fn predicate(schema: &Schema, (attr, shape, a, b): PredicateDraw) -> Predicate {
+    let attr = AttrId((attr % schema.len()) as u16);
+    let def = schema.def(attr);
     match shape {
-        // Any two grid points: inverted about half the time, and on a
+        // Any two places: inverted about half the time, and on a
         // categorical attribute whenever `attr` is one.
-        0 | 1 => Predicate::Range {
+        0..=2 => Predicate::Range {
             attr,
-            lo: grid(a),
-            hi: grid(b),
+            lo: place(def, a),
+            hi: place(def, b),
         },
-        2 => Predicate::Range {
+        3 => Predicate::Range {
             attr,
-            lo: grid(a),
-            hi: grid(a),
+            lo: place(def, a),
+            hi: place(def, a),
         },
-        3 => Predicate::Eq {
+        // A sliver of a code bucket.
+        4 => Predicate::Range {
             attr,
-            value: Value::Cat(WORDS[a as usize % 5].to_owned()),
+            lo: place(def, a),
+            hi: place(def, a) + (def.hi - def.lo) / 1024.0,
         },
-        4 => Predicate::Eq {
+        5 => Predicate::Eq {
             attr,
-            value: if b % 2 == 0 {
-                Value::Float(grid(a))
+            value: Value::Cat(WORDS[a.1 as usize % 5].to_owned()),
+        },
+        6 => Predicate::Eq {
+            attr,
+            value: if b.1 % 2 == 0 {
+                Value::Float(place(def, a))
             } else {
-                Value::Int((a % 6) as i64)
+                Value::Int(place(def, a).round() as i64)
             },
         },
         _ => Predicate::OneOf {
             attr,
             // Unknown ("zz") and repeated (a == b) values included.
             values: vec![
-                WORDS[a as usize % 5].to_owned(),
-                WORDS[b as usize % 5].to_owned(),
+                WORDS[a.1 as usize % 5].to_owned(),
+                WORDS[b.1 as usize % 5].to_owned(),
             ],
         },
     }
 }
 
-fn record(kinds: &[u8], id: u64, codes: &[u32]) -> Record {
-    let values = kinds.iter().zip(codes).map(|(&k, &c)| cell(k, c)).collect();
+fn query_of(schema: &Schema, preds: Vec<PredicateDraw>) -> Query {
+    Query::new(
+        QueryId(0),
+        preds.into_iter().map(|p| predicate(schema, p)).collect(),
+    )
+}
+
+fn record(schema: &Schema, kinds: &[u8], id: u64, points: &[Point]) -> Record {
+    let values = schema
+        .iter()
+        .zip(kinds.iter().zip(points))
+        .map(|((_, def), (&k, &p))| cell(def, k, p))
+        .collect();
     Record::new_unchecked(RecordId(id), OwnerId(0), values)
+}
+
+/// The very same record, or none on both sides. (Not `==`: a record
+/// holding a NaN does not equal itself.)
+fn same(a: &Option<Record>, b: &Option<Record>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => a.id == b.id && a.values().as_ptr() == b.values().as_ptr(),
+        (None, None) => true,
+        _ => false,
+    }
 }
 
 proptest! {
     #[test]
     fn search_equals_brute_force_scan(
-        kinds in prop::collection::vec(0u8..3, 1..=MAX_ARITY),
-        rows in prop::collection::vec(prop::collection::vec(0u32..40, MAX_ARITY..=MAX_ARITY), 0..80),
-        preds in prop::collection::vec((0usize..MAX_ARITY, 0u8..6, 0u32..40, 0u32..40), 0..5),
+        kinds in prop::collection::vec(0u8..5, 1..=MAX_ARITY),
+        // An edge size, or (from 9 up) a small one.
+        (edge, small) in (0usize..18, 0usize..80),
+        rows in prop::collection::vec(prop::collection::vec(point(), MAX_ARITY..=MAX_ARITY), MAX_ROWS..=MAX_ROWS),
+        preds in prop::collection::vec(predicate_draw(), 0..5),
     ) {
         let schema = schema_of(&kinds);
-        let records: Vec<Record> = rows
+        let size = EDGE_SIZES.get(edge).copied().unwrap_or(small);
+        let records: Vec<Record> = rows[..size]
             .iter()
             .enumerate()
-            .map(|(row, codes)| {
-                let values = kinds.iter().zip(codes).map(|(&k, &c)| cell(k, c)).collect();
-                Record::new_unchecked(RecordId(row as u64), OwnerId(0), values)
-            })
+            .map(|(row, points)| record(&schema, &kinds, row as u64, points))
             .collect();
-        let query = Query::new(
-            QueryId(0),
-            preds.into_iter().map(|p| predicate(kinds.len(), p)).collect(),
-        );
+        let query = query_of(&schema, preds);
         let store = RecordStore::new(schema, records.clone());
 
         let mut found: Vec<u64> = store.search(&query).iter().map(|r| r.id.0).collect();
@@ -125,6 +204,8 @@ proptest! {
             .filter(|r| query.matches(r))
             .map(|r| r.id.0)
             .collect();
+        prop_assert_eq!(store.count(&query), expected.len());
+        prop_assert_eq!(store.any_match(&query), !expected.is_empty());
         prop_assert_eq!(found, expected, "query {:?}", query);
     }
 
@@ -136,46 +217,49 @@ proptest! {
     /// model, and the shard summaries merge to the summary of the rows.
     #[test]
     fn search_and_summaries_stay_exact_under_churn(
-        kinds in prop::collection::vec(0u8..3, 1..=MAX_ARITY),
-        initial in prop::collection::vec(prop::collection::vec(0u32..40, MAX_ARITY..=MAX_ARITY), 0..12),
+        kinds in prop::collection::vec(0u8..5, 1..=MAX_ARITY),
+        // One table in four starts around a scan block's edge, where a
+        // removal moves the last row into another block and an upsert
+        // opens a new one; the rest start small.
+        (edge, small) in (0usize..16, 0usize..12),
+        initial in prop::collection::vec(prop::collection::vec(point(), MAX_ARITY..=MAX_ARITY), 2 * BLOCK + 3..=2 * BLOCK + 3),
         steps in prop::collection::vec(
-            // (remove?, id, codes): ids from a small pool, so most steps
+            // (remove?, id, cells): ids from a small pool, so most steps
             // hit an id that is, or once was, stored.
-            (any::<bool>(), 0u64..16, prop::collection::vec(0u32..40, MAX_ARITY..=MAX_ARITY)),
+            (any::<bool>(), 0u64..16, prop::collection::vec(point(), MAX_ARITY..=MAX_ARITY)),
             1..40,
         ),
-        queries in prop::collection::vec(
-            prop::collection::vec((0usize..MAX_ARITY, 0u8..6, 0u32..40, 0u32..40), 0..4),
-            1..4,
-        ),
+        queries in prop::collection::vec(prop::collection::vec(predicate_draw(), 0..4), 1..4),
     ) {
         let schema = schema_of(&kinds);
         let config = SummaryConfig::with_buckets(8);
         let queries: Vec<Query> = queries
             .into_iter()
-            .map(|preds| {
-                Query::new(
-                    QueryId(0),
-                    preds.into_iter().map(|p| predicate(kinds.len(), p)).collect(),
-                )
-            })
+            .map(|preds| query_of(&schema, preds))
             .collect();
-        let seed: Vec<Record> = initial
+        let size = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+            .get(edge)
+            .copied()
+            .unwrap_or(small);
+        let seed: Vec<Record> = initial[..size]
             .iter()
             .enumerate()
-            .map(|(i, codes)| record(&kinds, i as u64, codes))
+            .map(|(i, points)| record(&schema, &kinds, i as u64, points))
             .collect();
         let mut model: BTreeMap<u64, Record> = seed.iter().map(|r| (r.id.0, r.clone())).collect();
         let mut table = RecordStore::new(schema.clone(), seed.clone());
         let mut sharded = ShardedStore::new(&schema, &config, seed);
 
-        for (remove, id, codes) in steps {
+        for (remove, id, points) in steps {
+            // Twelve ids at the head of the table, four astride the first
+            // block's edge.
+            let id = if id < 12 { id } else { BLOCK as u64 - 14 + id };
             let change = if remove {
-                prop_assert_eq!(table.remove(RecordId(id)), model.remove(&id));
+                prop_assert!(same(&table.remove(RecordId(id)), &model.remove(&id)));
                 RecordChange::Remove(RecordId(id))
             } else {
-                let r = record(&kinds, id, &codes);
-                prop_assert_eq!(table.upsert(r.clone()), model.insert(id, r.clone()));
+                let r = record(&schema, &kinds, id, &points);
+                prop_assert!(same(&table.upsert(r.clone()), &model.insert(id, r.clone())));
                 RecordChange::Update(r)
             };
             let mut churn = Summary::empty(&schema, &config);
