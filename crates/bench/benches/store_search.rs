@@ -5,10 +5,21 @@
 //! recorded here rather than discovered later; `full_scan` is the
 //! per-record `Query::matches` walk it replaces, and `one_bucket` the case
 //! where the codes tell nothing and every row is verified on its record.
+//!
+//! `delta_round` is the write side at the benchmark's sizes: one
+//! [`ServerStore`] batch (table ops + folding both sides of every change
+//! into the store's summary and the round's churn summary), the same batch
+//! where a categorical attribute makes the summary refuse every removal —
+//! the whole store is then re-summarised once per batch — and a whole
+//! `update_round_delta` over 64 such stores.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use roads_core::RecordStore;
-use roads_records::{Query, QueryBuilder, QueryId, Record, Schema, Value};
+use roads_core::{
+    update_round_delta, RecordChange, RecordDelta, RecordStore, RoadsConfig, RoadsNetwork,
+    ServerId, ServerStore,
+};
+use roads_records::{AttrDef, Query, QueryBuilder, QueryId, Record, Schema, Value};
+use roads_summary::{Summary, SummaryConfig};
 use roads_workload::{generate_node_records, RecordWorkloadConfig};
 
 const ATTRS: usize = 8;
@@ -76,6 +87,20 @@ fn squeezed(records: &[Record]) -> Vec<Record> {
         .collect()
 }
 
+/// `id` carrying the values of `values`: an in-place update of every
+/// attribute.
+fn reissue(id: &Record, values: &Record) -> Record {
+    Record::new_unchecked(id.id, id.owner, values.values().to_vec())
+}
+
+/// [`reissue`], record by record.
+fn reissued(ids: &[Record], values: &[Record]) -> Vec<Record> {
+    ids.iter()
+        .zip(values)
+        .map(|(id, values)| reissue(id, values))
+        .collect()
+}
+
 fn bench_store(c: &mut Criterion) {
     let schema = Schema::unit_numeric(ATTRS);
     let narrow = narrow_query(&schema);
@@ -113,11 +138,7 @@ fn bench_store(c: &mut Criterion) {
 
         // In-place update of every attribute: the stored ids with another
         // seed's values, cycling over the rows.
-        let updates: Vec<Record> = records
-            .iter()
-            .zip(records_of(n, 10))
-            .map(|(old, new)| Record::new_unchecked(old.id, old.owner, new.values().to_vec()))
-            .collect();
+        let updates = reissued(&records, &records_of(n, 10));
         let mut next = 0;
         g.bench_with_input(BenchmarkId::new("upsert", n), &n, |b, _| {
             b.iter(|| {
@@ -140,5 +161,137 @@ fn bench_store(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_store);
+/// Rows per store, histogram buckets and the share of a federation's
+/// records one round changes, as `sim_churn` and `live_selective` run them.
+const ROUND_ROWS: usize = 2_000;
+const ROUND_BUCKETS: usize = 128;
+const ROUND_SERVERS: usize = 64;
+const ROUND_CHANGES_PER_SERVER: usize = ROUND_ROWS / 100;
+
+/// `records` with the last attribute replaced by one of four categories.
+fn with_kind(records: &[Record]) -> Vec<Record> {
+    const KINDS: [&str; 4] = ["camera", "drone", "lidar", "sonar"];
+    records
+        .iter()
+        .map(|r| {
+            let mut values = r.values().to_vec();
+            values[ATTRS - 1] = Value::Cat(KINDS[(r.id.0 % 4) as usize].to_owned());
+            Record::new_unchecked(r.id, r.owner, values)
+        })
+        .collect()
+}
+
+/// Batches of `sizes` consecutive changes of `changes`, walked cyclically,
+/// applied to a store over `records`.
+fn bench_batches(
+    g: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    sizes: &[usize],
+    schema: &Schema,
+    records: &[Record],
+    changes: &[RecordChange],
+) {
+    let config = SummaryConfig::with_buckets(ROUND_BUCKETS);
+    let mut store = ServerStore::new(schema, &config, records.to_vec());
+    let mut churn = Summary::empty(schema, &config);
+    let changes: Vec<&RecordChange> = changes.iter().collect();
+    for &k in sizes {
+        let mut at = 0;
+        g.bench_with_input(BenchmarkId::new(name, k), &k, |b, &k| {
+            b.iter(|| {
+                if at + k > changes.len() {
+                    at = 0;
+                }
+                let effect = store.apply_batch(&changes[at..at + k], &mut churn);
+                at += k;
+                effect.applied
+            })
+        });
+    }
+}
+
+fn bench_delta_round(c: &mut Criterion) {
+    let mut g = c.benchmark_group("delta_round");
+    let records = records_of(ROUND_ROWS, 9);
+    // Every id updated with another seed's values, then with its own
+    // again: a cycle of changes that never runs out of new values.
+    let cycle = |records: &[Record], other: &[Record]| -> Vec<RecordChange> {
+        reissued(records, other)
+            .into_iter()
+            .chain(records.iter().cloned())
+            .map(RecordChange::Update)
+            .collect()
+    };
+
+    let other = records_of(ROUND_ROWS, 10);
+    bench_batches(
+        &mut g,
+        "apply_batch",
+        &[1, 20, 200],
+        &Schema::unit_numeric(ATTRS),
+        &records,
+        &cycle(&records, &other),
+    );
+
+    // One categorical attribute: every update displaces a value no value
+    // set can unlearn, so every batch ends in a rebuild over all the rows.
+    let typed_schema = Schema::new(
+        (0..ATTRS - 1)
+            .map(|i| AttrDef::unit(format!("x{i}")))
+            .chain([AttrDef::categorical("kind")])
+            .collect(),
+    )
+    .expect("distinct names");
+    let typed = with_kind(&records);
+    bench_batches(
+        &mut g,
+        "apply_batch_categorical",
+        &[1, 8, 20],
+        &typed_schema,
+        &typed,
+        &cycle(&typed, &with_kind(&other)),
+    );
+
+    // A whole incremental round: 1 % of every store's rows updated, rows
+    // scattered over the store, every server and every branch dirty.
+    let workload = |seed| {
+        generate_node_records(&RecordWorkloadConfig {
+            nodes: ROUND_SERVERS,
+            records_per_node: ROUND_ROWS,
+            attrs: ATTRS,
+            seed,
+        })
+    };
+    let (stored, other) = (workload(9), workload(10));
+    let rounds = ROUND_ROWS / ROUND_CHANGES_PER_SERVER;
+    let deltas: Vec<RecordDelta> = (0..2 * rounds)
+        .map(|round| {
+            let mut delta = RecordDelta::new();
+            for (s, (mine, theirs)) in stored.iter().zip(&other).enumerate() {
+                let values = if round < rounds { theirs } else { mine };
+                for j in 0..ROUND_CHANGES_PER_SERVER {
+                    let row = (round + j * rounds) % ROUND_ROWS;
+                    delta.update(ServerId(s as u32), reissue(&mine[row], &values[row]));
+                }
+            }
+            delta
+        })
+        .collect();
+    drop(other);
+    let config = RoadsConfig {
+        summary: SummaryConfig::with_buckets(ROUND_BUCKETS),
+        ..RoadsConfig::paper_default()
+    };
+    let mut net = RoadsNetwork::build(Schema::unit_numeric(ATTRS), config, stored);
+    let mut next = 0;
+    g.bench_function("update_round_delta/64x2000_1pct", |b| {
+        b.iter(|| {
+            next = (next + 1) % deltas.len();
+            update_round_delta(&mut net, &deltas[next]).0.total_bytes()
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_store, bench_delta_round);
 criterion_main!(benches);

@@ -30,6 +30,17 @@ fn bench_histogram(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("range_query", m), &m, |b, _| {
             b.iter(|| black_box(&a).may_match_range(black_box(0.4), black_box(0.6)))
         });
+        // The kernel every fold and every range test runs, 1 000 times:
+        // in, around and outside the domain.
+        let values: Vec<f64> = (0..1000).map(|i| (i % 97) as f64 / 89.0 - 0.04).collect();
+        g.bench_with_input(BenchmarkId::new("bucket_of_1k", m), &m, |b, _| {
+            b.iter(|| {
+                black_box(&values)
+                    .iter()
+                    .map(|&v| black_box(&a).bucket_of(v))
+                    .sum::<usize>()
+            })
+        });
     }
     g.finish();
 }

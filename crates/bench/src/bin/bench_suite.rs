@@ -192,7 +192,7 @@ fn churn_record(id: u64, x: f64) -> Record {
 }
 
 /// The churn workload: a large, evenly spread two-attribute population
-/// sharded over many servers; each round updates a fraction of it in
+/// spread over many servers; each round updates a fraction of it in
 /// place.
 fn delta_net(servers: usize, per: usize) -> RoadsNetwork {
     let schema = Schema::unit_numeric(2);
@@ -410,9 +410,10 @@ fn main() {
     drop(net);
 
     // --- Incremental update path: full rebuild round vs delta round. -----
-    // The full path re-aggregates every shard summary from its records
+    // The full path re-aggregates every local summary from its records
     // before propagating; the delta path folds only the changed records
-    // into their shards and re-aggregates only the dirty branch closure.
+    // into their stores' summaries and re-aggregates only the dirty
+    // branch closure.
     let mut dnet = delta_net(m.delta_servers, m.delta_records_per_server);
     let total_records = (m.delta_servers * m.delta_records_per_server) as u64;
     let mut full_bytes = 0u64;

@@ -6,11 +6,11 @@
 //! per round: wall time and propagation bytes of one full
 //! rebuild-everything round vs one incremental delta round over the same
 //! network, plus the dirty-server footprint of each delta. The full
-//! round's cost is flat in churn (it always re-aggregates every shard
-//! from its records — one sequential pass over each server's rows); the
-//! delta round's cost scales with the changed slice (random accesses per
-//! change) and its dirty branch closure, so the speedup is largest at
-//! low churn and the figure asserts the speedup floor
+//! round's cost is flat in churn (it always re-aggregates every local
+//! summary from its records — one sequential pass over each server's
+//! rows); the delta round's cost scales with the changed slice (random
+//! accesses per change) and its dirty branch closure, so the speedup is
+//! largest at low churn and the figure asserts the speedup floor
 //! ([`MIN_DELTA_SPEEDUP`]) at the 1% point the bench suite gates on.
 //! Propagation bytes shrink with churn too: only dirty summaries travel.
 
@@ -84,7 +84,7 @@ fn churn_delta(servers: usize, per: usize, fraction: f64, round: u64) -> RecordD
 fn main() {
     banner(
         "Figure 18 — incremental delta round vs full rebuild across churn",
-        "beyond the paper: record-diff propagation over sharded stores",
+        "beyond the paper: record-diff propagation over mutable per-server stores",
     );
     let cfg = figure_config();
     let (_quick, _) = parse_args();
@@ -120,7 +120,7 @@ fn main() {
             );
 
             // The full round doubles as the reset: it rebuilds every
-            // shard summary, so the next fraction starts converged.
+            // local summary, so the next fraction starts converged.
             let t0 = Instant::now();
             let full = update_round_full(&mut net);
             cell.full_ms += t0.elapsed().as_secs_f64() * 1000.0;
@@ -183,8 +183,8 @@ fn main() {
     fig.push_series("delta_round_bytes", &delta_bytes_series);
     fig.push_reference("speedup_at_1pct_churn", speedup_at_gate, MIN_DELTA_SPEEDUP);
     fig.push_note(
-        "delta rounds fold record diffs into sharded stores and re-aggregate only the dirty \
-         branch closure; full rounds rebuild every shard summary from its records",
+        "delta rounds fold record diffs into each store's summary in place and re-aggregate only \
+         the dirty branch closure; full rounds rebuild every local summary from its records",
     );
     fig.write_default();
 }

@@ -7,7 +7,7 @@
 //! rebuild-and-propagate round vs the delta round over the same network,
 //! the resulting speedup, and the delta outcome counters mirrored from
 //! the `roads.delta.*` OpenMetrics families (applied/rejected changes,
-//! dirty servers and branches, bounded shard rebuilds).
+//! dirty servers and branches, summary rebuilds).
 //!
 //! Two consumers share this module:
 //!
@@ -71,8 +71,9 @@ pub struct DeltaReport {
     /// Branch summaries the last round recomputed
     /// (`roads.delta.dirty_branches`).
     pub dirty_branches: u64,
-    /// Bounded per-shard summary rebuilds the last round forced
-    /// (`roads.delta.shard_rebuilds`).
+    /// Local-summary rebuilds the last round forced, at most one per
+    /// dirty server (`roads.delta.shard_rebuilds`; the key predates the
+    /// one-summary store).
     pub shard_rebuilds: u64,
 }
 

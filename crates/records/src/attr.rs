@@ -145,7 +145,7 @@ impl AttrDef {
 pub enum SchemaError {
     /// Two attributes share a name.
     DuplicateAttr(String),
-    /// An ordered attribute has `lo >= hi`.
+    /// An ordered attribute's bounds are not `lo < hi`: empty, inverted or NaN.
     EmptyDomain(String),
     /// More attributes than `AttrId` can index.
     TooManyAttrs(usize),
@@ -156,7 +156,7 @@ impl fmt::Display for SchemaError {
         match self {
             SchemaError::DuplicateAttr(n) => write!(f, "duplicate attribute name {n:?}"),
             SchemaError::EmptyDomain(n) => {
-                write!(f, "attribute {n:?} has an empty domain (lo >= hi)")
+                write!(f, "attribute {n:?} has an empty domain (not lo < hi)")
             }
             SchemaError::TooManyAttrs(n) => write!(f, "{n} attributes exceed the u16 id space"),
         }
@@ -188,7 +188,10 @@ impl Schema {
         }
         let mut by_name = HashMap::with_capacity(attrs.len());
         for (i, a) in attrs.iter().enumerate() {
-            if a.ty.is_ordered() && !matches!(a.ty, AttrType::Text) && a.lo >= a.hi {
+            // "Not `lo < hi`" rather than `lo >= hi`, which a NaN bound
+            // passes; histograms and store codes divide by `hi - lo`.
+            let ascending = a.lo.partial_cmp(&a.hi) == Some(std::cmp::Ordering::Less);
+            if a.ty.is_ordered() && !matches!(a.ty, AttrType::Text) && !ascending {
                 return Err(SchemaError::EmptyDomain(a.name.clone()));
             }
             if by_name.insert(a.name.clone(), AttrId(i as u16)).is_some() {
@@ -300,6 +303,20 @@ mod tests {
     fn empty_domain_rejected() {
         let err = Schema::new(vec![AttrDef::numeric("a", 1.0, 1.0)]).unwrap_err();
         assert_eq!(err, SchemaError::EmptyDomain("a".into()));
+    }
+
+    #[test]
+    fn nan_domain_bound_rejected() {
+        // Regression: `lo >= hi` is false for NaN, so the schema was
+        // accepted and `Histogram::new` panicked inside the network build.
+        for (lo, hi) in [(f64::NAN, 1.0), (0.0, f64::NAN), (f64::NAN, f64::NAN)] {
+            let err = Schema::new(vec![AttrDef::numeric("a", lo, hi)]).unwrap_err();
+            assert_eq!(err, SchemaError::EmptyDomain("a".into()), "[{lo}, {hi}]");
+        }
+        // Infinite bounds stay legal: everything lands in one bucket.
+        for (lo, hi) in [(0.0, f64::INFINITY), (f64::NEG_INFINITY, f64::INFINITY)] {
+            assert!(Schema::new(vec![AttrDef::numeric("a", lo, hi)]).is_ok());
+        }
     }
 
     #[test]

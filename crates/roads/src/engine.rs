@@ -9,7 +9,7 @@
 
 use crate::config::RoadsConfig;
 use crate::overlay::{replication_set, ReplicationSet};
-use crate::store::{DeltaOutcome, RecordChange, RecordDelta, ShardedStore};
+use crate::store::{DeltaOutcome, RecordChange, RecordDelta, ServerStore};
 use crate::tree::{HierarchyTree, ServerId};
 use roads_records::{Query, Record, Schema, WireSize};
 use roads_summary::Summary;
@@ -157,10 +157,9 @@ pub struct RoadsNetwork {
     config: RoadsConfig,
     tree: HierarchyTree,
     /// Record store of each server (the server is its owners' attachment
-    /// point): its table plus the exact shard summaries.
-    stores: Vec<ShardedStore>,
-    /// Summary of each server's locally attached records.
-    local_summary: Vec<Summary>,
+    /// point): its table plus the exact summary of its rows — the
+    /// server's local summary.
+    stores: Vec<ServerStore>,
     /// Branch summary of each server: local + all descendant branches.
     branch_summary: Vec<Summary>,
     /// Replication set of each server (indices into `branch_summary`).
@@ -178,7 +177,6 @@ impl Clone for RoadsNetwork {
             config: self.config,
             tree: self.tree.clone(),
             stores: self.stores.clone(),
-            local_summary: self.local_summary.clone(),
             branch_summary: self.branch_summary.clone(),
             replicas: self.replicas.clone(),
             search_calls: AtomicU64::new(self.search_calls.load(Ordering::Relaxed)),
@@ -321,23 +319,20 @@ impl RoadsNetwork {
             StageTimers { reg }
         });
 
-        // Stage 1: every server's store (its table, with exact per-shard
-        // summaries) and local summary are independent of the others'.
-        // Record sets are moved into the workers through per-server
-        // mutexes — each is taken exactly once, so there is no contention.
-        let (stores, local_summary): (Vec<ShardedStore>, Vec<Summary>) =
-            maybe_time(&timers, "build.local_summary_us", || {
-                let sets: Vec<std::sync::Mutex<Vec<Record>>> = records_per_server
-                    .into_iter()
-                    .map(std::sync::Mutex::new)
-                    .collect();
-                let stores: Vec<ShardedStore> = par_map(n, threads, |i| {
-                    let records = std::mem::take(&mut *sets[i].lock().expect("record handoff"));
-                    ShardedStore::new(&schema, &config.summary, records)
-                });
-                let local = par_map(n, threads, |i| stores[i].local_summary());
-                (stores, local)
-            });
+        // Stage 1: every server's store (its table and, with it, its local
+        // summary) is independent of the others'. Record sets are moved
+        // into the workers through per-server mutexes — each is taken
+        // exactly once, so there is no contention.
+        let stores: Vec<ServerStore> = maybe_time(&timers, "build.local_summary_us", || {
+            let sets: Vec<std::sync::Mutex<Vec<Record>>> = records_per_server
+                .into_iter()
+                .map(std::sync::Mutex::new)
+                .collect();
+            par_map(n, threads, |i| {
+                let records = std::mem::take(&mut *sets[i].lock().expect("record handoff"));
+                ServerStore::new(&schema, &config.summary, records)
+            })
+        });
 
         // Stage 2: bottom-up aggregation, synchronized level by level.
         // Children of a depth-d server all sit at depth d+1, so once a
@@ -354,7 +349,8 @@ impl RoadsNetwork {
                 }
                 by_depth[d].push(s);
             }
-            let mut branch_summary = local_summary.clone();
+            let mut branch_summary: Vec<Summary> =
+                stores.iter().map(|store| store.summary().clone()).collect();
             for level in by_depth.iter().rev() {
                 let parents: Vec<ServerId> = level
                     .iter()
@@ -390,7 +386,6 @@ impl RoadsNetwork {
             config,
             tree,
             stores,
-            local_summary,
             branch_summary,
             replicas,
             search_calls: AtomicU64::new(0),
@@ -429,13 +424,13 @@ impl RoadsNetwork {
     }
 
     /// The record store of `s`.
-    pub fn store(&self, s: ServerId) -> &ShardedStore {
+    pub fn store(&self, s: ServerId) -> &ServerStore {
         &self.stores[s.index()]
     }
 
-    /// Summary of the records attached at `s`.
+    /// Summary of the records attached at `s`: the one its store keeps.
     pub fn local_summary(&self, s: ServerId) -> &Summary {
-        &self.local_summary[s.index()]
+        self.stores[s.index()].summary()
     }
 
     /// Branch summary of `s` (local + descendants).
@@ -455,7 +450,7 @@ impl RoadsNetwork {
     /// branches; at servers reached by redirection only the local data and
     /// children are searched (their branch is their responsibility).
     pub fn evaluate(&self, s: ServerId, query: &Query, entry: bool) -> EvalResult {
-        let local_match = self.local_summary[s.index()].may_match(query);
+        let local_match = self.local_summary(s).may_match(query);
         let child_targets = self
             .tree
             .children(s)
@@ -532,7 +527,7 @@ impl RoadsNetwork {
             .iter()
             .map(|t| self.branch_summary[t.index()].wire_size())
             .sum();
-        children + replicated + self.local_summary[s.index()].wire_size()
+        children + replicated + self.local_summary(s).wire_size()
     }
 
     /// Worst per-server storage across the federation.
@@ -544,13 +539,13 @@ impl RoadsNetwork {
     }
 
     /// Apply a [`RecordDelta`] and propagate it incrementally: mutate the
-    /// touched stores, refresh the *dirty* servers' local summaries from
-    /// their exact shard summaries, and recompute branch summaries only
-    /// along the dirty ancestor closure — O(changed subtrees · depth)
-    /// summary merges instead of the O(n) full re-aggregation a rebuild
-    /// performs. The resulting summaries are identical to a from-scratch
-    /// build over the post-delta record sets (shard summaries are exact
-    /// under mutation, and counter merges commute).
+    /// touched stores — each folds its changes into its local summary in
+    /// place — and recompute branch summaries only along the dirty
+    /// ancestor closure — O(changed subtrees · depth) summary merges
+    /// instead of the O(n) full re-aggregation a rebuild performs. The
+    /// resulting summaries are identical to a from-scratch build over the
+    /// post-delta record sets (a store's summary is exact under mutation,
+    /// and counter merges commute).
     ///
     /// Deltas are the one input that arrives from owners, so they are
     /// checked here, where they enter: a change naming a server this
@@ -607,9 +602,6 @@ impl RoadsNetwork {
             .filter(|(_, &d)| d)
             .map(|(i, _)| ServerId(i as u32))
             .collect();
-        for &s in &dirty {
-            self.local_summary[s.index()] = self.stores[s.index()].local_summary();
-        }
 
         // Dirty ancestor closure: walking up stops at the first already-
         // marked ancestor, so the whole closure costs O(dirty · depth)
@@ -638,12 +630,7 @@ impl RoadsNetwork {
         let mut by_depth = dirty_branches.clone();
         by_depth.sort_by_key(|&s| std::cmp::Reverse(self.tree.depth(s)));
         for &s in &by_depth {
-            let mut acc = self.local_summary[s.index()].clone();
-            for &c in self.tree.children(s) {
-                acc.merge(&self.branch_summary[c.index()])
-                    .expect("uniform schema/config across the federation");
-            }
-            self.branch_summary[s.index()] = acc;
+            self.reaggregate_branch(s);
         }
         dirty_branches.sort_unstable();
 
@@ -657,25 +644,30 @@ impl RoadsNetwork {
         }
     }
 
-    /// Re-derive every summary from raw records: rebuild all shard
-    /// summaries, refresh all local summaries, and re-aggregate every
-    /// branch bottom-up. This is the non-incremental baseline
-    /// ([`crate::updates::update_round_full`]) and also clears histogram
-    /// saturation accumulated by heavy churn.
+    /// Recompute the branch summary of `s` from its local summary and its
+    /// children's branch summaries, which must be current. Merge order
+    /// follows `children()` order, matching the full build byte for byte.
+    fn reaggregate_branch(&mut self, s: ServerId) {
+        let mut acc = self.local_summary(s).clone();
+        for &c in self.tree.children(s) {
+            acc.merge(&self.branch_summary[c.index()])
+                .expect("uniform schema/config across the federation");
+        }
+        self.branch_summary[s.index()] = acc;
+    }
+
+    /// Re-derive every summary from raw records: rebuild every local
+    /// summary and re-aggregate every branch bottom-up. This is the
+    /// non-incremental baseline ([`crate::updates::update_round_full`])
+    /// and also clears histogram saturation accumulated by heavy churn.
     pub fn refresh_all_summaries(&mut self) {
-        for (i, store) in self.stores.iter_mut().enumerate() {
-            store.rebuild_summaries();
-            self.local_summary[i] = store.local_summary();
+        for store in &mut self.stores {
+            store.rebuild_summary();
         }
         let mut order = self.tree.servers();
         order.sort_by_key(|&s| std::cmp::Reverse(self.tree.depth(s)));
         for s in order {
-            let mut acc = self.local_summary[s.index()].clone();
-            for &c in self.tree.children(s) {
-                acc.merge(&self.branch_summary[c.index()])
-                    .expect("uniform schema/config across the federation");
-            }
-            self.branch_summary[s.index()] = acc;
+            self.reaggregate_branch(s);
         }
     }
 }

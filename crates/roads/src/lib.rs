@@ -29,10 +29,11 @@
 //! * [`planner`] — replica-aware query planning: greedy set-cover source
 //!   selection over the entry's replicated branch summaries, ancestor
 //!   probes pruned by replicated *local* summaries, batch dispatch.
-//! * [`store`] — mutable sharded per-server record stores: concurrent
-//!   readers, per-shard write locks, exact incrementally-maintained shard
-//!   summaries, and the [`RecordDelta`] plane one incremental update round
-//!   applies.
+//! * [`store`] — the record store every server runs on: shared rows
+//!   searched through one-byte code columns ([`RecordStore`]), per server
+//!   of a network that table plus the exact summary of its rows, kept
+//!   current in place ([`ServerStore`]), and the [`RecordDelta`] plane one
+//!   incremental update round applies.
 //! * [`cache`] — per-server TTL'd result cache keyed by structural query
 //!   fingerprints; entries age out by TTL and are invalidated per subtree
 //!   by record deltas (dirty-scope intersection + delta-summary match).
@@ -77,9 +78,7 @@ pub use queryexec::{
     trace_to_telemetry, verdict_kind, ForwardingMode, QueryOutcome, SearchScope, TraceEvent,
     TraceRole,
 };
-pub use store::{
-    DeltaOutcome, RecordChange, RecordDelta, RecordStore, ShardedStore, SHARDS_PER_STORE,
-};
+pub use store::{DeltaOutcome, RecordChange, RecordDelta, RecordStore, ServerStore};
 pub use tree::{BalanceStats, HierarchyTree, ServerId, TreeError};
 pub use updates::{
     record_update_round_events, update_round, update_round_delta, update_round_full,

@@ -41,15 +41,15 @@
 //!   costs less than a sorted index saves once the index has to be kept
 //!   sorted under every change (`DESIGN.md` §6k has the measurements).
 //!
-//! [`ShardedStore`] is what a [`RoadsNetwork`](crate::engine::RoadsNetwork)
-//! keeps per server: the table plus one *exact* [`Summary`] per id-hash
-//! shard of its rows. Inserts fold in, removals decrement counters where
-//! that is exact and otherwise trigger a bounded rebuild of that one
-//! shard's summary (Bloom filters and value sets cannot unlearn; saturated
-//! histograms dropped increments) — so merging a store's shard summaries
-//! is always byte-identical to `Summary::from_records` over its rows, and
-//! the delta update path provably converges to what a full rebuild
-//! produces.
+//! [`ServerStore`] is what a [`RoadsNetwork`](crate::engine::RoadsNetwork)
+//! keeps per server: the table plus the one *exact* [`Summary`] of its rows
+//! — the server's local summary, kept in place. Inserts fold in, removals
+//! decrement counters where that is exact; where it is not (Bloom filters
+//! and value sets cannot unlearn; saturated histograms dropped increments)
+//! the summary is re-derived once from the rows the batch leaves behind.
+//! Either way it is always byte-identical to `Summary::from_records` over
+//! the rows, so the delta update path provably converges to what a full
+//! rebuild produces.
 //!
 //! [`RecordDelta`] / [`RecordChange`] are a batch of insert / remove /
 //! update operations routed to attachment points, the unit one incremental
@@ -61,21 +61,6 @@ use roads_summary::{Summary, SummaryConfig};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
-
-/// Summary shards per server store. Eight keeps the bounded rebuild
-/// triggered by a categorical removal down to re-summarizing a sliver of
-/// the server's records.
-pub const SHARDS_PER_STORE: usize = 8;
-
-/// Deterministic shard routing: a Murmur-style finalizer over the record
-/// id, identical on every platform and thread count.
-fn shard_of(id: RecordId) -> usize {
-    let mut h = id.0 ^ 0x9e37_79b9_7f4a_7c15;
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    (h % SHARDS_PER_STORE as u64) as usize
-}
 
 /// Hasher for the id → row map. Record ids are plain `u64`s, so one
 /// splitmix64 finalizer round replaces SipHash on the delta hot path.
@@ -445,14 +430,6 @@ pub enum RecordChange {
 }
 
 impl RecordChange {
-    /// The record id this change targets.
-    pub fn id(&self) -> RecordId {
-        match self {
-            RecordChange::Insert(r) | RecordChange::Update(r) => r.id,
-            RecordChange::Remove(id) => *id,
-        }
-    }
-
     /// The record payload entering the store, if any (insert and update
     /// carry one; removal carries only an id).
     pub fn record(&self) -> Option<&Record> {
@@ -512,15 +489,17 @@ impl RecordDelta {
 }
 
 /// Effect of applying one batch of changes to a store
-/// ([`ShardedStore::apply_batch`]).
+/// ([`ServerStore::apply_batch`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchEffect {
     /// Changes that took effect.
     pub applied: u64,
     /// Changes that matched nothing (removal of an absent id).
     pub rejected: u64,
-    /// Shard summaries re-aggregated from raw records: at most once per
-    /// shard per batch, however many of its removals were refused.
+    /// Summary rebuilds from raw records: 1 if the batch held a removal
+    /// the summary refused, however many it held, else 0. (The name is
+    /// from when a store kept several summaries; artifacts and telemetry
+    /// carry it.)
     pub shard_rebuilds: u64,
 }
 
@@ -538,11 +517,12 @@ pub struct DeltaOutcome {
     /// malformed (unknown server, payload of the wrong arity) and were
     /// dropped without touching anything.
     pub rejected: u64,
-    /// Shard summaries re-aggregated from raw records because a removal
-    /// could not be unlearned exactly (categorical summaries, saturated
-    /// histogram counters): at most once per shard per server batch, not
-    /// once per refused removal as older `DELTA.json` artifacts and
-    /// telemetry trajectories counted it.
+    /// Summary rebuilds: local summaries re-aggregated from raw records
+    /// because a removal could not be unlearned exactly (categorical
+    /// summaries, saturated histogram counters) — at most one per server
+    /// per batch, so never more than `dirty.len()`. The field, the
+    /// `roads.delta.shard_rebuilds` counter and the `DELTA.json` key keep
+    /// the name they had when a store kept eight shard summaries.
     pub shard_rebuilds: u64,
     /// Summary of every record that entered or left the federation in this
     /// delta. A cached result can only have changed if its query may match
@@ -553,28 +533,26 @@ pub struct DeltaOutcome {
 
 /// The record store of one server of a
 /// [`RoadsNetwork`](crate::engine::RoadsNetwork): its [`RecordStore`] plus
-/// one exact [`Summary`] per id-hash shard of the rows — the unit of
-/// bounded rebuild when a removal cannot be unlearned.
+/// the exact [`Summary`] of the rows — the server's local summary, which
+/// every batch keeps current in place.
 #[derive(Debug, Clone)]
-pub struct ShardedStore {
+pub struct ServerStore {
     table: RecordStore,
     config: SummaryConfig,
-    /// `shards[k]` summarizes exactly the rows with `shard_of(id) == k`.
-    shards: Vec<Summary>,
+    /// Always equal to `Summary::from_records` over `table`'s rows.
+    summary: Summary,
 }
 
-impl ShardedStore {
+impl ServerStore {
     /// Build a store over `records`.
     pub fn new(schema: &Schema, config: &SummaryConfig, records: Vec<Record>) -> Self {
-        let mut store = ShardedStore {
-            table: RecordStore::new(schema.clone(), records),
+        let table = RecordStore::new(schema.clone(), records);
+        let summary = Summary::from_records(schema, config, &table.rows);
+        ServerStore {
+            table,
             config: *config,
-            shards: vec![Summary::empty(schema, config); SHARDS_PER_STORE],
-        };
-        for r in &store.table.rows {
-            store.shards[shard_of(r.id)].add_record(r);
+            summary,
         }
-        store
     }
 
     /// The record table (what a live server clones as its own store).
@@ -598,15 +576,10 @@ impl ShardedStore {
         self.table.matching(query).cloned().collect()
     }
 
-    /// The server's local summary: merge of the exact shard summaries —
-    /// byte-identical to `Summary::from_records` over the full record set,
-    /// because shard summaries are kept exact under mutation.
-    pub fn local_summary(&self) -> Summary {
-        let mut out = Summary::empty(&self.table.schema, &self.config);
-        for s in &self.shards {
-            out.merge(s).expect("shards share one schema/config");
-        }
-        out
+    /// The server's local summary: byte-identical to
+    /// `Summary::from_records` over the rows, whatever changes led here.
+    pub fn summary(&self) -> &Summary {
+        &self.summary
     }
 
     /// Apply a batch of changes in slice order. Every payload must have the
@@ -616,9 +589,10 @@ impl ShardedStore {
     /// Every record that entered or left the store (payloads, removals,
     /// and the displaced old side of upserts) is learned into `churn` —
     /// the caller's delta summary — right where its values are cache-hot.
-    /// A shard whose summary refuses an exact removal is re-aggregated
-    /// once, after the batch, over its final rows; its remaining summary
-    /// operations are then already reflected and skip.
+    /// If the summary refuses an exact removal it is re-aggregated once,
+    /// after the batch, over the final rows — all of them, which is what
+    /// a refusal costs; the batch's remaining summary operations are then
+    /// already reflected and skip.
     pub fn apply_batch(&mut self, changes: &[&RecordChange], churn: &mut Summary) -> BatchEffect {
         // The table first, as one tight loop: a churn round against a cold
         // store is bound by memory latency, and back-to-back independent
@@ -634,7 +608,7 @@ impl ShardedStore {
         // Then the summaries, which are small and stay cached. They depend
         // only on each change's two sides, not on the table.
         let mut out = BatchEffect::default();
-        let mut stale = [false; SHARDS_PER_STORE];
+        let mut stale = false;
         for (change, old) in changes.iter().zip(&displaced) {
             let new = change.record();
             if old.is_none() && new.is_none() {
@@ -645,48 +619,31 @@ impl ShardedStore {
             for r in new.into_iter().chain(old) {
                 churn.add_record(r);
             }
-            let shard = shard_of(change.id());
-            if stale[shard] {
+            if stale {
                 continue;
             }
-            let summary = &mut self.shards[shard];
-            stale[shard] = !match (old, new) {
-                (Some(old), Some(new)) => summary.replace_record(old, new),
-                (Some(old), None) => summary.remove_record(old),
+            stale = !match (old, new) {
+                (Some(old), Some(new)) => self.summary.replace_record(old, new),
+                (Some(old), None) => self.summary.remove_record(old),
                 (None, Some(new)) => {
-                    summary.add_record(new);
+                    self.summary.add_record(new);
                     true
                 }
                 (None, None) => unreachable!("counted as rejected above"),
             };
         }
-        if stale.contains(&true) {
-            self.rebuild_shards(&stale);
-            out.shard_rebuilds = stale.iter().filter(|&&s| s).count() as u64;
+        if stale {
+            self.rebuild_summary();
+            out.shard_rebuilds = 1;
         }
         out
     }
 
-    /// Re-derive the summaries of the marked shards from the rows. Bounded
-    /// rebuild: one pass over the ids, summary work only for the rows of
-    /// those shards.
-    fn rebuild_shards(&mut self, stale: &[bool; SHARDS_PER_STORE]) {
-        for (summary, _) in self.shards.iter_mut().zip(stale).filter(|(_, &s)| s) {
-            *summary = Summary::empty(&self.table.schema, &self.config);
-        }
-        for r in &self.table.rows {
-            let shard = shard_of(r.id);
-            if stale[shard] {
-                self.shards[shard].add_record(r);
-            }
-        }
-    }
-
-    /// Re-aggregate every shard summary from raw records (the full,
-    /// non-incremental path — what a system without the delta plane must do
-    /// every round). Also clears any histogram saturation state.
-    pub fn rebuild_summaries(&mut self) {
-        self.rebuild_shards(&[true; SHARDS_PER_STORE]);
+    /// Re-aggregate the summary from raw records (the full, non-incremental
+    /// path — what a system without the delta plane must do every round).
+    /// Also clears any histogram saturation state.
+    pub fn rebuild_summary(&mut self) {
+        self.summary = Summary::from_records(&self.table.schema, &self.config, &self.table.rows);
     }
 }
 
@@ -708,45 +665,42 @@ mod tests {
         )
     }
 
-    fn store(n: usize) -> ShardedStore {
+    fn store(n: usize) -> ServerStore {
         let s = schema();
         let cfg = SummaryConfig::with_buckets(64);
         let records = (0..n)
             .map(|i| rec(i as u64, (i % 10) as f64 / 10.0, (i % 7) as f64 / 7.0))
             .collect();
-        ShardedStore::new(&s, &cfg, records)
+        ServerStore::new(&s, &cfg, records)
     }
 
     /// One change through `apply_batch`: its effect and how many records it
     /// taught the churn summary (both sides of an update).
-    fn apply(st: &mut ShardedStore, change: RecordChange) -> (BatchEffect, u64) {
+    fn apply(st: &mut ServerStore, change: RecordChange) -> (BatchEffect, u64) {
         let mut churn = Summary::empty(&st.table.schema, &st.config);
         let effect = st.apply_batch(&[&change], &mut churn);
         (effect, churn.record_count())
     }
 
     #[test]
-    fn partition_covers_everything_once() {
+    fn every_record_is_stored_and_summarized_once() {
         let st = store(100);
         assert_eq!(st.len(), 100);
-        assert_eq!(st.shards.len(), SHARDS_PER_STORE);
         let mut ids: Vec<u64> = st.table().records().iter().map(|r| r.id.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..100).collect::<Vec<_>>());
-        let per_shard: Vec<u64> = st.shards.iter().map(Summary::record_count).collect();
-        assert_eq!(per_shard.iter().sum::<u64>(), 100);
-        assert!(per_shard.iter().all(|&n| n > 0), "{per_shard:?}");
+        assert_eq!(st.summary().record_count(), 100);
     }
 
     #[test]
-    fn local_summary_matches_from_records() {
+    fn summary_matches_from_records() {
         let st = store(64);
         let direct = Summary::from_records(
             &schema(),
             &SummaryConfig::with_buckets(64),
             st.table().records(),
         );
-        assert_eq!(st.local_summary(), direct);
+        assert_eq!(*st.summary(), direct);
     }
 
     #[test]
@@ -778,7 +732,7 @@ mod tests {
 
         // After arbitrary churn the summaries still equal a rebuild.
         assert_eq!(
-            st.local_summary(),
+            *st.summary(),
             Summary::from_records(&schema(), &cfg, st.table().records())
         );
     }
@@ -811,10 +765,10 @@ mod tests {
     }
 
     #[test]
-    fn categorical_removal_triggers_bounded_shard_rebuild() {
+    fn categorical_removal_triggers_one_summary_rebuild() {
         let s = typed_schema();
         let cfg = SummaryConfig::with_buckets(32);
-        let mut st = ShardedStore::new(
+        let mut st = ServerStore::new(
             &s,
             &cfg,
             vec![
@@ -830,15 +784,21 @@ mod tests {
         let q = QueryBuilder::new(&s, QueryId(1))
             .eq("type", "drone")
             .build();
-        assert!(!st.local_summary().may_match(&q));
+        assert!(!st.summary().may_match(&q));
         let q = QueryBuilder::new(&s, QueryId(2))
             .eq("type", "camera")
             .build();
-        assert!(st.local_summary().may_match(&q));
+        assert!(st.summary().may_match(&q));
+        // A batch the summary never refuses rebuilds nothing.
+        let (e, _) = apply(
+            &mut st,
+            RecordChange::Insert(typed(&s, 4, "lidar", 40.0, 1)),
+        );
+        assert_eq!((e.applied, e.shard_rebuilds), (1, 0));
     }
 
     #[test]
-    fn a_refused_removal_rebuilds_its_shard_once_over_the_final_rows() {
+    fn a_refused_removal_rebuilds_the_summary_once_over_the_final_rows() {
         let s = typed_schema();
         let cfg = SummaryConfig::with_buckets(32);
         let records: Vec<Record> = (0..40)
@@ -852,9 +812,10 @@ mod tests {
                 )
             })
             .collect();
-        let mut st = ShardedStore::new(&s, &cfg, records);
-        // Every removal is refused (value sets), several land in one shard,
-        // and inserts and updates follow them into the stale shards.
+        let mut st = ServerStore::new(&s, &cfg, records);
+        // The first change is a refused removal (value sets): every later
+        // insert, update and removal of the batch skips the summary and
+        // must still be in it afterwards.
         let changes: Vec<RecordChange> = (0..40)
             .map(|i| match i % 4 {
                 0 => RecordChange::Remove(RecordId(i)),
@@ -867,11 +828,11 @@ mod tests {
         let mut churn = Summary::empty(&s, &cfg);
         let e = st.apply_batch(&refs, &mut churn);
         assert_eq!((e.applied, e.rejected), (30, 10));
-        assert!((1..=SHARDS_PER_STORE as u64).contains(&e.shard_rebuilds));
+        assert_eq!(e.shard_rebuilds, 1, "ten refusals, one rebuild");
         assert_eq!(churn.record_count(), 10 + 20 + 10);
         assert_eq!(st.len(), 40);
         assert_eq!(
-            st.local_summary(),
+            *st.summary(),
             Summary::from_records(&s, &cfg, st.table().records())
         );
     }
@@ -980,8 +941,8 @@ mod tests {
     fn summary_round_trip() {
         let s = typed_schema();
         let cfg = SummaryConfig::with_buckets(64);
-        let st = ShardedStore::new(&s, &cfg, table(60).records().to_vec());
-        let sum = st.local_summary();
+        let st = ServerStore::new(&s, &cfg, table(60).records().to_vec());
+        let sum = st.summary();
         assert_eq!(sum.record_count(), 60);
         let q = QueryBuilder::new(&s, QueryId(6))
             .eq("type", "camera")

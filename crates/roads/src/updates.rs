@@ -113,10 +113,10 @@ pub fn update_round(net: &RoadsNetwork) -> UpdateBreakdown {
 }
 
 /// One *full* (non-incremental) update round: re-derive every summary from
-/// raw records — rebuild all shard summaries, refresh local summaries,
-/// re-aggregate every branch — then account the three waves over the whole
-/// federation. This is what a system without the delta plane pays every
-/// refresh period, no matter how little changed.
+/// raw records — rebuild every local summary, re-aggregate every branch —
+/// then account the three waves over the whole federation. This is what a
+/// system without the delta plane pays every refresh period, no matter how
+/// little changed.
 pub fn update_round_full(net: &mut RoadsNetwork) -> UpdateBreakdown {
     net.refresh_all_summaries();
     update_round(net)

@@ -216,3 +216,194 @@ proptest! {
         assert_equivalent(&net, &queries)?;
     }
 }
+
+/// The same equivalence where removals are *refused*: every record carries
+/// a categorical value, which neither a value set nor a Bloom filter can
+/// unlearn, so every removal and every update of an attached record sends
+/// its server's summary down the rebuild-from-rows path.
+mod refused_removals {
+    use proptest::prelude::*;
+    use roads_core::{update_round_delta, RecordDelta, RoadsConfig, RoadsNetwork, ServerId};
+    use roads_records::{
+        AttrDef, OwnerId, Query, QueryBuilder, QueryId, Record, RecordBuilder, RecordId, Schema,
+    };
+    use roads_summary::{CategoricalMode, SummaryConfig};
+
+    const KINDS: [&str; 5] = ["camera", "drone", "lidar", "sonar", "radar"];
+
+    /// The values of one record: rate, priority, index into [`KINDS`].
+    type Cells = (u16, u8, u8);
+
+    fn cells() -> impl Strategy<Value = Cells> {
+        (0u16..1000, 0u8..10, 0u8..KINDS.len() as u8)
+    }
+
+    fn typed_schema() -> Schema {
+        Schema::new(vec![
+            AttrDef::numeric("rate", 0.0, 1000.0),
+            AttrDef::integer("priority", 0, 10),
+            AttrDef::categorical("type"),
+        ])
+        .expect("distinct names, non-empty domains")
+    }
+
+    fn typed(schema: &Schema, id: u64, (rate, priority, kind): Cells) -> Record {
+        RecordBuilder::new(schema, RecordId(id), OwnerId((id % 1000) as u32))
+            .set("rate", f64::from(rate))
+            .set("priority", i64::from(priority))
+            .set("type", KINDS[kind as usize])
+            .build()
+            .expect("cells fit the schema")
+    }
+
+    /// One change: `(kind, pick, cells)` — 0 insert fresh, 1 remove, 2
+    /// update; `pick` selects the server (inserts) or the victim.
+    type Op = (u8, u16, Cells);
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..3, any::<u16>(), cells())
+    }
+
+    /// A round's delta, and whether it removes or replaces a record that
+    /// was attached when the round began (which the summary must refuse).
+    /// With `one_server`, every change goes to the server `anchor` picks,
+    /// so a long round is a batch of ≥ 8 changes at one store.
+    fn delta_of(
+        net: &RoadsNetwork,
+        (one_server, anchor, ops): &(bool, u8, Vec<Op>),
+        next_id: &mut u64,
+    ) -> (RecordDelta, bool) {
+        let n = net.len() as u32;
+        let anchor = ServerId(u32::from(*anchor) % n);
+        let attached: Vec<(ServerId, RecordId)> = (0..n)
+            .map(ServerId)
+            .filter(|s| !one_server || *s == anchor)
+            .flat_map(|s| net.records(s).into_iter().map(move |r| (s, r.id)))
+            .collect();
+        let mut delta = RecordDelta::new();
+        let mut displaces = false;
+        for &(kind, pick, cells) in ops {
+            let victim = attached.get(pick as usize % attached.len().max(1)).copied();
+            match (kind, victim) {
+                (1, Some((s, id))) => {
+                    delta.remove(s, id);
+                    displaces = true;
+                }
+                (2, Some((s, id))) => {
+                    delta.update(s, typed(net.schema(), id.0, cells));
+                    displaces = true;
+                }
+                // Nothing attached to remove: the rejected-change path.
+                (1, None) => {
+                    delta.remove(anchor, RecordId(u64::MAX));
+                }
+                _ => {
+                    *next_id += 1;
+                    let s = if *one_server {
+                        anchor
+                    } else {
+                        ServerId(u32::from(pick) % n)
+                    };
+                    delta.insert(s, typed(net.schema(), *next_id, cells));
+                }
+            }
+        }
+        (delta, displaces)
+    }
+
+    fn query_of(schema: &Schema, id: u64, (rate, priority, kind): Cells, shape: u8) -> Query {
+        let b = QueryBuilder::new(schema, QueryId(id));
+        let rate = f64::from(rate);
+        match shape % 4 {
+            0 => b.eq("type", KINDS[kind as usize]),
+            1 => b.range("rate", rate, rate + 100.0),
+            2 => b.one_of("type", &[KINDS[kind as usize], "sonar"]).range(
+                "priority",
+                f64::from(priority),
+                10.0,
+            ),
+            _ => b
+                .eq("type", KINDS[kind as usize])
+                .range("rate", rate, rate + 250.0),
+        }
+        .build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn delta_rounds_equal_full_rebuild_where_removals_are_refused(
+            n_servers in 1usize..8,
+            max_children in 2usize..4,
+            bloom in any::<bool>(),
+            seeds in prop::collection::vec((any::<u8>(), cells()), 0..60),
+            // Batches of one change and of 8–40, spread over the servers
+            // or all at one store.
+            rounds in prop::collection::vec(
+                (
+                    any::<bool>(),
+                    any::<u8>(),
+                    prop_oneof![
+                        prop::collection::vec(op(), 1..=1),
+                        prop::collection::vec(op(), 8..40),
+                    ],
+                ),
+                1..5,
+            ),
+            probes in prop::collection::vec((cells(), any::<u8>()), 1..6),
+        ) {
+            let schema = typed_schema();
+            let cfg = RoadsConfig {
+                max_children,
+                summary: SummaryConfig {
+                    categorical: if bloom {
+                        CategoricalMode::Bloom { bits: 256, hashes: 3 }
+                    } else {
+                        CategoricalMode::Enumerate
+                    },
+                    ..SummaryConfig::with_buckets(16)
+                },
+                ..RoadsConfig::paper_default()
+            };
+            let mut records: Vec<Vec<Record>> = vec![Vec::new(); n_servers];
+            for (i, &(srv, cells)) in seeds.iter().enumerate() {
+                records[srv as usize % n_servers].push(typed(&schema, i as u64, cells));
+            }
+            let mut net = RoadsNetwork::build(schema.clone(), cfg, records);
+            let queries: Vec<Query> = probes
+                .iter()
+                .enumerate()
+                .map(|(i, &(cells, shape))| query_of(&schema, i as u64, cells, shape))
+                .collect();
+
+            let mut next_id = 1_000_000u64;
+            for round in &rounds {
+                let (delta, displaces) = delta_of(&net, round, &mut next_id);
+                let (_, outcome) = update_round_delta(&mut net, &delta);
+                prop_assert_eq!(outcome.applied + outcome.rejected, delta.len() as u64);
+                // At most one rebuild per server per batch — and at least
+                // one in a round that displaces an attached record.
+                prop_assert!(outcome.shard_rebuilds <= outcome.dirty.len() as u64);
+                prop_assert_eq!(outcome.shard_rebuilds > 0, displaces);
+
+                let survivors: Vec<Vec<Record>> =
+                    (0..n_servers as u32).map(|s| net.records(ServerId(s))).collect();
+                let rebuilt = RoadsNetwork::build(schema.clone(), cfg, survivors);
+                for s in net.tree().servers() {
+                    prop_assert_eq!(net.local_summary(s), rebuilt.local_summary(s), "local {}", s);
+                    prop_assert_eq!(net.branch_summary(s), rebuilt.branch_summary(s), "branch {}", s);
+                }
+                for q in &queries {
+                    let matching = net.matching_servers(q);
+                    prop_assert_eq!(&matching, &rebuilt.matching_servers(q));
+                    // Rebuilt summaries hide nothing the rows hold.
+                    for &s in &matching {
+                        prop_assert!(net.local_summary(s).may_match(q), "{} hides {:?}", s, q);
+                        prop_assert!(net.branch_summary(net.tree().root()).may_match(q));
+                    }
+                }
+            }
+        }
+    }
+}

@@ -119,8 +119,9 @@ pub(crate) struct RuntimeMetrics {
     /// `roads.delta.dirty_branches`: branch summaries a delta round
     /// recomputed (the dirty ancestor closure).
     pub delta_dirty_branches: Arc<Counter>,
-    /// `roads.delta.shard_rebuilds`: shard summaries re-aggregated from
-    /// raw records because a removal could not be unlearned exactly.
+    /// `roads.delta.shard_rebuilds`: local summaries re-aggregated from
+    /// raw records because a removal could not be unlearned exactly (at
+    /// most one per server per round).
     pub delta_shard_rebuilds: Arc<Counter>,
     /// `roads.planner.planned_queries`: queries dispatched via the
     /// replica-aware set-cover planner instead of greedy expansion.

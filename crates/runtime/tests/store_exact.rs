@@ -2,8 +2,8 @@
 //! `Query::matches` scan returns — over random schemas, records with
 //! absent and duplicate values, and queries that include inverted, point
 //! and wrongly-typed predicates — on a table built in bulk and on one
-//! that random upserts and removals keep changing, whose shard summaries
-//! stay equal to a from-scratch summary of its rows.
+//! that random upserts and removals keep changing, whose summary stays
+//! equal to a from-scratch summary of its rows.
 //!
 //! The store searches one-byte codes of the values and asks the record
 //! only where a code cannot tell, so the inputs aim at where that could
@@ -15,7 +15,7 @@
 //! move a row from one block into another.
 
 use proptest::prelude::*;
-use roads_core::{RecordChange, ShardedStore};
+use roads_core::{RecordChange, ServerStore};
 use roads_records::{
     AttrDef, AttrId, OwnerId, Predicate, Query, QueryId, Record, RecordId, Schema, Value,
 };
@@ -212,9 +212,9 @@ proptest! {
     /// The same exactness while the table changes: a random sequence of
     /// upserts (new id, existing id, re-insert after a removal) and
     /// removals (present, absent) against a `BTreeMap` model. After every
-    /// step the table — driven directly, and as the `ShardedStore` a
+    /// step the table — driven directly, and as the `ServerStore` a
     /// network keeps per server — answers like a brute-force scan of the
-    /// model, and the shard summaries merge to the summary of the rows.
+    /// model, and the store's summary is the summary of the rows.
     #[test]
     fn search_and_summaries_stay_exact_under_churn(
         kinds in prop::collection::vec(0u8..5, 1..=MAX_ARITY),
@@ -248,7 +248,7 @@ proptest! {
             .collect();
         let mut model: BTreeMap<u64, Record> = seed.iter().map(|r| (r.id.0, r.clone())).collect();
         let mut table = RecordStore::new(schema.clone(), seed.clone());
-        let mut sharded = ShardedStore::new(&schema, &config, seed);
+        let mut server = ServerStore::new(&schema, &config, seed);
 
         for (remove, id, points) in steps {
             // Twelve ids at the head of the table, four astride the first
@@ -263,10 +263,10 @@ proptest! {
                 RecordChange::Update(r)
             };
             let mut churn = Summary::empty(&schema, &config);
-            let effect = sharded.apply_batch(&[&change], &mut churn);
+            let effect = server.apply_batch(&[&change], &mut churn);
             prop_assert_eq!(effect.applied + effect.rejected, 1);
 
-            for store in [&table, sharded.table()] {
+            for store in [&table, server.table()] {
                 prop_assert_eq!(store.len(), model.len());
                 prop_assert_eq!(store.is_empty(), model.is_empty());
                 for query in &queries {
@@ -283,11 +283,11 @@ proptest! {
                 }
             }
             prop_assert_eq!(
-                sharded.local_summary(),
-                Summary::from_records(&schema, &config, sharded.table().records())
+                *server.summary(),
+                Summary::from_records(&schema, &config, server.table().records())
             );
             prop_assert_eq!(
-                sharded.local_summary(),
+                *server.summary(),
                 Summary::from_records(&schema, &config, model.values())
             );
         }

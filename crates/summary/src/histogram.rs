@@ -101,16 +101,17 @@ impl Histogram {
         self.buckets.iter().all(|&c| c == 0)
     }
 
-    /// Bucket index for a value, clamped into the domain. `NaN` maps to
-    /// bucket 0 by IEEE comparison fallthrough; callers that must not
-    /// count `NaN` (i.e. [`Histogram::insert`]) reject it first.
+    /// Bucket index for a value, clamped into the domain: the float → int
+    /// cast truncates, saturates at both ends (below the domain and `-∞`
+    /// to 0, above it and `+∞` to the last bucket) and sends `NaN` to 0;
+    /// callers that must not count `NaN` (i.e. [`Histogram::insert`])
+    /// reject it first. The fraction is a division, not a multiplication
+    /// by a stored reciprocal, which would move bucket edges by an ulp.
+    /// Over a domain without finite width every value lands in bucket 0.
     pub fn bucket_of(&self, v: f64) -> usize {
         let m = self.buckets.len();
-        if !v.is_finite() {
-            return if v > 0.0 { m - 1 } else { 0 };
-        }
         let frac = (v - self.lo) / (self.hi - self.lo);
-        ((frac * m as f64).floor() as isize).clamp(0, m as isize - 1) as usize
+        ((frac * m as f64) as usize).min(m - 1)
     }
 
     /// Record one value. `NaN` is ignored: it carries no position on the
@@ -559,6 +560,34 @@ mod tests {
         let h = unit_hist(&[0.5], 10);
         assert!(h.may_match_range(f64::NEG_INFINITY, f64::INFINITY));
         assert!(h.may_match_range(0.2, f64::INFINITY));
+    }
+
+    #[test]
+    fn a_domain_without_finite_width_is_one_bucket() {
+        // A schema may declare infinite bounds; nothing can be told apart
+        // over them, and nothing may be lost.
+        for (lo, hi) in [
+            (0.0, f64::INFINITY),
+            (f64::NEG_INFINITY, 0.0),
+            (f64::NEG_INFINITY, f64::INFINITY),
+            (-1e308, 1e308),
+        ] {
+            let mut h = Histogram::new(lo, hi, 16);
+            for v in [
+                f64::NEG_INFINITY,
+                -1e300,
+                -1.0,
+                0.0,
+                1.0,
+                1e300,
+                f64::INFINITY,
+            ] {
+                assert_eq!(h.bucket_of(v), 0, "[{lo}, {hi}] {v}");
+            }
+            h.insert(f64::INFINITY);
+            assert!(h.may_match_range(5.0, f64::INFINITY));
+            assert!(h.may_match_range(f64::NEG_INFINITY, -5.0), "conservative");
+        }
     }
 
     #[test]

@@ -11,6 +11,55 @@ use roads_records::{
 };
 use roads_summary::{BloomFilter, CategoricalMode, Histogram, Summary, SummaryConfig, ValueSet};
 
+/// `Histogram::bucket_of` as it read before it became one saturating
+/// cast, kept verbatim: the oracle the kernel is pinned to.
+fn bucket_of_oracle(lo: f64, hi: f64, m: usize, v: f64) -> usize {
+    if !v.is_finite() {
+        return if v > 0.0 { m - 1 } else { 0 };
+    }
+    let frac = (v - lo) / (hi - lo);
+    ((frac * m as f64).floor() as isize).clamp(0, m as isize - 1) as usize
+}
+
+/// Domains of finite width where rounding bites differently: a negative
+/// lower bound, timestamps, a width far below the bounds' magnitude, one
+/// near the top of the exponent range, and anything in between.
+fn domain() -> impl Strategy<Value = (f64, f64)> {
+    prop_oneof![
+        Just((0.0, 1.0)),
+        Just((0.0, 2e12)),
+        Just((-1e300, 1e300)),
+        (-1e6f64..0.0, 1e-3f64..1e6).prop_map(|(lo, width)| (lo, lo + width)),
+        (-1e3f64..1e3).prop_map(|lo| (lo, lo + 1e-9)),
+        (-1e9f64..1e9, 1e-6f64..1e13).prop_map(|(lo, width)| (lo, lo + width)),
+    ]
+}
+
+/// Where the kernel could slip for `m` buckets over `[lo, hi]`: both ways
+/// of computing each bucket edge with two ulps either side (every edge up
+/// to 2 048 buckets, a comb of them starting at `phase` beyond), places
+/// `outside` and inside the domain as fractions of its width, the
+/// specials, and `raw` bit patterns.
+fn probes(lo: f64, hi: f64, m: usize, phase: usize, outside: &[f64], raw: &[f64]) -> Vec<f64> {
+    let width = hi - lo;
+    let stride = m.div_ceil(2048);
+    let mut out = Vec::new();
+    for k in (phase % stride..=m).step_by(stride) {
+        for edge in [
+            lo + width * (k as f64 / m as f64),
+            lo + width / m as f64 * k as f64,
+        ] {
+            let (down, up) = (edge.next_down(), edge.next_up());
+            out.extend([down.next_down(), down, edge, up, up.next_up()]);
+        }
+    }
+    out.extend(outside.iter().map(|t| lo + width * t));
+    out.extend([0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+    out.extend([f64::MIN_POSITIVE, f64::MAX, f64::MIN, lo, hi]);
+    out.extend(raw);
+    out
+}
+
 fn unit_records(values: &[Vec<f64>]) -> Vec<Record> {
     values
         .iter()
@@ -176,6 +225,49 @@ proptest! {
         let one = Summary::from_records(&schema, &cfg, &unit_records(&rows[..1]));
         let all = Summary::from_records(&schema, &cfg, &unit_records(&rows));
         prop_assert_eq!(one.wire_size(), all.wire_size());
+    }
+
+    /// Every fold and every `may_match` runs this one function, and every
+    /// count the benchmark repeats to the last digit rests on no value
+    /// changing its bucket: pinned against the old formula, not argued.
+    #[test]
+    fn bucket_of_equals_the_floor_and_clamp_formula(
+        (lo, hi) in domain(),
+        m in 1usize..=65_536,
+        phase in 0usize..32,
+        outside in prop::collection::vec(-2.0f64..3.0, 0..16),
+        raw in prop::collection::vec(any::<f64>(), 0..16),
+    ) {
+        let h = Histogram::new(lo, hi, m);
+        for v in probes(lo, hi, m, phase, &outside, &raw) {
+            prop_assert_eq!(
+                h.bucket_of(v),
+                bucket_of_oracle(lo, hi, m, v),
+                "[{:?}, {:?}] m = {} v = {:?} ({:#x})", lo, hi, m, v, v.to_bits()
+            );
+        }
+    }
+
+    /// What `MultiResHistogram::insert` rests on: a value's bucket at half
+    /// the resolution is its bucket's parent, so per-level insertion and
+    /// coarsening the finest level agree.
+    #[test]
+    fn bucket_of_nests_across_power_of_two_resolutions(
+        (lo, hi) in domain(),
+        exp in 1u32..=16,
+        phase in 0usize..32,
+        outside in prop::collection::vec(-2.0f64..3.0, 0..16),
+        raw in prop::collection::vec(any::<f64>(), 0..16),
+    ) {
+        let m = 1usize << exp;
+        let (fine, coarse) = (Histogram::new(lo, hi, m), Histogram::new(lo, hi, m / 2));
+        for v in probes(lo, hi, m, phase, &outside, &raw) {
+            prop_assert_eq!(
+                coarse.bucket_of(v),
+                fine.bucket_of(v) >> 1,
+                "[{:?}, {:?}] m = {} v = {:?}", lo, hi, m, v
+            );
+        }
     }
 
     #[test]
