@@ -3,13 +3,14 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use roads_core::{
-    execute_query, execute_query_recorded, record_query_outcome, update_round, HierarchyTree,
-    RoadsConfig, RoadsNetwork, SearchScope, ServerId,
+    execute_query, record_query_outcome, update_round, HierarchyTree, RoadsConfig, RoadsNetwork,
+    SearchScope, ServerId,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
 use roads_runtime::{
-    AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig, Watchdog, WatchdogConfig,
+    Attachments, AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig, Watchdog,
+    WatchdogConfig,
 };
 use roads_summary::SummaryConfig;
 use roads_sword::SwordNetwork;
@@ -100,8 +101,9 @@ fn bench_query_exec(c: &mut Criterion) {
     g.finish();
 }
 
-/// Flight-recorder acceptance check: running the recorded query path with
-/// the recorder disabled (`None`) must cost the same as the plain path.
+/// What each observability plane costs the query path, as `*_off` /
+/// `*_on` pairs; `plain` is the simulated query with nothing observing it
+/// (there is one executor, so "recorder disabled" is this same call).
 fn bench_recorder_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("recorder_overhead");
     g.sample_size(20);
@@ -117,21 +119,6 @@ fn bench_recorder_overhead(c: &mut Criterion) {
                 black_box(q),
                 ServerId(*start as u32),
                 SearchScope::full(),
-            )
-        })
-    });
-    g.bench_function("recorder_disabled", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            let (q, start) = &queries[i % queries.len()];
-            i += 1;
-            execute_query_recorded(
-                &net,
-                &delays,
-                black_box(q),
-                ServerId(*start as u32),
-                SearchScope::full(),
-                None,
             )
         })
     });
@@ -176,9 +163,8 @@ fn bench_recorder_overhead(c: &mut Criterion) {
     // sampled path must stay within 5% of the unsampled path at default
     // thresholds (query wall time is dominated by the emulated backend,
     // so per-hop bookkeeping must disappear into it).
-    let live_cluster = || {
+    fn live_net() -> RoadsNetwork {
         let n = 9usize;
-        let schema = Schema::unit_numeric(1);
         let records: Vec<Vec<Record>> = (0..n)
             .map(|s| {
                 (0..10)
@@ -193,15 +179,18 @@ fn bench_recorder_overhead(c: &mut Criterion) {
                     .collect()
             })
             .collect();
-        let net = RoadsNetwork::build(
-            schema,
+        RoadsNetwork::build(
+            Schema::unit_numeric(1),
             RoadsConfig {
                 max_children: 3,
                 summary: SummaryConfig::with_buckets(64),
                 ..RoadsConfig::paper_default()
             },
             records,
-        );
+        )
+    }
+    fn live_cluster(attach: Attachments<'_>) -> RoadsCluster {
+        let net = live_net();
         let cfg = RuntimeConfig {
             dispatch_timeout_ms: 400,
             max_retries: 1,
@@ -212,8 +201,9 @@ fn bench_recorder_overhead(c: &mut Criterion) {
             base_query_cost_us: 100,
             ..RuntimeConfig::paper_like()
         };
-        RoadsCluster::start(net, DelaySpace::paper(n, 7), cfg)
-    };
+        let delays = DelaySpace::paper(net.len(), 7);
+        RoadsCluster::start_with(net, delays, cfg, attach)
+    }
     let live_queries: Vec<_> = (0..16)
         .map(|i| {
             let lo = 0.75 * (i as f64 * 0.37).fract();
@@ -235,13 +225,15 @@ fn bench_recorder_overhead(c: &mut Criterion) {
     };
     g.sample_size(10);
     g.bench_function("tail_off", |b| {
-        let cluster = live_cluster();
+        let cluster = live_cluster(Attachments::default());
         drive(b, &cluster);
         cluster.shutdown();
     });
     g.bench_function("tail_on", |b| {
-        let mut cluster = live_cluster();
-        cluster.set_tail_sampler(TailSampler::shared());
+        let cluster = live_cluster(Attachments {
+            tail: Some(TailSampler::shared()),
+            ..Attachments::default()
+        });
         drive(b, &cluster);
         cluster.shutdown();
     });
@@ -250,16 +242,19 @@ fn bench_recorder_overhead(c: &mut Criterion) {
     // the background Auditor recomputes ground truth on its own thread.
     // Neither may cost the query path more than 5% vs the bare cluster.
     g.bench_function("auditor_off", |b| {
-        let cluster = live_cluster();
+        let cluster = live_cluster(Attachments::default());
         drive(b, &cluster);
         cluster.shutdown();
     });
     g.bench_function("auditor_on", |b| {
         let reg = Registry::new();
-        let mut cluster = live_cluster();
+        let levels = live_net().tree().levels();
+        let metrics = Arc::new(AuditMetrics::new(&reg, levels));
+        let cluster = live_cluster(Attachments {
+            audit: Some(Arc::clone(&metrics)),
+            ..Attachments::default()
+        });
         let net = cluster.shared_network();
-        let metrics = Arc::new(AuditMetrics::new(&reg, net.tree().levels()));
-        cluster.set_audit_metrics(Arc::clone(&metrics));
         let probes: Vec<_> = (0..8)
             .map(|i| {
                 let lo = 0.75 * (i as f64 * 0.37).fract();
@@ -289,53 +284,15 @@ fn bench_recorder_overhead(c: &mut Criterion) {
     // the query path gains nothing but the instrument writes it already
     // pays for. With a 5 ms tick racing the queries, watchdog_on must
     // stay within 5% of watchdog_off.
-    let live_instrumented = |reg: &Arc<Registry>| {
-        let n = 9usize;
-        let schema = Schema::unit_numeric(1);
-        let records: Vec<Vec<Record>> = (0..n)
-            .map(|s| {
-                (0..10)
-                    .map(|i| {
-                        let id = s * 10 + i;
-                        Record::new_unchecked(
-                            RecordId(id as u64),
-                            OwnerId(s as u32),
-                            vec![Value::Float(id as f64 / (n * 10) as f64)],
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let net = RoadsNetwork::build(
-            schema,
-            RoadsConfig {
-                max_children: 3,
-                summary: SummaryConfig::with_buckets(64),
-                ..RoadsConfig::paper_default()
-            },
-            records,
-        );
-        let cfg = RuntimeConfig {
-            dispatch_timeout_ms: 400,
-            max_retries: 1,
-            backoff_base_ms: 5,
-            query_deadline_ms: 10_000,
-            delay_scale: 0.02,
-            per_record_retrieval_us: 20,
-            base_query_cost_us: 100,
-            ..RuntimeConfig::paper_like()
-        };
-        RoadsCluster::start_instrumented(net, DelaySpace::paper(n, 7), cfg, reg)
-    };
     g.bench_function("watchdog_off", |b| {
         let reg = Arc::new(Registry::new());
-        let cluster = live_instrumented(&reg);
+        let cluster = live_cluster(Attachments::instrumented(&reg));
         drive(b, &cluster);
         cluster.shutdown();
     });
     g.bench_function("watchdog_on", |b| {
         let reg = Arc::new(Registry::new());
-        let cluster = live_instrumented(&reg);
+        let cluster = live_cluster(Attachments::instrumented(&reg));
         let watchdog = Watchdog::for_cluster(
             &cluster,
             &reg,

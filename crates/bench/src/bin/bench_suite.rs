@@ -84,7 +84,8 @@ use roads_core::{
 use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
 use roads_runtime::{
-    AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig, Watchdog, WatchdogConfig,
+    Attachments, AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig, Watchdog,
+    WatchdogConfig,
 };
 use roads_summary::SummaryConfig;
 use roads_telemetry::{results_dir, OpenMetricsSnapshot, Recorder, Registry, TailSampler};
@@ -491,24 +492,27 @@ fn main() {
     // --- Live query plane: overlay-spread vs root-only entry. -----------
     let n = m.cluster_servers;
     let reg = Arc::new(Registry::new());
-    let mut cluster = RoadsCluster::start_instrumented(
-        cluster_net(n),
-        DelaySpace::paper(n, 31),
-        cluster_config(),
-        &reg,
-    );
+    let net = cluster_net(n);
     // Tail-based sampling over the whole live-cluster run: slow / failed /
     // incomplete queries keep their explain record + flight-recorder trace.
     let recorder = Arc::new(Recorder::new(65_536));
     let tail = TailSampler::shared();
-    cluster.set_recorder(Arc::clone(&recorder));
-    cluster.set_tail_sampler(Arc::clone(&tail));
     // Summary-fidelity auditing over the whole live-cluster run: live
     // branch outcomes fold into `audit.live_*`, a background auditor
     // samples ground truth on a budget, and the final AUDIT.json lands
     // next to the bench report.
-    let audit_metrics = Arc::new(AuditMetrics::new(&reg, cluster.network().tree().levels()));
-    cluster.set_audit_metrics(Arc::clone(&audit_metrics));
+    let audit_metrics = Arc::new(AuditMetrics::new(&reg, net.tree().levels()));
+    let cluster = RoadsCluster::start_with(
+        net,
+        DelaySpace::paper(n, 31),
+        cluster_config(),
+        Attachments {
+            recorder: Some(Arc::clone(&recorder)),
+            tail: Some(Arc::clone(&tail)),
+            audit: Some(Arc::clone(&audit_metrics)),
+            ..Attachments::instrumented(&reg)
+        },
+    );
     let root = cluster.network().tree().root();
     let cschema = cluster.network().schema().clone();
     let audit_probes: Vec<Query> = queries(&cschema, n, 16, root, false)
@@ -556,7 +560,7 @@ fn main() {
     // land in a separate registry so the `roads.cache.*` /
     // `roads.planner.*` families are attributable to this phase alone.
     let plan_reg = Registry::new();
-    let planner_cluster = RoadsCluster::start_instrumented(
+    let planner_cluster = RoadsCluster::start_with(
         cluster_net(n),
         DelaySpace::paper(n, 31),
         RuntimeConfig {
@@ -564,7 +568,7 @@ fn main() {
             cache_ttl_rounds: 2,
             ..cluster_config()
         },
-        &plan_reg,
+        Attachments::instrumented(&plan_reg),
     );
     // Comparison pass, cold cache: recall must be identical and planned
     // dispatch must never widen a query — both asserted here, before the

@@ -6,7 +6,7 @@
 //! leaf nodes in fewer hops", with query overhead dropping 3500 → 2000
 //! bytes for the same reason.
 
-use roads_bench::{banner, figure_config, run_comparison_recorded, TrialConfig};
+use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
     );
     for degree in 4..=12 {
         let cfg = TrialConfig { degree, ..base };
-        let (r, _) = run_comparison_recorded(&cfg, Some(&reg), Some(&rec));
+        let (r, _) = run_comparison(&cfg, Some(&reg), Some(&rec));
         let levels = roads_core::HierarchyTree::build(cfg.nodes, degree).levels();
         println!(
             "{:>6} {:>8} {:>14.1} {:>14.0} {:>12.1}",

@@ -20,7 +20,7 @@ use roads_bench::chart::{render, Series};
 use roads_bench::parse_args;
 use roads_core::{LatencyStats, RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
-use roads_runtime::{CentralCluster, RoadsCluster, RuntimeConfig};
+use roads_runtime::{Attachments, CentralCluster, RoadsCluster, RuntimeConfig};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 use roads_workload::{
@@ -28,7 +28,7 @@ use roads_workload::{
 };
 
 fn main() {
-    let (quick, _) = parse_args();
+    let (quick, ..) = parse_args();
     let (nodes, records_per_node, per_group) = if quick { (8, 200, 4) } else { (24, 1000, 12) };
     println!("==================================================================");
     println!("Figure 11 — prototype total response time vs query selectivity");
@@ -69,8 +69,15 @@ fn main() {
     let reg = Registry::new();
     let rec = std::sync::Arc::new(Recorder::new(65_536));
     let net = RoadsNetwork::build(schema.clone(), roads_cfg, records.clone());
-    let mut roads = RoadsCluster::start_instrumented(net, delays.clone(), runtime_cfg, &reg);
-    roads.set_recorder(std::sync::Arc::clone(&rec));
+    let roads = RoadsCluster::start_with(
+        net,
+        delays.clone(),
+        runtime_cfg,
+        Attachments {
+            recorder: Some(std::sync::Arc::clone(&rec)),
+            ..Attachments::instrumented(&reg)
+        },
+    );
     let central = CentralCluster::start(schema, records, delays, 0, runtime_cfg);
 
     println!(

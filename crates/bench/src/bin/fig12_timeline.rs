@@ -32,7 +32,7 @@ fn records(n: usize) -> Vec<Vec<Record>> {
 }
 
 fn main() {
-    let (quick, _) = parse_args();
+    let (quick, ..) = parse_args();
     let n = if quick { 27 } else { 81 };
     println!("==================================================================");
     println!("Figure 12 — soft-state convergence timeline ({n} servers)");

@@ -20,7 +20,7 @@ use roads_bench::parse_args;
 use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
-use roads_runtime::{RoadsCluster, RuntimeConfig, RuntimeOutcome};
+use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig, RuntimeOutcome};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 use std::collections::HashSet;
@@ -111,7 +111,7 @@ fn measure(c: &RoadsCluster, q: &Query, starts: &[ServerId], total_records: usiz
 }
 
 fn main() {
-    let (quick, _) = parse_args();
+    let (quick, ..) = parse_args();
     let n = if quick { 13 } else { 40 };
     let kill_counts: &[usize] = if quick {
         &[0, 1, 2, 3]
@@ -148,9 +148,15 @@ fn main() {
     // as k grows (the victim list is shared, so runs stay comparable).
     let rec = Arc::new(Recorder::new(65_536));
     let reg = Registry::new();
-    let mut with_fo =
-        RoadsCluster::start_instrumented(build_net(n), DelaySpace::paper(n, 31), runtime_cfg, &reg);
-    with_fo.set_recorder(Arc::clone(&rec));
+    let with_fo = RoadsCluster::start_with(
+        build_net(n),
+        DelaySpace::paper(n, 31),
+        runtime_cfg,
+        Attachments {
+            recorder: Some(Arc::clone(&rec)),
+            ..Attachments::instrumented(&reg)
+        },
+    );
     let without_fo = RoadsCluster::start(
         build_net(n),
         DelaySpace::paper(n, 31),

@@ -24,7 +24,7 @@ use roads_bench::parse_args;
 use roads_core::{QueryBatch, RoadsConfig, RoadsNetwork, SearchScope, ServerId};
 use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
-use roads_runtime::{RoadsCluster, RuntimeConfig};
+use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 use std::collections::HashSet;
@@ -130,7 +130,7 @@ fn measure_qps(c: &RoadsCluster, queries: &[(Query, ServerId)], threads: usize) 
 }
 
 fn main() {
-    let (quick, _) = parse_args();
+    let (quick, ..) = parse_args();
     let n = if quick { 13 } else { 40 };
     let q_count = if quick { 48 } else { 160 };
     let kills = if quick { 2 } else { 4 };
@@ -155,9 +155,15 @@ fn main() {
 
     let reg = Registry::new();
     let rec = Arc::new(Recorder::new(65_536));
-    let mut healthy =
-        RoadsCluster::start_instrumented(build_net(n), DelaySpace::paper(n, 31), runtime_cfg, &reg);
-    healthy.set_recorder(Arc::clone(&rec));
+    let healthy = RoadsCluster::start_with(
+        build_net(n),
+        DelaySpace::paper(n, 31),
+        runtime_cfg,
+        Attachments {
+            recorder: Some(Arc::clone(&rec)),
+            ..Attachments::instrumented(&reg)
+        },
+    );
     let degraded = RoadsCluster::start(build_net(n), DelaySpace::paper(n, 31), runtime_cfg);
     let victims = pick_victims(degraded.network(), kills);
     assert_eq!(victims.len(), kills, "not enough disjoint branch victims");

@@ -20,10 +20,10 @@
 //! [`Attribution`]: roads_telemetry::Attribution
 
 use roads_bench::parse_args;
-use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
+use roads_core::{RequesterId, RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
-use roads_runtime::{RoadsCluster, RuntimeConfig};
+use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{
     write_chrome_trace_default, Attribution, FigureExport, QueryExplain, Recorder, Registry,
@@ -85,15 +85,15 @@ fn pick_victims(net: &RoadsNetwork, k: usize) -> Vec<ServerId> {
 /// Run the batch and return the p99-latency query's explain record (the
 /// batch is small, so p99 selects the slowest-but-one tail query).
 fn p99_explain(c: &RoadsCluster, q: &Query, entries: &[ServerId]) -> QueryExplain {
-    let mut explains: Vec<QueryExplain> =
-        entries.iter().map(|&e| c.query_explained(q, e).1).collect();
+    let explain = |&e| c.query_with(q, e, RequesterId(0), true).1;
+    let mut explains: Vec<QueryExplain> = entries.iter().filter_map(explain).collect();
     explains.sort_by(|a, b| a.response_us.total_cmp(&b.response_us));
     let idx = ((explains.len() as f64 * 0.99).ceil() as usize).clamp(1, explains.len()) - 1;
     explains.swap_remove(idx)
 }
 
 fn main() {
-    let (quick, _) = parse_args();
+    let (quick, ..) = parse_args();
     let n = if quick { 13 } else { 40 };
     let kill_counts: &[usize] = if quick {
         &[0, 1, 2, 3]
@@ -127,9 +127,15 @@ fn main() {
 
     let reg = Registry::new();
     let rec = Arc::new(Recorder::new(65_536));
-    let mut cluster =
-        RoadsCluster::start_instrumented(build_net(n), DelaySpace::paper(n, 31), runtime_cfg, &reg);
-    cluster.set_recorder(Arc::clone(&rec));
+    let cluster = RoadsCluster::start_with(
+        build_net(n),
+        DelaySpace::paper(n, 31),
+        runtime_cfg,
+        Attachments {
+            recorder: Some(Arc::clone(&rec)),
+            ..Attachments::instrumented(&reg)
+        },
+    );
     let root = cluster.network().tree().root();
     let q = QueryBuilder::new(cluster.network().schema(), QueryId(15))
         .range("x0", 0.0, 1.0)

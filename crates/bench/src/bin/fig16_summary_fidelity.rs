@@ -25,7 +25,7 @@ use roads_bench::parse_args;
 use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
-use roads_runtime::{AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig};
+use roads_runtime::{Attachments, AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 use std::collections::HashSet;
@@ -94,7 +94,7 @@ fn pick_victims(net: &RoadsNetwork, k: usize) -> Vec<ServerId> {
 }
 
 fn main() {
-    let (quick, _) = parse_args();
+    let (quick, ..) = parse_args();
     let n = if quick { 13 } else { 40 };
     let intervals: &[u64] = if quick { &[1, 4] } else { &[1, 2, 4] };
     let kill_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
@@ -138,19 +138,22 @@ fn main() {
             // audit counters (and the AuditLevelRow.live_* fields read
             // from them) from bleeding across configurations.
             let reg = Registry::new();
-            let mut cluster = RoadsCluster::start_instrumented(
-                build_net(n),
+            let net = build_net(n);
+            let metrics = Arc::new(AuditMetrics::new(&reg, net.tree().levels()));
+            let cluster = RoadsCluster::start_with(
+                net,
                 DelaySpace::paper(n, 31),
                 runtime_cfg,
-                &reg,
+                Attachments {
+                    // The shared recorder collects real traces across configs.
+                    recorder: Some(Arc::clone(&rec)),
+                    audit: Some(Arc::clone(&metrics)),
+                    ..Attachments::instrumented(&reg)
+                },
             );
-            // The shared recorder collects real traces across configs.
-            cluster.set_recorder(Arc::clone(&rec));
             let net = cluster.shared_network();
             let victims = pick_victims(&net, k);
             assert_eq!(victims.len(), k, "need {k} disjoint victims among {n}");
-            let metrics = Arc::new(AuditMetrics::new(&reg, net.tree().levels()));
-            cluster.set_audit_metrics(Arc::clone(&metrics));
             let auditor = Auditor::start(
                 Arc::clone(&net),
                 metrics,

@@ -15,9 +15,9 @@
 
 use roads_bench::{banner, figure_config, parse_args};
 use roads_core::{
-    execute_query_cached, execute_query_planned, execute_query_traced, plan_query,
-    record_query_events, record_query_outcome, ResultCache, RoadsConfig, RoadsNetwork, SearchScope,
-    ServerId,
+    execute_query_cached, execute_query_planned, execute_query_with, plan_query,
+    record_query_events, record_query_outcome, QueryOptions, ResultCache, RoadsConfig,
+    RoadsNetwork, SearchScope, ServerId,
 };
 use roads_netsim::DelaySpace;
 use roads_summary::SummaryConfig;
@@ -46,7 +46,7 @@ fn main() {
         "beyond the paper: set-cover dispatch over replicated summaries",
     );
     let cfg = figure_config();
-    let (quick, _) = parse_args();
+    let (quick, ..) = parse_args();
     let degrees: &[usize] = if quick { &[4, 8] } else { &[4, 8, 16] };
     let range_lens = [0.05, 0.10, 0.25, 0.40];
     let reg = Registry::new();
@@ -109,9 +109,12 @@ fn main() {
                     // figure (span-tree validation in `roads-inspect
                     // check` is per-trace, so full recording would
                     // dominate the check's wall clock).
-                    let (greedy, trace) = execute_query_traced(&net, &delays, q, entry, scope);
+                    let mut trace = Vec::new();
+                    let opts = QueryOptions::scoped(scope);
+                    let greedy =
+                        execute_query_with(&net, &delays, q, entry, &opts, Some(&mut trace));
                     if qi % 8 == 0 {
-                        let _ = record_query_events(&rec, rec.next_trace_id(), &trace);
+                        record_query_events(&rec, rec.next_trace_id(), &trace);
                     }
                     let plan = plan_query(&net, q, entry, scope);
                     let planned = execute_query_planned(&net, &delays, q, entry, scope, &plan);

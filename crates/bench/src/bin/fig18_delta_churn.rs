@@ -15,7 +15,7 @@
 //! Propagation bytes shrink with churn too: only dirty summaries travel.
 
 use roads_bench::delta_view::MIN_DELTA_SPEEDUP;
-use roads_bench::{banner, figure_config, parse_args};
+use roads_bench::{banner, figure_config};
 use roads_core::{
     update_round_delta, update_round_full, BuildOptions, RecordDelta, RoadsConfig, RoadsNetwork,
     ServerId,
@@ -87,7 +87,6 @@ fn main() {
         "beyond the paper: record-diff propagation over mutable per-server stores",
     );
     let cfg = figure_config();
-    let (_quick, _) = parse_args();
     // The 1M-record scale is part of the claim: the floor below is a
     // DRAM-resident-scale property, so --quick shrinks only the repeat
     // count (via figure_config), never the federation.

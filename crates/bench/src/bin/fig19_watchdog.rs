@@ -30,7 +30,7 @@ use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
 use roads_runtime::{
-    CauseKind, IncidentReport, RoadsCluster, RuntimeConfig, Watchdog, WatchdogConfig,
+    Attachments, CauseKind, IncidentReport, RoadsCluster, RuntimeConfig, Watchdog, WatchdogConfig,
 };
 use roads_summary::SummaryConfig;
 use roads_telemetry::FigureExport;
@@ -124,8 +124,12 @@ fn run_cell(n: usize, interval: Duration, fault: Fault, label: &str) -> CellOutc
         ..RuntimeConfig::paper_like()
     };
     let reg = Arc::new(Registry::new());
-    let cluster =
-        RoadsCluster::start_instrumented(build_net(n), DelaySpace::paper(n, 31), runtime_cfg, &reg);
+    let cluster = RoadsCluster::start_with(
+        build_net(n),
+        DelaySpace::paper(n, 31),
+        runtime_cfg,
+        Attachments::instrumented(&reg),
+    );
     let watchdog = Watchdog::for_cluster(
         &cluster,
         &reg,
@@ -244,8 +248,12 @@ fn run_control(n: usize, interval: Duration, ticks: usize) -> (IncidentReport, A
         ..RuntimeConfig::paper_like()
     };
     let reg = Arc::new(Registry::new());
-    let cluster =
-        RoadsCluster::start_instrumented(build_net(n), DelaySpace::paper(n, 31), runtime_cfg, &reg);
+    let cluster = RoadsCluster::start_with(
+        build_net(n),
+        DelaySpace::paper(n, 31),
+        runtime_cfg,
+        Attachments::instrumented(&reg),
+    );
     let watchdog = Watchdog::for_cluster(
         &cluster,
         &reg,
@@ -269,7 +277,7 @@ fn run_control(n: usize, interval: Duration, ticks: usize) -> (IncidentReport, A
 }
 
 fn main() {
-    let (quick, _) = parse_args();
+    let (quick, ..) = parse_args();
     let n = if quick { 13 } else { 25 };
     let interval = Duration::from_millis(100);
     let kill_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 3] };

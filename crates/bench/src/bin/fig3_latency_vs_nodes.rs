@@ -6,7 +6,7 @@
 //! from 4 to 5 levels.
 
 use roads_bench::chart::{render, Series};
-use roads_bench::{banner, figure_config, run_comparison_recorded, TrialConfig};
+use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     let mut sword_pts = Vec::new();
     for nodes in sweep {
         let cfg = TrialConfig { nodes, ..base };
-        let (r, report) = run_comparison_recorded(&cfg, Some(&reg), Some(&rec));
+        let (r, report) = run_comparison(&cfg, Some(&reg), Some(&rec));
         // Keep the trace report of the paper's headline point (or the
         // closest we run), not the union across incomparable topologies.
         if nodes == base.nodes || traces.is_none() {

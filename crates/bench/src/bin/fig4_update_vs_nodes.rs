@@ -5,7 +5,7 @@
 //! than SWORD due to the use of condensed summary."
 
 use roads_bench::chart::{render_log, Series};
-use roads_bench::{banner, figure_config, run_comparison_recorded, TrialConfig};
+use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
     let mut central_pts = Vec::new();
     for nodes in sweep {
         let cfg = TrialConfig { nodes, ..base };
-        let (r, _) = run_comparison_recorded(&cfg, Some(&reg), Some(&rec));
+        let (r, _) = run_comparison(&cfg, Some(&reg), Some(&rec));
         println!(
             "{:>6} {:>16.3e} {:>16.3e} {:>16.3e} {:>12.1}",
             nodes,

@@ -5,7 +5,7 @@
 //! every owner retains its records, so the query must reach all owners with
 //! matches, while SWORD concentrates matching records on fewer DHT servers.
 
-use roads_bench::{banner, figure_config, run_comparison_recorded, TrialConfig};
+use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
     };
     for nodes in sweep {
         let cfg = TrialConfig { nodes, ..base };
-        let (r, _) = run_comparison_recorded(&cfg, Some(&reg), Some(&rec));
+        let (r, _) = run_comparison(&cfg, Some(&reg), Some(&rec));
         println!(
             "{:>6} {:>14.0} {:>14.0} {:>12.2} {:>12.1} {:>12.1}",
             nodes,

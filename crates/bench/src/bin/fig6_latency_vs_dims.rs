@@ -5,7 +5,7 @@
 //! only uses one dimension in the search. Thus its query latency remains
 //! largely the same."
 
-use roads_bench::{banner, figure_config, run_comparison_recorded, TrialConfig};
+use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
             query_dims: dims,
             ..base
         };
-        let (r, _) = run_comparison_recorded(&cfg, Some(&reg), Some(&rec));
+        let (r, _) = run_comparison(&cfg, Some(&reg), Some(&rec));
         println!(
             "{:>5} {:>14.1} {:>14.1} {:>12.1} {:>12.1}",
             dims,

@@ -6,7 +6,7 @@
 //! confined … the query overhead increases again because the reduction of
 //! search scope flattens out."
 
-use roads_bench::{banner, figure_config, run_comparison_recorded, TrialConfig};
+use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
             query_dims: dims,
             ..base
         };
-        let (r, _) = run_comparison_recorded(&cfg, Some(&reg), Some(&rec));
+        let (r, _) = run_comparison(&cfg, Some(&reg), Some(&rec));
         println!(
             "{:>5} {:>14.0} {:>14.0} {:>12.1}",
             dims, r.roads_query_bytes, r.sword_query_bytes, r.roads_servers_contacted,

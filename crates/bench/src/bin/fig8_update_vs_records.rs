@@ -5,7 +5,7 @@
 //! In contrast, Sword exports original records and thus its update overhead
 //! grows linearly."
 
-use roads_bench::{banner, figure_config, run_comparison_recorded, TrialConfig};
+use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
             records_per_node,
             ..base
         };
-        let (r, _) = run_comparison_recorded(&cfg, Some(&reg), Some(&rec));
+        let (r, _) = run_comparison(&cfg, Some(&reg), Some(&rec));
         println!(
             "{:>8} {:>16.3e} {:>16.3e} {:>16.3e}",
             records_per_node, r.roads_update_bps, r.sword_update_bps, r.central_update_bps

@@ -7,7 +7,7 @@
 //! records when their data exhibit larger overlaps", with a similar ~10%
 //! increase in query overhead.
 
-use roads_bench::{banner, figure_config, run_comparison_recorded, TrialConfig};
+use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
             overlap_factor: Some(of),
             ..base
         };
-        let (r, _) = run_comparison_recorded(&cfg, Some(&reg), Some(&rec));
+        let (r, _) = run_comparison(&cfg, Some(&reg), Some(&rec));
         println!(
             "{:>4.0} {:>14.1} {:>14.0} {:>12.1}",
             of, r.roads_latency.mean, r.roads_query_bytes, r.roads_servers_contacted

@@ -5,7 +5,7 @@
 //! that drag the query to servers with no real matches. This sweep
 //! quantifies the trade-off the paper fixes at m = 1000.
 
-use roads_bench::{banner, figure_config, run_comparison_recorded, TrialConfig};
+use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
     let mut paper_point = None;
     for buckets in [10, 50, 100, 250, 500, 1000, 2000] {
         let cfg = TrialConfig { buckets, ..base };
-        let (r, report) = run_comparison_recorded(&cfg, Some(&reg), Some(&rec));
+        let (r, report) = run_comparison(&cfg, Some(&reg), Some(&rec));
         // False-positive redirect rate comes from the per-hop traces: a
         // descent that finds no local matches and forwards nowhere onward.
         let fp_rate = report.as_ref().map_or(0.0, |t| t.fp_redirect_rate);

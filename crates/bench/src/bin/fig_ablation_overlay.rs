@@ -9,13 +9,13 @@
 
 use roads_bench::{banner, figure_config, TrialConfig};
 use roads_core::{
-    execute_query_traced, record_query_events, trace_to_telemetry, LatencyStats, RoadsConfig,
-    RoadsNetwork, SearchScope, ServerId,
+    execute_query_with, explain_from_trace, record_query_events, LatencyStats, QueryOptions,
+    RoadsConfig, RoadsNetwork, ServerId,
 };
 use roads_netsim::DelaySpace;
 use roads_summary::SummaryConfig;
 use roads_telemetry::{
-    aggregate_traces, write_chrome_trace_default, FigureExport, Recorder, Registry,
+    aggregate_traces, write_chrome_trace_default, FigureExport, Recorder, Registry, TraceId,
 };
 use roads_workload::{
     default_schema, generate_node_records, generate_queries, QueryWorkloadConfig,
@@ -70,12 +70,13 @@ fn main() {
     let mut off_bytes = 0.0;
     let mut on_traces = Vec::new();
     let mut off_traces = Vec::new();
+    let opts = QueryOptions::default();
     for (q, start) in &queries {
         let entry = ServerId(*start as u32);
-        let (on, trace) = execute_query_traced(&net, &delays, q, entry, SearchScope::full());
-        on_traces.push(trace_to_telemetry(&net, q.id.0, &trace));
-        let trace_id = rec.next_trace_id();
-        let _ = record_query_events(&rec, trace_id, &trace);
+        let mut trace = Vec::new();
+        let on = execute_query_with(&net, &delays, q, entry, &opts, Some(&mut trace));
+        on_traces.push(explain_from_trace(&net, q, TraceId::NONE, &trace, &on));
+        record_query_events(&rec, rec.next_trace_id(), &trace);
         roads_core::record_query_outcome(&reg, &on);
         on_lat.push(on.latency_ms);
         on_bytes += on.query_bytes as f64;
@@ -88,8 +89,9 @@ fn main() {
         // Overlay OFF: the query must travel to the root first (one-way
         // client->root), then the basic top-down hierarchy search runs with
         // the client at the root's side of the protocol.
-        let (off, trace) = execute_query_traced(&net, &delays, q, root, SearchScope::full());
-        off_traces.push(trace_to_telemetry(&net, q.id.0, &trace));
+        trace.clear();
+        let off = execute_query_with(&net, &delays, q, root, &opts, Some(&mut trace));
+        off_traces.push(explain_from_trace(&net, q, TraceId::NONE, &trace, &off));
         off_lat.push(off.latency_ms + delays.delay_ms(*start, root.index()));
         off_bytes += off.query_bytes as f64;
     }

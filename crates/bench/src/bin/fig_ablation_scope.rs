@@ -11,8 +11,8 @@
 
 use roads_bench::{banner, figure_config, TrialConfig};
 use roads_core::{
-    execute_query, execute_query_recorded, record_query_outcome, LatencyStats, RoadsConfig,
-    RoadsNetwork, SearchScope, ServerId,
+    execute_query, execute_query_with, record_query_events, record_query_outcome, LatencyStats,
+    QueryOptions, RoadsConfig, RoadsNetwork, SearchScope, ServerId,
 };
 use roads_netsim::DelaySpace;
 use roads_summary::SummaryConfig;
@@ -79,14 +79,16 @@ fn main() {
     let mut servers_pts = Vec::new();
     let mut latency_pts = Vec::new();
     for scope_levels in 0..levels {
-        let scope = SearchScope::levels(scope_levels);
+        let opts = QueryOptions::scoped(SearchScope::levels(scope_levels));
         let mut recs = 0usize;
         let mut servers = 0.0;
         let mut bytes = 0.0;
         let mut lat = Vec::new();
         for (q, s) in &queries {
-            let out =
-                execute_query_recorded(&net, &delays, q, ServerId(*s as u32), scope, Some(&rec));
+            let mut trace = Vec::new();
+            let entry = ServerId(*s as u32);
+            let out = execute_query_with(&net, &delays, q, entry, &opts, Some(&mut trace));
+            record_query_events(&rec, rec.next_trace_id(), &trace);
             record_query_outcome(&reg, &out);
             recs += out.matching_records;
             servers += out.servers_contacted as f64;

@@ -23,14 +23,14 @@ pub mod suite;
 
 use roads_central::CentralRepository;
 use roads_core::{
-    execute_query, execute_query_traced, record_query_events, trace_to_telemetry, LatencyStats,
-    RoadsConfig, RoadsNetwork, SearchScope,
+    execute_query_with, explain_from_trace, record_query_events, LatencyStats, QueryOptions,
+    RoadsConfig, RoadsNetwork,
 };
 use roads_netsim::DelaySpace;
 use roads_records::Schema;
 use roads_summary::SummaryConfig;
 use roads_sword::SwordNetwork;
-use roads_telemetry::{aggregate_traces, QueryTrace, Recorder, Registry, TraceReport};
+use roads_telemetry::{aggregate_traces, QueryExplain, Recorder, Registry, TraceId, TraceReport};
 use roads_workload::{
     default_schema, generate_node_records, generate_overlap_records, generate_queries,
     QueryWorkloadConfig, RecordWorkloadConfig,
@@ -160,30 +160,18 @@ fn build_workload(
 }
 
 /// Run the full comparison for one configuration.
-pub fn run_comparison(cfg: &TrialConfig) -> ComparisonResult {
-    run_comparison_instrumented(cfg, None).0
-}
-
-/// [`run_comparison`] that additionally records every query into a
-/// telemetry registry (counters + latency histograms under `roads.*`,
-/// `sword.*`, `central.*`) and traces every ROADS execution, returning the
-/// aggregated [`TraceReport`]. With `telemetry = None` this is exactly the
-/// uninstrumented comparison — no tracing, no counters, no extra
+///
+/// With `telemetry`, every query is additionally recorded into the
+/// registry (counters + latency histograms under `roads.*`, `sword.*`,
+/// `central.*`) and every ROADS execution is explained, returning the
+/// aggregated [`TraceReport`]. With `recorder`, every executed query is
+/// fed into the flight [`Recorder`]: ROADS executions become causal span
+/// trees (one trace per query), SWORD and central executions become hop
+/// chains — all exportable as one Chrome/Perfetto trace via
+/// [`roads_telemetry::write_chrome_trace_default`]. With neither this is
+/// the uninstrumented comparison — no contact log, no counters, no extra
 /// allocation on the query path.
-pub fn run_comparison_instrumented(
-    cfg: &TrialConfig,
-    telemetry: Option<&Registry>,
-) -> (ComparisonResult, Option<TraceReport>) {
-    run_comparison_recorded(cfg, telemetry, None)
-}
-
-/// [`run_comparison_instrumented`] that additionally feeds every executed
-/// query into a flight [`Recorder`]: ROADS executions become causal
-/// span trees (one trace per query), SWORD and central executions become
-/// hop chains — all exportable as one Chrome/Perfetto trace via
-/// [`roads_telemetry::write_chrome_trace_default`]. With `recorder =
-/// None` this is exactly [`run_comparison_instrumented`].
-pub fn run_comparison_recorded(
+pub fn run_comparison(
     cfg: &TrialConfig,
     telemetry: Option<&Registry>,
     recorder: Option<&Recorder>,
@@ -198,7 +186,7 @@ pub fn run_comparison_recorded(
     let mut sword_bps = 0.0;
     let mut central_bps = 0.0;
     let total_queries = (cfg.queries * cfg.runs) as f64;
-    let mut traces: Vec<QueryTrace> = Vec::new();
+    let mut traces: Vec<QueryExplain> = Vec::new();
     let mut root = 0u32;
 
     for run in 0..cfg.runs {
@@ -225,21 +213,17 @@ pub fn run_comparison_recorded(
 
         for (q, start) in &queries {
             let entry = roads_core::ServerId(*start as u32);
-            let r = if telemetry.is_some() || recorder.is_some() {
-                let (r, trace) =
-                    execute_query_traced(&roads, &delays, q, entry, SearchScope::full());
-                if let Some(reg) = telemetry {
-                    traces.push(trace_to_telemetry(&roads, q.id.0, &trace));
-                    roads_core::record_query_outcome(reg, &r);
-                }
-                if let Some(rec) = recorder {
-                    let trace_id = rec.next_trace_id();
-                    let _ = record_query_events(rec, trace_id, &trace);
-                }
-                r
-            } else {
-                execute_query(&roads, &delays, q, entry, SearchScope::full())
-            };
+            let observed = telemetry.is_some() || recorder.is_some();
+            let mut trace = Vec::new();
+            let log = observed.then_some(&mut trace);
+            let r = execute_query_with(&roads, &delays, q, entry, &QueryOptions::default(), log);
+            if let Some(reg) = telemetry {
+                traces.push(explain_from_trace(&roads, q, TraceId::NONE, &trace, &r));
+                roads_core::record_query_outcome(reg, &r);
+            }
+            if let Some(rec) = recorder {
+                record_query_events(rec, rec.next_trace_id(), &trace);
+            }
             roads_lat.push(r.latency_ms);
             roads_qb += r.query_bytes as f64;
             roads_contacted += r.servers_contacted as f64;
@@ -278,15 +262,10 @@ pub fn run_comparison_recorded(
     (result, report)
 }
 
-/// Parse the common CLI flags shared by all figure binaries:
-/// `--quick` (alias `--smoke`), `--runs N`, `--seed S`, `--threads T`.
-pub fn parse_args() -> (bool, Option<usize>) {
-    let (quick, runs, _, _) = parse_args_full();
-    (quick, runs)
-}
-
-/// [`parse_args`] plus the optional `--seed` and `--threads`.
-pub fn parse_args_full() -> (bool, Option<usize>, Option<u64>, Option<usize>) {
+/// Parse the common CLI flags shared by all figure binaries: `--quick`
+/// (alias `--smoke`), `--runs N`, `--seed S`, `--threads T`, in that
+/// order.
+pub fn parse_args() -> (bool, Option<usize>, Option<u64>, Option<usize>) {
     let mut quick = false;
     let mut runs = None;
     let mut seed = None;
@@ -317,7 +296,7 @@ fn required_number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>
 /// Base config for a figure binary honoring `--quick`, `--runs`, `--seed`,
 /// `--threads`.
 pub fn figure_config() -> TrialConfig {
-    let (quick, runs, seed, threads) = parse_args_full();
+    let (quick, runs, seed, threads) = parse_args();
     let mut cfg = if quick {
         TrialConfig::quick()
     } else {
@@ -357,7 +336,7 @@ mod tests {
             runs: 1,
             ..TrialConfig::quick()
         };
-        let r = run_comparison(&cfg);
+        let (r, _) = run_comparison(&cfg, None, None);
         assert!(r.roads_latency.mean > 0.0);
         assert!(r.sword_latency.mean > 0.0);
         assert!(r.roads_update_bps > 0.0);
@@ -375,7 +354,7 @@ mod tests {
             ..TrialConfig::quick()
         };
         let reg = Registry::new();
-        let (r, report) = run_comparison_instrumented(&cfg, Some(&reg));
+        let (r, report) = run_comparison(&cfg, Some(&reg), None);
         assert_eq!(r.roads_latency.count, 20);
         let report = report.expect("telemetry requested");
         assert_eq!(report.queries, 20);
@@ -402,7 +381,7 @@ mod tests {
             ..TrialConfig::quick()
         };
         let rec = Recorder::new(8192);
-        let (r, _) = run_comparison_recorded(&cfg, None, Some(&rec));
+        let (r, _) = run_comparison(&cfg, None, Some(&rec));
         assert_eq!(r.roads_latency.count, 10);
         let events = rec.events();
         // One ROADS trace + one SWORD trace per query.
@@ -427,7 +406,7 @@ mod tests {
             overlap_factor: Some(4.0),
             ..TrialConfig::quick()
         };
-        let r = run_comparison(&cfg);
+        let (r, _) = run_comparison(&cfg, None, None);
         assert!(r.roads_latency.count == 10);
     }
 }

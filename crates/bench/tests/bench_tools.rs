@@ -306,7 +306,7 @@ fn health_renders_a_table_from_a_live_scrape() {
     use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
     use roads_netsim::DelaySpace;
     use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
-    use roads_runtime::{RoadsCluster, RuntimeConfig};
+    use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
     use roads_summary::SummaryConfig;
     use roads_telemetry::{OpenMetricsSnapshot, Registry};
 
@@ -335,11 +335,11 @@ fn health_renders_a_table_from_a_live_scrape() {
         records,
     );
     let reg = Registry::new();
-    let c = RoadsCluster::start_instrumented(
+    let c = RoadsCluster::start_with(
         net,
         DelaySpace::paper(n, 3),
         RuntimeConfig::test_fast(),
-        &reg,
+        Attachments::instrumented(&reg),
     );
     let q = QueryBuilder::new(c.network().schema(), QueryId(1))
         .range("x0", 0.0, 1.0)

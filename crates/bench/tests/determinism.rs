@@ -23,9 +23,9 @@ fn cfg(build_threads: usize) -> TrialConfig {
 
 #[test]
 fn comparison_series_identical_across_build_thread_counts() {
-    let sequential = run_comparison(&cfg(1));
+    let sequential = run_comparison(&cfg(1), None, None);
     for threads in [4, 64] {
-        let parallel = run_comparison(&cfg(threads));
+        let parallel = run_comparison(&cfg(threads), None, None);
         assert_eq!(
             sequential, parallel,
             "build_threads={threads} must reproduce the sequential series exactly"
@@ -35,5 +35,8 @@ fn comparison_series_identical_across_build_thread_counts() {
 
 #[test]
 fn comparison_series_identical_across_repeat_runs() {
-    assert_eq!(run_comparison(&cfg(1)), run_comparison(&cfg(1)));
+    assert_eq!(
+        run_comparison(&cfg(1), None, None),
+        run_comparison(&cfg(1), None, None)
+    );
 }

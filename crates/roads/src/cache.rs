@@ -9,8 +9,9 @@
 //! replication wave lands) *expires* entries that aged out. `ttl_rounds =
 //! 1` means "valid until the next round"; `0` disables caching.
 //!
-//! The incremental update path is finer: a [`RecordDelta`] names exactly
-//! which servers changed and summarizes the changed values, so
+//! The incremental update path is finer: a
+//! [`RecordDelta`](crate::store::RecordDelta) names exactly which servers
+//! changed and summarizes the changed values, so
 //! [`ResultCache::invalidate_delta`] purges only entries whose search
 //! scope reaches a dirty server **and** whose query may match the delta
 //! summary — everything else stays hot across the round. Expiry (TTL
@@ -24,7 +25,7 @@
 
 use crate::engine::RoadsNetwork;
 use crate::planner::QueryPlan;
-use crate::queryexec::{execute_query, execute_query_planned, QueryOutcome, SearchScope};
+use crate::queryexec::{execute_query_with, QueryOptions, QueryOutcome, SearchScope};
 use crate::store::DeltaOutcome;
 use crate::tree::{HierarchyTree, ServerId};
 use roads_netsim::DelaySpace;
@@ -277,6 +278,40 @@ impl ResultCache {
         );
     }
 
+    /// A simulated query entering at `at` for the anonymous requester,
+    /// through this cache: a valid cached answer is served by the entry
+    /// alone (one query message, no fan-out, zero added latency — the
+    /// client is co-located); a miss takes `run`'s outcome and stores its
+    /// match locations and count. Returns the outcome and whether it was
+    /// a cache hit.
+    pub fn outcome_or_run(
+        &self,
+        at: ServerId,
+        scope: SearchScope,
+        q: &Query,
+        run: impl FnOnce() -> QueryOutcome,
+    ) -> (QueryOutcome, bool) {
+        if let Some(r) = self.lookup(at, 0, scope, q) {
+            let outcome = QueryOutcome {
+                latency_ms: 0.0,
+                query_bytes: (q.wire_size() + MSG_HEADER_BYTES) as u64,
+                query_messages: 1,
+                servers_contacted: 1,
+                matching_servers: r.matching_servers,
+                matching_records: r.matching_records,
+            };
+            return (outcome, true);
+        }
+        let outcome = run();
+        let result = CachedResult {
+            matching_servers: outcome.matching_servers.clone(),
+            matching_records: outcome.matching_records,
+            records: Vec::new(),
+        };
+        self.insert(at, 0, scope, q, result);
+        (outcome, false)
+    }
+
     /// Live entries.
     pub fn len(&self) -> usize {
         self.map.lock().expect("cache lock").len()
@@ -320,11 +355,9 @@ impl ResultCache {
     }
 }
 
-/// [`execute_query`](crate::queryexec::execute_query) through `cache`: a
-/// valid cached answer is served by the entry alone (one query message, no
-/// fan-out, zero added latency — the client is co-located); a miss
-/// executes (planned when `plan` is given, greedy otherwise) and populates
-/// the cache. Returns the outcome and whether it was a cache hit.
+/// [`execute_query_with`] through `cache` ([`ResultCache::outcome_or_run`]),
+/// planned when `plan` is given, greedy otherwise. Kept for `benchmark/`,
+/// which pins the name and signature.
 pub fn execute_query_cached(
     net: &RoadsNetwork,
     delays: &DelaySpace,
@@ -334,33 +367,10 @@ pub fn execute_query_cached(
     cache: &ResultCache,
     plan: Option<&QueryPlan>,
 ) -> (QueryOutcome, bool) {
-    if let Some(r) = cache.lookup(start, 0, scope, query) {
-        let outcome = QueryOutcome {
-            latency_ms: 0.0,
-            query_bytes: (query.wire_size() + MSG_HEADER_BYTES) as u64,
-            query_messages: 1,
-            servers_contacted: 1,
-            matching_servers: r.matching_servers,
-            matching_records: r.matching_records,
-        };
-        return (outcome, true);
-    }
-    let outcome = match plan {
-        Some(p) => execute_query_planned(net, delays, query, start, scope, p),
-        None => execute_query(net, delays, query, start, scope),
-    };
-    cache.insert(
-        start,
-        0,
-        scope,
-        query,
-        CachedResult {
-            matching_servers: outcome.matching_servers.clone(),
-            matching_records: outcome.matching_records,
-            records: Vec::new(),
-        },
-    );
-    (outcome, false)
+    let opts = QueryOptions::scoped(scope).with_plan(plan);
+    cache.outcome_or_run(start, scope, query, || {
+        execute_query_with(net, delays, query, start, &opts, None)
+    })
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 
 use crate::config::RoadsConfig;
 use crate::overlay::{replication_set, ReplicationSet};
+use crate::queryexec::SearchScope;
 use crate::store::{DeltaOutcome, RecordChange, RecordDelta, ServerStore};
 use crate::tree::{HierarchyTree, ServerId};
 use roads_records::{Query, Record, Schema, WireSize};
@@ -147,6 +148,25 @@ impl EvalResult {
         v.extend(&self.replica_targets);
         v
     }
+}
+
+/// How a contacted server treats the query — the redirect protocol's one
+/// vocabulary, spoken by the simulator's executor and the live cluster
+/// alike ([`RoadsNetwork::route`] is the rule both run).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ContactMode {
+    /// Entry server: children + overlay shortcuts + ancestor probes.
+    Entry,
+    /// Branch server: local data + children.
+    Branch,
+    /// Ancestor probe: local data only.
+    LocalOnly,
+    /// Overlay stand-in for a crashed server: forward to `dead`'s children
+    /// using its replicated branch summary, no local search here.
+    Failover {
+        /// The unreachable server being routed around.
+        dead: ServerId,
+    },
 }
 
 /// The converged federation: hierarchy + per-server record stores +
@@ -443,6 +463,16 @@ impl RoadsNetwork {
         &self.replicas[s.index()]
     }
 
+    /// The children of `s` whose branch summaries may match `query`.
+    fn matching_children<'a>(
+        &'a self,
+        s: ServerId,
+        query: &'a Query,
+    ) -> impl Iterator<Item = ServerId> + 'a {
+        let matches = move |c: &ServerId| self.branch_summary[c.index()].may_match(query);
+        self.tree.children(s).iter().copied().filter(matches)
+    }
+
     /// Evaluate `query` at server `s`.
     ///
     /// `entry` selects whether replicated summaries participate: at the
@@ -451,13 +481,7 @@ impl RoadsNetwork {
     /// children are searched (their branch is their responsibility).
     pub fn evaluate(&self, s: ServerId, query: &Query, entry: bool) -> EvalResult {
         let local_match = self.local_summary(s).may_match(query);
-        let child_targets = self
-            .tree
-            .children(s)
-            .iter()
-            .copied()
-            .filter(|c| self.branch_summary[c.index()].may_match(query))
-            .collect();
+        let child_targets = self.matching_children(s, query).collect();
         let (replica_targets, ancestor_targets) = if entry {
             let replicas = self.replicas[s.index()]
                 .redirect_targets()
@@ -483,6 +507,52 @@ impl RoadsNetwork {
             child_targets,
             replica_targets,
             ancestor_targets,
+        }
+    }
+
+    /// The protocol's per-server step (§III-C): what server `s`, contacted
+    /// in `mode`, does with `query` — whether it searches its own records,
+    /// and whom the query goes to next, each with the mode to contact it
+    /// in. Children come first, then (at the entry) overlay shortcuts and
+    /// ancestor probes, the last two filtered by `scope` measured from `s`.
+    pub fn route(
+        &self,
+        s: ServerId,
+        query: &Query,
+        mode: ContactMode,
+        scope: SearchScope,
+    ) -> (bool, Vec<(ServerId, ContactMode)>) {
+        let branch = |t: ServerId| (t, ContactMode::Branch);
+        match mode {
+            ContactMode::LocalOnly => (true, Vec::new()),
+            ContactMode::Branch => {
+                let ev = self.evaluate(s, query, false);
+                let children = ev.child_targets.into_iter();
+                (ev.local_match, children.map(branch).collect())
+            }
+            ContactMode::Entry => {
+                let ev = self.evaluate(s, query, true);
+                let depth = self.tree.depth(s);
+                // A replica target hangs one level *below* the ancestor it
+                // is reached through, so the two kinds consume scope
+                // differently (see `SearchScope`).
+                let replicas = (ev.replica_targets.into_iter())
+                    .filter(|t| scope.admits_replica(depth, self.tree.depth(*t)));
+                let ancestors = (ev.ancestor_targets.into_iter())
+                    .filter(|t| scope.admits_ancestor(depth, self.tree.depth(*t)));
+                let targets = (ev.child_targets.into_iter().map(branch))
+                    .chain(replicas.map(branch))
+                    .chain(ancestors.map(|a| (a, ContactMode::LocalOnly)))
+                    .collect();
+                (ev.local_match, targets)
+            }
+            // Stand in for the crashed server using its branch summaries
+            // replicated here (§III-C): forward to its matching children;
+            // this helper's own data is queried separately.
+            ContactMode::Failover { dead } => {
+                let children = self.matching_children(dead, query);
+                (false, children.map(branch).collect())
+            }
         }
     }
 
@@ -791,6 +861,137 @@ mod tests {
         let leaf = *n.tree().leaves().first().unwrap();
         let ev = n.evaluate(leaf, &q, false);
         assert!(ev.replica_targets.is_empty());
+    }
+
+    /// A deeper federation than `small_network`: 40 servers, degree 3,
+    /// one record each at s/40, so scopes have levels to cut.
+    fn deep_network() -> RoadsNetwork {
+        let schema = Schema::unit_numeric(1);
+        let cfg = RoadsConfig {
+            max_children: 3,
+            summary: SummaryConfig::with_buckets(100),
+            ..RoadsConfig::paper_default()
+        };
+        let records = (0..40)
+            .map(|s| vec![unit_record(&schema, s as u64, s as u32, &[s as f64 / 40.0])])
+            .collect();
+        RoadsNetwork::build(schema, cfg, records)
+    }
+
+    fn queries(n: &RoadsNetwork) -> Vec<Query> {
+        [(0.0, 1.0), (0.2, 0.45), (0.61, 0.62), (2.0, 3.0)]
+            .iter()
+            .map(|&(lo, hi)| {
+                QueryBuilder::new(n.schema(), QueryId(0))
+                    .range("x0", lo, hi)
+                    .build()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn route_is_evaluate_in_order_under_full_scope() {
+        let n = deep_network();
+        let full = SearchScope::full();
+        let with = |ts: &[ServerId], mode| ts.iter().map(|&t| (t, mode)).collect::<Vec<_>>();
+        for q in queries(&n) {
+            for s in n.tree().servers() {
+                let ev = n.evaluate(s, &q, true);
+                let mut expect = with(&ev.child_targets, ContactMode::Branch);
+                expect.extend(with(&ev.replica_targets, ContactMode::Branch));
+                expect.extend(with(&ev.ancestor_targets, ContactMode::LocalOnly));
+                assert_eq!(
+                    n.route(s, &q, ContactMode::Entry, full),
+                    (ev.local_match, expect)
+                );
+
+                let ev = n.evaluate(s, &q, false);
+                assert_eq!(
+                    n.route(s, &q, ContactMode::Branch, full),
+                    (ev.local_match, with(&ev.child_targets, ContactMode::Branch))
+                );
+                // A probed ancestor searches whatever its summary says
+                // and sends the query nowhere; scope is the entry's affair.
+                for scope in [full, SearchScope::levels(0)] {
+                    assert_eq!(
+                        n.route(s, &q, ContactMode::LocalOnly, scope),
+                        (true, Vec::new())
+                    );
+                    assert_eq!(
+                        n.route(s, &q, ContactMode::Branch, scope),
+                        n.route(s, &q, ContactMode::Branch, full)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn route_scope_drops_exactly_what_the_scope_refuses() {
+        let n = deep_network();
+        let tree = n.tree();
+        let mut dropped = 0;
+        for q in queries(&n) {
+            for s in tree.servers() {
+                let depth = tree.depth(s);
+                let ev = n.evaluate(s, &q, true);
+                let (local, full) = n.route(s, &q, ContactMode::Entry, SearchScope::full());
+                for levels in 0..=depth + 1 {
+                    let scope = SearchScope::levels(levels);
+                    let keep = |&(t, mode): &(ServerId, ContactMode)| {
+                        if ev.child_targets.contains(&t) {
+                            true
+                        } else if mode == ContactMode::LocalOnly {
+                            scope.admits_ancestor(depth, tree.depth(t))
+                        } else {
+                            scope.admits_replica(depth, tree.depth(t))
+                        }
+                    };
+                    let expect: Vec<_> = full.iter().copied().filter(keep).collect();
+                    dropped += full.len() - expect.len();
+                    assert_eq!(
+                        n.route(s, &q, ContactMode::Entry, scope),
+                        (local, expect),
+                        "server {s}, levels {levels}"
+                    );
+                }
+                // Past the root nothing is left to refuse.
+                assert_eq!(
+                    n.route(s, &q, ContactMode::Entry, SearchScope::levels(depth + 1))
+                        .1,
+                    full
+                );
+            }
+        }
+        assert!(dropped > 0, "some scope refused some target");
+    }
+
+    #[test]
+    fn route_failover_forwards_to_the_dead_servers_matching_children() {
+        let n = deep_network();
+        let tree = n.tree();
+        let mut forwarded = 0;
+        for q in queries(&n) {
+            for dead in tree.servers() {
+                let expect: Vec<_> = tree
+                    .children(dead)
+                    .iter()
+                    .filter(|c| n.branch_summary(**c).may_match(&q))
+                    .map(|&c| (c, ContactMode::Branch))
+                    .collect();
+                forwarded += expect.len();
+                // Whoever stands in: the answer is about `dead`, and the
+                // helper's own records are not searched on its behalf.
+                for helper in n.replica_set(dead).failover_candidates() {
+                    let mode = ContactMode::Failover { dead };
+                    assert_eq!(
+                        n.route(helper, &q, mode, SearchScope::full()),
+                        (false, expect.clone())
+                    );
+                }
+            }
+        }
+        assert!(forwarded > 0, "some dead server had a matching child");
     }
 
     #[test]

@@ -10,12 +10,18 @@
 //!   siblings, so combined they cover the whole hierarchy and any server can
 //!   be a query entry point.
 //! * [`engine`] — a converged ROADS network: per-server record stores,
-//!   bottom-up branch-summary aggregation, conservative query evaluation
-//!   returning redirect targets.
+//!   bottom-up branch-summary aggregation, conservative query evaluation,
+//!   and the protocol's per-server step ([`RoadsNetwork::route`]: a
+//!   server contacted in a [`ContactMode`] says whether it searches its
+//!   own records and whom the query goes to next) that the simulator and
+//!   the live cluster both run.
 //! * [`queryexec`] — client-driven query execution over a
 //!   [`roads_netsim::DelaySpace`]: redirection rounds, parallel branch
 //!   descent, latency and byte accounting exactly as the paper measures
-//!   them.
+//!   them. One executor ([`execute_query_with`]) takes scope, forwarding
+//!   style and plan as [`QueryOptions`] and observation as an optional
+//!   contact log; the explain record and the flight-recorder span tree
+//!   are derived from that log.
 //! * [`batch`] — a worker pool evaluating whole query batches over one
 //!   `Arc`-shared converged network (throughput experiments, fig. 14).
 //! * [`updates`] — per-round update-overhead accounting (summary export,
@@ -61,7 +67,7 @@ pub use audit::{
 pub use batch::QueryBatch;
 pub use cache::{execute_query_cached, query_fingerprint, CachedResult, ResultCache};
 pub use config::RoadsConfig;
-pub use engine::{BuildOptions, EvalResult, RoadsNetwork};
+pub use engine::{BuildOptions, ContactMode, EvalResult, RoadsNetwork};
 pub use load::{choose_entry, EntryPolicy, LoadTracker};
 pub use metrics::{record_query_outcome, LatencyStats};
 pub use overlay::{replication_set, ReplicaRole, ReplicationSet};
@@ -73,10 +79,9 @@ pub use policy::{
     apply_policy, Disclosure, OpenPolicy, RequesterId, SharingPolicy, TieredPolicy, TrustClass,
 };
 pub use queryexec::{
-    execute_query, execute_query_explained, execute_query_mode, execute_query_planned,
-    execute_query_recorded, execute_query_traced, explain_from_trace, record_query_events,
-    trace_to_telemetry, verdict_kind, ForwardingMode, QueryOutcome, SearchScope, TraceEvent,
-    TraceRole,
+    contact_decision, execute_query, execute_query_planned, execute_query_with, explain_from_trace,
+    record_query_events, verdict_kind, ForwardingMode, QueryOptions, QueryOutcome, SearchScope,
+    TraceEvent,
 };
 pub use store::{DeltaOutcome, RecordChange, RecordDelta, RecordStore, ServerStore};
 pub use tree::{BalanceStats, HierarchyTree, ServerId, TreeError};

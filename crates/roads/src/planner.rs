@@ -27,11 +27,11 @@
 //!   exists for degraded or custom topologies where copies overlap.
 //!
 //! The resulting [`QueryPlan`] is dispatched as one batch from the entry
-//! ([`crate::queryexec::execute_query_planned`]) instead of re-deriving
-//! targets hop-by-hop.
+//! ([`QueryOptions::plan`](crate::queryexec::QueryOptions::plan)) instead
+//! of re-deriving targets hop-by-hop.
 
 use crate::audit::ReplicaLedger;
-use crate::engine::RoadsNetwork;
+use crate::engine::{ContactMode, RoadsNetwork};
 use crate::queryexec::SearchScope;
 use crate::tree::ServerId;
 use roads_netsim::DelaySpace;
@@ -46,6 +46,16 @@ pub enum PlanAction {
     Descend,
     /// Search locally attached records only (an ancestor probe).
     Probe,
+}
+
+impl PlanAction {
+    /// The mode a planned contact is contacted in.
+    pub fn mode(self) -> ContactMode {
+        match self {
+            PlanAction::Descend => ContactMode::Branch,
+            PlanAction::Probe => ContactMode::LocalOnly,
+        }
+    }
 }
 
 /// One server the plan dispatches to, with the cover that justified it.

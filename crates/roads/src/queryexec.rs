@@ -12,9 +12,18 @@
 //! initiating a query to the query reaching the last server it needs to
 //! contact". Query overhead counts every forwarded query and redirect
 //! reply.
+//!
+//! There is one executor, [`execute_query_with`]. How far the search
+//! reaches, how the query travels and whether the entry dispatches a
+//! precomputed plan are [`QueryOptions`]; observation is its optional
+//! contact log (one [`TraceEvent`] per contacted server, each naming the
+//! contact that caused it), from which [`explain_from_trace`] derives the
+//! provenance record and [`record_query_events`] the flight-recorder span
+//! tree. What a contacted server does is [`RoadsNetwork::route`], the
+//! step the live cluster runs too.
 
-use crate::engine::RoadsNetwork;
-use crate::planner::{PlanAction, QueryPlan};
+use crate::engine::{ContactMode, RoadsNetwork};
+use crate::planner::QueryPlan;
 use crate::tree::ServerId;
 use roads_netsim::DelaySpace;
 use roads_records::{wire::MSG_HEADER_BYTES, Query, WireSize};
@@ -99,24 +108,14 @@ pub struct QueryOutcome {
     pub matching_records: usize,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// The query's entry server: children + overlay shortcuts + ancestor
-    /// probes.
-    Entry,
-    /// A branch server reached by redirection: local data + children.
-    Branch,
-    /// An ancestor probed for its locally attached records only.
-    LocalOnly,
-}
-
-/// Time-ordered contact queue entry. `f64` arrival times are finite by
-/// construction, so a total order via bit patterns is safe here.
+/// Time-ordered contact queue entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Contact {
     at_us: u64,
     server: ServerId,
-    mode: Mode,
+    mode: ContactMode,
+    /// Position in contact order of the contact that sent the query here.
+    caused_by: Option<usize>,
 }
 
 impl Eq for Contact {}
@@ -152,12 +151,39 @@ pub enum ForwardingMode {
     ClientRedirect,
 }
 
-/// Execute `query` starting at `start`, over a converged [`RoadsNetwork`]
-/// with latencies from `delays`, using the default
-/// [`ForwardingMode::ServerForward`].
-///
-/// The client is co-located with the entry server (the paper initiates each
-/// query "from a randomly chosen node"), so contacting the entry is free.
+/// How one query is executed. The default searches the whole hierarchy,
+/// server-forwarded, expanding the entry's overlay view greedily.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct QueryOptions<'a> {
+    /// How far up the hierarchy the search may reach.
+    pub scope: SearchScope,
+    /// How the query travels between servers.
+    pub forwarding: ForwardingMode,
+    /// A pre-computed [`QueryPlan`] (see [`crate::planner`]): the entry
+    /// dispatches the planned contacts as one batch instead of expanding
+    /// its own overlay view. Descent below planned branch targets is
+    /// unchanged. The plan must have been computed for the entry.
+    pub plan: Option<&'a QueryPlan>,
+}
+
+impl<'a> QueryOptions<'a> {
+    /// The default execution confined to `scope`.
+    pub fn scoped(scope: SearchScope) -> Self {
+        QueryOptions {
+            scope,
+            ..Self::default()
+        }
+    }
+
+    /// The same execution dispatching `plan` at the entry (`None` =
+    /// greedy).
+    pub fn with_plan(self, plan: Option<&'a QueryPlan>) -> Self {
+        QueryOptions { plan, ..self }
+    }
+}
+
+/// [`execute_query_with`] under default options within `scope`. Kept for
+/// `benchmark/`, which pins the name and signature.
 pub fn execute_query(
     net: &RoadsNetwork,
     delays: &DelaySpace,
@@ -165,63 +191,12 @@ pub fn execute_query(
     start: ServerId,
     scope: SearchScope,
 ) -> QueryOutcome {
-    execute_query_mode(net, delays, query, start, scope, ForwardingMode::default())
+    let opts = QueryOptions::scoped(scope);
+    execute_query_with(net, delays, query, start, &opts, None)
 }
 
-/// One step of a traced execution: which server was contacted, when, in
-/// what role, and what it did.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// The contacted server.
-    pub server: ServerId,
-    /// Arrival time of the query at that server (ms).
-    pub at_ms: f64,
-    /// Role the server played.
-    pub role: TraceRole,
-    /// Records its local search produced.
-    pub local_matches: usize,
-    /// Servers it forwarded/redirected the query to.
-    pub forwarded_to: Vec<ServerId>,
-}
-
-/// Role of a contacted server in a traced execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceRole {
-    /// The query's entry server.
-    Entry,
-    /// A branch server reached by redirection.
-    Branch,
-    /// A local-only ancestor probe.
-    AncestorProbe,
-}
-
-/// [`execute_query`] that also returns the full contact trace, in contact
-/// order — for debugging redirect behaviour and visualizing executions.
-pub fn execute_query_traced(
-    net: &RoadsNetwork,
-    delays: &DelaySpace,
-    query: &Query,
-    start: ServerId,
-    scope: SearchScope,
-) -> (QueryOutcome, Vec<TraceEvent>) {
-    let mut trace = Vec::new();
-    let outcome = execute_query_inner(
-        net,
-        delays,
-        query,
-        start,
-        scope,
-        ForwardingMode::default(),
-        None,
-        Some(&mut trace),
-    );
-    (outcome, trace)
-}
-
-/// Execute a pre-computed [`QueryPlan`] (see [`crate::planner`]): the entry
-/// dispatches the planned contacts as one batch instead of expanding its
-/// own overlay view hop-by-hop. Descent below planned branch targets is
-/// unchanged. The plan must have been computed for `start`.
+/// [`execute_query_with`] dispatching `plan`. Kept for `benchmark/`, which
+/// pins the name and signature.
 pub fn execute_query_planned(
     net: &RoadsNetwork,
     delays: &DelaySpace,
@@ -230,71 +205,27 @@ pub fn execute_query_planned(
     scope: SearchScope,
     plan: &QueryPlan,
 ) -> QueryOutcome {
-    execute_query_inner(
-        net,
-        delays,
-        query,
-        start,
-        scope,
-        ForwardingMode::default(),
-        Some(plan),
-        None,
-    )
+    let opts = QueryOptions::scoped(scope).with_plan(Some(plan));
+    execute_query_with(net, delays, query, start, &opts, None)
 }
 
-/// Classify a contact trace into a telemetry [`QueryTrace`]
-/// (`roads_telemetry`), attributing a [`HopReason`] to every visit.
-///
-/// Reasons are reconstructed from the hierarchy: a branch contact whose
-/// forwarder is its tree parent is a summary-driven descent — and a
-/// descent that found nothing locally *and* had nowhere further to
-/// redirect is a false-positive redirect, the cost of lossy summaries. A
-/// branch contact reached from a non-parent came through the replication
-/// overlay (entry shortcuts to siblings and ancestors' siblings), and
-/// ancestor probes are the climb that widens the search scope.
-pub fn trace_to_telemetry(
-    net: &RoadsNetwork,
-    query_id: u64,
-    trace: &[TraceEvent],
-) -> roads_telemetry::QueryTrace {
-    use roads_telemetry::{Hop, HopReason};
-    let mut hops = Vec::with_capacity(trace.len());
-    let mut completed_ms = 0.0f64;
-    for (i, e) in trace.iter().enumerate() {
-        completed_ms = completed_ms.max(e.at_ms);
-        let reason = match e.role {
-            TraceRole::Entry => HopReason::Entry,
-            TraceRole::AncestorProbe => HopReason::ClimbToParent,
-            TraceRole::Branch => {
-                // The first earlier contact listing this server forwarded
-                // the query here (contacts are in arrival-time order).
-                let forwarder = trace[..i]
-                    .iter()
-                    .find(|p| p.forwarded_to.contains(&e.server))
-                    .map(|p| p.server);
-                let via_tree = forwarder.is_some() && net.tree().parent(e.server) == forwarder;
-                if !via_tree {
-                    HopReason::OverlayShortcut
-                } else if e.local_matches == 0 && e.forwarded_to.is_empty() {
-                    HopReason::FalsePositiveRedirect
-                } else {
-                    HopReason::SummaryHit
-                }
-            }
-        };
-        hops.push(Hop {
-            node: e.server.0,
-            reason,
-            at_ms: e.at_ms,
-            local_matches: e.local_matches,
-        });
-    }
-    roads_telemetry::QueryTrace {
-        query_id,
-        entry: trace.first().map(|e| e.server.0).unwrap_or(0),
-        hops,
-        completed_ms,
-    }
+/// One entry of an execution's contact log: which server was contacted,
+/// when, in what mode, because of whom, and what it did.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceEvent {
+    /// The contacted server.
+    pub server: ServerId,
+    /// Arrival time of the query at that server (ms).
+    pub at_ms: f64,
+    /// How the server was asked to treat the query.
+    pub mode: ContactMode,
+    /// Index in the log of the contact that forwarded the query here
+    /// (always an earlier one); `None` for the entry.
+    pub caused_by: Option<usize>,
+    /// Records its local search produced.
+    pub local_matches: usize,
+    /// Servers it forwarded/redirected the query to.
+    pub forwarded_to: Vec<ServerId>,
 }
 
 /// The summary kind a [`SummaryVerdict`] hinged on, in the explain
@@ -306,16 +237,43 @@ pub fn verdict_kind(verdict: SummaryVerdict) -> Option<SummaryKind> {
     label.and_then(SummaryKind::from_summary_label)
 }
 
-/// The summary kind likeliest to have *caused* the routing decision that
-/// contacted `server`: what its branch summary's verdict hinged on.
-fn deciding_kind(net: &RoadsNetwork, server: ServerId, query: &Query) -> Option<SummaryKind> {
-    verdict_kind(net.branch_summary(server).decide(query))
+/// The routing decision behind `forwarder` sending a query on to `target`
+/// in `mode`. A branch redirect from the target's tree parent is ordinary
+/// summary descent; from anyone else (the entry's replica shortcuts, a
+/// failover stand-in) it rode the replication overlay.
+pub fn contact_decision(
+    net: &RoadsNetwork,
+    forwarder: ServerId,
+    target: ServerId,
+    mode: ContactMode,
+) -> ExplainDecision {
+    match mode {
+        ContactMode::Branch if net.tree().parent(target) == Some(forwarder) => {
+            ExplainDecision::SummaryDescent
+        }
+        ContactMode::Branch => ExplainDecision::OverlayShortcut,
+        ContactMode::LocalOnly => ExplainDecision::AncestorProbe,
+        ContactMode::Entry => ExplainDecision::Entry,
+        ContactMode::Failover { .. } => ExplainDecision::Failover,
+    }
 }
 
-/// Build a [`QueryExplain`] provenance record from a finished simulation
-/// trace: one hop per contact, each with the routing decision that caused
-/// it (tree descent, overlay shortcut, ancestor probe), the summary kind
-/// behind the decision, false-positive detection, and a latency split
+/// Latest arrival (ms) inside each contact's redirect subtree: a hop's
+/// span covers its own work plus everything it caused.
+fn subtree_end_ms(trace: &[TraceEvent]) -> Vec<f64> {
+    let mut end_ms: Vec<f64> = trace.iter().map(|e| e.at_ms).collect();
+    for i in (1..trace.len()).rev() {
+        if let Some(p) = trace[i].caused_by {
+            end_ms[p] = end_ms[p].max(end_ms[i]);
+        }
+    }
+    end_ms
+}
+
+/// Build a [`QueryExplain`] provenance record from a finished execution's
+/// contact log: one hop per contact, each with the routing decision that
+/// caused it (tree descent, overlay shortcut, ancestor probe), the summary
+/// kind behind the decision, false-positive detection, and a latency split
 /// (pure network transit in the simulation — queue and compute are
 /// emulated only by the threaded runtime).
 ///
@@ -329,70 +287,35 @@ pub fn explain_from_trace(
     outcome: &QueryOutcome,
 ) -> QueryExplain {
     let to_us = |ms: f64| ms * 1000.0;
-    // Who forwarded the query to each contact (contacts are time-ordered);
-    // same reconstruction as `record_query_events`.
-    let parent_idx: Vec<Option<usize>> = trace
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            if i == 0 {
-                None
-            } else {
-                trace[..i]
-                    .iter()
-                    .position(|p| p.forwarded_to.contains(&e.server))
-            }
-        })
-        .collect();
-    // A hop's duration covers its redirect subtree (its own work plus
-    // everything it caused), mirroring the recorded span tree.
-    let mut end_ms: Vec<f64> = trace.iter().map(|e| e.at_ms).collect();
-    for i in (1..trace.len()).rev() {
-        if let Some(p) = parent_idx[i] {
-            end_ms[p] = end_ms[p].max(end_ms[i]);
-        }
-    }
+    let end_ms = subtree_end_ms(trace);
     let hops = trace
         .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            let (decision, summary) = match e.role {
-                TraceRole::Entry => (ExplainDecision::Entry, None),
-                TraceRole::AncestorProbe => (
-                    ExplainDecision::AncestorProbe,
-                    deciding_kind(net, e.server, query),
+        .zip(end_ms)
+        .map(|(e, end_ms)| {
+            let forwarder = e.caused_by.map(|p| &trace[p]);
+            // The summary kind is what the server's branch summary's
+            // verdict hinged on: the likeliest cause of the decision.
+            let (decision, summary) = match forwarder {
+                None => (ExplainDecision::Entry, None),
+                Some(f) => (
+                    contact_decision(net, f.server, e.server, e.mode),
+                    verdict_kind(net.branch_summary(e.server).decide(query)),
                 ),
-                TraceRole::Branch => {
-                    let forwarder = parent_idx[i].map(|p| trace[p].server);
-                    let via_tree = forwarder.is_some() && net.tree().parent(e.server) == forwarder;
-                    (
-                        if via_tree {
-                            ExplainDecision::SummaryDescent
-                        } else {
-                            ExplainDecision::OverlayShortcut
-                        },
-                        deciding_kind(net, e.server, query),
-                    )
-                }
-            };
-            let network_us = match parent_idx[i] {
-                Some(p) => to_us(e.at_ms - trace[p].at_ms),
-                None => 0.0,
             };
             ExplainHop {
                 server: e.server.0,
                 decision,
                 summary,
-                false_positive: e.role == TraceRole::Branch
+                false_positive: e.mode == ContactMode::Branch
                     && e.local_matches == 0
                     && e.forwarded_to.is_empty(),
                 outcome: HopOutcome::Replied,
                 at_us: to_us(e.at_ms),
-                dur_us: to_us(end_ms[i] - e.at_ms),
-                caused_by: parent_idx[i],
+                dur_us: to_us(end_ms - e.at_ms),
+                caused_by: e.caused_by,
                 local_matches: e.local_matches as u64,
                 split: LatencySplit {
-                    network_us,
+                    network_us: forwarder.map_or(0.0, |f| to_us(e.at_ms - f.at_ms)),
                     ..LatencySplit::default()
                 },
             }
@@ -410,31 +333,7 @@ pub fn explain_from_trace(
     }
 }
 
-/// [`execute_query`] that also assembles the per-query provenance record.
-/// When a recorder is attached the execution is additionally recorded as
-/// a span tree and the explain record carries its trace id.
-pub fn execute_query_explained(
-    net: &RoadsNetwork,
-    delays: &DelaySpace,
-    query: &Query,
-    start: ServerId,
-    scope: SearchScope,
-    rec: Option<&Recorder>,
-) -> (QueryOutcome, QueryExplain) {
-    let (outcome, trace) = execute_query_traced(net, delays, query, start, scope);
-    let trace_id = match rec {
-        Some(r) => {
-            let id = r.next_trace_id();
-            record_query_events(r, id, &trace);
-            id
-        }
-        None => TraceId::NONE,
-    };
-    let explain = explain_from_trace(net, query, trace_id, &trace, &outcome);
-    (outcome, explain)
-}
-
-/// Record a contact trace into the flight recorder as a span tree under
+/// Record a contact log into the flight recorder as a span tree under
 /// `trace_id`: one `query-hop` span per contact, parented on the contact
 /// that forwarded the query there (the entry is the root), plus
 /// `query-start` / `query-complete` instants on the entry server. Each
@@ -447,48 +346,22 @@ pub fn record_query_events(
 ) -> Option<SpanId> {
     let first = trace.first()?;
     let to_us = |ms: f64| (ms * 1000.0).round().max(0.0) as u64;
-    // Who forwarded the query to each contact (contacts are time-ordered).
-    let parent_idx: Vec<Option<usize>> = trace
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            if i == 0 {
-                None
-            } else {
-                trace[..i]
-                    .iter()
-                    .position(|p| p.forwarded_to.contains(&e.server))
-            }
-        })
-        .collect();
-    // Latest arrival inside each contact's redirect subtree.
-    let mut end_ms: Vec<f64> = trace.iter().map(|e| e.at_ms).collect();
-    for i in (1..trace.len()).rev() {
-        if let Some(p) = parent_idx[i] {
-            end_ms[p] = end_ms[p].max(end_ms[i]);
-        }
-    }
+    let end_ms = subtree_end_ms(trace);
     let spans: Vec<SpanId> = trace.iter().map(|_| rec.next_span_id()).collect();
-    rec.record(Event {
-        at_us: to_us(first.at_ms),
+    let instant = |at_ms: f64, kind: EventKind, detail: u64| Event {
+        at_us: to_us(at_ms),
         dur_us: 0,
         node: first.server.0,
         trace: trace_id,
         span: spans[0],
         parent: SpanId::NONE,
-        kind: EventKind::QueryStart,
-        detail: trace_id.0,
-    });
+        kind,
+        detail,
+    };
+    rec.record(instant(first.at_ms, EventKind::QueryStart, trace_id.0));
     let mut total_matches = 0u64;
     for (i, e) in trace.iter().enumerate() {
         total_matches += e.local_matches as u64;
-        let parent = match parent_idx[i] {
-            Some(p) => spans[p],
-            // The entry roots the tree; a contact with no recorded
-            // forwarder (defensive — should not happen) hangs off it.
-            None if i == 0 => SpanId::NONE,
-            None => spans[0],
-        };
         let mut dur_us = to_us(end_ms[i]).saturating_sub(to_us(e.at_ms));
         if i == 0 {
             // The root renders as a complete slice even for single-hop
@@ -501,70 +374,33 @@ pub fn record_query_events(
             node: e.server.0,
             trace: trace_id,
             span: spans[i],
-            parent,
+            parent: e.caused_by.map_or(SpanId::NONE, |p| spans[p]),
             kind: EventKind::QueryHop,
             detail: e.local_matches as u64,
         });
     }
-    let completed = trace.iter().map(|e| e.at_ms).fold(0.0f64, f64::max);
-    rec.record(Event {
-        at_us: to_us(completed),
-        dur_us: 0,
-        node: first.server.0,
-        trace: trace_id,
-        span: spans[0],
-        parent: SpanId::NONE,
-        kind: EventKind::QueryComplete,
-        detail: total_matches,
-    });
+    // The entry's subtree is the whole execution.
+    rec.record(instant(end_ms[0], EventKind::QueryComplete, total_matches));
     Some(spans[0])
 }
 
-/// [`execute_query`] that, when a flight recorder is attached, also
-/// records the execution as a span tree under a fresh trace id. With
-/// `None` it is exactly [`execute_query`] — no tracing, no allocation.
-pub fn execute_query_recorded(
+/// Execute `query` starting at `start`, over a converged [`RoadsNetwork`]
+/// with latencies from `delays` — the one executor every simulated query
+/// runs through. With `trace`, every contact is appended to it in contact
+/// (= arrival-time) order; tracing never changes the outcome and costs
+/// nothing when absent.
+///
+/// The client is co-located with the entry server (the paper initiates each
+/// query "from a randomly chosen node"), so contacting the entry is free.
+pub fn execute_query_with(
     net: &RoadsNetwork,
     delays: &DelaySpace,
     query: &Query,
     start: ServerId,
-    scope: SearchScope,
-    rec: Option<&Recorder>,
-) -> QueryOutcome {
-    match rec {
-        None => execute_query(net, delays, query, start, scope),
-        Some(r) => {
-            let (outcome, trace) = execute_query_traced(net, delays, query, start, scope);
-            record_query_events(r, r.next_trace_id(), &trace);
-            outcome
-        }
-    }
-}
-
-/// [`execute_query`] with an explicit [`ForwardingMode`].
-pub fn execute_query_mode(
-    net: &RoadsNetwork,
-    delays: &DelaySpace,
-    query: &Query,
-    start: ServerId,
-    scope: SearchScope,
-    mode: ForwardingMode,
-) -> QueryOutcome {
-    execute_query_inner(net, delays, query, start, scope, mode, None, None)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_query_inner(
-    net: &RoadsNetwork,
-    delays: &DelaySpace,
-    query: &Query,
-    start: ServerId,
-    scope: SearchScope,
-    mode: ForwardingMode,
-    plan: Option<&QueryPlan>,
+    opts: &QueryOptions<'_>,
     mut trace: Option<&mut Vec<TraceEvent>>,
 ) -> QueryOutcome {
-    if let Some(p) = plan {
+    if let Some(p) = opts.plan {
         assert_eq!(p.entry, start, "plan was computed for a different entry");
     }
     assert_eq!(
@@ -572,78 +408,48 @@ fn execute_query_inner(
         delays.len(),
         "delay space must cover all servers"
     );
-    let query_msg_bytes = query.wire_size() + MSG_HEADER_BYTES;
+    let query_msg_bytes = (query.wire_size() + MSG_HEADER_BYTES) as u64;
     let client = start.index();
 
     let mut heap: BinaryHeap<Reverse<Contact>> = BinaryHeap::new();
     let mut visited: HashSet<ServerId> = HashSet::new();
-    let mut outcome = QueryOutcome {
-        latency_ms: 0.0,
-        query_bytes: 0,
-        query_messages: 0,
-        servers_contacted: 0,
-        matching_servers: Vec::new(),
-        matching_records: 0,
-    };
-
-    let entry_depth = net.tree().depth(start);
-    // Replica redirect targets and ancestor probes consume scope
-    // differently: an ancestor's sibling sits one level *below* the
-    // ancestor it is reached through, so it costs that ancestor's level
-    // count, not its own depth difference.
-    let replica_in_scope =
-        |target: ServerId| -> bool { scope.admits_replica(entry_depth, net.tree().depth(target)) };
-    let ancestor_in_scope =
-        |target: ServerId| -> bool { scope.admits_ancestor(entry_depth, net.tree().depth(target)) };
-
     // The entry contact is local (client co-located): zero latency, but the
     // query message itself is still accounted.
     heap.push(Reverse(Contact {
         at_us: 0,
         server: start,
-        mode: Mode::Entry,
+        mode: ContactMode::Entry,
+        caused_by: None,
     }));
-    outcome.query_bytes += query_msg_bytes as u64;
-    outcome.query_messages += 1;
+    let mut outcome = QueryOutcome {
+        latency_ms: 0.0,
+        query_bytes: query_msg_bytes,
+        query_messages: 1,
+        servers_contacted: 0,
+        matching_servers: Vec::new(),
+        matching_records: 0,
+    };
 
     while let Some(Reverse(c)) = heap.pop() {
         if !visited.insert(c.server) {
             continue;
         }
+        let index = outcome.servers_contacted;
         outcome.servers_contacted += 1;
         let arrive_ms = c.at_us as f64 / 1000.0;
         outcome.latency_ms = outcome.latency_ms.max(arrive_ms);
 
-        let ev = match c.mode {
-            Mode::Entry => net.evaluate(c.server, query, true),
-            Mode::Branch => net.evaluate(c.server, query, false),
-            Mode::LocalOnly => {
-                // Probe local records only; no further redirection.
-                let local = net.count_local(c.server, query);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.push(TraceEvent {
-                        server: c.server,
-                        at_ms: arrive_ms,
-                        role: TraceRole::AncestorProbe,
-                        local_matches: local,
-                        forwarded_to: Vec::new(),
-                    });
-                }
-                if local > 0 {
-                    outcome.matching_servers.push(c.server);
-                    outcome.matching_records += local;
-                }
-                // Reply (header only) back to the client.
-                outcome.query_bytes += MSG_HEADER_BYTES as u64;
-                continue;
-            }
-        };
-
-        // One local search per contact — its size is reused for both the
-        // outcome and the trace event (a second search would double the
-        // compute-time attribution in the explain plane). The simulation
-        // only needs the count, so no record is materialized.
-        let local_matches = if ev.local_match {
+        let (search_local, mut targets) = net.route(c.server, query, c.mode, opts.scope);
+        if let (ContactMode::Entry, Some(plan)) = (c.mode, opts.plan) {
+            // Planner batch: the entry dispatches exactly the planned
+            // contacts instead of expanding its own overlay view.
+            targets = (plan.contacts.iter())
+                .map(|pc| (pc.server, pc.action.mode()))
+                .collect();
+        }
+        // One local search per contact. The simulation only needs the
+        // count, so no record is materialized.
+        let local_matches = if search_local {
             net.count_local(c.server, query)
         } else {
             0
@@ -651,46 +457,6 @@ fn execute_query_inner(
         if local_matches > 0 {
             outcome.matching_servers.push(c.server);
             outcome.matching_records += local_matches;
-        }
-
-        // Collect redirect targets.
-        let mut targets: Vec<(ServerId, Mode)> = ev
-            .child_targets
-            .iter()
-            .map(|&t| (t, Mode::Branch))
-            .collect();
-        if c.mode == Mode::Entry {
-            match plan {
-                // Planner batch: the entry dispatches exactly the planned
-                // contacts instead of expanding its own overlay view.
-                Some(p) => {
-                    targets = p
-                        .contacts
-                        .iter()
-                        .map(|pc| {
-                            let mode = match pc.action {
-                                PlanAction::Descend => Mode::Branch,
-                                PlanAction::Probe => Mode::LocalOnly,
-                            };
-                            (pc.server, mode)
-                        })
-                        .collect();
-                }
-                None => {
-                    targets.extend(
-                        ev.replica_targets
-                            .iter()
-                            .filter(|&&t| replica_in_scope(t))
-                            .map(|&t| (t, Mode::Branch)),
-                    );
-                    targets.extend(
-                        ev.ancestor_targets
-                            .iter()
-                            .filter(|&&t| ancestor_in_scope(t))
-                            .map(|&t| (t, Mode::LocalOnly)),
-                    );
-                }
-            }
         }
         // Drop already-visited servers AND duplicates within this batch: a
         // server reachable both as a child target and a replica target must
@@ -702,53 +468,43 @@ fn execute_query_inner(
             tr.push(TraceEvent {
                 server: c.server,
                 at_ms: arrive_ms,
-                role: if c.mode == Mode::Entry {
-                    TraceRole::Entry
-                } else {
-                    TraceRole::Branch
-                },
+                mode: c.mode,
+                caused_by: c.caused_by,
                 local_matches,
                 forwarded_to: targets.iter().map(|(t, _)| *t).collect(),
             });
         }
 
-        match mode {
+        let (sender, sent_at_us) = match opts.forwarding {
+            // The server forwards the query straight to each target; the
+            // client is informed of result locations out of band (not on
+            // the latency-critical path). Only a probed ancestor, which
+            // forwards nowhere, answers the client (header only).
             ForwardingMode::ServerForward => {
-                // The server forwards the query straight to each target;
-                // the client is informed of result locations out of band
-                // (not on the latency-critical path).
-                for (t, tmode) in targets {
-                    let at_us = c.at_us + delays.delay(c.server.index(), t.index()).as_micros();
-                    outcome.query_bytes += query_msg_bytes as u64;
-                    outcome.query_messages += 1;
-                    heap.push(Reverse(Contact {
-                        at_us,
-                        server: t,
-                        mode: tmode,
-                    }));
+                if c.mode == ContactMode::LocalOnly {
+                    outcome.query_bytes += MSG_HEADER_BYTES as u64;
                 }
+                (c.server.index(), c.at_us)
             }
+            // Redirect reply back to the client (sent even when empty —
+            // the client must learn the branch is exhausted), which then
+            // forwards the query to each target itself.
             ForwardingMode::ClientRedirect => {
-                // Redirect reply back to the client (sent even when empty —
-                // the client must learn the branch is exhausted).
                 let reply_bytes = MSG_HEADER_BYTES + REDIRECT_ENTRY_BYTES * targets.len();
                 outcome.query_bytes += reply_bytes as u64;
-                if targets.is_empty() {
-                    continue;
-                }
-                let reply_at_us = c.at_us + delays.delay(c.server.index(), client).as_micros();
-                // Client forwards the query to each target.
-                for (t, tmode) in targets {
-                    let at_us = reply_at_us + delays.delay(client, t.index()).as_micros();
-                    outcome.query_bytes += query_msg_bytes as u64;
-                    outcome.query_messages += 1;
-                    heap.push(Reverse(Contact {
-                        at_us,
-                        server: t,
-                        mode: tmode,
-                    }));
-                }
+                let back_us = delays.delay(c.server.index(), client).as_micros();
+                (client, c.at_us + back_us)
             }
+        };
+        for (t, mode) in targets {
+            outcome.query_bytes += query_msg_bytes;
+            outcome.query_messages += 1;
+            heap.push(Reverse(Contact {
+                at_us: sent_at_us + delays.delay(sender, t.index()).as_micros(),
+                server: t,
+                mode,
+                caused_by: Some(index),
+            }));
         }
     }
 
@@ -784,6 +540,20 @@ mod tests {
         let net = RoadsNetwork::build(schema, cfg, records);
         let delays = DelaySpace::paper(n, 77);
         (net, delays)
+    }
+
+    /// The default execution within `scope`, with its contact log.
+    fn traced(
+        net: &RoadsNetwork,
+        delays: &DelaySpace,
+        query: &Query,
+        start: ServerId,
+        scope: SearchScope,
+    ) -> (QueryOutcome, Vec<TraceEvent>) {
+        let mut trace = Vec::new();
+        let opts = QueryOptions::scoped(scope);
+        let out = execute_query_with(net, delays, query, start, &opts, Some(&mut trace));
+        (out, trace)
     }
 
     fn point_query(net: &RoadsNetwork, v: f64) -> Query {
@@ -895,11 +665,10 @@ mod tests {
         let q = QueryBuilder::new(net.schema(), QueryId(8))
             .range("x0", 0.0, 1.0)
             .build();
-        let (out, trace) =
-            execute_query_traced(&net, &delays, &q, ServerId(11), SearchScope::full());
+        let (out, trace) = traced(&net, &delays, &q, ServerId(11), SearchScope::full());
         assert_eq!(trace.len(), out.servers_contacted);
         assert_eq!(trace[0].server, ServerId(11));
-        assert_eq!(trace[0].role, TraceRole::Entry);
+        assert_eq!(trace[0].mode, ContactMode::Entry);
         assert!((trace[0].at_ms - 0.0).abs() < 1e-9);
         // Contact order is time order.
         for w in trace.windows(2) {
@@ -922,8 +691,8 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_trace_classifies_hops() {
-        use roads_telemetry::HopReason;
+    fn aggregated_explain_classifies_hops() {
+        use roads_telemetry::aggregate_traces;
         let (net, delays) = network(30, 3);
         let q = QueryBuilder::new(net.schema(), QueryId(9))
             .range("x0", 0.0, 1.0)
@@ -931,23 +700,20 @@ mod tests {
         // Start at a leaf: the overlay (siblings + ancestors' siblings)
         // must be exercised alongside plain child descents.
         let leaf = *net.tree().leaves().iter().max().unwrap();
-        let (out, trace) = execute_query_traced(&net, &delays, &q, leaf, SearchScope::full());
-        let t = trace_to_telemetry(&net, 9, &trace);
-        assert_eq!(t.hop_count(), out.servers_contacted);
-        assert_eq!(t.entry, leaf.0);
-        assert_eq!(t.hops[0].reason, HopReason::Entry);
-        assert_eq!(t.count_reason(HopReason::Entry), 1);
+        let (out, trace) = traced(&net, &delays, &q, leaf, SearchScope::full());
+        let explain = explain_from_trace(&net, &q, TraceId::NONE, &trace, &out);
+        assert_eq!(explain.entry, leaf.0);
+        let r = aggregate_traces(&[explain], net.tree().root().0, net.len());
+        assert_eq!(r.max_hops, out.servers_contacted);
+        assert_eq!(r.probe_hops, out.servers_contacted - 1, "one entry hop");
         assert!(
-            t.count_reason(HopReason::OverlayShortcut) > 0,
+            r.overlay_shortcuts > 0,
             "a leaf entry on a broad query must take overlay shortcuts"
         );
         assert!(
-            t.count_reason(HopReason::SummaryHit) > 0,
+            r.probe_hops > r.overlay_shortcuts + r.climb_hops + r.fp_redirects,
             "child descents on a broad query are summary hits"
         );
-        // Cumulative time is the max over hops.
-        let max_at = t.hops.iter().map(|h| h.at_ms).fold(0.0f64, f64::max);
-        assert_eq!(t.completed_ms, max_at);
     }
 
     #[test]
@@ -959,8 +725,7 @@ mod tests {
             .build();
         let rec = Recorder::new(4096);
         let trace_id = rec.next_trace_id();
-        let (out, trace) =
-            execute_query_traced(&net, &delays, &q, ServerId(11), SearchScope::full());
+        let (out, trace) = traced(&net, &delays, &q, ServerId(11), SearchScope::full());
         let root = record_query_events(&rec, trace_id, &trace).expect("non-empty trace");
         let events = rec.events();
         // `span_tree_root` validates acyclicity and single-rootedness.
@@ -984,28 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_query_recorded_matches_plain_execution() {
-        use roads_telemetry::Recorder;
-        let (net, delays) = network(30, 3);
-        let q = point_query(&net, 0.5);
-        let plain = execute_query(&net, &delays, &q, ServerId(3), SearchScope::full());
-        let none =
-            execute_query_recorded(&net, &delays, &q, ServerId(3), SearchScope::full(), None);
-        assert_eq!(plain, none);
-        let rec = Recorder::new(1024);
-        let some = execute_query_recorded(
-            &net,
-            &delays,
-            &q,
-            ServerId(3),
-            SearchScope::full(),
-            Some(&rec),
-        );
-        assert_eq!(plain, some);
-        assert!(!rec.is_empty(), "recorded execution must emit events");
-    }
-
-    #[test]
     fn explained_execution_reconstructs_hop_sequence() {
         use roads_telemetry::{span_tree_root, Recorder};
         let (net, delays) = network(30, 3);
@@ -1014,8 +757,10 @@ mod tests {
             .build();
         let leaf = *net.tree().leaves().iter().max().unwrap();
         let rec = Recorder::new(4096);
-        let (out, explain) =
-            execute_query_explained(&net, &delays, &q, leaf, SearchScope::full(), Some(&rec));
+        let (out, trace) = traced(&net, &delays, &q, leaf, SearchScope::full());
+        let trace_id = rec.next_trace_id();
+        record_query_events(&rec, trace_id, &trace);
+        let explain = explain_from_trace(&net, &q, trace_id, &trace, &out);
 
         // One hop per contacted server, entry first.
         assert_eq!(explain.hops.len(), out.servers_contacted);
@@ -1080,10 +825,9 @@ mod tests {
         let q = QueryBuilder::new(net.schema(), QueryId(22))
             .range("x0", 2.0, 3.0)
             .build();
-        let (out, explain) =
-            execute_query_explained(&net, &delays, &q, ServerId(4), SearchScope::full(), None);
+        let (out, trace) = traced(&net, &delays, &q, ServerId(4), SearchScope::full());
+        let explain = explain_from_trace(&net, &q, TraceId::NONE, &trace, &out);
         assert_eq!(out.matching_records, 0);
-        assert_eq!(explain.trace_id, 0, "no recorder, no trace id");
         if explain.hops.len() > 1 {
             assert!(
                 explain.false_positive_count() > 0,
@@ -1108,8 +852,7 @@ mod tests {
         assert!(plain_calls <= plain.servers_contacted as u64);
 
         let before = net.local_search_calls();
-        let (traced_out, trace) =
-            execute_query_traced(&net, &delays, &q, ServerId(11), SearchScope::full());
+        let (traced_out, trace) = traced(&net, &delays, &q, ServerId(11), SearchScope::full());
         let traced_calls = net.local_search_calls() - before;
         assert_eq!(traced_out, plain);
         assert_eq!(
@@ -1178,7 +921,7 @@ mod tests {
         // is out. Sibling targets sit at the ancestor's level + 1.
         let leaf = *net.tree().leaves().iter().max().unwrap();
         let parent = net.tree().parent(leaf).unwrap();
-        let (out, trace) = execute_query_traced(&net, &delays, &q, leaf, SearchScope::levels(1));
+        let (out, trace) = traced(&net, &delays, &q, leaf, SearchScope::levels(1));
         let entry_fwd: &Vec<ServerId> = &trace[0].forwarded_to;
         for &s in net.tree().children(parent) {
             if s != leaf {
@@ -1229,7 +972,7 @@ mod tests {
                 SearchScope::levels(1),
                 SearchScope::levels(2),
             ] {
-                let (out, trace) = execute_query_traced(&net, &delays, &q, ServerId(start), scope);
+                let (out, trace) = traced(&net, &delays, &q, ServerId(start), scope);
                 assert_eq!(
                     out.query_messages as usize, out.servers_contacted,
                     "start {start}: one message per contacted server"
@@ -1253,16 +996,8 @@ mod tests {
         let greedy = execute_query(&net, &delays, &q, leaf, SearchScope::full());
         let plan = plan_query(&net, &q, leaf, SearchScope::full());
         let mut trace = Vec::new();
-        let planned = execute_query_inner(
-            &net,
-            &delays,
-            &q,
-            leaf,
-            SearchScope::full(),
-            ForwardingMode::default(),
-            Some(&plan),
-            Some(&mut trace),
-        );
+        let opts = QueryOptions::default().with_plan(Some(&plan));
+        let planned = execute_query_with(&net, &delays, &q, leaf, &opts, Some(&mut trace));
         assert_eq!(planned.matching_servers, greedy.matching_servers);
         assert_eq!(planned.matching_records, greedy.matching_records);
         assert!(planned.servers_contacted < greedy.servers_contacted);

@@ -5,13 +5,15 @@
 //! non-parent server), and — with a level-1 scope — never visit the root.
 
 use roads_core::{
-    execute_query_recorded, execute_query_traced, record_query_events, trace_to_telemetry,
-    RoadsConfig, RoadsNetwork, SearchScope, ServerId,
+    execute_query_with, explain_from_trace, record_query_events, QueryOptions, RoadsConfig,
+    RoadsNetwork, SearchScope, ServerId,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
 use roads_summary::SummaryConfig;
-use roads_telemetry::{span_tree_root, trace_events, EventKind, HopReason, Recorder};
+use roads_telemetry::{
+    span_tree_root, trace_events, EventKind, ExplainDecision, Recorder, TraceId,
+};
 
 fn network(n: usize, degree: usize) -> (RoadsNetwork, DelaySpace) {
     let schema = Schema::unit_numeric(1);
@@ -51,18 +53,22 @@ fn leaf_entry_query_span_tree_takes_overlay_shortcut_and_skips_root() {
     // Level-1 scope: the entry searches its own branch, its overlay
     // shortcuts (siblings + ancestors' siblings) and climbs at most one
     // level — the root stays out of the picture.
-    let scope = SearchScope::levels(1);
-    let (out, trace) = execute_query_traced(&net, &delays, &q, leaf, scope);
+    let opts = QueryOptions::scoped(SearchScope::levels(1));
+    let mut trace = Vec::new();
+    let out = execute_query_with(&net, &delays, &q, leaf, &opts, Some(&mut trace));
     assert!(out.servers_contacted > 1);
     assert!(
         trace.iter().all(|e| e.server != root),
         "a level-1 scoped leaf query must never visit the root"
     );
 
-    // The telemetry hop classification must show an overlay-shortcut edge.
-    let t = trace_to_telemetry(&net, 42, &trace);
+    // The explain record's decisions must show an overlay-shortcut edge.
+    let explain = explain_from_trace(&net, &q, TraceId::NONE, &trace, &out);
     assert!(
-        t.count_reason(HopReason::OverlayShortcut) > 0,
+        explain
+            .hops
+            .iter()
+            .any(|h| h.decision == ExplainDecision::OverlayShortcut),
         "leaf entry with the overlay enabled must take an overlay shortcut"
     );
 
@@ -100,17 +106,4 @@ fn leaf_entry_query_span_tree_takes_overlay_shortcut_and_skips_root() {
         overlay_edge,
         "span tree must contain an overlay-shortcut edge (non-tree-parent forwarder)"
     );
-}
-
-#[test]
-fn recorded_execution_agrees_with_plain_execution() {
-    let (net, delays) = network(40, 3);
-    let leaf = *net.tree().leaves().iter().max().unwrap();
-    let q = broad_query(&net);
-    let rec = Recorder::new(4096);
-    let plain = roads_core::execute_query(&net, &delays, &q, leaf, SearchScope::full());
-    let recorded = execute_query_recorded(&net, &delays, &q, leaf, SearchScope::full(), Some(&rec));
-    assert_eq!(plain.matching_records, recorded.matching_records);
-    assert_eq!(plain.servers_contacted, recorded.servers_contacted);
-    assert!(!rec.is_empty(), "recorded execution must emit events");
 }

@@ -7,12 +7,12 @@
 //! shortcuts — hops whose forwarder is not the tree parent.
 
 use roads_core::{
-    execute_query_traced, trace_to_telemetry, RoadsConfig, RoadsNetwork, SearchScope,
+    execute_query_with, explain_from_trace, QueryOptions, RoadsConfig, RoadsNetwork, ServerId,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{AttrId, OwnerId, Predicate, Query, QueryId, Record, RecordId, Schema, Value};
 use roads_summary::SummaryConfig;
-use roads_telemetry::{aggregate_traces, HopReason};
+use roads_telemetry::{aggregate_traces, ExplainDecision, QueryExplain, TraceId};
 
 const NODES: usize = 27;
 
@@ -60,6 +60,22 @@ fn broad_query(id: u64) -> Query {
     )
 }
 
+/// The default execution of `q` from `entry`, explained.
+fn explained(net: &RoadsNetwork, delays: &DelaySpace, q: &Query, entry: ServerId) -> QueryExplain {
+    let mut trace = Vec::new();
+    let opts = QueryOptions::default();
+    let out = execute_query_with(net, delays, q, entry, &opts, Some(&mut trace));
+    let explain = explain_from_trace(net, q, TraceId::NONE, &trace, &out);
+    assert_eq!(explain.hops.len(), out.servers_contacted);
+    explain
+}
+
+fn shortcuts(explain: &QueryExplain) -> usize {
+    let hops = explain.hops.iter();
+    hops.filter(|h| h.decision == ExplainDecision::OverlayShortcut)
+        .count()
+}
+
 #[test]
 fn root_entry_traces_always_visit_root() {
     let (net, _schema, delays) = network();
@@ -67,16 +83,15 @@ fn root_entry_traces_always_visit_root() {
     let mut traces = Vec::new();
     for id in 0..20u64 {
         let q = broad_query(id);
-        let (_, trace) = execute_query_traced(&net, &delays, &q, root, SearchScope::full());
-        let t = trace_to_telemetry(&net, id, &trace);
+        let t = explained(&net, &delays, &q, root);
         assert!(
-            t.visits(root.0),
+            t.hops.iter().any(|h| h.server == root.0),
             "query {id}: overlay-off (root entry) trace skipped the root"
         );
         assert_eq!(t.entry, root.0, "entry hop must be the root");
         // Entered at the top of the tree: nothing above to climb to and no
         // replicated sibling summaries to shortcut through.
-        assert_eq!(t.count_reason(HopReason::OverlayShortcut), 0);
+        assert_eq!(shortcuts(&t), 0);
         traces.push(t);
     }
     let report = aggregate_traces(&traces, root.0, NODES);
@@ -101,13 +116,11 @@ fn leaf_entry_traces_use_overlay_shortcuts() {
     let mut traces = Vec::new();
     for id in 0..20u64 {
         let q = broad_query(id);
-        let (out, trace) = execute_query_traced(&net, &delays, &q, leaf, SearchScope::full());
-        let t = trace_to_telemetry(&net, id, &trace);
+        let t = explained(&net, &delays, &q, leaf);
         assert!(
-            t.count_reason(HopReason::OverlayShortcut) >= 1,
+            shortcuts(&t) >= 1,
             "query {id}: broad leaf-entry query used no overlay shortcut"
         );
-        assert_eq!(t.hop_count(), out.servers_contacted);
         traces.push(t);
     }
     let report = aggregate_traces(&traces, root.0, NODES);

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use roads_core::overlay::coverage;
 use roads_core::{
-    execute_query, execute_query_mode, replication_set, ForwardingMode, HierarchyTree, RoadsConfig,
-    RoadsNetwork, SearchScope, ServerId,
+    execute_query_with, plan_query, replication_set, ContactMode, ForwardingMode, HierarchyTree,
+    QueryOptions, RoadsConfig, RoadsNetwork, SearchScope, ServerId,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{AttrId, OwnerId, Predicate, Query, QueryId, Record, RecordId, Schema, Value};
@@ -95,51 +95,95 @@ proptest! {
         }
     }
 
+    /// One executor, every combination of its options: each returns
+    /// exactly what brute force finds inside the search scope, a contact
+    /// log never changes the outcome, and the log's causal links are real.
     #[test]
-    fn query_execution_complete_and_exact(
+    fn every_option_combination_is_complete_and_exact(
         n in 2usize..60,
         k in 2usize..6,
         points in prop::collection::vec(0.0f64..1.0, 2..60),
         lo in 0.0f64..1.0,
         w in 0.0f64..0.4,
-        entry_seed in any::<u32>(),
+        seed in any::<u32>(),
     ) {
-        // Server i holds one record at points[i % points.len()].
+        // Server s holds 1 + s % 3 records, at consecutive `points`.
+        let value = |s: usize, j: usize| points[(s + j) % points.len()];
         let schema = Schema::unit_numeric(1);
         let records: Vec<Vec<Record>> = (0..n)
-            .map(|s| vec![Record::new_unchecked(
-                RecordId(s as u64),
-                OwnerId(s as u32),
-                vec![Value::Float(points[s % points.len()])],
-            )])
+            .map(|s| {
+                (0..1 + s % 3)
+                    .map(|j| Record::new_unchecked(
+                        RecordId((s * 3 + j) as u64),
+                        OwnerId(s as u32),
+                        vec![Value::Float(value(s, j))],
+                    ))
+                    .collect()
+            })
             .collect();
         let cfg = RoadsConfig {
             max_children: k,
             summary: SummaryConfig::with_buckets(64),
             ..RoadsConfig::paper_default()
         };
-        let net = RoadsNetwork::build(schema, cfg, records.clone());
+        let net = RoadsNetwork::build(schema, cfg, records);
         let delays = DelaySpace::paper(n, 5);
         let hi = (lo + w).min(1.0);
         let q = Query::new(QueryId(0), vec![Predicate::Range { attr: AttrId(0), lo, hi }]);
-        let expected: Vec<ServerId> = (0..n)
-            .filter(|&s| {
-                let v = points[s % points.len()];
-                lo <= v && v <= hi
-            })
-            .map(|s| ServerId(s as u32))
-            .collect();
-        let entry = ServerId(entry_seed % n as u32);
-        let out = execute_query(&net, &delays, &q, entry, SearchScope::full());
-        prop_assert_eq!(&out.matching_servers, &expected, "entry {}", entry);
+        let matches = |s: usize| (0..1 + s % 3).filter(|&j| lo <= value(s, j) && value(s, j) <= hi).count();
+        let entry = ServerId(seed % n as u32);
+        let levels = (seed >> 16) as usize % 4;
 
-        // Both forwarding modes find the same match set; client redirects
-        // can only be slower.
-        let redirect = execute_query_mode(
-            &net, &delays, &q, entry, SearchScope::full(), ForwardingMode::ClientRedirect,
-        );
-        prop_assert_eq!(&redirect.matching_servers, &expected);
-        prop_assert!(redirect.latency_ms + 1e-9 >= out.latency_ms);
+        for scope in [SearchScope::full(), SearchScope::levels(levels)] {
+            // In scope: the subtree of the entry's ancestor `levels` up
+            // (the whole hierarchy when unscoped or past the root).
+            let mut top = entry;
+            for _ in 0..scope.levels_up.unwrap_or(n) {
+                top = net.tree().parent(top).unwrap_or(top);
+            }
+            let mut in_scope = net.tree().subtree(top);
+            in_scope.sort();
+            let expected_servers: Vec<ServerId> =
+                in_scope.iter().copied().filter(|s| matches(s.index()) > 0).collect();
+            let expected_records: usize = in_scope.iter().map(|s| matches(s.index())).sum();
+
+            let plan = plan_query(&net, &q, entry, scope);
+            let mut forward_ms = None;
+            for forwarding in [ForwardingMode::ServerForward, ForwardingMode::ClientRedirect] {
+                for plan in [None, Some(&plan)] {
+                    let opts = QueryOptions { scope, forwarding, plan };
+                    let what = format!("entry {entry}, {opts:?}");
+                    let out = execute_query_with(&net, &delays, &q, entry, &opts, None);
+                    prop_assert_eq!(&out.matching_servers, &expected_servers, "{}", what);
+                    prop_assert_eq!(out.matching_records, expected_records, "{}", what);
+
+                    let mut trace = Vec::new();
+                    let traced =
+                        execute_query_with(&net, &delays, &q, entry, &opts, Some(&mut trace));
+                    prop_assert_eq!(&traced, &out, "tracing changed the outcome: {}", what);
+                    prop_assert_eq!(trace.len(), out.servers_contacted);
+                    prop_assert_eq!(
+                        (trace[0].server, trace[0].mode, trace[0].caused_by),
+                        (entry, ContactMode::Entry, None)
+                    );
+                    for (i, e) in trace.iter().enumerate().skip(1) {
+                        let cause = e.caused_by.expect("only the entry is uncaused");
+                        prop_assert!(cause < i, "contact {} caused by later {}: {}", i, cause, what);
+                        prop_assert!(
+                            trace[cause].forwarded_to.contains(&e.server),
+                            "contact {}'s cause {} never forwarded to it: {}", i, cause, what
+                        );
+                    }
+
+                    // A redirect's round trips through the client can only
+                    // be slower than forwarding the same contacts.
+                    if plan.is_none() {
+                        let forward = *forward_ms.get_or_insert(out.latency_ms);
+                        prop_assert!(out.latency_ms + 1e-9 >= forward);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

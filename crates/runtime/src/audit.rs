@@ -1,9 +1,9 @@
 //! The background auditor: budgeted ground-truth auditing of the live
 //! replication overlay.
 //!
-//! Runs the `roads-core` audit plane ([`ReplicaLedger`],
-//! [`audit_probe`](roads_core::audit_probe)) on a wall-clock schedule: a
-//! [`Periodic`] thread (one final tick on shutdown), `tick_now` for
+//! Runs the `roads-core` audit plane ([`ReplicaLedger`], [`audit_probe`])
+//! on a wall-clock schedule: a [`Periodic`] thread (one final tick on
+//! shutdown), `tick_now` for
 //! deterministic tests, and `stop()` returning the final [`AuditReport`].
 //!
 //! Each tick is budgeted — `probes_per_tick` queries rotate through the

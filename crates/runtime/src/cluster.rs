@@ -12,7 +12,7 @@
 //! policy, a FIFO of delivered requests and a service clock. It owns no
 //! thread. A message is delivered by whoever holds it when it falls due —
 //! the sending client thread at zero delay, otherwise the one timer thread
-//! ([`crate::faults::Dispatcher`]) — and delivering a request means locking
+//! (`faults::Dispatcher`) — and delivering a request means locking
 //! the target's cell and, unless the server is busy, running `step` (the
 //! per-request protocol logic, a pure function) right there. One server
 //! still handles one request at a time, in arrival order: by its lock while
@@ -42,7 +42,7 @@
 //! # Concurrency
 //!
 //! [`RoadsCluster::query`] takes `&self` and any number of client threads
-//! may call it at once: each call owns a private [`Driver`] (its own
+//! may call it at once: each call owns a private `Driver` (its own
 //! attempt table, visit ledger, reply channel, and failure bookkeeping),
 //! so outcomes — `retries`, `failed_servers`, `servers_contacted`,
 //! recorder events — are attributed to exactly the query that caused
@@ -61,9 +61,10 @@ use crate::health::{
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use roads_core::policy::{apply_policy, OpenPolicy, RequesterId, SharingPolicy};
+pub use roads_core::ContactMode;
 use roads_core::{
-    plan_query, verdict_kind, CachedResult, DeltaOutcome, PlanAction, RecordStore, ResultCache,
-    RoadsNetwork, SearchScope, ServerId,
+    contact_decision, plan_query, verdict_kind, CachedResult, DeltaOutcome, RecordStore,
+    ResultCache, RoadsNetwork, SearchScope, ServerId,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{Query, Record, WireSize};
@@ -140,24 +141,6 @@ impl Drop for InflightSlot<'_> {
             g.set(n as i64);
         }
     }
-}
-
-/// How a contacted server treats the query (mirrors the simulator's
-/// redirect protocol).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContactMode {
-    /// Entry server: children + overlay shortcuts + ancestor probes.
-    Entry,
-    /// Branch server: local data + children.
-    Branch,
-    /// Ancestor probe: local data only.
-    LocalOnly,
-    /// Overlay stand-in for a crashed server: forward to `dead`'s children
-    /// using its replicated branch summary, no local search here.
-    Failover {
-        /// The unreachable server being routed around.
-        dead: ServerId,
-    },
 }
 
 /// One sub-query on its way to, queued at, or being served by a server.
@@ -409,7 +392,8 @@ pub struct RoadsCluster {
     gate: InflightGate,
     metrics: Option<RuntimeMetrics>,
     recorder: Option<Arc<Recorder>>,
-    tail: Option<Arc<TailSampler>>,
+    /// Also read by [`crate::watchdog::Watchdog::for_cluster`].
+    pub(crate) tail: Option<Arc<TailSampler>>,
     /// Per-server liveness and straggler flags, shared with every server
     /// incarnation and with the auditor's liveness closure.
     board: Arc<Vec<ServerFlags>>,
@@ -423,63 +407,78 @@ pub struct RoadsCluster {
     cache: Option<Arc<ResultCache>>,
 }
 
+/// What a cluster can be started with beyond its network, delay space and
+/// configuration. Every field is optional and every combination is valid;
+/// the default attaches nothing, and an absent attachment costs nothing on
+/// the query path. A new observer of the live plane is a field here (or a
+/// derivation from [`QueryExplain`]), never another constructor.
+#[derive(Default)]
+pub struct Attachments<'a> {
+    /// One [`SharingPolicy`] per server, enforced before records leave it
+    /// (§II voluntary sharing: the owner retains final control over what
+    /// is returned). `None` = every owner shares everything
+    /// ([`OpenPolicy`]).
+    pub policies: Option<Vec<Arc<dyn SharingPolicy>>>,
+    /// Full health instrumentation into this registry: phase timing
+    /// (`runtime.*_us` histograms), query/retry/deadline-miss/SLO
+    /// counters, per-mode dispatch-latency histograms, per-server
+    /// queue-depth and liveness gauges, and labeled `runtime.fault_events`
+    /// counters. Every family is declared at startup, so an OpenMetrics
+    /// scrape is complete from the first moment.
+    pub registry: Option<&'a Registry>,
+    /// A flight recorder: every query records its dispatch tree as causal
+    /// `QueryHop` spans (wall-clock microseconds from query start) under a
+    /// fresh trace, plus `DispatchTimeout`/`Retry`/`Failover` events on
+    /// the fault paths.
+    pub recorder: Option<Arc<Recorder>>,
+    /// A tail-based sampler: every query — driven or replayed from the
+    /// result cache — assembles a [`QueryExplain`] provenance record and
+    /// offers it to the sampler on completion; slow / failed / incomplete
+    /// queries are retained with their flight-recorder trace (when a
+    /// recorder is also attached), everything else folds into the
+    /// sampler's live histogram and is dropped.
+    pub tail: Option<Arc<TailSampler>>,
+    /// Audit instruments: every branch-mode reply is folded into the
+    /// per-level `audit.live_probes` / `audit.live_false_positives`
+    /// counters (a live false positive is a branch dispatch whose lossy
+    /// summary matched but which returned neither records nor redirects).
+    /// Share the same [`AuditMetrics`] with a background
+    /// [`crate::audit::Auditor`] so sampled ground truth and live traffic
+    /// land in one scrape.
+    pub audit: Option<Arc<AuditMetrics>>,
+}
+
+impl<'a> Attachments<'a> {
+    /// Health instrumentation into `reg`, nothing else attached.
+    pub fn instrumented(reg: &'a Registry) -> Self {
+        Attachments {
+            registry: Some(reg),
+            ..Attachments::default()
+        }
+    }
+}
+
 impl RoadsCluster {
-    /// Start one server per federation member, every owner using the
-    /// [`OpenPolicy`] (share everything).
+    /// Start one server per federation member with nothing attached:
+    /// every owner shares everything, no instrument runs.
     pub fn start(net: RoadsNetwork, delays: DelaySpace, cfg: RuntimeConfig) -> Self {
-        let n = net.len();
-        let policies: Vec<Arc<dyn SharingPolicy>> = (0..n)
-            .map(|_| Arc::new(OpenPolicy) as Arc<dyn SharingPolicy>)
-            .collect();
-        Self::start_with_policies(net, delays, cfg, policies)
+        Self::start_with(net, delays, cfg, Attachments::default())
     }
 
-    /// [`RoadsCluster::start`] with full health instrumentation into
-    /// `reg`: phase timing (`runtime.*_us` histograms), query/retry/
-    /// deadline-miss/SLO counters, per-mode dispatch-latency histograms,
-    /// per-server queue-depth and liveness gauges, and labeled
-    /// `runtime.fault_events` counters. Every family is declared at
-    /// startup, so an OpenMetrics scrape is complete from the first
-    /// moment. The uninstrumented constructors skip every instrument (no
-    /// telemetry cost when unused).
-    pub fn start_instrumented(
+    /// Start one server per federation member with `attach` — owner
+    /// policies and observers, in any combination.
+    pub fn start_with(
         net: RoadsNetwork,
         delays: DelaySpace,
         cfg: RuntimeConfig,
-        reg: &Registry,
+        attach: Attachments<'_>,
     ) -> Self {
         let n = net.len();
-        let policies: Vec<Arc<dyn SharingPolicy>> = (0..n)
-            .map(|_| Arc::new(OpenPolicy) as Arc<dyn SharingPolicy>)
-            .collect();
-        Self::start_inner(
-            net,
-            delays,
-            cfg,
-            policies,
-            Some(RuntimeMetrics::new(reg, n)),
-        )
-    }
-
-    /// Start one server per federation member, each enforcing its
-    /// owner's [`SharingPolicy`] before returning records (§II voluntary
-    /// sharing: the owner retains final control over what is returned).
-    pub fn start_with_policies(
-        net: RoadsNetwork,
-        delays: DelaySpace,
-        cfg: RuntimeConfig,
-        policies: Vec<Arc<dyn SharingPolicy>>,
-    ) -> Self {
-        Self::start_inner(net, delays, cfg, policies, None)
-    }
-
-    fn start_inner(
-        net: RoadsNetwork,
-        delays: DelaySpace,
-        cfg: RuntimeConfig,
-        policies: Vec<Arc<dyn SharingPolicy>>,
-        metrics: Option<RuntimeMetrics>,
-    ) -> Self {
+        let policies = attach.policies.unwrap_or_else(|| {
+            let open: Arc<dyn SharingPolicy> = Arc::new(OpenPolicy);
+            vec![open; n]
+        });
+        let metrics = attach.registry.map(|reg| RuntimeMetrics::new(reg, n));
         assert_eq!(net.len(), delays.len(), "delay space must cover servers");
         assert_eq!(net.len(), policies.len(), "one policy per server");
         let board = Arc::new(
@@ -498,11 +497,11 @@ impl RoadsCluster {
             dispatcher: Dispatcher::start(metrics.as_ref().map(|m| Arc::clone(&m.timer_lag))),
             gate: InflightGate::new(cfg.max_inflight_queries),
             metrics,
-            recorder: None,
-            tail: None,
+            recorder: attach.recorder,
+            tail: attach.tail,
             board,
             fault_log: Arc::new(FaultLog::new()),
-            audit: None,
+            audit: attach.audit,
             cache: (cfg.cache_ttl_rounds > 0)
                 .then(|| Arc::new(ResultCache::new(cfg.cache_ttl_rounds))),
         };
@@ -589,52 +588,6 @@ impl RoadsCluster {
             m.cache_invalidated.add(purged);
         }
         purged
-    }
-
-    /// Attach a flight recorder: every subsequent [`Self::query_as`]
-    /// records its dispatch tree as causal `QueryHop` spans (wall-clock
-    /// microseconds from query start) under a fresh trace, plus
-    /// `DispatchTimeout`/`Retry`/`Failover` events on the fault paths.
-    /// Without a recorder, queries do zero event-recording work.
-    pub fn set_recorder(&mut self, rec: Arc<Recorder>) {
-        self.recorder = Some(rec);
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.recorder.as_ref()
-    }
-
-    /// Attach a tail-based sampler: every subsequent query assembles a
-    /// [`QueryExplain`] provenance record and offers it to the sampler on
-    /// completion; slow / failed / incomplete queries are retained with
-    /// their flight-recorder trace (when a recorder is also attached),
-    /// everything else folds into the sampler's live histogram and is
-    /// dropped. Without a sampler, plain [`Self::query`] calls skip
-    /// explain assembly entirely.
-    pub fn set_tail_sampler(&mut self, tail: Arc<TailSampler>) {
-        self.tail = Some(tail);
-    }
-
-    /// The attached tail sampler, if any.
-    pub fn tail_sampler(&self) -> Option<&Arc<TailSampler>> {
-        self.tail.as_ref()
-    }
-
-    /// Attach audit instruments: every subsequent branch-mode reply is
-    /// folded into the per-level `audit.live_probes` /
-    /// `audit.live_false_positives` counters (a live false positive is a
-    /// branch dispatch whose lossy summary matched but which returned
-    /// neither records nor redirects). Share the same [`AuditMetrics`]
-    /// with a background [`crate::audit::Auditor`] so sampled ground
-    /// truth and live traffic land in one scrape.
-    pub fn set_audit_metrics(&mut self, audit: Arc<AuditMetrics>) {
-        self.audit = Some(audit);
-    }
-
-    /// The attached audit instruments, if any.
-    pub fn audit_metrics(&self) -> Option<&Arc<AuditMetrics>> {
-        self.audit.as_ref()
     }
 
     /// A liveness oracle over this cluster's kill/crash/restart
@@ -759,8 +712,7 @@ impl RoadsCluster {
     /// A point-in-time [`ClusterHealth`] snapshot: per-server liveness,
     /// queue depth, reply counts and dispatch p99s plus
     /// cluster-wide query/retry/deadline/failover totals. `None` on an
-    /// uninstrumented cluster (start with
-    /// [`RoadsCluster::start_instrumented`]).
+    /// uninstrumented cluster (start with an [`Attachments::registry`]).
     pub fn health(&self) -> Option<ClusterHealth> {
         let m = self.metrics.as_ref()?;
         let servers = (0..self.net.len())
@@ -789,55 +741,25 @@ impl RoadsCluster {
     /// redirect protocol and gathering records in parallel. The client is
     /// anonymous (requester 0) — owners treat it per their public tier.
     pub fn query(&self, query: &Query, start: ServerId) -> RuntimeOutcome {
-        self.query_as(query, start, RequesterId(0))
+        self.query_with(query, start, RequesterId(0), false).0
     }
 
-    /// [`Self::query`] with an authenticated requester identity, which each
-    /// owner's policy classifies independently.
+    /// [`Self::query`] in full: `requester` is the authenticated identity
+    /// each owner's policy classifies independently, and `explain` asks
+    /// for the query's provenance record (it is `Some` then, and whenever
+    /// a tail sampler is attached — every query is a retention candidate;
+    /// otherwise no explain work is done at all).
     ///
     /// Returns within [`RuntimeConfig::query_deadline_ms`] even when
     /// servers are dead, retrying and failing over per the fault model in
     /// the module docs; [`RuntimeOutcome::complete`] says whether anything
     /// may be missing.
-    pub fn query_as(
+    pub fn query_with(
         &self,
         query: &Query,
         start: ServerId,
         requester: RequesterId,
-    ) -> RuntimeOutcome {
-        // Explain assembly is driven by the tail sampler here: attached ⇒
-        // every query is a retention candidate, absent ⇒ zero explain work.
-        self.query_inner(query, start, requester, self.tail.is_some())
-            .0
-    }
-
-    /// [`Self::query`] that also returns the query's full provenance
-    /// record, regardless of whether a tail sampler is attached.
-    pub fn query_explained(
-        &self,
-        query: &Query,
-        start: ServerId,
-    ) -> (RuntimeOutcome, QueryExplain) {
-        self.query_as_explained(query, start, RequesterId(0))
-    }
-
-    /// [`Self::query_as`] that also returns the provenance record.
-    pub fn query_as_explained(
-        &self,
-        query: &Query,
-        start: ServerId,
-        requester: RequesterId,
-    ) -> (RuntimeOutcome, QueryExplain) {
-        let (outcome, explain) = self.query_inner(query, start, requester, true);
-        (outcome, explain.expect("explain was requested"))
-    }
-
-    fn query_inner(
-        &self,
-        query: &Query,
-        start: ServerId,
-        requester: RequesterId,
-        want_explain: bool,
+        explain: bool,
     ) -> (RuntimeOutcome, Option<QueryExplain>) {
         // Admission first: the deadline below budgets execution, not time
         // spent queued at the gate.
@@ -846,8 +768,12 @@ impl RoadsCluster {
             self.metrics.as_ref().map(|m| m.inflight.as_ref()),
         );
         let t0 = Instant::now();
+        let want_explain = explain || self.tail.is_some();
         if let Some(cache) = &self.cache {
             if let Some(r) = cache.lookup(start, requester.0 as u64, SearchScope::full(), query) {
+                if let Some(m) = &self.metrics {
+                    m.cache_hits.inc();
+                }
                 return self.replay_cached(query, start, r, t0, want_explain);
             }
             if let Some(m) = &self.metrics {
@@ -903,9 +829,8 @@ impl RoadsCluster {
     }
 
     /// Serve a query from the result cache: the entry answers alone, no
-    /// fan-out, no server involved. Counted as a completed query
-    /// plus a `roads.cache.hits` tick; the optional provenance record is a
-    /// single `cache-hit` hop.
+    /// fan-out, no server involved. It finishes like any other query; its
+    /// provenance record is a single `cache-hit` hop.
     fn replay_cached(
         &self,
         query: &Query,
@@ -915,21 +840,8 @@ impl RoadsCluster {
         want_explain: bool,
     ) -> (RuntimeOutcome, Option<QueryExplain>) {
         let response_ms = t0.elapsed().as_secs_f64() * 1000.0;
-        if let Some(m) = &self.metrics {
-            m.cache_hits.inc();
-            m.queries.inc();
-            m.response_ms.record(response_ms);
-        }
-        let records = r.records;
-        let explain = want_explain.then(|| QueryExplain {
-            query_id: query.id.0,
-            trace_id: TraceId::NONE.0,
-            entry: start.0,
-            response_us: response_ms * 1_000.0,
-            complete: true,
-            deadline_hit: false,
-            records: records.len() as u64,
-            hops: vec![ExplainHop {
+        let hops = want_explain.then(|| {
+            vec![ExplainHop {
                 server: start.0,
                 decision: ExplainDecision::CacheHit,
                 summary: None,
@@ -938,28 +850,79 @@ impl RoadsCluster {
                 at_us: 0.0,
                 dur_us: response_ms * 1_000.0,
                 caused_by: None,
-                local_matches: records.len() as u64,
+                local_matches: r.records.len() as u64,
                 split: LatencySplit {
-                    queue_us: 0.0,
                     // The client is co-located with its entry: a replay
-                    // crosses no link.
-                    network_us: 0.0,
+                    // crosses no link and waits in no queue.
                     compute_us: response_ms * 1_000.0,
-                    backoff_us: 0.0,
+                    ..LatencySplit::default()
                 },
-            }],
+            }]
         });
-        (
-            RuntimeOutcome {
-                response_ms,
-                records,
-                servers_contacted: 1,
-                complete: true,
-                failed_servers: Vec::new(),
-                retries: 0,
-            },
-            explain,
-        )
+        let outcome = RuntimeOutcome {
+            response_ms,
+            records: r.records,
+            servers_contacted: 1,
+            complete: true,
+            failed_servers: Vec::new(),
+            retries: 0,
+        };
+        self.finish(query, start, outcome, false, TraceId::NONE, hops)
+    }
+
+    /// The one epilogue of a query, driven or replayed: count it against
+    /// the SLO and deadline, assemble its provenance record from `hops`
+    /// and offer that to the tail sampler.
+    fn finish(
+        &self,
+        query: &Query,
+        start: ServerId,
+        outcome: RuntimeOutcome,
+        deadline_hit: bool,
+        trace: TraceId,
+        hops: Option<Vec<ExplainHop>>,
+    ) -> (RuntimeOutcome, Option<QueryExplain>) {
+        if let Some(m) = &self.metrics {
+            m.queries.inc();
+            m.response_ms.record(outcome.response_ms);
+            if !outcome.complete {
+                m.incomplete.inc();
+            }
+            if deadline_hit {
+                m.deadline_miss.inc();
+            }
+            let slo = self.cfg.slo_response_ms;
+            if slo > 0 && outcome.response_ms > slo as f64 {
+                m.slo_violation.inc();
+            }
+        }
+        let explain = hops.map(|hops| QueryExplain {
+            query_id: query.id.0,
+            trace_id: trace.0,
+            entry: start.0,
+            response_us: outcome.response_ms * 1_000.0,
+            complete: outcome.complete,
+            deadline_hit,
+            records: outcome.records.len() as u64,
+            hops,
+        });
+        if let (Some(tail), Some(explain)) = (&self.tail, &explain) {
+            let failed = !outcome.failed_servers.is_empty();
+            // Collecting the flight-recorder trace means scanning the
+            // whole ring buffer — only worth it for queries the sampler
+            // will actually retain. `classify` is stable across the
+            // `observe` call because classification happens before the
+            // sample folds in.
+            let retained = tail.classify(outcome.response_ms, failed, outcome.complete);
+            let events = match &self.recorder {
+                Some(r) if retained.is_some() && trace != TraceId::NONE => {
+                    trace_events(&r.events(), trace)
+                }
+                _ => Vec::new(),
+            };
+            tail.observe(explain.clone(), failed, events);
+        }
+        (outcome, explain)
     }
 
     fn scaled_delay(&self, a: ServerId, b: ServerId) -> Duration {
@@ -980,6 +943,7 @@ impl RoadsCluster {
 }
 
 /// One dispatched sub-query from the client's point of view.
+#[derive(Clone, Copy)]
 struct Attempt {
     server: ServerId,
     mode: ContactMode,
@@ -1089,10 +1053,7 @@ impl Driver<'_> {
                 m.pruned_probes.add(plan.pruned_probes as u64);
             }
             for pc in &plan.contacts {
-                let mode = match pc.action {
-                    PlanAction::Descend => ContactMode::Branch,
-                    PlanAction::Probe => ContactMode::LocalOnly,
-                };
+                let mode = pc.action.mode();
                 if self.ledger.admit(pc.server, mode) {
                     // Hop 0 is the entry: the plan was computed from its
                     // replicated summaries, so it caused every contact.
@@ -1191,58 +1152,21 @@ impl Driver<'_> {
             detail: self.records.len() as u64,
         });
 
-        let complete = self.completeness();
-        let response_ms = self.t0.elapsed().as_secs_f64() * 1000.0;
-        if let Some(m) = &self.cluster.metrics {
-            m.queries.inc();
-            m.response_ms.record(response_ms);
-            if !complete {
-                m.incomplete.inc();
-            }
-            if self.deadline_hit {
-                m.deadline_miss.inc();
-            }
-            let slo = cfg.slo_response_ms;
-            if slo > 0 && response_ms > slo as f64 {
-                m.slo_violation.inc();
-            }
-        }
-        let explain = self.explain_hops.take().map(|hops| QueryExplain {
-            query_id: self.query.id.0,
-            trace_id: self.trace.0,
-            entry: self.start.0,
-            response_us: response_ms * 1_000.0,
-            complete,
-            deadline_hit: self.deadline_hit,
-            records: self.records.len() as u64,
-            hops,
-        });
-        if let (Some(tail), Some(explain)) = (&self.cluster.tail, &explain) {
-            let failed = !self.failed.is_empty();
-            // Collecting the flight-recorder trace means scanning the
-            // whole ring buffer — only worth it for queries the sampler
-            // will actually retain. `classify` is stable across the
-            // `observe` call because classification happens before the
-            // sample folds in.
-            let events = if tail.classify(response_ms, failed, complete).is_some() {
-                self.rec
-                    .map(|r| trace_events(&r.events(), self.trace))
-                    .unwrap_or_default()
-            } else {
-                Vec::new()
-            };
-            tail.observe(explain.clone(), failed, events);
-        }
-        (
-            RuntimeOutcome {
-                response_ms,
-                records: self.records,
-                servers_contacted: self.responders.len(),
-                complete,
-                failed_servers: self.failed.keys().copied().collect(),
-                retries: self.retries,
-            },
-            explain,
+        let outcome = RuntimeOutcome {
+            complete: self.completeness(),
+            response_ms: self.t0.elapsed().as_secs_f64() * 1000.0,
+            records: self.records,
+            servers_contacted: self.responders.len(),
+            failed_servers: self.failed.keys().copied().collect(),
+            retries: self.retries,
+        };
+        self.cluster.finish(
+            &self.query,
+            self.start,
+            outcome,
+            self.deadline_hit,
+            self.trace,
+            self.explain_hops,
         )
     }
 
@@ -1441,25 +1365,44 @@ impl Driver<'_> {
         }
         for (t, m) in targets {
             if self.ledger.admit(t, m) {
-                let decision = match m {
-                    // A Branch redirect from the target's tree parent is
-                    // ordinary summary descent; from anyone else (the
-                    // entry's replica shortcuts, a failover stand-in) it
-                    // rode the replication overlay.
-                    ContactMode::Branch => {
-                        if self.cluster.net.tree().parent(t) == Some(server) {
-                            ExplainDecision::SummaryDescent
-                        } else {
-                            ExplainDecision::OverlayShortcut
-                        }
-                    }
-                    ContactMode::LocalOnly => ExplainDecision::AncestorProbe,
-                    ContactMode::Entry => ExplainDecision::Entry,
-                    ContactMode::Failover { .. } => ExplainDecision::Failover,
-                };
+                let decision = contact_decision(&self.cluster.net, server, t, m);
                 self.dispatch(t, m, span, Duration::ZERO, 0, replier_hop, decision);
             }
         }
+    }
+
+    /// Close a still-open attempt that got no reply: stamp its hop with
+    /// `outcome` and its time in flight, count the timeout and emit it.
+    /// `None` when a reply raced in first or the attempt already closed.
+    /// Returns the attempt and the closing time, µs since query start.
+    fn close_unanswered(&mut self, attempt: usize, outcome: HopOutcome) -> Option<(Attempt, u64)> {
+        let a = &mut self.attempts[attempt];
+        if !a.open {
+            return None;
+        }
+        a.open = false;
+        self.open -= 1;
+        let a = *a;
+        let now_us = self.t0.elapsed().as_micros() as u64;
+        if let Some(hops) = &mut self.explain_hops {
+            let h = &mut hops[attempt];
+            h.outcome = outcome;
+            h.dur_us = now_us.saturating_sub(a.at_us) as f64;
+        }
+        if let Some(m) = &self.cluster.metrics {
+            m.dispatch_timeout.inc();
+        }
+        self.emit(Event {
+            at_us: a.at_us,
+            dur_us: now_us.saturating_sub(a.at_us).max(1),
+            node: a.server.0,
+            trace: self.trace,
+            span: a.span,
+            parent: a.parent,
+            kind: EventKind::DispatchTimeout,
+            detail: a.tries as u64,
+        });
+        Some((a, now_us))
     }
 
     /// An open attempt's dispatch timed out (`target_down = false`) or
@@ -1469,39 +1412,16 @@ impl Driver<'_> {
     /// and failover starts immediately.
     fn attempt_failed(&mut self, attempt: usize, target_down: bool) {
         let cfg = self.cluster.cfg;
-        let a = &mut self.attempts[attempt];
-        if !a.open {
-            return; // reply raced in first, or already expired
-        }
-        a.open = false;
-        self.open -= 1;
-        let (server, mode, tries, span, at_us, parent) =
-            (a.server, a.mode, a.tries, a.span, a.at_us, a.parent);
-        let now_us = self.t0.elapsed().as_micros() as u64;
+        let outcome = if target_down {
+            HopOutcome::MailboxDown
+        } else {
+            HopOutcome::TimedOut
+        };
+        let Some((a, now_us)) = self.close_unanswered(attempt, outcome) else {
+            return;
+        };
         let failed_hop = self.explain_hops.is_some().then_some(attempt);
-        if let Some(hops) = &mut self.explain_hops {
-            let h = &mut hops[attempt];
-            h.outcome = if target_down {
-                HopOutcome::MailboxDown
-            } else {
-                HopOutcome::TimedOut
-            };
-            h.dur_us = now_us.saturating_sub(at_us) as f64;
-        }
-        if let Some(m) = &self.cluster.metrics {
-            m.dispatch_timeout.inc();
-        }
-        self.emit(Event {
-            at_us,
-            dur_us: now_us.saturating_sub(at_us).max(1),
-            node: server.0,
-            trace: self.trace,
-            span,
-            parent,
-            kind: EventKind::DispatchTimeout,
-            detail: tries as u64,
-        });
-        if !target_down && tries < cfg.max_retries {
+        if !target_down && a.tries < cfg.max_retries {
             self.retries += 1;
             if let Some(m) = &self.cluster.metrics {
                 m.retries.inc();
@@ -1509,29 +1429,29 @@ impl Driver<'_> {
             self.emit(Event {
                 at_us: now_us,
                 dur_us: 0,
-                node: server.0,
+                node: a.server.0,
                 trace: self.trace,
-                span,
-                parent,
+                span: a.span,
+                parent: a.parent,
                 kind: EventKind::Retry,
-                detail: (tries + 1) as u64,
+                detail: (a.tries + 1) as u64,
             });
             // Retries bypass the visit ledger: same target, same mode.
             // The new attempt nests under the timed-out one — inheriting
             // the old attempt's *parent* would mint a second root span
             // when the entry attempt itself (parent NONE) is retried.
             self.dispatch(
-                server,
-                mode,
-                span,
-                backoff_delay(cfg.backoff_base_ms, tries),
-                tries + 1,
+                a.server,
+                a.mode,
+                a.span,
+                backoff_delay(cfg.backoff_base_ms, a.tries),
+                a.tries + 1,
                 failed_hop,
                 ExplainDecision::Retry,
             );
             return;
         }
-        self.give_up(server, mode, span, failed_hop);
+        self.give_up(a.server, a.mode, a.span, failed_hop);
     }
 
     /// Retries exhausted for `server` in `mode`: record the failure and
@@ -1615,29 +1535,7 @@ impl Driver<'_> {
                 continue;
             }
             self.failover_pos.insert(dead, pos);
-            let id = self.dispatch(
-                helper,
-                mode,
-                parent_span,
-                Duration::ZERO,
-                0,
-                caused_by,
-                ExplainDecision::Failover,
-            );
-            if let Some(m) = &self.cluster.metrics {
-                m.failovers.inc();
-            }
-            let span = self.attempts[id].span;
-            self.emit(Event {
-                at_us: self.t0.elapsed().as_micros() as u64,
-                dur_us: 0,
-                node: helper.0,
-                trace: self.trace,
-                span,
-                parent: parent_span,
-                kind: EventKind::Failover,
-                detail: dead.0 as u64,
-            });
+            self.dispatch_failover(helper, mode, dead, parent_span, caused_by);
             return;
         }
         self.failover_pos.insert(dead, pos);
@@ -1657,65 +1555,52 @@ impl Driver<'_> {
             {
                 continue;
             }
-            let id = self.dispatch(
-                helper,
-                ContactMode::Entry,
-                parent_span,
-                Duration::ZERO,
-                0,
-                caused_by,
-                ExplainDecision::Failover,
-            );
-            if let Some(m) = &self.cluster.metrics {
-                m.failovers.inc();
-            }
-            let span = self.attempts[id].span;
-            self.emit(Event {
-                at_us: self.t0.elapsed().as_micros() as u64,
-                dur_us: 0,
-                node: helper.0,
-                trace: self.trace,
-                span,
-                parent: parent_span,
-                kind: EventKind::Failover,
-                detail: dead.0 as u64,
-            });
+            self.dispatch_failover(helper, ContactMode::Entry, dead, parent_span, caused_by);
             return;
         }
     }
 
-    /// The deadline cut this attempt off: record it, fail its target,
-    /// start nothing new.
-    fn close_at_deadline(&mut self, attempt: usize) {
-        let a = &mut self.attempts[attempt];
-        if !a.open {
-            return;
-        }
-        a.open = false;
-        self.open -= 1;
-        let (server, mode, tries, span, at_us, parent) =
-            (a.server, a.mode, a.tries, a.span, a.at_us, a.parent);
-        let now_us = self.t0.elapsed().as_micros() as u64;
-        if let Some(hops) = &mut self.explain_hops {
-            // Keep the Abandoned placeholder but stamp how long the hop
-            // had been in flight when the deadline cut it off.
-            hops[attempt].dur_us = now_us.saturating_sub(at_us) as f64;
-        }
+    /// Send `helper` in for `dead` — in `mode`, for its branch or for its
+    /// entry role — counted and recorded as a failover.
+    fn dispatch_failover(
+        &mut self,
+        helper: ServerId,
+        mode: ContactMode,
+        dead: ServerId,
+        parent_span: SpanId,
+        caused_by: Option<usize>,
+    ) {
+        let id = self.dispatch(
+            helper,
+            mode,
+            parent_span,
+            Duration::ZERO,
+            0,
+            caused_by,
+            ExplainDecision::Failover,
+        );
         if let Some(m) = &self.cluster.metrics {
-            m.dispatch_timeout.inc();
+            m.failovers.inc();
         }
         self.emit(Event {
-            at_us,
-            dur_us: now_us.saturating_sub(at_us).max(1),
-            node: server.0,
+            at_us: self.t0.elapsed().as_micros() as u64,
+            dur_us: 0,
+            node: helper.0,
             trace: self.trace,
-            span,
-            parent,
-            kind: EventKind::DispatchTimeout,
-            detail: tries as u64,
+            span: self.attempts[id].span,
+            parent: parent_span,
+            kind: EventKind::Failover,
+            detail: dead.0 as u64,
         });
-        if !matches!(mode, ContactMode::Failover { .. }) {
-            self.mark_failed(server, mode);
+    }
+
+    /// The deadline cut this attempt off: record it (its hop keeps the
+    /// `Abandoned` placeholder), fail its target, start nothing new.
+    fn close_at_deadline(&mut self, attempt: usize) {
+        if let Some((a, _)) = self.close_unanswered(attempt, HopOutcome::Abandoned) {
+            if !matches!(a.mode, ContactMode::Failover { .. }) {
+                self.mark_failed(a.server, a.mode);
+            }
         }
     }
 
@@ -1772,43 +1657,8 @@ fn step(
     mode: ContactMode,
     requester: RequesterId,
 ) -> (Vec<(ServerId, ContactMode)>, Vec<Record>) {
-    let branch = |c: &ServerId| (*c, ContactMode::Branch);
-    let (targets, do_local) = match mode {
-        ContactMode::LocalOnly => (Vec::new(), true),
-        ContactMode::Entry => {
-            let ev = net.evaluate(state.id, query, true);
-            let mut t: Vec<_> = ev.child_targets.iter().map(branch).collect();
-            t.extend(ev.replica_targets.iter().map(branch));
-            t.extend(
-                ev.ancestor_targets
-                    .iter()
-                    .map(|&a| (a, ContactMode::LocalOnly)),
-            );
-            (t, ev.local_match)
-        }
-        ContactMode::Branch => {
-            let ev = net.evaluate(state.id, query, false);
-            (
-                ev.child_targets.iter().map(branch).collect(),
-                ev.local_match,
-            )
-        }
-        ContactMode::Failover { dead } => {
-            // Stand in for the crashed server using its branch summary
-            // replicated here (§III-C): forward to its matching children,
-            // no local search — this helper's own data is queried
-            // separately.
-            let t = net
-                .tree()
-                .children(dead)
-                .iter()
-                .filter(|c| net.branch_summary(**c).may_match(query))
-                .map(branch)
-                .collect();
-            (t, false)
-        }
-    };
-    if !do_local {
+    let (search_local, targets) = net.route(state.id, query, mode, SearchScope::full());
+    if !search_local {
         return (targets, Vec::new());
     }
     let found = match &state.search_hist {
@@ -2046,14 +1896,14 @@ mod tests {
             .collect();
         let net = RoadsNetwork::build(schema, cfg, records);
         let reg = Registry::new();
-        let c = Arc::new(RoadsCluster::start_instrumented(
+        let c = Arc::new(RoadsCluster::start_with(
             net,
             DelaySpace::paper(n, 5),
             RuntimeConfig {
                 max_inflight_queries: 2,
                 ..RuntimeConfig::test_fast()
             },
-            &reg,
+            Attachments::instrumented(&reg),
         ));
         let q = QueryBuilder::new(c.network().schema(), QueryId(30))
             .range("x0", 0.0, 1.0)
@@ -2103,18 +1953,21 @@ mod tests {
             .collect();
         // Member-tier default + no allowlisted members ⇒ public sees nothing.
         policies[2] = Arc::new(TieredPolicy::new([roads_core::policy::RequesterId(42)], []));
-        let c = RoadsCluster::start_with_policies(
+        let c = RoadsCluster::start_with(
             net,
             DelaySpace::paper(4, 3),
             RuntimeConfig::test_fast(),
-            policies,
+            Attachments {
+                policies: Some(policies),
+                ..Attachments::default()
+            },
         );
         let q = QueryBuilder::new(c.network().schema(), QueryId(9))
             .range("x0", 0.0, 1.0)
             .build();
         let anon = c.query(&q, ServerId(0));
         assert_eq!(anon.records.len(), 3, "server 2 withholds from the public");
-        let partner = c.query_as(&q, ServerId(0), roads_core::policy::RequesterId(42));
+        let (partner, _) = c.query_with(&q, ServerId(0), RequesterId(42), false);
         assert_eq!(partner.records.len(), 4, "partner sees everything");
         c.shutdown();
     }
@@ -2139,11 +1992,11 @@ mod tests {
             .collect();
         let net = RoadsNetwork::build(schema, cfg, records);
         let reg = Registry::new();
-        let c = RoadsCluster::start_instrumented(
+        let c = RoadsCluster::start_with(
             net,
             DelaySpace::paper(n, 5),
             RuntimeConfig::test_fast(),
-            &reg,
+            Attachments::instrumented(&reg),
         );
         let q = QueryBuilder::new(c.network().schema(), QueryId(11))
             .range("x0", 0.0, 1.0)
@@ -2163,9 +2016,16 @@ mod tests {
     #[test]
     fn recorded_live_query_builds_wall_clock_span_tree() {
         use roads_telemetry::{span_tree_root, trace_events, TraceId};
-        let mut c = cluster(9);
         let rec = Arc::new(Recorder::new(1024));
-        c.set_recorder(Arc::clone(&rec));
+        let c = RoadsCluster::start_with(
+            test_net(9),
+            DelaySpace::paper(9, 21),
+            RuntimeConfig::test_fast(),
+            Attachments {
+                recorder: Some(Arc::clone(&rec)),
+                ..Attachments::default()
+            },
+        );
         let q = QueryBuilder::new(c.network().schema(), QueryId(5))
             .range("x0", 0.0, 1.0)
             .range("x1", 0.0, 1.0)
@@ -2232,7 +2092,7 @@ mod tests {
 
     /// Regression companion of `fault_injection.rs::
     /// crashed_server_reads_dead_and_restarts` for the instrumented
-    /// planes, which no public constructor combines with custom policies.
+    /// planes.
     #[test]
     fn crash_shows_in_health_and_gauges() {
         use roads_core::policy::{Disclosure, TrustClass};
@@ -2252,12 +2112,14 @@ mod tests {
             .collect();
         policies[victim.index()] = Arc::new(PanicPolicy);
         let reg = Registry::new();
-        let c = RoadsCluster::start_inner(
+        let c = RoadsCluster::start_with(
             test_net(n),
             DelaySpace::paper(n, 21),
             RuntimeConfig::test_faulty(),
-            policies,
-            Some(RuntimeMetrics::new(&reg, n)),
+            Attachments {
+                policies: Some(policies),
+                ..Attachments::instrumented(&reg)
+            },
         );
         let q = QueryBuilder::new(c.network().schema(), QueryId(70))
             .range("x0", 0.0, 1.0)
@@ -2290,14 +2152,14 @@ mod tests {
         let n = 9;
         let greedy = cluster(n);
         let reg = Registry::new();
-        let planned = RoadsCluster::start_instrumented(
+        let planned = RoadsCluster::start_with(
             test_net(n),
             DelaySpace::paper(n, 21),
             RuntimeConfig {
                 enable_planner: true,
                 ..RuntimeConfig::test_fast()
             },
-            &reg,
+            Attachments::instrumented(&reg),
         );
         let ranges = [(0.0, 1.0), (0.3, 0.6), (0.87, 0.9)];
         let (mut greedy_contacts, mut planned_contacts) = (0usize, 0usize);
@@ -2336,14 +2198,14 @@ mod tests {
     #[test]
     fn cache_replays_repeats_and_invalidates_on_round_advance() {
         let reg = Registry::new();
-        let c = RoadsCluster::start_instrumented(
+        let c = RoadsCluster::start_with(
             test_net(9),
             DelaySpace::paper(9, 21),
             RuntimeConfig {
                 cache_ttl_rounds: 1,
                 ..RuntimeConfig::test_fast()
             },
-            &reg,
+            Attachments::instrumented(&reg),
         );
         let q = QueryBuilder::new(c.network().schema(), QueryId(40))
             .range("x0", 0.0, 1.0)
@@ -2352,7 +2214,8 @@ mod tests {
         assert!(first.complete);
         assert_eq!(first.records.len(), 9 * 20);
 
-        let (second, explain) = c.query_explained(&q, ServerId(4));
+        let (second, explain) = c.query_with(&q, ServerId(4), RequesterId(0), true);
+        let explain = explain.expect("explain was requested");
         assert_eq!(
             second.records.len(),
             first.records.len(),
@@ -2366,7 +2229,7 @@ mod tests {
 
         // Different requester ⇒ different key (policy-filtered results
         // may differ), so no replay.
-        let other = c.query_as(&q, ServerId(4), RequesterId(7));
+        let (other, _) = c.query_with(&q, ServerId(4), RequesterId(7), false);
         assert!(other.servers_contacted > 1);
 
         // An update round ages the ttl=1 entries out.
@@ -2408,14 +2271,14 @@ mod tests {
         let outcome = net.apply(&delta);
 
         let reg = Registry::new();
-        let c = RoadsCluster::start_instrumented(
+        let c = RoadsCluster::start_with(
             net,
             DelaySpace::paper(9, 21),
             RuntimeConfig {
                 cache_ttl_rounds: 10,
                 ..RuntimeConfig::test_fast()
             },
-            &reg,
+            Attachments::instrumented(&reg),
         );
         // Cache a query the delta touches and one it provably cannot.
         let hit_q = QueryBuilder::new(c.network().schema(), QueryId(50))

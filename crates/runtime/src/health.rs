@@ -1,7 +1,7 @@
 //! Live cluster health: instrument bundle and snapshot API.
 //!
 //! An instrumented [`crate::RoadsCluster`] pre-resolves every instrument
-//! here at startup ([`RuntimeMetrics::new`]), so all metric families are
+//! here at startup (`RuntimeMetrics::new`), so all metric families are
 //! present in a scrape from the first moment (counters at 0) and the hot
 //! query path never touches the registry's name map — only the `Arc`'d
 //! instruments themselves.

@@ -20,7 +20,12 @@
 //!   locked cell: record store, owner policy, FIFO of delivered requests,
 //!   service clock) that owns no thread: whoever delivers a request — the
 //!   querying client at zero delay, otherwise the one timer thread — runs
-//!   the server's step. Delay-space latencies apply per message, a
+//!   the server's step, whose routing half is `roads_core`'s
+//!   `RoadsNetwork::route`, the rule the simulator's executor runs too.
+//!   One way to start it ([`RoadsCluster::start_with`]: owner policies and
+//!   observers are [`Attachments`]) and one way to query it
+//!   ([`RoadsCluster::query_with`]), each beside its attach-nothing /
+//!   anonymous short form. Delay-space latencies apply per message, a
 //!   server's emulated backend cost keeps it busy as a timer event, and
 //!   the client drives the redirect protocol and gathers records from
 //!   matching servers whose busy periods run **in parallel**. Any number
@@ -36,8 +41,8 @@
 //!   live fault injection, contains a panicking server step as that
 //!   server's crash, and reports `complete`/`failed_servers`/`retries`
 //!   per query.
-//! * [`health`] — the live observability plane: an instrumented cluster
-//!   ([`RoadsCluster::start_instrumented`]) maintains per-server
+//! * [`health`] — the live observability plane: a cluster started with
+//!   a registry ([`Attachments::registry`]) maintains per-server
 //!   queue-depth and liveness gauges, the timer thread's lag histogram, per-mode and per-server dispatch
 //!   latency histograms, deadline-miss/SLO-burn counters and labeled
 //!   `runtime.fault_events` series, all scrapeable as OpenMetrics text
@@ -75,7 +80,7 @@ pub mod watchdog;
 
 pub use audit::{AuditConfig, AuditLevelRow, AuditMetrics, AuditReport, Auditor, Liveness};
 pub use central::CentralCluster;
-pub use cluster::{ContactMode, RoadsCluster, RuntimeOutcome};
+pub use cluster::{Attachments, ContactMode, RoadsCluster, RuntimeOutcome};
 pub use config::RuntimeConfig;
 pub use health::{ClusterHealth, FaultEvent, FaultKind, FaultLog, ServerHealth};
 pub use roads_core::RecordStore;

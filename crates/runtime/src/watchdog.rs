@@ -777,7 +777,7 @@ impl Watchdog {
         Watchdog::start(
             Arc::clone(reg),
             cluster.fault_log(),
-            cluster.tail_sampler().cloned(),
+            cluster.tail.clone(),
             metrics,
             cfg,
             bank,

@@ -9,7 +9,9 @@
 use roads_core::{RoadsConfig, RoadsNetwork};
 use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
-use roads_runtime::{AuditConfig, AuditMetrics, AuditReport, Auditor, RoadsCluster, RuntimeConfig};
+use roads_runtime::{
+    Attachments, AuditConfig, AuditMetrics, AuditReport, Auditor, RoadsCluster, RuntimeConfig,
+};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{Json, OpenMetricsSnapshot, Registry};
 use std::sync::Arc;
@@ -89,15 +91,17 @@ fn manual_audit_cfg() -> AuditConfig {
 fn live_branch_outcomes_fold_into_audit_counters() {
     let n = 13;
     let reg = Registry::new();
-    let mut c = RoadsCluster::start_instrumented(
-        build_net(n),
+    let net = build_net(n);
+    let audit = Arc::new(AuditMetrics::new(&reg, net.tree().levels()));
+    let c = RoadsCluster::start_with(
+        net,
         DelaySpace::paper(n, 31),
         RuntimeConfig::test_fast(),
-        &reg,
+        Attachments {
+            audit: Some(audit),
+            ..Attachments::instrumented(&reg)
+        },
     );
-    let audit = Arc::new(AuditMetrics::new(&reg, c.network().tree().levels()));
-    c.set_audit_metrics(Arc::clone(&audit));
-    assert!(c.audit_metrics().is_some());
     let root = c.network().tree().root();
 
     // A query that matches nothing but lands inside a populated histogram
@@ -138,11 +142,11 @@ fn live_branch_outcomes_fold_into_audit_counters() {
 fn auditor_surfaces_kill_divergence_and_reconverges() {
     let n = 13;
     let reg = Registry::new();
-    let c = RoadsCluster::start_instrumented(
+    let c = RoadsCluster::start_with(
         sparse_net(n),
         DelaySpace::paper(n, 17),
         RuntimeConfig::test_faulty(),
-        &reg,
+        Attachments::instrumented(&reg),
     );
     let net = c.shared_network();
     let metrics = Arc::new(AuditMetrics::new(&reg, net.tree().levels()));

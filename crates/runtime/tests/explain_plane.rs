@@ -4,14 +4,14 @@
 //! sequence the flight recorder saw — healthy, and under kill/restart
 //! fault injection.
 
-use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
+use roads_core::{RequesterId, RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
-use roads_runtime::{RoadsCluster, RuntimeConfig};
+use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig, RuntimeOutcome};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{
     span_tree_root, trace_events, EventKind, ExplainDecision, HopOutcome, QueryExplain, Recorder,
-    RetainReason, TailConfig, TailSampler, TraceId,
+    Registry, RetainReason, TailConfig, TailSampler, TraceId,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -43,7 +43,26 @@ fn build_net(n: usize, max_children: usize) -> RoadsNetwork {
 }
 
 fn build_cluster(n: usize, cfg: RuntimeConfig) -> RoadsCluster {
-    RoadsCluster::start(build_net(n, 3), DelaySpace::paper(n, 77), cfg)
+    build_cluster_with(n, cfg, Attachments::default())
+}
+
+fn build_cluster_with(n: usize, cfg: RuntimeConfig, attach: Attachments<'_>) -> RoadsCluster {
+    RoadsCluster::start_with(build_net(n, 3), DelaySpace::paper(n, 77), cfg, attach)
+}
+
+/// An anonymous query with its provenance record.
+fn explained(c: &RoadsCluster, q: &Query, entry: ServerId) -> (RuntimeOutcome, QueryExplain) {
+    let (out, ex) = c.query_with(q, entry, RequesterId(0), true);
+    (out, ex.expect("explain was requested"))
+}
+
+/// A sampler that retains only failed / incomplete queries.
+fn failures_only_sampler(capacity: usize) -> Arc<TailSampler> {
+    Arc::new(TailSampler::new(TailConfig {
+        capacity,
+        min_samples: 1_000_000, // stay on the floor threshold
+        floor_ms: 1e9,          // never "slow"
+    }))
 }
 
 fn full_query(c: &RoadsCluster, id: u64) -> Query {
@@ -61,7 +80,7 @@ fn a_leaf(c: &RoadsCluster) -> ServerId {
 }
 
 /// The invariants tying an explain record to the outcome it explains.
-fn assert_consistent(out: &roads_runtime::RuntimeOutcome, ex: &QueryExplain) {
+fn assert_consistent(out: &RuntimeOutcome, ex: &QueryExplain) {
     assert_eq!(
         ex.distinct_responders(),
         out.servers_contacted,
@@ -90,7 +109,7 @@ fn explain_matches_outcome_on_healthy_cluster() {
     let n = 13;
     let c = build_cluster(n, RuntimeConfig::test_fast());
     let entry = a_leaf(&c);
-    let (out, ex) = c.query_explained(&full_query(&c, 1), entry);
+    let (out, ex) = explained(&c, &full_query(&c, 1), entry);
 
     assert_eq!(out.records.len(), n * RECORDS_PER_SERVER);
     assert_consistent(&out, &ex);
@@ -136,7 +155,7 @@ fn explain_consistency_under_kill_and_restart() {
         .expect("13 servers at degree 3 have an interior non-root child");
     assert!(c.kill_server(victim));
 
-    let (out, ex) = c.query_explained(&full_query(&c, 2), tree.root());
+    let (out, ex) = explained(&c, &full_query(&c, 2), tree.root());
     assert_eq!(out.failed_servers, vec![victim]);
     assert_consistent(&out, &ex);
     // The dead server's hop records the closed mailbox, and the overlay
@@ -159,7 +178,7 @@ fn explain_consistency_under_kill_and_restart() {
 
     // After a restart the same query explains cleanly again.
     assert!(c.restart_server(victim));
-    let (healed, hex) = c.query_explained(&full_query(&c, 3), tree.root());
+    let (healed, hex) = explained(&c, &full_query(&c, 3), tree.root());
     assert!(healed.complete);
     assert_consistent(&healed, &hex);
     assert!(hex.hops.iter().all(|h| h.outcome == HopOutcome::Replied));
@@ -182,7 +201,7 @@ fn explain_counts_real_retries() {
     };
     let c = build_cluster(1, cfg);
     let only = c.network().tree().root();
-    let (out, ex) = c.query_explained(&full_query(&c, 4), only);
+    let (out, ex) = explained(&c, &full_query(&c, 4), only);
     assert!(out.retries >= 1);
     assert_consistent(&out, &ex);
     let retry = ex
@@ -201,15 +220,17 @@ fn explain_counts_real_retries() {
 #[test]
 fn retained_query_explain_reconstructs_span_tree() {
     let n = 13;
-    let mut c = build_cluster(n, RuntimeConfig::test_faulty());
     let rec = Arc::new(Recorder::new(65_536));
-    c.set_recorder(Arc::clone(&rec));
-    let tail = Arc::new(TailSampler::new(TailConfig {
-        capacity: 16,
-        min_samples: 1_000_000, // stay on the floor threshold
-        floor_ms: 1e9,          // retain only failed/incomplete queries
-    }));
-    c.set_tail_sampler(Arc::clone(&tail));
+    let tail = failures_only_sampler(16);
+    let c = build_cluster_with(
+        n,
+        RuntimeConfig::test_faulty(),
+        Attachments {
+            recorder: Some(Arc::clone(&rec)),
+            tail: Some(Arc::clone(&tail)),
+            ..Attachments::default()
+        },
+    );
 
     // Warm-up query: healthy, fast, below the floor — observed, dropped.
     let healthy = c.query(&full_query(&c, 5), a_leaf(&c));
@@ -302,15 +323,17 @@ fn deadline_cutoff_retains_incomplete_with_abandoned_hops() {
         dispatch_timeout_ms: 0,
         ..RuntimeConfig::test_fast()
     };
-    let mut c = build_cluster(4, cfg);
-    let tail = Arc::new(TailSampler::new(TailConfig {
-        capacity: 4,
-        min_samples: 1_000_000,
-        floor_ms: 1e9,
-    }));
-    c.set_tail_sampler(Arc::clone(&tail));
+    let tail = failures_only_sampler(4);
+    let c = build_cluster_with(
+        4,
+        cfg,
+        Attachments {
+            tail: Some(Arc::clone(&tail)),
+            ..Attachments::default()
+        },
+    );
     let root = c.network().tree().root();
-    let (out, ex) = c.query_explained(&full_query(&c, 7), root);
+    let (out, ex) = explained(&c, &full_query(&c, 7), root);
     assert!(!out.complete);
     assert!(ex.deadline_hit);
     assert_consistent(&out, &ex);
@@ -320,12 +343,57 @@ fn deadline_cutoff_retains_incomplete_with_abandoned_hops() {
             .any(|h| h.outcome == HopOutcome::Abandoned && h.dur_us > 0.0),
         "deadline-cut hops must be recorded as abandoned with their age"
     );
-    // The sampler saw the same query once more (query_explained also
-    // feeds an attached sampler) and kept it.
+    // The attached sampler was offered the same record and kept it.
     let retained = tail.retained();
     assert!(!retained.is_empty());
     assert!(retained
         .iter()
         .all(|q| q.reason == RetainReason::Failed || q.reason == RetainReason::Incomplete));
+    c.shutdown();
+}
+
+/// Regression: a cache replay used to finish through an epilogue of its
+/// own that counted the query but never offered it to the tail sampler, so
+/// `SLOW_QUERIES.json`'s `observed` disagreed with the scrape and the
+/// sampler's threshold was learned from misses only.
+#[test]
+fn cache_replays_reach_the_tail_sampler_like_any_query() {
+    let k = 5;
+    let reg = Registry::new();
+    let tail = failures_only_sampler(4);
+    let c = build_cluster_with(
+        13,
+        RuntimeConfig {
+            cache_ttl_rounds: 2,
+            ..RuntimeConfig::test_fast()
+        },
+        Attachments {
+            tail: Some(Arc::clone(&tail)),
+            ..Attachments::instrumented(&reg)
+        },
+    );
+    let entry = a_leaf(&c);
+    let q = full_query(&c, 8);
+    let first = c.query(&q, entry);
+    assert!(first.complete);
+    for _ in 2..k {
+        assert_eq!(c.query(&q, entry).records, first.records, "verbatim replay");
+    }
+    // `explain = false` still yields the record: the sampler wants it.
+    let (last, ex) = c.query_with(&q, entry, RequesterId(0), false);
+    let ex = ex.expect("a tail sampler makes every query explain itself");
+    assert_eq!(last.servers_contacted, 1, "served by the entry alone");
+    assert_eq!(ex.hops.len(), 1, "a replay is the single cache-hit hop");
+    assert_eq!(ex.hops[0].decision, ExplainDecision::CacheHit);
+    assert_eq!(ex.hops[0].server, entry.0);
+    assert_eq!(ex.hops[0].caused_by, None);
+    assert_eq!(ex.records, last.records.len() as u64);
+    assert_eq!(ex.complete, last.complete);
+
+    assert_eq!(reg.counter("runtime.queries").get(), k);
+    assert_eq!(reg.counter("roads.cache.hits").get(), k - 1);
+    assert_eq!(tail.observed(), k, "every query is observed, hit or miss");
+    assert_eq!(tail.dropped(), k, "hits fold and drop like any fast query");
+    assert!(tail.retained().is_empty());
     c.shutdown();
 }

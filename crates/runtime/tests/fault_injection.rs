@@ -3,7 +3,7 @@
 //!
 //! Every test drives a real [`RoadsCluster`] — client threads, server
 //! cells, the timer thread — and kills pieces of it mid-flight. The invariant
-//! under test throughout: `query_as` always returns within the query
+//! under test throughout: a query always returns within the query
 //! deadline, and [`RuntimeOutcome::complete`]/`failed_servers` tell the
 //! truth about what the result may be missing.
 
@@ -12,7 +12,7 @@ use roads_core::policy::{Disclosure, RequesterId, SharingPolicy, TrustClass};
 use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
-use roads_runtime::{RoadsCluster, RuntimeConfig, RuntimeOutcome};
+use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig, RuntimeOutcome};
 use roads_summary::SummaryConfig;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -80,6 +80,13 @@ fn a_leaf(c: &RoadsCluster) -> ServerId {
         .expect("every finite tree has a leaf")
 }
 
+fn with_policies(policies: Vec<Arc<dyn SharingPolicy>>) -> Attachments<'static> {
+    Attachments {
+        policies: Some(policies),
+        ..Attachments::default()
+    }
+}
+
 /// An owner whose backend crashes the server thread on any query:
 /// regression for the runtime hang, where each such dispatch leaked a
 /// helper thread blocked forever on a reply that could never come.
@@ -111,7 +118,7 @@ fn panicking_policy_cannot_hang_the_client() {
         .collect();
     policies[victim.index()] = Arc::new(PanicPolicy);
     let cfg = RuntimeConfig::test_faulty();
-    let c = RoadsCluster::start_with_policies(net, DelaySpace::paper(n, 77), cfg, policies);
+    let c = RoadsCluster::start_with(net, DelaySpace::paper(n, 77), cfg, with_policies(policies));
     let q = full_query(&c);
 
     let t0 = Instant::now();
@@ -165,11 +172,11 @@ fn crashed_server_reads_dead_and_restarts() {
         .map(|_| Arc::new(roads_core::policy::OpenPolicy) as Arc<_>)
         .collect();
     policies[victim.index()] = Arc::new(PanicOncePolicy(AtomicBool::new(false)));
-    let c = RoadsCluster::start_with_policies(
+    let c = RoadsCluster::start_with(
         net,
         DelaySpace::paper(n, 77),
         RuntimeConfig::test_faulty(),
-        policies,
+        with_policies(policies),
     );
     let q = full_query(&c);
     let root = c.network().tree().root();
@@ -541,14 +548,16 @@ fn failed_standin_helper_is_not_renominated() {
         .map(|_| Arc::new(roads_core::policy::OpenPolicy) as Arc<_>)
         .collect();
     policies[b.index()] = Arc::new(PanicPolicy);
-    let mut c = RoadsCluster::start_with_policies(
+    let rec = Arc::new(Recorder::new(4096));
+    let c = RoadsCluster::start_with(
         net,
         DelaySpace::paper(n, 77),
         RuntimeConfig::test_faulty(),
-        policies,
+        Attachments {
+            recorder: Some(Arc::clone(&rec)),
+            ..with_policies(policies)
+        },
     );
-    let rec = Arc::new(Recorder::new(4096));
-    c.set_recorder(Arc::clone(&rec));
     assert!(c.kill_server(a));
     assert!(c.kill_server(h));
 
@@ -616,9 +625,16 @@ fn concurrent_queries_attribute_faults_during_churn() {
         .map(|_| Arc::new(roads_core::policy::OpenPolicy) as Arc<_>)
         .collect();
     policies[panicker.index()] = Arc::new(PanicPolicy);
-    let mut c = RoadsCluster::start_with_policies(net, DelaySpace::paper(n, 77), cfg, policies);
     let rec = Arc::new(Recorder::new(65_536));
-    c.set_recorder(Arc::clone(&rec));
+    let c = RoadsCluster::start_with(
+        net,
+        DelaySpace::paper(n, 77),
+        cfg,
+        Attachments {
+            recorder: Some(Arc::clone(&rec)),
+            ..with_policies(policies)
+        },
+    );
     let q = full_query(&c);
 
     let mut outcomes: Vec<RuntimeOutcome> = Vec::new();
@@ -872,7 +888,7 @@ fn concurrent_clients_agree_with_oracle_while_servers_churn() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Whatever subset of servers is killed, `query_as` terminates within
+    /// Whatever subset of servers is killed, a query terminates within
     /// the deadline, returns each surviving record at most once, never
     /// blames a live server, and claims completeness exactly when it holds.
     #[test]

@@ -8,7 +8,7 @@
 use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
-use roads_runtime::{RoadsCluster, RuntimeConfig};
+use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{labeled, parse_openmetrics, OpenMetricsSnapshot, Registry};
 
@@ -58,11 +58,11 @@ fn a_branch(c: &RoadsCluster) -> ServerId {
 fn scrape_exposes_queue_gauges_deadline_counters_and_latency_buckets() {
     let n = 13;
     let reg = Registry::new();
-    let c = RoadsCluster::start_instrumented(
+    let c = RoadsCluster::start_with(
         build_net(n),
         DelaySpace::paper(n, 77),
         RuntimeConfig::test_faulty(),
-        &reg,
+        Attachments::instrumented(&reg),
     );
     let q = full_query(&c);
     let root = c.network().tree().root();
@@ -147,11 +147,11 @@ fn scrape_exposes_queue_gauges_deadline_counters_and_latency_buckets() {
 fn scrape_exposes_timer_lag() {
     let n = 13;
     let reg = Registry::new();
-    let c = RoadsCluster::start_instrumented(
+    let c = RoadsCluster::start_with(
         build_net(n),
         DelaySpace::paper(n, 77),
         RuntimeConfig::test_fast(),
-        &reg,
+        Attachments::instrumented(&reg),
     );
     let text = OpenMetricsSnapshot::from_registry(&reg).render();
     assert!(
@@ -185,11 +185,11 @@ fn scrape_exposes_timer_lag() {
 fn health_snapshot_tracks_kill_restart_and_counts() {
     let n = 13;
     let reg = Registry::new();
-    let c = RoadsCluster::start_instrumented(
+    let c = RoadsCluster::start_with(
         build_net(n),
         DelaySpace::paper(n, 21),
         RuntimeConfig::test_faulty(),
-        &reg,
+        Attachments::instrumented(&reg),
     );
     let q = full_query(&c);
     let root = c.network().tree().root();
@@ -249,7 +249,12 @@ fn slo_burn_counter_fires_on_slow_queries() {
         slo_response_ms: 1,
         ..RuntimeConfig::test_fast()
     };
-    let c = RoadsCluster::start_instrumented(build_net(n), DelaySpace::paper(n, 9), cfg, &reg);
+    let c = RoadsCluster::start_with(
+        build_net(n),
+        DelaySpace::paper(n, 9),
+        cfg,
+        Attachments::instrumented(&reg),
+    );
     let q = full_query(&c);
     let root = c.network().tree().root();
     for _ in 0..3 {
@@ -279,11 +284,11 @@ fn queue_depth_rises_under_backlog_and_drains() {
         max_inflight_queries: 8,
         ..RuntimeConfig::test_fast()
     };
-    let c = std::sync::Arc::new(RoadsCluster::start_instrumented(
+    let c = std::sync::Arc::new(RoadsCluster::start_with(
         build_net(n),
         DelaySpace::paper(n, 13),
         cfg,
-        &reg,
+        Attachments::instrumented(&reg),
     ));
     let q = full_query(&c);
     let root = c.network().tree().root();

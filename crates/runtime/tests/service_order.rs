@@ -11,10 +11,10 @@
 //! Lower bounds on time are exact (a timer never fires early); upper
 //! bounds carry generous slack for a loaded CI host.
 
-use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
+use roads_core::{RequesterId, RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
-use roads_runtime::{RoadsCluster, RuntimeConfig, RuntimeOutcome};
+use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig, RuntimeOutcome};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{labeled, Gauge, HopOutcome, QueryExplain, Registry};
 use std::sync::{Arc, Barrier};
@@ -55,13 +55,23 @@ fn one_server(base_us: u64, dispatch_timeout_ms: u64, reg: &Registry) -> RoadsCl
         max_inflight_queries: 0,
         ..RuntimeConfig::test_fast()
     };
-    RoadsCluster::start_instrumented(net, DelaySpace::paper(1, 3), cfg, reg)
+    RoadsCluster::start_with(
+        net,
+        DelaySpace::paper(1, 3),
+        cfg,
+        Attachments::instrumented(reg),
+    )
 }
 
 fn full_query(c: &RoadsCluster) -> Query {
     QueryBuilder::new(c.network().schema(), QueryId(1))
         .range("x0", 0.0, 1.0)
         .build()
+}
+
+fn explained(c: &RoadsCluster, q: &Query) -> (RuntimeOutcome, QueryExplain) {
+    let (out, ex) = c.query_with(q, ONLY, RequesterId(0), true);
+    (out, ex.expect("explain was requested"))
 }
 
 fn queue_gauge(reg: &Registry) -> Arc<Gauge> {
@@ -87,7 +97,7 @@ fn contact_concurrently(
                 s.spawn(move || {
                     gate.wait();
                     let t0 = Instant::now();
-                    let (out, ex) = c.query_explained(q, ONLY);
+                    let (out, ex) = explained(c, q);
                     (out, ex, t0.elapsed())
                 })
             })
@@ -202,7 +212,7 @@ fn kill_loses_the_request_in_service_and_the_queued_ones() {
     // A later dispatch finds the server dead at delivery — at once, not
     // after a timeout.
     let t0 = Instant::now();
-    let (out, ex) = c.query_explained(&full_query(&c), ONLY);
+    let (out, ex) = explained(&c, &full_query(&c));
     assert!(t0.elapsed() < Duration::from_millis(1_000));
     assert_eq!(ex.hops[0].outcome, HopOutcome::MailboxDown);
     assert_eq!(out.failed_servers, vec![ONLY]);

@@ -6,12 +6,10 @@
 //!   log-bucketed latency [`Histogram`]s (fixed memory, mergeable across
 //!   threads), collected into a [`Registry`] and exported as a
 //!   [`MetricsSnapshot`] with p50/p90/p99 extraction.
-//! * [`trace`] — per-query [`QueryTrace`]s recording every hop a discovery
-//!   query takes through the federation with a [`HopReason`]
-//!   (summary hit, false-positive redirect, overlay shortcut, climb to
-//!   parent), plus an aggregator producing hop-count distributions,
-//!   false-positive redirect rates and per-node load concentration
-//!   (root-load share, Gini coefficient).
+//! * [`trace`] — an aggregator folding a batch of [`QueryExplain`] records
+//!   into a [`TraceReport`]: hop-count distributions, false-positive
+//!   redirect rates, overlay-shortcut and ancestor-climb counts and
+//!   per-node load concentration (root-load share, Gini coefficient).
 //! * [`span`] — scoped wall-clock timers feeding histograms, used by the
 //!   threaded prototype runtime to attribute time to phases (local store
 //!   search, channel wait, result merge).
@@ -90,4 +88,4 @@ pub use tail::{
     Exemplar, RetainReason, RetainedQuery, SlowDoc, TailConfig, TailSampler, SLOW_SCHEMA_VERSION,
 };
 pub use timeline::{Timeline, TimelineSeries};
-pub use trace::{aggregate_traces, gini, Hop, HopReason, QueryTrace, TraceReport};
+pub use trace::{aggregate_traces, gini, TraceReport};

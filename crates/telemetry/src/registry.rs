@@ -100,7 +100,7 @@ impl HistInner {
 
 /// A fixed-memory, log-bucketed (HDR-style) latency histogram.
 ///
-/// Values map to geometrically spaced buckets ([`SUB_BUCKETS`] per
+/// Values map to geometrically spaced buckets (`SUB_BUCKETS` per
 /// doubling), so percentile estimates carry a bounded ~9% relative error
 /// while memory stays constant regardless of sample count. Histograms with
 /// the same layout (always true here — the layout is compile-time fixed)

@@ -1,120 +1,20 @@
-//! Query-path tracing and aggregation.
+//! Query-path aggregation.
 //!
-//! A [`QueryTrace`] records every server a discovery query touched and
-//! *why* it was touched — the [`HopReason`]. Reasons map onto the ROADS
-//! mechanisms: a child summary claiming a match (summary hit), that claim
-//! turning out hollow (false-positive redirect, the cost of lossy
-//! summaries), a replication-overlay entry shortcut, and the climb towards
-//! ancestors that guarantees completeness.
-//!
-//! [`aggregate_traces`] folds a batch of traces into a [`TraceReport`]:
-//! hop-count distribution, false-positive redirect rate, and per-node load
-//! concentration (root-load share and Gini coefficient) — the quantities
-//! behind the paper's load-balance and bucket-count ablations.
+//! A [`QueryExplain`] records every server a discovery query touched and
+//! *why* it was touched — its [`ExplainDecision`]. [`aggregate_traces`]
+//! folds a batch of them into a [`TraceReport`]: hop-count distribution,
+//! false-positive redirect rate (a child summary claimed a match and the
+//! claim turned out hollow — the cost of lossy summaries), overlay
+//! shortcuts, ancestor climbs, and per-node load concentration (root-load
+//! share and Gini coefficient) — the quantities behind the paper's
+//! load-balance and bucket-count ablations.
 
 use std::collections::BTreeMap;
 
+use crate::explain::{ExplainDecision, QueryExplain};
 use crate::json::Json;
 
-/// Why a query visited a server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HopReason {
-    /// The query's entry server (client attachment point).
-    Entry,
-    /// A child branch summary claimed a possible match.
-    SummaryHit,
-    /// A summary hit that produced no matches anywhere below it — the
-    /// price of lossy (histogram/bloom) summaries.
-    FalsePositiveRedirect,
-    /// Reached directly from the entry via the replication overlay,
-    /// skipping the climb through common ancestors.
-    OverlayShortcut,
-    /// Climbing towards an ancestor to widen the search scope.
-    ClimbToParent,
-}
-
-impl HopReason {
-    /// Stable kebab-case label used in JSON exports.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            HopReason::Entry => "entry",
-            HopReason::SummaryHit => "summary-hit",
-            HopReason::FalsePositiveRedirect => "false-positive-redirect",
-            HopReason::OverlayShortcut => "overlay-shortcut",
-            HopReason::ClimbToParent => "climb-to-parent",
-        }
-    }
-}
-
-/// One server visit within a query's execution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Hop {
-    /// The visited server.
-    pub node: u32,
-    /// Why the query went there.
-    pub reason: HopReason,
-    /// Cumulative simulated time when the query arrived, in ms.
-    pub at_ms: f64,
-    /// Matching records found in the server's local store.
-    pub local_matches: usize,
-}
-
-/// The full path one query took through the federation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryTrace {
-    /// Workload query id.
-    pub query_id: u64,
-    /// Entry server.
-    pub entry: u32,
-    /// Visits in arrival-time order (the entry hop first).
-    pub hops: Vec<Hop>,
-    /// Simulated time when the last result reached the client, in ms.
-    pub completed_ms: f64,
-}
-
-impl QueryTrace {
-    /// Number of server visits (including the entry).
-    pub fn hop_count(&self) -> usize {
-        self.hops.len()
-    }
-
-    /// Whether `node` appears anywhere on the path.
-    pub fn visits(&self, node: u32) -> bool {
-        self.hops.iter().any(|h| h.node == node)
-    }
-
-    /// Number of hops with the given reason.
-    pub fn count_reason(&self, reason: HopReason) -> usize {
-        self.hops.iter().filter(|h| h.reason == reason).count()
-    }
-
-    /// JSON object with the full hop list.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("query_id", Json::num(self.query_id as f64)),
-            ("entry", Json::num(self.entry as f64)),
-            ("completed_ms", Json::num(self.completed_ms)),
-            (
-                "hops",
-                Json::Arr(
-                    self.hops
-                        .iter()
-                        .map(|h| {
-                            Json::obj(vec![
-                                ("node", Json::num(h.node as f64)),
-                                ("reason", Json::str(h.reason.as_str())),
-                                ("at_ms", Json::num(h.at_ms)),
-                                ("local_matches", Json::num(h.local_matches as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// Aggregate statistics over a batch of [`QueryTrace`]s.
+/// Aggregate statistics over a batch of [`QueryExplain`] records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceReport {
     /// Number of traces aggregated.
@@ -127,13 +27,18 @@ pub struct TraceReport {
     pub max_hops: usize,
     /// Total non-entry hops across all traces.
     pub probe_hops: usize,
-    /// Hops classified [`HopReason::FalsePositiveRedirect`].
+    /// [`ExplainDecision::SummaryDescent`] hops flagged
+    /// [`false_positive`](crate::ExplainHop::false_positive): a tree
+    /// parent's summary hit that found nothing at or below the child.
     pub fp_redirects: usize,
     /// `fp_redirects / probe_hops` (0 when no probes).
     pub fp_redirect_rate: f64,
-    /// Hops classified [`HopReason::OverlayShortcut`].
+    /// [`ExplainDecision::OverlayShortcut`] hops (hollow or not: a
+    /// shortcut that found nothing still counts here, not as a
+    /// false-positive redirect).
     pub overlay_shortcuts: usize,
-    /// Hops classified [`HopReason::ClimbToParent`].
+    /// [`ExplainDecision::AncestorProbe`] hops — the climb towards
+    /// ancestors that guarantees completeness.
     pub climb_hops: usize,
     /// Visits landing on the hierarchy root.
     pub root_visits: usize,
@@ -194,10 +99,10 @@ pub fn gini(counts: &[u64]) -> f64 {
     (2.0 * weighted) / (n * total as f64) - (n + 1.0) / n
 }
 
-/// Fold traces into a [`TraceReport`]. `root` is the hierarchy root server
-/// and `nodes` the federation size (zero-visit servers count towards the
-/// Gini denominator — an idle server *is* imbalance).
-pub fn aggregate_traces(traces: &[QueryTrace], root: u32, nodes: usize) -> TraceReport {
+/// Fold explain records into a [`TraceReport`]. `root` is the hierarchy
+/// root server and `nodes` the federation size (zero-visit servers count
+/// towards the Gini denominator — an idle server *is* imbalance).
+pub fn aggregate_traces(traces: &[QueryExplain], root: u32, nodes: usize) -> TraceReport {
     let mut hop_histogram = BTreeMap::new();
     let mut visits_per_node = vec![0u64; nodes];
     let mut total_hops = 0usize;
@@ -209,35 +114,26 @@ pub fn aggregate_traces(traces: &[QueryTrace], root: u32, nodes: usize) -> Trace
     let mut root_visits = 0usize;
 
     for t in traces {
-        let hops = t.hop_count();
+        let hops = t.hops.len();
         *hop_histogram.entry(hops).or_insert(0) += 1;
         total_hops += hops;
         max_hops = max_hops.max(hops);
         for h in &t.hops {
-            if let Some(slot) = visits_per_node.get_mut(h.node as usize) {
+            if let Some(slot) = visits_per_node.get_mut(h.server as usize) {
                 *slot += 1;
             }
-            if h.node == root {
+            if h.server == root {
                 root_visits += 1;
             }
-            match h.reason {
-                HopReason::Entry => {}
-                HopReason::FalsePositiveRedirect => {
-                    probe_hops += 1;
-                    fp_redirects += 1;
-                }
-                HopReason::OverlayShortcut => {
-                    probe_hops += 1;
-                    overlay_shortcuts += 1;
-                }
-                HopReason::ClimbToParent => {
-                    probe_hops += 1;
-                    climb_hops += 1;
-                }
-                HopReason::SummaryHit => {
-                    probe_hops += 1;
-                }
+            match h.decision {
+                // Served at the entry: not a probe of another server.
+                ExplainDecision::Entry | ExplainDecision::CacheHit => continue,
+                ExplainDecision::SummaryDescent if h.false_positive => fp_redirects += 1,
+                ExplainDecision::OverlayShortcut => overlay_shortcuts += 1,
+                ExplainDecision::AncestorProbe => climb_hops += 1,
+                _ => {}
             }
+            probe_hops += 1;
         }
     }
 
@@ -273,22 +169,28 @@ pub fn aggregate_traces(traces: &[QueryTrace], root: u32, nodes: usize) -> Trace
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::{ExplainHop, HopOutcome, LatencySplit};
 
-    fn hop(node: u32, reason: HopReason) -> Hop {
-        Hop {
-            node,
-            reason,
-            at_ms: 0.0,
+    fn hop(server: u32, decision: ExplainDecision, false_positive: bool) -> ExplainHop {
+        ExplainHop {
+            server,
+            decision,
+            summary: None,
+            false_positive,
+            outcome: HopOutcome::Replied,
+            at_us: 0.0,
+            dur_us: 0.0,
+            caused_by: None,
             local_matches: 0,
+            split: LatencySplit::default(),
         }
     }
 
-    fn trace(entry: u32, hops: Vec<Hop>) -> QueryTrace {
-        QueryTrace {
-            query_id: 0,
+    fn trace(entry: u32, hops: Vec<ExplainHop>) -> QueryExplain {
+        QueryExplain {
             entry,
             hops,
-            completed_ms: 1.0,
+            ..QueryExplain::default()
         }
     }
 
@@ -315,19 +217,20 @@ mod tests {
 
     #[test]
     fn aggregate_counts_reasons_and_rates() {
+        use ExplainDecision::*;
         let traces = vec![
             trace(
                 1,
                 vec![
-                    hop(1, HopReason::Entry),
-                    hop(0, HopReason::ClimbToParent),
-                    hop(2, HopReason::SummaryHit),
-                    hop(3, HopReason::FalsePositiveRedirect),
+                    hop(1, Entry, false),
+                    hop(0, AncestorProbe, false),
+                    hop(2, SummaryDescent, false),
+                    hop(3, SummaryDescent, true),
                 ],
             ),
             trace(
                 2,
-                vec![hop(2, HopReason::Entry), hop(3, HopReason::OverlayShortcut)],
+                vec![hop(2, Entry, false), hop(3, OverlayShortcut, false)],
             ),
         ];
         let r = aggregate_traces(&traces, 0, 4);
@@ -346,25 +249,30 @@ mod tests {
     }
 
     #[test]
+    fn hollow_overlay_shortcut_is_a_shortcut_not_a_false_positive_redirect() {
+        use ExplainDecision::*;
+        let traces = [trace(
+            1,
+            vec![hop(1, Entry, false), hop(3, OverlayShortcut, true)],
+        )];
+        let r = aggregate_traces(&traces, 0, 4);
+        assert_eq!((r.overlay_shortcuts, r.fp_redirects), (1, 0));
+        // A cache replay is served at the entry; live-only decisions are
+        // probes of no special class.
+        let traces = [
+            trace(2, vec![hop(2, CacheHit, false)]),
+            trace(2, vec![hop(2, Entry, false), hop(3, Retry, false)]),
+        ];
+        let r = aggregate_traces(&traces, 0, 4);
+        assert_eq!((r.probe_hops, r.max_hops), (1, 2));
+    }
+
+    #[test]
     fn empty_aggregate_is_all_zero() {
         let r = aggregate_traces(&[], 0, 8);
         assert_eq!(r.queries, 0);
         assert_eq!(r.fp_redirect_rate, 0.0);
         assert_eq!(r.gini, 0.0);
         assert_eq!(r.root_load_share, 0.0);
-    }
-
-    #[test]
-    fn trace_helpers() {
-        let t = trace(
-            5,
-            vec![hop(5, HopReason::Entry), hop(0, HopReason::ClimbToParent)],
-        );
-        assert_eq!(t.hop_count(), 2);
-        assert!(t.visits(0));
-        assert!(!t.visits(9));
-        assert_eq!(t.count_reason(HopReason::ClimbToParent), 1);
-        let json = t.to_json().to_string();
-        assert!(json.contains("climb-to-parent"));
     }
 }

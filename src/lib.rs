@@ -41,6 +41,18 @@
 //! let delays = DelaySpace::paper(net.len(), 7);
 //! let outcome = execute_query(&net, &delays, &query, ServerId(5), SearchScope::full());
 //! assert!(outcome.matching_records > 0);
+//!
+//! // The same query in full: scope, forwarding style and a planner's
+//! // batch are `QueryOptions`; observation is an optional contact log.
+//! let opts = QueryOptions {
+//!     forwarding: ForwardingMode::ClientRedirect,
+//!     ..QueryOptions::default()
+//! };
+//! let mut contacts = Vec::new();
+//! let redirected =
+//!     execute_query_with(&net, &delays, &query, ServerId(5), &opts, Some(&mut contacts));
+//! assert_eq!(redirected.matching_records, outcome.matching_records);
+//! assert_eq!(contacts.len(), redirected.servers_contacted);
 //! ```
 //!
 //! ## Crate map
@@ -79,9 +91,9 @@ pub use roads_workload as workload;
 /// Everything a typical application needs, in one import.
 pub mod prelude {
     pub use roads_core::{
-        execute_query, execute_query_mode, replication_set, update_round, ForwardingMode,
-        HierarchyTree, LatencyStats, QueryOutcome, RoadsConfig, RoadsNetwork, SearchScope,
-        ServerId,
+        execute_query, execute_query_with, replication_set, update_round, ForwardingMode,
+        HierarchyTree, LatencyStats, QueryOptions, QueryOutcome, RoadsConfig, RoadsNetwork,
+        SearchScope, ServerId,
     };
     pub use roads_netsim::{DelaySpace, DelaySpaceConfig, SimTime};
     pub use roads_records::{
