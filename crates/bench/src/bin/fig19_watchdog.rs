@@ -33,8 +33,7 @@ use roads_runtime::{
     Attachments, CauseKind, IncidentReport, RoadsCluster, RuntimeConfig, Watchdog, WatchdogConfig,
 };
 use roads_summary::SummaryConfig;
-use roads_telemetry::FigureExport;
-use roads_telemetry::Registry;
+use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -235,8 +234,13 @@ fn run_cell(n: usize, interval: Duration, fault: Fault, label: &str) -> CellOutc
 }
 
 /// Fault-free control: same cluster, same detectors, no injection —
-/// the watchdog must stay silent.
-fn run_control(n: usize, interval: Duration, ticks: usize) -> (IncidentReport, Arc<Registry>) {
+/// the watchdog must stay silent. Its queries are the figure's trace.
+fn run_control(
+    n: usize,
+    interval: Duration,
+    ticks: usize,
+    rec: &Arc<Recorder>,
+) -> (IncidentReport, Arc<Registry>) {
     let runtime_cfg = RuntimeConfig {
         dispatch_timeout_ms: 200,
         max_retries: 1,
@@ -252,7 +256,10 @@ fn run_control(n: usize, interval: Duration, ticks: usize) -> (IncidentReport, A
         build_net(n),
         DelaySpace::paper(n, 31),
         runtime_cfg,
-        Attachments::instrumented(&reg),
+        Attachments {
+            recorder: Some(Arc::clone(rec)),
+            ..Attachments::instrumented(&reg)
+        },
     );
     let watchdog = Watchdog::for_cluster(
         &cluster,
@@ -348,7 +355,8 @@ fn main() {
     }
 
     // Fault-free control: silence is the assertion.
-    let (control, control_reg) = run_control(n, interval, 12);
+    let rec = Arc::new(Recorder::new(65_536));
+    let (control, control_reg) = run_control(n, interval, 12, &rec);
     assert_eq!(
         control.firings, 0,
         "control run must not trip any detector (got {} firings)",
@@ -385,7 +393,9 @@ fn main() {
         interval.as_millis()
     ));
     fig.push_note("fault-free control run produced zero firings and zero incidents");
+    fig.push_note("trace: the control run's queries, one span tree each");
     fig.write_default();
+    write_chrome_trace_default(&fig.figure, &rec);
     // Digest covers the control run's cluster + watchdog registry.
     roads_bench::suite::print_metrics_digest(&control_reg.snapshot());
 }

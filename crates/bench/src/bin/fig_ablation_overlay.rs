@@ -15,7 +15,8 @@ use roads_core::{
 use roads_netsim::DelaySpace;
 use roads_summary::SummaryConfig;
 use roads_telemetry::{
-    aggregate_traces, write_chrome_trace_default, FigureExport, Recorder, Registry, TraceId,
+    aggregate_traces, write_chrome_trace_default, ExplainDecision, FigureExport, Recorder,
+    Registry, TraceId,
 };
 use roads_workload::{
     default_schema, generate_node_records, generate_queries, QueryWorkloadConfig,
@@ -75,7 +76,13 @@ fn main() {
         let entry = ServerId(*start as u32);
         let mut trace = Vec::new();
         let on = execute_query_with(&net, &delays, q, entry, &opts, Some(&mut trace));
-        on_traces.push(explain_from_trace(&net, q, TraceId::NONE, &trace, &on));
+        on_traces.push(explain_from_trace(
+            &net,
+            q,
+            TraceId::NONE,
+            &trace,
+            ExplainDecision::Entry,
+        ));
         record_query_events(&rec, rec.next_trace_id(), &trace);
         roads_core::record_query_outcome(&reg, &on);
         on_lat.push(on.latency_ms);
@@ -91,7 +98,13 @@ fn main() {
         // the client at the root's side of the protocol.
         trace.clear();
         let off = execute_query_with(&net, &delays, q, root, &opts, Some(&mut trace));
-        off_traces.push(explain_from_trace(&net, q, TraceId::NONE, &trace, &off));
+        off_traces.push(explain_from_trace(
+            &net,
+            q,
+            TraceId::NONE,
+            &trace,
+            ExplainDecision::Entry,
+        ));
         off_lat.push(off.latency_ms + delays.delay_ms(*start, root.index()));
         off_bytes += off.query_bytes as f64;
     }

@@ -30,7 +30,9 @@ use roads_netsim::DelaySpace;
 use roads_records::Schema;
 use roads_summary::SummaryConfig;
 use roads_sword::SwordNetwork;
-use roads_telemetry::{aggregate_traces, QueryExplain, Recorder, Registry, TraceId, TraceReport};
+use roads_telemetry::{
+    aggregate_traces, ExplainDecision, QueryExplain, Recorder, Registry, TraceId, TraceReport,
+};
 use roads_workload::{
     default_schema, generate_node_records, generate_overlap_records, generate_queries,
     QueryWorkloadConfig, RecordWorkloadConfig,
@@ -218,7 +220,13 @@ pub fn run_comparison(
             let log = observed.then_some(&mut trace);
             let r = execute_query_with(&roads, &delays, q, entry, &QueryOptions::default(), log);
             if let Some(reg) = telemetry {
-                traces.push(explain_from_trace(&roads, q, TraceId::NONE, &trace, &r));
+                traces.push(explain_from_trace(
+                    &roads,
+                    q,
+                    TraceId::NONE,
+                    &trace,
+                    ExplainDecision::Entry,
+                ));
                 roads_core::record_query_outcome(reg, &r);
             }
             if let Some(rec) = recorder {

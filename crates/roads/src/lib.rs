@@ -49,7 +49,6 @@ pub mod batch;
 pub mod cache;
 pub mod config;
 pub mod engine;
-pub mod load;
 pub mod maintenance;
 pub mod metrics;
 pub mod overlay;
@@ -68,7 +67,6 @@ pub use batch::QueryBatch;
 pub use cache::{execute_query_cached, query_fingerprint, CachedResult, ResultCache};
 pub use config::RoadsConfig;
 pub use engine::{BuildOptions, ContactMode, EvalResult, RoadsNetwork};
-pub use load::{choose_entry, EntryPolicy, LoadTracker};
 pub use metrics::{record_query_outcome, LatencyStats};
 pub use overlay::{replication_set, ReplicaRole, ReplicationSet};
 pub use planner::{
@@ -79,13 +77,12 @@ pub use policy::{
     apply_policy, Disclosure, OpenPolicy, RequesterId, SharingPolicy, TieredPolicy, TrustClass,
 };
 pub use queryexec::{
-    contact_decision, execute_query, execute_query_planned, execute_query_with, explain_from_trace,
-    record_query_events, verdict_kind, ForwardingMode, QueryOptions, QueryOutcome, SearchScope,
-    TraceEvent,
+    execute_query, execute_query_planned, execute_query_with, explain_from_trace,
+    record_query_events, ForwardingMode, QueryOptions, QueryOutcome, SearchScope, TraceEvent,
 };
 pub use store::{DeltaOutcome, RecordChange, RecordDelta, RecordStore, ServerStore};
 pub use tree::{BalanceStats, HierarchyTree, ServerId, TreeError};
 pub use updates::{
     record_update_round_events, update_round, update_round_delta, update_round_full,
-    update_round_stamped, UpdateBreakdown,
+    UpdateBreakdown,
 };

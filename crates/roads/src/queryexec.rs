@@ -19,8 +19,10 @@
 //! contact log (one [`TraceEvent`] per contacted server, each naming the
 //! contact that caused it), from which [`explain_from_trace`] derives the
 //! provenance record and [`record_query_events`] the flight-recorder span
-//! tree. What a contacted server does is [`RoadsNetwork::route`], the
-//! step the live cluster runs too.
+//! tree. The live cluster shares both halves: what a contacted server does
+//! is [`RoadsNetwork::route`], the step its servers run too, and its
+//! per-query driver keeps the same log — with the timeouts, retries and
+//! stand-ins only it can have — for the same two derivations.
 
 use crate::engine::{ContactMode, RoadsNetwork};
 use crate::planner::QueryPlan;
@@ -209,136 +211,192 @@ pub fn execute_query_planned(
     execute_query_with(net, delays, query, start, &opts, None)
 }
 
-/// One entry of an execution's contact log: which server was contacted,
-/// when, in what mode, because of whom, and what it did.
+/// One entry of a query's contact log: which server was contacted, when,
+/// in what mode, because of whom, what it did and how the contact ended.
+/// Both planes write it — the simulator from [`execute_query_with`], the
+/// live cluster's driver as it dispatches and hears back — and everything
+/// that describes a query after the fact ([`explain_from_trace`],
+/// [`record_query_events`]) is derived from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// The contacted server.
     pub server: ServerId,
-    /// Arrival time of the query at that server (ms).
+    /// When the contact began, ms since the query did: the query's arrival
+    /// at the server in the simulator, its dispatch by the client on the
+    /// live plane.
     pub at_ms: f64,
     /// How the server was asked to treat the query.
     pub mode: ContactMode,
-    /// Index in the log of the contact that forwarded the query here
-    /// (always an earlier one); `None` for the entry.
+    /// Index in the log of the contact that caused this one (always an
+    /// earlier one): the contact that forwarded the query here, or the
+    /// failed one this retries or stands in for. `None` for the entry.
     pub caused_by: Option<usize>,
     /// Records its local search produced.
     pub local_matches: usize,
-    /// Servers it forwarded/redirected the query to.
+    /// Servers it forwarded/redirected the query to (left empty by a live
+    /// query nobody observes).
     pub forwarded_to: Vec<ServerId>,
+    /// How the contact ended. Only a plane with faults ends one any other
+    /// way than `Replied`; a live contact reads `Abandoned` while it is
+    /// still awaited and keeps that if the query deadline cuts it off.
+    pub outcome: HopOutcome,
+    /// Retries of this target already behind this contact (0 = first
+    /// attempt).
+    pub tries: u32,
+    /// When the contact closed, ms since query start: when its reply,
+    /// timeout or the deadline reached the live client (0 on a live query
+    /// nobody observes). The simulator models no replies, so there a
+    /// contact closes when the last contact it caused has been reached —
+    /// its span covers its whole redirect subtree, and the slowest
+    /// root-to-leaf chain is the query's critical path.
+    pub closed_ms: f64,
+    /// Where the contact's time went. The simulator's is all network (the
+    /// transit from its forwarder); queue, compute and retry backoff exist
+    /// only on the live plane.
+    pub split: LatencySplit,
 }
 
 /// The summary kind a [`SummaryVerdict`] hinged on, in the explain
 /// plane's vocabulary: the fuzziest kind participating in a match (the
 /// candidate false-positive source), or the kind that proved a prune.
-pub fn verdict_kind(verdict: SummaryVerdict) -> Option<SummaryKind> {
+fn verdict_kind(verdict: SummaryVerdict) -> Option<SummaryKind> {
     let (SummaryVerdict::Match { fuzziest: label } | SummaryVerdict::Prune { decided_by: label }) =
         verdict;
     label.and_then(SummaryKind::from_summary_label)
 }
 
-/// The routing decision behind `forwarder` sending a query on to `target`
-/// in `mode`. A branch redirect from the target's tree parent is ordinary
-/// summary descent; from anyone else (the entry's replica shortcuts, a
-/// failover stand-in) it rode the replication overlay.
-pub fn contact_decision(
+/// The fault path contact `e` took, if any: a re-dispatch of a timed-out
+/// attempt, or a stand-in for a failed server — one asked to forward to
+/// the dead server's children, or a replacement entry (only a failed
+/// entry has another contact ask someone to be one).
+fn fault_decision(e: &TraceEvent) -> Option<ExplainDecision> {
+    match e.mode {
+        _ if e.tries > 0 => Some(ExplainDecision::Retry),
+        ContactMode::Failover { .. } => Some(ExplainDecision::Failover),
+        ContactMode::Entry if e.caused_by.is_some() => Some(ExplainDecision::Failover),
+        _ => None,
+    }
+}
+
+/// The decision behind contact `i` of `trace`, given what the `entry`
+/// server did with the query (see [`explain_from_trace`]). A branch
+/// redirect from the target's tree parent is ordinary summary descent;
+/// from anyone else (the entry's replica shortcuts, a failover stand-in)
+/// it rode the replication overlay.
+fn contact_decision(
     net: &RoadsNetwork,
-    forwarder: ServerId,
-    target: ServerId,
-    mode: ContactMode,
+    trace: &[TraceEvent],
+    i: usize,
+    entry: ExplainDecision,
 ) -> ExplainDecision {
-    match mode {
-        ContactMode::Branch if net.tree().parent(target) == Some(forwarder) => {
+    let e = &trace[i];
+    if let Some(fault) = fault_decision(e) {
+        return fault;
+    }
+    let Some(p) = e.caused_by else {
+        return match entry {
+            ExplainDecision::CacheHit => ExplainDecision::CacheHit,
+            _ => ExplainDecision::Entry,
+        };
+    };
+    match e.mode {
+        _ if p == 0 && entry == ExplainDecision::Planned => ExplainDecision::Planned,
+        ContactMode::Branch if net.tree().parent(e.server) == Some(trace[p].server) => {
             ExplainDecision::SummaryDescent
         }
         ContactMode::Branch => ExplainDecision::OverlayShortcut,
-        ContactMode::LocalOnly => ExplainDecision::AncestorProbe,
-        ContactMode::Entry => ExplainDecision::Entry,
-        ContactMode::Failover { .. } => ExplainDecision::Failover,
+        _ => ExplainDecision::AncestorProbe,
     }
 }
 
-/// Latest arrival (ms) inside each contact's redirect subtree: a hop's
-/// span covers its own work plus everything it caused.
-fn subtree_end_ms(trace: &[TraceEvent]) -> Vec<f64> {
-    let mut end_ms: Vec<f64> = trace.iter().map(|e| e.at_ms).collect();
-    for i in (1..trace.len()).rev() {
-        if let Some(p) = trace[i].caused_by {
-            end_ms[p] = end_ms[p].max(end_ms[i]);
-        }
-    }
-    end_ms
-}
-
-/// Build a [`QueryExplain`] provenance record from a finished execution's
-/// contact log: one hop per contact, each with the routing decision that
-/// caused it (tree descent, overlay shortcut, ancestor probe), the summary
-/// kind behind the decision, false-positive detection, and a latency split
-/// (pure network transit in the simulation — queue and compute are
-/// emulated only by the threaded runtime).
+/// Build a [`QueryExplain`] provenance record from a finished query's
+/// contact log: one hop per contact, each with the decision that caused
+/// it, the summary kind its routing verdict hinged on, false-positive
+/// detection, how it ended and its latency split.
 ///
-/// `trace_id` links the record to flight-recorder events of the same
-/// execution (use [`TraceId::NONE`] when no recorder was attached).
+/// `entry` is what the entry server did with the query: expanded its own
+/// overlay view (`Entry`), dispatched a precomputed plan (`Planned` — its
+/// direct contacts read so) or answered from its result cache (`CacheHit`
+/// — it is the whole log). Every other decision follows from the contact
+/// itself: its mode, its forwarder, the retries behind it.
+///
+/// The vouching summary is the one routing tested: the target's branch
+/// summary for descents, shortcuts and ancestor probes
+/// ([`RoadsNetwork::evaluate`] filters ancestors on it too), its local
+/// summary only for a planned probe ([`crate::plan_query`]'s pruning
+/// criterion); retries, stand-ins and the entry consulted none.
+///
+/// The header says what the log alone can: the response is when the
+/// entry's contact closed, the records are the local matches summed, and
+/// the query is complete if every contact replied. A plane that measures
+/// those itself (the live cluster: wall-clock response, records after the
+/// owners' policies, the fault model's completeness proof) overrides
+/// them. `trace_id` links the record to flight-recorder events of the
+/// same execution ([`TraceId::NONE`] when none were recorded).
 pub fn explain_from_trace(
     net: &RoadsNetwork,
     query: &Query,
     trace_id: TraceId,
     trace: &[TraceEvent],
-    outcome: &QueryOutcome,
+    entry: ExplainDecision,
 ) -> QueryExplain {
     let to_us = |ms: f64| ms * 1000.0;
-    let end_ms = subtree_end_ms(trace);
-    let hops = trace
-        .iter()
-        .zip(end_ms)
-        .map(|(e, end_ms)| {
-            let forwarder = e.caused_by.map(|p| &trace[p]);
-            // The summary kind is what the server's branch summary's
-            // verdict hinged on: the likeliest cause of the decision.
-            let (decision, summary) = match forwarder {
-                None => (ExplainDecision::Entry, None),
-                Some(f) => (
-                    contact_decision(net, f.server, e.server, e.mode),
-                    verdict_kind(net.branch_summary(e.server).decide(query)),
-                ),
+    let replied = |e: &TraceEvent| e.outcome == HopOutcome::Replied;
+    let hops = (trace.iter().enumerate())
+        .map(|(i, e)| {
+            let decision = contact_decision(net, trace, i, entry);
+            let vouching = match decision {
+                ExplainDecision::Planned if e.mode == ContactMode::LocalOnly => {
+                    Some(net.local_summary(e.server))
+                }
+                ExplainDecision::SummaryDescent
+                | ExplainDecision::OverlayShortcut
+                | ExplainDecision::AncestorProbe
+                | ExplainDecision::Planned => Some(net.branch_summary(e.server)),
+                _ => None,
             };
             ExplainHop {
                 server: e.server.0,
                 decision,
-                summary,
-                false_positive: e.mode == ContactMode::Branch
+                summary: vouching.and_then(|s| verdict_kind(s.decide(query))),
+                // A branch summary vouched for this subtree, yet neither
+                // local records nor any further redirect came back: the
+                // lossy summary matched spuriously.
+                false_positive: replied(e)
+                    && e.mode == ContactMode::Branch
                     && e.local_matches == 0
                     && e.forwarded_to.is_empty(),
-                outcome: HopOutcome::Replied,
+                outcome: e.outcome,
                 at_us: to_us(e.at_ms),
-                dur_us: to_us(end_ms - e.at_ms),
+                dur_us: to_us(e.closed_ms - e.at_ms),
                 caused_by: e.caused_by,
                 local_matches: e.local_matches as u64,
-                split: LatencySplit {
-                    network_us: forwarder.map_or(0.0, |f| to_us(e.at_ms - f.at_ms)),
-                    ..LatencySplit::default()
-                },
+                split: e.split,
             }
         })
         .collect();
     QueryExplain {
         query_id: query.id.0,
         trace_id: trace_id.0,
-        entry: trace.first().map(|e| e.server.0).unwrap_or(0),
-        response_us: to_us(outcome.latency_ms),
-        complete: true,
-        deadline_hit: false,
-        records: outcome.matching_records as u64,
+        entry: trace.first().map_or(0, |e| e.server.0),
+        response_us: to_us(trace.first().map_or(0.0, |e| e.closed_ms)),
+        complete: trace.iter().all(replied),
+        deadline_hit: trace.iter().any(|e| e.outcome == HopOutcome::Abandoned),
+        records: trace.iter().map(|e| e.local_matches as u64).sum(),
         hops,
     }
 }
 
 /// Record a contact log into the flight recorder as a span tree under
-/// `trace_id`: one `query-hop` span per contact, parented on the contact
-/// that forwarded the query there (the entry is the root), plus
-/// `query-start` / `query-complete` instants on the entry server. Each
-/// hop's duration covers its whole redirect subtree, so the slowest
-/// root-to-leaf chain is the query's critical path. Returns the root span.
+/// `trace_id` — the one producer of query span events on both planes. One
+/// span per contact, parented on the contact that caused it (the entry is
+/// the root): a `query-hop` span if it replied (detail = its local
+/// matches), a `dispatch-timeout` span if it did not (detail = retries
+/// behind it), each lasting until the contact closed. A retry adds a
+/// `retry` instant on the span of the attempt it replaces, a stand-in a
+/// `failover` instant naming the dead server, and `query-start` /
+/// `query-complete` instants on the entry's span bracket the lot. Returns
+/// the root span.
 pub fn record_query_events(
     rec: &Recorder,
     trace_id: TraceId,
@@ -346,41 +404,50 @@ pub fn record_query_events(
 ) -> Option<SpanId> {
     let first = trace.first()?;
     let to_us = |ms: f64| (ms * 1000.0).round().max(0.0) as u64;
-    let end_ms = subtree_end_ms(trace);
     let spans: Vec<SpanId> = trace.iter().map(|_| rec.next_span_id()).collect();
-    let instant = |at_ms: f64, kind: EventKind, detail: u64| Event {
+    // An event on the span, and the server, of contact `i`.
+    let on = |i: usize, at_ms: f64, dur_us: u64, kind: EventKind, detail: u64| Event {
         at_us: to_us(at_ms),
-        dur_us: 0,
-        node: first.server.0,
+        dur_us,
+        node: trace[i].server.0,
         trace: trace_id,
-        span: spans[0],
-        parent: SpanId::NONE,
+        span: spans[i],
+        parent: trace[i].caused_by.map_or(SpanId::NONE, |p| spans[p]),
         kind,
         detail,
     };
-    rec.record(instant(first.at_ms, EventKind::QueryStart, trace_id.0));
-    let mut total_matches = 0u64;
+    rec.record(on(0, first.at_ms, 0, EventKind::QueryStart, trace_id.0));
     for (i, e) in trace.iter().enumerate() {
-        total_matches += e.local_matches as u64;
-        let mut dur_us = to_us(end_ms[i]).saturating_sub(to_us(e.at_ms));
+        match (fault_decision(e), e.caused_by) {
+            (Some(ExplainDecision::Retry), Some(failed)) => {
+                rec.record(on(failed, e.at_ms, 0, EventKind::Retry, e.tries as u64));
+            }
+            (Some(_), Some(failed)) => {
+                let dead = match e.mode {
+                    ContactMode::Failover { dead } => dead,
+                    _ => trace[failed].server,
+                };
+                rec.record(on(i, e.at_ms, 0, EventKind::Failover, dead.0 as u64));
+            }
+            _ => {}
+        }
+        let mut dur_us = to_us(e.closed_ms).saturating_sub(to_us(e.at_ms));
         if i == 0 {
             // The root renders as a complete slice even for single-hop
             // queries.
             dur_us = dur_us.max(1);
         }
-        rec.record(Event {
-            at_us: to_us(e.at_ms),
-            dur_us,
-            node: e.server.0,
-            trace: trace_id,
-            span: spans[i],
-            parent: e.caused_by.map_or(SpanId::NONE, |p| spans[p]),
-            kind: EventKind::QueryHop,
-            detail: e.local_matches as u64,
-        });
+        let (kind, detail) = match e.outcome {
+            HopOutcome::Replied => (EventKind::QueryHop, e.local_matches as u64),
+            _ => (EventKind::DispatchTimeout, e.tries as u64),
+        };
+        rec.record(on(i, e.at_ms, dur_us, kind, detail));
     }
-    // The entry's subtree is the whole execution.
-    rec.record(instant(end_ms[0], EventKind::QueryComplete, total_matches));
+    let end_ms = trace
+        .iter()
+        .fold(first.closed_ms, |end, e| end.max(e.closed_ms));
+    let total_matches = trace.iter().map(|e| e.local_matches as u64).sum();
+    rec.record(on(0, end_ms, 0, EventKind::QueryComplete, total_matches));
     Some(spans[0])
 }
 
@@ -465,6 +532,9 @@ pub fn execute_query_with(
         let mut batch_seen: HashSet<ServerId> = HashSet::with_capacity(targets.len());
         targets.retain(|(t, _)| !visited.contains(t) && batch_seen.insert(*t));
         if let Some(tr) = trace.as_deref_mut() {
+            // No faults, queues or compute here: every contact is answered
+            // first time and its time is the transit from its forwarder.
+            let transit_ms = c.caused_by.map_or(0.0, |p| arrive_ms - tr[p].at_ms);
             tr.push(TraceEvent {
                 server: c.server,
                 at_ms: arrive_ms,
@@ -472,6 +542,13 @@ pub fn execute_query_with(
                 caused_by: c.caused_by,
                 local_matches,
                 forwarded_to: targets.iter().map(|(t, _)| *t).collect(),
+                outcome: HopOutcome::Replied,
+                tries: 0,
+                closed_ms: arrive_ms,
+                split: LatencySplit {
+                    network_us: transit_ms * 1000.0,
+                    ..LatencySplit::default()
+                },
             });
         }
 
@@ -508,6 +585,15 @@ pub fn execute_query_with(
         }
     }
 
+    if let Some(tr) = trace {
+        // A contact stays open until the last one it caused is reached
+        // (see `TraceEvent::closed_ms`); causes precede their effects.
+        for i in (1..tr.len()).rev() {
+            if let Some(p) = tr[i].caused_by {
+                tr[p].closed_ms = tr[p].closed_ms.max(tr[i].closed_ms);
+            }
+        }
+    }
     outcome.matching_servers.sort();
     outcome.matching_servers.dedup();
     outcome
@@ -701,7 +787,7 @@ mod tests {
         // must be exercised alongside plain child descents.
         let leaf = *net.tree().leaves().iter().max().unwrap();
         let (out, trace) = traced(&net, &delays, &q, leaf, SearchScope::full());
-        let explain = explain_from_trace(&net, &q, TraceId::NONE, &trace, &out);
+        let explain = explain_from_trace(&net, &q, TraceId::NONE, &trace, ExplainDecision::Entry);
         assert_eq!(explain.entry, leaf.0);
         let r = aggregate_traces(&[explain], net.tree().root().0, net.len());
         assert_eq!(r.max_hops, out.servers_contacted);
@@ -760,7 +846,7 @@ mod tests {
         let (out, trace) = traced(&net, &delays, &q, leaf, SearchScope::full());
         let trace_id = rec.next_trace_id();
         record_query_events(&rec, trace_id, &trace);
-        let explain = explain_from_trace(&net, &q, trace_id, &trace, &out);
+        let explain = explain_from_trace(&net, &q, trace_id, &trace, ExplainDecision::Entry);
 
         // One hop per contacted server, entry first.
         assert_eq!(explain.hops.len(), out.servers_contacted);
@@ -826,7 +912,7 @@ mod tests {
             .range("x0", 2.0, 3.0)
             .build();
         let (out, trace) = traced(&net, &delays, &q, ServerId(4), SearchScope::full());
-        let explain = explain_from_trace(&net, &q, TraceId::NONE, &trace, &out);
+        let explain = explain_from_trace(&net, &q, TraceId::NONE, &trace, ExplainDecision::Entry);
         assert_eq!(out.matching_records, 0);
         if explain.hops.len() > 1 {
             assert!(

@@ -64,24 +64,31 @@ impl UpdateBreakdown {
     }
 }
 
-/// Account one full update round over a converged network.
-pub fn update_round(net: &RoadsNetwork) -> UpdateBreakdown {
+/// The three waves over `net`, counting only what is dirty: servers in
+/// `local_dirty` re-export their local summary (wave 1), branches in
+/// `branch_dirty` re-send to their parents (wave 2), and the replication
+/// fan-out (wave 3) carries only dirty summaries — a parent→child message,
+/// header included, is counted only when it carries at least one.
+fn account_round(
+    net: &RoadsNetwork,
+    local_dirty: &[bool],
+    branch_dirty: &[bool],
+) -> UpdateBreakdown {
     let mut out = UpdateBreakdown::default();
     let tree = net.tree();
-
     for s in tree.servers() {
         // Wave 1: each server's attached owners export one summary. In the
         // simulation every server has one attached owner (itself); the
         // export crosses the owner→server edge even when co-located,
         // matching the analysis' O(rmN) term.
-        let local = net.local_summary(s).wire_size() + MSG_HEADER_BYTES;
-        out.export_bytes += local as u64;
-        out.export_messages += 1;
+        if local_dirty[s.index()] {
+            out.export_bytes += (net.local_summary(s).wire_size() + MSG_HEADER_BYTES) as u64;
+            out.export_messages += 1;
+        }
 
         // Wave 2: branch summary to the parent.
-        if tree.parent(s).is_some() {
-            let branch = net.branch_summary(s).wire_size() + MSG_HEADER_BYTES;
-            out.aggregation_bytes += branch as u64;
+        if branch_dirty[s.index()] && tree.parent(s).is_some() {
+            out.aggregation_bytes += (net.branch_summary(s).wire_size() + MSG_HEADER_BYTES) as u64;
             out.aggregation_messages += 1;
         }
 
@@ -92,93 +99,10 @@ pub fn update_round(net: &RoadsNetwork) -> UpdateBreakdown {
         // siblings) — which become c's ancestor/ancestor-sibling replicas.
         let parent_replicas = net.replica_set(s).all();
         for &c in tree.children(s) {
-            let mut summaries = 0u64;
-            let mut bytes = MSG_HEADER_BYTES as u64;
-            for &sib in tree.children(s).iter().filter(|&&x| x != c) {
-                bytes += net.branch_summary(sib).wire_size() as u64;
-                summaries += 1;
-            }
-            bytes += net.branch_summary(s).wire_size() as u64;
-            summaries += 1;
-            for &r in &parent_replicas {
-                bytes += net.branch_summary(r).wire_size() as u64;
-                summaries += 1;
-            }
-            out.replication_bytes += bytes;
-            out.replication_messages += 1;
-            out.replication_summaries += summaries;
-        }
-    }
-    out
-}
-
-/// One *full* (non-incremental) update round: re-derive every summary from
-/// raw records — rebuild every local summary, re-aggregate every branch —
-/// then account the three waves over the whole federation. This is what a
-/// system without the delta plane pays every refresh period, no matter how
-/// little changed.
-pub fn update_round_full(net: &mut RoadsNetwork) -> UpdateBreakdown {
-    net.refresh_all_summaries();
-    update_round(net)
-}
-
-/// Apply `delta` and account one *incremental* update round: only dirty
-/// servers re-export their local summary (wave 1), only dirty branches
-/// re-send to their parents (wave 2), and the replication fan-out (wave 3)
-/// carries only summaries that actually changed — a parent→child message
-/// (and its header) is counted only when it carries at least one dirty
-/// summary. With `d` changed subtrees in a tree of depth `L`, the round
-/// costs O(d·L) summary transmissions instead of [`update_round`]'s O(n)
-/// plus [`update_round_full`]'s O(records) re-aggregation.
-pub fn update_round_delta(
-    net: &mut RoadsNetwork,
-    delta: &crate::store::RecordDelta,
-) -> (UpdateBreakdown, crate::store::DeltaOutcome) {
-    let outcome = net.apply(delta);
-    let n = net.len();
-    let mut local_dirty = vec![false; n];
-    for &s in &outcome.dirty {
-        local_dirty[s.index()] = true;
-    }
-    let mut branch_dirty = vec![false; n];
-    for &s in &outcome.dirty_branches {
-        branch_dirty[s.index()] = true;
-    }
-
-    let mut out = UpdateBreakdown::default();
-    let tree = net.tree();
-    for s in tree.servers() {
-        // Wave 1: only servers whose attached records changed re-export.
-        if local_dirty[s.index()] {
-            out.export_bytes += (net.local_summary(s).wire_size() + MSG_HEADER_BYTES) as u64;
-            out.export_messages += 1;
-        }
-
-        // Wave 2: only recomputed branch summaries flow to the parent.
-        if branch_dirty[s.index()] && tree.parent(s).is_some() {
-            out.aggregation_bytes += (net.branch_summary(s).wire_size() + MSG_HEADER_BYTES) as u64;
-            out.aggregation_messages += 1;
-        }
-
-        // Wave 3: the fan-out message to child c carries only the *dirty*
-        // subset of what a full round would send (c's siblings, this
-        // server's own branch, the replicas held from above). Clean rounds
-        // send nothing — no summaries, no header.
-        let parent_replicas = net.replica_set(s).all();
-        for &c in tree.children(s) {
+            let siblings = tree.children(s).iter().filter(|&&x| x != c);
             let mut summaries = 0u64;
             let mut bytes = 0u64;
-            for &sib in tree.children(s).iter().filter(|&&x| x != c) {
-                if branch_dirty[sib.index()] {
-                    bytes += net.branch_summary(sib).wire_size() as u64;
-                    summaries += 1;
-                }
-            }
-            if branch_dirty[s.index()] {
-                bytes += net.branch_summary(s).wire_size() as u64;
-                summaries += 1;
-            }
-            for &r in &parent_replicas {
+            for &r in siblings.chain([&s]).chain(&parent_replicas) {
                 if branch_dirty[r.index()] {
                     bytes += net.branch_summary(r).wire_size() as u64;
                     summaries += 1;
@@ -191,22 +115,46 @@ pub fn update_round_delta(
             }
         }
     }
-    (out, outcome)
+    out
 }
 
-/// Account one update round *and* apply its replication wave to an
-/// epoch-stamped [`ReplicaLedger`](crate::audit::ReplicaLedger): the
-/// ledger's epoch advances by one and every overlay entry whose holder and
-/// target are both live re-pushes its copy. Entries touching a dead server
-/// keep their stale copy — the staleness the audit plane measures.
-pub fn update_round_stamped(
-    net: &RoadsNetwork,
-    ledger: &mut crate::audit::ReplicaLedger,
-    live: &[bool],
-) -> UpdateBreakdown {
-    let out = update_round(net);
-    ledger.refresh(net, live);
-    out
+/// Account one full update round over a converged network: every summary
+/// counts as dirty (each fan-out message then carries at least the
+/// parent's own branch summary, so none is skipped).
+pub fn update_round(net: &RoadsNetwork) -> UpdateBreakdown {
+    let all = vec![true; net.len()];
+    account_round(net, &all, &all)
+}
+
+/// One *full* (non-incremental) update round: re-derive every summary from
+/// raw records — rebuild every local summary, re-aggregate every branch —
+/// then account the three waves over the whole federation. This is what a
+/// system without the delta plane pays every refresh period, no matter how
+/// little changed.
+pub fn update_round_full(net: &mut RoadsNetwork) -> UpdateBreakdown {
+    net.refresh_all_summaries();
+    update_round(net)
+}
+
+/// Apply `delta` and account one *incremental* update round: only what
+/// the delta dirtied is re-exported, re-aggregated and re-replicated.
+/// With `d` changed subtrees in a tree of depth `L`, the round costs
+/// O(d·L) summary transmissions instead of [`update_round`]'s O(n) plus
+/// [`update_round_full`]'s O(records) re-aggregation.
+pub fn update_round_delta(
+    net: &mut RoadsNetwork,
+    delta: &crate::store::RecordDelta,
+) -> (UpdateBreakdown, crate::store::DeltaOutcome) {
+    let outcome = net.apply(delta);
+    let flags = |dirty: &[ServerId]| {
+        let mut flags = vec![false; net.len()];
+        for s in dirty {
+            flags[s.index()] = true;
+        }
+        flags
+    };
+    let out = account_round(net, &flags(&outcome.dirty), &flags(&outcome.dirty_branches));
+    (out, outcome)
 }
 
 /// Record one analytic update round into the flight recorder as a
@@ -267,22 +215,6 @@ pub fn record_update_round_events(rec: &Recorder, net: &RoadsNetwork) -> TraceId
         detail: merged,
     });
     trace
-}
-
-/// Summaries replicated *to* one server per round (its replication-set
-/// size) — the per-node maintenance load of Eq. (4), worst-case
-/// `O(k² log n)` at the deepest level.
-pub fn per_node_replication_load(net: &RoadsNetwork, s: ServerId) -> usize {
-    // The parent's fan-out message to `s` carries exactly `s`'s replication
-    // set; `s` in turn forwards to each of its children.
-    let inbound = net.replica_set(s).len();
-    let outbound: usize = net
-        .tree()
-        .children(s)
-        .iter()
-        .map(|&c| net.replica_set(c).len())
-        .sum();
-    inbound + outbound
 }
 
 #[cfg(test)]
@@ -383,33 +315,6 @@ mod tests {
         let (k, n, l) = (5u64, 156u64, 4u64);
         assert!(b.replication_summaries > n);
         assert!(b.replication_summaries <= k * n * l);
-    }
-
-    #[test]
-    fn per_node_load_peaks_at_depth() {
-        let net = network(156, 5, 1, 32);
-        let tree = net.tree();
-        let leaf = *tree.leaves().iter().max().unwrap();
-        let root_load = per_node_replication_load(&net, tree.root());
-        let leaf_load = per_node_replication_load(&net, leaf);
-        // Leaves have the largest replica sets (deepest level), but no
-        // children to forward to; mid-tree nodes carry both. The worst case
-        // §IV places at the leaves' parents — just check monotonic growth
-        // of inbound load with depth.
-        assert!(net.replica_set(leaf).len() > net.replica_set(tree.root()).len());
-        let _ = (root_load, leaf_load);
-    }
-
-    #[test]
-    fn stamped_round_advances_ledger_epoch() {
-        let net = network(40, 3, 2, 64);
-        let mut ledger = crate::audit::ReplicaLedger::new(&net);
-        let live = vec![true; net.len()];
-        let plain = update_round(&net);
-        let stamped = update_round_stamped(&net, &mut ledger, &live);
-        assert_eq!(plain, stamped, "accounting unchanged by stamping");
-        assert_eq!(ledger.epoch(), 1);
-        assert_eq!(ledger.staleness_p99(), 0, "all-live wave refreshes all");
     }
 
     #[test]

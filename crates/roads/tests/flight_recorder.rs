@@ -63,7 +63,7 @@ fn leaf_entry_query_span_tree_takes_overlay_shortcut_and_skips_root() {
     );
 
     // The explain record's decisions must show an overlay-shortcut edge.
-    let explain = explain_from_trace(&net, &q, TraceId::NONE, &trace, &out);
+    let explain = explain_from_trace(&net, &q, TraceId::NONE, &trace, ExplainDecision::Entry);
     assert!(
         explain
             .hops

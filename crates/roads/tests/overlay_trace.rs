@@ -65,7 +65,7 @@ fn explained(net: &RoadsNetwork, delays: &DelaySpace, q: &Query, entry: ServerId
     let mut trace = Vec::new();
     let opts = QueryOptions::default();
     let out = execute_query_with(net, delays, q, entry, &opts, Some(&mut trace));
-    let explain = explain_from_trace(net, q, TraceId::NONE, &trace, &out);
+    let explain = explain_from_trace(net, q, TraceId::NONE, &trace, ExplainDecision::Entry);
     assert_eq!(explain.hops.len(), out.servers_contacted);
     explain
 }

@@ -43,7 +43,7 @@
 //!
 //! [`RoadsCluster::query`] takes `&self` and any number of client threads
 //! may call it at once: each call owns a private `Driver` (its own
-//! attempt table, visit ledger, reply channel, and failure bookkeeping),
+//! contact log, visit ledger, reply channel, and failure bookkeeping),
 //! so outcomes — `retries`, `failed_servers`, `servers_contacted`,
 //! recorder events — are attributed to exactly the query that caused
 //! them, never pooled across in-flight queries. The shared pieces (the
@@ -51,6 +51,18 @@
 //! Admission is bounded by [`RuntimeConfig::max_inflight_queries`]; the
 //! `runtime.inflight_queries` gauge tracks the live count on instrumented
 //! clusters.
+//!
+//! # Observation
+//!
+//! The `Driver` only drives. What it knows of each dispatch is one entry
+//! of the simulator's contact log ([`TraceEvent`]: sent when, to whom, in
+//! what mode, because of which entry; ended how, after how many tries),
+//! and everything that describes a query after the fact is derived from
+//! that log once, in the query's epilogue, by the functions the simulator
+//! uses: [`explain_from_trace`] for the provenance record,
+//! [`record_query_events`] for the recorder's span tree, one loop for the
+//! audit plane's live probes. Registry metrics alone are counted inline —
+//! the watchdog reads them while a query is still running.
 
 use crate::audit::{AuditMetrics, Liveness};
 use crate::config::RuntimeConfig;
@@ -63,14 +75,14 @@ use parking_lot::Mutex;
 use roads_core::policy::{apply_policy, OpenPolicy, RequesterId, SharingPolicy};
 pub use roads_core::ContactMode;
 use roads_core::{
-    contact_decision, plan_query, verdict_kind, CachedResult, DeltaOutcome, RecordStore,
-    ResultCache, RoadsNetwork, SearchScope, ServerId,
+    explain_from_trace, plan_query, record_query_events, CachedResult, DeltaOutcome, ResultCache,
+    RoadsNetwork, SearchScope, ServerId, TraceEvent,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{Query, Record, WireSize};
 use roads_telemetry::{
-    span::timed, trace_events, Event, EventKind, ExplainDecision, ExplainHop, Gauge, Histogram,
-    HopOutcome, LatencySplit, QueryExplain, Recorder, Registry, SpanId, TailSampler, TraceId,
+    span::timed, trace_events, ExplainDecision, Gauge, Histogram, HopOutcome, LatencySplit,
+    QueryExplain, Recorder, Registry, TailSampler, TraceId,
 };
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -157,7 +169,6 @@ pub(crate) enum Notice {
     /// A server's reply landed (after the return delay).
     Reply {
         attempt: usize,
-        server: ServerId,
         targets: Vec<(ServerId, ContactMode)>,
         records: Vec<Record>,
         /// FIFO wait measured at the server (delivery → pickup), µs.
@@ -180,7 +191,6 @@ pub(crate) struct ReplyHandle {
     timer: DispatchHandle,
     done: Sender<Notice>,
     attempt: usize,
-    server: ServerId,
     delay_back: Duration,
 }
 
@@ -196,7 +206,6 @@ impl ReplyHandle {
             timer,
             done,
             attempt,
-            server,
             delay_back,
         } = self;
         timer.schedule_after(
@@ -205,7 +214,6 @@ impl ReplyHandle {
                 done,
                 notice: Notice::Reply {
                     attempt,
-                    server,
                     targets,
                     records,
                     queue_us,
@@ -347,7 +355,6 @@ impl ServerFlags {
 /// What a server knows — everything [`step`] reads.
 struct ServerState {
     id: ServerId,
-    store: RecordStore,
     policy: Arc<dyn SharingPolicy>,
     /// `runtime.local_search_us` on instrumented clusters.
     search_hist: Option<Arc<Histogram>>,
@@ -410,8 +417,9 @@ pub struct RoadsCluster {
 /// What a cluster can be started with beyond its network, delay space and
 /// configuration. Every field is optional and every combination is valid;
 /// the default attaches nothing, and an absent attachment costs nothing on
-/// the query path. A new observer of the live plane is a field here (or a
-/// derivation from [`QueryExplain`]), never another constructor.
+/// the query path. A new observer of the live plane is a field here read
+/// in the query epilogue — a derivation from the contact log, as on the
+/// simulator — never another constructor.
 #[derive(Default)]
 pub struct Attachments<'a> {
     /// One [`SharingPolicy`] per server, enforced before records leave it
@@ -426,20 +434,19 @@ pub struct Attachments<'a> {
     /// counters. Every family is declared at startup, so an OpenMetrics
     /// scrape is complete from the first moment.
     pub registry: Option<&'a Registry>,
-    /// A flight recorder: every query records its dispatch tree as causal
-    /// `QueryHop` spans (wall-clock microseconds from query start) under a
-    /// fresh trace, plus `DispatchTimeout`/`Retry`/`Failover` events on
-    /// the fault paths.
+    /// A flight recorder: every driven query records its contact log as a
+    /// span tree (wall-clock microseconds from query start) under a fresh
+    /// trace when it finishes — see [`record_query_events`].
     pub recorder: Option<Arc<Recorder>>,
     /// A tail-based sampler: every query — driven or replayed from the
-    /// result cache — assembles a [`QueryExplain`] provenance record and
+    /// result cache — derives its [`QueryExplain`] provenance record and
     /// offers it to the sampler on completion; slow / failed / incomplete
     /// queries are retained with their flight-recorder trace (when a
     /// recorder is also attached), everything else folds into the
     /// sampler's live histogram and is dropped.
     pub tail: Option<Arc<TailSampler>>,
-    /// Audit instruments: every branch-mode reply is folded into the
-    /// per-level `audit.live_probes` / `audit.live_false_positives`
+    /// Audit instruments: every branch-mode reply in a finished query's
+    /// contact log is folded into the per-level `audit.live_probes` / `audit.live_false_positives`
     /// counters (a live false positive is a branch dispatch whose lossy
     /// summary matched but which returned neither records nor redirects).
     /// Share the same [`AuditMetrics`] with a background
@@ -518,9 +525,9 @@ impl RoadsCluster {
         cluster
     }
 
-    /// A fresh incarnation of server `id`: its own copy of the converged
-    /// control state's record table (shared rows, copied columns), empty
-    /// FIFO, marked alive.
+    /// A fresh incarnation of server `id`: empty FIFO, marked alive. Its
+    /// records are the converged control state's (`net.store(id)`); a dead
+    /// cell makes them unreachable, not lost.
     fn new_incarnation(&self, id: ServerId, policy: &Arc<dyn SharingPolicy>) -> Cell {
         let gauges = self.metrics.as_ref().map(|m| m.servers[id.index()].clone());
         if let Some(g) = &gauges {
@@ -531,7 +538,6 @@ impl RoadsCluster {
         Arc::new(Mutex::new(Some(Server {
             state: ServerState {
                 id,
-                store: self.net.store(id).table().clone(),
                 policy: Arc::clone(policy),
                 search_hist: self.metrics.as_ref().map(|m| Arc::clone(&m.local_search)),
             },
@@ -636,9 +642,9 @@ impl RoadsCluster {
         true
     }
 
-    /// Bring a killed or crashed server back as a fresh incarnation, its
-    /// records reloaded from the converged control state and its original
-    /// sharing policy. Returns `false` if the server is alive.
+    /// Bring a killed or crashed server back as a fresh incarnation with
+    /// its original sharing policy; its records become reachable again.
+    /// Returns `false` if the server is alive.
     pub fn restart_server(&self, id: ServerId) -> bool {
         {
             let mut slot = self.servers[id.index()].lock();
@@ -780,7 +786,6 @@ impl RoadsCluster {
                 m.cache_misses.inc();
             }
         }
-        let rec = self.recorder.as_deref();
         let (done_tx, done_rx) = unbounded::<Notice>();
         let driver = Driver {
             cluster: self,
@@ -788,10 +793,8 @@ impl RoadsCluster {
             requester,
             start,
             t0,
-            trace: rec.map(|r| r.next_trace_id()).unwrap_or(TraceId::NONE),
-            rec,
             done_tx,
-            attempts: Vec::new(),
+            log: Vec::new(),
             open: 0,
             ledger: VisitLedger::new(),
             resolved: HashSet::new(),
@@ -799,14 +802,10 @@ impl RoadsCluster {
             dead_helpers: HashSet::new(),
             failover_pos: HashMap::new(),
             records: Vec::new(),
-            responders: HashSet::new(),
-            entry_served: false,
-            retries: 0,
             deadline_hit: false,
-            root_span: SpanId::NONE,
-            explain_hops: want_explain.then(Vec::new),
+            observed: want_explain || self.recorder.is_some() || self.audit.is_some(),
         };
-        let (outcome, explain) = driver.run(done_rx);
+        let (outcome, explain) = driver.run(done_rx, want_explain);
         if let Some(cache) = &self.cache {
             // Replaying an incomplete answer would hide a transient fault
             // until the TTL expired; only provably-complete results are
@@ -829,8 +828,8 @@ impl RoadsCluster {
     }
 
     /// Serve a query from the result cache: the entry answers alone, no
-    /// fan-out, no server involved. It finishes like any other query; its
-    /// provenance record is a single `cache-hit` hop.
+    /// fan-out, no server involved. It finishes like any other query, on a
+    /// log of that one contact.
     fn replay_cached(
         &self,
         query: &Query,
@@ -839,26 +838,24 @@ impl RoadsCluster {
         t0: Instant,
         want_explain: bool,
     ) -> (RuntimeOutcome, Option<QueryExplain>) {
-        let response_ms = t0.elapsed().as_secs_f64() * 1000.0;
-        let hops = want_explain.then(|| {
-            vec![ExplainHop {
-                server: start.0,
-                decision: ExplainDecision::CacheHit,
-                summary: None,
-                false_positive: false,
-                outcome: HopOutcome::Replied,
-                at_us: 0.0,
-                dur_us: response_ms * 1_000.0,
-                caused_by: None,
-                local_matches: r.records.len() as u64,
-                split: LatencySplit {
-                    // The client is co-located with its entry: a replay
-                    // crosses no link and waits in no queue.
-                    compute_us: response_ms * 1_000.0,
-                    ..LatencySplit::default()
-                },
-            }]
-        });
+        let response_ms = ms_since(t0);
+        let log = [TraceEvent {
+            server: start,
+            at_ms: 0.0,
+            mode: ContactMode::Entry,
+            caused_by: None,
+            local_matches: r.records.len(),
+            forwarded_to: Vec::new(),
+            outcome: HopOutcome::Replied,
+            tries: 0,
+            closed_ms: response_ms,
+            split: LatencySplit {
+                // The client is co-located with its entry: a replay
+                // crosses no link and waits in no queue.
+                compute_us: response_ms * 1_000.0,
+                ..LatencySplit::default()
+            },
+        }];
         let outcome = RuntimeOutcome {
             response_ms,
             records: r.records,
@@ -867,20 +864,29 @@ impl RoadsCluster {
             failed_servers: Vec::new(),
             retries: 0,
         };
-        self.finish(query, start, outcome, false, TraceId::NONE, hops)
+        self.finish(
+            query,
+            outcome,
+            &log,
+            ExplainDecision::CacheHit,
+            want_explain,
+        )
     }
 
-    /// The one epilogue of a query, driven or replayed: count it against
-    /// the SLO and deadline, assemble its provenance record from `hops`
-    /// and offer that to the tail sampler.
+    /// The one epilogue of a query, driven or replayed, and the one place
+    /// its contact log is read: count the query against the SLO and
+    /// deadline, then derive what each attached observer wants from `log`
+    /// — the recorder its span tree, an explain (asked for, or for the
+    /// tail sampler) its provenance record, the audit plane its live
+    /// false-positive probes. `entry` is what the entry did with the query
+    /// (see [`explain_from_trace`]); a cache replay records no spans.
     fn finish(
         &self,
         query: &Query,
-        start: ServerId,
         outcome: RuntimeOutcome,
-        deadline_hit: bool,
-        trace: TraceId,
-        hops: Option<Vec<ExplainHop>>,
+        log: &[TraceEvent],
+        entry: ExplainDecision,
+        want_explain: bool,
     ) -> (RuntimeOutcome, Option<QueryExplain>) {
         if let Some(m) = &self.metrics {
             m.queries.inc();
@@ -888,7 +894,8 @@ impl RoadsCluster {
             if !outcome.complete {
                 m.incomplete.inc();
             }
-            if deadline_hit {
+            // Only the deadline leaves a contact abandoned.
+            if log.iter().any(|e| e.outcome == HopOutcome::Abandoned) {
                 m.deadline_miss.inc();
             }
             let slo = self.cfg.slo_response_ms;
@@ -896,16 +903,34 @@ impl RoadsCluster {
                 m.slo_violation.inc();
             }
         }
-        let explain = hops.map(|hops| QueryExplain {
-            query_id: query.id.0,
-            trace_id: trace.0,
-            entry: start.0,
+        let trace = match &self.recorder {
+            Some(rec) if entry != ExplainDecision::CacheHit => {
+                let trace = rec.next_trace_id();
+                record_query_events(rec, trace, log);
+                trace
+            }
+            _ => TraceId::NONE,
+        };
+        let explain = want_explain.then(|| QueryExplain {
+            // Measured here, not modelled: the wall clock, the fault
+            // model's completeness proof, what the owners' policies let out.
             response_us: outcome.response_ms * 1_000.0,
             complete: outcome.complete,
-            deadline_hit,
             records: outcome.records.len() as u64,
-            hops,
+            ..explain_from_trace(&self.net, query, trace, log, entry)
         });
+        if let Some(audit) = &self.audit {
+            // A branch dispatch only happens because a summary matched, so
+            // an empty-handed branch reply is a live false positive.
+            for e in log {
+                if e.mode == ContactMode::Branch && e.outcome == HopOutcome::Replied {
+                    let spurious = e.local_matches == 0
+                        && e.forwarded_to.is_empty()
+                        && self.net.branch_summary(e.server).may_match(query);
+                    audit.observe_live(self.net.tree().depth(e.server), spurious);
+                }
+            }
+        }
         if let (Some(tail), Some(explain)) = (&self.tail, &explain) {
             let failed = !outcome.failed_servers.is_empty();
             // Collecting the flight-recorder trace means scanning the
@@ -942,22 +967,9 @@ impl RoadsCluster {
     }
 }
 
-/// One dispatched sub-query from the client's point of view.
-#[derive(Clone, Copy)]
-struct Attempt {
-    server: ServerId,
-    mode: ContactMode,
-    /// Retries already performed for this target before this attempt.
-    tries: u32,
-    span: SpanId,
-    /// Dispatch time, µs since query start.
-    at_us: u64,
-    parent: SpanId,
-    /// When this attempt is declared timed out (`None` = no per-dispatch
-    /// timeout configured).
-    expires: Option<Instant>,
-    /// Still awaiting a reply.
-    open: bool,
+/// Milliseconds since `t0` — the contact log's clock.
+fn ms_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1_000.0
 }
 
 /// Per-query state machine driving dispatch, retry, and failover.
@@ -967,12 +979,13 @@ struct Driver<'a> {
     requester: RequesterId,
     start: ServerId,
     t0: Instant,
-    trace: TraceId,
-    rec: Option<&'a Recorder>,
     done_tx: Sender<Notice>,
-    /// Every dispatch of this query, indexed by attempt id.
-    attempts: Vec<Attempt>,
-    /// Attempts still awaiting a reply.
+    /// The contact log, and the attempt table: one entry per dispatch of
+    /// this query, indexed by attempt id, stamped as the dispatch is sent
+    /// and as its reply, timeout or the deadline closes it. An entry is
+    /// awaited while its outcome still reads `Abandoned`.
+    log: Vec<TraceEvent>,
+    /// Entries still awaiting a reply.
     open: usize,
     ledger: VisitLedger,
     /// Servers whose local data has been merged into `records` (guards
@@ -987,25 +1000,21 @@ struct Driver<'a> {
     /// Next failover candidate index per dead server.
     failover_pos: HashMap<ServerId, usize>,
     records: Vec<Record>,
-    /// Distinct servers whose replies landed.
-    responders: HashSet<ServerId>,
-    /// Whether any Entry-mode reply landed — i.e. the overlay evaluation
-    /// (ancestor probes, replica shortcuts) ran somewhere. Without it a
-    /// failed entry leaves the hierarchy beyond its own branch unexamined,
-    /// so completeness cannot be claimed.
-    entry_served: bool,
-    retries: usize,
     deadline_hit: bool,
-    root_span: SpanId,
-    /// Explain assembly: one [`ExplainHop`] per dispatched attempt, in
-    /// dispatch order — hop `i` belongs to attempt `i`. `None` disables
-    /// the whole plane (the hot path then only pays a branch per
-    /// dispatch).
-    explain_hops: Option<Vec<ExplainHop>>,
+    /// Whether anyone reads the log after the query (an explain, the
+    /// recorder, the audit plane), fixed at query start. Nobody watching,
+    /// an entry is not stamped with its closing time or its redirect
+    /// targets — the clock read and the allocation a contact would
+    /// otherwise cost.
+    observed: bool,
 }
 
 impl Driver<'_> {
-    fn run(mut self, done_rx: Receiver<Notice>) -> (RuntimeOutcome, Option<QueryExplain>) {
+    fn run(
+        mut self,
+        done_rx: Receiver<Notice>,
+        want_explain: bool,
+    ) -> (RuntimeOutcome, Option<QueryExplain>) {
         let cfg = self.cluster.cfg;
         let deadline = (cfg.query_deadline_ms > 0)
             .then(|| self.t0 + Duration::from_millis(cfg.query_deadline_ms));
@@ -1022,31 +1031,12 @@ impl Driver<'_> {
                 SearchScope::full(),
             )
         });
-        let entry_mode = match plan {
-            Some(_) => ContactMode::LocalOnly,
-            None => ContactMode::Entry,
+        let (entry_mode, entry_did) = match plan {
+            Some(_) => (ContactMode::LocalOnly, ExplainDecision::Planned),
+            None => (ContactMode::Entry, ExplainDecision::Entry),
         };
         self.ledger.admit(self.start, entry_mode);
-        let entry = self.dispatch(
-            self.start,
-            entry_mode,
-            SpanId::NONE,
-            Duration::ZERO,
-            0,
-            None,
-            ExplainDecision::Entry,
-        );
-        self.root_span = self.attempts[entry].span;
-        self.emit(Event {
-            at_us: self.attempts[entry].at_us,
-            dur_us: 0,
-            node: self.start.0,
-            trace: self.trace,
-            span: self.root_span,
-            parent: SpanId::NONE,
-            kind: EventKind::QueryStart,
-            detail: self.trace.0,
-        });
+        self.dispatch(self.start, entry_mode, Duration::ZERO, 0, None);
         if let Some(plan) = &plan {
             if let Some(m) = &self.cluster.metrics {
                 m.planned_queries.inc();
@@ -1055,17 +1045,9 @@ impl Driver<'_> {
             for pc in &plan.contacts {
                 let mode = pc.action.mode();
                 if self.ledger.admit(pc.server, mode) {
-                    // Hop 0 is the entry: the plan was computed from its
+                    // Contact 0 is the entry: the plan was computed from its
                     // replicated summaries, so it caused every contact.
-                    self.dispatch(
-                        pc.server,
-                        mode,
-                        self.root_span,
-                        Duration::ZERO,
-                        0,
-                        Some(0),
-                        ExplainDecision::Planned,
-                    );
+                    self.dispatch(pc.server, mode, Duration::ZERO, 0, Some(0));
                 }
             }
         }
@@ -1079,11 +1061,9 @@ impl Driver<'_> {
             // At zero delay the next notice is already in the channel;
             // only a client about to block needs to know when to wake.
             let msg = done_rx.try_recv().or_else(|_| {
-                let next_expiry = self
-                    .attempts
-                    .iter()
-                    .filter(|a| a.open)
-                    .filter_map(|a| a.expires)
+                let next_expiry = (self.log.iter())
+                    .filter(|e| e.outcome == HopOutcome::Abandoned)
+                    .filter_map(|e| self.expiry(e))
                     .min();
                 let wake = match (next_expiry, deadline) {
                     (Some(e), Some(d)) => Some(e.min(d)),
@@ -1098,7 +1078,6 @@ impl Driver<'_> {
             match msg {
                 Ok(Notice::Reply {
                     attempt,
-                    server,
                     targets,
                     records,
                     queue_us,
@@ -1114,15 +1093,15 @@ impl Driver<'_> {
                         self.cluster.metrics.as_ref().map(|m| {
                             roads_telemetry::SpanTimer::start(Arc::clone(&m.result_merge))
                         });
-                    self.on_reply(attempt, server, targets, records, queue_us, compute_us);
+                    self.on_reply(attempt, targets, records, queue_us, compute_us);
                 }
                 Ok(Notice::Down { attempt }) => self.attempt_failed(attempt, true),
                 Err(RecvTimeoutError::Timeout) => {
                     let now = Instant::now();
                     // Failing an attempt may dispatch more (retry,
                     // failover); those are beyond this range and not yet due.
-                    for id in 0..self.attempts.len() {
-                        if self.attempts[id].expires.is_some_and(|e| e <= now) {
+                    for id in 0..self.log.len() {
+                        if self.expiry(&self.log[id]).is_some_and(|e| e <= now) {
                             self.attempt_failed(id, false);
                         }
                     }
@@ -1134,131 +1113,86 @@ impl Driver<'_> {
         }
 
         if self.deadline_hit {
-            // Out of budget: record every still-pending dispatch as timed
-            // out and failed, but start no more work.
-            for id in 0..self.attempts.len() {
-                self.close_at_deadline(id);
+            // Out of budget: close every still-pending dispatch (its entry
+            // keeps reading `Abandoned`) and fail its target, but start no
+            // more work.
+            for id in 0..self.log.len() {
+                if self.close_unanswered(id, HopOutcome::Abandoned) {
+                    let e = &self.log[id];
+                    if !matches!(e.mode, ContactMode::Failover { .. }) {
+                        self.mark_failed(e.server, e.mode);
+                    }
+                }
             }
         }
 
-        self.emit(Event {
-            at_us: self.t0.elapsed().as_micros() as u64,
-            dur_us: 0,
-            node: self.start.0,
-            trace: self.trace,
-            span: self.root_span,
-            parent: SpanId::NONE,
-            kind: EventKind::QueryComplete,
-            detail: self.records.len() as u64,
-        });
-
+        // Late or duplicate replies and stand-in replies count a server once.
+        let replied = |e: &&TraceEvent| e.outcome == HopOutcome::Replied;
+        let responders: HashSet<ServerId> =
+            self.log.iter().filter(replied).map(|e| e.server).collect();
         let outcome = RuntimeOutcome {
             complete: self.completeness(),
-            response_ms: self.t0.elapsed().as_secs_f64() * 1000.0,
+            response_ms: ms_since(self.t0),
             records: self.records,
-            servers_contacted: self.responders.len(),
+            servers_contacted: responders.len(),
             failed_servers: self.failed.keys().copied().collect(),
-            retries: self.retries,
+            retries: self.log.iter().filter(|e| e.tries > 0).count(),
         };
-        self.cluster.finish(
-            &self.query,
-            self.start,
-            outcome,
-            self.deadline_hit,
-            self.trace,
-            self.explain_hops,
-        )
+        self.cluster
+            .finish(&self.query, outcome, &self.log, entry_did, want_explain)
     }
 
-    /// Send one sub-query; `extra_delay` is the retry backoff (zero for
-    /// first attempts). `caused_by`/`decision` feed the explain plane:
-    /// the hop index that triggered this dispatch and why. Returns the
-    /// attempt id.
-    #[allow(clippy::too_many_arguments)]
+    /// When contact `e` is declared timed out if still unanswered: its
+    /// dispatch, plus its retry backoff, plus the per-dispatch timeout
+    /// (`None` = none configured).
+    fn expiry(&self, e: &TraceEvent) -> Option<Instant> {
+        let timeout_ms = self.cluster.cfg.dispatch_timeout_ms;
+        let due_ms = e.at_ms + e.split.backoff_us / 1_000.0 + timeout_ms as f64;
+        (timeout_ms > 0).then(|| self.t0 + Duration::from_secs_f64(due_ms / 1_000.0))
+    }
+
+    /// Send one sub-query and open its log entry; `backoff` delays a retry
+    /// (zero for first attempts, which have no `tries` behind them) and
+    /// `caused_by` is the entry whose reply or failure triggered this
+    /// dispatch.
     fn dispatch(
         &mut self,
         target: ServerId,
         mode: ContactMode,
-        parent: SpanId,
-        extra_delay: Duration,
+        backoff: Duration,
         tries: u32,
         caused_by: Option<usize>,
-        decision: ExplainDecision,
-    ) -> usize {
-        let cfg = self.cluster.cfg;
-        let id = self.attempts.len();
-        let span = match self.rec {
-            Some(r) => r.next_span_id(),
-            None => SpanId::NONE,
-        };
+    ) {
+        let attempt = self.log.len();
         let delay_out = self.cluster.scaled_delay(self.start, target);
-        let at_us = self.t0.elapsed().as_micros() as u64;
-        if let Some(hops) = &mut self.explain_hops {
-            // Which summary structure vouched for this hop. Descent and
-            // shortcut hops were admitted by the target's *branch*
-            // summary; ancestor probes by its *local* summary (the probe
-            // asks only about the ancestor's own records).
-            let net = &self.cluster.net;
-            let vouching = match decision {
-                ExplainDecision::SummaryDescent | ExplainDecision::OverlayShortcut => {
-                    Some(net.branch_summary(target))
-                }
-                ExplainDecision::AncestorProbe => Some(net.local_summary(target)),
-                // A planned descent was admitted by the target's branch
-                // summary; a planned probe by its *local* summary (that is
-                // the planner's pruning criterion).
-                ExplainDecision::Planned => Some(match mode {
-                    ContactMode::Branch => net.branch_summary(target),
-                    _ => net.local_summary(target),
-                }),
-                _ => None,
-            };
-            let summary = vouching.and_then(|s| verdict_kind(s.decide(&self.query)));
-            hops.push(ExplainHop {
-                server: target.0,
-                decision,
-                summary,
-                false_positive: false,
-                // Placeholder until the reply/timeout resolves the hop;
-                // deadline-cut hops keep it.
-                outcome: HopOutcome::Abandoned,
-                at_us: at_us as f64,
-                dur_us: 0.0,
-                caused_by,
-                local_matches: 0,
-                split: LatencySplit {
-                    queue_us: 0.0,
-                    // Round trip over the simulated link, known exactly
-                    // at dispatch time (symmetric one-way latency).
-                    network_us: 2.0 * delay_out.as_micros() as f64,
-                    compute_us: 0.0,
-                    backoff_us: extra_delay.as_micros() as f64,
-                },
-            });
-        }
-        let expires = (cfg.dispatch_timeout_ms > 0)
-            .then(|| Instant::now() + extra_delay + Duration::from_millis(cfg.dispatch_timeout_ms));
-        self.attempts.push(Attempt {
+        self.log.push(TraceEvent {
             server: target,
+            at_ms: ms_since(self.t0),
             mode,
+            caused_by,
+            local_matches: 0,
+            forwarded_to: Vec::new(),
+            outcome: HopOutcome::Abandoned,
             tries,
-            span,
-            at_us,
-            parent,
-            expires,
-            open: true,
+            closed_ms: 0.0,
+            split: LatencySplit {
+                // Round trip over the simulated link, known exactly at
+                // dispatch time (symmetric one-way latency).
+                network_us: 2.0 * delay_out.as_micros() as f64,
+                backoff_us: backoff.as_micros() as f64,
+                ..LatencySplit::default()
+            },
         });
         self.open += 1;
         let cell = Arc::clone(&self.cluster.servers[target.index()].lock().cell);
         let reply = ReplyHandle {
             timer: self.cluster.dispatcher.handle().clone(),
             done: self.done_tx.clone(),
-            attempt: id,
-            server: target,
+            attempt,
             delay_back: delay_out, // symmetric one-way latency
         };
         self.cluster.dispatcher.handle().schedule_after(
-            extra_delay + delay_out,
+            backoff + delay_out,
             DispatchJob::Deliver {
                 cell,
                 request: Request {
@@ -1269,93 +1203,44 @@ impl Driver<'_> {
                 },
             },
         );
-        id
     }
 
     fn on_reply(
         &mut self,
         attempt: usize,
-        server: ServerId,
         targets: Vec<(ServerId, ContactMode)>,
         records: Vec<Record>,
         queue_us: f64,
         compute_us: f64,
     ) {
-        let a = &mut self.attempts[attempt];
-        let (span, at_us, mode) = (a.span, a.at_us, a.mode);
-        let parent = a.parent;
-        if a.open {
-            a.open = false;
+        let e = &mut self.log[attempt];
+        if e.outcome == HopOutcome::Abandoned {
             self.open -= 1;
         }
-        let replier_hop = self.explain_hops.is_some().then_some(attempt);
-        if let Some(hops) = &mut self.explain_hops {
-            // Late replies (racing a retry, or landing after a timeout
-            // verdict) still resolve their hop: the record should show
-            // what actually happened, and it keeps `distinct_responders`
-            // consistent with the outcome's `servers_contacted`.
-            let h = &mut hops[attempt];
-            h.outcome = HopOutcome::Replied;
-            h.dur_us = (self.t0.elapsed().as_micros() as u64).saturating_sub(at_us) as f64;
-            h.local_matches = records.len() as u64;
-            h.split.queue_us = queue_us;
-            h.split.compute_us = compute_us;
-            // A branch summary vouched for this subtree, yet neither
-            // local records nor any further redirect came back: the
-            // lossy summary matched spuriously.
-            h.false_positive = matches!(mode, ContactMode::Branch)
-                && records.is_empty()
-                && targets.is_empty()
-                && h.summary.is_some();
+        // A late reply (racing a retry, or landing after a timeout
+        // verdict) still resolves its entry: the log should show what
+        // actually happened, and it keeps the replied entries consistent
+        // with `servers_contacted`.
+        e.outcome = HopOutcome::Replied;
+        e.local_matches = records.len();
+        e.split.queue_us = queue_us;
+        e.split.compute_us = compute_us;
+        if self.observed {
+            e.closed_ms = ms_since(self.t0);
+            e.forwarded_to = targets.iter().map(|&(t, _)| t).collect();
         }
-        if let Some(audit) = &self.cluster.audit {
-            // Fold this live outcome into the audit plane. The summary
-            // verdict is recomputed here (explain hops may be off): a
-            // branch dispatch only happens because a summary matched, so
-            // an empty-handed branch reply is a live false positive.
-            if matches!(mode, ContactMode::Branch) {
-                let level = self.cluster.net.tree().depth(server);
-                let spurious = records.is_empty()
-                    && targets.is_empty()
-                    && self
-                        .cluster
-                        .net
-                        .branch_summary(server)
-                        .may_match(&self.query);
-                audit.observe_live(level, spurious);
-            }
-        }
+        let (server, mode, at_ms) = (e.server, e.mode, e.at_ms);
         if let Some(m) = &self.cluster.metrics {
             // Dispatch → reply wall time, attributed to the replier and
             // the contact mode it was serving.
-            let latency_ms =
-                (self.t0.elapsed().as_micros() as u64).saturating_sub(at_us) as f64 / 1_000.0;
+            let latency_ms = ms_since(self.t0) - at_ms;
             m.dispatch_hist(mode).record(latency_ms);
             let si = &m.servers[server.index()];
             si.dispatch_ms.record(latency_ms);
             si.replies.inc();
         }
-        // A late reply (after timeout, racing a retry) still lands here and
-        // is merged below, guarded by `resolved`.
-        self.responders.insert(server);
         // Any reply proves the server serviceable again, helper or not.
         self.dead_helpers.remove(&server);
-        if matches!(mode, ContactMode::Entry) {
-            self.entry_served = true;
-        }
-        if self.rec.is_some() {
-            let now_us = self.t0.elapsed().as_micros() as u64;
-            self.emit(Event {
-                at_us,
-                dur_us: now_us.saturating_sub(at_us).max(1),
-                node: server.0,
-                trace: self.trace,
-                span,
-                parent,
-                kind: EventKind::QueryHop,
-                detail: records.len() as u64,
-            });
-        }
         let standin = matches!(mode, ContactMode::Failover { .. });
         if !standin && self.resolved.insert(server) {
             // A reply proves the server serviceable: withdraw any earlier
@@ -1365,47 +1250,31 @@ impl Driver<'_> {
         }
         for (t, m) in targets {
             if self.ledger.admit(t, m) {
-                let decision = contact_decision(&self.cluster.net, server, t, m);
-                self.dispatch(t, m, span, Duration::ZERO, 0, replier_hop, decision);
+                self.dispatch(t, m, Duration::ZERO, 0, Some(attempt));
             }
         }
     }
 
-    /// Close a still-open attempt that got no reply: stamp its hop with
-    /// `outcome` and its time in flight, count the timeout and emit it.
-    /// `None` when a reply raced in first or the attempt already closed.
-    /// Returns the attempt and the closing time, µs since query start.
-    fn close_unanswered(&mut self, attempt: usize, outcome: HopOutcome) -> Option<(Attempt, u64)> {
-        let a = &mut self.attempts[attempt];
-        if !a.open {
-            return None;
+    /// Close a still-awaited entry that got no reply as `outcome`, and
+    /// count the timeout. `false` when a reply raced in first or the entry
+    /// already closed.
+    fn close_unanswered(&mut self, attempt: usize, outcome: HopOutcome) -> bool {
+        let e = &mut self.log[attempt];
+        if e.outcome != HopOutcome::Abandoned {
+            return false;
         }
-        a.open = false;
+        e.outcome = outcome;
+        if self.observed {
+            e.closed_ms = ms_since(self.t0);
+        }
         self.open -= 1;
-        let a = *a;
-        let now_us = self.t0.elapsed().as_micros() as u64;
-        if let Some(hops) = &mut self.explain_hops {
-            let h = &mut hops[attempt];
-            h.outcome = outcome;
-            h.dur_us = now_us.saturating_sub(a.at_us) as f64;
-        }
         if let Some(m) = &self.cluster.metrics {
             m.dispatch_timeout.inc();
         }
-        self.emit(Event {
-            at_us: a.at_us,
-            dur_us: now_us.saturating_sub(a.at_us).max(1),
-            node: a.server.0,
-            trace: self.trace,
-            span: a.span,
-            parent: a.parent,
-            kind: EventKind::DispatchTimeout,
-            detail: a.tries as u64,
-        });
-        Some((a, now_us))
+        true
     }
 
-    /// An open attempt's dispatch timed out (`target_down = false`) or
+    /// An awaited attempt's dispatch timed out (`target_down = false`) or
     /// its target was found dead at delivery (`true`): retry if budget
     /// remains, otherwise fail over. A dead server cannot recover without
     /// [`RoadsCluster::restart_server`], so the retry budget is skipped
@@ -1417,60 +1286,34 @@ impl Driver<'_> {
         } else {
             HopOutcome::TimedOut
         };
-        let Some((a, now_us)) = self.close_unanswered(attempt, outcome) else {
+        if !self.close_unanswered(attempt, outcome) {
             return;
-        };
-        let failed_hop = self.explain_hops.is_some().then_some(attempt);
-        if !target_down && a.tries < cfg.max_retries {
-            self.retries += 1;
+        }
+        let e = &self.log[attempt];
+        let (server, mode, tries) = (e.server, e.mode, e.tries);
+        if !target_down && tries < cfg.max_retries {
             if let Some(m) = &self.cluster.metrics {
                 m.retries.inc();
             }
-            self.emit(Event {
-                at_us: now_us,
-                dur_us: 0,
-                node: a.server.0,
-                trace: self.trace,
-                span: a.span,
-                parent: a.parent,
-                kind: EventKind::Retry,
-                detail: (a.tries + 1) as u64,
-            });
             // Retries bypass the visit ledger: same target, same mode.
-            // The new attempt nests under the timed-out one — inheriting
-            // the old attempt's *parent* would mint a second root span
-            // when the entry attempt itself (parent NONE) is retried.
-            self.dispatch(
-                a.server,
-                a.mode,
-                a.span,
-                backoff_delay(cfg.backoff_base_ms, a.tries),
-                a.tries + 1,
-                failed_hop,
-                ExplainDecision::Retry,
-            );
+            let backoff = backoff_delay(cfg.backoff_base_ms, tries);
+            self.dispatch(server, mode, backoff, tries + 1, Some(attempt));
             return;
         }
-        self.give_up(a.server, a.mode, a.span, failed_hop);
+        self.give_up(server, mode, attempt);
     }
 
     /// Retries exhausted for `server` in `mode`: record the failure and
-    /// route around it through the replication overlay. `caused_by` is
-    /// the failed attempt's hop index, inherited by any failover hops.
-    fn give_up(
-        &mut self,
-        server: ServerId,
-        mode: ContactMode,
-        span: SpanId,
-        caused_by: Option<usize>,
-    ) {
+    /// route around it through the replication overlay. `attempt` is the
+    /// failed entry, the cause of any stand-in dispatched for it.
+    fn give_up(&mut self, server: ServerId, mode: ContactMode, attempt: usize) {
         match mode {
             ContactMode::Failover { dead } => {
                 // The stand-in died too: remember it so failover for a
                 // *different* dead server cannot nominate it again, then
                 // advance to the next candidate.
                 self.dead_helpers.insert(server);
-                self.try_failover(dead, span, caused_by);
+                self.try_failover(dead, attempt);
             }
             ContactMode::LocalOnly => {
                 // Only this server held the probed data; nothing replicates
@@ -1479,7 +1322,7 @@ impl Driver<'_> {
             }
             ContactMode::Branch => {
                 self.mark_failed(server, mode);
-                self.try_failover(server, span, caused_by);
+                self.try_failover(server, attempt);
             }
             ContactMode::Entry => {
                 self.mark_failed(server, mode);
@@ -1489,8 +1332,8 @@ impl Driver<'_> {
                 // targets include the dead server itself, but the ledger
                 // already holds it at Entry rank, so its children would
                 // otherwise be unreachable.
-                self.entry_failover(server, span, caused_by);
-                self.try_failover(server, span, caused_by);
+                self.entry_failover(server, attempt);
+                self.try_failover(server, attempt);
             }
         }
     }
@@ -1508,7 +1351,7 @@ impl Driver<'_> {
     }
 
     /// Dispatch the next viable overlay stand-in for `dead`'s branch.
-    fn try_failover(&mut self, dead: ServerId, parent_span: SpanId, caused_by: Option<usize>) {
+    fn try_failover(&mut self, dead: ServerId, caused_by: usize) {
         if !self.cluster.cfg.enable_failover {
             return;
         }
@@ -1535,7 +1378,7 @@ impl Driver<'_> {
                 continue;
             }
             self.failover_pos.insert(dead, pos);
-            self.dispatch_failover(helper, mode, dead, parent_span, caused_by);
+            self.dispatch_failover(helper, mode, caused_by);
             return;
         }
         self.failover_pos.insert(dead, pos);
@@ -1544,7 +1387,7 @@ impl Driver<'_> {
     }
 
     /// Nominate a replacement entry server after the original died.
-    fn entry_failover(&mut self, dead: ServerId, parent_span: SpanId, caused_by: Option<usize>) {
+    fn entry_failover(&mut self, dead: ServerId, caused_by: usize) {
         if !self.cluster.cfg.enable_failover {
             return;
         }
@@ -1555,52 +1398,18 @@ impl Driver<'_> {
             {
                 continue;
             }
-            self.dispatch_failover(helper, ContactMode::Entry, dead, parent_span, caused_by);
+            self.dispatch_failover(helper, ContactMode::Entry, caused_by);
             return;
         }
     }
 
-    /// Send `helper` in for `dead` — in `mode`, for its branch or for its
-    /// entry role — counted and recorded as a failover.
-    fn dispatch_failover(
-        &mut self,
-        helper: ServerId,
-        mode: ContactMode,
-        dead: ServerId,
-        parent_span: SpanId,
-        caused_by: Option<usize>,
-    ) {
-        let id = self.dispatch(
-            helper,
-            mode,
-            parent_span,
-            Duration::ZERO,
-            0,
-            caused_by,
-            ExplainDecision::Failover,
-        );
+    /// Send `helper` in for the server failed entry `caused_by` was after
+    /// — in `mode`, for its branch or for its entry role — counted as a
+    /// failover.
+    fn dispatch_failover(&mut self, helper: ServerId, mode: ContactMode, caused_by: usize) {
+        self.dispatch(helper, mode, Duration::ZERO, 0, Some(caused_by));
         if let Some(m) = &self.cluster.metrics {
             m.failovers.inc();
-        }
-        self.emit(Event {
-            at_us: self.t0.elapsed().as_micros() as u64,
-            dur_us: 0,
-            node: helper.0,
-            trace: self.trace,
-            span: self.attempts[id].span,
-            parent: parent_span,
-            kind: EventKind::Failover,
-            detail: dead.0 as u64,
-        });
-    }
-
-    /// The deadline cut this attempt off: record it (its hop keeps the
-    /// `Abandoned` placeholder), fail its target, start nothing new.
-    fn close_at_deadline(&mut self, attempt: usize) {
-        if let Some((a, _)) = self.close_unanswered(attempt, HopOutcome::Abandoned) {
-            if !matches!(a.mode, ContactMode::Failover { .. }) {
-                self.mark_failed(a.server, a.mode);
-            }
         }
     }
 
@@ -1610,9 +1419,9 @@ impl Driver<'_> {
     /// its own entry in `failed` recursing this check).
     ///
     /// A failed *entry* additionally requires that some Entry-mode reply
-    /// landed (`entry_served`): the entry role covers the overlay
-    /// evaluation for the whole hierarchy — ancestor probes, replica
-    /// shortcuts — not just the dead server's local data and children. If
+    /// landed (`entry_served`, read off the log): the entry role covers
+    /// the overlay evaluation for the whole hierarchy — ancestor probes,
+    /// replica shortcuts — not just the dead server's data and children. If
     /// no replacement entry took over (failover disabled, or every
     /// candidate dead), nothing ever examined the rest of the hierarchy
     /// and completeness cannot be claimed.
@@ -1621,6 +1430,8 @@ impl Driver<'_> {
             return false;
         }
         let net = &self.cluster.net;
+        let entry_served = (self.log.iter())
+            .any(|e| e.mode == ContactMode::Entry && e.outcome == HopOutcome::Replied);
         let children_covered = |s: ServerId| {
             net.tree().children(s).iter().all(|&c| {
                 !net.branch_summary(c).may_match(&self.query)
@@ -1633,16 +1444,10 @@ impl Driver<'_> {
             match mode {
                 ContactMode::LocalOnly => local_ok,
                 ContactMode::Branch => local_ok && children_covered(s),
-                ContactMode::Entry => self.entry_served && local_ok && children_covered(s),
+                ContactMode::Entry => entry_served && local_ok && children_covered(s),
                 ContactMode::Failover { .. } => true, // stand-ins hold no queried data
             }
         })
-    }
-
-    fn emit(&self, ev: Event) {
-        if let Some(r) = self.rec {
-            r.record(ev);
-        }
     }
 }
 
@@ -1661,9 +1466,12 @@ fn step(
     if !search_local {
         return (targets, Vec::new());
     }
+    // The table itself, not `search_local`: that one counts calls on an
+    // atomic every server would share.
+    let table = net.store(state.id).table();
     let found = match &state.search_hist {
-        Some(h) => timed(h, || state.store.search(query)),
-        None => state.store.search(query),
+        Some(h) => timed(h, || table.search(query)),
+        None => table.search(query),
     };
     // The owner's final say: policy filters/redacts what actually leaves
     // this server.
@@ -2015,7 +1823,7 @@ mod tests {
 
     #[test]
     fn recorded_live_query_builds_wall_clock_span_tree() {
-        use roads_telemetry::{span_tree_root, trace_events, TraceId};
+        use roads_telemetry::{span_tree_root, trace_events, EventKind};
         let rec = Arc::new(Recorder::new(1024));
         let c = RoadsCluster::start_with(
             test_net(9),

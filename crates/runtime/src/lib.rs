@@ -12,8 +12,7 @@
 //! * [`RecordStore`] — the in-memory record table standing in for
 //!   DB2+JDBC. It is `roads_core`'s one store, re-exported: the table the
 //!   simulator searches and the update rounds mutate is the table a live
-//!   server answers from (each server's cell owns a copy that shares the
-//!   network's rows). A calibrated per-record retrieval cost (see
+//!   server answers from (`net.store(id).table()`, searched in place). A calibrated per-record retrieval cost (see
 //!   [`RuntimeConfig::per_record_retrieval_us`]) makes retrieval dominate
 //!   at high selectivity exactly as in the paper's testbed.
 //! * [`cluster::RoadsCluster`] — every ROADS server as passive state (a

@@ -214,6 +214,89 @@ fn explain_counts_real_retries() {
     c.shutdown();
 }
 
+/// Regression: a reply that lands after its attempt timed out and was
+/// retried used to leave a `DispatchTimeout` *and* a `QueryHop` event on
+/// one span while the hop read `Replied`. Hops and span events are now
+/// two derivations of one log entry, so a late reply re-stamps both: each
+/// contact has exactly one closing event, of the kind its hop's outcome
+/// says.
+#[test]
+fn late_reply_after_timeout_and_retry_agrees_across_planes() {
+    let rec = Arc::new(Recorder::new(1_024));
+    let cfg = RuntimeConfig {
+        base_query_cost_us: 100_000,
+        dispatch_timeout_ms: 250,
+        max_retries: 1,
+        backoff_base_ms: 5,
+        query_deadline_ms: 8_000,
+        ..RuntimeConfig::test_fast()
+    };
+    let attach = Attachments {
+        recorder: Some(Arc::clone(&rec)),
+        ..Attachments::default()
+    };
+    let c = build_cluster_with(1, cfg, attach);
+    let only = c.network().tree().root();
+    // 400 ms per request: the first attempt answers at 400 ms — after its
+    // 250 ms timeout and the retry — and the retry, queued behind it,
+    // times out in turn at ≈ 505 ms.
+    assert!(c.slow_server(only, 4.0));
+    let (out, ex) = explained(&c, &full_query(&c, 9), only);
+    assert!(out.complete, "the late reply carried every record");
+    assert_eq!(out.records.len(), RECORDS_PER_SERVER);
+    assert_eq!((out.retries, out.servers_contacted), (1, 1));
+    assert_consistent(&out, &ex);
+    let outcomes: Vec<_> = ex.hops.iter().map(|h| (h.decision, h.outcome)).collect();
+    let expected = [
+        (ExplainDecision::Entry, HopOutcome::Replied),
+        (ExplainDecision::Retry, HopOutcome::TimedOut),
+    ];
+    assert_eq!(outcomes, expected);
+    assert_eq!(ex.hops[1].caused_by, Some(0));
+    assert!(ex.hops[0].dur_us >= 400_000.0, "closed by the late reply");
+
+    let events = trace_events(&rec.events(), TraceId(ex.trace_id));
+    span_tree_root(&events, TraceId(ex.trace_id)).expect("valid span tree");
+    let closing: Vec<_> = (events.iter())
+        .filter(|e| matches!(e.kind, EventKind::QueryHop | EventKind::DispatchTimeout))
+        .map(|e| (e.span, e.kind))
+        .collect();
+    assert_eq!(closing.len(), 2, "one closing event per contact");
+    assert_ne!(closing[0].0, closing[1].0, "each on its own span");
+    assert_eq!(closing[0].1, EventKind::QueryHop);
+    assert_eq!(closing[1].1, EventKind::DispatchTimeout);
+    let retries: Vec<_> = (events.iter())
+        .filter(|e| e.kind == EventKind::Retry)
+        .collect();
+    assert_eq!(retries.len(), out.retries);
+    assert_eq!(retries[0].span, closing[0].0, "on the span it replaces");
+    c.shutdown();
+}
+
+/// The two derivations are independent of each other: a recorded query
+/// nobody asked to explain still leaves a valid span tree, and no explain.
+#[test]
+fn recorded_but_unexplained_query_still_builds_its_span_tree() {
+    let rec = Arc::new(Recorder::new(4_096));
+    let attach = Attachments {
+        recorder: Some(Arc::clone(&rec)),
+        ..Attachments::default()
+    };
+    let c = build_cluster_with(13, RuntimeConfig::test_fast(), attach);
+    let entry = a_leaf(&c);
+    let (out, ex) = c.query_with(&full_query(&c, 10), entry, RequesterId(0), false);
+    assert!(ex.is_none(), "no explain asked for, no sampler attached");
+    assert!(out.complete);
+    let events = trace_events(&rec.events(), TraceId(1));
+    let root = span_tree_root(&events, TraceId(1)).expect("valid span tree");
+    let hops: Vec<_> = (events.iter())
+        .filter(|e| e.kind == EventKind::QueryHop)
+        .collect();
+    assert_eq!(hops.len(), out.servers_contacted);
+    assert!(hops.iter().any(|e| e.span == root && e.node == entry.0));
+    c.shutdown();
+}
+
 /// Acceptance: a tail-retained query's explain record reconstructs its
 /// full hop sequence, verified against the flight-recorder span tree
 /// captured for the same trace.

@@ -4,23 +4,29 @@
 //! * Every attachment combines: one cluster carrying tiered owner
 //!   policies *and* a registry *and* a flight recorder *and* a tail
 //!   sampler, with each plane's view taken from the same run.
-//! * Both planes run one per-server step (`RoadsNetwork::route`): with no
-//!   faults and zero delay the live cluster contacts exactly the servers
-//!   the simulator's client-redirect execution does, planner off and on.
+//! * Both planes run one per-server step (`RoadsNetwork::route`) and keep
+//!   one contact log: with no faults the live cluster's log is the
+//!   simulator's client-redirect log entry for entry, planner off and on,
+//!   and one derivation explains both — naming, for every hop, the
+//!   summary routing actually tested.
 
 use roads_core::policy::{OpenPolicy, SharingPolicy, TieredPolicy};
 use roads_core::{
-    execute_query_with, plan_query, ForwardingMode, QueryOptions, RequesterId, RoadsConfig,
-    RoadsNetwork, SearchScope, ServerId,
+    execute_query_with, explain_from_trace, plan_query, ForwardingMode, QueryOptions, RequesterId,
+    RoadsConfig, RoadsNetwork, SearchScope, ServerId,
 };
 use roads_netsim::DelaySpace;
-use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+use roads_records::{
+    AttrDef, OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value,
+};
 use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{
-    parse_openmetrics, span_tree_root, trace_events, EventKind, OpenMetricsSnapshot, Recorder,
-    Registry, TailSampler, TraceId,
+    parse_openmetrics, span_tree_root, trace_events, EventKind, ExplainDecision, ExplainHop,
+    HopOutcome, OpenMetricsSnapshot, QueryExplain, Recorder, Registry, SummaryKind, TailSampler,
+    TraceId,
 };
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const RECORDS_PER_SERVER: usize = 10;
@@ -129,6 +135,39 @@ fn every_attachment_combines_in_one_cluster() {
     c.shutdown();
 }
 
+/// What a contact log says of each contact, free of the order the plane
+/// made its contacts in and of its clock: per contacted server, who caused
+/// the contact and what the shared derivation makes of it. (The live log
+/// is private to its driver; both explains come from `explain_from_trace`,
+/// so comparing them hop by hop compares the logs entry by entry.)
+type Contact = (
+    Option<u32>,
+    ExplainDecision,
+    Option<SummaryKind>,
+    HopOutcome,
+    bool,
+    u64,
+);
+
+fn contacts(explain: &QueryExplain) -> BTreeMap<u32, Contact> {
+    let by_server = |h: &ExplainHop| {
+        let cause = h.caused_by.map(|c| explain.hops[c].server);
+        let (outcome, hollow) = (h.outcome, h.false_positive);
+        let what = (
+            cause,
+            h.decision,
+            h.summary,
+            outcome,
+            hollow,
+            h.local_matches,
+        );
+        (h.server, what)
+    };
+    let map: BTreeMap<_, _> = explain.hops.iter().map(by_server).collect();
+    assert_eq!(map.len(), explain.hops.len(), "one contact per server");
+    map
+}
+
 #[test]
 fn live_hops_are_the_simulators_client_redirect_contacts() {
     let n = 27;
@@ -158,23 +197,89 @@ fn live_hops_are_the_simulators_client_redirect_contacts() {
                     plan: plan.as_ref(),
                     ..QueryOptions::default()
                 };
+                let entry_did = match plan {
+                    Some(_) => ExplainDecision::Planned,
+                    None => ExplainDecision::Entry,
+                };
                 let mut trace = Vec::new();
                 let sim = execute_query_with(&net, &delays, q, entry, &opts, Some(&mut trace));
+                let sim_explain = explain_from_trace(&net, q, TraceId::NONE, &trace, entry_did);
                 let (live, explain) = c.query_with(q, entry, RequesterId(0), true);
                 let explain = explain.expect("explain was requested");
 
                 let what = format!("query {}, entry {entry}, planner {planner}", q.id.0);
-                let mut sim_servers: Vec<u32> = trace.iter().map(|e| e.server.0).collect();
-                let mut live_servers: Vec<u32> = explain.hops.iter().map(|h| h.server).collect();
-                sim_servers.sort_unstable();
-                live_servers.sort_unstable();
-                assert_eq!(live_servers, sim_servers, "{what}");
+                assert_eq!(contacts(&explain), contacts(&sim_explain), "{what}");
                 assert_eq!(explain.hops[0].server, entry.0, "{what}");
-                assert!(live.complete, "{what}");
+                assert!(
+                    live.complete && explain.complete && sim_explain.complete,
+                    "{what}"
+                );
+                assert!(!explain.deadline_hit && !sim_explain.deadline_hit, "{what}");
+                assert_eq!(explain.records, sim_explain.records, "{what}");
                 assert_eq!(live.servers_contacted, sim.servers_contacted, "{what}");
                 assert_eq!(live.records.len(), sim.matching_records, "{what}");
             }
         }
         c.shutdown();
     }
+}
+
+/// Regression: a greedy ancestor probe is admitted on the ancestor's
+/// *branch* summary (`RoadsNetwork::evaluate`), but the live plane used to
+/// name its *local* summary as the voucher while the simulator named the
+/// branch one. Here the two verdicts differ in kind — the root's own
+/// records are pruned by the exact category set, its branch matches on the
+/// histogram — and both planes must name what routing tested.
+#[test]
+fn ancestor_probe_names_the_branch_summary_on_both_planes() {
+    let schema = Schema::new(vec![AttrDef::unit("x"), AttrDef::categorical("c")]).unwrap();
+    let cfg = RoadsConfig {
+        max_children: 3,
+        summary: SummaryConfig::with_buckets(64),
+        ..RoadsConfig::paper_default()
+    };
+    // Only the entry (a leaf) holds category "b"; the root holds "a" at
+    // the same x, everyone else "a" far away.
+    let record = |s: usize, x: f64, c: &str| {
+        let values = vec![Value::Float(x), Value::Cat(c.into())];
+        vec![Record::new_unchecked(
+            RecordId(s as u64),
+            OwnerId(s as u32),
+            values,
+        )]
+    };
+    let entry = ServerId(1);
+    let records = vec![
+        record(0, 0.5, "a"),
+        record(1, 0.5, "b"),
+        record(2, 0.9, "a"),
+        record(3, 0.9, "a"),
+    ];
+    let net = RoadsNetwork::build(schema, cfg, records);
+    let root = net.tree().root();
+    assert_eq!(net.tree().parent(entry), Some(root));
+    let q = QueryBuilder::new(net.schema(), QueryId(1))
+        .range("x", 0.4, 0.6)
+        .eq("c", Value::Cat("b".into()))
+        .build();
+    assert!(!net.local_summary(root).may_match(&q), "pruned by its set");
+    assert!(net.branch_summary(root).may_match(&q));
+
+    let delays = DelaySpace::paper(4, 11);
+    let mut trace = Vec::new();
+    let opts = QueryOptions::default();
+    execute_query_with(&net, &delays, &q, entry, &opts, Some(&mut trace));
+    let sim = explain_from_trace(&net, &q, TraceId::NONE, &trace, ExplainDecision::Entry);
+    let c = RoadsCluster::start(net, delays, RuntimeConfig::test_fast());
+    let (_, live) = c.query_with(&q, entry, RequesterId(0), true);
+    let live = live.expect("explain was requested");
+    for explain in [&sim, &live] {
+        let probe = (explain.hops.iter())
+            .find(|h| h.server == root.0)
+            .expect("the root's branch matches, so it is probed");
+        assert_eq!(probe.decision, ExplainDecision::AncestorProbe);
+        assert_eq!(probe.summary, Some(SummaryKind::Histogram));
+        assert_eq!(probe.local_matches, 0);
+    }
+    c.shutdown();
 }

@@ -1,8 +1,9 @@
 //! Per-query provenance: what each hop decided and where the time went.
 //!
 //! A [`QueryExplain`] is the structured answer to "why was *this* query
-//! slow?". It is assembled along the query path — by the simulation
-//! executor and by the live runtime `Driver` — one [`ExplainHop`] per
+//! slow?". It is derived from a finished query's contact log — the
+//! simulator's or the live cluster's, by `roads-core`'s
+//! `explain_from_trace` either way — one [`ExplainHop`] per
 //! contact attempt, each carrying the *decision* that caused the hop
 //! (summary descent, overlay shortcut, retry, failover, …) and a
 //! *latency split* (queue wait / network / summary+search compute /
@@ -10,8 +11,8 @@
 //! the five components the tail-attribution figure stacks.
 //!
 //! The types live in `roads-telemetry` (the dependency-light base crate)
-//! so both the roads simulation crate and the runtime crate can fill
-//! them, and the tail sampler ([`crate::tail`]) can retain them without
+//! so the contact log in `roads-core` can carry [`HopOutcome`] and
+//! [`LatencySplit`], and the tail sampler ([`crate::tail`]) can retain them without
 //! a dependency cycle. Summary kinds are therefore a *vocabulary* enum
 //! here ([`SummaryKind`]); the summary crate maps its concrete
 //! per-attribute representations into it.
