@@ -8,10 +8,11 @@
 //! the planner's batched set-cover dispatch, with recall asserted
 //! identical on every single query. A second pass replays the same
 //! workload through the TTL'd result cache to show the steady-state hit
-//! rate. The planner's licensed win is pruning ancestor probes whose
-//! replicated local summary rules them out, so the reduction is largest
-//! for highly selective queries (small ranges) and the figure asserts a
-//! strict servers-contacted reduction at the most selective point.
+//! rate. The planner's one win over greedy used to be leaving out ancestor
+//! probes whose replicated local summary rules them out; the protocol's
+//! entry step makes that test itself now (`RoadsNetwork::evaluate`), so on
+//! a converged overlay the figure asserts the two contact the same
+//! servers with the same bytes, query for query, and prune nothing.
 
 use roads_bench::{banner, figure_config, parse_args};
 use roads_core::{
@@ -131,7 +132,9 @@ fn main() {
                         "recall drift at k={degree} range={range_len} entry={entry}"
                     );
                     assert_eq!(greedy.matching_records, planned.matching_records);
-                    assert!(planned.servers_contacted <= greedy.servers_contacted);
+                    assert_eq!(planned.servers_contacted, greedy.servers_contacted);
+                    assert_eq!(planned.query_bytes, greedy.query_bytes);
+                    assert_eq!(plan.pruned_probes, 0);
 
                     cell.queries += 1;
                     cell.greedy_servers += greedy.servers_contacted as f64;
@@ -208,27 +211,14 @@ fn main() {
         fig.push_series(format!("bytes_planned_k{degree}"), &bytes_planned);
     }
 
-    // The planner must strictly reduce total contacts at the most
-    // selective point of the sweep (ancestor probes pruned by replicated
-    // local summaries) and never widen anywhere.
-    let (_, _, tightest) = cells
-        .iter()
-        .find(|(d, r, _)| *d == degrees[0] && *r == range_lens[0])
-        .expect("tightest cell");
-    assert!(
-        tightest.planned_servers < tightest.greedy_servers,
-        "no contact reduction at the most selective point ({} vs {})",
-        tightest.planned_servers,
-        tightest.greedy_servers
-    );
-    assert!(tightest.planned_bytes < tightest.greedy_bytes);
     let reduction = 1.0 - total_planned_srv / total_greedy_srv;
     println!(
-        "\nsweep total: {:.1}% fewer servers contacted than greedy, recall identical on every query",
+        "\nsweep total: {:.1}% fewer servers contacted than greedy (the ancestor test is the \
+         protocol's now), recall identical on every query",
         100.0 * reduction
     );
-    fig.push_reference("contact_reduction_fraction", reduction, 0.05);
-    fig.push_note("planner prunes ancestor probes via replicated local summaries; recall asserted identical per query");
+    fig.push_reference("contact_reduction_fraction", reduction, 0.0);
+    fig.push_note("greedy tests ancestors on their local summaries itself, so a plan contacts what greedy does; contacts, bytes and recall asserted identical per query");
     fig.set_telemetry(reg.snapshot());
     fig.write_default();
     write_chrome_trace_default(&fig.figure, &rec);

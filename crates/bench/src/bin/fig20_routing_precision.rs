@@ -1,0 +1,227 @@
+//! Figure 20: where a query's contacts go, and how many a better summary
+//! could save — ROADMAP item 2(a)'s diagnosis as a table (beyond the paper).
+//!
+//! Over the paper-default workload and the benchmark's `live_selective`,
+//! every query's contact log is classified per hierarchy level: Branch
+//! contacts; the *hollow* ones, whose whole redirect subtree returned
+//! nothing — split into those where some one server below has a matching
+//! local summary (bucket granularity, attribute independence) and those
+//! where none has (the ranges are matched by different servers:
+//! aggregation); ancestor probes and the wasted ones. Beside them, the
+//! contacts two oracles would need (a branch test that is never wrong; one
+//! exact bounding box per server) and what the parts cost in update bytes.
+
+use roads_bench::{banner, figure_config, parse_args, TrialConfig};
+use roads_core::{
+    execute_query_with, explain_from_trace, record_query_events, update_round, ContactMode,
+    QueryOptions, RoadsConfig, RoadsNetwork, ServerId,
+};
+use roads_netsim::DelaySpace;
+use roads_records::{Predicate, Query, WireSize};
+use roads_summary::{Summary, SummaryConfig};
+use roads_telemetry::{
+    write_chrome_trace_default, ExplainDecision, FigureExport, Recorder, TraceId,
+};
+use roads_workload::{
+    default_schema, generate_node_records, generate_queries, QueryWorkloadConfig,
+    RecordWorkloadConfig,
+};
+
+/// What is tallied per hierarchy level, in column order.
+#[rustfmt::skip]
+const COLUMNS: [&str; 6] =
+    ["branch", "hollow", "hollow_one_server", "hollow_aggregation", "probes", "wasted_probes"];
+
+/// Servers a query from `entry` contacts when a branch is descended iff
+/// `branch(t)` and an ancestor probed iff `probe(a)`: the protocol's walk
+/// with the summary tests swapped out.
+fn walk(
+    net: &RoadsNetwork,
+    entry: ServerId,
+    branch: &dyn Fn(ServerId) -> bool,
+    probe: &dyn Fn(ServerId) -> bool,
+) -> usize {
+    let (tree, rset) = (net.tree(), net.replica_set(entry));
+    let mut frontier: Vec<ServerId> = (tree.children(entry).iter().copied())
+        .chain(rset.redirect_targets())
+        .filter(|&t| branch(t))
+        .collect();
+    let mut contacts = 1 + rset.ancestors.iter().filter(|&&a| probe(a)).count();
+    while let Some(s) = frontier.pop() {
+        contacts += 1;
+        frontier.extend(tree.children(s).iter().copied().filter(|&c| branch(c)));
+    }
+    contacts
+}
+
+/// Whether the exact bounding box `(min, max)` per attribute holds `q`.
+fn box_holds(bounds: &[(f64, f64)], q: &Query) -> bool {
+    q.predicates().iter().all(|p| match p {
+        Predicate::Range { attr, lo, hi } => {
+            let (min, max) = bounds[attr.index()];
+            min <= *hi && max >= *lo
+        }
+        _ => true,
+    })
+}
+
+fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig) {
+    let schema = default_schema(cfg.attrs);
+    let records = generate_node_records(&RecordWorkloadConfig {
+        nodes: cfg.nodes,
+        records_per_node: cfg.records_per_node,
+        attrs: cfg.attrs,
+        seed: cfg.seed,
+    });
+    let bounds = |rs: &Vec<roads_records::Record>, a: usize| {
+        let column = rs.iter().filter_map(|r| r.values()[a].as_f64());
+        column.fold((f64::MAX, f64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)))
+    };
+    let boxes: Vec<Vec<(f64, f64)>> = (records.iter())
+        .map(|rs| (0..cfg.attrs).map(|a| bounds(rs, a)).collect())
+        .collect();
+    let roads = RoadsConfig {
+        max_children: cfg.degree,
+        summary: SummaryConfig::with_buckets(cfg.buckets),
+        ..RoadsConfig::paper_default()
+    };
+    let net = RoadsNetwork::build(schema.clone(), roads, records);
+    let tree = net.tree();
+    let delays = DelaySpace::paper(cfg.nodes, cfg.seed);
+    let workload = QueryWorkloadConfig {
+        count: cfg.queries,
+        dims: cfg.query_dims,
+        range_len: 0.25,
+        nodes: cfg.nodes,
+        seed: cfg.seed ^ 0x51_7E41,
+    };
+    let queries = generate_queries(&schema, &workload);
+
+    let mut levels = vec![[0u64; COLUMNS.len()]; tree.levels()];
+    let [mut contacts, mut matching, mut perfect, mut boxed] = [0usize; 4];
+    for (qi, (q, start)) in queries.iter().enumerate() {
+        let entry = ServerId(*start as u32);
+        let (mut log, opts) = (Vec::new(), QueryOptions::default());
+        let out = execute_query_with(&net, &delays, q, entry, &opts, Some(&mut log));
+        if qi % 16 == 0 {
+            record_query_events(rec, rec.next_trace_id(), &log);
+        }
+        // Hollow is the explain plane's `false_positive`: a Branch contact
+        // whose whole redirect subtree returned nothing.
+        let explain = explain_from_trace(&net, q, TraceId::NONE, &log, ExplainDecision::Entry);
+        for (e, hop) in log.iter().zip(&explain.hops) {
+            let one_server = || {
+                let below = tree.subtree(e.server);
+                below.iter().any(|&s| net.local_summary(s).may_match(q))
+            };
+            let tally = match e.mode {
+                ContactMode::Branch if !hop.false_positive => [1, 0, 0, 0, 0, 0],
+                ContactMode::Branch if one_server() => [1, 1, 1, 0, 0, 0],
+                ContactMode::Branch => [1, 1, 0, 1, 0, 0],
+                ContactMode::LocalOnly => [0, 0, 0, 0, 1, u64::from(e.local_matches == 0)],
+                _ => [0; COLUMNS.len()],
+            };
+            let level = &mut levels[tree.depth(e.server)];
+            (0..COLUMNS.len()).for_each(|c| level[c] += tally[c]);
+        }
+        let holders = net.matching_servers(q);
+        let below =
+            |t: ServerId, holds: &dyn Fn(ServerId) -> bool| tree.subtree(t).into_iter().any(holds);
+        let matches = |s: ServerId| holders.contains(&s);
+        let in_box = |s: ServerId| box_holds(&boxes[s.index()], q);
+        // The walk is the executor's: with the real tests it counts the same.
+        let branch_test = |t: ServerId| net.branch_summary(t).may_match(q);
+        let probe_test = |a: ServerId| net.local_summary(a).may_match(q);
+        assert_eq!(
+            walk(&net, entry, &branch_test, &probe_test),
+            out.servers_contacted
+        );
+        contacts += out.servers_contacted;
+        matching += holders.len();
+        perfect += walk(&net, entry, &|t| below(t, &matches), &matches);
+        boxed += walk(&net, entry, &|t| below(t, &in_box), &in_box);
+    }
+
+    // Bytes the parts add to a round: each branch summary's trailer, times
+    // the copies of it a round ships (one up, one to each overlay reader).
+    let flat = Summary::empty(&schema, &roads.summary);
+    let parts_bytes: usize = (tree.servers().into_iter())
+        .map(|s| {
+            let mut bare = net.branch_summary(s).clone();
+            bare.merge(&flat).expect("one schema");
+            let reads = |c: &&ServerId| net.replica_set(**c).all().contains(&s);
+            let copies = tree.servers().iter().filter(reads).count();
+            (net.branch_summary(s).wire_size() - bare.wire_size())
+                * (copies + usize::from(tree.parent(s).is_some()))
+        })
+        .sum();
+    let round_bytes = update_round(&net).total_bytes() as usize;
+    let share = parts_bytes as f64 / (round_bytes - parts_bytes) as f64;
+
+    let per_query = |v: usize| v as f64 / queries.len() as f64;
+    println!(
+        "\n{name}: {} servers x {} records, {} attributes, {} buckets, fan-out {}, {} queries of {} ranges",
+        cfg.nodes, cfg.records_per_node, cfg.attrs, cfg.buckets, cfg.degree, queries.len(), cfg.query_dims
+    );
+    println!("depth {}", COLUMNS.map(|c| format!("{c:>18}")).join(" "));
+    let mut rows: Vec<(String, Vec<f64>)> = (levels.iter().enumerate())
+        .map(|(d, l)| {
+            (
+                d.to_string(),
+                l.iter().map(|&v| per_query(v as usize)).collect(),
+            )
+        })
+        .collect();
+    let total = |c: usize| rows.iter().map(|(_, row)| row[c]).sum();
+    rows.push(("all".into(), (0..COLUMNS.len()).map(total).collect()));
+    for (depth, row) in &rows {
+        let cells: Vec<String> = row.iter().map(|v| format!("{v:>18.2}")).collect();
+        println!("{depth:>5} {}", cells.join(" "));
+    }
+    let [contacts, matching, perfect, boxed] = [contacts, matching, perfect, boxed].map(per_query);
+    println!(
+        "contacts/query {contacts:.2} for {matching:.2} servers holding a match; oracle bounds: \
+         perfect branch test {perfect:.2}, one exact box per server {boxed:.2}"
+    );
+    println!(
+        "update round {round_bytes} B, of which parts {parts_bytes} B (+{:.3} %)",
+        100.0 * share
+    );
+    for (c, column) in COLUMNS.iter().enumerate() {
+        let by_depth = rows.iter().take(levels.len()).enumerate();
+        let points: Vec<(f64, f64)> = by_depth.map(|(d, (_, row))| (d as f64, row[c])).collect();
+        fig.push_series(format!("{name}_{column}"), &points);
+    }
+    fig.push_reference(format!("{name}_contacts_vs_perfect"), contacts, perfect);
+    fig.push_reference(format!("{name}_contacts_vs_server_boxes"), contacts, boxed);
+    fig.push_reference(format!("{name}_parts_update_share"), share, 0.01);
+}
+
+fn main() {
+    banner(
+        "Figure 20 — routing precision: hollow contacts by level and cause",
+        "beyond the paper: what the summaries' false positives cost, and the oracle bounds",
+    );
+    let paper = figure_config();
+    let (quick, ..) = parse_args();
+    // The benchmark's `live_selective`, its default seed included.
+    let benchmark = TrialConfig {
+        nodes: 64,
+        records_per_node: if quick { 200 } else { 2_000 },
+        attrs: 8,
+        buckets: 128,
+        degree: 4,
+        queries: if quick { 200 } else { 1_200 },
+        seed: 0x5EED_0013,
+        ..paper
+    };
+    let title = "Branch contacts, hollow contacts and wasted probes per query by hierarchy level";
+    let mut fig = FigureExport::new("fig20_routing_precision", title)
+        .axes("hierarchy depth of the contacted server", "per query");
+    let rec = Recorder::new(65_536);
+    measure(&mut fig, &rec, "paper", &paper);
+    measure(&mut fig, &rec, "benchmark", &benchmark);
+    fig.push_note("hollow = a Branch contact whose whole redirect subtree returned nothing; aggregation = no single server below has a matching local summary");
+    fig.write_default();
+    write_chrome_trace_default(&fig.figure, &rec);
+}

@@ -60,18 +60,24 @@ pub struct ReplicaLedger {
 }
 
 /// The authoritative branch summary of `target` under a liveness mask:
-/// the bottom-up re-aggregate of the local summaries of every *live*
-/// server in `target`'s subtree. With everyone live this equals
-/// [`RoadsNetwork::branch_summary`]; with deaths it is what a fresh
-/// aggregation wave would produce.
+/// what a fresh aggregation wave would produce — `target`'s subtree
+/// aggregated bottom-up through [`Summary::branch_of`], the way the
+/// network aggregates it, with every dead server's local summary left
+/// out. A dead server contributes neither records nor a box; its live
+/// descendants still do. With everyone live this equals
+/// [`RoadsNetwork::branch_summary`].
 pub fn authoritative_branch(net: &RoadsNetwork, target: ServerId, live: &[bool]) -> Summary {
-    let members = net.tree().subtree(target);
-    let parts = members
-        .iter()
-        .filter(|s| live.get(s.index()).copied().unwrap_or(true))
-        .map(|&s| net.local_summary(s));
-    Summary::aggregate(net.schema(), &net.config().summary, parts)
-        .expect("uniform schema/config across the federation")
+    let children: Vec<Summary> = (net.tree().children(target).iter())
+        .map(|&c| authoritative_branch(net, c, live))
+        .collect();
+    let nothing;
+    let local = if live.get(target.index()) == Some(&false) {
+        nothing = Summary::empty(net.schema(), &net.config().summary);
+        &nothing
+    } else {
+        net.local_summary(target)
+    };
+    Summary::branch_of(local, &children).expect("uniform schema/config across the federation")
 }
 
 /// Per-target authoritative summaries, computed once per distinct target.

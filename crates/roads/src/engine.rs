@@ -122,6 +122,20 @@ fn maybe_time<T>(timers: &Option<StageTimers<'_>>, stage: &str, f: impl FnOnce()
     }
 }
 
+/// The branch summary of `s`: its `local` summary aggregated with its
+/// children's entries of `branch`, which must be current. Children merge
+/// in `children()` order, so a build at any thread count and a delta's
+/// re-aggregation produce the same summary byte for byte.
+fn aggregate_branch(
+    tree: &HierarchyTree,
+    local: &Summary,
+    branch: &[Summary],
+    s: ServerId,
+) -> Summary {
+    let children = tree.children(s).iter().map(|c| &branch[c.index()]);
+    Summary::branch_of(local, children).expect("uniform schema/config across the federation")
+}
+
 /// Result of evaluating a query at one server.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalResult {
@@ -133,10 +147,11 @@ pub struct EvalResult {
     /// only when evaluating at a query's entry server).
     pub replica_targets: Vec<ServerId>,
     /// Ancestors worth probing for *locally attached* matches (populated
-    /// only at the entry server). Sibling and ancestor-sibling branches
-    /// cover the whole hierarchy except the ancestors' own attached
-    /// records; the replicated ancestor summaries let the entry decide
-    /// whether those are worth a local-only probe.
+    /// only at the entry server): those whose local summary may match.
+    /// Sibling and ancestor-sibling branches cover the whole hierarchy
+    /// except the ancestors' own attached records, and the entry can tell
+    /// those apart from the summaries it replicates (see
+    /// [`RoadsNetwork::evaluate`]).
     pub ancestor_targets: Vec<ServerId>,
 }
 
@@ -382,12 +397,7 @@ impl RoadsNetwork {
                 }
                 let merged: Vec<Summary> = par_map(parents.len(), threads, |i| {
                     let p = parents[i];
-                    let mut acc = branch_summary[p.index()].clone();
-                    for &c in tree.children(p) {
-                        acc.merge(&branch_summary[c.index()])
-                            .expect("uniform schema/config across the federation");
-                    }
-                    acc
+                    aggregate_branch(&tree, stores[p.index()].summary(), &branch_summary, p)
                 });
                 for (&p, s) in parents.iter().zip(merged) {
                     branch_summary[p.index()] = s;
@@ -479,6 +489,19 @@ impl RoadsNetwork {
     /// query's entry server the overlay provides shortcuts to remote
     /// branches; at servers reached by redirection only the local data and
     /// children are searched (their branch is their responsibility).
+    ///
+    /// An ancestor is probed only if its *local* summary may match. Its
+    /// branch summary would answer yes whenever the entry itself can (it
+    /// contains the entry's branch), and the entry need not be shipped the
+    /// local one: an ancestor's children are the next ancestor down (or
+    /// the entry) and that one's siblings, whose branch summaries the
+    /// entry replicates, and counting histograms subtract exactly —
+    /// `local(a) = branch(a) − Σ branch(child of a)`
+    /// ([`Summary::without`]; the message plane's [`crate::protocol`]
+    /// computes it so). The converged network reads the stored local
+    /// summary, which is that difference — except that a value set or a
+    /// Bloom filter cannot subtract and a deployment would keep the
+    /// branch's, probing a superset of the ancestors probed here.
     pub fn evaluate(&self, s: ServerId, query: &Query, entry: bool) -> EvalResult {
         let local_match = self.local_summary(s).may_match(query);
         let child_targets = self.matching_children(s, query).collect();
@@ -488,15 +511,11 @@ impl RoadsNetwork {
                 .into_iter()
                 .filter(|t| self.branch_summary[t.index()].may_match(query))
                 .collect();
-            // Ancestor *branch* summaries include this server's own branch,
-            // so they over-approximate; the probe itself is a cheap
-            // local-only lookup, and the filter still prunes ancestors
-            // whose whole branch provably has no match.
             let ancestors = self.replicas[s.index()]
                 .ancestors
                 .iter()
                 .copied()
-                .filter(|a| self.branch_summary[a.index()].may_match(query))
+                .filter(|&a| self.local_summary(a).may_match(query))
                 .collect();
             (replicas, ancestors)
         } else {
@@ -715,15 +734,10 @@ impl RoadsNetwork {
     }
 
     /// Recompute the branch summary of `s` from its local summary and its
-    /// children's branch summaries, which must be current. Merge order
-    /// follows `children()` order, matching the full build byte for byte.
+    /// children's branch summaries, which must be current.
     fn reaggregate_branch(&mut self, s: ServerId) {
-        let mut acc = self.local_summary(s).clone();
-        for &c in self.tree.children(s) {
-            acc.merge(&self.branch_summary[c.index()])
-                .expect("uniform schema/config across the federation");
-        }
-        self.branch_summary[s.index()] = acc;
+        self.branch_summary[s.index()] =
+            aggregate_branch(&self.tree, self.local_summary(s), &self.branch_summary, s);
     }
 
     /// Re-derive every summary from raw records: rebuild every local
@@ -1360,6 +1374,42 @@ mod tests {
         assert_eq!(base.branch_summary(base.tree().root()), &root_before);
         assert_equals_rebuild(&base);
         assert_equals_rebuild(&twin);
+    }
+
+    #[test]
+    fn an_ancestors_local_summary_is_its_branch_less_its_childrens() {
+        // What lets an entry test its ancestors on their local summaries
+        // at no cost in bytes: it replicates the branch summary of every
+        // ancestor and of every ancestor's children (the next ancestor
+        // down, or itself, and that one's siblings), and counters
+        // subtract exactly — bucket for bucket, occupied range included.
+        let check = |net: &RoadsNetwork| {
+            for s in net.tree().servers() {
+                let mut up = net.tree().parent(s);
+                while let Some(a) = up {
+                    let children = net.tree().children(a).iter();
+                    let computed =
+                        (net.branch_summary(a)).without(children.map(|&c| net.branch_summary(c)));
+                    assert_eq!(
+                        computed.as_ref(),
+                        Some(net.local_summary(a)),
+                        "{a} above {s}"
+                    );
+                    up = net.tree().parent(a);
+                }
+            }
+        };
+        let mut small = small_network();
+        check(&small);
+        check(&deep_network());
+        let schema = small.schema().clone();
+        let mut delta = crate::store::RecordDelta::new();
+        delta
+            .update(ServerId(1), unit_record(&schema, 1, 1, &[0.95, 0.05]))
+            .remove(ServerId(0), RecordId(0))
+            .insert(ServerId(6), unit_record(&schema, 100, 9, &[0.0, 1.0]));
+        assert_eq!(small.apply(&delta).applied, 3);
+        check(&small);
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! In Fig. 2: server D₁ replicates its sibling D₂, its ancestors C₁, B₁, A,
 //! and their siblings C₂, B₂ — so a search can start at D₁ and be redirected
 //! straight to C₂ and B₂ without climbing to the root.
+//!
+//! The ancestors' copies also tell D₁ whether an ancestor's *own* records
+//! are worth a probe: C₁'s children are D₁ and D₂, both known to D₁, so
+//! C₁'s local summary is its branch summary less theirs, and likewise one
+//! level up (B₁ less C₁ and C₂) — see
+//! [`RoadsNetwork::evaluate`](crate::RoadsNetwork::evaluate).
 
 use crate::tree::{HierarchyTree, ServerId};
 
@@ -19,7 +25,8 @@ use crate::tree::{HierarchyTree, ServerId};
 pub enum ReplicaRole {
     /// A sibling's branch.
     Sibling,
-    /// An ancestor's branch (coverage accounting and scope widening).
+    /// An ancestor's branch (coverage accounting, scope widening, and —
+    /// less its children's branches — the ancestor's local summary).
     Ancestor,
     /// An ancestor's sibling's branch (cross-branch redirect shortcut).
     AncestorSibling,

@@ -2,19 +2,11 @@
 //! the entry server's replicated branch summaries.
 //!
 //! The greedy execution in [`crate::queryexec`] expands the entry's overlay
-//! view hop-by-hop: every child, sibling, ancestor-sibling and ancestor
-//! whose replicated *branch* summary may match is contacted. Two of those
-//! decisions are systematically wasteful:
+//! view hop-by-hop: every child, sibling and ancestor-sibling whose
+//! replicated *branch* summary may match is contacted, and every ancestor
+//! whose *local* summary may. The planner starts from the same targets —
+//! it asks [`RoadsNetwork::route`] — and adds one decision:
 //!
-//! * **Ancestor probes.** An ancestor's branch summary includes the entry's
-//!   own branch, so on any query the entry itself can answer, every
-//!   ancestor's branch summary matches too — greedy pays O(depth)
-//!   local-only probes per query. The entry also replicates each ancestor's
-//!   summaries, so the planner evaluates the ancestor's **local** summary
-//!   instead: still conservative (a local summary over-approximates the
-//!   ancestor's attached records, nothing else), so recall is unchanged,
-//!   but probes of ancestors holding provably-irrelevant local data are
-//!   pruned before any message is sent.
 //! * **Redundant covers.** Federated source selection over replicated
 //!   fragments (Fedra) shows a minimal covering subset of endpoints
 //!   answers the same query. The planner runs greedy set-cover over the
@@ -25,6 +17,14 @@
 //!   construction (`overlay::coverage` proves they partition the
 //!   hierarchy), so every matching candidate is selected; the machinery
 //!   exists for degraded or custom topologies where copies overlap.
+//!
+//! It used to make a second one: greedy probed every ancestor whose
+//! *branch* summary matched — which contains the entry's own branch, so
+//! O(depth) wasted probes on any query the entry could answer — and the
+//! planner tested the ancestor's local summary instead. That test is now
+//! the protocol's own ([`RoadsNetwork::evaluate`]), so on a converged
+//! overlay a plan contacts exactly the servers greedy does, and
+//! [`QueryPlan::pruned_probes`] reads 0.
 //!
 //! The resulting [`QueryPlan`] is dispatched as one batch from the entry
 //! ([`QueryOptions::plan`](crate::queryexec::QueryOptions::plan)) instead
@@ -84,8 +84,9 @@ pub struct QueryPlan {
     pub candidates: usize,
     /// Servers the chosen contacts jointly cover.
     pub covered: usize,
-    /// Ancestor probes greedy would have paid for that the ancestor's
-    /// replicated *local* summary proved pointless.
+    /// Ancestor probes greedy would have paid for that the plan spares.
+    /// Always 0 since greedy tests an ancestor's local summary itself;
+    /// kept because PLAN.json and `roads.planner.pruned_probes` carry it.
     pub pruned_probes: usize,
 }
 
@@ -195,7 +196,6 @@ pub fn plan_query_with(
     delays: Option<&DelaySpace>,
 ) -> QueryPlan {
     let tree = net.tree();
-    let entry_depth = tree.depth(entry);
     // Epoch of the summary copy the entry holds for `target`. Children's
     // summaries are received directly (not via the overlay wave), so they
     // carry the ledger's current epoch; overlay copies carry their entry's
@@ -217,58 +217,23 @@ pub fn plan_query_with(
     let mut candidates: Vec<CoverCandidate> = Vec::new();
     let mut actions: Vec<PlanAction> = Vec::new();
 
-    // Children: the entry holds their branch summaries directly.
-    for &c in tree.children(entry) {
-        if net.branch_summary(c).may_match(query) {
-            candidates.push(CoverCandidate {
-                server: c,
-                covers: tree.subtree(c),
-                epoch: epoch_of(c),
-                cost_us: cost_of(c),
-            });
-            actions.push(PlanAction::Descend);
-        }
-    }
-    // Overlay redirect targets: siblings and ancestors' siblings, each
-    // responsible for its whole branch.
-    let rset = net.replica_set(entry);
-    for t in rset.redirect_targets() {
-        if scope.admits_replica(entry_depth, tree.depth(t))
-            && net.branch_summary(t).may_match(query)
-        {
-            candidates.push(CoverCandidate {
-                server: t,
-                covers: tree.subtree(t),
-                epoch: epoch_of(t),
-                cost_us: cost_of(t),
-            });
-            actions.push(PlanAction::Descend);
-        }
-    }
-    // Ancestors: greedy probes every ancestor whose *branch* summary
-    // matches — which includes the entry's own branch, so it matches far
-    // too often. The replicated *local* summary decides instead; both are
-    // conservative over the ancestor's attached records, so pruning here
-    // cannot lose a match.
-    let mut pruned_probes = 0usize;
-    for &a in &rset.ancestors {
-        if !scope.admits_ancestor(entry_depth, tree.depth(a)) {
-            continue;
-        }
-        if !net.branch_summary(a).may_match(query) {
-            continue; // greedy would not have probed it either
-        }
-        if net.local_summary(a).may_match(query) {
-            candidates.push(CoverCandidate {
-                server: a,
-                covers: vec![a],
-                epoch: epoch_of(a),
-                cost_us: cost_of(a),
-            });
-            actions.push(PlanAction::Probe);
-        } else {
-            pruned_probes += 1;
-        }
+    // What the entry would contact anyway, in its order: matching
+    // children, overlay redirect targets (siblings and ancestors'
+    // siblings) — each responsible for its whole branch — and ancestors
+    // whose local summary may match, responsible for themselves.
+    let (_, targets) = net.route(entry, query, ContactMode::Entry, scope);
+    for (t, mode) in targets {
+        let (action, covers) = match mode {
+            ContactMode::LocalOnly => (PlanAction::Probe, vec![t]),
+            _ => (PlanAction::Descend, tree.subtree(t)),
+        };
+        candidates.push(CoverCandidate {
+            server: t,
+            covers,
+            epoch: epoch_of(t),
+            cost_us: cost_of(t),
+        });
+        actions.push(action);
     }
 
     let universe: BTreeSet<ServerId> = candidates
@@ -292,7 +257,7 @@ pub fn plan_query_with(
         contacts,
         candidates: n_candidates,
         covered,
-        pruned_probes,
+        pruned_probes: 0,
     }
 }
 
@@ -421,30 +386,25 @@ mod tests {
     }
 
     #[test]
-    fn plan_prunes_ancestor_probes_on_selective_query() {
+    fn plan_contacts_what_greedy_does_on_selective_query() {
         let (net, delays) = network(30, 3);
         // A query matching only the entry leaf's own record: every
         // ancestor's branch summary matches (it contains the leaf), but no
-        // ancestor's local summary does.
+        // ancestor's local summary does — and it is the local summary
+        // that greedy tests, so the plan has no probe left to spare.
         let leaf = *net.tree().leaves().iter().max().unwrap();
         let q = point_query(&net, leaf.0 as f64 / 30.0);
+        let mut anc = net.tree().parent(leaf);
+        while let Some(a) = anc {
+            assert!(net.branch_summary(a).may_match(&q) && !net.local_summary(a).may_match(&q));
+            anc = net.tree().parent(a);
+        }
         let greedy = execute_query(&net, &delays, &q, leaf, SearchScope::full());
         let plan = plan_query(&net, &q, leaf, SearchScope::full());
-        assert!(
-            plan.pruned_probes > 0,
-            "ancestor branch summaries over-approximate; local summaries must prune"
-        );
+        assert_eq!((plan.probes(), plan.pruned_probes), (0, 0));
         let planned = execute_query_planned(&net, &delays, &q, leaf, SearchScope::full(), &plan);
-        assert!(
-            planned.servers_contacted < greedy.servers_contacted,
-            "planned {} !< greedy {}",
-            planned.servers_contacted,
-            greedy.servers_contacted
-        );
-        assert!(planned.query_bytes < greedy.query_bytes);
-        // Recall identical.
-        assert_eq!(planned.matching_servers, greedy.matching_servers);
-        assert_eq!(planned.matching_records, greedy.matching_records);
+        assert_eq!(planned, greedy, "same contacts, bytes, latency and recall");
+        assert_eq!(greedy.servers_contacted, 1, "nobody else can hold a match");
     }
 
     #[test]

@@ -78,7 +78,10 @@ pub struct DataNode {
     /// Static topology (from the membership plane).
     parent: Option<NodeId>,
     children: Vec<NodeId>,
-    /// Siblings/ancestors this node expects replicas from (overlay spec).
+    /// This node's ancestors, nearest first, each with its children: what
+    /// an entry needs to know to tell an ancestor's local summary from the
+    /// branch summaries it replicates.
+    ancestors: Vec<(NodeId, Vec<NodeId>)>,
     records: Vec<Record>,
     local_summary: Summary,
     /// Fresh branch summaries of children (TTL soft state).
@@ -101,6 +104,7 @@ impl DataNode {
         schema: Schema,
         parent: Option<NodeId>,
         children: Vec<NodeId>,
+        ancestors: Vec<(NodeId, Vec<NodeId>)>,
         records: Vec<Record>,
     ) -> Self {
         let local_summary = Summary::from_records(&schema, &cfg.summary, &records);
@@ -111,6 +115,7 @@ impl DataNode {
             schema,
             parent,
             children,
+            ancestors,
             records,
             local_summary,
             alive: true,
@@ -144,6 +149,12 @@ impl DataNode {
         self.results.get(&q).copied()
     }
 
+    /// Whether query `q` reached this server (and is still within its
+    /// duplicate-suppression window).
+    pub fn handled(&self, q: QueryId) -> bool {
+        self.seen_queries.contains_key(&q)
+    }
+
     /// Number of fresh replicas currently held.
     pub fn fresh_replicas(&self, now_ms: u64) -> usize {
         self.replicas.iter_fresh(now_ms).count()
@@ -159,15 +170,31 @@ impl DataNode {
         self.child_summaries.get(&child, now_ms).is_some()
     }
 
-    /// Branch summary from current (possibly stale) state.
+    /// Branch summary from current (possibly stale) state: the local
+    /// summary aggregated with the fresh child summaries, in child order.
     fn branch_summary(&self, now_ms: u64) -> Summary {
-        let mut branch = self.local_summary.clone();
-        for (_, s) in self.child_summaries.iter_fresh(now_ms) {
-            branch
-                .merge(s)
-                .expect("uniform schema/config across the federation");
-        }
-        branch
+        let fresh = (self.children.iter()).filter_map(|c| self.child_summaries.get(c, now_ms));
+        Summary::branch_of(&self.local_summary, fresh)
+            .expect("uniform schema/config across the federation")
+    }
+
+    /// The local summary of ancestor `a`, whose children are `kids`, from
+    /// what this node replicates: `a`'s branch summary less its children's
+    /// (`mine`, this node's own branch, the next ancestor's, and their
+    /// siblings'). `None` while a copy is missing or the copies are of
+    /// different rounds and do not subtract.
+    fn ancestor_local(
+        &self,
+        (a, kids): &(NodeId, Vec<NodeId>),
+        (me, mine): (NodeId, &Summary),
+        now_ms: u64,
+    ) -> Option<Summary> {
+        let of_kid = |k: &NodeId| match *k == me {
+            true => Some(mine),
+            false => self.replicas.get(&k.0, now_ms),
+        };
+        let kids: Option<Vec<&Summary>> = kids.iter().map(of_kid).collect();
+        self.replicas.get(&a.0, now_ms)?.without(kids?)
     }
 
     fn send(&self, ctx: &mut Ctx<'_, DataMsg>, to: NodeId, msg: DataMsg, class: TrafficClass) {
@@ -283,33 +310,32 @@ impl DataNode {
             self.send(ctx, c, msg, TrafficClass::Query);
         }
 
-        // At the entry server: overlay shortcuts to matching replicas.
+        // At the entry server: overlay shortcuts to matching replicas. A
+        // sibling's or an ancestor's sibling's copy vouches for its whole
+        // branch. An ancestor's copy contains this node's own branch, so
+        // it is asked only for its attached records, and only if its local
+        // summary — its copy less its children's — may match; while that
+        // cannot be computed, the copy itself decides.
         if entry {
-            let mut replica_targets: Vec<(u32, bool)> = self
-                .replicas
-                .iter_fresh(now_ms)
-                .filter(|(_, s)| s.may_match(&query))
-                .map(|(origin_server, _)| (*origin_server, false))
-                .collect();
-            replica_targets.sort_by_key(|(k, _)| *k);
-            for (target, _) in replica_targets {
-                let target = NodeId(target);
-                if target == me {
-                    continue;
+            let mine = self.branch_summary(now_ms);
+            let mut shortcuts: Vec<(u32, bool)> = Vec::new();
+            for (&origin, copy) in self.replicas.iter_fresh(now_ms) {
+                let ancestor = self.ancestors.iter().find(|(a, _)| a.0 == origin);
+                let local = ancestor.and_then(|a| self.ancestor_local(a, (me, &mine), now_ms));
+                let matches = local.as_ref().unwrap_or(copy).may_match(&query);
+                if matches && NodeId(origin) != me {
+                    shortcuts.push((origin, ancestor.is_some()));
                 }
-                // Ancestor targets are those on our root path; we cannot
-                // see the tree here, so the sender marks local_only for
-                // targets that are our direct ancestors — detected by the
-                // replica having been learned as "from above" via the
-                // parent chain. Conservatively: forward as branch query;
-                // duplicate suppression keeps re-visits cheap.
+            }
+            shortcuts.sort_unstable();
+            for (target, local_only) in shortcuts {
                 let msg = DataMsg::Query {
                     query: query.clone(),
                     origin,
                     entry: false,
-                    local_only: false,
+                    local_only,
                 };
-                self.send(ctx, target, msg, TrafficClass::Query);
+                self.send(ctx, NodeId(target), msg, TrafficClass::Query);
             }
         }
     }
@@ -390,12 +416,19 @@ pub fn build_data_simulation(
     for (i, records) in records_per_server.into_iter().enumerate() {
         let s = ServerId(i as u32);
         let parent = tree.parent(s).map(|p| NodeId(p.0));
-        let children = tree.children(s).iter().map(|c| NodeId(c.0)).collect();
+        let node_ids = |servers: &[ServerId]| servers.iter().map(|c| NodeId(c.0)).collect();
+        let mut ancestors = Vec::new();
+        let mut up = tree.parent(s);
+        while let Some(a) = up {
+            ancestors.push((NodeId(a.0), node_ids(tree.children(a))));
+            up = tree.parent(a);
+        }
         nodes.push(DataNode::new(
             cfg,
             schema.clone(),
             parent,
-            children,
+            node_ids(tree.children(s)),
+            ancestors,
             records,
         ));
     }

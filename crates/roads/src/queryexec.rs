@@ -314,17 +314,21 @@ fn contact_decision(
 /// it, the summary kind its routing verdict hinged on, false-positive
 /// detection, how it ended and its latency split.
 ///
+/// A branch contact is a false positive when a summary vouched for its
+/// subtree and nothing came of it: neither it nor any contact it caused,
+/// however far down, returned a record (an unanswered one may have held
+/// some, so it clears its forwarders of the charge).
+///
 /// `entry` is what the entry server did with the query: expanded its own
 /// overlay view (`Entry`), dispatched a precomputed plan (`Planned` — its
 /// direct contacts read so) or answered from its result cache (`CacheHit`
 /// — it is the whole log). Every other decision follows from the contact
 /// itself: its mode, its forwarder, the retries behind it.
 ///
-/// The vouching summary is the one routing tested: the target's branch
-/// summary for descents, shortcuts and ancestor probes
-/// ([`RoadsNetwork::evaluate`] filters ancestors on it too), its local
-/// summary only for a planned probe ([`crate::plan_query`]'s pruning
-/// criterion); retries, stand-ins and the entry consulted none.
+/// The vouching summary is the one routing tested
+/// ([`RoadsNetwork::evaluate`], whose answer a plan dispatches too): the
+/// target's branch summary for a descent or a shortcut, its local summary
+/// for an ancestor probe; retries, stand-ins and the entry consulted none.
 ///
 /// The header says what the log alone can: the response is when the
 /// entry's contact closed, the records are the local matches summed, and
@@ -342,30 +346,36 @@ pub fn explain_from_trace(
 ) -> QueryExplain {
     let to_us = |ms: f64| ms * 1000.0;
     let replied = |e: &TraceEvent| e.outcome == HopOutcome::Replied;
+    // Records found in each contact's whole redirect subtree: causes
+    // precede their effects, so one reverse pass sums them up the log.
+    let mut found: Vec<usize> = (trace.iter())
+        .map(|e| if replied(e) { e.local_matches } else { 1 })
+        .collect();
+    for i in (1..trace.len()).rev() {
+        if let Some(p) = trace[i].caused_by {
+            found[p] += found[i];
+        }
+    }
     let hops = (trace.iter().enumerate())
         .map(|(i, e)| {
             let decision = contact_decision(net, trace, i, entry);
-            let vouching = match decision {
-                ExplainDecision::Planned if e.mode == ContactMode::LocalOnly => {
-                    Some(net.local_summary(e.server))
-                }
+            // A routed contact's mode says which summary routing tested.
+            let routed = matches!(
+                decision,
                 ExplainDecision::SummaryDescent
-                | ExplainDecision::OverlayShortcut
-                | ExplainDecision::AncestorProbe
-                | ExplainDecision::Planned => Some(net.branch_summary(e.server)),
-                _ => None,
-            };
+                    | ExplainDecision::OverlayShortcut
+                    | ExplainDecision::AncestorProbe
+                    | ExplainDecision::Planned
+            );
+            let vouching = routed.then(|| match e.mode {
+                ContactMode::LocalOnly => net.local_summary(e.server),
+                _ => net.branch_summary(e.server),
+            });
             ExplainHop {
                 server: e.server.0,
                 decision,
                 summary: vouching.and_then(|s| verdict_kind(s.decide(query))),
-                // A branch summary vouched for this subtree, yet neither
-                // local records nor any further redirect came back: the
-                // lossy summary matched spuriously.
-                false_positive: replied(e)
-                    && e.mode == ContactMode::Branch
-                    && e.local_matches == 0
-                    && e.forwarded_to.is_empty(),
+                false_positive: e.mode == ContactMode::Branch && found[i] == 0,
                 outcome: e.outcome,
                 at_us: to_us(e.at_ms),
                 dur_us: to_us(e.closed_ms - e.at_ms),
@@ -923,6 +933,48 @@ mod tests {
     }
 
     #[test]
+    fn a_hollow_chain_is_flagged_all_the_way_up() {
+        // The benchmark's definition (`summary.false_positive_ratio`): a
+        // Branch contact is hollow when nothing in its whole redirect
+        // subtree returned a record — the interior contacts of a hollow
+        // chain included, not only its last one.
+        let (net, _) = network(10, 3);
+        let q = point_query(&net, 0.5);
+        let contact = |server: u32, mode, caused_by, local_matches| TraceEvent {
+            server: ServerId(server),
+            at_ms: 0.0,
+            mode,
+            caused_by,
+            local_matches,
+            forwarded_to: Vec::new(),
+            outcome: HopOutcome::Replied,
+            tries: 0,
+            closed_ms: 0.0,
+            split: LatencySplit::default(),
+        };
+        let branch = ContactMode::Branch;
+        let mut log = vec![
+            contact(0, ContactMode::Entry, None, 0),
+            contact(1, branch, Some(0), 0), // hollow: forwards to 4, which forwards to 5
+            contact(2, branch, Some(0), 0), // not hollow: 6 below it finds a record
+            contact(4, branch, Some(1), 0),
+            contact(5, branch, Some(3), 0),
+            contact(6, branch, Some(2), 1),
+            contact(3, ContactMode::LocalOnly, Some(0), 0), // a wasted probe is no branch
+        ];
+        let flagged = |log: &[TraceEvent]| -> Vec<u32> {
+            let explain = explain_from_trace(&net, &q, TraceId::NONE, log, ExplainDecision::Entry);
+            let hollow = explain.hops.iter().filter(|h| h.false_positive);
+            hollow.map(|h| h.server).collect()
+        };
+        assert_eq!(flagged(&log), vec![1, 4, 5]);
+        // An unanswered contact may have held records: nobody above it is
+        // charged, and it is not a reply to flag itself.
+        log[4].outcome = HopOutcome::TimedOut;
+        assert_eq!(flagged(&log), Vec::<u32>::new());
+    }
+
+    #[test]
     fn traced_execution_searches_each_server_once() {
         // Regression: tracing used to call `search_local` a second time per
         // matching server just to fill the trace event, doubling the
@@ -1074,22 +1126,26 @@ mod tests {
     }
 
     #[test]
-    fn planned_execution_skips_pruned_probes_but_keeps_recall() {
+    fn planned_execution_contacts_what_greedy_does() {
         use crate::planner::plan_query;
         let (net, delays) = network(30, 3);
         let leaf = *net.tree().leaves().iter().max().unwrap();
-        let q = point_query(&net, leaf.0 as f64 / 30.0);
-        let greedy = execute_query(&net, &delays, &q, leaf, SearchScope::full());
-        let plan = plan_query(&net, &q, leaf, SearchScope::full());
-        let mut trace = Vec::new();
-        let opts = QueryOptions::default().with_plan(Some(&plan));
-        let planned = execute_query_with(&net, &delays, &q, leaf, &opts, Some(&mut trace));
-        assert_eq!(planned.matching_servers, greedy.matching_servers);
-        assert_eq!(planned.matching_records, greedy.matching_records);
-        assert!(planned.servers_contacted < greedy.servers_contacted);
-        // The trace's entry hop forwards exactly the planned batch.
-        assert_eq!(trace[0].forwarded_to.len(), plan.contacts.len());
-        assert_eq!(trace.len(), planned.servers_contacted);
+        for q in [
+            point_query(&net, leaf.0 as f64 / 30.0),
+            point_query(&net, 0.0),
+            (QueryBuilder::new(net.schema(), QueryId(2)).range("x0", 0.2, 0.7)).build(),
+        ] {
+            let greedy = execute_query(&net, &delays, &q, leaf, SearchScope::full());
+            let plan = plan_query(&net, &q, leaf, SearchScope::full());
+            assert_eq!(plan.pruned_probes, 0);
+            let mut trace = Vec::new();
+            let opts = QueryOptions::default().with_plan(Some(&plan));
+            let planned = execute_query_with(&net, &delays, &q, leaf, &opts, Some(&mut trace));
+            assert_eq!(planned, greedy);
+            // The trace's entry hop forwards exactly the planned batch.
+            assert_eq!(trace[0].forwarded_to, plan.servers());
+            assert_eq!(trace.len(), planned.servers_contacted);
+        }
     }
 
     #[test]

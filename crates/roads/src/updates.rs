@@ -76,6 +76,14 @@ fn account_round(
 ) -> UpdateBreakdown {
     let mut out = UpdateBreakdown::default();
     let tree = net.tree();
+    // A dirty branch summary is shipped to its parent and to every reader
+    // of the overlay; its size is worked out once.
+    let branch_bytes: Vec<u64> = (branch_dirty.iter().zip(0u32..))
+        .map(|(&dirty, s)| match dirty {
+            true => net.branch_summary(ServerId(s)).wire_size() as u64,
+            false => 0,
+        })
+        .collect();
     for s in tree.servers() {
         // Wave 1: each server's attached owners export one summary. In the
         // simulation every server has one attached owner (itself); the
@@ -88,7 +96,7 @@ fn account_round(
 
         // Wave 2: branch summary to the parent.
         if branch_dirty[s.index()] && tree.parent(s).is_some() {
-            out.aggregation_bytes += (net.branch_summary(s).wire_size() + MSG_HEADER_BYTES) as u64;
+            out.aggregation_bytes += branch_bytes[s.index()] + MSG_HEADER_BYTES as u64;
             out.aggregation_messages += 1;
         }
 
@@ -104,7 +112,7 @@ fn account_round(
             let mut bytes = 0u64;
             for &r in siblings.chain([&s]).chain(&parent_replicas) {
                 if branch_dirty[r.index()] {
-                    bytes += net.branch_summary(r).wire_size() as u64;
+                    bytes += branch_bytes[r.index()];
                     summaries += 1;
                 }
             }

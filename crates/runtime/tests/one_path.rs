@@ -224,14 +224,15 @@ fn live_hops_are_the_simulators_client_redirect_contacts() {
     }
 }
 
-/// Regression: a greedy ancestor probe is admitted on the ancestor's
-/// *branch* summary (`RoadsNetwork::evaluate`), but the live plane used to
-/// name its *local* summary as the voucher while the simulator named the
-/// branch one. Here the two verdicts differ in kind — the root's own
-/// records are pruned by the exact category set, its branch matches on the
-/// histogram — and both planes must name what routing tested.
+/// An ancestor is probed on its *local* summary (`RoadsNetwork::evaluate`)
+/// — its branch summary contains the entry's own branch and would admit
+/// every query the entry can answer — and both planes name that summary as
+/// the probe's voucher. Here the root's own records are refused by its
+/// exact category set while its branch matches: no probe on either plane.
+/// Where its local histogram admits a range its one record misses, both
+/// planes probe it, find nothing and name the histogram.
 #[test]
-fn ancestor_probe_names_the_branch_summary_on_both_planes() {
+fn ancestor_probe_is_vouched_for_by_the_local_summary_on_both_planes() {
     let schema = Schema::new(vec![AttrDef::unit("x"), AttrDef::categorical("c")]).unwrap();
     let cfg = RoadsConfig {
         max_children: 3,
@@ -258,25 +259,46 @@ fn ancestor_probe_names_the_branch_summary_on_both_planes() {
     let net = RoadsNetwork::build(schema, cfg, records);
     let root = net.tree().root();
     assert_eq!(net.tree().parent(entry), Some(root));
-    let q = QueryBuilder::new(net.schema(), QueryId(1))
-        .range("x", 0.4, 0.6)
-        .eq("c", Value::Cat("b".into()))
-        .build();
-    assert!(!net.local_summary(root).may_match(&q), "pruned by its set");
-    assert!(net.branch_summary(root).may_match(&q));
+    let query = |id: u64, lo: f64, hi: f64, c: &str| {
+        QueryBuilder::new(net.schema(), QueryId(id))
+            .range("x", lo, hi)
+            .eq("c", Value::Cat(c.into()))
+            .build()
+    };
+    let refused = query(1, 0.4, 0.6, "b");
+    assert!(net.branch_summary(root).may_match(&refused));
+    assert!(!net.local_summary(root).may_match(&refused), "by its set");
+    // Inside the bucket of the root's 0.5, beside the record itself.
+    let hollow = query(2, 0.505, 0.51, "a");
+    assert!(net.local_summary(root).may_match(&hollow));
 
     let delays = DelaySpace::paper(4, 11);
-    let mut trace = Vec::new();
-    let opts = QueryOptions::default();
-    execute_query_with(&net, &delays, &q, entry, &opts, Some(&mut trace));
-    let sim = explain_from_trace(&net, &q, TraceId::NONE, &trace, ExplainDecision::Entry);
-    let c = RoadsCluster::start(net, delays, RuntimeConfig::test_fast());
-    let (_, live) = c.query_with(&q, entry, RequesterId(0), true);
-    let live = live.expect("explain was requested");
-    for explain in [&sim, &live] {
-        let probe = (explain.hops.iter())
+    let simulated = |q: &Query| {
+        let mut trace = Vec::new();
+        execute_query_with(
+            &net,
+            &delays,
+            q,
+            entry,
+            &QueryOptions::default(),
+            Some(&mut trace),
+        );
+        explain_from_trace(&net, q, TraceId::NONE, &trace, ExplainDecision::Entry)
+    };
+    let sim = [simulated(&refused), simulated(&hollow)];
+    let c = RoadsCluster::start(net.clone(), delays.clone(), RuntimeConfig::test_fast());
+    let live = [&refused, &hollow].map(|q| {
+        let (_, explain) = c.query_with(q, entry, RequesterId(0), true);
+        explain.expect("explain was requested")
+    });
+    for [refused, hollow] in [&sim, &live] {
+        assert!(
+            refused.hops.iter().all(|h| h.server != root.0),
+            "the root's local summary refuses: no probe"
+        );
+        let probe = (hollow.hops.iter())
             .find(|h| h.server == root.0)
-            .expect("the root's branch matches, so it is probed");
+            .expect("the root's local summary matches, so it is probed");
         assert_eq!(probe.decision, ExplainDecision::AncestorProbe);
         assert_eq!(probe.summary, Some(SummaryKind::Histogram));
         assert_eq!(probe.local_matches, 0);

@@ -1,7 +1,7 @@
 //! Per-attribute summaries and their predicate evaluation.
 
 use crate::bloom::BloomFilter;
-use crate::histogram::Histogram;
+use crate::histogram::{Histogram, Span};
 use crate::multires::MultiResHistogram;
 use crate::value_set::ValueSet;
 use roads_records::{Predicate, WireSize};
@@ -48,34 +48,39 @@ impl AttributeSummary {
     /// a range over a value set) answer `true` — the summary cannot prove
     /// absence, and ROADS must never produce a false negative.
     pub fn may_match(&self, pred: &Predicate) -> bool {
+        self.admit(pred).is_some()
+    }
+
+    /// [`AttributeSummary::may_match`] that, when it answers yes, also
+    /// says which buckets of this attribute the predicate covers —
+    /// [`Span::FULL`] where it bounds none (a categorical attribute, a
+    /// predicate the summary cannot judge).
+    pub(crate) fn admit(&self, pred: &Predicate) -> Option<Span> {
+        let full_if = |admitted: bool| admitted.then_some(Span::FULL);
         match (self, pred) {
-            (AttributeSummary::Hist(h), Predicate::Range { lo, hi, .. }) => {
-                h.may_match_range(*lo, *hi)
-            }
+            (AttributeSummary::Hist(h), Predicate::Range { lo, hi, .. }) => h.admit_range(*lo, *hi),
             (AttributeSummary::MultiRes(p), Predicate::Range { lo, hi, .. }) => {
-                p.may_match_range(*lo, *hi)
+                p.finest().admit_range(*lo, *hi)
             }
             (AttributeSummary::Hist(h), Predicate::Eq { value, .. }) => match value.as_f64() {
-                Some(v) => h.may_match_range(v, v),
-                None => true,
+                Some(v) => h.admit_range(v, v),
+                None => Some(Span::FULL),
             },
             (AttributeSummary::MultiRes(p), Predicate::Eq { value, .. }) => match value.as_f64() {
-                Some(v) => p.may_match_range(v, v),
-                None => true,
+                Some(v) => p.finest().admit_range(v, v),
+                None => Some(Span::FULL),
             },
-            (AttributeSummary::Set(s), Predicate::Eq { value, .. }) => match value.as_str() {
-                Some(v) => s.contains(v),
-                None => true,
-            },
-            (AttributeSummary::Bloom(b), Predicate::Eq { value, .. }) => match value.as_str() {
-                Some(v) => b.contains(v),
-                None => true,
-            },
+            (AttributeSummary::Set(s), Predicate::Eq { value, .. }) => {
+                full_if(value.as_str().is_none_or(|v| s.contains(v)))
+            }
+            (AttributeSummary::Bloom(b), Predicate::Eq { value, .. }) => {
+                full_if(value.as_str().is_none_or(|v| b.contains(v)))
+            }
             (AttributeSummary::Set(s), Predicate::OneOf { values, .. }) => {
-                values.iter().any(|v| s.contains(v))
+                full_if(values.iter().any(|v| s.contains(v)))
             }
             (AttributeSummary::Bloom(b), Predicate::OneOf { values, .. }) => {
-                values.iter().any(|v| b.contains(v))
+                full_if(values.iter().any(|v| b.contains(v)))
             }
             // Structurally mismatched predicate/summary pairs (range over a
             // categorical summary, set membership over a histogram): the
@@ -84,8 +89,28 @@ impl AttributeSummary {
             | (
                 AttributeSummary::Hist(_) | AttributeSummary::MultiRes(_),
                 Predicate::OneOf { .. },
-            ) => true,
+            ) => Some(Span::FULL),
         }
+    }
+
+    /// The occupied stretch of this attribute's axis, rounded outward to
+    /// cell edges (see [`Histogram::occupied_cells`]); [`Span::FULL`] for
+    /// an attribute that has no axis.
+    pub(crate) fn coarse_span(&self) -> Span {
+        match self {
+            AttributeSummary::Hist(h) => h.coarse_span(),
+            AttributeSummary::MultiRes(p) => p.finest().coarse_span(),
+            AttributeSummary::Set(_) | AttributeSummary::Bloom(_) => Span::FULL,
+        }
+    }
+
+    /// Whether values of this attribute lie on an axis (and so cost a
+    /// byte in each of a branch summary's boxes).
+    pub(crate) fn is_ordered(&self) -> bool {
+        matches!(
+            self,
+            AttributeSummary::Hist(_) | AttributeSummary::MultiRes(_)
+        )
     }
 
     /// Whether this summary can *exactly* unlearn `v` (reverse the fold
@@ -99,6 +124,13 @@ impl AttributeSummary {
     /// records. Values of a structurally mismatched type were never folded
     /// in ([`crate::Summary::add_record`] ignores them), so they unlearn
     /// trivially.
+    ///
+    /// Inlined, like `unlearn_vouched`, so that the
+    /// delta plane's `Summary::replace_record` stays the one function it
+    /// was before `Histogram::remove` came to hold a call: run cold,
+    /// between query passes, three more calls per attribute read +25 % on
+    /// the benchmark's `summary.replace_record_ns`.
+    #[inline]
     pub fn can_unlearn(&self, v: &roads_records::Value) -> bool {
         match (self, v) {
             (AttributeSummary::Hist(h), v) => match v.as_f64() {
@@ -131,6 +163,7 @@ impl AttributeSummary {
     /// [`AttributeSummary::can_unlearn`] — skips the re-check on the hot
     /// delta path, where one pass vouches for every attribute before any
     /// is mutated.
+    #[inline]
     pub(crate) fn unlearn_vouched(&mut self, v: &roads_records::Value) {
         debug_assert!(self.can_unlearn(v), "caller vouched via can_unlearn");
         match (self, v) {
@@ -212,6 +245,22 @@ impl AttributeSummary {
             (a, b) => Err(AttrMergeError {
                 reason: format!("kind mismatch: {} vs {}", a.kind_name(), b.kind_name()),
             }),
+        }
+    }
+
+    /// Reverse a [`AttributeSummary::merge`] of `other` as far as the kind
+    /// allows: histograms and pyramids subtract exactly; a value set or a
+    /// Bloom filter cannot forget and stays the superset it is, which is
+    /// still conservative. Returns `false` — leaving the summary
+    /// untouched — when counters cannot subtract exactly or the kinds
+    /// differ.
+    pub fn unmerge(&mut self, other: &AttributeSummary) -> bool {
+        match (self, other) {
+            (AttributeSummary::Hist(a), AttributeSummary::Hist(b)) => a.unmerge(b),
+            (AttributeSummary::MultiRes(a), AttributeSummary::MultiRes(b)) => a.unmerge(b),
+            (AttributeSummary::Set(_), AttributeSummary::Set(_))
+            | (AttributeSummary::Bloom(_), AttributeSummary::Bloom(_)) => true,
+            _ => false,
         }
     }
 

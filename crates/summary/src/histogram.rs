@@ -4,6 +4,15 @@
 //! multiple buckets of value ranges. Each bucket has a counter for how many
 //! values in this range are present. … two histograms can be combined by
 //! adding their respective counters in each bucket." (§III-B)
+//!
+//! A histogram also knows, at every moment and without scanning, which
+//! stretch of its buckets is occupied: its first and last non-empty
+//! bucket. Rounded outward to a grid of at most [`Histogram::CELLS`] cells
+//! — a mask, each cell being a power-of-two run of buckets — that stretch
+//! is what a branch summary remembers of each summand it was aggregated
+//! from (see [`crate::Summary::branch_of`]). Keeping it current costs two
+//! compares per insert, a min and a max per merge, and a rescan only when
+//! an extreme bucket empties.
 
 use roads_records::WireSize;
 use serde::{Deserialize, Serialize};
@@ -35,27 +44,77 @@ impl std::error::Error for MergeError {}
 /// flag records that loss: once set, removals refuse and callers must
 /// re-aggregate from the underlying records. The flag is local bookkeeping,
 /// not wire payload — [`WireSize`] stays at the paper's `20 + 4·m` bytes.
+/// So is the occupied range: a function of the counters, kept beside them
+/// only so that nobody has to scan for it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
     buckets: Vec<u32>,
     saturated: bool,
+    /// First and last non-empty bucket, exact under every mutation.
+    occupied: Span,
+}
+
+/// An inclusive range of bucket indexes; empty when `first > last`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct Span {
+    pub(crate) first: u32,
+    pub(crate) last: u32,
+}
+
+impl Span {
+    /// Contains no bucket, and is the identity of [`Span::hull`].
+    const EMPTY: Span = Span {
+        first: u32::MAX,
+        last: 0,
+    };
+    /// Contains every bucket of every histogram.
+    pub(crate) const FULL: Span = Span {
+        first: 0,
+        last: u32::MAX,
+    };
+
+    fn is_empty(self) -> bool {
+        self.first > self.last
+    }
+
+    /// The smallest span containing both.
+    fn hull(self, other: Span) -> Span {
+        Span {
+            first: self.first.min(other.first),
+            last: self.last.max(other.last),
+        }
+    }
+
+    pub(crate) fn intersects(self, other: Span) -> bool {
+        self.first <= other.last && other.first <= self.last
+    }
 }
 
 impl Histogram {
+    /// Most cells of the grid the occupied range is rounded to: what a
+    /// branch summary can say about one summand's values of this attribute
+    /// is a first and a last cell, four bits each. Sixteen because two
+    /// bounds then fit the one byte per attribute and box that the update
+    /// traffic's budget allows (see DESIGN.md §6).
+    pub const CELLS: usize = 16;
+
     /// Empty histogram over `[lo, hi]` with `m` buckets.
     ///
     /// # Panics
-    /// If `m == 0` or `lo >= hi`.
+    /// If `m == 0`, `m` does not fit the wire format's 4-byte bucket count,
+    /// or `lo >= hi`.
     pub fn new(lo: f64, hi: f64, m: usize) -> Self {
         assert!(m > 0, "histogram needs at least one bucket");
+        assert!(u32::try_from(m).is_ok(), "bucket count is a 4-byte field");
         assert!(lo < hi, "histogram domain must be non-empty");
         Histogram {
             lo,
             hi,
             buckets: vec![0; m],
             saturated: false,
+            occupied: Span::EMPTY,
         }
     }
 
@@ -98,7 +157,66 @@ impl Histogram {
 
     /// True when no values have been inserted.
     pub fn is_empty(&self) -> bool {
-        self.buckets.iter().all(|&c| c == 0)
+        self.occupied.is_empty()
+    }
+
+    /// First and last non-empty bucket, `None` when empty.
+    pub fn occupied(&self) -> Option<(usize, usize)> {
+        let Span { first, last } = self.occupied;
+        (!self.occupied.is_empty()).then_some((first as usize, last as usize))
+    }
+
+    /// Buckets per cell of the grid: the least power of two that covers
+    /// the `m` buckets in at most [`Histogram::CELLS`] cells (8 for 128
+    /// buckets, 64 for 1 000, 1 below 17). A power of two, and counted in
+    /// buckets rather than as a fraction of the domain, so that rounding a
+    /// bucket index to its cell is a mask — integer, outward for every `m`,
+    /// and free on the aggregation path.
+    pub fn cell_buckets(&self) -> usize {
+        self.buckets.len().div_ceil(Self::CELLS).next_power_of_two()
+    }
+
+    /// [`Histogram::occupied`] in cells: the first and last cell that holds
+    /// an occupied bucket.
+    pub fn occupied_cells(&self) -> Option<(usize, usize)> {
+        let shift = self.cell_buckets().trailing_zeros();
+        self.occupied()
+            .map(|(first, last)| (first >> shift, last >> shift))
+    }
+
+    /// [`Histogram::occupied_cells`] back in bucket indexes: every bucket
+    /// of a cell that holds an occupied bucket (the last cell's may run
+    /// past the last bucket). A test against it is exactly the test a
+    /// reader holding only the two cell indexes could make.
+    pub(crate) fn coarse_span(&self) -> Span {
+        let within_cell = self.cell_buckets() as u32 - 1;
+        match self.occupied.is_empty() {
+            true => Span::EMPTY,
+            false => Span {
+                first: self.occupied.first & !within_cell,
+                last: self.occupied.last | within_cell,
+            },
+        }
+    }
+
+    /// Bucket `i` just lost its last value: if it was an extreme of the
+    /// occupied range, find the new extremes by scanning inward. Out of
+    /// line: it happens to a small share of the delta plane's removals,
+    /// whose loop must stay tight.
+    #[cold]
+    fn bucket_emptied(&mut self, i: u32) {
+        let Span { first, last } = self.occupied;
+        if i != first && i != last {
+            return;
+        }
+        let window = &self.buckets[first as usize..=last as usize];
+        self.occupied = match window.iter().position(|&c| c > 0) {
+            None => Span::EMPTY,
+            Some(a) => Span {
+                first: first + a as u32,
+                last: first + window.iter().rposition(|&c| c > 0).unwrap_or(a) as u32,
+            },
+        };
     }
 
     /// Bucket index for a value, clamped into the domain: the float → int
@@ -124,7 +242,20 @@ impl Histogram {
         }
         let idx = self.bucket_of(v);
         match self.buckets[idx].checked_add(1) {
-            Some(n) => self.buckets[idx] = n,
+            Some(n) => {
+                self.buckets[idx] = n;
+                // Compared against the index, not gated on the counter
+                // just loaded: on the delta plane's insert loop the two
+                // compares measured cheaper than one branch that waits
+                // for the load (EXPERIMENTS.md, "Routing precision").
+                let i = idx as u32;
+                if i < self.occupied.first {
+                    self.occupied.first = i;
+                }
+                if i > self.occupied.last {
+                    self.occupied.last = i;
+                }
+            }
             // The increment is dropped: counts are now a lower bound and
             // exact removal is impossible until a full re-aggregation.
             None => self.saturated = true,
@@ -149,6 +280,9 @@ impl Histogram {
         match self.buckets[idx].checked_sub(1) {
             Some(n) => {
                 self.buckets[idx] = n;
+                if n == 0 {
+                    self.bucket_emptied(idx as u32);
+                }
                 true
             }
             None => false,
@@ -181,13 +315,23 @@ impl Histogram {
     /// non-empty. Never produces a false negative; may produce a false
     /// positive when a bucket straddles the range boundary.
     pub fn may_match_range(&self, q_lo: f64, q_hi: f64) -> bool {
+        self.admit_range(q_lo, q_hi).is_some()
+    }
+
+    /// [`Histogram::may_match_range`] that also hands back the buckets the
+    /// query range covers when it answers yes, for the tests a summary
+    /// makes on top of this one.
+    pub(crate) fn admit_range(&self, q_lo: f64, q_hi: f64) -> Option<Span> {
         if q_lo.is_nan() || q_hi.is_nan() || q_lo > q_hi {
             // A NaN bound describes no interval at all.
-            return false;
+            return None;
         }
         let first = self.bucket_of(q_lo);
         let last = self.bucket_of(q_hi);
-        self.buckets[first..=last].iter().any(|&c| c > 0)
+        (self.buckets[first..=last].iter().any(|&c| c > 0)).then_some(Span {
+            first: first as u32,
+            last: last as u32,
+        })
     }
 
     /// Estimated number of values in `[q_lo, q_hi]`, assuming values are
@@ -241,7 +385,28 @@ impl Histogram {
             }
         }
         self.saturated |= other.saturated;
+        self.occupied = self.occupied.hull(other.occupied);
         Ok(())
+    }
+
+    /// Exactly reverse a [`Histogram::merge`] of `other`: subtract its
+    /// counters. Returns `false` — leaving the histogram untouched — when
+    /// that cannot be exact: the configurations differ, either side has
+    /// saturated (dropped increments), or a counter would go negative
+    /// (`other` was never merged in).
+    pub fn unmerge(&mut self, other: &Histogram) -> bool {
+        let exact = (self.lo, self.hi) == (other.lo, other.hi)
+            && !(self.saturated || other.saturated)
+            && self.buckets.len() == other.buckets.len()
+            && self.buckets.iter().zip(&other.buckets).all(|(a, b)| a >= b);
+        if exact && !other.is_empty() {
+            for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+                *a -= b;
+            }
+            // Whatever emptied, the extremes are found from the old ones.
+            self.bucket_emptied(self.occupied.first);
+        }
+        exact
     }
 
     /// Coarsen by an integer factor: bucket `i` of the result sums buckets
@@ -269,11 +434,20 @@ impl Histogram {
                 })
             })
             .collect();
+        // A coarse bucket is occupied iff one of the buckets it sums is.
+        let occupied = match self.occupied.is_empty() {
+            true => Span::EMPTY,
+            false => Span {
+                first: self.occupied.first / factor as u32,
+                last: self.occupied.last / factor as u32,
+            },
+        };
         Histogram {
             lo: self.lo,
             hi: self.hi,
             buckets,
             saturated,
+            occupied,
         }
     }
 
@@ -281,6 +455,7 @@ impl Histogram {
     pub fn clear(&mut self) {
         self.buckets.iter_mut().for_each(|c| *c = 0);
         self.saturated = false;
+        self.occupied = Span::EMPTY;
     }
 
     /// Estimated `q`-quantile (0 ≤ q ≤ 1) of the summarized values, by
@@ -355,6 +530,21 @@ mod tests {
 
     fn unit_hist(values: &[f64], m: usize) -> Histogram {
         Histogram::from_values(0.0, 1.0, m, values.iter().copied())
+    }
+
+    /// The occupied range as a scan finds it: the oracle for the tracked one.
+    fn scanned(h: &Histogram) -> Option<(usize, usize)> {
+        let first = h.buckets.iter().position(|&c| c > 0)?;
+        Some((first, h.buckets.iter().rposition(|&c| c > 0)?))
+    }
+
+    /// A unit-domain histogram holding exactly these counters.
+    fn with_counts(buckets: Vec<u32>) -> Histogram {
+        let mut h = Histogram::new(0.0, 1.0, buckets.len());
+        h.buckets = buckets;
+        let (first, last) = scanned(&h).map_or((u32::MAX, 0), |(f, l)| (f as u32, l as u32));
+        h.occupied = Span { first, last };
+        h
     }
 
     #[test]
@@ -449,8 +639,7 @@ mod tests {
 
     #[test]
     fn saturating_counters() {
-        let mut h = Histogram::new(0.0, 1.0, 1);
-        h.buckets = vec![u32::MAX - 1];
+        let mut h = with_counts(vec![u32::MAX - 1]);
         h.insert(0.5);
         assert!(!h.is_saturated(), "reaching MAX exactly loses nothing");
         h.insert(0.5);
@@ -479,8 +668,7 @@ mod tests {
         // delta remove silently under-counted and delta ≠ rebuild. Removal
         // must now refuse on a saturated histogram, forcing callers to
         // re-aggregate from records.
-        let mut h = Histogram::new(0.0, 1.0, 1);
-        h.buckets = vec![u32::MAX];
+        let mut h = with_counts(vec![u32::MAX]);
         h.insert(0.5); // dropped increment
         assert!(h.is_saturated());
         assert!(!h.can_remove(0.5));
@@ -494,10 +682,8 @@ mod tests {
 
     #[test]
     fn merge_and_coarsen_propagate_saturation() {
-        let mut a = Histogram::new(0.0, 1.0, 2);
-        a.buckets = vec![u32::MAX, 0];
-        let mut b = Histogram::new(0.0, 1.0, 2);
-        b.buckets = vec![1, 1];
+        let mut a = with_counts(vec![u32::MAX, 0]);
+        let b = with_counts(vec![1, 1]);
         a.merge(&b).unwrap();
         assert!(a.is_saturated(), "clamped merge must mark saturation");
         assert_eq!(a.buckets(), &[u32::MAX, 1]);
@@ -506,8 +692,7 @@ mod tests {
         c.merge(&a.coarsen(1)).unwrap();
         assert!(c.is_saturated());
         // Coarsening can clamp two in-range counters into saturation.
-        let mut d = Histogram::new(0.0, 1.0, 2);
-        d.buckets = vec![u32::MAX - 1, 2];
+        let d = with_counts(vec![u32::MAX - 1, 2]);
         let coarse = d.coarsen(2);
         assert!(coarse.is_saturated());
         assert_eq!(coarse.buckets(), &[u32::MAX]);

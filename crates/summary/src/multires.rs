@@ -104,6 +104,22 @@ impl MultiResHistogram {
         true
     }
 
+    /// Exactly reverse a [`MultiResHistogram::merge`] of `other` at every
+    /// level. Returns `false` — leaving the pyramid untouched — when any
+    /// level refuses (see [`Histogram::unmerge`]).
+    pub fn unmerge(&mut self, other: &MultiResHistogram) -> bool {
+        let mut levels = self.levels.clone();
+        let exact = levels.len() == other.levels.len()
+            && levels
+                .iter_mut()
+                .zip(&other.levels)
+                .all(|(a, b)| a.unmerge(b));
+        if exact {
+            self.levels = levels;
+        }
+        exact
+    }
+
     /// Merge another pyramid level-by-level.
     pub fn merge(&mut self, other: &MultiResHistogram) -> Result<(), MergeError> {
         if self.levels.len() != other.levels.len() {

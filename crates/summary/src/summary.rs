@@ -3,10 +3,17 @@
 //! "Given a set of resource records, the values of each searchable attribute
 //! are aggregated, and the collection of such aggregated values becomes the
 //! summary of resource records." (§III-B)
+//!
+//! Attribute by attribute is all the paper's summary knows, so a query
+//! over several attributes "may match" a branch as soon as *some* record
+//! of *some* server in it falls in each range. A branch summary built by
+//! [`Summary::branch_of`] therefore also remembers its **parts**: one
+//! coarse box per summand it was aggregated from (its server's own records
+//! and each child's branch), and a query must fit one of them as a whole.
 
 use crate::attr_summary::{AttrMergeError, AttributeSummary};
 use crate::bloom::BloomFilter;
-use crate::histogram::Histogram;
+use crate::histogram::{Histogram, Span};
 use crate::multires::MultiResHistogram;
 use crate::value_set::ValueSet;
 use roads_records::{AttrType, Query, Record, Schema, WireSize};
@@ -25,7 +32,8 @@ pub enum SummaryVerdict {
     },
     /// Provably no record matches. `decided_by` names the kind that
     /// proved absence (`None` when the summary itself is empty or the
-    /// predicate fell outside the schema).
+    /// predicate fell outside the schema; `"parts"` when every attribute
+    /// admitted the query but no summand's box holds it whole).
     Prune {
         /// [`AttributeSummary::kind_name`] label of the pruning attribute.
         decided_by: Option<&'static str>,
@@ -117,9 +125,22 @@ impl Default for SummaryConfig {
 pub struct Summary {
     per_attr: Vec<AttributeSummary>,
     records: u64,
+    /// One box per summand of a [`Summary::branch_of`] aggregate, `arity`
+    /// spans each: per ordered attribute the summand's occupied range,
+    /// rounded outward to cells (see [`Histogram::occupied_cells`]);
+    /// [`Span::FULL`] for the others. Every record of the aggregate lies in
+    /// its summand's box. Empty on any summary built or changed any other
+    /// way: a box list vouches only for the summands it was taken from.
+    parts: Vec<Span>,
 }
 
 impl Summary {
+    /// Predicates of one query that are put to the parts: the bucket spans
+    /// the attributes tested them on wait in a buffer of this size. Any
+    /// beyond it go untested there, which only makes the answer more
+    /// cautious.
+    const PREDICATES_PUT_TO_PARTS: usize = 16;
+
     /// Empty summary for `schema` under `config`.
     pub fn empty(schema: &Schema, config: &SummaryConfig) -> Self {
         let per_attr = schema
@@ -146,7 +167,53 @@ impl Summary {
         Summary {
             per_attr,
             records: 0,
+            parts: Vec::new(),
         }
+    }
+
+    /// The branch summary of a server: its `local` summary merged with its
+    /// `children`'s branch summaries, in that order — the one way a branch
+    /// is aggregated, in a build, after a delta and on the message plane.
+    ///
+    /// The aggregate also keeps one box per non-empty summand (see the
+    /// module docs), which [`Summary::may_match`] tests on top of the
+    /// merged attributes. A single summand's box says nothing its own
+    /// histograms do not, so an aggregate of fewer than two keeps none: a
+    /// leaf's branch summary *is* its local summary.
+    pub fn branch_of<'a>(
+        local: &Summary,
+        children: impl IntoIterator<Item = &'a Summary>,
+    ) -> Result<Summary, AttrMergeError> {
+        let mut branch = local.clone();
+        branch.parts.clear();
+        let mut children = children.into_iter().peekable();
+        if children.peek().is_none() {
+            return Ok(branch);
+        }
+        let arity = branch.per_attr.len();
+        let mut parts = Vec::with_capacity((1 + children.size_hint().0) * arity);
+        let mut push_box = |summand: &Summary| {
+            if !summand.is_empty() {
+                parts.extend(summand.per_attr.iter().map(AttributeSummary::coarse_span));
+            }
+        };
+        push_box(local);
+        for child in children {
+            branch.merge(child)?;
+            push_box(child);
+        }
+        if parts.len() >= 2 * arity {
+            branch.parts = parts;
+        }
+        Ok(branch)
+    }
+
+    /// Boxes this summary keeps of the summands it was aggregated from.
+    pub fn part_count(&self) -> usize {
+        self.parts
+            .len()
+            .checked_div(self.per_attr.len())
+            .unwrap_or(0)
     }
 
     /// Summarize a set of records.
@@ -164,6 +231,7 @@ impl Summary {
 
     /// Fold one record into the summary.
     pub fn add_record(&mut self, record: &Record) {
+        self.parts.clear();
         for (slot, v) in self.per_attr.iter_mut().zip(record.values()) {
             slot.learn(v);
         }
@@ -192,6 +260,7 @@ impl Summary {
         if !removable {
             return false;
         }
+        self.parts.clear();
         for (slot, v) in self.per_attr.iter_mut().zip(record.values()) {
             slot.unlearn_vouched(v);
         }
@@ -219,6 +288,7 @@ impl Summary {
         if !removable {
             return false;
         }
+        self.parts.clear();
         for ((slot, ov), nv) in self.per_attr.iter_mut().zip(old.values()).zip(new.values()) {
             slot.unlearn_vouched(ov);
             slot.learn(nv);
@@ -247,56 +317,72 @@ impl Summary {
     }
 
     /// Conservative conjunctive query evaluation: `true` iff *every*
-    /// predicate may match. "Finally the server obtains 'true' or 'false'
-    /// results on each child's summary, and directs the client to query
-    /// those children with results of 'true'." (§III-B)
+    /// predicate may match — and, on an aggregate that kept its parts,
+    /// some one summand's box holds the whole query. "Finally the server
+    /// obtains 'true' or 'false' results on each child's summary, and
+    /// directs the client to query those children with results of 'true'."
+    /// (§III-B)
     pub fn may_match(&self, query: &Query) -> bool {
+        self.refusal(query).is_none()
+    }
+
+    /// Why no summarized record can match `query` — `Some` of what
+    /// [`SummaryVerdict::Prune`] reports — or `None` if one may.
+    ///
+    /// Each predicate is put to its attribute's summary, as ever; if they
+    /// all admit it and the summary has parts, the bucket spans the
+    /// attributes tested are put to the boxes, and the query is refused
+    /// unless one box holds them all.
+    fn refusal(&self, query: &Query) -> Option<Option<&'static str>> {
         if self.records == 0 {
-            return false;
+            return Some(None);
         }
-        query.predicates().iter().all(|p| {
+        let mut asked = [(0, Span::FULL); Self::PREDICATES_PUT_TO_PARTS];
+        let mut buffered = 0;
+        for p in query.predicates() {
             let idx = p.attr().index();
-            idx < self.per_attr.len() && self.per_attr[idx].may_match(p)
-        })
+            let Some(attr) = self.per_attr.get(idx) else {
+                return Some(None);
+            };
+            let Some(span) = attr.admit(p) else {
+                return Some(Some(attr.kind_name()));
+            };
+            if !self.parts.is_empty() && buffered < asked.len() {
+                asked[buffered] = (idx, span);
+                buffered += 1;
+            }
+        }
+        let asked = &asked[..buffered];
+        let holds = |part: &[Span]| asked.iter().all(|&(a, span)| part[a].intersects(span));
+        if !self.parts.is_empty() && !self.parts.chunks_exact(self.per_attr.len()).any(holds) {
+            return Some(Some("parts"));
+        }
+        None
     }
 
     /// [`Summary::may_match`] with provenance: *which* per-attribute
     /// representation decided.
     ///
     /// On a prune, reports the kind of the first attribute summary that
-    /// proved absence. On a match, reports the *fuzziest* participating
-    /// kind — the likeliest false-positive source, ranked Bloom >
-    /// multi-resolution > histogram > exact value set (a value set cannot
-    /// false-positive at all). Kind labels are
-    /// [`AttributeSummary::kind_name`] strings; `None` when the summary
-    /// is empty or the query has no in-range predicates.
+    /// proved absence, or `"parts"` when it took the boxes to. On a match,
+    /// reports the *fuzziest* participating kind — the likeliest
+    /// false-positive source, ranked Bloom > multi-resolution > histogram >
+    /// exact value set (a value set cannot false-positive at all). Kind
+    /// labels are [`AttributeSummary::kind_name`] strings; `None` when the
+    /// summary is empty or the query has no in-range predicates.
     pub fn decide(&self, query: &Query) -> SummaryVerdict {
-        if self.records == 0 {
-            return SummaryVerdict::Prune { decided_by: None };
+        if let Some(decided_by) = self.refusal(query) {
+            return SummaryVerdict::Prune { decided_by };
         }
-        let mut fuzziest: Option<&'static str> = None;
-        for p in query.predicates() {
-            let idx = p.attr().index();
-            if idx >= self.per_attr.len() {
-                return SummaryVerdict::Prune { decided_by: None };
-            }
-            let a = &self.per_attr[idx];
-            if !a.may_match(p) {
-                return SummaryVerdict::Prune {
-                    decided_by: Some(a.kind_name()),
-                };
-            }
-            let rank = |k: &str| match k {
-                "set" => 0,
-                "histogram" => 1,
-                "multires" => 2,
-                "bloom" => 3,
-                _ => 0,
-            };
-            if fuzziest.is_none_or(|f| rank(a.kind_name()) > rank(f)) {
-                fuzziest = Some(a.kind_name());
-            }
-        }
+        let rank = |k: &str| match k {
+            "histogram" => 1,
+            "multires" => 2,
+            "bloom" => 3,
+            _ => 0,
+        };
+        let fuzziest = (query.predicates().iter())
+            .map(|p| self.per_attr[p.attr().index()].kind_name())
+            .reduce(|f, k| if rank(k) > rank(f) { k } else { f });
         SummaryVerdict::Match { fuzziest }
     }
 
@@ -311,6 +397,7 @@ impl Summary {
                 ),
             });
         }
+        self.parts.clear();
         for (a, b) in self.per_attr.iter_mut().zip(&other.per_attr) {
             a.merge(b)?;
         }
@@ -318,16 +405,37 @@ impl Summary {
         Ok(())
     }
 
+    /// What is left of this aggregate once `summands` that were merged
+    /// into it are taken out again: counters subtract exactly, categorical
+    /// attributes stay the supersets they are. This is how a server that
+    /// holds a branch summary and the branch summaries of that server's
+    /// children obtains its *local* summary without being shipped it.
+    /// `None` when a summand cannot have been part of this aggregate or
+    /// saturation has made the subtraction inexact.
+    pub fn without<'a>(&self, summands: impl IntoIterator<Item = &'a Summary>) -> Option<Summary> {
+        let mut rest = self.clone();
+        rest.parts.clear();
+        for s in summands {
+            rest.records = rest.records.checked_sub(s.records)?;
+            let exact = rest.per_attr.len() == s.per_attr.len()
+                && (rest.per_attr.iter_mut().zip(&s.per_attr)).all(|(a, b)| a.unmerge(b));
+            if !exact {
+                return None;
+            }
+        }
+        Some(rest)
+    }
+
     /// Aggregate many summaries into one (used by servers to produce their
     /// branch summary from child summaries).
     pub fn aggregate<'a>(
         schema: &Schema,
         config: &SummaryConfig,
-        parts: impl IntoIterator<Item = &'a Summary>,
+        summaries: impl IntoIterator<Item = &'a Summary>,
     ) -> Result<Summary, AttrMergeError> {
         let mut out = Summary::empty(schema, config);
-        for p in parts {
-            out.merge(p)?;
+        for s in summaries {
+            out.merge(s)?;
         }
         Ok(out)
     }
@@ -335,8 +443,16 @@ impl Summary {
 
 impl WireSize for Summary {
     fn wire_size(&self) -> usize {
-        // record count (8) + arity (2) + per-attribute summaries
-        10 + self.per_attr.iter().map(WireSize::wire_size).sum::<usize>()
+        // record count (8) + arity (2) + per-attribute summaries, and for
+        // an aggregate that kept its parts a trailer: part count (1) + per
+        // part and ordered attribute two 4-bit cell indexes (1). The
+        // enclosing message is length-framed, so no trailer costs nothing.
+        let ordered = || self.per_attr.iter().filter(|a| a.is_ordered()).count();
+        let parts = match self.part_count() {
+            0 => 0,
+            boxes => 1 + boxes * ordered(),
+        };
+        10 + self.per_attr.iter().map(WireSize::wire_size).sum::<usize>() + parts
     }
 }
 

@@ -9,7 +9,9 @@ use proptest::prelude::*;
 use roads_records::{
     AttrId, OwnerId, Predicate, Query, QueryId, Record, RecordId, Schema, Value, WireSize,
 };
-use roads_summary::{BloomFilter, CategoricalMode, Histogram, Summary, SummaryConfig, ValueSet};
+use roads_summary::{
+    BloomFilter, CategoricalMode, Histogram, Summary, SummaryConfig, SummaryVerdict, ValueSet,
+};
 
 /// `Histogram::bucket_of` as it read before it became one saturating
 /// cast, kept verbatim: the oracle the kernel is pinned to.
@@ -58,6 +60,121 @@ fn probes(lo: f64, hi: f64, m: usize, phase: usize, outside: &[f64], raw: &[f64]
     out.extend([f64::MIN_POSITIVE, f64::MAX, f64::MIN, lo, hi]);
     out.extend(raw);
     out
+}
+
+/// Bucket counts where the cell grid bites differently: fewer buckets than
+/// cells, one bucket per cell, counts that leave the last cell ragged
+/// (100, the paper's 1 000), many buckets per cell.
+const BUCKET_COUNTS: [usize; 7] = [1, 7, 16, 100, 128, 1_000, 65_536];
+
+/// The occupied range as a scan finds it: the oracle for the tracked one.
+fn scanned(h: &Histogram) -> Option<(usize, usize)> {
+    let first = h.buckets().iter().position(|&c| c > 0)?;
+    Some((first, h.buckets().iter().rposition(|&c| c > 0)?))
+}
+
+/// Two numeric attributes (one over a domain that is not the unit one) and
+/// a categorical one between them.
+fn mixed_schema() -> Schema {
+    Schema::new(vec![
+        roads_records::AttrDef::unit("x"),
+        roads_records::AttrDef::categorical("c"),
+        roads_records::AttrDef::numeric("y", -50.0, 50.0),
+    ])
+    .unwrap()
+}
+
+const CATS: [&str; 5] = ["a", "b", "c", "d", "e"];
+
+/// One row of the mixed schema and where it lives: `path` leads from the
+/// root of an aggregation tree (up to 9 children a node, depth ≤ 3) to the
+/// node the row is local to.
+type Placed = ((f64, usize, f64), Vec<usize>);
+
+fn placed_rows() -> impl Strategy<Value = Vec<Placed>> {
+    // Values may lie a little outside their domain, as stale exports do.
+    let row = (-0.2f64..1.2, 0usize..CATS.len(), -60.0f64..60.0);
+    prop::collection::vec((row, prop::collection::vec(0usize..9, 0..=3)), 1..80)
+}
+
+fn mixed_record(id: usize, (x, c, y): (f64, usize, f64)) -> Record {
+    let values = vec![Value::Float(x), Value::Cat(CATS[c].into()), Value::Float(y)];
+    Record::new_unchecked(RecordId(id as u64), OwnerId(0), values)
+}
+
+/// Aggregate the subtree at `path` bottom-up through `Summary::branch_of`,
+/// handing every node's summary, with the records below it, to `check`.
+fn aggregate_tree(
+    cfg: &SummaryConfig,
+    rows: &[Placed],
+    path: &[usize],
+    check: &mut dyn FnMut(&Summary, &[Record]),
+) -> (Summary, Vec<Record>) {
+    let schema = mixed_schema();
+    let mut below: Vec<Record> = (rows.iter().enumerate())
+        .filter(|(_, (_, p))| p == path)
+        .map(|(id, (row, _))| mixed_record(id, *row))
+        .collect();
+    let local = Summary::from_records(&schema, cfg, &below);
+    let mut children = Vec::new();
+    for c in 0..9 {
+        let child: Vec<usize> = path.iter().copied().chain([c]).collect();
+        if rows.iter().any(|(_, p)| p.starts_with(&child)) {
+            let (summary, records) = aggregate_tree(cfg, rows, &child, check);
+            children.push(summary);
+            below.extend(records);
+        }
+    }
+    let branch = Summary::branch_of(&local, &children).unwrap();
+    // One box per non-empty summand; a lone summand needs none.
+    let summands = usize::from(!local.is_empty()) + children.len();
+    assert_eq!(branch.part_count(), if summands < 2 { 0 } else { summands });
+    if children.is_empty() {
+        assert_eq!(
+            branch, local,
+            "a leaf's branch summary is its local summary"
+        );
+    }
+    check(&branch, &below);
+    (branch, below)
+}
+
+/// A predicate about `row` or about nothing: kinds 0–4 hold for `row`,
+/// the rest are arbitrary, out of the domain, inverted, NaN-bounded, out
+/// of the schema or of the wrong kind for their attribute.
+fn predicate(kind: usize, a: f64, w: f64, (x, c, y): (f64, usize, f64)) -> Predicate {
+    let range = |attr: u16, lo: f64, hi: f64| Predicate::Range {
+        attr: AttrId(attr),
+        lo,
+        hi,
+    };
+    match kind {
+        0 => range(0, x - w * a, x + w * (1.0 - a)),
+        1 => range(2, y - 100.0 * w * a, y + 100.0 * w * (1.0 - a)),
+        2 => Predicate::Eq {
+            attr: AttrId(0),
+            value: Value::Float(x),
+        },
+        3 => Predicate::Eq {
+            attr: AttrId(1),
+            value: Value::Cat(CATS[c].into()),
+        },
+        4 => Predicate::OneOf {
+            attr: AttrId(1),
+            values: vec!["zz".into(), CATS[c].into()],
+        },
+        5 => range(0, a, a + w),
+        6 => range(2, 100.0 * a - 50.0, 100.0 * (a + w) - 50.0),
+        7 => range(0, 1.5 + a, 2.0 + a),
+        8 => range(2, 10.0 + w, 10.0 - w - f64::MIN_POSITIVE),
+        9 => range(0, f64::NAN, a),
+        10 => range(7, 0.0, 1.0),
+        11 => range(1, 0.0, 1.0),
+        _ => Predicate::OneOf {
+            attr: AttrId(0),
+            values: vec!["a".into()],
+        },
+    }
 }
 
 fn unit_records(values: &[Vec<f64>]) -> Vec<Record> {
@@ -267,6 +384,132 @@ proptest! {
                 fine.bucket_of(v) >> 1,
                 "[{:?}, {:?}] m = {} v = {:?}", lo, hi, m, v
             );
+        }
+    }
+
+    /// The invariant everything rests on, for the aggregate `branch_of`
+    /// builds: at every node of a random aggregation tree, a query some
+    /// record below the node matches is never refused — not by the merged
+    /// attributes and not by the parts.
+    #[test]
+    fn branch_of_never_refuses_a_query_some_record_matches(
+        rows in placed_rows(),
+        m in 0usize..BUCKET_COUNTS.len(),
+        multires in any::<bool>(),
+        bloom in any::<bool>(),
+        queries in prop::collection::vec(
+            (0usize..80, prop::collection::vec((0usize..13, 0.0f64..1.0, 0.0f64..0.3), 0..5)),
+            1..24,
+        ),
+    ) {
+        let cfg = SummaryConfig {
+            buckets: BUCKET_COUNTS[m],
+            multires,
+            categorical: match bloom {
+                true => CategoricalMode::Bloom { bits: 512, hashes: 3 },
+                false => CategoricalMode::Enumerate,
+            },
+        };
+        let queries: Vec<Query> = (queries.iter())
+            .map(|(pick, preds)| {
+                let about = rows[pick % rows.len()].0;
+                let preds = preds.iter().map(|&(kind, a, w)| predicate(kind, a, w, about));
+                Query::new(QueryId(0), preds.collect())
+            })
+            .collect();
+        let mut check = |summary: &Summary, below: &[Record]| {
+            for q in &queries {
+                let says = summary.may_match(q);
+                let decided = matches!(summary.decide(q), SummaryVerdict::Match { .. });
+                assert_eq!(decided, says, "decide and may_match disagree on {q:?}");
+                let matched = below.iter().any(|r| q.matches(r));
+                assert!(says || !matched, "false negative: {q:?} over {} records", below.len());
+            }
+        };
+        let (root, below) = &aggregate_tree(&cfg, &rows, &[], &mut check);
+        // Any other way of changing an aggregate drops its parts: they
+        // vouch only for the summands they were taken from.
+        let other = Summary::from_records(&mixed_schema(), &cfg, below);
+        for change in 0..4 {
+            let mut s = root.clone();
+            let changed = match change {
+                0 => s.merge(&other).is_ok(),
+                1 => { s.add_record(&below[0]); true }
+                2 => s.remove_record(&below[0]),
+                _ => s.replace_record(&below[0], &below[below.len() - 1]),
+            };
+            prop_assert!(!changed || s.part_count() == 0, "change {} kept the parts", change);
+            prop_assert!(changed || s == *root, "a refused change is no change");
+        }
+        // On the wire the parts are a trailer after the attributes: a
+        // count, then per part one byte per ordered attribute (two here).
+        let trailer = |s: &Summary| match s.part_count() { 0 => 0, k => 1 + 2 * k };
+        let mut flat = root.clone();
+        flat.merge(&Summary::empty(&mixed_schema(), &cfg)).unwrap();
+        prop_assert_eq!(root.wire_size(), flat.wire_size() + trailer(root));
+    }
+
+    /// The occupied range a histogram tracks is the one a scan finds, after
+    /// any interleaving of the operations that move it — an extreme bucket
+    /// emptied, a counter saturated and a removal refused included — and
+    /// its cells are the ones that hold its ends.
+    #[test]
+    fn histogram_tracks_its_occupied_range_exactly(
+        m in 0usize..BUCKET_COUNTS.len(),
+        ops in prop::collection::vec((0usize..9, -0.1f64..1.1, -0.1f64..1.1), 1..60),
+    ) {
+        let mut h = Histogram::new(0.0, 1.0, BUCKET_COUNTS[m]);
+        let mut saturated_once = false;
+        for (op, v, w) in ops {
+            let m = h.bucket_count();
+            match op {
+                // Insert, twice as often as anything else, so that
+                // removals find something to remove.
+                0 | 1 => h.insert(v),
+                2 => { h.remove(v); }
+                // Empty an extreme bucket, whatever it holds.
+                3 => if let Some((first, _)) = scanned(&h) {
+                    let at = (first as f64 + 0.5) / m as f64;
+                    while !h.is_saturated() && h.remove(at) {}
+                },
+                4 => h.merge(&Histogram::from_values(0.0, 1.0, m, [v, w])).unwrap(),
+                5 => {
+                    let other = Histogram::from_values(0.0, 1.0, m, [v, w, w]);
+                    h.merge(&other).unwrap();
+                    prop_assert!(h.unmerge(&other) || h.is_saturated());
+                }
+                6 => h.clear(),
+                7 if m.is_multiple_of(2) => h = h.coarsen(2).coarsen(1),
+                // Double until a counter saturates: removals then refuse.
+                8 if !saturated_once => {
+                    saturated_once = true;
+                    h.insert(v);
+                    for _ in 0..33 {
+                        let twin = h.clone();
+                        h.merge(&twin).unwrap();
+                    }
+                    prop_assert!(h.is_saturated() && !h.remove(v));
+                }
+                _ => prop_assert!(!h.unmerge(&Histogram::from_values(0.0, 2.0, m, [v]))),
+            }
+            let m = h.bucket_count();
+            prop_assert_eq!(h.occupied(), scanned(&h), "after op {}", op);
+            prop_assert_eq!(h.is_empty(), scanned(&h).is_none());
+            // A cell is a run of `w` buckets, `w` the least power of two
+            // that covers the histogram in at most 16 cells; the occupied
+            // cells are those holding the first and the last occupied
+            // bucket.
+            let (cells, w) = (Histogram::CELLS, h.cell_buckets());
+            prop_assert!(w.is_power_of_two() && m.div_ceil(w) <= cells);
+            prop_assert!(w == 1 || m.div_ceil(w / 2) > cells, "{} buckets a cell is not least", w);
+            match (h.occupied_cells(), scanned(&h)) {
+                (None, None) => {}
+                (Some((c_lo, c_hi)), Some((first, last))) => {
+                    prop_assert!(c_lo * w <= first && first < (c_lo + 1) * w);
+                    prop_assert!(c_hi * w <= last && last < (c_hi + 1) * w && c_hi < cells);
+                }
+                other => prop_assert!(false, "cells and scan disagree: {:?}", other),
+            }
         }
     }
 

@@ -5,7 +5,8 @@
 use roads_federation::analysis::{roads_latency_ms, LatencyModel};
 use roads_federation::core::protocol::{build_data_simulation, issue_query};
 use roads_federation::core::{
-    execute_query, update_round, HierarchyTree, RoadsConfig, RoadsNetwork, SearchScope, ServerId,
+    execute_query, execute_query_with, update_round, HierarchyTree, QueryOptions, RoadsConfig,
+    RoadsNetwork, SearchScope, ServerId,
 };
 use roads_federation::netsim::{DelaySpace, NodeId, SimTime, TrafficClass};
 use roads_federation::prelude::*;
@@ -78,12 +79,28 @@ fn live_query_agrees_with_offline_execution() {
     let mut sim = build_data_simulation(&tree, cfg, schema.clone(), records, delays.clone());
     sim.run_until(SimTime::from_millis(25_000));
 
-    for (i, entry) in [0u32, 13, 26].into_iter().enumerate() {
-        let q = QueryBuilder::new(&schema, QueryId(500 + i as u64))
-            .range("x0", 0.2, 0.45)
-            .range("x2", 0.4, 0.65)
+    // A broad query and a selective one (which the summaries' parts and
+    // the ancestors' local summaries get to refuse), from the root, an
+    // inner server and a leaf.
+    let ranges = [
+        ("x0", 0.2, 0.45),
+        ("x2", 0.4, 0.65),
+        ("x4", 0.1, 0.4),
+        ("x6", 0.5, 0.9),
+    ];
+    let cases = [0u32, 13, 26]
+        .into_iter()
+        .flat_map(|entry| [(entry, 2), (entry, 4)]);
+    for (i, (entry, dims)) in cases.enumerate() {
+        let q = (ranges[..dims].iter())
+            .fold(
+                QueryBuilder::new(&schema, QueryId(500 + i as u64)),
+                |q, &(a, lo, hi)| q.range(a, lo, hi),
+            )
             .build();
-        let offline = execute_query(&net, &delays, &q, ServerId(entry), SearchScope::full());
+        let mut log = Vec::new();
+        let opts = QueryOptions::default();
+        let offline = execute_query_with(&net, &delays, &q, ServerId(entry), &opts, Some(&mut log));
         issue_query(&mut sim, NodeId(entry), q.clone());
         let deadline = sim.now() + SimTime::from_secs(30);
         sim.run_until(deadline);
@@ -97,6 +114,16 @@ fn live_query_agrees_with_offline_execution() {
             "entry {entry}"
         );
         assert_eq!(records_found as usize, offline.matching_records);
+        // Server for server, not only match for match: both planes
+        // aggregate a branch through the one constructor and test an
+        // ancestor on the same local summary — the message plane on the
+        // one it computes from the branch summaries it replicates.
+        let mut contacted: Vec<u32> = log.iter().map(|e| e.server.0).collect();
+        contacted.sort_unstable();
+        let reached: Vec<u32> = (0..nodes as u32)
+            .filter(|&s| sim.node(NodeId(s)).handled(q.id))
+            .collect();
+        assert_eq!(reached, contacted, "entry {entry}, {dims} ranges");
     }
 }
 
