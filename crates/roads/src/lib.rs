@@ -15,13 +15,16 @@
 //!   server contacted in a [`ContactMode`] says whether it searches its
 //!   own records and whom the query goes to next) that the simulator and
 //!   the live cluster both run.
-//! * [`queryexec`] — client-driven query execution over a
-//!   [`roads_netsim::DelaySpace`]: redirection rounds, parallel branch
-//!   descent, latency and byte accounting exactly as the paper measures
-//!   them. One executor ([`execute_query_with`]) takes scope, forwarding
-//!   style and plan as [`QueryOptions`] and observation as an optional
-//!   contact log; the explain record and the flight-recorder span tree
-//!   are derived from that log.
+//! * [`machine`] — the per-query protocol machine both planes drive
+//!   ([`QueryMachine`]): visit dedup, plan batch, retry, failover, deadline
+//!   and completeness proof over the contact log it keeps. No I/O, no
+//!   clock: time is an argument.
+//! * [`queryexec`] — the simulator's driver of that machine over a
+//!   [`roads_netsim::DelaySpace`], with latency and byte accounting exactly
+//!   as the paper measures them. One executor ([`execute_query_with`])
+//!   takes scope, forwarding style and plan as [`QueryOptions`]; the
+//!   explain record, the flight-recorder span tree and the hollow
+//!   (false-positive) verdicts are derived from the contact log.
 //! * [`batch`] — a worker pool evaluating whole query batches over one
 //!   `Arc`-shared converged network (throughput experiments, fig. 14).
 //! * [`updates`] — per-round update-overhead accounting (summary export,
@@ -49,6 +52,7 @@ pub mod batch;
 pub mod cache;
 pub mod config;
 pub mod engine;
+pub mod machine;
 pub mod maintenance;
 pub mod metrics;
 pub mod overlay;
@@ -67,6 +71,7 @@ pub use batch::QueryBatch;
 pub use cache::{execute_query_cached, query_fingerprint, CachedResult, ResultCache};
 pub use config::RoadsConfig;
 pub use engine::{BuildOptions, ContactMode, EvalResult, RoadsNetwork};
+pub use machine::{fault_decision, FaultSettings, Finished, Outbound, QueryMachine, TraceEvent};
 pub use metrics::{record_query_outcome, LatencyStats};
 pub use overlay::{replication_set, ReplicaRole, ReplicationSet};
 pub use planner::{
@@ -77,8 +82,8 @@ pub use policy::{
     apply_policy, Disclosure, OpenPolicy, RequesterId, SharingPolicy, TieredPolicy, TrustClass,
 };
 pub use queryexec::{
-    execute_query, execute_query_planned, execute_query_with, explain_from_trace,
-    record_query_events, ForwardingMode, QueryOptions, QueryOutcome, SearchScope, TraceEvent,
+    execute_query, execute_query_planned, execute_query_with, explain_from_trace, hollow_contacts,
+    record_query_events, ForwardingMode, QueryOptions, QueryOutcome, SearchScope,
 };
 pub use store::{DeltaOutcome, RecordChange, RecordDelta, RecordStore, ServerStore};
 pub use tree::{BalanceStats, HierarchyTree, ServerId, TreeError};

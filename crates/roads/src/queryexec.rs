@@ -13,29 +13,28 @@
 //! contact". Query overhead counts every forwarded query and redirect
 //! reply.
 //!
-//! There is one executor, [`execute_query_with`]. How far the search
-//! reaches, how the query travels and whether the entry dispatches a
-//! precomputed plan are [`QueryOptions`]; observation is its optional
-//! contact log (one [`TraceEvent`] per contacted server, each naming the
-//! contact that caused it), from which [`explain_from_trace`] derives the
-//! provenance record and [`record_query_events`] the flight-recorder span
-//! tree. The live cluster shares both halves: what a contacted server does
-//! is [`RoadsNetwork::route`], the step its servers run too, and its
-//! per-query driver keeps the same log — with the timeouts, retries and
-//! stand-ins only it can have — for the same two derivations.
+//! There is one executor, [`execute_query_with`], and it decides nothing:
+//! whom to contact, in what mode, once or again is the [`QueryMachine`]'s
+//! call, as on the live plane. Here is the simulator's side of that seam —
+//! sends in flight ordered by arrival, the step each arrival runs
+//! ([`RoadsNetwork::route`] + the local search), the delay space, the
+//! paper's byte and message accounting, steered by [`QueryOptions`] — and
+//! what both planes derive from the machine's contact log:
+//! [`explain_from_trace`], [`record_query_events`], [`hollow_contacts`].
 
 use crate::engine::{ContactMode, RoadsNetwork};
+use crate::machine::{fault_decision, FaultSettings, Outbound, QueryMachine, TraceEvent};
 use crate::planner::QueryPlan;
 use crate::tree::ServerId;
 use roads_netsim::DelaySpace;
 use roads_records::{wire::MSG_HEADER_BYTES, Query, WireSize};
 use roads_summary::SummaryVerdict;
 use roads_telemetry::{
-    Event, EventKind, ExplainDecision, ExplainHop, HopOutcome, LatencySplit, QueryExplain,
-    Recorder, SpanId, SummaryKind, TraceId,
+    Event, EventKind, ExplainDecision, ExplainHop, HopOutcome, QueryExplain, Recorder, SpanId,
+    SummaryKind, TraceId,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Bytes per server id inside a redirect reply.
 const REDIRECT_ENTRY_BYTES: usize = 4;
@@ -92,7 +91,7 @@ impl SearchScope {
 }
 
 /// Outcome of one query execution.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryOutcome {
     /// Time until the query reached the last server it needed to contact,
     /// in milliseconds.
@@ -108,28 +107,6 @@ pub struct QueryOutcome {
     pub matching_servers: Vec<ServerId>,
     /// Total matching records found.
     pub matching_records: usize,
-}
-
-/// Time-ordered contact queue entry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Contact {
-    at_us: u64,
-    server: ServerId,
-    mode: ContactMode,
-    /// Position in contact order of the contact that sent the query here.
-    caused_by: Option<usize>,
-}
-
-impl Eq for Contact {}
-impl PartialOrd for Contact {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Contact {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at_us, self.server).cmp(&(other.at_us, other.server))
-    }
 }
 
 /// How the query travels between servers.
@@ -211,51 +188,6 @@ pub fn execute_query_planned(
     execute_query_with(net, delays, query, start, &opts, None)
 }
 
-/// One entry of a query's contact log: which server was contacted, when,
-/// in what mode, because of whom, what it did and how the contact ended.
-/// Both planes write it — the simulator from [`execute_query_with`], the
-/// live cluster's driver as it dispatches and hears back — and everything
-/// that describes a query after the fact ([`explain_from_trace`],
-/// [`record_query_events`]) is derived from it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// The contacted server.
-    pub server: ServerId,
-    /// When the contact began, ms since the query did: the query's arrival
-    /// at the server in the simulator, its dispatch by the client on the
-    /// live plane.
-    pub at_ms: f64,
-    /// How the server was asked to treat the query.
-    pub mode: ContactMode,
-    /// Index in the log of the contact that caused this one (always an
-    /// earlier one): the contact that forwarded the query here, or the
-    /// failed one this retries or stands in for. `None` for the entry.
-    pub caused_by: Option<usize>,
-    /// Records its local search produced.
-    pub local_matches: usize,
-    /// Servers it forwarded/redirected the query to (left empty by a live
-    /// query nobody observes).
-    pub forwarded_to: Vec<ServerId>,
-    /// How the contact ended. Only a plane with faults ends one any other
-    /// way than `Replied`; a live contact reads `Abandoned` while it is
-    /// still awaited and keeps that if the query deadline cuts it off.
-    pub outcome: HopOutcome,
-    /// Retries of this target already behind this contact (0 = first
-    /// attempt).
-    pub tries: u32,
-    /// When the contact closed, ms since query start: when its reply,
-    /// timeout or the deadline reached the live client (0 on a live query
-    /// nobody observes). The simulator models no replies, so there a
-    /// contact closes when the last contact it caused has been reached —
-    /// its span covers its whole redirect subtree, and the slowest
-    /// root-to-leaf chain is the query's critical path.
-    pub closed_ms: f64,
-    /// Where the contact's time went. The simulator's is all network (the
-    /// transit from its forwarder); queue, compute and retry backoff exist
-    /// only on the live plane.
-    pub split: LatencySplit,
-}
-
 /// The summary kind a [`SummaryVerdict`] hinged on, in the explain
 /// plane's vocabulary: the fuzziest kind participating in a match (the
 /// candidate false-positive source), or the kind that proved a prune.
@@ -263,19 +195,6 @@ fn verdict_kind(verdict: SummaryVerdict) -> Option<SummaryKind> {
     let (SummaryVerdict::Match { fuzziest: label } | SummaryVerdict::Prune { decided_by: label }) =
         verdict;
     label.and_then(SummaryKind::from_summary_label)
-}
-
-/// The fault path contact `e` took, if any: a re-dispatch of a timed-out
-/// attempt, or a stand-in for a failed server — one asked to forward to
-/// the dead server's children, or a replacement entry (only a failed
-/// entry has another contact ask someone to be one).
-fn fault_decision(e: &TraceEvent) -> Option<ExplainDecision> {
-    match e.mode {
-        _ if e.tries > 0 => Some(ExplainDecision::Retry),
-        ContactMode::Failover { .. } => Some(ExplainDecision::Failover),
-        ContactMode::Entry if e.caused_by.is_some() => Some(ExplainDecision::Failover),
-        _ => None,
-    }
 }
 
 /// The decision behind contact `i` of `trace`, given what the `entry`
@@ -290,7 +209,7 @@ fn contact_decision(
     entry: ExplainDecision,
 ) -> ExplainDecision {
     let e = &trace[i];
-    if let Some(fault) = fault_decision(e) {
+    if let Some(fault) = fault_decision(e.mode, e.tries, e.caused_by) {
         return fault;
     }
     let Some(p) = e.caused_by else {
@@ -309,15 +228,35 @@ fn contact_decision(
     }
 }
 
+/// Which contacts of a log were hollow — the one false-positive rule, of
+/// the explain record and the live audit counters alike: a `Branch`
+/// contact whose summary vouched for its subtree and nothing came of it,
+/// neither it nor any contact it caused, however far down, returning a
+/// record. One that never answered may have held some: it is not hollow
+/// and clears everyone who forwarded towards it.
+pub fn hollow_contacts(trace: &[TraceEvent]) -> Vec<bool> {
+    // Records found in each contact's whole redirect subtree: causes
+    // precede their effects, so one reverse pass sums them up the log.
+    let mut found: Vec<usize> = (trace.iter())
+        .map(|e| match e.outcome {
+            HopOutcome::Replied => e.local_matches,
+            _ => 1,
+        })
+        .collect();
+    for i in (1..trace.len()).rev() {
+        if let Some(p) = trace[i].caused_by {
+            found[p] += found[i];
+        }
+    }
+    (trace.iter().zip(found))
+        .map(|(e, found)| e.mode == ContactMode::Branch && found == 0)
+        .collect()
+}
+
 /// Build a [`QueryExplain`] provenance record from a finished query's
 /// contact log: one hop per contact, each with the decision that caused
 /// it, the summary kind its routing verdict hinged on, false-positive
-/// detection, how it ended and its latency split.
-///
-/// A branch contact is a false positive when a summary vouched for its
-/// subtree and nothing came of it: neither it nor any contact it caused,
-/// however far down, returned a record (an unanswered one may have held
-/// some, so it clears its forwarders of the charge).
+/// detection ([`hollow_contacts`]), how it ended and its latency split.
 ///
 /// `entry` is what the entry server did with the query: expanded its own
 /// overlay view (`Entry`), dispatched a precomputed plan (`Planned` — its
@@ -346,16 +285,7 @@ pub fn explain_from_trace(
 ) -> QueryExplain {
     let to_us = |ms: f64| ms * 1000.0;
     let replied = |e: &TraceEvent| e.outcome == HopOutcome::Replied;
-    // Records found in each contact's whole redirect subtree: causes
-    // precede their effects, so one reverse pass sums them up the log.
-    let mut found: Vec<usize> = (trace.iter())
-        .map(|e| if replied(e) { e.local_matches } else { 1 })
-        .collect();
-    for i in (1..trace.len()).rev() {
-        if let Some(p) = trace[i].caused_by {
-            found[p] += found[i];
-        }
-    }
+    let hollow = hollow_contacts(trace);
     let hops = (trace.iter().enumerate())
         .map(|(i, e)| {
             let decision = contact_decision(net, trace, i, entry);
@@ -375,7 +305,7 @@ pub fn explain_from_trace(
                 server: e.server.0,
                 decision,
                 summary: vouching.and_then(|s| verdict_kind(s.decide(query))),
-                false_positive: e.mode == ContactMode::Branch && found[i] == 0,
+                false_positive: hollow[i],
                 outcome: e.outcome,
                 at_us: to_us(e.at_ms),
                 dur_us: to_us(e.closed_ms - e.at_ms),
@@ -428,7 +358,7 @@ pub fn record_query_events(
     };
     rec.record(on(0, first.at_ms, 0, EventKind::QueryStart, trace_id.0));
     for (i, e) in trace.iter().enumerate() {
-        match (fault_decision(e), e.caused_by) {
+        match (fault_decision(e.mode, e.tries, e.caused_by), e.caused_by) {
             (Some(ExplainDecision::Retry), Some(failed)) => {
                 rec.record(on(failed, e.at_ms, 0, EventKind::Retry, e.tries as u64));
             }
@@ -463,9 +393,11 @@ pub fn record_query_events(
 
 /// Execute `query` starting at `start`, over a converged [`RoadsNetwork`]
 /// with latencies from `delays` — the one executor every simulated query
-/// runs through. With `trace`, every contact is appended to it in contact
-/// (= arrival-time) order; tracing never changes the outcome and costs
-/// nothing when absent.
+/// runs through, driving a [`QueryMachine`] with no faults: each send it
+/// asks for is put in flight, and when it arrives its contact begins and
+/// the server's answer reaches the machine. With `trace`, the contact log
+/// is appended to it, in contact (= arrival-time) order; tracing never
+/// changes the outcome.
 ///
 /// The client is co-located with the entry server (the paper initiates each
 /// query "from a randomly chosen node"), so contacting the entry is free.
@@ -475,11 +407,8 @@ pub fn execute_query_with(
     query: &Query,
     start: ServerId,
     opts: &QueryOptions<'_>,
-    mut trace: Option<&mut Vec<TraceEvent>>,
+    trace: Option<&mut Vec<TraceEvent>>,
 ) -> QueryOutcome {
-    if let Some(p) = opts.plan {
-        assert_eq!(p.entry, start, "plan was computed for a different entry");
-    }
     assert_eq!(
         net.len(),
         delays.len(),
@@ -488,78 +417,44 @@ pub fn execute_query_with(
     let query_msg_bytes = (query.wire_size() + MSG_HEADER_BYTES) as u64;
     let client = start.index();
 
-    let mut heap: BinaryHeap<Reverse<Contact>> = BinaryHeap::new();
-    let mut visited: HashSet<ServerId> = HashSet::new();
-    // The entry contact is local (client co-located): zero latency, but the
-    // query message itself is still accounted.
-    heap.push(Reverse(Contact {
-        at_us: 0,
-        server: start,
-        mode: ContactMode::Entry,
-        caused_by: None,
-    }));
+    let mut machine = QueryMachine::new(net, query, FaultSettings::default(), trace.is_some());
+    let mut sends: Vec<Outbound> = Vec::new();
+    machine.start(start, opts.plan, &mut sends);
+    // Sends in flight by when (then where) they arrive; `sent` holds what
+    // each asks for (both sized for a typical query). The entry contact is
+    // local (client co-located): zero latency, its message still accounted.
+    let mut sent: Vec<Outbound> = Vec::with_capacity(32);
+    let mut heap: BinaryHeap<Reverse<(u64, ServerId, usize)>> = BinaryHeap::with_capacity(32);
+    for send in sends.drain(..) {
+        heap.push(Reverse((0, send.target, sent.len())));
+        sent.push(send);
+    }
     let mut outcome = QueryOutcome {
-        latency_ms: 0.0,
         query_bytes: query_msg_bytes,
         query_messages: 1,
-        servers_contacted: 0,
-        matching_servers: Vec::new(),
-        matching_records: 0,
+        ..QueryOutcome::default()
     };
 
-    while let Some(Reverse(c)) = heap.pop() {
-        if !visited.insert(c.server) {
-            continue;
-        }
-        let index = outcome.servers_contacted;
-        outcome.servers_contacted += 1;
-        let arrive_ms = c.at_us as f64 / 1000.0;
+    while let Some(Reverse((at_us, server, i))) = heap.pop() {
+        let (send, mode) = (sent[i], sent[i].mode);
+        let arrive_ms = at_us as f64 / 1000.0;
         outcome.latency_ms = outcome.latency_ms.max(arrive_ms);
+        // No queues or compute here: all its time is transit.
+        let transit_ms = (send.cause).map_or(0.0, |p| arrive_ms - machine.log()[p].at_ms);
+        let attempt = machine.open(&send, arrive_ms, transit_ms * 1000.0);
 
-        let (search_local, mut targets) = net.route(c.server, query, c.mode, opts.scope);
-        if let (ContactMode::Entry, Some(plan)) = (c.mode, opts.plan) {
-            // Planner batch: the entry dispatches exactly the planned
-            // contacts instead of expanding its own overlay view.
-            targets = (plan.contacts.iter())
-                .map(|pc| (pc.server, pc.action.mode()))
-                .collect();
-        }
+        let (search_local, targets) = net.route(server, query, mode, opts.scope);
         // One local search per contact. The simulation only needs the
         // count, so no record is materialized.
         let local_matches = if search_local {
-            net.count_local(c.server, query)
+            net.count_local(server, query)
         } else {
             0
         };
-        if local_matches > 0 {
-            outcome.matching_servers.push(c.server);
+        let fresh = machine.reply(attempt, arrive_ms, &targets, local_matches, &mut sends);
+        if fresh && local_matches > 0 {
+            outcome.matching_servers.push(server);
             outcome.matching_records += local_matches;
-        }
-        // Drop already-visited servers AND duplicates within this batch: a
-        // server reachable both as a child target and a replica target must
-        // be forwarded to once, not double-counted in messages/bytes. First
-        // occurrence wins (Branch entries precede LocalOnly probes).
-        let mut batch_seen: HashSet<ServerId> = HashSet::with_capacity(targets.len());
-        targets.retain(|(t, _)| !visited.contains(t) && batch_seen.insert(*t));
-        if let Some(tr) = trace.as_deref_mut() {
-            // No faults, queues or compute here: every contact is answered
-            // first time and its time is the transit from its forwarder.
-            let transit_ms = c.caused_by.map_or(0.0, |p| arrive_ms - tr[p].at_ms);
-            tr.push(TraceEvent {
-                server: c.server,
-                at_ms: arrive_ms,
-                mode: c.mode,
-                caused_by: c.caused_by,
-                local_matches,
-                forwarded_to: targets.iter().map(|(t, _)| *t).collect(),
-                outcome: HopOutcome::Replied,
-                tries: 0,
-                closed_ms: arrive_ms,
-                split: LatencySplit {
-                    network_us: transit_ms * 1000.0,
-                    ..LatencySplit::default()
-                },
-            });
         }
 
         let (sender, sent_at_us) = match opts.forwarding {
@@ -568,44 +463,43 @@ pub fn execute_query_with(
             // the latency-critical path). Only a probed ancestor, which
             // forwards nowhere, answers the client (header only).
             ForwardingMode::ServerForward => {
-                if c.mode == ContactMode::LocalOnly {
+                if mode == ContactMode::LocalOnly {
                     outcome.query_bytes += MSG_HEADER_BYTES as u64;
                 }
-                (c.server.index(), c.at_us)
+                (server.index(), at_us)
             }
             // Redirect reply back to the client (sent even when empty —
             // the client must learn the branch is exhausted), which then
             // forwards the query to each target itself.
             ForwardingMode::ClientRedirect => {
-                let reply_bytes = MSG_HEADER_BYTES + REDIRECT_ENTRY_BYTES * targets.len();
+                let reply_bytes = MSG_HEADER_BYTES + REDIRECT_ENTRY_BYTES * sends.len();
                 outcome.query_bytes += reply_bytes as u64;
-                let back_us = delays.delay(c.server.index(), client).as_micros();
-                (client, c.at_us + back_us)
+                let back_us = delays.delay(server.index(), client).as_micros();
+                (client, at_us + back_us)
             }
         };
-        for (t, mode) in targets {
+        for send in sends.drain(..) {
             outcome.query_bytes += query_msg_bytes;
             outcome.query_messages += 1;
-            heap.push(Reverse(Contact {
-                at_us: sent_at_us + delays.delay(sender, t.index()).as_micros(),
-                server: t,
-                mode,
-                caused_by: Some(index),
-            }));
+            let at_us = sent_at_us + delays.delay(sender, send.target.index()).as_micros();
+            heap.push(Reverse((at_us, send.target, sent.len())));
+            sent.push(send);
         }
     }
 
+    let mut log = machine.finish().log;
+    outcome.servers_contacted = log.len();
     if let Some(tr) = trace {
         // A contact stays open until the last one it caused is reached
         // (see `TraceEvent::closed_ms`); causes precede their effects.
-        for i in (1..tr.len()).rev() {
-            if let Some(p) = tr[i].caused_by {
-                tr[p].closed_ms = tr[p].closed_ms.max(tr[i].closed_ms);
+        for i in (1..log.len()).rev() {
+            if let Some(p) = log[i].caused_by {
+                log[p].closed_ms = log[p].closed_ms.max(log[i].closed_ms);
             }
         }
+        tr.append(&mut log);
     }
     outcome.matching_servers.sort();
-    outcome.matching_servers.dedup();
     outcome
 }
 
@@ -615,6 +509,7 @@ mod tests {
     use crate::config::RoadsConfig;
     use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
     use roads_summary::SummaryConfig;
+    use std::collections::HashSet;
 
     /// n servers over 1 attribute; server s holds records at s/n ± tiny.
     fn network(n: usize, degree: usize) -> (RoadsNetwork, DelaySpace) {
@@ -941,16 +836,9 @@ mod tests {
         let (net, _) = network(10, 3);
         let q = point_query(&net, 0.5);
         let contact = |server: u32, mode, caused_by, local_matches| TraceEvent {
-            server: ServerId(server),
-            at_ms: 0.0,
-            mode,
-            caused_by,
             local_matches,
-            forwarded_to: Vec::new(),
             outcome: HopOutcome::Replied,
-            tries: 0,
-            closed_ms: 0.0,
-            split: LatencySplit::default(),
+            ..TraceEvent::begun(ServerId(server), 0.0, mode, caused_by)
         };
         let branch = ContactMode::Branch;
         let mut log = vec![

@@ -24,67 +24,63 @@
 //!
 //! # Fault model
 //!
-//! Every dispatched sub-query carries a per-dispatch timeout; expiry
-//! triggers bounded retry with exponential backoff, then replica-overlay
-//! failover (a delivery that finds the target dead skips the retry budget
-//! — it stays dead until restarted — and fails over immediately): a
-//! sibling or ancestor holding the dead server's branch summary (§III-C)
-//! stands in and forwards the sub-query to the dead server's children. A
-//! per-query deadline bounds the whole operation, and
-//! [`RuntimeOutcome::complete`] reports truthfully whether anything may be
-//! missing. Servers can be torn down and brought back live via
-//! [`RoadsCluster::kill_server`] / [`RoadsCluster::restart_server`] for
-//! fault injection. A step that panics (a crashing owner backend) is
-//! contained: it kills that server — queued and in-flight replies are
-//! lost, it reads as dead everywhere until restarted — not the client or
-//! timer thread that happened to deliver the request.
+//! Per-dispatch timeouts, bounded retry with exponential backoff, failover
+//! through the replication overlay (§III-C), the per-query deadline and
+//! the truthful [`RuntimeOutcome::complete`] are [`roads_core::machine`]'s
+//! rules — the one [`QueryMachine`] the simulator drives too; this module
+//! supplies what only a live plane has: time and delivery. Servers can be
+//! torn down and brought back live via [`RoadsCluster::kill_server`] /
+//! [`RoadsCluster::restart_server`] for fault injection. A step that
+//! panics (a crashing owner backend) is contained: it kills that server —
+//! queued and in-flight replies are lost, it reads as dead everywhere
+//! until restarted — not the client or timer thread that happened to
+//! deliver the request.
 //!
 //! # Concurrency
 //!
 //! [`RoadsCluster::query`] takes `&self` and any number of client threads
-//! may call it at once: each call owns a private `Driver` (its own
-//! contact log, visit ledger, reply channel, and failure bookkeeping),
-//! so outcomes — `retries`, `failed_servers`, `servers_contacted`,
-//! recorder events — are attributed to exactly the query that caused
-//! them, never pooled across in-flight queries. The shared pieces (the
-//! dispatcher, the server cells) are multi-producer by construction.
-//! Admission is bounded by [`RuntimeConfig::max_inflight_queries`]; the
-//! `runtime.inflight_queries` gauge tracks the live count on instrumented
-//! clusters.
+//! may call it at once: each call drives a [`QueryMachine`] of its own
+//! (contact log, visit ledger, failure bookkeeping) over its own reply
+//! channel, so outcomes — `retries`, `failed_servers`,
+//! `servers_contacted`, recorder events — are attributed to exactly the
+//! query that caused them, never pooled across in-flight queries. The
+//! shared pieces (the dispatcher, the server cells) are multi-producer by
+//! construction. Admission is bounded by
+//! [`RuntimeConfig::max_inflight_queries`]; the `runtime.inflight_queries`
+//! gauge tracks the live count on instrumented clusters.
 //!
 //! # Observation
 //!
-//! The `Driver` only drives. What it knows of each dispatch is one entry
-//! of the simulator's contact log ([`TraceEvent`]: sent when, to whom, in
-//! what mode, because of which entry; ended how, after how many tries),
-//! and everything that describes a query after the fact is derived from
-//! that log once, in the query's epilogue, by the functions the simulator
-//! uses: [`explain_from_trace`] for the provenance record,
-//! [`record_query_events`] for the recorder's span tree, one loop for the
-//! audit plane's live probes. Registry metrics alone are counted inline —
-//! the watchdog reads them while a query is still running.
+//! Driving a query decides and describes nothing: sends become timed
+//! deliveries, notices and receive-timeouts become machine calls stamped
+//! with milliseconds since the query began. What describes a query after
+//! the fact is derived from the machine's log once, in the query's
+//! epilogue, by the functions the simulator uses: [`explain_from_trace`],
+//! [`record_query_events`], [`hollow_contacts`]. Registry metrics alone
+//! are counted inline — the watchdog reads them while a query still runs.
 
 use crate::audit::{AuditMetrics, Liveness};
 use crate::config::RuntimeConfig;
-use crate::faults::{backoff_delay, mode_rank, DispatchHandle, Dispatcher, VisitLedger};
+use crate::faults::{DispatchHandle, Dispatcher};
 use crate::health::{
     ClusterHealth, FaultKind, FaultLog, RuntimeMetrics, ServerHealth, ServerInstruments,
 };
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use roads_core::policy::{apply_policy, OpenPolicy, RequesterId, SharingPolicy};
 pub use roads_core::ContactMode;
 use roads_core::{
-    explain_from_trace, plan_query, record_query_events, CachedResult, DeltaOutcome, ResultCache,
-    RoadsNetwork, SearchScope, ServerId, TraceEvent,
+    explain_from_trace, fault_decision, hollow_contacts, plan_query, record_query_events,
+    CachedResult, DeltaOutcome, FaultSettings, Outbound, QueryMachine, ResultCache, RoadsNetwork,
+    SearchScope, ServerId, TraceEvent,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{Query, Record, WireSize};
 use roads_telemetry::{
     span::timed, trace_events, ExplainDecision, Gauge, Histogram, HopOutcome, LatencySplit,
-    QueryExplain, Recorder, Registry, TailSampler, TraceId,
+    QueryExplain, Recorder, Registry, SpanTimer, TailSampler, TraceId,
 };
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -164,19 +160,21 @@ pub(crate) struct Request {
     reply: ReplyHandle,
 }
 
+/// What a server made of one request.
+pub(crate) struct Served {
+    targets: Vec<(ServerId, ContactMode)>,
+    records: Vec<Record>,
+    /// FIFO wait measured at the server (delivery → pickup), µs.
+    queue_us: f64,
+    /// Server-side work (summary evaluation + local search + emulated
+    /// backend cost), µs; set when the reply leaves.
+    compute_us: f64,
+}
+
 /// What the dispatcher reports back to a querying client.
 pub(crate) enum Notice {
     /// A server's reply landed (after the return delay).
-    Reply {
-        attempt: usize,
-        targets: Vec<(ServerId, ContactMode)>,
-        records: Vec<Record>,
-        /// FIFO wait measured at the server (delivery → pickup), µs.
-        queue_us: f64,
-        /// Server-side work (summary evaluation + local search + emulated
-        /// backend cost), µs.
-        compute_us: f64,
-    },
+    Reply { attempt: usize, served: Served },
     /// The target was dead at delivery — killed or crashed, so the request
     /// could not even be queued. The attempt id identifies which dispatch
     /// (and server) this was.
@@ -195,32 +193,12 @@ pub(crate) struct ReplyHandle {
 }
 
 impl ReplyHandle {
-    fn send(
-        self,
-        targets: Vec<(ServerId, ContactMode)>,
-        records: Vec<Record>,
-        queue_us: f64,
-        compute_us: f64,
-    ) {
-        let ReplyHandle {
-            timer,
-            done,
-            attempt,
-            delay_back,
-        } = self;
-        timer.schedule_after(
-            delay_back,
-            DispatchJob::Notify {
-                done,
-                notice: Notice::Reply {
-                    attempt,
-                    targets,
-                    records,
-                    queue_us,
-                    compute_us,
-                },
-            },
-        );
+    /// Send `served`, whose work began at `work_t0`, back to the client.
+    fn send(self, mut served: Served, work_t0: Instant) {
+        served.compute_us = work_t0.elapsed().as_micros() as f64;
+        let (attempt, done) = (self.attempt, self.done);
+        let notice = Notice::Reply { attempt, served };
+        (self.timer).schedule_after(self.delay_back, DispatchJob::Notify { done, notice });
     }
 
     /// The target is dead: say so at once, like a refused connection.
@@ -243,9 +221,7 @@ pub(crate) enum DispatchJob {
     Finish {
         cell: Cell,
         reply: ReplyHandle,
-        targets: Vec<(ServerId, ContactMode)>,
-        records: Vec<Record>,
-        queue_us: f64,
+        served: Served,
         /// When the step began; `compute_us` runs from here to the reply.
         work_t0: Instant,
     },
@@ -279,20 +255,13 @@ impl DispatchJob {
             DispatchJob::Finish {
                 cell,
                 reply,
-                targets,
-                records,
-                queue_us,
+                served,
                 work_t0,
             } => {
                 let mut slot = cell.lock();
                 // Killed mid-request: the in-flight reply is lost.
                 let Some(server) = slot.as_mut() else { return };
-                reply.send(
-                    targets,
-                    records,
-                    queue_us,
-                    work_t0.elapsed().as_micros() as f64,
-                );
+                reply.send(served, work_t0);
                 server.in_service = false;
                 serve(&cell, &mut slot);
             }
@@ -446,9 +415,9 @@ pub struct Attachments<'a> {
     /// sampler's live histogram and is dropped.
     pub tail: Option<Arc<TailSampler>>,
     /// Audit instruments: every branch-mode reply in a finished query's
-    /// contact log is folded into the per-level `audit.live_probes` / `audit.live_false_positives`
-    /// counters (a live false positive is a branch dispatch whose lossy
-    /// summary matched but which returned neither records nor redirects).
+    /// contact log is folded into the per-level `audit.live_probes` /
+    /// `audit.live_false_positives` counters (a live false positive is a
+    /// hollow branch contact, see [`hollow_contacts`]).
     /// Share the same [`AuditMetrics`] with a background
     /// [`crate::audit::Auditor`] so sampled ground truth and live traffic
     /// land in one scrape.
@@ -786,43 +755,23 @@ impl RoadsCluster {
                 m.cache_misses.inc();
             }
         }
-        let (done_tx, done_rx) = unbounded::<Notice>();
-        let driver = Driver {
-            cluster: self,
-            query: Arc::new(query.clone()),
-            requester,
-            start,
-            t0,
-            done_tx,
-            log: Vec::new(),
-            open: 0,
-            ledger: VisitLedger::new(),
-            resolved: HashSet::new(),
-            failed: BTreeMap::new(),
-            dead_helpers: HashSet::new(),
-            failover_pos: HashMap::new(),
-            records: Vec::new(),
-            deadline_hit: false,
-            observed: want_explain || self.recorder.is_some() || self.audit.is_some(),
-        };
-        let (outcome, explain) = driver.run(done_rx, want_explain);
-        if let Some(cache) = &self.cache {
-            // Replaying an incomplete answer would hide a transient fault
-            // until the TTL expired; only provably-complete results are
-            // stored.
-            if outcome.complete {
-                cache.insert(
-                    start,
-                    requester.0 as u64,
-                    SearchScope::full(),
-                    query,
-                    CachedResult {
-                        matching_servers: Vec::new(),
-                        matching_records: outcome.records.len(),
-                        records: outcome.records.clone(),
-                    },
-                );
-            }
+        let query = Arc::new(query.clone());
+        let (outcome, explain) = self.drive(&query, start, requester, t0, want_explain);
+        // Replaying an incomplete answer would hide a transient fault until
+        // the TTL expired; only provably-complete results are stored.
+        if let (Some(cache), true) = (&self.cache, outcome.complete) {
+            let result = CachedResult {
+                matching_servers: Vec::new(),
+                matching_records: outcome.records.len(),
+                records: outcome.records.clone(),
+            };
+            cache.insert(
+                start,
+                requester.0 as u64,
+                SearchScope::full(),
+                &query,
+                result,
+            );
         }
         (outcome, explain)
     }
@@ -840,21 +789,16 @@ impl RoadsCluster {
     ) -> (RuntimeOutcome, Option<QueryExplain>) {
         let response_ms = ms_since(t0);
         let log = [TraceEvent {
-            server: start,
-            at_ms: 0.0,
-            mode: ContactMode::Entry,
-            caused_by: None,
             local_matches: r.records.len(),
-            forwarded_to: Vec::new(),
             outcome: HopOutcome::Replied,
-            tries: 0,
             closed_ms: response_ms,
+            // The client is co-located with its entry: a replay crosses no
+            // link and waits in no queue.
             split: LatencySplit {
-                // The client is co-located with its entry: a replay
-                // crosses no link and waits in no queue.
                 compute_us: response_ms * 1_000.0,
                 ..LatencySplit::default()
             },
+            ..TraceEvent::begun(start, 0.0, ContactMode::Entry, None)
         }];
         let outcome = RuntimeOutcome {
             response_ms,
@@ -864,13 +808,8 @@ impl RoadsCluster {
             failed_servers: Vec::new(),
             retries: 0,
         };
-        self.finish(
-            query,
-            outcome,
-            &log,
-            ExplainDecision::CacheHit,
-            want_explain,
-        )
+        let hit = ExplainDecision::CacheHit;
+        self.finish(query, outcome, &log, hit, want_explain)
     }
 
     /// The one epilogue of a query, driven or replayed, and the one place
@@ -921,13 +860,10 @@ impl RoadsCluster {
         });
         if let Some(audit) = &self.audit {
             // A branch dispatch only happens because a summary matched, so
-            // an empty-handed branch reply is a live false positive.
-            for e in log {
+            // a hollow branch contact is a live false positive.
+            for (e, hollow) in log.iter().zip(hollow_contacts(log)) {
                 if e.mode == ContactMode::Branch && e.outcome == HopOutcome::Replied {
-                    let spurious = e.local_matches == 0
-                        && e.forwarded_to.is_empty()
-                        && self.net.branch_summary(e.server).may_match(query);
-                    audit.observe_live(self.net.tree().depth(e.server), spurious);
+                    audit.observe_live(self.net.tree().depth(e.server), hollow);
                 }
             }
         }
@@ -950,6 +886,139 @@ impl RoadsCluster {
         (outcome, explain)
     }
 
+    /// Drive one query's [`QueryMachine`] to its end: put every send it
+    /// asks for on its way (a delivery already due runs the server's step
+    /// right here; its reply comes back through the channel like any
+    /// other) and tell it, by the wall clock, what comes back.
+    fn drive(
+        &self,
+        query: &Arc<Query>,
+        start: ServerId,
+        requester: RequesterId,
+        t0: Instant,
+        want_explain: bool,
+    ) -> (RuntimeOutcome, Option<QueryExplain>) {
+        let (cfg, metrics) = (self.cfg, self.metrics.as_ref());
+        // Replica-aware planning: the set-cover contacts go out as one batch
+        // in place of the targets the entry's own expansion names.
+        let plan =
+            (cfg.enable_planner).then(|| plan_query(&self.net, query, start, SearchScope::full()));
+        if let (Some(plan), Some(m)) = (&plan, metrics) {
+            m.planned_queries.inc();
+            m.pruned_probes.add(plan.pruned_probes as u64);
+        }
+        let faults = FaultSettings {
+            dispatch_timeout_ms: cfg.dispatch_timeout_ms,
+            max_retries: cfg.max_retries,
+            backoff_base_ms: cfg.backoff_base_ms,
+            failover: cfg.enable_failover,
+            deadline_ms: cfg.query_deadline_ms,
+        };
+        // Nobody to read the log: no closing stamps, no target lists.
+        let observed = want_explain || self.recorder.is_some() || self.audit.is_some();
+        let mut machine = QueryMachine::new(&self.net, query, faults, observed);
+        let mut sends: Vec<Outbound> = Vec::new();
+        let mut records: Vec<Record> = Vec::new();
+        let (done_tx, done_rx) = unbounded::<Notice>();
+        // RAII: covers folding a reply and dispatching its redirect targets.
+        let mut merge_span = None;
+        machine.start(start, plan.as_ref(), &mut sends);
+        loop {
+            for send in sends.drain(..) {
+                let delay_out = self.scaled_delay(start, send.target);
+                // Round trip over the simulated link (symmetric latency).
+                let network_us = 2.0 * delay_out.as_micros() as f64;
+                let attempt = machine.open(&send, ms_since(t0), network_us);
+                match (metrics, fault_decision(send.mode, send.tries, send.cause)) {
+                    (Some(m), Some(ExplainDecision::Retry)) => m.retries.inc(),
+                    (Some(m), Some(_)) => m.failovers.inc(),
+                    _ => {}
+                }
+                let request = Request {
+                    query: Arc::clone(query),
+                    mode: send.mode,
+                    requester,
+                    reply: ReplyHandle {
+                        timer: self.dispatcher.handle().clone(),
+                        done: done_tx.clone(),
+                        attempt,
+                        delay_back: delay_out,
+                    },
+                };
+                let cell = Arc::clone(&self.servers[send.target.index()].lock().cell);
+                self.dispatcher.handle().schedule_after(
+                    Duration::from_secs_f64(send.backoff_ms / 1_000.0) + delay_out,
+                    DispatchJob::Deliver { cell, request },
+                );
+            }
+            drop(merge_span.take());
+            if machine.awaiting() == 0 {
+                break;
+            }
+            let waiting_from_ms = ms_since(t0);
+            let mut now_ms = waiting_from_ms;
+            let msg = if machine.past_deadline(now_ms) {
+                Err(RecvTimeoutError::Timeout)
+            } else {
+                // At zero delay the next notice is already in the channel;
+                // only a client about to block needs to know when to wake.
+                done_rx.try_recv().or_else(|_| {
+                    let msg = match machine.next_wake_ms() {
+                        Some(wake_ms) => done_rx.recv_timeout(Duration::from_secs_f64(
+                            (wake_ms - now_ms).max(0.0) / 1_000.0,
+                        )),
+                        None => done_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                    };
+                    now_ms = ms_since(t0);
+                    msg
+                })
+            };
+            let unanswered = match msg {
+                Ok(Notice::Reply { attempt, served }) => {
+                    if let Some(m) = metrics {
+                        m.channel_wait.record((now_ms - waiting_from_ms) * 1_000.0);
+                        merge_span = Some(SpanTimer::start(Arc::clone(&m.result_merge)));
+                        // Dispatch → reply wall time, attributed to the
+                        // replier and the contact mode it was serving.
+                        let e = &machine.log()[attempt];
+                        let latency_ms = now_ms - e.at_ms;
+                        m.dispatch_hist(e.mode).record(latency_ms);
+                        let si = &m.servers[e.server.index()];
+                        si.dispatch_ms.record(latency_ms);
+                        si.replies.inc();
+                    }
+                    machine.served(attempt, served.queue_us, served.compute_us);
+                    let found = served.records.len();
+                    if machine.reply(attempt, now_ms, &served.targets, found, &mut sends) {
+                        records.extend(served.records);
+                    }
+                    0
+                }
+                Ok(Notice::Down { attempt }) => {
+                    machine.target_down(attempt, now_ms, &mut sends) as usize
+                }
+                Err(RecvTimeoutError::Timeout) => machine.expire(now_ms, &mut sends),
+                Err(RecvTimeoutError::Disconnected) => unreachable!("done_tx is still held"),
+            };
+            if let Some(m) = metrics {
+                m.dispatch_timeout.add(unanswered as u64);
+            }
+        }
+
+        let response_ms = ms_since(t0);
+        let verdict = machine.finish();
+        let outcome = RuntimeOutcome {
+            response_ms,
+            records,
+            servers_contacted: verdict.responders,
+            complete: verdict.complete,
+            failed_servers: verdict.failed_servers,
+            retries: verdict.retries,
+        };
+        let entry_did = plan.map_or(ExplainDecision::Entry, |_| ExplainDecision::Planned);
+        self.finish(query, outcome, &verdict.log, entry_did, want_explain)
+    }
+
     fn scaled_delay(&self, a: ServerId, b: ServerId) -> Duration {
         let ms = self.delays.delay_ms(a.index(), b.index()) * self.cfg.delay_scale;
         // Straggler injection: the slower endpoint's factor stretches the
@@ -970,485 +1039,6 @@ impl RoadsCluster {
 /// Milliseconds since `t0` — the contact log's clock.
 fn ms_since(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1_000.0
-}
-
-/// Per-query state machine driving dispatch, retry, and failover.
-struct Driver<'a> {
-    cluster: &'a RoadsCluster,
-    query: Arc<Query>,
-    requester: RequesterId,
-    start: ServerId,
-    t0: Instant,
-    done_tx: Sender<Notice>,
-    /// The contact log, and the attempt table: one entry per dispatch of
-    /// this query, indexed by attempt id, stamped as the dispatch is sent
-    /// and as its reply, timeout or the deadline closes it. An entry is
-    /// awaited while its outcome still reads `Abandoned`.
-    log: Vec<TraceEvent>,
-    /// Entries still awaiting a reply.
-    open: usize,
-    ledger: VisitLedger,
-    /// Servers whose local data has been merged into `records` (guards
-    /// against double-merging when a late reply races a retry's).
-    resolved: HashSet<ServerId>,
-    /// Servers given up on, with the widest mode that failed.
-    failed: BTreeMap<ServerId, ContactMode>,
-    /// Overlay stand-ins that died while helping. Kept apart from
-    /// `failed` (which feeds completeness and `failed_servers`): a dead
-    /// helper only disqualifies itself from further failover nominations.
-    dead_helpers: HashSet<ServerId>,
-    /// Next failover candidate index per dead server.
-    failover_pos: HashMap<ServerId, usize>,
-    records: Vec<Record>,
-    deadline_hit: bool,
-    /// Whether anyone reads the log after the query (an explain, the
-    /// recorder, the audit plane), fixed at query start. Nobody watching,
-    /// an entry is not stamped with its closing time or its redirect
-    /// targets — the clock read and the allocation a contact would
-    /// otherwise cost.
-    observed: bool,
-}
-
-impl Driver<'_> {
-    fn run(
-        mut self,
-        done_rx: Receiver<Notice>,
-        want_explain: bool,
-    ) -> (RuntimeOutcome, Option<QueryExplain>) {
-        let cfg = self.cluster.cfg;
-        let deadline = (cfg.query_deadline_ms > 0)
-            .then(|| self.t0 + Duration::from_millis(cfg.query_deadline_ms));
-        // Replica-aware planning: the client batches the set-cover
-        // contacts computed from the entry's replicated summaries instead
-        // of asking the entry to expand greedily. The entry then serves
-        // only as a local-search target — every other contact it would
-        // have returned is already in the plan.
-        let plan = cfg.enable_planner.then(|| {
-            plan_query(
-                &self.cluster.net,
-                &self.query,
-                self.start,
-                SearchScope::full(),
-            )
-        });
-        let (entry_mode, entry_did) = match plan {
-            Some(_) => (ContactMode::LocalOnly, ExplainDecision::Planned),
-            None => (ContactMode::Entry, ExplainDecision::Entry),
-        };
-        self.ledger.admit(self.start, entry_mode);
-        self.dispatch(self.start, entry_mode, Duration::ZERO, 0, None);
-        if let Some(plan) = &plan {
-            if let Some(m) = &self.cluster.metrics {
-                m.planned_queries.inc();
-                m.pruned_probes.add(plan.pruned_probes as u64);
-            }
-            for pc in &plan.contacts {
-                let mode = pc.action.mode();
-                if self.ledger.admit(pc.server, mode) {
-                    // Contact 0 is the entry: the plan was computed from its
-                    // replicated summaries, so it caused every contact.
-                    self.dispatch(pc.server, mode, Duration::ZERO, 0, Some(0));
-                }
-            }
-        }
-
-        while self.open > 0 {
-            let wait_start = Instant::now();
-            if deadline.is_some_and(|d| wait_start >= d) {
-                self.deadline_hit = true;
-                break;
-            }
-            // At zero delay the next notice is already in the channel;
-            // only a client about to block needs to know when to wake.
-            let msg = done_rx.try_recv().or_else(|_| {
-                let next_expiry = (self.log.iter())
-                    .filter(|e| e.outcome == HopOutcome::Abandoned)
-                    .filter_map(|e| self.expiry(e))
-                    .min();
-                let wake = match (next_expiry, deadline) {
-                    (Some(e), Some(d)) => Some(e.min(d)),
-                    (Some(e), None) => Some(e),
-                    (None, d) => d,
-                };
-                match wake {
-                    Some(w) => done_rx.recv_timeout(w.saturating_duration_since(wait_start)),
-                    None => done_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                }
-            });
-            match msg {
-                Ok(Notice::Reply {
-                    attempt,
-                    targets,
-                    records,
-                    queue_us,
-                    compute_us,
-                }) => {
-                    if let Some(m) = &self.cluster.metrics {
-                        m.channel_wait
-                            .record(wait_start.elapsed().as_micros() as f64);
-                    }
-                    // RAII: the merge span covers folding this reply's
-                    // records and dispatching its redirect targets.
-                    let _merge_span =
-                        self.cluster.metrics.as_ref().map(|m| {
-                            roads_telemetry::SpanTimer::start(Arc::clone(&m.result_merge))
-                        });
-                    self.on_reply(attempt, targets, records, queue_us, compute_us);
-                }
-                Ok(Notice::Down { attempt }) => self.attempt_failed(attempt, true),
-                Err(RecvTimeoutError::Timeout) => {
-                    let now = Instant::now();
-                    // Failing an attempt may dispatch more (retry,
-                    // failover); those are beyond this range and not yet due.
-                    for id in 0..self.log.len() {
-                        if self.expiry(&self.log[id]).is_some_and(|e| e <= now) {
-                            self.attempt_failed(id, false);
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    unreachable!("driver holds its own done_tx")
-                }
-            }
-        }
-
-        if self.deadline_hit {
-            // Out of budget: close every still-pending dispatch (its entry
-            // keeps reading `Abandoned`) and fail its target, but start no
-            // more work.
-            for id in 0..self.log.len() {
-                if self.close_unanswered(id, HopOutcome::Abandoned) {
-                    let e = &self.log[id];
-                    if !matches!(e.mode, ContactMode::Failover { .. }) {
-                        self.mark_failed(e.server, e.mode);
-                    }
-                }
-            }
-        }
-
-        // Late or duplicate replies and stand-in replies count a server once.
-        let replied = |e: &&TraceEvent| e.outcome == HopOutcome::Replied;
-        let responders: HashSet<ServerId> =
-            self.log.iter().filter(replied).map(|e| e.server).collect();
-        let outcome = RuntimeOutcome {
-            complete: self.completeness(),
-            response_ms: ms_since(self.t0),
-            records: self.records,
-            servers_contacted: responders.len(),
-            failed_servers: self.failed.keys().copied().collect(),
-            retries: self.log.iter().filter(|e| e.tries > 0).count(),
-        };
-        self.cluster
-            .finish(&self.query, outcome, &self.log, entry_did, want_explain)
-    }
-
-    /// When contact `e` is declared timed out if still unanswered: its
-    /// dispatch, plus its retry backoff, plus the per-dispatch timeout
-    /// (`None` = none configured).
-    fn expiry(&self, e: &TraceEvent) -> Option<Instant> {
-        let timeout_ms = self.cluster.cfg.dispatch_timeout_ms;
-        let due_ms = e.at_ms + e.split.backoff_us / 1_000.0 + timeout_ms as f64;
-        (timeout_ms > 0).then(|| self.t0 + Duration::from_secs_f64(due_ms / 1_000.0))
-    }
-
-    /// Send one sub-query and open its log entry; `backoff` delays a retry
-    /// (zero for first attempts, which have no `tries` behind them) and
-    /// `caused_by` is the entry whose reply or failure triggered this
-    /// dispatch.
-    fn dispatch(
-        &mut self,
-        target: ServerId,
-        mode: ContactMode,
-        backoff: Duration,
-        tries: u32,
-        caused_by: Option<usize>,
-    ) {
-        let attempt = self.log.len();
-        let delay_out = self.cluster.scaled_delay(self.start, target);
-        self.log.push(TraceEvent {
-            server: target,
-            at_ms: ms_since(self.t0),
-            mode,
-            caused_by,
-            local_matches: 0,
-            forwarded_to: Vec::new(),
-            outcome: HopOutcome::Abandoned,
-            tries,
-            closed_ms: 0.0,
-            split: LatencySplit {
-                // Round trip over the simulated link, known exactly at
-                // dispatch time (symmetric one-way latency).
-                network_us: 2.0 * delay_out.as_micros() as f64,
-                backoff_us: backoff.as_micros() as f64,
-                ..LatencySplit::default()
-            },
-        });
-        self.open += 1;
-        let cell = Arc::clone(&self.cluster.servers[target.index()].lock().cell);
-        let reply = ReplyHandle {
-            timer: self.cluster.dispatcher.handle().clone(),
-            done: self.done_tx.clone(),
-            attempt,
-            delay_back: delay_out, // symmetric one-way latency
-        };
-        self.cluster.dispatcher.handle().schedule_after(
-            backoff + delay_out,
-            DispatchJob::Deliver {
-                cell,
-                request: Request {
-                    query: Arc::clone(&self.query),
-                    mode,
-                    requester: self.requester,
-                    reply,
-                },
-            },
-        );
-    }
-
-    fn on_reply(
-        &mut self,
-        attempt: usize,
-        targets: Vec<(ServerId, ContactMode)>,
-        records: Vec<Record>,
-        queue_us: f64,
-        compute_us: f64,
-    ) {
-        let e = &mut self.log[attempt];
-        if e.outcome == HopOutcome::Abandoned {
-            self.open -= 1;
-        }
-        // A late reply (racing a retry, or landing after a timeout
-        // verdict) still resolves its entry: the log should show what
-        // actually happened, and it keeps the replied entries consistent
-        // with `servers_contacted`.
-        e.outcome = HopOutcome::Replied;
-        e.local_matches = records.len();
-        e.split.queue_us = queue_us;
-        e.split.compute_us = compute_us;
-        if self.observed {
-            e.closed_ms = ms_since(self.t0);
-            e.forwarded_to = targets.iter().map(|&(t, _)| t).collect();
-        }
-        let (server, mode, at_ms) = (e.server, e.mode, e.at_ms);
-        if let Some(m) = &self.cluster.metrics {
-            // Dispatch → reply wall time, attributed to the replier and
-            // the contact mode it was serving.
-            let latency_ms = ms_since(self.t0) - at_ms;
-            m.dispatch_hist(mode).record(latency_ms);
-            let si = &m.servers[server.index()];
-            si.dispatch_ms.record(latency_ms);
-            si.replies.inc();
-        }
-        // Any reply proves the server serviceable again, helper or not.
-        self.dead_helpers.remove(&server);
-        let standin = matches!(mode, ContactMode::Failover { .. });
-        if !standin && self.resolved.insert(server) {
-            // A reply proves the server serviceable: withdraw any earlier
-            // failure verdict from a timed-out attempt.
-            self.failed.remove(&server);
-            self.records.extend(records);
-        }
-        for (t, m) in targets {
-            if self.ledger.admit(t, m) {
-                self.dispatch(t, m, Duration::ZERO, 0, Some(attempt));
-            }
-        }
-    }
-
-    /// Close a still-awaited entry that got no reply as `outcome`, and
-    /// count the timeout. `false` when a reply raced in first or the entry
-    /// already closed.
-    fn close_unanswered(&mut self, attempt: usize, outcome: HopOutcome) -> bool {
-        let e = &mut self.log[attempt];
-        if e.outcome != HopOutcome::Abandoned {
-            return false;
-        }
-        e.outcome = outcome;
-        if self.observed {
-            e.closed_ms = ms_since(self.t0);
-        }
-        self.open -= 1;
-        if let Some(m) = &self.cluster.metrics {
-            m.dispatch_timeout.inc();
-        }
-        true
-    }
-
-    /// An awaited attempt's dispatch timed out (`target_down = false`) or
-    /// its target was found dead at delivery (`true`): retry if budget
-    /// remains, otherwise fail over. A dead server cannot recover without
-    /// [`RoadsCluster::restart_server`], so the retry budget is skipped
-    /// and failover starts immediately.
-    fn attempt_failed(&mut self, attempt: usize, target_down: bool) {
-        let cfg = self.cluster.cfg;
-        let outcome = if target_down {
-            HopOutcome::MailboxDown
-        } else {
-            HopOutcome::TimedOut
-        };
-        if !self.close_unanswered(attempt, outcome) {
-            return;
-        }
-        let e = &self.log[attempt];
-        let (server, mode, tries) = (e.server, e.mode, e.tries);
-        if !target_down && tries < cfg.max_retries {
-            if let Some(m) = &self.cluster.metrics {
-                m.retries.inc();
-            }
-            // Retries bypass the visit ledger: same target, same mode.
-            let backoff = backoff_delay(cfg.backoff_base_ms, tries);
-            self.dispatch(server, mode, backoff, tries + 1, Some(attempt));
-            return;
-        }
-        self.give_up(server, mode, attempt);
-    }
-
-    /// Retries exhausted for `server` in `mode`: record the failure and
-    /// route around it through the replication overlay. `attempt` is the
-    /// failed entry, the cause of any stand-in dispatched for it.
-    fn give_up(&mut self, server: ServerId, mode: ContactMode, attempt: usize) {
-        match mode {
-            ContactMode::Failover { dead } => {
-                // The stand-in died too: remember it so failover for a
-                // *different* dead server cannot nominate it again, then
-                // advance to the next candidate.
-                self.dead_helpers.insert(server);
-                self.try_failover(dead, attempt);
-            }
-            ContactMode::LocalOnly => {
-                // Only this server held the probed data; nothing replicates
-                // *records*, so there is nowhere to fail over to.
-                self.mark_failed(server, mode);
-            }
-            ContactMode::Branch => {
-                self.mark_failed(server, mode);
-                self.try_failover(server, attempt);
-            }
-            ContactMode::Entry => {
-                self.mark_failed(server, mode);
-                // A dead entry needs both a replacement entry (to run the
-                // overlay evaluation for the rest of the hierarchy) and a
-                // stand-in for its own branch: the replacement's redirect
-                // targets include the dead server itself, but the ledger
-                // already holds it at Entry rank, so its children would
-                // otherwise be unreachable.
-                self.entry_failover(server, attempt);
-                self.try_failover(server, attempt);
-            }
-        }
-    }
-
-    fn mark_failed(&mut self, server: ServerId, mode: ContactMode) {
-        if self.resolved.contains(&server) {
-            return; // its data already arrived via an earlier attempt
-        }
-        // Keep the widest failed mode: completeness must account for the
-        // broadest responsibility this server was ever given.
-        let e = self.failed.entry(server).or_insert(mode);
-        if mode_rank(mode) > mode_rank(*e) {
-            *e = mode;
-        }
-    }
-
-    /// Dispatch the next viable overlay stand-in for `dead`'s branch.
-    fn try_failover(&mut self, dead: ServerId, caused_by: usize) {
-        if !self.cluster.cfg.enable_failover {
-            return;
-        }
-        let net = &self.cluster.net;
-        // A stand-in only forwards to the dead server's children; skip the
-        // whole exercise when no unresolved child branch can match.
-        let worth_it =
-            net.tree().children(dead).iter().any(|&c| {
-                net.branch_summary(c).may_match(&self.query) && !self.resolved.contains(&c)
-            });
-        if !worth_it {
-            return;
-        }
-        let candidates = net.replica_set(dead).failover_candidates();
-        let mut pos = self.failover_pos.get(&dead).copied().unwrap_or(0);
-        while pos < candidates.len() {
-            let helper = candidates[pos];
-            pos += 1;
-            if self.failed.contains_key(&helper) || self.dead_helpers.contains(&helper) {
-                continue; // known dead — don't burn a timeout on it
-            }
-            let mode = ContactMode::Failover { dead };
-            if !self.ledger.admit(helper, mode) {
-                continue;
-            }
-            self.failover_pos.insert(dead, pos);
-            self.dispatch_failover(helper, mode, caused_by);
-            return;
-        }
-        self.failover_pos.insert(dead, pos);
-        // Candidates exhausted: the subtree stays unavailable and
-        // `complete` reports it.
-    }
-
-    /// Nominate a replacement entry server after the original died.
-    fn entry_failover(&mut self, dead: ServerId, caused_by: usize) {
-        if !self.cluster.cfg.enable_failover {
-            return;
-        }
-        for helper in self.cluster.net.replica_set(dead).failover_candidates() {
-            if self.failed.contains_key(&helper)
-                || self.dead_helpers.contains(&helper)
-                || !self.ledger.admit(helper, ContactMode::Entry)
-            {
-                continue;
-            }
-            self.dispatch_failover(helper, ContactMode::Entry, caused_by);
-            return;
-        }
-    }
-
-    /// Send `helper` in for the server failed entry `caused_by` was after
-    /// — in `mode`, for its branch or for its entry role — counted as a
-    /// failover.
-    fn dispatch_failover(&mut self, helper: ServerId, mode: ContactMode, caused_by: usize) {
-        self.dispatch(helper, mode, Duration::ZERO, 0, Some(caused_by));
-        if let Some(m) = &self.cluster.metrics {
-            m.failovers.inc();
-        }
-    }
-
-    /// Truthful completeness: sound because summaries never produce false
-    /// negatives — `!may_match` proves absence, and every dispatched child
-    /// of a failed server ends the query either resolved or failed (with
-    /// its own entry in `failed` recursing this check).
-    ///
-    /// A failed *entry* additionally requires that some Entry-mode reply
-    /// landed (`entry_served`, read off the log): the entry role covers
-    /// the overlay evaluation for the whole hierarchy — ancestor probes,
-    /// replica shortcuts — not just the dead server's data and children. If
-    /// no replacement entry took over (failover disabled, or every
-    /// candidate dead), nothing ever examined the rest of the hierarchy
-    /// and completeness cannot be claimed.
-    fn completeness(&self) -> bool {
-        if self.deadline_hit {
-            return false;
-        }
-        let net = &self.cluster.net;
-        let entry_served = (self.log.iter())
-            .any(|e| e.mode == ContactMode::Entry && e.outcome == HopOutcome::Replied);
-        let children_covered = |s: ServerId| {
-            net.tree().children(s).iter().all(|&c| {
-                !net.branch_summary(c).may_match(&self.query)
-                    || self.resolved.contains(&c)
-                    || self.failed.contains_key(&c)
-            })
-        };
-        self.failed.iter().all(|(&s, &mode)| {
-            let local_ok = !net.local_summary(s).may_match(&self.query);
-            match mode {
-                ContactMode::LocalOnly => local_ok,
-                ContactMode::Branch => local_ok && children_covered(s),
-                ContactMode::Entry => entry_served && local_ok && children_covered(s),
-                ContactMode::Failover { .. } => true, // stand-ins hold no queried data
-            }
-        })
-    }
 }
 
 /// One request against one server: which servers the client should
@@ -1513,9 +1103,14 @@ impl Server {
                 + self.cfg.per_record_retrieval_us * records.len() as u64
                 + self.cfg.transfer_us(result_bytes);
             let busy_us = (busy_us as f64 * self.board[self.state.id.index()].slow_factor()) as u64;
+            let served = Served {
+                targets,
+                records,
+                queue_us,
+                compute_us: 0.0,
+            };
             if busy_us == 0 {
-                let compute_us = work_t0.elapsed().as_micros() as f64;
-                req.reply.send(targets, records, queue_us, compute_us);
+                req.reply.send(served, work_t0);
                 continue;
             }
             // A deliverer never sleeps: the cost ends as a timer event —
@@ -1526,9 +1121,7 @@ impl Server {
                 DispatchJob::Finish {
                     cell: Arc::clone(cell),
                     reply: req.reply,
-                    targets,
-                    records,
-                    queue_us,
+                    served,
                     work_t0,
                 },
             );
@@ -1631,6 +1224,71 @@ mod tests {
         assert!(out.complete, "no faults ⇒ provably complete");
         assert!(out.failed_servers.is_empty());
         assert_eq!(out.retries, 0);
+        c.shutdown();
+    }
+
+    #[test]
+    fn audit_counts_a_hollow_chain_all_the_way_up() {
+        // The audit plane reads the explain plane's rule (`hollow_contacts`):
+        // a branch reply is a live false positive when nothing in its whole
+        // redirect subtree returned a record — both links of a two-level
+        // hollow chain, not only its leaf.
+        let net = test_net(13);
+        let audit = Arc::new(AuditMetrics::new(&Registry::new(), net.tree().levels()));
+        let c = RoadsCluster::start_with(
+            net,
+            DelaySpace::paper(13, 21),
+            RuntimeConfig::test_fast(),
+            Attachments {
+                audit: Some(Arc::clone(&audit)),
+                ..Attachments::default()
+            },
+        );
+        let tree = c.network().tree();
+        let root = tree.root();
+        let (hollow, fruitful) = (tree.children(root)[0], tree.children(root)[1]);
+        let (hollow_leaf, fruitful_leaf) = (tree.children(hollow)[0], tree.children(fruitful)[0]);
+        let q = QueryBuilder::new(c.network().schema(), QueryId(1))
+            .range("x0", 0.0, 1.0)
+            .build();
+        let contact = |server, mode, caused_by, local_matches| TraceEvent {
+            local_matches,
+            outcome: HopOutcome::Replied,
+            ..TraceEvent::begun(server, 0.0, mode, caused_by)
+        };
+        let branch = ContactMode::Branch;
+        let mut log = vec![
+            contact(root, ContactMode::Entry, None, 0),
+            contact(hollow, branch, Some(0), 0),
+            contact(fruitful, branch, Some(0), 0),
+            contact(hollow_leaf, branch, Some(1), 0),
+            contact(fruitful_leaf, branch, Some(2), 3),
+        ];
+        let outcome = |log: &[TraceEvent]| RuntimeOutcome {
+            response_ms: 1.0,
+            records: Vec::new(),
+            servers_contacted: log.len(),
+            complete: true,
+            failed_servers: Vec::new(),
+            retries: 0,
+        };
+        let live = |audit: &AuditMetrics| {
+            let sum = |f: fn(&crate::audit::LevelInstruments) -> u64| -> u64 {
+                audit.levels.iter().map(f).sum()
+            };
+            (
+                sum(|l| l.live_probes.get()),
+                sum(|l| l.live_false_positives.get()),
+            )
+        };
+        c.finish(&q, outcome(&log), &log, ExplainDecision::Entry, false);
+        assert_eq!(live(&audit), (4, 2), "four branch replies, two hollow");
+
+        // An unanswered leaf may have held records: it is no reply to
+        // count, and it clears the branch that forwarded to it.
+        log[3].outcome = HopOutcome::TimedOut;
+        c.finish(&q, outcome(&log), &log, ExplainDecision::Entry, false);
+        assert_eq!(live(&audit), (4 + 3, 2), "three more replies, none hollow");
         c.shutdown();
     }
 

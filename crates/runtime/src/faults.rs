@@ -1,42 +1,25 @@
-//! Fault-tolerance machinery for the live query plane.
+//! Timed delivery for the live query plane: the [`Dispatcher`].
 //!
-//! Three pieces, all used by [`crate::cluster::RoadsCluster`]:
-//!
-//! * [`Dispatcher`] — timed message delivery (requests after the
-//!   outbound delay, replies after the return delay, retries after
-//!   backoff) and the servers' service clock (a request's emulated backend
-//!   cost ends as a timer event). Delivering a request *is* running the
-//!   target server's step, and no job ever sleeps, so a message that is
-//!   already due is delivered by the thread that schedules it and a
-//!   delayed one by the single timer thread when it matures: however many
-//!   servers a cluster has and however wide a query fans out, this is the
-//!   only thread the cluster owns.
-//! * [`VisitLedger`] — mode-aware dispatch deduplication. A server visited
-//!   in a narrow mode (`LocalOnly` ancestor probe) can later be re-visited
-//!   in a strictly wider mode (`Branch`); the old set-based dedup silently
-//!   dropped the wider visit and with it the server's unexpanded children.
-//!   Overlay failover visits dedup per `(helper, dead server)` pair so one
-//!   helper can route around several dead siblings.
-//! * [`backoff_delay`] — the bounded exponential retry backoff.
+//! It delivers messages when they fall due (requests after the outbound
+//! delay, replies after the return delay, retries after their backoff)
+//! and is the servers' service clock (a request's emulated backend cost
+//! ends as a timer event). Delivering a request *is* running the target
+//! server's step and no job ever sleeps, so a message already due is
+//! delivered by the thread that schedules it and a delayed one by the
+//! single timer thread — the only thread a cluster of any size owns. The
+//! fault *rules* (dedup, retry and backoff, who stands in for a dead
+//! server) are [`roads_core::machine`]'s.
 
-use crate::cluster::{ContactMode, DispatchJob};
-use roads_core::ServerId;
+use crate::cluster::DispatchJob;
 use roads_telemetry::Histogram;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
-
-/// Exponential backoff before retry `tries + 1` of a dispatch: the base
-/// doubles per prior attempt, with the shift capped so large retry counts
-/// cannot overflow into a zero delay.
-pub(crate) fn backoff_delay(base_ms: u64, tries: u32) -> Duration {
-    Duration::from_millis(base_ms.saturating_mul(1u64 << tries.min(16)))
-}
 
 enum TimerCmd {
     /// Run `job` no earlier than the given instant.
@@ -201,104 +184,11 @@ impl Drop for Dispatcher {
     }
 }
 
-/// Widening order of the redirect modes: an ancestor probe searches only
-/// local data, a branch visit additionally expands children, an entry
-/// visit additionally consults the replication overlay.
-pub(crate) fn mode_rank(mode: ContactMode) -> u8 {
-    match mode {
-        ContactMode::LocalOnly => 0,
-        ContactMode::Branch => 1,
-        ContactMode::Entry => 2,
-        ContactMode::Failover { .. } => unreachable!("failover visits dedup separately"),
-    }
-}
-
-/// Mode-aware visited bookkeeping for one query's dispatch tree.
-#[derive(Default)]
-pub(crate) struct VisitLedger {
-    visited: HashMap<ServerId, u8>,
-    failover: HashSet<(ServerId, ServerId)>,
-}
-
-impl VisitLedger {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether a dispatch of `target` in `mode` should go out. Repeat
-    /// visits are admitted only when `mode` is strictly wider than every
-    /// prior visit (the mode *upgrade*: a `LocalOnly`-probed server later
-    /// found to gate a matching branch must still expand its children).
-    /// `Failover` visits are routing-only and tracked per
-    /// `(target, dead server)` pair, independent of the widening ladder.
-    pub(crate) fn admit(&mut self, target: ServerId, mode: ContactMode) -> bool {
-        if let ContactMode::Failover { dead } = mode {
-            return self.failover.insert((target, dead));
-        }
-        let rank = mode_rank(mode);
-        match self.visited.get_mut(&target) {
-            Some(prev) if *prev >= rank => false,
-            Some(prev) => {
-                *prev = rank;
-                true
-            }
-            None => {
-                self.visited.insert(target, rank);
-                true
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use parking_lot::Mutex;
     use std::sync::Arc;
-
-    const S: fn(u32) -> ServerId = ServerId;
-
-    #[test]
-    fn ledger_admits_mode_upgrade_not_downgrade() {
-        let mut l = VisitLedger::new();
-        assert!(l.admit(S(3), ContactMode::LocalOnly));
-        // Regression (mode-insensitive dedup): the same server targeted as
-        // Branch after a LocalOnly ancestor probe must be re-dispatched,
-        // otherwise its children are never expanded and records are lost.
-        assert!(l.admit(S(3), ContactMode::Branch));
-        assert!(!l.admit(S(3), ContactMode::Branch), "same mode dedups");
-        assert!(!l.admit(S(3), ContactMode::LocalOnly), "downgrade dedups");
-        assert!(l.admit(S(3), ContactMode::Entry), "entry is widest");
-    }
-
-    #[test]
-    fn ledger_entry_covers_narrower_modes() {
-        let mut l = VisitLedger::new();
-        assert!(l.admit(S(0), ContactMode::Entry));
-        assert!(!l.admit(S(0), ContactMode::Branch));
-        assert!(!l.admit(S(0), ContactMode::LocalOnly));
-    }
-
-    #[test]
-    fn ledger_failover_visits_track_per_dead_server() {
-        let mut l = VisitLedger::new();
-        assert!(l.admit(S(1), ContactMode::LocalOnly));
-        // A visited server can still act as failover helper...
-        assert!(l.admit(S(1), ContactMode::Failover { dead: S(7) }));
-        // ...once per dead sibling...
-        assert!(!l.admit(S(1), ContactMode::Failover { dead: S(7) }));
-        assert!(l.admit(S(1), ContactMode::Failover { dead: S(8) }));
-        // ...without consuming its widening ladder.
-        assert!(l.admit(S(1), ContactMode::Branch));
-    }
-
-    #[test]
-    fn backoff_doubles_and_saturates() {
-        assert_eq!(backoff_delay(10, 0), Duration::from_millis(10));
-        assert_eq!(backoff_delay(10, 1), Duration::from_millis(20));
-        assert_eq!(backoff_delay(10, 3), Duration::from_millis(80));
-        assert!(backoff_delay(u64::MAX, 40) >= Duration::from_millis(u64::MAX / 2));
-    }
 
     #[test]
     fn dispatcher_runs_jobs_in_due_order() {

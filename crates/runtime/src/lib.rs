@@ -32,10 +32,10 @@
 //!   thread.
 //! * [`central::CentralCluster`] — the single-server baseline: one round
 //!   trip, but serial retrieval of every matching record.
-//! * `faults` — the fault-tolerant query plane: one timer thread
-//!   delivers delayed messages and ends busy periods, per-dispatch
-//!   timeouts trigger bounded retry with exponential backoff, and dead
-//!   branches are routed around via the replication overlay (§III-C).
+//! * `faults` — timed delivery: one timer thread delivers delayed
+//!   messages and ends busy periods. The fault rules — bounded retry with
+//!   exponential backoff, dead branches routed around via the replication
+//!   overlay (§III-C) — are [`roads_core::machine`]'s.
 //!   [`cluster::RoadsCluster`] exposes `kill_server`/`restart_server` for
 //!   live fault injection, contains a panicking server step as that
 //!   server's crash, and reports `complete`/`failed_servers`/`retries`

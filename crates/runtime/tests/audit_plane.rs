@@ -108,8 +108,11 @@ fn live_branch_outcomes_fold_into_audit_counters() {
     // bucket: records sit at multiples of 1/130, buckets are 1/64 wide,
     // and (0.3875, 0.3885) falls between records 50/130 and 51/130 inside
     // bucket 24 (which holds records 49 and 50). Every summary on the
-    // path vouches for the branch, the leaves come back empty-handed — a
-    // live false positive at the leaf level.
+    // path vouches for its branch and nothing comes back, so every branch
+    // reply is a live false positive — the whole hollow chain, not only
+    // its leaf: the audit plane counts by the explain plane's rule
+    // (`roads_core::hollow_contacts`, nothing found in the contact's whole
+    // redirect subtree), which is the rule this test pins.
     let spurious = QueryBuilder::new(c.network().schema(), QueryId(7))
         .range("x0", 0.3875, 0.3885)
         .build();
@@ -128,12 +131,12 @@ fn live_branch_outcomes_fold_into_audit_counters() {
         .map(|(_, &v)| v)
         .sum();
     assert!(
-        live_probes >= 1,
-        "branch replies must be folded: {counters:?}"
+        live_probes >= 2,
+        "branch replies must be folded, interior and leaf: {counters:?}"
     );
-    assert!(
-        live_fps >= 1,
-        "in-bucket miss must count as live FP: {counters:?}"
+    assert_eq!(
+        live_fps, live_probes,
+        "nothing was found, so every branch contact was hollow: {counters:?}"
     );
     c.shutdown();
 }

@@ -82,7 +82,9 @@ fn queue_gauge(reg: &Registry) -> Arc<Gauge> {
 /// `k` clients contact the one server at the same moment (a barrier, not a
 /// sleep); `while_running` runs on the calling thread meanwhile. Returns
 /// each client's outcome, explain record and completion time since the
-/// barrier opened.
+/// barrier opened — all on one clock, read on the calling thread before it
+/// lets the barrier open: a client that is descheduled behind the barrier
+/// must not start its own clock late and seem to finish early.
 fn contact_concurrently(
     c: &RoadsCluster,
     k: usize,
@@ -96,15 +98,19 @@ fn contact_concurrently(
                 let (q, gate) = (&q, &gate);
                 s.spawn(move || {
                     gate.wait();
-                    let t0 = Instant::now();
                     let (out, ex) = explained(c, q);
-                    (out, ex, t0.elapsed())
+                    (out, ex, Instant::now())
                 })
             })
             .collect();
+        let t0 = Instant::now();
         gate.wait();
         while_running();
-        clients.into_iter().map(|h| h.join().unwrap()).collect()
+        let done = |h: std::thread::ScopedJoinHandle<'_, (_, _, Instant)>| {
+            let (out, ex, done) = h.join().unwrap();
+            (out, ex, done.duration_since(t0))
+        };
+        clients.into_iter().map(done).collect()
     })
 }
 
