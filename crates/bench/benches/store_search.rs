@@ -12,13 +12,20 @@
 //! where a categorical attribute makes the summary refuse every removal —
 //! the whole store is then re-summarised once per batch — and a whole
 //! `update_round_delta` over 64 such stores.
+//!
+//! `reply_assembly` is what one live server does with a `live_bulk`
+//! request after routing it: search, the owner's disclosure, the byte count
+//! the emulated transfer is charged by, and the drop the client ends with —
+//! the per-record cost of a reply, over that workload's sixteen stores at
+//! its store size and a larger one.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use roads_core::policy::{apply_policy, OpenPolicy, RequesterId, SharingPolicy};
 use roads_core::{
     update_round_delta, RecordChange, RecordDelta, RecordStore, RoadsConfig, RoadsNetwork,
     ServerId, ServerStore,
 };
-use roads_records::{AttrDef, Query, QueryBuilder, QueryId, Record, Schema, Value};
+use roads_records::{AttrDef, Query, QueryBuilder, QueryId, Record, Schema, Value, WireSize};
 use roads_summary::{Summary, SummaryConfig};
 use roads_workload::{generate_node_records, RecordWorkloadConfig};
 
@@ -161,6 +168,47 @@ fn bench_store(c: &mut Criterion) {
     g.finish();
 }
 
+/// Two ranges of width 0.2, `live_bulk`'s shape: ≈ 6 % of the rows match.
+fn bulk_query(schema: &Schema) -> Query {
+    QueryBuilder::new(schema, QueryId(4))
+        .range("x0", 0.3, 0.5)
+        .range("x1", 0.4, 0.6)
+        .build()
+}
+
+fn bench_reply_assembly(c: &mut Criterion) {
+    /// `live_bulk`'s federation: a request finds its server's rows as the
+    /// other fifteen left the caches.
+    const SERVERS: usize = 16;
+    let schema = Schema::unit_numeric(ATTRS);
+    let query = bulk_query(&schema);
+    // Behind `dyn`, as a live server holds its owner's policy.
+    let policy: &dyn SharingPolicy = black_box(&OpenPolicy);
+    let mut g = c.benchmark_group("reply_assembly");
+    for n in [2_500, 20_000] {
+        let stores: Vec<RecordStore> = generate_node_records(&RecordWorkloadConfig {
+            nodes: SERVERS,
+            records_per_node: n,
+            attrs: ATTRS,
+            seed: 9,
+        })
+        .into_iter()
+        .map(|records| RecordStore::new(schema.clone(), records))
+        .collect();
+        let mut next = 0;
+        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                next = (next + 1) % SERVERS;
+                let found = black_box(&stores[next]).search(black_box(&query));
+                let reply = apply_policy(policy, RequesterId(0), found);
+                let bytes: usize = reply.iter().map(WireSize::wire_size).sum();
+                black_box((bytes, reply)).0
+            })
+        });
+    }
+    g.finish();
+}
+
 /// Rows per store, histogram buckets and the share of a federation's
 /// records one round changes, as `sim_churn` and `live_selective` run them.
 const ROUND_ROWS: usize = 2_000;
@@ -293,5 +341,10 @@ fn bench_delta_round(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_store, bench_delta_round);
+criterion_group!(
+    benches,
+    bench_store,
+    bench_reply_assembly,
+    bench_delta_round
+);
 criterion_main!(benches);

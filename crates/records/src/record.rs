@@ -2,6 +2,7 @@
 
 use crate::attr::{AttrId, Schema};
 use crate::value::Value;
+use crate::wire::{WireSize, RECORD_HEADER_BYTES};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -74,15 +75,29 @@ impl std::error::Error for RecordError {}
 /// The values are immutable once built and shared by every clone, so
 /// handing a record out — a search result, a cache entry, a delta payload,
 /// a second copy of a store — is a reference-count bump, not a copy.
+///
+/// A record also knows its encoded size, so that charging a reply for the
+/// bytes it carries reads one field and never the values. The size cannot
+/// go stale: the values are immutable behind the `Arc`, and
+/// [`Record::new_unchecked`] — where [`Record::new`], [`RecordBuilder`],
+/// decoding and redaction all end — is the one place a record is built.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Record {
     /// Unique id.
     pub id: RecordId,
     /// The organization that owns (and retains control of) this record.
     pub owner: OwnerId,
+    /// Length of [`crate::wire::encode_record`]'s output, in the four bytes
+    /// that would otherwise pad `owner`.
+    wire: u32,
     /// Values, indexed by [`AttrId`].
     values: Arc<[Value]>,
 }
+
+// Protects `peak_rss_mb` and every table copy: stores, caches and replies
+// hold records by value, two to a cache line; a fifth word would cost each
+// of them a quarter more memory and every scan of handles more lines.
+const _: () = assert!(std::mem::size_of::<Record>() == 32);
 
 impl Record {
     /// Construct a record, validating against the schema.
@@ -117,9 +132,11 @@ impl Record {
 
     /// Construct without validation; used by trusted generators on hot paths.
     pub fn new_unchecked(id: RecordId, owner: OwnerId, values: Vec<Value>) -> Self {
+        let wire = RECORD_HEADER_BYTES + values.iter().map(WireSize::wire_size).sum::<usize>();
         Record {
             id,
             owner,
+            wire: u32::try_from(wire).expect("a record encodes to less than 4 GiB"),
             values: values.into(),
         }
     }
@@ -142,6 +159,12 @@ impl Record {
     /// Number of attributes.
     pub fn arity(&self) -> usize {
         self.values.len()
+    }
+}
+
+impl WireSize for Record {
+    fn wire_size(&self) -> usize {
+        self.wire as usize
     }
 }
 

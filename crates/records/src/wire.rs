@@ -18,6 +18,10 @@ pub trait WireSize {
     fn wire_size(&self) -> usize;
 }
 
+/// What [`encode_record`] writes ahead of the values: id (8) + owner (4) +
+/// arity (2).
+pub(crate) const RECORD_HEADER_BYTES: usize = 14;
+
 /// Fixed per-message envelope the simulators add on top of every payload
 /// (source, destination, type tag, length) — a stand-in for UDP/TCP framing.
 pub const MSG_HEADER_BYTES: usize = 20;
@@ -28,13 +32,6 @@ impl WireSize for Value {
             Value::Float(_) | Value::Int(_) | Value::Timestamp(_) => 8,
             Value::Text(s) | Value::Cat(s) => 2 + s.len(),
         }
-    }
-}
-
-impl WireSize for Record {
-    fn wire_size(&self) -> usize {
-        // id (8) + owner (4) + arity (2) + values
-        14 + self.values().iter().map(WireSize::wire_size).sum::<usize>()
     }
 }
 
@@ -142,7 +139,7 @@ pub fn encode_record(r: &Record, buf: &mut BytesMut) {
 
 /// Decode a record previously written by [`encode_record`].
 pub fn decode_record(buf: &mut impl Buf) -> Option<Record> {
-    if buf.remaining() < 14 {
+    if buf.remaining() < RECORD_HEADER_BYTES {
         return None;
     }
     let id = RecordId(buf.get_u64());

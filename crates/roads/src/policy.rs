@@ -68,6 +68,11 @@ pub trait SharingPolicy: Send + Sync {
 
     /// Disclosure decision for one record matching the query.
     fn disclose(&self, class: TrustClass, record: &Record) -> Disclosure;
+
+    /// The most records one query hands a `class` requester; `None`: no limit.
+    fn quota(&self, _class: TrustClass) -> Option<usize> {
+        None
+    }
 }
 
 /// Apply a policy to a matching record set, producing what the requester
@@ -77,15 +82,33 @@ pub fn apply_policy<'a>(
     requester: RequesterId,
     matches: impl IntoIterator<Item = &'a Record>,
 ) -> Vec<Record> {
-    let class = policy.classify(requester);
-    matches
-        .into_iter()
-        .filter_map(|r| match policy.disclose(class, r) {
-            Disclosure::Full => Some(r.clone()),
-            Disclosure::Redacted(attrs) => Some(redact(r, &attrs)),
-            Disclosure::Withhold => None,
-        })
-        .collect()
+    disclose_each(policy, policy.classify(requester), matches, |_, _| {})
+}
+
+/// The one disclosure loop: decide each match in order until the class's
+/// quota is met, telling `observe` every decision made.
+fn disclose_each<'a>(
+    policy: &dyn SharingPolicy,
+    class: TrustClass,
+    matches: impl IntoIterator<Item = &'a Record>,
+    mut observe: impl FnMut(&Record, DecisionKind),
+) -> Vec<Record> {
+    let cap = policy.quota(class).unwrap_or(usize::MAX);
+    let matches = matches.into_iter();
+    let mut out = Vec::with_capacity(matches.size_hint().0.min(cap));
+    for r in matches {
+        if out.len() == cap {
+            break;
+        }
+        let (kind, disclosed) = match policy.disclose(class, r) {
+            Disclosure::Full => (DecisionKind::Full, Some(r.clone())),
+            Disclosure::Redacted(attrs) => (DecisionKind::Redacted, Some(redact(r, &attrs))),
+            Disclosure::Withhold => (DecisionKind::Withheld, None),
+        };
+        observe(r, kind);
+        out.extend(disclosed);
+    }
+    out
 }
 
 /// Replace the listed attributes with an opaque marker. Numeric attributes
@@ -249,21 +272,6 @@ impl<P: SharingPolicy> QuotaPolicy<P> {
             exempt_class,
         }
     }
-
-    /// Apply the quota-aware policy to a match set.
-    pub fn apply<'a>(
-        &self,
-        requester: RequesterId,
-        matches: impl IntoIterator<Item = &'a Record>,
-    ) -> Vec<Record> {
-        let class = self.inner.classify(requester);
-        let disclosed = apply_policy(&self.inner, requester, matches);
-        if class >= self.exempt_class {
-            disclosed
-        } else {
-            disclosed.into_iter().take(self.max_records).collect()
-        }
-    }
 }
 
 impl<P: SharingPolicy> SharingPolicy for QuotaPolicy<P> {
@@ -272,6 +280,10 @@ impl<P: SharingPolicy> SharingPolicy for QuotaPolicy<P> {
     }
     fn disclose(&self, class: TrustClass, record: &Record) -> Disclosure {
         self.inner.disclose(class, record)
+    }
+    fn quota(&self, class: TrustClass) -> Option<usize> {
+        let own = (class < self.exempt_class).then_some(self.max_records);
+        own.into_iter().chain(self.inner.quota(class)).min()
     }
 }
 
@@ -320,27 +332,14 @@ impl DisclosureAudit {
         matches: impl IntoIterator<Item = &'a Record>,
     ) -> Vec<Record> {
         let class = policy.classify(requester);
-        let mut out = Vec::new();
-        for r in matches {
-            let decision = policy.disclose(class, r);
-            let kind = match &decision {
-                Disclosure::Full => DecisionKind::Full,
-                Disclosure::Redacted(_) => DecisionKind::Redacted,
-                Disclosure::Withhold => DecisionKind::Withheld,
-            };
+        disclose_each(policy, class, matches, |r, decision| {
             self.entries.push(AuditEntry {
                 requester,
                 class,
                 record: r.id,
-                decision: kind,
-            });
-            match decision {
-                Disclosure::Full => out.push(r.clone()),
-                Disclosure::Redacted(attrs) => out.push(redact(r, &attrs)),
-                Disclosure::Withhold => {}
-            }
-        }
-        out
+                decision,
+            })
+        })
     }
 
     /// All recorded decisions.
@@ -366,7 +365,8 @@ impl DisclosureAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roads_records::{AttrDef, OwnerId, RecordBuilder, RecordId, Schema};
+    use proptest::prelude::*;
+    use roads_records::{AttrDef, OwnerId, RecordBuilder, RecordId, Schema, WireSize};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -472,14 +472,30 @@ mod tests {
     fn quota_limits_low_trust_requesters() {
         let s = schema();
         let records: Vec<Record> = (0..10).map(|i| record(&s, i, "public", i as f64)).collect();
-        let p = QuotaPolicy::new(policy(&s), 3, TrustClass::Partner);
-        assert_eq!(p.apply(RequesterId(99), &records).len(), 3, "public capped");
-        assert_eq!(p.apply(RequesterId(2), &records).len(), 3, "member capped");
+        // Installed as every policy is: behind `dyn SharingPolicy`.
+        let p: &dyn SharingPolicy = &QuotaPolicy::new(policy(&s), 3, TrustClass::Partner);
+        let ids = |got: Vec<Record>| got.iter().map(|r| r.id.0).collect::<Vec<_>>();
+        let public = apply_policy(p, RequesterId(99), &records);
+        assert_eq!(ids(public), [0, 1, 2], "public capped, first come");
+        assert_eq!(apply_policy(p, RequesterId(2), &records).len(), 3, "member");
         assert_eq!(
-            p.apply(RequesterId(1), &records).len(),
+            apply_policy(p, RequesterId(1), &records).len(),
             10,
-            "partner exempt"
+            "exempt"
         );
+        // The audit sees the decisions made, and none past the cap.
+        let mut audit = DisclosureAudit::new();
+        assert_eq!(audit.apply_audited(p, RequesterId(99), &records).len(), 3);
+        assert_eq!(audit.entries().len(), 3);
+        // Around a quota, the tighter cap holds for each class.
+        let nested = QuotaPolicy::new(
+            QuotaPolicy::new(policy(&s), 5, TrustClass::Owner),
+            2,
+            TrustClass::Member,
+        );
+        assert_eq!(nested.quota(TrustClass::Public), Some(2));
+        assert_eq!(nested.quota(TrustClass::Partner), Some(5));
+        assert_eq!(nested.quota(TrustClass::Owner), None);
     }
 
     #[test]
@@ -520,5 +536,98 @@ mod tests {
             "member-tier records are hidden from the public"
         );
         assert_eq!(p.disclose(TrustClass::Member, &r), Disclosure::Full);
+    }
+
+    fn wide_schema() -> Schema {
+        Schema::new(vec![
+            AttrDef::categorical("tier"),
+            AttrDef::text("note"),
+            AttrDef::numeric("capacity", 0.0, 100.0),
+            AttrDef::categorical("kind"),
+        ])
+        .unwrap()
+    }
+
+    /// A match set in the order a search would hand it over: any tier, and
+    /// text and categorical values of any length.
+    fn arb_matches() -> impl Strategy<Value = Vec<Record>> {
+        let row = (0usize..3, "[a-z ]{0,300}", 0.0f64..100.0, "[a-z]{0,40}");
+        prop::collection::vec(row, 0..24).prop_map(|rows| {
+            let s = wide_schema();
+            let build = |(i, (tier, note, cap, kind)): (usize, (usize, String, f64, String))| {
+                RecordBuilder::new(&s, RecordId(i as u64), OwnerId(1))
+                    .set("tier", ["public", "member", "partner"][tier])
+                    .set("note", Value::Text(note))
+                    .set("capacity", cap)
+                    .set("kind", kind)
+                    .build()
+                    .unwrap()
+            };
+            rows.into_iter().enumerate().map(build).collect()
+        })
+    }
+
+    fn arb_attrs() -> impl Strategy<Value = Vec<AttrId>> {
+        prop::collection::vec(0u16..4, 0..5).prop_map(|a| a.into_iter().map(AttrId).collect())
+    }
+
+    proptest! {
+        /// The loop against what it replaced: the parent's `filter_map`
+        /// expression, then the quota's `take`.
+        #[test]
+        fn loop_equals_filter_then_take(
+            matches in arb_matches(),
+            sensitive in arb_attrs(),
+            requester in prop_oneof![Just(1u32), Just(2u32), Just(99u32)],
+            cap in prop_oneof![Just(None), (0usize..30).prop_map(Some)],
+            exempt in 0usize..4,
+        ) {
+            let tiers = TieredPolicy::new([RequesterId(1)], [RequesterId(2)])
+                .with_tier_attr(AttrId(0))
+                .with_sensitive_attrs(sensitive);
+            let exempt = [
+                TrustClass::Public,
+                TrustClass::Member,
+                TrustClass::Partner,
+                TrustClass::Owner,
+            ][exempt];
+            let requester = RequesterId(requester);
+            let class = tiers.classify(requester);
+            let limit = match cap {
+                Some(max) if class < exempt => max,
+                _ => usize::MAX,
+            };
+            let want: Vec<Record> = matches
+                .iter()
+                .filter_map(|r| match tiers.disclose(class, r) {
+                    Disclosure::Full => Some(r.clone()),
+                    Disclosure::Redacted(attrs) => Some(redact(r, &attrs)),
+                    Disclosure::Withhold => None,
+                })
+                .take(limit)
+                .collect();
+            let policy: Box<dyn SharingPolicy> = match cap {
+                Some(max) => Box::new(QuotaPolicy::new(tiers.clone(), max, exempt)),
+                None => Box::new(tiers.clone()),
+            };
+            let got = apply_policy(policy.as_ref(), requester, &matches);
+            // By `Debug`: a redacted number is NaN, which equals nothing.
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            let mut audit = DisclosureAudit::new();
+            let audited = audit.apply_audited(policy.as_ref(), requester, &matches);
+            prop_assert_eq!(format!("{audited:?}"), format!("{want:?}"));
+        }
+
+        /// A redacted `Text` changes length; the size the view carries is
+        /// the size it encodes to.
+        #[test]
+        fn redacted_view_knows_its_encoded_size(matches in arb_matches(), hide in arb_attrs()) {
+            for r in &matches {
+                let view = redact(r, &hide);
+                let mut buf = bytes::BytesMut::new();
+                roads_records::wire::encode_record(&view, &mut buf);
+                prop_assert_eq!(view.wire_size(), buf.len());
+            }
+        }
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! * **Rows are shared.** A row is a [`Record`], whose values every clone
 //!   shares: a search result, a second copy of the table (the update
-//!   rounds' twin, a live server's cell) and a delta payload entering the
-//!   table are reference-count bumps, never copies of the values.
+//!   rounds' twin) and a delta payload entering the table are
+//!   reference-count bumps, never copies of the values. A live server keeps
+//!   no copy: it searches the network's table in place.
 //! * **One byte per value.** Beside the rows the table keeps an id → row
 //!   map and, per attribute, a column of *codes*: a value's bucket among
 //!   256 equal-width buckets of the attribute's schema domain — the
@@ -555,7 +556,7 @@ impl ServerStore {
         }
     }
 
-    /// The record table (what a live server clones as its own store).
+    /// The record table (what a live server searches, in place).
     pub fn table(&self) -> &RecordStore {
         &self.table
     }

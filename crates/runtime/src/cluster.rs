@@ -1439,6 +1439,51 @@ mod tests {
     }
 
     #[test]
+    fn quota_caps_what_one_owner_hands_out() {
+        use roads_core::policy::{Disclosure, QuotaPolicy, TrustClass};
+        /// Shares everything; knows requester 42 as a partner.
+        struct Partner42;
+        impl SharingPolicy for Partner42 {
+            fn classify(&self, requester: RequesterId) -> TrustClass {
+                match requester {
+                    RequesterId(42) => TrustClass::Partner,
+                    _ => TrustClass::Public,
+                }
+            }
+            fn disclose(&self, _: TrustClass, _: &Record) -> Disclosure {
+                Disclosure::Full
+            }
+        }
+        // 4 servers of 20 records; server 1's owner hands anyone below a
+        // partner at most 3 of them per query.
+        let mut policies: Vec<Arc<dyn SharingPolicy>> =
+            (0..4).map(|_| Arc::new(OpenPolicy) as Arc<_>).collect();
+        policies[1] = Arc::new(QuotaPolicy::new(Partner42, 3, TrustClass::Partner));
+        let c = RoadsCluster::start_with(
+            test_net(4),
+            DelaySpace::paper(4, 3),
+            RuntimeConfig::test_fast(),
+            Attachments {
+                policies: Some(policies),
+                ..Attachments::default()
+            },
+        );
+        let q = QueryBuilder::new(c.network().schema(), QueryId(9))
+            .range("x0", 0.0, 1.0)
+            .build();
+        let from_1_and_others = |out: &RuntimeOutcome| {
+            let n = out.records.iter().filter(|r| r.owner == OwnerId(1)).count();
+            (n, out.records.len() - n)
+        };
+        let anon = c.query(&q, ServerId(0));
+        assert_eq!(from_1_and_others(&anon), (3, 60), "capped at server 1 only");
+        assert!(anon.complete, "a policy decision is not a fault");
+        let (partner, _) = c.query_with(&q, ServerId(0), RequesterId(42), false);
+        assert_eq!(from_1_and_others(&partner), (20, 60), "partners are exempt");
+        c.shutdown();
+    }
+
+    #[test]
     fn instrumented_cluster_records_phase_spans() {
         let n = 9;
         let schema = Schema::unit_numeric(1);
