@@ -3,8 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use roads_core::{
-    execute_query, record_query_outcome, update_round, HierarchyTree, RoadsConfig, RoadsNetwork,
-    SearchScope, ServerId,
+    execute_query, update_round, HierarchyTree, RoadsConfig, RoadsNetwork, SearchScope, ServerId,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
@@ -14,7 +13,7 @@ use roads_runtime::{
 };
 use roads_summary::SummaryConfig;
 use roads_sword::SwordNetwork;
-use roads_telemetry::{OpenMetricsSnapshot, Registry, Sampler, TailSampler};
+use roads_telemetry::{OpenMetricsSnapshot, Recorder, Registry, Sampler, TailSampler};
 use roads_workload::{
     default_schema, generate_node_records, generate_queries, QueryWorkloadConfig,
     RecordWorkloadConfig,
@@ -101,9 +100,10 @@ fn bench_query_exec(c: &mut Criterion) {
     g.finish();
 }
 
-/// What each observability plane costs the query path, as `*_off` /
-/// `*_on` pairs; `plain` is the simulated query with nothing observing it
-/// (there is one executor, so "recorder disabled" is this same call).
+/// What observing the query path costs: `plain` is the simulated query
+/// with nothing observing it (there is one executor, so "recorder
+/// disabled" is this same call), and `live_off` / `live_all_on` is one
+/// live cluster bare against the same cluster with every plane attached.
 fn bench_recorder_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("recorder_overhead");
     g.sample_size(20);
@@ -122,47 +122,6 @@ fn bench_recorder_overhead(c: &mut Criterion) {
             )
         })
     });
-    // Counter/histogram recording with no background sampler vs with a
-    // live Sampler snapshotting the same registry every millisecond: the
-    // hot path only touches atomics and one histogram mutex, so the
-    // sampler thread must not show up in per-query cost.
-    let query_instrumented = |b: &mut criterion::Bencher, reg: &Registry| {
-        let mut i = 0;
-        b.iter(|| {
-            let (q, start) = &queries[i % queries.len()];
-            i += 1;
-            let r = execute_query(
-                &net,
-                &delays,
-                black_box(q),
-                ServerId(*start as u32),
-                SearchScope::full(),
-            );
-            record_query_outcome(reg, &r);
-            r
-        })
-    };
-    g.bench_function("sampler_off", |b| {
-        let reg = Registry::new();
-        query_instrumented(b, &reg);
-    });
-    g.bench_function("sampler_on", |b| {
-        let reg = Arc::new(Registry::new());
-        let sampler = Sampler::start(
-            Arc::clone(&reg),
-            &["roads.queries", "roads.query_latency_ms"],
-            Duration::from_millis(1),
-            4096,
-        );
-        query_instrumented(b, &reg);
-        sampler.stop();
-    });
-    // Tail-sampling acceptance check: a live cluster with a TailSampler
-    // attached assembles a QueryExplain per query and offers it to the
-    // reservoir; without one, queries skip explain work entirely. The
-    // sampled path must stay within 5% of the unsampled path at default
-    // thresholds (query wall time is dominated by the emulated backend,
-    // so per-hop bookkeeping must disappear into it).
     fn live_net() -> RoadsNetwork {
         let n = 9usize;
         let records: Vec<Vec<Record>> = (0..n)
@@ -224,35 +183,22 @@ fn bench_recorder_overhead(c: &mut Criterion) {
         })
     };
     g.sample_size(10);
-    g.bench_function("tail_off", |b| {
+    g.bench_function("live_off", |b| {
         let cluster = live_cluster(Attachments::default());
         drive(b, &cluster);
         cluster.shutdown();
     });
-    g.bench_function("tail_on", |b| {
+    // Every plane at once: instrumented registry, flight recorder, tail
+    // sampler and audit counters on the reply path, and the Auditor,
+    // Watchdog and Sampler threads racing the queries at 5 ms / 1 ms.
+    g.bench_function("live_all_on", |b| {
+        let reg = Arc::new(Registry::new());
+        let metrics = Arc::new(AuditMetrics::new(&reg, live_net().tree().levels()));
         let cluster = live_cluster(Attachments {
+            recorder: Some(Arc::new(Recorder::new(65_536))),
             tail: Some(TailSampler::shared()),
-            ..Attachments::default()
-        });
-        drive(b, &cluster);
-        cluster.shutdown();
-    });
-    // Audit-plane acceptance check: with AuditMetrics attached the reply
-    // path folds every branch-mode outcome into two atomic counters, and
-    // the background Auditor recomputes ground truth on its own thread.
-    // Neither may cost the query path more than 5% vs the bare cluster.
-    g.bench_function("auditor_off", |b| {
-        let cluster = live_cluster(Attachments::default());
-        drive(b, &cluster);
-        cluster.shutdown();
-    });
-    g.bench_function("auditor_on", |b| {
-        let reg = Registry::new();
-        let levels = live_net().tree().levels();
-        let metrics = Arc::new(AuditMetrics::new(&reg, levels));
-        let cluster = live_cluster(Attachments {
             audit: Some(Arc::clone(&metrics)),
-            ..Attachments::default()
+            ..Attachments::instrumented(&reg)
         });
         let net = cluster.shared_network();
         let probes: Vec<_> = (0..8)
@@ -275,24 +221,6 @@ fn bench_recorder_overhead(c: &mut Criterion) {
             probes,
             cluster.liveness(),
         );
-        drive(b, &cluster);
-        auditor.stop();
-        cluster.shutdown();
-    });
-    // Watchdog-plane acceptance check: the watchdog evaluates its
-    // detector bank against the registry on its own thread each tick —
-    // the query path gains nothing but the instrument writes it already
-    // pays for. With a 5 ms tick racing the queries, watchdog_on must
-    // stay within 5% of watchdog_off.
-    g.bench_function("watchdog_off", |b| {
-        let reg = Arc::new(Registry::new());
-        let cluster = live_cluster(Attachments::instrumented(&reg));
-        drive(b, &cluster);
-        cluster.shutdown();
-    });
-    g.bench_function("watchdog_on", |b| {
-        let reg = Arc::new(Registry::new());
-        let cluster = live_cluster(Attachments::instrumented(&reg));
         let watchdog = Watchdog::for_cluster(
             &cluster,
             &reg,
@@ -301,8 +229,16 @@ fn bench_recorder_overhead(c: &mut Criterion) {
                 ..WatchdogConfig::default()
             },
         );
+        let sampler = Sampler::start(
+            Arc::clone(&reg),
+            &["runtime.queries", "runtime.query_response_ms"],
+            Duration::from_millis(1),
+            4096,
+        );
         drive(b, &cluster);
+        sampler.stop();
         watchdog.stop();
+        auditor.stop();
         cluster.shutdown();
     });
     // Rendering a populated registry to OpenMetrics text (the scrape

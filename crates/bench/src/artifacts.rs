@@ -2,11 +2,11 @@
 //! per document — marker key → strict parse → one-line `check` summary /
 //! full render. `roads-inspect check` and the `slow` / `audit` / `plan` /
 //! `delta` / `incidents` subcommands are lookups in [`ARTIFACTS`]; adding an
-//! artifact is adding a row (see CONTRIBUTING.md).
+//! artifact is adding a row (see CONTRIBUTING.md). `bench_suite` writes
+//! four of the five documents, `fig18_delta_churn` writes `DELTA.json`.
 
 use crate::delta_view::{render_delta_table, DeltaReport};
 use crate::plan_view::{render_plan_table, PlanReport};
-use crate::suite::BenchReport;
 use crate::{audit_view, explain_view, incident_view};
 use roads_runtime::{AuditReport, IncidentReport};
 use roads_telemetry::{Json, SlowDoc};
@@ -14,27 +14,19 @@ use roads_telemetry::{Json, SlowDoc};
 /// Strict parse of a document followed by some text about it.
 pub type Describe = fn(&Json) -> Result<String, String>;
 
-/// One artifact `roads-inspect` can check and (mostly) render.
+/// One artifact `roads-inspect` can check and render.
 pub struct ArtifactRow {
     /// The key whose presence identifies the document.
     pub marker: &'static str,
     /// Parse strictly; on success the one-line summary `check` prints.
     pub check: Describe,
     /// The `roads-inspect <subcommand>` rendering the document and its
-    /// renderer (`None`: the bench report is consumed by `bench-diff`).
-    pub view: Option<(&'static str, Describe)>,
+    /// renderer.
+    pub view: (&'static str, Describe),
 }
 
 /// Every strict artifact, in `check`'s routing order.
 pub const ARTIFACTS: &[ArtifactRow] = &[
-    ArtifactRow {
-        marker: BenchReport::MARKER,
-        check: |doc| {
-            BenchReport::from_json(doc)
-                .map(|r| format!("bench report, {} benches", r.benches.len()))
-        },
-        view: None,
-    },
     ArtifactRow {
         marker: AuditReport::MARKER,
         check: |doc| {
@@ -47,9 +39,9 @@ pub const ARTIFACTS: &[ArtifactRow] = &[
                 )
             })
         },
-        view: Some(("audit", |doc| {
+        view: ("audit", |doc| {
             AuditReport::from_json(doc).map(|r| audit_view::render_audit_table(&r))
-        })),
+        }),
     },
     ArtifactRow {
         marker: PlanReport::MARKER,
@@ -64,9 +56,9 @@ pub const ARTIFACTS: &[ArtifactRow] = &[
                 )
             })
         },
-        view: Some(("plan", |doc| {
+        view: ("plan", |doc| {
             PlanReport::from_json(doc).map(|r| render_plan_table(&r))
-        })),
+        }),
     },
     ArtifactRow {
         marker: DeltaReport::MARKER,
@@ -78,9 +70,9 @@ pub const ARTIFACTS: &[ArtifactRow] = &[
                 )
             })
         },
-        view: Some(("delta", |doc| {
+        view: ("delta", |doc| {
             DeltaReport::from_json(doc).map(|r| render_delta_table(&r))
-        })),
+        }),
     },
     ArtifactRow {
         marker: IncidentReport::MARKER,
@@ -95,9 +87,9 @@ pub const ARTIFACTS: &[ArtifactRow] = &[
                 )
             })
         },
-        view: Some(("incidents", |doc| {
+        view: ("incidents", |doc| {
             IncidentReport::from_json(doc).map(|r| incident_view::render_incident_table(&r))
-        })),
+        }),
     },
     ArtifactRow {
         marker: SlowDoc::MARKER,
@@ -110,18 +102,14 @@ pub const ARTIFACTS: &[ArtifactRow] = &[
                 )
             })
         },
-        view: Some(("slow", |doc| {
+        view: ("slow", |doc| {
             SlowDoc::from_json(doc).map(|r| explain_view::render_slow_table(&r))
-        })),
+        }),
     },
 ];
 
-/// The row whose marker `doc` carries. Figure documents are never
-/// artifacts, although they too carry a `schema_version`.
+/// The row whose marker `doc` carries.
 pub fn row_for(doc: &Json) -> Option<&'static ArtifactRow> {
-    if doc.get("figure").is_some() {
-        return None;
-    }
     ARTIFACTS.iter().find(|row| doc.get(row.marker).is_some())
 }
 
@@ -129,7 +117,6 @@ pub fn row_for(doc: &Json) -> Option<&'static ArtifactRow> {
 pub fn view(command: &str) -> Option<Describe> {
     ARTIFACTS
         .iter()
-        .filter_map(|row| row.view)
-        .find(|(name, _)| *name == command)
-        .map(|(_, render)| render)
+        .find(|row| row.view.0 == command)
+        .map(|row| row.view.1)
 }

@@ -114,7 +114,7 @@ fn main() {
     fig.push_note(format!("{expiries} TTL expiry events in the trace"));
     fig.write_default();
     write_chrome_trace_default(&fig.figure, &rec);
-    roads_bench::suite::print_metrics_digest(&reg.snapshot());
+    roads_bench::print_metrics_digest(&reg.snapshot());
 }
 
 fn crash_subtree(

@@ -249,5 +249,5 @@ fn main() {
     fig.write_default();
     write_chrome_trace_default(&fig.figure, &rec);
     // Digest covers the instrumented (failover-on) cluster.
-    roads_bench::suite::print_metrics_digest(&reg.snapshot());
+    roads_bench::print_metrics_digest(&reg.snapshot());
 }

@@ -274,5 +274,5 @@ fn main() {
     fig.write_default();
     write_chrome_trace_default(&fig.figure, &rec);
     // Digest covers the last configuration's cluster + audit registry.
-    roads_bench::suite::print_metrics_digest(&last_reg.snapshot());
+    roads_bench::print_metrics_digest(&last_reg.snapshot());
 }

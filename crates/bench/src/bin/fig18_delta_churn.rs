@@ -11,18 +11,22 @@
 //! rows); the delta round's cost scales with the changed slice (random
 //! accesses per change) and its dirty branch closure, so the speedup is
 //! largest at low churn and the figure asserts the speedup floor
-//! ([`MIN_DELTA_SPEEDUP`]) at the 1% point the bench suite gates on.
-//! Propagation bytes shrink with churn too: only dirty summaries travel.
+//! ([`MIN_DELTA_SPEEDUP`]) at the 1% point. Propagation bytes shrink with
+//! churn too: only dirty summaries travel.
+//!
+//! The 1% cell is also written as `DELTA.json` ([`DeltaReport`]) next to
+//! the figure: inspectable with `roads-inspect delta` and validated by
+//! `roads-inspect check`, which re-enforces the floor offline.
 
-use roads_bench::delta_view::MIN_DELTA_SPEEDUP;
+use roads_bench::delta_view::{DeltaReport, DELTA_SCHEMA_VERSION, MIN_DELTA_SPEEDUP};
 use roads_bench::{banner, figure_config};
 use roads_core::{
-    update_round_delta, update_round_full, BuildOptions, RecordDelta, RoadsConfig, RoadsNetwork,
-    ServerId,
+    update_round_delta, update_round_full, BuildOptions, DeltaOutcome, RecordDelta, RoadsConfig,
+    RoadsNetwork, ServerId,
 };
 use roads_records::{OwnerId, Record, RecordId, Schema, Value};
 use roads_summary::SummaryConfig;
-use roads_telemetry::FigureExport;
+use roads_telemetry::{results_dir, FigureExport};
 use std::time::Instant;
 
 /// Per-churn-fraction aggregates over all runs.
@@ -35,6 +39,8 @@ struct Cell {
     full_bytes: u64,
     delta_bytes: u64,
     dirty_servers: f64,
+    /// What the last delta round at this fraction touched.
+    last: Option<DeltaOutcome>,
 }
 
 fn churn_record(id: u64, x: f64) -> Record {
@@ -117,6 +123,7 @@ fn main() {
                 delta.len() as u64,
                 "in-place churn never rejects"
             );
+            cell.last = Some(outcome);
 
             // The full round doubles as the reset: it rebuilds every
             // local summary, so the next fraction starts converged.
@@ -141,14 +148,31 @@ fn main() {
     let mut speedup_series = Vec::new();
     let mut full_bytes_series = Vec::new();
     let mut delta_bytes_series = Vec::new();
-    let mut speedup_at_gate = 0.0;
+    let mut gate = None;
     for (fi, &fraction) in fractions.iter().enumerate() {
         let c = &cells[fi];
         let n = c.rounds as f64;
         let (full_ms, delta_ms) = (c.full_ms / n, c.delta_ms / n);
         let speedup = full_ms / delta_ms;
         if fraction == 0.01 {
-            speedup_at_gate = speedup;
+            let last = c.last.as_ref().expect("at least one run");
+            gate = Some(DeltaReport {
+                schema_version: DELTA_SCHEMA_VERSION,
+                config: format!("fig18_delta_churn, {} runs", cfg.runs),
+                servers: servers as u64,
+                records: (servers * per) as u64,
+                churn_changes: c.changes,
+                full_ms,
+                delta_ms,
+                speedup,
+                full_bytes: c.full_bytes,
+                delta_bytes: c.delta_bytes,
+                applied: last.applied,
+                rejected: last.rejected,
+                dirty_servers: last.dirty.len() as u64,
+                dirty_branches: last.dirty_branches.len() as u64,
+                shard_rebuilds: last.shard_rebuilds,
+            });
         }
         println!(
             "{:>6.1}% {:>9} {:>11.1} {:>11.1} {:>8.1}x {:>10.1} {:>11} {:>11}",
@@ -167,12 +191,24 @@ fn main() {
         full_bytes_series.push((fraction, c.full_bytes as f64));
         delta_bytes_series.push((fraction, c.delta_bytes as f64));
     }
-    // The bench suite gates the 1% point; the figure re-asserts it so a
-    // --quick CI run catches a slow delta path without the suite.
+    let gate = gate.expect("the sweep includes 1% churn");
+    let speedup_at_gate = gate.speedup;
     assert!(
         speedup_at_gate >= MIN_DELTA_SPEEDUP,
         "delta round only {speedup_at_gate:.1}x faster than full at 1% churn \
          (floor: {MIN_DELTA_SPEEDUP:.0}x)"
+    );
+    let delta_path = results_dir().join("DELTA.json");
+    if let Err(e) = gate.write(&delta_path) {
+        eprintln!("error: could not write {}: {e}", delta_path.display());
+        std::process::exit(1);
+    }
+    println!(
+        "wrote {} ({} records, {} changes/round, delta {:.1}x over full)",
+        delta_path.display(),
+        gate.records,
+        gate.churn_changes,
+        gate.speedup,
     );
 
     fig.push_series("full_round_ms", &full_series);

@@ -397,5 +397,5 @@ fn main() {
     fig.write_default();
     write_chrome_trace_default(&fig.figure, &rec);
     // Digest covers the control run's cluster + watchdog registry.
-    roads_bench::suite::print_metrics_digest(&control_reg.snapshot());
+    roads_bench::print_metrics_digest(&control_reg.snapshot());
 }

@@ -141,5 +141,5 @@ fn main() {
     fig.set_telemetry(reg.snapshot());
     fig.write_default();
     write_chrome_trace_default(&fig.figure, &rec);
-    roads_bench::suite::print_metrics_digest(&reg.snapshot());
+    roads_bench::print_metrics_digest(&reg.snapshot());
 }

@@ -4,9 +4,7 @@
 //! ```text
 //! roads-inspect summary <base>          # run summary + slowest-query critical path
 //! roads-inspect diff <base-a> <base-b>  # series/reference regression report
-//! roads-inspect check <base>...         # CI gate: valid figure/bench/slow-query documents
-//! roads-inspect bench-diff OLD NEW [--fail-over <pct>]
-//!                                       # BENCH_*.json regression gate
+//! roads-inspect check <base>...         # CI gate: valid figure documents and artifacts
 //! roads-inspect health <scrape.txt>     # cluster health table from an
 //!                                       # OpenMetrics scrape
 //! roads-inspect explain <artifact> [query-id]
@@ -16,6 +14,8 @@
 //!                                       # attribution
 //! roads-inspect audit <artifact>        # per-level summary-fidelity table
 //!                                       # from an AUDIT.json artifact
+//! roads-inspect plan <artifact>         # planner/cache summary from a
+//!                                       # PLAN.json artifact
 //! roads-inspect delta <artifact>        # incremental-update summary from
 //!                                       # a DELTA.json artifact
 //! roads-inspect incidents <artifact>    # watchdog incident timeline from
@@ -31,15 +31,16 @@
 //! or when its trace file is missing, malformed, or contains zero complete
 //! (`ph == "X"`) spans — the CI smoke test runs it after a `--quick`
 //! figure binary. A document carrying the marker key of a strict artifact
-//! — `BENCH_ROADS`, `SLOW_QUERIES`, `AUDIT`, `PLAN`, `DELTA`, `INCIDENTS`,
-//! one row each in [`roads_bench::artifacts::ARTIFACTS`] — takes that
-//! row's path instead and expects no trace file: the artifact layer
+//! — `SLOW_QUERIES`, `AUDIT`, `PLAN` and `INCIDENTS` from `bench_suite`,
+//! `DELTA` from `fig18_delta_churn`, one row each in
+//! [`roads_bench::artifacts::ARTIFACTS`] — takes that row's path instead
+//! and expects no trace file: the artifact layer
 //! ([`roads_telemetry::json::artifact`]) requires every declared field to
 //! be present and well-typed and names each offending path
 //! (`levels[0].probes`), then the artifact's own `validate` re-enforces
-//! its cross-field invariants offline (no duplicate benches, retained
-//! span trees reconstruct, planned ≤ greedy contacts, the delta path's
-//! speedup floor and change accounting).
+//! its cross-field invariants offline (retained span trees reconstruct,
+//! planned ≤ greedy contacts, the delta path's speedup floor and change
+//! accounting).
 //!
 //! `incidents` renders the watchdog incident timeline of an
 //! `INCIDENTS.json` artifact: one block per incident with its firing
@@ -59,17 +60,13 @@
 //!
 //! [`QueryExplain`]: roads_telemetry::QueryExplain
 //!
-//! `bench-diff` compares two bench reports and exits non-zero when any
-//! bench moved more than the threshold (default 10%) in its unit's bad
-//! direction — lower for throughput units, higher for everything else.
-//!
 //! `health` renders the per-server liveness/queue/latency table from
 //! `runtime.server.*` series in a saved OpenMetrics scrape of an
 //! instrumented live cluster.
 //!
 //! [`FigureExport`]: roads_telemetry::FigureExport
 
-use roads_bench::{artifacts, explain_view, suite};
+use roads_bench::{artifacts, explain_view};
 use roads_telemetry::{
     critical_path, json, parse_openmetrics, slowest_trace, span_tree_root, trace_ids, Event,
     EventKind, Json, SlowDoc, SpanId, TraceId,
@@ -89,7 +86,6 @@ fn main() -> ExitCode {
         Some((cmd, rest)) if cmd == "summary" && rest.len() == 1 => summary(&rest[0]),
         Some((cmd, rest)) if cmd == "diff" && rest.len() == 2 => diff(&rest[0], &rest[1]),
         Some((cmd, rest)) if cmd == "check" && !rest.is_empty() => check(rest),
-        Some((cmd, rest)) if cmd == "bench-diff" => bench_diff(rest),
         Some((cmd, rest)) if cmd == "health" && rest.len() == 1 => health(&rest[0]),
         Some((cmd, rest)) if cmd == "explain" && (rest.len() == 1 || rest.len() == 2) => {
             explain(&rest[0], rest.get(1).and_then(|q| q.parse().ok()))
@@ -98,7 +94,6 @@ fn main() -> ExitCode {
             eprintln!("usage: roads-inspect summary <base>");
             eprintln!("       roads-inspect diff <base-a> <base-b>");
             eprintln!("       roads-inspect check <base>...");
-            eprintln!("       roads-inspect bench-diff <old.json> <new.json> [--fail-over <pct>]");
             eprintln!("       roads-inspect health <scrape.txt>");
             eprintln!("       roads-inspect explain <slow-queries.json> [query-id]");
             eprintln!("       roads-inspect slow <slow-queries.json>");
@@ -374,58 +369,6 @@ fn check(bases: &[String]) -> ExitCode {
         }
     }
     if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-fn bench_diff(args: &[String]) -> ExitCode {
-    let mut paths = Vec::new();
-    let mut fail_over_pct = 10.0;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--fail-over" {
-            match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(p) if p >= 0.0 => fail_over_pct = p,
-                _ => {
-                    eprintln!("error: --fail-over requires a non-negative percentage");
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            paths.push(PathBuf::from(a));
-        }
-    }
-    let [old_path, new_path] = paths.as_slice() else {
-        eprintln!("usage: roads-inspect bench-diff <old.json> <new.json> [--fail-over <pct>]");
-        return ExitCode::from(2);
-    };
-    let (old, new) = match (
-        suite::BenchReport::load(old_path),
-        suite::BenchReport::load(new_path),
-    ) {
-        (Ok(a), Ok(b)) => (a, b),
-        (a, b) => {
-            for r in [a, b] {
-                if let Err(e) = r {
-                    eprintln!("error: {e}");
-                }
-            }
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "bench-diff {} (commit {}) -> {} (commit {}), fail over {:.0}%",
-        old_path.display(),
-        old.commit,
-        new_path.display(),
-        new.commit,
-        fail_over_pct
-    );
-    let d = suite::diff(&old, &new, fail_over_pct);
-    print!("{d}");
-    if d.regressions() > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -84,5 +84,5 @@ fn main() {
     write_chrome_trace_default(&fig.figure, &rec);
     // This binary drives no query plane; the digest records that
     // explicitly rather than omitting the line.
-    roads_bench::suite::print_metrics_digest(&roads_telemetry::Registry::new().snapshot());
+    roads_bench::print_metrics_digest(&roads_telemetry::Registry::new().snapshot());
 }

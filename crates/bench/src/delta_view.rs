@@ -1,8 +1,8 @@
 //! Offline views of the incremental update plane: the `DELTA.json`
-//! artifact written by `bench_suite` alongside `BENCH_ROADS.json`.
+//! artifact `fig18_delta_churn` writes from its 1% churn cell.
 //!
 //! The artifact captures what the incremental delta update path did over
-//! the suite's churn workload: the size of the record population, how
+//! that cell: the size of the record population, how
 //! many changes one churn round carried, wall time of a full
 //! rebuild-and-propagate round vs the delta round over the same network,
 //! the resulting speedup, and the delta outcome counters mirrored from
@@ -17,7 +17,7 @@
 //!   `DeltaReport::from_json` (derived by the artifact layer), including
 //!   the delta path's core invariant (the incremental round stays at
 //!   least [`MIN_DELTA_SPEEDUP`] times faster than the full round) so a
-//!   regression fails the artifact check, not just a bench diff.
+//!   regression fails the artifact check, not just the figure run.
 
 use roads_telemetry::{artifact, json_fields};
 
@@ -25,8 +25,9 @@ use roads_telemetry::{artifact, json_fields};
 pub const DELTA_SCHEMA_VERSION: u64 = 1;
 
 /// The minimum full-round / delta-round speedup a healthy incremental
-/// path must sustain at the suite's churn (1% of 1M records per round);
-/// `DeltaReport::from_json` rejects artifacts below it.
+/// path must sustain in fig18's 1% cell (1% of 1M records per round);
+/// the figure asserts it and `DeltaReport::from_json` rejects artifacts
+/// below it.
 ///
 /// Why 2: a full rebuild is one sequential pass over each server's
 /// contiguous rows (≈ 30 ns a row), a delta change a map probe, a row
@@ -36,12 +37,12 @@ pub const DELTA_SCHEMA_VERSION: u64 = 1;
 /// lowers the readings without any delta round getting slower.
 pub const MIN_DELTA_SPEEDUP: f64 = 2.0;
 
-/// The incremental-update summary of one bench-suite run.
+/// The incremental-update summary of one fig18 run's 1% churn cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaReport {
     /// Document schema version ([`DELTA_SCHEMA_VERSION`]).
     pub schema_version: u64,
-    /// Matrix configuration the run used (`"smoke"` or `"full"`).
+    /// The run that wrote the document (`"fig18_delta_churn, 2 runs"`).
     pub config: String,
     /// Servers in the churn network.
     pub servers: u64,

@@ -19,7 +19,6 @@ pub mod delta_view;
 pub mod explain_view;
 pub mod incident_view;
 pub mod plan_view;
-pub mod suite;
 
 use roads_central::CentralRepository;
 use roads_core::{
@@ -31,7 +30,8 @@ use roads_records::Schema;
 use roads_summary::SummaryConfig;
 use roads_sword::SwordNetwork;
 use roads_telemetry::{
-    aggregate_traces, ExplainDecision, QueryExplain, Recorder, Registry, TraceId, TraceReport,
+    aggregate_traces, ExplainDecision, MetricsSnapshot, QueryExplain, Recorder, Registry, TraceId,
+    TraceReport,
 };
 use roads_workload::{
     default_schema, generate_node_records, generate_overlap_records, generate_queries,
@@ -330,9 +330,68 @@ pub fn banner(title: &str, paper_ref: &str) {
     println!("==================================================================");
 }
 
+/// One-line run digest every figure binary prints at exit: total
+/// queries driven through any plane (`*.queries` counters), retries,
+/// and the p99 query latency (simulation plane first, live runtime
+/// plane as fallback).
+pub fn metrics_digest(snap: &MetricsSnapshot) -> String {
+    let queries: u64 = snap
+        .counters
+        .iter()
+        .filter(|(k, _)| k.ends_with(".queries") && !k.ends_with(".incomplete_queries"))
+        .map(|(_, &v)| v)
+        .sum();
+    let retries: u64 = snap
+        .counters
+        .iter()
+        .filter(|(k, _)| k.ends_with(".retries"))
+        .map(|(_, &v)| v)
+        .sum();
+    let p99 = snap
+        .histograms
+        .get("roads.query_latency_ms")
+        .or_else(|| snap.histograms.get("runtime.query_response_ms"))
+        .map(|h| format!("{:.1}", h.p99))
+        .unwrap_or_else(|| "-".to_string());
+    format!("[metrics] queries={queries} retries={retries} p99_query_ms={p99}")
+}
+
+/// Print the [`metrics_digest`] line to **stderr**. Every figure binary
+/// exits through this so its stdout stays machine-pipeable (figure series
+/// and tables only); the digest is operator chatter, like progress
+/// output.
+pub fn print_metrics_digest(snap: &MetricsSnapshot) {
+    eprintln!("{}", metrics_digest(snap));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn digest_sums_queries_and_picks_a_latency_plane() {
+        let reg = Registry::new();
+        reg.counter("roads.queries").add(10);
+        reg.counter("sword.queries").add(10);
+        reg.counter("runtime.retries").add(3);
+        reg.counter("runtime.incomplete_queries").add(2); // not a query count
+        for v in [1.0, 2.0, 50.0] {
+            reg.histogram("roads.query_latency_ms").record(v);
+        }
+        let line = metrics_digest(&reg.snapshot());
+        assert!(
+            line.starts_with("[metrics] queries=20 retries=3 p99_query_ms="),
+            "{line}"
+        );
+        assert!(!line.ends_with("p99_query_ms=-"), "{line}");
+        // No histograms at all: the latency slot degrades to '-'.
+        let bare = Registry::new();
+        bare.counter("runtime.queries").add(1);
+        assert_eq!(
+            metrics_digest(&bare.snapshot()),
+            "[metrics] queries=1 retries=0 p99_query_ms=-"
+        );
+    }
 
     #[test]
     fn quick_comparison_smoke() {

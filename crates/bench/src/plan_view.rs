@@ -1,12 +1,12 @@
 //! Offline views of the query-planner plane: the `PLAN.json` artifact
-//! written by `bench_suite` alongside `BENCH_ROADS.json`.
+//! written by `bench_suite`.
 //!
 //! The artifact captures what the replica-aware planner and the TTL'd
-//! result cache did over the suite's live-cluster workload: how many
-//! queries were planned, how many ancestor probes the replicated local
-//! summaries pruned, total servers contacted under greedy vs planned
-//! dispatch (same workload, same data — recall is asserted identical by
-//! the suite before the artifact is written), and the cache
+//! result cache did over the artifact run's live-cluster workload: how
+//! many queries were planned, how many ancestor probes the replicated
+//! local summaries pruned, total servers contacted under greedy vs
+//! planned dispatch (same workload, same data — recall is asserted
+//! identical by `bench_suite` before the artifact is written), and the cache
 //! hit/miss/invalidation counts mirrored from the `roads.cache.*`
 //! OpenMetrics families.
 //!
@@ -17,20 +17,20 @@
 //! * `roads-inspect check` — strict schema validation via
 //!   `PlanReport::from_json` (derived by the artifact layer), including
 //!   the planner's core invariant (planned contacts never exceed greedy
-//!   contacts) so a regression fails the artifact check, not just a
-//!   bench diff.
+//!   contacts) so a regression fails the artifact check, not just the
+//!   run that wrote it.
 
 use roads_telemetry::{artifact, json_fields};
 
 /// Current `PLAN.json` schema version.
 pub const PLAN_SCHEMA_VERSION: u64 = 1;
 
-/// The planner/cache summary of one bench-suite run.
+/// The planner/cache summary of one `bench_suite` run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanReport {
     /// Document schema version ([`PLAN_SCHEMA_VERSION`]).
     pub schema_version: u64,
-    /// Matrix configuration the run used (`"smoke"` or `"full"`).
+    /// The run that wrote the document (`"bench_suite"`).
     pub config: String,
     /// Distinct workload queries in the comparison pass.
     pub queries: u64,

@@ -1,9 +1,8 @@
-//! End-to-end tests of the regression harness binaries: `bench_suite
-//! --smoke` must produce a valid `BENCH_ROADS.json`, `roads-inspect
-//! check` must accept it, and `roads-inspect bench-diff` must exit
-//! non-zero exactly when a bench regresses beyond the threshold.
+//! End-to-end tests of the artifact binaries: `bench_suite` must write
+//! exactly its observability documents, `roads-inspect check` must accept
+//! each through its own row and route figure documents to their trace
+//! file, and every reader must fail cleanly on a corrupt document.
 
-use roads_bench::suite::BenchReport;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -29,13 +28,20 @@ fn inspect(args: &[&str]) -> (bool, String) {
 }
 
 #[test]
-fn smoke_suite_produces_a_valid_checkable_report_and_diff_gates() {
-    let baseline = tmp("baseline.json");
+fn artifact_run_writes_exactly_the_five_checkable_documents() {
+    let dir = tmp("artifact-run");
+    // A directory this test owns alone, emptied first: the assertion
+    // below is about exactly what one run writes.
+    let _ = std::fs::remove_dir_all(&dir);
     let run = Command::new(env!("CARGO_BIN_EXE_bench_suite"))
-        .args(["--smoke", "--out", baseline.to_str().unwrap()])
+        .env("ROADS_RESULTS_DIR", &dir)
         .output()
         .expect("bench_suite runs");
-    assert!(run.status.success(), "bench_suite --smoke failed");
+    assert!(
+        run.status.success(),
+        "bench_suite failed:\n{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
 
     // The [metrics] digest is operator chatter: it must land on stderr,
     // never in the machine-pipeable stdout stream.
@@ -50,49 +56,52 @@ fn smoke_suite_produces_a_valid_checkable_report_and_diff_gates() {
         "digest missing from stderr:\n{stderr}"
     );
 
-    // The report parses, validates, and covers the whole matrix.
-    let report = BenchReport::load(&baseline).expect("valid report");
-    assert_eq!(report.config, "smoke");
-    let names: Vec<&str> = report.benches.iter().map(|b| b.name.as_str()).collect();
-    for expected in [
-        "build_1t",
-        "build_4t",
-        "update_round",
-        "qps_overlay",
-        "qps_root",
-        "failover_recovery",
-    ] {
-        assert!(names.contains(&expected), "matrix missing {expected}");
-    }
-    for b in &report.benches {
-        assert!(b.value > 0.0, "bench {} measured nothing", b.name);
-    }
-
-    // `check` accepts the bench document (no trace file required).
-    let (ok, out) = inspect(&["check", baseline.to_str().unwrap()]);
-    assert!(ok, "check rejected a fresh report:\n{out}");
-    assert!(out.contains("bench report"), "{out}");
-
-    // The suite also wrote the tail-sampler report next to the bench
-    // report; the failover phase guarantees retained (failed) queries.
-    let slow_path = baseline.parent().unwrap().join("SLOW_QUERIES.json");
-    assert!(
-        slow_path.exists(),
-        "bench_suite must write SLOW_QUERIES.json"
+    // Exactly the five documents: no bench report, and DELTA.json is
+    // fig18's to write.
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    assert_eq!(
+        written,
+        [
+            "AUDIT.json",
+            "INCIDENTS.json",
+            "PLAN.json",
+            "PLANNER_METRICS.txt",
+            "SLOW_QUERIES.json"
+        ]
     );
-    let (ok, out) = inspect(&["check", slow_path.to_str().unwrap()]);
-    assert!(ok, "check rejected the slow-query report:\n{out}");
-    assert!(out.contains("slow-query report"), "{out}");
+
+    // `check` accepts every JSON document, each through its own row.
+    for (file, kind) in [
+        ("SLOW_QUERIES.json", "slow-query report"),
+        ("AUDIT.json", "audit report"),
+        ("PLAN.json", "plan report"),
+        ("INCIDENTS.json", "incident report"),
+    ] {
+        let path = dir.join(file);
+        let (ok, out) = inspect(&["check", path.to_str().unwrap()]);
+        assert!(ok, "check rejected {file}:\n{out}");
+        assert!(out.contains(kind), "{out}");
+    }
+    // The cached replays hit.
+    let scrape = std::fs::read_to_string(dir.join("PLANNER_METRICS.txt")).unwrap();
+    let hits: f64 = scrape
+        .lines()
+        .find_map(|l| l.strip_prefix("roads_cache_hits_total "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no cache-hit counter in the scrape:\n{scrape}"));
+    assert!(hits > 0.0, "{scrape}");
 
     // `slow` renders the ranked attribution table, `explain` the
     // hop-by-hop waterfall + decision tree of every retained query.
+    let slow_path = dir.join("SLOW_QUERIES.json");
     let (ok, out) = inspect(&["slow", slow_path.to_str().unwrap()]);
     assert!(ok, "slow failed:\n{out}");
     assert!(out.contains("tail reservoir"), "{out}");
-    assert!(
-        out.contains("failed"),
-        "failover phase retains failures:\n{out}"
-    );
+    assert!(out.contains("failed"), "the kills retain failures:\n{out}");
     let (ok, out) = inspect(&["explain", slow_path.to_str().unwrap()]);
     assert!(ok, "explain failed:\n{out}");
     assert!(out.contains("waterfall"), "{out}");
@@ -102,81 +111,6 @@ fn smoke_suite_produces_a_valid_checkable_report_and_diff_gates() {
         out.contains("flight recorder:"),
         "retained queries carry their trace:\n{out}"
     );
-
-    // Same report against itself: no regressions, exit 0.
-    let (ok, out) = inspect(&[
-        "bench-diff",
-        baseline.to_str().unwrap(),
-        baseline.to_str().unwrap(),
-    ]);
-    assert!(ok, "self-diff must pass:\n{out}");
-    assert!(out.contains("no regressions"), "{out}");
-
-    // Fixture pair: collapse throughput and inflate build time; the diff
-    // must flag both and exit non-zero.
-    let mut regressed = report.clone();
-    for b in &mut regressed.benches {
-        match b.name.as_str() {
-            "qps_overlay" => b.value *= 0.5,
-            "build_1t" => b.value *= 2.0,
-            _ => {}
-        }
-    }
-    let bad = tmp("regressed.json");
-    regressed.write(&bad).unwrap();
-    let (ok, out) = inspect(&[
-        "bench-diff",
-        baseline.to_str().unwrap(),
-        bad.to_str().unwrap(),
-        "--fail-over",
-        "25",
-    ]);
-    assert!(!ok, "regressions must fail the gate:\n{out}");
-    assert_eq!(out.matches("<-- REGRESSION").count(), 2, "{out}");
-
-    // The same movements pass under a generous CI-style threshold.
-    let (ok, _) = inspect(&[
-        "bench-diff",
-        baseline.to_str().unwrap(),
-        bad.to_str().unwrap(),
-        "--fail-over",
-        "400",
-    ]);
-    assert!(ok, "5x threshold must forgive 2x noise");
-}
-
-#[test]
-fn check_rejects_malformed_bench_reports() {
-    let bad_version = tmp("bad_version.json");
-    std::fs::write(
-        &bad_version,
-        r#"{"schema_version":99,"commit":"x","config":"smoke","benches":[{"name":"b","unit":"ms","value":1,"p50":1,"p99":1,"samples":1}]}"#,
-    )
-    .unwrap();
-    let (ok, out) = inspect(&["check", bad_version.to_str().unwrap()]);
-    assert!(!ok);
-    assert!(out.contains("unknown schema_version"), "{out}");
-
-    let empty = tmp("empty_benches.json");
-    std::fs::write(
-        &empty,
-        r#"{"schema_version":1,"commit":"x","config":"smoke","benches":[]}"#,
-    )
-    .unwrap();
-    let (ok, out) = inspect(&["check", empty.to_str().unwrap()]);
-    assert!(!ok);
-    assert!(out.contains("empty bench list"), "{out}");
-
-    // NaN stats serialize as null and must not validate.
-    let nan = tmp("nan.json");
-    std::fs::write(
-        &nan,
-        r#"{"schema_version":1,"commit":"x","config":"smoke","benches":[{"name":"b","unit":"ms","value":null,"p50":1,"p99":1,"samples":1}]}"#,
-    )
-    .unwrap();
-    let (ok, out) = inspect(&["check", nan.to_str().unwrap()]);
-    assert!(!ok);
-    assert!(out.contains("non-numeric value"), "{out}");
 }
 
 #[test]
@@ -221,13 +155,6 @@ fn check_fails_cleanly_on_truncated_and_corrupt_artifacts() {
         assert!(out.contains("error:"), "{out}");
     }
 
-    // A bench report cut off mid-write.
-    let truncated_bench = tmp("truncated_bench.json");
-    std::fs::write(&truncated_bench, r#"{"schema_version":1,"benches":[{"#).unwrap();
-    let (ok, out) = inspect(&["check", truncated_bench.to_str().unwrap()]);
-    assert!(!ok, "truncated bench JSON must fail:\n{out}");
-    assert!(out.contains("FAIL"), "{out}");
-
     // A figure document whose trace file is truncated mid-array.
     let fig = tmp("figx.json");
     std::fs::write(
@@ -239,6 +166,36 @@ fn check_fails_cleanly_on_truncated_and_corrupt_artifacts() {
     let (ok, out) = inspect(&["check", fig.to_str().unwrap()]);
     assert!(!ok, "truncated trace must fail:\n{out}");
     assert!(out.contains("FAIL"), "{out}");
+}
+
+/// Every figure document carries `schema_version`; `check` must route it
+/// as a figure — against its trace file — and never to an artifact row.
+#[test]
+fn check_routes_a_figure_document_to_its_trace_not_an_artifact_row() {
+    use roads_telemetry::{write_chrome_trace, EventKind, FigureExport, Json, Recorder, SpanId};
+    let dir = tmp("figure-routing");
+    let _ = std::fs::remove_file(dir.join("figy.trace.json"));
+    let mut fig = FigureExport::new("figy", "routing fixture");
+    fig.push_series("s", &[(1.0, 2.0)]);
+    let fig_path = fig.write(&dir).unwrap();
+    let doc = Json::parse(&std::fs::read_to_string(&fig_path).unwrap()).unwrap();
+    assert_eq!(doc.get("schema_version").and_then(Json::as_f64), Some(1.0));
+    let base = dir.join("figy");
+
+    // No trace file yet: a figure fails on the trace, an artifact parser
+    // would have complained about its own marker or fields instead.
+    let (ok, out) = inspect(&["check", base.to_str().unwrap()]);
+    assert!(!ok, "a figure without its trace must fail:\n{out}");
+    assert!(out.contains("figy.trace.json"), "{out}");
+
+    // With one complete span beside it, the figure checks.
+    let rec = Recorder::new(16);
+    let trace = rec.next_trace_id();
+    rec.record_span(trace, SpanId::NONE, 0, EventKind::QueryStart, 0, 5, 0);
+    write_chrome_trace("figy", &dir, &rec.events()).unwrap();
+    let (ok, out) = inspect(&["check", base.to_str().unwrap()]);
+    assert!(ok, "check rejected a valid figure:\n{out}");
+    assert!(out.contains("1 spans, 1 traces"), "{out}");
 }
 
 /// Strictness the per-artifact readers had drifted on: a negative or

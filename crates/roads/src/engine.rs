@@ -14,9 +14,7 @@ use crate::store::{DeltaOutcome, RecordChange, RecordDelta, ServerStore};
 use crate::tree::{HierarchyTree, ServerId};
 use roads_records::{Query, Record, Schema, WireSize};
 use roads_summary::Summary;
-use roads_telemetry::Registry;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Execution options for [`RoadsNetwork`] construction.
 ///
@@ -96,32 +94,6 @@ where
         .collect()
 }
 
-/// Build-stage telemetry: per-stage wall-clock microseconds. Every stage
-/// duration also lands in the combined `build.parallel_stage_us` histogram
-/// so the flight recorder / registry snapshot can attribute build time
-/// without knowing the stage names.
-struct StageTimers<'a> {
-    reg: &'a Registry,
-}
-
-impl StageTimers<'_> {
-    fn time<T>(&self, stage: &str, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        let us = t0.elapsed().as_micros() as f64;
-        self.reg.histogram("build.parallel_stage_us").record(us);
-        self.reg.histogram(stage).record(us);
-        out
-    }
-}
-
-fn maybe_time<T>(timers: &Option<StageTimers<'_>>, stage: &str, f: impl FnOnce() -> T) -> T {
-    match timers {
-        Some(t) => t.time(stage, f),
-        None => f(),
-    }
-}
-
 /// The branch summary of `s`: its `local` summary aggregated with its
 /// children's entries of `branch`, which must be current. Children merge
 /// in `children()` order, so a build at any thread count and a delta's
@@ -153,16 +125,6 @@ pub struct EvalResult {
     /// those apart from the summaries it replicates (see
     /// [`RoadsNetwork::evaluate`]).
     pub ancestor_targets: Vec<ServerId>,
-}
-
-impl EvalResult {
-    /// All redirect targets, children first (excludes local-only ancestor
-    /// probes).
-    pub fn all_targets(&self) -> Vec<ServerId> {
-        let mut v = self.child_targets.clone();
-        v.extend(&self.replica_targets);
-        v
-    }
 }
 
 /// How a contacted server treats the query — the redirect protocol's one
@@ -247,23 +209,6 @@ impl RoadsNetwork {
         Self::with_tree_opts(schema, config, tree, records_per_server, opts)
     }
 
-    /// [`RoadsNetwork::build_with`] recording per-stage wall-clock
-    /// durations into `reg` (`build.parallel_stage_us` plus one
-    /// `build.<stage>_us` histogram per stage, and the `build.threads`
-    /// gauge).
-    pub fn build_instrumented(
-        schema: Schema,
-        config: RoadsConfig,
-        records_per_server: Vec<Vec<Record>>,
-        opts: BuildOptions,
-        reg: &Registry,
-    ) -> Self {
-        let n = records_per_server.len();
-        assert!(n > 0, "a federation needs at least one server");
-        let tree = HierarchyTree::build(n, config.max_children);
-        Self::build_inner(schema, config, tree, records_per_server, opts, Some(reg))
-    }
-
     /// Build a federation where resource owners choose *attachment points*
     /// among `n_servers` servers (§III-A, Fig. 1: owner D exports its
     /// summaries to server 2, which is run by a different party B; owners
@@ -335,38 +280,21 @@ impl RoadsNetwork {
         records_per_server: Vec<Vec<Record>>,
         opts: BuildOptions,
     ) -> Self {
-        Self::build_inner(schema, config, tree, records_per_server, opts, None)
-    }
-
-    fn build_inner(
-        schema: Schema,
-        config: RoadsConfig,
-        tree: HierarchyTree,
-        records_per_server: Vec<Vec<Record>>,
-        opts: BuildOptions,
-        reg: Option<&Registry>,
-    ) -> Self {
         let n = records_per_server.len();
         assert_eq!(tree.capacity(), n, "one record set per server");
         let threads = opts.threads.max(1);
-        let timers = reg.map(|reg| {
-            reg.gauge("build.threads").set(threads as i64);
-            StageTimers { reg }
-        });
 
         // Stage 1: every server's store (its table and, with it, its local
         // summary) is independent of the others'. Record sets are moved
         // into the workers through per-server mutexes — each is taken
         // exactly once, so there is no contention.
-        let stores: Vec<ServerStore> = maybe_time(&timers, "build.local_summary_us", || {
-            let sets: Vec<std::sync::Mutex<Vec<Record>>> = records_per_server
-                .into_iter()
-                .map(std::sync::Mutex::new)
-                .collect();
-            par_map(n, threads, |i| {
-                let records = std::mem::take(&mut *sets[i].lock().expect("record handoff"));
-                ServerStore::new(&schema, &config.summary, records)
-            })
+        let sets: Vec<std::sync::Mutex<Vec<Record>>> = records_per_server
+            .into_iter()
+            .map(std::sync::Mutex::new)
+            .collect();
+        let stores: Vec<ServerStore> = par_map(n, threads, |i| {
+            let records = std::mem::take(&mut *sets[i].lock().expect("record handoff"));
+            ServerStore::new(&schema, &config.summary, records)
         });
 
         // Stage 2: bottom-up aggregation, synchronized level by level.
@@ -375,41 +303,36 @@ impl RoadsNetwork {
         // fully-computed child set — parents within a level are
         // independent. Merge order within a parent is its `children()`
         // order, so the result is identical at any thread count.
-        let branch_summary = maybe_time(&timers, "build.aggregate_us", || {
-            let mut by_depth: Vec<Vec<ServerId>> = Vec::new();
-            for s in tree.servers() {
-                let d = tree.depth(s);
-                if by_depth.len() <= d {
-                    by_depth.resize(d + 1, Vec::new());
-                }
-                by_depth[d].push(s);
+        let mut by_depth: Vec<Vec<ServerId>> = Vec::new();
+        for s in tree.servers() {
+            let d = tree.depth(s);
+            if by_depth.len() <= d {
+                by_depth.resize(d + 1, Vec::new());
             }
-            let mut branch_summary: Vec<Summary> =
-                stores.iter().map(|store| store.summary().clone()).collect();
-            for level in by_depth.iter().rev() {
-                let parents: Vec<ServerId> = level
-                    .iter()
-                    .copied()
-                    .filter(|&s| !tree.children(s).is_empty())
-                    .collect();
-                if parents.is_empty() {
-                    continue;
-                }
-                let merged: Vec<Summary> = par_map(parents.len(), threads, |i| {
-                    let p = parents[i];
-                    aggregate_branch(&tree, stores[p.index()].summary(), &branch_summary, p)
-                });
-                for (&p, s) in parents.iter().zip(merged) {
-                    branch_summary[p.index()] = s;
-                }
+            by_depth[d].push(s);
+        }
+        let mut branch_summary: Vec<Summary> =
+            stores.iter().map(|store| store.summary().clone()).collect();
+        for level in by_depth.iter().rev() {
+            let parents: Vec<ServerId> = level
+                .iter()
+                .copied()
+                .filter(|&s| !tree.children(s).is_empty())
+                .collect();
+            if parents.is_empty() {
+                continue;
             }
-            branch_summary
-        });
+            let merged: Vec<Summary> = par_map(parents.len(), threads, |i| {
+                let p = parents[i];
+                aggregate_branch(&tree, stores[p.index()].summary(), &branch_summary, p)
+            });
+            for (&p, s) in parents.iter().zip(merged) {
+                branch_summary[p.index()] = s;
+            }
+        }
 
         // Stage 3: replica sets only read the immutable hierarchy.
-        let replicas = maybe_time(&timers, "build.replica_us", || {
-            par_map(n, threads, |i| replication_set(&tree, ServerId(i as u32)))
-        });
+        let replicas = par_map(n, threads, |i| replication_set(&tree, ServerId(i as u32)));
 
         RoadsNetwork {
             schema,
@@ -1155,40 +1078,6 @@ mod tests {
         assert_eq!(BuildOptions::default(), BuildOptions::sequential());
         assert_eq!(BuildOptions::with_threads(0).threads, 1);
         assert!(BuildOptions::parallel().threads >= 1);
-    }
-
-    #[test]
-    fn instrumented_build_records_stage_histograms() {
-        use roads_telemetry::Registry;
-        let schema = Schema::unit_numeric(2);
-        let cfg = RoadsConfig {
-            max_children: 2,
-            summary: SummaryConfig::with_buckets(50),
-            ..RoadsConfig::paper_default()
-        };
-        let records: Vec<Vec<Record>> = (0..9)
-            .map(|s| vec![unit_record(&schema, s as u64, s as u32, &[0.1, 0.2])])
-            .collect();
-        let reg = Registry::new();
-        let net = RoadsNetwork::build_instrumented(
-            schema,
-            cfg,
-            records,
-            BuildOptions::with_threads(3),
-            &reg,
-        );
-        assert_eq!(net.len(), 9);
-        let snap = reg.snapshot();
-        assert_eq!(snap.gauges["build.threads"], 3);
-        // Three stages, each also recorded in the combined histogram.
-        assert_eq!(snap.histograms["build.parallel_stage_us"].count, 3);
-        for stage in [
-            "build.local_summary_us",
-            "build.aggregate_us",
-            "build.replica_us",
-        ] {
-            assert_eq!(snap.histograms[stage].count, 1, "{stage}");
-        }
     }
 
     #[test]

@@ -526,17 +526,6 @@ pub fn run_with_timeline(
     processed
 }
 
-/// Snapshot a data-plane simulation's counters into a telemetry registry:
-/// processed events plus the per-class traffic totals under `protocol.*`.
-/// Additive — call once at the end of a run (or per measurement window
-/// after [`Simulator::clear_stats`]).
-pub fn record_simulation_telemetry(reg: &roads_telemetry::Registry, sim: &Simulator<DataNode>) {
-    reg.counter("protocol.events").add(sim.events_processed());
-    reg.counter("protocol.messages_dropped")
-        .add(sim.messages_dropped());
-    sim.stats().record_into(reg, "protocol");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,20 +609,6 @@ mod tests {
             assert_eq!(servers as usize, gt.len(), "target {target}");
             assert_eq!(recs as usize, gt.len(), "one record per matching server");
         }
-    }
-
-    #[test]
-    fn simulation_telemetry_snapshot() {
-        let (_, sim, _) = converged_sim(9);
-        let reg = roads_telemetry::Registry::new();
-        record_simulation_telemetry(&reg, &sim);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["protocol.events"], sim.events_processed());
-        assert_eq!(
-            snap.counters["protocol.bytes.update"],
-            sim.stats().bytes(TrafficClass::Update)
-        );
-        assert!(snap.counters["protocol.bytes.update"] > 0);
     }
 
     #[test]

@@ -38,6 +38,12 @@
 use crate::timeline::Timeline;
 use std::collections::VecDeque;
 
+/// Samples an [`EwmaSpikeDetector`] absorbs before it may fire.
+const EWMA_WARMUP_SAMPLES: usize = 3;
+
+/// Samples a [`BurnRateRule`] needs inside its long window before firing.
+const BURN_MIN_SAMPLES: usize = 3;
+
 /// One detector trigger: the sample that tripped it plus context.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectorFiring {
@@ -90,8 +96,6 @@ pub struct EwmaSpikeDetector {
     /// most `noise_floor` per sample can never produce a z-score above
     /// 1, and a flat series never divides by zero.
     noise_floor: f64,
-    /// Samples to absorb before the detector may fire (warmup).
-    min_samples: usize,
     mean: f64,
     var: f64,
     seen: usize,
@@ -99,7 +103,8 @@ pub struct EwmaSpikeDetector {
 
 impl EwmaSpikeDetector {
     /// A spike detector with the given smoothing factor, z-score
-    /// threshold and noise floor. Warmup defaults to 3 samples.
+    /// threshold and noise floor; it absorbs 3 samples before it may
+    /// fire.
     pub fn new(name: &str, alpha: f64, sigma: f64, noise_floor: f64) -> Self {
         assert!(
             alpha > 0.0 && alpha <= 1.0,
@@ -115,17 +120,10 @@ impl EwmaSpikeDetector {
             alpha,
             sigma,
             noise_floor,
-            min_samples: 3,
             mean: 0.0,
             var: 0.0,
             seen: 0,
         }
-    }
-
-    /// Override the warmup sample count (≥ 1).
-    pub fn with_warmup(mut self, min_samples: usize) -> Self {
-        self.min_samples = min_samples.max(1);
-        self
     }
 
     /// The configured z-score threshold.
@@ -156,7 +154,7 @@ impl Detector for EwmaSpikeDetector {
         }
         let denom = self.var.sqrt().max(self.noise_floor);
         let diff = value - self.mean;
-        if self.seen >= self.min_samples && diff.abs() >= self.sigma * denom {
+        if self.seen >= EWMA_WARMUP_SAMPLES && diff.abs() >= self.sigma * denom {
             // Anomalous sample: report, and leave the baseline alone so
             // a sustained shift keeps firing rather than being learned.
             return Some(Trip {
@@ -258,8 +256,6 @@ pub struct BurnRateRule {
     factor: f64,
     short_ms: f64,
     long_ms: f64,
-    /// Samples required inside the long window before firing.
-    min_samples: usize,
     ring: VecDeque<(f64, f64)>,
 }
 
@@ -279,15 +275,8 @@ impl BurnRateRule {
             factor,
             short_ms,
             long_ms,
-            min_samples: 3,
             ring: VecDeque::new(),
         }
-    }
-
-    /// Override the minimum long-window sample count (≥ 1).
-    pub fn with_min_samples(mut self, min_samples: usize) -> Self {
-        self.min_samples = min_samples.max(1);
-        self
     }
 
     /// The firing level: `budget × factor`.
@@ -326,7 +315,7 @@ impl Detector for BurnRateRule {
         {
             self.ring.pop_front();
         }
-        if self.ring.len() < self.min_samples {
+        if self.ring.len() < BURN_MIN_SAMPLES {
             return None;
         }
         let level = self.burn_threshold();
@@ -529,11 +518,13 @@ mod tests {
 
     #[test]
     fn ewma_warmup_suppresses_early_samples() {
-        let mut d = EwmaSpikeDetector::new("spike", 0.5, 1.0, 0.01).with_warmup(5);
+        let mut d = EwmaSpikeDetector::new("spike", 0.5, 1.0, 0.01);
         // Wild swings inside the warmup never fire.
-        for (i, v) in [0.0, 100.0, -50.0, 80.0].iter().enumerate() {
+        for (i, v) in [0.0, 100.0, -50.0].iter().enumerate() {
             assert!(d.observe(i as f64, *v).is_none(), "warmup sample {i}");
         }
+        // The first sample past it can.
+        assert!(d.observe(3.0, 1_000.0).is_some(), "warmup over");
     }
 
     #[test]

@@ -66,16 +66,6 @@ impl SummaryKind {
             other => SummaryKind::parse(other),
         }
     }
-
-    /// Fuzziness rank: higher means likelier to report a false positive.
-    pub fn fuzziness(self) -> u8 {
-        match self {
-            SummaryKind::ValueSet => 0,
-            SummaryKind::Histogram => 1,
-            SummaryKind::MultiRes => 2,
-            SummaryKind::Bloom => 3,
-        }
-    }
 }
 
 /// Why a hop was dispatched — the routing decision behind the contact.
@@ -517,9 +507,6 @@ mod tests {
         ] {
             assert_eq!(SummaryKind::parse(k.as_str()), Some(k));
         }
-        assert!(SummaryKind::Bloom.fuzziness() > SummaryKind::MultiRes.fuzziness());
-        assert!(SummaryKind::MultiRes.fuzziness() > SummaryKind::Histogram.fuzziness());
-        assert!(SummaryKind::Histogram.fuzziness() > SummaryKind::ValueSet.fuzziness());
     }
 
     #[test]

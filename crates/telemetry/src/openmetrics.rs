@@ -237,16 +237,10 @@ impl OpenMetricsSnapshot {
         }
     }
 
-    /// Render to exposition text with no `# HELP` lines.
-    pub fn render(&self) -> String {
-        self.render_with_help(&[])
-    }
-
-    /// Render to exposition text. `help` maps *family* names (sanitized,
-    /// e.g. `runtime_fault_events`) to their `# HELP` text. Families sort
-    /// by name, samples by label set; identical snapshots render
+    /// Render to exposition text, with no `# HELP` lines. Families sort by
+    /// name, samples by label set; identical snapshots render
     /// byte-identically.
-    pub fn render_with_help(&self, help: &[(&str, &str)]) -> String {
+    pub fn render(&self) -> String {
         let mut families: BTreeMap<String, Family> = BTreeMap::new();
         for (name, &v) in &self.counters {
             let (base, labels) = split_labeled(name);
@@ -302,12 +296,8 @@ impl OpenMetricsSnapshot {
             ));
         }
 
-        let help: BTreeMap<&str, &str> = help.iter().copied().collect();
         let mut out = String::new();
         for (name, fam) in &families {
-            if let Some(h) = help.get(name.as_str()) {
-                out.push_str(&format!("# HELP {} {}\n", name, escape_help(h)));
-            }
             out.push_str(&format!("# TYPE {} {}\n", name, fam.kind));
             for line in &fam.samples {
                 out.push_str(line);
@@ -684,9 +674,8 @@ mod tests {
         let h = r.histogram("runtime.dispatch_ms");
         h.record(0.5);
         h.record(3.0);
-        let text = OpenMetricsSnapshot::from_registry(&r)
-            .render_with_help(&[("roads_queries", "queries evaluated")]);
-        assert!(text.contains("# HELP roads_queries queries evaluated\n"));
+        let text = OpenMetricsSnapshot::from_registry(&r).render();
+        assert!(!text.contains("# HELP"));
         assert!(text.contains("# TYPE roads_queries counter\n"));
         assert!(text.contains("roads_queries_total 3\n"));
         assert!(text.contains("# TYPE runtime_fault_events counter\n"));
@@ -742,8 +731,12 @@ mod tests {
         for v in [0.2, 1.5, 1.5, 80.0] {
             h.record(v);
         }
-        let text = OpenMetricsSnapshot::from_registry(&r)
-            .render_with_help(&[("a_one", "with \\ backslash\nand newline")]);
+        // The snapshot writes no `# HELP`; a scraped one may carry it.
+        let text = OpenMetricsSnapshot::from_registry(&r).render().replacen(
+            "# TYPE a_one ",
+            "# HELP a_one with \\\\ backslash\\nand newline\n# TYPE a_one ",
+            1,
+        );
         let scrape = parse(&text).expect("parses");
         assert_eq!(scrape.render(), text, "parse→render is the identity");
         let fam = scrape.family("a_two").unwrap();

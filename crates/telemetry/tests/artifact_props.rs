@@ -15,7 +15,6 @@ use proptest::prelude::*;
 use roads_bench::artifacts::ARTIFACTS;
 use roads_bench::delta_view::{DeltaReport, DELTA_SCHEMA_VERSION};
 use roads_bench::plan_view::{PlanReport, PLAN_SCHEMA_VERSION};
-use roads_bench::suite::{BenchRecord, BenchReport, BENCH_SCHEMA_VERSION};
 use roads_runtime::{
     AuditLevelRow, AuditReport, CauseKind, FaultKind, Incident, IncidentReport, MatchedFault,
     SuspectedCause,
@@ -85,26 +84,6 @@ impl Gen {
 
     fn many<T>(&mut self, max: u64, mut make: impl FnMut(&mut Gen) -> T) -> Vec<T> {
         (0..self.below(max + 1)).map(|_| make(self)).collect()
-    }
-}
-
-fn bench_report(g: &mut Gen) -> BenchReport {
-    // validate(): at least one bench, unique names, at least one sample.
-    let n = 1 + g.below(4);
-    BenchReport {
-        schema_version: BENCH_SCHEMA_VERSION,
-        commit: g.text(),
-        config: g.text(),
-        benches: (0..n)
-            .map(|i| BenchRecord {
-                name: format!("bench_{i}_{}", g.text()),
-                unit: g.pick(&["ms", "qps"]).to_string(),
-                value: g.float(),
-                p50: g.float(),
-                p99: g.float(),
-                samples: 1 + g.below(50) as usize,
-            })
-            .collect(),
     }
 }
 
@@ -421,14 +400,6 @@ fn exercise<T: PartialEq + Debug>(
 /// Marker → exerciser, one per row of the `check` table.
 type Exerciser = fn(&mut Gen) -> Result<(), TestCaseError>;
 const EXERCISERS: &[(&str, Exerciser)] = &[
-    (BenchReport::MARKER, |g| {
-        exercise(
-            &bench_report(g),
-            BenchReport::to_json,
-            BenchReport::from_json,
-            g,
-        )
-    }),
     (SlowDoc::MARKER, |g| {
         exercise(&slow_doc(g), SlowDoc::to_json, SlowDoc::from_json, g)
     }),
