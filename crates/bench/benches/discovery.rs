@@ -13,7 +13,7 @@ use roads_runtime::{
 };
 use roads_summary::SummaryConfig;
 use roads_sword::SwordNetwork;
-use roads_telemetry::{OpenMetricsSnapshot, Recorder, Registry, Sampler, TailSampler};
+use roads_telemetry::{OpenMetricsSnapshot, Recorder, Registry, TailSampler};
 use roads_workload::{
     default_schema, generate_node_records, generate_queries, QueryWorkloadConfig,
     RecordWorkloadConfig,
@@ -189,8 +189,8 @@ fn bench_recorder_overhead(c: &mut Criterion) {
         cluster.shutdown();
     });
     // Every plane at once: instrumented registry, flight recorder, tail
-    // sampler and audit counters on the reply path, and the Auditor,
-    // Watchdog and Sampler threads racing the queries at 5 ms / 1 ms.
+    // sampler and audit counters on the reply path, and the Auditor and
+    // Watchdog threads racing the queries at 5 ms.
     g.bench_function("live_all_on", |b| {
         let reg = Arc::new(Registry::new());
         let metrics = Arc::new(AuditMetrics::new(&reg, live_net().tree().levels()));
@@ -216,7 +216,6 @@ fn bench_recorder_overhead(c: &mut Criterion) {
                 interval: Duration::from_millis(5),
                 probes_per_tick: 4,
                 refresh_every: 4,
-                ..AuditConfig::default()
             },
             probes,
             cluster.liveness(),
@@ -229,14 +228,7 @@ fn bench_recorder_overhead(c: &mut Criterion) {
                 ..WatchdogConfig::default()
             },
         );
-        let sampler = Sampler::start(
-            Arc::clone(&reg),
-            &["runtime.queries", "runtime.query_response_ms"],
-            Duration::from_millis(1),
-            4096,
-        );
         drive(b, &cluster);
-        sampler.stop();
         watchdog.stop();
         auditor.stop();
         cluster.shutdown();

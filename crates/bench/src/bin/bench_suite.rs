@@ -211,7 +211,6 @@ fn main() {
             interval: Duration::from_millis(100),
             probes_per_tick: 4,
             refresh_every: 4,
-            ..AuditConfig::default()
         },
         audit_probes,
         cluster.liveness(),

@@ -161,7 +161,6 @@ fn main() {
                     interval: Duration::from_secs(3600), // rounds driven manually
                     probes_per_tick: n,
                     refresh_every: interval,
-                    ..AuditConfig::default()
                 },
                 probes(&net, n),
                 cluster.liveness(),

@@ -16,17 +16,19 @@
 //!
 //! The 1% cell is also written as `DELTA.json` ([`DeltaReport`]) next to
 //! the figure: inspectable with `roads-inspect delta` and validated by
-//! `roads-inspect check`, which re-enforces the floor offline.
+//! `roads-inspect check`, which re-enforces the floor offline. Every round
+//! lands in the figure's trace as one aggregation wave
+//! ([`record_update_round_events`]).
 
 use roads_bench::delta_view::{DeltaReport, DELTA_SCHEMA_VERSION, MIN_DELTA_SPEEDUP};
 use roads_bench::{banner, figure_config};
 use roads_core::{
-    update_round_delta, update_round_full, BuildOptions, DeltaOutcome, RecordDelta, RoadsConfig,
-    RoadsNetwork, ServerId,
+    record_update_round_events, update_round_delta, update_round_full, BuildOptions, DeltaOutcome,
+    RecordDelta, RoadsConfig, RoadsNetwork, ServerId,
 };
 use roads_records::{OwnerId, Record, RecordId, Schema, Value};
 use roads_summary::SummaryConfig;
-use roads_telemetry::{results_dir, FigureExport};
+use roads_telemetry::{results_dir, write_chrome_trace_default, FigureExport, Recorder};
 use std::time::Instant;
 
 /// Per-churn-fraction aggregates over all runs.
@@ -99,6 +101,7 @@ fn main() {
     let (servers, per) = (64, 15_625);
     let fractions = [0.001, 0.01, 0.05, 0.20];
     let mut cells: Vec<Cell> = fractions.iter().map(|_| Cell::default()).collect();
+    let rec = Recorder::new(65_536);
 
     println!(
         "{:>7} {:>9} {:>11} {:>11} {:>9} {:>10} {:>11} {:>11}",
@@ -124,6 +127,7 @@ fn main() {
                 "in-place churn never rejects"
             );
             cell.last = Some(outcome);
+            record_update_round_events(&rec, &net);
 
             // The full round doubles as the reset: it rebuilds every
             // local summary, so the next fraction starts converged.
@@ -131,6 +135,7 @@ fn main() {
             let full = update_round_full(&mut net);
             cell.full_ms += t0.elapsed().as_secs_f64() * 1000.0;
             cell.full_bytes = full.total_bytes();
+            record_update_round_events(&rec, &net);
             assert!(
                 cell.delta_bytes <= cell.full_bytes,
                 "delta round moved more bytes than the full round at churn {fraction}"
@@ -222,4 +227,5 @@ fn main() {
          the dirty branch closure; full rounds rebuild every local summary from its records",
     );
     fig.write_default();
+    write_chrome_trace_default(&fig.figure, &rec);
 }

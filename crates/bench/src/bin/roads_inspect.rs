@@ -60,13 +60,16 @@
 //!
 //! [`QueryExplain`]: roads_telemetry::QueryExplain
 //!
-//! `health` renders the per-server liveness/queue/latency table from
-//! `runtime.server.*` series in a saved OpenMetrics scrape of an
-//! instrumented live cluster.
+//! `health` rebuilds the per-server liveness/queue/latency table of
+//! [`ClusterHealth`] from `runtime.*` series in a saved OpenMetrics scrape
+//! of an instrumented live cluster.
+//!
+//! [`ClusterHealth`]: roads_runtime::ClusterHealth
 //!
 //! [`FigureExport`]: roads_telemetry::FigureExport
 
 use roads_bench::{artifacts, explain_view};
+use roads_runtime::ClusterHealth;
 use roads_telemetry::{
     critical_path, json, parse_openmetrics, slowest_trace, span_tree_root, trace_ids, Event,
     EventKind, Json, SlowDoc, SpanId, TraceId,
@@ -432,128 +435,20 @@ fn print_view(path: &str, render: artifacts::Describe) -> ExitCode {
     }
 }
 
-/// p99 of a cumulative-bucket histogram scrape: the smallest `le` edge
-/// whose cumulative count reaches 99% of the total (buckets already end
-/// with `+Inf`, so a total is always reachable).
-fn bucket_p99(buckets: &[(f64, f64)]) -> Option<f64> {
-    let total = buckets.last().map(|&(_, c)| c)?;
-    if total == 0.0 {
-        return None;
-    }
-    buckets
-        .iter()
-        .find(|&&(_, c)| c >= 0.99 * total)
-        .map(|&(le, _)| le)
-}
-
+/// Rebuild the cluster health table from a saved scrape and print it.
 fn health(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    let table = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| parse_openmetrics(&text))
+        .and_then(|scrape| ClusterHealth::from_scrape(&scrape));
+    match table {
+        Ok(h) => {
+            print!("{h}");
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    let scrape = match parse_openmetrics(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let counter = |family: &str| {
-        scrape
-            .family(family)
-            .and_then(|f| f.sample_with("_total", &[]))
-            .map_or(0.0, |s| s.value)
-    };
-    let Some(alive_fam) = scrape.family("runtime_server_alive") else {
-        eprintln!(
-            "error: {path}: no runtime_server_alive series — not an instrumented-cluster scrape"
-        );
-        return ExitCode::FAILURE;
-    };
-    let mut servers: Vec<u64> = alive_fam
-        .samples
-        .iter()
-        .filter_map(|s| s.label("server").and_then(|v| v.parse().ok()))
-        .collect();
-    servers.sort_unstable();
-
-    let inflight = scrape
-        .family("runtime_inflight_queries")
-        .and_then(|f| f.sample_with("", &[]))
-        .map_or(0.0, |s| s.value);
-    let alive = servers
-        .iter()
-        .filter(|id| {
-            alive_fam
-                .sample_with("", &[("server", &id.to_string())])
-                .is_some_and(|s| s.value != 0.0)
-        })
-        .count();
-    println!(
-        "cluster: {}/{} alive, {} inflight, {} queries ({} retries, {} deadline misses, {} failovers)",
-        alive,
-        servers.len(),
-        inflight,
-        counter("runtime_queries"),
-        counter("runtime_retries"),
-        counter("runtime_deadline_miss"),
-        counter("runtime_failovers"),
-    );
-    println!(
-        "{:>6} {:>6} {:>7} {:>8} {:>14}",
-        "server", "alive", "queue", "replies", "dispatch p99"
-    );
-    for id in &servers {
-        let lbl = id.to_string();
-        let gauge = |family: &str| {
-            scrape
-                .family(family)
-                .and_then(|f| f.sample_with("", &[("server", &lbl)]))
-                .map_or(0.0, |s| s.value)
-        };
-        let replies = scrape
-            .family("runtime_server_replies")
-            .and_then(|f| f.sample_with("_total", &[("server", &lbl)]))
-            .map_or(0.0, |s| s.value);
-        let buckets: Vec<(f64, f64)> = scrape
-            .family("runtime_server_dispatch_latency_ms")
-            .map(|f| {
-                f.samples
-                    .iter()
-                    .filter(|s| {
-                        s.name.ends_with("_bucket") && s.label("server") == Some(lbl.as_str())
-                    })
-                    .filter_map(|s| {
-                        let le = s.label("le")?;
-                        let edge = if le == "+Inf" {
-                            f64::INFINITY
-                        } else {
-                            le.parse().ok()?
-                        };
-                        Some((edge, s.value))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        println!(
-            "{:>6} {:>6} {:>7} {:>8} {:>14}",
-            id,
-            if gauge("runtime_server_alive") != 0.0 {
-                "up"
-            } else {
-                "DOWN"
-            },
-            gauge("runtime_server_queue_depth"),
-            replies,
-            match bucket_p99(&buckets) {
-                Some(p) if p.is_finite() => format!("<= {p:.1} ms"),
-                Some(_) => "> last edge".to_string(),
-                None => "-".to_string(),
-            },
-        );
     }
-    ExitCode::SUCCESS
 }

@@ -57,11 +57,6 @@ impl CentralRepository {
         }
     }
 
-    /// The repository's delay-space index.
-    pub fn repo_index(&self) -> usize {
-        self.repo
-    }
-
     /// Total records stored.
     pub fn len(&self) -> usize {
         self.records.iter().map(Vec::len).sum()
@@ -234,9 +229,10 @@ mod tests {
             7,
             "rooted at the client"
         );
-        assert!(hops
-            .iter()
-            .any(|e| e.node == r.repo_index() as u32 && e.detail == 40));
+        assert!(
+            hops.iter().any(|e| e.node == 0 && e.detail == 40),
+            "repository at index 0"
+        );
     }
 
     #[test]

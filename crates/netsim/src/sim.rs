@@ -684,11 +684,6 @@ impl<P: Protocol> Simulator<P> {
     pub fn run_to_completion(&mut self) -> u64 {
         self.run(u64::MAX)
     }
-
-    /// Consume the simulator, returning the nodes and final statistics.
-    pub fn into_parts(self) -> (Vec<P>, TrafficStats) {
-        (self.nodes, self.stats)
-    }
 }
 
 #[cfg(test)]

@@ -109,18 +109,6 @@ impl TrafficStats {
         self.absorb(other);
     }
 
-    /// Export the counters into a telemetry registry as
-    /// `<prefix>.bytes.<class>` / `<prefix>.messages.<class>` (additive:
-    /// repeated calls accumulate, mirroring [`TrafficStats::merge`]).
-    pub fn record_into(&self, reg: &roads_telemetry::Registry, prefix: &str) {
-        for class in TrafficClass::ALL {
-            reg.counter(&format!("{prefix}.bytes.{class}"))
-                .add(self.bytes(class));
-            reg.counter(&format!("{prefix}.messages.{class}"))
-                .add(self.messages(class));
-        }
-    }
-
     /// Reset all counters.
     pub fn clear(&mut self) {
         *self = Self::default();
@@ -179,20 +167,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.bytes(TrafficClass::Query), 7);
         assert_eq!(a.messages(TrafficClass::Query), 2);
-    }
-
-    #[test]
-    fn record_into_registry() {
-        let mut s = TrafficStats::new();
-        s.record(TrafficClass::Update, 100);
-        s.record(TrafficClass::Query, 10);
-        let reg = roads_telemetry::Registry::new();
-        s.record_into(&reg, "netsim");
-        s.record_into(&reg, "netsim"); // additive
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["netsim.bytes.update"], 200);
-        assert_eq!(snap.counters["netsim.messages.query"], 2);
-        assert_eq!(snap.counters["netsim.bytes.data"], 0);
     }
 
     #[test]

@@ -17,10 +17,6 @@ pub struct RoadsConfig {
     /// change; `ts >> tr` in the paper's analysis — summaries change an
     /// order of magnitude *slower* than records).
     pub tr_ms: u64,
-    /// Heartbeat period in milliseconds (parent↔child liveness).
-    pub heartbeat_ms: u64,
-    /// Heartbeats missed before declaring the peer failed.
-    pub heartbeat_loss_threshold: u32,
     /// TTL applied to soft-state summaries, in milliseconds.
     pub summary_ttl_ms: u64,
 }
@@ -36,8 +32,6 @@ impl RoadsConfig {
             // least"; records an order of magnitude faster.
             ts_ms: 60_000,
             tr_ms: 6_000,
-            heartbeat_ms: 5_000,
-            heartbeat_loss_threshold: 3,
             summary_ttl_ms: 180_000,
         }
     }

@@ -15,7 +15,7 @@
 //! redact attributes, or withhold it.
 
 use roads_records::{AttrId, Record, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Identity of a requesting party, as established by the (assumed, §II)
@@ -351,15 +351,6 @@ impl DisclosureAudit {
     pub fn count(&self, kind: DecisionKind) -> usize {
         self.entries.iter().filter(|e| e.decision == kind).count()
     }
-
-    /// Decisions grouped by requester.
-    pub fn by_requester(&self) -> HashMap<RequesterId, usize> {
-        let mut m = HashMap::new();
-        for e in &self.entries {
-            *m.entry(e.requester).or_insert(0) += 1;
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -522,7 +513,11 @@ mod tests {
         assert_eq!(audit.entries().len(), 6);
         assert_eq!(audit.count(DecisionKind::Withheld), 2);
         assert_eq!(audit.count(DecisionKind::Redacted), 1);
-        assert_eq!(audit.by_requester()[&RequesterId(2)], 3);
+        let by_member = audit
+            .entries()
+            .iter()
+            .filter(|e| e.requester == RequesterId(2));
+        assert_eq!(by_member.count(), 3);
     }
 
     #[test]

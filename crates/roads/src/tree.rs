@@ -73,13 +73,6 @@ pub struct BalanceStats {
     pub depth_histogram: Vec<usize>,
 }
 
-impl BalanceStats {
-    /// Levels beyond optimal (0 = perfectly balanced for its degree).
-    pub fn excess_levels(&self) -> usize {
-        self.levels.saturating_sub(self.optimal_levels)
-    }
-}
-
 /// The server hierarchy: a rooted tree over servers `0..capacity`.
 ///
 /// The structure is a *converged view* of the federation used by the
@@ -670,7 +663,6 @@ mod tests {
         assert_eq!(b.servers, 156);
         assert_eq!(b.levels, 4);
         assert_eq!(b.optimal_levels, 4);
-        assert_eq!(b.excess_levels(), 0);
         assert_eq!(b.depth_histogram, vec![1, 5, 25, 125]);
         assert!((b.mean_depth - (5.0 + 50.0 + 375.0) / 156.0).abs() < 1e-9);
         assert_eq!(b.max_depth, 3);

@@ -22,10 +22,7 @@ use roads_core::audit::{audit_probe, LevelAudit, ReplicaLedger};
 use roads_core::{RoadsNetwork, ServerId};
 use roads_records::Query;
 use roads_summary::AttributeSummary;
-use roads_telemetry::{
-    artifact, json_fields, labeled, Counter, FirstTick, Gauge, Periodic, Registry,
-};
-use std::path::PathBuf;
+use roads_telemetry::{artifact, json_fields, labeled, Counter, Gauge, Periodic, Registry};
 use std::sync::{Arc, Mutex as StdMutex};
 use std::time::Duration;
 
@@ -45,10 +42,6 @@ pub struct AuditConfig {
     /// Run a ledger refresh (replication wave) every this many ticks;
     /// 0 disables refreshes (the ledger only ages).
     pub refresh_every: u64,
-    /// Where to write the periodic `AUDIT.json` artifact (none = skip).
-    pub report_path: Option<PathBuf>,
-    /// Write the artifact every this many ticks (0 = only at `stop`).
-    pub report_every: u64,
 }
 
 impl Default for AuditConfig {
@@ -57,8 +50,6 @@ impl Default for AuditConfig {
             interval: Duration::from_millis(250),
             probes_per_tick: 4,
             refresh_every: 4,
-            report_path: None,
-            report_every: 0,
         }
     }
 }
@@ -96,8 +87,6 @@ pub struct AuditMetrics {
     pub bloom_saturation_ppm: Arc<Gauge>,
     /// `audit.ticks`: audit ticks completed.
     pub ticks: Arc<Counter>,
-    /// `audit.reports`: `AUDIT.json` artifacts written.
-    pub reports: Arc<Counter>,
     /// Per-level instruments, indexed by tree depth of the audited branch.
     pub levels: Vec<LevelInstruments>,
 }
@@ -126,7 +115,6 @@ impl AuditMetrics {
             drift_ppm: reg.gauge("audit.drift_ppm"),
             bloom_saturation_ppm: reg.gauge("audit.bloom_saturation_ppm"),
             ticks: reg.counter("audit.ticks"),
-            reports: reg.counter("audit.reports"),
             levels,
         }
     }
@@ -190,7 +178,7 @@ impl AuditLevelRow {
     }
 }
 
-/// The periodic audit artifact (`AUDIT.json`), and what `stop()` returns.
+/// The audit artifact (`AUDIT.json`): what `stop()` returns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditReport {
     /// Ledger epoch at report time.
@@ -351,16 +339,6 @@ impl AuditorShared {
         self.metrics
             .bloom_saturation_ppm
             .set((st.bloom_saturation * 1e6) as i64);
-        let report_due = self.cfg.report_every > 0
-            && st.ticks.is_multiple_of(self.cfg.report_every)
-            && self.cfg.report_path.is_some();
-        let report = report_due.then(|| self.report_locked(&st));
-        drop(st);
-        if let (Some(r), Some(path)) = (report, &self.cfg.report_path) {
-            if r.write(path).is_ok() {
-                self.metrics.reports.inc();
-            }
-        }
     }
 
     fn report_locked(&self, st: &AuditorState) -> AuditReport {
@@ -436,12 +414,7 @@ impl Auditor {
             }),
         });
         let ticker = Arc::clone(&shared);
-        let runner = Periodic::spawn(
-            "roads-auditor",
-            interval,
-            FirstTick::AfterInterval,
-            move || ticker.tick(),
-        );
+        let runner = Periodic::spawn("roads-auditor", interval, move || ticker.tick());
         Auditor { shared, runner }
     }
 
@@ -457,17 +430,10 @@ impl Auditor {
         self.shared.report_locked(&st)
     }
 
-    /// Stop the background thread and return the final report (written to
-    /// [`AuditConfig::report_path`] as well, when configured).
+    /// Stop the background thread and return the final report.
     pub fn stop(mut self) -> AuditReport {
         self.runner.stop();
-        let report = self.report();
-        if let Some(path) = &self.shared.cfg.report_path {
-            if report.write(path).is_ok() {
-                self.shared.metrics.reports.inc();
-            }
-        }
-        report
+        self.report()
     }
 }
 
@@ -527,7 +493,6 @@ mod tests {
             interval: Duration::from_secs(3600), // ticks driven manually
             probes_per_tick: net.len(),
             refresh_every: 0,
-            ..AuditConfig::default()
         };
         Auditor::start(Arc::clone(net), metrics, cfg, probes(net), live)
     }
@@ -624,7 +589,6 @@ mod tests {
             interval: Duration::from_secs(3600),
             probes_per_tick: 13,
             refresh_every: 1, // refresh on every tick
-            ..AuditConfig::default()
         };
         let auditor = Auditor::start(Arc::clone(&net), metrics, cfg, probes(&net), live);
         let victim = *net.tree().leaves().iter().max().unwrap();
@@ -642,29 +606,20 @@ mod tests {
         assert_eq!(report.divergence, 0.0);
     }
 
+    /// The report `stop` returns is what a caller writes as `AUDIT.json`;
+    /// it reads back unchanged.
     #[test]
     fn report_file_written_on_stop() {
         let net = Arc::new(network(9));
         let reg = Registry::new();
         let (_, live) = board(9);
-        let metrics = Arc::new(AuditMetrics::new(&reg, net.tree().levels()));
-        let dir = std::env::temp_dir().join("roads_audit_test");
-        let path = dir.join("AUDIT.json");
-        let _ = std::fs::remove_file(&path);
-        let cfg = AuditConfig {
-            interval: Duration::from_secs(3600),
-            probes_per_tick: 4,
-            refresh_every: 2,
-            report_path: Some(path.clone()),
-            report_every: 0,
-        };
-        let auditor = Auditor::start(Arc::clone(&net), metrics, cfg, probes(&net), live);
+        let auditor = quiet_auditor(&net, live, &reg);
         auditor.tick_now();
         let report = auditor.stop();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let parsed = AuditReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(parsed, report);
-        assert!(reg.counter_values()["audit.reports"] >= 1);
-        let _ = std::fs::remove_file(&path);
+        let dir = std::env::temp_dir().join(format!("roads_audit_test_{}", std::process::id()));
+        let path = dir.join("AUDIT.json");
+        report.write(&path).unwrap();
+        assert_eq!(AuditReport::load(&path).unwrap(), report);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -15,13 +15,13 @@
 //!
 //! [`ClusterHealth`] is the pull API: a consistent-enough point-in-time
 //! table of per-server liveness, queue depth, reply count and
-//! dispatch p99 that `roads-inspect health` renders from a scrape and
-//! tests assert on directly.
+//! dispatch p99 that tests assert on directly, and that `roads-inspect
+//! health` rebuilds from a saved scrape ([`ClusterHealth::from_scrape`]).
 
 use crate::cluster::ContactMode;
 use parking_lot::Mutex;
 use roads_core::ServerId;
-use roads_telemetry::{labeled, Counter, Gauge, Histogram, Registry};
+use roads_telemetry::{labeled, Counter, Gauge, Histogram, Registry, Scrape, ScrapeFamily};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -355,6 +355,78 @@ impl ClusterHealth {
     pub fn alive_count(&self) -> usize {
         self.servers.iter().filter(|s| s.alive).count()
     }
+
+    /// Rebuild the table from an OpenMetrics scrape of an instrumented
+    /// cluster. A scrape keeps only bucket edges, so a server's dispatch
+    /// p99 is the first edge whose cumulative count reaches 99 % of its
+    /// samples: never below what [`crate::RoadsCluster::health`] reports,
+    /// which clamps the same edge to the recorded min and max.
+    pub fn from_scrape(scrape: &Scrape) -> Result<ClusterHealth, String> {
+        let alive = scrape
+            .family("runtime_server_alive")
+            .ok_or("no runtime_server_alive series — not an instrumented-cluster scrape")?;
+        let value = |family: &str, suffix: &str, want: &[(&str, &str)]| {
+            scrape
+                .family(family)
+                .and_then(|f| f.sample_with(suffix, want))
+                .map_or(0.0, |s| s.value)
+        };
+        let mut ids: Vec<u32> = alive
+            .samples
+            .iter()
+            .filter_map(|s| s.label("server")?.parse().ok())
+            .collect();
+        ids.sort_unstable();
+        let servers = ids
+            .into_iter()
+            .map(|id| {
+                let lbl = id.to_string();
+                let at = [("server", lbl.as_str())];
+                ServerHealth {
+                    server: ServerId(id),
+                    alive: value("runtime_server_alive", "", &at) != 0.0,
+                    queue_depth: value("runtime_server_queue_depth", "", &at) as i64,
+                    replies: value("runtime_server_replies", "_total", &at) as u64,
+                    dispatch_p99_ms: scrape
+                        .family("runtime_server_dispatch_latency_ms")
+                        .and_then(|f| bucket_p99(f, &lbl)),
+                }
+            })
+            .collect();
+        Ok(ClusterHealth {
+            servers,
+            inflight_queries: value("runtime_inflight_queries", "", &[]) as i64,
+            queries: value("runtime_queries", "_total", &[]) as u64,
+            retries: value("runtime_retries", "_total", &[]) as u64,
+            deadline_misses: value("runtime_deadline_miss", "_total", &[]) as u64,
+            failovers: value("runtime_failovers", "_total", &[]) as u64,
+        })
+    }
+}
+
+/// p99 of one server's cumulative `_bucket` samples in `family`: the
+/// smallest `le` edge whose count reaches 99 % of the `+Inf` total.
+fn bucket_p99(family: &ScrapeFamily, server: &str) -> Option<f64> {
+    let buckets: Vec<(f64, f64)> = family
+        .samples
+        .iter()
+        .filter(|s| s.name.ends_with("_bucket") && s.label("server") == Some(server))
+        .filter_map(|s| {
+            let edge = match s.label("le")? {
+                "+Inf" => f64::INFINITY,
+                le => le.parse().ok()?,
+            };
+            Some((edge, s.value))
+        })
+        .collect();
+    let total = buckets.last()?.1;
+    if total == 0.0 {
+        return None;
+    }
+    buckets
+        .iter()
+        .find(|&&(_, c)| c >= 0.99 * total)
+        .map(|&(le, _)| le)
 }
 
 impl fmt::Display for ClusterHealth {

@@ -8,8 +8,8 @@
 //! telemetry. Each tick it:
 //!
 //! 1. **samples** a set of [`Probe`]s from the shared
-//!    [`Registry`] — raw counter/gauge values, per-tick counter rates,
-//!    counter-delta ratios (e.g. SLO burn = `Δslo_violations/Δqueries`),
+//!    [`Registry`] — raw counter/gauge values, per-tick counter-delta
+//!    ratios (e.g. SLO burn = `Δslo_violations/Δqueries`),
 //!    and *windowed* histogram p99s (`<name>.p99w`, the p99 of only the
 //!    samples recorded since the previous tick, so a straggler shifts
 //!    the signal within one tick instead of being diluted by the
@@ -39,16 +39,24 @@ use crate::cluster::RoadsCluster;
 use crate::health::{FaultKind, FaultLog};
 use roads_telemetry::{
     artifact, json_fields, json_labels, labeled, BurnRateRule, Counter, DetectorBank,
-    DetectorFiring, EwmaSpikeDetector, FirstTick, Gauge, Histogram, Periodic, Registry,
-    TailSampler, ThresholdRule,
+    DetectorFiring, EwmaSpikeDetector, Gauge, Histogram, Periodic, Registry, TailSampler,
+    ThresholdRule,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
 /// Most slow-query ids correlated into a single incident.
 const SLOW_QUERY_CAP: usize = 32;
+
+/// Maximum gap, ms, between a *cleared* fault onset and a firing for the
+/// two to correlate. Faults still active (no restart/restore yet) match
+/// regardless of age.
+const FAULT_MATCH_MS: f64 = 5_000.0;
+
+/// Per-server queue depth at or above which queue locality is reported
+/// as a suspected cause.
+const QUEUE_ALERT_DEPTH: i64 = 4;
 
 /// Background watchdog schedule and correlation policy.
 #[derive(Debug, Clone)]
@@ -58,18 +66,6 @@ pub struct WatchdogConfig {
     /// Firings within this gap of an open incident's last activity merge
     /// into it; an incident idle for longer closes.
     pub coalesce: Duration,
-    /// Maximum gap between a *cleared* fault onset and a firing for the
-    /// two to correlate. Faults still active (no restart/restore yet)
-    /// match regardless of age.
-    pub fault_match: Duration,
-    /// Per-server queue depth at or above which queue locality is
-    /// reported as a suspected cause.
-    pub queue_alert_depth: i64,
-    /// Where to write the periodic `INCIDENTS.json` artifact (none =
-    /// skip).
-    pub report_path: Option<PathBuf>,
-    /// Write the artifact every this many ticks (0 = only at `stop`).
-    pub report_every: u64,
 }
 
 impl Default for WatchdogConfig {
@@ -77,10 +73,6 @@ impl Default for WatchdogConfig {
         WatchdogConfig {
             interval: Duration::from_millis(100),
             coalesce: Duration::from_millis(300),
-            fault_match: Duration::from_secs(5),
-            queue_alert_depth: 4,
-            report_path: None,
-            report_every: 0,
         }
     }
 }
@@ -95,8 +87,6 @@ pub struct WatchdogMetrics {
     pub incidents: Arc<Counter>,
     /// `roads.watchdog.false_alarms`: incidents matching no fault.
     pub false_alarms: Arc<Counter>,
-    /// `roads.watchdog.reports`: `INCIDENTS.json` artifacts written.
-    pub reports: Arc<Counter>,
     /// `roads.watchdog.open_incidents`: incidents currently open.
     pub open_incidents: Arc<Gauge>,
     /// `roads.watchdog.detection_latency_ms`: firing-to-fault-onset gap
@@ -115,7 +105,6 @@ impl WatchdogMetrics {
             ticks: reg.counter("roads.watchdog.ticks"),
             incidents: reg.counter("roads.watchdog.incidents"),
             false_alarms: reg.counter("roads.watchdog.false_alarms"),
-            reports: reg.counter("roads.watchdog.reports"),
             open_incidents: reg.gauge("roads.watchdog.open_incidents"),
             detection_latency_ms: reg.histogram("roads.watchdog.detection_latency_ms"),
             firings: detectors
@@ -143,9 +132,6 @@ pub enum Probe {
     /// Current value of the counter or gauge `name`, recorded under its
     /// own name.
     Value(String),
-    /// Per-tick increase of the counter `name`, recorded as
-    /// `<name>.rate`.
-    Rate(String),
     /// `Δnum / Δden` of two counters over the tick, recorded as
     /// `series`; skipped on ticks where `den` did not move.
     Ratio {
@@ -261,8 +247,7 @@ impl Incident {
     }
 }
 
-/// The periodic incident artifact (`INCIDENTS.json`), and what `stop()`
-/// returns.
+/// The incident artifact (`INCIDENTS.json`): what `stop()` returns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncidentReport {
     /// Detection ticks completed.
@@ -389,7 +374,7 @@ struct WatchdogShared {
 struct WatchdogState {
     ticks: u64,
     bank: DetectorBank,
-    /// Last raw counter values, for `Rate`/`Ratio` probes.
+    /// Last raw counter values, for `Ratio` probes.
     counters_last: BTreeMap<String, f64>,
     /// Last bucket counts per watched histogram (keyed by the bucket
     /// value's bit pattern — ascending for non-negative floats), for
@@ -428,11 +413,6 @@ impl WatchdogShared {
                         out.push((name.clone(), c.get() as f64));
                     } else if let Some(g) = self.registry.find_gauge(name) {
                         out.push((name.clone(), g.get() as f64));
-                    }
-                }
-                Probe::Rate(name) => {
-                    if let Some(d) = counter_delta(st, name) {
-                        out.push((format!("{name}.rate"), d));
                     }
                 }
                 Probe::Ratio { series, num, den } => {
@@ -512,7 +492,6 @@ impl WatchdogShared {
         // Tier 1: fault-event proximity. Candidates are onsets at or
         // before the firing that are either recent or still active
         // (not yet cleared by the matching recovery event).
-        let match_ms = self.cfg.fault_match.as_secs_f64() * 1e3;
         let events = self.fault_log.events();
         let mut candidates: Vec<(usize, f64, FaultKind, u32)> = Vec::new();
         for (idx, ev) in events.iter().enumerate() {
@@ -528,7 +507,7 @@ impl WatchdogShared {
                     && Some(e.kind) == ev.kind.clears_with()
                     && self.onset_ms(e.at) <= now_ms
             });
-            if !cleared || now_ms - onset <= match_ms {
+            if !cleared || now_ms - onset <= FAULT_MATCH_MS {
                 candidates.push((idx, onset, ev.kind, ev.server.index() as u32));
             }
         }
@@ -582,7 +561,7 @@ impl WatchdogShared {
             let Some(id) = rest.strip_suffix("\"}").and_then(|s| s.parse::<u32>().ok()) else {
                 continue;
             };
-            if v >= self.cfg.queue_alert_depth && worst.is_none_or(|(_, w)| v > w) {
+            if v >= QUEUE_ALERT_DEPTH && worst.is_none_or(|(_, w)| v > w) {
                 worst = Some((id, v));
             }
         }
@@ -668,16 +647,6 @@ impl WatchdogShared {
             }
         }
         self.metrics.open_incidents.set(st.open.len() as i64);
-        let report_due = self.cfg.report_every > 0
-            && st.ticks.is_multiple_of(self.cfg.report_every)
-            && self.cfg.report_path.is_some();
-        let report = report_due.then(|| self.report_locked(&st));
-        drop(st);
-        if let (Some(r), Some(path)) = (report, &self.cfg.report_path) {
-            if r.write(path).is_ok() {
-                self.metrics.reports.inc();
-            }
-        }
     }
 
     fn report_locked(&self, st: &WatchdogState) -> IncidentReport {
@@ -759,12 +728,7 @@ impl Watchdog {
             }),
         });
         let ticker = Arc::clone(&shared);
-        let runner = Periodic::spawn(
-            "roads-watchdog",
-            interval,
-            FirstTick::AfterInterval,
-            move || ticker.tick(),
-        );
+        let runner = Periodic::spawn("roads-watchdog", interval, move || ticker.tick());
         Watchdog { shared, runner }
     }
 
@@ -802,17 +766,10 @@ impl Watchdog {
         self.shared.report_locked(&st)
     }
 
-    /// Stop the background thread and return the final report (written
-    /// to [`WatchdogConfig::report_path`] as well, when configured).
+    /// Stop the background thread and return the final report.
     pub fn stop(mut self) -> IncidentReport {
         self.runner.stop();
-        let report = self.report();
-        if let Some(path) = &self.shared.cfg.report_path {
-            if report.write(path).is_ok() {
-                self.shared.metrics.reports.inc();
-            }
-        }
-        report
+        self.report()
     }
 }
 
@@ -966,24 +923,33 @@ mod tests {
         assert!(report.rows[0].firings >= 1);
     }
 
+    /// The SLO-burn rate probe sees per-tick counter deltas, not the
+    /// cumulative ratio.
     #[test]
     fn rate_probe_feeds_per_tick_deltas() {
         let reg = Arc::new(Registry::new());
-        let c = reg.counter("ops");
+        let (bad, all) = (reg.counter("bad"), reg.counter("all"));
         let log = Arc::new(FaultLog::new());
         let mut bank = DetectorBank::new();
-        bank.bind("ops.rate", ThresholdRule::above("ops-surge", 5.0, 1));
-        let probes = vec![Probe::Rate("ops".into())];
+        bank.bind("burn", ThresholdRule::above("burn-surge", 0.5, 1));
+        let probes = vec![Probe::Ratio {
+            series: "burn".into(),
+            num: "bad".into(),
+            den: "all".into(),
+        }];
         let (wd, metrics) = quiet(&reg, &log, bank, probes, WatchdogConfig::default());
 
-        c.add(100);
-        wd.tick_now(); // first observation seeds the baseline: delta 0
+        bad.add(90);
+        all.add(100);
+        wd.tick_now(); // first observation seeds the baseline: no sample
         assert_eq!(metrics.incidents.get(), 0);
-        c.add(3);
-        wd.tick_now(); // delta 3 < 5
+        bad.add(1);
+        all.add(10);
+        wd.tick_now(); // 1/10 < 0.5, although the cumulative 91/110 is not
         assert_eq!(metrics.incidents.get(), 0);
-        c.add(10);
-        wd.tick_now(); // delta 10 >= 5
+        bad.add(5);
+        all.add(10);
+        wd.tick_now(); // 5/10 >= 0.5
         assert_eq!(metrics.incidents.get(), 1);
     }
 

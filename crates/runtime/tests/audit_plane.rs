@@ -83,7 +83,6 @@ fn manual_audit_cfg() -> AuditConfig {
         interval: Duration::from_secs(3600), // ticks driven manually
         probes_per_tick: usize::MAX / 2,     // whole probe set per tick
         refresh_every: 1,
-        ..AuditConfig::default()
     }
 }
 

@@ -91,16 +91,6 @@ impl BloomFilter {
         BloomFilter::new(m.max(64), k)
     }
 
-    /// Number of bits.
-    pub fn bit_len(&self) -> usize {
-        self.m_bits
-    }
-
-    /// Number of hash probes per element.
-    pub fn hash_count(&self) -> u32 {
-        self.k
-    }
-
     /// Elements inserted locally (merges add the counts).
     pub fn inserted(&self) -> u64 {
         self.inserted

@@ -6,13 +6,11 @@
 //! (§III-B, and the multi-resolution catalogue of Ganesan et al.) makes
 //! false positives a deliberate, *tunable* cost. This module measures that
 //! cost: per-attribute drift between an observed summary (a branch
-//! summary, or a replica copy of one) and the exact re-aggregate, plus
-//! Bloom saturation, folded into one [`SummaryFidelity`] report per
-//! summary. The audit plane (roads/runtime crates) samples these probes on
+//! summary, or a replica copy of one) and the exact re-aggregate, folded
+//! into one [`SummaryFidelity`] report per summary. The audit plane (roads/runtime crates) samples these probes on
 //! a budget and exports them as OpenMetrics gauges and `AUDIT.json` rows.
 
 use crate::attr_summary::AttributeSummary;
-use crate::bloom::BloomSaturation;
 use crate::histogram::Histogram;
 use crate::summary::Summary;
 
@@ -53,8 +51,6 @@ pub struct AttrFidelity {
     /// Distance to the exact reference in `[0, 1]`; see the per-kind
     /// definitions in [`SummaryFidelity::probe`].
     pub drift: f64,
-    /// Bloom fill/FP report, for `bloom`-kind attributes only.
-    pub saturation: Option<BloomSaturation>,
 }
 
 /// One summary's fidelity report: per-attribute drift against the exact
@@ -108,10 +104,6 @@ impl SummaryFidelity {
                     attr: i,
                     kind: o.kind_name(),
                     drift,
-                    saturation: match o {
-                        AttributeSummary::Bloom(f) => Some(f.saturation()),
-                        _ => None,
-                    },
                 }
             })
             .collect();
@@ -125,20 +117,6 @@ impl SummaryFidelity {
     /// Worst per-attribute drift (0 when the summary has no attributes).
     pub fn max_drift(&self) -> f64 {
         self.attrs.iter().map(|a| a.drift).fold(0.0, f64::max)
-    }
-
-    /// Worst Bloom saturation among `bloom`-kind attributes, if any.
-    pub fn max_bloom_saturation(&self) -> Option<BloomSaturation> {
-        self.attrs
-            .iter()
-            .filter_map(|a| a.saturation)
-            .max_by(|a, b| a.load.total_cmp(&b.load))
-    }
-
-    /// True when every attribute's drift and the record-count error are
-    /// within `tolerance`.
-    pub fn is_faithful(&self, tolerance: f64) -> bool {
-        self.max_drift() <= tolerance && self.record_drift <= tolerance
     }
 }
 
@@ -175,7 +153,6 @@ mod tests {
         let f = SummaryFidelity::probe(&a, &a.clone());
         assert_eq!(f.max_drift(), 0.0);
         assert_eq!(f.record_drift, 0.0);
-        assert!(f.is_faithful(0.0));
         assert_eq!(f.attrs.len(), 2);
         assert_eq!(f.attrs[0].kind, "set");
         assert_eq!(f.attrs[1].kind, "histogram");
@@ -196,7 +173,6 @@ mod tests {
         let f = SummaryFidelity::probe(&stale, &exact);
         assert!(f.max_drift() > 0.0, "{f:?}");
         assert!(f.record_drift > 0.5, "{f:?}");
-        assert!(!f.is_faithful(0.1));
         // The value-set attribute is missing "gpu": Jaccard distance 1/2.
         assert!((f.attrs[0].drift - 0.5).abs() < 1e-12, "{f:?}");
     }

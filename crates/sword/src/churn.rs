@@ -143,13 +143,6 @@ impl DynamicRing {
         }
     }
 
-    /// Records currently stored at the server owning position `p`.
-    pub fn stored_at(&self, p: f64) -> usize {
-        self.owner_key_of(p)
-            .and_then(|k| self.stored.get(&k))
-            .map_or(0, Vec::len)
-    }
-
     /// Total records in the ring.
     pub fn total_records(&self) -> usize {
         self.stored.values().map(Vec::len).sum()
@@ -243,20 +236,27 @@ mod tests {
         assert_eq!(r.owner_of(0.95), Some(0), "wraps to the first member");
     }
 
+    /// Records currently stored at the server owning position `p`.
+    fn stored_at(r: &DynamicRing, p: f64) -> usize {
+        r.owner_key_of(p)
+            .and_then(|k| r.stored.get(&k))
+            .map_or(0, Vec::len)
+    }
+
     #[test]
     fn join_moves_only_the_taken_arc() {
         let mut r = ring_with(&[0.5]);
         for i in 0..10 {
             r.store(i as f64 / 10.0, rec(i));
         }
-        assert_eq!(r.stored_at(0.5), 10);
+        assert_eq!(stored_at(&r, 0.5), 10);
         // New member at 0.2 takes over (0.5, 0.2] wrapping — i.e. positions
         // 0.6..1.0 and 0.0..=0.2.
         let cost = r.join(1, 0.2);
         assert!(cost.records_moved > 0);
         assert_eq!(r.total_records(), 10, "no records lost");
         assert_eq!(
-            r.stored_at(0.2) as u64,
+            stored_at(&r, 0.2) as u64,
             cost.records_moved,
             "moved records land on the new member"
         );

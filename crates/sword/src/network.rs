@@ -114,11 +114,6 @@ impl SwordNetwork {
             .map(move |&i| &self.origins[i as usize].1)
     }
 
-    /// Number of record copies stored at one server.
-    pub fn stored_count(&self, server: usize) -> usize {
-        self.stored[server].len()
-    }
-
     /// Bytes of record copies stored at one server (Table I's `r·K·N/n`).
     pub fn storage_bytes(&self, server: usize) -> usize {
         self.stored(server).map(WireSize::wire_size).sum()
@@ -439,7 +434,7 @@ mod tests {
     #[test]
     fn every_record_stored_r_times() {
         let net = network(20, 10, 4);
-        let total: usize = (0..20).map(|s| net.stored_count(s)).sum();
+        let total: usize = (0..20).map(|s| net.stored(s).count()).sum();
         assert_eq!(total, 20 * 10 * 4, "each record in each of the 4 rings");
     }
 

@@ -1,9 +1,9 @@
 //! Composable online anomaly detectors over metric time-series.
 //!
 //! The building blocks of the watchdog plane: a [`Detector`] consumes
-//! one `(time, value)` sample at a time from a named series (a
-//! [`Timeline`] ring fed by a `Sampler`, or any other source) and
-//! reports when the series looks anomalous. Three detector families
+//! one `(time, value)` sample at a time from a named series (the
+//! watchdog's per-tick registry probes) and reports when the series looks
+//! anomalous. Three detector families
 //! cover the alerting patterns the runtime needs:
 //!
 //! * [`EwmaSpikeDetector`] — exponentially-weighted mean/variance
@@ -29,13 +29,11 @@
 //! verdicts insensitive to sampler jitter by construction.
 //!
 //! A [`DetectorBank`] binds detector instances to series names, feeds
-//! them only samples it has not already delivered (tracking the ring's
-//! monotone timestamps, so bounded [`Timeline`]s that evict old points
-//! are fed exactly once), stamps each resulting [`DetectorFiring`] with
-//! the bank's evaluation epoch, and attaches the triggering window of
-//! recent samples for downstream incident correlation.
+//! them only samples newer than the last one it delivered, stamps each
+//! resulting [`DetectorFiring`] with the bank's evaluation epoch, and
+//! attaches the triggering window of recent samples for downstream
+//! incident correlation.
 
-use crate::timeline::Timeline;
 use std::collections::VecDeque;
 
 /// Samples an [`EwmaSpikeDetector`] absorbs before it may fire.
@@ -336,15 +334,13 @@ const FIRING_WINDOW: usize = 16;
 struct Binding {
     series: String,
     detector: Box<dyn Detector>,
-    /// Timestamp of the newest sample already delivered; bounded
-    /// timelines evict old points, so dedup is by monotone time, not
-    /// index.
+    /// Timestamp of the newest sample already delivered; older or
+    /// repeated samples are ignored.
     last_seen_ms: f64,
     recent: VecDeque<(f64, f64)>,
 }
 
-/// A set of detectors bound to named series, fed from a [`Timeline`].
-/// See the module docs.
+/// A set of detectors bound to named series. See the module docs.
 #[derive(Default)]
 pub struct DetectorBank {
     epoch: u64,
@@ -403,42 +399,8 @@ impl DetectorBank {
         self.epoch
     }
 
-    /// Feed every binding the samples it has not yet seen from `tl`,
-    /// returning all resulting firings stamped with the current epoch.
-    pub fn observe_timeline(&mut self, tl: &Timeline) -> Vec<DetectorFiring> {
-        let mut firings = Vec::new();
-        let epoch = self.epoch;
-        for b in &mut self.bindings {
-            let Some(points) = tl.points(&b.series) else {
-                continue;
-            };
-            for (t, v) in points {
-                if t <= b.last_seen_ms {
-                    continue;
-                }
-                b.last_seen_ms = t;
-                if b.recent.len() == FIRING_WINDOW {
-                    b.recent.pop_front();
-                }
-                b.recent.push_back((t, v));
-                if let Some(trip) = b.detector.observe(t, v) {
-                    firings.push(DetectorFiring {
-                        detector: b.detector.name().to_string(),
-                        series: b.series.clone(),
-                        at_ms: t,
-                        epoch,
-                        value: v,
-                        threshold: trip.threshold,
-                        window: b.recent.iter().copied().collect(),
-                    });
-                }
-            }
-        }
-        firings
-    }
-
-    /// Feed one sample directly to every detector bound to `series`
-    /// (for sources that are not a [`Timeline`]).
+    /// Feed one sample to every detector bound to `series`, returning the
+    /// resulting firings stamped with the current epoch.
     pub fn observe_sample(&mut self, series: &str, at_ms: f64, value: f64) -> Vec<DetectorFiring> {
         let mut firings = Vec::new();
         let epoch = self.epoch;
@@ -573,20 +535,26 @@ mod tests {
 
     #[test]
     fn bank_feeds_new_points_once_and_stamps_epochs() {
-        let mut tl = Timeline::with_capacity(10.0, 8);
         let mut bank = DetectorBank::new();
         bank.bind("q", ThresholdRule::above("deep", 10.0, 1));
         assert_eq!(bank.len(), 1);
+        let feed = |bank: &mut DetectorBank, points: &[(f64, f64)]| {
+            bank.advance_epoch();
+            let mut firings = Vec::new();
+            for &(t, v) in points {
+                firings.extend(bank.observe_sample("q", t, v));
+            }
+            firings
+        };
 
-        for i in 0..4 {
-            tl.sample(i as f64 * 10.0, [("q", 1.0)]);
-        }
-        bank.advance_epoch();
-        assert!(bank.observe_timeline(&tl).is_empty());
+        let quiet: Vec<(f64, f64)> = (0..4).map(|i| (i as f64 * 10.0, 1.0)).collect();
+        assert!(feed(&mut bank, &quiet).is_empty());
 
-        tl.sample(40.0, [("q", 25.0)]);
-        bank.advance_epoch();
-        let firings = bank.observe_timeline(&tl);
+        // A re-delivered history plus one new breaching point: only the
+        // new point reaches the detector.
+        let mut history = quiet.clone();
+        history.push((40.0, 25.0));
+        let firings = feed(&mut bank, &history);
         assert_eq!(firings.len(), 1);
         let f = &firings[0];
         assert_eq!((f.detector.as_str(), f.series.as_str()), ("deep", "q"));
@@ -598,8 +566,7 @@ mod tests {
         assert_eq!(f.window.len(), 5, "window carries the fed history");
 
         // Re-observing without new samples delivers nothing twice.
-        bank.advance_epoch();
-        assert!(bank.observe_timeline(&tl).is_empty());
+        assert!(feed(&mut bank, &history).is_empty());
     }
 
     #[test]

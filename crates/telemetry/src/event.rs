@@ -15,6 +15,9 @@
 //! `capacity` events — older ones are evicted FIFO and counted in
 //! [`Recorder::evicted`], which is what makes this a *flight* recorder:
 //! always on, bounded memory, the tail of history available post-mortem.
+//! Eviction cuts the oldest traces; the recorder remembers which, and
+//! [`Recorder::whole_traces`] — what a trace file holds — leaves them out,
+//! so every exported trace is a complete span tree.
 //!
 //! [`chrome_trace_json`] converts a recording into Chrome trace-event JSON
 //! that loads directly in Perfetto or `chrome://tracing`: nodes become
@@ -183,6 +186,16 @@ struct Ring {
     buf: Vec<Event>,
     /// Index of the oldest event once the buffer has wrapped.
     start: usize,
+    /// Traces that lost at least one event to eviction.
+    cut: HashSet<TraceId>,
+}
+
+impl Ring {
+    fn note_evicted(&mut self, ev: &Event) {
+        if !ev.trace.is_none() {
+            self.cut.insert(ev.trace);
+        }
+    }
 }
 
 /// Bounded, thread-safe flight recorder. See the module docs.
@@ -202,6 +215,7 @@ impl Recorder {
             ring: Mutex::new(Ring {
                 buf: Vec::with_capacity(capacity),
                 start: 0,
+                cut: HashSet::new(),
             }),
             capacity,
             evicted: AtomicU64::new(0),
@@ -247,7 +261,8 @@ impl Recorder {
             ring.buf.push(ev);
         } else {
             let start = ring.start;
-            ring.buf[start] = ev;
+            let old = std::mem::replace(&mut ring.buf[start], ev);
+            ring.note_evicted(&old);
             ring.start = (start + 1) % self.capacity;
             self.evicted.fetch_add(1, Ordering::Relaxed);
         }
@@ -288,11 +303,27 @@ impl Recorder {
         out
     }
 
+    /// Retained events of every trace that lost none to eviction, oldest
+    /// first, and how many retained traces were left out. Events outside
+    /// any trace are kept.
+    pub fn whole_traces(&self) -> (Vec<Event>, usize) {
+        let ring = self.ring.lock();
+        let keep = |e: &&Event| !ring.cut.contains(&e.trace);
+        let (newer, older) = ring.buf.split_at(ring.start);
+        let out: Vec<Event> = older.iter().chain(newer).filter(keep).copied().collect();
+        let dropped = trace_ids(&ring.buf)
+            .iter()
+            .filter(|t| ring.cut.contains(t))
+            .count();
+        (out, dropped)
+    }
+
     /// Discard all retained events (id generators keep counting).
     pub fn clear(&self) {
         let mut ring = self.ring.lock();
         ring.buf.clear();
         ring.start = 0;
+        ring.cut.clear();
     }
 
     /// Merge another recorder's events into this one, keeping global time
@@ -303,6 +334,7 @@ impl Recorder {
         if theirs.is_empty() {
             return;
         }
+        let their_cut = other.ring.lock().cut.clone();
         let mut all = self.events();
         all.extend_from_slice(&theirs);
         all.sort_by_key(|e| e.at_us);
@@ -310,6 +342,10 @@ impl Recorder {
         let overflow = all.len().saturating_sub(self.capacity);
         if overflow > 0 {
             self.evicted.fetch_add(overflow as u64, Ordering::Relaxed);
+        }
+        ring.cut.extend(their_cut);
+        for e in &all[..overflow] {
+            ring.note_evicted(e);
         }
         ring.buf.clear();
         ring.buf.extend_from_slice(&all[overflow..]);
@@ -569,23 +605,25 @@ pub fn write_chrome_trace(
     Ok(path)
 }
 
-/// Write the recording next to the figure's `.json` (honouring
-/// `ROADS_RESULTS_DIR`, default `results/`) and report the path on
-/// stdout. Like [`crate::FigureExport::write_default`], errors warn
-/// instead of aborting a finished run.
+/// Write the recording's whole traces ([`Recorder::whole_traces`]) next
+/// to the figure's `.json` (honouring `ROADS_RESULTS_DIR`, default
+/// `results/`) and report the path on stdout. Like
+/// [`crate::FigureExport::write_default`], errors warn instead of
+/// aborting a finished run.
 pub fn write_chrome_trace_default(figure: &str, recorder: &Recorder) {
     let dir = crate::export::results_dir();
-    match write_chrome_trace(figure, &dir, &recorder.events()) {
+    let (events, dropped) = recorder.whole_traces();
+    match write_chrome_trace(figure, &dir, &events) {
         Ok(path) => {
             if recorder.evicted() > 0 {
                 println!(
-                    "wrote {} ({} events, {} evicted)",
+                    "wrote {} ({} events, {} evicted, {dropped} cut traces left out)",
                     path.display(),
-                    recorder.len(),
+                    events.len(),
                     recorder.evicted()
                 );
             } else {
-                println!("wrote {} ({} events)", path.display(), recorder.len());
+                println!("wrote {} ({} events)", path.display(), events.len());
             }
         }
         Err(e) => eprintln!(
@@ -623,6 +661,38 @@ mod tests {
         assert_eq!(rec.evicted(), 2);
         let ats: Vec<u64> = rec.events().iter().map(|e| e.at_us).collect();
         assert_eq!(ats, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn export_leaves_out_traces_cut_by_eviction() {
+        // Three interleaved chains of four spans each (trace t's spans are
+        // 10t+1 .. 10t+4, each the parent of the next) through a ring of
+        // six: eviction cuts the oldest chains, never an exported one.
+        let rec = Recorder::new(6);
+        for step in 0..4u64 {
+            for t in 1..=3u64 {
+                let span = 10 * t + step + 1;
+                let parent = if step == 0 { 0 } else { span - 1 };
+                rec.record(ev(step * 3 + t, t, span, parent));
+            }
+        }
+        assert_eq!(rec.evicted(), 6);
+        let (events, dropped) = rec.whole_traces();
+        assert_eq!(dropped, 3, "every chain lost its root");
+        assert!(events.is_empty());
+
+        // A fourth chain recorded after the eviction is whole and kept.
+        for step in 0..3u64 {
+            let span = 41 + step;
+            let parent = if step == 0 { 0 } else { span - 1 };
+            rec.record(ev(20 + step, 4, span, parent));
+        }
+        let (events, dropped) = rec.whole_traces();
+        assert_eq!(dropped, 3);
+        assert_eq!(trace_ids(&events), vec![TraceId(4)]);
+        assert_eq!(span_tree_root(&events, TraceId(4)), Ok(SpanId(41)));
+        rec.clear();
+        assert_eq!(rec.whole_traces(), (Vec::new(), 0));
     }
 
     #[test]

@@ -373,13 +373,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so the byte
-                    // stream is valid UTF-8).
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a character
+                    // boundary of the (valid UTF-8) input, and each byte
+                    // is validated once.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().ok_or("unexpected end of input")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|_| "invalid utf-8")?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }

@@ -19,8 +19,7 @@
 //!   (root/acyclicity validation, critical paths) and a Chrome
 //!   trace-event / Perfetto exporter (`results/<figure>.trace.json`).
 //! * [`timeline`] — a fixed-interval gauge sampler producing
-//!   `timeline.<gauge>` time-series inside a [`FigureExport`], with an
-//!   optional bounded per-series ring for long-running samplers.
+//!   `timeline.<gauge>` time-series inside a [`FigureExport`].
 //! * [`detect`] — composable online anomaly detectors over timeline
 //!   series (EWMA + z-score spikes, debounced static thresholds,
 //!   multi-window SLO burn-rate rules), bound to series names by a
@@ -28,8 +27,7 @@
 //!   triggering window attached.
 //! * [`openmetrics`] — Prometheus/OpenMetrics text exposition of a
 //!   [`Registry`] snapshot (deterministic ordering, label escaping, full
-//!   histogram buckets), a parser for scrape files, and a background
-//!   [`Sampler`] thread feeding a bounded [`Timeline`] ring.
+//!   histogram buckets) and a parser for scrape files.
 //! * [`periodic`] — [`Periodic`], the one paced background loop (spawn,
 //!   final tick on stop/drop, join) every background service runs on.
 //! * [`explain`] — per-query provenance: a [`QueryExplain`] record built
@@ -77,10 +75,9 @@ pub use explain::{
 pub use export::{results_dir, FigureExport, ReferencePoint, Series};
 pub use json::{Json, JsonField};
 pub use openmetrics::{
-    labeled, parse as parse_openmetrics, OpenMetricsSnapshot, Sampler, Scrape, ScrapeFamily,
-    ScrapeSample,
+    labeled, parse as parse_openmetrics, OpenMetricsSnapshot, Scrape, ScrapeFamily, ScrapeSample,
 };
-pub use periodic::{FirstTick, Periodic};
+pub use periodic::Periodic;
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use span::SpanTimer;
 pub use stats::LatencyStats;

@@ -1,6 +1,6 @@
 //! Prometheus / OpenMetrics text exposition for a [`Registry`].
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`OpenMetricsSnapshot`] — a consistent freeze of every instrument in
 //!   a registry (full histogram buckets included, captured under a single
@@ -15,11 +15,6 @@
 //!   a [`Scrape`] of families and samples, used by `roads-inspect health`
 //!   to pretty-print cluster state from a scrape file and by tests to
 //!   round-trip randomized snapshots.
-//! * [`Sampler`] — a background thread that periodically snapshots
-//!   selected counters/gauges (and histogram count/p99) into a bounded
-//!   [`Timeline`] ring, unifying wall-clock runtime sampling with the
-//!   simulated-time `timeline.rs` sampler: both produce the same
-//!   `(time_ms, value)` series and attach to figures identically.
 //!
 //! ## Label convention
 //!
@@ -31,12 +26,8 @@
 //! of a base into one metric family.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex as StdMutex};
-use std::time::{Duration, Instant};
 
-use crate::periodic::{FirstTick, Periodic};
 use crate::registry::{HistogramSnapshot, Registry};
-use crate::timeline::Timeline;
 
 /// Build a labeled registry instrument name: `base{k="v",...}` with label
 /// keys sorted and values escaped, so the same label set always produces
@@ -514,126 +505,6 @@ pub fn parse(text: &str) -> Result<Scrape, String> {
     Ok(scrape)
 }
 
-/// Shared state between a [`Sampler`]'s owner and its background thread.
-struct SamplerShared {
-    registry: Arc<Registry>,
-    names: Vec<String>,
-    t0: Instant,
-    state: StdMutex<SamplerState>,
-}
-
-struct SamplerState {
-    timeline: Timeline,
-}
-
-impl SamplerShared {
-    /// Take one sample of every selected instrument, stamped with the
-    /// time elapsed since start. Counters and gauges record their value;
-    /// histograms record `<name>.count` and `<name>.p99` from one
-    /// consistent single-lock snapshot.
-    fn tick(&self) {
-        let now_ms = self.t0.elapsed().as_secs_f64() * 1e3;
-        let mut points: Vec<(String, f64)> = Vec::with_capacity(self.names.len());
-        for name in &self.names {
-            if let Some(c) = self.registry.find_counter(name) {
-                points.push((name.clone(), c.get() as f64));
-            } else if let Some(g) = self.registry.find_gauge(name) {
-                points.push((name.clone(), g.get() as f64));
-            } else if let Some(h) = self.registry.find_histogram(name) {
-                let s = h.full_snapshot();
-                points.push((format!("{name}.count"), s.count as f64));
-                if s.count > 0 {
-                    points.push((format!("{name}.p99"), percentile_of_snapshot(&s, 0.99)));
-                }
-            }
-            // Names that exist in no instrument map yet are skipped; they
-            // start sampling once the instrument is created.
-        }
-        let mut st = self.state.lock().expect("sampler state");
-        for (name, v) in points {
-            st.timeline.record(now_ms, &name, v);
-        }
-    }
-}
-
-/// Nearest-rank percentile over a frozen [`HistogramSnapshot`].
-fn percentile_of_snapshot(s: &HistogramSnapshot, q: f64) -> f64 {
-    if s.count == 0 {
-        return 0.0;
-    }
-    let rank = ((s.count as f64) * q).ceil().max(1.0) as u64;
-    let mut cum = 0u64;
-    for &(le, c) in &s.buckets {
-        cum += c;
-        if cum >= rank {
-            return le.clamp(s.min, s.max);
-        }
-    }
-    s.max
-}
-
-/// A background thread that samples selected registry instruments into a
-/// bounded [`Timeline`] ring at a fixed wall-clock interval.
-///
-/// The thread is a [`Periodic`]: `stop` joins it and returns the
-/// timeline, dropping without stopping also signals and joins it, and
-/// either shutdown path takes one final sample first, so instrument
-/// changes after the last scheduled tick are never lost. A `scrape`
-/// mid-run clones the timeline accumulated so far without disturbing the
-/// schedule.
-pub struct Sampler {
-    shared: Arc<SamplerShared>,
-    runner: Periodic,
-}
-
-impl Sampler {
-    /// Start sampling `names` from `registry` every `interval`, keeping
-    /// at most `capacity` points per series (0 = unbounded). The first
-    /// sample is taken immediately.
-    pub fn start(
-        registry: Arc<Registry>,
-        names: &[&str],
-        interval: Duration,
-        capacity: usize,
-    ) -> Self {
-        let shared = Arc::new(SamplerShared {
-            registry,
-            names: names.iter().map(|s| s.to_string()).collect(),
-            t0: Instant::now(),
-            state: StdMutex::new(SamplerState {
-                timeline: Timeline::with_capacity(interval.as_secs_f64() * 1e3, capacity),
-            }),
-        });
-        let ticker = Arc::clone(&shared);
-        let runner = Periodic::spawn("om-sampler", interval, FirstTick::Immediately, move || {
-            ticker.tick()
-        });
-        Sampler { shared, runner }
-    }
-
-    /// Take one sample right now, outside the schedule (tests use this
-    /// for deterministic sampling).
-    pub fn tick_now(&self) {
-        self.shared.tick();
-    }
-
-    /// Clone the timeline accumulated so far.
-    pub fn scrape(&self) -> Timeline {
-        self.shared
-            .state
-            .lock()
-            .expect("sampler state")
-            .timeline
-            .clone()
-    }
-
-    /// Stop the background thread and return the final timeline.
-    pub fn stop(mut self) -> Timeline {
-        self.runner.stop();
-        self.scrape()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,114 +648,5 @@ mod tests {
         assert!(text.contains("# TYPE x_n counter\n"));
         assert!(text.contains("# TYPE x_n_gauge gauge\n"));
         parse(&text).expect("still parseable");
-    }
-
-    #[test]
-    fn sampler_collects_and_stops() {
-        let r = Arc::new(Registry::new());
-        r.counter("work.done").add(5);
-        r.gauge("work.depth").set(2);
-        r.histogram("work.lat").record(1.0);
-        let sampler = Sampler::start(
-            Arc::clone(&r),
-            &["work.done", "work.depth", "work.lat", "absent.name"],
-            Duration::from_millis(500),
-            16,
-        );
-        sampler.tick_now();
-        r.counter("work.done").add(3);
-        sampler.tick_now();
-        let mid = sampler.scrape();
-        assert!(mid.sample_count() > 0, "mid-run scrape sees samples");
-        let tl = sampler.stop();
-        let series = tl.series();
-        let find = |name: &str| {
-            series
-                .iter()
-                .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("series {name} missing"))
-        };
-        let done = find("work.done");
-        assert!(done.points.len() >= 2);
-        assert_eq!(done.points.last().unwrap().1, 8.0);
-        assert_eq!(find("work.depth").points.last().unwrap().1, 2.0);
-        assert_eq!(find("work.lat.count").points.last().unwrap().1, 1.0);
-        assert!(find("work.lat.p99").points.last().unwrap().1 >= 1.0);
-        assert!(
-            !tl.series().iter().any(|s| s.name.starts_with("absent")),
-            "unknown names never invent series"
-        );
-    }
-
-    /// Regression: shutdown (explicit `stop` or plain drop) must take one
-    /// final sample, so counter increments after the last scheduled tick
-    /// are not lost, and must join the thread (no leak past drop).
-    #[test]
-    fn sampler_shutdown_takes_final_sample_and_joins() {
-        let r = Arc::new(Registry::new());
-        r.counter("final.count").add(1);
-        // Huge interval: after the immediate t0 tick the thread would not
-        // sample again for an hour — only the shutdown path can see the
-        // later increments.
-        let sampler = Sampler::start(
-            Arc::clone(&r),
-            &["final.count"],
-            Duration::from_secs(3600),
-            0,
-        );
-        r.counter("final.count").add(41);
-        let tl = sampler.stop();
-        let series = tl
-            .series()
-            .iter()
-            .find(|s| s.name == "final.count")
-            .expect("series recorded")
-            .clone();
-        assert_eq!(
-            series.points.last().unwrap().1,
-            42.0,
-            "final snapshot must capture post-tick increments"
-        );
-
-        // Same via Drop: the join in shutdown() makes the write visible
-        // before drop returns, observable through a mid-run scrape clone
-        // being strictly older than the registry's final state.
-        let sampler = Sampler::start(
-            Arc::clone(&r),
-            &["final.count"],
-            Duration::from_secs(3600),
-            0,
-        );
-        r.counter("final.count").add(8);
-        let shared = Arc::clone(&sampler.shared);
-        drop(sampler);
-        let st = shared.state.lock().expect("sampler state");
-        assert!(
-            st.timeline
-                .series()
-                .iter()
-                .find(|s| s.name == "final.count")
-                .is_some_and(|s| s.points.last().unwrap().1 == 50.0),
-            "drop must flush a final sample before the thread exits"
-        );
-    }
-
-    #[test]
-    fn sampler_ring_stays_bounded() {
-        let r = Arc::new(Registry::new());
-        r.gauge("g").set(1);
-        let sampler = Sampler::start(Arc::clone(&r), &["g"], Duration::from_millis(200), 4);
-        for _ in 0..20 {
-            sampler.tick_now();
-        }
-        let tl = sampler.stop();
-        for s in tl.series() {
-            assert!(
-                s.points.len() <= 4,
-                "{} overflowed: {}",
-                s.name,
-                s.points.len()
-            );
-        }
     }
 }

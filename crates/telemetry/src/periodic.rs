@@ -1,17 +1,16 @@
 //! The one paced background loop of the workspace.
 //!
 //! [`Periodic`] owns a thread that calls a tick closure every `interval`
-//! until stopped. The contract every background service (`Sampler`,
-//! `Auditor`, `Watchdog`) relies on:
+//! until stopped. The contract both background services (`Auditor`,
+//! `Watchdog`) rely on:
 //!
 //! * **Final tick.** [`Periodic::stop`] — and `Drop`, which calls it —
 //!   signals the thread, which runs the closure *one more time* and
 //!   exits; `stop` returns after joining it. State changed since the last
 //!   scheduled tick therefore always reaches the service's final report.
-//! * **First-tick phase.** [`FirstTick::Immediately`] ticks at spawn
-//!   time; [`FirstTick::AfterInterval`] waits one full interval, so a
-//!   service driven by hand (`tick_now` under a long interval) sees no
-//!   scheduled tick shifting its phase.
+//! * **First tick one interval after spawn.** A service driven by hand
+//!   (`tick_now` under a long interval) sees no scheduled tick shifting
+//!   its phase.
 //! * **External ticks may race.** The closure is the service's own
 //!   `tick`, which the owner may also call directly at any time; the
 //!   service's state lock serialises the two.
@@ -19,15 +18,6 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// When a [`Periodic`]'s first scheduled tick fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FirstTick {
-    /// At spawn time.
-    Immediately,
-    /// One full interval after spawn.
-    AfterInterval,
-}
 
 /// Handle of a background thread ticking at a fixed interval.
 pub struct Periodic {
@@ -38,11 +28,10 @@ pub struct Periodic {
 
 impl Periodic {
     /// Spawn a thread named `name` that calls `tick` every `interval`,
-    /// starting as `first` says.
+    /// the first time one `interval` after spawn.
     pub fn spawn(
         name: &str,
         interval: Duration,
-        first: FirstTick,
         mut tick: impl FnMut() + Send + 'static,
     ) -> Periodic {
         assert!(!interval.is_zero(), "{name} interval must be positive");
@@ -52,10 +41,7 @@ impl Periodic {
             .name(name.into())
             .spawn(move || {
                 let (stop, wake) = &*thread_signal;
-                let mut next = match first {
-                    FirstTick::Immediately => Instant::now(),
-                    FirstTick::AfterInterval => Instant::now() + interval,
-                };
+                let mut next = Instant::now() + interval;
                 loop {
                     let mut stopping = stop.lock().expect("periodic stop flag");
                     while !*stopping && Instant::now() < next {
@@ -111,7 +97,6 @@ impl Drop for Periodic {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Barrier;
 
     /// A tick closure that counts its calls.
     fn counter() -> (Arc<AtomicU64>, impl FnMut() + Send + 'static) {
@@ -129,7 +114,7 @@ mod tests {
         // With an hour-long interval and the first tick one interval
         // away, the only tick that can ever run is the final one.
         let (ticks, tick) = counter();
-        let mut p = Periodic::spawn("periodic-test", NEVER, FirstTick::AfterInterval, tick);
+        let mut p = Periodic::spawn("periodic-test", NEVER, tick);
         p.stop();
         // `stop` joined the thread: the final tick is visible now and no
         // later one can follow.
@@ -139,35 +124,8 @@ mod tests {
         assert_eq!(ticks.load(Ordering::SeqCst), 1);
 
         let (ticks, tick) = counter();
-        drop(Periodic::spawn(
-            "periodic-test",
-            NEVER,
-            FirstTick::AfterInterval,
-            tick,
-        ));
+        drop(Periodic::spawn("periodic-test", NEVER, tick));
         assert_eq!(ticks.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn first_tick_phase_is_the_callers_choice() {
-        // Immediately: the spawn-time tick happens without any stop; the
-        // barrier proves it ran before we signal.
-        let started = Arc::new(Barrier::new(2));
-        let ticks = Arc::new(AtomicU64::new(0));
-        let (seen, gate) = (Arc::clone(&ticks), Arc::clone(&started));
-        let mut p = Periodic::spawn("periodic-test", NEVER, FirstTick::Immediately, move || {
-            if seen.fetch_add(1, Ordering::SeqCst) == 0 {
-                gate.wait();
-            }
-        });
-        started.wait();
-        assert_eq!(ticks.load(Ordering::SeqCst), 1);
-        p.stop();
-        assert_eq!(
-            ticks.load(Ordering::SeqCst),
-            2,
-            "spawn-time tick + final tick"
-        );
     }
 
     #[test]
@@ -180,20 +138,14 @@ mod tests {
         let tick = move || {
             shared.fetch_add(1, Ordering::SeqCst);
         };
-        let mut p = Periodic::spawn(
-            "periodic-test",
-            Duration::from_millis(1),
-            FirstTick::Immediately,
-            tick.clone(),
-        );
+        let mut p = Periodic::spawn("periodic-test", Duration::from_millis(1), tick.clone());
         let external = 500;
         for _ in 0..external {
             tick();
         }
         p.stop();
         let total = ticks.load(Ordering::SeqCst);
-        // The final tick is guaranteed on top of the external ones (the
-        // spawn-time tick *is* the final one if `stop` wins the race).
+        // The final tick is guaranteed on top of the external ones.
         assert!(total > external, "lost ticks: {total}");
     }
 }

@@ -4,20 +4,13 @@
 //! depth, load share, live summary count, overlay replica count — at a
 //! configurable interval and stores each as a `(time, value)` series.
 //! The driver decides the clock: the data-plane simulation samples at
-//! simulated-time boundaries, the threaded runtime could sample wall
-//! time. [`Timeline::attach`] copies every series into a
-//! [`FigureExport`] under `timeline.<gauge>` names so sampled runs plot
-//! alongside the figure's primary series.
-//!
-//! Bounded series are stored as true rings (`VecDeque`): once a series
-//! is full, recording evicts its oldest point in O(1) instead of
-//! shifting the whole buffer, so long-running samplers pay constant
-//! time per tick regardless of capacity.
+//! simulated-time boundaries. [`Timeline::attach`] copies every series
+//! into a [`FigureExport`] under `timeline.<gauge>` names so sampled runs
+//! plot alongside the figure's primary series.
 
 use crate::export::FigureExport;
-use std::collections::VecDeque;
 
-/// One sampled gauge series, materialized in time order.
+/// One sampled gauge series in time order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimelineSeries {
     /// Gauge name (exported as `timeline.<name>`).
@@ -26,35 +19,18 @@ pub struct TimelineSeries {
     pub points: Vec<(f64, f64)>,
 }
 
-/// Internal ring storage for one series.
-#[derive(Debug, Clone)]
-struct SeriesRing {
-    name: String,
-    ring: VecDeque<(f64, f64)>,
-}
-
 /// A fixed-interval gauge sampler. See the module docs.
 #[derive(Debug, Clone)]
 pub struct Timeline {
     interval_ms: f64,
     next_due_ms: f64,
-    capacity: usize,
-    series: Vec<SeriesRing>,
+    series: Vec<TimelineSeries>,
 }
 
 impl Timeline {
     /// A timeline sampling every `interval_ms` (> 0) milliseconds,
-    /// first sample due at time 0. Unbounded; see
-    /// [`Timeline::with_capacity`] for a ring that drops old samples.
+    /// first sample due at time 0.
     pub fn new(interval_ms: f64) -> Self {
-        Self::with_capacity(interval_ms, 0)
-    }
-
-    /// Like [`Timeline::new`], but each series keeps at most `capacity`
-    /// points: once full, recording drops the series' oldest point, so a
-    /// long-running sampler holds a bounded sliding window instead of
-    /// growing without limit. `capacity == 0` means unbounded.
-    pub fn with_capacity(interval_ms: f64, capacity: usize) -> Self {
         assert!(
             interval_ms > 0.0 && interval_ms.is_finite(),
             "timeline interval must be positive, got {interval_ms}"
@@ -62,14 +38,8 @@ impl Timeline {
         Timeline {
             interval_ms,
             next_due_ms: 0.0,
-            capacity,
             series: Vec::new(),
         }
-    }
-
-    /// Per-series point capacity (0 = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// The sampling interval in milliseconds.
@@ -80,30 +50,6 @@ impl Timeline {
     /// Whether a sample is due at `now_ms`.
     pub fn due(&self, now_ms: f64) -> bool {
         now_ms >= self.next_due_ms
-    }
-
-    /// Record one gauge value at `now_ms`, creating the series on first
-    /// use. O(1) even when a bounded series is full (ring eviction).
-    /// Does not consult the schedule — use [`Timeline::sample`] for
-    /// interval-gated sampling.
-    pub fn record(&mut self, now_ms: f64, name: &str, value: f64) {
-        let cap = self.capacity;
-        match self.series.iter_mut().find(|s| s.name == name) {
-            Some(s) => {
-                if cap > 0 && s.ring.len() == cap {
-                    s.ring.pop_front();
-                }
-                s.ring.push_back((now_ms, value));
-            }
-            None => {
-                let mut ring = VecDeque::new();
-                ring.push_back((now_ms, value));
-                self.series.push(SeriesRing {
-                    name: name.to_string(),
-                    ring,
-                });
-            }
-        }
     }
 
     /// If a sample is due at `now_ms`, record every `(name, value)` gauge
@@ -117,7 +63,13 @@ impl Timeline {
             return false;
         }
         for (name, value) in gauges {
-            self.record(now_ms, name, value);
+            match self.series.iter_mut().find(|s| s.name == name) {
+                Some(s) => s.points.push((now_ms, value)),
+                None => self.series.push(TimelineSeries {
+                    name: name.to_string(),
+                    points: vec![(now_ms, value)],
+                }),
+            }
         }
         while self.next_due_ms <= now_ms {
             self.next_due_ms += self.interval_ms;
@@ -125,36 +77,15 @@ impl Timeline {
         true
     }
 
-    /// All sampled series, materialized in recording order with each
-    /// series' points in time order (identical to the pre-ring layout).
-    pub fn series(&self) -> Vec<TimelineSeries> {
-        self.series
-            .iter()
-            .map(|s| TimelineSeries {
-                name: s.name.clone(),
-                points: s.ring.iter().copied().collect(),
-            })
-            .collect()
-    }
-
-    /// The points of one series in time order, if it exists.
-    pub fn points(&self, name: &str) -> Option<Vec<(f64, f64)>> {
-        self.series
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.ring.iter().copied().collect())
-    }
-
-    /// Total samples across all series.
-    pub fn sample_count(&self) -> usize {
-        self.series.iter().map(|s| s.ring.len()).sum()
+    /// All sampled series, in recording order.
+    pub fn series(&self) -> &[TimelineSeries] {
+        &self.series
     }
 
     /// Copy every series into `fig` as `timeline.<name>`.
     pub fn attach(&self, fig: &mut FigureExport) {
         for s in &self.series {
-            let points: Vec<(f64, f64)> = s.ring.iter().copied().collect();
-            fig.push_series(format!("timeline.{}", s.name), &points);
+            fig.push_series(format!("timeline.{}", s.name), &s.points);
         }
     }
 }
@@ -173,7 +104,6 @@ mod tests {
         let series = t.series();
         let s = &series[0];
         assert_eq!(s.points, vec![(0.0, 1.0), (10.0, 3.0), (35.0, 4.0)]);
-        assert_eq!(t.points("q").unwrap(), s.points);
         // After sampling at 35, the next slot is the first multiple > 35.
         assert!(!t.due(39.9));
         assert!(t.due(40.0));
@@ -187,76 +117,11 @@ mod tests {
         t.attach(&mut fig);
         let names: Vec<&str> = fig.series.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["timeline.live_summaries", "timeline.replicas"]);
-        assert_eq!(t.sample_count(), 2);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_interval_panics() {
         Timeline::new(0.0);
-    }
-
-    #[test]
-    fn bounded_ring_drops_oldest() {
-        let mut t = Timeline::with_capacity(1.0, 3);
-        assert_eq!(t.capacity(), 3);
-        for i in 0..6 {
-            t.sample(i as f64, [("q", i as f64)]);
-        }
-        let series = t.series();
-        let s = &series[0];
-        assert_eq!(s.points, vec![(3.0, 3.0), (4.0, 4.0), (5.0, 5.0)]);
-        // Unbounded timelines keep everything.
-        assert_eq!(Timeline::new(1.0).capacity(), 0);
-    }
-
-    /// The ring must be observationally identical to the old
-    /// `Vec::remove(0)` implementation: same series order, same point
-    /// order, same eviction behavior, across interleaved multi-series
-    /// recording with the ring both under and over capacity.
-    #[test]
-    fn ring_matches_shift_model() {
-        // Naive reference model — exactly the pre-ring implementation.
-        #[derive(Default)]
-        struct Model {
-            series: Vec<TimelineSeries>,
-        }
-        impl Model {
-            fn record(&mut self, cap: usize, now_ms: f64, name: &str, value: f64) {
-                match self.series.iter_mut().find(|s| s.name == name) {
-                    Some(s) => {
-                        s.points.push((now_ms, value));
-                        if cap > 0 && s.points.len() > cap {
-                            s.points.remove(0);
-                        }
-                    }
-                    None => self.series.push(TimelineSeries {
-                        name: name.to_string(),
-                        points: vec![(now_ms, value)],
-                    }),
-                }
-            }
-        }
-
-        for cap in [0usize, 1, 3, 7] {
-            let mut t = Timeline::with_capacity(1.0, cap);
-            let mut model = Model::default();
-            // Interleaved recording across three series with different
-            // creation times and rates.
-            for i in 0..40 {
-                let now = i as f64;
-                t.record(now, "a", now * 2.0);
-                model.record(cap, now, "a", now * 2.0);
-                if i % 2 == 0 {
-                    t.record(now, "b", -now);
-                    model.record(cap, now, "b", -now);
-                }
-                if i >= 10 {
-                    t.record(now, "c", now.sin());
-                    model.record(cap, now, "c", now.sin());
-                }
-            }
-            assert_eq!(t.series(), model.series, "capacity {cap}");
-        }
     }
 }

@@ -1,12 +1,51 @@
 //! Property tests for the metrics registry primitives, the flight
-//! recorder's bounded event ring, and the OpenMetrics exposition
-//! renderer/parser pair.
+//! recorder's bounded event ring, the OpenMetrics exposition
+//! renderer/parser pair, and the JSON reader's string decoding.
 
 use proptest::prelude::*;
 use roads_telemetry::{
-    labeled, parse_openmetrics, Event, EventKind, Histogram, LatencyStats, OpenMetricsSnapshot,
-    Recorder, Registry, SpanId, TraceId,
+    labeled, parse_openmetrics, span_tree_root, trace_ids, Event, EventKind, Histogram, Json,
+    LatencyStats, OpenMetricsSnapshot, Recorder, Registry, SpanId, TraceId,
 };
+use std::fmt::Write as _;
+
+/// One piece of a generated string: plain runs (ASCII and multi-byte),
+/// characters the writer must escape, and raw control characters.
+fn string_piece() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[a-zA-Z0-9 :,.{}]{1,6}",
+        "[éßΩ€中😀\u{fffd}]{1,4}",
+        "[\"\\/]{1,3}",
+        "[\u{0}-\u{1f}\u{7f}]{1,3}",
+    ]
+}
+
+/// Encode `s` as a JSON string literal the way a foreign writer might:
+/// where `escape[i]` is set, character `i` is written with the escape
+/// JSON gives it (`\/`, `\b`, `\f`, `\uXXXX`, surrogate pairs beyond
+/// the BMP); otherwise it is written raw unless JSON forbids that.
+fn foreign_literal(s: &str, escape: &[bool]) -> String {
+    let mut out = String::from("\"");
+    for (i, c) in s.chars().enumerate() {
+        let esc = escape.get(i).copied().unwrap_or(false);
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '/' if esc => out.push_str("\\/"),
+            '\u{8}' if esc => out.push_str("\\b"),
+            '\u{c}' if esc => out.push_str("\\f"),
+            c if esc || (c as u32) < 0x20 => {
+                let mut units = [0u16; 2];
+                for u in c.encode_utf16(&mut units) {
+                    write!(out, "\\u{:04x}", u).expect("writing to String");
+                }
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// A minimal event for ring-buffer tests: `detail` doubles as a sequence
 /// number so ordering assertions can follow each event through evictions
@@ -151,6 +190,42 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
+    /// A recorder fed more events than it holds, spread over interleaved
+    /// traces (each a chain rooted at its first event), exports only
+    /// complete span trees: every exported trace passes `span_tree_root`
+    /// and keeps every event it was recorded with.
+    #[test]
+    fn recorder_exports_only_whole_traces(
+        capacity in 1usize..32,
+        picks in prop::collection::vec(1u64..6, 0..160),
+    ) {
+        let rec = Recorder::new(capacity);
+        let mut recorded: Vec<Vec<u64>> = vec![Vec::new(); 6];
+        for (i, &t) in picks.iter().enumerate() {
+            let span = i as u64 + 1;
+            let parent = recorded[t as usize].last().copied().unwrap_or(0);
+            recorded[t as usize].push(span);
+            rec.record(Event {
+                at_us: i as u64,
+                dur_us: 0,
+                node: 0,
+                trace: TraceId(t),
+                span: SpanId(span),
+                parent: SpanId(parent),
+                kind: EventKind::Mark,
+                detail: 0,
+            });
+        }
+        let (events, dropped) = rec.whole_traces();
+        let exported = trace_ids(&events);
+        prop_assert_eq!(exported.len() + dropped, trace_ids(&rec.events()).len());
+        for t in exported {
+            prop_assert!(span_tree_root(&events, t).is_ok(), "trace {} is cut", t.0);
+            let spans: Vec<u64> = events.iter().filter(|e| e.trace == t).map(|e| e.span.0).collect();
+            prop_assert_eq!(&spans, &recorded[t.0 as usize]);
+        }
+    }
+
     /// A randomized registry renders to exposition text that parses back,
     /// and re-rendering the parse reproduces the text byte-for-byte.
     #[test]
@@ -276,5 +351,24 @@ proptest! {
             let expect: Vec<u64> = (0..seqs.len() as u64).collect();
             prop_assert_eq!(seqs, expect);
         }
+    }
+
+    /// Strings with multi-byte characters, every escape, control
+    /// characters, and plain runs next to escapes survive the compact and
+    /// pretty writers and the reader unchanged, as keys and as values; a
+    /// literal escaped another way decodes to the same string.
+    #[test]
+    fn json_strings_round_trip(
+        pieces in prop::collection::vec(string_piece(), 0..12),
+        escape in prop::collection::vec(any::<bool>(), 0..64),
+    ) {
+        let s: String = pieces.concat();
+        let doc = Json::Obj(vec![
+            (s.clone(), Json::Arr(vec![Json::str(s.clone()), Json::num(1.0)])),
+            ("k".to_string(), Json::str(s.clone())),
+        ]);
+        prop_assert_eq!(Json::parse(&doc.to_string()), Ok(doc.clone()));
+        prop_assert_eq!(Json::parse(&doc.to_string_pretty()), Ok(doc.clone()));
+        prop_assert_eq!(Json::parse(&foreign_literal(&s, &escape)), Ok(Json::str(s.clone())));
     }
 }

@@ -3,15 +3,14 @@
 //! observe a torn snapshot. Extends the single-lock `Histogram::summary`
 //! fix (PR 4) to the full-bucket capture that exposition relies on, and
 //! covers the watchdog plane's detection core: a [`DetectorBank`]
-//! evaluated over live sampler scrapes while writers mutate the
+//! evaluated over live registry reads while writers mutate the
 //! instruments and the exposition renderer runs.
 
 use roads_telemetry::{
-    parse_openmetrics, DetectorBank, OpenMetricsSnapshot, Registry, Sampler, ThresholdRule,
+    parse_openmetrics, DetectorBank, OpenMetricsSnapshot, Registry, ThresholdRule,
 };
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Every internal invariant a consistent histogram capture satisfies;
 /// torn captures (count read under one lock acquisition, buckets under
@@ -75,18 +74,15 @@ fn scrape_under_multi_writer_updates_never_tears() {
         })
         .collect();
 
-    // A background sampler scrapes the same instruments concurrently.
-    let sampler = Sampler::start(
-        Arc::clone(&reg),
-        &["torn.writes", "torn.lat_ms"],
-        Duration::from_millis(1),
-        1024,
-    );
-
-    // The main thread takes full exposition snapshots as fast as it can.
+    // The main thread takes full exposition snapshots as fast as it can;
+    // the counter it reads between them must never run backwards.
+    let mut last_writes = 0u64;
     for i in 0..500 {
         let snap = OpenMetricsSnapshot::from_registry(&reg);
         assert_scrape_consistent(&snap);
+        let writes = snap.counters.get("torn.writes").copied().unwrap_or(0);
+        assert!(writes >= last_writes, "scraped counter must be monotone");
+        last_writes = writes;
         if i % 100 == 0 {
             // The rendered text must also stay parseable mid-flight.
             parse_openmetrics(&snap.render()).expect("render parses while writers run");
@@ -95,31 +91,20 @@ fn scrape_under_multi_writer_updates_never_tears() {
 
     stop.store(true, Ordering::Relaxed);
     let total: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();
-    let tl = sampler.stop();
 
-    // Final state: nothing lost, sampler saw monotone counter values.
+    // Final state: nothing lost.
     let final_snap = OpenMetricsSnapshot::from_registry(&reg);
     assert_scrape_consistent(&final_snap);
     assert_eq!(final_snap.counters["torn.writes"], total);
     assert_eq!(final_snap.histograms["torn.lat_ms"].count, total);
-    let series = tl.series();
-    let writes = series
-        .iter()
-        .find(|s| s.name == "torn.writes")
-        .expect("sampler recorded the counter");
-    assert!(
-        writes.points.windows(2).all(|w| w[0].1 <= w[1].1),
-        "sampled counter must be monotone"
-    );
 }
 
 /// The watchdog plane's core loop under contention: writer threads
-/// mutate a gauge, the background sampler feeds its timeline, and the
-/// main thread repeatedly evaluates a [`DetectorBank`] over live
-/// scrapes while also rendering exposition text. The bank must dedup
-/// samples across overlapping scrape clones (firing timestamps stay
-/// strictly increasing), stay silent while the gauge is healthy, and
-/// fire once the writers push it past the threshold.
+/// mutate a gauge while the main thread repeatedly reads it, evaluates a
+/// [`DetectorBank`] over the readings and renders exposition text. The
+/// bank must drop re-delivered samples (firing timestamps stay strictly
+/// increasing), stay silent while the gauge is healthy, and fire once
+/// the writers push it past the threshold.
 #[test]
 fn detector_bank_evaluates_over_live_scrapes_without_tearing() {
     let reg = Arc::new(Registry::new());
@@ -145,27 +130,31 @@ fn detector_bank_evaluates_over_live_scrapes_without_tearing() {
         })
         .collect();
 
-    let sampler = Sampler::start(
-        Arc::clone(&reg),
-        &["wd.queue_depth", "wd.writes"],
-        Duration::from_millis(1),
-        1024,
-    );
     let mut bank = DetectorBank::new();
     bank.bind(
         "wd.queue_depth",
         ThresholdRule::above("deep-queue", 10.0, 1),
     );
 
-    // Healthy phase: evaluate over overlapping live scrapes while the
-    // exposition renderer runs; nothing may fire below the threshold.
+    // One reading of the gauge at step `t`, delivered twice: the second
+    // delivery of the same timestamp must reach no detector.
+    let depth = reg.gauge("wd.queue_depth");
+    let observe = |bank: &mut DetectorBank, t: u32| {
+        bank.advance_epoch();
+        let v = depth.get() as f64;
+        let mut out = bank.observe_sample("wd.queue_depth", f64::from(t), v);
+        out.extend(bank.observe_sample("wd.queue_depth", f64::from(t), v));
+        out
+    };
+
+    // Healthy phase: evaluate over live readings while the exposition
+    // renderer runs; nothing may fire below the threshold.
     let mut firings = Vec::new();
     for i in 0..200 {
-        bank.advance_epoch();
-        firings.extend(bank.observe_timeline(&sampler.scrape()));
+        firings.extend(observe(&mut bank, i));
         if i % 50 == 0 {
             parse_openmetrics(&OpenMetricsSnapshot::from_registry(&reg).render())
-                .expect("render parses while writers and sampler run");
+                .expect("render parses while writers run");
         }
     }
     assert!(
@@ -174,22 +163,20 @@ fn detector_bank_evaluates_over_live_scrapes_without_tearing() {
     );
 
     // Outage phase: push the level past the threshold and keep
-    // evaluating until the bank sees it (sampler runs on wall time).
+    // evaluating until the bank sees it, however long the writers take
+    // to be scheduled (bounded, so a broken bank fails instead of hangs).
     level.store(50, Ordering::Relaxed);
-    for _ in 0..2_000 {
-        sampler.tick_now();
-        bank.advance_epoch();
-        firings.extend(bank.observe_timeline(&sampler.scrape()));
-        if !firings.is_empty() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let mut t = 200;
+    while firings.is_empty() && std::time::Instant::now() < deadline {
+        firings.extend(observe(&mut bank, t));
+        t += 1;
+        std::thread::yield_now();
     }
     stop.store(true, Ordering::Relaxed);
     for w in writers {
         w.join().unwrap();
     }
-    drop(sampler);
 
     assert!(!firings.is_empty(), "raised gauge never tripped the bank");
     for f in &firings {
@@ -198,8 +185,8 @@ fn detector_bank_evaluates_over_live_scrapes_without_tearing() {
         assert!(f.value >= 10.0, "sub-threshold firing: {f:?}");
         assert!(!f.window.is_empty(), "firing lost its window");
     }
-    // Overlapping scrape clones re-deliver old points; the bank's
-    // monotone dedup means firing timestamps strictly increase.
+    // Every reading is delivered twice; the bank's monotone dedup means
+    // firing timestamps strictly increase.
     assert!(
         firings.windows(2).all(|w| w[0].at_ms < w[1].at_ms),
         "duplicate or reordered samples reached the detector"

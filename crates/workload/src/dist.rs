@@ -57,19 +57,6 @@ impl Distribution {
         Distribution::Range { start, len: 0.5 }
     }
 
-    /// Default Gaussian used by the harness: centered with moderate spread.
-    pub fn default_gaussian() -> Self {
-        Distribution::Gaussian {
-            mu: 0.5,
-            sigma: 0.15,
-        }
-    }
-
-    /// Default Pareto used by the harness.
-    pub fn default_pareto() -> Self {
-        Distribution::Pareto { alpha: 1.5 }
-    }
-
     /// Draw one value in `\[0, 1\]`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         match *self {
@@ -106,11 +93,6 @@ impl Distribution {
             }
         }
     }
-
-    /// Draw `n` values.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
 }
 
 /// Standard normal via Box–Muller.
@@ -130,6 +112,12 @@ mod tests {
         StdRng::seed_from_u64(12345)
     }
 
+    /// `n` draws from a fresh seeded generator.
+    fn draw(d: Distribution, n: usize) -> Vec<f64> {
+        let mut r = rng();
+        (0..n).map(|_| d.sample(&mut r)).collect()
+    }
+
     fn assert_unit_range(vals: &[f64]) {
         for &v in vals {
             assert!((0.0..=1.0).contains(&v), "value {v} escapes [0,1]");
@@ -138,7 +126,7 @@ mod tests {
 
     #[test]
     fn uniform_in_unit_range_with_uniform_spread() {
-        let vals = Distribution::Uniform.sample_n(&mut rng(), 10_000);
+        let vals = draw(Distribution::Uniform, 10_000);
         assert_unit_range(&vals);
         let mean: f64 = vals.iter().sum::<f64>() / vals.len() as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean={mean}");
@@ -147,7 +135,7 @@ mod tests {
     #[test]
     fn range_confined_to_window() {
         let d = Distribution::range05(0.3);
-        let vals = d.sample_n(&mut rng(), 5_000);
+        let vals = draw(d, 5_000);
         assert_unit_range(&vals);
         for &v in &vals {
             assert!((0.3..0.8).contains(&v), "value {v} escapes window");
@@ -157,7 +145,7 @@ mod tests {
     #[test]
     fn range_window_clipped_at_one() {
         let d = Distribution::range05(0.8);
-        let vals = d.sample_n(&mut rng(), 1_000);
+        let vals = draw(d, 1_000);
         for &v in &vals {
             assert!((0.8..=1.0).contains(&v));
         }
@@ -174,8 +162,11 @@ mod tests {
 
     #[test]
     fn gaussian_truncated_and_centered() {
-        let d = Distribution::default_gaussian();
-        let vals = d.sample_n(&mut rng(), 10_000);
+        let d = Distribution::Gaussian {
+            mu: 0.5,
+            sigma: 0.15,
+        };
+        let vals = draw(d, 10_000);
         assert_unit_range(&vals);
         let mean: f64 = vals.iter().sum::<f64>() / vals.len() as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean={mean}");
@@ -186,8 +177,8 @@ mod tests {
 
     #[test]
     fn pareto_right_skewed_in_unit_range() {
-        let d = Distribution::default_pareto();
-        let vals = d.sample_n(&mut rng(), 10_000);
+        let d = Distribution::Pareto { alpha: 1.5 };
+        let vals = draw(d, 10_000);
         assert_unit_range(&vals);
         // X = U^(1/alpha) has density alpha·x^(alpha-1) on (0,1]:
         // E[X] = alpha/(alpha+1) = 0.6 for alpha = 1.5, skewed toward 1.
@@ -199,8 +190,8 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let a = Distribution::Uniform.sample_n(&mut rng(), 10);
-        let b = Distribution::Uniform.sample_n(&mut rng(), 10);
+        let a = draw(Distribution::Uniform, 10);
+        let b = draw(Distribution::Uniform, 10);
         assert_eq!(a, b);
     }
 }

@@ -1,0 +1,53 @@
+#!/usr/bin/env python3
+"""List `pub` items of crates/*/src that no other Rust file names.
+
+For every `pub fn|struct|enum|trait|type|const|static` above a file's
+first top-level `#[cfg(test)]`, count the other `.rs` files of the
+repository (vendor/ and target/ excluded, benchmark/, examples/ and tests
+included) that contain the item's name as a word. An item no other file
+names is printed with a tag: `own-file` when the defining file uses it
+outside its unit tests, `tests-only-or-none` when only those tests do (or
+nothing does). The match is by name, so an item whose name another item
+shares is never reported; read those by hand.
+
+    python3 scripts/callerless.py [REPO_ROOT]
+"""
+import os
+import re
+import sys
+
+ROOT = sys.argv[1] if len(sys.argv) > 1 else "."
+SKIP = {"target", "vendor", ".git"}
+GENERIC = {"new", "default", "fmt", "from", "main"}
+ITEM = re.compile(
+    r"^\s*pub\s+(?:const\s+fn|fn|struct|enum|trait|type|const|static)\s+([A-Za-z_]\w*)",
+    re.M,
+)
+WORD = re.compile(r"[A-Za-z_]\w*")
+
+files = []
+for dirpath, dirnames, filenames in os.walk(ROOT):
+    dirnames[:] = [d for d in dirnames if d not in SKIP]
+    files += [os.path.join(dirpath, f) for f in filenames if f.endswith(".rs")]
+text = {f: open(f, encoding="utf-8").read() for f in files}
+
+mentions = {}
+for f, body in text.items():
+    for w in set(WORD.findall(body)):
+        mentions.setdefault(w, set()).add(f)
+
+found = 0
+for f in sorted(f for f in files if re.search(r"/crates/[^/]+/src/", f)):
+    body = text[f]
+    tests = re.search(r"^#\[cfg\(test\)\]", body, re.M)
+    cut = tests.start() if tests else len(body)
+    for m in ITEM.finditer(body, 0, cut):
+        name = m.group(1)
+        if name in GENERIC or mentions.get(name, set()) - {f}:
+            continue
+        uses = [u.start() for u in re.finditer(rf"\b{name}\b", body[:cut])]
+        tag = "own-file" if any(u != m.start(1) for u in uses) else "tests-only-or-none"
+        line = body.count("\n", 0, m.start()) + 1
+        print(f"{os.path.relpath(f, ROOT)}:{line}\t{name}\t{tag}")
+        found += 1
+print(f"{found} items no other file names", file=sys.stderr)
