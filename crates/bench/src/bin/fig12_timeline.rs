@@ -7,16 +7,22 @@
 //! branch is gone) while overlay replicas and load share re-stabilise.
 //! The exported Perfetto trace (`results/fig12_timeline.trace.json`)
 //! shows the same run as causal spans: aggregation ticks, summary
-//! publishes/merges, replica installs/refreshes, TTL expiries and the
-//! query issued after the crash.
+//! publishes/merges, replica installs/refreshes and TTL expiries.
+//!
+//! The message plane carries summaries only; queries are routed by the
+//! engine's `route` on the summaries this plane keeps. The hole the crash
+//! leaves shows in the `live_summaries` series, and
+//! `protocol::tests::crashed_server_fades_from_parent_view` checks that
+//! every copy left equals the audit plane's authoritative branch summary
+//! under the crash.
 
 use roads_bench::parse_args;
-use roads_core::protocol::{build_data_simulation, issue_query, run_with_timeline, DataNode};
+use roads_core::protocol::{build_data_simulation, run_with_timeline, DataNode};
 use roads_core::{HierarchyTree, RoadsConfig, ServerId};
 use roads_netsim::{DelaySpace, NodeId, SimTime, Simulator};
-use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+use roads_records::{OwnerId, Record, RecordId, Schema, Value};
 use roads_summary::SummaryConfig;
-use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry, Timeline};
+use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Timeline};
 use std::sync::Arc;
 
 fn records(n: usize) -> Vec<Vec<Record>> {
@@ -48,13 +54,7 @@ fn main() {
         ..RoadsConfig::paper_default()
     };
     let tree = HierarchyTree::build(n, cfg.max_children);
-    let mut sim = build_data_simulation(
-        &tree,
-        cfg,
-        schema.clone(),
-        records(n),
-        DelaySpace::paper(n, 17),
-    );
+    let mut sim = build_data_simulation(&tree, cfg, schema, records(n), DelaySpace::paper(n, 17));
     let rec = Arc::new(Recorder::new(65_536));
     sim.set_recorder(Arc::clone(&rec));
     let mut timeline = Timeline::new(2_000.0);
@@ -75,14 +75,7 @@ fn main() {
         victim.0
     );
 
-    // Phase 2: watch the soft state heal around the hole, then query.
-    run_with_timeline(&mut sim, SimTime::from_millis(60_000), &mut timeline);
-    let reg = Registry::new();
-    let query = QueryBuilder::new(&schema, QueryId(1))
-        .range("x0", 0.0, 1.0)
-        .build();
-    issue_query(&mut sim, NodeId(0), query);
-    reg.counter("protocol.queries").inc();
+    // Phase 2: watch the soft state heal around the hole.
     run_with_timeline(&mut sim, SimTime::from_millis(65_000), &mut timeline);
 
     for s in timeline.series() {
@@ -114,7 +107,6 @@ fn main() {
     fig.push_note(format!("{expiries} TTL expiry events in the trace"));
     fig.write_default();
     write_chrome_trace_default(&fig.figure, &rec);
-    roads_bench::print_metrics_digest(&reg.snapshot());
 }
 
 fn crash_subtree(

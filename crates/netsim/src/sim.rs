@@ -108,11 +108,6 @@ impl<M> Ctx<'_, M> {
         self.span
     }
 
-    /// The attached flight recorder, if any.
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.recorder
-    }
-
     /// Record a domain event (summary merge, TTL expiry, …) on this node
     /// under the current span. A no-op without a recorder.
     pub fn record(&self, kind: EventKind, detail: u64) {
@@ -199,9 +194,6 @@ pub struct Simulator<P: Protocol> {
     loss_probability: f64,
     loss_seed: u64,
     messages_dropped: u64,
-    /// Optional link bandwidth: when set, each message additionally incurs
-    /// a serialization delay of `bytes × 8 / bandwidth`.
-    bandwidth_mbps: Option<f64>,
     /// Optional delivery hooks into a telemetry registry; `None` keeps the
     /// hot path to a single branch per event.
     telemetry: Option<SimTelemetry>,
@@ -210,9 +202,6 @@ pub struct Simulator<P: Protocol> {
     recorder: Option<Arc<Recorder>>,
     /// Per-node delivery counts (timeline load-share gauge).
     deliveries: Vec<u64>,
-    /// Per-node straggler multipliers (1.0 = healthy): a message's
-    /// propagation delay is scaled by the slower endpoint's factor.
-    slow_factors: Vec<f64>,
 }
 
 /// Pre-resolved telemetry instruments for the event loop (cached `Arc`s so
@@ -248,11 +237,9 @@ impl<P: Protocol> Simulator<P> {
             loss_probability: 0.0,
             loss_seed: 0,
             messages_dropped: 0,
-            bandwidth_mbps: None,
             telemetry: None,
             recorder: None,
             deliveries: vec![0; n],
-            slow_factors: vec![1.0; n],
         }
     }
 
@@ -262,11 +249,6 @@ impl<P: Protocol> Simulator<P> {
     /// pays only an `Option` check.
     pub fn set_recorder(&mut self, rec: Arc<Recorder>) {
         self.recorder = Some(rec);
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.recorder.as_ref()
     }
 
     /// Per-node delivered-message counts since construction.
@@ -286,25 +268,6 @@ impl<P: Protocol> Simulator<P> {
         });
     }
 
-    /// Model finite link bandwidth: every message's delivery is delayed by
-    /// its serialization time (`bytes × 8 / bandwidth`) on top of the
-    /// delay-space propagation latency. The paper's simulation ignores
-    /// this (messages are small); it matters when experimenting with large
-    /// summaries or record transfers.
-    pub fn set_bandwidth_mbps(&mut self, mbps: f64) {
-        assert!(mbps > 0.0, "bandwidth must be positive");
-        self.bandwidth_mbps = Some(mbps);
-    }
-
-    fn serialization_delay(&self, bytes: usize) -> SimTime {
-        match self.bandwidth_mbps {
-            // Round to the nearest microsecond so sub-microsecond costs
-            // accumulate instead of truncating to zero.
-            Some(mbps) => SimTime((bytes as f64 * 8.0 / mbps).round() as u64),
-            None => SimTime::ZERO,
-        }
-    }
-
     /// Enable the message-loss model: every node-to-node message is
     /// dropped with probability `p`, deterministically derived from `seed`
     /// and the message sequence number (replays stay bit-identical).
@@ -317,42 +280,6 @@ impl<P: Protocol> Simulator<P> {
     /// Messages dropped by the loss model so far.
     pub fn messages_dropped(&self) -> u64 {
         self.messages_dropped
-    }
-
-    /// Inject a straggler: every node-to-node message to or from `node`
-    /// has its propagation delay multiplied by `factor` (≥ 1). The node
-    /// stays alive and keeps processing — this models a slow link or an
-    /// overloaded host, not a death. Undo with
-    /// [`Simulator::restore_node`]. Messages already in flight keep
-    /// their original delivery time.
-    pub fn slow_node(&mut self, node: NodeId, factor: f64) {
-        assert!(
-            factor >= 1.0 && factor.is_finite(),
-            "straggler factor must be >= 1, got {factor}"
-        );
-        self.slow_factors[node.index()] = factor;
-    }
-
-    /// Restore a straggler to full speed (factor 1.0).
-    pub fn restore_node(&mut self, node: NodeId) {
-        self.slow_factors[node.index()] = 1.0;
-    }
-
-    /// The current straggler factor of `node` (1.0 = healthy).
-    pub fn slow_factor(&self, node: NodeId) -> f64 {
-        self.slow_factors[node.index()]
-    }
-
-    /// Propagation delay between two nodes with straggler scaling: the
-    /// slower endpoint's factor applies to the whole hop.
-    fn link_delay(&self, from: usize, to: usize) -> SimTime {
-        let d = self.delays.delay(from, to);
-        let f = self.slow_factors[from].max(self.slow_factors[to]);
-        if f > 1.0 {
-            SimTime((d.as_micros() as f64 * f).round() as u64)
-        } else {
-            d
-        }
     }
 
     /// Deterministic per-message loss decision (splitmix64 of seed ⊕ seq).
@@ -603,12 +530,10 @@ impl<P: Protocol> Simulator<P> {
                         }
                         continue;
                     }
-                    let at = self.now
-                        + self.link_delay(ev.to.index(), to.index())
-                        + self.serialization_delay(bytes);
+                    let at = self.now + self.delays.delay(ev.to.index(), to.index());
                     // Each send becomes a child span of the handler's span,
-                    // spanning the message's flight (delay + serialization)
-                    // so exported traces show it as a complete slice.
+                    // spanning the message's flight so exported traces
+                    // show it as a complete slice.
                     let (span, parent) = if let Some(rec) = &self.recorder {
                         let child = rec.next_span_id();
                         rec.record(Event {
@@ -784,49 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn slow_node_scales_delivery_and_restores() {
-        // A 4x straggler on either endpoint quadruples the hop latency;
-        // restore_node returns it to the delay-space baseline.
-        let d = sim(2).delays().delay(0, 1);
-        for victim in [NodeId(0), NodeId(1)] {
-            let mut s = sim(2);
-            assert_eq!(s.slow_factor(victim), 1.0);
-            s.slow_node(victim, 4.0);
-            assert_eq!(s.slow_factor(victim), 4.0);
-            s.inject(
-                SimTime::ZERO,
-                NodeId(1),
-                NodeId(0),
-                Ping { ttl: 1 },
-                10,
-                TrafficClass::Query,
-            );
-            s.run_to_completion();
-            let expect = SimTime((d.as_micros() as f64 * 4.0).round() as u64);
-            assert_eq!(s.node(NodeId(1)).arrivals, vec![expect], "{victim:?}");
-
-            s.restore_node(victim);
-            s.inject(
-                s.now(),
-                NodeId(1),
-                NodeId(0),
-                Ping { ttl: 1 },
-                10,
-                TrafficClass::Query,
-            );
-            let t0 = s.now();
-            s.run_to_completion();
-            assert_eq!(s.now() - t0, d, "restored hop back to baseline");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be >= 1")]
-    fn slow_node_rejects_speedups() {
-        sim(2).slow_node(NodeId(0), 0.5);
-    }
-
-    #[test]
     fn timers_fire_in_order() {
         let mut s = sim(1);
         s.schedule_timer(SimTime::from_millis(10), NodeId(0), 2);
@@ -870,32 +752,6 @@ mod tests {
         }
         assert_eq!(s.run(3), 3);
         assert_eq!(s.events_processed(), 3);
-    }
-
-    #[test]
-    fn bandwidth_adds_serialization_delay() {
-        let run = |mbps: Option<f64>| {
-            let mut s = sim(2);
-            if let Some(b) = mbps {
-                s.set_bandwidth_mbps(b);
-            }
-            s.inject(
-                SimTime::ZERO,
-                NodeId(1),
-                NodeId(0),
-                Ping { ttl: 1 },
-                10_000, // 10 kB reply
-                TrafficClass::Query,
-            );
-            s.run_to_completion();
-            s.node(NodeId(1)).arrivals[0]
-        };
-        let fast = run(None);
-        let slow = run(Some(8.0)); // 8 Mbps = 1 byte/µs
-                                   // The injected request is not serialized (it enters at an absolute
-                                   // time); the measured arrival is node 0's 64-byte reply, which
-                                   // picks up exactly 64 µs.
-        assert_eq!(slow.as_micros() - fast.as_micros(), 64);
     }
 
     #[test]
@@ -1057,7 +913,6 @@ mod tests {
             TrafficClass::Query,
         );
         s.run_to_completion();
-        assert!(s.recorder().is_none());
         assert_eq!(s.deliveries(), &[1, 1]);
     }
 

@@ -239,14 +239,6 @@ impl Schema {
             .map(|(i, d)| (AttrId(i as u16), d))
     }
 
-    /// All ids of ordered (range-searchable) attributes.
-    pub fn ordered_attrs(&self) -> Vec<AttrId> {
-        self.iter()
-            .filter(|(_, d)| d.ty.is_ordered())
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// Two schemas are compatible when they point to the same instance or
     /// declare identical attribute lists.
     pub fn compatible(&self, other: &Schema) -> bool {
@@ -342,16 +334,5 @@ mod tests {
         assert!(!AttrType::Numeric.accepts(&Value::Int(1)));
         assert!(AttrType::Categorical.accepts(&Value::Cat("x".into())));
         assert!(AttrType::Timestamp.accepts(&Value::Timestamp(1)));
-    }
-
-    #[test]
-    fn ordered_attrs_filters_categorical() {
-        let s = Schema::new(vec![
-            AttrDef::unit("x"),
-            AttrDef::categorical("c"),
-            AttrDef::integer("n", 0, 10),
-        ])
-        .unwrap();
-        assert_eq!(s.ordered_attrs(), vec![AttrId(0), AttrId(2)]);
     }
 }

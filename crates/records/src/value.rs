@@ -1,7 +1,6 @@
 //! Typed attribute values.
 
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::fmt;
 
 /// One attribute value inside a resource record.
@@ -48,32 +47,6 @@ impl Value {
     /// True when the value is ordered (supports range predicates).
     pub fn is_ordered(&self) -> bool {
         !matches!(self, Value::Cat(_))
-    }
-
-    /// Total order among comparable values; `None` across incompatible types.
-    ///
-    /// Text compares lexicographically; every numeric kind compares through
-    /// `f64`. NaN floats sort greater than all other numbers so ordering is
-    /// total within the numeric class.
-    pub fn partial_cmp_typed(&self, other: &Value) -> Option<Ordering> {
-        match (self, other) {
-            (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
-            (Value::Cat(a), Value::Cat(b)) => Some(a.cmp(b)),
-            _ => match (self.as_f64(), other.as_f64()) {
-                (Some(a), Some(b)) => Some(total_f64_cmp(a, b)),
-                _ => None,
-            },
-        }
-    }
-}
-
-/// Total ordering over f64 with NaN sorted last.
-pub(crate) fn total_f64_cmp(a: f64, b: f64) -> Ordering {
-    match (a.is_nan(), b.is_nan()) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Greater,
-        (false, true) => Ordering::Less,
-        (false, false) => a.partial_cmp(&b).expect("both non-NaN"),
     }
 }
 
@@ -129,28 +102,6 @@ mod tests {
         assert!(Value::Float(0.5).is_ordered());
         assert!(Value::Text("a".into()).is_ordered());
         assert!(!Value::Cat("a".into()).is_ordered());
-    }
-
-    #[test]
-    fn cross_type_numeric_ordering() {
-        let a = Value::Int(1);
-        let b = Value::Float(1.5);
-        assert_eq!(a.partial_cmp_typed(&b), Some(Ordering::Less));
-        assert_eq!(b.partial_cmp_typed(&a), Some(Ordering::Greater));
-    }
-
-    #[test]
-    fn string_vs_numeric_incomparable() {
-        let a = Value::Text("a".into());
-        let b = Value::Float(1.0);
-        assert_eq!(a.partial_cmp_typed(&b), None);
-    }
-
-    #[test]
-    fn nan_sorts_last() {
-        assert_eq!(total_f64_cmp(f64::NAN, 1.0), Ordering::Greater);
-        assert_eq!(total_f64_cmp(1.0, f64::NAN), Ordering::Less);
-        assert_eq!(total_f64_cmp(f64::NAN, f64::NAN), Ordering::Equal);
     }
 
     #[test]

@@ -419,12 +419,14 @@ impl RoadsNetwork {
     /// local one: an ancestor's children are the next ancestor down (or
     /// the entry) and that one's siblings, whose branch summaries the
     /// entry replicates, and counting histograms subtract exactly —
-    /// `local(a) = branch(a) − Σ branch(child of a)`
-    /// ([`Summary::without`]; the message plane's [`crate::protocol`]
-    /// computes it so). The converged network reads the stored local
-    /// summary, which is that difference — except that a value set or a
-    /// Bloom filter cannot subtract and a deployment would keep the
-    /// branch's, probing a superset of the ancestors probed here.
+    /// `local(a) = branch(a) − Σ branch(child of a)` ([`Summary::without`];
+    /// `tests::an_ancestors_local_summary_is_its_branch_less_its_childrens`
+    /// pins the identity, and [`crate::protocol`]'s tests check that the
+    /// message plane's replicas are these branch summaries). The converged
+    /// network reads the stored local summary, which is that difference —
+    /// except that a value set or a Bloom filter cannot subtract and a
+    /// deployment would keep the branch's, probing a superset of the
+    /// ancestors probed here.
     pub fn evaluate(&self, s: ServerId, query: &Query, entry: bool) -> EvalResult {
         let local_match = self.local_summary(s).may_match(query);
         let child_targets = self.matching_children(s, query).collect();

@@ -31,6 +31,10 @@
 //!   bottom-up aggregation, top-down replication).
 //! * [`maintenance`] — the live protocol over the discrete-event simulator:
 //!   heartbeats, failure detection, grandparent rejoin, root election.
+//! * [`protocol`] — the summary plane over the discrete-event simulator:
+//!   periodic aggregation and replication as TTL'd soft state. It carries
+//!   summaries, not queries; its tests check that it converges to the
+//!   engine's summaries.
 //! * [`metrics`] — latency statistics helpers.
 //! * [`audit`] — ground-truth auditing of the overlay: epoch-stamped
 //!   replica copies ([`ReplicaLedger`]), staleness ages, divergence scores

@@ -1,13 +1,18 @@
-//! The live ROADS data plane over the discrete-event simulator.
+//! The ROADS summary plane as messages over the discrete-event simulator.
 //!
 //! [`crate::engine::RoadsNetwork`] materializes the *converged* state of a
-//! federation; this module runs the actual protocol that converges to it
-//! (§III-B/C): every `ts` each server re-summarizes its attached records,
+//! federation; this module runs the soft-state protocol that converges to
+//! it (§III-B): every `ts` each server re-summarizes its attached records,
 //! sends its branch summary to its parent, and fans replication payloads
 //! out to its children; summaries are soft state with TTLs, so a server
-//! that stops refreshing simply fades out of everyone's view; queries are
-//! real messages evaluated against whatever (possibly stale) summaries a
-//! server currently holds.
+//! that stops refreshing simply fades out of everyone's view.
+//!
+//! The message plane carries summaries, not queries. A query (§III-C) is
+//! routed by [`crate::engine::RoadsNetwork::route`], a pure function of
+//! the summaries a server holds; the unit tests below check that the
+//! summaries this plane converges to are the engine's, byte for byte —
+//! after a cold start, after a branch crashes and after a record change —
+//! so the one routing rule routes on exactly what this protocol keeps.
 //!
 //! The membership plane (joins, heartbeats, elections) lives in
 //! [`crate::maintenance`]; here the hierarchy is taken as given, which is
@@ -16,10 +21,9 @@
 use crate::config::RoadsConfig;
 use crate::tree::{HierarchyTree, ServerId};
 use roads_netsim::{Ctx, NodeId, Protocol, SimTime, Simulator, TimerTag, TrafficClass};
-use roads_records::{wire::MSG_HEADER_BYTES, Query, QueryId, Record, Schema, WireSize};
+use roads_records::{wire::MSG_HEADER_BYTES, Record, Schema, WireSize};
 use roads_summary::{SoftStateTable, Summary};
-use roads_telemetry::{EventKind, SpanId, Timeline, TraceId};
-use std::collections::HashMap;
+use roads_telemetry::{EventKind, Timeline};
 
 /// Periodic aggregation/replication tick.
 const TIMER_AGG: TimerTag = 10;
@@ -38,24 +42,6 @@ pub enum DataMsg {
         /// `(origin server, branch summary)` pairs.
         entries: Vec<(u32, Summary)>,
     },
-    /// A query traveling through the federation.
-    Query {
-        /// The query itself.
-        query: Query,
-        /// The client node awaiting results.
-        origin: NodeId,
-        /// True at the entry server (overlay shortcuts apply).
-        entry: bool,
-        /// Local-records-only probe (ancestor coverage).
-        local_only: bool,
-    },
-    /// Server → client: local matches found for a query.
-    Matches {
-        /// The answered query.
-        query: QueryId,
-        /// Matching records at the reporting server.
-        count: u32,
-    },
 }
 
 fn msg_bytes(m: &DataMsg) -> usize {
@@ -66,8 +52,6 @@ fn msg_bytes(m: &DataMsg) -> usize {
                 .iter()
                 .map(|(_, s)| 4 + s.wire_size())
                 .sum::<usize>(),
-            DataMsg::Query { query, .. } => query.wire_size() + 6,
-            DataMsg::Matches { .. } => 12,
         }
 }
 
@@ -78,11 +62,7 @@ pub struct DataNode {
     /// Static topology (from the membership plane).
     parent: Option<NodeId>,
     children: Vec<NodeId>,
-    /// This node's ancestors, nearest first, each with its children: what
-    /// an entry needs to know to tell an ancestor's local summary from the
-    /// branch summaries it replicates.
-    ancestors: Vec<(NodeId, Vec<NodeId>)>,
-    records: Vec<Record>,
+    /// Summary of the attached records.
     local_summary: Summary,
     /// Fresh branch summaries of children (TTL soft state).
     child_summaries: SoftStateTable<NodeId, Summary>,
@@ -90,12 +70,6 @@ pub struct DataNode {
     replicas: SoftStateTable<u32, Summary>,
     /// Whether this node still participates (crash injection).
     alive: bool,
-    /// Client-side: per query, (reporting servers, records) received.
-    results: HashMap<QueryId, (u32, u32)>,
-    /// Queries this server has already processed (duplicate suppression),
-    /// bounded FIFO so long-lived servers don't grow without limit.
-    seen_queries: HashMap<QueryId, ()>,
-    seen_order: std::collections::VecDeque<QueryId>,
 }
 
 impl DataNode {
@@ -104,10 +78,9 @@ impl DataNode {
         schema: Schema,
         parent: Option<NodeId>,
         children: Vec<NodeId>,
-        ancestors: Vec<(NodeId, Vec<NodeId>)>,
-        records: Vec<Record>,
+        records: &[Record],
     ) -> Self {
-        let local_summary = Summary::from_records(&schema, &cfg.summary, &records);
+        let local_summary = Summary::from_records(&schema, &cfg.summary, records);
         DataNode {
             child_summaries: SoftStateTable::new(cfg.summary_ttl_ms),
             replicas: SoftStateTable::new(cfg.summary_ttl_ms),
@@ -115,44 +88,21 @@ impl DataNode {
             schema,
             parent,
             children,
-            ancestors,
-            records,
             local_summary,
             alive: true,
-            results: HashMap::new(),
-            seen_queries: HashMap::new(),
-            seen_order: std::collections::VecDeque::new(),
         }
     }
 
-    /// Duplicate-suppression window: queries older than this many distinct
-    /// ids are forgotten (re-delivery after that window re-answers, which
-    /// is harmless — the client dedups by server).
-    const SEEN_WINDOW: usize = 4096;
-
-    /// Stop participating: no more refreshes, no more replies. Soft state
-    /// held by others will expire on its own.
+    /// Stop participating: no more refreshes. Soft state held by others
+    /// will expire on its own.
     pub fn crash(&mut self) {
         self.alive = false;
     }
 
     /// Replace the attached records (owners re-export every `tr`); the next
     /// aggregation tick propagates the change.
-    pub fn set_records(&mut self, records: Vec<Record>) {
-        self.local_summary = Summary::from_records(&self.schema, &self.cfg.summary, &records);
-        self.records = records;
-    }
-
-    /// Client view: `(servers reporting, records found)` for a query this
-    /// node issued.
-    pub fn result(&self, q: QueryId) -> Option<(u32, u32)> {
-        self.results.get(&q).copied()
-    }
-
-    /// Whether query `q` reached this server (and is still within its
-    /// duplicate-suppression window).
-    pub fn handled(&self, q: QueryId) -> bool {
-        self.seen_queries.contains_key(&q)
+    pub fn set_records(&mut self, records: &[Record]) {
+        self.local_summary = Summary::from_records(&self.schema, &self.cfg.summary, records);
     }
 
     /// Number of fresh replicas currently held.
@@ -165,36 +115,12 @@ impl DataNode {
         self.child_summaries.iter_fresh(now_ms).count()
     }
 
-    /// Whether the fresh child-summary view still contains `child`.
-    pub fn sees_child(&self, child: NodeId, now_ms: u64) -> bool {
-        self.child_summaries.get(&child, now_ms).is_some()
-    }
-
     /// Branch summary from current (possibly stale) state: the local
     /// summary aggregated with the fresh child summaries, in child order.
     fn branch_summary(&self, now_ms: u64) -> Summary {
         let fresh = (self.children.iter()).filter_map(|c| self.child_summaries.get(c, now_ms));
         Summary::branch_of(&self.local_summary, fresh)
             .expect("uniform schema/config across the federation")
-    }
-
-    /// The local summary of ancestor `a`, whose children are `kids`, from
-    /// what this node replicates: `a`'s branch summary less its children's
-    /// (`mine`, this node's own branch, the next ancestor's, and their
-    /// siblings'). `None` while a copy is missing or the copies are of
-    /// different rounds and do not subtract.
-    fn ancestor_local(
-        &self,
-        (a, kids): &(NodeId, Vec<NodeId>),
-        (me, mine): (NodeId, &Summary),
-        now_ms: u64,
-    ) -> Option<Summary> {
-        let of_kid = |k: &NodeId| match *k == me {
-            true => Some(mine),
-            false => self.replicas.get(&k.0, now_ms),
-        };
-        let kids: Option<Vec<&Summary>> = kids.iter().map(of_kid).collect();
-        self.replicas.get(&a.0, now_ms)?.without(kids?)
     }
 
     fn send(&self, ctx: &mut Ctx<'_, DataMsg>, to: NodeId, msg: DataMsg, class: TrafficClass) {
@@ -210,9 +136,10 @@ impl DataNode {
         }
 
         // Bottom-up: branch summary to the parent.
+        let my_branch = self.branch_summary(now_ms);
         if let Some(p) = self.parent {
-            let summary = self.branch_summary(now_ms);
-            ctx.record(EventKind::SummaryPublish, summary.wire_size() as u64);
+            ctx.record(EventKind::SummaryPublish, my_branch.wire_size() as u64);
+            let summary = my_branch.clone();
             self.send(
                 ctx,
                 p,
@@ -224,7 +151,6 @@ impl DataNode {
         // Top-down: to each child send its siblings' branch summaries, our
         // own branch summary, and everything we replicate from above.
         let me = ctx.self_id().0;
-        let my_branch = self.branch_summary(now_ms);
         let mut fresh_children: Vec<(NodeId, Summary)> = self
             .child_summaries
             .iter_fresh(now_ms)
@@ -247,103 +173,6 @@ impl DataNode {
             entries.extend(from_above.iter().cloned());
             self.send(ctx, c, DataMsg::Replicate { entries }, TrafficClass::Update);
         }
-    }
-
-    fn handle_query(
-        &mut self,
-        ctx: &mut Ctx<'_, DataMsg>,
-        query: Query,
-        origin: NodeId,
-        entry: bool,
-        local_only: bool,
-    ) {
-        let me = ctx.self_id();
-        if self.seen_queries.insert(query.id, ()).is_some() {
-            return; // duplicate delivery
-        }
-        self.seen_order.push_back(query.id);
-        if self.seen_order.len() > Self::SEEN_WINDOW {
-            if let Some(old) = self.seen_order.pop_front() {
-                self.seen_queries.remove(&old);
-            }
-        }
-        let now_ms = ctx.now().as_micros() / 1000;
-
-        // Local search and report.
-        let matches = self.records.iter().filter(|r| query.matches(r)).count() as u32;
-        ctx.record(EventKind::QueryHop, matches as u64);
-        if matches > 0 {
-            let report = DataMsg::Matches {
-                query: query.id,
-                count: matches,
-            };
-            if origin == me {
-                self.record_result(query.id, matches);
-            } else {
-                self.send(ctx, origin, report, TrafficClass::Data);
-            }
-        } else if origin == me {
-            self.results.entry(query.id).or_insert((0, 0));
-        }
-        if local_only {
-            return;
-        }
-
-        // Forward down matching child branches.
-        let targets: Vec<NodeId> = self
-            .children
-            .iter()
-            .copied()
-            .filter(|c| {
-                self.child_summaries
-                    .get(c, now_ms)
-                    .is_some_and(|s| s.may_match(&query))
-            })
-            .collect();
-        for c in targets {
-            let msg = DataMsg::Query {
-                query: query.clone(),
-                origin,
-                entry: false,
-                local_only: false,
-            };
-            self.send(ctx, c, msg, TrafficClass::Query);
-        }
-
-        // At the entry server: overlay shortcuts to matching replicas. A
-        // sibling's or an ancestor's sibling's copy vouches for its whole
-        // branch. An ancestor's copy contains this node's own branch, so
-        // it is asked only for its attached records, and only if its local
-        // summary — its copy less its children's — may match; while that
-        // cannot be computed, the copy itself decides.
-        if entry {
-            let mine = self.branch_summary(now_ms);
-            let mut shortcuts: Vec<(u32, bool)> = Vec::new();
-            for (&origin, copy) in self.replicas.iter_fresh(now_ms) {
-                let ancestor = self.ancestors.iter().find(|(a, _)| a.0 == origin);
-                let local = ancestor.and_then(|a| self.ancestor_local(a, (me, &mine), now_ms));
-                let matches = local.as_ref().unwrap_or(copy).may_match(&query);
-                if matches && NodeId(origin) != me {
-                    shortcuts.push((origin, ancestor.is_some()));
-                }
-            }
-            shortcuts.sort_unstable();
-            for (target, local_only) in shortcuts {
-                let msg = DataMsg::Query {
-                    query: query.clone(),
-                    origin,
-                    entry: false,
-                    local_only,
-                };
-                self.send(ctx, NodeId(target), msg, TrafficClass::Query);
-            }
-        }
-    }
-
-    fn record_result(&mut self, q: QueryId, records: u32) {
-        let entry = self.results.entry(q).or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 += records;
     }
 }
 
@@ -382,13 +211,6 @@ impl Protocol for DataNode {
                     }
                 }
             }
-            DataMsg::Query {
-                query,
-                origin,
-                entry,
-                local_only,
-            } => self.handle_query(ctx, query, origin, entry, local_only),
-            DataMsg::Matches { query, count } => self.record_result(query, count),
         }
     }
 
@@ -416,20 +238,13 @@ pub fn build_data_simulation(
     for (i, records) in records_per_server.into_iter().enumerate() {
         let s = ServerId(i as u32);
         let parent = tree.parent(s).map(|p| NodeId(p.0));
-        let node_ids = |servers: &[ServerId]| servers.iter().map(|c| NodeId(c.0)).collect();
-        let mut ancestors = Vec::new();
-        let mut up = tree.parent(s);
-        while let Some(a) = up {
-            ancestors.push((NodeId(a.0), node_ids(tree.children(a))));
-            up = tree.parent(a);
-        }
+        let children = tree.children(s).iter().map(|c| NodeId(c.0)).collect();
         nodes.push(DataNode::new(
             cfg,
             schema.clone(),
             parent,
-            node_ids(tree.children(s)),
-            ancestors,
-            records,
+            children,
+            &records,
         ));
     }
     let mut sim = Simulator::new(nodes, delays);
@@ -438,42 +253,6 @@ pub fn build_data_simulation(
         sim.schedule_timer(SimTime::from_millis(offset), NodeId(i as u32), TIMER_AGG);
     }
     sim
-}
-
-/// Issue a query into a running data-plane simulation at `entry`,
-/// originating from the same node (client co-located). With a flight
-/// recorder attached the query gets a fresh trace id automatically.
-pub fn issue_query(sim: &mut Simulator<DataNode>, entry: NodeId, query: Query) {
-    let trace = match sim.recorder() {
-        Some(rec) => rec.next_trace_id(),
-        None => TraceId::NONE,
-    };
-    issue_query_traced(sim, entry, query, trace);
-}
-
-/// [`issue_query`] under a caller-chosen trace id; returns the root span
-/// of the query's causal tree ([`SpanId::NONE`] without a recorder).
-pub fn issue_query_traced(
-    sim: &mut Simulator<DataNode>,
-    entry: NodeId,
-    query: Query,
-    trace: TraceId,
-) -> SpanId {
-    let bytes = query.wire_size() + MSG_HEADER_BYTES + 6;
-    sim.inject_traced(
-        sim.now(),
-        entry,
-        entry,
-        DataMsg::Query {
-            query,
-            origin: entry,
-            entry: true,
-            local_only: false,
-        },
-        bytes,
-        TrafficClass::Query,
-        trace,
-    )
 }
 
 /// Run the data plane until `until`, sampling federation-wide gauges into
@@ -529,26 +308,25 @@ pub fn run_with_timeline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::authoritative_branch;
     use crate::engine::RoadsNetwork;
+    use crate::overlay::replication_set;
     use roads_netsim::DelaySpace;
-    use roads_records::{OwnerId, QueryBuilder, RecordId, Value};
+    use roads_records::{OwnerId, RecordId, Value};
     use roads_summary::SummaryConfig;
 
-    fn records(n: usize) -> Vec<Vec<Record>> {
-        (0..n)
-            .map(|s| {
-                vec![Record::new_unchecked(
-                    RecordId(s as u64),
-                    OwnerId(s as u32),
-                    vec![Value::Float(s as f64 / n as f64)],
-                )]
-            })
-            .collect()
-    }
+    /// Servers, records per server, attributes and hierarchy degree of each
+    /// federation whose soft state is checked against the engine.
+    const SHAPES: [(usize, usize, usize, usize); 4] = [
+        (27, 1, 1, 3),
+        (27, 20, 4, 3),
+        (40, 15, 3, 4),
+        (64, 10, 6, 8),
+    ];
 
-    fn config() -> RoadsConfig {
+    fn config(degree: usize) -> RoadsConfig {
         RoadsConfig {
-            max_children: 3,
+            max_children: degree,
             summary: SummaryConfig::with_buckets(100),
             ts_ms: 2_000,
             summary_ttl_ms: 7_000,
@@ -556,105 +334,151 @@ mod tests {
         }
     }
 
-    fn converged_sim(n: usize) -> (HierarchyTree, Simulator<DataNode>, Schema) {
-        let schema = Schema::unit_numeric(1);
-        let cfg = config();
-        let tree = HierarchyTree::build(n, cfg.max_children);
-        let mut sim = build_data_simulation(
-            &tree,
-            cfg,
-            schema.clone(),
-            records(n),
-            DelaySpace::paper(n, 17),
-        );
-        // A few aggregation rounds: summaries need depth-many rounds to
-        // reach the root and depth-many more to replicate back down.
-        sim.run_until(SimTime::from_millis(30_000));
-        (tree, sim, schema)
+    /// `per` records of `attrs` unit values at each of `n` servers, spread
+    /// by additive recurrences so that the servers' ranges overlap.
+    fn unit_records(n: usize, per: usize, attrs: usize) -> Vec<Vec<Record>> {
+        let value =
+            |id: usize, a: usize| Value::Float((id as f64 * (0.618_034 + 0.1 * a as f64)).fract());
+        (0..n)
+            .map(|s| {
+                (s * per..(s + 1) * per)
+                    .map(|id| {
+                        let values = (0..attrs).map(|a| value(id, a)).collect();
+                        Record::new_unchecked(RecordId(id as u64), OwnerId(s as u32), values)
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
+    /// The data plane of `shape` run for `secs` of virtual time from cold
+    /// soft state, the engine's network over the same records, and those
+    /// records.
+    fn federation(
+        (n, per, attrs, degree): (usize, usize, usize, usize),
+        secs: u64,
+    ) -> (Simulator<DataNode>, RoadsNetwork, Vec<Vec<Record>>) {
+        let (schema, cfg) = (Schema::unit_numeric(attrs), config(degree));
+        let tree = HierarchyTree::build(n, degree);
+        let records = unit_records(n, per, attrs);
+        let delays = DelaySpace::paper(n, 17);
+        let mut sim = build_data_simulation(&tree, cfg, schema.clone(), records.clone(), delays);
+        sim.run_until(SimTime::from_secs(secs));
+        let net = RoadsNetwork::with_tree(schema, cfg, tree, records.clone());
+        (sim, net, records)
+    }
+
+    /// Check every summary a live server of `sim` holds against the engine's
+    /// `net` under the liveness mask `live`: its local summary, the branch
+    /// summary it would publish, and exactly one fresh copy per live child
+    /// and per live member of its replication set — so none of a dead
+    /// server — each equal to `branch` of the server it describes. Summaries
+    /// compare in every field: counters, bounds, record count and parts.
+    fn assert_engine_state(
+        sim: &Simulator<DataNode>,
+        net: &RoadsNetwork,
+        live: &[bool],
+        branch: &[Summary],
+    ) {
+        let now_ms = sim.now().as_micros() / 1000;
+        let tree = net.tree();
+        for s in tree.servers().into_iter().filter(|s| live[s.index()]) {
+            let node = sim.node(NodeId(s.0));
+            assert_eq!(node.local_summary, *net.local_summary(s), "{s}: local");
+            assert_eq!(
+                node.branch_summary(now_ms),
+                branch[s.index()],
+                "{s}: branch"
+            );
+            let kids: Vec<ServerId> = (tree.children(s).iter().copied())
+                .filter(|c| live[c.index()])
+                .collect();
+            assert_eq!(node.child_summaries.len(), kids.len(), "{s}: child copies");
+            for c in &kids {
+                let copy = node.child_summaries.get(&NodeId(c.0), now_ms);
+                assert_eq!(copy, Some(&branch[c.index()]), "{s}: copy of child {c}");
+            }
+            let held: Vec<ServerId> = (replication_set(tree, s).all().into_iter())
+                .filter(|t| live[t.index()])
+                .collect();
+            assert_eq!(node.replicas.len(), held.len(), "{s}: replicas");
+            for t in &held {
+                let copy = node.replicas.get(&t.0, now_ms);
+                assert_eq!(copy, Some(&branch[t.index()]), "{s}: replica of {t}");
+            }
+        }
+    }
+
+    fn branches(net: &RoadsNetwork) -> Vec<Summary> {
+        (0..net.len())
+            .map(|i| net.branch_summary(ServerId(i as u32)).clone())
+            .collect()
+    }
+
+    /// Converged from cold soft state, every summary every server holds is
+    /// the engine's: replicas, child copies, local and branch summaries.
     #[test]
     fn replicas_converge_to_overlay_spec() {
-        let (tree, sim, _) = converged_sim(27);
-        let now_ms = sim.now().as_micros() / 1000;
-        for s in tree.servers() {
-            let expected = crate::overlay::replication_set(&tree, s).len();
-            let node = sim.node(NodeId(s.0));
-            assert_eq!(
-                node.fresh_replicas(now_ms),
-                expected,
-                "server {s} replica count"
-            );
+        for shape in SHAPES {
+            let (sim, net, _) = federation(shape, 40);
+            assert_engine_state(&sim, &net, &vec![true; shape.0], &branches(&net));
         }
     }
 
-    #[test]
-    fn live_query_matches_converged_engine() {
-        let (tree, mut sim, schema) = converged_sim(27);
-        let net = RoadsNetwork::with_tree(schema.clone(), config(), tree, records(27));
-        for target in [0usize, 9, 26] {
-            let v = target as f64 / 27.0;
-            let q = QueryBuilder::new(&schema, QueryId(1000 + target as u64))
-                .range("x0", v - 1e-4, v + 1e-4)
-                .build();
-            let gt = net.matching_servers(&q);
-            let entry = NodeId(((target + 5) % 27) as u32);
-            issue_query(&mut sim, entry, q.clone());
-            let deadline = sim.now() + SimTime::from_secs(20);
-            sim.run_until(deadline);
-            let (servers, recs) = sim
-                .node(entry)
-                .result(q.id)
-                .expect("query issued from entry");
-            assert_eq!(servers as usize, gt.len(), "target {target}");
-            assert_eq!(recs as usize, gt.len(), "one record per matching server");
-        }
-    }
-
+    /// A whole non-root branch crashes: its copies fade from every live
+    /// holder without a teardown message, and every copy left is the audit
+    /// plane's authoritative branch summary under the crash.
     #[test]
     fn crashed_server_fades_from_parent_view() {
-        let (tree, mut sim, _) = converged_sim(27);
-        let leaf = *tree.leaves().iter().max().unwrap();
-        let parent = tree.parent(leaf).unwrap();
-        let now_ms = sim.now().as_micros() / 1000;
-        assert!(sim
-            .node(NodeId(parent.0))
-            .sees_child(NodeId(leaf.0), now_ms));
-        sim.node_mut(NodeId(leaf.0)).crash();
-        // TTL is 7s; run well past it.
-        let deadline = sim.now() + SimTime::from_secs(20);
-        sim.run_until(deadline);
-        let now_ms = sim.now().as_micros() / 1000;
-        assert!(
-            !sim.node(NodeId(parent.0))
-                .sees_child(NodeId(leaf.0), now_ms),
-            "soft state must expire without explicit teardown"
-        );
+        for shape in SHAPES {
+            let (mut sim, net, _) = federation(shape, 40);
+            let tree = net.tree();
+            let mut live = vec![true; shape.0];
+            let victim = *tree
+                .children(tree.root())
+                .last()
+                .expect("root has children");
+            for s in tree.subtree(victim) {
+                sim.node_mut(NodeId(s.0)).crash();
+                live[s.index()] = false;
+            }
+            let deadline = sim.now() + SimTime::from_secs(30);
+            sim.run_until(deadline);
+            let branch: Vec<Summary> = (0..shape.0)
+                .map(|i| authoritative_branch(&net, ServerId(i as u32), &live))
+                .collect();
+            assert_engine_state(&sim, &net, &live, &branch);
+        }
     }
 
+    /// A leaf's records change: every copy, the root's included, becomes
+    /// that of an engine built over the new records.
     #[test]
     fn record_update_propagates_to_root_view() {
-        let (tree, mut sim, schema) = converged_sim(12);
-        // Give a leaf a brand-new record value no one else has.
-        let leaf = *tree.leaves().iter().max().unwrap();
-        sim.node_mut(NodeId(leaf.0))
-            .set_records(vec![Record::new_unchecked(
-                RecordId(999),
+        for shape in SHAPES {
+            let (mut sim, before, mut records) = federation(shape, 40);
+            // Give a leaf one brand-new record no one else has.
+            let leaf = *before.tree().leaves().iter().max().unwrap();
+            let values = vec![Value::Float(0.987_654); shape.2];
+            records[leaf.index()] = vec![Record::new_unchecked(
+                RecordId(1 << 40),
                 OwnerId(leaf.0),
-                vec![Value::Float(0.987_654)],
-            )]);
-        let deadline = sim.now() + SimTime::from_secs(20);
-        sim.run_until(deadline);
-        // Query for the new value from an unrelated entry.
-        let q = QueryBuilder::new(&schema, QueryId(77))
-            .range("x0", 0.987, 0.988)
-            .build();
-        let entry = NodeId(tree.root().0);
-        issue_query(&mut sim, entry, q.clone());
-        let deadline = sim.now() + SimTime::from_secs(20);
-        sim.run_until(deadline);
-        let (servers, _) = sim.node(entry).result(q.id).expect("result recorded");
-        assert_eq!(servers, 1, "the updated leaf must be discoverable");
+                values,
+            )];
+            sim.node_mut(NodeId(leaf.0))
+                .set_records(&records[leaf.index()]);
+            let deadline = sim.now() + SimTime::from_secs(20);
+            sim.run_until(deadline);
+            let (schema, cfg) = (before.schema().clone(), *before.config());
+            let after = RoadsNetwork::with_tree(schema, cfg, before.tree().clone(), records);
+            let root = before.tree().root();
+            assert_ne!(
+                after.branch_summary(root),
+                before.branch_summary(root),
+                "{shape:?}"
+            );
+            assert_engine_state(&sim, &after, &vec![true; shape.0], &branches(&after));
+        }
     }
 
     #[test]
@@ -662,13 +486,13 @@ mod tests {
         use roads_telemetry::Recorder;
         use std::sync::Arc;
         let schema = Schema::unit_numeric(1);
-        let cfg = config();
+        let cfg = config(3);
         let tree = HierarchyTree::build(27, cfg.max_children);
         let mut sim = build_data_simulation(
             &tree,
             cfg,
             schema.clone(),
-            records(27),
+            unit_records(27, 1, 1),
             DelaySpace::paper(27, 17),
         );
         let rec = Arc::new(Recorder::new(1 << 16));
@@ -697,10 +521,10 @@ mod tests {
     #[test]
     fn timeline_tracks_convergence() {
         let schema = Schema::unit_numeric(1);
-        let cfg = config();
+        let cfg = config(3);
         let tree = HierarchyTree::build(27, cfg.max_children);
-        let mut sim =
-            build_data_simulation(&tree, cfg, schema, records(27), DelaySpace::paper(27, 17));
+        let records = unit_records(27, 1, 1);
+        let mut sim = build_data_simulation(&tree, cfg, schema, records, DelaySpace::paper(27, 17));
         let mut timeline = Timeline::new(2_000.0);
         run_with_timeline(&mut sim, SimTime::from_millis(30_000), &mut timeline);
         let series = timeline.series();
@@ -722,7 +546,7 @@ mod tests {
 
     #[test]
     fn update_traffic_flows_every_period() {
-        let (_, sim, _) = converged_sim(12);
+        let (sim, ..) = federation((12, 1, 1, 3), 30);
         let update_bytes = sim.stats().bytes(TrafficClass::Update);
         assert!(update_bytes > 0);
         // ~15 aggregation rounds for 12 nodes: 11 bottom-up + 11 top-down

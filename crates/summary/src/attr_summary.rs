@@ -2,7 +2,6 @@
 
 use crate::bloom::BloomFilter;
 use crate::histogram::{Histogram, Span};
-use crate::multires::MultiResHistogram;
 use crate::value_set::ValueSet;
 use roads_records::{Predicate, WireSize};
 use serde::{Deserialize, Serialize};
@@ -11,14 +10,12 @@ use std::fmt;
 /// Summary of one attribute's values across a set of records.
 ///
 /// The variant is chosen by the attribute type and the
-/// [`crate::SummaryConfig`]: histograms (or multi-resolution pyramids) for
-/// ordered attributes, value sets or Bloom filters for categorical ones.
+/// [`crate::SummaryConfig`]: histograms for ordered attributes, value sets
+/// or Bloom filters for categorical ones.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum AttributeSummary {
     /// Equi-width histogram (ordered attributes).
     Hist(Histogram),
-    /// Multi-resolution pyramid (ordered attributes under byte budgets).
-    MultiRes(MultiResHistogram),
     /// Exact enumerated set (categorical attributes, small vocabularies).
     Set(ValueSet),
     /// Bloom filter (categorical attributes, large vocabularies).
@@ -59,15 +56,8 @@ impl AttributeSummary {
         let full_if = |admitted: bool| admitted.then_some(Span::FULL);
         match (self, pred) {
             (AttributeSummary::Hist(h), Predicate::Range { lo, hi, .. }) => h.admit_range(*lo, *hi),
-            (AttributeSummary::MultiRes(p), Predicate::Range { lo, hi, .. }) => {
-                p.finest().admit_range(*lo, *hi)
-            }
             (AttributeSummary::Hist(h), Predicate::Eq { value, .. }) => match value.as_f64() {
                 Some(v) => h.admit_range(v, v),
-                None => Some(Span::FULL),
-            },
-            (AttributeSummary::MultiRes(p), Predicate::Eq { value, .. }) => match value.as_f64() {
-                Some(v) => p.finest().admit_range(v, v),
                 None => Some(Span::FULL),
             },
             (AttributeSummary::Set(s), Predicate::Eq { value, .. }) => {
@@ -86,10 +76,7 @@ impl AttributeSummary {
             // categorical summary, set membership over a histogram): the
             // summary cannot prove absence, so stay conservative.
             (AttributeSummary::Set(_) | AttributeSummary::Bloom(_), Predicate::Range { .. })
-            | (
-                AttributeSummary::Hist(_) | AttributeSummary::MultiRes(_),
-                Predicate::OneOf { .. },
-            ) => Some(Span::FULL),
+            | (AttributeSummary::Hist(_), Predicate::OneOf { .. }) => Some(Span::FULL),
         }
     }
 
@@ -99,7 +86,6 @@ impl AttributeSummary {
     pub(crate) fn coarse_span(&self) -> Span {
         match self {
             AttributeSummary::Hist(h) => h.coarse_span(),
-            AttributeSummary::MultiRes(p) => p.finest().coarse_span(),
             AttributeSummary::Set(_) | AttributeSummary::Bloom(_) => Span::FULL,
         }
     }
@@ -107,21 +93,17 @@ impl AttributeSummary {
     /// Whether values of this attribute lie on an axis (and so cost a
     /// byte in each of a branch summary's boxes).
     pub(crate) fn is_ordered(&self) -> bool {
-        matches!(
-            self,
-            AttributeSummary::Hist(_) | AttributeSummary::MultiRes(_)
-        )
+        matches!(self, AttributeSummary::Hist(_))
     }
 
     /// Whether this summary can *exactly* unlearn `v` (reverse the fold
     /// performed by the summary layer when the value was inserted).
     ///
-    /// Histograms and multi-resolution pyramids decrement counters, so they
-    /// can — unless saturation dropped increments or the target bucket is
-    /// empty. Value sets and Bloom filters cannot unlearn (a set entry may
-    /// be shared by several records; Bloom bits are irreversibly ORed), so
-    /// any categorical value present forces the caller to rebuild from
-    /// records. Values of a structurally mismatched type were never folded
+    /// Histograms decrement counters, so they can — unless saturation
+    /// dropped increments or the target bucket is empty. Value sets and
+    /// Bloom filters cannot unlearn (a set entry may be shared by several
+    /// records; Bloom bits are irreversibly ORed), so any categorical value
+    /// present forces the caller to rebuild from records. Values of a structurally mismatched type were never folded
     /// in ([`crate::Summary::add_record`] ignores them), so they unlearn
     /// trivially.
     ///
@@ -135,10 +117,6 @@ impl AttributeSummary {
         match (self, v) {
             (AttributeSummary::Hist(h), v) => match v.as_f64() {
                 Some(f) => h.can_remove(f),
-                None => true,
-            },
-            (AttributeSummary::MultiRes(p), v) => match v.as_f64() {
-                Some(f) => p.can_remove(f),
                 None => true,
             },
             (
@@ -166,18 +144,8 @@ impl AttributeSummary {
     #[inline]
     pub(crate) fn unlearn_vouched(&mut self, v: &roads_records::Value) {
         debug_assert!(self.can_unlearn(v), "caller vouched via can_unlearn");
-        match (self, v) {
-            (AttributeSummary::Hist(h), v) => {
-                if let Some(f) = v.as_f64() {
-                    h.remove(f);
-                }
-            }
-            (AttributeSummary::MultiRes(p), v) => {
-                if let Some(f) = v.as_f64() {
-                    p.remove(f);
-                }
-            }
-            _ => {}
+        if let (AttributeSummary::Hist(h), Some(f)) = (self, v.as_f64()) {
+            h.remove(f);
         }
     }
 
@@ -190,14 +158,6 @@ impl AttributeSummary {
             (AttributeSummary::Hist(h), v) => {
                 if let Some(f) = v.as_f64() {
                     h.insert(f);
-                }
-            }
-            (AttributeSummary::MultiRes(p), v) => {
-                // Per-level insertion: identical to rebuilding the pyramid
-                // from a refreshed finest level, because power-of-two
-                // bucket mapping nests exactly.
-                if let Some(f) = v.as_f64() {
-                    p.insert(f);
                 }
             }
             (AttributeSummary::Set(s), Value::Cat(c) | Value::Text(c)) => {
@@ -214,7 +174,6 @@ impl AttributeSummary {
     pub fn is_empty(&self) -> bool {
         match self {
             AttributeSummary::Hist(h) => h.is_empty(),
-            AttributeSummary::MultiRes(p) => p.finest().is_empty(),
             AttributeSummary::Set(s) => s.is_empty(),
             AttributeSummary::Bloom(b) => b.is_empty(),
         }
@@ -224,11 +183,6 @@ impl AttributeSummary {
     pub fn merge(&mut self, other: &AttributeSummary) -> Result<(), AttrMergeError> {
         match (self, other) {
             (AttributeSummary::Hist(a), AttributeSummary::Hist(b)) => {
-                a.merge(b).map_err(|e| AttrMergeError {
-                    reason: e.to_string(),
-                })
-            }
-            (AttributeSummary::MultiRes(a), AttributeSummary::MultiRes(b)) => {
                 a.merge(b).map_err(|e| AttrMergeError {
                     reason: e.to_string(),
                 })
@@ -249,15 +203,14 @@ impl AttributeSummary {
     }
 
     /// Reverse a [`AttributeSummary::merge`] of `other` as far as the kind
-    /// allows: histograms and pyramids subtract exactly; a value set or a
-    /// Bloom filter cannot forget and stays the superset it is, which is
-    /// still conservative. Returns `false` — leaving the summary
+    /// allows: histograms subtract exactly; a value set or a Bloom filter
+    /// cannot forget and stays the superset it is, which is still
+    /// conservative. Returns `false` — leaving the summary
     /// untouched — when counters cannot subtract exactly or the kinds
     /// differ.
     pub fn unmerge(&mut self, other: &AttributeSummary) -> bool {
         match (self, other) {
             (AttributeSummary::Hist(a), AttributeSummary::Hist(b)) => a.unmerge(b),
-            (AttributeSummary::MultiRes(a), AttributeSummary::MultiRes(b)) => a.unmerge(b),
             (AttributeSummary::Set(_), AttributeSummary::Set(_))
             | (AttributeSummary::Bloom(_), AttributeSummary::Bloom(_)) => true,
             _ => false,
@@ -268,7 +221,6 @@ impl AttributeSummary {
     pub fn kind_name(&self) -> &'static str {
         match self {
             AttributeSummary::Hist(_) => "histogram",
-            AttributeSummary::MultiRes(_) => "multires",
             AttributeSummary::Set(_) => "set",
             AttributeSummary::Bloom(_) => "bloom",
         }
@@ -280,7 +232,6 @@ impl WireSize for AttributeSummary {
         // kind tag (1) + payload
         1 + match self {
             AttributeSummary::Hist(h) => h.wire_size(),
-            AttributeSummary::MultiRes(p) => p.wire_size(),
             AttributeSummary::Set(s) => s.wire_size(),
             AttributeSummary::Bloom(b) => b.wire_size(),
         }

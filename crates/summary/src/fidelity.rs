@@ -3,7 +3,7 @@
 //!
 //! The ROADS routing correctness argument rests on summaries being
 //! conservative — no false negatives — while the accuracy/size tradeoff
-//! (§III-B, and the multi-resolution catalogue of Ganesan et al.) makes
+//! (§III-B) makes
 //! false positives a deliberate, *tunable* cost. This module measures that
 //! cost: per-attribute drift between an observed summary (a branch
 //! summary, or a replica copy of one) and the exact re-aggregate, folded
@@ -46,7 +46,7 @@ pub fn histogram_drift(observed: &Histogram, exact: &Histogram) -> f64 {
 pub struct AttrFidelity {
     /// Attribute index in the schema.
     pub attr: usize,
-    /// Summary kind label (`histogram`/`multires`/`set`/`bloom`).
+    /// Summary kind label (`histogram`/`set`/`bloom`).
     pub kind: &'static str,
     /// Distance to the exact reference in `[0, 1]`; see the per-kind
     /// definitions in [`SummaryFidelity::probe`].
@@ -67,7 +67,7 @@ impl SummaryFidelity {
     /// Compare `observed` (a branch summary or a replica copy) against the
     /// `exact` re-aggregate of the same scope. Per-kind drift:
     ///
-    /// * histogram / multires (finest level) — total variation distance
+    /// * histogram — total variation distance
     ///   of bucket mass ([`histogram_drift`]);
     /// * value set — Jaccard distance of the enumerated values;
     /// * bloom — fraction of differing bits
@@ -83,9 +83,6 @@ impl SummaryFidelity {
                 let (o, e) = (observed.attr(i), exact.attr(i));
                 let drift = match (o, e) {
                     (AttributeSummary::Hist(a), AttributeSummary::Hist(b)) => histogram_drift(a, b),
-                    (AttributeSummary::MultiRes(a), AttributeSummary::MultiRes(b)) => {
-                        histogram_drift(a.finest(), b.finest())
-                    }
                     (AttributeSummary::Set(a), AttributeSummary::Set(b)) => {
                         let inter = a.iter().filter(|v| b.contains(v)).count();
                         let union = a.len() + b.len() - inter;

@@ -409,48 +409,6 @@ impl Histogram {
         exact
     }
 
-    /// Coarsen by an integer factor: bucket `i` of the result sums buckets
-    /// `[i·f, (i+1)·f)` of the input. Used by the multi-resolution pyramid.
-    ///
-    /// # Panics
-    /// If `factor == 0` or does not divide the bucket count.
-    pub fn coarsen(&self, factor: usize) -> Histogram {
-        assert!(factor > 0, "factor must be positive");
-        assert!(
-            self.buckets.len().is_multiple_of(factor),
-            "factor must divide the bucket count"
-        );
-        let mut saturated = self.saturated;
-        let buckets = self
-            .buckets
-            .chunks(factor)
-            .map(|c| {
-                c.iter().fold(0u32, |a, &b| match a.checked_add(b) {
-                    Some(n) => n,
-                    None => {
-                        saturated = true;
-                        u32::MAX
-                    }
-                })
-            })
-            .collect();
-        // A coarse bucket is occupied iff one of the buckets it sums is.
-        let occupied = match self.occupied.is_empty() {
-            true => Span::EMPTY,
-            false => Span {
-                first: self.occupied.first / factor as u32,
-                last: self.occupied.last / factor as u32,
-            },
-        };
-        Histogram {
-            lo: self.lo,
-            hi: self.hi,
-            buckets,
-            saturated,
-            occupied,
-        }
-    }
-
     /// Reset all counters to zero, keeping the configuration.
     pub fn clear(&mut self) {
         self.buckets.iter_mut().for_each(|c| *c = 0);
@@ -619,14 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn coarsen_preserves_total() {
-        let h = unit_hist(&[0.05, 0.15, 0.25, 0.35, 0.95], 8);
-        let c = h.coarsen(2);
-        assert_eq!(c.bucket_count(), 4);
-        assert_eq!(c.total(), h.total());
-    }
-
-    #[test]
     fn wire_size_constant_in_record_count() {
         let small = unit_hist(&[0.5], 100);
         let mut big = Histogram::new(0.0, 1.0, 100);
@@ -681,7 +631,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_coarsen_propagate_saturation() {
+    fn merge_propagates_saturation() {
         let mut a = with_counts(vec![u32::MAX, 0]);
         let b = with_counts(vec![1, 1]);
         a.merge(&b).unwrap();
@@ -689,13 +639,8 @@ mod tests {
         assert_eq!(a.buckets(), &[u32::MAX, 1]);
         // A saturated input taints the merge target even without clamping.
         let mut c = Histogram::new(0.0, 1.0, 2);
-        c.merge(&a.coarsen(1)).unwrap();
+        c.merge(&a).unwrap();
         assert!(c.is_saturated());
-        // Coarsening can clamp two in-range counters into saturation.
-        let d = with_counts(vec![u32::MAX - 1, 2]);
-        let coarse = d.coarsen(2);
-        assert!(coarse.is_saturated());
-        assert_eq!(coarse.buckets(), &[u32::MAX]);
     }
 
     #[test]

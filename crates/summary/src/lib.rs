@@ -14,9 +14,6 @@
 //!   number of distinct values is limited").
 //! * [`BloomFilter`] — constant-size alternative for large vocabularies
 //!   (the paper cites Bloom's 1970 construction \[10\]).
-//! * [`MultiResHistogram`] — multi-resolution summarization in the style of
-//!   Ganesan et al. \[11\]: a pyramid of progressively coarser histograms from
-//!   which a byte-budgeted level can be selected.
 //! * [`Summary`] — one summary per searchable attribute, aligned to a
 //!   [`roads_records::Schema`]; evaluates conjunctive queries conservatively
 //!   (no false negatives).
@@ -30,7 +27,6 @@ pub mod attr_summary;
 pub mod bloom;
 pub mod fidelity;
 pub mod histogram;
-pub mod multires;
 pub mod soft_state;
 pub mod summary;
 pub mod value_set;
@@ -39,7 +35,6 @@ pub use attr_summary::AttributeSummary;
 pub use bloom::{BloomFilter, BloomSaturation};
 pub use fidelity::{histogram_drift, AttrFidelity, SummaryFidelity};
 pub use histogram::Histogram;
-pub use multires::MultiResHistogram;
 pub use soft_state::{SoftState, SoftStateTable};
 pub use summary::{CategoricalMode, Summary, SummaryConfig, SummaryVerdict};
 pub use value_set::ValueSet;

@@ -14,7 +14,6 @@
 use crate::attr_summary::{AttrMergeError, AttributeSummary};
 use crate::bloom::BloomFilter;
 use crate::histogram::{Histogram, Span};
-use crate::multires::MultiResHistogram;
 use crate::value_set::ValueSet;
 use roads_records::{AttrType, Query, Record, Schema, WireSize};
 use serde::{Deserialize, Serialize};
@@ -66,8 +65,6 @@ pub struct SummaryConfig {
     pub buckets: usize,
     /// Categorical summarization strategy.
     pub categorical: CategoricalMode,
-    /// Use multi-resolution pyramids instead of flat histograms.
-    pub multires: bool,
 }
 
 impl SummaryConfig {
@@ -77,7 +74,6 @@ impl SummaryConfig {
         SummaryConfig {
             buckets: 1000,
             categorical: CategoricalMode::Enumerate,
-            multires: false,
         }
     }
 
@@ -147,14 +143,7 @@ impl Summary {
             .iter()
             .map(|(_, def)| match def.ty {
                 AttrType::Numeric | AttrType::Integer | AttrType::Timestamp => {
-                    if config.multires {
-                        let m = config.buckets.next_power_of_two();
-                        AttributeSummary::MultiRes(MultiResHistogram::from_finest(Histogram::new(
-                            def.lo, def.hi, m,
-                        )))
-                    } else {
-                        AttributeSummary::Hist(Histogram::new(def.lo, def.hi, config.buckets))
-                    }
+                    AttributeSummary::Hist(Histogram::new(def.lo, def.hi, config.buckets))
                 }
                 AttrType::Categorical | AttrType::Text => match config.categorical {
                     CategoricalMode::Enumerate => AttributeSummary::Set(ValueSet::new()),
@@ -366,8 +355,8 @@ impl Summary {
     /// On a prune, reports the kind of the first attribute summary that
     /// proved absence, or `"parts"` when it took the boxes to. On a match,
     /// reports the *fuzziest* participating kind — the likeliest
-    /// false-positive source, ranked Bloom > multi-resolution > histogram >
-    /// exact value set (a value set cannot false-positive at all). Kind
+    /// false-positive source, ranked Bloom > histogram > exact value set
+    /// (a value set cannot false-positive at all). Kind
     /// labels are [`AttributeSummary::kind_name`] strings; `None` when the
     /// summary is empty or the query has no in-range predicates.
     pub fn decide(&self, query: &Query) -> SummaryVerdict {
@@ -376,8 +365,7 @@ impl Summary {
         }
         let rank = |k: &str| match k {
             "histogram" => 1,
-            "multires" => 2,
-            "bloom" => 3,
+            "bloom" => 2,
             _ => 0,
         };
         let fuzziest = (query.predicates().iter())
@@ -412,6 +400,12 @@ impl Summary {
     /// children obtains its *local* summary without being shipped it.
     /// `None` when a summand cannot have been part of this aggregate or
     /// saturation has made the subtraction inexact.
+    ///
+    /// Nothing routes through it: the query engine reads an ancestor's
+    /// stored local summary directly. It stays as the reference that
+    /// justifies that shortcut — the engine's tests compare the stored
+    /// local summary with this difference, which proves an entry could
+    /// compute it from the replicas it already holds, at zero bytes.
     pub fn without<'a>(&self, summands: impl IntoIterator<Item = &'a Summary>) -> Option<Summary> {
         let mut rest = self.clone();
         rest.parts.clear();
@@ -659,30 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn multires_mode_round_trips_queries() {
-        let s = Schema::unit_numeric(2);
-        let cfg = SummaryConfig {
-            buckets: 64,
-            multires: true,
-            categorical: CategoricalMode::Enumerate,
-        };
-        let r = Record::new_unchecked(
-            RecordId(1),
-            OwnerId(0),
-            vec![Value::Float(0.3), Value::Float(0.7)],
-        );
-        let sum = Summary::from_records(&s, &cfg, &[r]);
-        let q = QueryBuilder::new(&s, QueryId(1))
-            .range("x0", 0.25, 0.35)
-            .build();
-        assert!(sum.may_match(&q));
-        let q2 = QueryBuilder::new(&s, QueryId(2))
-            .range("x0", 0.8, 0.9)
-            .build();
-        assert!(!sum.may_match(&q2));
-    }
-
-    #[test]
     fn remove_record_reverses_add_for_numeric_schemas() {
         let s = Schema::unit_numeric(3);
         let cfg = SummaryConfig::with_buckets(64);
@@ -718,28 +688,6 @@ mod tests {
         let before = sum.clone();
         assert!(!sum.remove_record(&r));
         assert_eq!(sum, before, "refused removal must leave no partial edit");
-    }
-
-    #[test]
-    fn multires_remove_record_round_trips() {
-        let s = Schema::unit_numeric(2);
-        let cfg = SummaryConfig {
-            buckets: 32,
-            multires: true,
-            categorical: CategoricalMode::Enumerate,
-        };
-        let rec = |id: u64, a: f64, b: f64| {
-            Record::new_unchecked(
-                RecordId(id),
-                OwnerId(0),
-                vec![Value::Float(a), Value::Float(b)],
-            )
-        };
-        let keep = rec(1, 0.25, 0.75);
-        let churn = rec(2, 0.5, 0.5);
-        let mut sum = Summary::from_records(&s, &cfg, &[keep.clone(), churn.clone()]);
-        assert!(sum.remove_record(&churn));
-        assert_eq!(sum, Summary::from_records(&s, &cfg, &[keep]));
     }
 
     #[test]

@@ -365,9 +365,8 @@ proptest! {
         }
     }
 
-    /// What `MultiResHistogram::insert` rests on: a value's bucket at half
-    /// the resolution is its bucket's parent, so per-level insertion and
-    /// coarsening the finest level agree.
+    /// The bucket formula nests across power-of-two resolutions: a value's
+    /// bucket at half the resolution is its bucket's parent.
     #[test]
     fn bucket_of_nests_across_power_of_two_resolutions(
         (lo, hi) in domain(),
@@ -395,7 +394,6 @@ proptest! {
     fn branch_of_never_refuses_a_query_some_record_matches(
         rows in placed_rows(),
         m in 0usize..BUCKET_COUNTS.len(),
-        multires in any::<bool>(),
         bloom in any::<bool>(),
         queries in prop::collection::vec(
             (0usize..80, prop::collection::vec((0usize..13, 0.0f64..1.0, 0.0f64..0.3), 0..5)),
@@ -404,7 +402,6 @@ proptest! {
     ) {
         let cfg = SummaryConfig {
             buckets: BUCKET_COUNTS[m],
-            multires,
             categorical: match bloom {
                 true => CategoricalMode::Bloom { bits: 512, hashes: 3 },
                 false => CategoricalMode::Enumerate,
@@ -456,7 +453,7 @@ proptest! {
     #[test]
     fn histogram_tracks_its_occupied_range_exactly(
         m in 0usize..BUCKET_COUNTS.len(),
-        ops in prop::collection::vec((0usize..9, -0.1f64..1.1, -0.1f64..1.1), 1..60),
+        ops in prop::collection::vec((0usize..8, -0.1f64..1.1, -0.1f64..1.1), 1..60),
     ) {
         let mut h = Histogram::new(0.0, 1.0, BUCKET_COUNTS[m]);
         let mut saturated_once = false;
@@ -479,9 +476,8 @@ proptest! {
                     prop_assert!(h.unmerge(&other) || h.is_saturated());
                 }
                 6 => h.clear(),
-                7 if m.is_multiple_of(2) => h = h.coarsen(2).coarsen(1),
                 // Double until a counter saturates: removals then refuse.
-                8 if !saturated_once => {
+                7 if !saturated_once => {
                     saturated_once = true;
                     h.insert(v);
                     for _ in 0..33 {

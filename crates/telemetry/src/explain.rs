@@ -23,13 +23,11 @@ use crate::{json_fields, json_labels};
 ///
 /// On a prune, the kind of the attribute summary that proved absence; on
 /// a match, the *fuzziest* participating kind — the likeliest source of a
-/// false positive (Bloom > multi-resolution > histogram > exact set).
+/// false positive (Bloom > histogram > exact set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SummaryKind {
     /// Equi-width histogram over an ordered attribute.
     Histogram,
-    /// Multi-resolution histogram pyramid.
-    MultiRes,
     /// Exact enumerated value set (cannot false-positive).
     ValueSet,
     /// Bloom filter (false positives expected).
@@ -41,7 +39,6 @@ impl SummaryKind {
     pub fn as_str(self) -> &'static str {
         match self {
             SummaryKind::Histogram => "histogram",
-            SummaryKind::MultiRes => "multires",
             SummaryKind::ValueSet => "value-set",
             SummaryKind::Bloom => "bloom",
         }
@@ -51,7 +48,6 @@ impl SummaryKind {
     pub fn parse(s: &str) -> Option<SummaryKind> {
         Some(match s {
             "histogram" => SummaryKind::Histogram,
-            "multires" => SummaryKind::MultiRes,
             "value-set" => SummaryKind::ValueSet,
             "bloom" => SummaryKind::Bloom,
             _ => return None,
@@ -501,7 +497,6 @@ mod tests {
         }
         for k in [
             SummaryKind::Histogram,
-            SummaryKind::MultiRes,
             SummaryKind::ValueSet,
             SummaryKind::Bloom,
         ] {

@@ -103,7 +103,6 @@ fn hop(g: &mut Gen) -> ExplainHop {
         summary: g.maybe(|g| {
             g.pick(&[
                 SummaryKind::Histogram,
-                SummaryKind::MultiRes,
                 SummaryKind::ValueSet,
                 SummaryKind::Bloom,
             ])
