@@ -1,12 +1,11 @@
 //! The table of strict JSON artifacts `roads-inspect` understands: one row
 //! per document — marker key → strict parse → one-line `check` summary /
-//! full render. `roads-inspect check` and the `slow` / `audit` / `plan` /
-//! `delta` / `incidents` subcommands are lookups in [`ARTIFACTS`]; adding an
+//! full render. `roads-inspect check` and the `slow` / `audit` / `delta` /
+//! `incidents` subcommands are lookups in [`ARTIFACTS`]; adding an
 //! artifact is adding a row (see CONTRIBUTING.md). `bench_suite` writes
-//! four of the five documents, `fig18_delta_churn` writes `DELTA.json`.
+//! three of the four documents, `fig18_delta_churn` writes `DELTA.json`.
 
 use crate::delta_view::{render_delta_table, DeltaReport};
-use crate::plan_view::{render_plan_table, PlanReport};
 use crate::{audit_view, explain_view, incident_view};
 use roads_runtime::{AuditReport, IncidentReport};
 use roads_telemetry::{Json, SlowDoc};
@@ -41,23 +40,6 @@ pub const ARTIFACTS: &[ArtifactRow] = &[
         },
         view: ("audit", |doc| {
             AuditReport::from_json(doc).map(|r| audit_view::render_audit_table(&r))
-        }),
-    },
-    ArtifactRow {
-        marker: PlanReport::MARKER,
-        check: |doc| {
-            PlanReport::from_json(doc).map(|r| {
-                format!(
-                    "plan report, {} queries, contacts {} → {}, hit rate {:.1}%",
-                    r.queries,
-                    r.greedy_contacts,
-                    r.planned_contacts,
-                    100.0 * r.cache_hit_rate()
-                )
-            })
-        },
-        view: ("plan", |doc| {
-            PlanReport::from_json(doc).map(|r| render_plan_table(&r))
         }),
     },
     ArtifactRow {

@@ -9,8 +9,8 @@
 //! It takes no flags and times nothing: throughput, latency and build
 //! cost are measured by the benchmark (`benchmark/`), the figure binaries
 //! and the criterion groups. The run drives one concurrent pass over
-//! spread and root-entry queries, then the planner comparison and cached
-//! replays on a second cluster, then branch kills and a straggler
+//! spread and root-entry queries, then a cold pass and cached replays on
+//! a second cluster with a result cache, then branch kills and a straggler
 //! episode, and writes into `$ROADS_RESULTS_DIR` (`results/` when unset,
 //! like every figure):
 //!
@@ -21,23 +21,18 @@
 //! * `AUDIT.json` — a background [`Auditor`]'s cumulative per-level
 //!   FP/FN counts, overlay divergence and staleness (`roads-inspect
 //!   audit`).
-//! * `PLAN.json` — the planner/cache summary ([`PlanReport`],
-//!   `roads-inspect plan`); planned dispatch is asserted to reproduce
-//!   greedy recall and never contact more servers before it is written.
-//! * `PLANNER_METRICS.txt` — the final OpenMetrics scrape of the planner
-//!   cluster's registry (the `roads.planner.*` and `roads.cache.*`
-//!   families CI asserts against).
+//! * `CACHE_METRICS.txt` — the final OpenMetrics scrape of the cache
+//!   cluster's registry (the `roads.cache.*` families CI asserts against);
+//!   the cold pass is asserted to return what the uncached cluster does.
 //! * `INCIDENTS.json` — a background [`Watchdog`]'s coalesced incident
 //!   timeline, matched against the kills and the straggler
 //!   (`roads-inspect incidents`).
 //!
-//! `roads-inspect check` validates the four JSON documents. `DELTA.json`,
-//! the fifth artifact, comes from `fig18_delta_churn`.
+//! `roads-inspect check` validates the three JSON documents. `DELTA.json`,
+//! the fourth artifact, comes from `fig18_delta_churn`.
 //!
-//! [`PlanReport`]: roads_bench::plan_view::PlanReport
 //! [`QueryExplain`]: roads_telemetry::QueryExplain
 
-use roads_bench::plan_view::{PlanReport, PLAN_SCHEMA_VERSION};
 use roads_bench::print_metrics_digest;
 use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
@@ -232,64 +227,37 @@ fn main() {
     drive(&cluster, &spread);
     drive(&cluster, &rooted);
 
-    // --- Planner + cache: planned dispatch vs greedy, then cached replays.
-    // A second cluster over the same data runs with the replica-aware
-    // set-cover planner and a 2-round TTL'd result cache; its instruments
-    // land in a separate registry so the `roads.cache.*` /
-    // `roads.planner.*` families are attributable to this phase alone.
-    let plan_reg = Registry::new();
-    let planner_cluster = RoadsCluster::start_with(
+    // --- Result cache: a cold pass, then cached replays. ----------------
+    // A second cluster over the same data runs with a 2-round TTL'd result
+    // cache; its instruments land in a separate registry so the
+    // `roads.cache.*` families are attributable to this phase alone.
+    let cache_reg = Registry::new();
+    let cached = RoadsCluster::start_with(
         cluster_net(n),
         DelaySpace::paper(n, 31),
         RuntimeConfig {
-            enable_planner: true,
             cache_ttl_rounds: 2,
             ..cluster_config()
         },
-        Attachments::instrumented(&plan_reg),
+        Attachments::instrumented(&cache_reg),
     );
-    // Comparison pass, cold cache: recall must be identical and planned
-    // dispatch must never widen a query — both asserted here, before the
-    // artifact is even written.
-    let (mut greedy_contacts, mut planned_contacts) = (0u64, 0u64);
+    // Cold pass: every answer misses the cache and must be what the
+    // uncached cluster returns.
     for (q, entry) in &spread {
-        let g = cluster.query(q, *entry);
-        let p = planner_cluster.query(q, *entry);
         assert_eq!(
-            g.records.len(),
-            p.records.len(),
-            "planner changed recall (entry {entry:?})"
+            cached.query(q, *entry).records.len(),
+            cluster.query(q, *entry).records.len(),
+            "the cache changed recall (entry {entry:?})"
         );
-        greedy_contacts += g.servers_contacted as u64;
-        planned_contacts += p.servers_contacted as u64;
     }
-    assert!(
-        planned_contacts <= greedy_contacts,
-        "planned dispatch widened the workload ({planned_contacts} > {greedy_contacts})"
-    );
-    // Replays: the comparison pass populated the cache, so these hit it.
-    drive(&planner_cluster, &spread);
-    // Age every cached answer out so invalidations land on the scrape.
-    planner_cluster.advance_cache_round();
-    planner_cluster.advance_cache_round();
-    let counter = |name: &str| plan_reg.counter(name).get();
-    let plan_report = PlanReport {
-        schema_version: PLAN_SCHEMA_VERSION,
-        config: "bench_suite".to_string(),
-        queries: spread.len() as u64,
-        planned_queries: counter("roads.planner.planned_queries"),
-        pruned_probes: counter("roads.planner.pruned_probes"),
-        greedy_contacts,
-        planned_contacts,
-        cache_hits: counter("roads.cache.hits"),
-        cache_misses: counter("roads.cache.misses"),
-        // Aged-out and delta-invalidated entries count separately since
-        // the expiry/invalidation split; the plan artifact reports their
-        // sum.
-        cache_invalidations: counter("roads.cache.expired") + counter("roads.cache.invalidated"),
-    };
-    let planner_scrape = OpenMetricsSnapshot::from_registry(&plan_reg).render();
-    planner_cluster.shutdown();
+    // Replays: the cold pass populated the cache, so these hit it.
+    drive(&cached, &spread);
+    // Age every cached answer out so expiries land on the scrape.
+    cached.advance_cache_round();
+    cached.advance_cache_round();
+    let hit_rate = cached.result_cache().map_or(0.0, |c| c.hit_rate());
+    let cache_scrape = OpenMetricsSnapshot::from_registry(&cache_reg).render();
+    cached.shutdown();
 
     // --- Failover: kill a branch, query around it, restart. --------------
     let victim = a_branch(cluster.network());
@@ -352,22 +320,15 @@ fn main() {
         audit_report.staleness_p99
     );
 
-    // The planner/cache summary of this run, plus the raw OpenMetrics
-    // scrape of the planner registry — CI asserts a non-zero
-    // `roads.cache.hits` against it.
-    let plan_path = dir.join("PLAN.json");
-    written(&plan_path, plan_report.write(&plan_path));
+    // The raw OpenMetrics scrape of the cache cluster's registry — CI
+    // asserts a non-zero `roads.cache.hits` against it.
+    let scrape_path = dir.join("CACHE_METRICS.txt");
+    written(&scrape_path, std::fs::write(&scrape_path, &cache_scrape));
     println!(
-        "wrote {} ({} queries, contacts {} → {}, cache hit rate {:.1}%)",
-        plan_path.display(),
-        plan_report.queries,
-        plan_report.greedy_contacts,
-        plan_report.planned_contacts,
-        100.0 * plan_report.cache_hit_rate(),
+        "wrote {} (cache hit rate {:.1}%)",
+        scrape_path.display(),
+        100.0 * hit_rate
     );
-    let scrape_path = dir.join("PLANNER_METRICS.txt");
-    written(&scrape_path, std::fs::write(&scrape_path, &planner_scrape));
-    println!("wrote {}", scrape_path.display());
 
     // The incident timeline of this run: every detector firing coalesced
     // into incidents, correlated with the kills and the straggler

@@ -14,8 +14,6 @@
 //!                                       # attribution
 //! roads-inspect audit <artifact>        # per-level summary-fidelity table
 //!                                       # from an AUDIT.json artifact
-//! roads-inspect plan <artifact>         # planner/cache summary from a
-//!                                       # PLAN.json artifact
 //! roads-inspect delta <artifact>        # incremental-update summary from
 //!                                       # a DELTA.json artifact
 //! roads-inspect incidents <artifact>    # watchdog incident timeline from
@@ -31,7 +29,7 @@
 //! or when its trace file is missing, malformed, or contains zero complete
 //! (`ph == "X"`) spans — the CI smoke test runs it after a `--quick`
 //! figure binary. A document carrying the marker key of a strict artifact
-//! — `SLOW_QUERIES`, `AUDIT`, `PLAN` and `INCIDENTS` from `bench_suite`,
+//! — `SLOW_QUERIES`, `AUDIT` and `INCIDENTS` from `bench_suite`,
 //! `DELTA` from `fig18_delta_churn`, one row each in
 //! [`roads_bench::artifacts::ARTIFACTS`] — takes that row's path instead
 //! and expects no trace file: the artifact layer
@@ -39,8 +37,7 @@
 //! be present and well-typed and names each offending path
 //! (`levels[0].probes`), then the artifact's own `validate` re-enforces
 //! its cross-field invariants offline (retained span trees reconstruct,
-//! planned ≤ greedy contacts, the delta path's speedup floor and change
-//! accounting).
+//! the delta path's speedup floor and change accounting).
 //!
 //! `incidents` renders the watchdog incident timeline of an
 //! `INCIDENTS.json` artifact: one block per incident with its firing
@@ -79,7 +76,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `slow`, `audit`, `plan`, `delta`, `incidents`: the artifact views.
+    // `slow`, `audit`, `delta`, `incidents`: the artifact views.
     if let [cmd, path] = args.as_slice() {
         if let Some(render) = artifacts::view(cmd) {
             return print_view(path, render);
@@ -101,7 +98,6 @@ fn main() -> ExitCode {
             eprintln!("       roads-inspect explain <slow-queries.json> [query-id]");
             eprintln!("       roads-inspect slow <slow-queries.json>");
             eprintln!("       roads-inspect audit <audit.json>");
-            eprintln!("       roads-inspect plan <plan.json>");
             eprintln!("       roads-inspect delta <delta.json>");
             eprintln!("       roads-inspect incidents <incidents.json>");
             eprintln!("  <base> is a result stem, e.g. results/fig3_latency_vs_nodes");

@@ -18,7 +18,6 @@ pub mod chart;
 pub mod delta_view;
 pub mod explain_view;
 pub mod incident_view;
-pub mod plan_view;
 
 use roads_central::CentralRepository;
 use roads_core::{

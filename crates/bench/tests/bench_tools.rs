@@ -28,7 +28,7 @@ fn inspect(args: &[&str]) -> (bool, String) {
 }
 
 #[test]
-fn artifact_run_writes_exactly_the_five_checkable_documents() {
+fn artifact_run_writes_exactly_its_checkable_documents() {
     let dir = tmp("artifact-run");
     // A directory this test owns alone, emptied first: the assertion
     // below is about exactly what one run writes.
@@ -56,8 +56,8 @@ fn artifact_run_writes_exactly_the_five_checkable_documents() {
         "digest missing from stderr:\n{stderr}"
     );
 
-    // Exactly the five documents: no bench report, and DELTA.json is
-    // fig18's to write.
+    // Exactly these documents: no bench report, and DELTA.json is fig18's
+    // to write.
     let mut written: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
@@ -67,9 +67,8 @@ fn artifact_run_writes_exactly_the_five_checkable_documents() {
         written,
         [
             "AUDIT.json",
+            "CACHE_METRICS.txt",
             "INCIDENTS.json",
-            "PLAN.json",
-            "PLANNER_METRICS.txt",
             "SLOW_QUERIES.json"
         ]
     );
@@ -78,7 +77,6 @@ fn artifact_run_writes_exactly_the_five_checkable_documents() {
     for (file, kind) in [
         ("SLOW_QUERIES.json", "slow-query report"),
         ("AUDIT.json", "audit report"),
-        ("PLAN.json", "plan report"),
         ("INCIDENTS.json", "incident report"),
     ] {
         let path = dir.join(file);
@@ -87,7 +85,7 @@ fn artifact_run_writes_exactly_the_five_checkable_documents() {
         assert!(out.contains(kind), "{out}");
     }
     // The cached replays hit.
-    let scrape = std::fs::read_to_string(dir.join("PLANNER_METRICS.txt")).unwrap();
+    let scrape = std::fs::read_to_string(dir.join("CACHE_METRICS.txt")).unwrap();
     let hits: f64 = scrape
         .lines()
         .find_map(|l| l.strip_prefix("roads_cache_hits_total "))

@@ -355,9 +355,10 @@ impl ResultCache {
     }
 }
 
-/// [`execute_query_with`] through `cache` ([`ResultCache::outcome_or_run`]),
-/// planned when `plan` is given, greedy otherwise. Kept for `benchmark/`,
-/// which pins the name and signature.
+/// [`execute_query_with`] through `cache` ([`ResultCache::outcome_or_run`]).
+/// A plan is what the entry dispatches anyway (see [`crate::planner`]), so
+/// `_plan` is not read. Kept for `benchmark/`, which pins the name and
+/// signature.
 pub fn execute_query_cached(
     net: &RoadsNetwork,
     delays: &DelaySpace,
@@ -365,9 +366,9 @@ pub fn execute_query_cached(
     start: ServerId,
     scope: SearchScope,
     cache: &ResultCache,
-    plan: Option<&QueryPlan>,
+    _plan: Option<&QueryPlan>,
 ) -> (QueryOutcome, bool) {
-    let opts = QueryOptions::scoped(scope).with_plan(plan);
+    let opts = QueryOptions::scoped(scope);
     cache.outcome_or_run(start, scope, query, || {
         execute_query_with(net, delays, query, start, &opts, None)
     })

@@ -16,13 +16,13 @@
 //!   own records and whom the query goes to next) that the simulator and
 //!   the live cluster both run.
 //! * [`machine`] — the per-query protocol machine both planes drive
-//!   ([`QueryMachine`]): visit dedup, plan batch, retry, failover, deadline
-//!   and completeness proof over the contact log it keeps. No I/O, no
-//!   clock: time is an argument.
+//!   ([`QueryMachine`]): visit dedup, retry, failover, deadline and
+//!   completeness proof over the contact log it keeps. No I/O, no clock:
+//!   time is an argument.
 //! * [`queryexec`] — the simulator's driver of that machine over a
 //!   [`roads_netsim::DelaySpace`], with latency and byte accounting exactly
 //!   as the paper measures them. One executor ([`execute_query_with`])
-//!   takes scope, forwarding style and plan as [`QueryOptions`]; the
+//!   takes scope and forwarding style as [`QueryOptions`]; the
 //!   explain record, the flight-recorder span tree and the hollow
 //!   (false-positive) verdicts are derived from the contact log.
 //! * [`batch`] — a worker pool evaluating whole query batches over one
@@ -39,9 +39,8 @@
 //! * [`audit`] — ground-truth auditing of the overlay: epoch-stamped
 //!   replica copies ([`ReplicaLedger`]), staleness ages, divergence scores
 //!   and per-level false-positive/false-negative probes.
-//! * [`planner`] — replica-aware query planning: greedy set-cover source
-//!   selection over the entry's replicated branch summaries, ancestor
-//!   probes pruned by replicated *local* summaries, batch dispatch.
+//! * [`planner`] — `plan_query` and its types, forwards kept for
+//!   `benchmark/`: a plan is [`RoadsNetwork::route`]'s answer at the entry.
 //! * [`store`] — the record store every server runs on: shared rows
 //!   searched through one-byte code columns ([`RecordStore`]), per server
 //!   of a network that table plus the exact summary of its rows, kept
@@ -78,10 +77,7 @@ pub use engine::{BuildOptions, ContactMode, EvalResult, RoadsNetwork};
 pub use machine::{fault_decision, FaultSettings, Finished, Outbound, QueryMachine, TraceEvent};
 pub use metrics::{record_query_outcome, LatencyStats};
 pub use overlay::{replication_set, ReplicaRole, ReplicationSet};
-pub use planner::{
-    greedy_set_cover, plan_query, plan_query_with, CoverCandidate, PlanAction, PlannedContact,
-    QueryPlan,
-};
+pub use planner::{plan_query, PlanAction, PlannedContact, QueryPlan};
 pub use policy::{
     apply_policy, Disclosure, OpenPolicy, RequesterId, SharingPolicy, TieredPolicy, TrustClass,
 };

@@ -3,19 +3,18 @@
 //! *whether* and *whom* to contact, made once for both planes.
 //!
 //! A [`QueryMachine`] owns one query's contact log (also its attempt
-//! table), the visit ledger, the plan batch and the fault bookkeeping. It
-//! does no I/O and reads no clock: a driver tells it what happened and
-//! when, each call appends the sends it wants ([`Outbound`]) to a buffer
-//! the driver reuses, and [`QueryMachine::finish`] says what the answer is
-//! worth. The simulator ([`crate::queryexec`]) opens a contact when its
-//! send arrives and reports the reply at that instant, with no faults; the
+//! table), the visit ledger and the fault bookkeeping. It does no I/O and
+//! reads no clock: a driver tells it what happened and when, each call
+//! appends the sends it wants ([`Outbound`]) to a buffer the driver
+//! reuses, and [`QueryMachine::finish`] says what the answer is worth.
+//! The simulator ([`crate::queryexec`]) opens a contact when its send
+//! arrives and reports the reply at that instant, with no faults; the
 //! live cluster turns sends into timed deliveries and notices and
 //! wake-ups into calls stamped with milliseconds since the query began.
 //! Time is an argument, not a trait: a machine that is told the time
 //! needs no clock to be faked (`tests/machine.rs`).
 
 use crate::engine::{ContactMode, RoadsNetwork};
-use crate::planner::QueryPlan;
 use crate::tree::ServerId;
 use roads_records::Query;
 use roads_telemetry::{ExplainDecision, HopOutcome, LatencySplit};
@@ -193,8 +192,6 @@ pub struct QueryMachine<'a> {
     net: &'a RoadsNetwork,
     query: &'a Query,
     faults: FaultSettings,
-    /// Dispatched in place of the entry's own targets when it replies.
-    plan: Option<&'a QueryPlan>,
     /// Whether anyone reads the log after the query. Nobody watching, an
     /// entry is not stamped with its closing time or redirect targets.
     observed: bool,
@@ -229,7 +226,6 @@ impl<'a> QueryMachine<'a> {
             net,
             query,
             faults,
-            plan: None,
             observed,
             // Room for a typical query: growing entry by entry cost the
             // simulator 4 % of its queries per second.
@@ -246,19 +242,8 @@ impl<'a> QueryMachine<'a> {
         }
     }
 
-    /// The query starts at `entry`. With a `plan` (computed for that
-    /// entry, see [`crate::planner`]), its reply dispatches the planned
-    /// contacts instead of the targets its own overlay view expands to.
-    pub fn start(
-        &mut self,
-        entry: ServerId,
-        plan: Option<&'a QueryPlan>,
-        sends: &mut Vec<Outbound>,
-    ) {
-        if let Some(p) = plan {
-            assert_eq!(p.entry, entry, "plan was computed for a different entry");
-        }
-        self.plan = plan;
+    /// The query starts at `entry`.
+    pub fn start(&mut self, entry: ServerId, sends: &mut Vec<Outbound>) {
         self.forward(entry, ContactMode::Entry, None, sends);
     }
 
@@ -327,12 +312,8 @@ impl<'a> QueryMachine<'a> {
                 self.failed.remove(&server);
             }
         }
-        // Planner batch, whatever the entry's own view expanded to.
-        let planned = (self.plan).filter(|p| mode == ContactMode::Entry && server == p.entry);
-        let batch: Option<Vec<_>> =
-            planned.map(|p| (p.contacts.iter().map(|c| (c.server, c.action.mode()))).collect());
         let first_send = sends.len();
-        for &(t, m) in batch.as_deref().unwrap_or(targets) {
+        for &(t, m) in targets {
             self.forward(t, m, Some(attempt), sends);
         }
         if self.observed {

@@ -131,33 +131,22 @@ pub enum ForwardingMode {
 }
 
 /// How one query is executed. The default searches the whole hierarchy,
-/// server-forwarded, expanding the entry's overlay view greedily.
+/// server-forwarded.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct QueryOptions<'a> {
+pub struct QueryOptions {
     /// How far up the hierarchy the search may reach.
     pub scope: SearchScope,
     /// How the query travels between servers.
     pub forwarding: ForwardingMode,
-    /// A pre-computed [`QueryPlan`] (see [`crate::planner`]): the entry
-    /// dispatches the planned contacts as one batch instead of expanding
-    /// its own overlay view. Descent below planned branch targets is
-    /// unchanged. The plan must have been computed for the entry.
-    pub plan: Option<&'a QueryPlan>,
 }
 
-impl<'a> QueryOptions<'a> {
+impl QueryOptions {
     /// The default execution confined to `scope`.
     pub fn scoped(scope: SearchScope) -> Self {
         QueryOptions {
             scope,
             ..Self::default()
         }
-    }
-
-    /// The same execution dispatching `plan` at the entry (`None` =
-    /// greedy).
-    pub fn with_plan(self, plan: Option<&'a QueryPlan>) -> Self {
-        QueryOptions { plan, ..self }
     }
 }
 
@@ -174,18 +163,18 @@ pub fn execute_query(
     execute_query_with(net, delays, query, start, &opts, None)
 }
 
-/// [`execute_query_with`] dispatching `plan`. Kept for `benchmark/`, which
-/// pins the name and signature.
+/// [`execute_query`]: a plan is what the entry dispatches anyway (see
+/// [`crate::planner`]), so `_plan` is not read. Kept for `benchmark/`,
+/// which pins the name and signature.
 pub fn execute_query_planned(
     net: &RoadsNetwork,
     delays: &DelaySpace,
     query: &Query,
     start: ServerId,
     scope: SearchScope,
-    plan: &QueryPlan,
+    _plan: &QueryPlan,
 ) -> QueryOutcome {
-    let opts = QueryOptions::scoped(scope).with_plan(Some(plan));
-    execute_query_with(net, delays, query, start, &opts, None)
+    execute_query(net, delays, query, start, scope)
 }
 
 /// The summary kind a [`SummaryVerdict`] hinged on, in the explain
@@ -219,7 +208,6 @@ fn contact_decision(
         };
     };
     match e.mode {
-        _ if p == 0 && entry == ExplainDecision::Planned => ExplainDecision::Planned,
         ContactMode::Branch if net.tree().parent(e.server) == Some(trace[p].server) => {
             ExplainDecision::SummaryDescent
         }
@@ -259,15 +247,14 @@ pub fn hollow_contacts(trace: &[TraceEvent]) -> Vec<bool> {
 /// detection ([`hollow_contacts`]), how it ended and its latency split.
 ///
 /// `entry` is what the entry server did with the query: expanded its own
-/// overlay view (`Entry`), dispatched a precomputed plan (`Planned` — its
-/// direct contacts read so) or answered from its result cache (`CacheHit`
-/// — it is the whole log). Every other decision follows from the contact
+/// overlay view (`Entry`) or answered from its result cache (`CacheHit` —
+/// it is the whole log). Every other decision follows from the contact
 /// itself: its mode, its forwarder, the retries behind it.
 ///
 /// The vouching summary is the one routing tested
-/// ([`RoadsNetwork::evaluate`], whose answer a plan dispatches too): the
-/// target's branch summary for a descent or a shortcut, its local summary
-/// for an ancestor probe; retries, stand-ins and the entry consulted none.
+/// ([`RoadsNetwork::evaluate`]): the target's branch summary for a descent
+/// or a shortcut, its local summary for an ancestor probe; retries,
+/// stand-ins and the entry consulted none.
 ///
 /// The header says what the log alone can: the response is when the
 /// entry's contact closed, the records are the local matches summed, and
@@ -295,7 +282,6 @@ pub fn explain_from_trace(
                 ExplainDecision::SummaryDescent
                     | ExplainDecision::OverlayShortcut
                     | ExplainDecision::AncestorProbe
-                    | ExplainDecision::Planned
             );
             let vouching = routed.then(|| match e.mode {
                 ContactMode::LocalOnly => net.local_summary(e.server),
@@ -406,7 +392,7 @@ pub fn execute_query_with(
     delays: &DelaySpace,
     query: &Query,
     start: ServerId,
-    opts: &QueryOptions<'_>,
+    opts: &QueryOptions,
     trace: Option<&mut Vec<TraceEvent>>,
 ) -> QueryOutcome {
     assert_eq!(
@@ -419,7 +405,7 @@ pub fn execute_query_with(
 
     let mut machine = QueryMachine::new(net, query, FaultSettings::default(), trace.is_some());
     let mut sends: Vec<Outbound> = Vec::new();
-    machine.start(start, opts.plan, &mut sends);
+    machine.start(start, &mut sends);
     // Sends in flight by when (then where) they arrive; `sent` holds what
     // each asks for (both sized for a typical query). The entry contact is
     // local (client co-located): zero latency, its message still accounted.
@@ -1023,16 +1009,14 @@ mod tests {
             point_query(&net, 0.0),
             (QueryBuilder::new(net.schema(), QueryId(2)).range("x0", 0.2, 0.7)).build(),
         ] {
-            let greedy = execute_query(&net, &delays, &q, leaf, SearchScope::full());
             let plan = plan_query(&net, &q, leaf, SearchScope::full());
-            assert_eq!(plan.pruned_probes, 0);
-            let mut trace = Vec::new();
-            let opts = QueryOptions::default().with_plan(Some(&plan));
-            let planned = execute_query_with(&net, &delays, &q, leaf, &opts, Some(&mut trace));
+            let planned =
+                execute_query_planned(&net, &delays, &q, leaf, SearchScope::full(), &plan);
+            let (greedy, trace) = traced(&net, &delays, &q, leaf, SearchScope::full());
             assert_eq!(planned, greedy);
-            // The trace's entry hop forwards exactly the planned batch.
-            assert_eq!(trace[0].forwarded_to, plan.servers());
-            assert_eq!(trace.len(), planned.servers_contacted);
+            // The entry forwards to exactly the plan's servers.
+            let servers: Vec<ServerId> = plan.contacts.iter().map(|c| c.server).collect();
+            assert_eq!(trace[0].forwarded_to, servers);
         }
     }
 

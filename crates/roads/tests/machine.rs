@@ -14,8 +14,8 @@
 
 use proptest::prelude::*;
 use roads_core::{
-    plan_query, ContactMode, FaultSettings, Finished, Outbound, QueryMachine, QueryPlan,
-    RoadsConfig, RoadsNetwork, SearchScope, ServerId, TraceEvent,
+    ContactMode, FaultSettings, Finished, Outbound, QueryMachine, RoadsConfig, RoadsNetwork,
+    SearchScope, ServerId, TraceEvent,
 };
 use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
 use roads_summary::SummaryConfig;
@@ -144,7 +144,6 @@ fn drive(
     net: &RoadsNetwork,
     q: &Query,
     entry: ServerId,
-    plan: Option<&QueryPlan>,
     faults: FaultSettings,
     mut fate: impl FnMut(usize, &TraceEvent) -> Fate,
 ) -> Run {
@@ -153,7 +152,7 @@ fn drive(
     let mut due: BinaryHeap<Reverse<Due>> = BinaryHeap::new();
     let mut merged = Vec::new();
     let mut now_ms = 0.0;
-    machine.start(entry, plan, &mut sends);
+    machine.start(entry, &mut sends);
     for _step in 0..100_000 {
         for send in sends.drain(..) {
             let attempt = machine.open(&send, now_ms, 0.0);
@@ -234,7 +233,6 @@ fn a_down_target_skips_the_retry_budget() {
         &net,
         &q,
         root,
-        None,
         FAULTY,
         prompt_except(|e| (e.server == victim).then_some(Fate::Down)),
     );
@@ -264,7 +262,6 @@ fn a_reply_later_than_its_retrys_counts_its_server_once() {
         &net,
         &q,
         root,
-        None,
         FAULTY,
         prompt_except(|e| match (e.server, e.tries) {
             (s, 0) if s == slow => Some(Fate::Reply(400.0)),
@@ -310,7 +307,6 @@ fn a_late_reply_withdraws_the_failure_verdict() {
         &net,
         &q,
         root,
-        None,
         FAULTY,
         prompt_except(|e| match (e.server, e.tries, e.mode) {
             (s, 0, _) if s == slow => Some(Fate::Reply(600.0)),
@@ -370,7 +366,6 @@ fn a_failed_stand_in_is_not_renominated_for_another_dead_server() {
         &net,
         &q,
         root,
-        None,
         FAULTY,
         prompt_except(|e| match e.server {
             s if s == a || s == h => Some(Fate::Down),
@@ -402,7 +397,6 @@ fn a_stand_in_that_dies_helping_a_second_dead_server_is_passed_over() {
         &net,
         &q,
         root,
-        None,
         FAULTY,
         prompt_except(|e| match (e.server, e.mode) {
             (s, _) if s == a || s == b => Some(Fate::Down),
@@ -447,7 +441,7 @@ fn a_dead_entry_is_complete_only_with_a_replacement() {
         failover: false,
         ..FAULTY
     };
-    let run = drive(&net, &q, entry, None, alone, dead_entry());
+    let run = drive(&net, &q, entry, alone, dead_entry());
     assert!(run.merged.is_empty());
     assert!(
         !run.verdict.complete,
@@ -455,7 +449,7 @@ fn a_dead_entry_is_complete_only_with_a_replacement() {
     );
     assert_eq!(run.verdict.failed_servers, vec![entry]);
 
-    let run = drive(&net, &q, entry, None, FAULTY, dead_entry());
+    let run = drive(&net, &q, entry, FAULTY, dead_entry());
     let replacement = &run.verdict.log[1];
     assert_eq!(
         (replacement.mode, replacement.caused_by),
@@ -492,7 +486,7 @@ fn a_probed_ancestor_is_readmitted_as_a_branch() {
     let q = range(&net, 0.0, 1.0);
     let mut m = QueryMachine::new(&net, &q, FaultSettings::default(), true);
     let mut sends = Vec::new();
-    m.start(entry, None, &mut sends);
+    m.start(entry, &mut sends);
     let at_entry = m.open(&sends.pop().unwrap(), 0.0, 0.0);
     let probe = [(p, ContactMode::LocalOnly), (root, ContactMode::Branch)];
     let (fresh, sent, opened) = answer(&mut m, at_entry, &probe, &mut sends);
@@ -541,7 +535,7 @@ fn a_probe_answer_does_not_cover_a_failed_branch_visit() {
     for answer_first in [true, false] {
         let mut m = QueryMachine::new(&net, &q, alone, true);
         let mut sends = Vec::new();
-        m.start(entry, None, &mut sends);
+        m.start(entry, &mut sends);
         let at_entry = m.open(&sends.pop().unwrap(), 0.0, 0.0);
         let (_, _, opened) = answer(&mut m, at_entry, &probe, &mut sends);
         let (probe_p, at_root) = (opened[0], opened[1]);
@@ -582,7 +576,6 @@ fn the_deadline_abandons_what_is_awaited_and_starts_no_work() {
         &net,
         &q,
         root,
-        None,
         faults,
         prompt_except(|e| (e.server != root).then_some(Fate::Silent)),
     );
@@ -631,12 +624,12 @@ proptest! {
         lo in 0.0f64..1.0,
         seed in any::<u64>(),
     ) {
-        // The rest of the case is drawn from `seed`: query width, planner,
-        // failover, how many servers are dead, how many contacts go silent
-        // or answer late, the deadline.
+        // The rest of the case is drawn from `seed`: query width, failover,
+        // how many servers are dead, how many contacts go silent or answer
+        // late, the deadline.
         let mut rng = Rng(seed);
         let width = [0.02, 0.1, 0.3, 1.0][rng.below(4) as usize];
-        let (planner, failover) = (rng.below(2) == 0, rng.below(4) > 0);
+        let failover = rng.below(4) > 0;
         let dead_per_mille = rng.below(400);
         let (silent_per_mille, late_per_mille) = (rng.below(300), rng.below(300));
         let deadline_ms = [0, 700, 8_000][rng.below(3) as usize];
@@ -649,7 +642,6 @@ proptest! {
         let dead: BTreeSet<ServerId> = (net.tree().servers().into_iter())
             .filter(|_| rng.below(1000) < dead_per_mille)
             .collect();
-        let plan = planner.then(|| plan_query(&net, &q, entry, SearchScope::full()));
         let faults = FaultSettings { deadline_ms, failover, ..FAULTY };
 
         // Per server, the widest mode it answered in (stand-ins aside).
@@ -660,7 +652,7 @@ proptest! {
             _ => 2,
         };
         let mut fates: Vec<(ServerId, ContactMode, Fate)> = Vec::new();
-        let run = drive(&net, &q, entry, plan.as_ref(), faults, |_, e| {
+        let run = drive(&net, &q, entry, faults, |_, e| {
             let fate = if dead.contains(&e.server) {
                 Fate::Down
             } else {

@@ -3,8 +3,9 @@
 use proptest::prelude::*;
 use roads_core::overlay::coverage;
 use roads_core::{
-    execute_query_with, plan_query, replication_set, ContactMode, ForwardingMode, HierarchyTree,
-    QueryOptions, RoadsConfig, RoadsNetwork, SearchScope, ServerId,
+    execute_query, execute_query_cached, execute_query_planned, execute_query_with, plan_query,
+    replication_set, ContactMode, ForwardingMode, HierarchyTree, PlanAction, QueryOptions,
+    ResultCache, RoadsConfig, RoadsNetwork, SearchScope, ServerId,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{AttrId, OwnerId, Predicate, Query, QueryId, Record, RecordId, Schema, Value};
@@ -147,42 +148,59 @@ proptest! {
                 in_scope.iter().copied().filter(|s| matches(s.index()) > 0).collect();
             let expected_records: usize = in_scope.iter().map(|s| matches(s.index())).sum();
 
-            let plan = plan_query(&net, &q, entry, scope);
             let mut forward_ms = None;
             for forwarding in [ForwardingMode::ServerForward, ForwardingMode::ClientRedirect] {
-                for plan in [None, Some(&plan)] {
-                    let opts = QueryOptions { scope, forwarding, plan };
-                    let what = format!("entry {entry}, {opts:?}");
-                    let out = execute_query_with(&net, &delays, &q, entry, &opts, None);
-                    prop_assert_eq!(&out.matching_servers, &expected_servers, "{}", what);
-                    prop_assert_eq!(out.matching_records, expected_records, "{}", what);
+                let opts = QueryOptions { scope, forwarding };
+                let what = format!("entry {entry}, {opts:?}");
+                let out = execute_query_with(&net, &delays, &q, entry, &opts, None);
+                prop_assert_eq!(&out.matching_servers, &expected_servers, "{}", what);
+                prop_assert_eq!(out.matching_records, expected_records, "{}", what);
 
-                    let mut trace = Vec::new();
-                    let traced =
-                        execute_query_with(&net, &delays, &q, entry, &opts, Some(&mut trace));
-                    prop_assert_eq!(&traced, &out, "tracing changed the outcome: {}", what);
-                    prop_assert_eq!(trace.len(), out.servers_contacted);
-                    prop_assert_eq!(
-                        (trace[0].server, trace[0].mode, trace[0].caused_by),
-                        (entry, ContactMode::Entry, None)
+                let mut trace = Vec::new();
+                let traced =
+                    execute_query_with(&net, &delays, &q, entry, &opts, Some(&mut trace));
+                prop_assert_eq!(&traced, &out, "tracing changed the outcome: {}", what);
+                prop_assert_eq!(trace.len(), out.servers_contacted);
+                prop_assert_eq!(
+                    (trace[0].server, trace[0].mode, trace[0].caused_by),
+                    (entry, ContactMode::Entry, None)
+                );
+                for (i, e) in trace.iter().enumerate().skip(1) {
+                    let cause = e.caused_by.expect("only the entry is uncaused");
+                    prop_assert!(cause < i, "contact {} caused by later {}: {}", i, cause, what);
+                    prop_assert!(
+                        trace[cause].forwarded_to.contains(&e.server),
+                        "contact {}'s cause {} never forwarded to it: {}", i, cause, what
                     );
-                    for (i, e) in trace.iter().enumerate().skip(1) {
-                        let cause = e.caused_by.expect("only the entry is uncaused");
-                        prop_assert!(cause < i, "contact {} caused by later {}: {}", i, cause, what);
-                        prop_assert!(
-                            trace[cause].forwarded_to.contains(&e.server),
-                            "contact {}'s cause {} never forwarded to it: {}", i, cause, what
-                        );
-                    }
-
-                    // A redirect's round trips through the client can only
-                    // be slower than forwarding the same contacts.
-                    if plan.is_none() {
-                        let forward = *forward_ms.get_or_insert(out.latency_ms);
-                        prop_assert!(out.latency_ms + 1e-9 >= forward);
-                    }
                 }
+
+                // A redirect's round trips through the client can only be
+                // slower than forwarding the same contacts.
+                let forward = *forward_ms.get_or_insert(out.latency_ms);
+                prop_assert!(out.latency_ms + 1e-9 >= forward);
             }
+
+            // The forwards `benchmark/` names: a plan is `route`'s answer
+            // at the entry, and the executors that take one ignore it.
+            let plan = plan_query(&net, &q, entry, scope);
+            let (_, targets) = net.route(entry, &q, ContactMode::Entry, scope);
+            let planned: Vec<(ServerId, ContactMode)> = (plan.contacts.iter())
+                .map(|c| match c.action {
+                    PlanAction::Descend => (c.server, ContactMode::Branch),
+                    PlanAction::Probe => (c.server, ContactMode::LocalOnly),
+                })
+                .collect();
+            prop_assert_eq!(planned, targets);
+            let greedy = execute_query(&net, &delays, &q, entry, scope);
+            prop_assert_eq!(
+                execute_query_planned(&net, &delays, &q, entry, scope, &plan),
+                greedy
+            );
+            let cached = |plan| {
+                let cache = ResultCache::new(1);
+                execute_query_cached(&net, &delays, &q, entry, scope, &cache, plan)
+            };
+            prop_assert_eq!(cached(Some(&plan)), cached(None));
         }
     }
 

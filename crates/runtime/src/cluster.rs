@@ -70,9 +70,9 @@ use parking_lot::Mutex;
 use roads_core::policy::{apply_policy, OpenPolicy, RequesterId, SharingPolicy};
 pub use roads_core::ContactMode;
 use roads_core::{
-    explain_from_trace, fault_decision, hollow_contacts, plan_query, record_query_events,
-    CachedResult, DeltaOutcome, FaultSettings, Outbound, QueryMachine, ResultCache, RoadsNetwork,
-    SearchScope, ServerId, TraceEvent,
+    explain_from_trace, fault_decision, hollow_contacts, record_query_events, CachedResult,
+    DeltaOutcome, FaultSettings, Outbound, QueryMachine, ResultCache, RoadsNetwork, SearchScope,
+    ServerId, TraceEvent,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{Query, Record, WireSize};
@@ -899,14 +899,6 @@ impl RoadsCluster {
         want_explain: bool,
     ) -> (RuntimeOutcome, Option<QueryExplain>) {
         let (cfg, metrics) = (self.cfg, self.metrics.as_ref());
-        // Replica-aware planning: the set-cover contacts go out as one batch
-        // in place of the targets the entry's own expansion names.
-        let plan =
-            (cfg.enable_planner).then(|| plan_query(&self.net, query, start, SearchScope::full()));
-        if let (Some(plan), Some(m)) = (&plan, metrics) {
-            m.planned_queries.inc();
-            m.pruned_probes.add(plan.pruned_probes as u64);
-        }
         let faults = FaultSettings {
             dispatch_timeout_ms: cfg.dispatch_timeout_ms,
             max_retries: cfg.max_retries,
@@ -922,7 +914,7 @@ impl RoadsCluster {
         let (done_tx, done_rx) = unbounded::<Notice>();
         // RAII: covers folding a reply and dispatching its redirect targets.
         let mut merge_span = None;
-        machine.start(start, plan.as_ref(), &mut sends);
+        machine.start(start, &mut sends);
         loop {
             for send in sends.drain(..) {
                 let delay_out = self.scaled_delay(start, send.target);
@@ -1015,8 +1007,13 @@ impl RoadsCluster {
             failed_servers: verdict.failed_servers,
             retries: verdict.retries,
         };
-        let entry_did = plan.map_or(ExplainDecision::Entry, |_| ExplainDecision::Planned);
-        self.finish(query, outcome, &verdict.log, entry_did, want_explain)
+        self.finish(
+            query,
+            outcome,
+            &verdict.log,
+            ExplainDecision::Entry,
+            want_explain,
+        )
     }
 
     fn scaled_delay(&self, a: ServerId, b: ServerId) -> Duration {
@@ -1659,54 +1656,6 @@ mod tests {
     }
 
     #[test]
-    fn planner_cluster_matches_greedy_results() {
-        let n = 9;
-        let greedy = cluster(n);
-        let reg = Registry::new();
-        let planned = RoadsCluster::start_with(
-            test_net(n),
-            DelaySpace::paper(n, 21),
-            RuntimeConfig {
-                enable_planner: true,
-                ..RuntimeConfig::test_fast()
-            },
-            Attachments::instrumented(&reg),
-        );
-        let ranges = [(0.0, 1.0), (0.3, 0.6), (0.87, 0.9)];
-        let (mut greedy_contacts, mut planned_contacts) = (0usize, 0usize);
-        for (i, (lo, hi)) in ranges.iter().enumerate() {
-            let q = QueryBuilder::new(greedy.network().schema(), QueryId(30 + i as u64))
-                .range("x0", *lo, *hi)
-                .build();
-            for start in [0u32, 4, 8] {
-                let a = greedy.query(&q, ServerId(start));
-                let b = planned.query(&q, ServerId(start));
-                let mut ra: Vec<u64> = a.records.iter().map(|r| r.id.0).collect();
-                let mut rb: Vec<u64> = b.records.iter().map(|r| r.id.0).collect();
-                ra.sort_unstable();
-                rb.sort_unstable();
-                assert_eq!(
-                    ra, rb,
-                    "recall must not change (x0∈[{lo},{hi}] start={start})"
-                );
-                assert!(b.complete, "planned query stays provably complete");
-                greedy_contacts += a.servers_contacted;
-                planned_contacts += b.servers_contacted;
-            }
-        }
-        assert!(
-            planned_contacts <= greedy_contacts,
-            "planner must never contact more servers ({planned_contacts} vs {greedy_contacts})"
-        );
-        assert_eq!(
-            reg.counter("roads.planner.planned_queries").get(),
-            (ranges.len() * 3) as u64
-        );
-        greedy.shutdown();
-        planned.shutdown();
-    }
-
-    #[test]
     fn cache_replays_repeats_and_invalidates_on_round_advance() {
         let reg = Registry::new();
         let c = RoadsCluster::start_with(
@@ -1823,17 +1772,13 @@ mod tests {
     #[test]
     fn inverted_range_query_leaves_every_server_alive() {
         // Regression: an inverted range made `RecordStore::search` slice
-        // its index backwards and panic, killing the server. The
-        // planner contacts the entry `LocalOnly`, which searches the store
-        // whatever the summaries say.
+        // its index backwards and panic, killing the server. The store's
+        // own tests pin the search; here every entry routes the query.
         let n = 9;
         let c = RoadsCluster::start(
             test_net(n),
             DelaySpace::paper(n, 21),
-            RuntimeConfig {
-                enable_planner: true,
-                ..RuntimeConfig::test_faulty()
-            },
+            RuntimeConfig::test_faulty(),
         );
         let inverted = QueryBuilder::new(c.network().schema(), QueryId(60))
             .range("x1", 0.8, 0.2)
@@ -1864,18 +1809,15 @@ mod tests {
     fn query_on_an_attribute_outside_the_schema_leaves_every_server_alive() {
         // Regression, sibling of the inverted range: `Query::new` takes no
         // schema, so a predicate can name an attribute the federation
-        // does not have. The summaries answer "no match" for it, but the
-        // planner contacts the entry `LocalOnly`, which searches the store
-        // whatever they say — and the search indexed out of bounds.
+        // does not have, and the store's search indexed out of bounds. The
+        // store's own tests pin the search; here every entry routes the
+        // query, and the summaries answer "no match" for it.
         use roads_records::{AttrId, Predicate, Query};
         let n = 9;
         let c = RoadsCluster::start(
             test_net(n),
             DelaySpace::paper(n, 21),
-            RuntimeConfig {
-                enable_planner: true,
-                ..RuntimeConfig::test_faulty()
-            },
+            RuntimeConfig::test_faulty(),
         );
         let stray = AttrId(7);
         let predicates = [

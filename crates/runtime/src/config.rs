@@ -48,7 +48,7 @@ pub struct RuntimeConfig {
     /// Maximum queries in flight at once across all client threads. The
     /// shared dispatcher and the server cells are safe at any
     /// concurrency, but unbounded admission lets a burst of clients queue
-    /// arbitrary work behind every server; past this limit `query_as`
+    /// arbitrary work behind every server; past this limit `query_with`
     /// blocks until a slot frees. `0` disables admission control.
     pub max_inflight_queries: usize,
     /// Response-time SLO in milliseconds: on an instrumented cluster,
@@ -57,11 +57,10 @@ pub struct RuntimeConfig {
     /// an SLO miss changes nothing about execution). `0` disables the
     /// counter.
     pub slo_response_ms: u64,
-    /// Plan queries with the replica-aware set-cover planner
-    /// (`roads_core::planner`) and dispatch the planned contacts as one
-    /// batch from the entry, instead of greedy hop-by-hop overlay
-    /// expansion. Off by default: greedy remains the reference path, and
-    /// experiments opt in (fig17).
+    /// Read by nothing since the set-cover planner was deleted (the entry
+    /// dispatches what `RoadsNetwork::route` names, always) — delete with
+    /// the next benchmark change: `benchmark/src/workloads.rs` still
+    /// names it.
     pub enable_planner: bool,
     /// TTL of the per-entry result cache, in update-round epochs: a result
     /// cached at epoch `e` is replayed while `current − e <` this value,

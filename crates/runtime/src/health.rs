@@ -123,12 +123,6 @@ pub(crate) struct RuntimeMetrics {
     /// raw records because a removal could not be unlearned exactly (at
     /// most one per server per round).
     pub delta_shard_rebuilds: Arc<Counter>,
-    /// `roads.planner.planned_queries`: queries dispatched via the
-    /// replica-aware set-cover planner instead of greedy expansion.
-    pub planned_queries: Arc<Counter>,
-    /// `roads.planner.pruned_probes`: ancestor probes the planner skipped
-    /// because the replicated *local* summary ruled the ancestor out.
-    pub pruned_probes: Arc<Counter>,
     /// Per-server instruments, indexed by `ServerId::index`.
     pub servers: Vec<ServerInstruments>,
 }
@@ -193,8 +187,6 @@ impl RuntimeMetrics {
             delta_dirty_servers: reg.counter("roads.delta.dirty_servers"),
             delta_dirty_branches: reg.counter("roads.delta.dirty_branches"),
             delta_shard_rebuilds: reg.counter("roads.delta.shard_rebuilds"),
-            planned_queries: reg.counter("roads.planner.planned_queries"),
-            pruned_probes: reg.counter("roads.planner.pruned_probes"),
             servers,
         }
     }

@@ -6,14 +6,14 @@
 //!   sampler, with each plane's view taken from the same run.
 //! * Both planes run one per-server step (`RoadsNetwork::route`) and keep
 //!   one contact log: with no faults the live cluster's log is the
-//!   simulator's client-redirect log entry for entry, planner off and on,
-//!   and one derivation explains both — naming, for every hop, the
+//!   simulator's client-redirect log entry for entry, and one derivation
+//!   explains both — naming, for every hop, the
 //!   summary routing actually tested.
 
 use roads_core::policy::{OpenPolicy, SharingPolicy, TieredPolicy};
 use roads_core::{
-    execute_query_with, explain_from_trace, plan_query, ForwardingMode, QueryOptions, RequesterId,
-    RoadsConfig, RoadsNetwork, SearchScope, ServerId,
+    execute_query_with, explain_from_trace, ForwardingMode, QueryOptions, RequesterId, RoadsConfig,
+    RoadsNetwork, ServerId,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{
@@ -179,49 +179,41 @@ fn live_hops_are_the_simulators_client_redirect_contacts() {
         range_query(&net, 3, 0.613, 0.614),
         range_query(&net, 4, 2.0, 3.0),
     ];
-    for planner in [false, true] {
-        let c = RoadsCluster::start(
-            net.clone(),
-            delays.clone(),
-            RuntimeConfig {
-                delay_scale: 0.0,
-                enable_planner: planner,
-                ..RuntimeConfig::test_fast()
-            },
-        );
-        for q in &queries {
-            for entry in (0..n as u32).map(ServerId) {
-                let plan = planner.then(|| plan_query(&net, q, entry, SearchScope::full()));
-                let opts = QueryOptions {
-                    forwarding: ForwardingMode::ClientRedirect,
-                    plan: plan.as_ref(),
-                    ..QueryOptions::default()
-                };
-                let entry_did = match plan {
-                    Some(_) => ExplainDecision::Planned,
-                    None => ExplainDecision::Entry,
-                };
-                let mut trace = Vec::new();
-                let sim = execute_query_with(&net, &delays, q, entry, &opts, Some(&mut trace));
-                let sim_explain = explain_from_trace(&net, q, TraceId::NONE, &trace, entry_did);
-                let (live, explain) = c.query_with(q, entry, RequesterId(0), true);
-                let explain = explain.expect("explain was requested");
+    let c = RoadsCluster::start(
+        net.clone(),
+        delays.clone(),
+        RuntimeConfig {
+            delay_scale: 0.0,
+            ..RuntimeConfig::test_fast()
+        },
+    );
+    let opts = QueryOptions {
+        forwarding: ForwardingMode::ClientRedirect,
+        ..QueryOptions::default()
+    };
+    for q in &queries {
+        for entry in (0..n as u32).map(ServerId) {
+            let mut trace = Vec::new();
+            let sim = execute_query_with(&net, &delays, q, entry, &opts, Some(&mut trace));
+            let sim_explain =
+                explain_from_trace(&net, q, TraceId::NONE, &trace, ExplainDecision::Entry);
+            let (live, explain) = c.query_with(q, entry, RequesterId(0), true);
+            let explain = explain.expect("explain was requested");
 
-                let what = format!("query {}, entry {entry}, planner {planner}", q.id.0);
-                assert_eq!(contacts(&explain), contacts(&sim_explain), "{what}");
-                assert_eq!(explain.hops[0].server, entry.0, "{what}");
-                assert!(
-                    live.complete && explain.complete && sim_explain.complete,
-                    "{what}"
-                );
-                assert!(!explain.deadline_hit && !sim_explain.deadline_hit, "{what}");
-                assert_eq!(explain.records, sim_explain.records, "{what}");
-                assert_eq!(live.servers_contacted, sim.servers_contacted, "{what}");
-                assert_eq!(live.records.len(), sim.matching_records, "{what}");
-            }
+            let what = format!("query {}, entry {entry}", q.id.0);
+            assert_eq!(contacts(&explain), contacts(&sim_explain), "{what}");
+            assert_eq!(explain.hops[0].server, entry.0, "{what}");
+            assert!(
+                live.complete && explain.complete && sim_explain.complete,
+                "{what}"
+            );
+            assert!(!explain.deadline_hit && !sim_explain.deadline_hit, "{what}");
+            assert_eq!(explain.records, sim_explain.records, "{what}");
+            assert_eq!(live.servers_contacted, sim.servers_contacted, "{what}");
+            assert_eq!(live.records.len(), sim.matching_records, "{what}");
         }
-        c.shutdown();
     }
+    c.shutdown();
 }
 
 /// An ancestor is probed on its *local* summary (`RoadsNetwork::evaluate`)

@@ -81,9 +81,6 @@ pub enum ExplainDecision {
     Failover,
     /// Answered from the entry's TTL'd result cache — no dispatch at all.
     CacheHit,
-    /// Dispatched as part of a planner-computed batch (replica-aware
-    /// set-cover source selection) instead of hop-by-hop expansion.
-    Planned,
 }
 
 impl ExplainDecision {
@@ -97,7 +94,6 @@ impl ExplainDecision {
             ExplainDecision::Retry => "retry",
             ExplainDecision::Failover => "failover",
             ExplainDecision::CacheHit => "cache-hit",
-            ExplainDecision::Planned => "planned",
         }
     }
 
@@ -111,7 +107,6 @@ impl ExplainDecision {
             "retry" => ExplainDecision::Retry,
             "failover" => ExplainDecision::Failover,
             "cache-hit" => ExplainDecision::CacheHit,
-            "planned" => ExplainDecision::Planned,
             _ => return None,
         })
     }
@@ -483,7 +478,6 @@ mod tests {
             ExplainDecision::Retry,
             ExplainDecision::Failover,
             ExplainDecision::CacheHit,
-            ExplainDecision::Planned,
         ] {
             assert_eq!(ExplainDecision::parse(d.as_str()), Some(d));
         }

@@ -2,8 +2,8 @@
 //! writer, the strict reader, the marker test, `load` and `write`.
 //!
 //! Every strict JSON artifact of the workspace (`SLOW_QUERIES`, `AUDIT`,
-//! `PLAN`, `DELTA`, `INCIDENTS` and the records nested inside them) is a
-//! plain struct plus one [`json_fields!`] table
+//! `DELTA`, `INCIDENTS` and the records nested inside them) is a plain
+//! struct plus one [`json_fields!`] table
 //! naming its fields in on-disk order. The table derives [`JsonField`] for
 //! the struct; a top-level document adds [`artifact!`], which derives the
 //! inherent `to_json` / `from_json` / `has_marker` / `load` / `write` and

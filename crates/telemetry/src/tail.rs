@@ -311,14 +311,16 @@ impl TailSampler {
                 })
                 .map(|(i, _)| i)
         };
+        // `remove`, not `swap_remove`: the reservoir stays in arrival
+        // order, so index 0 is always the oldest entry.
         if let Some(i) = slowest_first(retained) {
-            retained.swap_remove(i);
+            retained.remove(i);
             return true;
         }
         // Reservoir holds only Failed/Incomplete: keep them unless the
         // incoming query is also Failed/Incomplete (recency wins then).
         if incoming != RetainReason::Slow {
-            retained.swap_remove(0);
+            retained.remove(0);
             return true;
         }
         false
@@ -474,6 +476,33 @@ mod tests {
         s.observe(explain_ms(6, 500.0, true), false, Vec::new());
         let after: Vec<u64> = s.retained().iter().map(|q| q.explain.query_id).collect();
         assert_eq!(before, after, "Slow must not displace Failed/Incomplete");
+    }
+
+    #[test]
+    fn failed_entries_are_evicted_oldest_first() {
+        let sampler = || {
+            TailSampler::new(TailConfig {
+                capacity: 3,
+                min_samples: 1_000_000,
+                floor_ms: 1.0,
+            })
+        };
+        let ids = |s: &TailSampler| -> Vec<u64> {
+            s.retained().iter().map(|q| q.explain.query_id).collect()
+        };
+        let s = sampler();
+        for id in 1..=5 {
+            s.observe(explain_ms(id, 0.1, true), true, Vec::new());
+        }
+        assert_eq!(ids(&s), [3, 4, 5], "recency wins: the oldest failures go");
+
+        // Evicting a Slow entry from the front keeps the rest in order too.
+        let s = sampler();
+        s.observe(explain_ms(10, 50.0, true), false, Vec::new());
+        for id in 11..=14 {
+            s.observe(explain_ms(id, 0.1, true), true, Vec::new());
+        }
+        assert_eq!(ids(&s), [12, 13, 14]);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 use proptest::prelude::*;
 use roads_bench::artifacts::ARTIFACTS;
 use roads_bench::delta_view::{DeltaReport, DELTA_SCHEMA_VERSION};
-use roads_bench::plan_view::{PlanReport, PLAN_SCHEMA_VERSION};
 use roads_runtime::{
     AuditLevelRow, AuditReport, CauseKind, FaultKind, Incident, IncidentReport, MatchedFault,
     SuspectedCause,
@@ -98,7 +97,6 @@ fn hop(g: &mut Gen) -> ExplainHop {
             ExplainDecision::Retry,
             ExplainDecision::Failover,
             ExplainDecision::CacheHit,
-            ExplainDecision::Planned,
         ]),
         summary: g.maybe(|g| {
             g.pick(&[
@@ -204,23 +202,6 @@ fn audit_report(g: &mut Gen) -> AuditReport {
             live_probes: g.count(),
             live_false_positives: g.count(),
         }),
-    }
-}
-
-fn plan_report(g: &mut Gen) -> PlanReport {
-    // validate(): the pass ran, and planned contacts never exceed greedy.
-    let greedy_contacts = g.count();
-    PlanReport {
-        schema_version: PLAN_SCHEMA_VERSION,
-        config: g.text(),
-        queries: 1 + g.count(),
-        planned_queries: g.count(),
-        pruned_probes: g.count(),
-        greedy_contacts,
-        planned_contacts: g.below(greedy_contacts + 1),
-        cache_hits: g.count(),
-        cache_misses: g.count(),
-        cache_invalidations: g.count(),
     }
 }
 
@@ -407,14 +388,6 @@ const EXERCISERS: &[(&str, Exerciser)] = &[
             &audit_report(g),
             AuditReport::to_json,
             AuditReport::from_json,
-            g,
-        )
-    }),
-    (PlanReport::MARKER, |g| {
-        exercise(
-            &plan_report(g),
-            PlanReport::to_json,
-            PlanReport::from_json,
             g,
         )
     }),

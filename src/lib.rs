@@ -42,8 +42,8 @@
 //! let outcome = execute_query(&net, &delays, &query, ServerId(5), SearchScope::full());
 //! assert!(outcome.matching_records > 0);
 //!
-//! // The same query in full: scope, forwarding style and a planner's
-//! // batch are `QueryOptions`; observation is an optional contact log.
+//! // The same query in full: scope and forwarding style are
+//! // `QueryOptions`; observation is an optional contact log.
 //! let opts = QueryOptions {
 //!     forwarding: ForwardingMode::ClientRedirect,
 //!     ..QueryOptions::default()
