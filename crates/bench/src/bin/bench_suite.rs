@@ -210,10 +210,10 @@ fn main() {
         audit_probes,
         cluster.liveness(),
     );
-    // Watchdog over the same run: the standard detector bank (per-server
-    // liveness, windowed-p99 latency spikes, SLO burn rate) evaluated
-    // against the live registry every tick, correlated with the fault
-    // log into the INCIDENTS.json timeline written at the end.
+    // Watchdog over the same run: its fixed detectors (per-server
+    // liveness, windowed-p99 latency spikes, SLO burn rate) fed from the
+    // cluster's own instruments every tick, correlated with the fault log
+    // into the INCIDENTS.json timeline written at the end.
     let watchdog = Watchdog::for_cluster(
         &cluster,
         &reg,

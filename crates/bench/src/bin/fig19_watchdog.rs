@@ -2,11 +2,11 @@
 //! injected faults.
 //!
 //! The watchdog plane answers *how fast the system notices it is
-//! broken*: a background [`Watchdog`] evaluates the standard detector
-//! bank (per-server liveness thresholds, EWMA z-score spikes over the
-//! windowed query-latency p99, multi-window SLO burn rate) against the
-//! live registry every tick and correlates firings with the cluster's
-//! fault log into ranked-cause incidents. This figure sweeps fault type
+//! broken*: a background [`Watchdog`] feeds its fixed detectors
+//! (per-server liveness floors, an EWMA z-score spike detector over the
+//! windowed query-latency p99, a multi-window SLO burn rate) from the
+//! cluster's own instruments every tick and correlates firings with the
+//! cluster's fault log into ranked-cause incidents. This figure sweeps fault type
 //! (kill vs straggler) against severity (number of killed servers;
 //! straggler slowdown factor): for each cell a live cluster warms up
 //! healthy, the fault is injected, and the figure records how long the

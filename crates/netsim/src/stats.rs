@@ -94,21 +94,6 @@ impl TrafficStats {
         self.messages.iter().sum()
     }
 
-    /// Merge counters from another run (e.g. per-trial accumulation).
-    pub fn absorb(&mut self, other: &TrafficStats) {
-        for i in 0..4 {
-            self.bytes[i] += other.bytes[i];
-            self.messages[i] += other.messages[i];
-        }
-    }
-
-    /// Fold `other` into `self` — the workspace's canonical merge name,
-    /// matching `roads_telemetry::Histogram::merge`. Equivalent to
-    /// [`TrafficStats::absorb`], which remains for existing callers.
-    pub fn merge(&mut self, other: &TrafficStats) {
-        self.absorb(other);
-    }
-
     /// Reset all counters.
     pub fn clear(&mut self) {
         *self = Self::default();
@@ -144,29 +129,6 @@ mod tests {
         assert_eq!(s.bytes(TrafficClass::Query), 10);
         assert_eq!(s.total_bytes(), 160);
         assert_eq!(s.total_messages(), 3);
-    }
-
-    #[test]
-    fn absorb_sums() {
-        let mut a = TrafficStats::new();
-        a.record(TrafficClass::Data, 5);
-        let mut b = TrafficStats::new();
-        b.record(TrafficClass::Data, 7);
-        b.record(TrafficClass::Maintenance, 1);
-        a.absorb(&b);
-        assert_eq!(a.bytes(TrafficClass::Data), 12);
-        assert_eq!(a.messages(TrafficClass::Maintenance), 1);
-    }
-
-    #[test]
-    fn merge_is_absorb() {
-        let mut a = TrafficStats::new();
-        a.record(TrafficClass::Query, 3);
-        let mut b = TrafficStats::new();
-        b.record(TrafficClass::Query, 4);
-        a.merge(&b);
-        assert_eq!(a.bytes(TrafficClass::Query), 7);
-        assert_eq!(a.messages(TrafficClass::Query), 2);
     }
 
     #[test]

@@ -2,42 +2,8 @@
 
 use proptest::prelude::*;
 use roads_netsim::{
-    Ctx, DelaySpace, DelaySpaceConfig, NodeId, Protocol, SimTime, Simulator, TimerTag,
-    TrafficClass, TrafficStats,
+    Ctx, DelaySpace, DelaySpaceConfig, NodeId, Protocol, SimTime, Simulator, TimerTag, TrafficClass,
 };
-
-/// Strategy item: one `record()` call (class index, byte count).
-fn record_stream() -> impl Strategy<Value = Vec<(usize, usize)>> {
-    prop::collection::vec((0usize..4, 0usize..100_000), 0..64)
-}
-
-/// Replay a stream of `(class, bytes)` records into a fresh stats object.
-fn replay(stream: &[(usize, usize)]) -> TrafficStats {
-    let mut s = TrafficStats::default();
-    for &(class, bytes) in stream {
-        s.record(TrafficClass::ALL[class], bytes);
-    }
-    s
-}
-
-/// Class-by-class equality (TrafficStats hides its arrays).
-fn assert_stats_eq(a: &TrafficStats, b: &TrafficStats) -> Result<(), TestCaseError> {
-    for class in TrafficClass::ALL {
-        prop_assert_eq!(
-            a.bytes(class),
-            b.bytes(class),
-            "bytes mismatch for {}",
-            class
-        );
-        prop_assert_eq!(
-            a.messages(class),
-            b.messages(class),
-            "messages mismatch for {}",
-            class
-        );
-    }
-    Ok(())
-}
 
 /// Relay chain: each node forwards the token to `next` until hops run out,
 /// recording the path.
@@ -137,23 +103,5 @@ proptest! {
                 prop_assert!(w[0].0 <= w[1].0);
             }
         }
-    }
-
-    #[test]
-    fn traffic_merge_commutes(xs in record_stream(), ys in record_stream()) {
-        let mut ab = replay(&xs);
-        ab.merge(&replay(&ys));
-        let mut ba = replay(&ys);
-        ba.merge(&replay(&xs));
-        assert_stats_eq(&ab, &ba)?;
-    }
-
-    #[test]
-    fn traffic_merge_is_stream_union(xs in record_stream(), ys in record_stream()) {
-        let mut merged = replay(&xs);
-        merged.merge(&replay(&ys));
-        let concat: Vec<(usize, usize)> =
-            xs.iter().chain(ys.iter()).copied().collect();
-        assert_stats_eq(&merged, &replay(&concat))?;
     }
 }

@@ -322,13 +322,12 @@ pub fn explain_from_trace(
 /// `retry` instant on the span of the attempt it replaces, a stand-in a
 /// `failover` instant naming the dead server, and `query-start` /
 /// `query-complete` instants on the entry's span bracket the lot. Returns
-/// the root span.
-pub fn record_query_events(
-    rec: &Recorder,
-    trace_id: TraceId,
-    trace: &[TraceEvent],
-) -> Option<SpanId> {
-    let first = trace.first()?;
+/// the events it recorded, in recording order (none for an empty log);
+/// the first one is on the root span.
+pub fn record_query_events(rec: &Recorder, trace_id: TraceId, trace: &[TraceEvent]) -> Vec<Event> {
+    let Some(first) = trace.first() else {
+        return Vec::new();
+    };
     let to_us = |ms: f64| (ms * 1000.0).round().max(0.0) as u64;
     let spans: Vec<SpanId> = trace.iter().map(|_| rec.next_span_id()).collect();
     // An event on the span, and the server, of contact `i`.
@@ -342,18 +341,18 @@ pub fn record_query_events(
         kind,
         detail,
     };
-    rec.record(on(0, first.at_ms, 0, EventKind::QueryStart, trace_id.0));
+    let mut events = vec![on(0, first.at_ms, 0, EventKind::QueryStart, trace_id.0)];
     for (i, e) in trace.iter().enumerate() {
         match (fault_decision(e.mode, e.tries, e.caused_by), e.caused_by) {
             (Some(ExplainDecision::Retry), Some(failed)) => {
-                rec.record(on(failed, e.at_ms, 0, EventKind::Retry, e.tries as u64));
+                events.push(on(failed, e.at_ms, 0, EventKind::Retry, e.tries as u64));
             }
             (Some(_), Some(failed)) => {
                 let dead = match e.mode {
                     ContactMode::Failover { dead } => dead,
                     _ => trace[failed].server,
                 };
-                rec.record(on(i, e.at_ms, 0, EventKind::Failover, dead.0 as u64));
+                events.push(on(i, e.at_ms, 0, EventKind::Failover, dead.0 as u64));
             }
             _ => {}
         }
@@ -367,14 +366,17 @@ pub fn record_query_events(
             HopOutcome::Replied => (EventKind::QueryHop, e.local_matches as u64),
             _ => (EventKind::DispatchTimeout, e.tries as u64),
         };
-        rec.record(on(i, e.at_ms, dur_us, kind, detail));
+        events.push(on(i, e.at_ms, dur_us, kind, detail));
     }
     let end_ms = trace
         .iter()
         .fold(first.closed_ms, |end, e| end.max(e.closed_ms));
     let total_matches = trace.iter().map(|e| e.local_matches as u64).sum();
-    rec.record(on(0, end_ms, 0, EventKind::QueryComplete, total_matches));
-    Some(spans[0])
+    events.push(on(0, end_ms, 0, EventKind::QueryComplete, total_matches));
+    for &e in &events {
+        rec.record(e);
+    }
+    events
 }
 
 /// Execute `query` starting at `start`, over a converged [`RoadsNetwork`]
@@ -703,8 +705,10 @@ mod tests {
         let rec = Recorder::new(4096);
         let trace_id = rec.next_trace_id();
         let (out, trace) = traced(&net, &delays, &q, ServerId(11), SearchScope::full());
-        let root = record_query_events(&rec, trace_id, &trace).expect("non-empty trace");
+        let recorded = record_query_events(&rec, trace_id, &trace);
+        let root = recorded.first().expect("non-empty trace").span;
         let events = rec.events();
+        assert_eq!(recorded, events, "it returns what it recorded");
         // `span_tree_root` validates acyclicity and single-rootedness.
         assert_eq!(span_tree_root(&events, trace_id), Ok(root));
         // …and the root span lives on the entry server.

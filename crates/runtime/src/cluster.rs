@@ -77,8 +77,8 @@ use roads_core::{
 use roads_netsim::DelaySpace;
 use roads_records::{Query, Record, WireSize};
 use roads_telemetry::{
-    span::timed, trace_events, ExplainDecision, Gauge, Histogram, HopOutcome, LatencySplit,
-    QueryExplain, Recorder, Registry, SpanTimer, TailSampler, TraceId,
+    span::timed, ExplainDecision, Gauge, Histogram, HopOutcome, LatencySplit, QueryExplain,
+    Recorder, Registry, SpanTimer, TailSampler, TraceId,
 };
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -231,7 +231,7 @@ pub(crate) enum DispatchJob {
         notice: Notice,
     },
     #[cfg(test)]
-    Probe(Box<dyn FnOnce() + Send>),
+    Call(Box<dyn FnOnce() + Send>),
 }
 
 impl DispatchJob {
@@ -269,13 +269,13 @@ impl DispatchJob {
                 let _ = done.send(notice);
             }
             #[cfg(test)]
-            DispatchJob::Probe(f) => f(),
+            DispatchJob::Call(f) => f(),
         }
     }
 
     #[cfg(test)]
     pub(crate) fn test_probe(f: impl FnOnce() + Send + 'static) -> Self {
-        DispatchJob::Probe(Box::new(f))
+        DispatchJob::Call(Box::new(f))
     }
 }
 
@@ -366,9 +366,10 @@ pub struct RoadsCluster {
     servers: Vec<Mutex<ServerSlot>>,
     dispatcher: Dispatcher,
     gate: InflightGate,
-    metrics: Option<RuntimeMetrics>,
+    /// Also read by [`crate::watchdog::Watchdog::for_cluster`], as are
+    /// `tail` and `audit`.
+    pub(crate) metrics: Option<RuntimeMetrics>,
     recorder: Option<Arc<Recorder>>,
-    /// Also read by [`crate::watchdog::Watchdog::for_cluster`].
     pub(crate) tail: Option<Arc<TailSampler>>,
     /// Per-server liveness and straggler flags, shared with every server
     /// incarnation and with the auditor's liveness closure.
@@ -376,7 +377,7 @@ pub struct RoadsCluster {
     /// Timestamped log of injected faults (kill/restart/slow/restore),
     /// shared with the watchdog for incident correlation.
     fault_log: Arc<FaultLog>,
-    audit: Option<Arc<AuditMetrics>>,
+    pub(crate) audit: Option<Arc<AuditMetrics>>,
     /// TTL'd result cache, present when `cfg.cache_ttl_rounds > 0`. Keyed
     /// by (entry, requester, scope, query fingerprint); epochs advance via
     /// [`RoadsCluster::advance_cache_round`].
@@ -842,13 +843,12 @@ impl RoadsCluster {
                 m.slo_violation.inc();
             }
         }
-        let trace = match &self.recorder {
+        let (trace, events) = match &self.recorder {
             Some(rec) if entry != ExplainDecision::CacheHit => {
                 let trace = rec.next_trace_id();
-                record_query_events(rec, trace, log);
-                trace
+                (trace, record_query_events(rec, trace, log))
             }
-            _ => TraceId::NONE,
+            _ => (TraceId::NONE, Vec::new()),
         };
         let explain = want_explain.then(|| QueryExplain {
             // Measured here, not modelled: the wall clock, the fault
@@ -869,18 +869,8 @@ impl RoadsCluster {
         }
         if let (Some(tail), Some(explain)) = (&self.tail, &explain) {
             let failed = !outcome.failed_servers.is_empty();
-            // Collecting the flight-recorder trace means scanning the
-            // whole ring buffer — only worth it for queries the sampler
-            // will actually retain. `classify` is stable across the
-            // `observe` call because classification happens before the
-            // sample folds in.
-            let retained = tail.classify(outcome.response_ms, failed, outcome.complete);
-            let events = match &self.recorder {
-                Some(r) if retained.is_some() && trace != TraceId::NONE => {
-                    trace_events(&r.events(), trace)
-                }
-                _ => Vec::new(),
-            };
+            // The events just recorded, not the ring's copy of them:
+            // the ring may already have evicted the first ones.
             tail.observe(explain.clone(), failed, events);
         }
         (outcome, explain)

@@ -84,6 +84,5 @@ pub use config::RuntimeConfig;
 pub use health::{ClusterHealth, FaultEvent, FaultKind, FaultLog, ServerHealth};
 pub use roads_core::RecordStore;
 pub use watchdog::{
-    standard_bank, CauseKind, Incident, IncidentReport, MatchedFault, Probe, SuspectedCause,
-    Watchdog, WatchdogConfig, WatchdogMetrics,
+    CauseKind, Incident, IncidentReport, MatchedFault, SuspectedCause, Watchdog, WatchdogConfig,
 };

@@ -5,44 +5,51 @@
 //! [`Periodic`] thread (one final tick on shutdown), `tick_now` for
 //! deterministic tests, `stop()` returning the final [`IncidentReport`] —
 //! but instead of probing ground truth it watches the cluster's own
-//! telemetry. Each tick it:
+//! instruments, held typed from [`Watchdog::for_cluster`] on. Each tick
+//! it:
 //!
-//! 1. **samples** a set of [`Probe`]s from the shared
-//!    [`Registry`] — raw counter/gauge values, per-tick counter-delta
-//!    ratios (e.g. SLO burn = `Δslo_violations/Δqueries`),
-//!    and *windowed* histogram p99s (`<name>.p99w`, the p99 of only the
-//!    samples recorded since the previous tick, so a straggler shifts
-//!    the signal within one tick instead of being diluted by the
-//!    cumulative distribution);
-//! 2. **evaluates** a [`DetectorBank`] (`roads_telemetry::detect`) over
-//!    those samples, producing epoch-stamped [`DetectorFiring`]s;
-//! 3. **coalesces** firings into [`Incident`]s — firings within
+//! 1. **feeds fixed detectors** (`roads_telemetry::detect`) from those
+//!    instruments, in this order:
+//!    * per server, in ascending id, a `server-down` floor on its
+//!      liveness gauge (series `runtime.server.alive{server="N"}`);
+//!    * a `latency-spike` EWMA detector on the *windowed* p99 of query
+//!      response time (`runtime.query_response_ms.p99w`: the p99 of only
+//!      the samples recorded since the previous tick, so a straggler
+//!      shifts the signal within one tick instead of being diluted by the
+//!      cumulative distribution; skipped on ticks with no new samples);
+//!    * a multi-window `slo-burn` rule on `Δslo_violations / Δqueries`
+//!      over the tick (`watchdog.slo_burn`; skipped on ticks where no
+//!      query finished).
+//!
+//!    A detector is fed a sample only if it is newer than the last one it
+//!    was fed;
+//! 2. **coalesces** firings into [`Incident`]s — firings within
 //!    [`WatchdogConfig::coalesce`] of an open incident's last activity
 //!    merge into it, everything else opens a new incident;
-//! 4. **correlates** each new incident with the flight recorder's view
+//! 3. **correlates** each new incident with the flight recorder's view
 //!    of the world: injected fault events ([`FaultLog`] kills /
 //!    stragglers, ranked by onset proximity), overlay audit divergence
-//!    (`audit.divergence_ppm`), per-server queue-depth locality, and
-//!    tail-sampled slow-query explains retained while the incident is
-//!    open. The ranked [`SuspectedCause`] list keeps that tier order:
-//!    fault-event proximity first, then audit divergence, then queue
-//!    depth. An incident matching a fault onset records its
-//!    detection-latency-from-onset; one matching nothing is counted as
-//!    a false alarm.
+//!    (the attached [`AuditMetrics`]' `divergence_ppm`), per-server
+//!    queue-depth locality, and tail-sampled slow-query explains retained
+//!    while the incident is open. The ranked [`SuspectedCause`] list keeps
+//!    that tier order: fault-event proximity first, then audit
+//!    divergence, then queue depth. An incident matching a fault onset
+//!    records its detection-latency-from-onset; one matching nothing is
+//!    counted as a false alarm.
 //!
 //! Every outcome lands in pre-resolved `roads.watchdog.*` OpenMetrics
-//! instruments ([`WatchdogMetrics`]), and the incident timeline is
-//! exported as the `INCIDENTS.json` artifact ([`IncidentReport`], on the
-//! same artifact layer as `AUDIT.json`).
+//! instruments, and the incident timeline is exported as the
+//! `INCIDENTS.json` artifact ([`IncidentReport`], on the same artifact
+//! layer as `AUDIT.json`).
 
+use crate::audit::AuditMetrics;
 use crate::cluster::RoadsCluster;
-use crate::health::{FaultKind, FaultLog};
+use crate::health::{FaultKind, FaultLog, RuntimeMetrics};
 use roads_telemetry::{
-    artifact, json_fields, json_labels, labeled, BurnRateRule, Counter, DetectorBank,
-    DetectorFiring, EwmaSpikeDetector, Gauge, Histogram, Periodic, Registry, TailSampler,
-    ThresholdRule,
+    artifact, json_fields, json_labels, labeled, BurnRateRule, Counter, EwmaSpikeDetector, Gauge,
+    Histogram, Periodic, Registry, TailSampler, ThresholdRule,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
@@ -57,6 +64,17 @@ const FAULT_MATCH_MS: f64 = 5_000.0;
 /// Per-server queue depth at or above which queue locality is reported
 /// as a suspected cause.
 const QUEUE_ALERT_DEPTH: i64 = 4;
+
+/// The detector a server's liveness floor fires as.
+const SERVER_DOWN: &str = "server-down";
+/// The detector the windowed response p99 fires as.
+const LATENCY_SPIKE: &str = "latency-spike";
+/// The detector the SLO burn rate fires as.
+const SLO_BURN: &str = "slo-burn";
+/// The series name of the windowed response p99.
+const P99W_SERIES: &str = "runtime.query_response_ms.p99w";
+/// The series name of the per-tick SLO burn ratio.
+const BURN_SERIES: &str = "watchdog.slo_burn";
 
 /// Background watchdog schedule and correlation policy.
 #[derive(Debug, Clone)]
@@ -79,72 +97,41 @@ impl Default for WatchdogConfig {
 
 /// Every instrument the watchdog records into, pre-resolved so all
 /// families appear in a scrape from the first moment.
-#[derive(Debug, Clone)]
-pub struct WatchdogMetrics {
+struct WatchdogMetrics {
     /// `roads.watchdog.ticks`: detection ticks completed.
-    pub ticks: Arc<Counter>,
+    ticks: Arc<Counter>,
     /// `roads.watchdog.incidents`: incidents opened.
-    pub incidents: Arc<Counter>,
+    incidents: Arc<Counter>,
     /// `roads.watchdog.false_alarms`: incidents matching no fault.
-    pub false_alarms: Arc<Counter>,
+    false_alarms: Arc<Counter>,
     /// `roads.watchdog.open_incidents`: incidents currently open.
-    pub open_incidents: Arc<Gauge>,
+    open_incidents: Arc<Gauge>,
     /// `roads.watchdog.detection_latency_ms`: firing-to-fault-onset gap
     /// for each first detection of an injected fault.
-    pub detection_latency_ms: Arc<Histogram>,
-    /// `roads.watchdog.firings{detector="..."}`: firings per detector.
-    firings: Vec<(String, Arc<Counter>)>,
+    detection_latency_ms: Arc<Histogram>,
+    /// `roads.watchdog.firings{detector="server-down"}`.
+    down_firings: Arc<Counter>,
+    /// `roads.watchdog.firings{detector="latency-spike"}`.
+    spike_firings: Arc<Counter>,
+    /// `roads.watchdog.firings{detector="slo-burn"}`.
+    burn_firings: Arc<Counter>,
 }
 
 impl WatchdogMetrics {
-    /// Resolve (and thereby declare) every watchdog instrument in `reg`
-    /// for the given detector names (see
-    /// [`DetectorBank::detector_names`]).
-    pub fn new(reg: &Registry, detectors: &[String]) -> Self {
+    /// Resolve (and thereby declare) every watchdog instrument in `reg`.
+    fn new(reg: &Registry) -> Self {
+        let firings = |d| reg.counter(&labeled("roads.watchdog.firings", &[("detector", d)]));
         WatchdogMetrics {
             ticks: reg.counter("roads.watchdog.ticks"),
             incidents: reg.counter("roads.watchdog.incidents"),
             false_alarms: reg.counter("roads.watchdog.false_alarms"),
             open_incidents: reg.gauge("roads.watchdog.open_incidents"),
             detection_latency_ms: reg.histogram("roads.watchdog.detection_latency_ms"),
-            firings: detectors
-                .iter()
-                .map(|d| {
-                    let name = labeled("roads.watchdog.firings", &[("detector", d)]);
-                    (d.clone(), reg.counter(&name))
-                })
-                .collect(),
+            down_firings: firings(SERVER_DOWN),
+            spike_firings: firings(LATENCY_SPIKE),
+            burn_firings: firings(SLO_BURN),
         }
     }
-
-    /// The firing counter for `detector`, if it was declared.
-    pub fn firing_counter(&self, detector: &str) -> Option<&Arc<Counter>> {
-        self.firings
-            .iter()
-            .find(|(d, _)| d == detector)
-            .map(|(_, c)| c)
-    }
-}
-
-/// One registry-derived series the watchdog samples each tick.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Probe {
-    /// Current value of the counter or gauge `name`, recorded under its
-    /// own name.
-    Value(String),
-    /// `Δnum / Δden` of two counters over the tick, recorded as
-    /// `series`; skipped on ticks where `den` did not move.
-    Ratio {
-        /// Series name the ratio is recorded under.
-        series: String,
-        /// Numerator counter.
-        num: String,
-        /// Denominator counter.
-        den: String,
-    },
-    /// p99 of the histogram samples recorded since the previous tick,
-    /// as `<name>.p99w`; skipped on ticks with no new samples.
-    WindowP99(String),
 }
 
 /// Suspected-cause tiers, in ranking order.
@@ -235,15 +222,14 @@ pub struct Incident {
 }
 
 impl Incident {
-    fn absorb(&mut self, f: &DetectorFiring) {
+    fn absorb(&mut self, detector: &str, series: &str) {
         self.firings += 1;
-        if !self.detectors.iter().any(|d| d == &f.detector) {
-            self.detectors.push(f.detector.clone());
+        if !self.detectors.iter().any(|d| d == detector) {
+            self.detectors.push(detector.to_string());
         }
-        if !self.series.iter().any(|s| s == &f.series) {
-            self.series.push(f.series.clone());
+        if !self.series.iter().any(|s| s == series) {
+            self.series.push(series.to_string());
         }
-        self.last_ms = self.last_ms.max(f.at_ms);
     }
 }
 
@@ -329,57 +315,70 @@ json_fields!(IncidentReport {
 });
 artifact!(IncidentReport, "incidents", INCIDENTS_SCHEMA_VERSION);
 
-/// The default detector set for an instrumented cluster: a per-server
-/// liveness rule (`server-down`), an EWMA spike detector over the
-/// windowed query-response p99 (`latency-spike`), and a multi-window
-/// SLO burn-rate rule (`slo-burn`) over `Δslo_violations/Δqueries`.
-pub fn standard_bank(n_servers: usize, interval: Duration) -> (DetectorBank, Vec<Probe>) {
-    let interval_ms = (interval.as_secs_f64() * 1e3).max(1.0);
-    let mut bank = DetectorBank::new();
-    let mut probes = Vec::new();
-    for s in 0..n_servers {
-        let id = s.to_string();
-        let series = labeled("runtime.server.alive", &[("server", id.as_str())]);
-        bank.bind(&series, ThresholdRule::below("server-down", 0.5, 1));
-        probes.push(Probe::Value(series));
+/// p99 of the samples `h` took since `last` — its buckets at the previous
+/// tick, updated here to now; `None` when it took none.
+fn window_p99(h: &Histogram, last: &mut Vec<(f64, u64)>) -> Option<f64> {
+    let prev = std::mem::replace(last, h.full_snapshot().buckets);
+    let delta: Vec<(f64, u64)> = last
+        .iter()
+        .map(|&(edge, c)| {
+            let before = prev
+                .binary_search_by(|p| p.0.total_cmp(&edge))
+                .map_or(0, |i| prev[i].1);
+            (edge, c.saturating_sub(before))
+        })
+        .collect();
+    let total: u64 = delta.iter().map(|&(_, c)| c).sum();
+    let rank = ((total as f64) * 0.99).ceil().max(1.0) as u64;
+    let mut cum = 0u64;
+    delta
+        .into_iter()
+        .find(|&(_, c)| {
+            cum += c;
+            cum >= rank
+        })
+        .map(|(edge, _)| edge)
+}
+
+/// The detectors' one rule on time: a sample not newer than the last one
+/// a detector was fed (`fed_ms`, advanced here) feeds it nothing.
+fn fresh(fed_ms: &mut f64, at_ms: f64) -> bool {
+    let newer = at_ms > *fed_ms;
+    if newer {
+        *fed_ms = at_ms;
     }
-    bank.bind(
-        "runtime.query_response_ms.p99w",
-        EwmaSpikeDetector::new("latency-spike", 0.3, 4.0, 5.0),
-    );
-    probes.push(Probe::WindowP99("runtime.query_response_ms".into()));
-    bank.bind(
-        "watchdog.slo_burn",
-        BurnRateRule::new("slo-burn", 0.05, 2.0, 2.0 * interval_ms, 8.0 * interval_ms),
-    );
-    probes.push(Probe::Ratio {
-        series: "watchdog.slo_burn".into(),
-        num: "runtime.slo_violations".into(),
-        den: "runtime.queries".into(),
-    });
-    (bank, probes)
+    newer
 }
 
 struct WatchdogShared {
-    registry: Arc<Registry>,
+    /// The watched cluster's instruments; `None` when it was started
+    /// without a registry, and then nothing fires.
+    runtime: Option<RuntimeMetrics>,
+    audit: Option<Arc<AuditMetrics>>,
     fault_log: Arc<FaultLog>,
     tail: Option<Arc<TailSampler>>,
-    metrics: Arc<WatchdogMetrics>,
+    metrics: WatchdogMetrics,
     cfg: WatchdogConfig,
-    probes: Vec<Probe>,
     t0: Instant,
     state: StdMutex<WatchdogState>,
 }
 
 struct WatchdogState {
     ticks: u64,
-    bank: DetectorBank,
-    /// Last raw counter values, for `Ratio` probes.
-    counters_last: BTreeMap<String, f64>,
-    /// Last bucket counts per watched histogram (keyed by the bucket
-    /// value's bit pattern — ascending for non-negative floats), for
-    /// `WindowP99` probes.
-    hist_last: BTreeMap<String, BTreeMap<u64, u64>>,
+    /// One `server-down` floor per server, on its liveness gauge.
+    down: Vec<ThresholdRule>,
+    /// `latency-spike`, on the windowed response p99.
+    spike: EwmaSpikeDetector,
+    /// `slo-burn`, on the per-tick SLO burn ratio.
+    burn: BurnRateRule,
+    /// Time of the newest sample fed to `down`, `spike` and `burn`.
+    down_fed_ms: f64,
+    spike_fed_ms: f64,
+    burn_fed_ms: f64,
+    /// The response histogram's buckets at the previous tick.
+    response_last: Vec<(f64, u64)>,
+    /// `(slo_violation, queries)` at the previous tick.
+    burn_last: Option<(u64, u64)>,
     /// Tail-sampler retained entries already correlated.
     tail_seen: usize,
     /// Fault-log onset indices whose detection latency is recorded.
@@ -392,85 +391,102 @@ struct WatchdogState {
 }
 
 impl WatchdogShared {
+    fn new(
+        runtime: Option<RuntimeMetrics>,
+        audit: Option<Arc<AuditMetrics>>,
+        fault_log: Arc<FaultLog>,
+        tail: Option<Arc<TailSampler>>,
+        reg: &Registry,
+        cfg: WatchdogConfig,
+    ) -> Self {
+        let servers = runtime.as_ref().map_or(0, |m| m.servers.len());
+        let interval_ms = (cfg.interval.as_secs_f64() * 1e3).max(1.0);
+        let state = WatchdogState {
+            ticks: 0,
+            down: vec![ThresholdRule::below(0.5, 1); servers],
+            spike: EwmaSpikeDetector::new(0.3, 4.0, 5.0),
+            burn: BurnRateRule::new(0.05, 2.0, 2.0 * interval_ms, 8.0 * interval_ms),
+            down_fed_ms: f64::NEG_INFINITY,
+            spike_fed_ms: f64::NEG_INFINITY,
+            burn_fed_ms: f64::NEG_INFINITY,
+            response_last: Vec::new(),
+            burn_last: None,
+            tail_seen: 0,
+            matched_onsets: BTreeSet::new(),
+            open: Vec::new(),
+            closed: Vec::new(),
+            next_id: 0,
+            firings: 0,
+            false_alarms: 0,
+        };
+        WatchdogShared {
+            runtime,
+            audit,
+            fault_log,
+            tail,
+            metrics: WatchdogMetrics::new(reg),
+            cfg,
+            t0: Instant::now(),
+            state: StdMutex::new(state),
+        }
+    }
+
+    /// Milliseconds since the watchdog started: the time a scheduled or
+    /// manual tick runs at.
+    fn now_ms(&self) -> f64 {
+        self.t0.elapsed().as_secs_f64() * 1e3
+    }
+
     fn onset_ms(&self, at: Instant) -> f64 {
         at.saturating_duration_since(self.t0).as_secs_f64() * 1e3
     }
 
-    /// Sample every probe from the registry into `(series, value)`
-    /// pairs for this tick.
-    fn collect(&self, st: &mut WatchdogState) -> Vec<(String, f64)> {
-        let mut out = Vec::with_capacity(self.probes.len());
-        let counter_delta = |st: &mut WatchdogState, name: &str| -> Option<f64> {
-            let c = self.registry.find_counter(name)?;
-            let v = c.get() as f64;
-            let last = st.counters_last.insert(name.to_string(), v).unwrap_or(v);
-            Some(v - last)
+    /// Feed this tick's samples to the detectors and return the firings
+    /// as `(detector, series)`, in absorb order: servers ascending, then
+    /// the spike detector, then burn.
+    fn detect(&self, st: &mut WatchdogState, now_ms: f64) -> Vec<(&'static str, String)> {
+        let mut firings = Vec::new();
+        let Some(m) = &self.runtime else {
+            return firings;
         };
-        for probe in &self.probes {
-            match probe {
-                Probe::Value(name) => {
-                    if let Some(c) = self.registry.find_counter(name) {
-                        out.push((name.clone(), c.get() as f64));
-                    } else if let Some(g) = self.registry.find_gauge(name) {
-                        out.push((name.clone(), g.get() as f64));
-                    }
-                }
-                Probe::Ratio { series, num, den } => {
-                    let dd = counter_delta(st, den);
-                    let dn = counter_delta(st, num);
-                    if let (Some(dn), Some(dd)) = (dn, dd) {
-                        if dd > 0.0 {
-                            out.push((series.clone(), dn / dd));
-                        }
-                    }
-                }
-                Probe::WindowP99(name) => {
-                    let Some(h) = self.registry.find_histogram(name) else {
-                        continue;
-                    };
-                    let snap = h.full_snapshot();
-                    let cur: BTreeMap<u64, u64> = snap
-                        .buckets
-                        .iter()
-                        .map(|&(v, c)| (v.to_bits(), c))
-                        .collect();
-                    let prev = st
-                        .hist_last
-                        .insert(name.clone(), cur.clone())
-                        .unwrap_or_default();
-                    let mut total = 0u64;
-                    let mut delta: Vec<(f64, u64)> = Vec::new();
-                    for (&bits, &c) in &cur {
-                        let d = c.saturating_sub(prev.get(&bits).copied().unwrap_or(0));
-                        if d > 0 {
-                            delta.push((f64::from_bits(bits), d));
-                            total += d;
-                        }
-                    }
-                    if total > 0 {
-                        let rank = ((total as f64) * 0.99).ceil().max(1.0) as u64;
-                        let mut cum = 0u64;
-                        for (v, c) in delta {
-                            cum += c;
-                            if cum >= rank {
-                                out.push((format!("{name}.p99w"), v));
-                                break;
-                            }
-                        }
-                    }
+        if fresh(&mut st.down_fed_ms, now_ms) {
+            for (s, (server, rule)) in m.servers.iter().zip(&mut st.down).enumerate() {
+                if rule.observe(now_ms, server.alive.get() as f64) {
+                    let id = s.to_string();
+                    let series = labeled("runtime.server.alive", &[("server", id.as_str())]);
+                    self.metrics.down_firings.inc();
+                    firings.push((SERVER_DOWN, series));
                 }
             }
         }
-        out
+        if let Some(p99) = window_p99(&m.response_ms, &mut st.response_last) {
+            if fresh(&mut st.spike_fed_ms, now_ms) && st.spike.observe(now_ms, p99) {
+                self.metrics.spike_firings.inc();
+                firings.push((LATENCY_SPIKE, P99W_SERIES.to_string()));
+            }
+        }
+        // Violations first: `finish` counts a query before its violation.
+        let slo = m.slo_violation.get();
+        let queries = m.queries.get();
+        if let Some((slo_last, queries_last)) = st.burn_last.replace((slo, queries)) {
+            if queries > queries_last && fresh(&mut st.burn_fed_ms, now_ms) {
+                let ratio = (slo - slo_last) as f64 / (queries - queries_last) as f64;
+                if st.burn.observe(now_ms, ratio) {
+                    self.metrics.burn_firings.inc();
+                    firings.push((SLO_BURN, BURN_SERIES.to_string()));
+                }
+            }
+        }
+        firings
     }
 
     /// Open a new incident from this tick's firings: correlate against
-    /// the fault log, audit divergence gauge, and queue-depth gauges.
+    /// the fault log, audit divergence and per-server queue depths.
     fn open_incident(
         &self,
         st: &mut WatchdogState,
         now_ms: f64,
-        firings: &[DetectorFiring],
+        firings: &[(&str, String)],
     ) -> Incident {
         st.next_id += 1;
         let mut inc = Incident {
@@ -486,8 +502,8 @@ impl WatchdogShared {
             false_alarm: true,
             slow_queries: Vec::new(),
         };
-        for f in firings {
-            inc.absorb(f);
+        for (detector, series) in firings {
+            inc.absorb(detector, series);
         }
         // Tier 1: fault-event proximity. Candidates are onsets at or
         // before the firing that are either recent or still active
@@ -540,8 +556,8 @@ impl WatchdogShared {
             }
         }
         // Tier 2: overlay audit divergence at detection time.
-        if let Some(g) = self.registry.find_gauge("audit.divergence_ppm") {
-            let ppm = g.get();
+        if let Some(audit) = &self.audit {
+            let ppm = audit.divergence_ppm.get();
             if ppm > 0 {
                 inc.causes.push(SuspectedCause {
                     kind: CauseKind::AuditDivergence,
@@ -552,17 +568,16 @@ impl WatchdogShared {
             }
         }
         // Tier 3: queue-depth locality — the deepest per-server queue
-        // at or above the alert depth.
+        // at or above the alert depth, the lowest id on a tie.
         let mut worst: Option<(u32, i64)> = None;
-        for (name, v) in self.registry.gauge_values() {
-            let Some(rest) = name.strip_prefix("runtime.server.queue_depth{server=\"") else {
-                continue;
-            };
-            let Some(id) = rest.strip_suffix("\"}").and_then(|s| s.parse::<u32>().ok()) else {
-                continue;
-            };
+        for (id, server) in self
+            .runtime
+            .iter()
+            .flat_map(|m| m.servers.iter().enumerate())
+        {
+            let v = server.queue_depth.get();
             if v >= QUEUE_ALERT_DEPTH && worst.is_none_or(|(_, w)| v > w) {
-                worst = Some((id, v));
+                worst = Some((id as u32, v));
             }
         }
         if let Some((server, depth)) = worst {
@@ -581,42 +596,31 @@ impl WatchdogShared {
         inc
     }
 
-    fn tick(&self) {
-        let now_ms = self.t0.elapsed().as_secs_f64() * 1e3;
-        let mut st = self.state.lock().expect("watchdog state");
+    /// One detection tick at `now_ms`, ms since start.
+    fn tick(&self, now_ms: f64) {
+        let mut guard = self.state.lock().expect("watchdog state");
+        let st = &mut *guard;
         st.ticks += 1;
         self.metrics.ticks.inc();
-        let samples = self.collect(&mut st);
-        st.bank.advance_epoch();
-        let mut firings: Vec<DetectorFiring> = Vec::new();
-        for (series, v) in samples {
-            firings.extend(st.bank.observe_sample(&series, now_ms, v));
-        }
-        for f in &firings {
-            st.firings += 1;
-            if let Some(c) = self.metrics.firing_counter(&f.detector) {
-                c.inc();
-            }
-        }
+        let firings = self.detect(st, now_ms);
+        st.firings += firings.len() as u64;
         let coalesce_ms = self.cfg.coalesce.as_secs_f64() * 1e3;
         if !firings.is_empty() {
             // All of one tick's firings are the same burst; absorb into
             // a recently-active open incident or start a new one.
             match st
                 .open
-                .iter()
-                .position(|i| now_ms - i.last_ms <= coalesce_ms)
+                .iter_mut()
+                .find(|i| now_ms - i.last_ms <= coalesce_ms)
             {
-                Some(at) => {
-                    let mut inc = std::mem::replace(&mut st.open[at], placeholder());
-                    for f in &firings {
-                        inc.absorb(f);
+                Some(inc) => {
+                    for (detector, series) in &firings {
+                        inc.absorb(detector, series);
                     }
                     inc.last_ms = inc.last_ms.max(now_ms);
-                    st.open[at] = inc;
                 }
                 None => {
-                    let inc = self.open_incident(&mut st, now_ms, &firings);
+                    let inc = self.open_incident(st, now_ms, &firings);
                     st.open.push(inc);
                 }
             }
@@ -625,31 +629,27 @@ impl WatchdogShared {
         // incident (they overlap its window).
         if let Some(tail) = &self.tail {
             let retained = tail.retained();
-            if retained.len() > st.tail_seen {
-                let seen = st.tail_seen;
-                for rq in &retained[seen..] {
-                    for inc in &mut st.open {
-                        if inc.slow_queries.len() < SLOW_QUERY_CAP {
-                            inc.slow_queries.push(rq.explain.query_id);
-                        }
+            for rq in retained.iter().skip(st.tail_seen) {
+                for inc in &mut st.open {
+                    if inc.slow_queries.len() < SLOW_QUERY_CAP {
+                        inc.slow_queries.push(rq.explain.query_id);
                     }
                 }
-                st.tail_seen = retained.len();
             }
+            st.tail_seen = st.tail_seen.max(retained.len());
         }
         // Close incidents idle past the coalescing gap.
-        let open = std::mem::take(&mut st.open);
-        for inc in open {
-            if now_ms - inc.last_ms > coalesce_ms {
-                st.closed.push(inc);
-            } else {
-                st.open.push(inc);
-            }
-        }
+        let (idle, open): (Vec<Incident>, Vec<Incident>) = std::mem::take(&mut st.open)
+            .into_iter()
+            .partition(|inc| now_ms - inc.last_ms > coalesce_ms);
+        st.closed.extend(idle);
+        st.open = open;
         self.metrics.open_incidents.set(st.open.len() as i64);
     }
 
-    fn report_locked(&self, st: &WatchdogState) -> IncidentReport {
+    /// The report accumulated so far.
+    fn report(&self) -> IncidentReport {
+        let st = self.state.lock().expect("watchdog state");
         let mut rows: Vec<Incident> = st.closed.iter().chain(st.open.iter()).cloned().collect();
         rows.sort_by_key(|r| r.id);
         IncidentReport {
@@ -659,23 +659,6 @@ impl WatchdogShared {
             false_alarms: st.false_alarms,
             rows,
         }
-    }
-}
-
-/// Placeholder for the in-place absorb swap; never observable.
-fn placeholder() -> Incident {
-    Incident {
-        id: 0,
-        opened_ms: 0.0,
-        last_ms: 0.0,
-        firings: 0,
-        detectors: Vec::new(),
-        series: Vec::new(),
-        causes: Vec::new(),
-        matched: None,
-        detection_latency_ms: None,
-        false_alarm: true,
-        slow_queries: Vec::new(),
     }
 }
 
@@ -689,81 +672,44 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
-    /// Start watching `registry` every [`WatchdogConfig::interval`],
-    /// evaluating `bank` over the series derived by `probes` and
-    /// correlating firings against `fault_log` (and `tail`, when
-    /// given). The first scheduled tick fires one full interval after
+    /// Start watching an instrumented cluster every
+    /// [`WatchdogConfig::interval`]: its liveness gauges, response
+    /// histogram and SLO counters feed the detectors, and firings
+    /// correlate against its fault log, its attached audit instruments
+    /// and tail sampler. The `roads.watchdog.*` instruments are resolved
+    /// in `reg`. The first scheduled tick fires one full interval after
     /// start, matching the auditor: an immediate tick would skew manually
     /// driven schedules (`tick_now` with a long interval).
-    pub fn start(
-        registry: Arc<Registry>,
-        fault_log: Arc<FaultLog>,
-        tail: Option<Arc<TailSampler>>,
-        metrics: Arc<WatchdogMetrics>,
-        cfg: WatchdogConfig,
-        bank: DetectorBank,
-        probes: Vec<Probe>,
-    ) -> Self {
-        let interval = cfg.interval;
-        let shared = Arc::new(WatchdogShared {
-            registry,
-            fault_log,
-            tail,
-            metrics,
-            cfg,
-            probes,
-            t0: Instant::now(),
-            state: StdMutex::new(WatchdogState {
-                ticks: 0,
-                bank,
-                counters_last: BTreeMap::new(),
-                hist_last: BTreeMap::new(),
-                tail_seen: 0,
-                matched_onsets: BTreeSet::new(),
-                open: Vec::new(),
-                closed: Vec::new(),
-                next_id: 0,
-                firings: 0,
-                false_alarms: 0,
-            }),
-        });
-        let ticker = Arc::clone(&shared);
-        let runner = Periodic::spawn("roads-watchdog", interval, move || ticker.tick());
-        Watchdog { shared, runner }
-    }
-
-    /// [`Watchdog::start`] wired to an instrumented cluster: the
-    /// [`standard_bank`] detector set, the cluster's fault log and tail
-    /// sampler, and `roads.watchdog.*` instruments resolved in `reg`.
     pub fn for_cluster(cluster: &RoadsCluster, reg: &Arc<Registry>, cfg: WatchdogConfig) -> Self {
-        let (bank, probes) = standard_bank(cluster.network().len(), cfg.interval);
-        let metrics = Arc::new(WatchdogMetrics::new(reg, &bank.detector_names()));
-        Watchdog::start(
-            Arc::clone(reg),
+        Watchdog::spawn(WatchdogShared::new(
+            cluster.metrics.clone(),
+            cluster.audit.clone(),
             cluster.fault_log(),
             cluster.tail.clone(),
-            metrics,
+            reg,
             cfg,
-            bank,
-            probes,
-        )
+        ))
+    }
+
+    fn spawn(shared: WatchdogShared) -> Self {
+        let interval = shared.cfg.interval;
+        let shared = Arc::new(shared);
+        let ticker = Arc::clone(&shared);
+        let runner = Periodic::spawn("roads-watchdog", interval, move || {
+            ticker.tick(ticker.now_ms())
+        });
+        Watchdog { shared, runner }
     }
 
     /// Run one detection tick right now, outside the schedule
     /// (deterministic tests).
     pub fn tick_now(&self) {
-        self.shared.tick();
-    }
-
-    /// The pre-resolved `roads.watchdog.*` instruments.
-    pub fn metrics(&self) -> Arc<WatchdogMetrics> {
-        Arc::clone(&self.shared.metrics)
+        self.shared.tick(self.shared.now_ms());
     }
 
     /// The report accumulated so far.
     pub fn report(&self) -> IncidentReport {
-        let st = self.shared.state.lock().expect("watchdog state");
-        self.shared.report_locked(&st)
+        self.shared.report()
     }
 
     /// Stop the background thread and return the final report.
@@ -779,69 +725,62 @@ mod tests {
     use roads_core::ServerId;
     use roads_telemetry::Json;
 
-    /// A watchdog that only ticks when told to.
-    fn quiet(
-        reg: &Arc<Registry>,
-        log: &Arc<FaultLog>,
-        bank: DetectorBank,
-        probes: Vec<Probe>,
-        cfg: WatchdogConfig,
-    ) -> (Watchdog, Arc<WatchdogMetrics>) {
-        let metrics = Arc::new(WatchdogMetrics::new(reg, &bank.detector_names()));
-        let wd = Watchdog::start(
-            Arc::clone(reg),
+    /// Tick times of the unit tests, ms since start: far past the wall
+    /// clock's, so every fault a test logs lies before its next tick.
+    const T0: f64 = 60_000.0;
+
+    /// A watchdog over `m` that ticks only when told to, and at the time
+    /// it is told.
+    fn watching(m: &RuntimeMetrics, log: &Arc<FaultLog>, cfg: WatchdogConfig) -> WatchdogShared {
+        let cfg = WatchdogConfig {
+            interval: Duration::from_millis(100),
+            ..cfg
+        };
+        WatchdogShared::new(
+            Some(m.clone()),
+            None,
             Arc::clone(log),
             None,
-            Arc::clone(&metrics),
-            WatchdogConfig {
-                interval: Duration::from_secs(3600),
-                ..cfg
-            },
-            bank,
-            probes,
-        );
-        (wd, metrics)
+            &Registry::new(),
+            cfg,
+        )
     }
 
     #[test]
     fn detects_kill_and_names_the_server() {
-        let reg = Arc::new(Registry::new());
-        let series = labeled("runtime.server.alive", &[("server", "1")]);
-        let alive = reg.gauge(&series);
-        alive.set(1);
-        let depth = reg.gauge(&labeled("runtime.server.queue_depth", &[("server", "1")]));
-        depth.set(7);
+        let reg = Registry::new();
+        let m = RuntimeMetrics::new(&reg, 2);
+        m.servers[1].queue_depth.set(7);
         let log = Arc::new(FaultLog::new());
-        let mut bank = DetectorBank::new();
-        bank.bind(&series, ThresholdRule::below("server-down", 0.5, 1));
-        let probes = vec![Probe::Value(series.clone())];
-        let (wd, metrics) = quiet(
-            &reg,
+        let wd = watching(
+            &m,
             &log,
-            bank,
-            probes,
             WatchdogConfig {
                 coalesce: Duration::from_secs(3600),
                 ..WatchdogConfig::default()
             },
         );
 
-        wd.tick_now(); // healthy baseline
-        assert_eq!(metrics.incidents.get(), 0);
+        wd.tick(T0); // healthy baseline
+        assert_eq!(wd.metrics.incidents.get(), 0);
 
-        alive.set(0);
+        m.servers[1].alive.set(0);
         log.record(ServerId(1), FaultKind::Kill, 1.0);
-        wd.tick_now();
+        wd.tick(T0 + 100.0);
 
         let report = wd.report();
         assert_eq!(report.rows.len(), 1);
         let inc = &report.rows[0];
         assert!(!inc.false_alarm);
-        assert_eq!(inc.detectors, vec!["server-down".to_string()]);
-        let m = inc.matched.expect("matched fault");
-        assert_eq!((m.kind, m.server), (FaultKind::Kill, 1));
+        assert_eq!(inc.detectors, vec![SERVER_DOWN.to_string()]);
+        assert_eq!(
+            inc.series,
+            vec![labeled("runtime.server.alive", &[("server", "1")])]
+        );
+        let m1 = inc.matched.expect("matched fault");
+        assert_eq!((m1.kind, m1.server), (FaultKind::Kill, 1));
         let latency = inc.detection_latency_ms.expect("first detection");
-        assert!(latency >= 0.0);
+        assert!(latency > 0.0);
         // Ranked causes: the fault event leads and names the server;
         // the deep queue at the same server rides along in tier 3.
         assert_eq!(inc.causes[0].kind, CauseKind::FaultEvent);
@@ -850,146 +789,147 @@ mod tests {
             .causes
             .iter()
             .any(|c| c.kind == CauseKind::QueueDepth && c.server == Some(1)));
-        assert_eq!(metrics.incidents.get(), 1);
-        assert_eq!(metrics.false_alarms.get(), 0);
-        assert!(metrics.firing_counter("server-down").unwrap().get() >= 1);
-        assert_eq!(metrics.detection_latency_ms.count(), 1);
+        assert_eq!(wd.metrics.incidents.get(), 1);
+        assert_eq!(wd.metrics.false_alarms.get(), 0);
+        assert_eq!(wd.metrics.down_firings.get(), 1);
+        assert_eq!(wd.metrics.detection_latency_ms.count(), 1);
+
+        // A tick not later than the last one feeds no detector.
+        wd.tick(T0 + 100.0);
+        assert_eq!(wd.report().firings, 1);
 
         // Continued firing coalesces into the same incident instead of
         // opening a second one, and the repeat match records no second
         // detection latency.
-        wd.tick_now();
-        let report = wd.stop();
+        wd.tick(T0 + 200.0);
+        let report = wd.report();
         assert_eq!(report.rows.len(), 1);
-        assert!(report.rows[0].firings >= 2);
-        assert_eq!(metrics.detection_latency_ms.count(), 1);
+        assert_eq!(report.rows[0].firings, 2);
+        assert_eq!(report.rows[0].last_ms, T0 + 200.0);
+        assert_eq!(wd.metrics.down_firings.get(), 2);
+        assert_eq!(wd.metrics.detection_latency_ms.count(), 1);
+    }
+
+    /// `n` response-time samples of `ms` each, as finished queries record
+    /// them.
+    fn respond(m: &RuntimeMetrics, n: usize, ms: f64) {
+        for _ in 0..n {
+            m.response_ms.record(ms);
+        }
     }
 
     #[test]
     fn spike_without_fault_is_a_false_alarm() {
-        let reg = Arc::new(Registry::new());
-        let load = reg.gauge("load");
+        let reg = Registry::new();
+        let m = RuntimeMetrics::new(&reg, 1);
         let log = Arc::new(FaultLog::new());
-        let mut bank = DetectorBank::new();
-        bank.bind("load", EwmaSpikeDetector::new("load-spike", 0.5, 3.0, 1.0));
-        let probes = vec![Probe::Value("load".into())];
-        let (wd, metrics) = quiet(&reg, &log, bank, probes, WatchdogConfig::default());
+        let wd = watching(&m, &log, WatchdogConfig::default());
 
-        load.set(10);
-        for _ in 0..4 {
-            wd.tick_now();
+        for k in 0..4 {
+            respond(&m, 50, 10.0);
+            wd.tick(T0 + 100.0 * k as f64);
         }
-        assert_eq!(metrics.incidents.get(), 0);
-        load.set(100);
-        wd.tick_now();
-        let report = wd.stop();
+        assert_eq!(wd.metrics.incidents.get(), 0);
+        respond(&m, 50, 100.0);
+        wd.tick(T0 + 400.0);
+        let report = wd.report();
         assert_eq!(report.rows.len(), 1);
+        assert_eq!(report.rows[0].detectors, vec![LATENCY_SPIKE.to_string()]);
         assert!(report.rows[0].false_alarm);
         assert_eq!(report.rows[0].matched, None);
         assert_eq!(report.false_alarms, 1);
-        assert_eq!(metrics.false_alarms.get(), 1);
+        assert_eq!(wd.metrics.false_alarms.get(), 1);
+        assert_eq!(wd.metrics.spike_firings.get(), 1);
     }
 
     #[test]
     fn windowed_p99_sees_a_tail_shift_within_one_tick() {
-        let reg = Arc::new(Registry::new());
-        let lat = reg.histogram("lat");
+        let reg = Registry::new();
+        let m = RuntimeMetrics::new(&reg, 1);
         let log = Arc::new(FaultLog::new());
-        let mut bank = DetectorBank::new();
-        bank.bind(
-            "lat.p99w",
-            EwmaSpikeDetector::new("latency-spike", 0.5, 3.0, 1.0),
-        );
-        let probes = vec![Probe::WindowP99("lat".into())];
-        let (wd, metrics) = quiet(&reg, &log, bank, probes, WatchdogConfig::default());
+        let wd = watching(&m, &log, WatchdogConfig::default());
 
-        for _ in 0..4 {
-            for _ in 0..50 {
-                lat.record(10.0);
-            }
-            wd.tick_now();
+        for k in 0..4 {
+            respond(&m, 50, 10.0);
+            wd.tick(T0 + 100.0 * k as f64);
         }
-        assert_eq!(metrics.incidents.get(), 0);
-        // 20 slow samples against 200 fast historical ones: the
-        // cumulative p99 barely moves, the windowed p99 jumps to the
-        // slow bucket immediately.
-        for _ in 0..20 {
-            lat.record(400.0);
-        }
-        wd.tick_now();
-        let report = wd.stop();
+        assert_eq!(wd.metrics.incidents.get(), 0);
+        // 20 slow samples against 200 fast historical ones: the window
+        // holds only the slow ones, so its p99 jumps to their bucket at
+        // once.
+        respond(&m, 20, 400.0);
+        wd.tick(T0 + 400.0);
+        let report = wd.report();
         assert_eq!(report.rows.len(), 1);
-        assert_eq!(report.rows[0].series, vec!["lat.p99w".to_string()]);
-        assert!(report.rows[0].firings >= 1);
+        assert_eq!(report.rows[0].series, vec![P99W_SERIES.to_string()]);
+        assert_eq!(report.rows[0].firings, 1);
+        // A tick with no new samples feeds the spike detector nothing.
+        wd.tick(T0 + 500.0);
+        assert_eq!(wd.report().firings, 1);
     }
 
-    /// The SLO-burn rate probe sees per-tick counter deltas, not the
+    /// The SLO-burn ratio sees per-tick counter deltas, not the
     /// cumulative ratio.
     #[test]
     fn rate_probe_feeds_per_tick_deltas() {
-        let reg = Arc::new(Registry::new());
-        let (bad, all) = (reg.counter("bad"), reg.counter("all"));
+        let reg = Registry::new();
+        let m = RuntimeMetrics::new(&reg, 1);
         let log = Arc::new(FaultLog::new());
-        let mut bank = DetectorBank::new();
-        bank.bind("burn", ThresholdRule::above("burn-surge", 0.5, 1));
-        let probes = vec![Probe::Ratio {
-            series: "burn".into(),
-            num: "bad".into(),
-            den: "all".into(),
-        }];
-        let (wd, metrics) = quiet(&reg, &log, bank, probes, WatchdogConfig::default());
+        let wd = watching(&m, &log, WatchdogConfig::default());
+        let finish = |queries: u64, violations: u64| {
+            m.queries.add(queries);
+            m.slo_violation.add(violations);
+        };
 
-        bad.add(90);
-        all.add(100);
-        wd.tick_now(); // first observation seeds the baseline: no sample
-        assert_eq!(metrics.incidents.get(), 0);
-        bad.add(1);
-        all.add(10);
-        wd.tick_now(); // 1/10 < 0.5, although the cumulative 91/110 is not
-        assert_eq!(metrics.incidents.get(), 0);
-        bad.add(5);
-        all.add(10);
-        wd.tick_now(); // 5/10 >= 0.5
-        assert_eq!(metrics.incidents.get(), 1);
+        finish(100, 90);
+        wd.tick(T0); // first observation seeds the baseline: no sample
+        for k in 1..=3 {
+            // 0/10 per tick, although the cumulative ratio stays ≥ 0.69:
+            // the rule sees its three samples and stays quiet.
+            finish(10, 0);
+            wd.tick(T0 + 100.0 * k as f64);
+        }
+        assert_eq!(wd.metrics.incidents.get(), 0);
+        // 5/10 in one tick lifts both windows' means over 0.05 × 2.
+        finish(10, 5);
+        wd.tick(T0 + 400.0);
+        assert_eq!(wd.metrics.incidents.get(), 1);
+        let report = wd.report();
+        assert_eq!(report.rows[0].detectors, vec![SLO_BURN.to_string()]);
+        assert_eq!(report.rows[0].series, vec![BURN_SERIES.to_string()]);
     }
 
     #[test]
     fn idle_incident_closes_after_the_coalesce_gap() {
-        let reg = Arc::new(Registry::new());
-        let series = labeled("runtime.server.alive", &[("server", "0")]);
-        let alive = reg.gauge(&series);
-        alive.set(1);
+        let reg = Registry::new();
+        let m = RuntimeMetrics::new(&reg, 1);
         let log = Arc::new(FaultLog::new());
-        let mut bank = DetectorBank::new();
-        bank.bind(&series, ThresholdRule::below("server-down", 0.5, 1));
-        let probes = vec![Probe::Value(series.clone())];
-        let (wd, metrics) = quiet(
-            &reg,
+        let wd = watching(
+            &m,
             &log,
-            bank,
-            probes,
             WatchdogConfig {
                 coalesce: Duration::from_millis(30),
                 ..WatchdogConfig::default()
             },
         );
 
-        wd.tick_now();
-        alive.set(0);
+        wd.tick(T0);
+        m.servers[0].alive.set(0);
         log.record(ServerId(0), FaultKind::Kill, 1.0);
-        wd.tick_now();
-        wd.tick_now(); // immediate re-fire coalesces
-        assert_eq!(metrics.incidents.get(), 1);
-        assert_eq!(metrics.open_incidents.get(), 1);
+        wd.tick(T0 + 10.0);
+        wd.tick(T0 + 20.0); // immediate re-fire coalesces
+        assert_eq!(wd.metrics.incidents.get(), 1);
+        assert_eq!(wd.metrics.open_incidents.get(), 1);
 
-        alive.set(1); // recovered: detector stops firing
+        m.servers[0].alive.set(1); // recovered: detector stops firing
         log.record(ServerId(0), FaultKind::Restart, 1.0);
-        std::thread::sleep(Duration::from_millis(45));
-        wd.tick_now(); // idle past the gap: the incident closes
-        assert_eq!(metrics.open_incidents.get(), 0);
-        let report = wd.stop();
+        wd.tick(T0 + 50.0); // 30 ms after the last firing: still open
+        assert_eq!(wd.metrics.open_incidents.get(), 1);
+        wd.tick(T0 + 60.0); // idle past the gap: the incident closes
+        assert_eq!(wd.metrics.open_incidents.get(), 0);
+        let report = wd.report();
         assert_eq!(report.rows.len(), 1);
-        assert!(report.rows[0].firings >= 2);
+        assert_eq!(report.rows[0].firings, 2);
     }
 
     #[test]
@@ -1118,19 +1058,7 @@ mod tests {
         assert!(err.contains("kind"), "{err}");
     }
 
-    #[test]
-    fn standard_bank_covers_liveness_latency_and_burn() {
-        let (bank, probes) = standard_bank(3, Duration::from_millis(100));
-        let names = bank.detector_names();
-        assert!(names.iter().any(|n| n == "server-down"));
-        assert!(names.iter().any(|n| n == "latency-spike"));
-        assert!(names.iter().any(|n| n == "slo-burn"));
-        // One liveness binding per server plus the two cluster-wide ones.
-        assert_eq!(bank.len(), 5);
-        assert_eq!(probes.len(), 5);
-    }
-
-    /// Scheduled ticks, `tick_now` hammering, registry writers and
+    /// Scheduled ticks, `tick_now` hammering, instrument writers and
     /// exposition renders all race on the same shared state; the final
     /// report and instruments must come out coherent.
     #[test]
@@ -1138,35 +1066,31 @@ mod tests {
         use roads_telemetry::OpenMetricsSnapshot;
         use std::sync::atomic::{AtomicBool, Ordering};
 
-        let reg = Arc::new(Registry::new());
+        let reg = Registry::new();
+        let m = RuntimeMetrics::new(&reg, 2);
         let log = Arc::new(FaultLog::new());
-        let (bank, probes) = standard_bank(2, Duration::from_millis(1));
-        let metrics = Arc::new(WatchdogMetrics::new(&reg, &bank.detector_names()));
-        let wd = Watchdog::start(
-            Arc::clone(&reg),
+        let wd = Watchdog::spawn(WatchdogShared::new(
+            Some(m.clone()),
+            None,
             Arc::clone(&log),
             None,
-            Arc::clone(&metrics),
+            &reg,
             WatchdogConfig {
                 interval: Duration::from_millis(1),
                 ..WatchdogConfig::default()
             },
-            bank,
-            probes,
-        );
+        ));
 
         let stop = Arc::new(AtomicBool::new(false));
         let writers: Vec<_> = (0..2)
             .map(|_| {
-                let reg = Arc::clone(&reg);
+                let m = m.clone();
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
-                    let q = reg.counter("runtime.queries");
-                    let h = reg.histogram("runtime.query_response_ms");
                     let mut v = 5.0;
                     while !stop.load(Ordering::Relaxed) {
-                        q.inc();
-                        h.record(v);
+                        m.queries.inc();
+                        m.response_ms.record(v);
                         v = if v > 8.0 { 5.0 } else { v + 0.01 };
                     }
                 })
@@ -1185,11 +1109,12 @@ mod tests {
         for w in writers {
             w.join().unwrap();
         }
+        let ticks = Arc::clone(&wd.shared.metrics.ticks);
         let report = wd.stop();
         // 200 manual + however many scheduled ticks landed in between;
         // the counter and the report must agree.
         assert!(report.ticks >= 200, "lost ticks: {}", report.ticks);
-        assert_eq!(metrics.ticks.get(), report.ticks);
+        assert_eq!(ticks.get(), report.ticks);
         assert_eq!(
             report.rows.iter().map(|i| i.firings).sum::<u64>(),
             report.firings,

@@ -11,7 +11,7 @@ use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig, RuntimeOutcome};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{
     span_tree_root, trace_events, EventKind, ExplainDecision, HopOutcome, QueryExplain, Recorder,
-    Registry, RetainReason, TailConfig, TailSampler, TraceId,
+    Registry, RetainReason, SlowDoc, TailConfig, TailSampler, TraceId,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -294,6 +294,48 @@ fn recorded_but_unexplained_query_still_builds_its_span_tree() {
         .collect();
     assert_eq!(hops.len(), out.servers_contacted);
     assert!(hops.iter().any(|e| e.span == root && e.node == entry.0));
+    c.shutdown();
+}
+
+/// A retained query keeps the events its trace recorded, even once the
+/// ring has evicted them: a query from the root that descends two levels
+/// records more events than a ring of two holds, and the
+/// `SLOW_QUERIES.json` document it lands in still validates.
+#[test]
+fn retained_events_outlive_the_ring() {
+    let n = 13;
+    let rec = Arc::new(Recorder::new(2));
+    let tail = Arc::new(TailSampler::new(TailConfig {
+        capacity: 4,
+        min_samples: 1_000_000, // stay on the floor threshold
+        floor_ms: 0.0,          // every query is "slow"
+    }));
+    let c = build_cluster_with(
+        n,
+        RuntimeConfig::test_fast(),
+        Attachments {
+            recorder: Some(Arc::clone(&rec)),
+            tail: Some(Arc::clone(&tail)),
+            ..Attachments::default()
+        },
+    );
+    let tree = c.network().tree();
+    let root = tree.root();
+    assert!(
+        (0..n as u32).any(|s| tree.depth(ServerId(s)) == 2),
+        "the hierarchy has two levels below the root"
+    );
+    let out = c.query(&full_query(&c, 7), root);
+    assert!(out.complete);
+
+    let retained = tail.retained();
+    assert_eq!(retained.len(), 1);
+    assert_eq!(retained[0].reason, RetainReason::Slow);
+    SlowDoc::from_json(&tail.report().to_json()).expect("the retained trace is whole");
+    assert!(
+        retained[0].events.len() > rec.capacity(),
+        "the query recorded more events than the ring holds"
+    );
     c.shutdown();
 }
 

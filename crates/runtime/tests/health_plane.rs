@@ -8,9 +8,13 @@
 use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
-use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
+use roads_runtime::{
+    Attachments, FaultKind, RoadsCluster, RuntimeConfig, Watchdog, WatchdogConfig,
+};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{labeled, parse_openmetrics, OpenMetricsSnapshot, Registry};
+use std::sync::Arc;
+use std::time::Duration;
 
 const RECORDS_PER_SERVER: usize = 10;
 
@@ -329,4 +333,46 @@ fn queue_depth_rises_under_backlog_and_drains() {
             "server {s} mailbox not drained"
         );
     }
+}
+
+/// `Watchdog::for_cluster` watches this cluster's own liveness gauges: a
+/// kill between two manual ticks opens exactly one `server-down`
+/// incident, on the killed server's series, matched to the kill.
+#[test]
+fn watchdog_names_a_server_killed_between_two_ticks() {
+    let n = 13;
+    let reg = Arc::new(Registry::new());
+    let c = RoadsCluster::start_with(
+        build_net(n),
+        DelaySpace::paper(n, 77),
+        RuntimeConfig::test_fast(),
+        Attachments::instrumented(&reg),
+    );
+    let wd = Watchdog::for_cluster(
+        &c,
+        &reg,
+        WatchdogConfig {
+            interval: Duration::from_secs(3600),
+            coalesce: Duration::from_secs(3600),
+        },
+    );
+    wd.tick_now(); // healthy: nothing fires
+    assert!(wd.report().rows.is_empty());
+
+    let k = a_branch(&c);
+    assert!(c.kill_server(k));
+    wd.tick_now();
+    let report = wd.report();
+    assert_eq!(report.rows.len(), 1);
+    let inc = &report.rows[0];
+    assert_eq!(inc.detectors, vec!["server-down".to_string()]);
+    let id = k.0.to_string();
+    assert_eq!(
+        inc.series,
+        vec![labeled("runtime.server.alive", &[("server", id.as_str())])]
+    );
+    let matched = inc.matched.expect("the kill is matched");
+    assert_eq!((matched.kind, matched.server), (FaultKind::Kill, k.0));
+    wd.stop();
+    c.shutdown();
 }

@@ -317,40 +317,6 @@ impl Recorder {
             .count();
         (out, dropped)
     }
-
-    /// Discard all retained events (id generators keep counting).
-    pub fn clear(&self) {
-        let mut ring = self.ring.lock();
-        ring.buf.clear();
-        ring.start = 0;
-        ring.cut.clear();
-    }
-
-    /// Merge another recorder's events into this one, keeping global time
-    /// order (stable sort, so same-timestamp events of one trace keep
-    /// their relative order) and evicting the oldest overflow FIFO.
-    pub fn merge(&self, other: &Recorder) {
-        let theirs = other.events();
-        if theirs.is_empty() {
-            return;
-        }
-        let their_cut = other.ring.lock().cut.clone();
-        let mut all = self.events();
-        all.extend_from_slice(&theirs);
-        all.sort_by_key(|e| e.at_us);
-        let mut ring = self.ring.lock();
-        let overflow = all.len().saturating_sub(self.capacity);
-        if overflow > 0 {
-            self.evicted.fetch_add(overflow as u64, Ordering::Relaxed);
-        }
-        ring.cut.extend(their_cut);
-        for e in &all[..overflow] {
-            ring.note_evicted(e);
-        }
-        ring.buf.clear();
-        ring.buf.extend_from_slice(&all[overflow..]);
-        ring.start = 0;
-    }
 }
 
 /// Trace ids present in `events`, ascending, [`TraceId::NONE`] excluded.
@@ -691,8 +657,6 @@ mod tests {
         assert_eq!(dropped, 3);
         assert_eq!(trace_ids(&events), vec![TraceId(4)]);
         assert_eq!(span_tree_root(&events, TraceId(4)), Ok(SpanId(41)));
-        rec.clear();
-        assert_eq!(rec.whole_traces(), (Vec::new(), 0));
     }
 
     #[test]
@@ -703,18 +667,6 @@ mod tests {
         assert!(!a.is_none() && !b.is_none() && a != b);
         let t = rec.next_trace_id();
         assert!(!t.is_none());
-    }
-
-    #[test]
-    fn merge_orders_by_time() {
-        let a = Recorder::new(16);
-        let b = Recorder::new(16);
-        a.record(ev(10, 1, 1, 0));
-        a.record(ev(30, 1, 2, 1));
-        b.record(ev(20, 2, 3, 0));
-        a.merge(&b);
-        let ats: Vec<u64> = a.events().iter().map(|e| e.at_us).collect();
-        assert_eq!(ats, vec![10, 20, 30]);
     }
 
     #[test]

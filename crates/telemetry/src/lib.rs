@@ -3,7 +3,7 @@
 //! Four pieces, all dependency-light and thread-safe:
 //!
 //! * [`registry`] — named monotonic [`Counter`]s, [`Gauge`]s and
-//!   log-bucketed latency [`Histogram`]s (fixed memory, mergeable across
+//!   log-bucketed latency [`Histogram`]s (fixed memory, shared across
 //!   threads), collected into a [`Registry`] and exported as a
 //!   [`MetricsSnapshot`] with p50/p90/p99 extraction.
 //! * [`trace`] — an aggregator folding a batch of [`QueryExplain`] records
@@ -20,11 +20,11 @@
 //!   trace-event / Perfetto exporter (`results/<figure>.trace.json`).
 //! * [`timeline`] — a fixed-interval gauge sampler producing
 //!   `timeline.<gauge>` time-series inside a [`FigureExport`].
-//! * [`detect`] — composable online anomaly detectors over timeline
-//!   series (EWMA + z-score spikes, debounced static thresholds,
-//!   multi-window SLO burn-rate rules), bound to series names by a
-//!   [`DetectorBank`] that stamps epoch'd [`DetectorFiring`]s with the
-//!   triggering window attached.
+//! * [`detect`] — three online anomaly detectors, each fed one series
+//!   sample by sample: EWMA + z-score spikes ([`EwmaSpikeDetector`]),
+//!   debounced static floors ([`ThresholdRule`]) and multi-window SLO
+//!   burn-rate rules ([`BurnRateRule`]). The runtime's watchdog feeds
+//!   them from the cluster's own instruments.
 //! * [`openmetrics`] — Prometheus/OpenMetrics text exposition of a
 //!   [`Registry`] snapshot (deterministic ordering, label escaping, full
 //!   histogram buckets) and a parser for scrape files.
@@ -62,9 +62,7 @@ pub mod tail;
 pub mod timeline;
 pub mod trace;
 
-pub use detect::{
-    BurnRateRule, Detector, DetectorBank, DetectorFiring, EwmaSpikeDetector, ThresholdRule, Trip,
-};
+pub use detect::{BurnRateRule, EwmaSpikeDetector, ThresholdRule};
 pub use event::{
     chrome_trace_json, critical_path, slowest_trace, span_tree_root, trace_events, trace_ids,
     write_chrome_trace, write_chrome_trace_default, Event, EventKind, Recorder, SpanId, TraceId,

@@ -77,7 +77,7 @@ const SUB_BUCKETS: f64 = 8.0;
 const LOWEST: f64 = 1e-3;
 
 /// Shared mutable histogram state, guarded by one `parking_lot` mutex.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct HistInner {
     buckets: Vec<u64>,
     count: u64,
@@ -102,11 +102,8 @@ impl HistInner {
 ///
 /// Values map to geometrically spaced buckets (`SUB_BUCKETS` per
 /// doubling), so percentile estimates carry a bounded ~9% relative error
-/// while memory stays constant regardless of sample count. Histograms with
-/// the same layout (always true here — the layout is compile-time fixed)
-/// merge by bucket-wise addition, making per-thread recording plus
-/// end-of-run aggregation cheap and exact: merging two histograms is
-/// indistinguishable from recording the union of their samples.
+/// while memory stays constant regardless of sample count. The layout is
+/// compile-time fixed, so bucket edges mean the same in every histogram.
 #[derive(Debug)]
 pub struct Histogram {
     inner: Mutex<HistInner>,
@@ -167,22 +164,6 @@ impl Histogram {
         g.max = g.max.max(v);
     }
 
-    /// Fold `other` into `self`; equivalent to having recorded the union
-    /// of both sample sets.
-    pub fn merge(&self, other: &Histogram) {
-        // Clone the source first: taking both locks in callers' arbitrary
-        // orders could deadlock.
-        let src = other.inner.lock().clone();
-        let mut dst = self.inner.lock();
-        for (d, s) in dst.buckets.iter_mut().zip(&src.buckets) {
-            *d += s;
-        }
-        dst.count += src.count;
-        dst.sum += src.sum;
-        dst.min = dst.min.min(src.min);
-        dst.max = dst.max.max(src.max);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.inner.lock().count
@@ -216,11 +197,6 @@ impl Histogram {
             }
         }
         Some(g.max)
-    }
-
-    /// Snapshot of the raw bucket counts (for tests and merge auditing).
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.inner.lock().buckets.clone()
     }
 
     /// Freeze the full bucketed state under one lock acquisition, so the
@@ -317,20 +293,9 @@ impl Registry {
         )
     }
 
-    /// The counter named `name` if it already exists (no creation) —
-    /// lookup for scrapers that must not invent series.
-    pub fn find_counter(&self, name: &str) -> Option<Arc<Counter>> {
-        self.counters.lock().get(name).map(Arc::clone)
-    }
-
     /// The gauge named `name` if it already exists (no creation).
     pub fn find_gauge(&self, name: &str) -> Option<Arc<Gauge>> {
         self.gauges.lock().get(name).map(Arc::clone)
-    }
-
-    /// The histogram named `name` if it already exists (no creation).
-    pub fn find_histogram(&self, name: &str) -> Option<Arc<Histogram>> {
-        self.histograms.lock().get(name).map(Arc::clone)
     }
 
     /// Current value of every counter, by name.
@@ -502,23 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_union() {
-        let (a, b, u) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for i in 0..100 {
-            let v = (i * 37 % 91) as f64 + 0.5;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            u.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.bucket_counts(), u.bucket_counts());
-        assert_eq!(a.summary(), u.summary());
-    }
-
-    #[test]
     fn concurrent_recording() {
         let h = Arc::new(Histogram::new());
         let handles: Vec<_> = (0..4)
@@ -597,11 +545,9 @@ mod tests {
     #[test]
     fn registry_find_does_not_create() {
         let r = Registry::new();
-        assert!(r.find_counter("nope").is_none());
         assert!(r.find_gauge("nope").is_none());
         r.counter("c").inc();
         r.gauge("g").set(7);
-        assert_eq!(r.find_counter("c").unwrap().get(), 1);
         assert_eq!(r.find_gauge("g").unwrap().get(), 7);
         assert_eq!(r.counter_values()["c"], 1);
         assert_eq!(r.gauge_values()["g"], 7);

@@ -244,7 +244,7 @@ impl TailSampler {
     }
 
     /// Classify a completed query without retaining anything.
-    pub fn classify(&self, response_ms: f64, failed: bool, complete: bool) -> Option<RetainReason> {
+    fn classify(&self, response_ms: f64, failed: bool, complete: bool) -> Option<RetainReason> {
         if failed {
             Some(RetainReason::Failed)
         } else if !complete {

@@ -18,7 +18,7 @@
 //!   or uniformly below the burn threshold.
 
 use proptest::prelude::*;
-use roads_telemetry::{BurnRateRule, Detector, EwmaSpikeDetector, ThresholdRule};
+use roads_telemetry::{BurnRateRule, EwmaSpikeDetector, ThresholdRule};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -32,10 +32,10 @@ proptest! {
         floor in 0.1f64..10.0,
         n in 4usize..200,
     ) {
-        let mut d = EwmaSpikeDetector::new("spike", alpha, sigma, floor);
+        let mut d = EwmaSpikeDetector::new(alpha, sigma, floor);
         for k in 0..n {
             prop_assert!(
-                d.observe(k as f64, value).is_none(),
+                !d.observe(k as f64, value),
                 "constant series fired at sample {k}"
             );
         }
@@ -53,14 +53,14 @@ proptest! {
         floor in 0.1f64..10.0,
         steps in prop::collection::vec(-1.0f64..1.0, 1..200),
     ) {
-        let mut d = EwmaSpikeDetector::new("spike", alpha, sigma, floor);
+        let mut d = EwmaSpikeDetector::new(alpha, sigma, floor);
         // Keep every increment strictly under the lag bound's budget.
         let scale = 0.85 * alpha * sigma * floor;
         let mut x = start;
         for (k, u) in steps.iter().enumerate() {
             x += u * scale;
             prop_assert!(
-                d.observe(k as f64, x).is_none(),
+                !d.observe(k as f64, x),
                 "drift of {:.3}/sample fired at sample {k} (bound {:.3})",
                 u * scale,
                 alpha * sigma * floor
@@ -82,14 +82,14 @@ proptest! {
         up in any::<bool>(),
         hold in 1usize..20,
     ) {
-        let mut d = EwmaSpikeDetector::new("spike", alpha, sigma, floor);
+        let mut d = EwmaSpikeDetector::new(alpha, sigma, floor);
         for k in 0..warmup {
-            prop_assert!(d.observe(k as f64, base).is_none());
+            prop_assert!(!d.observe(k as f64, base));
         }
         let jump = sigma * floor * (1.0 + excess) * if up { 1.0 } else { -1.0 };
         for k in 0..hold {
             prop_assert!(
-                d.observe((warmup + k) as f64, base + jump).is_some(),
+                d.observe((warmup + k) as f64, base + jump),
                 "step of {jump:.3} (≥ sigma × floor = {:.3}) did not fire \
                  at shifted sample {k}",
                 sigma * floor
@@ -108,28 +108,27 @@ proptest! {
         level in -1e3f64..1e3,
         debounce in 1usize..4,
     ) {
-        let mut nominal: Vec<Box<dyn Detector>> = vec![
-            Box::new(EwmaSpikeDetector::new("spike", 0.3, 4.0, 5.0)),
-            Box::new(ThresholdRule::above("ceiling", level, debounce)),
-            Box::new(ThresholdRule::below("floor", level, debounce)),
-        ];
-        let mut jittered: Vec<Box<dyn Detector>> = vec![
-            Box::new(EwmaSpikeDetector::new("spike", 0.3, 4.0, 5.0)),
-            Box::new(ThresholdRule::above("ceiling", level, debounce)),
-            Box::new(ThresholdRule::below("floor", level, debounce)),
-        ];
+        let mut nominal = (
+            EwmaSpikeDetector::new(0.3, 4.0, 5.0),
+            ThresholdRule::below(level, debounce),
+        );
+        let mut jittered = nominal.clone();
         let mut t_jit = 0.0;
         for (k, &v) in values.iter().enumerate() {
             let t_nom = k as f64 * interval;
             t_jit += interval * jitter[k % jitter.len()];
-            for (a, b) in nominal.iter_mut().zip(jittered.iter_mut()) {
-                prop_assert_eq!(
-                    a.observe(t_nom, v).is_some(),
-                    b.observe(t_jit, v).is_some(),
-                    "detector {} diverged under jitter at sample {k}",
-                    a.name()
-                );
-            }
+            prop_assert_eq!(
+                nominal.0.observe(t_nom, v),
+                jittered.0.observe(t_jit, v),
+                "spike detector diverged under jitter at sample {}",
+                k
+            );
+            prop_assert_eq!(
+                nominal.1.observe(t_nom, v),
+                jittered.1.observe(t_jit, v),
+                "floor rule diverged under jitter at sample {}",
+                k
+            );
         }
     }
 
@@ -144,14 +143,14 @@ proptest! {
         jitter in prop::collection::vec(0.8f64..1.2, 1..100),
     ) {
         let mut rule = BurnRateRule::new(
-            "burn", budget, factor, 2.0 * interval, 8.0 * interval,
+            budget, factor, 2.0 * interval, 8.0 * interval,
         );
         let level = rule.burn_threshold();
         let mut t = 0.0;
         for (k, &f) in fractions.iter().enumerate() {
             t += interval * jitter[k % jitter.len()];
             prop_assert!(
-                rule.observe(t, f * level).is_none(),
+                !rule.observe(t, f * level),
                 "sub-budget burn fired at sample {k}"
             );
         }
@@ -171,13 +170,13 @@ proptest! {
         jitter in prop::collection::vec(0.8f64..1.2, 3..100),
     ) {
         let mut rule = BurnRateRule::new(
-            "burn", budget, factor, 2.0 * interval, 8.0 * interval,
+            budget, factor, 2.0 * interval, 8.0 * interval,
         );
         let level = rule.burn_threshold();
         let mut t = 0.0;
         for (k, &m) in overshoots.iter().enumerate() {
             t += interval * jitter[k % jitter.len()];
-            let fired = rule.observe(t, m * level).is_some();
+            let fired = rule.observe(t, m * level);
             // Default warmup: three samples inside the long window.
             prop_assert_eq!(
                 fired,
@@ -195,12 +194,12 @@ proptest! {
         level in -5.0f64..5.0,
         debounce in 1usize..6,
     ) {
-        let mut rule = ThresholdRule::above("ceiling", level, debounce);
+        let mut rule = ThresholdRule::below(level, debounce);
         let mut run = 0usize;
         for (k, &v) in values.iter().enumerate() {
-            run = if v >= level { run + 1 } else { 0 };
+            run = if v <= level { run + 1 } else { 0 };
             prop_assert_eq!(
-                rule.observe(k as f64, v).is_some(),
+                rule.observe(k as f64, v),
                 run >= debounce,
                 "debounce verdict wrong at sample {k}"
             );

@@ -83,55 +83,6 @@ proptest! {
         prop_assert_eq!(ctr.get(), total);
     }
 
-    /// Merging histograms commutes: a+b and b+a agree bucket by bucket.
-    #[test]
-    fn histogram_merge_commutes(
-        xs in prop::collection::vec(0.0f64..1e6, 0..64),
-        ys in prop::collection::vec(0.0f64..1e6, 0..64),
-    ) {
-        let (a1, b1) = (Histogram::new(), Histogram::new());
-        let (a2, b2) = (Histogram::new(), Histogram::new());
-        for &x in &xs {
-            a1.record(x);
-            a2.record(x);
-        }
-        for &y in &ys {
-            b1.record(y);
-            b2.record(y);
-        }
-        a1.merge(&b1); // a+b
-        b2.merge(&a2); // b+a
-        prop_assert_eq!(a1.bucket_counts(), b2.bucket_counts());
-        prop_assert_eq!(a1.count(), b2.count());
-        prop_assert!((a1.sum() - b2.sum()).abs() <= 1e-9 * a1.sum().abs().max(1.0));
-    }
-
-    /// Merging two histograms is indistinguishable from recording the
-    /// union of their samples into one histogram.
-    #[test]
-    fn histogram_merge_is_sample_union(
-        xs in prop::collection::vec(1e-9f64..1e9, 0..64),
-        ys in prop::collection::vec(1e-9f64..1e9, 0..64),
-    ) {
-        let left = Histogram::new();
-        let right = Histogram::new();
-        let union = Histogram::new();
-        for &x in &xs {
-            left.record(x);
-            union.record(x);
-        }
-        for &y in &ys {
-            right.record(y);
-            union.record(y);
-        }
-        left.merge(&right);
-        prop_assert_eq!(left.bucket_counts(), union.bucket_counts());
-        prop_assert_eq!(left.count(), union.count());
-        for q in [0.5, 0.9, 0.99] {
-            prop_assert_eq!(left.percentile(q), union.percentile(q));
-        }
-    }
-
     /// Histogram percentiles are monotone in the quantile, and the summary
     /// sits inside the recorded range (up to one bucket of quantization).
     #[test]
@@ -316,41 +267,6 @@ proptest! {
         let mut rotated = names.clone();
         rotated.rotate_left(rot % names.len().max(1));
         prop_assert_eq!(build(&names), build(&rotated));
-    }
-
-    /// Merging one node's recorder into another yields a globally
-    /// time-ordered ring in which each trace's own events keep their
-    /// relative (causal) order.
-    #[test]
-    fn recorder_merge_preserves_per_trace_order(
-        ta in prop::collection::vec(0u64..1_000, 0..64),
-        tb in prop::collection::vec(0u64..1_000, 0..64),
-    ) {
-        let a = Recorder::new(256);
-        let b = Recorder::new(256);
-        let mut ta = ta;
-        let mut tb = tb;
-        ta.sort_unstable();
-        tb.sort_unstable();
-        for (i, &t) in ta.iter().enumerate() {
-            a.record(ev(t, 1, i as u64));
-        }
-        for (i, &t) in tb.iter().enumerate() {
-            b.record(ev(t, 2, i as u64));
-        }
-        a.merge(&b);
-        let all = a.events();
-        prop_assert_eq!(all.len(), ta.len() + tb.len());
-        prop_assert!(all.windows(2).all(|w| w[0].at_us <= w[1].at_us));
-        for trace in [1u64, 2] {
-            let seqs: Vec<u64> = all
-                .iter()
-                .filter(|e| e.trace.0 == trace)
-                .map(|e| e.detail)
-                .collect();
-            let expect: Vec<u64> = (0..seqs.len() as u64).collect();
-            prop_assert_eq!(seqs, expect);
-        }
     }
 
     /// Strings with multi-byte characters, every escape, control

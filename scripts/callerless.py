@@ -13,7 +13,11 @@ shares is never reported; read those by hand.
 With --check the script exits 1 if a `tests-only-or-none` item is not in
 KEEP below, so that code nothing calls cannot grow back unnoticed.
 
-    python3 scripts/callerless.py [--check] [REPO_ROOT]
+With --loc it prints instead the non-test lines of crates/*/src per crate
+and in total: every line of a file above its first top-level
+`#[cfg(test)]`, the same cut the sweep uses.
+
+    python3 scripts/callerless.py [--check | --loc] [REPO_ROOT]
 """
 import os
 import re
@@ -30,7 +34,8 @@ KEEP = {
 
 args = sys.argv[1:]
 CHECK = "--check" in args
-args = [a for a in args if a != "--check"]
+LOC = "--loc" in args
+args = [a for a in args if a not in ("--check", "--loc")]
 ROOT = args[0] if args else "."
 SKIP = {"target", "vendor", ".git"}
 GENERIC = {"new", "default", "fmt", "from", "main"}
@@ -45,6 +50,26 @@ for dirpath, dirnames, filenames in os.walk(ROOT):
     dirnames[:] = [d for d in dirnames if d not in SKIP]
     files += [os.path.join(dirpath, f) for f in filenames if f.endswith(".rs")]
 text = {f: open(f, encoding="utf-8").read() for f in files}
+CRATE_SRC = re.compile(r"/crates/([^/]+)/src/")
+
+
+def test_cut(body):
+    """Offset of a file's first top-level `#[cfg(test)]`, or its end."""
+    tests = re.search(r"^#\[cfg\(test\)\]", body, re.M)
+    return tests.start() if tests else len(body)
+
+
+if LOC:
+    lines = {}
+    for f in files:
+        crate = CRATE_SRC.search(f)
+        if crate:
+            n = text[f].count("\n", 0, test_cut(text[f]))
+            lines[crate.group(1)] = lines.get(crate.group(1), 0) + n
+    for crate in sorted(lines):
+        print(f"crates/{crate}\t{lines[crate]}")
+    print(f"total\t{sum(lines.values())}")
+    sys.exit(0)
 
 mentions = {}
 for f, body in text.items():
@@ -53,10 +78,9 @@ for f, body in text.items():
 
 found = 0
 unexpected = []
-for f in sorted(f for f in files if re.search(r"/crates/[^/]+/src/", f)):
+for f in sorted(f for f in files if CRATE_SRC.search(f)):
     body = text[f]
-    tests = re.search(r"^#\[cfg\(test\)\]", body, re.M)
-    cut = tests.start() if tests else len(body)
+    cut = test_cut(body)
     for m in ITEM.finditer(body, 0, cut):
         name = m.group(1)
         if name in GENERIC or mentions.get(name, set()) - {f}:
