@@ -2,11 +2,12 @@
 //! query execution for ROADS and the SWORD baseline.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use roads_bench::live::line_net;
 use roads_core::{
     execute_query, update_round, HierarchyTree, RoadsConfig, RoadsNetwork, SearchScope, ServerId,
 };
 use roads_netsim::DelaySpace;
-use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+use roads_records::{QueryBuilder, QueryId, Schema};
 use roads_runtime::{
     Attachments, AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig, Watchdog,
     WatchdogConfig,
@@ -15,7 +16,7 @@ use roads_summary::SummaryConfig;
 use roads_sword::SwordNetwork;
 use roads_telemetry::{OpenMetricsSnapshot, Recorder, Registry, TailSampler};
 use roads_workload::{
-    default_schema, generate_node_records, generate_queries, QueryWorkloadConfig,
+    default_schema, generate_node_records, generate_queries, line_records, QueryWorkloadConfig,
     RecordWorkloadConfig,
 };
 use std::sync::Arc;
@@ -122,34 +123,8 @@ fn bench_recorder_overhead(c: &mut Criterion) {
             )
         })
     });
-    fn live_net() -> RoadsNetwork {
-        let n = 9usize;
-        let records: Vec<Vec<Record>> = (0..n)
-            .map(|s| {
-                (0..10)
-                    .map(|i| {
-                        let id = s * 10 + i;
-                        Record::new_unchecked(
-                            RecordId(id as u64),
-                            OwnerId(s as u32),
-                            vec![Value::Float(id as f64 / (n * 10) as f64)],
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        RoadsNetwork::build(
-            Schema::unit_numeric(1),
-            RoadsConfig {
-                max_children: 3,
-                summary: SummaryConfig::with_buckets(64),
-                ..RoadsConfig::paper_default()
-            },
-            records,
-        )
-    }
     fn live_cluster(attach: Attachments<'_>) -> RoadsCluster {
-        let net = live_net();
+        let net = line_net(9, 10, 64);
         let cfg = RuntimeConfig {
             dispatch_timeout_ms: 400,
             max_retries: 1,
@@ -193,7 +168,7 @@ fn bench_recorder_overhead(c: &mut Criterion) {
     // Watchdog threads racing the queries at 5 ms.
     g.bench_function("live_all_on", |b| {
         let reg = Arc::new(Registry::new());
-        let metrics = Arc::new(AuditMetrics::new(&reg, live_net().tree().levels()));
+        let metrics = Arc::new(AuditMetrics::new(&reg, line_net(9, 10, 64).tree().levels()));
         let cluster = live_cluster(Attachments {
             recorder: Some(Arc::new(Recorder::new(65_536))),
             tail: Some(TailSampler::shared()),
@@ -255,10 +230,11 @@ fn bench_recorder_overhead(c: &mut Criterion) {
 fn bench_live_hop(c: &mut Criterion) {
     let mut g = c.benchmark_group("live_hop");
     let schema = Schema::unit_numeric(1);
-    let records = vec![(0..8)
-        .map(|i| Record::new_unchecked(RecordId(i), OwnerId(0), vec![Value::Float(i as f64 / 8.0)]))
-        .collect()];
-    let net = RoadsNetwork::build(schema.clone(), RoadsConfig::paper_default(), records);
+    let net = RoadsNetwork::build(
+        schema.clone(),
+        RoadsConfig::paper_default(),
+        line_records(1, 8),
+    );
     let cluster = RoadsCluster::start(
         net,
         DelaySpace::paper(1, 7),

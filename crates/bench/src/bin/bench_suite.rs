@@ -33,18 +33,17 @@
 //!
 //! [`QueryExplain`]: roads_telemetry::QueryExplain
 
+use roads_bench::live::{drive, fault_config, line_net, sliding_ranges};
 use roads_bench::print_metrics_digest;
-use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
+use roads_core::{RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
-use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+use roads_records::{Query, QueryBuilder, QueryId};
 use roads_runtime::{
     Attachments, AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig, Watchdog,
     WatchdogConfig,
 };
-use roads_summary::SummaryConfig;
 use roads_telemetry::{results_dir, OpenMetricsSnapshot, Recorder, Registry, TailSampler};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,90 +55,8 @@ const QUERIES: usize = 32;
 const KILLS: usize = 3;
 /// Concurrent clients of a workload pass.
 const CLIENTS: usize = 4;
-
-/// The live-cluster workload: one numeric attribute, evenly spread
-/// records, so every 0.25-length range matches somewhere.
-fn cluster_net(n: usize) -> RoadsNetwork {
-    const RECORDS_PER_SERVER: usize = 10;
-    let schema = Schema::unit_numeric(1);
-    let cfg = RoadsConfig {
-        max_children: 3,
-        summary: SummaryConfig::with_buckets(128),
-        ..RoadsConfig::paper_default()
-    };
-    let records: Vec<Vec<Record>> = (0..n)
-        .map(|s| {
-            (0..RECORDS_PER_SERVER)
-                .map(|i| {
-                    let id = s * RECORDS_PER_SERVER + i;
-                    Record::new_unchecked(
-                        RecordId(id as u64),
-                        OwnerId(s as u32),
-                        vec![Value::Float(id as f64 / (n * RECORDS_PER_SERVER) as f64)],
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    RoadsNetwork::build(schema, cfg, records)
-}
-
-fn cluster_config() -> RuntimeConfig {
-    RuntimeConfig {
-        dispatch_timeout_ms: 400,
-        max_retries: 1,
-        backoff_base_ms: 10,
-        query_deadline_ms: 20_000,
-        delay_scale: 0.1,
-        per_record_retrieval_us: 150,
-        base_query_cost_us: 1_000,
-        max_inflight_queries: 64,
-        ..RuntimeConfig::paper_like()
-    }
-}
-
-/// Sliding 0.25-length ranges; entries stride the federation when
-/// `spread`, else all enter at the root.
-fn queries(
-    schema: &Schema,
-    n: usize,
-    count: usize,
-    root: ServerId,
-    spread: bool,
-) -> Vec<(Query, ServerId)> {
-    (0..count)
-        .map(|i| {
-            let lo = 0.75 * (i as f64 * 0.37).fract();
-            let q = QueryBuilder::new(schema, QueryId(i as u64))
-                .range("x0", lo, lo + 0.25)
-                .build();
-            let entry = if spread {
-                ServerId(((i * 7 + 3) % n) as u32)
-            } else {
-                root
-            };
-            (q, entry)
-        })
-        .collect()
-}
-
-/// Run `workload` once from [`CLIENTS`] concurrent clients.
-fn drive(c: &RoadsCluster, workload: &[(Query, ServerId)]) {
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..CLIENTS {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= workload.len() {
-                    break;
-                }
-                let (q, entry) = &workload[i];
-                let out = c.query(q, *entry);
-                assert!(!out.records.is_empty(), "every range matches something");
-            });
-        }
-    });
-}
+/// Records per server: every 0.25-length range matches somewhere.
+const RECORDS_PER_SERVER: usize = 10;
 
 /// The first non-root server with children: killing it forces the
 /// overlay to detect the death and re-route its subtree.
@@ -173,7 +90,11 @@ fn main() {
     // --- Live query plane: overlay-spread and root-only entries. --------
     let n = SERVERS;
     let reg = Arc::new(Registry::new());
-    let net = cluster_net(n);
+    let net = line_net(n, RECORDS_PER_SERVER, 128);
+    let config = RuntimeConfig {
+        max_inflight_queries: 64,
+        ..fault_config()
+    };
     // Tail-based sampling over the whole live-cluster run: slow / failed /
     // incomplete queries keep their explain record + flight-recorder trace.
     let recorder = Arc::new(Recorder::new(65_536));
@@ -185,7 +106,7 @@ fn main() {
     let cluster = RoadsCluster::start_with(
         net,
         DelaySpace::paper(n, 31),
-        cluster_config(),
+        config,
         Attachments {
             recorder: Some(Arc::clone(&recorder)),
             tail: Some(Arc::clone(&tail)),
@@ -195,7 +116,7 @@ fn main() {
     );
     let root = cluster.network().tree().root();
     let cschema = cluster.network().schema().clone();
-    let audit_probes: Vec<Query> = queries(&cschema, n, 16, root, false)
+    let audit_probes: Vec<Query> = sliding_ranges(&cschema, n, 16, root, false)
         .into_iter()
         .map(|(q, _)| q)
         .collect();
@@ -222,10 +143,10 @@ fn main() {
             ..WatchdogConfig::default()
         },
     );
-    let spread = queries(&cschema, n, QUERIES, root, true);
-    let rooted = queries(&cschema, n, QUERIES, root, false);
-    drive(&cluster, &spread);
-    drive(&cluster, &rooted);
+    let spread = sliding_ranges(&cschema, n, QUERIES, root, true);
+    let rooted = sliding_ranges(&cschema, n, QUERIES, root, false);
+    drive(&cluster, &spread, CLIENTS);
+    drive(&cluster, &rooted, CLIENTS);
 
     // --- Result cache: a cold pass, then cached replays. ----------------
     // A second cluster over the same data runs with a 2-round TTL'd result
@@ -233,11 +154,11 @@ fn main() {
     // `roads.cache.*` families are attributable to this phase alone.
     let cache_reg = Registry::new();
     let cached = RoadsCluster::start_with(
-        cluster_net(n),
+        line_net(n, RECORDS_PER_SERVER, 128),
         DelaySpace::paper(n, 31),
         RuntimeConfig {
             cache_ttl_rounds: 2,
-            ..cluster_config()
+            ..config
         },
         Attachments::instrumented(&cache_reg),
     );
@@ -251,7 +172,7 @@ fn main() {
         );
     }
     // Replays: the cold pass populated the cache, so these hit it.
-    drive(&cached, &spread);
+    drive(&cached, &spread, CLIENTS);
     // Age every cached answer out so expiries land on the scrape.
     cached.advance_cache_round();
     cached.advance_cache_round();

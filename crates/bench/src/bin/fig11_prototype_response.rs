@@ -18,11 +18,11 @@
 
 use roads_bench::chart::{render, Series};
 use roads_bench::parse_args;
-use roads_core::{LatencyStats, RoadsConfig, RoadsNetwork, ServerId};
+use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
 use roads_runtime::{Attachments, CentralCluster, RoadsCluster, RuntimeConfig};
 use roads_summary::SummaryConfig;
-use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
+use roads_telemetry::{write_chrome_trace_default, FigureExport, LatencyStats, Recorder, Registry};
 use roads_workload::{
     default_schema, generate_node_records, selectivity_query_groups, RecordWorkloadConfig,
 };

@@ -20,22 +20,11 @@ use roads_bench::parse_args;
 use roads_core::protocol::{build_data_simulation, run_with_timeline, DataNode};
 use roads_core::{HierarchyTree, RoadsConfig, ServerId};
 use roads_netsim::{DelaySpace, NodeId, SimTime, Simulator};
-use roads_records::{OwnerId, Record, RecordId, Schema, Value};
+use roads_records::Schema;
 use roads_summary::SummaryConfig;
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Timeline};
+use roads_workload::line_records;
 use std::sync::Arc;
-
-fn records(n: usize) -> Vec<Vec<Record>> {
-    (0..n)
-        .map(|s| {
-            vec![Record::new_unchecked(
-                RecordId(s as u64),
-                OwnerId(s as u32),
-                vec![Value::Float(s as f64 / n as f64)],
-            )]
-        })
-        .collect()
-}
 
 fn main() {
     let (quick, ..) = parse_args();
@@ -54,7 +43,13 @@ fn main() {
         ..RoadsConfig::paper_default()
     };
     let tree = HierarchyTree::build(n, cfg.max_children);
-    let mut sim = build_data_simulation(&tree, cfg, schema, records(n), DelaySpace::paper(n, 17));
+    let mut sim = build_data_simulation(
+        &tree,
+        cfg,
+        schema,
+        line_records(n, 1),
+        DelaySpace::paper(n, 17),
+    );
     let rec = Arc::new(Recorder::new(65_536));
     sim.set_recorder(Arc::clone(&rec));
     let mut timeline = Timeline::new(2_000.0);

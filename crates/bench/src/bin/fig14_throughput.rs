@@ -20,12 +20,12 @@
 //! and flattens earlier.
 
 use roads_bench::chart::{render, Series};
+use roads_bench::live::{disjoint_branches, drive, fault_config, line_net, sliding_ranges};
 use roads_bench::parse_args;
-use roads_core::{QueryBatch, RoadsConfig, RoadsNetwork, SearchScope, ServerId};
+use roads_core::{QueryBatch, SearchScope, ServerId};
 use roads_netsim::DelaySpace;
-use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+use roads_records::Query;
 use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
-use roads_summary::SummaryConfig;
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,101 +33,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const RECORDS_PER_SERVER: usize = 10;
-
-fn build_net(n: usize) -> RoadsNetwork {
-    let schema = Schema::unit_numeric(1);
-    let cfg = RoadsConfig {
-        max_children: 3,
-        summary: SummaryConfig::with_buckets(128),
-        ..RoadsConfig::paper_default()
-    };
-    let records: Vec<Vec<Record>> = (0..n)
-        .map(|s| {
-            (0..RECORDS_PER_SERVER)
-                .map(|i| {
-                    let id = s * RECORDS_PER_SERVER + i;
-                    Record::new_unchecked(
-                        RecordId(id as u64),
-                        OwnerId(s as u32),
-                        vec![Value::Float(id as f64 / (n * RECORDS_PER_SERVER) as f64)],
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    RoadsNetwork::build(schema, cfg, records)
-}
-
-/// Crash victims with pairwise-disjoint subtrees (same policy as fig13).
-fn pick_victims(net: &RoadsNetwork, k: usize) -> Vec<ServerId> {
-    let tree = net.tree();
-    let mut candidates: Vec<ServerId> = (0..net.len() as u32)
-        .map(ServerId)
-        .filter(|&s| s != tree.root())
-        .collect();
-    candidates.sort_by_key(|&s| (tree.children(s).is_empty(), tree.subtree(s).len(), s.0));
-    let mut victims = Vec::new();
-    let mut covered: HashSet<ServerId> = HashSet::new();
-    for s in candidates {
-        if victims.len() == k {
-            break;
-        }
-        let sub = tree.subtree(s);
-        if sub.iter().any(|x| covered.contains(x)) {
-            continue;
-        }
-        covered.extend(sub);
-        victims.push(s);
-    }
-    victims
-}
-
-/// The query workload: sliding 0.25-length ranges, one entry per query.
-/// Entries stride over the federation when `spread` (overlay entry) or all
-/// point at the root otherwise.
-fn workload(
-    schema: &Schema,
-    n: usize,
-    count: usize,
-    root: ServerId,
-    spread: bool,
-) -> Vec<(Query, ServerId)> {
-    (0..count)
-        .map(|i| {
-            let lo = 0.75 * (i as f64 * 0.37).fract();
-            let q = QueryBuilder::new(schema, QueryId(i as u64))
-                .range("x0", lo, lo + 0.25)
-                .build();
-            let entry = if spread {
-                ServerId(((i * 7 + 3) % n) as u32)
-            } else {
-                root
-            };
-            (q, entry)
-        })
-        .collect()
-}
-
-/// Drive `queries` through the cluster from `threads` client threads
-/// pulling off a shared cursor; returns queries per second.
-fn measure_qps(c: &RoadsCluster, queries: &[(Query, ServerId)], threads: usize) -> f64 {
-    let cursor = AtomicUsize::new(0);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= queries.len() {
-                    break;
-                }
-                let (q, entry) = &queries[i];
-                let out = c.query(q, *entry);
-                assert!(!out.records.is_empty(), "every range matches something");
-            });
-        }
-    });
-    queries.len() as f64 / t0.elapsed().as_secs_f64()
-}
 
 fn main() {
     let (quick, ..) = parse_args();
@@ -142,21 +47,14 @@ fn main() {
     println!("==================================================================");
 
     let runtime_cfg = RuntimeConfig {
-        dispatch_timeout_ms: 400,
-        max_retries: 1,
-        backoff_base_ms: 10,
-        query_deadline_ms: 20_000,
-        delay_scale: 0.1,
-        per_record_retrieval_us: 150,
-        base_query_cost_us: 1_000,
         max_inflight_queries: 64,
-        ..RuntimeConfig::paper_like()
+        ..fault_config()
     };
 
     let reg = Registry::new();
     let rec = Arc::new(Recorder::new(65_536));
     let healthy = RoadsCluster::start_with(
-        build_net(n),
+        line_net(n, RECORDS_PER_SERVER, 128),
         DelaySpace::paper(n, 31),
         runtime_cfg,
         Attachments {
@@ -164,8 +62,12 @@ fn main() {
             ..Attachments::instrumented(&reg)
         },
     );
-    let degraded = RoadsCluster::start(build_net(n), DelaySpace::paper(n, 31), runtime_cfg);
-    let victims = pick_victims(degraded.network(), kills);
+    let degraded = RoadsCluster::start(
+        line_net(n, RECORDS_PER_SERVER, 128),
+        DelaySpace::paper(n, 31),
+        runtime_cfg,
+    );
+    let victims = disjoint_branches(degraded.network(), kills);
     assert_eq!(victims.len(), kills, "not enough disjoint branch victims");
     for &v in &victims {
         assert!(degraded.kill_server(v));
@@ -173,8 +75,8 @@ fn main() {
 
     let schema = healthy.network().schema().clone();
     let root = healthy.network().tree().root();
-    let spread_queries = workload(&schema, n, q_count, root, true);
-    let root_queries = workload(&schema, n, q_count, root, false);
+    let spread_queries = sliding_ranges(&schema, n, q_count, root, true);
+    let root_queries = sliding_ranges(&schema, n, q_count, root, false);
     // Degraded runs can lose crashed subtrees, so drop the non-empty
     // assertion by filtering entries onto live servers only.
     let dead: HashSet<ServerId> = victims
@@ -191,7 +93,7 @@ fn main() {
 
     // Simulation plane: the spread workload tiled large enough that worker
     // spawn cost is noise next to evaluation work.
-    let sim_net = Arc::new(build_net(n));
+    let sim_net = Arc::new(line_net(n, RECORDS_PER_SERVER, 128));
     let sim_delays = Arc::new(DelaySpace::paper(n, 31));
     let sim_queries: Vec<(Query, ServerId)> = (0..if quick { 50 } else { 100 })
         .flat_map(|_| spread_queries.iter().cloned())
@@ -206,8 +108,8 @@ fn main() {
     let mut s_degraded = Vec::new();
     let mut s_sim = Vec::new();
     for &t in thread_counts {
-        let qps_overlay = measure_qps(&healthy, &spread_queries, t);
-        let qps_root = measure_qps(&healthy, &root_queries, t);
+        let qps_overlay = drive(&healthy, &spread_queries, t);
+        let qps_root = drive(&healthy, &root_queries, t);
         let qps_degraded = {
             let cursor = AtomicUsize::new(0);
             let t0 = Instant::now();

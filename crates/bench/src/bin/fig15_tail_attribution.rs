@@ -19,68 +19,18 @@
 //! [`QueryExplain`]: roads_telemetry::QueryExplain
 //! [`Attribution`]: roads_telemetry::Attribution
 
+use roads_bench::live::{disjoint_branches, fault_config, line_net};
 use roads_bench::parse_args;
-use roads_core::{RequesterId, RoadsConfig, RoadsNetwork, ServerId};
+use roads_core::{RequesterId, ServerId};
 use roads_netsim::DelaySpace;
-use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
-use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
-use roads_summary::SummaryConfig;
+use roads_records::{Query, QueryBuilder, QueryId};
+use roads_runtime::{Attachments, RoadsCluster};
 use roads_telemetry::{
     write_chrome_trace_default, Attribution, FigureExport, QueryExplain, Recorder, Registry,
 };
-use std::collections::HashSet;
 use std::sync::Arc;
 
 const RECORDS_PER_SERVER: usize = 30;
-
-fn build_net(n: usize) -> RoadsNetwork {
-    let schema = Schema::unit_numeric(1);
-    let cfg = RoadsConfig {
-        max_children: 3,
-        summary: SummaryConfig::with_buckets(128),
-        ..RoadsConfig::paper_default()
-    };
-    let records: Vec<Vec<Record>> = (0..n)
-        .map(|s| {
-            (0..RECORDS_PER_SERVER)
-                .map(|i| {
-                    let id = s * RECORDS_PER_SERVER + i;
-                    Record::new_unchecked(
-                        RecordId(id as u64),
-                        OwnerId(s as u32),
-                        vec![Value::Float(id as f64 / (n * RECORDS_PER_SERVER) as f64)],
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    RoadsNetwork::build(schema, cfg, records)
-}
-
-/// Crash victims with pairwise-disjoint subtrees (see Fig. 13): interior
-/// servers with small subtrees first, leaves as a fallback.
-fn pick_victims(net: &RoadsNetwork, k: usize) -> Vec<ServerId> {
-    let tree = net.tree();
-    let mut candidates: Vec<ServerId> = (0..net.len() as u32)
-        .map(ServerId)
-        .filter(|&s| s != tree.root())
-        .collect();
-    candidates.sort_by_key(|&s| (tree.children(s).is_empty(), tree.subtree(s).len(), s.0));
-    let mut victims = Vec::new();
-    let mut covered: HashSet<ServerId> = HashSet::new();
-    for s in candidates {
-        if victims.len() == k {
-            break;
-        }
-        let sub = tree.subtree(s);
-        if sub.iter().any(|x| covered.contains(x)) {
-            continue;
-        }
-        covered.extend(sub);
-        victims.push(s);
-    }
-    victims
-}
 
 /// Run the batch and return the p99-latency query's explain record (the
 /// batch is small, so p99 selects the slowest-but-one tail query).
@@ -107,18 +57,9 @@ fn main() {
     println!("root-funneled vs overlay-spread entries, k crashed servers");
     println!("==================================================================");
 
-    let runtime_cfg = RuntimeConfig {
-        dispatch_timeout_ms: 400,
-        max_retries: 1,
-        backoff_base_ms: 10,
-        query_deadline_ms: 20_000,
-        delay_scale: 0.1,
-        per_record_retrieval_us: 150,
-        base_query_cost_us: 1_000,
-        ..RuntimeConfig::paper_like()
-    };
+    let runtime_cfg = fault_config();
     let k_max = *kill_counts.last().unwrap();
-    let victims = pick_victims(&build_net(n), k_max);
+    let victims = disjoint_branches(&line_net(n, RECORDS_PER_SERVER, 128), k_max);
     assert_eq!(
         victims.len(),
         k_max,
@@ -128,7 +69,7 @@ fn main() {
     let reg = Registry::new();
     let rec = Arc::new(Recorder::new(65_536));
     let cluster = RoadsCluster::start_with(
-        build_net(n),
+        line_net(n, RECORDS_PER_SERVER, 128),
         DelaySpace::paper(n, 31),
         runtime_cfg,
         Attachments {

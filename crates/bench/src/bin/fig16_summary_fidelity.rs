@@ -21,39 +21,15 @@
 //! the correctness-critical direction the conservative evaluation
 //! otherwise never produces.
 
+use roads_bench::live::{disjoint_branches, line_net};
 use roads_bench::parse_args;
-use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
+use roads_core::RoadsNetwork;
 use roads_netsim::DelaySpace;
-use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+use roads_records::{Query, QueryBuilder, QueryId};
 use roads_runtime::{Attachments, AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig};
-use roads_summary::SummaryConfig;
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// One record per server at `s / n` with fine buckets: every record sits
-/// alone in its histogram bucket, so the converged overlay audits with
-/// zero false positives and a refresh taken while a server was dead
-/// demonstrably prunes its record (false negative after restart).
-fn build_net(n: usize) -> RoadsNetwork {
-    let schema = Schema::unit_numeric(1);
-    let cfg = RoadsConfig {
-        max_children: 3,
-        summary: SummaryConfig::with_buckets(256),
-        ..RoadsConfig::paper_default()
-    };
-    let records: Vec<Vec<Record>> = (0..n)
-        .map(|s| {
-            vec![Record::new_unchecked(
-                RecordId(s as u64),
-                OwnerId(s as u32),
-                vec![Value::Float(s as f64 / n as f64)],
-            )]
-        })
-        .collect();
-    RoadsNetwork::build(schema, cfg, records)
-}
 
 /// Ground-truth probes: one narrow range query per server, centered on
 /// its record.
@@ -66,31 +42,6 @@ fn probes(net: &RoadsNetwork, n: usize) -> Vec<Query> {
                 .build()
         })
         .collect()
-}
-
-/// Crash victims with pairwise-disjoint subtrees (see Fig. 13): interior
-/// servers with small subtrees first, leaves as a fallback.
-fn pick_victims(net: &RoadsNetwork, k: usize) -> Vec<ServerId> {
-    let tree = net.tree();
-    let mut candidates: Vec<ServerId> = (0..net.len() as u32)
-        .map(ServerId)
-        .filter(|&s| s != tree.root())
-        .collect();
-    candidates.sort_by_key(|&s| (tree.children(s).is_empty(), tree.subtree(s).len(), s.0));
-    let mut victims = Vec::new();
-    let mut covered: HashSet<ServerId> = HashSet::new();
-    for s in candidates {
-        if victims.len() == k {
-            break;
-        }
-        let sub = tree.subtree(s);
-        if sub.iter().any(|x| covered.contains(x)) {
-            continue;
-        }
-        covered.extend(sub);
-        victims.push(s);
-    }
-    victims
 }
 
 fn main() {
@@ -138,7 +89,12 @@ fn main() {
             // audit counters (and the AuditLevelRow.live_* fields read
             // from them) from bleeding across configurations.
             let reg = Registry::new();
-            let net = build_net(n);
+            // One record per server at `s / n` with fine buckets: every
+            // record sits alone in its histogram bucket, so the converged
+            // overlay audits with zero false positives and a refresh taken
+            // while a server was dead demonstrably prunes its record (false
+            // negative after restart).
+            let net = line_net(n, 1, 256);
             let metrics = Arc::new(AuditMetrics::new(&reg, net.tree().levels()));
             let cluster = RoadsCluster::start_with(
                 net,
@@ -152,7 +108,7 @@ fn main() {
                 },
             );
             let net = cluster.shared_network();
-            let victims = pick_victims(&net, k);
+            let victims = disjoint_branches(&net, k);
             assert_eq!(victims.len(), k, "need {k} disjoint victims among {n}");
             let auditor = Auditor::start(
                 Arc::clone(&net),

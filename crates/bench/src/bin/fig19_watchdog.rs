@@ -25,63 +25,30 @@
 //! * a fault-free control run produces zero firings and zero
 //!   incidents.
 
+use roads_bench::live::{disjoint_branches, line_net};
 use roads_bench::parse_args;
-use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
+use roads_core::ServerId;
 use roads_netsim::DelaySpace;
-use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+use roads_records::{QueryBuilder, QueryId};
 use roads_runtime::{
     Attachments, CauseKind, IncidentReport, RoadsCluster, RuntimeConfig, Watchdog, WatchdogConfig,
 };
-use roads_summary::SummaryConfig;
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One record per server at `s / n`: a full-range query contacts every
-/// branch, so its response time tracks the slowest (or slowed) server.
-fn build_net(n: usize) -> RoadsNetwork {
-    let schema = Schema::unit_numeric(1);
-    let cfg = RoadsConfig {
-        max_children: 3,
-        summary: SummaryConfig::with_buckets(256),
-        ..RoadsConfig::paper_default()
-    };
-    let records: Vec<Vec<Record>> = (0..n)
-        .map(|s| {
-            vec![Record::new_unchecked(
-                RecordId(s as u64),
-                OwnerId(s as u32),
-                vec![Value::Float(s as f64 / n as f64)],
-            )]
-        })
-        .collect();
-    RoadsNetwork::build(schema, cfg, records)
-}
-
-/// Fault victims with pairwise-disjoint subtrees (see Fig. 13/16):
-/// interior servers with small subtrees first, leaves as a fallback.
-fn pick_victims(net: &RoadsNetwork, k: usize) -> Vec<ServerId> {
-    let tree = net.tree();
-    let mut candidates: Vec<ServerId> = (0..net.len() as u32)
-        .map(ServerId)
-        .filter(|&s| s != tree.root())
-        .collect();
-    candidates.sort_by_key(|&s| (tree.children(s).is_empty(), tree.subtree(s).len(), s.0));
-    let mut victims = Vec::new();
-    let mut covered: HashSet<ServerId> = HashSet::new();
-    for s in candidates {
-        if victims.len() == k {
-            break;
-        }
-        let sub = tree.subtree(s);
-        if sub.iter().any(|x| covered.contains(x)) {
-            continue;
-        }
-        covered.extend(sub);
-        victims.push(s);
+/// The fault model of every cell and of the control run.
+fn runtime_config() -> RuntimeConfig {
+    RuntimeConfig {
+        dispatch_timeout_ms: 200,
+        max_retries: 1,
+        backoff_base_ms: 5,
+        query_deadline_ms: 20_000,
+        delay_scale: 0.03,
+        per_record_retrieval_us: 100,
+        base_query_cost_us: 300,
+        ..RuntimeConfig::paper_like()
     }
-    victims
 }
 
 /// The fault a cell injects after its healthy warmup.
@@ -112,21 +79,13 @@ struct CellOutcome {
 /// Run one sweep cell: warm up healthy, inject the fault, drive
 /// query+tick rounds until every victim is named, recover, stop.
 fn run_cell(n: usize, interval: Duration, fault: Fault, label: &str) -> CellOutcome {
-    let runtime_cfg = RuntimeConfig {
-        dispatch_timeout_ms: 200,
-        max_retries: 1,
-        backoff_base_ms: 5,
-        query_deadline_ms: 20_000,
-        delay_scale: 0.03,
-        per_record_retrieval_us: 100,
-        base_query_cost_us: 300,
-        ..RuntimeConfig::paper_like()
-    };
     let reg = Arc::new(Registry::new());
+    // One record per server at `s / n`: a full-range query contacts every
+    // branch, so its response time tracks the slowest (or slowed) server.
     let cluster = RoadsCluster::start_with(
-        build_net(n),
+        line_net(n, 1, 256),
         DelaySpace::paper(n, 31),
-        runtime_cfg,
+        runtime_config(),
         Attachments::instrumented(&reg),
     );
     let watchdog = Watchdog::for_cluster(
@@ -160,7 +119,7 @@ fn run_cell(n: usize, interval: Duration, fault: Fault, label: &str) -> CellOutc
     // only surface once a slowed query lands in the latency histogram.
     let victims: Vec<ServerId> = match fault {
         Fault::Kill(k) => {
-            let v = pick_victims(cluster.network(), k);
+            let v = disjoint_branches(cluster.network(), k);
             assert_eq!(v.len(), k, "need {k} disjoint victims among {n}");
             for &s in &v {
                 assert!(cluster.kill_server(s));
@@ -169,7 +128,7 @@ fn run_cell(n: usize, interval: Duration, fault: Fault, label: &str) -> CellOutc
             v
         }
         Fault::Slow(factor) => {
-            let v = pick_victims(cluster.network(), 1);
+            let v = disjoint_branches(cluster.network(), 1);
             assert!(cluster.slow_server(v[0], factor));
             v
         }
@@ -241,21 +200,11 @@ fn run_control(
     ticks: usize,
     rec: &Arc<Recorder>,
 ) -> (IncidentReport, Arc<Registry>) {
-    let runtime_cfg = RuntimeConfig {
-        dispatch_timeout_ms: 200,
-        max_retries: 1,
-        backoff_base_ms: 5,
-        query_deadline_ms: 20_000,
-        delay_scale: 0.03,
-        per_record_retrieval_us: 100,
-        base_query_cost_us: 300,
-        ..RuntimeConfig::paper_like()
-    };
     let reg = Arc::new(Registry::new());
     let cluster = RoadsCluster::start_with(
-        build_net(n),
+        line_net(n, 1, 256),
         DelaySpace::paper(n, 31),
-        runtime_cfg,
+        runtime_config(),
         Attachments {
             recorder: Some(Arc::clone(rec)),
             ..Attachments::instrumented(&reg)

@@ -14,11 +14,11 @@
 use roads_bench::{banner, figure_config, parse_args, TrialConfig};
 use roads_core::{
     execute_query_with, explain_from_trace, record_query_events, update_round, ContactMode,
-    QueryOptions, RoadsConfig, RoadsNetwork, ServerId,
+    QueryOptions, RoadsNetwork, ServerId,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{Predicate, Query, WireSize};
-use roads_summary::{Summary, SummaryConfig};
+use roads_summary::Summary;
 use roads_telemetry::{
     write_chrome_trace_default, ExplainDecision, FigureExport, Recorder, TraceId,
 };
@@ -80,11 +80,7 @@ fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig
     let boxes: Vec<Vec<(f64, f64)>> = (records.iter())
         .map(|rs| (0..cfg.attrs).map(|a| bounds(rs, a)).collect())
         .collect();
-    let roads = RoadsConfig {
-        max_children: cfg.degree,
-        summary: SummaryConfig::with_buckets(cfg.buckets),
-        ..RoadsConfig::paper_default()
-    };
+    let roads = cfg.roads_config();
     let net = RoadsNetwork::build(schema.clone(), roads, records);
     let tree = net.tree();
     let delays = DelaySpace::paper(cfg.nodes, cfg.seed);

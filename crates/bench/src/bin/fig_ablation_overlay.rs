@@ -7,20 +7,15 @@
 //! quantifies both effects: query latency and the fraction of queries that
 //! touch the root.
 
-use roads_bench::{banner, figure_config, TrialConfig};
+use roads_bench::{banner, figure_config, paper_workload};
 use roads_core::{
-    execute_query_with, explain_from_trace, record_query_events, LatencyStats, QueryOptions,
-    RoadsConfig, RoadsNetwork, ServerId,
+    execute_query_with, explain_from_trace, record_query_events, QueryOptions, RoadsNetwork,
+    ServerId,
 };
 use roads_netsim::DelaySpace;
-use roads_summary::SummaryConfig;
 use roads_telemetry::{
-    aggregate_traces, write_chrome_trace_default, ExplainDecision, FigureExport, Recorder,
-    Registry, TraceId,
-};
-use roads_workload::{
-    default_schema, generate_node_records, generate_queries, QueryWorkloadConfig,
-    RecordWorkloadConfig,
+    aggregate_traces, write_chrome_trace_default, ExplainDecision, FigureExport, LatencyStats,
+    Recorder, Registry, TraceId,
 };
 
 fn main() {
@@ -28,37 +23,9 @@ fn main() {
         "Ablation — replication overlay ON (any-node start) vs OFF (root start)",
         "overlay removes the root bottleneck and shortens query paths (§III-C)",
     );
-    let cfg = TrialConfig {
-        runs: 1,
-        ..figure_config()
-    };
-    let rec_cfg = RecordWorkloadConfig {
-        nodes: cfg.nodes,
-        records_per_node: cfg.records_per_node,
-        attrs: cfg.attrs,
-        seed: cfg.seed,
-    };
-    let records = generate_node_records(&rec_cfg);
-    let schema = default_schema(cfg.attrs);
-    let queries = generate_queries(
-        &schema,
-        &QueryWorkloadConfig {
-            count: cfg.queries,
-            dims: cfg.query_dims,
-            range_len: 0.25,
-            nodes: cfg.nodes,
-            seed: cfg.seed ^ 0xABCD,
-        },
-    );
-    let net = RoadsNetwork::build(
-        schema,
-        RoadsConfig {
-            max_children: cfg.degree,
-            summary: SummaryConfig::with_buckets(cfg.buckets),
-            ..RoadsConfig::paper_default()
-        },
-        records,
-    );
+    let cfg = figure_config();
+    let (schema, records, queries) = paper_workload(&cfg, 0);
+    let net = RoadsNetwork::build(schema, cfg.roads_config(), records);
     let delays = DelaySpace::paper(cfg.nodes, cfg.seed);
     let root = net.tree().root();
 

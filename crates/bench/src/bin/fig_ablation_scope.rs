@@ -9,55 +9,26 @@
 //! (levels 0) to the whole hierarchy and reports the coverage/cost curve:
 //! matching records found, servers contacted, latency and bytes.
 
-use roads_bench::{banner, figure_config, TrialConfig};
+use roads_bench::{banner, figure_config, paper_workload, TrialConfig};
 use roads_core::{
-    execute_query, execute_query_with, record_query_events, record_query_outcome, LatencyStats,
-    QueryOptions, RoadsConfig, RoadsNetwork, SearchScope, ServerId,
+    execute_query, execute_query_with, record_query_events, record_query_outcome, QueryOptions,
+    RoadsNetwork, SearchScope, ServerId,
 };
 use roads_netsim::DelaySpace;
-use roads_summary::SummaryConfig;
-use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
-use roads_workload::{
-    default_schema, generate_node_records, generate_queries, QueryWorkloadConfig,
-    RecordWorkloadConfig,
-};
+use roads_telemetry::{write_chrome_trace_default, FigureExport, LatencyStats, Recorder, Registry};
 
 fn main() {
     banner(
         "Ablation — search scope: levels searched above the entry server",
         "wider scope finds more resources but contacts more servers (§III-C)",
     );
+    let cfg = figure_config();
     let cfg = TrialConfig {
-        runs: 1,
-        ..figure_config()
+        queries: cfg.queries.min(200),
+        ..cfg
     };
-    let rec_cfg = RecordWorkloadConfig {
-        nodes: cfg.nodes,
-        records_per_node: cfg.records_per_node,
-        attrs: cfg.attrs,
-        seed: cfg.seed,
-    };
-    let records = generate_node_records(&rec_cfg);
-    let schema = default_schema(cfg.attrs);
-    let queries = generate_queries(
-        &schema,
-        &QueryWorkloadConfig {
-            count: cfg.queries.min(200),
-            dims: cfg.query_dims,
-            range_len: 0.25,
-            nodes: cfg.nodes,
-            seed: cfg.seed ^ 0xABCD,
-        },
-    );
-    let net = RoadsNetwork::build(
-        schema,
-        RoadsConfig {
-            max_children: cfg.degree,
-            summary: SummaryConfig::with_buckets(cfg.buckets),
-            ..RoadsConfig::paper_default()
-        },
-        records,
-    );
+    let (schema, records, queries) = paper_workload(&cfg, 0);
+    let net = RoadsNetwork::build(schema, cfg.roads_config(), records);
     let delays = DelaySpace::paper(cfg.nodes, cfg.seed);
     let levels = net.tree().levels();
 

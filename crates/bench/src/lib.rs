@@ -1,7 +1,8 @@
 //! Shared experiment harness regenerating the paper's tables and figures.
 //!
 //! Every figure binary in `src/bin/` drives [`run_comparison`] (or the
-//! prototype runtime) over the sweep its figure uses and prints the series
+//! prototype runtime, over the fixtures of [`live`]) over the sweep its
+//! figure uses and prints the series
 //! the paper plots, next to the paper's reference values where the text
 //! states them. `EXPERIMENTS.md` at the repository root records a full
 //! paper-vs-measured comparison.
@@ -18,19 +19,20 @@ pub mod chart;
 pub mod delta_view;
 pub mod explain_view;
 pub mod incident_view;
+pub mod live;
 
 use roads_central::CentralRepository;
 use roads_core::{
-    execute_query_with, explain_from_trace, record_query_events, LatencyStats, QueryOptions,
-    RoadsConfig, RoadsNetwork,
+    execute_query_with, explain_from_trace, record_query_events, QueryOptions, RoadsConfig,
+    RoadsNetwork,
 };
 use roads_netsim::DelaySpace;
-use roads_records::Schema;
+use roads_records::{Query, Record, Schema};
 use roads_summary::SummaryConfig;
 use roads_sword::SwordNetwork;
 use roads_telemetry::{
-    aggregate_traces, ExplainDecision, MetricsSnapshot, QueryExplain, Recorder, Registry, TraceId,
-    TraceReport,
+    aggregate_traces, ExplainDecision, LatencyStats, MetricsSnapshot, QueryExplain, Recorder,
+    Registry, TraceId, TraceReport,
 };
 use roads_workload::{
     default_schema, generate_node_records, generate_overlap_records, generate_queries,
@@ -101,6 +103,18 @@ impl TrialConfig {
             ..Self::default()
         }
     }
+
+    /// The ROADS configuration of this trial: its hierarchy degree,
+    /// histogram buckets and refresh periods.
+    pub fn roads_config(&self) -> RoadsConfig {
+        RoadsConfig {
+            max_children: self.degree,
+            summary: SummaryConfig::with_buckets(self.buckets),
+            ts_ms: self.ts_ms,
+            tr_ms: self.tr_ms,
+            ..RoadsConfig::paper_default()
+        }
+    }
 }
 
 /// Aggregated results of one ROADS-vs-SWORD(-vs-central) comparison.
@@ -126,15 +140,14 @@ pub struct ComparisonResult {
     pub sword_servers_contacted: f64,
 }
 
-/// Build the workload for one run.
-fn build_workload(
+/// The paper's workload (§V) for run `run` of `cfg`: the schema, each
+/// node's records (the Fig. 9 placement when `cfg.overlap_factor` is set)
+/// and the queries with their entry nodes, seeded from `cfg.seed` and
+/// `run`.
+pub fn paper_workload(
     cfg: &TrialConfig,
     run: usize,
-) -> (
-    Schema,
-    Vec<Vec<roads_records::Record>>,
-    Vec<(roads_records::Query, usize)>,
-) {
+) -> (Schema, Vec<Vec<Record>>, Vec<(Query, usize)>) {
     let seed = cfg.seed.wrapping_add(run as u64 * 7919);
     let rec_cfg = RecordWorkloadConfig {
         nodes: cfg.nodes,
@@ -191,19 +204,12 @@ pub fn run_comparison(
     let mut root = 0u32;
 
     for run in 0..cfg.runs {
-        let (schema, records, queries) = build_workload(cfg, run);
+        let (schema, records, queries) = paper_workload(cfg, run);
         let delays = DelaySpace::paper(cfg.nodes, cfg.seed.wrapping_add(run as u64));
 
-        let roads_cfg = RoadsConfig {
-            max_children: cfg.degree,
-            summary: SummaryConfig::with_buckets(cfg.buckets),
-            ts_ms: cfg.ts_ms,
-            tr_ms: cfg.tr_ms,
-            ..RoadsConfig::paper_default()
-        };
         let roads = RoadsNetwork::build_with(
             schema.clone(),
-            roads_cfg,
+            cfg.roads_config(),
             records.clone(),
             roads_core::BuildOptions::with_threads(cfg.build_threads),
         );

@@ -258,37 +258,15 @@ fn check_rejects_bad_counts_and_missing_required_fields_by_path() {
 
 #[test]
 fn health_renders_a_table_from_a_live_scrape() {
-    use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
+    use roads_bench::live::line_net;
+    use roads_core::ServerId;
     use roads_netsim::DelaySpace;
-    use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+    use roads_records::{QueryBuilder, QueryId};
     use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
-    use roads_summary::SummaryConfig;
     use roads_telemetry::{OpenMetricsSnapshot, Registry};
 
     let n = 6;
-    let records: Vec<Vec<Record>> = (0..n)
-        .map(|s| {
-            (0..5)
-                .map(|i| {
-                    let id = s * 5 + i;
-                    Record::new_unchecked(
-                        RecordId(id as u64),
-                        OwnerId(s as u32),
-                        vec![Value::Float(id as f64 / (n * 5) as f64)],
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    let net = RoadsNetwork::build(
-        Schema::unit_numeric(1),
-        RoadsConfig {
-            max_children: 3,
-            summary: SummaryConfig::with_buckets(64),
-            ..RoadsConfig::paper_default()
-        },
-        records,
-    );
+    let net = line_net(n, 5, 64);
     let reg = Registry::new();
     let c = RoadsCluster::start_with(
         net,

@@ -329,8 +329,9 @@ pub fn audit_probe(
 mod tests {
     use super::*;
     use crate::config::RoadsConfig;
-    use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+    use roads_records::{QueryBuilder, QueryId, Schema};
     use roads_summary::SummaryConfig;
+    use roads_workload::line_records;
 
     /// 13 servers, one record each at x0 = s/13 — every server's record is
     /// uniquely addressable by a narrow range query.
@@ -341,16 +342,7 @@ mod tests {
             summary: SummaryConfig::with_buckets(128),
             ..RoadsConfig::paper_default()
         };
-        let records: Vec<Vec<Record>> = (0..13)
-            .map(|s| {
-                vec![Record::new_unchecked(
-                    RecordId(s as u64),
-                    OwnerId(s as u32),
-                    vec![Value::Float(s as f64 / 13.0)],
-                )]
-            })
-            .collect();
-        RoadsNetwork::build(schema, cfg, records)
+        RoadsNetwork::build(schema, cfg, line_records(13, 1))
     }
 
     fn probe_for(net: &RoadsNetwork, s: ServerId) -> Query {

@@ -380,6 +380,7 @@ mod tests {
     use crate::config::RoadsConfig;
     use roads_records::{OwnerId, QueryBuilder, QueryId, RecordId, Schema};
     use roads_summary::SummaryConfig;
+    use roads_workload::line_records;
 
     fn network(n: usize) -> (RoadsNetwork, DelaySpace) {
         let schema = Schema::unit_numeric(1);
@@ -388,16 +389,7 @@ mod tests {
             summary: SummaryConfig::with_buckets(200),
             ..RoadsConfig::paper_default()
         };
-        let records: Vec<Vec<Record>> = (0..n)
-            .map(|s| {
-                vec![Record::new_unchecked(
-                    RecordId(s as u64),
-                    OwnerId(s as u32),
-                    vec![Value::Float(s as f64 / n as f64)],
-                )]
-            })
-            .collect();
-        let net = RoadsNetwork::build(schema, cfg, records);
+        let net = RoadsNetwork::build(schema, cfg, line_records(n, 1));
         let delays = DelaySpace::paper(n, 77);
         (net, delays)
     }

@@ -75,7 +75,7 @@ pub use cache::{execute_query_cached, query_fingerprint, CachedResult, ResultCac
 pub use config::RoadsConfig;
 pub use engine::{BuildOptions, ContactMode, EvalResult, RoadsNetwork};
 pub use machine::{fault_decision, FaultSettings, Finished, Outbound, QueryMachine, TraceEvent};
-pub use metrics::{record_query_outcome, LatencyStats};
+pub use metrics::record_query_outcome;
 pub use overlay::{replication_set, ReplicaRole, ReplicationSet};
 pub use planner::{plan_query, PlanAction, PlannedContact, QueryPlan};
 pub use policy::{

@@ -1,11 +1,4 @@
-//! Latency statistics and query-metric recording.
-//!
-//! The summary type itself lives in `roads-telemetry` so that every crate
-//! in the workspace — the simulator harness, the threaded prototype, and
-//! the figure binaries — shares one latency currency (now including p99).
-//! It is re-exported here under its historical path for existing callers.
-
-pub use roads_telemetry::LatencyStats;
+//! Query-metric recording.
 
 use crate::queryexec::QueryOutcome;
 use roads_telemetry::Registry;
@@ -29,42 +22,6 @@ pub fn record_query_outcome(reg: &Registry, out: &QueryOutcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_is_none() {
-        assert!(LatencyStats::from_samples(&[]).is_none());
-    }
-
-    #[test]
-    fn single_sample() {
-        let s = LatencyStats::from_samples(&[42.0]).unwrap();
-        assert_eq!(s.mean, 42.0);
-        assert_eq!(s.p50, 42.0);
-        assert_eq!(s.p90, 42.0);
-        assert_eq!(s.p99, 42.0);
-        assert_eq!(s.min, 42.0);
-        assert_eq!(s.max, 42.0);
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let samples: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = LatencyStats::from_samples(&samples).unwrap();
-        assert_eq!(s.p50, 50.0);
-        assert_eq!(s.p90, 90.0);
-        assert_eq!(s.p99, 99.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert!((s.mean - 50.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unsorted_input_ok() {
-        let s = LatencyStats::from_samples(&[3.0, 1.0, 2.0]).unwrap();
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.p50, 2.0);
-        assert_eq!(s.max, 3.0);
-    }
 
     #[test]
     fn outcome_recorded_into_registry() {

@@ -63,8 +63,9 @@ mod tests {
     use crate::config::RoadsConfig;
     use crate::queryexec::{execute_query, execute_query_planned};
     use roads_netsim::DelaySpace;
-    use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+    use roads_records::{QueryBuilder, QueryId, Schema};
     use roads_summary::SummaryConfig;
+    use roads_workload::line_records;
     use std::collections::BTreeSet;
 
     fn network(n: usize, degree: usize) -> (RoadsNetwork, DelaySpace) {
@@ -74,16 +75,7 @@ mod tests {
             summary: SummaryConfig::with_buckets(200),
             ..RoadsConfig::paper_default()
         };
-        let records: Vec<Vec<Record>> = (0..n)
-            .map(|s| {
-                vec![Record::new_unchecked(
-                    RecordId(s as u64),
-                    OwnerId(s as u32),
-                    vec![Value::Float(s as f64 / n as f64)],
-                )]
-            })
-            .collect();
-        let net = RoadsNetwork::build(schema, cfg, records);
+        let net = RoadsNetwork::build(schema, cfg, line_records(n, 1));
         let delays = DelaySpace::paper(n, 77);
         (net, delays)
     }

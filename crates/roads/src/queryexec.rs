@@ -495,8 +495,9 @@ pub fn execute_query_with(
 mod tests {
     use super::*;
     use crate::config::RoadsConfig;
-    use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+    use roads_records::{QueryBuilder, QueryId, Schema};
     use roads_summary::SummaryConfig;
+    use roads_workload::line_records;
     use std::collections::HashSet;
 
     /// n servers over 1 attribute; server s holds records at s/n ± tiny.
@@ -507,16 +508,7 @@ mod tests {
             summary: SummaryConfig::with_buckets(200),
             ..RoadsConfig::paper_default()
         };
-        let records: Vec<Vec<Record>> = (0..n)
-            .map(|s| {
-                vec![Record::new_unchecked(
-                    RecordId(s as u64),
-                    OwnerId(s as u32),
-                    vec![Value::Float(s as f64 / n as f64)],
-                )]
-            })
-            .collect();
-        let net = RoadsNetwork::build(schema, cfg, records);
+        let net = RoadsNetwork::build(schema, cfg, line_records(n, 1));
         let delays = DelaySpace::paper(n, 77);
         (net, delays)
     }

@@ -9,11 +9,12 @@ use roads_core::{
     RoadsNetwork, SearchScope, ServerId,
 };
 use roads_netsim::DelaySpace;
-use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+use roads_records::{Query, QueryBuilder, QueryId, Schema};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{
     span_tree_root, trace_events, EventKind, ExplainDecision, Recorder, TraceId,
 };
+use roads_workload::line_records;
 
 fn network(n: usize, degree: usize) -> (RoadsNetwork, DelaySpace) {
     let schema = Schema::unit_numeric(1);
@@ -22,16 +23,7 @@ fn network(n: usize, degree: usize) -> (RoadsNetwork, DelaySpace) {
         summary: SummaryConfig::with_buckets(200),
         ..RoadsConfig::paper_default()
     };
-    let records: Vec<Vec<Record>> = (0..n)
-        .map(|s| {
-            vec![Record::new_unchecked(
-                RecordId(s as u64),
-                OwnerId(s as u32),
-                vec![Value::Float(s as f64 / n as f64)],
-            )]
-        })
-        .collect();
-    let net = RoadsNetwork::build(schema, cfg, records);
+    let net = RoadsNetwork::build(schema, cfg, line_records(n, 1));
     let delays = DelaySpace::paper(n, 77);
     (net, delays)
 }

@@ -441,9 +441,10 @@ impl Auditor {
 mod tests {
     use super::*;
     use roads_core::RoadsConfig;
-    use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+    use roads_records::{QueryBuilder, QueryId, Schema};
     use roads_summary::SummaryConfig;
     use roads_telemetry::Json;
+    use roads_workload::line_records;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn network(n: usize) -> RoadsNetwork {
@@ -453,16 +454,7 @@ mod tests {
             summary: SummaryConfig::with_buckets(128),
             ..RoadsConfig::paper_default()
         };
-        let records: Vec<Vec<Record>> = (0..n)
-            .map(|s| {
-                vec![Record::new_unchecked(
-                    RecordId(s as u64),
-                    OwnerId(s as u32),
-                    vec![Value::Float(s as f64 / n as f64)],
-                )]
-            })
-            .collect();
-        RoadsNetwork::build(schema, cfg, records)
+        RoadsNetwork::build(schema, cfg, line_records(n, 1))
     }
 
     fn probes(net: &RoadsNetwork) -> Vec<Query> {

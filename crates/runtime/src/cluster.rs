@@ -1136,6 +1136,7 @@ mod tests {
     use roads_core::RoadsConfig;
     use roads_records::{OwnerId, QueryBuilder, QueryId, RecordId, Schema, Value};
     use roads_summary::SummaryConfig;
+    use roads_workload::line_records;
     use std::thread;
 
     fn test_net(n: usize) -> RoadsNetwork {
@@ -1338,16 +1339,7 @@ mod tests {
             summary: SummaryConfig::with_buckets(64),
             ..RoadsConfig::paper_default()
         };
-        let records: Vec<Vec<Record>> = (0..n)
-            .map(|s| {
-                vec![Record::new_unchecked(
-                    RecordId(s as u64),
-                    OwnerId(s as u32),
-                    vec![Value::Float(s as f64 / n as f64)],
-                )]
-            })
-            .collect();
-        let net = RoadsNetwork::build(schema, cfg, records);
+        let net = RoadsNetwork::build(schema, cfg, line_records(n, 1));
         let reg = Registry::new();
         let c = Arc::new(RoadsCluster::start_with(
             net,
@@ -1391,16 +1383,7 @@ mod tests {
             summary: SummaryConfig::with_buckets(50),
             ..RoadsConfig::paper_default()
         };
-        let records: Vec<Vec<Record>> = (0..4)
-            .map(|s| {
-                vec![Record::new_unchecked(
-                    RecordId(s as u64),
-                    OwnerId(s as u32),
-                    vec![Value::Float(s as f64 / 4.0)],
-                )]
-            })
-            .collect();
-        let net = RoadsNetwork::build(schema.clone(), cfg, records);
+        let net = RoadsNetwork::build(schema.clone(), cfg, line_records(4, 1));
         let mut policies: Vec<Arc<dyn roads_core::policy::SharingPolicy>> = (0..4)
             .map(|_| Arc::new(roads_core::policy::OpenPolicy) as Arc<_>)
             .collect();
@@ -1479,16 +1462,7 @@ mod tests {
             summary: SummaryConfig::with_buckets(100),
             ..RoadsConfig::paper_default()
         };
-        let records: Vec<Vec<Record>> = (0..n)
-            .map(|s| {
-                vec![Record::new_unchecked(
-                    RecordId(s as u64),
-                    OwnerId(s as u32),
-                    vec![Value::Float(s as f64 / n as f64)],
-                )]
-            })
-            .collect();
-        let net = RoadsNetwork::build(schema, cfg, records);
+        let net = RoadsNetwork::build(schema, cfg, line_records(n, 1));
         let reg = Registry::new();
         let c = RoadsCluster::start_with(
             net,

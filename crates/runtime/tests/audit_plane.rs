@@ -8,12 +8,13 @@
 
 use roads_core::{RoadsConfig, RoadsNetwork};
 use roads_netsim::DelaySpace;
-use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+use roads_records::{Query, QueryBuilder, QueryId, Schema};
 use roads_runtime::{
     Attachments, AuditConfig, AuditMetrics, AuditReport, Auditor, RoadsCluster, RuntimeConfig,
 };
 use roads_summary::SummaryConfig;
 use roads_telemetry::{Json, OpenMetricsSnapshot, Registry};
+use roads_workload::line_records;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,21 +27,7 @@ fn build_net(n: usize) -> RoadsNetwork {
         summary: SummaryConfig::with_buckets(64),
         ..RoadsConfig::paper_default()
     };
-    let records: Vec<Vec<Record>> = (0..n)
-        .map(|s| {
-            (0..RECORDS_PER_SERVER)
-                .map(|i| {
-                    let id = s * RECORDS_PER_SERVER + i;
-                    Record::new_unchecked(
-                        RecordId(id as u64),
-                        OwnerId(s as u32),
-                        vec![Value::Float(id as f64 / (n * RECORDS_PER_SERVER) as f64)],
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    RoadsNetwork::build(schema, cfg, records)
+    RoadsNetwork::build(schema, cfg, line_records(n, RECORDS_PER_SERVER))
 }
 
 /// One record per server at `s / n` with fine histogram buckets: every
@@ -53,16 +40,7 @@ fn sparse_net(n: usize) -> RoadsNetwork {
         summary: SummaryConfig::with_buckets(128),
         ..RoadsConfig::paper_default()
     };
-    let records: Vec<Vec<Record>> = (0..n)
-        .map(|s| {
-            vec![Record::new_unchecked(
-                RecordId(s as u64),
-                OwnerId(s as u32),
-                vec![Value::Float(s as f64 / n as f64)],
-            )]
-        })
-        .collect();
-    RoadsNetwork::build(schema, cfg, records)
+    RoadsNetwork::build(schema, cfg, line_records(n, 1))
 }
 
 /// Ground-truth probes for [`sparse_net`]: one narrow range query per

@@ -14,6 +14,7 @@ use roads_netsim::DelaySpace;
 use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
 use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig, RuntimeOutcome};
 use roads_summary::SummaryConfig;
+use roads_workload::line_records;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -32,21 +33,7 @@ fn build_net(n: usize, max_children: usize) -> RoadsNetwork {
         summary: SummaryConfig::with_buckets(64),
         ..RoadsConfig::paper_default()
     };
-    let records: Vec<Vec<Record>> = (0..n)
-        .map(|s| {
-            (0..RECORDS_PER_SERVER)
-                .map(|i| {
-                    let id = s * RECORDS_PER_SERVER + i;
-                    Record::new_unchecked(
-                        RecordId(id as u64),
-                        OwnerId(s as u32),
-                        vec![Value::Float(id as f64 / (n * RECORDS_PER_SERVER) as f64)],
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    RoadsNetwork::build(schema, cfg, records)
+    RoadsNetwork::build(schema, cfg, line_records(n, RECORDS_PER_SERVER))
 }
 
 fn build_cluster(n: usize, max_children: usize, cfg: RuntimeConfig) -> RoadsCluster {

@@ -7,12 +7,13 @@
 
 use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
-use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+use roads_records::{Query, QueryBuilder, QueryId, Schema};
 use roads_runtime::{
     Attachments, FaultKind, RoadsCluster, RuntimeConfig, Watchdog, WatchdogConfig,
 };
 use roads_summary::SummaryConfig;
 use roads_telemetry::{labeled, parse_openmetrics, OpenMetricsSnapshot, Registry};
+use roads_workload::line_records;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,21 +26,7 @@ fn build_net(n: usize) -> RoadsNetwork {
         summary: SummaryConfig::with_buckets(64),
         ..RoadsConfig::paper_default()
     };
-    let records: Vec<Vec<Record>> = (0..n)
-        .map(|s| {
-            (0..RECORDS_PER_SERVER)
-                .map(|i| {
-                    let id = s * RECORDS_PER_SERVER + i;
-                    Record::new_unchecked(
-                        RecordId(id as u64),
-                        OwnerId(s as u32),
-                        vec![Value::Float(id as f64 / (n * RECORDS_PER_SERVER) as f64)],
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    RoadsNetwork::build(schema, cfg, records)
+    RoadsNetwork::build(schema, cfg, line_records(n, RECORDS_PER_SERVER))
 }
 
 fn full_query(c: &RoadsCluster) -> Query {

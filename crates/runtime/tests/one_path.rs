@@ -26,6 +26,7 @@ use roads_telemetry::{
     HopOutcome, OpenMetricsSnapshot, QueryExplain, Recorder, Registry, SummaryKind, TailSampler,
     TraceId,
 };
+use roads_workload::line_records;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -38,21 +39,7 @@ fn build_net(n: usize) -> RoadsNetwork {
         summary: SummaryConfig::with_buckets(64),
         ..RoadsConfig::paper_default()
     };
-    let records: Vec<Vec<Record>> = (0..n)
-        .map(|s| {
-            (0..RECORDS_PER_SERVER)
-                .map(|i| {
-                    let id = s * RECORDS_PER_SERVER + i;
-                    Record::new_unchecked(
-                        RecordId(id as u64),
-                        OwnerId(s as u32),
-                        vec![Value::Float(id as f64 / (n * RECORDS_PER_SERVER) as f64)],
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    RoadsNetwork::build(schema, cfg, records)
+    RoadsNetwork::build(schema, cfg, line_records(n, RECORDS_PER_SERVER))
 }
 
 fn range_query(net: &RoadsNetwork, id: u64, lo: f64, hi: f64) -> Query {

@@ -8,9 +8,10 @@
 
 use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
-use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+use roads_records::{QueryBuilder, QueryId, Schema};
 use roads_runtime::{RoadsCluster, RuntimeConfig};
 use roads_summary::SummaryConfig;
+use roads_workload::line_records;
 
 const SERVERS: usize = 2048;
 const RECORDS_PER_SERVER: usize = 4;
@@ -27,21 +28,6 @@ fn process_threads() -> usize {
 
 #[test]
 fn two_thousand_servers_answer_on_one_thread() {
-    let total = SERVERS * RECORDS_PER_SERVER;
-    let records: Vec<Vec<Record>> = (0..SERVERS)
-        .map(|s| {
-            (0..RECORDS_PER_SERVER)
-                .map(|i| {
-                    let id = s * RECORDS_PER_SERVER + i;
-                    Record::new_unchecked(
-                        RecordId(id as u64),
-                        OwnerId(s as u32),
-                        vec![Value::Float(id as f64 / total as f64)],
-                    )
-                })
-                .collect()
-        })
-        .collect();
     let net = RoadsNetwork::build(
         Schema::unit_numeric(1),
         RoadsConfig {
@@ -49,7 +35,7 @@ fn two_thousand_servers_answer_on_one_thread() {
             summary: SummaryConfig::with_buckets(64),
             ..RoadsConfig::paper_default()
         },
-        records,
+        line_records(SERVERS, RECORDS_PER_SERVER),
     );
     let delays = DelaySpace::paper(SERVERS, 2048);
 
@@ -69,7 +55,7 @@ fn two_thousand_servers_answer_on_one_thread() {
     let q = QueryBuilder::new(c.network().schema(), QueryId(1))
         .range("x0", 0.0, 1.0)
         .build();
-    let oracle: Vec<u64> = (0..total as u64).collect();
+    let oracle: Vec<u64> = (0..(SERVERS * RECORDS_PER_SERVER) as u64).collect();
     for entry in [0, SERVERS / 2, SERVERS - 1] {
         let out = c.query(&q, ServerId(entry as u32));
         assert!(out.complete, "entry {entry}");

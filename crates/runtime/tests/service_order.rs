@@ -13,10 +13,11 @@
 
 use roads_core::{RequesterId, RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
-use roads_records::{OwnerId, Query, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
+use roads_records::{Query, QueryBuilder, QueryId, Schema};
 use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig, RuntimeOutcome};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{labeled, Gauge, HopOutcome, QueryExplain, Registry};
+use roads_workload::line_records;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -27,22 +28,13 @@ const ONLY: ServerId = ServerId(0);
 /// backend time and nothing else: zero link delay, free records, free
 /// transfer. `dispatch_timeout_ms` as given; no retries.
 fn one_server(base_us: u64, dispatch_timeout_ms: u64, reg: &Registry) -> RoadsCluster {
-    let records = vec![(0..RECORDS)
-        .map(|i| {
-            Record::new_unchecked(
-                RecordId(i as u64),
-                OwnerId(0),
-                vec![Value::Float(i as f64 / RECORDS as f64)],
-            )
-        })
-        .collect()];
     let net = RoadsNetwork::build(
         Schema::unit_numeric(1),
         RoadsConfig {
             summary: SummaryConfig::with_buckets(16),
             ..RoadsConfig::paper_default()
         },
-        records,
+        line_records(1, RECORDS),
     );
     let cfg = RuntimeConfig {
         base_query_cost_us: base_us,

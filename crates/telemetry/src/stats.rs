@@ -99,6 +99,14 @@ mod tests {
     }
 
     #[test]
+    fn unsorted_input_ok() {
+        let s = LatencyStats::from_samples(&[3.0, 1.0, 2.0]).unwrap();
+        assert_eq!(s.min, 1.0);
+        assert_eq!(s.p50, 2.0);
+        assert_eq!(s.max, 3.0);
+    }
+
+    #[test]
     fn p99_exceeds_p90_on_skewed_tail() {
         let mut samples = vec![1.0; 989];
         samples.extend(std::iter::repeat_n(100.0, 11));

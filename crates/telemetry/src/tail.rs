@@ -97,7 +97,7 @@ pub struct RetainedQuery {
 pub struct Exemplar {
     /// The bucket's edge, ms.
     pub bucket_ms: f64,
-    /// Trace id of one retained query that landed in the bucket.
+    /// Trace id of the newest retained query that landed in the bucket.
     pub trace_id: u64,
 }
 
@@ -173,7 +173,8 @@ artifact!(SlowDoc, "slow_queries", SLOW_SCHEMA_VERSION);
 
 impl SlowDoc {
     /// Retained flight-recorder events must reconstruct: one causal span
-    /// tree for the query the explain record describes.
+    /// tree for the query the explain record describes. Every exemplar
+    /// names a retained query.
     fn validate(&self) -> Result<(), String> {
         for (i, q) in self.retained.iter().enumerate() {
             if !q.events.is_empty() {
@@ -182,18 +183,36 @@ impl SlowDoc {
                     .map_err(|why| format!("retained[{i}]: trace {trace}: {why}"))?;
             }
         }
+        for (i, e) in self.exemplars.iter().enumerate() {
+            let trace = e.trace_id;
+            if !self.retained.iter().any(|q| q.explain.trace_id == trace) {
+                return Err(format!("exemplars[{i}]: trace {trace} is not retained"));
+            }
+        }
         Ok(())
     }
 }
 
 #[derive(Debug, Default)]
 struct TailState {
+    /// In arrival order (index 0 is the oldest entry), which is what
+    /// makes an exemplar the newest query of its bucket.
     retained: Vec<RetainedQuery>,
-    /// Histogram bucket edge (ms) → trace id of one retained query that
-    /// landed in that bucket.
-    exemplars: BTreeMap<u64, u64>,
     observed: u64,
     dropped: u64,
+}
+
+impl TailState {
+    /// Histogram bucket edge (as bits) → trace id of the newest retained
+    /// query with a trace that landed in that bucket.
+    fn exemplars(&self) -> BTreeMap<u64, u64> {
+        let mut by_bucket = BTreeMap::new();
+        for q in self.retained.iter().filter(|q| q.explain.trace_id != 0) {
+            let edge = Histogram::bucket_edge(q.explain.response_us / 1_000.0);
+            by_bucket.insert(edge.to_bits(), q.explain.trace_id);
+        }
+        by_bucket
+    }
 }
 
 /// The tail-based sampling reservoir. Thread-safe; share via `Arc`.
@@ -282,10 +301,6 @@ impl TailSampler {
             g.dropped += 1;
             return None;
         }
-        if explain.trace_id != 0 {
-            let edge = Histogram::bucket_edge(response_ms);
-            g.exemplars.insert(edge.to_bits(), explain.trace_id);
-        }
         g.retained.push(RetainedQuery {
             reason,
             explain,
@@ -331,11 +346,11 @@ impl TailSampler {
         self.state.lock().retained.clone()
     }
 
-    /// Exemplar lookup: the retained trace id for the histogram bucket
-    /// `response_ms` falls into, if that bucket has one.
+    /// Exemplar lookup: the trace id of the newest retained query in the
+    /// histogram bucket `response_ms` falls into, if that bucket has one.
     pub fn exemplar(&self, response_ms: f64) -> Option<u64> {
-        let edge = Histogram::bucket_edge(response_ms);
-        self.state.lock().exemplars.get(&edge.to_bits()).copied()
+        let edge = Histogram::bucket_edge(response_ms).to_bits();
+        self.state.lock().exemplars().get(&edge).copied()
     }
 
     /// Total queries observed.
@@ -367,7 +382,7 @@ impl TailSampler {
             dropped: g.dropped,
             retained,
             exemplars: g
-                .exemplars
+                .exemplars()
                 .iter()
                 .map(|(&edge, &trace_id)| Exemplar {
                     bucket_ms: f64::from_bits(edge),
@@ -517,6 +532,25 @@ mod tests {
         assert_eq!(s.exemplar(42.0), Some(101));
         // A far-away bucket has no exemplar.
         assert_eq!(s.exemplar(0.004), None);
+    }
+
+    #[test]
+    fn exemplars_name_only_retained_traces() {
+        let s = TailSampler::new(TailConfig {
+            capacity: 2,
+            min_samples: 1_000_000,
+            floor_ms: 1.0,
+        });
+        s.observe(explain_ms(1, 10.0, true), false, Vec::new());
+        s.observe(explain_ms(2, 30.0, true), false, Vec::new());
+        // Full: trace 103 evicts trace 101, the least slow.
+        s.observe(explain_ms(3, 20.0, true), false, Vec::new());
+        assert_eq!(s.exemplar(10.0), None, "trace 101 was evicted");
+        assert_eq!(s.exemplar(20.0), Some(103));
+        let doc = s.report();
+        let traces: Vec<u64> = doc.exemplars.iter().map(|e| e.trace_id).collect();
+        assert_eq!(traces, [103, 102]);
+        assert_eq!(SlowDoc::from_json(&doc.to_json()), Ok(doc));
     }
 
     #[test]

@@ -171,15 +171,23 @@ fn retained(g: &mut Gen) -> RetainedQuery {
 }
 
 fn slow_doc(g: &mut Gen) -> SlowDoc {
+    let retained = g.many(3, retained);
+    // validate(): every exemplar names a retained trace.
+    let traces: Vec<u64> = retained.iter().map(|q| q.explain.trace_id).collect();
+    let exemplars = if traces.is_empty() {
+        Vec::new()
+    } else {
+        g.many(3, |g| Exemplar {
+            bucket_ms: g.float(),
+            trace_id: g.pick(&traces),
+        })
+    };
     SlowDoc {
         threshold_ms: g.float(),
         observed: g.count(),
         dropped: g.count(),
-        retained: g.many(3, retained),
-        exemplars: g.many(3, |g| Exemplar {
-            bucket_ms: g.float(),
-            trace_id: g.count(),
-        }),
+        retained,
+        exemplars,
     }
 }
 

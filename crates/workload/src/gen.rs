@@ -124,6 +124,25 @@ pub fn generate_node_records(cfg: &RecordWorkloadConfig) -> Vec<Vec<Record>> {
         .collect()
 }
 
+/// The evenly spaced one-attribute record set of the live figures and the
+/// tests (schema `Schema::unit_numeric(1)`): record `id = s·per_server + i`
+/// belongs to owner `s` and holds `x0 = id / (n·per_server)`, so every
+/// range of `[0, 1)` matches some server's records.
+pub fn line_records(n: usize, per_server: usize) -> Vec<Vec<Record>> {
+    let total = (n * per_server) as f64;
+    (0..n)
+        .map(|s| {
+            (0..per_server)
+                .map(|i| {
+                    let id = s * per_server + i;
+                    let x0 = Value::Float(id as f64 / total);
+                    Record::new_unchecked(RecordId(id as u64), OwnerId(s as u32), vec![x0])
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Generate the Fig. 9 workload: "for each of the first 8 attributes, we let
 /// the resource data of each server distribute within a range of length
 /// `Of/nodes`, randomly located within \[0,1\]". Remaining attributes follow

@@ -21,7 +21,7 @@ pub mod mixed;
 pub use dist::Distribution;
 pub use gen::{
     default_schema, exact_selectivity, family_of, generate_node_records, generate_overlap_records,
-    generate_queries, queries_with_dims, rng_stream, selectivity_query_groups, Family,
-    QueryWorkloadConfig, RecordWorkloadConfig,
+    generate_queries, line_records, queries_with_dims, rng_stream, selectivity_query_groups,
+    Family, QueryWorkloadConfig, RecordWorkloadConfig,
 };
 pub use mixed::{generate_mixed_records, mixed_schema, MixedSchemaConfig};

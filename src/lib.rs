@@ -92,8 +92,8 @@ pub use roads_workload as workload;
 pub mod prelude {
     pub use roads_core::{
         execute_query, execute_query_with, replication_set, update_round, ForwardingMode,
-        HierarchyTree, LatencyStats, QueryOptions, QueryOutcome, RoadsConfig, RoadsNetwork,
-        SearchScope, ServerId,
+        HierarchyTree, QueryOptions, QueryOutcome, RoadsConfig, RoadsNetwork, SearchScope,
+        ServerId,
     };
     pub use roads_netsim::{DelaySpace, DelaySpaceConfig, SimTime};
     pub use roads_records::{
@@ -101,4 +101,5 @@ pub mod prelude {
         RecordBuilder, RecordId, Schema, Value, WireSize,
     };
     pub use roads_summary::{CategoricalMode, Summary, SummaryConfig};
+    pub use roads_telemetry::LatencyStats;
 }
