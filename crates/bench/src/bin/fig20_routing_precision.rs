@@ -7,14 +7,16 @@
 //! nothing — split into those where some one server below has a matching
 //! local summary (bucket granularity, attribute independence) and those
 //! where none has (the ranges are matched by different servers:
-//! aggregation); ancestor probes and the wasted ones. Beside them, the
-//! contacts two oracles would need (a branch test that is never wrong; one
-//! exact bounding box per server) and what the parts cost in update bytes.
+//! aggregation); probes of a server's own records and the wasted ones.
+//! Beside them, the contacts two oracles would need (a branch test that is
+//! never wrong; one exact bounding box per server), what the parts cost in
+//! update bytes, and the longest redirect chain per query in hops — the
+//! modelled latency is one network delay per hop of it.
 
 use roads_bench::{banner, figure_config, parse_args, TrialConfig};
 use roads_core::{
     execute_query_with, explain_from_trace, record_query_events, update_round, ContactMode,
-    QueryOptions, RoadsNetwork, ServerId,
+    QueryOptions, RoadsNetwork, ServerId, TraceEvent,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{Predicate, Query, WireSize};
@@ -33,25 +35,43 @@ const COLUMNS: [&str; 6] =
     ["branch", "hollow", "hollow_one_server", "hollow_aggregation", "probes", "wasted_probes"];
 
 /// Servers a query from `entry` contacts when a branch is descended iff
-/// `branch(t)` and an ancestor probed iff `probe(a)`: the protocol's walk
-/// with the summary tests swapped out.
+/// `branch(t)`, an ancestor probed iff `probe(a)`, and a replicated branch
+/// `t` that kept parts is expanded into its summands `s` with
+/// `part(t, s)` — a child contacted as a branch, `t` itself probed: the
+/// protocol's walk with the summary tests swapped out.
 fn walk(
     net: &RoadsNetwork,
     entry: ServerId,
     branch: &dyn Fn(ServerId) -> bool,
     probe: &dyn Fn(ServerId) -> bool,
+    part: &dyn Fn(ServerId, ServerId) -> bool,
 ) -> usize {
-    let (tree, rset) = (net.tree(), net.replica_set(entry));
-    let mut frontier: Vec<ServerId> = (tree.children(entry).iter().copied())
-        .chain(rset.redirect_targets())
-        .filter(|&t| branch(t))
-        .collect();
+    let rset = net.replica_set(entry);
+    let children = |s: ServerId| net.tree().children(s).iter().copied();
+    let mut frontier: Vec<ServerId> = children(entry).filter(|&t| branch(t)).collect();
     let mut contacts = 1 + rset.ancestors.iter().filter(|&&a| probe(a)).count();
+    for t in rset.redirect_targets().into_iter().filter(|&t| branch(t)) {
+        if net.branch_summary(t).part_count() == 0 {
+            frontier.push(t);
+            continue;
+        }
+        contacts += usize::from(part(t, t));
+        frontier.extend(children(t).filter(|&c| part(t, c)));
+    }
     while let Some(s) = frontier.pop() {
         contacts += 1;
-        frontier.extend(tree.children(s).iter().copied().filter(|&c| branch(c)));
+        frontier.extend(children(s).filter(|&c| branch(c)));
     }
     contacts
+}
+
+/// The longest redirect chain of a contact log, in hops from the entry.
+fn longest_chain(log: &[TraceEvent]) -> usize {
+    let mut hops = vec![0; log.len()];
+    for (i, e) in log.iter().enumerate() {
+        hops[i] = e.caused_by.map_or(0, |p| hops[p] + 1);
+    }
+    hops.into_iter().max().unwrap_or(0)
 }
 
 /// Whether the exact bounding box `(min, max)` per attribute holds `q`.
@@ -95,6 +115,7 @@ fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig
 
     let mut levels = vec![[0u64; COLUMNS.len()]; tree.levels()];
     let [mut contacts, mut matching, mut perfect, mut boxed] = [0usize; 4];
+    let mut chains = vec![0usize; 2 * tree.levels()];
     for (qi, (q, start)) in queries.iter().enumerate() {
         let entry = ServerId(*start as u32);
         let (mut log, opts) = (Vec::new(), QueryOptions::default());
@@ -102,6 +123,7 @@ fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig
         if qi % 16 == 0 {
             record_query_events(rec, rec.next_trace_id(), &log);
         }
+        chains[longest_chain(&log)] += 1;
         // Hollow is the explain plane's `false_positive`: a Branch contact
         // whose whole redirect subtree returned nothing.
         let explain = explain_from_trace(&net, q, TraceId::NONE, &log, ExplainDecision::Entry);
@@ -128,14 +150,24 @@ fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig
         // The walk is the executor's: with the real tests it counts the same.
         let branch_test = |t: ServerId| net.branch_summary(t).may_match(q);
         let probe_test = |a: ServerId| net.local_summary(a).may_match(q);
+        let part_test = |t: ServerId, s: ServerId| {
+            let holding = net.branch_summary(t).parts_holding(q);
+            holding.is_some_and(|tags| tags.contains(&s.0))
+        };
         assert_eq!(
-            walk(&net, entry, &branch_test, &probe_test),
+            walk(&net, entry, &branch_test, &probe_test, &part_test),
             out.servers_contacted
         );
         contacts += out.servers_contacted;
         matching += holders.len();
-        perfect += walk(&net, entry, &|t| below(t, &matches), &matches);
-        boxed += walk(&net, entry, &|t| below(t, &in_box), &in_box);
+        // An oracle's part test is its own test of the summand.
+        let oracle = |holds: &dyn Fn(ServerId) -> bool| {
+            let branch = |t: ServerId| below(t, holds);
+            let part = |t: ServerId, s: ServerId| if s == t { holds(s) } else { branch(s) };
+            walk(&net, entry, &branch, holds, &part)
+        };
+        perfect += oracle(&matches);
+        boxed += oracle(&in_box);
     }
 
     // Bytes the parts add to a round: each branch summary's trailer, times
@@ -183,6 +215,9 @@ fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig
         "update round {round_bytes} B, of which parts {parts_bytes} B (+{:.3} %)",
         100.0 * share
     );
+    let longest = chains.iter().rposition(|&n| n > 0).unwrap_or(0);
+    let chain_mean = per_query((chains.iter().enumerate()).map(|(h, &n)| h * n).sum());
+    println!("longest redirect chain per query: mean {chain_mean:.2} hops, max {longest}");
     for (c, column) in COLUMNS.iter().enumerate() {
         let by_depth = rows.iter().take(levels.len()).enumerate();
         let points: Vec<(f64, f64)> = by_depth.map(|(d, (_, row))| (d as f64, row[c])).collect();
@@ -191,6 +226,16 @@ fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig
     fig.push_reference(format!("{name}_contacts_vs_perfect"), contacts, perfect);
     fig.push_reference(format!("{name}_contacts_vs_server_boxes"), contacts, boxed);
     fig.push_reference(format!("{name}_parts_update_share"), share, 0.01);
+    let chain_share: Vec<(f64, f64)> = (chains.iter().take(longest + 1).enumerate())
+        .map(|(h, &n)| (h as f64, per_query(n)))
+        .collect();
+    fig.push_series(format!("{name}_longest_chain_hops"), &chain_share);
+    let chain_max = longest as f64;
+    fig.push_reference(
+        format!("{name}_longest_chain_mean_vs_max"),
+        chain_mean,
+        chain_max,
+    );
 }
 
 fn main() {
@@ -218,6 +263,7 @@ fn main() {
     measure(&mut fig, &rec, "paper", &paper);
     measure(&mut fig, &rec, "benchmark", &benchmark);
     fig.push_note("hollow = a Branch contact whose whole redirect subtree returned nothing; aggregation = no single server below has a matching local summary");
+    fig.push_note("<name>_longest_chain_hops: share of queries by their longest redirect chain, in hops from the entry");
     fig.write_default();
     write_chrome_trace_default(&fig.figure, &rec);
 }

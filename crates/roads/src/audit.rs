@@ -67,8 +67,8 @@ pub struct ReplicaLedger {
 /// descendants still do. With everyone live this equals
 /// [`RoadsNetwork::branch_summary`].
 pub fn authoritative_branch(net: &RoadsNetwork, target: ServerId, live: &[bool]) -> Summary {
-    let children: Vec<Summary> = (net.tree().children(target).iter())
-        .map(|&c| authoritative_branch(net, c, live))
+    let children: Vec<(u32, Summary)> = (net.tree().children(target).iter())
+        .map(|&c| (c.0, authoritative_branch(net, c, live)))
         .collect();
     let nothing;
     let local = if live.get(target.index()) == Some(&false) {
@@ -77,7 +77,9 @@ pub fn authoritative_branch(net: &RoadsNetwork, target: ServerId, live: &[bool])
     } else {
         net.local_summary(target)
     };
-    Summary::branch_of(local, &children).expect("uniform schema/config across the federation")
+    let children = children.iter().map(|(c, summary)| (*c, summary));
+    Summary::branch_of(target.0, local, children)
+        .expect("uniform schema/config across the federation")
 }
 
 /// Per-target authoritative summaries, computed once per distinct target.

@@ -104,8 +104,8 @@ fn aggregate_branch(
     branch: &[Summary],
     s: ServerId,
 ) -> Summary {
-    let children = tree.children(s).iter().map(|c| &branch[c.index()]);
-    Summary::branch_of(local, children).expect("uniform schema/config across the federation")
+    let children = tree.children(s).iter().map(|c| (c.0, &branch[c.index()]));
+    Summary::branch_of(s.0, local, children).expect("uniform schema/config across the federation")
 }
 
 /// Result of evaluating a query at one server.
@@ -115,11 +115,14 @@ pub struct EvalResult {
     pub local_match: bool,
     /// Children whose branch summaries match (continue down the branch).
     pub child_targets: Vec<ServerId>,
-    /// Replicated remote branches that match (overlay shortcuts; populated
-    /// only when evaluating at a query's entry server).
+    /// Branches reached by overlay shortcut (populated only when
+    /// evaluating at a query's entry server): each replicated branch that
+    /// may match and kept no parts, and the children whose parts admit
+    /// the query of each one that did — one redirect level skipped.
     pub replica_targets: Vec<ServerId>,
-    /// Ancestors worth probing for *locally attached* matches (populated
-    /// only at the entry server): those whose local summary may match.
+    /// Servers probed for their own records only (populated only at the
+    /// entry server): the ancestors whose local summary may match, then
+    /// the owners of expanded replicated branches whose own part does.
     /// Sibling and ancestor-sibling branches cover the whole hierarchy
     /// except the ancestors' own attached records, and the entry can tell
     /// those apart from the summaries it replicates (see
@@ -413,6 +416,14 @@ impl RoadsNetwork {
     /// branches; at servers reached by redirection only the local data and
     /// children are searched (their branch is their responsibility).
     ///
+    /// A replicated branch summary keeps one part per summand, tagged with
+    /// the summand's server (§III-C's shortcut, taken one level further):
+    /// the entry contacts the children whose parts admit the query
+    /// directly, as branches, and probes the branch's owner for its own
+    /// records only if the owner's part admits it — the round trip the
+    /// owner would have spent naming those children is skipped. A branch
+    /// that kept no parts (a replicated leaf) is contacted as a branch.
+    ///
     /// An ancestor is probed only if its *local* summary may match. Its
     /// branch summary would answer yes whenever the entry itself can (it
     /// contains the entry's branch), and the entry need not be shipped the
@@ -428,24 +439,53 @@ impl RoadsNetwork {
     /// deployment would keep the branch's, probing a superset of the
     /// ancestors probed here.
     pub fn evaluate(&self, s: ServerId, query: &Query, entry: bool) -> EvalResult {
+        self.evaluate_within(s, query, entry, SearchScope::full())
+    }
+
+    /// [`RoadsNetwork::evaluate`] confined to `scope`, measured from `s`.
+    /// The scope decides per replicated branch before it is expanded, so
+    /// a branch and the contacts it expands into are kept or dropped
+    /// together.
+    fn evaluate_within(
+        &self,
+        s: ServerId,
+        query: &Query,
+        entry: bool,
+        scope: SearchScope,
+    ) -> EvalResult {
         let local_match = self.local_summary(s).may_match(query);
         let child_targets = self.matching_children(s, query).collect();
-        let (replica_targets, ancestor_targets) = if entry {
-            let replicas = self.replicas[s.index()]
-                .redirect_targets()
-                .into_iter()
-                .filter(|t| self.branch_summary[t.index()].may_match(query))
-                .collect();
-            let ancestors = self.replicas[s.index()]
-                .ancestors
-                .iter()
-                .copied()
-                .filter(|&a| self.local_summary(a).may_match(query))
-                .collect();
-            (replicas, ancestors)
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let mut replica_targets = Vec::new();
+        let mut ancestor_targets = Vec::new();
+        if entry {
+            let depth = self.tree.depth(s);
+            let replicas = &self.replicas[s.index()];
+            ancestor_targets.extend(replicas.ancestors.iter().copied().filter(|&a| {
+                scope.admits_ancestor(depth, self.tree.depth(a))
+                    && self.local_summary(a).may_match(query)
+            }));
+            // A replica target hangs one level *below* the ancestor it is
+            // reached through, so the two kinds consume scope differently
+            // (see `SearchScope`).
+            for t in replicas.redirect_targets() {
+                if !scope.admits_replica(depth, self.tree.depth(t)) {
+                    continue;
+                }
+                let Some(tags) = self.branch_summary[t.index()].parts_holding(query) else {
+                    continue;
+                };
+                if tags.is_empty() {
+                    replica_targets.push(t);
+                }
+                for part in tags.into_iter().map(ServerId) {
+                    if part == t {
+                        ancestor_targets.push(t);
+                    } else {
+                        replica_targets.push(part);
+                    }
+                }
+            }
+        }
         EvalResult {
             local_match,
             child_targets,
@@ -458,7 +498,8 @@ impl RoadsNetwork {
     /// in `mode`, does with `query` — whether it searches its own records,
     /// and whom the query goes to next, each with the mode to contact it
     /// in. Children come first, then (at the entry) overlay shortcuts and
-    /// ancestor probes, the last two filtered by `scope` measured from `s`.
+    /// servers probed for their own records, the last two confined to
+    /// `scope` measured from `s`.
     pub fn route(
         &self,
         s: ServerId,
@@ -475,18 +516,11 @@ impl RoadsNetwork {
                 (ev.local_match, children.map(branch).collect())
             }
             ContactMode::Entry => {
-                let ev = self.evaluate(s, query, true);
-                let depth = self.tree.depth(s);
-                // A replica target hangs one level *below* the ancestor it
-                // is reached through, so the two kinds consume scope
-                // differently (see `SearchScope`).
-                let replicas = (ev.replica_targets.into_iter())
-                    .filter(|t| scope.admits_replica(depth, self.tree.depth(*t)));
-                let ancestors = (ev.ancestor_targets.into_iter())
-                    .filter(|t| scope.admits_ancestor(depth, self.tree.depth(*t)));
+                let ev = self.evaluate_within(s, query, true, scope);
+                let probe = |a: ServerId| (a, ContactMode::LocalOnly);
                 let targets = (ev.child_targets.into_iter().map(branch))
-                    .chain(replicas.map(branch))
-                    .chain(ancestors.map(|a| (a, ContactMode::LocalOnly)))
+                    .chain(ev.replica_targets.into_iter().map(branch))
+                    .chain(ev.ancestor_targets.into_iter().map(probe))
                     .collect();
                 (ev.local_match, targets)
             }
@@ -869,21 +903,36 @@ mod tests {
     fn route_scope_drops_exactly_what_the_scope_refuses() {
         let n = deep_network();
         let tree = n.tree();
-        let mut dropped = 0;
+        let (mut dropped, mut expanded) = (0, 0);
         for q in queries(&n) {
             for s in tree.servers() {
                 let depth = tree.depth(s);
                 let ev = n.evaluate(s, &q, true);
                 let (local, full) = n.route(s, &q, ContactMode::Entry, SearchScope::full());
+                // Which replicated branch a shortcut came from: itself, or
+                // the branch it was expanded out of (its tree parent).
+                let replicated = n.replica_set(s).redirect_targets();
+                let branch_of = |t: ServerId| {
+                    if replicated.contains(&t) {
+                        t
+                    } else {
+                        tree.parent(t).expect("an expanded child has a parent")
+                    }
+                };
+                expanded += (ev.replica_targets.iter())
+                    .filter(|t| !replicated.contains(t))
+                    .count();
                 for levels in 0..=depth + 1 {
                     let scope = SearchScope::levels(levels);
+                    // A branch and its expansion — its admitting children
+                    // and its owner's probe — are kept or dropped together.
                     let keep = |&(t, mode): &(ServerId, ContactMode)| {
                         if ev.child_targets.contains(&t) {
                             true
-                        } else if mode == ContactMode::LocalOnly {
+                        } else if mode == ContactMode::LocalOnly && tree.on_root_path(t, s) {
                             scope.admits_ancestor(depth, tree.depth(t))
                         } else {
-                            scope.admits_replica(depth, tree.depth(t))
+                            scope.admits_replica(depth, tree.depth(branch_of(t)))
                         }
                     };
                     let expect: Vec<_> = full.iter().copied().filter(keep).collect();
@@ -903,6 +952,7 @@ mod tests {
             }
         }
         assert!(dropped > 0, "some scope refused some target");
+        assert!(expanded > 0, "some replicated branch was expanded");
     }
 
     #[test]

@@ -115,11 +115,13 @@ impl DataNode {
         self.child_summaries.iter_fresh(now_ms).count()
     }
 
-    /// Branch summary from current (possibly stale) state: the local
-    /// summary aggregated with the fresh child summaries, in child order.
-    fn branch_summary(&self, now_ms: u64) -> Summary {
-        let fresh = (self.children.iter()).filter_map(|c| self.child_summaries.get(c, now_ms));
-        Summary::branch_of(&self.local_summary, fresh)
+    /// Branch summary of server `me` from current (possibly stale) state:
+    /// the local summary aggregated with the fresh child summaries, in
+    /// child order.
+    fn branch_summary(&self, me: u32, now_ms: u64) -> Summary {
+        let fresh = (self.children.iter())
+            .filter_map(|c| Some((c.0, self.child_summaries.get(c, now_ms)?)));
+        Summary::branch_of(me, &self.local_summary, fresh)
             .expect("uniform schema/config across the federation")
     }
 
@@ -136,7 +138,8 @@ impl DataNode {
         }
 
         // Bottom-up: branch summary to the parent.
-        let my_branch = self.branch_summary(now_ms);
+        let me = ctx.self_id().0;
+        let my_branch = self.branch_summary(me, now_ms);
         if let Some(p) = self.parent {
             ctx.record(EventKind::SummaryPublish, my_branch.wire_size() as u64);
             let summary = my_branch.clone();
@@ -150,7 +153,6 @@ impl DataNode {
 
         // Top-down: to each child send its siblings' branch summaries, our
         // own branch summary, and everything we replicate from above.
-        let me = ctx.self_id().0;
         let mut fresh_children: Vec<(NodeId, Summary)> = self
             .child_summaries
             .iter_fresh(now_ms)
@@ -386,7 +388,7 @@ mod tests {
             let node = sim.node(NodeId(s.0));
             assert_eq!(node.local_summary, *net.local_summary(s), "{s}: local");
             assert_eq!(
-                node.branch_summary(now_ms),
+                node.branch_summary(s.0, now_ms),
                 branch[s.index()],
                 "{s}: branch"
             );

@@ -190,7 +190,9 @@ fn verdict_kind(verdict: SummaryVerdict) -> Option<SummaryKind> {
 /// server did with the query (see [`explain_from_trace`]). A branch
 /// redirect from the target's tree parent is ordinary summary descent;
 /// from anyone else (the entry's replica shortcuts, a failover stand-in)
-/// it rode the replication overlay.
+/// it rode the replication overlay. A probe of an ancestor of the server
+/// that sent it is the climb; a probe of anyone else is the owner of a
+/// replicated branch the entry expanded, an overlay shortcut too.
 fn contact_decision(
     net: &RoadsNetwork,
     trace: &[TraceEvent],
@@ -207,12 +209,15 @@ fn contact_decision(
             _ => ExplainDecision::Entry,
         };
     };
+    let from = trace[p].server;
     match e.mode {
-        ContactMode::Branch if net.tree().parent(e.server) == Some(trace[p].server) => {
+        ContactMode::Branch if net.tree().parent(e.server) == Some(from) => {
             ExplainDecision::SummaryDescent
         }
-        ContactMode::Branch => ExplainDecision::OverlayShortcut,
-        _ => ExplainDecision::AncestorProbe,
+        ContactMode::LocalOnly if net.tree().on_root_path(e.server, from) => {
+            ExplainDecision::AncestorProbe
+        }
+        _ => ExplainDecision::OverlayShortcut,
     }
 }
 
@@ -252,9 +257,10 @@ pub fn hollow_contacts(trace: &[TraceEvent]) -> Vec<bool> {
 /// itself: its mode, its forwarder, the retries behind it.
 ///
 /// The vouching summary is the one routing tested
-/// ([`RoadsNetwork::evaluate`]): the target's branch summary for a descent
-/// or a shortcut, its local summary for an ancestor probe; retries,
-/// stand-ins and the entry consulted none.
+/// ([`RoadsNetwork::evaluate`]): the target's branch summary for a branch
+/// contact, its local summary for a probe of its own records (of which a
+/// skipped owner's part is the coarse box); retries, stand-ins and the
+/// entry consulted none.
 ///
 /// The header says what the log alone can: the response is when the
 /// entry's contact closed, the records are the local matches summed, and
@@ -786,6 +792,41 @@ mod tests {
         assert_eq!(a.compute_us, 0.0);
         assert_eq!(a.retry_us, 0.0);
         assert_eq!(a.failover_us, 0.0);
+    }
+
+    #[test]
+    fn a_skipped_owners_probe_is_a_shortcut_and_an_ancestors_a_climb() {
+        use roads_telemetry::aggregate_traces;
+        // A leaf entry on a broad query probes its ancestors' own records
+        // and expands the replicated branches of its uncles: each uncle is
+        // probed for its own records, its children contacted directly.
+        let (net, delays) = network(30, 3);
+        let q = QueryBuilder::new(net.schema(), QueryId(23))
+            .range("x0", 0.0, 1.0)
+            .build();
+        let leaf = *net.tree().leaves().iter().max().unwrap();
+        let (_, trace) = traced(&net, &delays, &q, leaf, SearchScope::full());
+        let explain = explain_from_trace(&net, &q, TraceId::NONE, &trace, ExplainDecision::Entry);
+        let probes: Vec<(ServerId, ExplainDecision)> = (trace.iter().zip(&explain.hops))
+            .filter(|(e, _)| e.mode == ContactMode::LocalOnly)
+            .map(|(e, h)| (e.server, h.decision))
+            .collect();
+        let ancestors = net.tree().ancestors(leaf);
+        let climbs = (probes.iter())
+            .filter(|(_, d)| *d == ExplainDecision::AncestorProbe)
+            .count();
+        assert_eq!(climbs, ancestors.len(), "every ancestor holds a record");
+        for (server, decision) in &probes {
+            let expect = if ancestors.contains(server) {
+                ExplainDecision::AncestorProbe
+            } else {
+                ExplainDecision::OverlayShortcut
+            };
+            assert_eq!(*decision, expect, "probe of {server}");
+        }
+        assert!(probes.len() > climbs, "some replicated branch was expanded");
+        let report = aggregate_traces(&[explain], net.tree().root().0, net.len());
+        assert_eq!(report.climb_hops, climbs, "only real climbs count");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests: hierarchy, overlay and query-execution invariants.
 
 use proptest::prelude::*;
+use roads_central::CentralRepository;
 use roads_core::overlay::coverage;
 use roads_core::{
     execute_query, execute_query_cached, execute_query_planned, execute_query_with, plan_query,
@@ -201,6 +202,78 @@ proptest! {
                 execute_query_cached(&net, &delays, &q, entry, scope, &cache, plan)
             };
             prop_assert_eq!(cached(Some(&plan)), cached(None));
+        }
+    }
+
+    /// The entry expands each replicated branch through its parts: it
+    /// contacts the children whose parts admit the query directly and
+    /// probes the branch's owner for its own records if the owner's part
+    /// does. Over random two-attribute federations, entries and scopes the
+    /// answer is still exactly the central repository's over the servers
+    /// in scope, and no server is contacted twice.
+    #[test]
+    fn the_expanded_route_answers_what_the_central_repository_does(
+        n in 2usize..70,
+        k in 2usize..6,
+        points in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 3..60),
+        (x, y) in ((0.0f64..1.0, 0.0f64..0.5), (0.0f64..1.0, 0.0f64..0.5)),
+        seed in any::<u32>(),
+    ) {
+        // Server s holds s % 4 records (none on every fourth), at
+        // consecutive `points`.
+        let point = |s: usize, j: usize| points[(s * 4 + j) % points.len()];
+        let records: Vec<Vec<Record>> = (0..n)
+            .map(|s| {
+                (0..s % 4)
+                    .map(|j| {
+                        let (a, b) = point(s, j);
+                        let values = vec![Value::Float(a), Value::Float(b)];
+                        Record::new_unchecked(RecordId((s * 4 + j) as u64), OwnerId(s as u32), values)
+                    })
+                    .collect()
+            })
+            .collect();
+        let cfg = RoadsConfig {
+            max_children: k,
+            summary: SummaryConfig::with_buckets(32),
+            ..RoadsConfig::paper_default()
+        };
+        let net = RoadsNetwork::build(Schema::unit_numeric(2), cfg, records.clone());
+        let delays = DelaySpace::paper(n, 9);
+        let range = |attr: u16, (lo, w): (f64, f64)| Predicate::Range { attr: AttrId(attr), lo, hi: lo + w };
+        let q = Query::new(QueryId(0), vec![range(0, x), range(1, y)]);
+        let entry = ServerId(seed % n as u32);
+
+        for scope in [SearchScope::full(), SearchScope::levels((seed >> 16) as usize % 4)] {
+            let mut top = entry;
+            for _ in 0..scope.levels_up.unwrap_or(n) {
+                top = net.tree().parent(top).unwrap_or(top);
+            }
+            let mut in_scope = net.tree().subtree(top);
+            in_scope.sort();
+            let central = CentralRepository::build(
+                0,
+                in_scope.iter().map(|s| records[s.index()].clone()).collect(),
+            );
+            let expected: Vec<ServerId> = (in_scope.iter().copied())
+                .filter(|s| records[s.index()].iter().any(|r| q.matches(r)))
+                .collect();
+
+            let mut trace = Vec::new();
+            let opts = QueryOptions::scoped(scope);
+            let out = execute_query_with(&net, &delays, &q, entry, &opts, Some(&mut trace));
+            let what = format!("entry {entry}, {scope:?}");
+            prop_assert_eq!(
+                out.matching_records,
+                central.execute_query(&delays, &q, 0).matching_records,
+                "{}", what
+            );
+            prop_assert_eq!(&out.matching_servers, &expected, "{}", what);
+            let mut contacted: Vec<ServerId> = trace.iter().map(|e| e.server).collect();
+            contacted.sort();
+            let contacts = contacted.len();
+            contacted.dedup();
+            prop_assert_eq!(contacted.len(), contacts, "a server contacted twice: {}", what);
         }
     }
 

@@ -106,19 +106,26 @@ fn explain_matches_outcome_on_healthy_cluster() {
         ex.hops.iter().all(|h| h.outcome == HopOutcome::Replied),
         "healthy cluster: every hop replies"
     );
-    assert!(
-        ex.hops
-            .iter()
-            .any(|h| h.decision == ExplainDecision::SummaryDescent),
-        "a full-range query descends the hierarchy"
-    );
-    // Every server holds matching data, so every descent hop was
-    // vouched for by some summary structure and found local records.
-    for h in &ex.hops {
-        if h.decision == ExplainDecision::SummaryDescent {
-            assert!(h.summary.is_some(), "descent hops carry a summary kind");
-            assert!(!h.false_positive);
-        }
+    // Two levels below the root, a leaf entry replicates every other
+    // branch and expands each one through its parts: its two ancestors
+    // are probed, every other server is a shortcut, nothing descends.
+    let count = |ex: &QueryExplain, d| ex.hops.iter().filter(|h| h.decision == d).count();
+    assert_eq!(c.network().tree().depth(entry), 2);
+    assert_eq!(count(&ex, ExplainDecision::AncestorProbe), 2);
+    assert_eq!(count(&ex, ExplainDecision::OverlayShortcut), n - 3);
+    assert_eq!(count(&ex, ExplainDecision::SummaryDescent), 0);
+    // From the root, the same query descends the hierarchy.
+    let root = c.network().tree().root();
+    let (from_root, down) = explained(&c, &full_query(&c, 2), root);
+    assert_consistent(&from_root, &down);
+    assert_eq!(count(&down, ExplainDecision::SummaryDescent), n - 1);
+    // Every server holds matching data, so every routed hop was vouched
+    // for by some summary structure and found local records.
+    let routed =
+        (ex.hops.iter().chain(&down.hops)).filter(|h| h.decision != ExplainDecision::Entry);
+    for h in routed {
+        assert!(h.summary.is_some(), "routed hops carry a summary kind");
+        assert!(!h.false_positive);
     }
     // Attribution: simulated links make network time dominate; nothing
     // was retried or failed over.

@@ -243,6 +243,61 @@ fn failover_disabled_loses_the_whole_subtree() {
     c.shutdown();
 }
 
+/// A leaf entry skips the owner of a replicated uncle branch: it contacts
+/// the uncle's admitting children directly and probes the uncle only for
+/// its own records. A dead uncle therefore no longer hides its branch. If
+/// nothing of the uncle's own may match, nothing is missing and the
+/// answer is complete; if its own records may, they are what is missing.
+#[test]
+fn a_dead_skipped_owner_hides_only_its_own_records() {
+    let n = 13;
+    let c = build_cluster(n, 3, RuntimeConfig::test_faulty());
+    let (net, tree) = (c.network(), c.network().tree());
+    let entry = a_leaf(&c);
+    let parent = tree
+        .parent(entry)
+        .expect("a leaf of 13 servers has a parent");
+    let uncle = *(tree.children(tree.root()).iter())
+        .find(|&&u| u != parent && !tree.children(u).is_empty())
+        .expect("13 servers at degree 3 have three interior children of the root");
+    assert!(net.replica_set(entry).ancestor_siblings.contains(&uncle));
+    // Server s holds x0 ∈ [s/13, (s+1)/13); a range well inside one of
+    // the uncle's children, away from every shared bucket.
+    let inside = |s: ServerId, id: u64| {
+        let lo = s.0 as f64 / n as f64;
+        QueryBuilder::new(net.schema(), QueryId(id))
+            .range("x0", lo + 0.02, lo + 1.0 / n as f64 - 0.02)
+            .build()
+    };
+    let child = *(tree.children(uncle).iter())
+        .find(|&&k| {
+            let tags = net.branch_summary(uncle).parts_holding(&inside(k, 0));
+            tags == Some(vec![k.0])
+        })
+        .expect("some child's range is held by its part alone");
+    let below = inside(child, 2);
+    assert!(!net.local_summary(uncle).may_match(&below));
+    let expected = net.search_local(child, &below).len();
+    assert!(expected > 0);
+    assert!(c.kill_server(uncle));
+
+    let out = c.query(&below, entry);
+    assert!(out.complete, "the dead uncle held nothing this query wants");
+    assert!(out.failed_servers.is_empty());
+    assert_eq!(unique_ids(&out).len(), expected);
+    assert!(out.records.iter().all(|r| r.owner.0 == child.0));
+
+    let out = c.query(&full_query(&c), entry);
+    assert!(!out.complete, "the uncle's own records may match");
+    assert_eq!(out.failed_servers, vec![uncle]);
+    assert_eq!(
+        unique_ids(&out).len(),
+        (n - 1) * RECORDS_PER_SERVER,
+        "every record but the uncle's own"
+    );
+    c.shutdown();
+}
+
 /// Regression for the mode-insensitive visited-set dedup. The helper that
 /// can stand in for the dead uncle is the entry's own parent — a server the
 /// query has *already visited* as a `LocalOnly` ancestor probe. The old
@@ -251,8 +306,8 @@ fn failover_disabled_loses_the_whole_subtree() {
 #[test]
 fn localonly_probed_ancestor_still_serves_as_failover_helper() {
     let n = 7;
-    let c = build_cluster(n, 2, RuntimeConfig::test_faulty());
-    let tree = c.network().tree();
+    let base = build_net(n, 2);
+    let tree = base.tree();
     let root = tree.root();
     assert_eq!(tree.children(root).len(), 2, "test needs a binary root");
     // U: a child of the root with its own children; P: the root's other
@@ -270,6 +325,16 @@ fn localonly_probed_ancestor_still_serves_as_failover_helper() {
         .iter()
         .find(|&&s| tree.children(s).is_empty())
         .expect("p must have a leaf child for this topology");
+    // U and one of its children hold nothing, so U's branch summary is
+    // its other child's and keeps no parts: the entry cannot skip U and
+    // contacts it as a branch.
+    let mut records = line_records(n, RECORDS_PER_SERVER);
+    records[u.index()].clear();
+    records[tree.children(u)[0].index()].clear();
+    let (schema, cfg) = (base.schema().clone(), *base.config());
+    let net = RoadsNetwork::with_tree(schema, cfg, tree.clone(), records);
+    assert_eq!(net.branch_summary(u).part_count(), 0);
+    let c = RoadsCluster::start(net, DelaySpace::paper(n, 77), RuntimeConfig::test_faulty());
     assert_eq!(
         c.network().replica_set(u).failover_candidates(),
         vec![p, root],
@@ -280,7 +345,7 @@ fn localonly_probed_ancestor_still_serves_as_failover_helper() {
     let out = c.query(&full_query(&c), entry);
     assert_eq!(
         unique_ids(&out).len(),
-        (n - 1) * RECORDS_PER_SERVER,
+        (n - 2) * RECORDS_PER_SERVER,
         "the LocalOnly-probed parent must be re-contacted as a stand-in"
     );
     assert_eq!(out.failed_servers, vec![u]);

@@ -9,7 +9,10 @@
 //! of *some* server in it falls in each range. A branch summary built by
 //! [`Summary::branch_of`] therefore also remembers its **parts**: one
 //! coarse box per summand it was aggregated from (its server's own records
-//! and each child's branch), and a query must fit one of them as a whole.
+//! and each child's branch), each tagged with its summand's server id, and
+//! a query must fit one of them as a whole. The tags of the parts that do
+//! ([`Summary::parts_holding`]) name the servers below a replicated branch
+//! worth contacting directly.
 
 use crate::attr_summary::{AttrMergeError, AttributeSummary};
 use crate::bloom::BloomFilter;
@@ -128,6 +131,9 @@ pub struct Summary {
     /// its summand's box. Empty on any summary built or changed any other
     /// way: a box list vouches only for the summands it was taken from.
     parts: Vec<Span>,
+    /// The tag of each box in `parts`, in box order: the id its summand
+    /// was handed to [`Summary::branch_of`] with.
+    part_tags: Vec<u32>,
 }
 
 impl Summary {
@@ -157,52 +163,62 @@ impl Summary {
             per_attr,
             records: 0,
             parts: Vec::new(),
+            part_tags: Vec::new(),
         }
     }
 
-    /// The branch summary of a server: its `local` summary merged with its
-    /// `children`'s branch summaries, in that order — the one way a branch
-    /// is aggregated, in a build, after a delta and on the message plane.
+    /// The branch summary of server `id`: its `local` summary merged with
+    /// its `children`'s branch summaries, each given with its server's id,
+    /// in that order — the one way a branch is aggregated, in a build,
+    /// after a delta and on the message plane.
     ///
-    /// The aggregate also keeps one box per non-empty summand (see the
-    /// module docs), which [`Summary::may_match`] tests on top of the
-    /// merged attributes. A single summand's box says nothing its own
-    /// histograms do not, so an aggregate of fewer than two keeps none: a
-    /// leaf's branch summary *is* its local summary.
+    /// The aggregate also keeps one box per non-empty summand, tagged with
+    /// the summand's id (see the module docs), which [`Summary::may_match`]
+    /// tests on top of the merged attributes. A single summand's box says
+    /// nothing its own histograms do not, so an aggregate of fewer than two
+    /// keeps none: a leaf's branch summary *is* its local summary.
     pub fn branch_of<'a>(
+        id: u32,
         local: &Summary,
-        children: impl IntoIterator<Item = &'a Summary>,
+        children: impl IntoIterator<Item = (u32, &'a Summary)>,
     ) -> Result<Summary, AttrMergeError> {
         let mut branch = local.clone();
-        branch.parts.clear();
+        branch.clear_parts();
         let mut children = children.into_iter().peekable();
         if children.peek().is_none() {
             return Ok(branch);
         }
         let arity = branch.per_attr.len();
         let mut parts = Vec::with_capacity((1 + children.size_hint().0) * arity);
-        let mut push_box = |summand: &Summary| {
+        let mut tags = Vec::with_capacity(1 + children.size_hint().0);
+        let mut push_box = |tag: u32, summand: &Summary| {
             if !summand.is_empty() {
                 parts.extend(summand.per_attr.iter().map(AttributeSummary::coarse_span));
+                tags.push(tag);
             }
         };
-        push_box(local);
-        for child in children {
+        push_box(id, local);
+        for (tag, child) in children {
             branch.merge(child)?;
-            push_box(child);
+            push_box(tag, child);
         }
-        if parts.len() >= 2 * arity {
+        if tags.len() >= 2 && arity > 0 {
             branch.parts = parts;
+            branch.part_tags = tags;
         }
         Ok(branch)
     }
 
     /// Boxes this summary keeps of the summands it was aggregated from.
     pub fn part_count(&self) -> usize {
-        self.parts
-            .len()
-            .checked_div(self.per_attr.len())
-            .unwrap_or(0)
+        self.part_tags.len()
+    }
+
+    /// Forget the boxes: they vouch only for the summands they were taken
+    /// from, and this summary is about to become something else.
+    fn clear_parts(&mut self) {
+        self.parts.clear();
+        self.part_tags.clear();
     }
 
     /// Summarize a set of records.
@@ -220,7 +236,7 @@ impl Summary {
 
     /// Fold one record into the summary.
     pub fn add_record(&mut self, record: &Record) {
-        self.parts.clear();
+        self.clear_parts();
         for (slot, v) in self.per_attr.iter_mut().zip(record.values()) {
             slot.learn(v);
         }
@@ -249,7 +265,7 @@ impl Summary {
         if !removable {
             return false;
         }
-        self.parts.clear();
+        self.clear_parts();
         for (slot, v) in self.per_attr.iter_mut().zip(record.values()) {
             slot.unlearn_vouched(v);
         }
@@ -277,7 +293,7 @@ impl Summary {
         if !removable {
             return false;
         }
-        self.parts.clear();
+        self.clear_parts();
         for ((slot, ov), nv) in self.per_attr.iter_mut().zip(old.values()).zip(new.values()) {
             slot.unlearn_vouched(ov);
             slot.learn(nv);
@@ -319,34 +335,67 @@ impl Summary {
     /// [`SummaryVerdict::Prune`] reports — or `None` if one may.
     ///
     /// Each predicate is put to its attribute's summary, as ever; if they
-    /// all admit it and the summary has parts, the bucket spans the
-    /// attributes tested are put to the boxes, and the query is refused
-    /// unless one box holds them all.
+    /// all admit it and the summary has parts, the query is refused unless
+    /// one box holds it (see [`Asked::holds`]).
     fn refusal(&self, query: &Query) -> Option<Option<&'static str>> {
-        if self.records == 0 {
-            return Some(None);
-        }
-        let mut asked = [(0, Span::FULL); Self::PREDICATES_PUT_TO_PARTS];
-        let mut buffered = 0;
-        for p in query.predicates() {
-            let idx = p.attr().index();
-            let Some(attr) = self.per_attr.get(idx) else {
-                return Some(None);
-            };
-            let Some(span) = attr.admit(p) else {
-                return Some(Some(attr.kind_name()));
-            };
-            if !self.parts.is_empty() && buffered < asked.len() {
-                asked[buffered] = (idx, span);
-                buffered += 1;
-            }
-        }
-        let asked = &asked[..buffered];
-        let holds = |part: &[Span]| asked.iter().all(|&(a, span)| part[a].intersects(span));
-        if !self.parts.is_empty() && !self.parts.chunks_exact(self.per_attr.len()).any(holds) {
+        let asked = match self.asked(query) {
+            Ok(asked) => asked,
+            Err(why) => return Some(why),
+        };
+        if !self.part_tags.is_empty() && !self.boxes().any(|(_, part)| asked.holds(part)) {
             return Some(Some("parts"));
         }
         None
+    }
+
+    /// The tags of the parts that hold `query`, in part order — the
+    /// summands of this aggregate that may hold a match — or `None` when
+    /// the summary refuses it. An aggregate that kept no parts admits a
+    /// query it may match with no tags: it cannot say which summand holds
+    /// the match. The part test is [`Summary::may_match`]'s own, so a
+    /// summary that may match has at least one holding part if it has
+    /// parts at all.
+    pub fn parts_holding(&self, query: &Query) -> Option<Vec<u32>> {
+        let asked = self.asked(query).ok()?;
+        let tags: Vec<u32> = (self.boxes())
+            .filter(|(_, part)| asked.holds(part))
+            .map(|(tag, _)| tag)
+            .collect();
+        (self.part_tags.is_empty() || !tags.is_empty()).then_some(tags)
+    }
+
+    /// The parts, each with its tag.
+    fn boxes(&self) -> impl Iterator<Item = (u32, &[Span])> {
+        let arity = self.per_attr.len().max(1);
+        (self.part_tags.iter().copied()).zip(self.parts.chunks_exact(arity))
+    }
+
+    /// Put each predicate of `query` to its attribute's summary: the
+    /// bucket spans they were admitted on, buffered for the parts, or the
+    /// kind that refused one (`None` when the summary is empty or the
+    /// predicate fell outside the schema).
+    fn asked(&self, query: &Query) -> Result<Asked, Option<&'static str>> {
+        if self.records == 0 {
+            return Err(None);
+        }
+        let mut asked = Asked {
+            spans: [(0, Span::FULL); Self::PREDICATES_PUT_TO_PARTS],
+            len: 0,
+        };
+        for p in query.predicates() {
+            let idx = p.attr().index();
+            let Some(attr) = self.per_attr.get(idx) else {
+                return Err(None);
+            };
+            let Some(span) = attr.admit(p) else {
+                return Err(Some(attr.kind_name()));
+            };
+            if !self.part_tags.is_empty() && asked.len < asked.spans.len() {
+                asked.spans[asked.len] = (idx, span);
+                asked.len += 1;
+            }
+        }
+        Ok(asked)
     }
 
     /// [`Summary::may_match`] with provenance: *which* per-attribute
@@ -385,7 +434,7 @@ impl Summary {
                 ),
             });
         }
-        self.parts.clear();
+        self.clear_parts();
         for (a, b) in self.per_attr.iter_mut().zip(&other.per_attr) {
             a.merge(b)?;
         }
@@ -408,7 +457,7 @@ impl Summary {
     /// compute it from the replicas it already holds, at zero bytes.
     pub fn without<'a>(&self, summands: impl IntoIterator<Item = &'a Summary>) -> Option<Summary> {
         let mut rest = self.clone();
-        rest.parts.clear();
+        rest.clear_parts();
         for s in summands {
             rest.records = rest.records.checked_sub(s.records)?;
             let exact = rest.per_attr.len() == s.per_attr.len()
@@ -435,16 +484,40 @@ impl Summary {
     }
 }
 
+/// The bucket spans one query's predicates were admitted on, by
+/// attribute, for the parts to be tested against.
+struct Asked {
+    spans: [(usize, Span); Summary::PREDICATES_PUT_TO_PARTS],
+    len: usize,
+}
+
+impl Asked {
+    /// The one part test: a box holds the query if it meets every span
+    /// asked.
+    fn holds(&self, part: &[Span]) -> bool {
+        (self.spans[..self.len].iter()).all(|&(a, span)| part[a].intersects(span))
+    }
+}
+
+/// Bytes of `v` as an unsigned LEB128 varint.
+fn varint_len(v: u32) -> usize {
+    v.checked_ilog2().map_or(1, |bits| bits as usize / 7 + 1)
+}
+
 impl WireSize for Summary {
     fn wire_size(&self) -> usize {
         // record count (8) + arity (2) + per-attribute summaries, and for
         // an aggregate that kept its parts a trailer: part count (1) + per
-        // part and ordered attribute two 4-bit cell indexes (1). The
-        // enclosing message is length-framed, so no trailer costs nothing.
+        // part its tag (a varint) and per ordered attribute two 4-bit cell
+        // indexes (1). The enclosing message is length-framed, so no
+        // trailer costs nothing.
         let ordered = || self.per_attr.iter().filter(|a| a.is_ordered()).count();
         let parts = match self.part_count() {
             0 => 0,
-            boxes => 1 + boxes * ordered(),
+            boxes => {
+                let tags: usize = self.part_tags.iter().map(|&t| varint_len(t)).sum();
+                1 + tags + boxes * ordered()
+            }
         };
         10 + self.per_attr.iter().map(WireSize::wire_size).sum::<usize>() + parts
     }
@@ -688,6 +761,58 @@ mod tests {
         let before = sum.clone();
         assert!(!sum.remove_record(&r));
         assert_eq!(sum, before, "refused removal must leave no partial edit");
+    }
+
+    #[test]
+    fn parts_holding_names_the_summands_whose_boxes_hold_the_query() {
+        let s = Schema::unit_numeric(2);
+        let cfg = SummaryConfig::with_buckets(64);
+        let at = |id: u64, x: f64, y: f64| {
+            let values = vec![Value::Float(x), Value::Float(y)];
+            Summary::from_records(
+                &s,
+                &cfg,
+                &[Record::new_unchecked(RecordId(id), OwnerId(0), values)],
+            )
+        };
+        let (local, near, far) = (at(0, 0.1, 0.1), at(1, 0.15, 0.9), at(2, 0.9, 0.9));
+        let empty = Summary::empty(&s, &cfg);
+        let kids = [(7, &near), (300, &far), (9, &empty)];
+        let branch = Summary::branch_of(4, &local, kids).unwrap();
+        assert_eq!(branch.part_count(), 3, "an empty summand has no box");
+        let q = |id, x: (f64, f64), y: (f64, f64)| {
+            QueryBuilder::new(&s, QueryId(id))
+                .range("x0", x.0, x.1)
+                .range("x1", y.0, y.1)
+                .build()
+        };
+        // Every box holds a query with no predicates.
+        assert_eq!(
+            branch.parts_holding(&Query::new(QueryId(0), Vec::new())),
+            Some(vec![4, 7, 300])
+        );
+        assert_eq!(
+            branch.parts_holding(&q(1, (0.0, 0.2), (0.0, 1.0))),
+            Some(vec![4, 7])
+        );
+        assert_eq!(
+            branch.parts_holding(&q(2, (0.8, 1.0), (0.8, 1.0))),
+            Some(vec![300])
+        );
+        // Each attribute admits it, no box holds it whole: refused.
+        let across = q(3, (0.85, 0.95), (0.05, 0.15));
+        assert!(!branch.may_match(&across));
+        assert_eq!(branch.parts_holding(&across), None);
+        // A leaf keeps no parts: it admits with no tags, or refuses.
+        let leaf = Summary::branch_of(4, &local, []).unwrap();
+        assert_eq!(
+            leaf.parts_holding(&q(4, (0.0, 0.2), (0.0, 0.2))),
+            Some(Vec::new())
+        );
+        assert_eq!(leaf.parts_holding(&q(5, (0.8, 1.0), (0.0, 1.0))), None);
+        // Tags are charged as varints: 1 + 1 + 2 bytes here.
+        let untagged = Summary::branch_of(0, &local, [(0, &near), (0, &far)]).unwrap();
+        assert_eq!(branch.wire_size(), untagged.wire_size() + 1);
     }
 
     #[test]

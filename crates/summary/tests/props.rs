@@ -102,6 +102,12 @@ fn mixed_record(id: usize, (x, c, y): (f64, usize, f64)) -> Record {
     Record::new_unchecked(RecordId(id as u64), OwnerId(0), values)
 }
 
+/// The id a node of the aggregation tree tags its box with: its path,
+/// read as a number in base 300, so the tags take one to five varint bytes.
+fn tag(path: &[usize]) -> u32 {
+    (path.iter()).fold(1u32, |t, &c| t.wrapping_mul(300).wrapping_add(c as u32))
+}
+
 /// Aggregate the subtree at `path` bottom-up through `Summary::branch_of`,
 /// handing every node's summary, with the records below it, to `check`.
 fn aggregate_tree(
@@ -121,11 +127,12 @@ fn aggregate_tree(
         let child: Vec<usize> = path.iter().copied().chain([c]).collect();
         if rows.iter().any(|(_, p)| p.starts_with(&child)) {
             let (summary, records) = aggregate_tree(cfg, rows, &child, check);
-            children.push(summary);
+            children.push((tag(&child), summary));
             below.extend(records);
         }
     }
-    let branch = Summary::branch_of(&local, &children).unwrap();
+    let kids = children.iter().map(|(t, s)| (*t, s));
+    let branch = Summary::branch_of(tag(path), &local, kids).unwrap();
     // One box per non-empty summand; a lone summand needs none.
     let summands = usize::from(!local.is_empty()) + children.len();
     assert_eq!(branch.part_count(), if summands < 2 { 0 } else { summands });
@@ -439,8 +446,15 @@ proptest! {
             prop_assert!(changed || s == *root, "a refused change is no change");
         }
         // On the wire the parts are a trailer after the attributes: a
-        // count, then per part one byte per ordered attribute (two here).
-        let trailer = |s: &Summary| match s.part_count() { 0 => 0, k => 1 + 2 * k };
+        // count, then per part its tag as a varint (7 bits a byte) and one
+        // byte per ordered attribute (two here). A query with no predicates
+        // is held by every part, so it reads back every tag.
+        let varint = |t: u32| (1..=5).find(|b| u64::from(t) < 1 << (7 * b)).unwrap();
+        let trailer = |s: &Summary| match s.parts_holding(&Query::new(QueryId(0), Vec::new())) {
+            Some(tags) if !tags.is_empty() => 1 + tags.iter().map(|&t| varint(t) + 2).sum::<usize>(),
+            _ => 0,
+        };
+        prop_assert_eq!(trailer(root) > 0, root.part_count() > 0);
         let mut flat = root.clone();
         flat.merge(&Summary::empty(&mixed_schema(), &cfg)).unwrap();
         prop_assert_eq!(root.wire_size(), flat.wire_size() + trailer(root));

@@ -71,7 +71,9 @@ pub enum ExplainDecision {
     Entry,
     /// A child whose branch summary matched: normal tree descent.
     SummaryDescent,
-    /// A replicated remote branch matched at the entry: overlay shortcut.
+    /// A replicated remote branch matched at the entry: overlay shortcut —
+    /// to the branch, to one of its children whose part matched, or to
+    /// the branch's owner for its own records.
     OverlayShortcut,
     /// Local-only probe of an ancestor's attached records.
     AncestorProbe,

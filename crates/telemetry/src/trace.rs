@@ -38,7 +38,8 @@ pub struct TraceReport {
     /// false-positive redirect).
     pub overlay_shortcuts: usize,
     /// [`ExplainDecision::AncestorProbe`] hops — the climb towards
-    /// ancestors that guarantees completeness.
+    /// ancestors that guarantees completeness. A skipped branch owner's
+    /// probe is an overlay shortcut, not a climb.
     pub climb_hops: usize,
     /// Visits landing on the hierarchy root.
     pub root_visits: usize,
