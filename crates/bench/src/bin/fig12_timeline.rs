@@ -1,25 +1,25 @@
 //! Figure 12 (reproduction extra): soft-state convergence timeline.
 //!
-//! Runs the message-driven ROADS data plane with the flight recorder and
+//! Runs the message-driven ROADS servers with the flight recorder and
 //! the periodic timeline sampler attached, crashes a subtree mid-run, and
 //! plots how the federation's soft state reacts: live child summaries
 //! drop as the crashed branch's TTLs expire, then recover nothing (the
 //! branch is gone) while overlay replicas and load share re-stabilise.
 //! The exported Perfetto trace (`results/fig12_timeline.trace.json`)
-//! shows the same run as causal spans: aggregation ticks, summary
+//! shows the same run as causal spans: heartbeat ticks, summary
 //! publishes/merges, replica installs/refreshes and TTL expiries.
 //!
-//! The message plane carries summaries only; queries are routed by the
-//! engine's `route` on the summaries this plane keeps. The hole the crash
+//! The message plane carries summaries only, on the heartbeats; queries
+//! are routed by the engine's `route` on the summaries the servers keep. The hole the crash
 //! leaves shows in the `live_summaries` series, and
 //! `protocol::tests::crashed_server_fades_from_parent_view` checks that
 //! every copy left equals the audit plane's authoritative branch summary
 //! under the crash.
 
 use roads_bench::parse_args;
-use roads_core::protocol::{build_data_simulation, run_with_timeline, DataNode};
-use roads_core::{HierarchyTree, RoadsConfig, ServerId};
-use roads_netsim::{DelaySpace, NodeId, SimTime, Simulator};
+use roads_core::protocol::{build_simulation, run_with_timeline};
+use roads_core::{HierarchyTree, RoadsConfig};
+use roads_netsim::{DelaySpace, NodeId, SimTime};
 use roads_records::Schema;
 use roads_summary::SummaryConfig;
 use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Timeline};
@@ -40,14 +40,13 @@ fn main() {
         summary: SummaryConfig::with_buckets(100),
         ts_ms: 2_000,
         summary_ttl_ms: 7_000,
-        ..RoadsConfig::paper_default()
     };
     let tree = HierarchyTree::build(n, cfg.max_children);
-    let mut sim = build_data_simulation(
-        &tree,
+    let mut sim = build_simulation(
         cfg,
         schema,
         line_records(n, 1),
+        &tree,
         DelaySpace::paper(n, 17),
     );
     let rec = Arc::new(Recorder::new(65_536));
@@ -63,11 +62,14 @@ fn main() {
         .children(tree.root())
         .last()
         .expect("root has children");
-    let mut crashed = 0usize;
-    crash_subtree(&mut sim, &tree, victim, &mut crashed);
+    let crashed = tree.subtree(victim);
+    for &s in &crashed {
+        sim.node_mut(NodeId(s.0)).crash();
+    }
     println!(
-        "crashed branch under server {} ({crashed} servers)",
-        victim.0
+        "crashed branch under server {} ({} servers)",
+        victim.0,
+        crashed.len()
     );
 
     // Phase 2: watch the soft state heal around the hole.
@@ -96,23 +98,11 @@ fn main() {
     .axes("virtual time (ms)", "gauge value");
     timeline.attach(&mut fig);
     fig.push_note(format!(
-        "{n} servers, ts=2s, TTL=7s; branch under server {} ({crashed} servers) crashed at t=30s",
-        victim.0
+        "{n} servers, ts=2s, TTL=7s; branch under server {} ({} servers) crashed at t=30s",
+        victim.0,
+        crashed.len()
     ));
     fig.push_note(format!("{expiries} TTL expiry events in the trace"));
     fig.write_default();
     write_chrome_trace_default(&fig.figure, &rec);
-}
-
-fn crash_subtree(
-    sim: &mut Simulator<DataNode>,
-    tree: &HierarchyTree,
-    at: ServerId,
-    crashed: &mut usize,
-) {
-    sim.node_mut(NodeId(at.0)).crash();
-    *crashed += 1;
-    for &c in tree.children(at) {
-        crash_subtree(sim, tree, c, crashed);
-    }
 }

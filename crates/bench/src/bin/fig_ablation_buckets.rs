@@ -31,7 +31,8 @@ fn main() {
         let cfg = TrialConfig { buckets, ..base };
         let (r, report) = run_comparison(&cfg, Some(&reg), Some(&rec));
         // False-positive redirect rate comes from the per-hop traces: a
-        // descent that finds no local matches and forwards nowhere onward.
+        // contact, tree descent or overlay shortcut, whose whole redirect
+        // subtree found nothing.
         let fp_rate = report.as_ref().map_or(0.0, |t| t.fp_redirect_rate);
         println!(
             "{:>8} {:>16.3e} {:>14.1} {:>12.1} {:>14.0} {:>10.3}",

@@ -105,13 +105,12 @@ impl TrialConfig {
     }
 
     /// The ROADS configuration of this trial: its hierarchy degree,
-    /// histogram buckets and refresh periods.
+    /// histogram buckets and summary refresh period.
     pub fn roads_config(&self) -> RoadsConfig {
         RoadsConfig {
             max_children: self.degree,
             summary: SummaryConfig::with_buckets(self.buckets),
             ts_ms: self.ts_ms,
-            tr_ms: self.tr_ms,
             ..RoadsConfig::paper_default()
         }
     }
@@ -396,6 +395,13 @@ mod tests {
             metrics_digest(&bare.snapshot()),
             "[metrics] queries=1 retries=0 p99_query_ms=-"
         );
+    }
+
+    #[test]
+    fn summaries_refresh_ten_times_slower_than_records() {
+        let c = TrialConfig::default();
+        assert_eq!(c.ts_ms / c.tr_ms, 10, "tr/ts = 0.1 per the analysis");
+        assert_eq!(c.roads_config().ts_ms, c.ts_ms);
     }
 
     #[test]

@@ -11,27 +11,26 @@ pub struct RoadsConfig {
     /// Summary parameters (bucket count etc.).
     pub summary: SummaryConfig,
     /// Summary refresh period `ts` in milliseconds — how often summaries
-    /// are re-exported, re-aggregated bottom-up and re-replicated top-down.
+    /// are re-exported, re-aggregated bottom-up and re-replicated top-down,
+    /// and how often a parent heartbeats its children (the heartbeat
+    /// carries the summaries).
     pub ts_ms: u64,
-    /// Record refresh period `tr` in milliseconds (how often raw records
-    /// change; `ts >> tr` in the paper's analysis — summaries change an
-    /// order of magnitude *slower* than records).
-    pub tr_ms: u64,
-    /// TTL applied to soft-state summaries, in milliseconds.
+    /// TTL applied to soft-state summaries, in milliseconds, and the one
+    /// liveness deadline: a parent or child silent this long is presumed
+    /// dead.
     pub summary_ttl_ms: u64,
 }
 
 impl RoadsConfig {
     /// The paper's simulation defaults: degree 8, 1000-bucket histograms,
-    /// summaries refreshed 10× less often than records.
+    /// summaries refreshed every minute.
     pub fn paper_default() -> Self {
         RoadsConfig {
             max_children: 8,
             summary: SummaryConfig::paper_default(),
             // §IV: summaries change "on the order of several minutes at
-            // least"; records an order of magnitude faster.
+            // least".
             ts_ms: 60_000,
-            tr_ms: 6_000,
             summary_ttl_ms: 180_000,
         }
     }
@@ -68,7 +67,6 @@ mod tests {
         let c = RoadsConfig::paper_default();
         assert_eq!(c.max_children, 8);
         assert_eq!(c.summary.buckets, 1000);
-        assert_eq!(c.ts_ms / c.tr_ms, 10, "tr/ts = 0.1 per the analysis");
     }
 
     #[test]

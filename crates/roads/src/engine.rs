@@ -5,7 +5,7 @@
 //! summary, its children's branch summaries, and the replication overlay is
 //! fresh. Query execution ([`crate::queryexec`]) and update accounting
 //! ([`crate::updates`]) both run against this view; the message-driven
-//! version of the same state lives in [`crate::maintenance`].
+//! version of the same state is [`crate::protocol::RoadsServer`].
 
 use crate::config::RoadsConfig;
 use crate::overlay::{replication_set, ReplicationSet};

@@ -29,12 +29,17 @@
 //!   `Arc`-shared converged network (throughput experiments, fig. 14).
 //! * [`updates`] — per-round update-overhead accounting (summary export,
 //!   bottom-up aggregation, top-down replication).
-//! * [`maintenance`] — the live protocol over the discrete-event simulator:
-//!   heartbeats, failure detection, grandparent rejoin, root election.
-//! * [`protocol`] — the summary plane over the discrete-event simulator:
-//!   periodic aggregation and replication as TTL'd soft state. It carries
-//!   summaries, not queries; its tests check that it converges to the
-//!   engine's summaries.
+//! * [`protocol`] — one ROADS server over the discrete-event simulator
+//!   ([`protocol::RoadsServer`]): every `ts` a heartbeat to each child
+//!   carries the replicas it keeps, and the reply carries the child's
+//!   branch summary back up; one TTL expires silent peers and stale
+//!   replicas alike. It carries summaries, not queries; its tests check
+//!   that it converges to the engine's summaries, over a given tree and
+//!   over the tree the servers build by joining.
+//! * [`maintenance`] — that server's place in the hierarchy (its
+//!   `Membership`): the join walk, failure detection, grandparent rejoin,
+//!   root election and split-brain merge; [`maintenance::extract_tree`]
+//!   reads the tree the servers hold.
 //! * [`metrics`] — latency statistics helpers.
 //! * [`audit`] — ground-truth auditing of the overlay: epoch-stamped
 //!   replica copies ([`ReplicaLedger`]), staleness ages, divergence scores

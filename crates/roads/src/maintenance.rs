@@ -1,5 +1,4 @@
-//! Live hierarchy maintenance over the discrete-event simulator (§III-A,
-//! "Hierarchy Maintenance").
+//! A server's place in the hierarchy (§III-A, "Hierarchy Maintenance").
 //!
 //! "Each parent and its child can exchange periodic heartbeat messages to
 //! detect failures. When several heartbeat messages are lost, one can assume
@@ -10,113 +9,52 @@
 //! the root can elect one of them as the new root, using some simple rules
 //! such as the one with the smallest IP address."
 //!
-//! Every rule above is implemented as a message-driven protocol on
-//! [`roads_netsim::Simulator`]; the tests kill servers (including the root)
-//! mid-run and assert the tree re-converges to a valid hierarchy.
+//! `Membership` is that half of a [`RoadsServer`]: its parent, children,
+//! root path, the root's children and the epoch, and every rule above. It
+//! rides the server's heartbeat ([`crate::protocol`]), which carries the
+//! summaries too, so a child's branch summary is kept with the child and
+//! dropped with it. The tests kill servers (including the root) mid-run
+//! and assert the tree re-converges to a valid hierarchy.
 
+use crate::protocol::{send, RoadsServer, ServerMsg};
 use crate::tree::{HierarchyTree, ServerId};
-use roads_netsim::{Ctx, NodeId, Protocol, SimTime, Simulator, TimerTag, TrafficClass};
+use roads_netsim::{Ctx, NodeId, Simulator};
+use roads_summary::Summary;
 use roads_telemetry::EventKind;
 use std::collections::BTreeMap;
 
-/// Timer tags.
-const TIMER_TICK: TimerTag = 1;
-
-/// Wire size estimates (bytes) for maintenance messages.
-const HEARTBEAT_BASE: usize = 24;
-const PER_ID: usize = 4;
-
-/// Maintenance protocol parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MaintConfig {
-    /// Heartbeat period (ms of virtual time).
-    pub heartbeat_ms: u64,
-    /// Missed heartbeats before declaring a peer dead.
-    pub loss_threshold: u32,
-    /// Maximum children accepted.
-    pub max_children: usize,
+/// What a server knows of one child, dropped together when the child goes.
+#[derive(Debug, Clone)]
+struct ChildInfo {
+    last_heard_ms: u64,
+    /// Height of the child's subtree, for the join walk.
+    branch_depth: u32,
+    /// Descendant count of the child, for the join walk.
+    descendants: u32,
+    /// The child's branch summary, from its latest heartbeat reply.
+    summary: Option<Summary>,
 }
 
-impl Default for MaintConfig {
-    fn default() -> Self {
-        MaintConfig {
-            heartbeat_ms: 1_000,
-            loss_threshold: 3,
-            max_children: 4,
+impl ChildInfo {
+    fn new(now_ms: u64) -> Self {
+        ChildInfo {
+            last_heard_ms: now_ms,
+            branch_depth: 0,
+            descendants: 0,
+            summary: None,
         }
     }
 }
 
-/// Messages of the maintenance protocol.
-#[derive(Debug, Clone)]
-pub enum MaintMsg {
-    /// Parent → child: liveness + piggybacked root path and the root's
-    /// children list (for root-failure recovery).
-    Heartbeat {
-        /// Root path of the sender (root … sender).
-        root_path: Vec<NodeId>,
-        /// The root's current children (piggybacked down the tree).
-        root_children: Vec<NodeId>,
-        /// Update-round epoch, incremented by the root once per heartbeat
-        /// tick and propagated down the tree. Summaries pushed in round
-        /// `e` carry this stamp; the audit plane derives staleness age
-        /// from the gap between a replica's stamp and the current epoch.
-        epoch: u64,
-    },
-    /// Child → parent: liveness + branch info used by the join walk.
-    HeartbeatReply {
-        /// Height of the child's subtree.
-        branch_depth: u32,
-        /// Descendant count of the child.
-        descendants: u32,
-    },
-    /// Join walk probe: "can you accept me, or where should I go?"
-    /// `prober_root` is set when the prober is itself a (self-elected)
-    /// root seeking to merge its hierarchy: the receiver accepts only if
-    /// its own root has the smaller id (smaller-root tree absorbs).
-    JoinProbe {
-        /// The prober's root id, when the prober is a root.
-        prober_root: Option<NodeId>,
-    },
-    /// Accept: the sender is now the prober's parent.
-    JoinAccept {
-        /// Root path of the new parent (root … parent).
-        root_path: Vec<NodeId>,
-    },
-    /// Redirect: try this child instead (the least-depth branch).
-    JoinRedirect {
-        /// Next server to probe.
-        next: NodeId,
-    },
-    /// Graceful departure notice (to parent and children).
-    Leave,
+/// A peer last heard at `heard_ms` is presumed dead once `ttl_ms` passes
+/// without news: the one deadline for parents, children and replicas.
+fn lapsed(heard_ms: u64, now_ms: u64, ttl_ms: u64) -> bool {
+    now_ms.saturating_sub(heard_ms) >= ttl_ms
 }
 
-fn msg_bytes(m: &MaintMsg) -> usize {
-    match m {
-        MaintMsg::Heartbeat {
-            root_path,
-            root_children,
-            ..
-        } => HEARTBEAT_BASE + 8 + PER_ID * (root_path.len() + root_children.len()),
-        MaintMsg::HeartbeatReply { .. } => HEARTBEAT_BASE,
-        MaintMsg::JoinProbe { .. } | MaintMsg::Leave => HEARTBEAT_BASE,
-        MaintMsg::JoinAccept { root_path } => HEARTBEAT_BASE + PER_ID * root_path.len(),
-        MaintMsg::JoinRedirect { .. } => HEARTBEAT_BASE + PER_ID,
-    }
-}
-
-/// Per-child liveness and branch bookkeeping.
-#[derive(Debug, Clone, Copy)]
-struct ChildInfo {
-    last_heard_ms: u64,
-    branch_depth: u32,
-    descendants: u32,
-}
-
-/// Membership state of one maintenance node.
+/// Membership state of one server.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MemberState {
+pub(crate) enum MemberState {
     /// Attached (or the root).
     Joined,
     /// Walking the join protocol, currently probing the contained server.
@@ -125,10 +63,9 @@ pub enum MemberState {
     Down,
 }
 
-/// One ROADS server running the maintenance protocol.
+/// One server's place in the hierarchy and the rules that keep it.
 #[derive(Debug, Clone)]
-pub struct MaintNode {
-    cfg: MaintConfig,
+pub(crate) struct Membership {
     state: MemberState,
     parent: Option<NodeId>,
     children: BTreeMap<NodeId, ChildInfo>,
@@ -141,7 +78,6 @@ pub struct MaintNode {
     /// Rejoin escalation: how many levels above the grandparent the next
     /// attempt starts.
     rejoin_level: usize,
-    started: bool,
     /// While self-elected root: probation deadline (ms) during which we
     /// probe `merge_candidates` to detect a surviving hierarchy.
     probation_until_ms: u64,
@@ -153,93 +89,89 @@ pub struct MaintNode {
     epoch: u64,
 }
 
-impl MaintNode {
-    /// A node that believes it is the root.
-    pub fn new_root(cfg: MaintConfig, id: NodeId) -> Self {
-        MaintNode {
-            cfg,
+impl Membership {
+    /// Joined with root path `root_path` (root … self) and `children`.
+    pub(crate) fn joined(
+        root_path: Vec<NodeId>,
+        children: Vec<NodeId>,
+        root_children: Vec<NodeId>,
+    ) -> Self {
+        Membership {
             state: MemberState::Joined,
-            parent: None,
-            children: BTreeMap::new(),
-            root_path: vec![id],
+            parent: root_path.iter().rev().nth(1).copied(),
+            children: children
+                .into_iter()
+                .map(|c| (c, ChildInfo::new(0)))
+                .collect(),
+            root_path,
             parent_heard_ms: 0,
-            root_children: Vec::new(),
+            root_children,
             rejoin_level: 0,
-            started: false,
             probation_until_ms: 0,
             merge_candidates: Vec::new(),
             epoch: 0,
         }
     }
 
-    /// A node that will join through `entry` when started.
-    pub fn new_joining(cfg: MaintConfig, entry: NodeId) -> Self {
-        MaintNode {
-            cfg,
+    /// About to join through `entry`, knowing nothing of the hierarchy.
+    pub(crate) fn joining(entry: NodeId) -> Self {
+        Membership {
             state: MemberState::Joining(entry),
-            parent: None,
-            children: BTreeMap::new(),
-            root_path: Vec::new(),
-            parent_heard_ms: 0,
-            root_children: Vec::new(),
-            rejoin_level: 0,
-            started: false,
-            probation_until_ms: 0,
-            merge_candidates: Vec::new(),
-            epoch: 0,
+            ..Self::joined(Vec::new(), Vec::new(), Vec::new())
         }
     }
 
     /// Current parent.
-    pub fn parent(&self) -> Option<NodeId> {
+    pub(crate) fn parent(&self) -> Option<NodeId> {
         self.parent
     }
 
-    /// Milliseconds since the parent was last heard (diagnostics).
-    pub fn parent_heard_ms(&self) -> u64 {
-        self.parent_heard_ms
-    }
-
-    /// Current children.
-    pub fn children(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.children.keys().copied().collect();
-        v.sort();
-        v
+    /// Current children, in id order.
+    pub(crate) fn children(&self) -> Vec<NodeId> {
+        self.children.keys().copied().collect()
     }
 
     /// Membership state.
-    pub fn state(&self) -> &MemberState {
+    pub(crate) fn state(&self) -> &MemberState {
         &self.state
     }
 
-    /// Current update-round epoch as seen by this node (the root's tick
-    /// count, propagated down one heartbeat per level).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// True when this node currently believes it is the root.
-    pub fn is_root(&self) -> bool {
+    /// True when this server currently believes it is the root.
+    fn is_root(&self) -> bool {
         self.state == MemberState::Joined && self.parent.is_none()
     }
 
-    /// Inject a crash: the node goes silent permanently.
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
         self.state = MemberState::Down;
         self.parent = None;
         self.children.clear();
     }
 
-    fn my_branch_depth(&self) -> u32 {
-        self.children
-            .values()
-            .map(|c| c.branch_depth + 1)
-            .max()
-            .unwrap_or(0)
+    /// The children heard within `ttl_ms` whose branch summary has
+    /// arrived, in id order.
+    pub(crate) fn fresh_children(
+        &self,
+        now_ms: u64,
+        ttl_ms: u64,
+    ) -> impl Iterator<Item = (NodeId, &Summary)> {
+        (self.children.iter())
+            .filter(move |(_, c)| !lapsed(c.last_heard_ms, now_ms, ttl_ms))
+            .filter_map(|(id, c)| Some((*id, c.summary.as_ref()?)))
     }
 
-    fn my_descendants(&self) -> u32 {
-        self.children.values().map(|c| c.descendants + 1).sum()
+    /// Drop the children not heard within `ttl_ms`; returns how many went.
+    pub(crate) fn expire_children(&mut self, now_ms: u64, ttl_ms: u64) -> usize {
+        let before = self.children.len();
+        (self.children).retain(|_, c| !lapsed(c.last_heard_ms, now_ms, ttl_ms));
+        before - self.children.len()
+    }
+
+    /// `(branch depth, descendants)` of this server's subtree, as its
+    /// children last reported theirs.
+    pub(crate) fn branch_shape(&self) -> (u32, u32) {
+        let depth = self.children.values().map(|c| c.branch_depth + 1).max();
+        let descendants = self.children.values().map(|c| c.descendants + 1).sum();
+        (depth.unwrap_or(0), descendants)
     }
 
     /// The join walk's choice among children: least branch depth, then
@@ -251,330 +183,213 @@ impl MaintNode {
             .map(|(id, _)| *id)
     }
 
-    fn send(&self, ctx: &mut Ctx<'_, MaintMsg>, to: NodeId, msg: MaintMsg) {
-        let bytes = msg_bytes(&msg);
-        ctx.send(to, msg, bytes, TrafficClass::Maintenance);
-    }
-
-    fn heartbeat_children(&mut self, ctx: &mut Ctx<'_, MaintMsg>) {
-        if self.is_root() {
-            // One update round per heartbeat tick: the root owns the clock.
-            self.epoch += 1;
+    /// What a heartbeat to the children carries of the hierarchy: the
+    /// root path, the root's children and the epoch, which the root bumps
+    /// here, once per tick. `None` unless joined.
+    pub(crate) fn heartbeat(&mut self) -> Option<(Vec<NodeId>, Vec<NodeId>, u64)> {
+        if self.state != MemberState::Joined {
+            return None;
         }
         let root_children = if self.is_root() {
+            // One update round per heartbeat tick: the root owns the clock.
+            self.epoch += 1;
             self.children()
         } else {
             self.root_children.clone()
         };
-        let mut path = self.root_path.clone();
-        if path.is_empty() {
-            path = vec![ctx.self_id()];
+        Some((self.root_path.clone(), root_children, self.epoch))
+    }
+
+    /// A heartbeat from `from` arrived. Returns whether `from` is (now)
+    /// our parent, whose heartbeat is answered and whose replicas are kept.
+    pub(crate) fn on_heartbeat(
+        &mut self,
+        ctx: &mut Ctx<'_, ServerMsg>,
+        from: NodeId,
+        mut root_path: Vec<NodeId>,
+        root_children: Vec<NodeId>,
+        epoch: u64,
+        now_ms: u64,
+    ) -> bool {
+        let me = ctx.self_id();
+        if self.parent != Some(from) {
+            if self.is_root() && root_path.first().is_some_and(|&their_root| their_root < me) {
+                // Split-brain merge: the sender still lists us as its
+                // child, so a competing hierarchy exists (we declared
+                // ourselves root after falsely suspecting a slow parent).
+                // Deterministic rule: the hierarchy whose root has the
+                // smaller id wins; we re-adopt the sender as parent, which
+                // heals the partition in one heartbeat.
+                self.parent = Some(from);
+                self.rejoin_level = 0;
+            } else {
+                if self.is_root() || self.parent.is_some() {
+                    // Our id wins, or a stale parent still lists us: make
+                    // it drop the entry so exactly one parent claims each
+                    // server; its subtree finds us by its own recovery.
+                    send(ctx, from, ServerMsg::Leave);
+                }
+                return false;
+            }
         }
-        for &c in self.children.keys().collect::<Vec<_>>() {
-            self.send(
-                ctx,
-                c,
-                MaintMsg::Heartbeat {
-                    root_path: path.clone(),
-                    root_children: root_children.clone(),
-                    epoch: self.epoch,
-                },
-            );
+        self.parent_heard_ms = now_ms;
+        root_path.push(me);
+        self.root_path = root_path;
+        self.root_children = root_children;
+        // Epochs only move forward; a heartbeat overtaken by a newer one
+        // in flight must not rewind the clock.
+        self.epoch = self.epoch.max(epoch);
+        true
+    }
+
+    /// A child's heartbeat reply arrived; returns whether `from` is a
+    /// child, whose report is kept.
+    pub(crate) fn on_reply(
+        &mut self,
+        from: NodeId,
+        branch_depth: u32,
+        descendants: u32,
+        summary: Summary,
+        now_ms: u64,
+    ) -> bool {
+        let Some(info) = self.children.get_mut(&from) else {
+            return false;
+        };
+        *info = ChildInfo {
+            last_heard_ms: now_ms,
+            branch_depth,
+            descendants,
+            summary: Some(summary),
+        };
+        true
+    }
+
+    pub(crate) fn on_join_probe(
+        &mut self,
+        ctx: &mut Ctx<'_, ServerMsg>,
+        from: NodeId,
+        prober_root: Option<NodeId>,
+        max_children: usize,
+        now_ms: u64,
+    ) {
+        if self.state != MemberState::Joined {
+            // Not in a position to accept; the prober escalates by timeout.
+            return;
+        }
+        if let Some(their_root) = prober_root {
+            // Hierarchy merge: accept a whole competing tree only when OUR
+            // root has the smaller id (the deterministic tiebreak that
+            // prevents mutual adoption cycles).
+            let my_root = self.root_path.first().copied().unwrap_or(ctx.self_id());
+            if my_root >= their_root {
+                return;
+            }
+        }
+        // Loop avoidance: never accept someone already on our root path.
+        if self.root_path.contains(&from) {
+            if let Some(next) = self.best_child() {
+                send(ctx, from, ServerMsg::JoinRedirect { next });
+            }
+            return;
+        }
+        if self.children.len() < max_children {
+            self.children.entry(from).or_insert(ChildInfo::new(now_ms));
+            let root_path = self.root_path.clone();
+            send(ctx, from, ServerMsg::JoinAccept { root_path });
+        } else if let Some(next) = self.best_child() {
+            // Optimistically assume the prober lands in that branch, so
+            // back-to-back probes between heartbeat refreshes spread across
+            // children instead of funneling into one. The next real
+            // heartbeat reply corrects it.
+            if let Some(info) = self.children.get_mut(&next) {
+                info.descendants += 1;
+                info.branch_depth = info.branch_depth.max(1);
+            }
+            send(ctx, from, ServerMsg::JoinRedirect { next });
         }
     }
 
-    fn check_parent(&mut self, ctx: &mut Ctx<'_, MaintMsg>) {
-        let Some(parent) = self.parent else { return };
-        let now = ctx.now().as_micros() / 1000;
-        let deadline = self.cfg.heartbeat_ms * self.cfg.loss_threshold as u64;
-        if now.saturating_sub(self.parent_heard_ms) <= deadline {
+    pub(crate) fn on_join_accept(
+        &mut self,
+        ctx: &mut Ctx<'_, ServerMsg>,
+        from: NodeId,
+        mut root_path: Vec<NodeId>,
+        now_ms: u64,
+    ) {
+        let on_probation = self.is_root() && now_ms < self.probation_until_ms;
+        if matches!(self.state, MemberState::Joining(_)) || on_probation {
+            // A probation merge re-attaches this whole subtree under the
+            // surviving hierarchy.
+            self.children.remove(&from);
+            self.parent = Some(from);
+            self.parent_heard_ms = now_ms;
+            root_path.push(ctx.self_id());
+            self.root_path = root_path;
+            self.state = MemberState::Joined;
+            self.rejoin_level = 0;
+            self.probation_until_ms = 0;
+            self.merge_candidates.clear();
+            ctx.record(EventKind::ChurnJoin, from.0 as u64);
+        }
+    }
+
+    pub(crate) fn on_join_redirect(&mut self, ctx: &mut Ctx<'_, ServerMsg>, next: NodeId) {
+        if matches!(self.state, MemberState::Joining(_)) && next != ctx.self_id() {
+            self.probe(ctx, next);
+        }
+    }
+
+    pub(crate) fn on_leave(
+        &mut self,
+        ctx: &mut Ctx<'_, ServerMsg>,
+        from: NodeId,
+        now_ms: u64,
+        ttl_ms: u64,
+    ) {
+        ctx.record(EventKind::ChurnLeave, from.0 as u64);
+        if self.parent != Some(from) {
+            self.children.remove(&from);
             return;
         }
-        // Parent presumed failed: rejoin starting from the grandparent,
-        // escalating one level per retry, eventually the (new) root.
+        // Parent left gracefully: rejoin immediately from the grandparent
+        // (last element of the path above the parent).
         self.parent = None;
         let me = ctx.self_id();
-        // root_path = [root, …, grandparent, parent, me]
-        let above_parent: Vec<NodeId> = self
-            .root_path
-            .iter()
-            .copied()
-            .filter(|&x| x != me && x != parent)
-            .collect();
-        let entry = if above_parent.is_empty() {
-            // We were a root child: elect among the root's children.
-            let mut cands: Vec<NodeId> = self
-                .root_children
-                .iter()
-                .copied()
-                .filter(|&c| c != parent)
-                .collect();
-            cands.sort();
-            match cands.first() {
-                Some(&new_root) if new_root == me => {
-                    // I am the elected root. Enter probation: if the old
-                    // root was only slow (false suspicion), probing our
-                    // former siblings merges us back into its hierarchy.
-                    self.become_root_on_probation(me, now);
-                    return;
-                }
-                Some(&new_root) => new_root,
-                None => {
-                    // No known siblings: become root ourselves.
-                    self.become_root_on_probation(me, now);
-                    return;
-                }
+        let entry = (self.root_path.iter().copied()).rfind(|&x| x != me && x != from);
+        if let Some(e) = entry {
+            self.probe(ctx, e);
+        } else if let Some(&new_root) = self.root_children.iter().filter(|&&c| c != from).min() {
+            if new_root == me {
+                self.become_root_on_probation(me, now_ms, ttl_ms);
+            } else {
+                self.probe(ctx, new_root);
             }
-        } else {
-            // Grandparent first, then one level up per escalation.
-            let idx = above_parent.len().saturating_sub(1 + self.rejoin_level);
-            above_parent[idx]
-        };
-        self.rejoin_level += 1;
+        }
+    }
+
+    /// Walk the join protocol from `entry`.
+    fn probe(&mut self, ctx: &mut Ctx<'_, ServerMsg>, entry: NodeId) {
         self.state = MemberState::Joining(entry);
-        self.send(ctx, entry, MaintMsg::JoinProbe { prober_root: None });
+        send(ctx, entry, ServerMsg::JoinProbe { prober_root: None });
     }
 
-    /// Become root after (possibly false) parent-failure suspicion:
-    /// functional immediately, but on probation — we keep probing former
-    /// siblings so a surviving hierarchy absorbs us.
-    fn become_root_on_probation(&mut self, me: NodeId, now_ms: u64) {
-        self.state = MemberState::Joined;
-        self.root_path = vec![me];
-        self.rejoin_level = 0;
-        self.probation_until_ms =
-            now_ms + 5 * self.cfg.heartbeat_ms * self.cfg.loss_threshold as u64;
-        self.merge_candidates = self
-            .root_children
-            .iter()
-            .copied()
-            .filter(|&c| c != me)
-            .collect();
-    }
-
-    fn expire_children(&mut self, now_ms: u64) {
-        let deadline = self.cfg.heartbeat_ms * self.cfg.loss_threshold as u64;
-        self.children
-            .retain(|_, info| now_ms.saturating_sub(info.last_heard_ms) <= deadline);
-    }
-}
-
-impl Protocol for MaintNode {
-    type Msg = MaintMsg;
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, MaintMsg>, from: NodeId, msg: MaintMsg) {
-        if self.state == MemberState::Down {
-            return;
-        }
-        let now_ms = ctx.now().as_micros() / 1000;
-        match msg {
-            MaintMsg::Heartbeat {
-                root_path,
-                root_children,
-                epoch,
-            } => {
-                if self.parent == Some(from) {
-                    self.parent_heard_ms = now_ms;
-                    let mut path = root_path;
-                    path.push(ctx.self_id());
-                    self.root_path = path;
-                    self.root_children = root_children;
-                    // Epochs only move forward; a heartbeat overtaken by a
-                    // newer one in flight must not rewind the clock.
-                    self.epoch = self.epoch.max(epoch);
-                    self.send(
-                        ctx,
-                        from,
-                        MaintMsg::HeartbeatReply {
-                            branch_depth: self.my_branch_depth(),
-                            descendants: self.my_descendants(),
-                        },
-                    );
-                } else if self.is_root() {
-                    // Split-brain merge: the sender still lists us as its
-                    // child, so a competing hierarchy exists (we declared
-                    // ourselves root after falsely suspecting a slow
-                    // parent). Deterministic rule: the hierarchy whose root
-                    // has the smaller id wins; we re-adopt the sender as
-                    // parent, which heals the partition in one heartbeat.
-                    let me = ctx.self_id();
-                    if root_path.first().is_some_and(|&their_root| their_root < me) {
-                        self.parent = Some(from);
-                        self.parent_heard_ms = now_ms;
-                        let mut path = root_path;
-                        path.push(me);
-                        self.root_path = path;
-                        self.root_children = root_children;
-                        self.epoch = self.epoch.max(epoch);
-                        self.rejoin_level = 0;
-                        self.send(
-                            ctx,
-                            from,
-                            MaintMsg::HeartbeatReply {
-                                branch_depth: self.my_branch_depth(),
-                                descendants: self.my_descendants(),
-                            },
-                        );
-                    } else {
-                        // Our id wins: tell the sender to drop its stale
-                        // child entry; its subtree will find us via its own
-                        // recovery paths.
-                        self.send(ctx, from, MaintMsg::Leave);
-                    }
-                } else if self.parent.is_some() {
-                    // A stale parent still lists us; make it drop the entry
-                    // so exactly one parent claims each node.
-                    self.send(ctx, from, MaintMsg::Leave);
-                }
-            }
-            MaintMsg::HeartbeatReply {
-                branch_depth,
-                descendants,
-            } => {
-                if let Some(info) = self.children.get_mut(&from) {
-                    info.last_heard_ms = now_ms;
-                    info.branch_depth = branch_depth;
-                    info.descendants = descendants;
-                }
-            }
-            MaintMsg::JoinProbe { prober_root } => {
-                if self.state != MemberState::Joined {
-                    // Not in a position to accept; point at our best child
-                    // or just drop (the prober escalates by timeout).
-                    return;
-                }
-                if let Some(their_root) = prober_root {
-                    // Hierarchy merge: accept a whole competing tree only
-                    // when OUR root has the smaller id (the deterministic
-                    // tiebreak that prevents mutual adoption cycles).
-                    let my_root = self.root_path.first().copied().unwrap_or(ctx.self_id());
-                    if my_root >= their_root {
-                        return;
-                    }
-                }
-                // Loop avoidance: never accept someone already on our root
-                // path.
-                if self.root_path.contains(&from) {
-                    if let Some(next) = self.best_child() {
-                        self.send(ctx, from, MaintMsg::JoinRedirect { next });
-                    }
-                    return;
-                }
-                if self.children.len() < self.cfg.max_children {
-                    self.children.insert(
-                        from,
-                        ChildInfo {
-                            last_heard_ms: now_ms,
-                            branch_depth: 0,
-                            descendants: 0,
-                        },
-                    );
-                    self.send(
-                        ctx,
-                        from,
-                        MaintMsg::JoinAccept {
-                            root_path: self.root_path.clone(),
-                        },
-                    );
-                } else if let Some(next) = self.best_child() {
-                    // Optimistically assume the prober lands in that
-                    // branch, so back-to-back probes between heartbeat
-                    // refreshes spread across children instead of funneling
-                    // into one. The next real HeartbeatReply corrects it.
-                    if let Some(info) = self.children.get_mut(&next) {
-                        info.descendants += 1;
-                        info.branch_depth = info.branch_depth.max(1);
-                    }
-                    self.send(ctx, from, MaintMsg::JoinRedirect { next });
-                }
-            }
-            MaintMsg::JoinAccept { root_path } => {
-                let on_probation = self.is_root() && now_ms < self.probation_until_ms;
-                if matches!(self.state, MemberState::Joining(_)) || on_probation {
-                    // A probation merge re-attaches this whole subtree
-                    // under the surviving hierarchy.
-                    self.children.remove(&from);
-                    self.parent = Some(from);
-                    self.parent_heard_ms = now_ms;
-                    let mut path = root_path;
-                    path.push(ctx.self_id());
-                    self.root_path = path;
-                    self.state = MemberState::Joined;
-                    self.rejoin_level = 0;
-                    self.probation_until_ms = 0;
-                    self.merge_candidates.clear();
-                    ctx.record(EventKind::ChurnJoin, from.0 as u64);
-                }
-            }
-            MaintMsg::JoinRedirect { next } => {
-                if matches!(self.state, MemberState::Joining(_)) && next != ctx.self_id() {
-                    self.state = MemberState::Joining(next);
-                    self.send(ctx, next, MaintMsg::JoinProbe { prober_root: None });
-                }
-            }
-            MaintMsg::Leave => {
-                ctx.record(EventKind::ChurnLeave, from.0 as u64);
-                if self.parent == Some(from) {
-                    // Parent left gracefully: rejoin immediately from the
-                    // grandparent (last element of the path above parent).
-                    self.parent = None;
-                    let me = ctx.self_id();
-                    let entry = self
-                        .root_path
-                        .iter()
-                        .copied()
-                        .rfind(|&x| x != me && x != from);
-                    if let Some(e) = entry {
-                        self.state = MemberState::Joining(e);
-                        self.send(ctx, e, MaintMsg::JoinProbe { prober_root: None });
-                    } else if let Some(&new_root) =
-                        self.root_children.iter().filter(|&&c| c != from).min()
-                    {
-                        if new_root == me {
-                            let now_ms = ctx.now().as_micros() / 1000;
-                            self.become_root_on_probation(me, now_ms);
-                        } else {
-                            self.state = MemberState::Joining(new_root);
-                            self.send(ctx, new_root, MaintMsg::JoinProbe { prober_root: None });
-                        }
-                    }
-                } else {
-                    self.children.remove(&from);
-                }
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, MaintMsg>, tag: TimerTag) {
-        if self.state == MemberState::Down {
-            return;
-        }
-        if tag != TIMER_TICK {
-            return;
-        }
-        let now_ms = ctx.now().as_micros() / 1000;
-        if !self.started {
-            self.started = true;
-            self.parent_heard_ms = now_ms;
-        }
+    /// The periodic half after the heartbeat: detect a dead parent,
+    /// probe for a surviving hierarchy while on probation, and re-probe
+    /// while joining.
+    pub(crate) fn tick(&mut self, ctx: &mut Ctx<'_, ServerMsg>, now_ms: u64, ttl_ms: u64) {
+        let me = ctx.self_id();
         match self.state {
             MemberState::Joined => {
-                self.heartbeat_children(ctx);
-                self.expire_children(now_ms);
-                self.check_parent(ctx);
+                self.check_parent(ctx, now_ms, ttl_ms);
                 // Probation probing: a self-elected root looks for a
                 // surviving hierarchy among its former siblings.
                 if self.is_root() && now_ms < self.probation_until_ms {
-                    let me = ctx.self_id();
-                    for cand in self.merge_candidates.clone() {
+                    for &cand in &self.merge_candidates {
                         if cand != me && !self.children.contains_key(&cand) {
-                            self.send(
-                                ctx,
-                                cand,
-                                MaintMsg::JoinProbe {
-                                    prober_root: Some(me),
-                                },
-                            );
+                            let msg = ServerMsg::JoinProbe {
+                                prober_root: Some(me),
+                            };
+                            send(ctx, cand, msg);
                         }
                     }
                 }
@@ -582,81 +397,75 @@ impl Protocol for MaintNode {
             MemberState::Joining(entry) => {
                 // Re-probe (handles lost/ignored probes and dead entries by
                 // escalating toward the root).
-                let me = ctx.self_id();
-                let fallback = self
-                    .root_path
-                    .first()
-                    .copied()
+                let fallback = (self.root_path.first().copied())
                     .filter(|&r| r != me && r != entry)
                     .or_else(|| {
-                        self.root_children
-                            .iter()
-                            .copied()
+                        (self.root_children.iter().copied())
                             .filter(|&c| c != me && c != entry)
                             .min()
                     });
-                if let Some(f) = fallback {
-                    self.state = MemberState::Joining(f);
-                    self.send(ctx, f, MaintMsg::JoinProbe { prober_root: None });
-                } else {
-                    self.send(ctx, entry, MaintMsg::JoinProbe { prober_root: None });
-                }
+                self.probe(ctx, fallback.unwrap_or(entry));
             }
             MemberState::Down => {}
         }
-        ctx.set_timer(SimTime::from_millis(self.cfg.heartbeat_ms), TIMER_TICK);
     }
-}
 
-/// Assemble a maintenance simulation: node 0 is the root, nodes 1..n join
-/// through it; staggered start timers avoid thundering-herd ties.
-pub fn build_simulation(
-    n: usize,
-    cfg: MaintConfig,
-    delays: roads_netsim::DelaySpace,
-) -> Simulator<MaintNode> {
-    let nodes: Vec<MaintNode> = (0..n)
-        .map(|i| {
-            if i == 0 {
-                MaintNode::new_root(cfg, NodeId(0))
-            } else {
-                MaintNode::new_joining(cfg, NodeId(0))
-            }
-        })
-        .collect();
-    let mut sim = Simulator::new(nodes, delays);
-    for i in 0..n {
-        // Stagger joins so the walk sees up-to-date branch info.
-        sim.schedule_timer(
-            SimTime::from_millis(10 * i as u64 + 1),
-            NodeId(i as u32),
-            TIMER_TICK,
-        );
-        if i > 0 {
-            // Kick the join immediately as well.
-            sim.inject(
-                SimTime::from_millis(10 * i as u64),
-                NodeId(i as u32),
-                NodeId(0),
-                MaintMsg::JoinProbe { prober_root: None },
-                HEARTBEAT_BASE,
-                TrafficClass::Maintenance,
-            );
+    fn check_parent(&mut self, ctx: &mut Ctx<'_, ServerMsg>, now_ms: u64, ttl_ms: u64) {
+        let Some(parent) = self.parent else { return };
+        if !lapsed(self.parent_heard_ms, now_ms, ttl_ms) {
+            return;
         }
+        // Parent presumed failed: rejoin starting from the grandparent,
+        // escalating one level per retry, eventually the (new) root.
+        self.parent = None;
+        let me = ctx.self_id();
+        // root_path = [root, …, grandparent, parent, me]
+        let above_parent: Vec<NodeId> = (self.root_path.iter().copied())
+            .filter(|&x| x != me && x != parent)
+            .collect();
+        let entry = if above_parent.is_empty() {
+            // We were a root child: elect among the root's children.
+            let new_root = (self.root_children.iter().copied())
+                .filter(|&c| c != parent)
+                .min();
+            match new_root {
+                Some(new_root) if new_root != me => new_root,
+                // I am the elected root, or know no siblings. Enter
+                // probation: if the old root was only slow (false
+                // suspicion), probing our former siblings merges us back
+                // into its hierarchy.
+                _ => return self.become_root_on_probation(me, now_ms, ttl_ms),
+            }
+        } else {
+            // Grandparent first, then one level up per escalation.
+            let idx = above_parent.len().saturating_sub(1 + self.rejoin_level);
+            above_parent[idx]
+        };
+        self.rejoin_level += 1;
+        self.probe(ctx, entry);
     }
-    sim
+
+    /// Become root after (possibly false) parent-failure suspicion:
+    /// functional immediately, but on probation — we keep probing former
+    /// siblings so a surviving hierarchy absorbs us.
+    fn become_root_on_probation(&mut self, me: NodeId, now_ms: u64, ttl_ms: u64) {
+        self.state = MemberState::Joined;
+        self.root_path = vec![me];
+        self.rejoin_level = 0;
+        self.probation_until_ms = now_ms + 5 * ttl_ms;
+        self.merge_candidates = (self.root_children.iter().copied())
+            .filter(|&c| c != me)
+            .collect();
+    }
 }
 
-/// Extract the converged hierarchy from a maintenance simulation; fails if
-/// parent/child views disagree or the structure is invalid.
-pub fn extract_tree(sim: &Simulator<MaintNode>) -> Result<HierarchyTree, String> {
+/// Extract the converged hierarchy from a federation; fails if parent/child
+/// views disagree or the structure is invalid.
+pub fn extract_tree(sim: &Simulator<RoadsServer>) -> Result<HierarchyTree, String> {
     let n = sim.len();
     let mut root = None;
     for (id, node) in sim.nodes() {
-        if node.state() == &MemberState::Down {
-            continue;
-        }
-        if node.is_root() {
+        if node.member().is_root() {
             if let Some(r) = root {
                 return Err(format!("two roots: {r} and {id}"));
             }
@@ -669,8 +478,8 @@ pub fn extract_tree(sim: &Simulator<MaintNode>) -> Result<HierarchyTree, String>
     // cross-checked against the children's parent pointers.
     let mut queue = std::collections::VecDeque::from([root]);
     while let Some(p) = queue.pop_front() {
-        for c in sim.node(p).children() {
-            let child = sim.node(c);
+        for c in sim.node(p).member().children() {
+            let child = sim.node(c).member();
             if child.state() == &MemberState::Down {
                 return Err(format!("{p} lists crashed child {c}"));
             }
@@ -692,18 +501,41 @@ pub fn extract_tree(sim: &Simulator<MaintNode>) -> Result<HierarchyTree, String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roads_netsim::DelaySpace;
+    use crate::config::RoadsConfig;
+    use crate::protocol::build_simulation;
+    use roads_netsim::{DelaySpace, SimTime, TrafficClass};
+    use roads_records::{wire::MSG_HEADER_BYTES, Schema};
 
-    fn run_sim(n: usize, until_ms: u64) -> Simulator<MaintNode> {
-        let cfg = MaintConfig::default();
-        let mut sim = build_simulation(n, cfg, DelaySpace::paper(n, 5));
+    /// `n` servers without records, server 0 the root and every other
+    /// joining through it: a heartbeat a second, a peer silent for three
+    /// presumed dead, at most four children.
+    fn build(n: usize) -> Simulator<RoadsServer> {
+        let cfg = RoadsConfig {
+            max_children: 4,
+            ts_ms: 1_000,
+            summary_ttl_ms: 3_000,
+            ..RoadsConfig::paper_default()
+        };
+        let start = HierarchyTree::new(n, ServerId(0));
+        let schema = Schema::unit_numeric(1);
+        build_simulation(
+            cfg,
+            schema,
+            vec![Vec::new(); n],
+            &start,
+            DelaySpace::paper(n, 5),
+        )
+    }
+
+    fn run_sim(n: usize, until_ms: u64) -> Simulator<RoadsServer> {
+        let mut sim = build(n);
         sim.run_until(SimTime::from_millis(until_ms));
         sim
     }
 
-    fn joined_count(sim: &Simulator<MaintNode>) -> usize {
+    fn joined_count(sim: &Simulator<RoadsServer>) -> usize {
         sim.nodes()
-            .filter(|(_, n)| n.state() == &MemberState::Joined)
+            .filter(|(_, n)| n.member().state() == &MemberState::Joined)
             .count()
     }
 
@@ -782,8 +614,8 @@ mod tests {
             now,
             NodeId(victim.0),
             NodeId(parent.0),
-            MaintMsg::Leave,
-            HEARTBEAT_BASE,
+            ServerMsg::Leave,
+            MSG_HEADER_BYTES,
             TrafficClass::Maintenance,
         );
         for c in &children {
@@ -791,8 +623,8 @@ mod tests {
                 now,
                 NodeId(victim.0),
                 NodeId(c.0),
-                MaintMsg::Leave,
-                HEARTBEAT_BASE,
+                ServerMsg::Leave,
+                MSG_HEADER_BYTES,
                 TrafficClass::Maintenance,
             );
         }
@@ -810,8 +642,7 @@ mod tests {
         // (a parent just expired a child whose replies were lost), so the
         // property to assert is *healing*: after the lossy phase ends, the
         // federation must fully reconverge within a few heartbeats.
-        let cfg = MaintConfig::default();
-        let mut sim = build_simulation(20, cfg, DelaySpace::paper(20, 5));
+        let mut sim = build(20);
         sim.set_message_loss(0.10, 1234);
         sim.run_until(SimTime::from_millis(120_000));
         assert!(sim.messages_dropped() > 0, "loss model must be active");
@@ -830,10 +661,10 @@ mod tests {
     fn epoch_propagates_down_the_tree() {
         let sim = run_sim(20, 30_000);
         let tree = extract_tree(&sim).unwrap();
-        let root_epoch = sim.node(NodeId(tree.root().0)).epoch();
+        let root_epoch = sim.node(NodeId(tree.root().0)).member().epoch;
         // 30s of 1s heartbeats: the root has ticked ~30 rounds.
         assert!(root_epoch >= 20, "root epoch {root_epoch}");
-        for (id, node) in sim.nodes() {
+        for (id, node) in sim.nodes().map(|(id, n)| (id, n.member())) {
             if node.state() != &MemberState::Joined {
                 continue;
             }
@@ -841,9 +672,9 @@ mod tests {
             // Each level adds one heartbeat of propagation lag; allow one
             // extra tick of in-flight slack.
             assert!(
-                node.epoch() + depth + 1 >= root_epoch && node.epoch() <= root_epoch,
+                node.epoch + depth + 1 >= root_epoch && node.epoch <= root_epoch,
                 "node {id} at depth {depth}: epoch {} vs root {root_epoch}",
-                node.epoch()
+                node.epoch
             );
         }
     }

@@ -1,269 +1,330 @@
-//! The ROADS summary plane as messages over the discrete-event simulator.
+//! One simulated ROADS server: the paper's per-server loop (§III-A and
+//! §III-B) as messages over the discrete-event simulator.
 //!
-//! [`crate::engine::RoadsNetwork`] materializes the *converged* state of a
-//! federation; this module runs the soft-state protocol that converges to
-//! it (§III-B): every `ts` each server re-summarizes its attached records,
-//! sends its branch summary to its parent, and fans replication payloads
-//! out to its children; summaries are soft state with TTLs, so a server
-//! that stops refreshing simply fades out of everyone's view.
+//! Every `ts` a joined server heartbeats its children. The heartbeat
+//! carries liveness, the root path, the root's children and the epoch —
+//! and the replicas the child keeps: its siblings' branch summaries, the
+//! sender's own, and everything the sender replicates from above. The
+//! child answers with its branch summary and the shape of its branch. So
+//! one period refreshes the hierarchy and the summaries together, and one
+//! deadline, `summary_ttl`, both declares a silent peer dead and expires
+//! a replica nobody refreshes: a server that stops talking fades out of
+//! everyone's view without a teardown message.
+//!
+//! [`RoadsServer`] is that server: its membership (the hierarchy half,
+//! with the join walk, rejoin and election rules, in
+//! [`crate::maintenance`]) and its summary soft state (here).
 //!
 //! The message plane carries summaries, not queries. A query (§III-C) is
 //! routed by [`crate::engine::RoadsNetwork::route`], a pure function of
 //! the summaries a server holds; the unit tests below check that the
-//! summaries this plane converges to are the engine's, byte for byte —
-//! after a cold start, after a branch crashes and after a record change —
-//! so the one routing rule routes on exactly what this protocol keeps.
-//!
-//! The membership plane (joins, heartbeats, elections) lives in
-//! [`crate::maintenance`]; here the hierarchy is taken as given, which is
-//! how the paper's own evaluation separates the two concerns.
+//! summaries these servers converge to are the engine's, byte for byte —
+//! after a cold start, after a branch crashes, after a record change, and
+//! over the tree the servers built by joining.
 
 use crate::config::RoadsConfig;
+use crate::maintenance::{MemberState, Membership};
 use crate::tree::{HierarchyTree, ServerId};
 use roads_netsim::{Ctx, NodeId, Protocol, SimTime, Simulator, TimerTag, TrafficClass};
 use roads_records::{wire::MSG_HEADER_BYTES, Record, Schema, WireSize};
 use roads_summary::{SoftStateTable, Summary};
 use roads_telemetry::{EventKind, Timeline};
 
-/// Periodic aggregation/replication tick.
-const TIMER_AGG: TimerTag = 10;
+/// The periodic tick: heartbeat, expiry and failure detection.
+const TIMER_TICK: TimerTag = 1;
 
-/// Messages of the data plane.
+/// Wire bytes of one server id.
+const PER_ID: usize = 4;
+
+/// Messages between ROADS servers.
 #[derive(Debug, Clone)]
-pub enum DataMsg {
-    /// Child → parent: the sender's current branch summary.
-    BranchSummary {
-        /// The branch summary.
+pub enum ServerMsg {
+    /// Parent → child, every `ts`: liveness, the membership state the
+    /// child recovers from, and the replicas it keeps.
+    Heartbeat {
+        /// Root path of the sender (root … sender).
+        root_path: Vec<NodeId>,
+        /// The root's current children (for root-failure recovery).
+        root_children: Vec<NodeId>,
+        /// Update-round epoch: the root bumps it once per period and every
+        /// server adopts the largest it has heard, one level per heartbeat.
+        /// The replicas on a heartbeat carry its epoch.
+        epoch: u64,
+        /// `(origin server, branch summary)` pairs: the child's siblings,
+        /// the sender, and what the sender replicates from above.
+        replicas: Vec<(u32, Summary)>,
+    },
+    /// Child → parent, answering a heartbeat: liveness, the branch shape
+    /// the join walk reads, and the child's branch summary.
+    HeartbeatReply {
+        /// Height of the child's subtree.
+        branch_depth: u32,
+        /// Descendant count of the child.
+        descendants: u32,
+        /// The child's branch summary.
         summary: Summary,
     },
-    /// Parent → child: replicated summaries, each tagged with the server
-    /// whose branch it describes.
-    Replicate {
-        /// `(origin server, branch summary)` pairs.
-        entries: Vec<(u32, Summary)>,
+    /// Join walk probe: "can you accept me, or where should I go?"
+    /// `prober_root` is set when the prober is itself a (self-elected)
+    /// root seeking to merge its hierarchy: the receiver accepts only if
+    /// its own root has the smaller id (smaller-root tree absorbs).
+    JoinProbe {
+        /// The prober's root id, when the prober is a root.
+        prober_root: Option<NodeId>,
     },
+    /// Accept: the sender is now the prober's parent.
+    JoinAccept {
+        /// Root path of the new parent (root … parent).
+        root_path: Vec<NodeId>,
+    },
+    /// Redirect: try this child instead (the least-depth branch).
+    JoinRedirect {
+        /// Next server to probe.
+        next: NodeId,
+    },
+    /// Graceful departure notice (to parent and children).
+    Leave,
 }
 
-fn msg_bytes(m: &DataMsg) -> usize {
-    MSG_HEADER_BYTES
-        + match m {
-            DataMsg::BranchSummary { summary } => summary.wire_size(),
-            DataMsg::Replicate { entries } => entries
-                .iter()
-                .map(|(_, s)| 4 + s.wire_size())
-                .sum::<usize>(),
+/// Send `msg` with its wire size. A heartbeat and its reply carry the
+/// summaries, so they count as [`TrafficClass::Update`]; join and leave
+/// messages count as [`TrafficClass::Maintenance`].
+pub(crate) fn send(ctx: &mut Ctx<'_, ServerMsg>, to: NodeId, msg: ServerMsg) {
+    use ServerMsg::*;
+    let ids = |v: &[NodeId]| PER_ID * v.len();
+    let (body, class) = match &msg {
+        Heartbeat {
+            root_path,
+            root_children,
+            replicas,
+            ..
+        } => {
+            let replicas: usize = replicas.iter().map(|(_, s)| PER_ID + s.wire_size()).sum();
+            let body = 8 + ids(root_path) + ids(root_children) + replicas;
+            (body, TrafficClass::Update)
         }
+        HeartbeatReply { summary, .. } => (8 + summary.wire_size(), TrafficClass::Update),
+        JoinProbe { .. } | Leave => (0, TrafficClass::Maintenance),
+        JoinAccept { root_path } => (ids(root_path), TrafficClass::Maintenance),
+        JoinRedirect { .. } => (PER_ID, TrafficClass::Maintenance),
+    };
+    ctx.send(to, msg, MSG_HEADER_BYTES + body, class);
 }
 
-/// One server running the live data plane.
-pub struct DataNode {
+/// One ROADS server: its place in the hierarchy and the summaries it
+/// holds.
+pub struct RoadsServer {
     cfg: RoadsConfig,
-    schema: Schema,
-    /// Static topology (from the membership plane).
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
+    member: Membership,
     /// Summary of the attached records.
     local_summary: Summary,
-    /// Fresh branch summaries of children (TTL soft state).
-    child_summaries: SoftStateTable<NodeId, Summary>,
     /// Replicated remote branch summaries by origin server id.
     replicas: SoftStateTable<u32, Summary>,
-    /// Whether this node still participates (crash injection).
-    alive: bool,
 }
 
-impl DataNode {
-    fn new(
-        cfg: RoadsConfig,
-        schema: Schema,
-        parent: Option<NodeId>,
-        children: Vec<NodeId>,
-        records: &[Record],
-    ) -> Self {
-        let local_summary = Summary::from_records(&schema, &cfg.summary, records);
-        DataNode {
-            child_summaries: SoftStateTable::new(cfg.summary_ttl_ms),
+impl RoadsServer {
+    fn new(cfg: RoadsConfig, schema: &Schema, member: Membership, records: &[Record]) -> Self {
+        RoadsServer {
+            local_summary: Summary::from_records(schema, &cfg.summary, records),
             replicas: SoftStateTable::new(cfg.summary_ttl_ms),
             cfg,
-            schema,
-            parent,
-            children,
-            local_summary,
-            alive: true,
+            member,
         }
     }
 
-    /// Stop participating: no more refreshes. Soft state held by others
-    /// will expire on its own.
+    /// The server's place in the hierarchy.
+    pub(crate) fn member(&self) -> &Membership {
+        &self.member
+    }
+
+    /// Crash: the server goes silent for good and forgets its view. What
+    /// others hold of it expires on its own.
     pub fn crash(&mut self) {
-        self.alive = false;
-    }
-
-    /// Replace the attached records (owners re-export every `tr`); the next
-    /// aggregation tick propagates the change.
-    pub fn set_records(&mut self, records: &[Record]) {
-        self.local_summary = Summary::from_records(&self.schema, &self.cfg.summary, records);
-    }
-
-    /// Number of fresh replicas currently held.
-    pub fn fresh_replicas(&self, now_ms: u64) -> usize {
-        self.replicas.iter_fresh(now_ms).count()
-    }
-
-    /// Number of fresh child branch summaries currently held.
-    pub fn fresh_child_summaries(&self, now_ms: u64) -> usize {
-        self.child_summaries.iter_fresh(now_ms).count()
+        self.member.crash();
+        self.replicas = SoftStateTable::new(self.cfg.summary_ttl_ms);
     }
 
     /// Branch summary of server `me` from current (possibly stale) state:
     /// the local summary aggregated with the fresh child summaries, in
     /// child order.
     fn branch_summary(&self, me: u32, now_ms: u64) -> Summary {
-        let fresh = (self.children.iter())
-            .filter_map(|c| Some((c.0, self.child_summaries.get(c, now_ms)?)));
+        let fresh =
+            (self.member.fresh_children(now_ms, self.cfg.summary_ttl_ms)).map(|(c, s)| (c.0, s));
         Summary::branch_of(me, &self.local_summary, fresh)
             .expect("uniform schema/config across the federation")
     }
 
-    fn send(&self, ctx: &mut Ctx<'_, DataMsg>, to: NodeId, msg: DataMsg, class: TrafficClass) {
-        let bytes = msg_bytes(&msg);
-        ctx.send(to, msg, bytes, class);
-    }
-
-    fn aggregation_tick(&mut self, ctx: &mut Ctx<'_, DataMsg>) {
-        let now_ms = ctx.now().as_micros() / 1000;
-        let expired = self.child_summaries.sweep(now_ms).len() + self.replicas.sweep(now_ms).len();
-        if expired > 0 {
-            ctx.record(EventKind::TtlExpire, expired as u64);
-        }
-
-        // Bottom-up: branch summary to the parent.
+    /// Heartbeat every child: to each, its siblings' branch summaries, our
+    /// own branch summary and everything we replicate from above.
+    fn heartbeat_children(&mut self, ctx: &mut Ctx<'_, ServerMsg>, now_ms: u64) {
+        let Some((root_path, root_children, epoch)) = self.member.heartbeat() else {
+            return;
+        };
         let me = ctx.self_id().0;
-        let my_branch = self.branch_summary(me, now_ms);
-        if let Some(p) = self.parent {
-            ctx.record(EventKind::SummaryPublish, my_branch.wire_size() as u64);
-            let summary = my_branch.clone();
-            self.send(
-                ctx,
-                p,
-                DataMsg::BranchSummary { summary },
-                TrafficClass::Update,
-            );
-        }
-
-        // Top-down: to each child send its siblings' branch summaries, our
-        // own branch summary, and everything we replicate from above.
-        let mut fresh_children: Vec<(NodeId, Summary)> = self
-            .child_summaries
-            .iter_fresh(now_ms)
-            .map(|(k, v)| (*k, v.clone()))
+        let mine = self.branch_summary(me, now_ms);
+        let fresh: Vec<(NodeId, Summary)> = (self.member)
+            .fresh_children(now_ms, self.cfg.summary_ttl_ms)
+            .map(|(c, s)| (c, s.clone()))
             .collect();
-        fresh_children.sort_by_key(|(k, _)| *k);
-        let mut from_above: Vec<(u32, Summary)> = self
-            .replicas
-            .iter_fresh(now_ms)
+        let mut from_above: Vec<(u32, Summary)> = (self.replicas.iter_fresh(now_ms))
             .map(|(k, v)| (*k, v.clone()))
             .collect();
         from_above.sort_by_key(|(k, _)| *k);
-        for &c in &self.children {
-            let mut entries: Vec<(u32, Summary)> = fresh_children
-                .iter()
+        for c in self.member.children() {
+            let mut replicas: Vec<(u32, Summary)> = (fresh.iter())
                 .filter(|(sib, _)| *sib != c)
                 .map(|(sib, s)| (sib.0, s.clone()))
                 .collect();
-            entries.push((me, my_branch.clone()));
-            entries.extend(from_above.iter().cloned());
-            self.send(ctx, c, DataMsg::Replicate { entries }, TrafficClass::Update);
+            replicas.push((me, mine.clone()));
+            replicas.extend(from_above.iter().cloned());
+            let (root_path, root_children) = (root_path.clone(), root_children.clone());
+            let msg = ServerMsg::Heartbeat {
+                root_path,
+                root_children,
+                epoch,
+                replicas,
+            };
+            send(ctx, c, msg);
+        }
+    }
+
+    /// Keep the replicas a parent's heartbeat carried.
+    fn install(&mut self, ctx: &Ctx<'_, ServerMsg>, replicas: Vec<(u32, Summary)>, now_ms: u64) {
+        let installed = (replicas.iter())
+            .filter(|(origin, _)| self.replicas.get_ignoring_ttl(origin).is_none())
+            .count() as u64;
+        let refreshed = replicas.len() as u64 - installed;
+        for (origin, summary) in replicas {
+            self.replicas.insert(origin, summary, now_ms);
+        }
+        if installed > 0 {
+            ctx.record(EventKind::ReplicaInstall, installed);
+        }
+        if refreshed > 0 {
+            ctx.record(EventKind::ReplicaRefresh, refreshed);
         }
     }
 }
 
-impl Protocol for DataNode {
-    type Msg = DataMsg;
+/// Virtual time in whole milliseconds.
+fn now_ms<M>(ctx: &Ctx<'_, M>) -> u64 {
+    ctx.now().as_micros() / 1000
+}
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, DataMsg>, from: NodeId, msg: DataMsg) {
-        if !self.alive {
+impl Protocol for RoadsServer {
+    type Msg = ServerMsg;
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, ServerMsg>, from: NodeId, msg: ServerMsg) {
+        if self.member.state() == &MemberState::Down {
             return;
         }
-        let now_ms = ctx.now().as_micros() / 1000;
+        let now = now_ms(ctx);
         match msg {
-            DataMsg::BranchSummary { summary } => {
-                if self.children.contains(&from) {
+            ServerMsg::Heartbeat {
+                root_path,
+                root_children,
+                epoch,
+                replicas,
+            } => {
+                if !(self.member).on_heartbeat(ctx, from, root_path, root_children, epoch, now) {
+                    return;
+                }
+                self.install(ctx, replicas, now);
+                let summary = self.branch_summary(ctx.self_id().0, now);
+                ctx.record(EventKind::SummaryPublish, summary.wire_size() as u64);
+                let (branch_depth, descendants) = self.member.branch_shape();
+                let reply = ServerMsg::HeartbeatReply {
+                    branch_depth,
+                    descendants,
+                    summary,
+                };
+                send(ctx, from, reply);
+            }
+            ServerMsg::HeartbeatReply {
+                branch_depth,
+                descendants,
+                summary,
+            } => {
+                if (self.member).on_reply(from, branch_depth, descendants, summary, now) {
                     ctx.record(EventKind::SummaryMerge, from.0 as u64);
-                    self.child_summaries.insert(from, summary, now_ms);
                 }
             }
-            DataMsg::Replicate { entries } => {
-                if self.parent == Some(from) {
-                    let mut installed = 0u64;
-                    let mut refreshed = 0u64;
-                    for (origin, summary) in entries {
-                        if self.replicas.get_ignoring_ttl(&origin).is_some() {
-                            refreshed += 1;
-                        } else {
-                            installed += 1;
-                        }
-                        self.replicas.insert(origin, summary, now_ms);
-                    }
-                    if installed > 0 {
-                        ctx.record(EventKind::ReplicaInstall, installed);
-                    }
-                    if refreshed > 0 {
-                        ctx.record(EventKind::ReplicaRefresh, refreshed);
-                    }
-                }
+            ServerMsg::JoinProbe { prober_root } => {
+                let max = self.cfg.max_children;
+                self.member.on_join_probe(ctx, from, prober_root, max, now);
+            }
+            ServerMsg::JoinAccept { root_path } => {
+                self.member.on_join_accept(ctx, from, root_path, now);
+            }
+            ServerMsg::JoinRedirect { next } => self.member.on_join_redirect(ctx, next),
+            ServerMsg::Leave => {
+                let ttl = self.cfg.summary_ttl_ms;
+                self.member.on_leave(ctx, from, now, ttl);
             }
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, DataMsg>, tag: TimerTag) {
-        if !self.alive || tag != TIMER_AGG {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, ServerMsg>, tag: TimerTag) {
+        if tag != TIMER_TICK || self.member.state() == &MemberState::Down {
             return;
         }
-        self.aggregation_tick(ctx);
-        ctx.set_timer(SimTime::from_millis(self.cfg.ts_ms), TIMER_AGG);
+        let (now, ttl) = (now_ms(ctx), self.cfg.summary_ttl_ms);
+        let expired = self.member.expire_children(now, ttl) + self.replicas.sweep(now).len();
+        if expired > 0 {
+            ctx.record(EventKind::TtlExpire, expired as u64);
+        }
+        self.heartbeat_children(ctx, now);
+        self.member.tick(ctx, now, ttl);
+        ctx.set_timer(SimTime::from_millis(self.cfg.ts_ms), TIMER_TICK);
     }
 }
 
-/// Assemble the data plane over an existing hierarchy: one [`DataNode`] per
-/// server, aggregation timers staggered across the first `ts`.
-pub fn build_data_simulation(
-    tree: &HierarchyTree,
+/// Assemble a federation of [`RoadsServer`]s, one per record set. The
+/// servers attached in `start` begin joined at their position in it; every
+/// other server joins through `start`'s root. Start times are staggered
+/// across the first `ts`, in id order.
+pub fn build_simulation(
     cfg: RoadsConfig,
     schema: Schema,
-    records_per_server: Vec<Vec<Record>>,
+    records: Vec<Vec<Record>>,
+    start: &HierarchyTree,
     delays: roads_netsim::DelaySpace,
-) -> Simulator<DataNode> {
-    let n = records_per_server.len();
-    assert_eq!(tree.capacity(), n, "one record set per server");
-    let mut nodes = Vec::with_capacity(n);
-    for (i, records) in records_per_server.into_iter().enumerate() {
-        let s = ServerId(i as u32);
-        let parent = tree.parent(s).map(|p| NodeId(p.0));
-        let children = tree.children(s).iter().map(|c| NodeId(c.0)).collect();
-        nodes.push(DataNode::new(
-            cfg,
-            schema.clone(),
-            parent,
-            children,
-            &records,
-        ));
-    }
+) -> Simulator<RoadsServer> {
+    let n = records.len();
+    assert_eq!(start.capacity(), n, "one record set per server");
+    let ids = |v: &[ServerId]| v.iter().map(|s| NodeId(s.0)).collect::<Vec<_>>();
+    let root = start.root();
+    let nodes = (records.iter().enumerate())
+        .map(|(i, records)| {
+            let s = ServerId(i as u32);
+            let member = if start.contains(s) {
+                let root_children = ids(start.children(root));
+                Membership::joined(
+                    ids(&start.root_path(s)),
+                    ids(start.children(s)),
+                    root_children,
+                )
+            } else {
+                Membership::joining(NodeId(root.0))
+            };
+            RoadsServer::new(cfg, &schema, member, records)
+        })
+        .collect();
     let mut sim = Simulator::new(nodes, delays);
     for i in 0..n {
         let offset = (cfg.ts_ms * i as u64 / n as u64).max(1);
-        sim.schedule_timer(SimTime::from_millis(offset), NodeId(i as u32), TIMER_AGG);
+        sim.schedule_timer(SimTime::from_millis(offset), NodeId(i as u32), TIMER_TICK);
     }
     sim
 }
 
-/// Run the data plane until `until`, sampling federation-wide gauges into
+/// Run the federation until `until`, sampling federation-wide gauges into
 /// `timeline` at its configured interval: fresh child summaries
 /// (`live_summaries`), overlay replicas (`overlay_replicas`), the busiest
 /// server's share of all deliveries (`load_share_max`) and total
 /// deliveries (`deliveries`). Returns events processed.
 pub fn run_with_timeline(
-    sim: &mut Simulator<DataNode>,
+    sim: &mut Simulator<RoadsServer>,
     until: SimTime,
     timeline: &mut Timeline,
 ) -> u64 {
@@ -273,11 +334,12 @@ pub fn run_with_timeline(
         let now_ms = now.as_millis_f64();
         if timeline.due(now_ms) {
             let t_ms = now.as_micros() / 1000;
-            let live: usize = sim
-                .nodes()
-                .map(|(_, n)| n.fresh_child_summaries(t_ms))
-                .sum();
-            let replicas: usize = sim.nodes().map(|(_, n)| n.fresh_replicas(t_ms)).sum();
+            let (mut live, mut replicas) = (0, 0);
+            for (_, n) in sim.nodes() {
+                let ttl = n.cfg.summary_ttl_ms;
+                live += n.member.fresh_children(t_ms, ttl).count();
+                replicas += n.replicas.iter_fresh(t_ms).count();
+            }
             let deliveries = sim.deliveries();
             let total: u64 = deliveries.iter().sum();
             let max = deliveries.iter().copied().max().unwrap_or(0);
@@ -312,6 +374,7 @@ mod tests {
     use super::*;
     use crate::audit::authoritative_branch;
     use crate::engine::RoadsNetwork;
+    use crate::maintenance::extract_tree;
     use crate::overlay::replication_set;
     use roads_netsim::DelaySpace;
     use roads_records::{OwnerId, RecordId, Value};
@@ -332,7 +395,6 @@ mod tests {
             summary: SummaryConfig::with_buckets(100),
             ts_ms: 2_000,
             summary_ttl_ms: 7_000,
-            ..RoadsConfig::paper_default()
         }
     }
 
@@ -353,18 +415,18 @@ mod tests {
             .collect()
     }
 
-    /// The data plane of `shape` run for `secs` of virtual time from cold
-    /// soft state, the engine's network over the same records, and those
-    /// records.
+    /// The federation of `shape`, started joined in `HierarchyTree::build`'s
+    /// tree and run for `secs` of virtual time from cold soft state, the
+    /// engine's network over the same records, and those records.
     fn federation(
         (n, per, attrs, degree): (usize, usize, usize, usize),
         secs: u64,
-    ) -> (Simulator<DataNode>, RoadsNetwork, Vec<Vec<Record>>) {
+    ) -> (Simulator<RoadsServer>, RoadsNetwork, Vec<Vec<Record>>) {
         let (schema, cfg) = (Schema::unit_numeric(attrs), config(degree));
         let tree = HierarchyTree::build(n, degree);
         let records = unit_records(n, per, attrs);
         let delays = DelaySpace::paper(n, 17);
-        let mut sim = build_data_simulation(&tree, cfg, schema.clone(), records.clone(), delays);
+        let mut sim = build_simulation(cfg, schema.clone(), records.clone(), &tree, delays);
         sim.run_until(SimTime::from_secs(secs));
         let net = RoadsNetwork::with_tree(schema, cfg, tree, records.clone());
         (sim, net, records)
@@ -377,7 +439,7 @@ mod tests {
     /// server — each equal to `branch` of the server it describes. Summaries
     /// compare in every field: counters, bounds, record count and parts.
     fn assert_engine_state(
-        sim: &Simulator<DataNode>,
+        sim: &Simulator<RoadsServer>,
         net: &RoadsNetwork,
         live: &[bool],
         branch: &[Summary],
@@ -386,6 +448,7 @@ mod tests {
         let tree = net.tree();
         for s in tree.servers().into_iter().filter(|s| live[s.index()]) {
             let node = sim.node(NodeId(s.0));
+            let ttl = node.cfg.summary_ttl_ms;
             assert_eq!(node.local_summary, *net.local_summary(s), "{s}: local");
             assert_eq!(
                 node.branch_summary(s.0, now_ms),
@@ -395,9 +458,11 @@ mod tests {
             let kids: Vec<ServerId> = (tree.children(s).iter().copied())
                 .filter(|c| live[c.index()])
                 .collect();
-            assert_eq!(node.child_summaries.len(), kids.len(), "{s}: child copies");
+            let copies: Vec<(NodeId, &Summary)> = node.member.fresh_children(now_ms, ttl).collect();
+            assert_eq!(node.member.children().len(), kids.len(), "{s}: children");
+            assert_eq!(copies.len(), kids.len(), "{s}: child copies");
             for c in &kids {
-                let copy = node.child_summaries.get(&NodeId(c.0), now_ms);
+                let copy = copies.iter().find(|(id, _)| id.0 == c.0).map(|(_, s)| *s);
                 assert_eq!(copy, Some(&branch[c.index()]), "{s}: copy of child {c}");
             }
             let held: Vec<ServerId> = (replication_set(tree, s).all().into_iter())
@@ -467,11 +532,11 @@ mod tests {
                 OwnerId(leaf.0),
                 values,
             )];
-            sim.node_mut(NodeId(leaf.0))
-                .set_records(&records[leaf.index()]);
+            let (schema, cfg) = (before.schema().clone(), *before.config());
+            sim.node_mut(NodeId(leaf.0)).local_summary =
+                Summary::from_records(&schema, &cfg.summary, &records[leaf.index()]);
             let deadline = sim.now() + SimTime::from_secs(20);
             sim.run_until(deadline);
-            let (schema, cfg) = (before.schema().clone(), *before.config());
             let after = RoadsNetwork::with_tree(schema, cfg, before.tree().clone(), records);
             let root = before.tree().root();
             assert_ne!(
@@ -483,6 +548,66 @@ mod tests {
         }
     }
 
+    /// Periods a healed federation is given to drop what it held of the
+    /// old tree: one TTL for stale copies to expire and be swept, then one
+    /// period per level for the new branch summaries to climb to the root
+    /// and one per level for the replicas to come back down.
+    fn heal_periods(cfg: &RoadsConfig, levels: usize) -> u64 {
+        cfg.summary_ttl_ms.div_ceil(cfg.ts_ms) + 1 + 2 * levels as u64
+    }
+
+    /// Servers with records that join from a root-only tree hold the
+    /// engine's summaries over the tree they built. After an internal
+    /// server crashes, within `heal_periods` of its orphans rejoining they
+    /// hold the engine's summaries over the healed tree, in which the dead
+    /// server's records are absent.
+    #[test]
+    fn joined_federation_holds_the_engines_summaries_through_a_crash() {
+        for shape in [SHAPES[1], SHAPES[3]] {
+            let (n, per, attrs, degree) = shape;
+            let (schema, cfg) = (Schema::unit_numeric(attrs), config(degree));
+            let mut records = unit_records(n, per, attrs);
+            let start = HierarchyTree::new(n, ServerId(0));
+            let delays = DelaySpace::paper(n, 17);
+            let mut sim = build_simulation(cfg, schema.clone(), records.clone(), &start, delays);
+            sim.run_until(SimTime::from_secs(60));
+            let tree = extract_tree(&sim).expect("joined");
+            assert_eq!(tree.len(), n, "{shape:?}");
+            let net = RoadsNetwork::with_tree(schema.clone(), cfg, tree.clone(), records.clone());
+            assert_engine_state(&sim, &net, &vec![true; n], &branches(&net));
+
+            let victim = (tree.servers().into_iter())
+                .find(|&s| s != tree.root() && !tree.children(s).is_empty())
+                .expect("an internal server");
+            sim.node_mut(NodeId(victim.0)).crash();
+            let period = SimTime::from_millis(cfg.ts_ms);
+            let mut periods = 0;
+            let healed = loop {
+                let deadline = sim.now() + period;
+                sim.run_until(deadline);
+                periods += 1;
+                assert!(periods < 60, "{shape:?}: orphans never rejoined");
+                match extract_tree(&sim) {
+                    Ok(t) if t.len() == n - 1 => break t,
+                    _ => {}
+                }
+            };
+            let heal = SimTime::from_millis(cfg.ts_ms * heal_periods(&cfg, healed.levels()));
+            let deadline = sim.now() + heal;
+            sim.run_until(deadline);
+            assert_eq!(
+                extract_tree(&sim).as_ref(),
+                Ok(&healed),
+                "{shape:?}: tree held"
+            );
+            records[victim.index()].clear();
+            let net = RoadsNetwork::with_tree(schema, cfg, healed, records);
+            let mut live = vec![true; n];
+            live[victim.index()] = false;
+            assert_engine_state(&sim, &net, &live, &branches(&net));
+        }
+    }
+
     #[test]
     fn flight_recorder_captures_data_plane_events() {
         use roads_telemetry::Recorder;
@@ -490,11 +615,11 @@ mod tests {
         let schema = Schema::unit_numeric(1);
         let cfg = config(3);
         let tree = HierarchyTree::build(27, cfg.max_children);
-        let mut sim = build_data_simulation(
-            &tree,
+        let mut sim = build_simulation(
             cfg,
             schema.clone(),
             unit_records(27, 1, 1),
+            &tree,
             DelaySpace::paper(27, 17),
         );
         let rec = Arc::new(Recorder::new(1 << 16));
@@ -526,7 +651,7 @@ mod tests {
         let cfg = config(3);
         let tree = HierarchyTree::build(27, cfg.max_children);
         let records = unit_records(27, 1, 1);
-        let mut sim = build_data_simulation(&tree, cfg, schema, records, DelaySpace::paper(27, 17));
+        let mut sim = build_simulation(cfg, schema, records, &tree, DelaySpace::paper(27, 17));
         let mut timeline = Timeline::new(2_000.0);
         run_with_timeline(&mut sim, SimTime::from_millis(30_000), &mut timeline);
         let series = timeline.series();

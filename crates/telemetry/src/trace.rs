@@ -3,8 +3,9 @@
 //! A [`QueryExplain`] records every server a discovery query touched and
 //! *why* it was touched — its [`ExplainDecision`]. [`aggregate_traces`]
 //! folds a batch of them into a [`TraceReport`]: hop-count distribution,
-//! false-positive redirect rate (a child summary claimed a match and the
-//! claim turned out hollow — the cost of lossy summaries), overlay
+//! false-positive redirect rate (a summary, a child's or a replica's,
+//! claimed a match and the claim turned out hollow — the cost of lossy
+//! summaries), overlay
 //! shortcuts, ancestor climbs, and per-node load concentration (root-load
 //! share and Gini coefficient) — the quantities behind the paper's
 //! load-balance and bucket-count ablations.
@@ -27,15 +28,21 @@ pub struct TraceReport {
     pub max_hops: usize,
     /// Total non-entry hops across all traces.
     pub probe_hops: usize,
-    /// [`ExplainDecision::SummaryDescent`] hops flagged
-    /// [`false_positive`](crate::ExplainHop::false_positive): a tree
-    /// parent's summary hit that found nothing at or below the child.
+    /// Probes flagged [`false_positive`](crate::ExplainHop::false_positive)
+    /// under any routing decision: a contact whose whole redirect subtree
+    /// found nothing, whether a tree descent or an overlay shortcut sent
+    /// it (fig20's hollow contacts).
+    pub hollow_probes: usize,
+    /// The [`ExplainDecision::SummaryDescent`] hops among `hollow_probes`:
+    /// a tree parent's summary hit that found nothing at or below the
+    /// child.
     pub fp_redirects: usize,
-    /// `fp_redirects / probe_hops` (0 when no probes).
+    /// `hollow_probes / probe_hops` (0 when no probes): the share of
+    /// probes a summary sent in vain.
     pub fp_redirect_rate: f64,
     /// [`ExplainDecision::OverlayShortcut`] hops (hollow or not: a
-    /// shortcut that found nothing still counts here, not as a
-    /// false-positive redirect).
+    /// shortcut that found nothing still counts here and in
+    /// `hollow_probes`, not among the tree descents of `fp_redirects`).
     pub overlay_shortcuts: usize,
     /// [`ExplainDecision::AncestorProbe`] hops — the climb towards
     /// ancestors that guarantees completeness. A skipped branch owner's
@@ -68,6 +75,7 @@ impl TraceReport {
             ("mean_hops", Json::num(self.mean_hops)),
             ("max_hops", Json::num(self.max_hops as f64)),
             ("probe_hops", Json::num(self.probe_hops as f64)),
+            ("hollow_probes", Json::num(self.hollow_probes as f64)),
             ("fp_redirects", Json::num(self.fp_redirects as f64)),
             ("fp_redirect_rate", Json::num(self.fp_redirect_rate)),
             (
@@ -109,6 +117,7 @@ pub fn aggregate_traces(traces: &[QueryExplain], root: u32, nodes: usize) -> Tra
     let mut total_hops = 0usize;
     let mut max_hops = 0usize;
     let mut probe_hops = 0usize;
+    let mut hollow_probes = 0usize;
     let mut fp_redirects = 0usize;
     let mut overlay_shortcuts = 0usize;
     let mut climb_hops = 0usize;
@@ -135,6 +144,7 @@ pub fn aggregate_traces(traces: &[QueryExplain], root: u32, nodes: usize) -> Tra
                 _ => {}
             }
             probe_hops += 1;
+            hollow_probes += usize::from(h.false_positive);
         }
     }
 
@@ -149,11 +159,12 @@ pub fn aggregate_traces(traces: &[QueryExplain], root: u32, nodes: usize) -> Tra
         },
         max_hops,
         probe_hops,
+        hollow_probes,
         fp_redirects,
         fp_redirect_rate: if probe_hops == 0 {
             0.0
         } else {
-            fp_redirects as f64 / probe_hops as f64
+            hollow_probes as f64 / probe_hops as f64
         },
         overlay_shortcuts,
         climb_hops,
@@ -266,6 +277,30 @@ mod tests {
         ];
         let r = aggregate_traces(&traces, 0, 4);
         assert_eq!((r.probe_hops, r.max_hops), (1, 2));
+    }
+
+    #[test]
+    fn fp_redirect_rate_counts_hollow_probes_of_every_routing_decision() {
+        use ExplainDecision::*;
+        let traces = [trace(
+            1,
+            vec![
+                hop(1, Entry, true),
+                hop(2, OverlayShortcut, true),
+                hop(3, SummaryDescent, true),
+                hop(4, SummaryDescent, false),
+                hop(0, AncestorProbe, false),
+            ],
+        )];
+        let r = aggregate_traces(&traces, 0, 5);
+        // The entry is no probe; a hollow shortcut and a hollow descent
+        // are both redirects a summary sent in vain.
+        assert!(
+            (r.fp_redirect_rate - 0.5).abs() < 1e-12,
+            "{}",
+            r.fp_redirect_rate
+        );
+        assert_eq!((r.probe_hops, r.hollow_probes, r.fp_redirects), (4, 2, 1));
     }
 
     #[test]

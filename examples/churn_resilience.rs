@@ -1,24 +1,35 @@
 //! Hierarchy maintenance under churn (§III-A).
 //!
-//! Runs the live, message-driven maintenance protocol on the discrete-event
-//! simulator: 30 servers join through the root, heartbeats flow, then we
-//! kill an internal server and finally the root itself — and watch the
-//! federation heal: orphans rejoin from their grandparents, the root's
-//! children elect a successor ("the one with the smallest IP address").
+//! Runs the message-driven ROADS servers on the discrete-event simulator:
+//! 30 servers with records join through the root, heartbeats carrying the
+//! summaries flow, then we kill an internal server and finally the root
+//! itself — and watch the federation heal: orphans rejoin from their
+//! grandparents, the root's children elect a successor ("the one with the
+//! smallest IP address").
 //!
 //! Run with: `cargo run --example churn_resilience`
 
-use roads_federation::core::maintenance::{build_simulation, extract_tree, MaintConfig};
+use roads_federation::core::maintenance::extract_tree;
+use roads_federation::core::protocol::build_simulation;
+use roads_federation::core::{HierarchyTree, RoadsConfig, ServerId};
 use roads_federation::netsim::{DelaySpace, NodeId, SimTime, TrafficClass};
+use roads_federation::records::Schema;
+use roads_federation::summary::SummaryConfig;
+use roads_federation::workload::line_records;
 
 fn main() {
     let n = 30;
-    let cfg = MaintConfig {
-        heartbeat_ms: 1_000,
-        loss_threshold: 3,
+    // A heartbeat a second; a peer silent for three is presumed dead.
+    let cfg = RoadsConfig {
         max_children: 4,
+        summary: SummaryConfig::with_buckets(100),
+        ts_ms: 1_000,
+        summary_ttl_ms: 3_000,
     };
-    let mut sim = build_simulation(n, cfg, DelaySpace::paper(n, 99));
+    let start = HierarchyTree::new(n, ServerId(0));
+    let schema = Schema::unit_numeric(1);
+    let records = line_records(n, 10);
+    let mut sim = build_simulation(cfg, schema, records, &start, DelaySpace::paper(n, 99));
 
     // Phase 1: let everyone join.
     sim.run_until(SimTime::from_millis(30_000));
@@ -71,13 +82,18 @@ fn main() {
     );
     tree.validate().expect("structurally valid hierarchy");
 
-    println!(
-        "\nmaintenance traffic over 180s: {} bytes in {} messages",
-        sim.stats().bytes(TrafficClass::Maintenance),
-        sim.stats().messages(TrafficClass::Maintenance)
-    );
-    println!(
-        "per server per second: {:.1} bytes",
-        sim.stats().bytes(TrafficClass::Maintenance) as f64 / n as f64 / 180.0
-    );
+    // Heartbeats and their replies carry the summaries (Update); joins,
+    // redirects and leaves are the membership's own traffic (Maintenance).
+    println!("\ntraffic over 180s:");
+    for (label, class) in [
+        ("update (heartbeats + summaries)", TrafficClass::Update),
+        ("maintenance (join / leave)", TrafficClass::Maintenance),
+    ] {
+        let bytes = sim.stats().bytes(class);
+        println!(
+            "  {label:<32} {bytes:>9} bytes in {:>5} messages, {:.1} B per server per second",
+            sim.stats().messages(class),
+            bytes as f64 / n as f64 / 180.0
+        );
+    }
 }

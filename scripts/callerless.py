@@ -28,7 +28,6 @@ KEEP = {
     "with_attachments": "§II attachment points",
     "choose_attachment": "§II attachment points",
     "owners_at": "§II attachment points",
-    "set_records": "the message plane's record-change test drives it",
     "paper_120": "the paper's 120-attribute schema, for ROADMAP item 11",
 }
 

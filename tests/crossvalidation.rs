@@ -5,7 +5,7 @@
 //! checked by `protocol.rs`'s unit tests.)
 
 use roads_federation::analysis::{roads_latency_ms, LatencyModel};
-use roads_federation::core::protocol::build_data_simulation;
+use roads_federation::core::protocol::build_simulation;
 use roads_federation::core::{
     execute_query, update_round, HierarchyTree, RoadsConfig, RoadsNetwork, SearchScope, ServerId,
 };
@@ -27,10 +27,11 @@ fn workload(nodes: usize) -> (Schema, Vec<Vec<Record>>) {
 #[test]
 fn live_data_plane_update_bytes_match_accounting() {
     // The analytic accounting (updates.rs) and the live protocol
-    // (protocol.rs) are written independently; per aggregation round they
+    // (protocol.rs) are written independently; per heartbeat round they
     // must agree on the update traffic to within the modeling differences
-    // (the live plane skips the owner-export hop for co-located owners and
-    // its replicate messages carry one 4-byte origin tag per summary).
+    // (the live plane skips the owner-export hop for co-located owners, its
+    // heartbeats carry one 4-byte origin tag per replica, and heartbeats
+    // and replies carry the hierarchy's root path, epoch and branch shape).
     let nodes = 27;
     let (schema, records) = workload(nodes);
     let cfg = RoadsConfig {
@@ -38,13 +39,12 @@ fn live_data_plane_update_bytes_match_accounting() {
         summary: SummaryConfig::with_buckets(64),
         ts_ms: 5_000,
         summary_ttl_ms: 30_000,
-        ..RoadsConfig::paper_default()
     };
     let tree = HierarchyTree::build(nodes, cfg.max_children);
     let net = RoadsNetwork::with_tree(schema.clone(), cfg, tree.clone(), records.clone());
     let predicted = update_round(&net);
 
-    let mut sim = build_data_simulation(&tree, cfg, schema, records, DelaySpace::paper(nodes, 9));
+    let mut sim = build_simulation(cfg, schema, records, &tree, DelaySpace::paper(nodes, 9));
     // Warm up until replication converges, then measure whole rounds.
     sim.run_until(SimTime::from_millis(30_000));
     sim.clear_stats();

@@ -96,9 +96,11 @@ fn fig4_roads_update_overhead_orders_below_sword() {
     let sword = SwordNetwork::build(schema.clone(), records.clone());
     let central = CentralRepository::build(0, records);
     let cfg = RoadsConfig::paper_default();
+    // Records refresh ten times as often as summaries (§IV: tr = ts / 10).
+    let tr_ms = cfg.ts_ms / 10;
     let roads_bps = update_round(&roads).bytes_per_second(cfg.ts_ms);
-    let sword_bps = sword.update_round().bytes_per_second(cfg.tr_ms);
-    let central_bps = central.update_round().bytes_per_second(cfg.tr_ms);
+    let sword_bps = sword.update_round().bytes_per_second(tr_ms);
+    let central_bps = central.update_round().bytes_per_second(tr_ms);
     assert!(
         sword_bps / roads_bps > 10.0,
         "1-2 orders of magnitude: got {:.1}x",
