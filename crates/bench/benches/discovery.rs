@@ -14,7 +14,7 @@ use roads_runtime::{
 };
 use roads_summary::SummaryConfig;
 use roads_sword::SwordNetwork;
-use roads_telemetry::{OpenMetricsSnapshot, Recorder, Registry, TailSampler};
+use roads_telemetry::{Recorder, Registry, TailSampler};
 use roads_workload::{
     default_schema, generate_node_records, generate_queries, line_records, QueryWorkloadConfig,
     RecordWorkloadConfig,
@@ -207,19 +207,6 @@ fn bench_recorder_overhead(c: &mut Criterion) {
         watchdog.stop();
         auditor.stop();
         cluster.shutdown();
-    });
-    // Rendering a populated registry to OpenMetrics text (the scrape
-    // cost a live health endpoint would pay per poll).
-    g.bench_function("exposition_render", |b| {
-        let reg = Registry::new();
-        for i in 0..64 {
-            reg.counter(&format!("bench.counter_{i}")).add(i);
-            for s in 0..100 {
-                reg.histogram(&format!("bench.hist_{}", i % 8))
-                    .record((i * 100 + s) as f64 * 0.01);
-            }
-        }
-        b.iter(|| OpenMetricsSnapshot::from_registry(black_box(&reg)).render())
     });
     g.finish();
 }

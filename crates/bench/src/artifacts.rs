@@ -1,13 +1,13 @@
 //! The table of strict JSON artifacts `roads-inspect` understands: one row
 //! per document — marker key → strict parse → one-line `check` summary /
 //! full render. `roads-inspect check` and the `slow` / `audit` / `delta` /
-//! `incidents` subcommands are lookups in [`ARTIFACTS`]; adding an
-//! artifact is adding a row (see CONTRIBUTING.md). `bench_suite` writes
-//! three of the four documents, `fig18_delta_churn` writes `DELTA.json`.
+//! `health` / `incidents` subcommands are lookups in [`ARTIFACTS`]; adding
+//! an artifact is adding a row (see CONTRIBUTING.md). `bench_suite` writes
+//! four of the five documents, `fig18_delta_churn` writes `DELTA.json`.
 
 use crate::delta_view::{render_delta_table, DeltaReport};
 use crate::{audit_view, explain_view, incident_view};
-use roads_runtime::{AuditReport, IncidentReport};
+use roads_runtime::{AuditReport, ClusterHealth, IncidentReport};
 use roads_telemetry::{Json, SlowDoc};
 
 /// Strict parse of a document followed by some text about it.
@@ -54,6 +54,21 @@ pub const ARTIFACTS: &[ArtifactRow] = &[
         },
         view: ("delta", |doc| {
             DeltaReport::from_json(doc).map(|r| render_delta_table(&r))
+        }),
+    },
+    ArtifactRow {
+        marker: ClusterHealth::MARKER,
+        check: |doc| {
+            ClusterHealth::from_json(doc).map(|h| {
+                format!(
+                    "health snapshot, {} servers, {} cache hits",
+                    h.servers.len(),
+                    h.cache_hits
+                )
+            })
+        },
+        view: ("health", |doc| {
+            ClusterHealth::from_json(doc).map(|h| h.to_string())
         }),
     },
     ArtifactRow {

@@ -21,17 +21,19 @@
 //! * `AUDIT.json` — a background [`Auditor`]'s cumulative per-level
 //!   FP/FN counts, overlay divergence and staleness (`roads-inspect
 //!   audit`).
-//! * `CACHE_METRICS.txt` — the final OpenMetrics scrape of the cache
-//!   cluster's registry (the `roads.cache.*` families CI asserts against);
-//!   the cold pass is asserted to return what the uncached cluster does.
+//! * `CACHE_HEALTH.json` — the cache cluster's final health snapshot
+//!   ([`ClusterHealth`]: per-server rows plus the `roads.cache.*`
+//!   counters CI asserts against; `roads-inspect health`); the cold pass
+//!   is asserted to return what the uncached cluster does.
 //! * `INCIDENTS.json` — a background [`Watchdog`]'s coalesced incident
 //!   timeline, matched against the kills and the straggler
 //!   (`roads-inspect incidents`).
 //!
-//! `roads-inspect check` validates the three JSON documents. `DELTA.json`,
-//! the fourth artifact, comes from `fig18_delta_churn`.
+//! `roads-inspect check` validates all four documents. `DELTA.json`,
+//! the fifth artifact, comes from `fig18_delta_churn`.
 //!
 //! [`QueryExplain`]: roads_telemetry::QueryExplain
+//! [`ClusterHealth`]: roads_runtime::ClusterHealth
 
 use roads_bench::live::{drive, fault_config, line_net, sliding_ranges};
 use roads_bench::print_metrics_digest;
@@ -42,7 +44,7 @@ use roads_runtime::{
     Attachments, AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig, Watchdog,
     WatchdogConfig,
 };
-use roads_telemetry::{results_dir, OpenMetricsSnapshot, Recorder, Registry, TailSampler};
+use roads_telemetry::{results_dir, Recorder, Registry, TailSampler};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -173,11 +175,11 @@ fn main() {
     }
     // Replays: the cold pass populated the cache, so these hit it.
     drive(&cached, &spread, CLIENTS);
-    // Age every cached answer out so expiries land on the scrape.
+    // Age every cached answer out so expiries land in the snapshot.
     cached.advance_cache_round();
     cached.advance_cache_round();
     let hit_rate = cached.result_cache().map_or(0.0, |c| c.hit_rate());
-    let cache_scrape = OpenMetricsSnapshot::from_registry(&cache_reg).render();
+    let cache_health = cached.health().expect("the cache cluster is instrumented");
     cached.shutdown();
 
     // --- Failover: kill a branch, query around it, restart. --------------
@@ -241,13 +243,14 @@ fn main() {
         audit_report.staleness_p99
     );
 
-    // The raw OpenMetrics scrape of the cache cluster's registry — CI
-    // asserts a non-zero `roads.cache.hits` against it.
-    let scrape_path = dir.join("CACHE_METRICS.txt");
-    written(&scrape_path, std::fs::write(&scrape_path, &cache_scrape));
+    // The cache cluster's health snapshot — CI asserts a non-zero
+    // `cache_hits` against it.
+    let health_path = dir.join("CACHE_HEALTH.json");
+    written(&health_path, cache_health.write(&health_path));
     println!(
-        "wrote {} (cache hit rate {:.1}%)",
-        scrape_path.display(),
+        "wrote {} ({} cache hits, hit rate {:.1}%)",
+        health_path.display(),
+        cache_health.cache_hits,
         100.0 * hit_rate
     );
 

@@ -5,8 +5,8 @@
 //! roads-inspect summary <base>          # run summary + slowest-query critical path
 //! roads-inspect diff <base-a> <base-b>  # series/reference regression report
 //! roads-inspect check <base>...         # CI gate: valid figure documents and artifacts
-//! roads-inspect health <scrape.txt>     # cluster health table from an
-//!                                       # OpenMetrics scrape
+//! roads-inspect health <artifact>       # cluster health table from a
+//!                                       # health snapshot artifact
 //! roads-inspect explain <artifact> [query-id]
 //!                                       # hop waterfall + decision tree of
 //!                                       # retained tail queries
@@ -29,8 +29,8 @@
 //! or when its trace file is missing, malformed, or contains zero complete
 //! (`ph == "X"`) spans — the CI smoke test runs it after a `--quick`
 //! figure binary. A document carrying the marker key of a strict artifact
-//! — `SLOW_QUERIES`, `AUDIT` and `INCIDENTS` from `bench_suite`,
-//! `DELTA` from `fig18_delta_churn`, one row each in
+//! — `SLOW_QUERIES`, `AUDIT`, `INCIDENTS` and `CACHE_HEALTH` from
+//! `bench_suite`, `DELTA` from `fig18_delta_churn`, one row each in
 //! [`roads_bench::artifacts::ARTIFACTS`] — takes that row's path instead
 //! and expects no trace file: the artifact layer
 //! ([`roads_telemetry::json::artifact`]) requires every declared field to
@@ -57,26 +57,25 @@
 //!
 //! [`QueryExplain`]: roads_telemetry::QueryExplain
 //!
-//! `health` rebuilds the per-server liveness/queue/latency table of
-//! [`ClusterHealth`] from `runtime.*` series in a saved OpenMetrics scrape
-//! of an instrumented live cluster.
+//! `health` prints the per-server liveness/queue/latency table of a
+//! [`ClusterHealth`] artifact (`CACHE_HEALTH.json`) exactly as the live
+//! cluster's `health()` renders it.
 //!
 //! [`ClusterHealth`]: roads_runtime::ClusterHealth
 //!
 //! [`FigureExport`]: roads_telemetry::FigureExport
 
 use roads_bench::{artifacts, explain_view};
-use roads_runtime::ClusterHealth;
 use roads_telemetry::{
-    critical_path, json, parse_openmetrics, slowest_trace, span_tree_root, trace_ids, Event,
-    EventKind, Json, SlowDoc, SpanId, TraceId,
+    critical_path, json, slowest_trace, span_tree_root, trace_ids, Event, EventKind, Json, SlowDoc,
+    SpanId, TraceId,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `slow`, `audit`, `delta`, `incidents`: the artifact views.
+    // `slow`, `audit`, `delta`, `health`, `incidents`: the artifact views.
     if let [cmd, path] = args.as_slice() {
         if let Some(render) = artifacts::view(cmd) {
             return print_view(path, render);
@@ -86,7 +85,6 @@ fn main() -> ExitCode {
         Some((cmd, rest)) if cmd == "summary" && rest.len() == 1 => summary(&rest[0]),
         Some((cmd, rest)) if cmd == "diff" && rest.len() == 2 => diff(&rest[0], &rest[1]),
         Some((cmd, rest)) if cmd == "check" && !rest.is_empty() => check(rest),
-        Some((cmd, rest)) if cmd == "health" && rest.len() == 1 => health(&rest[0]),
         Some((cmd, rest)) if cmd == "explain" && (rest.len() == 1 || rest.len() == 2) => {
             explain(&rest[0], rest.get(1).and_then(|q| q.parse().ok()))
         }
@@ -94,7 +92,7 @@ fn main() -> ExitCode {
             eprintln!("usage: roads-inspect summary <base>");
             eprintln!("       roads-inspect diff <base-a> <base-b>");
             eprintln!("       roads-inspect check <base>...");
-            eprintln!("       roads-inspect health <scrape.txt>");
+            eprintln!("       roads-inspect health <health.json>");
             eprintln!("       roads-inspect explain <slow-queries.json> [query-id]");
             eprintln!("       roads-inspect slow <slow-queries.json>");
             eprintln!("       roads-inspect audit <audit.json>");
@@ -426,24 +424,6 @@ fn print_view(path: &str, render: artifacts::Describe) -> ExitCode {
         }
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Rebuild the cluster health table from a saved scrape and print it.
-fn health(path: &str) -> ExitCode {
-    let table = std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| parse_openmetrics(&text))
-        .and_then(|scrape| ClusterHealth::from_scrape(&scrape));
-    match table {
-        Ok(h) => {
-            print!("{h}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
             ExitCode::FAILURE
         }
     }

@@ -6,7 +6,7 @@
 //! many changes one churn round carried, wall time of a full
 //! rebuild-and-propagate round vs the delta round over the same network,
 //! the resulting speedup, and the delta outcome counters mirrored from
-//! the `roads.delta.*` OpenMetrics families (applied/rejected changes,
+//! the `roads.delta.*` registry counters (applied/rejected changes,
 //! dirty servers and branches, summary rebuilds).
 //!
 //! Two consumers share this module:

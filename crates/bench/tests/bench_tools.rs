@@ -67,17 +67,18 @@ fn artifact_run_writes_exactly_its_checkable_documents() {
         written,
         [
             "AUDIT.json",
-            "CACHE_METRICS.txt",
+            "CACHE_HEALTH.json",
             "INCIDENTS.json",
             "SLOW_QUERIES.json"
         ]
     );
 
-    // `check` accepts every JSON document, each through its own row.
+    // `check` accepts every document, each through its own row.
     for (file, kind) in [
         ("SLOW_QUERIES.json", "slow-query report"),
         ("AUDIT.json", "audit report"),
         ("INCIDENTS.json", "incident report"),
+        ("CACHE_HEALTH.json", "health snapshot"),
     ] {
         let path = dir.join(file);
         let (ok, out) = inspect(&["check", path.to_str().unwrap()]);
@@ -85,13 +86,8 @@ fn artifact_run_writes_exactly_its_checkable_documents() {
         assert!(out.contains(kind), "{out}");
     }
     // The cached replays hit.
-    let scrape = std::fs::read_to_string(dir.join("CACHE_METRICS.txt")).unwrap();
-    let hits: f64 = scrape
-        .lines()
-        .find_map(|l| l.strip_prefix("roads_cache_hits_total "))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("no cache-hit counter in the scrape:\n{scrape}"));
-    assert!(hits > 0.0, "{scrape}");
+    let health = roads_runtime::ClusterHealth::load(&dir.join("CACHE_HEALTH.json")).unwrap();
+    assert!(health.cache_hits > 0, "{health}");
 
     // `slow` renders the ranked attribution table, `explain` the
     // hop-by-hop waterfall + decision tree of every retained query.
@@ -257,13 +253,13 @@ fn check_rejects_bad_counts_and_missing_required_fields_by_path() {
 }
 
 #[test]
-fn health_renders_a_table_from_a_live_scrape() {
+fn health_renders_a_table_from_a_live_snapshot() {
     use roads_bench::live::line_net;
     use roads_core::ServerId;
     use roads_netsim::DelaySpace;
     use roads_records::{QueryBuilder, QueryId};
     use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
-    use roads_telemetry::{OpenMetricsSnapshot, Registry};
+    use roads_telemetry::Registry;
 
     let n = 6;
     let net = line_net(n, 5, 64);
@@ -280,52 +276,34 @@ fn health_renders_a_table_from_a_live_scrape() {
     let root = c.network().tree().root();
     c.query(&q, root);
     c.kill_server(ServerId(if root.0 == 0 { 1 } else { 0 }));
-    let scrape_path = tmp("scrape.txt");
-    std::fs::write(
-        &scrape_path,
-        OpenMetricsSnapshot::from_registry(&reg).render(),
-    )
-    .unwrap();
     let live = c.health().expect("instrumented cluster");
     c.shutdown();
+    assert!(
+        live.servers.iter().any(|s| s.dispatch_p99_ms.is_some()),
+        "no server replied:\n{live}"
+    );
+    let path = tmp("HEALTH.json");
+    live.write(&path).unwrap();
 
-    let (ok, out) = inspect(&["health", scrape_path.to_str().unwrap()]);
+    // The artifact reads back as the live table, p99 column included.
+    let (ok, out) = inspect(&["health", path.to_str().unwrap()]);
     assert!(ok, "health failed:\n{out}");
     assert!(out.contains(&format!("{}/{n} alive", n - 1)), "{out}");
     assert!(out.contains("DOWN"), "{out}");
-    // Row for row the registry's own table, taken at the same moment,
-    // except the p99 column: the registry clamps a bucket edge to the exact
-    // min and max it recorded, and a scrape keeps only the edge, so the
-    // scrape's p99 is never below the registry's.
-    let want = live.to_string();
-    assert_eq!(
-        out.lines().count(),
-        want.lines().count(),
-        "{out}\nvs\n{want}"
-    );
-    let p99 = |cell: &str| cell.parse::<f64>().ok();
-    let mut finite = 0;
-    for (got, want) in out.lines().zip(want.lines()) {
-        let got: Vec<&str> = got.split_whitespace().collect();
-        let want: Vec<&str> = want.split_whitespace().collect();
-        if got.first().and_then(|c| c.parse::<u32>().ok()).is_none() {
-            assert_eq!(got, want, "header lines");
-            continue;
-        }
-        assert_eq!(got[..4], want[..4], "server row");
-        match (p99(got[4]), p99(want[4])) {
-            (Some(g), Some(w)) => {
-                assert!(g >= w, "scrape p99 {g} below the registry's {w}");
-                finite += 1;
-            }
-            _ => assert_eq!(got[4..], want[4..], "p99 present in one table only"),
-        }
-    }
-    assert!(finite > 0, "no server replied:\n{out}");
+    assert_eq!(out, live.to_string());
 
-    // Garbage input fails cleanly.
-    let garbage = tmp("garbage.txt");
-    std::fs::write(&garbage, "not a scrape\n").unwrap();
-    let (ok, _) = inspect(&["health", garbage.to_str().unwrap()]);
-    assert!(!ok);
+    // Garbage and a Prometheus text exposition fail cleanly, at parsing.
+    for (name, body) in [
+        ("garbage.json", "not a snapshot\n"),
+        (
+            "prometheus.json",
+            "# TYPE roads_cache_hits counter\nroads_cache_hits_total 3\n# EOF\n",
+        ),
+    ] {
+        let path = tmp(name);
+        std::fs::write(&path, body).unwrap();
+        let (ok, out) = inspect(&["health", path.to_str().unwrap()]);
+        assert!(!ok, "{name} accepted:\n{out}");
+        assert!(out.contains(name) && !out.contains("No such file"), "{out}");
+    }
 }

@@ -20,7 +20,7 @@
 //!   a server was down misses its restored records) per tree level.
 //!
 //! The runtime crate's background `Auditor` drives these functions on a
-//! sampling budget and exports the results through OpenMetrics and
+//! sampling budget and exports the results through its registry and
 //! `AUDIT.json`.
 
 use crate::engine::RoadsNetwork;

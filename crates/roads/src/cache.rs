@@ -20,7 +20,7 @@
 //! Keys are structural query fingerprints ([`query_fingerprint`]) combined
 //! with the entry server, the requester (policy-filtered result sets differ
 //! per requester) and the search scope. Hit/miss/expiry/invalidation counts
-//! are kept internally and mirrored into the OpenMetrics surface by the
+//! are kept internally and mirrored into the metrics registry by the
 //! runtime (`roads.cache.*`).
 
 use crate::engine::RoadsNetwork;

@@ -9,7 +9,7 @@
 //! Each tick is budgeted — `probes_per_tick` queries rotate through the
 //! probe set, so the ground-truth sweep amortizes over many ticks instead
 //! of stalling the cluster — and every outcome lands in pre-resolved
-//! OpenMetrics instruments ([`AuditMetrics`]): per-level FP/FN/probe
+//! registry instruments ([`AuditMetrics`]): per-level FP/FN/probe
 //! counters, plus overlay-wide divergence/staleness/drift/saturation
 //! gauges (fractions exported as parts-per-million, since gauges are
 //! integral). An instrumented [`crate::RoadsCluster`] given the same
@@ -502,7 +502,7 @@ mod tests {
         assert_eq!(report.false_positives(), 0);
         assert_eq!(report.false_negatives(), 0);
         assert_eq!(report.divergence, 0.0);
-        assert_eq!(reg.gauge_values()["audit.divergence_ppm"], 0);
+        assert_eq!(reg.snapshot().gauges["audit.divergence_ppm"], 0);
     }
 
     #[test]
@@ -517,10 +517,10 @@ mod tests {
         let report = auditor.report();
         assert!(report.false_positives() > 0, "{report:?}");
         assert!(report.divergence > 0.0);
-        let gauges = reg.gauge_values();
-        assert!(gauges["audit.divergence_ppm"] > 0);
-        let fp: u64 = reg
-            .counter_values()
+        let snap = reg.snapshot();
+        assert!(snap.gauges["audit.divergence_ppm"] > 0);
+        let fp: u64 = snap
+            .counters
             .iter()
             .filter(|(k, _)| k.starts_with("audit.false_positives"))
             .map(|(_, &v)| v)

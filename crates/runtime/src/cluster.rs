@@ -401,8 +401,8 @@ pub struct Attachments<'a> {
     /// (`runtime.*_us` histograms), query/retry/deadline-miss/SLO
     /// counters, per-mode dispatch-latency histograms, per-server
     /// queue-depth and liveness gauges, and labeled `runtime.fault_events`
-    /// counters. Every family is declared at startup, so an OpenMetrics
-    /// scrape is complete from the first moment.
+    /// counters. Every instrument is declared at startup, so a registry
+    /// snapshot is complete from the first moment.
     pub registry: Option<&'a Registry>,
     /// A flight recorder: every driven query records its contact log as a
     /// span tree (wall-clock microseconds from query start) under a fresh
@@ -686,16 +686,16 @@ impl RoadsCluster {
     }
 
     /// A point-in-time [`ClusterHealth`] snapshot: per-server liveness,
-    /// queue depth, reply counts and dispatch p99s plus
-    /// cluster-wide query/retry/deadline/failover totals. `None` on an
-    /// uninstrumented cluster (start with an [`Attachments::registry`]).
+    /// queue depth, reply counts and dispatch p99s plus cluster-wide
+    /// query/retry/deadline/failover and result-cache totals. `None` on
+    /// an uninstrumented cluster (start with an [`Attachments::registry`]).
     pub fn health(&self) -> Option<ClusterHealth> {
         let m = self.metrics.as_ref()?;
         let servers = (0..self.net.len())
             .map(|s| {
                 let si = &m.servers[s];
                 ServerHealth {
-                    server: ServerId(s as u32),
+                    server: s as u32,
                     alive: self.is_alive(ServerId(s as u32)),
                     queue_depth: si.queue_depth.get(),
                     replies: si.replies.get(),
@@ -710,6 +710,9 @@ impl RoadsCluster {
             retries: m.retries.get(),
             deadline_misses: m.deadline_miss.get(),
             failovers: m.failovers.get(),
+            cache_hits: m.cache_hits.get(),
+            cache_misses: m.cache_misses.get(),
+            cache_expired: m.cache_expired.get(),
         })
     }
 
@@ -1605,16 +1608,16 @@ mod tests {
         assert!(!row.alive);
         assert_eq!(row.queue_depth, 0, "a crash resets the queue gauge");
         let alive = roads_telemetry::labeled("runtime.server.alive", &[("server", "4")]);
-        assert_eq!(reg.gauge_values()[&alive], 0);
+        let snap = reg.snapshot();
+        assert_eq!(snap.gauges[&alive], 0);
         assert_eq!(
-            reg.counter_values()
-                [&roads_telemetry::labeled("runtime.fault_events", &[("kind", "kill")])],
+            snap.counters[&roads_telemetry::labeled("runtime.fault_events", &[("kind", "kill")])],
             0,
             "a crash is not an injected kill"
         );
 
         assert!(c.restart_server(victim));
-        assert_eq!(reg.gauge_values()[&alive], 1);
+        assert_eq!(reg.snapshot().gauges[&alive], 1);
         assert_eq!(c.health().unwrap().alive_count(), n);
         c.shutdown();
     }

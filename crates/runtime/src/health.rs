@@ -1,12 +1,12 @@
 //! Live cluster health: instrument bundle and snapshot API.
 //!
 //! An instrumented [`crate::RoadsCluster`] pre-resolves every instrument
-//! here at startup (`RuntimeMetrics::new`), so all metric families are
-//! present in a scrape from the first moment (counters at 0) and the hot
-//! query path never touches the registry's name map — only the `Arc`'d
-//! instruments themselves.
+//! here at startup (`RuntimeMetrics::new`), so every series is in the
+//! registry from the first moment (counters at 0) and the hot query path
+//! never touches the registry's name map — only the `Arc`'d instruments
+//! themselves.
 //!
-//! Naming follows the exposition label convention
+//! Naming follows the registry's label convention
 //! ([`roads_telemetry::labeled`]): per-server series are
 //! `runtime.server.<what>{server="N"}`, per-mode dispatch latency is
 //! `runtime.dispatch_latency_ms{mode="entry"|...}`, and fault events are
@@ -15,18 +15,19 @@
 //!
 //! [`ClusterHealth`] is the pull API: a consistent-enough point-in-time
 //! table of per-server liveness, queue depth, reply count and
-//! dispatch p99 that tests assert on directly, and that `roads-inspect
-//! health` rebuilds from a saved scrape ([`ClusterHealth::from_scrape`]).
+//! dispatch p99 that tests assert on directly. It is also a strict
+//! artifact (marker `health`): written as JSON, it reads back as the same
+//! table, which `roads-inspect health` prints.
 
 use crate::cluster::ContactMode;
 use parking_lot::Mutex;
 use roads_core::ServerId;
-use roads_telemetry::{labeled, Counter, Gauge, Histogram, Registry, Scrape, ScrapeFamily};
+use roads_telemetry::{artifact, json_fields, labeled, Counter, Gauge, Histogram, Registry};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The exposition label for a contact mode.
+/// The `mode` label value for a contact mode.
 pub(crate) fn mode_label(mode: ContactMode) -> &'static str {
     match mode {
         ContactMode::Entry => "entry",
@@ -217,7 +218,7 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// The exposition / artifact label for this kind.
+    /// The registry-label / artifact label for this kind.
     pub fn as_str(self) -> &'static str {
         match self {
             FaultKind::Kill => "kill",
@@ -312,8 +313,8 @@ impl FaultLog {
 /// Point-in-time health of one server, from [`ClusterHealth`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerHealth {
-    /// The server.
-    pub server: ServerId,
+    /// The server's id.
+    pub server: u32,
     /// Whether it is up (neither killed nor crashed since its last start).
     pub alive: bool,
     /// Requests waiting in its FIFO right now.
@@ -340,6 +341,12 @@ pub struct ClusterHealth {
     pub deadline_misses: u64,
     /// Overlay stand-ins nominated.
     pub failovers: u64,
+    /// Queries answered from the result cache (`roads.cache.hits`).
+    pub cache_hits: u64,
+    /// Cache lookups that fell through to execution (`roads.cache.misses`).
+    pub cache_misses: u64,
+    /// Cached results aged past the TTL (`roads.cache.expired`).
+    pub cache_expired: u64,
 }
 
 impl ClusterHealth {
@@ -348,78 +355,49 @@ impl ClusterHealth {
         self.servers.iter().filter(|s| s.alive).count()
     }
 
-    /// Rebuild the table from an OpenMetrics scrape of an instrumented
-    /// cluster. A scrape keeps only bucket edges, so a server's dispatch
-    /// p99 is the first edge whose cumulative count reaches 99 % of its
-    /// samples: never below what [`crate::RoadsCluster::health`] reports,
-    /// which clamps the same edge to the recorded min and max.
-    pub fn from_scrape(scrape: &Scrape) -> Result<ClusterHealth, String> {
-        let alive = scrape
-            .family("runtime_server_alive")
-            .ok_or("no runtime_server_alive series — not an instrumented-cluster scrape")?;
-        let value = |family: &str, suffix: &str, want: &[(&str, &str)]| {
-            scrape
-                .family(family)
-                .and_then(|f| f.sample_with(suffix, want))
-                .map_or(0.0, |s| s.value)
-        };
-        let mut ids: Vec<u32> = alive
-            .samples
-            .iter()
-            .filter_map(|s| s.label("server")?.parse().ok())
-            .collect();
-        ids.sort_unstable();
-        let servers = ids
-            .into_iter()
-            .map(|id| {
-                let lbl = id.to_string();
-                let at = [("server", lbl.as_str())];
-                ServerHealth {
-                    server: ServerId(id),
-                    alive: value("runtime_server_alive", "", &at) != 0.0,
-                    queue_depth: value("runtime_server_queue_depth", "", &at) as i64,
-                    replies: value("runtime_server_replies", "_total", &at) as u64,
-                    dispatch_p99_ms: scrape
-                        .family("runtime_server_dispatch_latency_ms")
-                        .and_then(|f| bucket_p99(f, &lbl)),
-                }
-            })
-            .collect();
-        Ok(ClusterHealth {
-            servers,
-            inflight_queries: value("runtime_inflight_queries", "", &[]) as i64,
-            queries: value("runtime_queries", "_total", &[]) as u64,
-            retries: value("runtime_retries", "_total", &[]) as u64,
-            deadline_misses: value("runtime_deadline_miss", "_total", &[]) as u64,
-            failovers: value("runtime_failovers", "_total", &[]) as u64,
-        })
+    /// Rows ascend by unique server id; every p99 is finite and ≥ 0.
+    fn validate(&self) -> Result<(), String> {
+        if let Some(w) = self.servers.windows(2).find(|w| w[0].server >= w[1].server) {
+            return Err(format!(
+                "servers: row {} follows row {} (rows ascend by unique id)",
+                w[1].server, w[0].server
+            ));
+        }
+        for (i, s) in self.servers.iter().enumerate() {
+            if let Some(p) = s.dispatch_p99_ms.filter(|p| !(p.is_finite() && *p >= 0.0)) {
+                return Err(format!(
+                    "servers[{i}].dispatch_p99_ms: {p} is not a latency"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
-/// p99 of one server's cumulative `_bucket` samples in `family`: the
-/// smallest `le` edge whose count reaches 99 % of the `+Inf` total.
-fn bucket_p99(family: &ScrapeFamily, server: &str) -> Option<f64> {
-    let buckets: Vec<(f64, f64)> = family
-        .samples
-        .iter()
-        .filter(|s| s.name.ends_with("_bucket") && s.label("server") == Some(server))
-        .filter_map(|s| {
-            let edge = match s.label("le")? {
-                "+Inf" => f64::INFINITY,
-                le => le.parse().ok()?,
-            };
-            Some((edge, s.value))
-        })
-        .collect();
-    let total = buckets.last()?.1;
-    if total == 0.0 {
-        return None;
-    }
-    buckets
-        .iter()
-        .find(|&&(_, c)| c >= 0.99 * total)
-        .map(|&(le, _)| le)
-}
+/// Current health-snapshot schema version (the value of its `health`
+/// marker).
+const HEALTH_SCHEMA_VERSION: u64 = 1;
+
+json_fields!(ServerHealth {
+    server,
+    alive,
+    queue_depth,
+    replies,
+    dispatch_p99_ms,
+});
+json_fields!(ClusterHealth {
+    "health" = HEALTH_SCHEMA_VERSION,
+    inflight_queries,
+    queries,
+    retries,
+    deadline_misses,
+    failovers,
+    cache_hits,
+    cache_misses,
+    cache_expired,
+    servers,
+});
+artifact!(ClusterHealth, "health", HEALTH_SCHEMA_VERSION);
 
 impl fmt::Display for ClusterHealth {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -436,6 +414,11 @@ impl fmt::Display for ClusterHealth {
         )?;
         writeln!(
             f,
+            "cache: {} hits, {} misses, {} expired",
+            self.cache_hits, self.cache_misses, self.cache_expired
+        )?;
+        writeln!(
+            f,
             "{:>6} {:>6} {:>7} {:>8} {:>14}",
             "server", "alive", "queue", "replies", "dispatch p99"
         )?;
@@ -443,7 +426,7 @@ impl fmt::Display for ClusterHealth {
             writeln!(
                 f,
                 "{:>6} {:>6} {:>7} {:>8} {:>14}",
-                s.server.0,
+                s.server,
                 if s.alive { "up" } else { "DOWN" },
                 s.queue_depth,
                 s.replies,
@@ -466,26 +449,32 @@ mod tests {
         let reg = Registry::new();
         let m = RuntimeMetrics::new(&reg, 3);
         assert_eq!(m.servers.len(), 3);
-        let counters = reg.counter_values();
-        assert_eq!(counters["runtime.deadline_miss"], 0);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters["runtime.deadline_miss"], 0);
         assert_eq!(
-            counters[&labeled("runtime.fault_events", &[("kind", "kill")])],
+            snap.counters[&labeled("runtime.fault_events", &[("kind", "kill")])],
             0
         );
-        let gauges = reg.gauge_values();
         assert_eq!(
-            gauges[&labeled("runtime.server.alive", &[("server", "1")])],
+            snap.gauges[&labeled("runtime.server.alive", &[("server", "1")])],
             1
         );
         assert_eq!(
-            gauges[&labeled("runtime.server.queue_depth", &[("server", "2")])],
+            snap.gauges[&labeled("runtime.server.queue_depth", &[("server", "2")])],
             0
         );
-        // All four mode-labeled dispatch histograms exist.
-        let hists = reg.histogram_snapshots();
-        assert!(hists.contains_key("runtime.timer_lag_us"));
-        for mode in ["entry", "branch", "local_only", "failover"] {
-            assert!(hists.contains_key(&labeled("runtime.dispatch_latency_ms", &[("mode", mode)])));
+        // The histograms are declared too, still empty: the registry hands
+        // back the very instruments the cluster records into.
+        assert!(Arc::ptr_eq(
+            &m.timer_lag,
+            &reg.histogram("runtime.timer_lag_us")
+        ));
+        for (mode, h) in ["entry", "branch", "local_only", "failover"]
+            .into_iter()
+            .zip(&m.dispatch_by_mode)
+        {
+            let name = labeled("runtime.dispatch_latency_ms", &[("mode", mode)]);
+            assert!(Arc::ptr_eq(h, &reg.histogram(&name)), "{name}");
         }
     }
 
@@ -500,19 +489,18 @@ mod tests {
         );
     }
 
-    #[test]
-    fn cluster_health_renders_table() {
-        let h = ClusterHealth {
+    fn table() -> ClusterHealth {
+        ClusterHealth {
             servers: vec![
                 ServerHealth {
-                    server: ServerId(0),
+                    server: 0,
                     alive: true,
                     queue_depth: 2,
                     replies: 10,
                     dispatch_p99_ms: Some(12.5),
                 },
                 ServerHealth {
-                    server: ServerId(1),
+                    server: 1,
                     alive: false,
                     queue_depth: 0,
                     replies: 0,
@@ -524,11 +512,36 @@ mod tests {
             retries: 2,
             deadline_misses: 0,
             failovers: 1,
-        };
+            cache_hits: 3,
+            cache_misses: 2,
+            cache_expired: 0,
+        }
+    }
+
+    #[test]
+    fn cluster_health_renders_table() {
+        let h = table();
         assert_eq!(h.alive_count(), 1);
         let text = h.to_string();
         assert!(text.contains("1/2 alive"));
+        assert!(text.contains("3 hits"));
         assert!(text.contains("DOWN"));
         assert!(text.contains("12.5 ms"));
+    }
+
+    #[test]
+    fn validate_rejects_duplicate_unordered_and_negative_rows() {
+        let reject = |edit: fn(&mut ClusterHealth), want: &str| {
+            let mut h = table();
+            edit(&mut h);
+            let err = ClusterHealth::from_json(&h.to_json()).unwrap_err();
+            assert!(err.contains(want), "{err}");
+        };
+        reject(|h| h.servers[1].server = 0, "row 0 follows row 0");
+        reject(|h| h.servers.swap(0, 1), "row 0 follows row 1");
+        reject(
+            |h| h.servers[0].dispatch_p99_ms = Some(-1.0),
+            "servers[0].dispatch_p99_ms",
+        );
     }
 }

@@ -42,16 +42,18 @@
 //!   per query.
 //! * [`health`] — the live observability plane: a cluster started with
 //!   a registry ([`Attachments::registry`]) maintains per-server
-//!   queue-depth and liveness gauges, the timer thread's lag histogram, per-mode and per-server dispatch
-//!   latency histograms, deadline-miss/SLO-burn counters and labeled
-//!   `runtime.fault_events` series, all scrapeable as OpenMetrics text
-//!   via `roads_telemetry::OpenMetricsSnapshot` and summarized by
-//!   [`RoadsCluster::health`] into a [`ClusterHealth`] table.
+//!   queue-depth and liveness gauges, the timer thread's lag histogram,
+//!   per-mode and per-server dispatch latency histograms,
+//!   deadline-miss/SLO-burn counters and labeled `runtime.fault_events`
+//!   series, read back through the registry's snapshot and summarized by
+//!   [`RoadsCluster::health`] into a [`ClusterHealth`] table — itself a
+//!   strict artifact (marker `health`) that `roads-inspect health`
+//!   prints.
 //! * [`audit`] — the summary-fidelity audit plane: a background
 //!   [`audit::Auditor`] thread samples ground truth on a budget against a
 //!   `roads_core` replica ledger, folds live branch-dispatch outcomes from
 //!   real queries into per-level FP/FN counters, exports everything as
-//!   `audit.*` OpenMetrics families and writes a periodic `AUDIT.json`
+//!   `audit.*` registry families and writes a periodic `AUDIT.json`
 //!   artifact ([`audit::AuditReport`]).
 //! * [`watchdog`] — the incident plane: a background
 //!   [`watchdog::Watchdog`] thread runs online anomaly detectors
@@ -59,7 +61,7 @@
 //!   coalesces firings into [`watchdog::Incident`]s, correlates them
 //!   with injected fault events / audit divergence / queue-depth
 //!   locality into a ranked suspected-cause list, exports
-//!   `roads.watchdog.*` OpenMetrics and writes the `INCIDENTS.json`
+//!   `roads.watchdog.*` instruments and writes the `INCIDENTS.json`
 //!   artifact ([`watchdog::IncidentReport`]). `kill_server` has a
 //!   non-lethal sibling, `slow_server`, which multiplies a straggler's
 //!   compute and delivery delays to exercise the detectors.

@@ -37,7 +37,7 @@
 //!    records its detection-latency-from-onset; one matching nothing is
 //!    counted as a false alarm.
 //!
-//! Every outcome lands in pre-resolved `roads.watchdog.*` OpenMetrics
+//! Every outcome lands in pre-resolved `roads.watchdog.*` registry
 //! instruments, and the incident timeline is exported as the
 //! `INCIDENTS.json` artifact ([`IncidentReport`], on the same artifact
 //! layer as `AUDIT.json`).
@@ -1059,11 +1059,10 @@ mod tests {
     }
 
     /// Scheduled ticks, `tick_now` hammering, instrument writers and
-    /// exposition renders all race on the same shared state; the final
+    /// registry snapshots all race on the same shared state; the final
     /// report and instruments must come out coherent.
     #[test]
     fn ticks_race_with_writers_and_scrapes() {
-        use roads_telemetry::OpenMetricsSnapshot;
         use std::sync::atomic::{AtomicBool, Ordering};
 
         let reg = Registry::new();
@@ -1100,8 +1099,8 @@ mod tests {
         for i in 0..200u64 {
             wd.tick_now();
             if i.is_multiple_of(20) {
-                // Exposition renders concurrently with detector ticks.
-                let _ = OpenMetricsSnapshot::from_registry(&reg).render();
+                // Registry snapshots concurrently with detector ticks.
+                let _ = reg.snapshot();
                 let _ = wd.report();
             }
         }

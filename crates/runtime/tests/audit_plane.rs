@@ -3,7 +3,7 @@
 //! branch-dispatch outcomes into per-level `audit.live_*` counters, a
 //! background [`Auditor`] against the same cluster must surface kill-
 //! induced overlay divergence and ground-truth false positives in the
-//! OpenMetrics scrape, reconverge after restart + refresh, and the
+//! registry, reconverge after restart + refresh, and the
 //! `AUDIT.json` artifact must round-trip through its strict parser.
 
 use roads_core::{RoadsConfig, RoadsNetwork};
@@ -13,7 +13,7 @@ use roads_runtime::{
     Attachments, AuditConfig, AuditMetrics, AuditReport, Auditor, RoadsCluster, RuntimeConfig,
 };
 use roads_summary::SummaryConfig;
-use roads_telemetry::{Json, OpenMetricsSnapshot, Registry};
+use roads_telemetry::{Json, Registry};
 use roads_workload::line_records;
 use std::sync::Arc;
 use std::time::Duration;
@@ -96,7 +96,7 @@ fn live_branch_outcomes_fold_into_audit_counters() {
     let out = c.query(&spurious, root);
     assert!(out.records.is_empty());
 
-    let counters = reg.counter_values();
+    let counters = reg.snapshot().counters;
     let live_probes: u64 = counters
         .iter()
         .filter(|(k, _)| k.starts_with("audit.live_probes"))
@@ -156,16 +156,17 @@ fn auditor_surfaces_kill_divergence_and_reconverges() {
     assert!(degraded.divergence > 0.0, "{degraded:?}");
     assert!(degraded.false_positives() > 0, "{degraded:?}");
 
-    // The scrape carries the audit families with live values.
-    let text = OpenMetricsSnapshot::from_registry(&reg).render();
-    assert!(text.contains("# TYPE audit_divergence_ppm gauge\n"));
-    assert!(text.contains("# TYPE audit_staleness_p99_rounds gauge\n"));
-    assert!(
-        text.contains("audit_false_positives_total{level="),
-        "per-level FP series missing:\n{text}"
-    );
-    let gauges = reg.gauge_values();
-    assert!(gauges["audit.divergence_ppm"] > 0);
+    // The registry carries the audit families with live values.
+    let snap = reg.snapshot();
+    assert!(snap.gauges["audit.divergence_ppm"] > 0);
+    assert!(snap.gauges.contains_key("audit.staleness_p99_rounds"));
+    let level_fps: u64 = snap
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("audit.false_positives{level="))
+        .map(|(_, &v)| v)
+        .sum();
+    assert!(level_fps > 0, "per-level FP series missing: {snap:?}");
 
     // Restart; the next refresh re-pushes every copy and the overlay
     // reconverges to zero divergence.
@@ -173,7 +174,7 @@ fn auditor_surfaces_kill_divergence_and_reconverges() {
     auditor.tick_now();
     let recovered = auditor.stop();
     assert_eq!(recovered.divergence, 0.0, "{recovered:?}");
-    assert_eq!(reg.gauge_values()["audit.divergence_ppm"], 0);
+    assert_eq!(reg.snapshot().gauges["audit.divergence_ppm"], 0);
     c.shutdown();
 }
 

@@ -1,9 +1,8 @@
 //! Live cluster health plane acceptance tests: an instrumented
-//! [`RoadsCluster`] must expose per-server queue-depth gauges,
-//! deadline-miss counters and dispatch-latency histogram buckets through
-//! the OpenMetrics exposition, show kill/restart/failover fault events as
-//! labeled series, render byte-identically for identical snapshots, and
-//! summarize itself through [`RoadsCluster::health`].
+//! [`RoadsCluster`] must keep per-server queue-depth gauges,
+//! deadline-miss counters and dispatch-latency histograms in its
+//! registry, show kill/restart/failover fault events as labeled series,
+//! and summarize itself through [`RoadsCluster::health`].
 
 use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
@@ -12,7 +11,7 @@ use roads_runtime::{
     Attachments, FaultKind, RoadsCluster, RuntimeConfig, Watchdog, WatchdogConfig,
 };
 use roads_summary::SummaryConfig;
-use roads_telemetry::{labeled, parse_openmetrics, OpenMetricsSnapshot, Registry};
+use roads_telemetry::{labeled, Registry};
 use roads_workload::line_records;
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,6 +56,8 @@ fn scrape_exposes_queue_gauges_deadline_counters_and_latency_buckets() {
     );
     let q = full_query(&c);
     let root = c.network().tree().root();
+    let kills = labeled("runtime.fault_events", &[("kind", "kill")]);
+    let restarts = labeled("runtime.fault_events", &[("kind", "restart")]);
 
     // Healthy query first, then kill a branch server and query again so
     // timeout → failover paths run, then restart it.
@@ -66,10 +67,12 @@ fn scrape_exposes_queue_gauges_deadline_counters_and_latency_buckets() {
     assert!(c.kill_server(victim));
 
     // The kill is visible immediately, before any more traffic.
-    let mid = OpenMetricsSnapshot::from_registry(&reg).render();
     let vid = victim.0.to_string();
-    assert!(mid.contains(&format!("runtime_server_alive{{server=\"{vid}\"}} 0\n")));
-    assert!(mid.contains("runtime_fault_events_total{kind=\"kill\"} 1\n"));
+    let alive = labeled("runtime.server.alive", &[("server", vid.as_str())]);
+    let mid = reg.snapshot();
+    assert_eq!(mid.gauges[&alive], 0);
+    assert_eq!(mid.counters[&kills], 1);
+    assert!(!c.health().unwrap().servers[victim.index()].alive);
 
     let faulted = c.query(&q, root);
     assert!(faulted.failed_servers.contains(&victim));
@@ -77,57 +80,44 @@ fn scrape_exposes_queue_gauges_deadline_counters_and_latency_buckets() {
     let recovered = c.query(&q, root);
     assert_eq!(recovered.records.len(), n * RECORDS_PER_SERVER);
 
-    let snap = OpenMetricsSnapshot::from_registry(&reg);
-    let text = snap.render();
-
     // Acceptance: per-server queue-depth gauges for every server (all
-    // drained back to 0), deadline-miss counter family, dispatch-latency
-    // histogram buckets.
+    // drained back to 0), deadline-miss counter, dispatch-latency
+    // histograms per mode.
+    let snap = reg.snapshot();
+    let health = c.health().unwrap();
     for s in 0..n {
+        let depth = labeled("runtime.server.queue_depth", &[("server", &s.to_string())]);
+        assert_eq!(snap.gauges[&depth], 0, "queue gauge for server {s}");
+        assert_eq!(health.servers[s].queue_depth, 0);
+    }
+    assert_eq!(snap.counters["runtime.deadline_miss"], 0);
+    assert_eq!(health.deadline_misses, 0);
+    for mode in ["entry", "branch"] {
+        let name = labeled("runtime.dispatch_latency_ms", &[("mode", mode)]);
         assert!(
-            text.contains(&format!("runtime_server_queue_depth{{server=\"{s}\"}} 0\n")),
-            "queue gauge for server {s} missing or non-zero:\n{text}"
+            snap.histograms.get(&name).is_some_and(|h| h.count > 0),
+            "{mode}-mode dispatch latency not recorded"
         );
     }
-    assert!(text.contains("# TYPE runtime_deadline_miss counter\n"));
-    assert!(text.contains("runtime_deadline_miss_total 0\n"));
-    assert!(text.contains("# TYPE runtime_dispatch_latency_ms histogram\n"));
-    assert!(
-        text.contains("runtime_dispatch_latency_ms_bucket{mode=\"entry\",le=\""),
-        "entry-mode latency buckets missing:\n{text}"
-    );
-    assert!(text.contains("runtime_dispatch_latency_ms_bucket{mode=\"branch\",le=\""));
 
     // Fault events show as labeled series: the kill, the restart, and at
     // least one failover nomination for the dead branch.
-    assert!(text.contains("runtime_fault_events_total{kind=\"kill\"} 1\n"));
-    assert!(text.contains("runtime_fault_events_total{kind=\"restart\"} 1\n"));
-    let scrape = parse_openmetrics(&text).expect("scrape parses");
-    let failovers = scrape
-        .family("runtime_failovers")
-        .expect("failover counter family")
-        .sample_with("_total", &[])
-        .expect("failover sample");
-    assert!(failovers.value >= 1.0, "killing a branch must fail over");
-    let timeouts = scrape
-        .family("runtime_dispatch_timeouts")
-        .unwrap()
-        .sample_with("_total", &[])
-        .unwrap();
-    assert!(timeouts.value >= 1.0, "dead server must time out");
+    assert_eq!(snap.counters[&kills], 1);
+    assert_eq!(snap.counters[&restarts], 1);
+    assert!(health.failovers >= 1, "killing a branch must fail over");
+    assert!(
+        snap.counters["runtime.dispatch_timeouts"] >= 1,
+        "dead server must time out"
+    );
 
     // The restarted server is back, and replies were attributed per
     // server.
-    assert!(text.contains(&format!("runtime_server_alive{{server=\"{vid}\"}} 1\n")));
-    let replies = scrape.family("runtime_server_replies").unwrap();
-    let root_replies = replies
-        .sample_with("_total", &[("server", &root.0.to_string())])
-        .unwrap();
-    assert!(root_replies.value >= 3.0, "entry server replied per query");
-
-    // Determinism acceptance: identical snapshots render byte-identically.
-    assert_eq!(text, snap.render());
-    assert_eq!(text, OpenMetricsSnapshot::from_registry(&reg).render());
+    assert_eq!(snap.gauges[&alive], 1);
+    assert!(health.servers[victim.index()].alive);
+    assert!(
+        health.servers[root.index()].replies >= 3,
+        "entry server replied per query"
+    );
     c.shutdown();
 }
 
@@ -144,11 +134,10 @@ fn scrape_exposes_timer_lag() {
         RuntimeConfig::test_fast(),
         Attachments::instrumented(&reg),
     );
-    let text = OpenMetricsSnapshot::from_registry(&reg).render();
-    assert!(
-        text.contains("# TYPE runtime_timer_lag_us histogram\n"),
-        "declared before any traffic:\n{text}"
-    );
+    // Declared at startup (and still empty), so this is the instrument the
+    // timer thread records into.
+    let lag = reg.histogram("runtime.timer_lag_us");
+    assert_eq!(lag.count(), 0, "no timer events before any traffic");
 
     let root = c.network().tree().root();
     let out = c.query(&full_query(&c), root);
@@ -157,19 +146,12 @@ fn scrape_exposes_timer_lag() {
     // The n − 1 remote contacts each matured three times on the timer:
     // request out, service done, reply back. (The entry is co-located with
     // the client: only its service crosses the timer.)
-    let lag = &reg.histogram_snapshots()["runtime.timer_lag_us"];
-    assert!(
-        lag.count >= 3 * (n as u64 - 1),
-        "{} timer events",
-        lag.count
+    let count = lag.count();
+    assert!(count >= 3 * (n as u64 - 1), "{count} timer events");
+    assert_eq!(
+        reg.snapshot().histograms["runtime.timer_lag_us"].count,
+        count as usize
     );
-    let scrape = parse_openmetrics(&OpenMetricsSnapshot::from_registry(&reg).render()).unwrap();
-    let count = scrape
-        .family("runtime_timer_lag_us")
-        .expect("timer lag family")
-        .sample_with("_count", &[])
-        .expect("count sample");
-    assert_eq!(count.value as u64, lag.count);
 }
 
 #[test]
@@ -254,15 +236,12 @@ fn slo_burn_counter_fires_on_slow_queries() {
         assert!(out.complete, "SLO misses never change execution");
     }
     c.shutdown();
-    let counters = reg.counter_values();
-    assert_eq!(counters["runtime.queries"], 3);
-    assert_eq!(counters["runtime.slo_violations"], 3);
-    assert_eq!(counters["runtime.incomplete_queries"], 0);
+    let snap = reg.snapshot();
+    assert_eq!(snap.counters["runtime.queries"], 3);
+    assert_eq!(snap.counters["runtime.slo_violations"], 3);
+    assert_eq!(snap.counters["runtime.incomplete_queries"], 0);
     // And the response-time histogram saw every query.
-    assert_eq!(
-        reg.histogram_snapshots()["runtime.query_response_ms"].count,
-        3
-    );
+    assert_eq!(snap.histograms["runtime.query_response_ms"].count, 3);
 }
 
 #[test]
@@ -295,7 +274,7 @@ fn queue_depth_rises_under_backlog_and_drains() {
     // mailbox must be observed non-empty at least once.
     let mut saw_backlog = false;
     for _ in 0..200 {
-        let gauges = reg.gauge_values();
+        let gauges = reg.snapshot().gauges;
         if (0..n).any(|s| {
             gauges[&labeled("runtime.server.queue_depth", &[("server", &s.to_string())])] > 0
         }) {
@@ -312,7 +291,7 @@ fn queue_depth_rises_under_backlog_and_drains() {
         "burst of 6 queries never showed a queued request"
     );
     // Drained: every mailbox gauge is back to zero.
-    let gauges = reg.gauge_values();
+    let gauges = reg.snapshot().gauges;
     for s in 0..n {
         assert_eq!(
             gauges[&labeled("runtime.server.queue_depth", &[("server", &s.to_string())])],

@@ -22,9 +22,8 @@ use roads_records::{
 use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{
-    parse_openmetrics, span_tree_root, trace_events, EventKind, ExplainDecision, ExplainHop,
-    HopOutcome, OpenMetricsSnapshot, QueryExplain, Recorder, Registry, SummaryKind, TailSampler,
-    TraceId,
+    labeled, span_tree_root, trace_events, EventKind, ExplainDecision, ExplainHop, HopOutcome,
+    QueryExplain, Recorder, Registry, SummaryKind, TailSampler, TraceId,
 };
 use roads_workload::line_records;
 use std::collections::BTreeMap;
@@ -87,20 +86,19 @@ fn every_attachment_combines_in_one_cluster() {
     let explain = explain.expect("explain was requested");
     assert_eq!(explain.records, trusted.records.len() as u64);
 
-    // Registry: a complete scrape that counted both queries.
-    let text = OpenMetricsSnapshot::from_registry(&reg).render();
-    let scrape = parse_openmetrics(&text).expect("scrape parses");
-    let total = |family: &str| {
-        let family = scrape.family(family).unwrap_or_else(|| panic!("{family}"));
-        family.sample_with("_total", &[]).expect("a total").value
-    };
-    assert_eq!(total("runtime_queries"), 2.0);
-    assert_eq!(total("runtime_deadline_miss"), 0.0);
+    // Registry: a complete snapshot that counted both queries.
+    let snap = reg.snapshot();
+    assert_eq!(snap.counters["runtime.queries"], 2);
+    assert_eq!(snap.counters["runtime.deadline_miss"], 0);
     for s in 0..n {
-        assert!(text.contains(&format!("runtime_server_alive{{server=\"{s}\"}} 1\n")));
-        assert!(text.contains(&format!("runtime_server_queue_depth{{server=\"{s}\"}} 0\n")));
+        let id = s.to_string();
+        let at = [("server", id.as_str())];
+        assert_eq!(snap.gauges[&labeled("runtime.server.alive", &at)], 1);
+        assert_eq!(snap.gauges[&labeled("runtime.server.queue_depth", &at)], 0);
     }
-    assert!(text.contains("runtime_dispatch_latency_ms_bucket{mode=\"branch\",le=\""));
+    assert_eq!(c.health().unwrap().alive_count(), n);
+    let branch = labeled("runtime.dispatch_latency_ms", &[("mode", "branch")]);
+    assert!(snap.histograms.contains_key(&branch), "no branch dispatch");
 
     // Recorder: each query is a valid span tree rooted at the entry, one
     // hop span per contacted server; the explain record names its trace.
@@ -118,7 +116,7 @@ fn every_attachment_combines_in_one_cluster() {
     assert_eq!(explain.trace_id, 2);
 
     // Sampler: it was offered exactly the queries the registry counted.
-    assert_eq!(tail.observed() as f64, total("runtime_queries"));
+    assert_eq!(tail.observed(), snap.counters["runtime.queries"]);
     c.shutdown();
 }
 

@@ -8,7 +8,7 @@
 //! cost: per-attribute drift between an observed summary (a branch
 //! summary, or a replica copy of one) and the exact re-aggregate, folded
 //! into one [`SummaryFidelity`] report per summary. The audit plane (roads/runtime crates) samples these probes on
-//! a budget and exports them as OpenMetrics gauges and `AUDIT.json` rows.
+//! a budget and exports them as registry gauges and `AUDIT.json` rows.
 
 use crate::attr_summary::AttributeSummary;
 use crate::histogram::Histogram;

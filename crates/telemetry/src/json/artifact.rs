@@ -2,8 +2,8 @@
 //! writer, the strict reader, the marker test, `load` and `write`.
 //!
 //! Every strict JSON artifact of the workspace (`SLOW_QUERIES`, `AUDIT`,
-//! `DELTA`, `INCIDENTS` and the records nested inside them) is a plain
-//! struct plus one [`json_fields!`] table
+//! `DELTA`, `INCIDENTS`, the cluster health snapshot and the records
+//! nested inside them) is a plain struct plus one [`json_fields!`] table
 //! naming its fields in on-disk order. The table derives [`JsonField`] for
 //! the struct; a top-level document adds [`artifact!`], which derives the
 //! inherent `to_json` / `from_json` / `has_marker` / `load` / `write` and
@@ -11,10 +11,10 @@
 //! invariants.
 //!
 //! The derived reader is strict and reads the whole document before it
-//! reports: every declared field must be present and well-typed, counts
-//! reject negative, fractional and non-finite numbers, and each problem is
-//! reported as `"<path>: <what>"` (`levels[0].probes`,
-//! `rows[2].causes[1].kind`), joined with `"; "`.
+//! reports: every declared field must be present and well-typed, integers
+//! reject fractional, non-finite and out-of-range numbers (negative ones,
+//! for counts), and each problem is reported as `"<path>: <what>"`
+//! (`levels[0].probes`, `rows[2].causes[1].kind`), joined with `"; "`.
 //!
 //! [`json_fields!`]: crate::json_fields
 //! [`artifact!`]: crate::artifact
@@ -84,10 +84,11 @@ macro_rules! count_fields {
 
             fn from_field(value: Option<&Json>, path: &str, errs: &mut Vec<String>) -> Option<$t> {
                 let v = f64::from_field(value, path, errs)?;
-                if v < 0.0 || v.fract() != 0.0 || v > <$t>::MAX as f64 {
+                if v < <$t>::MIN as f64 || v.fract() != 0.0 || v > <$t>::MAX as f64 {
                     errs.push(format!(
-                        "{path}: {} must be an integer in 0..={}, got {v}",
+                        "{path}: {} must be an integer in {}..={}, got {v}",
                         leaf(path),
+                        <$t>::MIN,
                         <$t>::MAX
                     ));
                     return None;
@@ -97,7 +98,7 @@ macro_rules! count_fields {
         }
     )*};
 }
-count_fields!(u32, u64, usize);
+count_fields!(u32, u64, usize, i64);
 
 impl JsonField for bool {
     fn to_field(&self) -> Json {

@@ -1,11 +1,11 @@
 //! Workspace-wide telemetry for the ROADS reproduction.
 //!
-//! Four pieces, all dependency-light and thread-safe:
+//! Ten pieces, all dependency-light and thread-safe:
 //!
 //! * [`registry`] — named monotonic [`Counter`]s, [`Gauge`]s and
 //!   log-bucketed latency [`Histogram`]s (fixed memory, shared across
-//!   threads), collected into a [`Registry`] and exported as a
-//!   [`MetricsSnapshot`] with p50/p90/p99 extraction.
+//!   threads), collected into a [`Registry`] under [`labeled`] names and
+//!   exported as a [`MetricsSnapshot`] with p50/p90/p99 extraction.
 //! * [`trace`] — an aggregator folding a batch of [`QueryExplain`] records
 //!   into a [`TraceReport`]: hop-count distributions, false-positive
 //!   redirect rates, overlay-shortcut and ancestor-climb counts and
@@ -25,9 +25,6 @@
 //!   debounced static floors ([`ThresholdRule`]) and multi-window SLO
 //!   burn-rate rules ([`BurnRateRule`]). The runtime's watchdog feeds
 //!   them from the cluster's own instruments.
-//! * [`openmetrics`] — Prometheus/OpenMetrics text exposition of a
-//!   [`Registry`] snapshot (deterministic ordering, label escaping, full
-//!   histogram buckets) and a parser for scrape files.
 //! * [`periodic`] — [`Periodic`], the one paced background loop (spawn,
 //!   final tick on stop/drop, join) every background service runs on.
 //! * [`explain`] — per-query provenance: a [`QueryExplain`] record built
@@ -53,7 +50,6 @@ pub mod event;
 pub mod explain;
 pub mod export;
 pub mod json;
-pub mod openmetrics;
 pub mod periodic;
 pub mod registry;
 pub mod span;
@@ -72,11 +68,10 @@ pub use explain::{
 };
 pub use export::{results_dir, FigureExport, ReferencePoint, Series};
 pub use json::{Json, JsonField};
-pub use openmetrics::{
-    labeled, parse as parse_openmetrics, OpenMetricsSnapshot, Scrape, ScrapeFamily, ScrapeSample,
-};
 pub use periodic::Periodic;
-pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
+pub use registry::{
+    labeled, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
+};
 pub use span::SpanTimer;
 pub use stats::LatencyStats;
 pub use tail::{

@@ -4,6 +4,9 @@
 //! layer of the stack (simulator, protocol engine, runtime threads, bench
 //! harness) can record into the same instrument concurrently. A
 //! [`MetricsSnapshot`] freezes every instrument for reporting/export.
+//!
+//! Names are flat strings; a labeled series encodes its labels in the
+//! name with [`labeled`]: `runtime.fault_events{kind="kill"}`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -13,6 +16,29 @@ use parking_lot::Mutex;
 
 use crate::json::Json;
 use crate::stats::LatencyStats;
+
+/// Build a labeled registry instrument name: `base{k="v",...}` with label
+/// keys sorted and values escaped (backslash, double quote, newline), so
+/// the same label set always produces the same name regardless of
+/// argument order.
+pub fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
+    if labels.is_empty() {
+        return base.to_string();
+    }
+    let mut sorted: Vec<&(&str, &str)> = labels.iter().collect();
+    sorted.sort_by_key(|(k, _)| *k);
+    let body: Vec<String> = sorted
+        .iter()
+        .map(|(k, v)| {
+            let v = v
+                .replace('\\', "\\\\")
+                .replace('"', "\\\"")
+                .replace('\n', "\\n");
+            format!("{k}=\"{v}\"")
+        })
+        .collect();
+    format!("{}{{{}}}", base, body.join(","))
+}
 
 /// A monotonic counter. There is deliberately no decrement operation.
 #[derive(Debug, Default)]
@@ -202,7 +228,7 @@ impl Histogram {
     /// Freeze the full bucketed state under one lock acquisition, so the
     /// result is a consistent point-in-time view even under concurrent
     /// writers (same invariant as [`Histogram::summary`], but keeping the
-    /// buckets for exposition formats that need them).
+    /// buckets, from which the watchdog takes its windowed p99).
     pub fn full_snapshot(&self) -> HistogramSnapshot {
         let g = self.inner.lock();
         HistogramSnapshot {
@@ -296,35 +322,6 @@ impl Registry {
     /// The gauge named `name` if it already exists (no creation).
     pub fn find_gauge(&self, name: &str) -> Option<Arc<Gauge>> {
         self.gauges.lock().get(name).map(Arc::clone)
-    }
-
-    /// Current value of every counter, by name.
-    pub fn counter_values(&self) -> BTreeMap<String, u64> {
-        self.counters
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
-    }
-
-    /// Current value of every gauge, by name.
-    pub fn gauge_values(&self) -> BTreeMap<String, i64> {
-        self.gauges
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
-    }
-
-    /// Full bucketed snapshot of every histogram, by name. Unlike
-    /// [`Registry::snapshot`] this keeps empty histograms (count 0), so a
-    /// scrape exposes every declared family even before traffic arrives.
-    pub fn histogram_snapshots(&self) -> BTreeMap<String, HistogramSnapshot> {
-        self.histograms
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.full_snapshot()))
-            .collect()
     }
 
     /// Freeze every instrument. Empty histograms are omitted (they carry
@@ -549,10 +546,23 @@ mod tests {
         r.counter("c").inc();
         r.gauge("g").set(7);
         assert_eq!(r.find_gauge("g").unwrap().get(), 7);
-        assert_eq!(r.counter_values()["c"], 1);
-        assert_eq!(r.gauge_values()["g"], 7);
-        r.histogram("h");
-        assert_eq!(r.histogram_snapshots()["h"].count, 0);
+        let snap = r.snapshot();
+        assert_eq!(snap.counters["c"], 1);
+        assert_eq!(snap.gauges["g"], 7);
+    }
+
+    #[test]
+    fn labeled_sorts_and_escapes() {
+        assert_eq!(labeled("a.b", &[]), "a.b");
+        assert_eq!(
+            labeled("a.b", &[("z", "1"), ("a", "x\"y\\z\n")]),
+            "a.b{a=\"x\\\"y\\\\z\\n\",z=\"1\"}"
+        );
+        // Order-independent.
+        assert_eq!(
+            labeled("m", &[("k", "v"), ("j", "w")]),
+            labeled("m", &[("j", "w"), ("k", "v")])
+        );
     }
 
     #[test]

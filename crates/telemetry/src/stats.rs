@@ -3,7 +3,7 @@
 //! [`LatencyStats`] is the workspace's common "latency summary" currency.
 //! It originated in `roads-core::metrics` and moved here so every layer
 //! (simulator, runtime, bench harness, JSON export) can share it;
-//! `roads-core` re-exports it for backwards compatibility.
+//! callers import it from `roads_telemetry`.
 
 use crate::json::Json;
 

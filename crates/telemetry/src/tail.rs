@@ -9,8 +9,8 @@
 //! p99-tracked threshold), failed, or incomplete retain their full
 //! [`QueryExplain`] record — optionally with the flight-recorder event
 //! trace — in a bounded reservoir. Histogram buckets carry the trace id
-//! of one retained query each (exemplar-style), so a p99 bucket in an
-//! exposition links back to a concrete, fully-explained query.
+//! of one retained query each (exemplar-style), so a p99 bucket in
+//! `SLOW_QUERIES.json` links back to a concrete, fully-explained query.
 
 use crate::event::{span_tree_root, Event, EventKind, SpanId, TraceId};
 use crate::explain::QueryExplain;

@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use roads_bench::artifacts::ARTIFACTS;
 use roads_bench::delta_view::{DeltaReport, DELTA_SCHEMA_VERSION};
 use roads_runtime::{
-    AuditLevelRow, AuditReport, CauseKind, FaultKind, Incident, IncidentReport, MatchedFault,
-    SuspectedCause,
+    AuditLevelRow, AuditReport, CauseKind, ClusterHealth, FaultKind, Incident, IncidentReport,
+    MatchedFault, ServerHealth, SuspectedCause,
 };
 use roads_telemetry::{
     Event, EventKind, Exemplar, ExplainDecision, ExplainHop, HopOutcome, Json, LatencySplit,
@@ -282,6 +282,32 @@ fn incident_report(g: &mut Gen) -> IncidentReport {
     }
 }
 
+fn cluster_health(g: &mut Gen) -> ClusterHealth {
+    // validate(): rows ascend by unique server id. Gauges may be negative.
+    let gauge = |g: &mut Gen| g.count() as i64 - (1 << 39);
+    let mut server = 0;
+    ClusterHealth {
+        inflight_queries: gauge(g),
+        queries: g.count(),
+        retries: g.count(),
+        deadline_misses: g.count(),
+        failovers: g.count(),
+        cache_hits: g.count(),
+        cache_misses: g.count(),
+        cache_expired: g.count(),
+        servers: g.many(4, |g| {
+            server += 1 + g.below(100) as u32;
+            ServerHealth {
+                server,
+                alive: g.flag(),
+                queue_depth: gauge(g),
+                replies: g.count(),
+                dispatch_p99_ms: g.maybe(Gen::float),
+            }
+        }),
+    }
+}
+
 /// One step from a JSON value to a child.
 #[derive(Clone)]
 enum Step {
@@ -404,6 +430,14 @@ const EXERCISERS: &[(&str, Exerciser)] = &[
             &delta_report(g),
             DeltaReport::to_json,
             DeltaReport::from_json,
+            g,
+        )
+    }),
+    (ClusterHealth::MARKER, |g| {
+        exercise(
+            &cluster_health(g),
+            ClusterHealth::to_json,
+            ClusterHealth::from_json,
             g,
         )
     }),

@@ -1,12 +1,13 @@
 //! Property tests for the metrics registry primitives, the flight
-//! recorder's bounded event ring, the OpenMetrics exposition
-//! renderer/parser pair, and the JSON reader's string decoding.
+//! recorder's bounded event ring, tail retention (the tail sampler fed
+//! from a recorder), and the JSON reader's string decoding.
 
 use proptest::prelude::*;
 use roads_telemetry::{
-    labeled, parse_openmetrics, span_tree_root, trace_ids, Event, EventKind, Histogram, Json,
-    LatencyStats, OpenMetricsSnapshot, Recorder, Registry, SpanId, TraceId,
+    span_tree_root, trace_ids, Event, EventKind, Histogram, Json, LatencyStats, QueryExplain,
+    Recorder, Registry, RetainReason, SlowDoc, SpanId, TailConfig, TailSampler, TraceId,
 };
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One piece of a generated string: plain runs (ASCII and multi-byte),
@@ -177,96 +178,93 @@ proptest! {
         }
     }
 
-    /// A randomized registry renders to exposition text that parses back,
-    /// and re-rendering the parse reproduces the text byte-for-byte.
+    /// Tail retention in one place: a small tail sampler fed, as the live
+    /// cluster feeds it, with the events each query just recorded into a
+    /// small flight recorder, over a random mix of fast, slow, failed and
+    /// incomplete queries. After every step the reservoir stays within
+    /// capacity, in arrival order; failed and incomplete queries are kept
+    /// ahead of slow ones (a slow query never displaces one); each
+    /// retained query keeps the whole span tree it was offered, though
+    /// the ring has long evicted it; every exemplar names a retained
+    /// trace; and the report passes `SlowDoc::validate` and round-trips.
     #[test]
-    fn openmetrics_parse_round_trips(
-        counters in prop::collection::vec(
-            (
-                "[a-z.]{1,8}",
-                prop::collection::vec(("[a-z]{1,3}", "[a-d \"\\\\]{0,5}"), 0..3),
-                0u64..1_000_000,
-            ),
-            0..6,
-        ),
-        gauges in prop::collection::vec(("[a-z._]{1,8}", -1_000i64..1_000), 0..4),
-        hist_samples in prop::collection::vec(0.0f64..1e6, 0..32),
+    fn tail_retention_rules_hold_after_every_query(
+        capacity in 1usize..6,
+        min_samples in 1u64..16,
+        ring in 4usize..24,
+        queries in prop::collection::vec((0u8..4, 0u64..4, 0u32..400), 1..48),
     ) {
-        let reg = Registry::new();
-        for (base, labels, v) in &counters {
-            let refs: Vec<(&str, &str)> =
-                labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-            reg.counter(&labeled(base, &refs)).add(*v);
-        }
-        for (name, v) in &gauges {
-            reg.gauge(name).set(*v);
-        }
-        let h = reg.histogram("h.lat");
-        for &s in &hist_samples {
-            h.record(s);
-        }
-        let snap = OpenMetricsSnapshot::from_registry(&reg);
-        let text = snap.render();
-        // Determinism: identical snapshots render byte-identically.
-        prop_assert_eq!(&text, &OpenMetricsSnapshot::from_registry(&reg).render());
-        let scrape = parse_openmetrics(&text)
-            .map_err(|e| TestCaseError::fail(format!("parse failed: {e}\n{text}")))?;
-        prop_assert_eq!(scrape.render(), text, "parse→render must be the identity");
-        // The histogram's _count sample recovers the sample count and the
-        // +Inf bucket agrees with it.
-        let fam = scrape.family("h_lat").expect("histogram family");
-        prop_assert_eq!(
-            fam.sample_with("_count", &[]).expect("_count").value,
-            hist_samples.len() as f64
-        );
-        prop_assert_eq!(
-            fam.sample_with("_bucket", &[("le", "+Inf")]).expect("+Inf").value,
-            hist_samples.len() as f64
-        );
-    }
-
-    /// Label values survive the full labeled → render → parse trip even
-    /// with quotes, backslashes and newlines in them.
-    #[test]
-    fn openmetrics_label_escaping_round_trips(
-        raw in "[a-f \"\\\\]{0,10}",
-        nl in 0usize..3,
-    ) {
-        // Splice newlines in (the charclass strategy can't emit them).
-        let mut value = raw;
-        for _ in 0..nl {
-            let at = value.len() / 2;
-            value.insert(at, '\n');
-        }
-        let reg = Registry::new();
-        reg.counter(&labeled("esc.test", &[("v", &value)])).inc();
-        let text = OpenMetricsSnapshot::from_registry(&reg).render();
-        let scrape = parse_openmetrics(&text)
-            .map_err(|e| TestCaseError::fail(format!("parse failed: {e}\n{text}")))?;
-        let fam = scrape.family("esc_test").expect("family");
-        let got = fam.samples[0].label("v").expect("label v");
-        prop_assert_eq!(got, value.as_str());
-    }
-
-    /// Rendering is insertion-order independent: feeding the same
-    /// instruments in a rotated order produces identical text.
-    #[test]
-    fn openmetrics_order_independent(
-        names in prop::collection::vec("[a-z.]{1,8}", 1..8),
-        rot in 0usize..8,
-    ) {
-        let build = |ordered: &[String]| {
-            let reg = Registry::new();
-            // Value = name length, so duplicates accumulate identically
-            // in every insertion order.
-            for n in ordered {
-                reg.counter(n).add(n.len() as u64);
+        let tail = TailSampler::new(TailConfig { capacity, min_samples, floor_ms: 10.0 });
+        let rec = Recorder::new(ring);
+        let mut offered: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
+        let mut outages = 0usize;
+        for (i, &(kind, hops, ms)) in queries.iter().enumerate() {
+            // Fast queries finish under the floor, every other kind above.
+            let ms = if kind == 0 { f64::from(ms) / 100.0 } else { 10.0 + f64::from(ms) };
+            let (failed, complete) = (kind == 2, kind != 3);
+            outages += usize::from(kind >= 2);
+            // A root span and its hops, recorded into the ring and offered
+            // to the sampler, as the cluster does at query end.
+            let trace = rec.next_trace_id();
+            let root = rec.next_span_id();
+            let event = |node: u64, span, parent, kind, dur_us| Event {
+                at_us: node,
+                dur_us,
+                node: node as u32,
+                trace,
+                span,
+                parent,
+                kind,
+                detail: 0,
+            };
+            let query = EventKind::QueryStart;
+            let mut events = vec![event(0, root, SpanId::NONE, query, (ms * 1e3) as u64)];
+            let hop = EventKind::QueryHop;
+            events.extend((1..=hops).map(|h| event(h, rec.next_span_id(), root, hop, 1)));
+            for &e in &events {
+                rec.record(e);
             }
-            OpenMetricsSnapshot::from_registry(&reg).render()
-        };
-        let mut rotated = names.clone();
-        rotated.rotate_left(rot % names.len().max(1));
-        prop_assert_eq!(build(&names), build(&rotated));
+            offered.insert(trace.0, events.clone());
+            let explain = QueryExplain {
+                query_id: i as u64,
+                trace_id: trace.0,
+                entry: 0,
+                response_us: ms * 1_000.0,
+                complete,
+                deadline_hit: false,
+                records: 0,
+                hops: Vec::new(),
+            };
+            tail.observe(explain, failed, events);
+
+            let retained = tail.retained();
+            prop_assert!(retained.len() <= capacity, "{} retained", retained.len());
+            prop_assert!(
+                retained.windows(2).all(|w| w[0].explain.trace_id < w[1].explain.trace_id),
+                "reservoir left arrival order"
+            );
+            let kept_outages = retained.iter().filter(|q| q.reason != RetainReason::Slow).count();
+            prop_assert_eq!(kept_outages, outages.min(capacity), "a slow query displaced an outage");
+            for q in &retained {
+                let t = q.explain.trace_id;
+                prop_assert_eq!(&q.events, &offered[&t], "trace {} lost events", t);
+                prop_assert!(span_tree_root(&q.events, TraceId(t)).is_ok(), "trace {} is cut", t);
+            }
+            let report = tail.report();
+            for e in &report.exemplars {
+                let named = retained.iter().find(|q| q.explain.trace_id == e.trace_id);
+                let Some(q) = named else {
+                    return Err(TestCaseError::fail(format!(
+                        "exemplar names evicted trace {}", e.trace_id
+                    )));
+                };
+                let ms = q.explain.response_us / 1_000.0;
+                prop_assert_eq!(tail.exemplar(ms), Some(e.trace_id));
+            }
+            let text = report.to_json().to_string();
+            let doc = Json::parse(&text).map_err(TestCaseError::fail)?;
+            prop_assert_eq!(SlowDoc::from_json(&doc), Ok(report));
+        }
     }
 
     /// Strings with multi-byte characters, every escape, control

@@ -1,43 +1,52 @@
-//! Concurrency tests for the OpenMetrics exposition path: a scrape taken
-//! while many writer threads hammer the same histograms must never
-//! observe a torn snapshot. Extends the single-lock `Histogram::summary`
-//! fix to the full-bucket capture that exposition relies on. The
-//! watchdog's reads of live instruments under the same contention are
-//! covered in `roads_runtime::watchdog`'s unit tests.
+//! Concurrency tests for the registry's read paths: a histogram capture
+//! or registry snapshot taken while many writer threads hammer the same
+//! instruments must never observe a torn state. Extends the single-lock
+//! `Histogram::summary` fix to the full-bucket capture the watchdog's
+//! windowed p99 relies on (`Histogram::full_snapshot`) and to
+//! `Registry::snapshot`. The watchdog's reads of live instruments under
+//! the same contention are covered in `roads_runtime::watchdog`'s unit
+//! tests.
 
-use roads_telemetry::{parse_openmetrics, OpenMetricsSnapshot, Registry};
+use roads_telemetry::{HistogramSnapshot, LatencyStats, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Every internal invariant a consistent histogram capture satisfies;
 /// torn captures (count read under one lock acquisition, buckets under
 /// another) violate at least one under sustained concurrent writes.
-fn assert_scrape_consistent(snap: &OpenMetricsSnapshot) {
-    for (name, h) in &snap.histograms {
-        let bucket_total: u64 = h.buckets.iter().map(|&(_, c)| c).sum();
-        assert_eq!(
-            bucket_total, h.count,
-            "{name}: bucket counts must sum to count"
-        );
-        if h.count > 0 {
-            assert!(h.min <= h.max, "{name}: min {} > max {}", h.min, h.max);
-            let eps = 1e-9 * h.sum.abs().max(1.0);
-            assert!(
-                h.sum >= h.count as f64 * h.min - eps,
-                "{name}: sum {} below count*min",
-                h.sum
-            );
-            assert!(
-                h.sum <= h.count as f64 * h.max + eps,
-                "{name}: sum {} above count*max",
-                h.sum
-            );
-        }
+fn assert_capture_consistent(name: &str, h: &HistogramSnapshot) {
+    let bucket_total: u64 = h.buckets.iter().map(|&(_, c)| c).sum();
+    assert_eq!(
+        bucket_total, h.count,
+        "{name}: bucket counts must sum to count"
+    );
+    if h.count > 0 {
+        assert!(h.min <= h.max, "{name}: min {} > max {}", h.min, h.max);
+        let eps = 1e-9 * h.sum.abs().max(1.0);
         assert!(
-            h.buckets.windows(2).all(|w| w[0].0 < w[1].0),
-            "{name}: bucket edges must strictly increase"
+            h.sum >= h.count as f64 * h.min - eps,
+            "{name}: sum {} below count*min",
+            h.sum
+        );
+        assert!(
+            h.sum <= h.count as f64 * h.max + eps,
+            "{name}: sum {} above count*max",
+            h.sum
         );
     }
+    assert!(
+        h.buckets.windows(2).all(|w| w[0].0 < w[1].0),
+        "{name}: bucket edges must strictly increase"
+    );
+}
+
+/// The same for a snapshot's summary: quantiles ordered and inside the
+/// exact min/max, the mean between them.
+fn assert_summary_consistent(name: &str, s: &LatencyStats) {
+    assert!(s.min <= s.mean && s.mean <= s.max, "{name}: mean {s:?}");
+    assert!(s.min <= s.p50, "{name}: p50 under min {s:?}");
+    assert!(s.p50 <= s.p90 && s.p90 <= s.p99, "{name}: order {s:?}");
+    assert!(s.p99 <= s.max, "{name}: p99 above max {s:?}");
 }
 
 #[test]
@@ -45,6 +54,7 @@ fn scrape_under_multi_writer_updates_never_tears() {
     let reg = Arc::new(Registry::new());
     let stop = Arc::new(AtomicBool::new(false));
     const WRITERS: usize = 4;
+    const HISTS: [&str; 2] = ["torn.lat_ms", "torn.dispatch_ms"];
 
     // Writers push ever-growing values into two shared histograms and a
     // counter; growth makes torn captures visible (a late bucket paired
@@ -54,8 +64,8 @@ fn scrape_under_multi_writer_updates_never_tears() {
             let reg = Arc::clone(&reg);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let h1 = reg.histogram("torn.lat_ms");
-                let h2 = reg.histogram("torn.dispatch_ms");
+                let h1 = reg.histogram(HISTS[0]);
+                let h2 = reg.histogram(HISTS[1]);
                 let c = reg.counter("torn.writes");
                 let mut v = 1.0 + t as f64;
                 let mut n = 0u64;
@@ -71,27 +81,31 @@ fn scrape_under_multi_writer_updates_never_tears() {
         })
         .collect();
 
-    // The main thread takes full exposition snapshots as fast as it can;
-    // the counter it reads between them must never run backwards.
+    // The main thread alternates the watchdog's bucketed capture and full
+    // registry snapshots as fast as it can; the counter it reads must
+    // never run backwards.
     let mut last_writes = 0u64;
-    for i in 0..500 {
-        let snap = OpenMetricsSnapshot::from_registry(&reg);
-        assert_scrape_consistent(&snap);
-        let writes = snap.counters.get("torn.writes").copied().unwrap_or(0);
-        assert!(writes >= last_writes, "scraped counter must be monotone");
-        last_writes = writes;
-        if i % 100 == 0 {
-            // The rendered text must also stay parseable mid-flight.
-            parse_openmetrics(&snap.render()).expect("render parses while writers run");
+    for _ in 0..500 {
+        for name in HISTS {
+            assert_capture_consistent(name, &reg.histogram(name).full_snapshot());
         }
+        let snap = reg.snapshot();
+        for (name, s) in &snap.histograms {
+            assert_summary_consistent(name, s);
+        }
+        let writes = snap.counters.get("torn.writes").copied().unwrap_or(0);
+        assert!(writes >= last_writes, "snapshot counter must be monotone");
+        last_writes = writes;
     }
 
     stop.store(true, Ordering::Relaxed);
     let total: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();
 
     // Final state: nothing lost.
-    let final_snap = OpenMetricsSnapshot::from_registry(&reg);
-    assert_scrape_consistent(&final_snap);
-    assert_eq!(final_snap.counters["torn.writes"], total);
-    assert_eq!(final_snap.histograms["torn.lat_ms"].count, total);
+    let lat = reg.histogram(HISTS[0]).full_snapshot();
+    assert_capture_consistent(HISTS[0], &lat);
+    assert_eq!(lat.count, total);
+    let snap = reg.snapshot();
+    assert_eq!(snap.counters["torn.writes"], total);
+    assert_eq!(snap.histograms[HISTS[0]].count as u64, total);
 }
