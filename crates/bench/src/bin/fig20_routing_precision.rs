@@ -11,7 +11,10 @@
 //! Beside them, the contacts two oracles would need (a branch test that is
 //! never wrong; one exact bounding box per server), what the parts cost in
 //! update bytes, and the longest redirect chain per query in hops — the
-//! modelled latency is one network delay per hop of it.
+//! modelled latency is one network delay per hop of it. Last, the curve
+//! the parts' byte budget was chosen from: contacts and the parts' share
+//! of a parts-free update round with per-server boxes merged within each
+//! summand down to budgets from one box per summand to none at all.
 
 use roads_bench::{banner, figure_config, parse_args, TrialConfig};
 use roads_core::{
@@ -19,7 +22,7 @@ use roads_core::{
     QueryOptions, RoadsNetwork, ServerId, TraceEvent,
 };
 use roads_netsim::DelaySpace;
-use roads_records::{Predicate, Query, WireSize};
+use roads_records::{Predicate, Query};
 use roads_summary::Summary;
 use roads_telemetry::{
     write_chrome_trace_default, ExplainDecision, FigureExport, Recorder, TraceId,
@@ -36,12 +39,13 @@ const COLUMNS: [&str; 6] =
 
 /// Servers a query from `entry` contacts when a branch is descended iff
 /// `branch(t)`, an ancestor probed iff `probe(a)`, and a replicated branch
-/// `t` that kept parts is expanded into its summands `s` with
-/// `part(t, s)` — a child contacted as a branch, `t` itself probed: the
-/// protocol's walk with the summary tests swapped out.
+/// `t` whose summary in `kept` kept parts is expanded into its summands
+/// `s` with `part(t, s)` — a child contacted as a branch, `t` itself
+/// probed: the protocol's walk with the summary tests swapped out.
 fn walk(
     net: &RoadsNetwork,
     entry: ServerId,
+    kept: &[&Summary],
     branch: &dyn Fn(ServerId) -> bool,
     probe: &dyn Fn(ServerId) -> bool,
     part: &dyn Fn(ServerId, ServerId) -> bool,
@@ -51,7 +55,7 @@ fn walk(
     let mut frontier: Vec<ServerId> = children(entry).filter(|&t| branch(t)).collect();
     let mut contacts = 1 + rset.ancestors.iter().filter(|&&a| probe(a)).count();
     for t in rset.redirect_targets().into_iter().filter(|&t| branch(t)) {
-        if net.branch_summary(t).part_count() == 0 {
+        if kept[t.index()].part_count() == 0 {
             frontier.push(t);
             continue;
         }
@@ -85,6 +89,21 @@ fn box_holds(bounds: &[(f64, f64)], q: &Query) -> bool {
     })
 }
 
+/// Branch summaries of `net`'s tree with parts merged down to `budget`
+/// bytes, aggregated bottom-up from its local summaries.
+fn branches_within(net: &RoadsNetwork, budget: usize) -> Vec<Summary> {
+    let tree = net.tree();
+    let mut order = tree.servers();
+    order.sort_by_key(|&s| std::cmp::Reverse(tree.depth(s)));
+    let mut branch = vec![Summary::empty(net.schema(), &net.config().summary); net.len()];
+    for s in order {
+        let kids = tree.children(s).iter().map(|c| (c.0, &branch[c.index()]));
+        let built = Summary::branch_within(s.0, net.local_summary(s), kids, budget);
+        branch[s.index()] = built.expect("one schema");
+    }
+    branch
+}
+
 fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig) {
     let schema = default_schema(cfg.attrs);
     let records = generate_node_records(&RecordWorkloadConfig {
@@ -112,6 +131,31 @@ fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig
         seed: cfg.seed ^ 0x51_7E41,
     };
     let queries = generate_queries(&schema, &workload);
+
+    // The budget curve: `b` boxes of one-byte tags take 1 + b (1 + attrs)
+    // bytes.
+    let per_box = 1 + cfg.attrs;
+    let shipped = net.local_summary(tree.root()).parts_budget();
+    let one_each = format!("one per summand (<= {})", 1 + cfg.degree);
+    let budgets: Vec<(String, usize)> = [(one_each, 0)]
+        .into_iter()
+        .chain([8, 12, 14, 16].map(|b| (format!("{b} boxes"), 1 + b * per_box)))
+        .chain([
+            (
+                format!("shipped ({} boxes)", (shipped - 1) / per_box),
+                shipped,
+            ),
+            ("no budget".to_string(), usize::MAX),
+        ])
+        .collect();
+    let curve: Vec<Vec<Summary>> = (budgets.iter())
+        .map(|&(_, budget)| branches_within(&net, budget))
+        .collect();
+    let curve: Vec<Vec<&Summary>> = curve.iter().map(|b| b.iter().collect()).collect();
+    let real: Vec<&Summary> = (tree.servers().into_iter())
+        .map(|s| net.branch_summary(s))
+        .collect();
+    let mut curve_contacts = vec![0usize; budgets.len()];
 
     let mut levels = vec![[0u64; COLUMNS.len()]; tree.levels()];
     let [mut contacts, mut matching, mut perfect, mut boxed] = [0usize; 4];
@@ -148,43 +192,55 @@ fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig
         let matches = |s: ServerId| holders.contains(&s);
         let in_box = |s: ServerId| box_holds(&boxes[s.index()], q);
         // The walk is the executor's: with the real tests it counts the same.
-        let branch_test = |t: ServerId| net.branch_summary(t).may_match(q);
         let probe_test = |a: ServerId| net.local_summary(a).may_match(q);
-        let part_test = |t: ServerId, s: ServerId| {
-            let holding = net.branch_summary(t).parts_holding(q);
-            holding.is_some_and(|tags| tags.contains(&s.0))
+        let tested = |summary: &[&Summary]| {
+            let branch_test = |t: ServerId| summary[t.index()].may_match(q);
+            let part_test = |t: ServerId, s: ServerId| {
+                let holding = summary[t.index()].parts_holding(q);
+                holding.is_some_and(|tags| tags.contains(&s.0))
+            };
+            walk(&net, entry, summary, &branch_test, &probe_test, &part_test)
         };
-        assert_eq!(
-            walk(&net, entry, &branch_test, &probe_test, &part_test),
-            out.servers_contacted
-        );
+        assert_eq!(tested(&real), out.servers_contacted);
+        for (n, branches) in curve_contacts.iter_mut().zip(&curve) {
+            *n += tested(branches);
+        }
         contacts += out.servers_contacted;
         matching += holders.len();
         // An oracle's part test is its own test of the summand.
         let oracle = |holds: &dyn Fn(ServerId) -> bool| {
             let branch = |t: ServerId| below(t, holds);
             let part = |t: ServerId, s: ServerId| if s == t { holds(s) } else { branch(s) };
-            walk(&net, entry, &branch, holds, &part)
+            walk(&net, entry, &real, &branch, holds, &part)
         };
         perfect += oracle(&matches);
         boxed += oracle(&in_box);
     }
 
     // Bytes the parts add to a round: each branch summary's trailer, times
-    // the copies of it a round ships (one up, one to each overlay reader).
-    let flat = Summary::empty(&schema, &roads.summary);
-    let parts_bytes: usize = (tree.servers().into_iter())
+    // the copies of it a round ships with its parts — one to the parent,
+    // one to each reader holding the branch as a sibling or an ancestor's
+    // sibling.
+    let testers: Vec<usize> = (tree.servers().into_iter())
         .map(|s| {
-            let mut bare = net.branch_summary(s).clone();
-            bare.merge(&flat).expect("one schema");
-            let reads = |c: &&ServerId| net.replica_set(**c).all().contains(&s);
-            let copies = tree.servers().iter().filter(reads).count();
-            (net.branch_summary(s).wire_size() - bare.wire_size())
-                * (copies + usize::from(tree.parent(s).is_some()))
+            let reads = |r: &&ServerId| net.replica_set(**r).redirect_targets().contains(&s);
+            tree.servers().iter().filter(reads).count() + usize::from(tree.parent(s).is_some())
         })
-        .sum();
+        .collect();
+    let shipped_parts = |summary: &[&Summary]| -> usize {
+        (testers.iter().zip(summary))
+            .map(|(&n, s)| s.parts_bytes() * n)
+            .sum()
+    };
+    let parts_bytes = shipped_parts(&real);
     let round_bytes = update_round(&net).total_bytes() as usize;
-    let share = parts_bytes as f64 / (round_bytes - parts_bytes) as f64;
+    let parts_free = (round_bytes - parts_bytes) as f64;
+    let share = parts_bytes as f64 / parts_free;
+    assert!(
+        share <= 0.01,
+        "{name}: the shipped parts take {:.3} % of a parts-free round, over 1 %",
+        100.0 * share
+    );
 
     let per_query = |v: usize| v as f64 / queries.len() as f64;
     println!(
@@ -215,6 +271,26 @@ fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig
         "update round {round_bytes} B, of which parts {parts_bytes} B (+{:.3} %)",
         100.0 * share
     );
+    println!(
+        "per-server boxes merged within each summand down to a trailer budget \
+         (b boxes = 1 + b x {per_box} B; shipped: {shipped} B):"
+    );
+    println!(
+        "{:>24} {:>14} {:>16}",
+        "budget", "contacts/query", "parts share"
+    );
+    let mut budget_points = (Vec::new(), Vec::new());
+    for (((label, budget), branches), &n) in budgets.iter().zip(&curve).zip(&curve_contacts) {
+        let share = shipped_parts(branches) as f64 / parts_free;
+        let contacts = per_query(n);
+        println!("{label:>24} {contacts:>14.2} {:>14.3} %", 100.0 * share);
+        if *budget < usize::MAX {
+            budget_points.0.push((*budget as f64, contacts));
+            budget_points.1.push((*budget as f64, share));
+        }
+    }
+    fig.push_series(format!("{name}_budget_bytes_contacts"), &budget_points.0);
+    fig.push_series(format!("{name}_budget_bytes_parts_share"), &budget_points.1);
     let longest = chains.iter().rposition(|&n| n > 0).unwrap_or(0);
     let chain_mean = per_query((chains.iter().enumerate()).map(|(h, &n)| h * n).sum());
     println!("longest redirect chain per query: mean {chain_mean:.2} hops, max {longest}");

@@ -23,7 +23,7 @@
 //! sampling budget and exports the results through its registry and
 //! `AUDIT.json`.
 
-use crate::engine::RoadsNetwork;
+use crate::engine::{branch_summary_of, RoadsNetwork};
 use crate::overlay::ReplicaRole;
 use crate::tree::ServerId;
 use roads_records::Query;
@@ -61,8 +61,8 @@ pub struct ReplicaLedger {
 
 /// The authoritative branch summary of `target` under a liveness mask:
 /// what a fresh aggregation wave would produce — `target`'s subtree
-/// aggregated bottom-up through [`Summary::branch_of`], the way the
-/// network aggregates it, with every dead server's local summary left
+/// aggregated bottom-up the way the network aggregates it (see
+/// [`Summary::branch_of`]), with every dead server's local summary left
 /// out. A dead server contributes neither records nor a box; its live
 /// descendants still do. With everyone live this equals
 /// [`RoadsNetwork::branch_summary`].
@@ -78,8 +78,8 @@ pub fn authoritative_branch(net: &RoadsNetwork, target: ServerId, live: &[bool])
         net.local_summary(target)
     };
     let children = children.iter().map(|(c, summary)| (*c, summary));
-    Summary::branch_of(target.0, local, children)
-        .expect("uniform schema/config across the federation")
+    let root = net.tree().parent(target).is_none();
+    branch_summary_of(target.0, root, local, children)
 }
 
 /// Per-target authoritative summaries, computed once per distinct target.

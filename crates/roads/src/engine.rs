@@ -105,7 +105,31 @@ fn aggregate_branch(
     s: ServerId,
 ) -> Summary {
     let children = tree.children(s).iter().map(|c| (c.0, &branch[c.index()]));
-    Summary::branch_of(s.0, local, children).expect("uniform schema/config across the federation")
+    branch_summary_of(s.0, tree.parent(s).is_none(), local, children)
+}
+
+/// The branch summary of server `id` from its `local` summary and its
+/// children's branch summaries, in child order — the one rule a build, a
+/// delta, the message plane and the audit plane aggregate a branch by:
+/// [`Summary::branch_of`], except that the `root`'s keeps no parts. No one
+/// would test them: the root has no parent and no sibling, and its
+/// descendants read it as an ancestor, which is shipped without parts.
+pub(crate) fn branch_summary_of<'a>(
+    id: u32,
+    root: bool,
+    local: &Summary,
+    children: impl IntoIterator<Item = (u32, &'a Summary)>,
+) -> Summary {
+    let branch = match root {
+        true => {
+            let mut branch = local.without_parts();
+            (children.into_iter())
+                .try_for_each(|(_, child)| branch.merge(child))
+                .map(|()| branch)
+        }
+        false => Summary::branch_of(id, local, children),
+    };
+    branch.expect("uniform schema/config across the federation")
 }
 
 /// Result of evaluating a query at one server.
@@ -416,13 +440,14 @@ impl RoadsNetwork {
     /// branches; at servers reached by redirection only the local data and
     /// children are searched (their branch is their responsibility).
     ///
-    /// A replicated branch summary keeps one part per summand, tagged with
-    /// the summand's server (§III-C's shortcut, taken one level further):
-    /// the entry contacts the children whose parts admit the query
-    /// directly, as branches, and probes the branch's owner for its own
-    /// records only if the owner's part admits it — the round trip the
-    /// owner would have spent naming those children is skipped. A branch
-    /// that kept no parts (a replicated leaf) is contacted as a branch.
+    /// A replicated branch summary keeps parts per server below, each
+    /// tagged with the summand it is reached through (§III-C's shortcut,
+    /// taken one level further): the entry contacts the children some of
+    /// whose parts admit the query directly, as branches, each once, and
+    /// probes the branch's owner for its own records only if the owner's
+    /// part admits it — the round trip the owner would have spent naming
+    /// those children is skipped. A branch that kept no parts (a
+    /// replicated leaf) is contacted as a branch.
     ///
     /// An ancestor is probed only if its *local* summary may match. Its
     /// branch summary would answer yes whenever the entry itself can (it
@@ -895,6 +920,31 @@ mod tests {
                         n.route(s, &q, ContactMode::Branch, full)
                     );
                 }
+            }
+        }
+    }
+
+    /// A replicated branch keeps boxes per server below, several of them
+    /// tagged with one child: the entry's expansion still names each
+    /// server once.
+    #[test]
+    fn the_entrys_route_names_each_server_once() {
+        let n = deep_network();
+        // Every server holds a record, so each child is one summand.
+        let summands = |s: ServerId| 1 + n.tree().children(s).len();
+        assert!(
+            (n.tree().servers().into_iter())
+                .any(|s| n.branch_summary(s).part_count() > summands(s)),
+            "precondition: some child brings several boxes"
+        );
+        let all = Query::new(QueryId(0), Vec::new());
+        for q in queries(&n).into_iter().chain([all.clone()]) {
+            for s in n.tree().servers() {
+                let (_, targets) = n.route(s, &q, ContactMode::Entry, SearchScope::full());
+                let mut named: Vec<ServerId> = targets.iter().map(|&(t, _)| t).collect();
+                named.sort();
+                named.dedup();
+                assert_eq!(named.len(), targets.len(), "{s}: {targets:?}");
             }
         }
     }

@@ -4,9 +4,11 @@
 //! Every `ts` a joined server heartbeats its children. The heartbeat
 //! carries liveness, the root path, the root's children and the epoch —
 //! and the replicas the child keeps: its siblings' branch summaries, the
-//! sender's own, and everything the sender replicates from above. The
-//! child answers with its branch summary and the shape of its branch. So
-//! one period refreshes the hierarchy and the summaries together, and one
+//! sender's own, and everything the sender replicates from above — the
+//! ancestors' copies without their parts, which only a branch's parent
+//! and its sibling and ancestor-sibling readers test. The child answers
+//! with its branch summary and the shape of its branch. So one period
+//! refreshes the hierarchy and the summaries together, and one
 //! deadline, `summary_ttl`, both declares a silent peer dead and expires
 //! a replica nobody refreshes: a server that stops talking fades out of
 //! everyone's view without a teardown message.
@@ -23,6 +25,7 @@
 //! over the tree the servers built by joining.
 
 use crate::config::RoadsConfig;
+use crate::engine::branch_summary_of;
 use crate::maintenance::{MemberState, Membership};
 use crate::tree::{HierarchyTree, ServerId};
 use roads_netsim::{Ctx, NodeId, Protocol, SimTime, Simulator, TimerTag, TrafficClass};
@@ -150,18 +153,20 @@ impl RoadsServer {
     fn branch_summary(&self, me: u32, now_ms: u64) -> Summary {
         let fresh =
             (self.member.fresh_children(now_ms, self.cfg.summary_ttl_ms)).map(|(c, s)| (c.0, s));
-        Summary::branch_of(me, &self.local_summary, fresh)
-            .expect("uniform schema/config across the federation")
+        let root = self.member.parent().is_none();
+        branch_summary_of(me, root, &self.local_summary, fresh)
     }
 
     /// Heartbeat every child: to each, its siblings' branch summaries, our
-    /// own branch summary and everything we replicate from above.
+    /// own branch summary and everything we replicate from above. Our own
+    /// goes without its parts, as it came to us from above: a child reads
+    /// its ancestors' copies only for their attributes.
     fn heartbeat_children(&mut self, ctx: &mut Ctx<'_, ServerMsg>, now_ms: u64) {
         let Some((root_path, root_children, epoch)) = self.member.heartbeat() else {
             return;
         };
         let me = ctx.self_id().0;
-        let mine = self.branch_summary(me, now_ms);
+        let mine = self.branch_summary(me, now_ms).without_parts();
         let fresh: Vec<(NodeId, Summary)> = (self.member)
             .fresh_children(now_ms, self.cfg.summary_ttl_ms)
             .map(|(c, s)| (c, s.clone()))
@@ -375,7 +380,7 @@ mod tests {
     use crate::audit::authoritative_branch;
     use crate::engine::RoadsNetwork;
     use crate::maintenance::extract_tree;
-    use crate::overlay::replication_set;
+    use crate::overlay::{replication_set, ReplicaRole};
     use roads_netsim::DelaySpace;
     use roads_records::{OwnerId, RecordId, Value};
     use roads_summary::SummaryConfig;
@@ -436,8 +441,9 @@ mod tests {
     /// `net` under the liveness mask `live`: its local summary, the branch
     /// summary it would publish, and exactly one fresh copy per live child
     /// and per live member of its replication set — so none of a dead
-    /// server — each equal to `branch` of the server it describes. Summaries
-    /// compare in every field: counters, bounds, record count and parts.
+    /// server — each equal to `branch` of the server it describes, an
+    /// ancestor's copy without its parts. Summaries compare in every
+    /// field: counters, bounds, record count and parts.
     fn assert_engine_state(
         sim: &Simulator<RoadsServer>,
         net: &RoadsNetwork,
@@ -465,13 +471,16 @@ mod tests {
                 let copy = copies.iter().find(|(id, _)| id.0 == c.0).map(|(_, s)| *s);
                 assert_eq!(copy, Some(&branch[c.index()]), "{s}: copy of child {c}");
             }
-            let held: Vec<ServerId> = (replication_set(tree, s).all().into_iter())
-                .filter(|t| live[t.index()])
-                .collect();
+            let mut held = replication_set(tree, s).entries();
+            held.retain(|(t, _)| live[t.index()]);
             assert_eq!(node.replicas.len(), held.len(), "{s}: replicas");
-            for t in &held {
+            for (t, role) in &held {
                 let copy = node.replicas.get(&t.0, now_ms);
-                assert_eq!(copy, Some(&branch[t.index()]), "{s}: replica of {t}");
+                let expected = match role {
+                    ReplicaRole::Ancestor => branch[t.index()].without_parts(),
+                    _ => branch[t.index()].clone(),
+                };
+                assert_eq!(copy, Some(&expected), "{s}: {role:?} replica of {t}");
             }
         }
     }

@@ -77,11 +77,17 @@ fn account_round(
     let mut out = UpdateBreakdown::default();
     let tree = net.tree();
     // A dirty branch summary is shipped to its parent and to every reader
-    // of the overlay; its size is worked out once.
-    let branch_bytes: Vec<u64> = (branch_dirty.iter().zip(0u32..))
+    // of the overlay, with its parts to those that test them and without
+    // to its descendants, whose ancestor it is; both sizes are worked out
+    // once.
+    let sizes: Vec<(u64, u64)> = (branch_dirty.iter().zip(0u32..))
         .map(|(&dirty, s)| match dirty {
-            true => net.branch_summary(ServerId(s)).wire_size() as u64,
-            false => 0,
+            true => {
+                let summary = net.branch_summary(ServerId(s));
+                let bytes = summary.wire_size() as u64;
+                (bytes, bytes - summary.parts_bytes() as u64)
+            }
+            false => (0, 0),
         })
         .collect();
     for s in tree.servers() {
@@ -96,7 +102,7 @@ fn account_round(
 
         // Wave 2: branch summary to the parent.
         if branch_dirty[s.index()] && tree.parent(s).is_some() {
-            out.aggregation_bytes += branch_bytes[s.index()] + MSG_HEADER_BYTES as u64;
+            out.aggregation_bytes += sizes[s.index()].0 + MSG_HEADER_BYTES as u64;
             out.aggregation_messages += 1;
         }
 
@@ -105,14 +111,21 @@ fn account_round(
         // branch summary (c's first ancestor), and everything the parent
         // replicates from above (its siblings, ancestors, ancestors'
         // siblings) — which become c's ancestor/ancestor-sibling replicas.
-        let parent_replicas = net.replica_set(s).all();
+        // The ancestors' copies travel without their parts.
+        let above = net.replica_set(s);
+        let tested = above.siblings.iter().chain(&above.ancestor_siblings);
+        let ancestors = [&s].into_iter().chain(&above.ancestors);
         for &c in tree.children(s) {
             let siblings = tree.children(s).iter().filter(|&&x| x != c);
+            let copies = siblings
+                .chain(tested.clone())
+                .map(|r| (r, sizes[r.index()].0));
+            let copies = copies.chain(ancestors.clone().map(|r| (r, sizes[r.index()].1)));
             let mut summaries = 0u64;
             let mut bytes = 0u64;
-            for &r in siblings.chain([&s]).chain(&parent_replicas) {
+            for (r, size) in copies {
                 if branch_dirty[r.index()] {
-                    bytes += branch_bytes[r.index()];
+                    bytes += size;
                     summaries += 1;
                 }
             }

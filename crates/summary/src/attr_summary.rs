@@ -90,10 +90,14 @@ impl AttributeSummary {
         }
     }
 
-    /// Whether values of this attribute lie on an axis (and so cost a
-    /// byte in each of a branch summary's boxes).
-    pub(crate) fn is_ordered(&self) -> bool {
-        matches!(self, AttributeSummary::Hist(_))
+    /// For an attribute whose values lie on an axis (and so cost a byte
+    /// in each of a branch summary's boxes), the log2 of the buckets per
+    /// cell of its grid; `None` for the others.
+    pub(crate) fn axis(&self) -> Option<u32> {
+        match self {
+            AttributeSummary::Hist(h) => Some(h.cell_buckets().trailing_zeros()),
+            AttributeSummary::Set(_) | AttributeSummary::Bloom(_) => None,
+        }
     }
 
     /// Whether this summary can *exactly* unlearn `v` (reverse the fold

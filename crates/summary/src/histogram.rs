@@ -9,8 +9,9 @@
 //! stretch of its buckets is occupied: its first and last non-empty
 //! bucket. Rounded outward to a grid of at most [`Histogram::CELLS`] cells
 //! — a mask, each cell being a power-of-two run of buckets — that stretch
-//! is what a branch summary remembers of each summand it was aggregated
-//! from (see [`crate::Summary::branch_of`]). Keeping it current costs two
+//! is what a branch summary remembers of each server below it, until its
+//! byte budget merges several of one summand's into their hull (see
+//! [`crate::Summary::branch_of`]). Keeping it current costs two
 //! compares per insert, a min and a max per merge, and a rescan only when
 //! an extreme bucket empties.
 
@@ -80,21 +81,37 @@ impl Span {
     }
 
     /// The smallest span containing both.
-    fn hull(self, other: Span) -> Span {
+    pub(crate) fn hull(self, other: Span) -> Span {
         Span {
             first: self.first.min(other.first),
             last: self.last.max(other.last),
         }
     }
 
+    /// The buckets both contain.
+    pub(crate) fn meet(self, other: Span) -> Span {
+        Span {
+            first: self.first.max(other.first),
+            last: self.last.min(other.last),
+        }
+    }
+
     pub(crate) fn intersects(self, other: Span) -> bool {
         self.first <= other.last && other.first <= self.last
+    }
+
+    /// Cells of `2^shift` buckets a cell-aligned span covers.
+    pub(crate) fn cells(self, shift: u32) -> u64 {
+        match self.is_empty() {
+            true => 0,
+            false => (u64::from(self.last - self.first) >> shift) + 1,
+        }
     }
 }
 
 impl Histogram {
     /// Most cells of the grid the occupied range is rounded to: what a
-    /// branch summary can say about one summand's values of this attribute
+    /// branch summary can say about one server's values of this attribute
     /// is a first and a last cell, four bits each. Sixteen because two
     /// bounds then fit the one byte per attribute and box that the update
     /// traffic's budget allows (see DESIGN.md §6).
@@ -187,7 +204,10 @@ impl Histogram {
     /// [`Histogram::occupied_cells`] back in bucket indexes: every bucket
     /// of a cell that holds an occupied bucket (the last cell's may run
     /// past the last bucket). A test against it is exactly the test a
-    /// reader holding only the two cell indexes could make.
+    /// reader holding only the two cell indexes could make. It is one
+    /// server's side of a box in a branch summary's parts, which are per
+    /// server, sized by a byte budget, and shipped only to the readers
+    /// that test them (see [`crate::Summary::branch_of`]).
     pub(crate) fn coarse_span(&self) -> Span {
         let within_cell = self.cell_buckets() as u32 - 1;
         match self.occupied.is_empty() {

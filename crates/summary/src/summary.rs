@@ -8,11 +8,18 @@
 //! over several attributes "may match" a branch as soon as *some* record
 //! of *some* server in it falls in each range. A branch summary built by
 //! [`Summary::branch_of`] therefore also remembers its **parts**: one
-//! coarse box per summand it was aggregated from (its server's own records
-//! and each child's branch), each tagged with its summand's server id, and
-//! a query must fit one of them as a whole. The tags of the parts that do
+//! coarse box per server below it, tagged with the summand it is reached
+//! through (the branch's own server, or the child whose branch holds it),
+//! and a query must fit one of them as a whole. The parts are sized in
+//! bytes: boxes of one summand are merged greedily, the pair whose hull
+//! adds the least volume first, until they fit a fixed share of the
+//! summary's attribute bytes ([`Summary::parts_budget`]), never below one
+//! box per summand. The tags of the parts that hold a query
 //! ([`Summary::parts_holding`]) name the servers below a replicated branch
-//! worth contacting directly.
+//! worth contacting directly. Only the readers that test a branch's parts
+//! are shipped them — its parent and the overlay's sibling and
+//! ancestor-sibling copies; an ancestor copy travels
+//! [`Summary::without_parts`].
 
 use crate::attr_summary::{AttrMergeError, AttributeSummary};
 use crate::bloom::BloomFilter;
@@ -20,6 +27,7 @@ use crate::histogram::{Histogram, Span};
 use crate::value_set::ValueSet;
 use roads_records::{AttrType, Query, Record, Schema, WireSize};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Outcome of [`Summary::decide`]: the may-match answer plus which
 /// per-attribute representation it hinged on.
@@ -124,12 +132,14 @@ impl Default for SummaryConfig {
 pub struct Summary {
     per_attr: Vec<AttributeSummary>,
     records: u64,
-    /// One box per summand of a [`Summary::branch_of`] aggregate, `arity`
-    /// spans each: per ordered attribute the summand's occupied range,
+    /// The boxes of a [`Summary::branch_of`] aggregate, `arity` spans
+    /// each: per ordered attribute the occupied range of one server below,
+    /// or the hull of several of one summand's once merged to the budget,
     /// rounded outward to cells (see [`Histogram::occupied_cells`]);
     /// [`Span::FULL`] for the others. Every record of the aggregate lies in
-    /// its summand's box. Empty on any summary built or changed any other
-    /// way: a box list vouches only for the summands it was taken from.
+    /// some box of its summand. A summand's boxes are adjacent, in summand
+    /// order. Empty on any summary built or changed any other way: a box
+    /// list vouches only for the summands it was taken from.
     parts: Vec<Span>,
     /// The tag of each box in `parts`, in box order: the id its summand
     /// was handed to [`Summary::branch_of`] with.
@@ -142,6 +152,10 @@ impl Summary {
     /// beyond it go untested there, which only makes the answer more
     /// cautious.
     const PREDICATES_PUT_TO_PARTS: usize = 16;
+
+    /// The parts of a branch summary may take `1 / PARTS_SHARE` of the
+    /// attribute bytes every summary of its schema carries.
+    const PARTS_SHARE: usize = 32;
 
     /// Empty summary for `schema` under `config`.
     pub fn empty(schema: &Schema, config: &SummaryConfig) -> Self {
@@ -172,46 +186,93 @@ impl Summary {
     /// in that order — the one way a branch is aggregated, in a build,
     /// after a delta and on the message plane.
     ///
-    /// The aggregate also keeps one box per non-empty summand, tagged with
-    /// the summand's id (see the module docs), which [`Summary::may_match`]
-    /// tests on top of the merged attributes. A single summand's box says
-    /// nothing its own histograms do not, so an aggregate of fewer than two
-    /// keeps none: a leaf's branch summary *is* its local summary.
+    /// The aggregate also keeps a coarse box per non-empty server below
+    /// it, tagged with the summand it is reached through, merged within
+    /// each summand down to [`Summary::parts_budget`] (see the module
+    /// docs); [`Summary::may_match`] tests them on top of the merged
+    /// attributes. A single box says nothing the aggregate's own
+    /// histograms do not, so an aggregate of fewer than two keeps none: a
+    /// leaf's branch summary *is* its local summary.
     pub fn branch_of<'a>(
         id: u32,
         local: &Summary,
         children: impl IntoIterator<Item = (u32, &'a Summary)>,
     ) -> Result<Summary, AttrMergeError> {
-        let mut branch = local.clone();
-        branch.clear_parts();
+        Self::branch_within(id, local, children, local.parts_budget())
+    }
+
+    /// [`Summary::branch_of`] with its parts merged down to `budget` wire
+    /// bytes instead of [`Summary::parts_budget`]: `0` leaves one box per
+    /// summand, `usize::MAX` one per server below.
+    pub fn branch_within<'a>(
+        id: u32,
+        local: &Summary,
+        children: impl IntoIterator<Item = (u32, &'a Summary)>,
+        budget: usize,
+    ) -> Result<Summary, AttrMergeError> {
+        let mut branch = local.without_parts();
         let mut children = children.into_iter().peekable();
         if children.peek().is_none() {
             return Ok(branch);
         }
         let arity = branch.per_attr.len();
-        let mut parts = Vec::with_capacity((1 + children.size_hint().0) * arity);
-        let mut tags = Vec::with_capacity(1 + children.size_hint().0);
-        let mut push_box = |tag: u32, summand: &Summary| {
-            if !summand.is_empty() {
-                parts.extend(summand.per_attr.iter().map(AttributeSummary::coarse_span));
-                tags.push(tag);
-            }
+        let mut boxes = Boxes {
+            parts: Vec::with_capacity((1 + children.size_hint().0) * arity),
+            tags: Vec::with_capacity(1 + children.size_hint().0),
+            arity,
         };
-        push_box(id, local);
+        boxes.push(id, local);
         for (tag, child) in children {
             branch.merge(child)?;
-            push_box(tag, child);
+            boxes.push(tag, child);
         }
-        if tags.len() >= 2 && arity > 0 {
-            branch.parts = parts;
-            branch.part_tags = tags;
+        if boxes.tags.len() >= 2 && boxes.arity > 0 {
+            boxes.fit(&branch.per_attr, budget);
+            if boxes.tags.len() >= 2 {
+                branch.parts = boxes.parts;
+                branch.part_tags = boxes.tags;
+            }
         }
         Ok(branch)
     }
 
-    /// Boxes this summary keeps of the summands it was aggregated from.
+    /// Wire bytes the parts of a branch summary of this schema and
+    /// configuration may take: a fixed share of the attribute bytes every
+    /// such summary carries, whatever it condenses (a value set counted
+    /// empty). 14 boxes for 8 attributes of 128 buckets, 118 for 16 of
+    /// 1 000, with one-byte tags.
+    pub fn parts_budget(&self) -> usize {
+        let fixed = |a: &AttributeSummary| match a {
+            AttributeSummary::Set(_) => 1 + ValueSet::new().wire_size(),
+            _ => a.wire_size(),
+        };
+        (10 + self.per_attr.iter().map(fixed).sum::<usize>()) / Self::PARTS_SHARE
+    }
+
+    /// Boxes this summary keeps of the servers below it.
     pub fn part_count(&self) -> usize {
         self.part_tags.len()
+    }
+
+    /// Wire bytes the parts add to this summary: for an aggregate that
+    /// kept them, a trailer of a part count (1) and per part its tag (a
+    /// varint) and per ordered attribute two 4-bit cell indexes (1). The
+    /// enclosing message is length-framed, so no trailer costs nothing.
+    pub fn parts_bytes(&self) -> usize {
+        if self.part_tags.is_empty() {
+            return 0;
+        }
+        let ordered = self.per_attr.iter().filter(|a| a.axis().is_some()).count();
+        let tags: usize = self.part_tags.iter().map(|&t| varint_len(t)).sum();
+        1 + tags + self.part_tags.len() * ordered
+    }
+
+    /// This summary as a reader that never tests its parts is shipped it:
+    /// an ancestor's copy, read only for its attributes.
+    pub fn without_parts(&self) -> Summary {
+        let mut bare = self.clone();
+        bare.clear_parts();
+        bare
     }
 
     /// Forget the boxes: they vouch only for the summands they were taken
@@ -348,19 +409,21 @@ impl Summary {
         None
     }
 
-    /// The tags of the parts that hold `query`, in part order — the
-    /// summands of this aggregate that may hold a match — or `None` when
-    /// the summary refuses it. An aggregate that kept no parts admits a
-    /// query it may match with no tags: it cannot say which summand holds
+    /// The tags of the parts that hold `query`, each once, in part order
+    /// — the summands of this aggregate that may hold a match — or `None`
+    /// when the summary refuses it. An aggregate that kept no parts admits
+    /// a query it may match with no tags: it cannot say which summand holds
     /// the match. The part test is [`Summary::may_match`]'s own, so a
     /// summary that may match has at least one holding part if it has
     /// parts at all.
     pub fn parts_holding(&self, query: &Query) -> Option<Vec<u32>> {
         let asked = self.asked(query).ok()?;
-        let tags: Vec<u32> = (self.boxes())
+        let mut tags: Vec<u32> = (self.boxes())
             .filter(|(_, part)| asked.holds(part))
             .map(|(tag, _)| tag)
             .collect();
+        // A summand's boxes are adjacent, so its tag repeats only in a run.
+        tags.dedup();
         (self.part_tags.is_empty() || !tags.is_empty()).then_some(tags)
     }
 
@@ -456,8 +519,7 @@ impl Summary {
     /// local summary with this difference, which proves an entry could
     /// compute it from the replicas it already holds, at zero bytes.
     pub fn without<'a>(&self, summands: impl IntoIterator<Item = &'a Summary>) -> Option<Summary> {
-        let mut rest = self.clone();
-        rest.clear_parts();
+        let mut rest = self.without_parts();
         for s in summands {
             rest.records = rest.records.checked_sub(s.records)?;
             let exact = rest.per_attr.len() == s.per_attr.len()
@@ -499,6 +561,130 @@ impl Asked {
     }
 }
 
+/// A branch's boxes while they are gathered and merged down to a budget.
+struct Boxes {
+    /// `arity` spans a box.
+    parts: Vec<Span>,
+    tags: Vec<u32>,
+    arity: usize,
+}
+
+impl Boxes {
+    /// Gather a summand's boxes under `tag`: its parts if it kept any, or
+    /// else its one box unless it is empty.
+    fn push(&mut self, tag: u32, summand: &Summary) {
+        if !summand.part_tags.is_empty() {
+            self.parts.extend_from_slice(&summand.parts);
+            self.tags.extend(summand.part_tags.iter().map(|_| tag));
+        } else if !summand.is_empty() {
+            (self.parts).extend(summand.per_attr.iter().map(AttributeSummary::coarse_span));
+            self.tags.push(tag);
+        }
+    }
+
+    fn part(&self, i: usize) -> &[Span] {
+        &self.parts[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// Widen box `a` to its hull with box `b`.
+    fn absorb(&mut self, a: usize, b: usize) {
+        for x in 0..self.arity {
+            let other = self.parts[b * self.arity + x];
+            self.parts[a * self.arity + x] = self.parts[a * self.arity + x].hull(other);
+        }
+    }
+
+    /// Merge boxes within each run of one tag (a summand's boxes), the
+    /// pair whose hull adds the least volume in cells first, until the
+    /// trailer takes at most `budget` bytes or every run is down to one
+    /// box. Ties go to the earliest run, then the earliest pair, so the
+    /// result is a function of the boxes: a delta and a rebuild agree.
+    /// Box volumes and pair costs are cached, and worked out again only
+    /// for the box that grows.
+    fn fit(&mut self, per_attr: &[AttributeSummary], budget: usize) {
+        let ordered = per_attr.iter().filter(|a| a.axis().is_some()).count();
+        let bytes = |t: u32| varint_len(t) + ordered;
+        let trailer = 1 + self.tags.iter().map(|&t| bytes(t)).sum::<usize>();
+        let Some(mut excess) = trailer.checked_sub(budget).filter(|&e| e > 0) else {
+            return;
+        };
+        // Each ordered attribute with the log2 of its cell width.
+        let axes: Vec<(usize, u32)> = (per_attr.iter().enumerate())
+            .filter_map(|(x, a)| a.axis().map(|shift| (x, shift)))
+            .collect();
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for run in self.tags.chunk_by(|a, b| a == b) {
+            let start = runs.last().map_or(0, |r| r.end);
+            runs.push(start..start + run.len());
+        }
+        let volume = |part: &[Span]| -> f64 {
+            (axes.iter())
+                .map(|&(x, shift)| part[x].cells(shift) as f64)
+                .product()
+        };
+        let mut vol: Vec<f64> = (0..self.tags.len()).map(|i| volume(self.part(i))).collect();
+        // The cells the hull of `a` and `b` covers that neither does.
+        let added = |boxes: &Boxes, vol: &[f64], a: usize, b: usize| -> f64 {
+            let (pa, pb) = (boxes.part(a), boxes.part(b));
+            let (mut hull, mut meet) = (1.0f64, 1.0f64);
+            for &(x, shift) in &axes {
+                hull *= pa[x].hull(pb[x]).cells(shift) as f64;
+                meet *= pa[x].meet(pb[x]).cells(shift) as f64;
+            }
+            hull - vol[a] - vol[b] + meet
+        };
+        // The cost of merging `a < b`, of one run, at `cost[a * n + b]`.
+        let n = self.tags.len();
+        let mut cost = vec![0.0; n * n];
+        for r in &runs {
+            for a in r.clone() {
+                for b in a + 1..r.end {
+                    cost[a * n + b] = added(self, &vol, a, b);
+                }
+            }
+        }
+        let mut alive = vec![true; n];
+        let cheapest = |r: &Range<usize>, cost: &[f64], alive: &[bool]| {
+            let mut best: Option<(f64, usize, usize)> = None;
+            for a in r.clone().filter(|&a| alive[a]) {
+                for b in (a + 1..r.end).filter(|&b| alive[b]) {
+                    if best.is_none_or(|(c, ..)| cost[a * n + b] < c) {
+                        best = Some((cost[a * n + b], a, b));
+                    }
+                }
+            }
+            best
+        };
+        let mut best: Vec<_> = runs.iter().map(|r| cheapest(r, &cost, &alive)).collect();
+        while excess > 0 {
+            let pick = (best.iter().enumerate())
+                .filter_map(|(k, best)| best.map(|(c, a, b)| (c, k, a, b)))
+                .reduce(|p, q| if q.0 < p.0 { q } else { p });
+            let Some((_, k, a, b)) = pick else {
+                break;
+            };
+            self.absorb(a, b);
+            vol[a] = volume(self.part(a));
+            alive[b] = false;
+            excess = excess.saturating_sub(bytes(self.tags[b]));
+            for o in runs[k].clone().filter(|&o| o != a && alive[o]) {
+                let (lo, hi) = (a.min(o), a.max(o));
+                cost[lo * n + hi] = added(self, &vol, lo, hi);
+            }
+            best[k] = cheapest(&runs[k], &cost, &alive);
+        }
+        let (mut kept, arity) = (0, self.arity);
+        for i in (0..n).filter(|&i| alive[i]) {
+            self.tags[kept] = self.tags[i];
+            self.parts
+                .copy_within(i * arity..(i + 1) * arity, kept * arity);
+            kept += 1;
+        }
+        self.tags.truncate(kept);
+        self.parts.truncate(kept * arity);
+    }
+}
+
 /// Bytes of `v` as an unsigned LEB128 varint.
 fn varint_len(v: u32) -> usize {
     v.checked_ilog2().map_or(1, |bits| bits as usize / 7 + 1)
@@ -506,20 +692,8 @@ fn varint_len(v: u32) -> usize {
 
 impl WireSize for Summary {
     fn wire_size(&self) -> usize {
-        // record count (8) + arity (2) + per-attribute summaries, and for
-        // an aggregate that kept its parts a trailer: part count (1) + per
-        // part its tag (a varint) and per ordered attribute two 4-bit cell
-        // indexes (1). The enclosing message is length-framed, so no
-        // trailer costs nothing.
-        let ordered = || self.per_attr.iter().filter(|a| a.is_ordered()).count();
-        let parts = match self.part_count() {
-            0 => 0,
-            boxes => {
-                let tags: usize = self.part_tags.iter().map(|&t| varint_len(t)).sum();
-                1 + tags + boxes * ordered()
-            }
-        };
-        10 + self.per_attr.iter().map(WireSize::wire_size).sum::<usize>() + parts
+        // record count (8) + arity (2) + per-attribute summaries + parts.
+        10 + self.per_attr.iter().map(WireSize::wire_size).sum::<usize>() + self.parts_bytes()
     }
 }
 
@@ -813,6 +987,54 @@ mod tests {
         // Tags are charged as varints: 1 + 1 + 2 bytes here.
         let untagged = Summary::branch_of(0, &local, [(0, &near), (0, &far)]).unwrap();
         assert_eq!(branch.wire_size(), untagged.wire_size() + 1);
+    }
+
+    #[test]
+    fn parts_merge_the_pair_adding_least_volume_until_the_budget_fits() {
+        let s = Schema::unit_numeric(2);
+        let cfg = SummaryConfig::with_buckets(16);
+        let at = |id: u64, x: f64, y: f64| {
+            let values = vec![Value::Float(x), Value::Float(y)];
+            Summary::from_records(
+                &s,
+                &cfg,
+                &[Record::new_unchecked(RecordId(id), OwnerId(0), values)],
+            )
+        };
+        let (near, far) = (at(1, 0.2, 0.1), at(2, 0.9, 0.9));
+        let child = Summary::branch_of(1, &at(0, 0.1, 0.1), [(2, &near), (3, &far)]).unwrap();
+        assert_eq!(
+            child.part_count(),
+            3,
+            "never fewer than one box per summand"
+        );
+        let local = at(3, 0.5, 0.5);
+        let parent = |budget| Summary::branch_within(0, &local, [(1, &child)], budget).unwrap();
+        let q = |id, x: f64, y: f64| {
+            QueryBuilder::new(&s, QueryId(id))
+                .range("x0", x - 0.04, x + 0.04)
+                .range("x1", y - 0.04, y + 0.04)
+                .build()
+        };
+        let corner = q(1, 0.9, 0.1);
+        // One box per server below: a one-byte tag and a byte per attribute.
+        let exact = parent(usize::MAX);
+        assert_eq!((exact.part_count(), exact.parts_bytes()), (4, 1 + 4 * 3));
+        assert!(!exact.may_match(&corner));
+        // One box fewer: the child's two boxes side by side merge, not a
+        // far one, so the corner stays refused.
+        let fitted = parent(10);
+        assert_eq!((fitted.part_count(), fitted.parts_bytes()), (3, 1 + 3 * 3));
+        assert!(!fitted.may_match(&corner));
+        assert_eq!(fitted.parts_holding(&q(2, 0.15, 0.1)), Some(vec![1]));
+        // Each tag is named once, however many of its boxes hold the query.
+        let all = Query::new(QueryId(3), Vec::new());
+        assert_eq!(fitted.parts_holding(&all), Some(vec![0, 1]));
+        // No budget to speak of: one box per summand, and the child's
+        // hull admits the corner.
+        let coarse = parent(0);
+        assert_eq!(coarse.part_count(), 2);
+        assert!(coarse.may_match(&corner));
     }
 
     #[test]

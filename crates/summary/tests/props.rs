@@ -108,13 +108,22 @@ fn tag(path: &[usize]) -> u32 {
     (path.iter()).fold(1u32, |t, &c| t.wrapping_mul(300).wrapping_add(c as u32))
 }
 
+/// Bytes of `t` as a varint, 7 bits a byte.
+fn varint(t: u32) -> usize {
+    (1..=5).find(|b| u64::from(t) < 1 << (7 * b)).unwrap()
+}
+
+/// A check of one node of an aggregation tree: its branch summary, the
+/// records below it and the tags of its non-empty summands.
+type Check<'a> = dyn FnMut(&Summary, &[Record], &[u32]) + 'a;
+
 /// Aggregate the subtree at `path` bottom-up through `Summary::branch_of`,
-/// handing every node's summary, with the records below it, to `check`.
+/// handing every node's summary to `check`.
 fn aggregate_tree(
     cfg: &SummaryConfig,
     rows: &[Placed],
     path: &[usize],
-    check: &mut dyn FnMut(&Summary, &[Record]),
+    check: &mut Check<'_>,
 ) -> (Summary, Vec<Record>) {
     let schema = mixed_schema();
     let mut below: Vec<Record> = (rows.iter().enumerate())
@@ -133,16 +142,60 @@ fn aggregate_tree(
     }
     let kids = children.iter().map(|(t, s)| (*t, s));
     let branch = Summary::branch_of(tag(path), &local, kids).unwrap();
-    // One box per non-empty summand; a lone summand needs none.
-    let summands = usize::from(!local.is_empty()) + children.len();
-    assert_eq!(branch.part_count(), if summands < 2 { 0 } else { summands });
+    // One box per non-empty server below, as each summand brings them (a
+    // child's parts, or its one box), merged within each summand while the
+    // trailer exceeds the budget and never below one box per summand. A
+    // single box says nothing the attributes do not, so it is not kept.
+    let summands: Vec<u32> = (!local.is_empty())
+        .then(|| tag(path))
+        .into_iter()
+        .chain(
+            children
+                .iter()
+                .filter(|(_, c)| !c.is_empty())
+                .map(|(t, _)| *t),
+        )
+        .collect();
+    let brought = usize::from(!local.is_empty())
+        + (children.iter())
+            .map(|(_, c)| c.part_count().max(usize::from(!c.is_empty())))
+            .sum::<usize>();
+    let (boxes, bytes, budget) = (
+        branch.part_count(),
+        branch.parts_bytes(),
+        branch.parts_budget(),
+    );
+    if boxes == 0 {
+        assert!(
+            brought < 2 || summands.len() == 1,
+            "{brought} boxes, {summands:?}"
+        );
+        assert_eq!(bytes, 0);
+    } else {
+        assert!(
+            summands.len() <= boxes && boxes <= brought,
+            "{boxes} of {brought}"
+        );
+        // Merging stops at the first fit: one box more did not fit.
+        assert!(boxes == brought || bytes > budget || bytes + 7 > budget);
+        assert!(
+            bytes <= budget || boxes == summands.len(),
+            "{bytes} B over {budget} B"
+        );
+        let extra = boxes - summands.len();
+        let least = 1 + summands.iter().map(|&t| varint(t) + 2).sum::<usize>() + 3 * extra;
+        assert!(least <= bytes && bytes <= least + 4 * extra);
+        // Every box holds a query without predicates: each tag read once.
+        let all = branch.parts_holding(&Query::new(QueryId(0), Vec::new()));
+        assert_eq!(all.as_deref(), Some(&summands[..]));
+    }
     if children.is_empty() {
         assert_eq!(
             branch, local,
             "a leaf's branch summary is its local summary"
         );
     }
-    check(&branch, &below);
+    check(&branch, &below, &summands);
     (branch, below)
 }
 
@@ -421,13 +474,18 @@ proptest! {
                 Query::new(QueryId(0), preds.collect())
             })
             .collect();
-        let mut check = |summary: &Summary, below: &[Record]| {
+        let mut check = |summary: &Summary, below: &[Record], summands: &[u32]| {
             for q in &queries {
                 let says = summary.may_match(q);
                 let decided = matches!(summary.decide(q), SummaryVerdict::Match { .. });
                 assert_eq!(decided, says, "decide and may_match disagree on {q:?}");
                 let matched = below.iter().any(|r| q.matches(r));
                 assert!(says || !matched, "false negative: {q:?} over {} records", below.len());
+                // The parts that hold it name distinct summands, in order.
+                if let Some(tags) = summary.parts_holding(q) {
+                    let mut at = summands.iter();
+                    assert!(tags.iter().all(|t| at.any(|s| s == t)), "{tags:?} of {summands:?}");
+                }
             }
         };
         let (root, below) = &aggregate_tree(&cfg, &rows, &[], &mut check);
@@ -445,19 +503,12 @@ proptest! {
             prop_assert!(!changed || s.part_count() == 0, "change {} kept the parts", change);
             prop_assert!(changed || s == *root, "a refused change is no change");
         }
-        // On the wire the parts are a trailer after the attributes: a
-        // count, then per part its tag as a varint (7 bits a byte) and one
-        // byte per ordered attribute (two here). A query with no predicates
-        // is held by every part, so it reads back every tag.
-        let varint = |t: u32| (1..=5).find(|b| u64::from(t) < 1 << (7 * b)).unwrap();
-        let trailer = |s: &Summary| match s.parts_holding(&Query::new(QueryId(0), Vec::new())) {
-            Some(tags) if !tags.is_empty() => 1 + tags.iter().map(|&t| varint(t) + 2).sum::<usize>(),
-            _ => 0,
-        };
-        prop_assert_eq!(trailer(root) > 0, root.part_count() > 0);
+        // On the wire the parts are a trailer after the attributes (its
+        // bytes are checked at every node above), and only the parts.
         let mut flat = root.clone();
         flat.merge(&Summary::empty(&mixed_schema(), &cfg)).unwrap();
-        prop_assert_eq!(root.wire_size(), flat.wire_size() + trailer(root));
+        prop_assert_eq!(&flat, &root.without_parts());
+        prop_assert_eq!(root.wire_size(), flat.wire_size() + root.parts_bytes());
     }
 
     /// The occupied range a histogram tracks is the one a scan finds, after
