@@ -98,7 +98,8 @@ fn main() {
         ..fault_config()
     };
     // Tail-based sampling over the whole live-cluster run: slow / failed /
-    // incomplete queries keep their explain record + flight-recorder trace.
+    // incomplete queries keep their explain record. The recorder gives
+    // each query its trace id, which the exemplars name.
     let recorder = Arc::new(Recorder::new(65_536));
     let tail = TailSampler::shared();
     // Summary-fidelity auditing over the whole live-cluster run: live

@@ -25,19 +25,23 @@
 //! present, `<base>.trace.json` (the Chrome/Perfetto flight-recorder
 //! export). A trailing `.json` on the argument is accepted and stripped.
 //!
-//! `check` exits non-zero when a figure document is missing or malformed,
-//! or when its trace file is missing, malformed, or contains zero complete
-//! (`ph == "X"`) spans — the CI smoke test runs it after a `--quick`
-//! figure binary. A document carrying the marker key of a strict artifact
-//! — `SLOW_QUERIES`, `AUDIT`, `INCIDENTS` and `CACHE_HEALTH` from
-//! `bench_suite`, `DELTA` from `fig18_delta_churn`, one row each in
+//! Every document `summary`, `diff` and `check` read goes through the
+//! artifact layer ([`roads_telemetry::json::artifact`]): every declared
+//! field must be present and well-typed, each offending path is named
+//! (`series[0].y[2]`, `levels[0].probes`), then the document's own
+//! `validate` re-enforces its cross-field invariants offline. A figure
+//! document (marker `schema_version`) must have as many `y` as `x`
+//! values per series and unique series and reference names. `check`
+//! then also reads its trace file — hand-read, since Perfetto defines
+//! that format — and fails when it is missing, malformed, contains zero
+//! complete (`ph == "X"`) spans, or a trace that is no span tree; the CI
+//! smoke test runs it over every `--quick` figure. A document carrying
+//! the marker key of another artifact — `SLOW_QUERIES`, `AUDIT`,
+//! `INCIDENTS` and `CACHE_HEALTH` from `bench_suite`, `DELTA` from
+//! `fig18_delta_churn`, one row each in
 //! [`roads_bench::artifacts::ARTIFACTS`] — takes that row's path instead
-//! and expects no trace file: the artifact layer
-//! ([`roads_telemetry::json::artifact`]) requires every declared field to
-//! be present and well-typed and names each offending path
-//! (`levels[0].probes`), then the artifact's own `validate` re-enforces
-//! its cross-field invariants offline (retained span trees reconstruct,
-//! the delta path's speedup floor and change accounting).
+//! and expects no trace file (its `validate`: retained hop trees are
+//! trees, the delta path's speedup floor and change accounting).
 //!
 //! `incidents` renders the watchdog incident timeline of an
 //! `INCIDENTS.json` artifact: one block per incident with its firing
@@ -67,8 +71,8 @@
 
 use roads_bench::{artifacts, explain_view};
 use roads_telemetry::{
-    critical_path, json, slowest_trace, span_tree_root, trace_ids, Event, EventKind, Json, SlowDoc,
-    SpanId, TraceId,
+    critical_path, json, slowest_trace, span_tree_root, trace_ids, Event, EventKind, FigureExport,
+    Json, SlowDoc, SpanId, TraceId,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -157,78 +161,37 @@ fn parse_trace_events(doc: &Json) -> Result<Vec<Event>, String> {
     Ok(events)
 }
 
-fn series_of(doc: &Json) -> Vec<(String, Vec<f64>)> {
-    doc.get("series")
-        .and_then(Json::as_arr)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(|s| {
-                    let name = s.get("name")?.as_str_val()?.to_string();
-                    let y = s
-                        .get("y")?
-                        .as_arr()?
-                        .iter()
-                        .filter_map(Json::as_f64)
-                        .collect();
-                    Some((name, y))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-fn references_of(doc: &Json) -> Vec<(String, f64, f64)> {
-    doc.get("reference")
-        .and_then(Json::as_arr)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(|r| {
-                    Some((
-                        r.get("name")?.as_str_val()?.to_string(),
-                        r.get("measured")?.as_f64()?,
-                        r.get("paper")?.as_f64()?,
-                    ))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
+/// Load `<base>.json` strictly as a figure document.
+fn load_figure(base: &str) -> Result<FigureExport, String> {
+    FigureExport::load(&expand(base).0)
 }
 
 fn summary(base: &str) -> ExitCode {
-    let (fig_path, trace_path) = expand(base);
-    let doc = match json::load_json(&fig_path) {
-        Ok(d) => d,
+    let fig = match load_figure(base) {
+        Ok(fig) => fig,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let title = doc
-        .get("title")
-        .and_then(Json::as_str_val)
-        .unwrap_or("(untitled)");
-    let figure = doc
-        .get("figure")
-        .and_then(Json::as_str_val)
-        .unwrap_or("(unknown)");
-    println!("figure : {figure}");
-    println!("title  : {title}");
-    let series = series_of(&doc);
-    println!("series : {}", series.len());
-    for (name, y) in &series {
-        let (first, last) = (y.first().copied(), y.last().copied());
-        match (first, last) {
+    let trace_path = expand(base).1;
+    println!("figure : {}", fig.figure);
+    println!("title  : {}", fig.title);
+    println!("series : {}", fig.series.len());
+    for s in &fig.series {
+        let name = &s.name;
+        match (s.y.first(), s.y.last()) {
             (Some(f), Some(l)) => {
-                println!("  {name:<28} {} points, {f:.3} -> {l:.3}", y.len())
+                println!("  {name:<28} {} points, {f:.3} -> {l:.3}", s.y.len())
             }
             _ => println!("  {name:<28} empty"),
         }
     }
-    let refs = references_of(&doc);
-    if !refs.is_empty() {
+    if !fig.reference.is_empty() {
         println!("paper references:");
-        for (name, measured, paper) in &refs {
-            let ratio = if *paper != 0.0 {
+        for r in &fig.reference {
+            let (name, measured, paper) = (&r.name, r.measured, r.paper);
+            let ratio = if paper != 0.0 {
                 format!("{:.2}x", measured / paper)
             } else {
                 "-".to_string()
@@ -268,9 +231,8 @@ fn summary(base: &str) -> ExitCode {
 }
 
 fn diff(base_a: &str, base_b: &str) -> ExitCode {
-    let (fig_a, _) = expand(base_a);
-    let (fig_b, _) = expand(base_b);
-    let (doc_a, doc_b) = match (json::load_json(&fig_a), json::load_json(&fig_b)) {
+    let (fig_a, fig_b) = (expand(base_a).0, expand(base_b).0);
+    let (doc_a, doc_b) = match (load_figure(base_a), load_figure(base_b)) {
         (Ok(a), Ok(b)) => (a, b),
         (a, b) => {
             for r in [a, b] {
@@ -282,15 +244,15 @@ fn diff(base_a: &str, base_b: &str) -> ExitCode {
         }
     };
     println!("diff {} -> {}", fig_a.display(), fig_b.display());
-    let series_b = series_of(&doc_b);
     let mut regressions = 0usize;
-    for (name, ya) in series_of(&doc_a) {
-        let Some((_, yb)) = series_b.iter().find(|(n, _)| *n == name) else {
+    for sa in &doc_a.series {
+        let name = &sa.name;
+        let Some(sb) = doc_b.series.iter().find(|s| s.name == *name) else {
             println!("  {name:<28} only in {}", fig_a.display());
             continue;
         };
         let mean = |y: &[f64]| y.iter().sum::<f64>() / y.len().max(1) as f64;
-        let (ma, mb) = (mean(&ya), mean(yb));
+        let (ma, mb) = (mean(&sa.y), mean(&sb.y));
         let delta_pct = if ma != 0.0 {
             (mb - ma) / ma.abs() * 100.0
         } else {
@@ -304,14 +266,14 @@ fn diff(base_a: &str, base_b: &str) -> ExitCode {
         };
         println!("  {name:<28} mean {ma:.3} -> {mb:.3} ({delta_pct:+.1}%){flag}");
     }
-    for (name, _) in &series_b {
-        if !series_of(&doc_a).iter().any(|(n, _)| n == name) {
-            println!("  {name:<28} only in {}", fig_b.display());
+    for sb in &doc_b.series {
+        if !doc_a.series.iter().any(|s| s.name == sb.name) {
+            println!("  {:<28} only in {}", sb.name, fig_b.display());
         }
     }
-    let refs_b = references_of(&doc_b);
-    for (name, ma, paper) in references_of(&doc_a) {
-        if let Some((_, mb, _)) = refs_b.iter().find(|(n, _, _)| *n == name) {
+    for ra in &doc_a.reference {
+        if let Some(rb) = doc_b.reference.iter().find(|r| r.name == ra.name) {
+            let (name, ma, mb, paper) = (&ra.name, ra.measured, rb.measured, ra.paper);
             println!("  ref {name:<30} measured {ma:.3} -> {mb:.3} (paper {paper:.3})");
         }
     }
@@ -333,9 +295,7 @@ fn check_one(base: &str) -> Result<String, String> {
     if let Some(row) = artifacts::row_for(&doc) {
         return (row.check)(&doc).map_err(|e| format!("{}: {e}", fig_path.display()));
     }
-    if doc.get("figure").and_then(Json::as_str_val).is_none() {
-        return Err(format!("{}: not a figure document", fig_path.display()));
-    }
+    FigureExport::from_json(&doc).map_err(|e| format!("{}: {e}", fig_path.display()))?;
     let events = json::load_json(&trace_path).and_then(|d| parse_trace_events(&d))?;
     let spans = events.iter().filter(|e| e.dur_us > 0).count();
     if spans == 0 {
@@ -400,13 +360,6 @@ fn explain(path: &str, query_id: Option<u64>) -> ExitCode {
         print!("{}", explain_view::render_waterfall(&entry.explain));
         println!("decision tree:");
         print!("{}", explain_view::render_decision_tree(&entry.explain));
-        if !entry.events.is_empty() {
-            println!(
-                "flight recorder: {} events retained for trace {}",
-                entry.events.len(),
-                entry.explain.trace_id
-            );
-        }
     }
     ExitCode::SUCCESS
 }

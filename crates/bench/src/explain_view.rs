@@ -221,7 +221,7 @@ pub fn render_slow_table(doc: &SlowDoc) -> String {
 mod tests {
     use super::*;
     use roads_telemetry::{
-        Event, ExplainDecision, Json, LatencySplit, SummaryKind, TailConfig, TailSampler,
+        ExplainDecision, Json, LatencySplit, SummaryKind, TailConfig, TailSampler,
     };
 
     fn hop(
@@ -315,7 +315,7 @@ mod tests {
             min_samples: 1_000_000,
             floor_ms: 0.0001,
         });
-        s.observe(explain(), false, Vec::new());
+        s.observe(explain(), false);
         let doc = Json::parse(&s.report().to_json().to_string_pretty()).unwrap();
         assert!(SlowDoc::has_marker(&doc));
         let parsed = SlowDoc::from_json(&doc).unwrap();
@@ -356,26 +356,21 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_events_that_do_not_form_a_span_tree() {
+    fn parser_rejects_hops_that_do_not_form_a_tree() {
+        // Hops 2 and 3 name each other: the decision tree reaches neither
+        // from the entry and would leave both out without a word.
+        let mut looped = explain();
+        looped.hops[2].caused_by = Some(3);
+        let tree = render_decision_tree(&looped);
+        assert!(!tree.contains("#2") && !tree.contains("#3"), "{tree}");
         let s = TailSampler::new(TailConfig {
             capacity: 8,
             min_samples: 1_000_000,
             floor_ms: 0.0001,
         });
-        // An orphan event: parent span 999 never appears in the trace.
-        let orphan = Event {
-            at_us: 0,
-            dur_us: 10,
-            node: 0,
-            trace: roads_telemetry::TraceId(42),
-            span: roads_telemetry::SpanId(1),
-            parent: roads_telemetry::SpanId(999),
-            kind: roads_telemetry::EventKind::QueryHop,
-            detail: 0,
-        };
-        s.observe(explain(), false, vec![orphan]);
+        s.observe(looped, false);
         let doc = Json::parse(&s.report().to_json().to_string_pretty()).unwrap();
         let err = SlowDoc::from_json(&doc).unwrap_err();
-        assert!(err.contains("trace 42"), "{err}");
+        assert!(err.contains("retained[0].explain.hops[2]"), "{err}");
     }
 }

@@ -101,10 +101,14 @@ fn artifact_run_writes_exactly_its_checkable_documents() {
     assert!(out.contains("waterfall"), "{out}");
     assert!(out.contains("decision tree:"), "{out}");
     assert!(out.contains("attribution:"), "{out}");
+    // Each retained query names its recorded trace; the hop tree is the
+    // explain's own, nothing of the recorder's ring is copied in.
+    assert!(out.contains("(trace "), "{out}");
     assert!(
-        out.contains("flight recorder:"),
+        !out.contains("(trace 0)"),
         "retained queries carry their trace:\n{out}"
     );
+    assert!(!out.contains("flight recorder:"), "{out}");
 }
 
 #[test]
@@ -149,17 +153,27 @@ fn check_fails_cleanly_on_truncated_and_corrupt_artifacts() {
         assert!(out.contains("error:"), "{out}");
     }
 
-    // A figure document whose trace file is truncated mid-array.
+    // A valid figure document whose trace file is truncated mid-array:
+    // `check` fails on the trace, not on the figure.
+    let mut figx = roads_telemetry::FigureExport::new("figx", "t").axes("x", "y");
+    figx.push_series("s", &[(1.0, 2.0), (2.0, 3.0)]);
     let fig = tmp("figx.json");
-    std::fs::write(
-        &fig,
-        r#"{"figure":"figx","title":"t","series":[],"reference":[],"notes":[]}"#,
-    )
-    .unwrap();
+    figx.write(&fig).unwrap();
     std::fs::write(tmp("figx.trace.json"), r#"{"traceEvents":[{"cat":"roa"#).unwrap();
     let (ok, out) = inspect(&["check", fig.to_str().unwrap()]);
     assert!(!ok, "truncated trace must fail:\n{out}");
-    assert!(out.contains("FAIL"), "{out}");
+    assert!(
+        out.contains("FAIL") && out.contains("figx.trace.json"),
+        "{out}"
+    );
+
+    // The same figure with a series whose `y` is shorter than its `x`
+    // fails on the figure document itself.
+    figx.series[0].y.pop();
+    figx.write(&fig).unwrap();
+    let (ok, out) = inspect(&["check", fig.to_str().unwrap()]);
+    assert!(!ok, "unequal x/y must fail:\n{out}");
+    assert!(out.contains("figx.json: series[0]"), "{out}");
 }
 
 /// Every figure document carries `schema_version`; `check` must route it
@@ -171,7 +185,7 @@ fn check_routes_a_figure_document_to_its_trace_not_an_artifact_row() {
     let _ = std::fs::remove_file(dir.join("figy.trace.json"));
     let mut fig = FigureExport::new("figy", "routing fixture");
     fig.push_series("s", &[(1.0, 2.0)]);
-    let fig_path = fig.write(&dir).unwrap();
+    let fig_path = fig.write_in(&dir).unwrap();
     let doc = Json::parse(&std::fs::read_to_string(&fig_path).unwrap()).unwrap();
     assert_eq!(doc.get("schema_version").and_then(Json::as_f64), Some(1.0));
     let base = dir.join("figy");

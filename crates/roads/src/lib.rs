@@ -91,7 +91,7 @@ pub use queryexec::{
     record_query_events, ForwardingMode, QueryOptions, QueryOutcome, SearchScope,
 };
 pub use store::{DeltaOutcome, RecordChange, RecordDelta, RecordStore, ServerStore};
-pub use tree::{BalanceStats, HierarchyTree, ServerId, TreeError};
+pub use tree::{HierarchyTree, ServerId, TreeError};
 pub use updates::{
     record_update_round_events, update_round, update_round_delta, update_round_full,
     UpdateBreakdown,

@@ -38,8 +38,6 @@ pub enum TreeError {
     /// Joining would create a loop (the candidate parent's root path
     /// contains the joining server).
     LoopDetected(ServerId),
-    /// The root cannot leave via `remove`; use root election instead.
-    CannotRemoveRoot,
 }
 
 impl fmt::Display for TreeError {
@@ -48,36 +46,19 @@ impl fmt::Display for TreeError {
             TreeError::AlreadyJoined(s) => write!(f, "{s} already joined"),
             TreeError::NotJoined(s) => write!(f, "{s} is not in the hierarchy"),
             TreeError::LoopDetected(s) => write!(f, "joining {s} would create a loop"),
-            TreeError::CannotRemoveRoot => write!(f, "the root cannot be removed; elect first"),
         }
     }
 }
 
 impl std::error::Error for TreeError {}
 
-/// Shape statistics of a hierarchy (see
-/// [`HierarchyTree::balance_stats`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BalanceStats {
-    /// Joined servers.
-    pub servers: usize,
-    /// Levels (`max depth + 1`).
-    pub levels: usize,
-    /// Levels a perfectly balanced tree of the same degree would need.
-    pub optimal_levels: usize,
-    /// Mean server depth.
-    pub mean_depth: f64,
-    /// Maximum server depth.
-    pub max_depth: usize,
-    /// Servers per depth (index = depth).
-    pub depth_histogram: Vec<usize>,
-}
-
 /// The server hierarchy: a rooted tree over servers `0..capacity`.
 ///
 /// The structure is a *converged view* of the federation used by the
-/// simulators and the engine; the live, message-driven version of the same
-/// rules runs in [`crate::maintenance`].
+/// simulators and the engine. Churn is not modelled here: the live,
+/// message-driven version of the same rules — the join walk plus rejoin
+/// from the grandparent, smallest-id root election and leave — runs in
+/// [`crate::maintenance`].
 ///
 /// ```
 /// use roads_core::tree::{HierarchyTree, ServerId};
@@ -292,8 +273,9 @@ impl HierarchyTree {
         }
     }
 
-    /// Attach `s` directly under `parent` (used by join and by the
-    /// maintenance rejoin path). Enforces loop avoidance via the root path.
+    /// Attach `s` directly under `parent` (used by join and by
+    /// `maintenance::extract_tree`). Enforces loop avoidance via the root
+    /// path.
     pub fn attach(&mut self, s: ServerId, parent: ServerId) -> Result<(), TreeError> {
         if self.contains(s) {
             return Err(TreeError::AlreadyJoined(s));
@@ -302,7 +284,7 @@ impl HierarchyTree {
             return Err(TreeError::NotJoined(parent));
         }
         // Loop check: s must not be on the parent's root path. (A not-yet-
-        // joined server cannot be, but rejoining subtree roots can.)
+        // joined server cannot be; the check keeps the invariant local.)
         if self.on_root_path(s, parent) {
             return Err(TreeError::LoopDetected(s));
         }
@@ -310,103 +292,6 @@ impl HierarchyTree {
         self.children[parent.index()].push(s);
         self.joined[s.index()] = true;
         Ok(())
-    }
-
-    /// Detach `s` and its whole subtree from the hierarchy (departure or
-    /// failure). Returns the orphaned children, which the maintenance layer
-    /// rejoins starting from their grandparent. `s` itself leaves the
-    /// hierarchy; its children stay joined but parentless until re-attached.
-    pub fn remove(&mut self, s: ServerId) -> Result<Vec<ServerId>, TreeError> {
-        if !self.contains(s) {
-            return Err(TreeError::NotJoined(s));
-        }
-        if s == self.root {
-            return Err(TreeError::CannotRemoveRoot);
-        }
-        let parent = self.parent[s.index()].expect("non-root joined node has a parent");
-        self.children[parent.index()].retain(|&c| c != s);
-        self.parent[s.index()] = None;
-        self.joined[s.index()] = false;
-        let orphans = std::mem::take(&mut self.children[s.index()]);
-        for &c in &orphans {
-            self.parent[c.index()] = None;
-        }
-        Ok(orphans)
-    }
-
-    /// Re-attach an orphaned subtree root under a new parent, walking the
-    /// join rule from `entry` ("a child will try to rejoin the hierarchy
-    /// starting from its grandparent").
-    pub fn rejoin_subtree(
-        &mut self,
-        orphan: ServerId,
-        entry: ServerId,
-        max_children: usize,
-    ) -> Result<ServerId, TreeError> {
-        if !self.contains(entry) {
-            return Err(TreeError::NotJoined(entry));
-        }
-        // The orphan is still marked joined (its subtree never left); find a
-        // parent that is not inside the orphan's own subtree.
-        let parent = self.find_parent_avoiding(entry, max_children, orphan);
-        if self.on_root_path(orphan, parent) {
-            return Err(TreeError::LoopDetected(orphan));
-        }
-        self.parent[orphan.index()] = Some(parent);
-        self.children[parent.index()].push(orphan);
-        Ok(parent)
-    }
-
-    /// Join walk that refuses to descend into `avoid`'s subtree.
-    fn find_parent_avoiding(
-        &self,
-        entry: ServerId,
-        max_children: usize,
-        avoid: ServerId,
-    ) -> ServerId {
-        let mut cur = entry;
-        loop {
-            if self.children(cur).len() < max_children {
-                return cur;
-            }
-            let next = self
-                .children(cur)
-                .iter()
-                .copied()
-                .filter(|&c| c != avoid)
-                .min_by_key(|&c| (self.branch_depth(c), self.descendants(c)));
-            match next {
-                Some(n) => cur = n,
-                // Every child is `avoid`: accept over capacity rather than
-                // fail (liveness beats the soft capacity bound).
-                None => return cur,
-            }
-        }
-    }
-
-    /// Elect a new root after a root failure: among the old root's
-    /// children, "the one with the smallest IP address" — here the smallest
-    /// id. The old root must already be detached via [`Self::fail_root`].
-    pub fn elect_root(candidates: &[ServerId]) -> Option<ServerId> {
-        candidates.iter().copied().min()
-    }
-
-    /// Remove a failed root: detaches it, promotes the elected child to
-    /// root, and re-attaches the remaining children under the new root.
-    /// Returns the new root.
-    pub fn fail_root(&mut self, max_children: usize) -> Result<ServerId, TreeError> {
-        let old = self.root;
-        let children = std::mem::take(&mut self.children[old.index()]);
-        let new_root = Self::elect_root(&children).ok_or(TreeError::NotJoined(old))?;
-        self.joined[old.index()] = false;
-        self.parent[old.index()] = None;
-        self.root = new_root;
-        self.parent[new_root.index()] = None;
-        for &c in children.iter().filter(|&&c| c != new_root) {
-            self.parent[c.index()] = None;
-            self.rejoin_subtree(c, new_root, max_children)?;
-        }
-        Ok(new_root)
     }
 
     /// All joined servers.
@@ -425,49 +310,8 @@ impl HierarchyTree {
             .collect()
     }
 
-    /// Shape statistics of the hierarchy, used by the balance ablation and
-    /// monitoring examples.
-    pub fn balance_stats(&self) -> BalanceStats {
-        let servers = self.servers();
-        let n = servers.len();
-        let depths: Vec<usize> = servers.iter().map(|&s| self.depth(s)).collect();
-        let max_depth = depths.iter().copied().max().unwrap_or(0);
-        let mean_depth = if n == 0 {
-            0.0
-        } else {
-            depths.iter().sum::<usize>() as f64 / n as f64
-        };
-        let mut histogram = vec![0usize; max_depth + 1];
-        for d in depths {
-            histogram[d] += 1;
-        }
-        // Optimal levels for this size and the tree's widest degree.
-        let k = servers
-            .iter()
-            .map(|&s| self.children(s).len())
-            .max()
-            .unwrap_or(1)
-            .max(2);
-        let mut capacity = 1usize;
-        let mut width = 1usize;
-        let mut optimal_levels = 1usize;
-        while capacity < n {
-            width *= k;
-            capacity += width;
-            optimal_levels += 1;
-        }
-        BalanceStats {
-            servers: n,
-            levels: self.levels(),
-            optimal_levels,
-            mean_depth,
-            max_depth,
-            depth_histogram: histogram,
-        }
-    }
-
     /// Validate structural invariants; returns a description of the first
-    /// violation. Used by property tests and after maintenance operations.
+    /// violation. Used by property tests and by `maintenance::extract_tree`.
     pub fn validate(&self) -> Result<(), String> {
         if !self.contains(self.root) {
             return Err("root not joined".into());
@@ -579,54 +423,6 @@ mod tests {
             t.attach(ServerId(0), leaf),
             Err(TreeError::AlreadyJoined(ServerId(0)))
         );
-        // Simulate a rejoin loop: detach subtree s, then try to rejoin it
-        // under its own descendant.
-        let s = t.children(t.root())[0];
-        let descendant = t.subtree(s).last().copied().unwrap();
-        if descendant != s {
-            let orphans = t.remove(s).unwrap();
-            // Re-attach orphans first so the tree is connected.
-            for o in orphans {
-                t.rejoin_subtree(o, t.root(), 2).unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn remove_orphans_children() {
-        let mut t = HierarchyTree::build(13, 3);
-        let mid = t.children(t.root())[0];
-        let kids = t.children(mid).to_vec();
-        let orphans = t.remove(mid).unwrap();
-        assert_eq!(orphans, kids);
-        assert!(!t.contains(mid));
-        for o in &orphans {
-            assert_eq!(t.parent(*o), None);
-        }
-        // Rejoin from the grandparent (the root here).
-        for o in orphans {
-            t.rejoin_subtree(o, t.root(), 3).unwrap();
-        }
-        t.validate().unwrap();
-        assert_eq!(t.len(), 12);
-    }
-
-    #[test]
-    fn root_removal_rejected() {
-        let mut t = HierarchyTree::build(4, 2);
-        assert_eq!(t.remove(t.root()), Err(TreeError::CannotRemoveRoot));
-    }
-
-    #[test]
-    fn root_failure_elects_smallest_child() {
-        let mut t = HierarchyTree::build(30, 3);
-        let children = t.children(t.root()).to_vec();
-        let expected = *children.iter().min().unwrap();
-        let new_root = t.fail_root(3).unwrap();
-        assert_eq!(new_root, expected);
-        assert_eq!(t.root(), expected);
-        t.validate().unwrap();
-        assert_eq!(t.len(), 29);
     }
 
     #[test]
@@ -654,18 +450,6 @@ mod tests {
         let c = t.children(t.root())[0];
         let sub = t.subtree(c);
         assert_eq!(sub.len(), 1 + t.descendants(c));
-    }
-
-    #[test]
-    fn balance_stats_shape() {
-        let t = HierarchyTree::build(156, 5); // full 4-level 5-ary tree
-        let b = t.balance_stats();
-        assert_eq!(b.servers, 156);
-        assert_eq!(b.levels, 4);
-        assert_eq!(b.optimal_levels, 4);
-        assert_eq!(b.depth_histogram, vec![1, 5, 25, 125]);
-        assert!((b.mean_depth - (5.0 + 50.0 + 375.0) / 156.0).abs() < 1e-9);
-        assert_eq!(b.max_depth, 3);
     }
 
     #[test]

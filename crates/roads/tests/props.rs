@@ -70,33 +70,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn removal_and_rejoin_preserve_validity(
-        n in 5usize..80,
-        k in 2usize..6,
-        removals in prop::collection::vec(any::<u32>(), 1..8),
-    ) {
-        let mut t = HierarchyTree::build(n, k);
-        for seed in removals {
-            let victims: Vec<ServerId> = t
-                .servers()
-                .into_iter()
-                .filter(|&s| s != t.root())
-                .collect();
-            if victims.is_empty() {
-                break;
-            }
-            let victim = victims[seed as usize % victims.len()];
-            let grandparent = t.parent(victim).and_then(|p| t.parent(p)).unwrap_or(t.root());
-            let orphans = t.remove(victim).unwrap();
-            for o in orphans {
-                let entry = if t.contains(grandparent) { grandparent } else { t.root() };
-                t.rejoin_subtree(o, entry, k).unwrap();
-            }
-            prop_assert!(t.validate().is_ok());
-        }
-    }
-
     /// One executor, every combination of its options: each returns
     /// exactly what brute force finds inside the search scope, a contact
     /// log never changes the outcome, and the log's causal links are real.

@@ -411,9 +411,9 @@ pub struct Attachments<'a> {
     /// A tail-based sampler: every query — driven or replayed from the
     /// result cache — derives its [`QueryExplain`] provenance record and
     /// offers it to the sampler on completion; slow / failed / incomplete
-    /// queries are retained with their flight-recorder trace (when a
-    /// recorder is also attached), everything else folds into the
-    /// sampler's live histogram and is dropped.
+    /// queries are retained with that record (whose trace id names the
+    /// span tree an attached recorder holds), everything else folds into
+    /// the sampler's live histogram and is dropped.
     pub tail: Option<Arc<TailSampler>>,
     /// Audit instruments: every branch-mode reply in a finished query's
     /// contact log is folded into the per-level `audit.live_probes` /
@@ -846,12 +846,13 @@ impl RoadsCluster {
                 m.slo_violation.inc();
             }
         }
-        let (trace, events) = match &self.recorder {
+        let trace = match &self.recorder {
             Some(rec) if entry != ExplainDecision::CacheHit => {
                 let trace = rec.next_trace_id();
-                (trace, record_query_events(rec, trace, log))
+                record_query_events(rec, trace, log);
+                trace
             }
-            _ => (TraceId::NONE, Vec::new()),
+            _ => TraceId::NONE,
         };
         let explain = want_explain.then(|| QueryExplain {
             // Measured here, not modelled: the wall clock, the fault
@@ -871,10 +872,7 @@ impl RoadsCluster {
             }
         }
         if let (Some(tail), Some(explain)) = (&self.tail, &explain) {
-            let failed = !outcome.failed_servers.is_empty();
-            // The events just recorded, not the ring's copy of them:
-            // the ring may already have evicted the first ones.
-            tail.observe(explain.clone(), failed, events);
+            tail.observe(explain.clone(), !outcome.failed_servers.is_empty());
         }
         (outcome, explain)
     }

@@ -291,10 +291,10 @@ fn recorded_but_unexplained_query_still_builds_its_span_tree() {
     c.shutdown();
 }
 
-/// A retained query keeps the events its trace recorded, even once the
-/// ring has evicted them: a query from the root that descends two levels
-/// records more events than a ring of two holds, and the
-/// `SLOW_QUERIES.json` document it lands in still validates.
+/// A retained query keeps its whole hop tree, whatever the ring has
+/// evicted: a query from the root that descends two levels contacts more
+/// servers than a ring of two holds events, and the `SLOW_QUERIES.json`
+/// document it lands in still validates.
 #[test]
 fn retained_events_outlive_the_ring() {
     let n = 13;
@@ -325,10 +325,10 @@ fn retained_events_outlive_the_ring() {
     let retained = tail.retained();
     assert_eq!(retained.len(), 1);
     assert_eq!(retained[0].reason, RetainReason::Slow);
-    SlowDoc::from_json(&tail.report().to_json()).expect("the retained trace is whole");
+    SlowDoc::from_json(&tail.report().to_json()).expect("the retained hop tree is whole");
     assert!(
-        retained[0].events.len() > rec.capacity(),
-        "the query recorded more events than the ring holds"
+        retained[0].explain.hops.len() > rec.capacity(),
+        "the query made more hops than the ring holds events"
     );
     c.shutdown();
 }
@@ -370,14 +370,13 @@ fn retained_query_explain_reconstructs_span_tree() {
     let ex = &kept.explain;
     assert_consistent(&out, ex);
 
-    // The retained flight-recorder events belong to this trace and form
-    // a valid span tree.
+    // The retained explain names its trace, and the recorder's events of
+    // that trace form a valid span tree.
     assert!(ex.trace_id != 0, "recorder attached ⇒ real trace id");
     let trace = TraceId(ex.trace_id);
-    assert!(!kept.events.is_empty());
-    assert!(kept.events.iter().all(|e| e.trace == trace));
-    assert_eq!(kept.events, trace_events(&rec.events(), trace));
-    span_tree_root(&kept.events, trace).expect("retained events form a span tree");
+    let events = trace_events(&rec.events(), trace);
+    assert!(!events.is_empty());
+    span_tree_root(&events, trace).expect("the trace's events form a span tree");
 
     // Hop-by-hop reconstruction: the explain record and the span tree
     // describe the same execution. Every Replied hop is a QueryHop event
@@ -389,8 +388,7 @@ fn retained_query_explain_reconstructs_span_tree() {
         .filter(|h| h.outcome == HopOutcome::Replied)
         .map(|h| h.server)
         .collect();
-    let hop_events: BTreeSet<u32> = kept
-        .events
+    let hop_events: BTreeSet<u32> = events
         .iter()
         .filter(|e| e.kind == EventKind::QueryHop)
         .map(|e| e.node)
@@ -401,8 +399,7 @@ fn retained_query_explain_reconstructs_span_tree() {
         .iter()
         .filter(|h| matches!(h.outcome, HopOutcome::TimedOut | HopOutcome::MailboxDown))
         .count();
-    let timeout_events = kept
-        .events
+    let timeout_events = events
         .iter()
         .filter(|e| e.kind == EventKind::DispatchTimeout)
         .count();
@@ -412,18 +409,14 @@ fn retained_query_explain_reconstructs_span_tree() {
         .iter()
         .filter(|h| h.decision == ExplainDecision::Failover)
         .count();
-    let failover_events = kept
-        .events
+    let failover_events = events
         .iter()
         .filter(|e| e.kind == EventKind::Failover)
         .count();
     assert_eq!(failover_hops, failover_events);
     assert_eq!(
         ex.retry_count(),
-        kept.events
-            .iter()
-            .filter(|e| e.kind == EventKind::Retry)
-            .count() as u64
+        events.iter().filter(|e| e.kind == EventKind::Retry).count() as u64
     );
 
     // Exemplar: the latency bucket this query fell into links back to

@@ -3,16 +3,19 @@
 //! Every `fig*` bench binary builds a [`FigureExport`] alongside its
 //! terminal output and writes `results/<figure>.json`: the plotted series,
 //! measured-vs-paper reference points, and (when telemetry ran) a metrics
-//! snapshot and trace report. The schema is documented in `DESIGN.md`
-//! ("Observability") and versioned via `schema_version`.
+//! snapshot and trace report. The document is an artifact
+//! ([`crate::json::artifact`]): one field table below derives its writer
+//! and strict reader, its marker is `schema_version`, and `validate`
+//! holds its cross-field invariants. The schema is documented in
+//! `DESIGN.md` ("Observability").
 
-use std::fs;
+use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::json::Json;
 use crate::registry::MetricsSnapshot;
 use crate::trace::TraceReport;
+use crate::{artifact, json_fields};
 
 /// One plotted line: parallel `x`/`y` vectors.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,73 +112,28 @@ impl FigureExport {
         self.traces = Some(report);
     }
 
-    /// The full JSON document.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(1.0)),
-            ("figure", Json::str(self.figure.clone())),
-            ("title", Json::str(self.title.clone())),
-            ("x_label", Json::str(self.x_label.clone())),
-            ("y_label", Json::str(self.y_label.clone())),
-            (
-                "series",
-                Json::Arr(
-                    self.series
-                        .iter()
-                        .map(|s| {
-                            Json::obj(vec![
-                                ("name", Json::str(s.name.clone())),
-                                ("x", Json::nums(&s.x)),
-                                ("y", Json::nums(&s.y)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "reference",
-                Json::Arr(
-                    self.reference
-                        .iter()
-                        .map(|r| {
-                            Json::obj(vec![
-                                ("name", Json::str(r.name.clone())),
-                                ("measured", Json::num(r.measured)),
-                                ("paper", Json::num(r.paper)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "notes",
-                Json::Arr(self.notes.iter().map(|n| Json::str(n.clone())).collect()),
-            ),
-            (
-                "telemetry",
-                self.telemetry
-                    .as_ref()
-                    .map(|t| t.to_json())
-                    .unwrap_or(Json::Null),
-            ),
-            (
-                "traces",
-                self.traces
-                    .as_ref()
-                    .map(|t| t.to_json())
-                    .unwrap_or(Json::Null),
-            ),
-        ])
-    }
-
     /// Write `<dir>/<figure>.json` (pretty-printed), creating `dir` if
     /// needed. Returns the written path.
-    pub fn write(&self, dir: impl AsRef<Path>) -> io::Result<PathBuf> {
-        let dir = dir.as_ref();
-        fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.figure));
-        fs::write(&path, self.to_json().to_string_pretty())?;
+    pub fn write_in(&self, dir: impl AsRef<Path>) -> io::Result<PathBuf> {
+        let path = dir.as_ref().join(format!("{}.json", self.figure));
+        self.write(&path)?;
         Ok(path)
+    }
+
+    /// Series `x`/`y` lengths agree, and series and reference names are
+    /// unique within the document.
+    fn validate(&self) -> Result<(), String> {
+        for (i, s) in self.series.iter().enumerate() {
+            if s.x.len() != s.y.len() {
+                return Err(format!(
+                    "series[{i}]: {} x values but {} y values",
+                    s.x.len(),
+                    s.y.len()
+                ));
+            }
+        }
+        unique("series", self.series.iter().map(|s| s.name.as_str()))?;
+        unique("reference", self.reference.iter().map(|r| r.name.as_str()))
     }
 
     /// Write to the workspace's default `results/` directory (honouring
@@ -184,7 +142,7 @@ impl FigureExport {
     /// never die on a full disk after computing its data.
     pub fn write_default(&self) {
         let dir = results_dir();
-        match self.write(&dir) {
+        match self.write_in(&dir) {
             Ok(path) => println!("wrote {}", path.display()),
             Err(e) => eprintln!(
                 "warning: could not write {}/{}.json: {e}",
@@ -193,6 +151,40 @@ impl FigureExport {
             ),
         }
     }
+}
+
+/// The figure document's schema version (its marker's value).
+const SCHEMA_VERSION: u64 = 1;
+
+json_fields!(Series { name, x, y });
+json_fields!(ReferencePoint {
+    name,
+    measured,
+    paper
+});
+json_fields!(FigureExport {
+    "schema_version" = SCHEMA_VERSION,
+    figure,
+    title,
+    x_label,
+    y_label,
+    series,
+    reference,
+    notes,
+    telemetry,
+    traces,
+});
+artifact!(FigureExport, "schema_version", SCHEMA_VERSION);
+
+/// The first repeated name among `names`, reported under `list`.
+fn unique<'a>(list: &str, names: impl Iterator<Item = &'a str>) -> Result<(), String> {
+    let mut seen = BTreeSet::new();
+    for (i, name) in names.enumerate() {
+        if !seen.insert(name) {
+            return Err(format!("{list}[{i}]: duplicate name {name:?}"));
+        }
+    }
+    Ok(())
 }
 
 /// The workspace results directory every artifact writer routes
@@ -231,7 +223,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("roads-telemetry-test-{}", std::process::id()));
         let fig = FigureExport::new("fig_unit", "t");
         let path = fig
-            .write(&dir)
+            .write_in(&dir)
             .unwrap_or_else(|e| panic!("writing figure under {}: {e}", dir.display()));
         let body = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("reading back {}: {e}", path.display()));
@@ -250,7 +242,7 @@ mod tests {
         let dir = root.join("a").join("b").join("results");
         let fig = FigureExport::new("fig_nested", "t");
         let path = fig
-            .write(&dir)
+            .write_in(&dir)
             .unwrap_or_else(|e| panic!("writing figure under {}: {e}", dir.display()));
         assert!(path.exists(), "missing {}", path.display());
         std::fs::remove_dir_all(&root)

@@ -2,8 +2,8 @@
 //! recursive-descent parser.
 //!
 //! Hand-rolled on purpose: the workspace's vendored `serde` is an inert
-//! API-compatibility shim, so figure export builds its documents
-//! explicitly and `roads-inspect` reads them back with [`Json::parse`].
+//! API-compatibility shim, so every document is built from an explicit
+//! field table and read back with [`Json::parse`].
 //! Output is strict JSON: strings are escaped, non-finite numbers
 //! serialize as `null`.
 //!
@@ -45,19 +45,9 @@ impl Json {
         Json::Str(v.into())
     }
 
-    /// An array.
-    pub fn arr(items: Vec<Json>) -> Json {
-        Json::Arr(items)
-    }
-
     /// An object from `(key, value)` pairs.
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// An array of numbers.
-    pub fn nums(values: &[f64]) -> Json {
-        Json::Arr(values.iter().map(|&v| Json::Num(v)).collect())
     }
 
     /// Parse a JSON document. Errors carry a byte offset and a short
@@ -445,7 +435,7 @@ mod tests {
             ("ratio", Json::num(0.5)),
             ("ok", Json::Bool(true)),
             ("none", Json::Null),
-            ("xs", Json::nums(&[1.0, 2.5])),
+            ("xs", Json::Arr(vec![Json::num(1.0), Json::num(2.5)])),
         ]);
         assert_eq!(
             doc.to_string(),
@@ -468,7 +458,7 @@ mod tests {
     #[test]
     fn pretty_round_trips_structure() {
         let doc = Json::obj(vec![
-            ("a", Json::arr(vec![Json::num(1.0), Json::str("x")])),
+            ("a", Json::Arr(vec![Json::num(1.0), Json::str("x")])),
             ("b", Json::obj(vec![("c", Json::Null)])),
             ("empty_arr", Json::Arr(vec![])),
             ("empty_obj", Json::Obj(vec![])),
@@ -488,7 +478,7 @@ mod tests {
             ("ratio", Json::num(-0.5)),
             ("ok", Json::Bool(true)),
             ("none", Json::Null),
-            ("xs", Json::nums(&[1.0, 2.5e3])),
+            ("xs", Json::Arr(vec![Json::num(1.0), Json::num(2.5e3)])),
             ("nested", Json::obj(vec![("s", Json::str("a\"b\\c\nd"))])),
             ("empty_arr", Json::Arr(vec![])),
             ("empty_obj", Json::Obj(vec![])),

@@ -1,9 +1,10 @@
 //! The artifact layer: declare a struct's on-disk fields once, derive the
 //! writer, the strict reader, the marker test, `load` and `write`.
 //!
-//! Every strict JSON artifact of the workspace (`SLOW_QUERIES`, `AUDIT`,
-//! `DELTA`, `INCIDENTS`, the cluster health snapshot and the records
-//! nested inside them) is a plain struct plus one [`json_fields!`] table
+//! Every strict JSON artifact of the workspace (the figure document
+//! `results/<figure>.json`, `SLOW_QUERIES`, `AUDIT`, `DELTA`, `INCIDENTS`,
+//! the cluster health snapshot and the records nested inside them) is a
+//! plain struct plus one [`json_fields!`] table
 //! naming its fields in on-disk order. The table derives [`JsonField`] for
 //! the struct; a top-level document adds [`artifact!`], which derives the
 //! inherent `to_json` / `from_json` / `has_marker` / `load` / `write` and
@@ -20,6 +21,7 @@
 //! [`artifact!`]: crate::artifact
 
 use super::Json;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// A value that can be a field of a JSON artifact.
@@ -158,6 +160,79 @@ impl<T: JsonField> JsonField for Vec<T> {
             .map(|(i, item)| T::from_field(Some(item), &format!("{path}[{i}]"), errs))
             .collect();
         parsed.into_iter().collect()
+    }
+}
+
+/// Named values (a metrics snapshot's instruments): an object in key
+/// order.
+impl<T: JsonField> JsonField for BTreeMap<String, T> {
+    fn to_field(&self) -> Json {
+        Json::Obj(
+            self.iter()
+                .map(|(k, v)| (k.clone(), v.to_field()))
+                .collect(),
+        )
+    }
+
+    fn from_field(
+        value: Option<&Json>,
+        path: &str,
+        errs: &mut Vec<String>,
+    ) -> Option<BTreeMap<String, T>> {
+        let Some(Json::Obj(pairs)) = value else {
+            return reject(errs, path, "missing or non-object");
+        };
+        let clean = errs.len();
+        let mut map = BTreeMap::new();
+        for (key, item) in pairs {
+            let at = join(path, key);
+            if let Some(v) = T::from_field(Some(item), &at, errs) {
+                if map.insert(key.clone(), v).is_some() {
+                    errs.push(format!("{at}: duplicate key {key:?}"));
+                }
+            }
+        }
+        (errs.len() == clean).then_some(map)
+    }
+}
+
+/// A count histogram (the trace report's hops → queries): `[key, count]`
+/// pairs, keys strictly ascending.
+impl JsonField for BTreeMap<usize, usize> {
+    fn to_field(&self) -> Json {
+        Json::Arr(
+            self.iter()
+                .map(|(k, n)| Json::Arr(vec![k.to_field(), n.to_field()]))
+                .collect(),
+        )
+    }
+
+    fn from_field(
+        value: Option<&Json>,
+        path: &str,
+        errs: &mut Vec<String>,
+    ) -> Option<BTreeMap<usize, usize>> {
+        let Some(items) = value.and_then(Json::as_arr) else {
+            return reject(errs, path, "missing or non-array");
+        };
+        let clean = errs.len();
+        let mut map = BTreeMap::new();
+        for (i, item) in items.iter().enumerate() {
+            let at = format!("{path}[{i}]");
+            let Some([k, n]) = item.as_arr() else {
+                errs.push(format!("{at}: expected a [key, count] pair"));
+                continue;
+            };
+            let k = usize::from_field(Some(k), &format!("{at}[0]"), errs);
+            let n = usize::from_field(Some(n), &format!("{at}[1]"), errs);
+            if let (Some(k), Some(n)) = (k, n) {
+                if map.last_key_value().is_some_and(|(&last, _)| last >= k) {
+                    errs.push(format!("{at}: key {k} does not ascend"));
+                }
+                map.insert(k, n);
+            }
+        }
+        (errs.len() == clean).then_some(map)
     }
 }
 

@@ -32,14 +32,15 @@
 //!   decision, summary kind, outcome and latency split, folded into a
 //!   query-level queue/network/compute/retry/failover [`Attribution`].
 //! * [`tail`] — tail-based sampling: a bounded [`TailSampler`] reservoir
-//!   retaining full explain records (+ flight-recorder traces) only for
-//!   slow / failed / incomplete queries, with per-histogram-bucket
-//!   exemplar trace ids linking p99 buckets to concrete queries.
+//!   retaining full explain records — each held once, its trace id
+//!   naming the recorder's span tree — only for slow / failed /
+//!   incomplete queries, with per-histogram-bucket exemplar trace ids
+//!   linking p99 buckets to concrete queries.
 //! * [`json`] / [`export`] — a small hand-rolled JSON value type (writer
 //!   *and* parser), the artifact layer on top of it ([`json::artifact`]:
 //!   declare a struct's fields once, derive its strict reader, writer and
-//!   checker) and the `results/<figure>.json` exporter used by every
-//!   `fig*` binary.
+//!   checker) and the `results/<figure>.json` document every `fig*`
+//!   binary writes, an artifact on that layer.
 //!
 //! Everything is opt-in: simulation and runtime code paths accept an
 //! `Option`al registry/recorder and do no work when it is absent, so the

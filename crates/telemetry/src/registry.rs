@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::json::Json;
+use crate::json_fields;
 use crate::stats::LatencyStats;
 
 /// Build a labeled registry instrument name: `base{k="v",...}` with label
@@ -377,45 +377,16 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, LatencyStats>,
 }
 
-impl MetricsSnapshot {
-    /// JSON object: `{"counters": {...}, "gauges": {...},
-    /// "histograms": {name: {count, mean, p50, p90, p99, min, max}}}`.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "counters",
-                Json::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), Json::num(v as f64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges",
-                Json::Obj(
-                    self.gauges
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), Json::num(v as f64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "histograms",
-                Json::Obj(
-                    self.histograms
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_json()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
+json_fields!(MetricsSnapshot {
+    counters,
+    gauges,
+    histograms
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonField;
 
     #[test]
     fn counters_accumulate() {
@@ -575,7 +546,7 @@ mod tests {
         assert!(!snap.histograms.contains_key("empty"));
         assert!(snap.histograms.contains_key("full"));
         assert_eq!(snap.counters["c"], 1);
-        let json = snap.to_json().to_string();
+        let json = snap.to_field().to_string();
         assert!(json.contains("\"counters\""));
         assert!(json.contains("\"p99\""));
     }

@@ -5,7 +5,7 @@
 //! (simulator, runtime, bench harness, JSON export) can share it;
 //! callers import it from `roads_telemetry`.
 
-use crate::json::Json;
+use crate::json_fields;
 
 /// Summary statistics over a set of latency (or any scalar) samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,20 +51,17 @@ impl LatencyStats {
             max: sorted[count - 1],
         })
     }
-
-    /// JSON object with every field, for the figure exporter.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("count", Json::num(self.count as f64)),
-            ("mean", Json::num(self.mean)),
-            ("p50", Json::num(self.p50)),
-            ("p90", Json::num(self.p90)),
-            ("p99", Json::num(self.p99)),
-            ("min", Json::num(self.min)),
-            ("max", Json::num(self.max)),
-        ])
-    }
 }
+
+json_fields!(LatencyStats {
+    count,
+    mean,
+    p50,
+    p90,
+    p99,
+    min,
+    max
+});
 
 #[cfg(test)]
 mod tests {

@@ -7,14 +7,14 @@
 //! every completed query's latency folds into a histogram (cheap,
 //! always on), and only queries that are slow (above a live
 //! p99-tracked threshold), failed, or incomplete retain their full
-//! [`QueryExplain`] record — optionally with the flight-recorder event
-//! trace — in a bounded reservoir. Histogram buckets carry the trace id
-//! of one retained query each (exemplar-style), so a p99 bucket in
-//! `SLOW_QUERIES.json` links back to a concrete, fully-explained query.
+//! [`QueryExplain`] record in a bounded reservoir. The explain's hop tree
+//! is the one copy of what the query did: its trace id names the span
+//! tree an attached flight recorder holds, nothing here copies that.
+//! Histogram buckets carry the trace id of one retained query each
+//! (exemplar-style), so a p99 bucket in `SLOW_QUERIES.json` links back
+//! to a concrete, fully-explained query.
 
-use crate::event::{span_tree_root, Event, EventKind, SpanId, TraceId};
 use crate::explain::QueryExplain;
-use crate::json::{Json, JsonField};
 use crate::registry::Histogram;
 use crate::{artifact, json_fields, json_labels};
 use parking_lot::Mutex;
@@ -87,9 +87,6 @@ pub struct RetainedQuery {
     pub reason: RetainReason,
     /// The full provenance record.
     pub explain: QueryExplain,
-    /// Flight-recorder events of the same trace, when a recorder was
-    /// attached at observation time.
-    pub events: Vec<Event>,
 }
 
 /// One histogram exemplar: a latency bucket linked to a retained trace.
@@ -104,7 +101,7 @@ pub struct Exemplar {
 /// The `SLOW_QUERIES.json` document: the reservoir of a [`TailSampler`]
 /// at report time. This module owns the format — writer
 /// ([`TailSampler::report`]), strict reader (`SlowDoc::from_json`) and
-/// the check that retained traces reconstruct.
+/// the check that each retained hop tree is one tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlowDoc {
     /// Retention threshold at write time (ms).
@@ -122,41 +119,8 @@ pub struct SlowDoc {
 /// Current `SLOW_QUERIES.json` schema version.
 pub const SLOW_SCHEMA_VERSION: u64 = 1;
 
-json_labels!(RetainReason, EventKind);
-
-impl JsonField for TraceId {
-    fn to_field(&self) -> Json {
-        self.0.to_field()
-    }
-
-    fn from_field(value: Option<&Json>, path: &str, errs: &mut Vec<String>) -> Option<TraceId> {
-        u64::from_field(value, path, errs).map(TraceId)
-    }
-}
-
-impl JsonField for SpanId {
-    fn to_field(&self) -> Json {
-        self.0.to_field()
-    }
-
-    fn from_field(value: Option<&Json>, path: &str, errs: &mut Vec<String>) -> Option<SpanId> {
-        u64::from_field(value, path, errs).map(SpanId)
-    }
-}
-
-// Enough of a flight-recorder event to rebuild the span tree: ids, kind,
-// timing.
-json_fields!(Event {
-    at_us,
-    dur_us,
-    node,
-    trace,
-    span,
-    parent,
-    kind,
-    detail
-});
-json_fields!(RetainedQuery { reason, explain, events? });
+json_labels!(RetainReason);
+json_fields!(RetainedQuery { reason, explain });
 json_fields!(Exemplar {
     bucket_ms,
     trace_id
@@ -172,15 +136,22 @@ json_fields!(SlowDoc {
 artifact!(SlowDoc, "slow_queries", SLOW_SCHEMA_VERSION);
 
 impl SlowDoc {
-    /// Retained flight-recorder events must reconstruct: one causal span
-    /// tree for the query the explain record describes. Every exemplar
-    /// names a retained query.
+    /// Each retained hop list is one tree, as the renderers read it: hop
+    /// 0 (the entry) is the only hop without a cause, and every other hop
+    /// names an earlier one — so no hop sits on a `caused_by` cycle. Every
+    /// exemplar names a retained query.
     fn validate(&self) -> Result<(), String> {
         for (i, q) in self.retained.iter().enumerate() {
-            if !q.events.is_empty() {
-                let trace = q.explain.trace_id;
-                span_tree_root(&q.events, TraceId(trace))
-                    .map_err(|why| format!("retained[{i}]: trace {trace}: {why}"))?;
+            for (j, hop) in q.explain.hops.iter().enumerate() {
+                let broken = match hop.caused_by {
+                    None if j > 0 => "no caused_by".to_string(),
+                    Some(c) if c >= j => format!("caused_by {c}"),
+                    _ => continue,
+                };
+                return Err(format!(
+                    "retained[{i}].explain.hops[{j}]: {broken} breaks the hop tree \
+                     (hop 0 alone has no cause, every other names an earlier hop)"
+                ));
             }
         }
         for (i, e) in self.exemplars.iter().enumerate() {
@@ -276,16 +247,10 @@ impl TailSampler {
     }
 
     /// Observe a completed query: fold its latency into the live
-    /// histogram, and retain the explain record (plus optional
-    /// flight-recorder events) when it is slow, failed, or incomplete.
-    /// Returns the retention decision; `None` means the record was
-    /// dropped after folding.
-    pub fn observe(
-        &self,
-        explain: QueryExplain,
-        failed: bool,
-        events: Vec<Event>,
-    ) -> Option<RetainReason> {
+    /// histogram, and retain the explain record when it is slow, failed,
+    /// or incomplete. Returns the retention decision; `None` means the
+    /// record was dropped after folding.
+    pub fn observe(&self, explain: QueryExplain, failed: bool) -> Option<RetainReason> {
         let response_ms = explain.response_us / 1_000.0;
         // Classify against the threshold *before* folding this sample in,
         // so a query is compared to the distribution of its predecessors.
@@ -301,11 +266,7 @@ impl TailSampler {
             g.dropped += 1;
             return None;
         }
-        g.retained.push(RetainedQuery {
-            reason,
-            explain,
-            events,
-        });
+        g.retained.push(RetainedQuery { reason, explain });
         Some(reason)
     }
 
@@ -365,8 +326,8 @@ impl TailSampler {
 
     /// The reservoir as a `SLOW_QUERIES.json` document: retained queries
     /// ranked by response time (slowest first), each with its retention
-    /// reason, full explain record and (when present) flight-recorder
-    /// events; plus the sampler state (threshold, counts, exemplar map).
+    /// reason and full explain record; plus the sampler state (threshold,
+    /// counts, exemplar map).
     pub fn report(&self) -> SlowDoc {
         let g = self.state.lock();
         let mut retained = g.retained.clone();
@@ -397,6 +358,7 @@ impl TailSampler {
 mod tests {
     use super::*;
     use crate::explain::{ExplainDecision, ExplainHop, HopOutcome, LatencySplit};
+    use crate::json::Json;
 
     fn explain_ms(id: u64, ms: f64, complete: bool) -> QueryExplain {
         QueryExplain {
@@ -431,21 +393,21 @@ mod tests {
         });
         assert_eq!(s.threshold_ms(), 5.0);
         // Fast queries below the floor are dropped even during warm-up.
-        assert_eq!(s.observe(explain_ms(0, 1.0, true), false, Vec::new()), None);
+        assert_eq!(s.observe(explain_ms(0, 1.0, true), false), None);
         // Above the floor retains as Slow.
         assert_eq!(
-            s.observe(explain_ms(1, 6.0, true), false, Vec::new()),
+            s.observe(explain_ms(1, 6.0, true), false),
             Some(RetainReason::Slow)
         );
         // Warm the histogram: 100 fast samples push p99 low, but the
         // floor still applies.
         for i in 0..100 {
-            s.observe(explain_ms(2 + i, 0.5, true), false, Vec::new());
+            s.observe(explain_ms(2 + i, 0.5, true), false);
         }
         assert!(s.threshold_ms() >= 5.0);
         // And a genuinely slow query after warm-up is retained.
         assert_eq!(
-            s.observe(explain_ms(999, 50.0, true), false, Vec::new()),
+            s.observe(explain_ms(999, 50.0, true), false),
             Some(RetainReason::Slow)
         );
     }
@@ -454,11 +416,11 @@ mod tests {
     fn failed_and_incomplete_always_retained() {
         let s = TailSampler::default();
         assert_eq!(
-            s.observe(explain_ms(1, 0.01, true), true, Vec::new()),
+            s.observe(explain_ms(1, 0.01, true), true),
             Some(RetainReason::Failed)
         );
         assert_eq!(
-            s.observe(explain_ms(2, 0.01, false), false, Vec::new()),
+            s.observe(explain_ms(2, 0.01, false), false),
             Some(RetainReason::Incomplete)
         );
         assert_eq!(s.retained().len(), 2);
@@ -471,24 +433,24 @@ mod tests {
             min_samples: 1_000_000, // stay on the floor threshold
             floor_ms: 1.0,
         });
-        s.observe(explain_ms(1, 10.0, true), false, Vec::new());
-        s.observe(explain_ms(2, 30.0, true), false, Vec::new());
+        s.observe(explain_ms(1, 10.0, true), false);
+        s.observe(explain_ms(2, 30.0, true), false);
         // Full. A slower query displaces the least-slow entry (id 1).
-        s.observe(explain_ms(3, 20.0, true), false, Vec::new());
+        s.observe(explain_ms(3, 20.0, true), false);
         let ids: Vec<u64> = s.retained().iter().map(|q| q.explain.query_id).collect();
         assert_eq!(ids.len(), 2);
         assert!(ids.contains(&2) && ids.contains(&3));
         // A Failed query also displaces a Slow one.
-        s.observe(explain_ms(4, 0.1, true), true, Vec::new());
+        s.observe(explain_ms(4, 0.1, true), true);
         assert!(s
             .retained()
             .iter()
             .any(|q| q.reason == RetainReason::Failed));
         // Once only Failed/Incomplete remain, Slow queries cannot evict.
-        s.observe(explain_ms(5, 0.1, false), false, Vec::new());
+        s.observe(explain_ms(5, 0.1, false), false);
         assert!(s.retained().iter().all(|q| q.reason != RetainReason::Slow));
         let before: Vec<u64> = s.retained().iter().map(|q| q.explain.query_id).collect();
-        s.observe(explain_ms(6, 500.0, true), false, Vec::new());
+        s.observe(explain_ms(6, 500.0, true), false);
         let after: Vec<u64> = s.retained().iter().map(|q| q.explain.query_id).collect();
         assert_eq!(before, after, "Slow must not displace Failed/Incomplete");
     }
@@ -507,15 +469,15 @@ mod tests {
         };
         let s = sampler();
         for id in 1..=5 {
-            s.observe(explain_ms(id, 0.1, true), true, Vec::new());
+            s.observe(explain_ms(id, 0.1, true), true);
         }
         assert_eq!(ids(&s), [3, 4, 5], "recency wins: the oldest failures go");
 
         // Evicting a Slow entry from the front keeps the rest in order too.
         let s = sampler();
-        s.observe(explain_ms(10, 50.0, true), false, Vec::new());
+        s.observe(explain_ms(10, 50.0, true), false);
         for id in 11..=14 {
-            s.observe(explain_ms(id, 0.1, true), true, Vec::new());
+            s.observe(explain_ms(id, 0.1, true), true);
         }
         assert_eq!(ids(&s), [12, 13, 14]);
     }
@@ -527,7 +489,7 @@ mod tests {
             min_samples: 1_000_000,
             floor_ms: 1.0,
         });
-        s.observe(explain_ms(1, 42.0, true), false, Vec::new());
+        s.observe(explain_ms(1, 42.0, true), false);
         // The exact value and a same-bucket neighbour both resolve.
         assert_eq!(s.exemplar(42.0), Some(101));
         // A far-away bucket has no exemplar.
@@ -541,10 +503,10 @@ mod tests {
             min_samples: 1_000_000,
             floor_ms: 1.0,
         });
-        s.observe(explain_ms(1, 10.0, true), false, Vec::new());
-        s.observe(explain_ms(2, 30.0, true), false, Vec::new());
+        s.observe(explain_ms(1, 10.0, true), false);
+        s.observe(explain_ms(2, 30.0, true), false);
         // Full: trace 103 evicts trace 101, the least slow.
-        s.observe(explain_ms(3, 20.0, true), false, Vec::new());
+        s.observe(explain_ms(3, 20.0, true), false);
         assert_eq!(s.exemplar(10.0), None, "trace 101 was evicted");
         assert_eq!(s.exemplar(20.0), Some(103));
         let doc = s.report();
@@ -560,9 +522,9 @@ mod tests {
             min_samples: 1_000_000,
             floor_ms: 1.0,
         });
-        s.observe(explain_ms(1, 10.0, true), false, Vec::new());
-        s.observe(explain_ms(2, 99.0, true), false, Vec::new());
-        s.observe(explain_ms(3, 55.0, true), false, Vec::new());
+        s.observe(explain_ms(1, 10.0, true), false);
+        s.observe(explain_ms(2, 99.0, true), false);
+        s.observe(explain_ms(3, 55.0, true), false);
         let text = s.report().to_json().to_string_pretty();
         let parsed = Json::parse(&text).unwrap();
         assert!(SlowDoc::has_marker(&parsed));
@@ -575,30 +537,36 @@ mod tests {
     }
 
     #[test]
-    fn retained_events_serialize_and_parse_back() {
-        use crate::event::{Recorder, SpanId};
-        let rec = Recorder::new(64);
-        let trace = rec.next_trace_id();
-        rec.record_span(
-            trace,
-            SpanId::NONE,
-            0,
-            crate::event::EventKind::QueryStart,
-            0,
-            100,
-            7,
-        );
-        let events: Vec<Event> = rec.events();
-        let mut e = explain_ms(1, 20.0, true);
-        e.trace_id = trace.0;
+    fn hop_trees_with_caused_by_cycles_are_rejected() {
         let s = TailSampler::new(TailConfig {
             capacity: 4,
             min_samples: 1_000_000,
             floor_ms: 1.0,
         });
-        s.observe(e, false, events.clone());
-        let text = s.report().to_json().to_string_pretty();
-        let back = SlowDoc::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.retained[0].events, events);
+        let mut ex = explain_ms(1, 20.0, true);
+        let entry = ex.hops[0].clone();
+        // Entry, then two descents from it: one tree.
+        ex.hops = vec![entry.clone(), entry.clone(), entry];
+        ex.hops[1].caused_by = Some(0);
+        ex.hops[2].caused_by = Some(0);
+        s.observe(ex, false);
+        let good = s.report();
+        assert_eq!(SlowDoc::from_json(&good.to_json()), Ok(good.clone()));
+        // A hop that caused itself, and two hops naming each other: the
+        // decision tree would leave both out without a word.
+        for ([one, two], at) in [([Some(0), Some(2)], 2), ([Some(2), Some(1)], 1)] {
+            let mut bad = good.clone();
+            let hops = &mut bad.retained[0].explain.hops;
+            (hops[1].caused_by, hops[2].caused_by) = (one, two);
+            let err = SlowDoc::from_json(&bad.to_json()).unwrap_err();
+            assert!(
+                err.contains(&format!("retained[0].explain.hops[{at}]")),
+                "{err}"
+            );
+        }
+        let mut second_root = good.clone();
+        second_root.retained[0].explain.hops[1].caused_by = None;
+        let err = SlowDoc::from_json(&second_root.to_json()).unwrap_err();
+        assert!(err.contains("retained[0].explain.hops[1]"), "{err}");
     }
 }

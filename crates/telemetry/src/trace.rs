@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use crate::explain::{ExplainDecision, QueryExplain};
-use crate::json::Json;
+use crate::json_fields;
 
 /// Aggregate statistics over a batch of [`QueryExplain`] records.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,38 +57,22 @@ pub struct TraceReport {
     pub gini: f64,
 }
 
-impl TraceReport {
-    /// JSON object mirroring every field; the hop histogram becomes an
-    /// array of `[hops, queries]` pairs.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("queries", Json::num(self.queries as f64)),
-            (
-                "hop_histogram",
-                Json::Arr(
-                    self.hop_histogram
-                        .iter()
-                        .map(|(&h, &n)| Json::Arr(vec![Json::num(h as f64), Json::num(n as f64)]))
-                        .collect(),
-                ),
-            ),
-            ("mean_hops", Json::num(self.mean_hops)),
-            ("max_hops", Json::num(self.max_hops as f64)),
-            ("probe_hops", Json::num(self.probe_hops as f64)),
-            ("hollow_probes", Json::num(self.hollow_probes as f64)),
-            ("fp_redirects", Json::num(self.fp_redirects as f64)),
-            ("fp_redirect_rate", Json::num(self.fp_redirect_rate)),
-            (
-                "overlay_shortcuts",
-                Json::num(self.overlay_shortcuts as f64),
-            ),
-            ("climb_hops", Json::num(self.climb_hops as f64)),
-            ("root_visits", Json::num(self.root_visits as f64)),
-            ("root_load_share", Json::num(self.root_load_share)),
-            ("gini", Json::num(self.gini)),
-        ])
-    }
-}
+// The hop histogram is written as `[hops, queries]` pairs.
+json_fields!(TraceReport {
+    queries,
+    hop_histogram,
+    mean_hops,
+    max_hops,
+    probe_hops,
+    hollow_probes,
+    fp_redirects,
+    fp_redirect_rate,
+    overlay_shortcuts,
+    climb_hops,
+    root_visits,
+    root_load_share,
+    gini,
+});
 
 /// Gini coefficient of a load distribution; 0 for empty/uniform input.
 pub fn gini(counts: &[u64]) -> f64 {

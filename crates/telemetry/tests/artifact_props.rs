@@ -1,5 +1,7 @@
 //! Property test of the artifact layer over every artifact registered in
-//! `roads-inspect`'s `check` table ([`roads_bench::artifacts::ARTIFACTS`]):
+//! `roads-inspect`'s `check` table ([`roads_bench::artifacts::ARTIFACTS`])
+//! and over the figure document (`FigureExport`), which `check` reads
+//! beside its trace file:
 //!
 //! * a generated instance survives `to_json → to_string_pretty →
 //!   Json::parse → from_json` unchanged;
@@ -19,13 +21,19 @@ use roads_runtime::{
     MatchedFault, ServerHealth, SuspectedCause,
 };
 use roads_telemetry::{
-    Event, EventKind, Exemplar, ExplainDecision, ExplainHop, HopOutcome, Json, LatencySplit,
-    QueryExplain, RetainReason, RetainedQuery, SlowDoc, SpanId, SummaryKind, TraceId,
+    Exemplar, ExplainDecision, ExplainHop, FigureExport, HopOutcome, Json, LatencySplit,
+    LatencyStats, MetricsSnapshot, QueryExplain, RetainReason, RetainedQuery, SlowDoc, SummaryKind,
+    TraceReport,
 };
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 /// Members written only when non-empty: removing one is not an error.
-const OMITTABLE: &[&str] = &["summary", "caused_by", "events"];
+const OMITTABLE: &[&str] = &["summary", "caused_by"];
+
+/// Objects keyed by name (a metrics snapshot's instruments): removing an
+/// entry is not an error.
+const MAPS: &[&str] = &["counters", "gauges", "histograms"];
 
 /// Computed members whose stored value is compared as a whole: a corrupt
 /// inner number is reported at the member, not below it.
@@ -86,7 +94,9 @@ impl Gen {
     }
 }
 
-fn hop(g: &mut Gen) -> ExplainHop {
+/// Hop `index` of a hop tree: the entry has no cause, every other hop
+/// names an earlier one (`SlowDoc::validate`).
+fn hop(g: &mut Gen, index: usize) -> ExplainHop {
     ExplainHop {
         server: g.below(1 << 20) as u32,
         decision: g.pick(&[
@@ -114,7 +124,7 @@ fn hop(g: &mut Gen) -> ExplainHop {
         ]),
         at_us: g.float(),
         dur_us: g.float(),
-        caused_by: g.maybe(|g| g.below(8) as usize),
+        caused_by: (index > 0).then(|| g.below(index as u64) as usize),
         local_matches: g.count(),
         split: LatencySplit {
             queue_us: g.float(),
@@ -126,30 +136,7 @@ fn hop(g: &mut Gen) -> ExplainHop {
 }
 
 fn retained(g: &mut Gen) -> RetainedQuery {
-    let trace_id = 1 + g.count();
-    // validate(): retained events must form one span tree of the explain's
-    // trace — a root plus children hanging off it.
-    let events = g.maybe(|g| {
-        let span = |g: &mut Gen, id: u64, parent: SpanId| Event {
-            at_us: g.count(),
-            dur_us: g.count(),
-            node: g.below(64) as u32,
-            trace: TraceId(trace_id),
-            span: SpanId(id),
-            parent,
-            kind: g.pick(&[
-                EventKind::QueryStart,
-                EventKind::QueryHop,
-                EventKind::QueryComplete,
-            ]),
-            detail: g.count(),
-        };
-        let mut events = vec![span(g, 1, SpanId::NONE)];
-        for id in 2..2 + g.below(4) {
-            events.push(span(g, id, SpanId(1)));
-        }
-        events
-    });
+    let hops = g.below(5) as usize;
     RetainedQuery {
         reason: g.pick(&[
             RetainReason::Slow,
@@ -158,15 +145,14 @@ fn retained(g: &mut Gen) -> RetainedQuery {
         ]),
         explain: QueryExplain {
             query_id: g.count(),
-            trace_id,
+            trace_id: 1 + g.count(),
             entry: g.below(1 << 20) as u32,
             response_us: g.float(),
             complete: g.flag(),
             deadline_hit: g.flag(),
             records: g.count(),
-            hops: g.many(4, hop),
+            hops: (0..hops).map(|i| hop(g, i)).collect(),
         },
-        events: events.unwrap_or_default(),
     }
 }
 
@@ -308,6 +294,62 @@ fn cluster_health(g: &mut Gen) -> ClusterHealth {
     }
 }
 
+fn latency_stats(g: &mut Gen) -> LatencyStats {
+    LatencyStats {
+        count: g.count() as usize,
+        mean: g.float(),
+        p50: g.float(),
+        p90: g.float(),
+        p99: g.float(),
+        min: g.float(),
+        max: g.float(),
+    }
+}
+
+fn named<T>(g: &mut Gen, mut make: impl FnMut(&mut Gen) -> T) -> BTreeMap<String, T> {
+    (0..g.below(4)).map(|_| (g.text(), make(g))).collect()
+}
+
+fn trace_report(g: &mut Gen) -> TraceReport {
+    TraceReport {
+        queries: g.count() as usize,
+        hop_histogram: (0..g.below(4))
+            .map(|_| (g.below(64) as usize, g.count() as usize))
+            .collect(),
+        mean_hops: g.float(),
+        max_hops: g.count() as usize,
+        probe_hops: g.count() as usize,
+        hollow_probes: g.count() as usize,
+        fp_redirects: g.count() as usize,
+        fp_redirect_rate: g.float(),
+        overlay_shortcuts: g.count() as usize,
+        climb_hops: g.count() as usize,
+        root_visits: g.count() as usize,
+        root_load_share: g.float(),
+        gini: g.float(),
+    }
+}
+
+fn figure(g: &mut Gen) -> FigureExport {
+    // validate(): equal x/y per series, unique series and reference names.
+    let mut fig = FigureExport::new(g.text(), g.text()).axes(g.text(), g.text());
+    for i in 0..g.below(4) {
+        let points: Vec<(f64, f64)> = (0..g.below(5)).map(|_| (g.float(), g.float())).collect();
+        fig.push_series(format!("{i}:{}", g.text()), &points);
+    }
+    for i in 0..g.below(4) {
+        fig.push_reference(format!("{i}:{}", g.text()), g.float(), g.float());
+    }
+    fig.notes = g.many(3, Gen::text);
+    fig.telemetry = g.maybe(|g| MetricsSnapshot {
+        counters: named(g, Gen::count),
+        gauges: named(g, |g| g.count() as i64 - (1 << 39)),
+        histograms: named(g, latency_stats),
+    });
+    fig.traces = g.maybe(trace_report);
+    fig
+}
+
 /// One step from a JSON value to a child.
 #[derive(Clone)]
 enum Step {
@@ -398,7 +440,9 @@ fn exercise<T: PartialEq + Debug>(
     let Some(Step::Key(leaf)) = steps.last() else {
         unreachable!("members end at object keys");
     };
-    let remove = g.flag() && !OMITTABLE.contains(&leaf.as_str());
+    let in_map =
+        matches!(steps.iter().rev().nth(1), Some(Step::Key(k)) if MAPS.contains(&k.as_str()));
+    let remove = g.flag() && !OMITTABLE.contains(&leaf.as_str()) && !in_map;
     let mut broken = doc.clone();
     edit(&mut broken, steps, (!remove).then_some(mistyped));
     let what = if remove { "removing" } else { "mistyping" };
@@ -466,6 +510,39 @@ proptest! {
         let mut g = Gen(seed);
         for (_, run) in EXERCISERS {
             run(&mut g)?;
+        }
+    }
+
+    /// The figure document is an artifact too (marker `schema_version`,
+    /// routed by `check` to its trace file rather than a table row): it
+    /// round-trips with and without telemetry and traces, names a removed
+    /// or mistyped member, and `validate` rejects a series whose `y` and
+    /// `x` differ in length and repeated series or reference names.
+    #[test]
+    fn figure_documents_round_trip_name_the_broken_field_and_validate(seed in any::<u64>()) {
+        let mut g = Gen(seed);
+        let fig = figure(&mut g);
+        exercise(&fig, FigureExport::to_json, FigureExport::from_json, &mut g)?;
+
+        if let Some(first) = fig.series.first() {
+            // One point short, or one too many when there is none.
+            let mut uneven = fig.clone();
+            if uneven.series[0].y.pop().is_none() {
+                uneven.series[0].y.push(1.0);
+            }
+            let err = FigureExport::from_json(&uneven.to_json()).unwrap_err();
+            prop_assert!(err.contains("series[0]"), "{}", err);
+
+            let mut twice = fig.clone();
+            twice.push_series(first.name.clone(), &[]);
+            let err = FigureExport::from_json(&twice.to_json()).unwrap_err();
+            prop_assert!(err.contains("duplicate name"), "{}", err);
+        }
+        if let Some(first) = fig.reference.first() {
+            let mut twice = fig.clone();
+            twice.push_reference(first.name.clone(), 1.0, 1.0);
+            let err = FigureExport::from_json(&twice.to_json()).unwrap_err();
+            prop_assert!(err.contains("duplicate name"), "{}", err);
         }
     }
 }

@@ -1,11 +1,12 @@
 //! Property tests for the metrics registry primitives, the flight
-//! recorder's bounded event ring, tail retention (the tail sampler fed
-//! from a recorder), and the JSON reader's string decoding.
+//! recorder's bounded event ring, tail retention, and the JSON reader's
+//! string decoding.
 
 use proptest::prelude::*;
 use roads_telemetry::{
-    span_tree_root, trace_ids, Event, EventKind, Histogram, Json, LatencyStats, QueryExplain,
-    Recorder, Registry, RetainReason, SlowDoc, SpanId, TailConfig, TailSampler, TraceId,
+    span_tree_root, trace_ids, Event, EventKind, ExplainDecision, ExplainHop, Histogram,
+    HopOutcome, Json, LatencySplit, LatencyStats, QueryExplain, Recorder, Registry, RetainReason,
+    SlowDoc, SpanId, TailConfig, TailSampler, TraceId,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -179,63 +180,54 @@ proptest! {
     }
 
     /// Tail retention in one place: a small tail sampler fed, as the live
-    /// cluster feeds it, with the events each query just recorded into a
-    /// small flight recorder, over a random mix of fast, slow, failed and
-    /// incomplete queries. After every step the reservoir stays within
-    /// capacity, in arrival order; failed and incomplete queries are kept
-    /// ahead of slow ones (a slow query never displaces one); each
-    /// retained query keeps the whole span tree it was offered, though
-    /// the ring has long evicted it; every exemplar names a retained
-    /// trace; and the report passes `SlowDoc::validate` and round-trips.
+    /// cluster feeds it, with each query's explain record (an entry hop
+    /// and a chain of descents), over a random mix of fast, slow, failed
+    /// and incomplete queries. After every step the reservoir stays
+    /// within capacity, in arrival order; failed and incomplete queries
+    /// are kept ahead of slow ones (a slow query never displaces one);
+    /// each retained explain equals the one offered; every exemplar names
+    /// a retained trace; and the report passes `SlowDoc::validate` and
+    /// round-trips.
     #[test]
     fn tail_retention_rules_hold_after_every_query(
         capacity in 1usize..6,
         min_samples in 1u64..16,
-        ring in 4usize..24,
         queries in prop::collection::vec((0u8..4, 0u64..4, 0u32..400), 1..48),
     ) {
         let tail = TailSampler::new(TailConfig { capacity, min_samples, floor_ms: 10.0 });
-        let rec = Recorder::new(ring);
-        let mut offered: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
+        let mut offered: BTreeMap<u64, QueryExplain> = BTreeMap::new();
         let mut outages = 0usize;
         for (i, &(kind, hops, ms)) in queries.iter().enumerate() {
             // Fast queries finish under the floor, every other kind above.
             let ms = if kind == 0 { f64::from(ms) / 100.0 } else { 10.0 + f64::from(ms) };
             let (failed, complete) = (kind == 2, kind != 3);
             outages += usize::from(kind >= 2);
-            // A root span and its hops, recorded into the ring and offered
-            // to the sampler, as the cluster does at query end.
-            let trace = rec.next_trace_id();
-            let root = rec.next_span_id();
-            let event = |node: u64, span, parent, kind, dur_us| Event {
-                at_us: node,
-                dur_us,
-                node: node as u32,
-                trace,
-                span,
-                parent,
-                kind,
-                detail: 0,
+            // The entry, then each descent caused by the hop before it.
+            let hop = |h: u64| ExplainHop {
+                server: h as u32,
+                decision: if h == 0 { ExplainDecision::Entry } else { ExplainDecision::SummaryDescent },
+                summary: None,
+                false_positive: false,
+                outcome: HopOutcome::Replied,
+                at_us: h as f64,
+                dur_us: if h == 0 { ms * 1e3 } else { 1.0 },
+                caused_by: h.checked_sub(1).map(|c| c as usize),
+                local_matches: 0,
+                split: LatencySplit::default(),
             };
-            let query = EventKind::QueryStart;
-            let mut events = vec![event(0, root, SpanId::NONE, query, (ms * 1e3) as u64)];
-            let hop = EventKind::QueryHop;
-            events.extend((1..=hops).map(|h| event(h, rec.next_span_id(), root, hop, 1)));
-            for &e in &events {
-                rec.record(e);
-            }
-            offered.insert(trace.0, events.clone());
+            let trace = i as u64 + 1;
             let explain = QueryExplain {
                 query_id: i as u64,
-                trace_id: trace.0,
+                trace_id: trace,
                 entry: 0,
                 response_us: ms * 1_000.0,
                 complete,
                 deadline_hit: false,
                 records: 0,
-                hops: Vec::new(),
+                hops: (0..=hops).map(hop).collect(),
             };
-            tail.observe(explain, failed, events);
+            offered.insert(trace, explain.clone());
+            tail.observe(explain, failed);
 
             let retained = tail.retained();
             prop_assert!(retained.len() <= capacity, "{} retained", retained.len());
@@ -247,8 +239,7 @@ proptest! {
             prop_assert_eq!(kept_outages, outages.min(capacity), "a slow query displaced an outage");
             for q in &retained {
                 let t = q.explain.trace_id;
-                prop_assert_eq!(&q.events, &offered[&t], "trace {} lost events", t);
-                prop_assert!(span_tree_root(&q.events, TraceId(t)).is_ok(), "trace {} is cut", t);
+                prop_assert_eq!(&q.explain, &offered[&t], "trace {} changed", t);
             }
             let report = tail.report();
             for e in &report.exemplars {
