@@ -8,7 +8,7 @@
 //!
 //! `delta_round` is the write side at the benchmark's sizes: one
 //! [`ServerStore`] batch (table ops + folding both sides of every change
-//! into the store's summary and the round's churn summary), the same batch
+//! into the store's summary, and handing both sides back), the same batch
 //! where a categorical attribute makes the summary refuse every removal —
 //! the whole store is then re-summarised once per batch — and a whole
 //! `update_round_delta` over 64 such stores.
@@ -26,7 +26,7 @@ use roads_core::{
     ServerId, ServerStore,
 };
 use roads_records::{AttrDef, Query, QueryBuilder, QueryId, Record, Schema, Value, WireSize};
-use roads_summary::{Summary, SummaryConfig};
+use roads_summary::SummaryConfig;
 use roads_workload::{generate_node_records, RecordWorkloadConfig};
 
 const ATTRS: usize = 8;
@@ -223,7 +223,7 @@ fn with_kind(records: &[Record]) -> Vec<Record> {
         .iter()
         .map(|r| {
             let mut values = r.values().to_vec();
-            values[ATTRS - 1] = Value::Cat(KINDS[(r.id.0 % 4) as usize].to_owned());
+            values[ATTRS - 1] = Value::Cat(KINDS[(r.id.0 % 4) as usize].into());
             Record::new_unchecked(r.id, r.owner, values)
         })
         .collect()
@@ -241,7 +241,6 @@ fn bench_batches(
 ) {
     let config = SummaryConfig::with_buckets(ROUND_BUCKETS);
     let mut store = ServerStore::new(schema, &config, records.to_vec());
-    let mut churn = Summary::empty(schema, &config);
     let changes: Vec<&RecordChange> = changes.iter().collect();
     for &k in sizes {
         let mut at = 0;
@@ -250,7 +249,7 @@ fn bench_batches(
                 if at + k > changes.len() {
                     at = 0;
                 }
-                let effect = store.apply_batch(&changes[at..at + k], &mut churn);
+                let effect = store.apply_batch(&changes[at..at + k]);
                 at += k;
                 effect.applied
             })

@@ -11,10 +11,14 @@
 //! Beside them, the contacts two oracles would need (a branch test that is
 //! never wrong; one exact bounding box per server), what the parts cost in
 //! update bytes, and the longest redirect chain per query in hops — the
-//! modelled latency is one network delay per hop of it. Last, the curve
+//! modelled latency is one network delay per hop of it. Then the curve
 //! the parts' byte budget was chosen from: contacts and the parts' share
 //! of a parts-free update round with per-server boxes merged within each
-//! summand down to budgets from one box per summand to none at all.
+//! summand down to budgets from one box per summand to none at all. Last,
+//! what joint information within one server could save: an oracle whose
+//! every test is exact over the servers' own tests, a server's test being
+//! its local histograms and one of `b` k-d boxes over its records, exact
+//! or rounded outward to the parts' cells (`b` = 0: the histograms alone).
 
 use roads_bench::{banner, figure_config, parse_args, TrialConfig};
 use roads_core::{
@@ -22,8 +26,8 @@ use roads_core::{
     QueryOptions, RoadsNetwork, ServerId, TraceEvent,
 };
 use roads_netsim::DelaySpace;
-use roads_records::{Predicate, Query};
-use roads_summary::Summary;
+use roads_records::{Predicate, Query, Record, Value};
+use roads_summary::{Histogram, Summary};
 use roads_telemetry::{
     write_chrome_trace_default, ExplainDecision, FigureExport, Recorder, TraceId,
 };
@@ -36,6 +40,12 @@ use roads_workload::{
 #[rustfmt::skip]
 const COLUMNS: [&str; 6] =
     ["branch", "hollow", "hollow_one_server", "hollow_aggregation", "probes", "wasted_probes"];
+
+/// A box: `(min, max)` per attribute.
+type Bounds = Vec<(f64, f64)>;
+
+/// Boxes per server of the within-server oracle; 0 is the histograms alone.
+const SERVER_BOXES: [usize; 6] = [0, 1, 2, 4, 8, 16];
 
 /// Servers a query from `entry` contacts when a branch is descended iff
 /// `branch(t)`, an ancestor probed iff `probe(a)`, and a replicated branch
@@ -89,6 +99,31 @@ fn box_holds(bounds: &[(f64, f64)], q: &Query) -> bool {
     })
 }
 
+/// `b` (a power of two) boxes over `rows`: a group of rows is split at the
+/// median of its widest axis until there are `b` groups, and a box is a
+/// group's exact `(min, max)` per attribute.
+fn kd_boxes(rows: &mut [Vec<f64>], b: usize) -> Vec<Bounds> {
+    let arity = rows.first().map_or(0, Vec::len);
+    let bounds: Bounds = (0..arity)
+        .map(|a| {
+            (rows.iter()).fold((f64::MAX, f64::MIN), |(lo, hi), r| {
+                (lo.min(r[a]), hi.max(r[a]))
+            })
+        })
+        .collect();
+    if b <= 1 || rows.len() < 2 {
+        return vec![bounds];
+    }
+    let width = |a: usize| bounds[a].1 - bounds[a].0;
+    let widest = (0..arity).max_by(|&x, &y| width(x).total_cmp(&width(y)));
+    let widest = widest.unwrap_or(0);
+    rows.sort_by(|x, y| x[widest].total_cmp(&y[widest]));
+    let (low, high) = rows.split_at_mut(rows.len() / 2);
+    let mut boxes = kd_boxes(low, b / 2);
+    boxes.extend(kd_boxes(high, b / 2));
+    boxes
+}
+
 /// Branch summaries of `net`'s tree with parts merged down to `budget`
 /// bytes, aggregated bottom-up from its local summaries.
 fn branches_within(net: &RoadsNetwork, budget: usize) -> Vec<Summary> {
@@ -112,13 +147,61 @@ fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig
         attrs: cfg.attrs,
         seed: cfg.seed,
     });
-    let bounds = |rs: &Vec<roads_records::Record>, a: usize| {
-        let column = rs.iter().filter_map(|r| r.values()[a].as_f64());
-        column.fold((f64::MAX, f64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)))
-    };
-    let boxes: Vec<Vec<(f64, f64)>> = (records.iter())
-        .map(|rs| (0..cfg.attrs).map(|a| bounds(rs, a)).collect())
+    let rows: Vec<Vec<Vec<f64>>> = (records.iter())
+        .map(|rs| {
+            let row = |r: &Record| r.values().iter().filter_map(Value::as_f64).collect();
+            rs.iter().map(row).collect()
+        })
         .collect();
+    let boxes: Vec<Bounds> = (rows.iter())
+        .map(|rs| kd_boxes(&mut rs.clone(), 1).remove(0))
+        .collect();
+    // The parts' grid per attribute: a box rounded outward to its cells,
+    // and a query's ranges, in bucket indexes.
+    let grid: Vec<Histogram> = (schema.iter())
+        .map(|(_, def)| Histogram::new(def.lo, def.hi, cfg.buckets))
+        .collect();
+    let in_cells = |bx: Bounds| -> Bounds {
+        (bx.into_iter().zip(&grid))
+            .map(|((lo, hi), h)| {
+                let within = h.cell_buckets() - 1;
+                (
+                    (h.bucket_of(lo) & !within) as f64,
+                    (h.bucket_of(hi) | within) as f64,
+                )
+            })
+            .collect()
+    };
+    let in_buckets = |q: &Query| {
+        let bucketed = q.predicates().iter().map(|p| match *p {
+            Predicate::Range { attr, lo, hi } => {
+                let h = &grid[attr.index()];
+                let (lo, hi) = (h.bucket_of(lo) as f64, h.bucket_of(hi) as f64);
+                Predicate::Range { attr, lo, hi }
+            }
+            ref other => other.clone(),
+        });
+        Query::new(q.id, bucketed.collect())
+    };
+    // Per (b, rounded) row of the within-server oracle, each server's boxes.
+    let server_rows: Vec<(usize, bool)> = (SERVER_BOXES.into_iter())
+        .flat_map(|b| [(b, false), (b, true)])
+        .collect();
+    let server_boxes: Vec<Vec<Vec<Bounds>>> = (server_rows.iter())
+        .map(|&(b, rounded)| {
+            (rows.iter())
+                .map(|rs| match b {
+                    0 => Vec::new(),
+                    _ if rounded => kd_boxes(&mut rs.clone(), b)
+                        .into_iter()
+                        .map(in_cells)
+                        .collect(),
+                    _ => kd_boxes(&mut rs.clone(), b),
+                })
+                .collect()
+        })
+        .collect();
+    let mut server_contacts = vec![0usize; server_rows.len()];
     let roads = cfg.roads_config();
     let net = RoadsNetwork::build(schema.clone(), roads, records);
     let tree = net.tree();
@@ -215,6 +298,20 @@ fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig
         };
         perfect += oracle(&matches);
         boxed += oracle(&in_box);
+        let histograms: Vec<bool> = (tree.servers().into_iter())
+            .map(|s| net.local_summary(s).may_match(q))
+            .collect();
+        let bucketed = in_buckets(q);
+        for ((&(b, rounded), sets), n) in
+            (server_rows.iter().zip(&server_boxes)).zip(&mut server_contacts)
+        {
+            let asked = if rounded { &bucketed } else { q };
+            let holds = |s: ServerId| {
+                let own = &sets[s.index()];
+                histograms[s.index()] && (b == 0 || own.iter().any(|bx| box_holds(bx, asked)))
+            };
+            *n += oracle(&holds);
+        }
     }
 
     // Bytes the parts add to a round: each branch summary's trailer, times
@@ -291,6 +388,20 @@ fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig
     }
     fig.push_series(format!("{name}_budget_bytes_contacts"), &budget_points.0);
     fig.push_series(format!("{name}_budget_bytes_parts_share"), &budget_points.1);
+    println!(
+        "within-server oracle: a server's own test is its local histograms and one of b k-d \
+         boxes over its records; every branch test is exact over those:"
+    );
+    println!("{:>6} {:>14} {:>18}", "b", "exact boxes", "boxes in cells");
+    let mut server_points = (Vec::new(), Vec::new());
+    for (pair, n) in server_rows.chunks(2).zip(server_contacts.chunks(2)) {
+        let (b, exact, cells) = (pair[0].0, per_query(n[0]), per_query(n[1]));
+        println!("{b:>6} {exact:>14.2} {cells:>18.2}");
+        server_points.0.push((b as f64, exact));
+        server_points.1.push((b as f64, cells));
+    }
+    fig.push_series(format!("{name}_server_boxes_exact"), &server_points.0);
+    fig.push_series(format!("{name}_server_boxes_cells"), &server_points.1);
     let longest = chains.iter().rposition(|&n| n > 0).unwrap_or(0);
     let chain_mean = per_query((chains.iter().enumerate()).map(|(h, &n)| h * n).sum());
     println!("longest redirect chain per query: mean {chain_mean:.2} hops, max {longest}");
@@ -340,6 +451,7 @@ fn main() {
     measure(&mut fig, &rec, "benchmark", &benchmark);
     fig.push_note("hollow = a Branch contact whose whole redirect subtree returned nothing; aggregation = no single server below has a matching local summary");
     fig.push_note("<name>_longest_chain_hops: share of queries by their longest redirect chain, in hops from the entry");
+    fig.push_note("<name>_server_boxes_{exact,cells}: contacts per query of an oracle exact over each server's own test, its local histograms and one of b k-d boxes over its records (b = 0: histograms alone), exact or rounded outward to the parts' cells");
     fig.write_default();
     write_chrome_trace_default(&fig.figure, &rec);
 }

@@ -26,5 +26,5 @@ pub mod wire;
 pub use attr::{AttrDef, AttrId, AttrType, Schema, SchemaBuilder, SchemaError};
 pub use query::{Predicate, Query, QueryBuilder, QueryId};
 pub use record::{OwnerId, Record, RecordBuilder, RecordError, RecordId};
-pub use value::Value;
+pub use value::{Str, Value};
 pub use wire::WireSize;

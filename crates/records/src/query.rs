@@ -318,7 +318,7 @@ mod tests {
             },
             Predicate::Eq {
                 attr: stray,
-                value: Value::Cat("camera".to_owned()),
+                value: Value::Cat("camera".into()),
             },
             Predicate::OneOf {
                 attr: stray,

@@ -2,12 +2,17 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Deref;
 
 /// One attribute value inside a resource record.
 ///
 /// The paper's prototype stores "integer, double, timestamp, string,
 /// categorical" columns (§V, Prototype Benchmarking); this enum mirrors that
 /// set. Numeric simulation workloads use [`Value::Float`] in the unit range.
+///
+/// Two words: a tag and an 8-byte payload. The string variants hold a
+/// [`Str`], one thin pointer, so a record of numbers pays 16 bytes a value
+/// rather than the 32 an inline `String` would cost every variant.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Value {
     /// Double-precision numeric value (simulation attributes live in \[0,1\]).
@@ -15,11 +20,57 @@ pub enum Value {
     /// Integer value.
     Int(i64),
     /// Free-form text (searchable by equality/prefix only).
-    Text(String),
+    Text(Str),
     /// Categorical value from a finite vocabulary (e.g. `encoding=MPEG2`).
-    Cat(String),
+    Cat(Str),
     /// Milliseconds since the Unix epoch.
     Timestamp(i64),
+}
+
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+
+/// The string inside [`Value::Text`] and [`Value::Cat`]: an owned string
+/// behind one thin pointer. `Box<str>` would be a fat pointer and grow
+/// every [`Value`] to 24 bytes; the price of the thin one is a second small
+/// allocation per string value.
+///
+/// Derefs to `str`, converts from `&str` and `String`, and prints (with
+/// `{}` and `{:?}`) and serialises as the plain string.
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[serde(transparent)]
+#[allow(clippy::box_collection, reason = "the box is the thin pointer")]
+pub struct Str(Box<String>);
+
+impl Deref for Str {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for Str {
+    fn from(s: &str) -> Self {
+        Str(Box::new(s.to_owned()))
+    }
+}
+
+impl From<String> for Str {
+    fn from(s: String) -> Self {
+        Str(Box::new(s))
+    }
+}
+
+impl fmt::Debug for Str {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl fmt::Display for Str {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&**self, f)
+    }
 }
 
 impl Value {
@@ -76,13 +127,13 @@ impl From<i64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Cat(v.to_owned())
+        Value::Cat(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Cat(v)
+        Value::Cat(v.into())
     }
 }
 

@@ -112,8 +112,8 @@ pub fn decode_value(buf: &mut impl Buf) -> Option<Value> {
     Some(match buf.get_u8() {
         TAG_FLOAT => Value::Float(get_f64(buf)?),
         TAG_INT => Value::Int(get_i64(buf)?),
-        TAG_TEXT => Value::Text(get_str(buf)?),
-        TAG_CAT => Value::Cat(get_str(buf)?),
+        TAG_TEXT => Value::Text(get_str(buf)?.into()),
+        TAG_CAT => Value::Cat(get_str(buf)?.into()),
         TAG_TS => Value::Timestamp(get_i64(buf)?),
         _ => return None,
     })
@@ -304,7 +304,7 @@ mod tests {
     fn value_sizes() {
         assert_eq!(Value::Float(1.0).wire_size(), 9);
         assert_eq!(Value::Cat("MPEG2".into()).wire_size(), 8);
-        assert_eq!(Value::Text(String::new()).wire_size(), 3);
+        assert_eq!(Value::Text("".into()).wire_size(), 3);
     }
 
     #[test]

@@ -208,13 +208,16 @@ impl ResultCache {
     /// A [`RecordDelta`](crate::store::RecordDelta) landed: purge exactly
     /// the entries it can have changed. An entry is invalidated iff some
     /// dirty server lies inside the entry's search-scope subtree **and**
-    /// the cached query may match the summary of the changed record values
+    /// the cached query may match the summary of the changed records
     /// (summaries never produce false negatives, so retaining on a
-    /// non-match is sound). Returns how many entries were invalidated.
+    /// non-match is sound). That summary is built once, at the first entry
+    /// whose scope holds a dirty server. Returns how many entries were
+    /// invalidated.
     pub fn invalidate_delta(&self, tree: &HierarchyTree, outcome: &DeltaOutcome) -> u64 {
         if outcome.dirty.is_empty() {
             return 0;
         }
+        let mut churn = None;
         let mut map = self.map.lock().expect("cache lock");
         let before = map.len();
         map.retain(|key, slot| {
@@ -222,7 +225,10 @@ impl ResultCache {
                 .dirty
                 .iter()
                 .any(|&d| scope_covers(tree, key.at, key.levels_up, d));
-            !(scope_hit && outcome.delta_summary.may_match(&slot.query))
+            !(scope_hit
+                && churn
+                    .get_or_insert_with(|| outcome.churn_summary())
+                    .may_match(&slot.query))
         });
         let purged = (before - map.len()) as u64;
         self.invalidated.fetch_add(purged, Ordering::Relaxed);

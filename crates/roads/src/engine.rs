@@ -651,22 +651,19 @@ impl RoadsNetwork {
         let mut dirty_flags = vec![false; n];
         let mut applied = 0u64;
         let mut shard_rebuilds = 0u64;
-        // Both sides of the churn feed the invalidation summary: the
-        // payloads that entered the stores and the records the batches
-        // displaced. `apply_batch` learns them into this summary in place
-        // (summary learning commutes, so accumulation order is free).
-        let mut delta_summary = Summary::empty(&self.schema, &self.config.summary);
+        let mut churned = Vec::new();
         for (i, changes) in per_server.iter().enumerate() {
             if changes.is_empty() {
                 continue;
             }
-            let effect = self.stores[i].apply_batch(changes, &mut delta_summary);
+            let effect = self.stores[i].apply_batch(changes);
             if effect.applied > 0 {
                 dirty_flags[i] = true;
             }
             applied += effect.applied;
             rejected += effect.rejected;
             shard_rebuilds += effect.shard_rebuilds;
+            churned.extend(effect.churned);
         }
 
         let dirty: Vec<ServerId> = dirty_flags
@@ -713,7 +710,9 @@ impl RoadsNetwork {
             applied,
             rejected,
             shard_rebuilds,
-            delta_summary,
+            churned,
+            schema: self.schema.clone(),
+            summary_config: self.config.summary,
         }
     }
 
@@ -1219,15 +1218,16 @@ mod tests {
         // Every summary equals a from-scratch build over the final records.
         assert_equals_rebuild(&net);
 
-        // The delta summary covers the inserted *and* the removed values.
+        // The churn summary covers the inserted *and* the removed values.
         let inserted = QueryBuilder::new(&schema, QueryId(70))
             .range("x0", 0.41, 0.43)
             .build();
         let removed = QueryBuilder::new(&schema, QueryId(71))
             .range("x0", 0.09, 0.11)
             .build();
-        assert!(out.delta_summary.may_match(&inserted));
-        assert!(out.delta_summary.may_match(&removed));
+        let churn = out.churn_summary();
+        assert!(churn.may_match(&inserted));
+        assert!(churn.may_match(&removed));
     }
 
     #[test]
@@ -1268,10 +1268,7 @@ mod tests {
         let out = net.apply(&delta);
         assert_eq!((out.applied, out.rejected), (0, 3));
         assert!(out.dirty.is_empty() && out.dirty_branches.is_empty());
-        assert!(
-            out.delta_summary.is_empty(),
-            "a rejected payload is not churn"
-        );
+        assert!(out.churned.is_empty(), "a rejected payload is not churn");
         for s in net.tree().servers() {
             assert_eq!(net.records(s), untouched.records(s));
             assert_eq!(net.branch_summary(s), untouched.branch_summary(s));
@@ -1300,11 +1297,7 @@ mod tests {
         let mut dirty = vec![ServerId(1), ServerId(3), leaf];
         dirty.sort();
         assert_eq!(out.dirty, dirty);
-        assert_eq!(
-            out.delta_summary.record_count(),
-            4,
-            "0.8/0.2 and its old side, 0.3, r3"
-        );
+        assert_eq!(out.churned.len(), 4, "0.8/0.2 and its old side, 0.3, r3");
 
         // Exactly the valid changes landed …
         let ids = |s: ServerId| -> Vec<u64> { net.records(s).iter().map(|r| r.id.0).collect() };

@@ -552,7 +552,7 @@ mod tests {
             let build = |(i, (tier, note, cap, kind)): (usize, (usize, String, f64, String))| {
                 RecordBuilder::new(&s, RecordId(i as u64), OwnerId(1))
                     .set("tier", ["public", "member", "partner"][tier])
-                    .set("note", Value::Text(note))
+                    .set("note", Value::Text(note.into()))
                     .set("capacity", cap)
                     .set("kind", kind)
                     .build()

@@ -491,7 +491,7 @@ impl RecordDelta {
 
 /// Effect of applying one batch of changes to a store
 /// ([`ServerStore::apply_batch`]).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchEffect {
     /// Changes that took effect.
     pub applied: u64,
@@ -502,6 +502,9 @@ pub struct BatchEffect {
     /// from when a store kept several summaries; artifacts and telemetry
     /// carry it.)
     pub shard_rebuilds: u64,
+    /// Every record that entered or left the store: the payloads (shared
+    /// handles) and the rows they displaced or removed (moved out).
+    pub churned: Vec<Record>,
 }
 
 /// What applying a [`RecordDelta`] to a network touched.
@@ -525,11 +528,23 @@ pub struct DeltaOutcome {
     /// `roads.delta.shard_rebuilds` counter and the `DELTA.json` key keep
     /// the name they had when a store kept eight shard summaries.
     pub shard_rebuilds: u64,
-    /// Summary of every record that entered or left the federation in this
-    /// delta. A cached result can only have changed if its query may match
-    /// this summary — the key to per-subtree cache invalidation
-    /// ([`crate::cache::ResultCache::invalidate_delta`]).
-    pub delta_summary: Summary,
+    /// Every record that entered or left the federation in this delta:
+    /// the applied payloads and the rows they displaced or removed.
+    pub churned: Vec<Record>,
+    /// What [`DeltaOutcome::churn_summary`] condenses `churned` with.
+    pub(crate) schema: Schema,
+    pub(crate) summary_config: SummaryConfig,
+}
+
+impl DeltaOutcome {
+    /// Summary of [`DeltaOutcome::churned`]. A cached result can only have
+    /// changed if its query may match it — the key to per-subtree cache
+    /// invalidation ([`crate::cache::ResultCache::invalidate_delta`]), the
+    /// one reader, which builds it only when some entry's scope holds a
+    /// dirty server.
+    pub fn churn_summary(&self) -> Summary {
+        Summary::from_records(&self.schema, &self.summary_config, &self.churned)
+    }
 }
 
 /// The record store of one server of a
@@ -588,13 +603,12 @@ impl ServerStore {
     /// [`RoadsNetwork::apply`](crate::engine::RoadsNetwork::apply)).
     ///
     /// Every record that entered or left the store (payloads, removals,
-    /// and the displaced old side of upserts) is learned into `churn` —
-    /// the caller's delta summary — right where its values are cache-hot.
-    /// If the summary refuses an exact removal it is re-aggregated once,
-    /// after the batch, over the final rows — all of them, which is what
-    /// a refusal costs; the batch's remaining summary operations are then
-    /// already reflected and skip.
-    pub fn apply_batch(&mut self, changes: &[&RecordChange], churn: &mut Summary) -> BatchEffect {
+    /// and the displaced old side of upserts) is handed back in
+    /// [`BatchEffect::churned`]. If the summary refuses an exact removal it
+    /// is re-aggregated once, after the batch, over the final rows — all of
+    /// them, which is what a refusal costs; the batch's remaining summary
+    /// operations are then already reflected and skip.
+    pub fn apply_batch(&mut self, changes: &[&RecordChange]) -> BatchEffect {
         // The table first, as one tight loop: a churn round against a cold
         // store is bound by memory latency, and back-to-back independent
         // probe-and-swap operations let many of their misses overlap.
@@ -610,28 +624,25 @@ impl ServerStore {
         // only on each change's two sides, not on the table.
         let mut out = BatchEffect::default();
         let mut stale = false;
-        for (change, old) in changes.iter().zip(&displaced) {
+        for (change, old) in changes.iter().zip(displaced) {
             let new = change.record();
             if old.is_none() && new.is_none() {
                 out.rejected += 1;
                 continue;
             }
             out.applied += 1;
-            for r in new.into_iter().chain(old) {
-                churn.add_record(r);
+            if !stale {
+                stale = !match (&old, new) {
+                    (Some(old), Some(new)) => self.summary.replace_record(old, new),
+                    (Some(old), None) => self.summary.remove_record(old),
+                    (None, Some(new)) => {
+                        self.summary.add_record(new);
+                        true
+                    }
+                    (None, None) => unreachable!("counted as rejected above"),
+                };
             }
-            if stale {
-                continue;
-            }
-            stale = !match (old, new) {
-                (Some(old), Some(new)) => self.summary.replace_record(old, new),
-                (Some(old), None) => self.summary.remove_record(old),
-                (None, Some(new)) => {
-                    self.summary.add_record(new);
-                    true
-                }
-                (None, None) => unreachable!("counted as rejected above"),
-            };
+            out.churned.extend(new.cloned().into_iter().chain(old));
         }
         if stale {
             self.rebuild_summary();
@@ -676,11 +687,11 @@ mod tests {
     }
 
     /// One change through `apply_batch`: its effect and how many records it
-    /// taught the churn summary (both sides of an update).
+    /// handed back as churn (both sides of an update).
     fn apply(st: &mut ServerStore, change: RecordChange) -> (BatchEffect, u64) {
-        let mut churn = Summary::empty(&st.table.schema, &st.config);
-        let effect = st.apply_batch(&[&change], &mut churn);
-        (effect, churn.record_count())
+        let effect = st.apply_batch(&[&change]);
+        let churned = effect.churned.len() as u64;
+        (effect, churned)
     }
 
     #[test]
@@ -826,11 +837,10 @@ mod tests {
             })
             .collect();
         let refs: Vec<&RecordChange> = changes.iter().collect();
-        let mut churn = Summary::empty(&s, &cfg);
-        let e = st.apply_batch(&refs, &mut churn);
+        let e = st.apply_batch(&refs);
         assert_eq!((e.applied, e.rejected), (30, 10));
         assert_eq!(e.shard_rebuilds, 1, "ten refusals, one rebuild");
-        assert_eq!(churn.record_count(), 10 + 20 + 10);
+        assert_eq!(e.churned.len(), 10 + 20 + 10);
         assert_eq!(st.len(), 40);
         assert_eq!(
             *st.summary(),
@@ -996,7 +1006,7 @@ mod tests {
         assert_eq!(coder.code(f64::NEG_INFINITY), 0);
         assert_eq!(coder.code(f64::NAN), 0);
         assert_eq!(coder.code_of(&Value::Int(-10)), 128);
-        assert_eq!(coder.code_of(&Value::Cat("x".to_owned())), 0);
+        assert_eq!(coder.code_of(&Value::Cat("x".into())), 0);
         // No width, no code: the search verifies every row instead.
         for def in [
             AttrDef::categorical("type"),
@@ -1053,7 +1063,7 @@ mod tests {
             },
             Predicate::Eq {
                 attr: stray,
-                value: Value::Cat("camera".to_owned()),
+                value: Value::Cat("camera".into()),
             },
             Predicate::OneOf {
                 attr: stray,

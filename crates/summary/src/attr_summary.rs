@@ -165,7 +165,7 @@ impl AttributeSummary {
                 }
             }
             (AttributeSummary::Set(s), Value::Cat(c) | Value::Text(c)) => {
-                s.insert(c.clone());
+                s.insert(&**c);
             }
             (AttributeSummary::Bloom(b), Value::Cat(c) | Value::Text(c)) => {
                 b.insert(c);

@@ -587,13 +587,13 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(i, c)| Record::new_unchecked(
-                RecordId(i as u64), OwnerId(0), vec![Value::Cat(c.clone())]))
+                RecordId(i as u64), OwnerId(0), vec![Value::Cat(c.clone().into())]))
             .collect();
         let summary = Summary::from_records(&schema, &cfg, &records);
         for c in &cats {
             let q = Query::new(QueryId(0), vec![Predicate::Eq {
                 attr: AttrId(0),
-                value: Value::Cat(c.clone()),
+                value: Value::Cat(c.clone().into()),
             }]);
             prop_assert!(summary.may_match(&q));
         }

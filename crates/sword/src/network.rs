@@ -259,46 +259,6 @@ impl SwordNetwork {
             .filter(|(_, r)| query.matches(r))
             .count()
     }
-
-    /// Execute with SWORD's query planner: resolve in the ring of the
-    /// *most selective* range predicate (narrowest hashed segment) instead
-    /// of blindly taking the first. Still one ring per query, as the paper
-    /// models; the planner only shortens the sequential sweep.
-    pub fn execute_query_planned(
-        &self,
-        delays: &DelaySpace,
-        query: &Query,
-        start: usize,
-    ) -> SwordQueryOutcome {
-        let best = query
-            .predicates()
-            .iter()
-            .filter_map(|p| match p {
-                Predicate::Range { attr, lo, hi } => {
-                    let seg =
-                        self.ring
-                            .segment(attr.index(), lo.clamp(0.0, 1.0), hi.clamp(0.0, 1.0));
-                    Some((seg.len(), p.clone()))
-                }
-                _ => None,
-            })
-            .min_by_key(|(len, _)| *len);
-        let Some((_, planned)) = best else {
-            return self.execute_query(delays, query, start);
-        };
-        // Re-order the query so the planned predicate leads; matching
-        // semantics are conjunction-order independent.
-        let mut preds = vec![planned.clone()];
-        preds.extend(
-            query
-                .predicates()
-                .iter()
-                .filter(|p| **p != planned)
-                .cloned(),
-        );
-        let reordered = Query::new(query.id, preds);
-        self.execute_query(delays, &reordered, start)
-    }
 }
 
 /// Emit one executed SWORD query into the flight recorder: a nested
@@ -508,31 +468,6 @@ mod tests {
         let total: usize = (0..10).map(|s| net.storage_bytes(s)).sum();
         // 10×50 records × 4 copies × wire size (4 floats ≈ 50 B).
         assert!(total > 10 * 50 * 4 * 40);
-    }
-
-    #[test]
-    fn planner_picks_narrowest_segment() {
-        let net = network(64, 5, 4);
-        let delays = DelaySpace::paper(64, 2);
-        // First predicate is wide (would sweep 1/4 of its sub-ring),
-        // second is a near-point (1-2 servers).
-        let q = QueryBuilder::new(net.schema(), QueryId(9))
-            .range("x0", 0.0, 1.0)
-            .range("x1", 0.40, 0.41)
-            .build();
-        let naive = net.execute_query(&delays, &q, 7);
-        let planned = net.execute_query_planned(&delays, &q, 7);
-        assert_eq!(
-            planned.matching_records,
-            net.matching_records(&q),
-            "planning must not change results"
-        );
-        assert!(
-            planned.servers_contacted < naive.servers_contacted,
-            "planned {} vs naive {}",
-            planned.servers_contacted,
-            naive.servers_contacted
-        );
     }
 
     #[test]

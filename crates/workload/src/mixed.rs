@@ -146,13 +146,12 @@ pub fn generate_mixed_records(
                         if rng.gen_bool(0.5) {
                             v = format!("v{c}_{}", cat_offset % vocab_size.max(1));
                         }
-                        values.push(Value::Cat(v));
+                        values.push(Value::Cat(v.into()));
                     }
                     for s in 0..cfg.texts {
-                        values.push(Value::Text(format!(
-                            "resource-{owner}-{s}-{}",
-                            rng.gen::<u16>()
-                        )));
+                        values.push(Value::Text(
+                            format!("resource-{owner}-{s}-{}", rng.gen::<u16>()).into(),
+                        ));
                     }
                     let id = RecordId(next_id);
                     next_id += 1;
