@@ -1,11 +1,11 @@
 //! The table of strict JSON artifacts `roads-inspect` understands: one row
 //! per document — marker key → strict parse → one-line `check` summary /
-//! full render. `roads-inspect check` and the `slow` / `audit` / `delta` /
-//! `health` / `incidents` subcommands are lookups in [`ARTIFACTS`]; adding
-//! an artifact is adding a row (see CONTRIBUTING.md). `bench_suite` writes
-//! four of the five documents, `fig18_delta_churn` writes `DELTA.json`.
+//! full render. `roads-inspect check` and the `slow` / `audit` / `health` /
+//! `incidents` subcommands are lookups in [`ARTIFACTS`]; adding an
+//! artifact is adding a row (see CONTRIBUTING.md). `bench_suite` writes all
+//! four documents; every figure binary writes a figure document instead,
+//! which `check` reads beside its trace file.
 
-use crate::delta_view::{render_delta_table, DeltaReport};
 use crate::{audit_view, explain_view, incident_view};
 use roads_runtime::{AuditReport, ClusterHealth, IncidentReport};
 use roads_telemetry::{Json, SlowDoc};
@@ -40,20 +40,6 @@ pub const ARTIFACTS: &[ArtifactRow] = &[
         },
         view: ("audit", |doc| {
             AuditReport::from_json(doc).map(|r| audit_view::render_audit_table(&r))
-        }),
-    },
-    ArtifactRow {
-        marker: DeltaReport::MARKER,
-        check: |doc| {
-            DeltaReport::from_json(doc).map(|r| {
-                format!(
-                    "delta report, {} records, {} changes/round, {:.1}x over full",
-                    r.records, r.churn_changes, r.speedup
-                )
-            })
-        },
-        view: ("delta", |doc| {
-            DeltaReport::from_json(doc).map(|r| render_delta_table(&r))
         }),
     },
     ArtifactRow {

@@ -29,8 +29,7 @@
 //!   timeline, matched against the kills and the straggler
 //!   (`roads-inspect incidents`).
 //!
-//! `roads-inspect check` validates all four documents. `DELTA.json`,
-//! the fifth artifact, comes from `fig18_delta_churn`.
+//! `roads-inspect check` validates all four documents.
 //!
 //! [`QueryExplain`]: roads_telemetry::QueryExplain
 //! [`ClusterHealth`]: roads_runtime::ClusterHealth

@@ -14,8 +14,6 @@
 //!                                       # attribution
 //! roads-inspect audit <artifact>        # per-level summary-fidelity table
 //!                                       # from an AUDIT.json artifact
-//! roads-inspect delta <artifact>        # incremental-update summary from
-//!                                       # a DELTA.json artifact
 //! roads-inspect incidents <artifact>    # watchdog incident timeline from
 //!                                       # an INCIDENTS.json artifact
 //! ```
@@ -37,11 +35,10 @@
 //! complete (`ph == "X"`) spans, or a trace that is no span tree; the CI
 //! smoke test runs it over every `--quick` figure. A document carrying
 //! the marker key of another artifact — `SLOW_QUERIES`, `AUDIT`,
-//! `INCIDENTS` and `CACHE_HEALTH` from `bench_suite`, `DELTA` from
-//! `fig18_delta_churn`, one row each in
+//! `INCIDENTS` and `CACHE_HEALTH` from `bench_suite`, one row each in
 //! [`roads_bench::artifacts::ARTIFACTS`] — takes that row's path instead
-//! and expects no trace file (its `validate`: retained hop trees are
-//! trees, the delta path's speedup floor and change accounting).
+//! and expects no trace file (its `validate`: for example, retained hop
+//! trees are trees).
 //!
 //! `incidents` renders the watchdog incident timeline of an
 //! `INCIDENTS.json` artifact: one block per incident with its firing
@@ -79,7 +76,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `slow`, `audit`, `delta`, `health`, `incidents`: the artifact views.
+    // `slow`, `audit`, `health`, `incidents`: the artifact views.
     if let [cmd, path] = args.as_slice() {
         if let Some(render) = artifacts::view(cmd) {
             return print_view(path, render);
@@ -100,7 +97,6 @@ fn main() -> ExitCode {
             eprintln!("       roads-inspect explain <slow-queries.json> [query-id]");
             eprintln!("       roads-inspect slow <slow-queries.json>");
             eprintln!("       roads-inspect audit <audit.json>");
-            eprintln!("       roads-inspect delta <delta.json>");
             eprintln!("       roads-inspect incidents <incidents.json>");
             eprintln!("  <base> is a result stem, e.g. results/fig3_latency_vs_nodes");
             ExitCode::from(2)

@@ -16,7 +16,6 @@
 pub mod artifacts;
 pub mod audit_view;
 pub mod chart;
-pub mod delta_view;
 pub mod explain_view;
 pub mod incident_view;
 pub mod live;

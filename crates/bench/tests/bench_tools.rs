@@ -56,8 +56,7 @@ fn artifact_run_writes_exactly_its_checkable_documents() {
         "digest missing from stderr:\n{stderr}"
     );
 
-    // Exactly these documents: no bench report, and DELTA.json is fig18's
-    // to write.
+    // Exactly these documents: no bench report.
     let mut written: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())

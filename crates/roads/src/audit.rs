@@ -85,13 +85,13 @@ pub fn authoritative_branch(net: &RoadsNetwork, target: ServerId, live: &[bool])
 /// Per-target authoritative summaries, computed once per distinct target.
 fn authoritative_map(
     net: &RoadsNetwork,
-    entries: &[ReplicaEntry],
+    targets: impl IntoIterator<Item = ServerId>,
     live: &[bool],
 ) -> BTreeMap<ServerId, Summary> {
     let mut map = BTreeMap::new();
-    for e in entries {
-        map.entry(e.target)
-            .or_insert_with(|| authoritative_branch(net, e.target, live));
+    for target in targets {
+        map.entry(target)
+            .or_insert_with(|| authoritative_branch(net, target, live));
     }
     map
 }
@@ -198,18 +198,15 @@ impl ReplicaLedger {
     pub fn refresh(&mut self, net: &RoadsNetwork, live: &[bool]) {
         self.epoch += 1;
         let is_live = |s: ServerId| live.get(s.index()).copied().unwrap_or(true);
-        let fresh = authoritative_map(
-            net,
-            &self
-                .entries
-                .iter()
-                .filter(|e| is_live(e.holder) && is_live(e.target))
-                .cloned()
-                .collect::<Vec<_>>(),
-            live,
-        );
+        let refreshed = |e: &ReplicaEntry| is_live(e.holder) && is_live(e.target);
+        let targets = self
+            .entries
+            .iter()
+            .filter(|e| refreshed(e))
+            .map(|e| e.target);
+        let fresh = authoritative_map(net, targets, live);
         for e in &mut self.entries {
-            if is_live(e.holder) && is_live(e.target) {
+            if refreshed(e) {
                 e.copy = fresh[&e.target].clone();
                 e.epoch = self.epoch;
             }
@@ -236,13 +233,9 @@ impl ReplicaLedger {
     /// summary under `live` and fold the worst drift into one report.
     pub fn divergence(&self, net: &RoadsNetwork, live: &[bool]) -> DivergenceReport {
         let is_live = |s: ServerId| live.get(s.index()).copied().unwrap_or(true);
-        let audited: Vec<ReplicaEntry> = self
-            .entries
-            .iter()
-            .filter(|e| is_live(e.holder))
-            .cloned()
-            .collect();
-        let fresh = authoritative_map(net, &audited, live);
+        let audited: Vec<&ReplicaEntry> =
+            self.entries.iter().filter(|e| is_live(e.holder)).collect();
+        let fresh = authoritative_map(net, audited.iter().map(|e| e.target), live);
         let mut out = DivergenceReport {
             epoch: self.epoch,
             entries: audited.len(),
@@ -286,13 +279,10 @@ pub fn audit_probe(
             ..LevelAudit::default()
         })
         .collect();
-    let audited: Vec<ReplicaEntry> = ledger
-        .entries()
-        .iter()
+    let audited: Vec<&ReplicaEntry> = (ledger.entries().iter())
         .filter(|e| is_live(e.holder))
-        .cloned()
         .collect();
-    let fresh = authoritative_map(net, &audited, live);
+    let fresh = authoritative_map(net, audited.iter().map(|e| e.target), live);
     // Ground truth per (target, query), computed once per distinct target.
     let mut truth_cache: BTreeMap<ServerId, Vec<bool>> = BTreeMap::new();
     for e in &audited {

@@ -14,7 +14,6 @@ use crate::store::{DeltaOutcome, RecordChange, RecordDelta, ServerStore};
 use crate::tree::{HierarchyTree, ServerId};
 use roads_records::{Query, Record, Schema, WireSize};
 use roads_summary::Summary;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Execution options for [`RoadsNetwork`] construction.
 ///
@@ -175,7 +174,7 @@ pub enum ContactMode {
 
 /// The converged federation: hierarchy + per-server record stores +
 /// aggregated summaries + replication overlay.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RoadsNetwork {
     schema: Schema,
     config: RoadsConfig,
@@ -188,24 +187,6 @@ pub struct RoadsNetwork {
     branch_summary: Vec<Summary>,
     /// Replication set of each server (indices into `branch_summary`).
     replicas: Vec<ReplicationSet>,
-    /// Diagnostic: total [`RoadsNetwork::search_local`] and
-    /// [`RoadsNetwork::count_local`] invocations. Lets tests pin "exactly
-    /// one local search per contacted server" on the query path.
-    search_calls: AtomicU64,
-}
-
-impl Clone for RoadsNetwork {
-    fn clone(&self) -> Self {
-        RoadsNetwork {
-            schema: self.schema.clone(),
-            config: self.config,
-            tree: self.tree.clone(),
-            stores: self.stores.clone(),
-            branch_summary: self.branch_summary.clone(),
-            replicas: self.replicas.clone(),
-            search_calls: AtomicU64::new(self.search_calls.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl RoadsNetwork {
@@ -368,7 +349,6 @@ impl RoadsNetwork {
             stores,
             branch_summary,
             replicas,
-            search_calls: AtomicU64::new(0),
         }
     }
 
@@ -560,22 +540,18 @@ impl RoadsNetwork {
     }
 
     /// Search `s`'s locally attached records exactly.
-    pub fn search_local(&self, s: ServerId, query: &Query) -> Vec<Record> {
-        self.search_calls.fetch_add(1, Ordering::Relaxed);
-        self.stores[s.index()].search(query)
+    pub fn search_local(&self, s: ServerId, query: &Query) -> Vec<&Record> {
+        #[cfg(test)]
+        tests::LOCAL_SEARCHES.with(|n| n.set(n.get() + 1));
+        self.stores[s.index()].table().search(query)
     }
 
     /// How many of `s`'s locally attached records match — the local search
     /// of a caller that needs no record (the simulated query path).
     pub fn count_local(&self, s: ServerId, query: &Query) -> usize {
-        self.search_calls.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        tests::LOCAL_SEARCHES.with(|n| n.set(n.get() + 1));
         self.stores[s.index()].table().count(query)
-    }
-
-    /// Total local searches so far (diagnostic; see the `search_calls`
-    /// field).
-    pub fn local_search_calls(&self) -> u64 {
-        self.search_calls.load(Ordering::Relaxed)
     }
 
     /// Ground truth: every server whose local records contain a match.
@@ -740,9 +716,17 @@ impl RoadsNetwork {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use roads_records::{OwnerId, QueryBuilder, QueryId, RecordId, Value};
+
+    thread_local! {
+        /// [`RoadsNetwork::search_local`] and [`RoadsNetwork::count_local`]
+        /// calls made on this thread, counted in test builds only: lets
+        /// tests pin "exactly one local search per contacted server" on
+        /// the query path.
+        pub(crate) static LOCAL_SEARCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
     use roads_summary::SummaryConfig;
 
     fn unit_record(schema: &Schema, id: u64, owner: u32, vals: &[f64]) -> Record {
@@ -1334,7 +1318,7 @@ mod tests {
                     net.tree()
                         .servers()
                         .into_iter()
-                        .map(|s| net.search_local(s, q))
+                        .map(|s| net.search_local(s, q).into_iter().cloned().collect())
                 })
                 .collect()
         };

@@ -895,14 +895,15 @@ mod tests {
         let q = QueryBuilder::new(net.schema(), QueryId(30))
             .range("x0", 0.0, 1.0)
             .build();
-        let before = net.local_search_calls();
+        let searches = || crate::engine::tests::LOCAL_SEARCHES.with(|n| n.get());
+        let before = searches();
         let plain = execute_query(&net, &delays, &q, ServerId(11), SearchScope::full());
-        let plain_calls = net.local_search_calls() - before;
+        let plain_calls = searches() - before;
         assert!(plain_calls <= plain.servers_contacted as u64);
 
-        let before = net.local_search_calls();
+        let before = searches();
         let (traced_out, trace) = traced(&net, &delays, &q, ServerId(11), SearchScope::full());
-        let traced_calls = net.local_search_calls() - before;
+        let traced_calls = searches() - before;
         assert_eq!(traced_out, plain);
         assert_eq!(
             traced_calls, plain_calls,

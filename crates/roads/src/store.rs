@@ -524,9 +524,10 @@ pub struct DeltaOutcome {
     /// Summary rebuilds: local summaries re-aggregated from raw records
     /// because a removal could not be unlearned exactly (categorical
     /// summaries, saturated histogram counters) — at most one per server
-    /// per batch, so never more than `dirty.len()`. The field, the
-    /// `roads.delta.shard_rebuilds` counter and the `DELTA.json` key keep
-    /// the name they had when a store kept eight shard summaries.
+    /// per batch, so never more than `dirty.len()`. The field and the
+    /// `roads.delta.shard_rebuilds` counter keep the name they had when a
+    /// store kept eight shard summaries; fig18's figure document calls the
+    /// series `summary_rebuilds`.
     pub shard_rebuilds: u64,
     /// Every record that entered or left the federation in this delta:
     /// the applied payloads and the rows they displaced or removed.

@@ -1044,12 +1044,9 @@ fn step(
     if !search_local {
         return (targets, Vec::new());
     }
-    // The table itself, not `search_local`: that one counts calls on an
-    // atomic every server would share.
-    let table = net.store(state.id).table();
     let found = match &state.search_hist {
-        Some(h) => timed(h, || table.search(query)),
-        None => table.search(query),
+        Some(h) => timed(h, || net.search_local(state.id, query)),
+        None => net.search_local(state.id, query),
     };
     // The owner's final say: policy filters/redacts what actually leaves
     // this server.

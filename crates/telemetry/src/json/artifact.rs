@@ -2,8 +2,8 @@
 //! writer, the strict reader, the marker test, `load` and `write`.
 //!
 //! Every strict JSON artifact of the workspace (the figure document
-//! `results/<figure>.json`, `SLOW_QUERIES`, `AUDIT`, `DELTA`, `INCIDENTS`,
-//! the cluster health snapshot and the records nested inside them) is a
+//! `results/<figure>.json`, `SLOW_QUERIES`, `AUDIT`, `INCIDENTS`, the
+//! cluster health snapshot and the records nested inside them) is a
 //! plain struct plus one [`json_fields!`] table
 //! naming its fields in on-disk order. The table derives [`JsonField`] for
 //! the struct; a top-level document adds [`artifact!`], which derives the

@@ -15,7 +15,6 @@
 
 use proptest::prelude::*;
 use roads_bench::artifacts::ARTIFACTS;
-use roads_bench::delta_view::{DeltaReport, DELTA_SCHEMA_VERSION};
 use roads_runtime::{
     AuditLevelRow, AuditReport, CauseKind, ClusterHealth, FaultKind, Incident, IncidentReport,
     MatchedFault, ServerHealth, SuspectedCause,
@@ -196,35 +195,6 @@ fn audit_report(g: &mut Gen) -> AuditReport {
             live_probes: g.count(),
             live_false_positives: g.count(),
         }),
-    }
-}
-
-fn delta_report(g: &mut Gen) -> DeltaReport {
-    // validate(): accounting adds up, dirty sets fit, bytes shrink, and
-    // the speedup matches the timings and clears the speedup floor.
-    let servers = 1 + g.below(1_000);
-    let churn_changes = 1 + g.count();
-    let applied = g.below(churn_changes + 1);
-    let dirty_servers = g.below(servers + 1);
-    let full_bytes = g.count();
-    let delta_ms = 1.0 + g.float();
-    let full_ms = delta_ms * (10.5 + g.float());
-    DeltaReport {
-        schema_version: DELTA_SCHEMA_VERSION,
-        config: g.text(),
-        servers,
-        records: 1 + g.count(),
-        churn_changes,
-        full_ms,
-        delta_ms,
-        speedup: full_ms / delta_ms,
-        full_bytes,
-        delta_bytes: g.below(full_bytes + 1),
-        applied,
-        rejected: churn_changes - applied,
-        dirty_servers,
-        dirty_branches: dirty_servers + g.below(100),
-        shard_rebuilds: g.count(),
     }
 }
 
@@ -466,14 +436,6 @@ const EXERCISERS: &[(&str, Exerciser)] = &[
             &audit_report(g),
             AuditReport::to_json,
             AuditReport::from_json,
-            g,
-        )
-    }),
-    (DeltaReport::MARKER, |g| {
-        exercise(
-            &delta_report(g),
-            DeltaReport::to_json,
-            DeltaReport::from_json,
             g,
         )
     }),
