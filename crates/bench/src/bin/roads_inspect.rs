@@ -162,6 +162,10 @@ fn load_figure(base: &str) -> Result<FigureExport, String> {
     FigureExport::load(&expand(base).0)
 }
 
+/// `summary` prints every `x:y` point of a series this short, and only
+/// `first -> last` of a longer one.
+const SUMMARY_POINTS: usize = 12;
+
 fn summary(base: &str) -> ExitCode {
     let fig = match load_figure(base) {
         Ok(fig) => fig,
@@ -175,11 +179,15 @@ fn summary(base: &str) -> ExitCode {
     println!("title  : {}", fig.title);
     println!("series : {}", fig.series.len());
     for s in &fig.series {
-        let name = &s.name;
+        let (name, n) = (&s.name, s.y.len());
         match (s.y.first(), s.y.last()) {
-            (Some(f), Some(l)) => {
-                println!("  {name:<28} {} points, {f:.3} -> {l:.3}", s.y.len())
+            (Some(_), Some(_)) if n <= SUMMARY_POINTS => {
+                let points: Vec<String> = (s.x.iter().zip(&s.y))
+                    .map(|(x, y)| format!("{x}:{y:.3}"))
+                    .collect();
+                println!("  {name:<28} {n} points, {}", points.join(" "))
             }
+            (Some(f), Some(l)) => println!("  {name:<28} {n} points, {f:.3} -> {l:.3}"),
             _ => println!("  {name:<28} empty"),
         }
     }

@@ -205,6 +205,43 @@ fn check_routes_a_figure_document_to_its_trace_not_an_artifact_row() {
     assert!(out.contains("1 spans, 1 traces"), "{out}");
 }
 
+/// `summary` shows every point of a short series, so an interior cell
+/// (fig18's 1 % churn, the one its floor gates) is on screen, and keeps a
+/// long series to its first and last values.
+#[test]
+fn summary_prints_every_point_of_a_short_series() {
+    use roads_telemetry::FigureExport;
+    let dir = tmp("summary-points");
+    let mut fig = FigureExport::new("figz", "summary fixture");
+    let churn = [
+        (0.001, 1000.0),
+        (0.01, 10000.0),
+        (0.05, 50000.0),
+        (0.2, 200000.0),
+    ];
+    fig.push_series("changes_per_round", &churn);
+    let long: Vec<(f64, f64)> = (0..13).map(|i| (i as f64, 2.0 * i as f64)).collect();
+    fig.push_series("long", &long);
+    fig.write_in(&dir).unwrap();
+    let (ok, out) = inspect(&["summary", dir.join("figz").to_str().unwrap()]);
+    assert!(ok, "{out}");
+    let line = |name: &str| {
+        out.lines()
+            .find(|l| l.contains(name))
+            .unwrap_or("")
+            .to_string()
+    };
+    assert!(
+        line("changes_per_round")
+            .ends_with("4 points, 0.001:1000.000 0.01:10000.000 0.05:50000.000 0.2:200000.000"),
+        "{out}"
+    );
+    assert!(
+        line("long").ends_with("13 points, 0.000 -> 24.000"),
+        "{out}"
+    );
+}
+
 /// Strictness the per-artifact readers had drifted on: a negative or
 /// fractional count used to be truncated by `as u64`, and a hop that lost
 /// `dur_us` used to read as 0. Through the one artifact layer each fails

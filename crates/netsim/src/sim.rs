@@ -12,11 +12,12 @@
 //! [`SpanId`]) triple. When a flight [`Recorder`] is attached via
 //! [`Simulator::set_recorder`], each send allocates a child span of the
 //! handler's current span and records `message-send` / `message-deliver`
-//! events, so one injected request's entire causal fan-out forms a span
-//! tree; timer firings start fresh traces (a periodic tick is its own
-//! causal root). Protocol code can add domain events with [`Ctx::record`].
-//! Without a recorder the triple is three copied zeros and every hook is
-//! one `Option` check — no allocation, no locking.
+//! events. Each timer firing starts a fresh trace (a periodic tick is its
+//! own causal root), so everything one tick causes forms one span tree;
+//! a message injected from outside travels untraced. Protocol code can
+//! add domain events with [`Ctx::record`]. Without a recorder the triple
+//! is three copied zeros and every hook is one `Option` check — no
+//! allocation, no locking.
 
 use crate::delay::DelaySpace;
 use crate::stats::{TrafficClass, TrafficStats};
@@ -95,17 +96,6 @@ impl<M> Ctx<'_, M> {
     /// The node handling this event.
     pub fn self_id(&self) -> NodeId {
         self.self_id
-    }
-
-    /// The causal trace this event belongs to ([`TraceId::NONE`] when the
-    /// triggering message was untraced).
-    pub fn trace(&self) -> TraceId {
-        self.trace
-    }
-
-    /// The current span ([`SpanId::NONE`] without a recorder).
-    pub fn span(&self) -> SpanId {
-        self.span
     }
 
     /// Record a domain event (summary merge, TTL expiry, …) on this node
@@ -188,28 +178,16 @@ pub struct Simulator<P: Protocol> {
     now: SimTime,
     seq: u64,
     stats: TrafficStats,
-    events_processed: u64,
     /// Message-loss model: probability each sent message is silently
     /// dropped, driven by a deterministic counter-hash (seeded).
     loss_probability: f64,
     loss_seed: u64,
     messages_dropped: u64,
-    /// Optional delivery hooks into a telemetry registry; `None` keeps the
-    /// hot path to a single branch per event.
-    telemetry: Option<SimTelemetry>,
     /// Optional causal flight recorder; `None` keeps envelope handling to
     /// copying three zeroed ids.
     recorder: Option<Arc<Recorder>>,
     /// Per-node delivery counts (timeline load-share gauge).
     deliveries: Vec<u64>,
-}
-
-/// Pre-resolved telemetry instruments for the event loop (cached `Arc`s so
-/// delivery never takes the registry lock).
-struct SimTelemetry {
-    delivered: std::sync::Arc<roads_telemetry::Counter>,
-    timers: std::sync::Arc<roads_telemetry::Counter>,
-    dropped: std::sync::Arc<roads_telemetry::Counter>,
 }
 
 impl<P: Protocol> Simulator<P> {
@@ -233,11 +211,9 @@ impl<P: Protocol> Simulator<P> {
             now: SimTime::ZERO,
             seq: 0,
             stats: TrafficStats::new(),
-            events_processed: 0,
             loss_probability: 0.0,
             loss_seed: 0,
             messages_dropped: 0,
-            telemetry: None,
             recorder: None,
             deliveries: vec![0; n],
         }
@@ -254,18 +230,6 @@ impl<P: Protocol> Simulator<P> {
     /// Per-node delivered-message counts since construction.
     pub fn deliveries(&self) -> &[u64] {
         &self.deliveries
-    }
-
-    /// Count every delivery, timer firing, and loss-model drop into `reg`
-    /// (`netsim.messages_delivered`, `netsim.timers_fired`,
-    /// `netsim.messages_dropped`). Without a registry the event loop pays
-    /// only a `None` check.
-    pub fn set_telemetry(&mut self, reg: &roads_telemetry::Registry) {
-        self.telemetry = Some(SimTelemetry {
-            delivered: reg.counter("netsim.messages_delivered"),
-            timers: reg.counter("netsim.timers_fired"),
-            dropped: reg.counter("netsim.messages_dropped"),
-        });
     }
 
     /// Enable the message-loss model: every node-to-node message is
@@ -337,11 +301,6 @@ impl<P: Protocol> Simulator<P> {
         self.stats.clear();
     }
 
-    /// Total events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
     /// The delay space (for protocols that need topology awareness during
     /// setup, e.g. proximity-based parent selection).
     pub fn delays(&self) -> &DelaySpace {
@@ -375,7 +334,7 @@ impl<P: Protocol> Simulator<P> {
 
     /// Inject a message from outside the simulation (e.g. a client request
     /// arriving at a server), delivered at absolute time `at` and accounted
-    /// under `class`.
+    /// under `class`. It travels untraced.
     pub fn inject(
         &mut self,
         at: SimTime,
@@ -385,49 +344,15 @@ impl<P: Protocol> Simulator<P> {
         bytes: usize,
         class: TrafficClass,
     ) {
-        self.inject_traced(at, from, to, msg, bytes, class, TraceId::NONE);
-    }
-
-    /// Like [`Simulator::inject`], but the message (and its whole causal
-    /// fan-out) belongs to `trace`. With a recorder attached the message
-    /// gets a root span — returned so callers can hang more events off it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn inject_traced(
-        &mut self,
-        at: SimTime,
-        from: NodeId,
-        to: NodeId,
-        msg: P::Msg,
-        bytes: usize,
-        class: TrafficClass,
-        trace: TraceId,
-    ) -> SpanId {
         self.stats.record(class, bytes);
-        let span = if let Some(rec) = &self.recorder {
-            let span = rec.next_span_id();
-            rec.record(Event {
-                at_us: at.max(self.now).as_micros(),
-                dur_us: 0,
-                node: from.0,
-                trace,
-                span,
-                parent: SpanId::NONE,
-                kind: EventKind::MessageSend,
-                detail: bytes as u64,
-            });
-            span
-        } else {
-            SpanId::NONE
-        };
         self.push(
             at,
             to,
             Payload::Deliver { from, msg, bytes },
-            trace,
-            span,
+            TraceId::NONE,
+            SpanId::NONE,
             SpanId::NONE,
         );
-        span
     }
 
     /// Schedule a timer on `node` at absolute time `at`.
@@ -449,7 +374,6 @@ impl<P: Protocol> Simulator<P> {
         };
         debug_assert!(ev.at >= self.now, "time must not run backwards");
         self.now = ev.at;
-        self.events_processed += 1;
 
         // A delivery handler runs under the envelope's (trace, span); a
         // timer tick starts a fresh trace when a recorder is attached.
@@ -473,9 +397,6 @@ impl<P: Protocol> Simulator<P> {
             let node = &mut self.nodes[ev.to.index()];
             match ev.payload {
                 Payload::Deliver { from, msg, bytes } => {
-                    if let Some(t) = &self.telemetry {
-                        t.delivered.inc();
-                    }
                     self.deliveries[ev.to.index()] += 1;
                     if let Some(rec) = &self.recorder {
                         rec.record(Event {
@@ -492,9 +413,6 @@ impl<P: Protocol> Simulator<P> {
                     node.on_message(&mut ctx, from, msg)
                 }
                 Payload::Timer { tag } => {
-                    if let Some(t) = &self.telemetry {
-                        t.timers.inc();
-                    }
                     if let Some(rec) = &self.recorder {
                         rec.record(Event {
                             at_us: self.now.as_micros(),
@@ -525,9 +443,6 @@ impl<P: Protocol> Simulator<P> {
                     if self.drops() {
                         self.seq += 1; // consume a loss-lottery ticket
                         self.messages_dropped += 1;
-                        if let Some(t) = &self.telemetry {
-                            t.dropped.inc();
-                        }
                         continue;
                     }
                     let at = self.now + self.delays.delay(ev.to.index(), to.index());
@@ -616,6 +531,9 @@ mod tests {
     use super::*;
     use crate::delay::{DelaySpace, DelaySpaceConfig};
 
+    /// A timer with this tag sends node 0 a ping with TTL 3.
+    const PING_TIMER: TimerTag = 99;
+
     /// Ping-pong protocol: counts received pings, replies until TTL runs
     /// out, and records arrival times.
     struct PingPong {
@@ -648,8 +566,11 @@ mod tests {
                 ctx.send(from, Ping { ttl: msg.ttl - 1 }, 64, TrafficClass::Query);
             }
         }
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Ping>, tag: TimerTag) {
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Ping>, tag: TimerTag) {
             self.timer_fired.push(tag);
+            if tag == PING_TIMER {
+                ctx.send(NodeId(0), Ping { ttl: 3 }, 64, TrafficClass::Query);
+            }
         }
     }
 
@@ -751,7 +672,6 @@ mod tests {
             s.schedule_timer(SimTime::from_millis(tag), NodeId(0), tag);
         }
         assert_eq!(s.run(3), 3);
-        assert_eq!(s.events_processed(), 3);
     }
 
     #[test]
@@ -806,65 +726,23 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_hooks_count_events() {
-        let reg = roads_telemetry::Registry::new();
-        let mut s = sim(2);
-        s.set_telemetry(&reg);
-        s.schedule_timer(SimTime::from_millis(1), NodeId(0), 7);
-        s.inject(
-            SimTime::ZERO,
-            NodeId(1),
-            NodeId(0),
-            Ping { ttl: 3 },
-            64,
-            TrafficClass::Query,
-        );
-        s.run_to_completion();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["netsim.messages_delivered"], 4);
-        assert_eq!(snap.counters["netsim.timers_fired"], 1);
-        assert_eq!(snap.counters["netsim.messages_dropped"], 0);
-
-        // Drops are counted too.
-        let reg = roads_telemetry::Registry::new();
-        let mut s = sim(2);
-        s.set_telemetry(&reg);
-        s.set_message_loss(1.0, 1);
-        s.inject(
-            SimTime::ZERO,
-            NodeId(1),
-            NodeId(0),
-            Ping { ttl: 5 },
-            64,
-            TrafficClass::Query,
-        );
-        s.run_to_completion();
-        assert_eq!(reg.snapshot().counters["netsim.messages_dropped"], 1);
-    }
-
-    #[test]
-    fn recorder_builds_span_tree_for_injected_trace() {
+    fn recorder_builds_span_tree_for_a_timer_started_trace() {
         use roads_telemetry::{span_tree_root, trace_events, EventKind, Recorder};
 
         let rec = Arc::new(Recorder::new(1024));
         let mut s = sim(2);
         s.set_recorder(rec.clone());
-        let trace = rec.next_trace_id();
-        let root = s.inject_traced(
-            SimTime::ZERO,
-            NodeId(1),
-            NodeId(0),
-            Ping { ttl: 3 },
-            64,
-            TrafficClass::Query,
-            trace,
-        );
-        assert!(!root.is_none());
+        s.schedule_timer(SimTime::ZERO, NodeId(1), PING_TIMER);
         s.run_to_completion();
 
         let events = rec.events();
+        let fire = (events.iter())
+            .find(|e| e.kind == EventKind::TimerFire)
+            .expect("the timer fired");
+        let (trace, root) = (fire.trace, fire.span);
+        assert!(!root.is_none());
         let mine = trace_events(&events, trace);
-        // 4 sends + 4 delivers, all on one trace rooted at the injection.
+        // 4 sends + 4 delivers, all on one trace rooted at the firing.
         assert_eq!(
             mine.iter()
                 .filter(|e| e.kind == EventKind::MessageSend)

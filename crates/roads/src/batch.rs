@@ -5,18 +5,19 @@
 //! exploits the flip side of that in the simulation plane: a converged
 //! [`RoadsNetwork`] is immutable during query processing, so any number of
 //! workers can evaluate queries against one `Arc`-shared instance with no
-//! coordination beyond handing out work. Each query's outcome is exactly
-//! what [`execute_query`] returns for it — the batch only changes
-//! wall-clock time, never results — so output is deterministic and ordered
-//! like the input regardless of the worker count.
+//! coordination beyond handing out work, split in contiguous index chunks
+//! by the same `par_map` the network build fans out with. Each query's
+//! outcome is exactly what [`execute_query`] returns for it — the batch
+//! only changes wall-clock time, never results — so output is
+//! deterministic and ordered like the input regardless of the worker
+//! count.
 
-use crate::engine::RoadsNetwork;
+use crate::engine::{par_map, RoadsNetwork};
 use crate::queryexec::{execute_query, QueryOutcome, SearchScope};
 use crate::tree::ServerId;
 use roads_netsim::DelaySpace;
 use roads_records::Query;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A worker pool evaluating a slice of queries over a shared network.
 #[derive(Debug, Clone)]
@@ -57,45 +58,12 @@ impl QueryBatch {
     }
 
     /// Evaluate every `(query, entry)` pair, returning outcomes in input
-    /// order. Workers self-schedule off a shared cursor, so an expensive
-    /// query never stalls the queue behind it.
+    /// order.
     pub fn run(&self, queries: &[(Query, ServerId)]) -> Vec<QueryOutcome> {
-        if self.threads <= 1 || queries.len() <= 1 {
-            return queries
-                .iter()
-                .map(|(q, entry)| execute_query(&self.net, &self.delays, q, *entry, self.scope))
-                .collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut out: Vec<Option<QueryOutcome>> = vec![None; queries.len()];
-        let slots = Mutex::new(&mut out);
-        std::thread::scope(|s| {
-            for _ in 0..self.threads.min(queries.len()) {
-                s.spawn(|| {
-                    // Buffer locally; one merge per worker keeps the result
-                    // mutex off the evaluation path.
-                    let mut local: Vec<(usize, QueryOutcome)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= queries.len() {
-                            break;
-                        }
-                        let (q, entry) = &queries[i];
-                        local.push((
-                            i,
-                            execute_query(&self.net, &self.delays, q, *entry, self.scope),
-                        ));
-                    }
-                    let mut slots = slots.lock().expect("no worker panics while merging");
-                    for (i, o) in local {
-                        slots[i] = Some(o);
-                    }
-                });
-            }
-        });
-        out.into_iter()
-            .map(|o| o.expect("every query index was claimed by a worker"))
-            .collect()
+        par_map(queries.len(), self.threads, |i| {
+            let (q, entry) = &queries[i];
+            execute_query(&self.net, &self.delays, q, *entry, self.scope)
+        })
     }
 }
 

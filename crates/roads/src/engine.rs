@@ -66,7 +66,7 @@ impl Default for BuildOptions {
 /// scoped workers, results in index order. `threads <= 1` runs inline.
 /// Work is split into contiguous index chunks, so two invocations with
 /// different thread counts call `f` on exactly the same inputs.
-fn par_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+pub(crate) fn par_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

@@ -13,8 +13,11 @@
 //! root path, the root's children and the epoch, and every rule above. It
 //! rides the server's heartbeat ([`crate::protocol`]), which carries the
 //! summaries too, so a child's branch summary is kept with the child and
-//! dropped with it. The tests kill servers (including the root) mid-run
-//! and assert the tree re-converges to a valid hierarchy.
+//! dropped with it. "Several heartbeat messages lost" is one deadline,
+//! `lapsed` with `summary_ttl_ms`: it declares a silent parent or child
+//! dead here, and expires the server's replicas in [`crate::protocol`].
+//! The tests kill servers (including the root) mid-run and assert the
+//! tree re-converges to a valid hierarchy.
 
 use crate::protocol::{send, RoadsServer, ServerMsg};
 use crate::tree::{HierarchyTree, ServerId};
@@ -48,7 +51,7 @@ impl ChildInfo {
 
 /// A peer last heard at `heard_ms` is presumed dead once `ttl_ms` passes
 /// without news: the one deadline for parents, children and replicas.
-fn lapsed(heard_ms: u64, now_ms: u64, ttl_ms: u64) -> bool {
+pub(crate) fn lapsed(heard_ms: u64, now_ms: u64, ttl_ms: u64) -> bool {
     now_ms.saturating_sub(heard_ms) >= ttl_ms
 }
 

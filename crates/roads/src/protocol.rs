@@ -15,7 +15,11 @@
 //!
 //! [`RoadsServer`] is that server: its membership (the hierarchy half,
 //! with the join walk, rejoin and election rules, in
-//! [`crate::maintenance`]) and its summary soft state (here).
+//! [`crate::maintenance`]) and its summary soft state (here). That soft
+//! state is the paper's (§III-B: "data and summaries are soft-state and
+//! have TTLs associated with them"): a replica is kept with the time it
+//! was last heard, is fresh until `maintenance::lapsed` says the deadline
+//! has passed, and is swept by the same tick that drops silent children.
 //!
 //! The message plane carries summaries, not queries. A query (§III-C) is
 //! routed by [`crate::engine::RoadsNetwork::route`], a pure function of
@@ -26,12 +30,13 @@
 
 use crate::config::RoadsConfig;
 use crate::engine::branch_summary_of;
-use crate::maintenance::{MemberState, Membership};
+use crate::maintenance::{lapsed, MemberState, Membership};
 use crate::tree::{HierarchyTree, ServerId};
 use roads_netsim::{Ctx, NodeId, Protocol, SimTime, Simulator, TimerTag, TrafficClass};
 use roads_records::{wire::MSG_HEADER_BYTES, Record, Schema, WireSize};
-use roads_summary::{SoftStateTable, Summary};
+use roads_summary::Summary;
 use roads_telemetry::{EventKind, Timeline};
+use std::collections::BTreeMap;
 
 /// The periodic tick: heartbeat, expiry and failure detection.
 const TIMER_TICK: TimerTag = 1;
@@ -114,6 +119,12 @@ pub(crate) fn send(ctx: &mut Ctx<'_, ServerMsg>, to: NodeId, msg: ServerMsg) {
     ctx.send(to, msg, MSG_HEADER_BYTES + body, class);
 }
 
+/// A replicated remote branch summary and when it was last heard.
+struct Replica {
+    summary: Summary,
+    heard_ms: u64,
+}
+
 /// One ROADS server: its place in the hierarchy and the summaries it
 /// holds.
 pub struct RoadsServer {
@@ -121,15 +132,16 @@ pub struct RoadsServer {
     member: Membership,
     /// Summary of the attached records.
     local_summary: Summary,
-    /// Replicated remote branch summaries by origin server id.
-    replicas: SoftStateTable<u32, Summary>,
+    /// Replicated remote branch summaries by origin server id, kept until
+    /// a tick sweeps them once they have lapsed.
+    replicas: BTreeMap<u32, Replica>,
 }
 
 impl RoadsServer {
     fn new(cfg: RoadsConfig, schema: &Schema, member: Membership, records: &[Record]) -> Self {
         RoadsServer {
             local_summary: Summary::from_records(schema, &cfg.summary, records),
-            replicas: SoftStateTable::new(cfg.summary_ttl_ms),
+            replicas: BTreeMap::new(),
             cfg,
             member,
         }
@@ -144,7 +156,16 @@ impl RoadsServer {
     /// others hold of it expires on its own.
     pub fn crash(&mut self) {
         self.member.crash();
-        self.replicas = SoftStateTable::new(self.cfg.summary_ttl_ms);
+        self.replicas.clear();
+    }
+
+    /// The replicas heard within `summary_ttl`, in origin order: what a
+    /// heartbeat relays and the timeline counts.
+    fn fresh_replicas(&self, now_ms: u64) -> impl Iterator<Item = (u32, &Summary)> {
+        let ttl = self.cfg.summary_ttl_ms;
+        (self.replicas.iter())
+            .filter(move |(_, r)| !lapsed(r.heard_ms, now_ms, ttl))
+            .map(|(origin, r)| (*origin, &r.summary))
     }
 
     /// Branch summary of server `me` from current (possibly stale) state:
@@ -171,10 +192,9 @@ impl RoadsServer {
             .fresh_children(now_ms, self.cfg.summary_ttl_ms)
             .map(|(c, s)| (c, s.clone()))
             .collect();
-        let mut from_above: Vec<(u32, Summary)> = (self.replicas.iter_fresh(now_ms))
-            .map(|(k, v)| (*k, v.clone()))
+        let from_above: Vec<(u32, Summary)> = (self.fresh_replicas(now_ms))
+            .map(|(origin, s)| (origin, s.clone()))
             .collect();
-        from_above.sort_by_key(|(k, _)| *k);
         for c in self.member.children() {
             let mut replicas: Vec<(u32, Summary)> = (fresh.iter())
                 .filter(|(sib, _)| *sib != c)
@@ -196,11 +216,15 @@ impl RoadsServer {
     /// Keep the replicas a parent's heartbeat carried.
     fn install(&mut self, ctx: &Ctx<'_, ServerMsg>, replicas: Vec<(u32, Summary)>, now_ms: u64) {
         let installed = (replicas.iter())
-            .filter(|(origin, _)| self.replicas.get_ignoring_ttl(origin).is_none())
+            .filter(|(origin, _)| !self.replicas.contains_key(origin))
             .count() as u64;
         let refreshed = replicas.len() as u64 - installed;
         for (origin, summary) in replicas {
-            self.replicas.insert(origin, summary, now_ms);
+            let replica = Replica {
+                summary,
+                heard_ms: now_ms,
+            };
+            self.replicas.insert(origin, replica);
         }
         if installed > 0 {
             ctx.record(EventKind::ReplicaInstall, installed);
@@ -274,7 +298,9 @@ impl Protocol for RoadsServer {
             return;
         }
         let (now, ttl) = (now_ms(ctx), self.cfg.summary_ttl_ms);
-        let expired = self.member.expire_children(now, ttl) + self.replicas.sweep(now).len();
+        let held = self.replicas.len();
+        (self.replicas).retain(|_, r| !lapsed(r.heard_ms, now, ttl));
+        let expired = self.member.expire_children(now, ttl) + held - self.replicas.len();
         if expired > 0 {
             ctx.record(EventKind::TtlExpire, expired as u64);
         }
@@ -343,7 +369,7 @@ pub fn run_with_timeline(
             for (_, n) in sim.nodes() {
                 let ttl = n.cfg.summary_ttl_ms;
                 live += n.member.fresh_children(t_ms, ttl).count();
-                replicas += n.replicas.iter_fresh(t_ms).count();
+                replicas += n.fresh_replicas(t_ms).count();
             }
             let deliveries = sim.deliveries();
             let total: u64 = deliveries.iter().sum();
@@ -475,7 +501,7 @@ mod tests {
             held.retain(|(t, _)| live[t.index()]);
             assert_eq!(node.replicas.len(), held.len(), "{s}: replicas");
             for (t, role) in &held {
-                let copy = node.replicas.get(&t.0, now_ms);
+                let copy = (node.fresh_replicas(now_ms)).find_map(|(o, c)| (o == t.0).then_some(c));
                 let expected = match role {
                     ReplicaRole::Ancestor => branch[t.index()].without_parts(),
                     _ => branch[t.index()].clone(),
@@ -614,6 +640,98 @@ mod tests {
             let mut live = vec![true; n];
             live[victim.index()] = false;
             assert_engine_state(&sim, &net, &live, &branches(&net));
+        }
+    }
+
+    /// A replica heard at `t` is relayed and counted through `t + ttl − 1`
+    /// ms, and from `t + ttl` on it is swept, relayed no more and counted
+    /// no more. One holder ticks every millisecond between a parent and a
+    /// child that never tick; the parent's one heartbeat is injected. The
+    /// TTL outlasts a round trip, so the child stays the holder's child.
+    #[test]
+    fn a_replica_lives_one_ttl_to_the_millisecond() {
+        let cfg = RoadsConfig {
+            ts_ms: 1,
+            summary_ttl_ms: 1_000,
+            ..config(3)
+        };
+        let schema = Schema::unit_numeric(1);
+        let records = unit_records(3, 1, 1);
+        let (parent, holder, child) = (NodeId(0), NodeId(1), NodeId(2));
+        let members = [
+            Membership::joined(vec![parent], vec![holder], vec![holder]),
+            Membership::joined(vec![parent, holder], vec![child], vec![holder]),
+            Membership::joined(vec![parent, holder, child], vec![], vec![holder]),
+        ];
+        let nodes = (members.into_iter().zip(&records))
+            .map(|(member, records)| RoadsServer::new(cfg, &schema, member, records))
+            .collect();
+        let mut sim = Simulator::new(nodes, DelaySpace::paper(3, 17));
+        sim.schedule_timer(SimTime::from_millis(1), holder, TIMER_TICK);
+        let (t, ttl) = (5, cfg.summary_ttl_ms);
+        let replicas = vec![(0, Summary::from_records(&schema, &cfg.summary, &records[0]))];
+        let heartbeat = ServerMsg::Heartbeat {
+            root_path: vec![parent],
+            root_children: vec![holder],
+            epoch: 0,
+            replicas,
+        };
+        sim.inject(
+            SimTime::from_millis(t),
+            parent,
+            holder,
+            heartbeat,
+            0,
+            TrafficClass::Update,
+        );
+        // (held, fresh) at the holder once every event up to `ms` ran.
+        let at = |sim: &mut Simulator<RoadsServer>, ms: u64| {
+            sim.run_until(SimTime::from_millis(ms));
+            let node = sim.node(holder);
+            (
+                node.replicas.contains_key(&0),
+                node.fresh_replicas(ms).count(),
+            )
+        };
+        assert_eq!(at(&mut sim, t), (true, 1), "installed at t");
+        assert_eq!(at(&mut sim, t + ttl - 1), (true, 1), "fresh at t + ttl - 1");
+        assert_eq!(at(&mut sim, t + ttl), (false, 0), "swept at t + ttl");
+        // The child's copy was last refreshed by the tick at t + ttl − 1.
+        let last_relay = SimTime::from_millis(t + ttl - 1) + sim.delays().delay(1, 2);
+        sim.run_until(last_relay + SimTime::from_millis(ttl));
+        let copy = &sim.node(child).replicas[&0];
+        assert_eq!(copy.heard_ms, last_relay.as_micros() / 1000, "last relay");
+    }
+
+    /// After a server crashes, every holder sweeps its copy of the dead
+    /// server's branch within one period of the copy's deadline: no copy
+    /// is held `ttl + ts` past the time its holder last heard it, and none
+    /// is left once the relays have stopped.
+    #[test]
+    fn a_dead_servers_copies_go_within_ttl_plus_ts() {
+        for shape in [SHAPES[0], SHAPES[2]] {
+            let (mut sim, net, _) = federation(shape, 40);
+            let tree = net.tree();
+            let victim = *tree.leaves().iter().max().expect("a leaf");
+            let holders = |sim: &Simulator<RoadsServer>| {
+                (sim.nodes())
+                    .filter(|(_, n)| n.replicas.contains_key(&victim.0))
+                    .count()
+            };
+            assert!(holders(&sim) > 0, "{shape:?}: a copy to expire");
+            sim.node_mut(NodeId(victim.0)).crash();
+            let cfg = *net.config();
+            let (ttl, ts) = (cfg.summary_ttl_ms, cfg.ts_ms);
+            let start = sim.now().as_micros() / 1000;
+            for ms in start..start + 4 * ttl {
+                sim.run_until(SimTime::from_millis(ms));
+                for (id, node) in sim.nodes() {
+                    if let Some(copy) = node.replicas.get(&victim.0) {
+                        assert!(ms < copy.heard_ms + ttl + ts, "{shape:?}: {id} at {ms}");
+                    }
+                }
+            }
+            assert_eq!(holders(&sim), 0, "{shape:?}: copies left");
         }
     }
 

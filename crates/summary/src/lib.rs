@@ -17,17 +17,19 @@
 //! * [`Summary`] — one summary per searchable attribute, aligned to a
 //!   [`roads_records::Schema`]; evaluates conjunctive queries conservatively
 //!   (no false negatives).
-//! * [`SoftState`] / [`SoftStateTable`] — TTL wrappers: "data and summaries
-//!   are soft-state and have TTLs associated with them".
 //! * [`SummaryFidelity`] — fidelity probes for the audit plane: Bloom
 //!   saturation, histogram drift against the exact re-aggregate, value-set
 //!   Jaccard distance, per-attribute and per-summary reports.
+//!
+//! The TTLs the paper attaches to summaries ("data and summaries are
+//! soft-state and have TTLs associated with them") belong to the server
+//! that holds them: `roads_core::protocol` keeps each replica with the
+//! time it was last heard and expires it by the one liveness deadline.
 
 pub mod attr_summary;
 pub mod bloom;
 pub mod fidelity;
 pub mod histogram;
-pub mod soft_state;
 pub mod summary;
 pub mod value_set;
 
@@ -35,6 +37,5 @@ pub use attr_summary::AttributeSummary;
 pub use bloom::{BloomFilter, BloomSaturation};
 pub use fidelity::{histogram_drift, AttrFidelity, SummaryFidelity};
 pub use histogram::Histogram;
-pub use soft_state::{SoftState, SoftStateTable};
 pub use summary::{CategoricalMode, Summary, SummaryConfig, SummaryVerdict};
 pub use value_set::ValueSet;

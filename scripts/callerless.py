@@ -2,7 +2,8 @@
 """List `pub` items of crates/*/src that no other Rust file names.
 
 For every `pub fn|struct|enum|trait|type|const|static` above a file's
-first top-level `#[cfg(test)]`, count the other `.rs` files of the
+test module (its first top-level `#[cfg(test)]` that introduces a
+`mod`), count the other `.rs` files of the
 repository (vendor/ and target/ excluded, benchmark/, examples/ and tests
 included) that contain the item's name as a word. An item no other file
 names is printed with a tag: `own-file` when the defining file uses it
@@ -14,8 +15,8 @@ With --check the script exits 1 if a `tests-only-or-none` item is not in
 KEEP below, so that code nothing calls cannot grow back unnoticed.
 
 With --loc it prints instead the non-test lines of crates/*/src per crate
-and in total: every line of a file above its first top-level
-`#[cfg(test)]`, the same cut the sweep uses.
+and in total: every line of a file above its test module, the same cut
+the sweep uses. A `#[cfg(test)]` helper above the test module counts.
 
     python3 scripts/callerless.py [--check | --loc] [REPO_ROOT]
 """
@@ -52,9 +53,16 @@ text = {f: open(f, encoding="utf-8").read() for f in files}
 CRATE_SRC = re.compile(r"/crates/([^/]+)/src/")
 
 
+# A top-level `#[cfg(test)]` whose item, after any further attributes,
+# is a module.
+TEST_MOD = re.compile(
+    r"^#\[cfg\(test\)\](?:\s*#\[[^\]]*\])*\s*(?:pub(?:\([^)]*\))?\s+)?mod\s", re.M
+)
+
+
 def test_cut(body):
-    """Offset of a file's first top-level `#[cfg(test)]`, or its end."""
-    tests = re.search(r"^#\[cfg\(test\)\]", body, re.M)
+    """Offset of a file's test module, or its end."""
+    tests = TEST_MOD.search(body)
     return tests.start() if tests else len(body)
 
 
