@@ -151,15 +151,15 @@ impl Membership {
     }
 
     /// The children heard within `ttl_ms` whose branch summary has
-    /// arrived, in id order.
+    /// arrived, in id order, each with the time its last reply came.
     pub(crate) fn fresh_children(
         &self,
         now_ms: u64,
         ttl_ms: u64,
-    ) -> impl Iterator<Item = (NodeId, &Summary)> {
+    ) -> impl Iterator<Item = (NodeId, u64, &Summary)> {
         (self.children.iter())
             .filter(move |(_, c)| !lapsed(c.last_heard_ms, now_ms, ttl_ms))
-            .filter_map(|(id, c)| Some((*id, c.summary.as_ref()?)))
+            .filter_map(|(id, c)| Some((*id, c.last_heard_ms, c.summary.as_ref()?)))
     }
 
     /// Drop the children not heard within `ttl_ms`; returns how many went.

@@ -6,7 +6,10 @@
 //! and the replicas the child keeps: its siblings' branch summaries, the
 //! sender's own, and everything the sender replicates from above — the
 //! ancestors' copies without their parts, which only a branch's parent
-//! and its sibling and ancestor-sibling readers test. The child answers
+//! and its sibling and ancestor-sibling readers test. Each replica travels
+//! with the time its origin was last heard — by the sender, for its own
+//! and its children's; as relayed to it, for the rest — so relaying a copy
+//! never makes it younger. The child answers
 //! with its branch summary and the shape of its branch. So one period
 //! refreshes the hierarchy and the summaries together, and one
 //! deadline, `summary_ttl`, both declares a silent peer dead and expires
@@ -17,9 +20,11 @@
 //! with the join walk, rejoin and election rules, in
 //! [`crate::maintenance`]) and its summary soft state (here). That soft
 //! state is the paper's (§III-B: "data and summaries are soft-state and
-//! have TTLs associated with them"): a replica is kept with the time it
-//! was last heard, is fresh until `maintenance::lapsed` says the deadline
-//! has passed, and is swept by the same tick that drops silent children.
+//! have TTLs associated with them"): a replica is kept with the time its
+//! origin was last heard, is fresh until `maintenance::lapsed` says the
+//! deadline has passed, and is swept by the same tick that drops silent
+//! children. So a dead server's copies lapse one TTL after its parent last
+//! heard it, at every depth of the tree, not one TTL per relay.
 //!
 //! The message plane carries summaries, not queries. A query (§III-C) is
 //! routed by [`crate::engine::RoadsNetwork::route`], a pure function of
@@ -44,6 +49,9 @@ const TIMER_TICK: TimerTag = 1;
 /// Wire bytes of one server id.
 const PER_ID: usize = 4;
 
+/// Wire bytes of the time a replica's origin was last heard.
+const PER_STAMP: usize = 8;
+
 /// Messages between ROADS servers.
 #[derive(Debug, Clone)]
 pub enum ServerMsg {
@@ -58,9 +66,10 @@ pub enum ServerMsg {
         /// server adopts the largest it has heard, one level per heartbeat.
         /// The replicas on a heartbeat carry its epoch.
         epoch: u64,
-        /// `(origin server, branch summary)` pairs: the child's siblings,
-        /// the sender, and what the sender replicates from above.
-        replicas: Vec<(u32, Summary)>,
+        /// `(origin server, origin last heard in ms, branch summary)`: the
+        /// child's siblings, the sender, and what the sender replicates
+        /// from above.
+        replicas: Vec<(u32, u64, Summary)>,
     },
     /// Child → parent, answering a heartbeat: liveness, the branch shape
     /// the join walk reads, and the child's branch summary.
@@ -107,7 +116,9 @@ pub(crate) fn send(ctx: &mut Ctx<'_, ServerMsg>, to: NodeId, msg: ServerMsg) {
             replicas,
             ..
         } => {
-            let replicas: usize = replicas.iter().map(|(_, s)| PER_ID + s.wire_size()).sum();
+            let replicas: usize = (replicas.iter())
+                .map(|(_, _, s)| PER_ID + PER_STAMP + s.wire_size())
+                .sum();
             let body = 8 + ids(root_path) + ids(root_children) + replicas;
             (body, TrafficClass::Update)
         }
@@ -119,7 +130,7 @@ pub(crate) fn send(ctx: &mut Ctx<'_, ServerMsg>, to: NodeId, msg: ServerMsg) {
     ctx.send(to, msg, MSG_HEADER_BYTES + body, class);
 }
 
-/// A replicated remote branch summary and when it was last heard.
+/// A replicated remote branch summary and when its origin was last heard.
 struct Replica {
     summary: Summary,
     heard_ms: u64,
@@ -159,13 +170,14 @@ impl RoadsServer {
         self.replicas.clear();
     }
 
-    /// The replicas heard within `summary_ttl`, in origin order: what a
-    /// heartbeat relays and the timeline counts.
-    fn fresh_replicas(&self, now_ms: u64) -> impl Iterator<Item = (u32, &Summary)> {
+    /// The replicas whose origin was heard within `summary_ttl`, in
+    /// origin order, with that time: what a heartbeat relays and the
+    /// timeline counts.
+    fn fresh_replicas(&self, now_ms: u64) -> impl Iterator<Item = (u32, u64, &Summary)> {
         let ttl = self.cfg.summary_ttl_ms;
         (self.replicas.iter())
             .filter(move |(_, r)| !lapsed(r.heard_ms, now_ms, ttl))
-            .map(|(origin, r)| (*origin, &r.summary))
+            .map(|(origin, r)| (*origin, r.heard_ms, &r.summary))
     }
 
     /// Branch summary of server `me` from current (possibly stale) state:
@@ -173,34 +185,36 @@ impl RoadsServer {
     /// child order.
     fn branch_summary(&self, me: u32, now_ms: u64) -> Summary {
         let fresh =
-            (self.member.fresh_children(now_ms, self.cfg.summary_ttl_ms)).map(|(c, s)| (c.0, s));
+            (self.member.fresh_children(now_ms, self.cfg.summary_ttl_ms)).map(|(c, _, s)| (c.0, s));
         let root = self.member.parent().is_none();
         branch_summary_of(me, root, &self.local_summary, fresh)
     }
 
     /// Heartbeat every child: to each, its siblings' branch summaries, our
-    /// own branch summary and everything we replicate from above. Our own
-    /// goes without its parts, as it came to us from above: a child reads
-    /// its ancestors' copies only for their attributes.
+    /// own branch summary and everything we replicate from above, each
+    /// stamped with when its origin was last heard — a sibling by its last
+    /// reply, ourselves now. Our own goes without its parts, as it came to
+    /// us from above: a child reads its ancestors' copies only for their
+    /// attributes.
     fn heartbeat_children(&mut self, ctx: &mut Ctx<'_, ServerMsg>, now_ms: u64) {
         let Some((root_path, root_children, epoch)) = self.member.heartbeat() else {
             return;
         };
         let me = ctx.self_id().0;
         let mine = self.branch_summary(me, now_ms).without_parts();
-        let fresh: Vec<(NodeId, Summary)> = (self.member)
+        let fresh: Vec<(u32, u64, Summary)> = (self.member)
             .fresh_children(now_ms, self.cfg.summary_ttl_ms)
-            .map(|(c, s)| (c, s.clone()))
+            .map(|(c, heard, s)| (c.0, heard, s.clone()))
             .collect();
-        let from_above: Vec<(u32, Summary)> = (self.fresh_replicas(now_ms))
-            .map(|(origin, s)| (origin, s.clone()))
+        let from_above: Vec<(u32, u64, Summary)> = (self.fresh_replicas(now_ms))
+            .map(|(origin, heard, s)| (origin, heard, s.clone()))
             .collect();
         for c in self.member.children() {
-            let mut replicas: Vec<(u32, Summary)> = (fresh.iter())
-                .filter(|(sib, _)| *sib != c)
-                .map(|(sib, s)| (sib.0, s.clone()))
+            let mut replicas: Vec<(u32, u64, Summary)> = (fresh.iter())
+                .filter(|(sib, ..)| *sib != c.0)
+                .cloned()
                 .collect();
-            replicas.push((me, mine.clone()));
+            replicas.push((me, now_ms, mine.clone()));
             replicas.extend(from_above.iter().cloned());
             let (root_path, root_children) = (root_path.clone(), root_children.clone());
             let msg = ServerMsg::Heartbeat {
@@ -213,18 +227,23 @@ impl RoadsServer {
         }
     }
 
-    /// Keep the replicas a parent's heartbeat carried.
-    fn install(&mut self, ctx: &Ctx<'_, ServerMsg>, replicas: Vec<(u32, Summary)>, now_ms: u64) {
+    /// Keep the replicas a parent's heartbeat carried, each with the time
+    /// its origin was last heard; one that has lapsed on the way is not
+    /// kept.
+    fn install(
+        &mut self,
+        ctx: &Ctx<'_, ServerMsg>,
+        mut replicas: Vec<(u32, u64, Summary)>,
+        now_ms: u64,
+    ) {
+        let ttl = self.cfg.summary_ttl_ms;
+        replicas.retain(|(_, heard_ms, _)| !lapsed(*heard_ms, now_ms, ttl));
         let installed = (replicas.iter())
-            .filter(|(origin, _)| !self.replicas.contains_key(origin))
+            .filter(|(origin, ..)| !self.replicas.contains_key(origin))
             .count() as u64;
         let refreshed = replicas.len() as u64 - installed;
-        for (origin, summary) in replicas {
-            let replica = Replica {
-                summary,
-                heard_ms: now_ms,
-            };
-            self.replicas.insert(origin, replica);
+        for (origin, heard_ms, summary) in replicas {
+            self.replicas.insert(origin, Replica { summary, heard_ms });
         }
         if installed > 0 {
             ctx.record(EventKind::ReplicaInstall, installed);
@@ -490,7 +509,9 @@ mod tests {
             let kids: Vec<ServerId> = (tree.children(s).iter().copied())
                 .filter(|c| live[c.index()])
                 .collect();
-            let copies: Vec<(NodeId, &Summary)> = node.member.fresh_children(now_ms, ttl).collect();
+            let copies: Vec<(NodeId, &Summary)> = (node.member.fresh_children(now_ms, ttl))
+                .map(|(c, _, s)| (c, s))
+                .collect();
             assert_eq!(node.member.children().len(), kids.len(), "{s}: children");
             assert_eq!(copies.len(), kids.len(), "{s}: child copies");
             for c in &kids {
@@ -501,7 +522,8 @@ mod tests {
             held.retain(|(t, _)| live[t.index()]);
             assert_eq!(node.replicas.len(), held.len(), "{s}: replicas");
             for (t, role) in &held {
-                let copy = (node.fresh_replicas(now_ms)).find_map(|(o, c)| (o == t.0).then_some(c));
+                let copy =
+                    (node.fresh_replicas(now_ms)).find_map(|(o, _, c)| (o == t.0).then_some(c));
                 let expected = match role {
                     ReplicaRole::Ancestor => branch[t.index()].without_parts(),
                     _ => branch[t.index()].clone(),
@@ -643,11 +665,13 @@ mod tests {
         }
     }
 
-    /// A replica heard at `t` is relayed and counted through `t + ttl − 1`
-    /// ms, and from `t + ttl` on it is swept, relayed no more and counted
-    /// no more. One holder ticks every millisecond between a parent and a
-    /// child that never tick; the parent's one heartbeat is injected. The
-    /// TTL outlasts a round trip, so the child stays the holder's child.
+    /// A replica whose origin was heard at `t` is relayed and counted
+    /// through `t + ttl − 1` ms, and from `t + ttl` on it is swept, relayed
+    /// no more and counted no more — by its holder and by the child the
+    /// holder relays it to, which keeps the origin's stamp. One holder
+    /// ticks every millisecond between a parent and a child that never
+    /// tick; the parent's one heartbeat is injected. The TTL outlasts a
+    /// round trip, so the child stays the holder's child.
     #[test]
     fn a_replica_lives_one_ttl_to_the_millisecond() {
         let cfg = RoadsConfig {
@@ -669,7 +693,8 @@ mod tests {
         let mut sim = Simulator::new(nodes, DelaySpace::paper(3, 17));
         sim.schedule_timer(SimTime::from_millis(1), holder, TIMER_TICK);
         let (t, ttl) = (5, cfg.summary_ttl_ms);
-        let replicas = vec![(0, Summary::from_records(&schema, &cfg.summary, &records[0]))];
+        let summary = Summary::from_records(&schema, &cfg.summary, &records[0]);
+        let replicas = vec![(0, t, summary)];
         let heartbeat = ServerMsg::Heartbeat {
             root_path: vec![parent],
             root_children: vec![holder],
@@ -696,11 +721,14 @@ mod tests {
         assert_eq!(at(&mut sim, t), (true, 1), "installed at t");
         assert_eq!(at(&mut sim, t + ttl - 1), (true, 1), "fresh at t + ttl - 1");
         assert_eq!(at(&mut sim, t + ttl), (false, 0), "swept at t + ttl");
-        // The child's copy was last refreshed by the tick at t + ttl − 1.
-        let last_relay = SimTime::from_millis(t + ttl - 1) + sim.delays().delay(1, 2);
-        sim.run_until(last_relay + SimTime::from_millis(ttl));
-        let copy = &sim.node(child).replicas[&0];
-        assert_eq!(copy.heard_ms, last_relay.as_micros() / 1000, "last relay");
+        // Relaying did not restart the deadline: the child's copy is the
+        // origin's, heard at t, stale from t + ttl on.
+        sim.run_until(SimTime::from_millis(t + ttl + 500));
+        let node = sim.node(child);
+        assert_eq!(node.replicas[&0].heard_ms, t, "the origin's stamp");
+        let origin = |ms| node.fresh_replicas(ms).filter(|(o, ..)| *o == 0).count();
+        assert_eq!(origin(t + ttl - 1), 1);
+        assert_eq!(origin(t + ttl), 0);
     }
 
     /// After a server crashes, every holder sweeps its copy of the dead
@@ -732,6 +760,43 @@ mod tests {
                 }
             }
             assert_eq!(holders(&sim), 0, "{shape:?}: copies left");
+        }
+    }
+
+    /// A crashed server's copies are gone from every server — replicas at
+    /// every depth and its parent's child entry — by `crash + ttl + ts`:
+    /// a relayed copy carries the time the origin's parent last heard it,
+    /// so no relay hop restarts the deadline. A leaf, and a child of the
+    /// root whose copies reach the whole tree.
+    #[test]
+    fn no_relay_keeps_a_crashed_servers_copy_past_ttl_plus_ts() {
+        for shape in SHAPES {
+            let (_, net, _) = federation(shape, 0);
+            let tree = net.tree();
+            let leaf = *tree.leaves().iter().max().expect("a leaf");
+            let top = *tree.children(tree.root()).last().expect("a child");
+            for victim in [leaf, top] {
+                let (mut sim, ..) = federation(shape, 40);
+                let held = |sim: &Simulator<RoadsServer>| -> Vec<NodeId> {
+                    (sim.nodes())
+                        .filter(|(_, n)| {
+                            n.replicas.contains_key(&victim.0)
+                                || n.member.children().contains(&NodeId(victim.0))
+                        })
+                        .map(|(id, _)| id)
+                        .collect()
+                };
+                assert!(!held(&sim).is_empty(), "{shape:?} {victim}: a copy");
+                sim.node_mut(NodeId(victim.0)).crash();
+                let cfg = *net.config();
+                let crash = sim.now().as_micros() / 1000;
+                let gone = crash + cfg.summary_ttl_ms + cfg.ts_ms;
+                // Nothing at the deadline, and nothing comes back.
+                for at in [gone, gone + cfg.summary_ttl_ms] {
+                    sim.run_until(SimTime::from_millis(at));
+                    assert_eq!(held(&sim), vec![], "{shape:?} {victim}: held at {at}");
+                }
+            }
         }
     }
 

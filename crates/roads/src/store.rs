@@ -12,35 +12,47 @@
 //!   rounds' twin) and a delta payload entering the table are
 //!   reference-count bumps, never copies of the values. A live server keeps
 //!   no copy: it searches the network's table in place.
-//! * **One byte per value.** Beside the rows the table keeps an id → row
-//!   map and, per attribute, a column of *codes*: a value's bucket among
-//!   256 equal-width buckets of the attribute's schema domain — the
-//!   bucketing ROADS summaries apply per server (§III-B), applied per row.
-//!   An upsert is one map probe, one row swap and one byte per column; a
-//!   removal swap-removes the row.
-//! * **Search is a column pass, exact.** The code is one monotone,
-//!   saturating function of the numeric view, applied to stored values and
-//!   query bounds alike, so for a range `lo <= v <= hi` with codes
-//!   `cl = code(lo)`, `ch = code(hi)`, `c = code(v)`:
-//!   - `v` in the range implies `cl <= c <= ch` — the byte compare drops
-//!     no match;
+//! * **Two bytes per value.** Beside the rows the table keeps an id → row
+//!   map and, per attribute, a *code* per row: a value's bucket among
+//!   65 536 equal-width buckets of the attribute's schema domain, stored
+//!   as two byte columns. The high byte (`codes`) is the value's bucket
+//!   among 256 — the bucketing ROADS summaries apply per server (§III-B),
+//!   applied per row — and is what a search scans; the low byte (`fine`)
+//!   is read only for the rows the high byte cannot decide. An upsert is
+//!   one map probe, one row swap and two bytes per column; a removal
+//!   swap-removes the row and both bytes.
+//! * **Search is a column pass, exact, that reads no record but on a
+//!   bound.** The code is one monotone, saturating function of the
+//!   numeric view, applied to stored values and query bounds alike, so
+//!   for a range `lo <= v <= hi` with codes `cl = code(lo)`,
+//!   `ch = code(hi)`, `c = code(v)`:
+//!   - `v` in the range implies `cl <= c <= ch` — so neither the high-byte
+//!     compare of the scan nor the full-code compare after it drops a
+//!     match;
 //!   - `cl < c < ch` implies `lo < v < hi` (were `v <= lo`, monotonicity
 //!     would give `c <= cl`) — an *interior* row matches with no further
-//!     work;
-//!   - a row with `c == cl` or `c == ch` sits in a *boundary* bucket, which
+//!     work, and a row whose high byte lies strictly between the bounds'
+//!     high bytes is interior without its low byte being read;
+//!   - a row with `c == cl` or `c == ch` sits in a *bound's* bucket, which
 //!     the range cuts somewhere: only there is the record itself asked,
 //!     with [`Predicate::matches`], the oracle's own function.
 //!
+//!   A bound's bucket is 1/65 536 of the domain, so a search reads a
+//!   record for about two rows in 65 536 per range on spread-out values.
 //!   NaN and values without a numeric view code to 0; they match no range,
-//!   and can pass the compare only as boundary rows, which are verified. A
-//!   domain without width codes everything to 0: every row is a boundary
-//!   row and the search degrades to a verified full scan. The ranges of a
-//!   query are ANDed a block of rows at a time, `Eq`/`OneOf` are checked on
-//!   the surviving records. That is O(rows) per search, and deliberately
-//!   so: at the sizes the figures and the benchmark run (≤ 200 000 rows of
-//!   ≤ 120 attributes per server) a sequential pass over one byte per row
-//!   costs less than a sorted index saves once the index has to be kept
-//!   sorted under every change (`DESIGN.md` §6k has the measurements).
+//!   and can pass the compares only as bound rows, which are verified. The
+//!   worst case is a column whose values share a bound's full code — a
+//!   domain without width codes everything to 0, and then every row is a
+//!   bound row and the search degrades to a verified full scan. The ranges
+//!   of a query are ANDed on the high bytes a block of rows at a time; each
+//!   block's survivors are then decided in one loop, in row order, and
+//!   `Eq`/`OneOf` are checked on their records. That is O(rows) per
+//!   search, and deliberately so: at the sizes the figures and the
+//!   benchmark run (≤ 200 000 rows of ≤ 120 attributes per server) a
+//!   sequential pass over one byte per row costs less than a sorted index
+//!   saves once the index has to be kept sorted under every change, and a
+//!   pass over both bytes costs more than the rows it settles save
+//!   (`DESIGN.md` §6k has the measurements).
 //!
 //! [`ServerStore`] is what a [`RoadsNetwork`](crate::engine::RoadsNetwork)
 //! keeps per server: the table plus the one *exact* [`Summary`] of its rows
@@ -62,6 +74,7 @@ use roads_summary::{Summary, SummaryConfig};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
+use std::ops::ControlFlow;
 
 /// Hasher for the id → row map. Record ids are plain `u64`s, so one
 /// splitmix64 finalizer round replaces SipHash on the delta hot path.
@@ -88,16 +101,17 @@ impl std::hash::Hasher for IdHasher {
     }
 }
 
-/// Code buckets per attribute domain: a code is one byte.
-const BUCKETS: f64 = 256.0;
+/// Code points per attribute domain: a code is two bytes.
+const CODES: f64 = 65_536.0;
 
-/// The code of one attribute: a value's bucket among [`BUCKETS`]
+/// The code of one attribute: a value's bucket among [`CODES`]
 /// equal-width buckets of the schema domain, saturating outside it.
 ///
 /// `code` is monotone — `a <= b` implies `code(a) <= code(b)` for non-NaN
 /// `a`, `b` — because subtracting a constant, scaling by a non-negative
 /// constant and the saturating, truncating cast each are. Everything the
-/// search skips rests on that and on nothing else about the function.
+/// search decides without a record rests on that and on nothing else
+/// about the function.
 #[derive(Debug, Clone, Copy)]
 struct Coder {
     lo: f64,
@@ -110,7 +124,7 @@ impl Coder {
     fn new(def: &AttrDef) -> Self {
         let width = def.hi - def.lo;
         let scale = if width > 0.0 && width.is_finite() {
-            BUCKETS / width
+            CODES / width
         } else {
             0.0
         };
@@ -118,34 +132,53 @@ impl Coder {
     }
 
     /// NaN codes to 0 (`as` casts NaN to 0 and saturates the rest).
-    fn code(self, v: f64) -> u8 {
-        ((v - self.lo) * self.scale) as u8
+    fn code(self, v: f64) -> u16 {
+        ((v - self.lo) * self.scale) as u16
     }
 
     /// The code of a value's numeric view, 0 where it has none.
-    fn code_of(self, v: &Value) -> u8 {
+    fn code_of(self, v: &Value) -> u16 {
         self.code(v.as_f64().unwrap_or(f64::NAN))
     }
 }
 
-/// One attribute's column: `codes[row]` is the code of that row's value.
+/// One attribute's column: row `r`'s code is `codes[r]` (high byte) and
+/// `fine[r]` (low byte), kept apart so that the scan reads one byte a row.
 #[derive(Debug, Clone)]
 struct CodeColumn {
     coder: Coder,
     codes: Vec<u8>,
+    fine: Vec<u8>,
 }
 
-/// Each column's codes paired with the code of `record`'s value for it.
-/// The record must fit the schema: callers taking records from outside
-/// check first.
+impl CodeColumn {
+    #[cfg(test)]
+    fn code(&self, row: usize) -> u16 {
+        u16::from_be_bytes([self.codes[row], self.fine[row]])
+    }
+
+    fn set(&mut self, row: usize, code: u16) {
+        [self.codes[row], self.fine[row]] = code.to_be_bytes();
+    }
+
+    fn push(&mut self, code: u16) {
+        let [high, low] = code.to_be_bytes();
+        self.codes.push(high);
+        self.fine.push(low);
+    }
+}
+
+/// Each column paired with the code of `record`'s value for it. The
+/// record must fit the schema: callers taking records from outside check
+/// first.
 fn coded<'a>(
     columns: &'a mut [CodeColumn],
     record: &'a Record,
-) -> impl Iterator<Item = (&'a mut Vec<u8>, u8)> {
+) -> impl Iterator<Item = (&'a mut CodeColumn, u16)> {
     assert_eq!(record.arity(), columns.len(), "record vs schema arity");
     columns.iter_mut().zip(record.values()).map(|(column, v)| {
         let code = column.coder.code_of(v);
-        (&mut column.codes, code)
+        (column, code)
     })
 }
 
@@ -153,7 +186,7 @@ fn row_number(row: usize) -> u32 {
     u32::try_from(row).expect("a store holds fewer than 2^32 rows")
 }
 
-/// The record table of one server: shared rows, one code byte per value,
+/// The record table of one server: shared rows, two code bytes per value,
 /// an id → row map. See the module documentation for why a search over
 /// lossy codes is exact.
 #[derive(Debug, Clone)]
@@ -189,11 +222,12 @@ impl RecordStore {
             .map(|(_, def)| CodeColumn {
                 coder: Coder::new(def),
                 codes: vec![0; rows.len()],
+                fine: vec![0; rows.len()],
             })
             .collect();
         for (row, r) in rows.iter().enumerate() {
-            for (codes, code) in coded(&mut columns, r) {
-                codes[row] = code;
+            for (column, code) in coded(&mut columns, r) {
+                column.set(row, code);
             }
         }
         RecordStore {
@@ -230,14 +264,14 @@ impl RecordStore {
         match self.row_of.entry(record.id) {
             Entry::Occupied(e) => {
                 let row = *e.get() as usize;
-                for (codes, code) in coded(&mut self.columns, &record) {
-                    codes[row] = code;
+                for (column, code) in coded(&mut self.columns, &record) {
+                    column.set(row, code);
                 }
                 Some(std::mem::replace(&mut self.rows[row], record))
             }
             Entry::Vacant(e) => {
-                for (codes, code) in coded(&mut self.columns, &record) {
-                    codes.push(code);
+                for (column, code) in coded(&mut self.columns, &record) {
+                    column.push(code);
                 }
                 e.insert(row_number(self.rows.len()));
                 self.rows.push(record);
@@ -253,6 +287,7 @@ impl RecordStore {
         let old = self.rows.swap_remove(row);
         for column in &mut self.columns {
             column.codes.swap_remove(row);
+            column.fine.swap_remove(row);
         }
         if let Some(moved) = self.rows.get(row) {
             self.row_of.insert(moved.id, row as u32);
@@ -260,54 +295,78 @@ impl RecordStore {
         Some(old)
     }
 
-    /// The one search body: the records matching `query`, in row order,
-    /// found lazily — a block's matches are handed out before the next
-    /// block is scanned. A query without predicates selects everything.
-    fn matching<'s, 'q>(&'s self, query: &'q Query) -> Matching<'s, 'q> {
-        let mut scan = Matching {
-            rows: &self.rows,
-            ranges: Vec::with_capacity(query.predicates().len()),
-            others: Vec::new(),
-            next_block: 0,
-            base: 0,
-            word: WORDS,
-            survivors: [0; WORDS],
-        };
+    /// The one search body: hand `visit` the records matching `query`, in
+    /// row order, until it breaks. A query without predicates selects
+    /// everything. Each block of rows is scanned, then its survivors are
+    /// decided one by one, each a survivor word's set bits in turn.
+    fn visit_matches<'s>(
+        &'s self,
+        query: &Query,
+        mut visit: impl FnMut(&'s Record) -> ControlFlow<()>,
+    ) {
+        let mut ranges = Vec::with_capacity(query.predicates().len());
+        let mut others = Vec::new();
         for p in query.predicates() {
             // A query is not built against a schema: an attribute this
             // one does not have matches nothing.
             let Some(column) = self.columns.get(p.attr().index()) else {
-                return scan.nothing();
+                return;
             };
             match p {
-                Predicate::Range { lo, hi, .. } if lo <= hi => scan.ranges.push(CodeRange {
-                    codes: &column.codes,
+                Predicate::Range { lo, hi, .. } if lo <= hi => ranges.push(CodeRange {
+                    column,
                     lo: column.coder.code(*lo),
                     hi: column.coder.code(*hi),
                     predicate: p,
                 }),
                 // Inverted or NaN bounds describe no interval at all.
-                Predicate::Range { .. } => return scan.nothing(),
-                Predicate::Eq { .. } | Predicate::OneOf { .. } => scan.others.push(p),
+                Predicate::Range { .. } => return,
+                Predicate::Eq { .. } | Predicate::OneOf { .. } => others.push(p),
             }
         }
-        scan
+        for start in (0..self.rows.len()).step_by(Self::BLOCK) {
+            let survivors = scan_block(&ranges, start, self.rows.len());
+            for (word, mut bits) in survivors.into_iter().enumerate() {
+                while bits != 0 {
+                    let row = start + 64 * word + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let record = &self.rows[row];
+                    if matches(&ranges, &others, row, record) && visit(record).is_break() {
+                        return;
+                    }
+                }
+            }
+        }
     }
 
     /// Exact search: every stored record matching `query`, in row order.
     pub fn search(&self, query: &Query) -> Vec<&Record> {
-        self.matching(query).collect()
+        let mut found = Vec::new();
+        self.visit_matches(query, |record| {
+            found.push(record);
+            ControlFlow::Continue(())
+        });
+        found
     }
 
     /// Number of matching records; materializes none.
     pub fn count(&self, query: &Query) -> usize {
-        self.matching(query).count()
+        let mut n = 0;
+        self.visit_matches(query, |_| {
+            n += 1;
+            ControlFlow::Continue(())
+        });
+        n
     }
 
-    /// True when any stored record matches `query`: scans no further than
-    /// the block holding the first match.
+    /// True when any stored record matches `query`: stops at the first.
     pub fn any_match(&self, query: &Query) -> bool {
-        self.matching(query).next().is_some()
+        let mut any = false;
+        self.visit_matches(query, |_| {
+            any = true;
+            ControlFlow::Break(())
+        });
+        any
     }
 }
 
@@ -317,105 +376,108 @@ const _: () = assert!(WORDS * 64 == RecordStore::BLOCK, "whole survivor words");
 
 /// One range predicate as the scan sees it.
 struct CodeRange<'s, 'q> {
-    /// The codes of its attribute's column.
-    codes: &'s [u8],
+    /// Its attribute's column.
+    column: &'s CodeColumn,
     /// Codes of its bounds; `lo <= hi` because the bounds are ordered and
     /// the code is monotone.
-    lo: u8,
-    hi: u8,
-    /// Itself, for the rows in a boundary bucket.
+    lo: u16,
+    hi: u16,
+    /// Itself, for the rows whose code is a bound's.
     predicate: &'q Predicate,
 }
 
-/// The scan behind [`RecordStore::matching`], one block of rows at a time.
-struct Matching<'s, 'q> {
-    rows: &'s [Record],
-    ranges: Vec<CodeRange<'s, 'q>>,
-    /// The `Eq`/`OneOf` predicates, checked on the records.
-    others: Vec<&'q Predicate>,
-    /// First row of the next block to scan.
-    next_block: usize,
-    /// First row of the scanned block. Its survivors — rows whose code
-    /// lies in the code span of every range — not yet looked at are the
-    /// set bits of `survivors[word..]`: bit `i` of word `w` is row
-    /// `base + 64 * w + i`.
-    base: usize,
-    word: usize,
-    survivors: [u64; WORDS],
+/// Where a row's code puts it relative to one range.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Place {
+    /// Outside the bounds' codes: no match.
+    Outside,
+    /// Strictly between them: a match.
+    Inside,
+    /// Equal to one of them: the record decides.
+    Bound,
 }
 
-impl Matching<'_, '_> {
-    /// The scan of a query no record can match.
-    fn nothing(mut self) -> Self {
-        self.rows = &[];
-        self
+impl CodeRange<'_, '_> {
+    /// The high bytes of the bounds' codes: the span the scan keeps.
+    fn high(&self) -> (u8, u8) {
+        ((self.lo >> 8) as u8, (self.hi >> 8) as u8)
     }
 
-    /// AND the code compares of every range over the next block of rows
-    /// and gather the flags into the survivor bits.
-    fn scan_block(&mut self) {
-        let start = self.next_block;
-        let len = (self.rows.len() - start).min(RecordStore::BLOCK);
-        let mut flags = [0u8; RecordStore::BLOCK];
-        flags[..len].fill(1);
-        for range in &self.ranges {
-            // One unsigned compare for both bounds: a code below `lo`
-            // wraps around to above the span.
-            let span = range.hi - range.lo;
-            let codes = &range.codes[start..start + len];
-            for (flag, &code) in flags[..len].iter_mut().zip(codes) {
-                *flag &= u8::from(code.wrapping_sub(range.lo) <= span);
-            }
+    /// The place of a row that survived the scan. Its high byte lies in
+    /// the bounds' high-byte span; strictly inside it the row is inside,
+    /// and only on the span's ends is the low byte read.
+    fn place(&self, row: usize) -> Place {
+        let high = self.column.codes[row];
+        let (lo, hi) = self.high();
+        if high != lo && high != hi {
+            return Place::Inside;
         }
-        for (word, flags) in self.survivors.iter_mut().zip(flags.chunks_exact(64)) {
-            *word = 0;
-            for (i, eight) in flags.chunks_exact(8).enumerate() {
-                let eight = u64::from_le_bytes(eight.try_into().expect("chunks of eight"));
-                // Eight 0/1 bytes to eight bits: the product lands byte k
-                // on bit 56 + k, and no two partial products share a bit.
-                *word |= (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
-            }
+        let code = u16::from_be_bytes([high, self.column.fine[row]]);
+        if code == self.lo || code == self.hi {
+            Place::Bound
+        } else if self.lo < code && code < self.hi {
+            Place::Inside
+        } else {
+            Place::Outside
         }
-        self.base = start;
-        self.word = 0;
-        self.next_block = start + len;
     }
+}
 
-    /// Whether a survivor matches. The record is asked only by the ranges
-    /// in whose boundary buckets the row sits — strictly inside the code
-    /// span is strictly inside the range — and by the other predicates.
-    fn verified(&self, row: usize, record: &Record) -> bool {
-        let ranges = self.ranges.iter().all(|range| {
-            let code = range.codes[row];
-            (code != range.lo && code != range.hi) || range.predicate.matches(record)
+/// AND the high-byte compares of every range over the block of rows from
+/// `start` (of `rows`) and gather the flags into survivor bits: bit `i` of
+/// word `w` is row `start + 64 * w + i`.
+fn scan_block(ranges: &[CodeRange<'_, '_>], start: usize, rows: usize) -> [u64; WORDS] {
+    let len = (rows - start).min(RecordStore::BLOCK);
+    let mut flags = [0u8; RecordStore::BLOCK];
+    flags[..len].fill(1);
+    for range in ranges {
+        // One unsigned compare for both bounds: a code below `lo` wraps
+        // around to above the span.
+        let (lo, hi) = range.high();
+        let span = hi - lo;
+        let codes = &range.column.codes[start..start + len];
+        for (flag, &code) in flags[..len].iter_mut().zip(codes) {
+            *flag &= u8::from(code.wrapping_sub(lo) <= span);
+        }
+    }
+    let mut survivors = [0u64; WORDS];
+    for (word, flags) in survivors.iter_mut().zip(flags.chunks_exact(64)) {
+        for (i, eight) in flags.chunks_exact(8).enumerate() {
+            let eight = u64::from_le_bytes(eight.try_into().expect("chunks of eight"));
+            // Eight 0/1 bytes to eight bits: the product lands byte k on
+            // bit 56 + k, and no two partial products share a bit.
+            *word |= (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
+        }
+    }
+    survivors
+}
+
+/// Whether a survivor matches. Its codes decide every range but those on
+/// whose bound code it sits; only then, and for the `Eq`/`OneOf`
+/// predicates in `others`, is the record asked.
+fn matches(
+    ranges: &[CodeRange<'_, '_>],
+    others: &[&Predicate],
+    row: usize,
+    record: &Record,
+) -> bool {
+    let mut bound = false;
+    for range in ranges {
+        match range.place(row) {
+            Place::Outside => return false,
+            Place::Bound => bound = true,
+            Place::Inside => {}
+        }
+    }
+    let verified = !bound
+        || ranges.iter().all(|range| {
+            range.place(row) != Place::Bound || {
+                #[cfg(test)]
+                tests::VERIFIED.with(|v| v.borrow_mut().push(row));
+                range.predicate.matches(record)
+            }
         });
-        ranges && self.others.iter().all(|p| p.matches(record))
-    }
-}
-
-impl<'s> Iterator for Matching<'s, '_> {
-    type Item = &'s Record;
-
-    fn next(&mut self) -> Option<&'s Record> {
-        loop {
-            while let Some(bits) = self.survivors.get_mut(self.word) {
-                if *bits == 0 {
-                    self.word += 1;
-                    continue;
-                }
-                let row = self.base + 64 * self.word + bits.trailing_zeros() as usize;
-                *bits &= *bits - 1;
-                let record = &self.rows[row];
-                if self.verified(row, record) {
-                    return Some(record);
-                }
-            }
-            if self.next_block == self.rows.len() {
-                return None;
-            }
-            self.scan_block();
-        }
-    }
+    verified && others.iter().all(|p| p.matches(record))
 }
 
 /// One mutation routed to a server (the record owner's attachment point).
@@ -590,7 +652,12 @@ impl ServerStore {
     /// Exact search handing the matches out as owned (shared-value)
     /// records.
     pub fn search(&self, query: &Query) -> Vec<Record> {
-        self.table.matching(query).cloned().collect()
+        let mut found = Vec::new();
+        self.table.visit_matches(query, |record| {
+            found.push(record.clone());
+            ControlFlow::Continue(())
+        });
+        found
     }
 
     /// The server's local summary: byte-identical to
@@ -665,6 +732,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use roads_records::{AttrId, OwnerId, QueryBuilder, QueryId, RecordBuilder};
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Every row whose record a range predicate was asked about, in
+        /// the order asked.
+        pub(super) static VERIFIED: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
 
     fn schema() -> Schema {
         Schema::unit_numeric(2)
@@ -994,20 +1068,28 @@ mod tests {
 
     #[test]
     fn codes_bucket_the_domain_and_saturate_outside_it() {
+        // The high byte, which the scan reads: a value's bucket among 256.
         let coder = Coder::new(&AttrDef::numeric("rate", -50.0, 30.0));
-        assert_eq!(coder.code(-50.0), 0);
-        assert_eq!(coder.code(-10.0), 128);
+        let high = |v: f64| coder.code(v) >> 8;
+        assert_eq!(high(-50.0), 0);
+        assert_eq!(high(-10.0), 128);
         // Rounding may move a bucket's edge by an ulp or so — one below
         // -10 still codes to 128 — which monotonicity does not mind.
-        assert_eq!(coder.code((-10.0_f64).next_down()), 128);
-        assert_eq!(coder.code(-10.1), 127);
-        assert_eq!(coder.code(30.0), 255, "the domain's end saturates");
-        assert_eq!(coder.code(f64::INFINITY), 255);
-        assert_eq!(coder.code(-51.0), 0);
-        assert_eq!(coder.code(f64::NEG_INFINITY), 0);
-        assert_eq!(coder.code(f64::NAN), 0);
-        assert_eq!(coder.code_of(&Value::Int(-10)), 128);
+        assert_eq!(high((-10.0_f64).next_down()), 128);
+        assert_eq!(high(-10.1), 127);
+        assert_eq!(high(30.0), 255, "the domain's end saturates");
+        assert_eq!(high(f64::INFINITY), 255);
+        assert_eq!(high(-51.0), 0);
+        assert_eq!(high(f64::NEG_INFINITY), 0);
+        assert_eq!(high(f64::NAN), 0);
+        assert_eq!(coder.code_of(&Value::Int(-10)) >> 8, 128);
         assert_eq!(coder.code_of(&Value::Cat("x".into())), 0);
+        // The full code: a bucket among 65 536, saturating the same way.
+        assert_eq!(coder.code(-10.0), 32_768);
+        assert_eq!(coder.code(-10.0 + 80.0 / 65_536.0), 32_769);
+        assert_eq!(coder.code(-10.1), 32_686);
+        assert_eq!(coder.code(30.0), u16::MAX);
+        assert_eq!(coder.code(f64::NAN), 0);
         // No width, no code: the search verifies every row instead.
         for def in [
             AttrDef::categorical("type"),
@@ -1018,6 +1100,93 @@ mod tests {
             for v in [-1.0, 0.0, 0.5, 1.0, f64::INFINITY, f64::NAN] {
                 assert_eq!(coder.code(v), 0, "{def:?} {v}");
             }
+        }
+    }
+
+    /// Rows `(id, value)` of a one-attribute table on `[0, 1]`.
+    fn line(values: &[f64]) -> RecordStore {
+        let records = (values.iter().enumerate())
+            .map(|(i, &v)| {
+                Record::new_unchecked(RecordId(i as u64), OwnerId(0), vec![Value::Float(v)])
+            })
+            .collect();
+        RecordStore::new(Schema::unit_numeric(1), records)
+    }
+
+    /// Search `[lo, hi]` on attribute 0: the ids found and the rows whose
+    /// record a range predicate was asked about.
+    fn verified_search(s: &RecordStore, lo: f64, hi: f64) -> (Vec<u64>, Vec<usize>) {
+        let q = Query::new(
+            QueryId(0),
+            vec![Predicate::Range {
+                attr: AttrId(0),
+                lo,
+                hi,
+            }],
+        );
+        VERIFIED.with(|v| v.borrow_mut().clear());
+        let found = ids(s.search(&q));
+        let expected: Vec<u64> = (s.records().iter())
+            .filter(|r| q.matches(r))
+            .map(|r| r.id.0)
+            .collect();
+        assert_eq!(found, expected, "[{lo}, {hi}]");
+        (found, VERIFIED.with(|v| v.take()))
+    }
+
+    /// Every value in one coarse bucket, so every row survives the scan on
+    /// a bound's high byte: the fine byte settles all but the rows whose
+    /// full code is a bound's, and only those are read — also after a
+    /// removal moved the last row, with both its bytes, into a hole.
+    #[test]
+    fn the_fine_byte_settles_a_coarse_bucket() {
+        let step = 1.0 / 65_536.0;
+        // Fine codes 0..=7 of coarse bucket 64, each the lower edge of
+        // its fine bucket and a third of the way in.
+        let base = 0.25;
+        let values: Vec<f64> = (0..16)
+            .map(|i| base + (i / 2) as f64 * step + (i % 2) as f64 * step / 3.0)
+            .collect();
+        let mut s = line(&values);
+        let coder = s.columns[0].coder;
+        assert!(values.iter().all(|&v| coder.code(v) >> 8 == 64));
+        let code = |row: usize| s.columns[0].code(row);
+        let on_bound = |s: &RecordStore, lo: f64, hi: f64| -> Vec<usize> {
+            let (lo, hi) = (coder.code(lo), coder.code(hi));
+            (0..s.len())
+                .filter(|&r| [lo, hi].contains(&s.columns[0].code(r)))
+                .collect()
+        };
+        for (lo, hi) in [
+            (base + 2.0 * step, base + 5.0 * step),
+            (base + 2.5 * step, base + 5.5 * step),
+            (base + 3.0 * step, base + 3.0 * step),
+            (base + 3.3 * step, base + 3.6 * step),
+            (0.0, base + 1.1 * step),
+            (base + 6.9 * step, 1.0),
+        ] {
+            let (found, verified) = verified_search(&s, lo, hi);
+            assert!(!found.is_empty(), "[{lo}, {hi}]");
+            assert_eq!(verified, on_bound(&s, lo, hi), "[{lo}, {hi}]");
+        }
+        // Interior fine buckets are read from the codes alone.
+        let (found, verified) = verified_search(&s, base + 1.5 * step, base + 6.5 * step);
+        assert_eq!(found.len(), 8 + 2);
+        assert_eq!(verified, vec![2, 3, 12, 13]);
+        assert_eq!(code(2), code(3));
+
+        s.remove(RecordId(2));
+        assert_eq!(
+            s.columns[0].code(2),
+            coder.code(values[15]),
+            "both bytes moved"
+        );
+        for (lo, hi) in [
+            (base + 7.0 * step, 1.0),
+            (base + 1.0 * step, base + 1.5 * step),
+        ] {
+            let (_, verified) = verified_search(&s, lo, hi);
+            assert_eq!(verified, on_bound(&s, lo, hi), "[{lo}, {hi}]");
         }
     }
 

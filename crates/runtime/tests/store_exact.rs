@@ -5,11 +5,12 @@
 //! that random upserts and removals keep changing, whose summary stays
 //! equal to a from-scratch summary of its rows.
 //!
-//! The store searches one-byte codes of the values and asks the record
-//! only where a code cannot tell, so the inputs aim at where that could
-//! slip: values and bounds on a code bucket's edge and one ulp either
-//! side, outside the declared domain, infinite and NaN; ranges narrower
-//! than a bucket; domains that are not `[0, 1]`; several ranges on one
+//! The store searches two-byte codes of the values — one byte in the
+//! scan, the second on a bound's coarse bucket — and asks the record only
+//! where the full code cannot tell, so the inputs aim at where that could
+//! slip: values and bounds on a coarse (1/256) and on a fine (1/65 536)
+//! bucket's edge and one ulp either side, outside the declared domain,
+//! infinite and NaN; ranges narrower than a bucket; domains that are not `[0, 1]`; several ranges on one
 //! attribute (whenever two predicates draw the same one); tables that end
 //! just before, on and just after a scan block's edge, and removals that
 //! move a row from one block into another.
@@ -57,7 +58,7 @@ fn schema_of(kinds: &[u8]) -> Schema {
 type Point = (u8, u32, f64);
 
 fn point() -> impl Strategy<Value = Point> {
-    (0u8..16, 0u32..1024, 0.0f64..1.0)
+    (0u8..20, 0u32..1024, 0.0f64..1.0)
 }
 
 fn place(def: &AttrDef, (shape, k, t): Point) -> f64 {
@@ -67,6 +68,9 @@ fn place(def: &AttrDef, (shape, k, t): Point) -> f64 {
     // so that values and bounds meet in one.
     let bucket = if k < 512 { k % 9 * 32 } else { k % 257 };
     let edge = def.lo + bucket as f64 * (width / 256.0);
+    // Where the fine byte steps up, in the first four fine buckets of
+    // those coarse ones: values and bounds meet in one fine bucket too.
+    let fine_edge = edge + (k % 4) as f64 * (width / 65_536.0);
     match shape {
         // A coarse grid reaching one cell past the domain on either side:
         // duplicates are the rule.
@@ -80,6 +84,10 @@ fn place(def: &AttrDef, (shape, k, t): Point) -> f64 {
         12 => def.hi + t * width,
         13 => f64::INFINITY,
         14 => f64::NEG_INFINITY,
+        16 => fine_edge,
+        17 => fine_edge.next_up(),
+        18 => fine_edge.next_down(),
+        19 => fine_edge + t * (width / 65_536.0),
         _ => f64::NAN,
     }
 }
