@@ -1,10 +1,14 @@
 //! Record-store benchmarks: the one `RecordStore` (the DB2 stand-in of the
 //! simulator, the update rounds and the live servers) at 500 / 2 000 /
 //! 20 000 / 200 000 rows — the last is the paper's Fig. 11 size. Search is
-//! a pass over one-byte code columns, O(rows) by design, so its scaling is
-//! recorded here rather than discovered later; `full_scan` is the
-//! per-record `Query::matches` walk it replaces, and `one_bucket` the case
-//! where the codes tell nothing and every row is verified on its record.
+//! a pass over the high bytes of two-byte codes, O(rows) by design, so its
+//! scaling is recorded here rather than discovered later; `full_scan` is
+//! the per-record `Query::matches` walk it replaces. `one_bucket` puts
+//! every searched value into one 1/256 bucket, on both bounds' high byte:
+//! the one-byte code's worst case, where every row was verified on its
+//! record, which the low byte turns into an ordinary scan. The worst case
+//! left — every value sharing a bound's full code — is `full_scan`'s cost
+//! plus the pass.
 //!
 //! `delta_round` is the write side at the benchmark's sizes: one
 //! [`ServerStore`] batch (table ops + folding both sides of every change
@@ -72,16 +76,17 @@ fn miss_query(schema: &Schema) -> Query {
         .build()
 }
 
-/// The second quarter of code bucket 128 of `x0`.
+/// The second quarter of coarse (1/256) bucket 128 of `x0`.
 fn one_bucket_query(schema: &Schema) -> Query {
     QueryBuilder::new(schema, QueryId(3))
         .range("x0", 0.5 + 0.25 / 256.0, 0.5 + 0.5 / 256.0)
         .build()
 }
 
-/// `records` with every `x0` squeezed into code bucket 128, `[0.5, 0.5 +
-/// 1/256)`: all rows survive the code compare of [`one_bucket_query`] as
-/// boundary rows, a quarter of them match.
+/// `records` with every `x0` squeezed into coarse bucket 128, `[0.5, 0.5 +
+/// 1/256)`: all rows survive the high-byte compare of [`one_bucket_query`]
+/// on its bounds' high byte, their low bytes settle all but the two bound
+/// fine buckets' rows, and a quarter of them match.
 fn squeezed(records: &[Record]) -> Vec<Record> {
     records
         .iter()

@@ -47,7 +47,7 @@
 //! * [`planner`] — `plan_query` and its types, forwards kept for
 //!   `benchmark/`: a plan is [`RoadsNetwork::route`]'s answer at the entry.
 //! * [`store`] — the record store every server runs on: shared rows
-//!   searched through one-byte code columns ([`RecordStore`]), per server
+//!   searched through two-byte code columns ([`RecordStore`]), per server
 //!   of a network that table plus the exact summary of its rows, kept
 //!   current in place ([`ServerStore`]), and the [`RecordDelta`] plane one
 //!   incremental update round applies.

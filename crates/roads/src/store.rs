@@ -297,8 +297,8 @@ impl RecordStore {
 
     /// The one search body: hand `visit` the records matching `query`, in
     /// row order, until it breaks. A query without predicates selects
-    /// everything. Each block of rows is scanned, then its survivors are
-    /// decided one by one, each a survivor word's set bits in turn.
+    /// everything. Each block of rows is scanned into survivor words, whose
+    /// set bits are decided and visited before the next block is scanned.
     fn visit_matches<'s>(
         &'s self,
         query: &Query,
@@ -314,7 +314,8 @@ impl RecordStore {
             };
             match p {
                 Predicate::Range { lo, hi, .. } if lo <= hi => ranges.push(CodeRange {
-                    column,
+                    codes: &column.codes,
+                    fine: &column.fine,
                     lo: column.coder.code(*lo),
                     hi: column.coder.code(*hi),
                     predicate: p,
@@ -376,8 +377,9 @@ const _: () = assert!(WORDS * 64 == RecordStore::BLOCK, "whole survivor words");
 
 /// One range predicate as the scan sees it.
 struct CodeRange<'s, 'q> {
-    /// Its attribute's column.
-    column: &'s CodeColumn,
+    /// Its attribute's column: the high and the low code bytes.
+    codes: &'s [u8],
+    fine: &'s [u8],
     /// Codes of its bounds; `lo <= hi` because the bounds are ordered and
     /// the code is monotone.
     lo: u16,
@@ -407,12 +409,12 @@ impl CodeRange<'_, '_> {
     /// the bounds' high-byte span; strictly inside it the row is inside,
     /// and only on the span's ends is the low byte read.
     fn place(&self, row: usize) -> Place {
-        let high = self.column.codes[row];
+        let high = self.codes[row];
         let (lo, hi) = self.high();
         if high != lo && high != hi {
             return Place::Inside;
         }
-        let code = u16::from_be_bytes([high, self.column.fine[row]]);
+        let code = u16::from_be_bytes([high, self.fine[row]]);
         if code == self.lo || code == self.hi {
             Place::Bound
         } else if self.lo < code && code < self.hi {
@@ -435,7 +437,7 @@ fn scan_block(ranges: &[CodeRange<'_, '_>], start: usize, rows: usize) -> [u64; 
         // around to above the span.
         let (lo, hi) = range.high();
         let span = hi - lo;
-        let codes = &range.column.codes[start..start + len];
+        let codes = &range.codes[start..start + len];
         for (flag, &code) in flags[..len].iter_mut().zip(codes) {
             *flag &= u8::from(code.wrapping_sub(lo) <= span);
         }
