@@ -6,9 +6,10 @@
 //! the per-record `Query::matches` walk it replaces. `one_bucket` puts
 //! every searched value into one 1/256 bucket, on both bounds' high byte:
 //! the one-byte code's worst case, where every row was verified on its
-//! record, which the low byte turns into an ordinary scan. The worst case
-//! left — every value sharing a bound's full code — is `full_scan`'s cost
-//! plus the pass.
+//! record. The low byte now decides all but 2 rows in 255, so what it
+//! measures is the survivor loop with every row a survivor. The worst
+//! case left — every value sharing a bound's full code — is `full_scan`'s
+//! cost plus the pass.
 //!
 //! `delta_round` is the write side at the benchmark's sizes: one
 //! [`ServerStore`] batch (table ops + folding both sides of every change
