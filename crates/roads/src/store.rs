@@ -18,7 +18,8 @@
 //!   as two byte columns. The high byte (`codes`) is the value's bucket
 //!   among 256 — the bucketing ROADS summaries apply per server (§III-B),
 //!   applied per row — and is what a search scans; the low byte (`fine`)
-//!   is read only for the rows the high byte cannot decide. An upsert is
+//!   is read only for the rows the high byte cannot decide. A copy of the
+//!   table costs the row handles plus two bytes per value; an upsert is
 //!   one map probe, one row swap and two bytes per column; a removal
 //!   swap-removes the row and both bytes.
 //! * **Search is a column pass, exact, that reads no record but on a
