@@ -9,8 +9,9 @@
 //! and its sibling and ancestor-sibling readers test. Each replica travels
 //! with the time its origin was last heard — by the sender, for its own
 //! and its children's; as relayed to it, for the rest — so relaying a copy
-//! never makes it younger. The child answers
-//! with its branch summary and the shape of its branch. So one period
+//! never makes it younger, and with the number of heartbeats that have
+//! carried it. The child answers with its branch summary and the shape of
+//! its branch. So one period
 //! refreshes the hierarchy and the summaries together, and one
 //! deadline, `summary_ttl`, both declares a silent peer dead and expires
 //! a replica nobody refreshes: a server that stops talking fades out of
@@ -21,10 +22,16 @@
 //! [`crate::maintenance`]) and its summary soft state (here). That soft
 //! state is the paper's (§III-B: "data and summaries are soft-state and
 //! have TTLs associated with them"): a replica is kept with the time its
-//! origin was last heard, is fresh until `maintenance::lapsed` says the
-//! deadline has passed, and is swept by the same tick that drops silent
-//! children. So a dead server's copies lapse one TTL after its parent last
-//! heard it, at every depth of the tree, not one TTL per relay.
+//! origin was last heard and its hops, is fresh until `maintenance::lapsed`
+//! says one TTL plus one period per hop has passed, and is swept by the
+//! same tick that drops silent children. A sender may hold a copy up to a
+//! period before its next heartbeat passes it on, so a copy `h` hops from
+//! where its origin was heard is up to about `h` periods old when it
+//! arrives: the period per hop keeps a live origin's copy from lapsing
+//! between refreshes however deep it travels, with any TTL above one
+//! period and the network delays along the way. A dead server's copies
+//! lapse one TTL plus one period per hop after it was last heard — not one
+//! TTL per relay, as when every hop restarted the deadline.
 //!
 //! The message plane carries summaries, not queries. A query (§III-C) is
 //! routed by [`crate::engine::RoadsNetwork::route`], a pure function of
@@ -52,6 +59,9 @@ const PER_ID: usize = 4;
 /// Wire bytes of the time a replica's origin was last heard.
 const PER_STAMP: usize = 8;
 
+/// Wire bytes of a replica's hop count.
+const PER_HOPS: usize = 1;
+
 /// Messages between ROADS servers.
 #[derive(Debug, Clone)]
 pub enum ServerMsg {
@@ -66,10 +76,9 @@ pub enum ServerMsg {
         /// server adopts the largest it has heard, one level per heartbeat.
         /// The replicas on a heartbeat carry its epoch.
         epoch: u64,
-        /// `(origin server, origin last heard in ms, branch summary)`: the
-        /// child's siblings, the sender, and what the sender replicates
-        /// from above.
-        replicas: Vec<(u32, u64, Summary)>,
+        /// `(origin server, replica)`: the child's siblings, the sender,
+        /// and what the sender replicates from above.
+        replicas: Vec<(u32, Replica)>,
     },
     /// Child → parent, answering a heartbeat: liveness, the branch shape
     /// the join walk reads, and the child's branch summary.
@@ -117,7 +126,7 @@ pub(crate) fn send(ctx: &mut Ctx<'_, ServerMsg>, to: NodeId, msg: ServerMsg) {
             ..
         } => {
             let replicas: usize = (replicas.iter())
-                .map(|(_, _, s)| PER_ID + PER_STAMP + s.wire_size())
+                .map(|(_, r)| PER_ID + PER_STAMP + PER_HOPS + r.summary.wire_size())
                 .sum();
             let body = 8 + ids(root_path) + ids(root_children) + replicas;
             (body, TrafficClass::Update)
@@ -130,10 +139,38 @@ pub(crate) fn send(ctx: &mut Ctx<'_, ServerMsg>, to: NodeId, msg: ServerMsg) {
     ctx.send(to, msg, MSG_HEADER_BYTES + body, class);
 }
 
-/// A replicated remote branch summary and when its origin was last heard.
-struct Replica {
-    summary: Summary,
-    heard_ms: u64,
+/// A replicated remote branch summary, when its origin was last heard,
+/// and how many heartbeats have carried it since.
+#[derive(Debug, Clone)]
+pub struct Replica {
+    /// The origin's branch summary.
+    pub summary: Summary,
+    /// When the origin was last heard, in virtual ms: by its parent, at
+    /// its last heartbeat reply, or by itself, for the sender's own.
+    pub heard_ms: u64,
+    /// Heartbeats that have carried the copy since its origin was heard.
+    /// Each sender may have held it up to one period before sending it on.
+    pub hops: u8,
+}
+
+impl Replica {
+    /// Whether the copy has lapsed at `now_ms`: one TTL after its origin
+    /// was last heard, plus one period for every hop it has come. So a
+    /// live origin's copy is refreshed before it lapses however deep it
+    /// travels, and a dead one's is gone one period per hop after its
+    /// parent's child entry.
+    fn lapsed(&self, now_ms: u64, cfg: &RoadsConfig) -> bool {
+        let waited = u64::from(self.hops) * cfg.ts_ms;
+        lapsed(self.heard_ms + waited, now_ms, cfg.summary_ttl_ms)
+    }
+
+    /// The copy a heartbeat carries on: one hop further.
+    fn relayed(&self) -> Replica {
+        Replica {
+            hops: self.hops.saturating_add(1),
+            ..self.clone()
+        }
+    }
 }
 
 /// One ROADS server: its place in the hierarchy and the summaries it
@@ -170,14 +207,12 @@ impl RoadsServer {
         self.replicas.clear();
     }
 
-    /// The replicas whose origin was heard within `summary_ttl`, in
-    /// origin order, with that time: what a heartbeat relays and the
-    /// timeline counts.
-    fn fresh_replicas(&self, now_ms: u64) -> impl Iterator<Item = (u32, u64, &Summary)> {
-        let ttl = self.cfg.summary_ttl_ms;
+    /// The replicas that have not lapsed, in origin order: what a
+    /// heartbeat relays and the timeline counts.
+    fn fresh_replicas(&self, now_ms: u64) -> impl Iterator<Item = (u32, &Replica)> {
         (self.replicas.iter())
-            .filter(move |(_, r)| !lapsed(r.heard_ms, now_ms, ttl))
-            .map(|(origin, r)| (*origin, r.heard_ms, &r.summary))
+            .filter(move |(_, r)| !r.lapsed(now_ms, &self.cfg))
+            .map(|(origin, r)| (*origin, r))
     }
 
     /// Branch summary of server `me` from current (possibly stale) state:
@@ -193,28 +228,33 @@ impl RoadsServer {
     /// Heartbeat every child: to each, its siblings' branch summaries, our
     /// own branch summary and everything we replicate from above, each
     /// stamped with when its origin was last heard — a sibling by its last
-    /// reply, ourselves now. Our own goes without its parts, as it came to
-    /// us from above: a child reads its ancestors' copies only for their
-    /// attributes.
+    /// reply, ourselves now — and one hop further than we hold it. Our own
+    /// goes without its parts, as it came to us from above: a child reads
+    /// its ancestors' copies only for their attributes.
     fn heartbeat_children(&mut self, ctx: &mut Ctx<'_, ServerMsg>, now_ms: u64) {
         let Some((root_path, root_children, epoch)) = self.member.heartbeat() else {
             return;
         };
         let me = ctx.self_id().0;
-        let mine = self.branch_summary(me, now_ms).without_parts();
-        let fresh: Vec<(u32, u64, Summary)> = (self.member)
+        let heard = |summary, heard_ms| Replica {
+            summary,
+            heard_ms,
+            hops: 1,
+        };
+        let mine = heard(self.branch_summary(me, now_ms).without_parts(), now_ms);
+        let fresh: Vec<(u32, Replica)> = (self.member)
             .fresh_children(now_ms, self.cfg.summary_ttl_ms)
-            .map(|(c, heard, s)| (c.0, heard, s.clone()))
+            .map(|(c, heard_ms, s)| (c.0, heard(s.clone(), heard_ms)))
             .collect();
-        let from_above: Vec<(u32, u64, Summary)> = (self.fresh_replicas(now_ms))
-            .map(|(origin, heard, s)| (origin, heard, s.clone()))
+        let from_above: Vec<(u32, Replica)> = (self.fresh_replicas(now_ms))
+            .map(|(origin, r)| (origin, r.relayed()))
             .collect();
         for c in self.member.children() {
-            let mut replicas: Vec<(u32, u64, Summary)> = (fresh.iter())
-                .filter(|(sib, ..)| *sib != c.0)
+            let mut replicas: Vec<(u32, Replica)> = (fresh.iter())
+                .filter(|(sib, _)| *sib != c.0)
                 .cloned()
                 .collect();
-            replicas.push((me, now_ms, mine.clone()));
+            replicas.push((me, mine.clone()));
             replicas.extend(from_above.iter().cloned());
             let (root_path, root_children) = (root_path.clone(), root_children.clone());
             let msg = ServerMsg::Heartbeat {
@@ -228,23 +268,20 @@ impl RoadsServer {
     }
 
     /// Keep the replicas a parent's heartbeat carried, each with the time
-    /// its origin was last heard; one that has lapsed on the way is not
-    /// kept.
+    /// its origin was last heard and its hops; one that has lapsed on the
+    /// way is not kept.
     fn install(
         &mut self,
         ctx: &Ctx<'_, ServerMsg>,
-        mut replicas: Vec<(u32, u64, Summary)>,
+        mut replicas: Vec<(u32, Replica)>,
         now_ms: u64,
     ) {
-        let ttl = self.cfg.summary_ttl_ms;
-        replicas.retain(|(_, heard_ms, _)| !lapsed(*heard_ms, now_ms, ttl));
+        replicas.retain(|(_, r)| !r.lapsed(now_ms, &self.cfg));
         let installed = (replicas.iter())
-            .filter(|(origin, ..)| !self.replicas.contains_key(origin))
+            .filter(|(origin, _)| !self.replicas.contains_key(origin))
             .count() as u64;
         let refreshed = replicas.len() as u64 - installed;
-        for (origin, heard_ms, summary) in replicas {
-            self.replicas.insert(origin, Replica { summary, heard_ms });
-        }
+        self.replicas.extend(replicas);
         if installed > 0 {
             ctx.record(EventKind::ReplicaInstall, installed);
         }
@@ -318,7 +355,7 @@ impl Protocol for RoadsServer {
         }
         let (now, ttl) = (now_ms(ctx), self.cfg.summary_ttl_ms);
         let held = self.replicas.len();
-        (self.replicas).retain(|_, r| !lapsed(r.heard_ms, now, ttl));
+        (self.replicas).retain(|_, r| !r.lapsed(now, &self.cfg));
         let expired = self.member.expire_children(now, ttl) + held - self.replicas.len();
         if expired > 0 {
             ctx.record(EventKind::TtlExpire, expired as u64);
@@ -522,8 +559,8 @@ mod tests {
             held.retain(|(t, _)| live[t.index()]);
             assert_eq!(node.replicas.len(), held.len(), "{s}: replicas");
             for (t, role) in &held {
-                let copy =
-                    (node.fresh_replicas(now_ms)).find_map(|(o, _, c)| (o == t.0).then_some(c));
+                let copy = (node.fresh_replicas(now_ms))
+                    .find_map(|(o, r)| (o == t.0).then_some(&r.summary));
                 let expected = match role {
                     ReplicaRole::Ancestor => branch[t.index()].without_parts(),
                     _ => branch[t.index()].clone(),
@@ -665,10 +702,11 @@ mod tests {
         }
     }
 
-    /// A replica whose origin was heard at `t` is relayed and counted
-    /// through `t + ttl − 1` ms, and from `t + ttl` on it is swept, relayed
-    /// no more and counted no more — by its holder and by the child the
-    /// holder relays it to, which keeps the origin's stamp. One holder
+    /// A replica whose origin was heard at `t`, and that has come no hop,
+    /// is relayed and counted through `t + ttl − 1` ms, and from `t + ttl`
+    /// on it is swept, relayed no more and counted no more. The child the
+    /// holder relays it to keeps the origin's stamp and counts one hop, so
+    /// its copy lapses one period later, at `t + ttl + ts`. One holder
     /// ticks every millisecond between a parent and a child that never
     /// tick; the parent's one heartbeat is injected. The TTL outlasts a
     /// round trip, so the child stays the holder's child.
@@ -694,7 +732,14 @@ mod tests {
         sim.schedule_timer(SimTime::from_millis(1), holder, TIMER_TICK);
         let (t, ttl) = (5, cfg.summary_ttl_ms);
         let summary = Summary::from_records(&schema, &cfg.summary, &records[0]);
-        let replicas = vec![(0, t, summary)];
+        let replicas = vec![(
+            0,
+            Replica {
+                summary,
+                heard_ms: t,
+                hops: 0,
+            },
+        )];
         let heartbeat = ServerMsg::Heartbeat {
             root_path: vec![parent],
             root_children: vec![holder],
@@ -722,19 +767,21 @@ mod tests {
         assert_eq!(at(&mut sim, t + ttl - 1), (true, 1), "fresh at t + ttl - 1");
         assert_eq!(at(&mut sim, t + ttl), (false, 0), "swept at t + ttl");
         // Relaying did not restart the deadline: the child's copy is the
-        // origin's, heard at t, stale from t + ttl on.
+        // origin's, heard at t, one hop on, stale from t + ttl + ts on.
         sim.run_until(SimTime::from_millis(t + ttl + 500));
         let node = sim.node(child);
-        assert_eq!(node.replicas[&0].heard_ms, t, "the origin's stamp");
-        let origin = |ms| node.fresh_replicas(ms).filter(|(o, ..)| *o == 0).count();
-        assert_eq!(origin(t + ttl - 1), 1);
-        assert_eq!(origin(t + ttl), 0);
+        let copy = &node.replicas[&0];
+        assert_eq!((copy.heard_ms, copy.hops), (t, 1), "the origin's stamp");
+        let origin = |ms| node.fresh_replicas(ms).filter(|(o, _)| *o == 0).count();
+        assert_eq!(origin(t + ttl + cfg.ts_ms - 1), 1);
+        assert_eq!(origin(t + ttl + cfg.ts_ms), 0);
     }
 
     /// After a server crashes, every holder sweeps its copy of the dead
     /// server's branch within one period of the copy's deadline: no copy
-    /// is held `ttl + ts` past the time its holder last heard it, and none
-    /// is left once the relays have stopped.
+    /// is held `ttl + ts`, plus a period per hop it came, past the time
+    /// its origin was last heard, and none is left once the relays have
+    /// stopped.
     #[test]
     fn a_dead_servers_copies_go_within_ttl_plus_ts() {
         for shape in [SHAPES[0], SHAPES[2]] {
@@ -755,7 +802,8 @@ mod tests {
                 sim.run_until(SimTime::from_millis(ms));
                 for (id, node) in sim.nodes() {
                     if let Some(copy) = node.replicas.get(&victim.0) {
-                        assert!(ms < copy.heard_ms + ttl + ts, "{shape:?}: {id} at {ms}");
+                        let deadline = copy.heard_ms + ttl + u64::from(copy.hops) * ts;
+                        assert!(ms < deadline + ts, "{shape:?}: {id} at {ms}");
                     }
                 }
             }
@@ -764,18 +812,30 @@ mod tests {
     }
 
     /// A crashed server's copies are gone from every server — replicas at
-    /// every depth and its parent's child entry — by `crash + ttl + ts`:
-    /// a relayed copy carries the time the origin's parent last heard it,
-    /// so no relay hop restarts the deadline. A leaf, and a child of the
-    /// root whose copies reach the whole tree.
+    /// every depth and its parent's child entry — one period per relay hop
+    /// after the child entry: a server `h` hops below the one that last
+    /// heard the victim (the victim's parent, or for the victim's
+    /// descendants the victim itself) holds nothing of it from
+    /// `crash + ttl + (h + 1)·ts` on. No relay hop restarts the deadline.
+    /// A leaf, and a child of the root whose copies reach the whole tree.
     #[test]
-    fn no_relay_keeps_a_crashed_servers_copy_past_ttl_plus_ts() {
+    fn no_relay_keeps_a_crashed_servers_copy_past_a_period_per_hop() {
         for shape in SHAPES {
             let (_, net, _) = federation(shape, 0);
             let tree = net.tree();
             let leaf = *tree.leaves().iter().max().expect("a leaf");
             let top = *tree.children(tree.root()).last().expect("a child");
             for victim in [leaf, top] {
+                let parent = tree.parent(victim).expect("not the root");
+                let hops = |h: NodeId| {
+                    let h = ServerId(h.0);
+                    let heard_by = if tree.on_root_path(victim, h) {
+                        victim
+                    } else {
+                        parent
+                    };
+                    (tree.depth(h) - tree.depth(heard_by)) as u64
+                };
                 let (mut sim, ..) = federation(shape, 40);
                 let held = |sim: &Simulator<RoadsServer>| -> Vec<NodeId> {
                     (sim.nodes())
@@ -790,13 +850,107 @@ mod tests {
                 sim.node_mut(NodeId(victim.0)).crash();
                 let cfg = *net.config();
                 let crash = sim.now().as_micros() / 1000;
-                let gone = crash + cfg.summary_ttl_ms + cfg.ts_ms;
-                // Nothing at the deadline, and nothing comes back.
-                for at in [gone, gone + cfg.summary_ttl_ms] {
-                    sim.run_until(SimTime::from_millis(at));
-                    assert_eq!(held(&sim), vec![], "{shape:?} {victim}: held at {at}");
+                let gone = |h: u64| crash + cfg.summary_ttl_ms + (h + 1) * cfg.ts_ms;
+                let levels = tree.levels() as u64;
+                for h in 0..levels {
+                    sim.run_until(SimTime::from_millis(gone(h)));
+                    let late: Vec<NodeId> =
+                        held(&sim).into_iter().filter(|&s| hops(s) <= h).collect();
+                    assert_eq!(late, vec![], "{shape:?} {victim}: held at {h} hops");
                 }
+                // Nothing comes back.
+                sim.run_until(SimTime::from_millis(gone(levels) + cfg.summary_ttl_ms));
+                assert_eq!(held(&sim), vec![], "{shape:?} {victim}: held at the end");
             }
+        }
+    }
+
+    /// Every server of `tree` holds, fresh at every millisecond of the
+    /// next `span_ms`, a copy of each child and of each member of its
+    /// replication set, and no other.
+    fn assert_copies_stay_fresh(
+        sim: &mut Simulator<RoadsServer>,
+        tree: &HierarchyTree,
+        span_ms: u64,
+    ) {
+        let ids = |v: &[ServerId]| {
+            let mut ids: Vec<u32> = v.iter().map(|s| s.0).collect();
+            ids.sort_unstable();
+            ids
+        };
+        let expected: Vec<(ServerId, Vec<u32>, Vec<u32>)> = (tree.servers().into_iter())
+            .map(|s| {
+                (
+                    s,
+                    ids(tree.children(s)),
+                    ids(&replication_set(tree, s).all()),
+                )
+            })
+            .collect();
+        let start = sim.now().as_micros() / 1000;
+        for ms in start..start + span_ms {
+            sim.run_until(SimTime::from_millis(ms));
+            for (s, kids, set) in &expected {
+                let node = sim.node(NodeId(s.0));
+                let ttl = node.cfg.summary_ttl_ms;
+                let fresh: Vec<u32> = (node.member.fresh_children(ms, ttl))
+                    .map(|(c, ..)| c.0)
+                    .collect();
+                assert_eq!(&fresh, kids, "{s}: child copies at {ms}");
+                let held: Vec<u32> = node.fresh_replicas(ms).map(|(o, _)| o).collect();
+                assert_eq!(&held, set, "{s}: replicas at {ms}");
+            }
+        }
+    }
+
+    /// `examples/churn_resilience`'s federation — 30 servers joining a
+    /// root-only tree, degree 4, a TTL of three periods — keeps a fresh
+    /// copy of every live child and replication-set member at every
+    /// millisecond: once joined, and again once healed after an internal
+    /// server and then the root crash. However many relay hops a copy
+    /// came down, it is refreshed before it lapses.
+    #[test]
+    fn live_copies_never_lapse_through_the_churn_example() {
+        let n = 30;
+        let cfg = RoadsConfig {
+            max_children: 4,
+            summary: SummaryConfig::with_buckets(100),
+            ts_ms: 1_000,
+            summary_ttl_ms: 3_000,
+        };
+        let start = HierarchyTree::new(n, ServerId(0));
+        let records = roads_workload::line_records(n, 10);
+        let schema = Schema::unit_numeric(1);
+        let mut sim = build_simulation(cfg, schema, records, &start, DelaySpace::paper(n, 99));
+        sim.run_until(SimTime::from_secs(30));
+        let mut tree = extract_tree(&sim).expect("joined");
+        assert_eq!(tree.len(), n);
+        assert!(tree.levels() >= 4, "relay chains of several hops");
+        assert_copies_stay_fresh(&mut sim, &tree, 8 * cfg.ts_ms);
+        let mut victim = (tree.servers().into_iter())
+            .find(|&s| s != tree.root() && !tree.children(s).is_empty())
+            .expect("an internal server");
+        for _ in ["internal", "root"] {
+            sim.node_mut(NodeId(victim.0)).crash();
+            let left = tree.len() - 1;
+            let mut periods = 0;
+            let healed = loop {
+                let deadline = sim.now() + SimTime::from_millis(cfg.ts_ms);
+                sim.run_until(deadline);
+                periods += 1;
+                assert!(periods < 60, "{victim}: never healed");
+                match extract_tree(&sim) {
+                    Ok(t) if t.len() == left => break t,
+                    _ => {}
+                }
+            };
+            let heal = SimTime::from_millis(cfg.ts_ms * heal_periods(&cfg, healed.levels()));
+            let deadline = sim.now() + heal;
+            sim.run_until(deadline);
+            assert_eq!(extract_tree(&sim).as_ref(), Ok(&healed), "{victim}: held");
+            tree = healed;
+            assert_copies_stay_fresh(&mut sim, &tree, 8 * cfg.ts_ms);
+            victim = tree.root();
         }
     }
 

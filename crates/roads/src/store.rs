@@ -473,13 +473,9 @@ fn matches(
         }
     }
     let verified = !bound
-        || ranges.iter().all(|range| {
-            range.place(row) != Place::Bound || {
-                #[cfg(test)]
-                tests::VERIFIED.with(|v| v.borrow_mut().push(row));
-                range.predicate.matches(record)
-            }
-        });
+        || ranges
+            .iter()
+            .all(|range| range.place(row) != Place::Bound || range.predicate.matches(record));
     verified && others.iter().all(|p| p.matches(record))
 }
 
@@ -735,13 +731,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use roads_records::{AttrId, OwnerId, QueryBuilder, QueryId, RecordBuilder};
-    use std::cell::RefCell;
-
-    thread_local! {
-        /// Every row whose record a range predicate was asked about, in
-        /// the order asked.
-        pub(super) static VERIFIED: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
-    }
 
     fn schema() -> Schema {
         Schema::unit_numeric(2)
@@ -1116,31 +1105,40 @@ mod tests {
         RecordStore::new(Schema::unit_numeric(1), records)
     }
 
-    /// Search `[lo, hi]` on attribute 0: the ids found and the rows whose
-    /// record a range predicate was asked about.
+    /// Search `[lo, hi]` on attribute 0: the ids found, checked against
+    /// every record, and the survivors the range places on a bound's code —
+    /// the only rows whose record `matches` asks about.
     fn verified_search(s: &RecordStore, lo: f64, hi: f64) -> (Vec<u64>, Vec<usize>) {
-        let q = Query::new(
-            QueryId(0),
-            vec![Predicate::Range {
-                attr: AttrId(0),
-                lo,
-                hi,
-            }],
-        );
-        VERIFIED.with(|v| v.borrow_mut().clear());
+        let attr = AttrId(0);
+        let predicate = Predicate::Range { attr, lo, hi };
+        let q = Query::new(QueryId(0), vec![predicate.clone()]);
         let found = ids(s.search(&q));
         let expected: Vec<u64> = (s.records().iter())
             .filter(|r| q.matches(r))
             .map(|r| r.id.0)
             .collect();
         assert_eq!(found, expected, "[{lo}, {hi}]");
-        (found, VERIFIED.with(|v| v.take()))
+        let column = &s.columns[0];
+        let range = CodeRange {
+            codes: &column.codes,
+            fine: &column.fine,
+            lo: column.coder.code(lo),
+            hi: column.coder.code(hi),
+            predicate: &predicate,
+        };
+        let (high_lo, high_hi) = range.high();
+        let verified = (0..s.len())
+            .filter(|&r| (high_lo..=high_hi).contains(&column.codes[r]))
+            .filter(|&r| range.place(r) == Place::Bound)
+            .collect();
+        (found, verified)
     }
 
     /// Every value in one coarse bucket, so every row survives the scan on
     /// a bound's high byte: the fine byte settles all but the rows whose
-    /// full code is a bound's, and only those are read — also after a
-    /// removal moved the last row, with both its bytes, into a hole.
+    /// full code is a bound's, and only those are placed on a bound, where
+    /// the record decides — also after a removal moved the last row, with
+    /// both its bytes, into a hole.
     #[test]
     fn the_fine_byte_settles_a_coarse_bucket() {
         let step = 1.0 / 65_536.0;
