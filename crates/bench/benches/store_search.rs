@@ -22,7 +22,11 @@
 //! request after routing it: search, the owner's disclosure, the byte count
 //! the emulated transfer is charged by, and the drop the client ends with —
 //! the per-record cost of a reply, over that workload's sixteen stores at
-//! its store size and a larger one.
+//! its store size and a larger one. `reply_assembly/two_threads` is the
+//! same work from two unpinned threads at once over the same stores, as
+//! two clients on two cores would do it: a reply's records share their
+//! server's value block and with it one reference count, which both
+//! threads then bump and drop.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use roads_core::policy::{apply_policy, OpenPolicy, RequesterId, SharingPolicy};
@@ -186,6 +190,10 @@ fn bench_reply_assembly(c: &mut Criterion) {
     /// `live_bulk`'s federation: a request finds its server's rows as the
     /// other fifteen left the caches.
     const SERVERS: usize = 16;
+    /// Replies each of the two threads assembles per timed iteration: the
+    /// sixteen stores sixteen times over, so that starting the threads is
+    /// a small part of an iteration.
+    const REPLIES_PER_THREAD: usize = 256;
     let schema = Schema::unit_numeric(ATTRS);
     let query = bulk_query(&schema);
     // Behind `dyn`, as a live server holds its owner's policy.
@@ -201,14 +209,39 @@ fn bench_reply_assembly(c: &mut Criterion) {
         .into_iter()
         .map(|records| RecordStore::new(schema.clone(), records))
         .collect();
+        let assemble = |store: &RecordStore| {
+            let found = black_box(store).search(black_box(&query));
+            let reply = apply_policy(policy, RequesterId(0), found);
+            let bytes: usize = reply.iter().map(WireSize::wire_size).sum();
+            black_box((bytes, reply)).0
+        };
         let mut next = 0;
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 next = (next + 1) % SERVERS;
-                let found = black_box(&stores[next]).search(black_box(&query));
-                let reply = apply_policy(policy, RequesterId(0), found);
-                let bytes: usize = reply.iter().map(WireSize::wire_size).sum();
-                black_box((bytes, reply)).0
+                assemble(&stores[next])
+            })
+        });
+        // Both threads walk the stores in the same order, so they tend to
+        // reply from the same store at the same time: the worst case for a
+        // shared count. One iteration is 2 × REPLIES_PER_THREAD replies.
+        g.bench_with_input(BenchmarkId::new("two_threads", n), &n, |b, _| {
+            b.iter(|| {
+                std::thread::scope(|scope| {
+                    let workers: Vec<_> = (0..2)
+                        .map(|_| {
+                            scope.spawn(|| {
+                                (0..REPLIES_PER_THREAD)
+                                    .map(|k| assemble(&stores[k % SERVERS]))
+                                    .sum::<usize>()
+                            })
+                        })
+                        .collect();
+                    workers
+                        .into_iter()
+                        .map(|w| w.join().expect("a reply thread panicked"))
+                        .sum::<usize>()
+                })
             })
         });
     }

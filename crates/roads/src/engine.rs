@@ -217,52 +217,6 @@ impl RoadsNetwork {
         Self::with_tree_opts(schema, config, tree, records_per_server, opts)
     }
 
-    /// Build a federation where resource owners choose *attachment points*
-    /// among `n_servers` servers (§III-A, Fig. 1: owner D exports its
-    /// summaries to server 2, which is run by a different party B; owners
-    /// C and E host their own servers).
-    ///
-    /// `attachments` maps each owner's record set to the server it exports
-    /// to. Servers with no attachments participate purely as aggregation
-    /// infrastructure ("server providers").
-    pub fn with_attachments(
-        schema: Schema,
-        config: RoadsConfig,
-        n_servers: usize,
-        attachments: Vec<(ServerId, Vec<Record>)>,
-    ) -> Self {
-        let mut records: Vec<Vec<Record>> = vec![Vec::new(); n_servers];
-        for (server, recs) in attachments {
-            assert!(
-                server.index() < n_servers,
-                "attachment point {server} out of range"
-            );
-            records[server.index()].extend(recs);
-        }
-        RoadsNetwork::build(schema, config, records)
-    }
-
-    /// The paper's attachment-point selection: walk the same balance-aware
-    /// join rule the servers use, starting from any entry server, and
-    /// attach where capacity allows. Owners "follow a similar process as
-    /// choosing parent server".
-    pub fn choose_attachment(tree: &HierarchyTree, entry: ServerId, max_owners: usize) -> ServerId {
-        tree.find_parent(entry, max_owners)
-    }
-
-    /// Distinct owners with records attached at `s`.
-    pub fn owners_at(&self, s: ServerId) -> Vec<roads_records::OwnerId> {
-        let mut owners: Vec<roads_records::OwnerId> = self.stores[s.index()]
-            .table()
-            .records()
-            .iter()
-            .map(|r| r.owner)
-            .collect();
-        owners.sort();
-        owners.dedup();
-        owners
-    }
-
     /// Build over an existing hierarchy (e.g. one produced by the live
     /// maintenance protocol, or a custom topology).
     pub fn with_tree(
@@ -1040,21 +994,20 @@ pub(crate) mod tests {
         let rec = |id: u64, owner: u32, v: f64| {
             Record::new_unchecked(RecordId(id), OwnerId(owner), vec![Value::Float(v)])
         };
-        let net = RoadsNetwork::with_attachments(
+        let net = RoadsNetwork::build(
             schema.clone(),
             cfg,
-            5,
             vec![
-                (ServerId(3), vec![rec(1, 100, 0.1)]), // owner C at its own server
-                (ServerId(2), vec![rec(2, 101, 0.5)]), // owner D at B's server
-                (ServerId(2), vec![rec(3, 102, 0.6)]), // owner E shares server 2
-                (ServerId(4), vec![rec(4, 103, 0.9)]),
+                Vec::new(),
+                Vec::new(),
+                // Owner D at B's server, and owner E sharing it.
+                vec![rec(2, 101, 0.5), rec(3, 102, 0.6)],
+                vec![rec(1, 100, 0.1)], // owner C at its own server
+                vec![rec(4, 103, 0.9)],
             ],
         );
         assert!(net.records(ServerId(0)).is_empty(), "pure server provider");
         assert!(net.records(ServerId(1)).is_empty());
-        assert_eq!(net.owners_at(ServerId(2)), vec![OwnerId(101), OwnerId(102)]);
-        assert_eq!(net.owners_at(ServerId(3)), vec![OwnerId(100)]);
 
         // Discovery still reaches every owner's records from any entry.
         let delays = roads_netsim::DelaySpace::paper(5, 4);
@@ -1070,29 +1023,6 @@ pub(crate) mod tests {
         );
         assert_eq!(out.matching_records, 2, "owners D and E both found");
         assert_eq!(out.matching_servers, vec![ServerId(2)]);
-    }
-
-    #[test]
-    fn choose_attachment_respects_capacity_walk() {
-        let tree = crate::tree::HierarchyTree::build(10, 3);
-        let a = RoadsNetwork::choose_attachment(&tree, tree.root(), 3);
-        // Root is full (3 children): the walk descends.
-        assert_ne!(a, tree.root());
-        // An under-capacity entry accepts directly.
-        let leaf = *tree.leaves().first().unwrap();
-        assert_eq!(RoadsNetwork::choose_attachment(&tree, leaf, 3), leaf);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn attachment_out_of_range_panics() {
-        let schema = Schema::unit_numeric(1);
-        let _ = RoadsNetwork::with_attachments(
-            schema,
-            RoadsConfig::paper_default(),
-            2,
-            vec![(ServerId(5), Vec::new())],
-        );
     }
 
     /// Everything a build computes, comparable across thread counts.

@@ -7,11 +7,15 @@
 //! (§III-B). [`RecordStore`] is that backend for the simulator, for the
 //! network the update rounds mutate and for the live servers alike:
 //!
-//! * **Rows are shared.** A row is a [`Record`], whose values every clone
-//!   shares: a search result, a second copy of the table (the update
-//!   rounds' twin) and a delta payload entering the table are
-//!   reference-count bumps, never copies of the values. A live server keeps
-//!   no copy: it searches the network's table in place.
+//! * **Rows are shared.** A row is a [`Record`]: a handle into its
+//!   server's value block, which every clone shares. A search result, a
+//!   second copy of the table (the update rounds' twin) and a delta
+//!   payload entering the table are reference-count bumps, never copies
+//!   of the values, and the rows of one generated server bump the same
+//!   count. An upserted record brings its own block, and a removed row
+//!   keeps its block alive for as long as another row or a reply holds
+//!   it. A live server keeps no copy: it searches the network's table in
+//!   place.
 //! * **Two bytes per value.** Beside the rows the table keeps an id → row
 //!   map and, per attribute, a *code* per row: a value's bucket among
 //!   65 536 equal-width buckets of the attribute's schema domain, stored

@@ -110,18 +110,27 @@ pub fn generate_node_records(cfg: &RecordWorkloadConfig) -> Vec<Vec<Record>> {
         .map(|node| {
             let mut rng = rng_stream(cfg.seed, node as u64);
             let dists = node_distributions(cfg, &mut rng);
-            (0..cfg.records_per_node)
-                .map(|i| {
-                    let values = dists
-                        .iter()
-                        .map(|d| Value::Float(d.sample(&mut rng)))
-                        .collect();
-                    let id = RecordId((node * cfg.records_per_node + i) as u64);
-                    Record::new_unchecked(id, OwnerId(node as u32), values)
-                })
-                .collect()
+            node_block(cfg, node, &dists, &mut rng)
         })
         .collect()
+}
+
+/// Node `node`'s records as one value block ([`Record::rows`]): record
+/// after record, each value drawn from its attribute's distribution.
+fn node_block(
+    cfg: &RecordWorkloadConfig,
+    node: usize,
+    dists: &[Distribution],
+    rng: &mut StdRng,
+) -> Vec<Record> {
+    let n = cfg.records_per_node;
+    let mut values = Vec::with_capacity(n * dists.len());
+    for _ in 0..n {
+        values.extend(dists.iter().map(|d| Value::Float(d.sample(rng))));
+    }
+    let owner = OwnerId(node as u32);
+    let heads = (node * n..(node + 1) * n).map(|id| (RecordId(id as u64), owner));
+    Record::rows(dists.len(), heads, values)
 }
 
 /// The evenly spaced one-attribute record set of the live figures and the
@@ -169,16 +178,7 @@ pub fn generate_overlap_records(
                     }
                 })
                 .collect();
-            (0..cfg.records_per_node)
-                .map(|i| {
-                    let values = dists
-                        .iter()
-                        .map(|d| Value::Float(d.sample(&mut rng)))
-                        .collect();
-                    let id = RecordId((node * cfg.records_per_node + i) as u64);
-                    Record::new_unchecked(id, OwnerId(node as u32), values)
-                })
-                .collect()
+            node_block(cfg, node, &dists, &mut rng)
         })
         .collect()
 }

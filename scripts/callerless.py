@@ -26,9 +26,6 @@ import sys
 
 # `tests-only-or-none` items kept on purpose, each with its reason.
 KEEP = {
-    "with_attachments": "§II attachment points",
-    "choose_attachment": "§II attachment points",
-    "owners_at": "§II attachment points",
     "paper_120": "the paper's 120-attribute schema, for ROADMAP item 11",
 }
 

@@ -60,7 +60,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`records`] | attributes, schemas, records, range queries, wire sizes |
-//! | [`summary`] | histograms, value sets, Bloom filters, TTL soft state |
+//! | [`summary`] | histograms, value sets, Bloom filters, aggregation |
 //! | [`netsim`] | discrete-event simulator + synthesized Internet delay space |
 //! | [`core`] | the ROADS hierarchy, replication overlay, query engine |
 //! | [`sword`] | the SWORD multi-ring DHT baseline |
@@ -81,7 +81,7 @@ pub use roads_netsim as netsim;
 pub use roads_records as records;
 /// Threaded prototype runtime.
 pub use roads_runtime as runtime;
-/// Summary structures and TTL soft state.
+/// Summary structures and their aggregation.
 pub use roads_summary as summary;
 /// The SWORD DHT baseline.
 pub use roads_sword as sword;

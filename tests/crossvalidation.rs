@@ -30,8 +30,9 @@ fn live_data_plane_update_bytes_match_accounting() {
     // (protocol.rs) are written independently; per heartbeat round they
     // must agree on the update traffic to within the modeling differences
     // (the live plane skips the owner-export hop for co-located owners, its
-    // heartbeats carry one 4-byte origin tag per replica, and heartbeats
-    // and replies carry the hierarchy's root path, epoch and branch shape).
+    // heartbeats carry per replica a 4-byte origin tag, the origin's 8-byte
+    // stamp and a 1-byte hop count, and heartbeats and replies carry the
+    // hierarchy's root path, epoch and branch shape).
     let nodes = 27;
     let (schema, records) = workload(nodes);
     let cfg = RoadsConfig {
