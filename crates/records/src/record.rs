@@ -107,12 +107,12 @@ pub struct Record {
 }
 
 // Protects `peak_rss_mb` and every table copy: stores, caches and replies
-// hold records by value. The range into a shared block costs 8 bytes over
-// a handle to a record's own values (32 bytes): `peak_rss_mb` moved
-// −1.3 % on `live_bulk` and +0.7…+3.0 % on the other workloads, because a
-// server's values lose an allocation header per record. A further word
-// would cost every copy of a table more memory and every scan of handles
-// more lines.
+// hold records by value. The range into a shared block costs 8 bytes a
+// handle over one with values of its own (32 bytes), and a generated row
+// saves its own allocation's header and counts: `peak_rss_mb` moved
+// between −2.0 % and +4.2 % on the benchmark's four workloads. A further
+// word would cost every copy of a table more memory and every scan of
+// handles more lines.
 const _: () = assert!(std::mem::size_of::<Record>() == 40);
 
 impl Record {
