@@ -8,10 +8,7 @@ use roads_core::{
 };
 use roads_netsim::DelaySpace;
 use roads_records::{QueryBuilder, QueryId, Schema};
-use roads_runtime::{
-    Attachments, AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig, Watchdog,
-    WatchdogConfig,
-};
+use roads_runtime::{Attachments, AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig};
 use roads_summary::SummaryConfig;
 use roads_sword::SwordNetwork;
 use roads_telemetry::{Recorder, Registry, TailSampler};
@@ -164,8 +161,8 @@ fn bench_recorder_overhead(c: &mut Criterion) {
         cluster.shutdown();
     });
     // Every plane at once: instrumented registry, flight recorder, tail
-    // sampler and audit counters on the reply path, and the Auditor and
-    // Watchdog threads racing the queries at 5 ms.
+    // sampler and audit counters on the reply path, and the Auditor
+    // thread racing the queries at 5 ms.
     g.bench_function("live_all_on", |b| {
         let reg = Arc::new(Registry::new());
         let metrics = Arc::new(AuditMetrics::new(&reg, line_net(9, 10, 64).tree().levels()));
@@ -195,16 +192,7 @@ fn bench_recorder_overhead(c: &mut Criterion) {
             probes,
             cluster.liveness(),
         );
-        let watchdog = Watchdog::for_cluster(
-            &cluster,
-            &reg,
-            WatchdogConfig {
-                interval: Duration::from_millis(5),
-                ..WatchdogConfig::default()
-            },
-        );
         drive(b, &cluster);
-        watchdog.stop();
         auditor.stop();
         cluster.shutdown();
     });

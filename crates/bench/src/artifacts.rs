@@ -1,13 +1,13 @@
 //! The table of strict JSON artifacts `roads-inspect` understands: one row
 //! per document — marker key → strict parse → one-line `check` summary /
-//! full render. `roads-inspect check` and the `slow` / `audit` / `health` /
-//! `incidents` subcommands are lookups in [`ARTIFACTS`]; adding an
-//! artifact is adding a row (see CONTRIBUTING.md). `bench_suite` writes all
-//! four documents; every figure binary writes a figure document instead,
-//! which `check` reads beside its trace file.
+//! full render. `roads-inspect check` and the `slow` / `audit` / `health`
+//! subcommands are lookups in [`ARTIFACTS`]; adding an artifact is adding
+//! a row (see CONTRIBUTING.md). `bench_suite` writes all three documents;
+//! every figure binary writes a figure document instead, which `check`
+//! reads beside its trace file.
 
-use crate::{audit_view, explain_view, incident_view};
-use roads_runtime::{AuditReport, ClusterHealth, IncidentReport};
+use crate::{audit_view, explain_view};
+use roads_runtime::{AuditReport, ClusterHealth};
 use roads_telemetry::{Json, SlowDoc};
 
 /// Strict parse of a document followed by some text about it.
@@ -55,23 +55,6 @@ pub const ARTIFACTS: &[ArtifactRow] = &[
         },
         view: ("health", |doc| {
             ClusterHealth::from_json(doc).map(|h| h.to_string())
-        }),
-    },
-    ArtifactRow {
-        marker: IncidentReport::MARKER,
-        check: |doc| {
-            IncidentReport::from_json(doc).map(|r| {
-                format!(
-                    "incident report, {} ticks, {} incidents ({} matched, {} false alarms)",
-                    r.ticks,
-                    r.rows.len(),
-                    r.matched(),
-                    r.false_alarms
-                )
-            })
-        },
-        view: ("incidents", |doc| {
-            IncidentReport::from_json(doc).map(|r| incident_view::render_incident_table(&r))
         }),
     },
     ArtifactRow {

@@ -25,11 +25,13 @@
 //!   ([`ClusterHealth`]: per-server rows plus the `roads.cache.*`
 //!   counters CI asserts against; `roads-inspect health`); the cold pass
 //!   is asserted to return what the uncached cluster does.
-//! * `INCIDENTS.json` — a background [`Watchdog`]'s coalesced incident
-//!   timeline, matched against the kills and the straggler
-//!   (`roads-inspect incidents`).
 //!
-//! `roads-inspect check` validates all four documents.
+//! Before the tail is written, the run asserts that it names both
+//! injected faults: a retained query's hop to the killed server reads
+//! `mailbox-down`, and a retained slow query of the straggler episode
+//! spends its longest hop at the slowed server.
+//!
+//! `roads-inspect check` validates all three documents.
 //!
 //! [`QueryExplain`]: roads_telemetry::QueryExplain
 //! [`ClusterHealth`]: roads_runtime::ClusterHealth
@@ -39,11 +41,10 @@ use roads_bench::print_metrics_digest;
 use roads_core::{RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
 use roads_records::{Query, QueryBuilder, QueryId};
-use roads_runtime::{
-    Attachments, AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig, Watchdog,
-    WatchdogConfig,
+use roads_runtime::{Attachments, AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig};
+use roads_telemetry::{
+    results_dir, HopOutcome, Recorder, Registry, RetainReason, SlowDoc, TailSampler,
 };
-use roads_telemetry::{results_dir, Recorder, Registry, TailSampler};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -58,6 +59,9 @@ const KILLS: usize = 3;
 const CLIENTS: usize = 4;
 /// Records per server: every 0.25-length range matches somewhere.
 const RECORDS_PER_SERVER: usize = 10;
+/// The id the straggler episode's queries carry, so that their explains
+/// can be told apart from the kill episode's in the retained tail.
+const STRAGGLER_QUERY: QueryId = QueryId(9_998);
 
 /// The first non-root server with children: killing it forces the
 /// overlay to detect the death and re-route its subtree.
@@ -67,6 +71,37 @@ fn a_branch(net: &RoadsNetwork) -> ServerId {
         .map(ServerId)
         .find(|&s| s != tree.root() && !tree.children(s).is_empty())
         .expect("hierarchy has an internal non-root server")
+}
+
+/// Panic unless the retained tail names both injected faults at `victim`:
+/// some retained query found it dead (`mailbox-down`), and some retained
+/// slow query of the straggler episode spent its longest hop there.
+fn assert_tail_names_faults(tail: &SlowDoc, victim: ServerId) {
+    let found_dead = tail
+        .retained
+        .iter()
+        .flat_map(|r| &r.explain.hops)
+        .any(|h| h.server == victim.0 && h.outcome == HopOutcome::MailboxDown);
+    assert!(
+        found_dead,
+        "no retained query found server {} dead",
+        victim.0
+    );
+    let found_slow = tail.retained.iter().any(|r| {
+        let longest = r
+            .explain
+            .hops
+            .iter()
+            .max_by(|a, b| a.dur_us.total_cmp(&b.dur_us));
+        r.reason == RetainReason::Slow
+            && r.explain.query_id == STRAGGLER_QUERY.0
+            && longest.is_some_and(|h| h.server == victim.0)
+    });
+    assert!(
+        found_slow,
+        "no retained slow query of the straggler episode has its longest hop at server {}",
+        victim.0
+    );
 }
 
 /// Exit unless the artifact at `path` was written: a run whose bundle is
@@ -133,18 +168,6 @@ fn main() {
         audit_probes,
         cluster.liveness(),
     );
-    // Watchdog over the same run: its fixed detectors (per-server
-    // liveness, windowed-p99 latency spikes, SLO burn rate) fed from the
-    // cluster's own instruments every tick, correlated with the fault log
-    // into the INCIDENTS.json timeline written at the end.
-    let watchdog = Watchdog::for_cluster(
-        &cluster,
-        &reg,
-        WatchdogConfig {
-            interval: Duration::from_millis(100),
-            ..WatchdogConfig::default()
-        },
-    );
     let spread = sliding_ranges(&cschema, n, QUERIES, root, true);
     let rooted = sliding_ranges(&cschema, n, QUERIES, root, false);
     drive(&cluster, &spread, CLIENTS);
@@ -201,26 +224,27 @@ fn main() {
         assert!(healed.complete, "restart must restore full coverage");
     }
 
-    // --- Straggler episode: slow the same branch, let the watchdog see
-    // the tail shift, then restore. The queries keep the windowed-p99
-    // probe fed while the episode is live.
+    // --- Straggler episode: slow the same branch, query through it,
+    // then restore.
+    let straggled = QueryBuilder::new(&cschema, STRAGGLER_QUERY)
+        .range("x0", 0.0, 1.0)
+        .build();
     assert!(cluster.slow_server(victim, 8.0));
     for _ in 0..3 {
-        let _ = cluster.query(&full, root);
-        watchdog.tick_now();
+        let _ = cluster.query(&straggled, root);
     }
     assert!(cluster.restore_server(victim));
     let healed = cluster.query(&full, root);
     assert!(healed.complete, "restore must bring the branch back");
 
     let audit_report = auditor.stop();
-    let incident_report = watchdog.stop();
     cluster.shutdown();
 
     // The tail of this run: retained slow/failed/incomplete queries with
-    // full provenance.
+    // full provenance, naming the kills and the straggler.
     let slow_path = dir.join("SLOW_QUERIES.json");
     let slow_report = tail.report();
+    assert_tail_names_faults(&slow_report, victim);
     written(&slow_path, slow_report.write(&slow_path));
     println!(
         "wrote {} ({} retained of {} observed, threshold {:.2} ms)",
@@ -254,19 +278,5 @@ fn main() {
         100.0 * hit_rate
     );
 
-    // The incident timeline of this run: every detector firing coalesced
-    // into incidents, correlated with the kills and the straggler
-    // episode.
-    let incidents_path = dir.join("INCIDENTS.json");
-    written(&incidents_path, incident_report.write(&incidents_path));
-    println!(
-        "wrote {} ({} ticks, {} firings, {} incidents, {} matched, {} false alarms)",
-        incidents_path.display(),
-        incident_report.ticks,
-        incident_report.firings,
-        incident_report.rows.len(),
-        incident_report.matched(),
-        incident_report.false_alarms,
-    );
     print_metrics_digest(&reg.snapshot());
 }

@@ -14,8 +14,6 @@
 //!                                       # attribution
 //! roads-inspect audit <artifact>        # per-level summary-fidelity table
 //!                                       # from an AUDIT.json artifact
-//! roads-inspect incidents <artifact>    # watchdog incident timeline from
-//!                                       # an INCIDENTS.json artifact
 //! ```
 //!
 //! `<base>` is a result stem such as `results/fig3_latency_vs_nodes`; the
@@ -34,16 +32,11 @@
 //! that format — and fails when it is missing, malformed, contains zero
 //! complete (`ph == "X"`) spans, or a trace that is no span tree; the CI
 //! smoke test runs it over every `--quick` figure. A document carrying
-//! the marker key of another artifact — `SLOW_QUERIES`, `AUDIT`,
-//! `INCIDENTS` and `CACHE_HEALTH` from `bench_suite`, one row each in
+//! the marker key of another artifact — `SLOW_QUERIES`, `AUDIT` and
+//! `CACHE_HEALTH` from `bench_suite`, one row each in
 //! [`roads_bench::artifacts::ARTIFACTS`] — takes that row's path instead
 //! and expects no trace file (its `validate`: for example, retained hop
 //! trees are trees).
-//!
-//! `incidents` renders the watchdog incident timeline of an
-//! `INCIDENTS.json` artifact: one block per incident with its firing
-//! window, detectors, matched fault and detection latency, and the
-//! ranked suspected-cause list.
 //!
 //! `audit` renders the per-level summary-fidelity table of an
 //! `AUDIT.json` artifact: ground-truth probes, FP/FN rates, overlay
@@ -76,7 +69,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `slow`, `audit`, `health`, `incidents`: the artifact views.
+    // `slow`, `audit`, `health`: the artifact views.
     if let [cmd, path] = args.as_slice() {
         if let Some(render) = artifacts::view(cmd) {
             return print_view(path, render);
@@ -97,7 +90,6 @@ fn main() -> ExitCode {
             eprintln!("       roads-inspect explain <slow-queries.json> [query-id]");
             eprintln!("       roads-inspect slow <slow-queries.json>");
             eprintln!("       roads-inspect audit <audit.json>");
-            eprintln!("       roads-inspect incidents <incidents.json>");
             eprintln!("  <base> is a result stem, e.g. results/fig3_latency_vs_nodes");
             ExitCode::from(2)
         }

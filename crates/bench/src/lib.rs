@@ -17,7 +17,6 @@ pub mod artifacts;
 pub mod audit_view;
 pub mod chart;
 pub mod explain_view;
-pub mod incident_view;
 pub mod live;
 
 use roads_central::CentralRepository;

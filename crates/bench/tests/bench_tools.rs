@@ -64,19 +64,13 @@ fn artifact_run_writes_exactly_its_checkable_documents() {
     written.sort();
     assert_eq!(
         written,
-        [
-            "AUDIT.json",
-            "CACHE_HEALTH.json",
-            "INCIDENTS.json",
-            "SLOW_QUERIES.json"
-        ]
+        ["AUDIT.json", "CACHE_HEALTH.json", "SLOW_QUERIES.json"]
     );
 
     // `check` accepts every document, each through its own row.
     for (file, kind) in [
         ("SLOW_QUERIES.json", "slow-query report"),
         ("AUDIT.json", "audit report"),
-        ("INCIDENTS.json", "incident report"),
         ("CACHE_HEALTH.json", "health snapshot"),
     ] {
         let path = dir.join(file);
@@ -262,16 +256,16 @@ fn check_rejects_bad_counts_and_missing_required_fields_by_path() {
     assert!(!ok, "a negative count must fail:\n{out}");
     assert!(out.contains("levels[0].probes"), "{out}");
 
-    let incidents = tmp("fractional_firings_incidents.json");
+    let fractional = tmp("fractional_ticks_audit.json");
     std::fs::write(
-        &incidents,
-        r#"{"incidents":1,"ticks":2,"interval_ms":100,"firings":1.5,"false_alarms":0,
-            "rows":[]}"#,
+        &fractional,
+        r#"{"audit":1,"epoch":1,"ticks":1.5,"divergence":0,"staleness_p99":0,
+            "max_drift":0,"bloom_saturation":0,"levels":[]}"#,
     )
     .unwrap();
-    let (ok, out) = inspect(&["check", incidents.to_str().unwrap()]);
+    let (ok, out) = inspect(&["check", fractional.to_str().unwrap()]);
     assert!(!ok, "a fractional count must fail:\n{out}");
-    assert!(out.contains("firings: firings must be an integer"), "{out}");
+    assert!(out.contains("ticks: ticks must be an integer"), "{out}");
 
     let slow = tmp("hop_without_dur_slow.json");
     std::fs::write(

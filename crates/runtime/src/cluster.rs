@@ -57,14 +57,12 @@
 //! the fact is derived from the machine's log once, in the query's
 //! epilogue, by the functions the simulator uses: [`explain_from_trace`],
 //! [`record_query_events`], [`hollow_contacts`]. Registry metrics alone
-//! are counted inline — the watchdog reads them while a query still runs.
+//! are counted inline, so a scrape sees them while a query still runs.
 
 use crate::audit::{AuditMetrics, Liveness};
 use crate::config::RuntimeConfig;
 use crate::faults::{DispatchHandle, Dispatcher};
-use crate::health::{
-    ClusterHealth, FaultKind, FaultLog, RuntimeMetrics, ServerHealth, ServerInstruments,
-};
+use crate::health::{ClusterHealth, RuntimeMetrics, ServerHealth, ServerInstruments};
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use roads_core::policy::{apply_policy, OpenPolicy, RequesterId, SharingPolicy};
@@ -366,18 +364,13 @@ pub struct RoadsCluster {
     servers: Vec<Mutex<ServerSlot>>,
     dispatcher: Dispatcher,
     gate: InflightGate,
-    /// Also read by [`crate::watchdog::Watchdog::for_cluster`], as are
-    /// `tail` and `audit`.
-    pub(crate) metrics: Option<RuntimeMetrics>,
+    metrics: Option<RuntimeMetrics>,
     recorder: Option<Arc<Recorder>>,
-    pub(crate) tail: Option<Arc<TailSampler>>,
+    tail: Option<Arc<TailSampler>>,
     /// Per-server liveness and straggler flags, shared with every server
     /// incarnation and with the auditor's liveness closure.
     board: Arc<Vec<ServerFlags>>,
-    /// Timestamped log of injected faults (kill/restart/slow/restore),
-    /// shared with the watchdog for incident correlation.
-    fault_log: Arc<FaultLog>,
-    pub(crate) audit: Option<Arc<AuditMetrics>>,
+    audit: Option<Arc<AuditMetrics>>,
     /// TTL'd result cache, present when `cfg.cache_ttl_rounds > 0`. Keyed
     /// by (entry, requester, scope, query fingerprint); epochs advance via
     /// [`RoadsCluster::advance_cache_round`].
@@ -477,7 +470,6 @@ impl RoadsCluster {
             recorder: attach.recorder,
             tail: attach.tail,
             board,
-            fault_log: Arc::new(FaultLog::new()),
             audit: attach.audit,
             cache: (cfg.cache_ttl_rounds > 0)
                 .then(|| Arc::new(ResultCache::new(cfg.cache_ttl_rounds))),
@@ -608,7 +600,6 @@ impl RoadsCluster {
         if let Some(m) = &self.metrics {
             m.kills.inc();
         }
-        self.fault_log.record(id, FaultKind::Kill, 1.0);
         true
     }
 
@@ -626,7 +617,6 @@ impl RoadsCluster {
         if let Some(m) = &self.metrics {
             m.restarts.inc();
         }
-        self.fault_log.record(id, FaultKind::Restart, 1.0);
         true
     }
 
@@ -649,7 +639,6 @@ impl RoadsCluster {
         if let Some(m) = &self.metrics {
             m.slows.inc();
         }
-        self.fault_log.record(id, FaultKind::Slow, factor);
         true
     }
 
@@ -664,19 +653,12 @@ impl RoadsCluster {
         if let Some(m) = &self.metrics {
             m.restores.inc();
         }
-        self.fault_log.record(id, FaultKind::Restore, 1.0);
         true
     }
 
     /// The current straggler factor of `id` (1.0 = healthy).
     pub fn slow_factor(&self, id: ServerId) -> f64 {
         self.board[id.index()].slow_factor()
-    }
-
-    /// The shared injected-fault log (kills, restarts, stragglers with
-    /// onset timestamps), for the watchdog's incident correlation.
-    pub fn fault_log(&self) -> Arc<FaultLog> {
-        Arc::clone(&self.fault_log)
     }
 
     /// Whether `id` is up: neither killed nor crashed since its last

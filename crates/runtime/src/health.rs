@@ -9,9 +9,10 @@
 //! Naming follows the registry's label convention
 //! ([`roads_telemetry::labeled`]): per-server series are
 //! `runtime.server.<what>{server="N"}`, per-mode dispatch latency is
-//! `runtime.dispatch_latency_ms{mode="entry"|...}`, and fault events are
-//! one counter family `runtime.fault_events{kind="kill"|"restart"}` so a
-//! kill/restart/failover storm shows up as labeled series on one chart.
+//! `runtime.dispatch_latency_ms{mode="entry"|...}`, and injected faults
+//! are one counter family
+//! `runtime.fault_events{kind="kill"|"restart"|"slow"|"restore"}` so a
+//! kill/restart/straggler storm shows up as labeled series on one chart.
 //!
 //! [`ClusterHealth`] is the pull API: a consistent-enough point-in-time
 //! table of per-server liveness, queue depth, reply count and
@@ -20,12 +21,10 @@
 //! table, which `roads-inspect health` prints.
 
 use crate::cluster::ContactMode;
-use parking_lot::Mutex;
 use roads_core::ServerId;
 use roads_telemetry::{artifact, json_fields, labeled, Counter, Gauge, Histogram, Registry};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The `mode` label value for a contact mode.
 pub(crate) fn mode_label(mode: ContactMode) -> &'static str {
@@ -201,112 +200,6 @@ impl RuntimeMetrics {
             ContactMode::Failover { .. } => 3,
         };
         &self.dispatch_by_mode[i]
-    }
-}
-
-/// The kind of an injected fault, as logged for incident correlation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Server torn down ([`crate::RoadsCluster::kill_server`]).
-    Kill,
-    /// Server brought back ([`crate::RoadsCluster::restart_server`]).
-    Restart,
-    /// Straggler injected ([`crate::RoadsCluster::slow_server`]).
-    Slow,
-    /// Straggler restored ([`crate::RoadsCluster::restore_server`]).
-    Restore,
-}
-
-impl FaultKind {
-    /// The registry-label / artifact label for this kind.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FaultKind::Kill => "kill",
-            FaultKind::Restart => "restart",
-            FaultKind::Slow => "slow",
-            FaultKind::Restore => "restore",
-        }
-    }
-
-    /// Whether this kind marks a fault *onset* (kill/slow) rather than a
-    /// recovery (restart/restore).
-    pub fn is_onset(self) -> bool {
-        matches!(self, FaultKind::Kill | FaultKind::Slow)
-    }
-
-    /// Inverse of [`as_str`](FaultKind::as_str), for artifact parsers.
-    pub fn parse(s: &str) -> Option<FaultKind> {
-        match s {
-            "kill" => Some(FaultKind::Kill),
-            "restart" => Some(FaultKind::Restart),
-            "slow" => Some(FaultKind::Slow),
-            "restore" => Some(FaultKind::Restore),
-            _ => None,
-        }
-    }
-
-    /// The recovery kind that clears this onset (`None` for recoveries).
-    pub fn clears_with(self) -> Option<FaultKind> {
-        match self {
-            FaultKind::Kill => Some(FaultKind::Restart),
-            FaultKind::Slow => Some(FaultKind::Restore),
-            _ => None,
-        }
-    }
-}
-
-/// One injected-fault event with its wall-clock onset.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultEvent {
-    /// When the fault was injected.
-    pub at: Instant,
-    /// The faulted server.
-    pub server: ServerId,
-    /// What happened to it.
-    pub kind: FaultKind,
-    /// Straggler factor for `Slow` events; 1.0 otherwise.
-    pub factor: f64,
-}
-
-/// A timestamped log of injected faults (kills, restarts, stragglers),
-/// shared between the cluster (writer) and the watchdog (reader): the
-/// `runtime.fault_events` counters say *how many* faults happened, this
-/// log says *when* and *to whom*, which is what incident correlation
-/// and detection-latency measurement need.
-#[derive(Debug, Default)]
-pub struct FaultLog {
-    events: Mutex<Vec<FaultEvent>>,
-}
-
-impl FaultLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one event stamped now.
-    pub fn record(&self, server: ServerId, kind: FaultKind, factor: f64) {
-        self.events.lock().push(FaultEvent {
-            at: Instant::now(),
-            server,
-            kind,
-            factor,
-        });
-    }
-
-    /// A snapshot of every event logged so far, in injection order.
-    pub fn events(&self) -> Vec<FaultEvent> {
-        self.events.lock().clone()
-    }
-
-    /// Number of events logged.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
     }
 }
 

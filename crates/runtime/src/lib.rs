@@ -37,9 +37,10 @@
 //!   exponential backoff, dead branches routed around via the replication
 //!   overlay (§III-C) — are [`roads_core::machine`]'s.
 //!   [`cluster::RoadsCluster`] exposes `kill_server`/`restart_server` for
-//!   live fault injection, contains a panicking server step as that
-//!   server's crash, and reports `complete`/`failed_servers`/`retries`
-//!   per query.
+//!   live fault injection, and a non-lethal sibling, `slow_server`, which
+//!   multiplies a straggler's compute and delivery delays. It contains a
+//!   panicking server step as that server's crash, and reports
+//!   `complete`/`failed_servers`/`retries` per query.
 //! * [`health`] — the live observability plane: a cluster started with
 //!   a registry ([`Attachments::registry`]) maintains per-server
 //!   queue-depth and liveness gauges, the timer thread's lag histogram,
@@ -55,16 +56,6 @@
 //!   real queries into per-level FP/FN counters, exports everything as
 //!   `audit.*` registry families and writes a periodic `AUDIT.json`
 //!   artifact ([`audit::AuditReport`]).
-//! * [`watchdog`] — the incident plane: a background
-//!   [`watchdog::Watchdog`] thread runs online anomaly detectors
-//!   (`roads_telemetry::detect`) over live registry series each tick,
-//!   coalesces firings into [`watchdog::Incident`]s, correlates them
-//!   with injected fault events / audit divergence / queue-depth
-//!   locality into a ranked suspected-cause list, exports
-//!   `roads.watchdog.*` instruments and writes the `INCIDENTS.json`
-//!   artifact ([`watchdog::IncidentReport`]). `kill_server` has a
-//!   non-lethal sibling, `slow_server`, which multiplies a straggler's
-//!   compute and delivery delays to exercise the detectors.
 //!
 //! Fig. 11's crossover — the central repository wins at low selectivity
 //! (fewer round trips), ROADS catches up and wins as selectivity grows
@@ -77,14 +68,10 @@ pub mod cluster;
 pub mod config;
 pub(crate) mod faults;
 pub mod health;
-pub mod watchdog;
 
 pub use audit::{AuditConfig, AuditLevelRow, AuditMetrics, AuditReport, Auditor, Liveness};
 pub use central::CentralCluster;
 pub use cluster::{Attachments, ContactMode, RoadsCluster, RuntimeOutcome};
 pub use config::RuntimeConfig;
-pub use health::{ClusterHealth, FaultEvent, FaultKind, FaultLog, ServerHealth};
+pub use health::{ClusterHealth, ServerHealth};
 pub use roads_core::RecordStore;
-pub use watchdog::{
-    CauseKind, Incident, IncidentReport, MatchedFault, SuspectedCause, Watchdog, WatchdogConfig,
-};

@@ -768,11 +768,9 @@ fn concurrent_queries_attribute_faults_during_churn() {
 
 /// Straggler injection: a slowed server keeps answering (no records
 /// lost, query stays complete) but its emulated backend cost stretches
-/// by the factor, the fault log records onset and recovery, and
-/// `restore_server` returns it to baseline.
+/// by the factor, and `restore_server` returns it to baseline.
 #[test]
 fn slow_server_degrades_without_killing() {
-    use roads_runtime::FaultKind;
     let cfg = RuntimeConfig {
         base_query_cost_us: 30_000,
         dispatch_timeout_ms: 0,
@@ -809,13 +807,6 @@ fn slow_server_degrades_without_killing() {
     assert_eq!(c.slow_factor(only), 1.0);
     let restored = c.query(&q, only);
     assert!(restored.complete);
-
-    let log = c.fault_log();
-    let kinds: Vec<FaultKind> = log.events().iter().map(|e| e.kind).collect();
-    assert_eq!(kinds, vec![FaultKind::Slow, FaultKind::Restore]);
-    assert_eq!(log.events()[0].factor, 8.0);
-    assert!(log.events()[0].kind.is_onset());
-    assert!(!log.events()[1].kind.is_onset());
     c.shutdown();
 }
 

@@ -1,20 +1,16 @@
 //! Live cluster health plane acceptance tests: an instrumented
 //! [`RoadsCluster`] must keep per-server queue-depth gauges,
 //! deadline-miss counters and dispatch-latency histograms in its
-//! registry, show kill/restart/failover fault events as labeled series,
-//! and summarize itself through [`RoadsCluster::health`].
+//! registry, show kill/restart/slow/restore fault events and failovers as
+//! labeled series, and summarize itself through [`RoadsCluster::health`].
 
 use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
 use roads_records::{Query, QueryBuilder, QueryId, Schema};
-use roads_runtime::{
-    Attachments, FaultKind, RoadsCluster, RuntimeConfig, Watchdog, WatchdogConfig,
-};
+use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{labeled, Registry};
 use roads_workload::line_records;
-use std::sync::Arc;
-use std::time::Duration;
 
 const RECORDS_PER_SERVER: usize = 10;
 
@@ -301,44 +297,48 @@ fn queue_depth_rises_under_backlog_and_drains() {
     }
 }
 
-/// `Watchdog::for_cluster` watches this cluster's own liveness gauges: a
-/// kill between two manual ticks opens exactly one `server-down`
-/// incident, on the killed server's series, matched to the kill.
+/// Every injected fault is counted once under its own
+/// `runtime.fault_events{kind=...}` label, and a call the cluster refuses
+/// (killing a dead server, restarting a live one, slowing a straggler,
+/// restoring a healthy server) counts nothing.
 #[test]
-fn watchdog_names_a_server_killed_between_two_ticks() {
+fn fault_events_count_each_accepted_injection_once() {
     let n = 13;
-    let reg = Arc::new(Registry::new());
+    let reg = Registry::new();
     let c = RoadsCluster::start_with(
         build_net(n),
         DelaySpace::paper(n, 77),
         RuntimeConfig::test_fast(),
         Attachments::instrumented(&reg),
     );
-    let wd = Watchdog::for_cluster(
-        &c,
-        &reg,
-        WatchdogConfig {
-            interval: Duration::from_secs(3600),
-            coalesce: Duration::from_secs(3600),
-        },
-    );
-    wd.tick_now(); // healthy: nothing fires
-    assert!(wd.report().rows.is_empty());
-
+    let counts = || {
+        let snap = reg.snapshot();
+        ["kill", "restart", "slow", "restore"]
+            .map(|kind| snap.counters[&labeled("runtime.fault_events", &[("kind", kind)])])
+    };
     let k = a_branch(&c);
+    assert_eq!(counts(), [0, 0, 0, 0]);
+
     assert!(c.kill_server(k));
-    wd.tick_now();
-    let report = wd.report();
-    assert_eq!(report.rows.len(), 1);
-    let inc = &report.rows[0];
-    assert_eq!(inc.detectors, vec!["server-down".to_string()]);
-    let id = k.0.to_string();
-    assert_eq!(
-        inc.series,
-        vec![labeled("runtime.server.alive", &[("server", id.as_str())])]
-    );
-    let matched = inc.matched.expect("the kill is matched");
-    assert_eq!((matched.kind, matched.server), (FaultKind::Kill, k.0));
-    wd.stop();
+    assert_eq!(counts(), [1, 0, 0, 0]);
+    assert!(!c.kill_server(k), "already dead");
+    assert_eq!(counts(), [1, 0, 0, 0]);
+
+    assert!(c.restart_server(k));
+    assert_eq!(counts(), [1, 1, 0, 0]);
+    assert!(!c.restart_server(k), "already alive");
+    assert_eq!(counts(), [1, 1, 0, 0]);
+
+    assert!(!c.restore_server(k), "not slowed");
+    assert_eq!(counts(), [1, 1, 0, 0]);
+    assert!(c.slow_server(k, 4.0));
+    assert_eq!(counts(), [1, 1, 1, 0]);
+    assert!(!c.slow_server(k, 2.0), "already slowed");
+    assert_eq!(counts(), [1, 1, 1, 0]);
+
+    assert!(c.restore_server(k));
+    assert_eq!(counts(), [1, 1, 1, 1]);
+    assert!(!c.restore_server(k), "already restored");
+    assert_eq!(counts(), [1, 1, 1, 1]);
     c.shutdown();
 }

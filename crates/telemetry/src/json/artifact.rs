@@ -2,8 +2,8 @@
 //! writer, the strict reader, the marker test, `load` and `write`.
 //!
 //! Every strict JSON artifact of the workspace (the figure document
-//! `results/<figure>.json`, `SLOW_QUERIES`, `AUDIT`, `INCIDENTS`, the
-//! cluster health snapshot and the records nested inside them) is a
+//! `results/<figure>.json`, `SLOW_QUERIES`, `AUDIT`, the cluster health
+//! snapshot and the records nested inside them) is a
 //! plain struct plus one [`json_fields!`] table
 //! naming its fields in on-disk order. The table derives [`JsonField`] for
 //! the struct; a top-level document adds [`artifact!`], which derives the
@@ -15,7 +15,8 @@
 //! reports: every declared field must be present and well-typed, integers
 //! reject fractional, non-finite and out-of-range numbers (negative ones,
 //! for counts), and each problem is reported as `"<path>: <what>"`
-//! (`levels[0].probes`, `rows[2].causes[1].kind`), joined with `"; "`.
+//! (`levels[0].probes`, `retained[2].explain.hops[1].outcome`), joined
+//! with `"; "`.
 //!
 //! [`json_fields!`]: crate::json_fields
 //! [`artifact!`]: crate::artifact

@@ -1,6 +1,6 @@
 //! Workspace-wide telemetry for the ROADS reproduction.
 //!
-//! Ten pieces, all dependency-light and thread-safe:
+//! Nine pieces, all dependency-light and thread-safe:
 //!
 //! * [`registry`] — named monotonic [`Counter`]s, [`Gauge`]s and
 //!   log-bucketed latency [`Histogram`]s (fixed memory, shared across
@@ -20,13 +20,8 @@
 //!   trace-event / Perfetto exporter (`results/<figure>.trace.json`).
 //! * [`timeline`] — a fixed-interval gauge sampler producing
 //!   `timeline.<gauge>` time-series inside a [`FigureExport`].
-//! * [`detect`] — three online anomaly detectors, each fed one series
-//!   sample by sample: EWMA + z-score spikes ([`EwmaSpikeDetector`]),
-//!   debounced static floors ([`ThresholdRule`]) and multi-window SLO
-//!   burn-rate rules ([`BurnRateRule`]). The runtime's watchdog feeds
-//!   them from the cluster's own instruments.
 //! * [`periodic`] — [`Periodic`], the one paced background loop (spawn,
-//!   final tick on stop/drop, join) every background service runs on.
+//!   final tick on stop/drop, join) the auditor runs on.
 //! * [`explain`] — per-query provenance: a [`QueryExplain`] record built
 //!   along the query path, one hop per contact attempt with its routing
 //!   decision, summary kind, outcome and latency split, folded into a
@@ -46,7 +41,6 @@
 //! `Option`al registry/recorder and do no work when it is absent, so the
 //! instrumented build costs nothing when telemetry is not requested.
 
-pub mod detect;
 pub mod event;
 pub mod explain;
 pub mod export;
@@ -59,7 +53,6 @@ pub mod tail;
 pub mod timeline;
 pub mod trace;
 
-pub use detect::{BurnRateRule, EwmaSpikeDetector, ThresholdRule};
 pub use event::{
     chrome_trace_json, critical_path, slowest_trace, span_tree_root, trace_events, trace_ids,
     write_chrome_trace, write_chrome_trace_default, Event, EventKind, Recorder, SpanId, TraceId,
@@ -70,9 +63,7 @@ pub use explain::{
 pub use export::{results_dir, FigureExport, ReferencePoint, Series};
 pub use json::{Json, JsonField};
 pub use periodic::Periodic;
-pub use registry::{
-    labeled, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
-};
+pub use registry::{labeled, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use span::SpanTimer;
 pub use stats::LatencyStats;
 pub use tail::{

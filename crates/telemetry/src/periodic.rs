@@ -1,8 +1,8 @@
 //! The one paced background loop of the workspace.
 //!
 //! [`Periodic`] owns a thread that calls a tick closure every `interval`
-//! until stopped. The contract both background services (`Auditor`,
-//! `Watchdog`) rely on:
+//! until stopped. The contract the background service (`Auditor`)
+//! relies on:
 //!
 //! * **Final tick.** [`Periodic::stop`] — and `Drop`, which calls it —
 //!   signals the thread, which runs the closure *one more time* and

@@ -174,8 +174,8 @@ impl Histogram {
     /// Upper edge of the bucket `v` falls into — the canonical key for
     /// associating out-of-band data (e.g. exemplar trace ids) with a
     /// histogram bucket. Two values land in the same bucket iff their
-    /// edges are equal, and the edge matches the representative value
-    /// reported by [`Histogram::full_snapshot`] for that bucket.
+    /// edges are equal, and the edge is the value the percentile
+    /// estimates report for that bucket.
     pub fn bucket_edge(v: f64) -> f64 {
         Self::bucket_value(Self::index(v))
     }
@@ -223,27 +223,6 @@ impl Histogram {
             }
         }
         Some(g.max)
-    }
-
-    /// Freeze the full bucketed state under one lock acquisition, so the
-    /// result is a consistent point-in-time view even under concurrent
-    /// writers (same invariant as [`Histogram::summary`], but keeping the
-    /// buckets, from which the watchdog takes its windowed p99).
-    pub fn full_snapshot(&self) -> HistogramSnapshot {
-        let g = self.inner.lock();
-        HistogramSnapshot {
-            count: g.count,
-            sum: g.sum,
-            min: if g.count == 0 { 0.0 } else { g.min },
-            max: if g.count == 0 { 0.0 } else { g.max },
-            buckets: g
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, &c)| (Self::bucket_value(i), c))
-                .collect(),
-        }
     }
 
     /// Freeze into a [`LatencyStats`]; `None` when empty. Mean/min/max are
@@ -348,22 +327,6 @@ impl Registry {
                 .collect(),
         }
     }
-}
-
-/// A consistent point-in-time copy of one histogram's full bucketed
-/// state, captured under a single lock acquisition (no torn reads).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Exact sum of recorded samples.
-    pub sum: f64,
-    /// Exact minimum (0 when empty).
-    pub min: f64,
-    /// Exact maximum (0 when empty).
-    pub max: f64,
-    /// Non-empty buckets as `(upper edge, count)`, edges increasing.
-    pub buckets: Vec<(f64, u64)>,
 }
 
 /// A point-in-time copy of every instrument in a [`Registry`].
@@ -487,27 +450,6 @@ mod tests {
         for w in writers {
             w.join().unwrap();
         }
-    }
-
-    #[test]
-    fn full_snapshot_keeps_buckets() {
-        let h = Histogram::new();
-        assert_eq!(h.full_snapshot().count, 0);
-        assert!(h.full_snapshot().buckets.is_empty());
-        h.record(0.5);
-        h.record(2.0);
-        h.record(2.0);
-        let s = h.full_snapshot();
-        assert_eq!(s.count, 3);
-        assert!((s.sum - 4.5).abs() < 1e-12);
-        assert_eq!(s.min, 0.5);
-        assert_eq!(s.max, 2.0);
-        // Two distinct buckets, edges increasing, counts totaling `count`.
-        assert_eq!(s.buckets.len(), 2);
-        assert!(s.buckets[0].0 < s.buckets[1].0);
-        assert_eq!(s.buckets.iter().map(|&(_, c)| c).sum::<u64>(), 3);
-        // Upper edges are conservative: each sample's bucket edge >= sample.
-        assert!(s.buckets[1].0 >= 2.0);
     }
 
     #[test]

@@ -15,10 +15,7 @@
 
 use proptest::prelude::*;
 use roads_bench::artifacts::ARTIFACTS;
-use roads_runtime::{
-    AuditLevelRow, AuditReport, CauseKind, ClusterHealth, FaultKind, Incident, IncidentReport,
-    MatchedFault, ServerHealth, SuspectedCause,
-};
+use roads_runtime::{AuditLevelRow, AuditReport, ClusterHealth, ServerHealth};
 use roads_telemetry::{
     Exemplar, ExplainDecision, ExplainHop, FigureExport, HopOutcome, Json, LatencySplit,
     LatencyStats, MetricsSnapshot, QueryExplain, RetainReason, RetainedQuery, SlowDoc, SummaryKind,
@@ -194,46 +191,6 @@ fn audit_report(g: &mut Gen) -> AuditReport {
             staleness_max: g.count(),
             live_probes: g.count(),
             live_false_positives: g.count(),
-        }),
-    }
-}
-
-fn incident_report(g: &mut Gen) -> IncidentReport {
-    IncidentReport {
-        ticks: g.count(),
-        interval_ms: g.float(),
-        firings: g.count(),
-        false_alarms: g.count(),
-        rows: g.many(3, |g| Incident {
-            id: g.count(),
-            opened_ms: g.float(),
-            last_ms: g.float(),
-            firings: g.count(),
-            detectors: g.many(3, Gen::text),
-            series: g.many(3, Gen::text),
-            causes: g.many(3, |g| SuspectedCause {
-                kind: g.pick(&[
-                    CauseKind::FaultEvent,
-                    CauseKind::AuditDivergence,
-                    CauseKind::QueueDepth,
-                ]),
-                server: g.maybe(|g| g.below(1 << 20) as u32),
-                score: g.float(),
-                detail: g.text(),
-            }),
-            matched: g.maybe(|g| MatchedFault {
-                kind: g.pick(&[
-                    FaultKind::Kill,
-                    FaultKind::Restart,
-                    FaultKind::Slow,
-                    FaultKind::Restore,
-                ]),
-                server: g.below(1 << 20) as u32,
-                onset_ms: g.float(),
-            }),
-            detection_latency_ms: g.maybe(Gen::float),
-            false_alarm: g.flag(),
-            slow_queries: g.many(4, Gen::count),
         }),
     }
 }
@@ -444,14 +401,6 @@ const EXERCISERS: &[(&str, Exerciser)] = &[
             &cluster_health(g),
             ClusterHealth::to_json,
             ClusterHealth::from_json,
-            g,
-        )
-    }),
-    (IncidentReport::MARKER, |g| {
-        exercise(
-            &incident_report(g),
-            IncidentReport::to_json,
-            IncidentReport::from_json,
             g,
         )
     }),

@@ -20,7 +20,7 @@ BINS="table_analysis table1_storage fig3_latency_vs_nodes fig4_update_vs_nodes \
 fig5_query_vs_nodes fig6_latency_vs_dims fig7_query_vs_dims fig8_update_vs_records \
 fig9_latency_vs_overlap fig10_latency_vs_degree fig11_prototype_response \
 fig12_timeline fig13_availability fig14_throughput fig15_tail_attribution \
-fig16_summary_fidelity fig18_delta_churn fig19_watchdog \
+fig16_summary_fidelity fig18_delta_churn \
 fig20_routing_precision fig_ablation_overlay \
 fig_ablation_buckets fig_ablation_join fig_ablation_churn fig_ablation_scope"
 cargo build --release -q -p roads-bench
