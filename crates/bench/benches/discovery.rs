@@ -199,38 +199,53 @@ fn bench_recorder_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// One dispatch hop of the live cluster (ROADMAP item 1c): a zero-delay
-/// query on a one-server federation is exactly one inline server step —
-/// the client delivers the request, runs it and reads its own reply.
+/// Dispatch hops of the live cluster (ROADMAP item 1c) at zero delay,
+/// where the client serves every contact in place and folds its reply
+/// itself: `one_contact_zero_delay` is a one-server federation's query,
+/// exactly one server step; `fanout_zero_delay` a full-range query on
+/// 16 servers, one contact each.
 fn bench_live_hop(c: &mut Criterion) {
     let mut g = c.benchmark_group("live_hop");
     let schema = Schema::unit_numeric(1);
-    let net = RoadsNetwork::build(
-        schema.clone(),
-        RoadsConfig::paper_default(),
-        line_records(1, 8),
-    );
-    let cluster = RoadsCluster::start(
-        net,
-        DelaySpace::paper(1, 7),
-        RuntimeConfig {
-            delay_scale: 0.0,
-            per_record_retrieval_us: 0,
-            base_query_cost_us: 0,
-            bandwidth_mbps: 1e12,
-            ..RuntimeConfig::paper_like()
-        },
-    );
+    let cluster = |n: usize| {
+        let net = RoadsNetwork::build(
+            schema.clone(),
+            RoadsConfig::paper_default(),
+            line_records(n, 8),
+        );
+        RoadsCluster::start(
+            net,
+            DelaySpace::paper(n, 7),
+            RuntimeConfig {
+                delay_scale: 0.0,
+                per_record_retrieval_us: 0,
+                base_query_cost_us: 0,
+                bandwidth_mbps: 1e12,
+                ..RuntimeConfig::paper_like()
+            },
+        )
+    };
+    let one = cluster(1);
     let q = QueryBuilder::new(&schema, QueryId(0))
         .range("x0", 0.5, 0.55)
         .build();
-    let out = cluster.query(&q, ServerId(0));
+    let out = one.query(&q, ServerId(0));
     assert_eq!((out.servers_contacted, out.records.len()), (1, 1));
     g.bench_function("one_contact_zero_delay", |b| {
-        b.iter(|| black_box(cluster.query(black_box(&q), ServerId(0))))
+        b.iter(|| black_box(one.query(black_box(&q), ServerId(0))))
+    });
+    one.shutdown();
+    let sixteen = cluster(16);
+    let everything = QueryBuilder::new(&schema, QueryId(1))
+        .range("x0", 0.0, 1.0)
+        .build();
+    let out = sixteen.query(&everything, ServerId(0));
+    assert_eq!((out.servers_contacted, out.records.len()), (16, 16 * 8));
+    g.bench_function("fanout_zero_delay", |b| {
+        b.iter(|| black_box(sixteen.query(black_box(&everything), ServerId(0))))
     });
     g.finish();
-    cluster.shutdown();
+    sixteen.shutdown();
 }
 
 fn bench_update_round(c: &mut Criterion) {

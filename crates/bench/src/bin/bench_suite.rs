@@ -25,13 +25,17 @@
 //!   ([`ClusterHealth`]: per-server rows plus the `roads.cache.*`
 //!   counters CI asserts against; `roads-inspect health`); the cold pass
 //!   is asserted to return what the uncached cluster does.
+//! * `HEALTH.json` — the faulted cluster's health snapshot, taken after
+//!   the kill and straggler episodes (`roads-inspect health`): its
+//!   per-server reply counts and dispatch p99s, the victim's among them,
+//!   and the run's retry, deadline and failover totals.
 //!
 //! Before the tail is written, the run asserts that it names both
 //! injected faults: a retained query's hop to the killed server reads
 //! `mailbox-down`, and a retained slow query of the straggler episode
 //! spends its longest hop at the slowed server.
 //!
-//! `roads-inspect check` validates all three documents.
+//! `roads-inspect check` validates all four documents.
 //!
 //! [`QueryExplain`]: roads_telemetry::QueryExplain
 //! [`ClusterHealth`]: roads_runtime::ClusterHealth
@@ -238,6 +242,7 @@ fn main() {
     assert!(healed.complete, "restore must bring the branch back");
 
     let audit_report = auditor.stop();
+    let health = cluster.health().expect("the live cluster is instrumented");
     cluster.shutdown();
 
     // The tail of this run: retained slow/failed/incomplete queries with
@@ -276,6 +281,18 @@ fn main() {
         health_path.display(),
         cache_health.cache_hits,
         100.0 * hit_rate
+    );
+
+    // The faulted cluster's health snapshot, after the kills and the
+    // straggler.
+    let health_path = dir.join("HEALTH.json");
+    written(&health_path, health.write(&health_path));
+    println!(
+        "wrote {} ({} of {} servers up, {} failovers)",
+        health_path.display(),
+        health.alive_count(),
+        health.servers.len(),
+        health.failovers
     );
 
     print_metrics_digest(&reg.snapshot());

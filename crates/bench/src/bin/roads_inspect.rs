@@ -33,7 +33,7 @@
 //! complete (`ph == "X"`) spans, or a trace that is no span tree; the CI
 //! smoke test runs it over every `--quick` figure. A document carrying
 //! the marker key of another artifact — `SLOW_QUERIES`, `AUDIT` and
-//! `CACHE_HEALTH` from `bench_suite`, one row each in
+//! `CACHE_HEALTH` / `HEALTH` from `bench_suite`, one row each in
 //! [`roads_bench::artifacts::ARTIFACTS`] — takes that row's path instead
 //! and expects no trace file (its `validate`: for example, retained hop
 //! trees are trees).
@@ -52,7 +52,7 @@
 //! [`QueryExplain`]: roads_telemetry::QueryExplain
 //!
 //! `health` prints the per-server liveness/queue/latency table of a
-//! [`ClusterHealth`] artifact (`CACHE_HEALTH.json`) exactly as the live
+//! [`ClusterHealth`] artifact (`CACHE_HEALTH.json`, `HEALTH.json`) exactly as the live
 //! cluster's `health()` renders it.
 //!
 //! [`ClusterHealth`]: roads_runtime::ClusterHealth

@@ -64,7 +64,12 @@ fn artifact_run_writes_exactly_its_checkable_documents() {
     written.sort();
     assert_eq!(
         written,
-        ["AUDIT.json", "CACHE_HEALTH.json", "SLOW_QUERIES.json"]
+        [
+            "AUDIT.json",
+            "CACHE_HEALTH.json",
+            "HEALTH.json",
+            "SLOW_QUERIES.json"
+        ]
     );
 
     // `check` accepts every document, each through its own row.
@@ -72,6 +77,7 @@ fn artifact_run_writes_exactly_its_checkable_documents() {
         ("SLOW_QUERIES.json", "slow-query report"),
         ("AUDIT.json", "audit report"),
         ("CACHE_HEALTH.json", "health snapshot"),
+        ("HEALTH.json", "health snapshot"),
     ] {
         let path = dir.join(file);
         let (ok, out) = inspect(&["check", path.to_str().unwrap()]);
@@ -81,6 +87,10 @@ fn artifact_run_writes_exactly_its_checkable_documents() {
     // The cached replays hit.
     let health = roads_runtime::ClusterHealth::load(&dir.join("CACHE_HEALTH.json")).unwrap();
     assert!(health.cache_hits > 0, "{health}");
+    // The faulted cluster: every kill was restarted, and failed over.
+    let faulted = roads_runtime::ClusterHealth::load(&dir.join("HEALTH.json")).unwrap();
+    assert_eq!(faulted.alive_count(), faulted.servers.len(), "{faulted}");
+    assert!(faulted.failovers > 0, "{faulted}");
 
     // `slow` renders the ranked attribution table, `explain` the
     // hop-by-hop waterfall + decision tree of every retained query.
@@ -88,7 +98,10 @@ fn artifact_run_writes_exactly_its_checkable_documents() {
     let (ok, out) = inspect(&["slow", slow_path.to_str().unwrap()]);
     assert!(ok, "slow failed:\n{out}");
     assert!(out.contains("tail reservoir"), "{out}");
-    assert!(out.contains("failed"), "the kills retain failures:\n{out}");
+    assert!(
+        out.contains("incomplete"),
+        "the kills retain partial answers:\n{out}"
+    );
     let (ok, out) = inspect(&["explain", slow_path.to_str().unwrap()]);
     assert!(ok, "explain failed:\n{out}");
     assert!(out.contains("waterfall"), "{out}");

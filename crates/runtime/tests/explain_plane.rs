@@ -366,7 +366,8 @@ fn retained_query_explain_reconstructs_span_tree() {
     let retained = tail.retained();
     assert_eq!(retained.len(), 1);
     let kept = &retained[0];
-    assert_eq!(kept.reason, RetainReason::Failed);
+    // Every other server replied: a partial answer, not a failed query.
+    assert_eq!(kept.reason, RetainReason::Incomplete);
     let ex = &kept.explain;
     assert_consistent(&out, ex);
 
@@ -422,6 +423,34 @@ fn retained_query_explain_reconstructs_span_tree() {
     // Exemplar: the latency bucket this query fell into links back to
     // the retained trace.
     assert_eq!(tail.exemplar(out.response_ms), Some(ex.trace_id));
+    c.shutdown();
+}
+
+/// A query no server answered has no usable outcome: it is retained as
+/// failed, where a partial answer is retained as incomplete.
+#[test]
+fn a_query_no_server_answers_is_retained_as_failed() {
+    let n = 13;
+    let tail = failures_only_sampler(4);
+    let c = build_cluster_with(
+        n,
+        RuntimeConfig::test_faulty(),
+        Attachments {
+            tail: Some(Arc::clone(&tail)),
+            ..Attachments::default()
+        },
+    );
+    for s in 0..n as u32 {
+        assert!(c.kill_server(ServerId(s)));
+    }
+    let root = c.network().tree().root();
+    let (out, ex) = explained(&c, &full_query(&c, 8), root);
+    assert_eq!(out.servers_contacted, 0);
+    assert!(out.records.is_empty() && !out.complete);
+    assert_consistent(&out, &ex);
+    let retained = tail.retained();
+    assert_eq!(retained.len(), 1);
+    assert_eq!(retained[0].reason, RetainReason::Failed);
     c.shutdown();
 }
 

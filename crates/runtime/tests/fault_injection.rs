@@ -123,6 +123,48 @@ fn panicking_policy_cannot_hang_the_client() {
     c.shutdown();
 }
 
+/// With no link delay, no backoff and no emulated cost, every contact is
+/// delivered by its own client and an idle server's step runs on that
+/// client's thread. A step that panics there still retires the server —
+/// it does not unwind the client — and the query names what it lost.
+#[test]
+fn a_step_that_panics_in_place_retires_its_server() {
+    let n = 9;
+    let net = build_net(n, 3);
+    let victim = {
+        let tree = net.tree();
+        (0..n as u32)
+            .map(ServerId)
+            .find(|&s| tree.children(s).is_empty())
+            .unwrap()
+    };
+    let mut policies: Vec<Arc<dyn SharingPolicy>> = (0..n)
+        .map(|_| Arc::new(roads_core::policy::OpenPolicy) as Arc<_>)
+        .collect();
+    policies[victim.index()] = Arc::new(PanicPolicy);
+    let cfg = RuntimeConfig {
+        delay_scale: 0.0,
+        base_query_cost_us: 0,
+        per_record_retrieval_us: 0,
+        bandwidth_mbps: 1e12,
+        ..RuntimeConfig::test_faulty()
+    };
+    let c = RoadsCluster::start_with(net, DelaySpace::paper(n, 77), cfg, with_policies(policies));
+    let q = full_query(&c);
+
+    let out = c.query(&q, c.network().tree().root());
+    assert!(
+        !out.complete,
+        "a crashed matching server ⇒ possibly missing"
+    );
+    assert_eq!(out.failed_servers, vec![victim]);
+    assert_eq!(unique_ids(&out).len(), (n - 1) * RECORDS_PER_SERVER);
+    for s in (0..n as u32).map(ServerId) {
+        assert_eq!(c.is_alive(s), s != victim, "{s:?}");
+    }
+    c.shutdown();
+}
+
 /// An owner whose backend crashes on its first query and works afterwards.
 struct PanicOncePolicy(AtomicBool);
 

@@ -8,12 +8,13 @@
 //!   one contact log: with no faults the live cluster's log is the
 //!   simulator's client-redirect log entry for entry, and one derivation
 //!   explains both — naming, for every hop, the
-//!   summary routing actually tested.
+//!   summary routing actually tested. At zero delay the live log is also
+//!   in the order the simulator's redirect tree is walked breadth first.
 
 use roads_core::policy::{OpenPolicy, SharingPolicy, TieredPolicy};
 use roads_core::{
     execute_query_with, explain_from_trace, ForwardingMode, QueryOptions, RequesterId, RoadsConfig,
-    RoadsNetwork, ServerId,
+    RoadsNetwork, ServerId, TraceEvent,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{
@@ -196,6 +197,79 @@ fn live_hops_are_the_simulators_client_redirect_contacts() {
             assert_eq!(explain.records, sim_explain.records, "{what}");
             assert_eq!(live.servers_contacted, sim.servers_contacted, "{what}");
             assert_eq!(live.records.len(), sim.matching_records, "{what}");
+        }
+    }
+    c.shutdown();
+}
+
+/// The simulator's contacts in the order a client that sends each reply's
+/// targets together and folds replies in send order opens them: its
+/// redirect tree, breadth first, each reply's targets in the order the
+/// reply named them.
+fn redirect_order(trace: &[TraceEvent]) -> Vec<u32> {
+    let mut order = vec![trace[0].server];
+    let mut next = 0;
+    while let Some(&server) = order.get(next) {
+        let hop = trace
+            .iter()
+            .find(|e| e.server == server)
+            .expect("contacted");
+        order.extend(&hop.forwarded_to);
+        next += 1;
+    }
+    order.into_iter().map(|s| s.0).collect()
+}
+
+/// Pins the live client's call sequence at zero delay, where each contact
+/// is served in place on the client's own thread: a reply's targets are
+/// all opened before any of their replies is folded, as the simulator
+/// sends them at one instant, and the replies are folded in send order, so
+/// the live contact log walks the simulator's redirect tree breadth first.
+#[test]
+fn live_contacts_open_in_the_simulators_redirect_order() {
+    let n = 27;
+    let net = build_net(n);
+    let delays = DelaySpace::paper(n, 11);
+    let queries = [
+        range_query(&net, 1, 0.0, 1.0),
+        range_query(&net, 2, 0.2, 0.45),
+        range_query(&net, 3, 0.613, 0.614),
+    ];
+    let c = RoadsCluster::start(
+        net.clone(),
+        delays.clone(),
+        RuntimeConfig {
+            delay_scale: 0.0,
+            base_query_cost_us: 0,
+            per_record_retrieval_us: 0,
+            bandwidth_mbps: 1e12,
+            ..RuntimeConfig::test_fast()
+        },
+    );
+    let opts = QueryOptions {
+        forwarding: ForwardingMode::ClientRedirect,
+        ..QueryOptions::default()
+    };
+    for q in &queries {
+        for entry in (0..n as u32).map(ServerId) {
+            let mut trace = Vec::new();
+            execute_query_with(&net, &delays, q, entry, &opts, Some(&mut trace));
+            let (_, explain) = c.query_with(q, entry, RequesterId(0), true);
+            let hops = explain.expect("explain was requested").hops;
+            let what = format!("query {}, entry {entry}", q.id.0);
+
+            let live: Vec<u32> = hops.iter().map(|h| h.server).collect();
+            assert_eq!(live, redirect_order(&trace), "{what}");
+            for (i, h) in hops.iter().enumerate() {
+                let batch = || hops.iter().filter(move |s| s.caused_by == Some(i));
+                let last_opened = batch().map(|s| s.at_us).fold(f64::MIN, f64::max);
+                let first_folded = batch().map(|s| s.at_us + s.dur_us).fold(f64::MAX, f64::min);
+                assert!(
+                    last_opened <= first_folded,
+                    "{what}: a reply of server {}'s targets was folded before all were sent",
+                    h.server
+                );
+            }
         }
     }
     c.shutdown();

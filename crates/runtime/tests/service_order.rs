@@ -5,8 +5,10 @@
 //! event while the server is `in_service` and later arrivals wait in its
 //! FIFO. These tests pin what that must look like from outside: `k`
 //! concurrent contacts of one server finish `B` apart (no parallel
-//! service, no compounding), a kill loses the request in service and the
-//! queued ones alike, and a straggler factor stretches the spacing.
+//! service, no compounding), a contact its own client delivers in place
+//! still queues behind a busy server and is served in arrival order, a
+//! kill loses the request in service and the queued ones alike, and a
+//! straggler factor stretches the spacing.
 //!
 //! Lower bounds on time are exact (a timer never fires early); upper
 //! bounds carry generous slack for a loaded CI host.
@@ -181,6 +183,67 @@ fn concurrent_contacts_are_served_one_at_a_time_in_arrival_order() {
             "request {i} queued only {} µs",
             split.queue_us
         );
+    }
+    c.shutdown();
+}
+
+#[test]
+fn a_due_contact_of_a_busy_server_waits_in_its_fifo_in_arrival_order() {
+    // Every contact here is due at once (no link delay, no backoff), so
+    // its own client delivers it. Three clients contact the one server in
+    // a known order: the first only once the server has run a step (it is
+    // then in service for B), the second and third each once its
+    // predecessor waits in the FIFO. A client that ran its step on the
+    // busy server instead of queueing would never raise the queue depth.
+    let base_us = 300_000u64;
+    let b = Duration::from_micros(base_us);
+    let reg = Registry::new();
+    let c = one_server(base_us, 0, &reg);
+    let depth = queue_gauge(&reg);
+    let steps = reg.histogram("runtime.local_search_us");
+    let q = full_query(&c);
+
+    let t0 = Instant::now();
+    let done: Vec<(RuntimeOutcome, QueryExplain, Duration)> = std::thread::scope(|s| {
+        let client = || {
+            s.spawn(|| {
+                let (out, ex) = explained(&c, &q);
+                (out, ex, t0.elapsed())
+            })
+        };
+        let first = client();
+        wait_until("the first request in service", || steps.count() == 1);
+        let second = client();
+        wait_until("the second request queued", || depth.get() == 1);
+        let third = client();
+        wait_until("the third request queued", || depth.get() == 2);
+        [first, second, third]
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect()
+    });
+    assert_eq!(depth.get(), 0, "the FIFO drained");
+    assert_eq!(steps.count(), 3, "one step per request");
+    // Served in arrival order, one service after another.
+    for (i, (out, ex, at)) in done.iter().enumerate() {
+        assert!(out.complete);
+        assert_eq!(out.records.len(), RECORDS);
+        assert!(
+            *at >= b * (i as u32 + 1),
+            "client {i} done after {at:?}, before {} services of {b:?}",
+            i + 1
+        );
+        if i > 0 {
+            assert!(
+                *at > done[i - 1].2,
+                "client {i} was served before client {}",
+                i - 1
+            );
+            assert!(
+                ex.hops[0].split.queue_us > 0.0,
+                "client {i} did not wait in the FIFO"
+            );
+        }
     }
     c.shutdown();
 }
