@@ -48,6 +48,14 @@ fn scrape_under_multi_writer_updates_never_tears() {
         })
         .collect();
 
+    // Scrape only once writes are in flight: 500 snapshots can finish
+    // before a freshly spawned writer first runs, and a histogram nobody
+    // wrote is omitted from the final snapshot.
+    let writes = reg.counter("torn.writes");
+    while writes.get() < WRITERS as u64 {
+        std::thread::yield_now();
+    }
+
     // The main thread takes full registry snapshots as fast as it can;
     // the counter it reads must never run backwards.
     let mut last_writes = 0u64;
