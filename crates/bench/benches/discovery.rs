@@ -8,7 +8,7 @@ use roads_core::{
 };
 use roads_netsim::DelaySpace;
 use roads_records::{QueryBuilder, QueryId, Schema};
-use roads_runtime::{Attachments, AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig};
+use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
 use roads_summary::SummaryConfig;
 use roads_sword::SwordNetwork;
 use roads_telemetry::{Recorder, Registry, TailSampler};
@@ -17,7 +17,6 @@ use roads_workload::{
     RecordWorkloadConfig,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 fn setup(
     nodes: usize,
@@ -160,40 +159,17 @@ fn bench_recorder_overhead(c: &mut Criterion) {
         drive(b, &cluster);
         cluster.shutdown();
     });
-    // Every plane at once: instrumented registry, flight recorder, tail
-    // sampler and audit counters on the reply path, and the Auditor
-    // thread racing the queries at 5 ms.
+    // Every plane at once: instrumented registry (with the live
+    // false-positive counters on the reply path), flight recorder and
+    // tail sampler.
     g.bench_function("live_all_on", |b| {
-        let reg = Arc::new(Registry::new());
-        let metrics = Arc::new(AuditMetrics::new(&reg, line_net(9, 10, 64).tree().levels()));
+        let reg = Registry::new();
         let cluster = live_cluster(Attachments {
             recorder: Some(Arc::new(Recorder::new(65_536))),
             tail: Some(TailSampler::shared()),
-            audit: Some(Arc::clone(&metrics)),
             ..Attachments::instrumented(&reg)
         });
-        let net = cluster.shared_network();
-        let probes: Vec<_> = (0..8)
-            .map(|i| {
-                let lo = 0.75 * (i as f64 * 0.37).fract();
-                QueryBuilder::new(net.schema(), QueryId(1_000 + i as u64))
-                    .range("x0", lo, lo + 0.25)
-                    .build()
-            })
-            .collect();
-        let auditor = Auditor::start(
-            net,
-            metrics,
-            AuditConfig {
-                interval: Duration::from_millis(5),
-                probes_per_tick: 4,
-                refresh_every: 4,
-            },
-            probes,
-            cluster.liveness(),
-        );
         drive(b, &cluster);
-        auditor.stop();
         cluster.shutdown();
     });
     g.finish();

@@ -1,13 +1,13 @@
 //! The table of strict JSON artifacts `roads-inspect` understands: one row
 //! per document — marker key → strict parse → one-line `check` summary /
-//! full render. `roads-inspect check` and the `slow` / `audit` / `health`
+//! full render. `roads-inspect check` and the `slow` / `health`
 //! subcommands are lookups in [`ARTIFACTS`]; adding an artifact is adding
-//! a row (see CONTRIBUTING.md). `bench_suite` writes all three documents;
+//! a row (see CONTRIBUTING.md). `bench_suite` writes every such document;
 //! every figure binary writes a figure document instead, which `check`
 //! reads beside its trace file.
 
-use crate::{audit_view, explain_view};
-use roads_runtime::{AuditReport, ClusterHealth};
+use crate::explain_view;
+use roads_runtime::ClusterHealth;
 use roads_telemetry::{Json, SlowDoc};
 
 /// Strict parse of a document followed by some text about it.
@@ -26,22 +26,6 @@ pub struct ArtifactRow {
 
 /// Every strict artifact, in `check`'s routing order.
 pub const ARTIFACTS: &[ArtifactRow] = &[
-    ArtifactRow {
-        marker: AuditReport::MARKER,
-        check: |doc| {
-            AuditReport::from_json(doc).map(|r| {
-                format!(
-                    "audit report, {} ticks, {} levels, {} probes",
-                    r.ticks,
-                    r.levels.len(),
-                    r.probes()
-                )
-            })
-        },
-        view: ("audit", |doc| {
-            AuditReport::from_json(doc).map(|r| audit_view::render_audit_table(&r))
-        }),
-    },
     ArtifactRow {
         marker: ClusterHealth::MARKER,
         check: |doc| {

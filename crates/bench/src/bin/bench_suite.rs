@@ -18,9 +18,6 @@
 //!   incomplete queries with full [`QueryExplain`] provenance
 //!   (`roads-inspect slow`, `roads-inspect explain`); the kills
 //!   guarantee retained failures.
-//! * `AUDIT.json` — a background [`Auditor`]'s cumulative per-level
-//!   FP/FN counts, overlay divergence and staleness (`roads-inspect
-//!   audit`).
 //! * `CACHE_HEALTH.json` — the cache cluster's final health snapshot
 //!   ([`ClusterHealth`]: per-server rows plus the `roads.cache.*`
 //!   counters CI asserts against; `roads-inspect health`); the cold pass
@@ -35,7 +32,11 @@
 //! `mailbox-down`, and a retained slow query of the straggler episode
 //! spends its longest hop at the slowed server.
 //!
-//! `roads-inspect check` validates all four documents.
+//! It also prints, per tree level, how many of the faulted cluster's
+//! branch replies were live false positives — hollow contacts
+//! (`audit.live_false_positives` of `audit.live_probes` in its registry).
+//!
+//! `roads-inspect check` validates all three documents.
 //!
 //! [`QueryExplain`]: roads_telemetry::QueryExplain
 //! [`ClusterHealth`]: roads_runtime::ClusterHealth
@@ -44,14 +45,13 @@ use roads_bench::live::{drive, fault_config, line_net, sliding_ranges};
 use roads_bench::print_metrics_digest;
 use roads_core::{RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
-use roads_records::{Query, QueryBuilder, QueryId};
-use roads_runtime::{Attachments, AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig};
+use roads_records::{QueryBuilder, QueryId};
+use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
 use roads_telemetry::{
-    results_dir, HopOutcome, Recorder, Registry, RetainReason, SlowDoc, TailSampler,
+    labeled, results_dir, HopOutcome, Recorder, Registry, RetainReason, SlowDoc, TailSampler,
 };
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Servers in each live cluster.
 const SERVERS: usize = 13;
@@ -140,10 +140,6 @@ fn main() {
     // each query its trace id, which the exemplars name.
     let recorder = Arc::new(Recorder::new(65_536));
     let tail = TailSampler::shared();
-    // Summary-fidelity auditing over the whole live-cluster run: live
-    // branch outcomes fold into `audit.live_*`, and a background auditor
-    // samples ground truth on a budget.
-    let audit_metrics = Arc::new(AuditMetrics::new(&reg, net.tree().levels()));
     let cluster = RoadsCluster::start_with(
         net,
         DelaySpace::paper(n, 31),
@@ -151,27 +147,11 @@ fn main() {
         Attachments {
             recorder: Some(Arc::clone(&recorder)),
             tail: Some(Arc::clone(&tail)),
-            audit: Some(Arc::clone(&audit_metrics)),
             ..Attachments::instrumented(&reg)
         },
     );
     let root = cluster.network().tree().root();
     let cschema = cluster.network().schema().clone();
-    let audit_probes: Vec<Query> = sliding_ranges(&cschema, n, 16, root, false)
-        .into_iter()
-        .map(|(q, _)| q)
-        .collect();
-    let auditor = Auditor::start(
-        cluster.shared_network(),
-        audit_metrics,
-        AuditConfig {
-            interval: Duration::from_millis(100),
-            probes_per_tick: 4,
-            refresh_every: 4,
-        },
-        audit_probes,
-        cluster.liveness(),
-    );
     let spread = sliding_ranges(&cschema, n, QUERIES, root, true);
     let rooted = sliding_ranges(&cschema, n, QUERIES, root, false);
     drive(&cluster, &spread, CLIENTS);
@@ -241,8 +221,8 @@ fn main() {
     let healed = cluster.query(&full, root);
     assert!(healed.complete, "restore must bring the branch back");
 
-    let audit_report = auditor.stop();
     let health = cluster.health().expect("the live cluster is instrumented");
+    let levels = cluster.network().tree().levels();
     cluster.shutdown();
 
     // The tail of this run: retained slow/failed/incomplete queries with
@@ -257,19 +237,6 @@ fn main() {
         slow_report.retained.len(),
         slow_report.observed,
         slow_report.threshold_ms
-    );
-
-    // The audit of this run: cumulative per-level fidelity plus the final
-    // divergence/staleness state.
-    let audit_path = dir.join("AUDIT.json");
-    written(&audit_path, audit_report.write(&audit_path));
-    println!(
-        "wrote {} ({} ticks, {} probes, divergence {:.2}%, staleness p99 {})",
-        audit_path.display(),
-        audit_report.ticks,
-        audit_report.probes(),
-        audit_report.divergence * 100.0,
-        audit_report.staleness_p99
     );
 
     // The cache cluster's health snapshot — CI asserts a non-zero
@@ -295,5 +262,25 @@ fn main() {
         health.failovers
     );
 
-    print_metrics_digest(&reg.snapshot());
+    // The live false positives of the run's real queries, per level.
+    let snap = reg.snapshot();
+    let count = |family: &str, level: usize| {
+        let name = labeled(family, &[("level", &level.to_string())]);
+        snap.counters.get(&name).copied().unwrap_or(0)
+    };
+    let rows: Vec<String> = (0..levels)
+        .map(|l| {
+            let (fp, probes) = (
+                count("audit.live_false_positives", l),
+                count("audit.live_probes", l),
+            );
+            format!("level {l} {fp}/{probes}")
+        })
+        .collect();
+    println!(
+        "live false positives of branch replies: {}",
+        rows.join(", ")
+    );
+
+    print_metrics_digest(&snap);
 }

@@ -13,8 +13,9 @@
 //! are routed by the engine's `route` on the summaries the servers keep. The hole the crash
 //! leaves shows in the `live_summaries` series, and
 //! `protocol::tests::crashed_server_fades_from_parent_view` checks that
-//! every copy left equals the audit plane's authoritative branch summary
-//! under the crash.
+//! every copy left equals `protocol::authoritative_branch` under the
+//! crash. `fig16_summary_fidelity` audits the same copies through the
+//! crash, sample by sample, with `protocol::audit_copies`.
 
 use roads_bench::parse_args;
 use roads_core::protocol::{build_simulation, run_with_timeline};

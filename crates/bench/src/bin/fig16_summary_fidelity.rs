@@ -1,39 +1,51 @@
-//! Figure 16 (reproduction extra): summary fidelity and overlay staleness
-//! under churn.
+//! Figure 16 (reproduction extra): how far the replicated summaries drift
+//! from the truth when servers crash, and for how long.
 //!
-//! The audit plane answers *how wrong the replicated summaries are*: a
-//! [`ReplicaLedger`](roads_core::ReplicaLedger) inside a background
-//! [`Auditor`] tracks every overlay copy against ground truth recomputed
-//! from live records. This figure sweeps the update (refresh) interval
-//! against the number of crashed servers k: for each combination a live
-//! cluster runs a healthy phase, a kill phase (k disjoint branch victims
-//! down) and a recovery phase (all restarted), with one audit round per
-//! phase step, and plots the overlay divergence and staleness-p99 series
-//! over the rounds plus the cumulative per-level FP/FN rates.
+//! The overlay is soft state (§III-B/C): every `ts` a heartbeat refreshes
+//! each server's copies of remote branch summaries, and a TTL expires a
+//! copy nobody refreshes. Those copies, held by the message-driven servers
+//! of `roads_core::protocol` on the discrete-event simulator, are the only
+//! stale summaries in the system — every live query routes on the engine's
+//! converged ones — so this figure audits them with [`audit_copies`]: at
+//! each sample every live server's fresh child entries and replicas are
+//! compared with the branch summaries the servers converge to under the
+//! crash, and probed with one narrow query per server for false positives
+//! and false negatives, by the tree level of the copy's target.
 //!
-//! Expected shape: divergence is zero while converged, spikes the moment
-//! servers die (their branch copies linger at overlay holders — nobody
-//! can re-push a dead branch), only partially reconverges on refreshes
-//! while the victims are down, and returns to zero after restart + the
-//! next refresh. Slower refresh intervals hold divergence (and
-//! staleness-p99) up for proportionally longer, and refreshes taken while
-//! servers were dead surface as false *negatives* once they restart —
-//! the correctness-critical direction the conservative evaluation
-//! otherwise never produces.
+//! It sweeps the heartbeat period `ts` against k crashed disjoint subtrees,
+//! with the TTL at three periods (as in `churn_resilience`). Each
+//! configuration converges from cold soft state, crashes its k subtrees at
+//! once and samples every half period, and asserts:
+//!
+//! * divergence is 0 once the federation has converged, with every copy
+//!   the overlay prescribes held;
+//! * divergence is above 0 right after the crash: the dead branches'
+//!   copies and their ancestors' still hold the dead records;
+//! * divergence is back to 0 by `crash + ttl + (levels + 1)·ts`, the
+//!   per-hop bound: a copy `h` hops from where its origin was last heard
+//!   lapses one TTL plus `h` periods after, and the ancestors' new branch
+//!   summaries reach every holder one period per hop;
+//! * no sample has a false negative: a stale copy only keeps dead records
+//!   and never prunes a live one.
+//!
+//! The trace (`results/fig16_summary_fidelity.trace.json`) is the first
+//! configuration's data plane: replica installs and refreshes, publishes,
+//! merges and the TTL expiries the crash causes.
 
-use roads_bench::live::{disjoint_branches, line_net};
+use roads_bench::live::disjoint_branches;
 use roads_bench::parse_args;
-use roads_core::RoadsNetwork;
-use roads_netsim::DelaySpace;
-use roads_records::{Query, QueryBuilder, QueryId};
-use roads_runtime::{Attachments, AuditConfig, AuditMetrics, Auditor, RoadsCluster, RuntimeConfig};
-use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
+use roads_core::protocol::{audit_copies, build_simulation, CopyAudit};
+use roads_core::{HierarchyTree, RoadsConfig, RoadsNetwork};
+use roads_netsim::{DelaySpace, NodeId, SimTime};
+use roads_records::{Query, QueryBuilder, QueryId, Schema};
+use roads_summary::SummaryConfig;
+use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder};
+use roads_workload::line_records;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Ground-truth probes: one narrow range query per server, centered on
-/// its record.
-fn probes(net: &RoadsNetwork, n: usize) -> Vec<Query> {
+/// One narrow range query per server, centred on its one record.
+fn probes(net: &RoadsNetwork) -> Vec<Query> {
+    let n = net.len();
     (0..n)
         .map(|s| {
             let v = s as f64 / n as f64;
@@ -44,190 +56,168 @@ fn probes(net: &RoadsNetwork, n: usize) -> Vec<Query> {
         .collect()
 }
 
+/// The per-level tallies of `b` added into `a`.
+fn accumulate(a: &mut [CopyAudit], b: &[CopyAudit]) {
+    for (a, b) in a.iter_mut().zip(b) {
+        a.probes += b.probes;
+        a.false_positives += b.false_positives;
+        a.false_negatives += b.false_negatives;
+    }
+}
+
 fn main() {
     let (quick, ..) = parse_args();
     let n = if quick { 13 } else { 40 };
-    let intervals: &[u64] = if quick { &[1, 4] } else { &[1, 2, 4] };
-    let kill_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
-    // Audit rounds per phase: healthy, killed, restarted. The recovery
-    // phase is long enough that even the slowest refresh interval runs at
-    // least one refresh after the restart.
-    let (healthy, dead, recovered) = (4u64, 6u64, 6u64);
-    println!("==================================================================");
-    println!("Figure 16 — summary fidelity & overlay staleness ({n} servers)");
-    println!("overlay divergence / staleness p99 per audit round, refresh");
-    println!("interval x k crashed servers; cumulative per-level FP/FN rates");
-    println!("==================================================================");
-
-    let runtime_cfg = RuntimeConfig {
-        dispatch_timeout_ms: 200,
-        max_retries: 1,
-        backoff_base_ms: 10,
-        query_deadline_ms: 20_000,
-        delay_scale: 0.1,
-        per_record_retrieval_us: 150,
-        base_query_cost_us: 500,
-        ..RuntimeConfig::paper_like()
+    let periods: &[u64] = if quick {
+        &[1_000, 2_000]
+    } else {
+        &[500, 1_000, 2_000]
     };
+    let kill_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
+    println!("==================================================================");
+    println!("Figure 16 — divergence of the overlay's copies under crashes ({n} servers)");
+    println!("heartbeat period ts x k crashed subtrees, TTL = 3 ts; samples every");
+    println!("ts/2; per-level FP/FN of every copy against one query per server");
+    println!("==================================================================");
 
     let mut fig = FigureExport::new(
         "fig16_summary_fidelity",
-        "overlay divergence & staleness p99 vs audit round, refresh interval x crashed servers",
+        "divergence of the replicated copies vs time since the crash, heartbeat period x crashed subtrees",
     )
-    .axes("audit round", "divergence (%) / staleness p99 (rounds)");
+    .axes("periods since the crash", "diverged copies (%)");
     let rec = Arc::new(Recorder::new(65_536));
-    let mut last_reg = Registry::new();
-    let mut any_false_negatives = 0u64;
+    let schema = Schema::unit_numeric(1);
 
     println!(
-        "{:>8} {:>2} {:>7} {:>12} {:>12} {:>10} {:>6} {:>6}",
-        "refresh", "k", "rounds", "peak-div%", "end-div%", "stale-p99", "fp", "fn"
+        "{:>6} {:>2} {:>6} {:>9} {:>9} {:>7} {:>7} {:>4}",
+        "ts ms", "k", "copies", "peak-div%", "clean-at", "bound", "fp", "fn"
     );
-    for &interval in intervals {
+    for (config, &ts) in periods.iter().enumerate() {
         for &k in kill_counts {
-            // A fresh registry per configuration keeps the per-level
-            // audit counters (and the AuditLevelRow.live_* fields read
-            // from them) from bleeding across configurations.
-            let reg = Registry::new();
-            // One record per server at `s / n` with fine buckets: every
-            // record sits alone in its histogram bucket, so the converged
-            // overlay audits with zero false positives and a refresh taken
-            // while a server was dead demonstrably prunes its record (false
-            // negative after restart).
-            let net = line_net(n, 1, 256);
-            let metrics = Arc::new(AuditMetrics::new(&reg, net.tree().levels()));
-            let cluster = RoadsCluster::start_with(
-                net,
-                DelaySpace::paper(n, 31),
-                runtime_cfg,
-                Attachments {
-                    // The shared recorder collects real traces across configs.
-                    recorder: Some(Arc::clone(&rec)),
-                    audit: Some(Arc::clone(&metrics)),
-                    ..Attachments::instrumented(&reg)
-                },
-            );
-            let net = cluster.shared_network();
+            let cfg = RoadsConfig {
+                max_children: 3,
+                // Every record alone in its bucket: a converged copy has no
+                // false positive for its server's query, so the ones the
+                // figure counts come from the crash.
+                summary: SummaryConfig::with_buckets(256),
+                ts_ms: ts,
+                summary_ttl_ms: 3 * ts,
+            };
+            let tree = HierarchyTree::build(n, cfg.max_children);
+            let records = line_records(n, 1);
+            let delays = DelaySpace::paper(n, 31);
+            let mut sim = build_simulation(cfg, schema.clone(), records.clone(), &tree, delays);
+            if config == 0 && k == kill_counts[0] {
+                sim.set_recorder(Arc::clone(&rec));
+            }
+            let net = RoadsNetwork::with_tree(schema.clone(), cfg, tree, records);
+            let tree = net.tree();
+            let levels = tree.levels() as u64;
+            let queries = probes(&net);
             let victims = disjoint_branches(&net, k);
             assert_eq!(victims.len(), k, "need {k} disjoint victims among {n}");
-            let auditor = Auditor::start(
-                Arc::clone(&net),
-                metrics,
-                AuditConfig {
-                    interval: Duration::from_secs(3600), // rounds driven manually
-                    probes_per_tick: n,
-                    refresh_every: interval,
-                },
-                probes(&net, n),
-                cluster.liveness(),
-            );
-            let root = net.tree().root();
-            let full = QueryBuilder::new(net.schema(), QueryId(1_000))
-                .range("x0", 0.0, 1.0)
-                .build();
 
-            let mut div_series: Vec<(f64, f64)> = Vec::new();
-            let mut stale_series: Vec<(f64, f64)> = Vec::new();
-            let mut round = 0u64;
-            let mut peak_div = 0.0f64;
-            let mut observe = |auditor: &Auditor, rounds: u64, peak: &mut f64| {
-                for _ in 0..rounds {
-                    auditor.tick_now();
-                    round += 1;
-                    let r = auditor.report();
-                    *peak = peak.max(r.divergence);
-                    div_series.push((round as f64, r.divergence * 100.0));
-                    stale_series.push((round as f64, r.staleness_p99 as f64));
+            // Converge from cold soft state: the branch summaries climb one
+            // level a period and the replicas come down one a period.
+            let converged = 4 * levels * ts;
+            let crash = converged + 2 * ts;
+            let bound = crash + cfg.summary_ttl_ms + (levels + 1) * ts;
+            let end = bound + cfg.summary_ttl_ms + 2 * ts;
+            let mut live = vec![true; n];
+            let mut totals = vec![CopyAudit::default(); tree.levels()];
+            let mut series: Vec<(f64, f64)> = Vec::new();
+            let (mut peak, mut clean_at, mut held) = (0.0f64, crash, 0);
+            let mut t = converged;
+            loop {
+                sim.run_until(SimTime::from_millis(t));
+                if t == crash {
+                    for &v in &victims {
+                        for s in tree.subtree(v) {
+                            sim.node_mut(NodeId(s.0)).crash();
+                            live[s.index()] = false;
+                        }
+                    }
                 }
-            };
-
-            // Healthy phase: converged, clean.
-            observe(&auditor, healthy, &mut peak_div);
-            let clean = auditor.report();
-            assert_eq!(clean.divergence, 0.0, "converged overlay must audit clean");
-            assert_eq!(clean.staleness_p99, 0, "no refresh misses while all live");
-            let out = cluster.query(&full, root);
-            assert_eq!(out.records.len(), n, "healthy full-coverage query");
-
-            // Kill phase: k victims down, their branch copies linger.
-            for &v in &victims {
-                assert!(cluster.kill_server(v));
+                let audit = audit_copies(&sim, &net, &live, &queries);
+                accumulate(&mut totals, &audit);
+                let copies: usize = audit.iter().map(|l| l.copies).sum();
+                let diverged: usize = audit.iter().map(|l| l.diverged).sum();
+                let missed: u64 = audit.iter().map(|l| l.false_negatives).sum();
+                let share = diverged as f64 / copies.max(1) as f64;
+                let x = (t as f64 - crash as f64) / ts as f64;
+                series.push((x, 100.0 * share));
+                assert_eq!(
+                    missed, 0,
+                    "ts {ts}, k {k}: a copy pruned a live record at {x} periods"
+                );
+                if t < crash {
+                    let expected: usize = (tree.servers().iter())
+                        .map(|&s| tree.children(s).len() + net.replica_set(s).entries().len())
+                        .sum();
+                    assert_eq!(copies, expected, "ts {ts}, k {k}: not converged");
+                    assert_eq!(diverged, 0, "ts {ts}, k {k}: converged copies diverge");
+                    held = copies;
+                } else if t == crash {
+                    assert!(diverged > 0, "ts {ts}, k {k}: the crash diverged no copy");
+                } else if t >= bound {
+                    assert_eq!(diverged, 0, "ts {ts}, k {k}: diverged at {x} periods");
+                }
+                if diverged > 0 {
+                    clean_at = t + ts / 2;
+                }
+                peak = peak.max(share);
+                if t >= end {
+                    break;
+                }
+                t += ts / 2;
             }
-            observe(&auditor, dead, &mut peak_div);
-            let degraded = auditor.report();
-            assert!(
-                degraded.divergence > 0.0 || peak_div > 0.0,
-                "killing {k} servers must diverge the overlay"
-            );
-            assert!(peak_div > 0.0);
-            let faulted = cluster.query(&full, root);
-            assert!(
-                faulted.records.len() < n,
-                "dead servers' records are unreachable"
-            );
 
-            // Recovery phase: restart everyone; the next refresh re-pushes
-            // every copy and the overlay reconverges.
-            for &v in &victims {
-                assert!(cluster.restart_server(v));
-            }
-            observe(&auditor, recovered, &mut peak_div);
-            let report = auditor.stop();
-            assert_eq!(
-                report.divergence, 0.0,
-                "restart + refresh must reconverge (interval {interval}, k {k})"
-            );
-            let healed = cluster.query(&full, root);
-            assert_eq!(healed.records.len(), n, "restored full coverage");
-            cluster.shutdown();
-            last_reg = reg;
-
-            any_false_negatives += report.false_negatives();
+            let (fp, fneg) = totals.iter().fold((0, 0), |(fp, fneg), l| {
+                (fp + l.false_positives, fneg + l.false_negatives)
+            });
+            let periods_after = |at: u64| (at - crash) as f64 / ts as f64;
             println!(
-                "{:>8} {:>2} {:>7} {:>11.1}% {:>11.1}% {:>10} {:>6} {:>6}",
-                interval,
+                "{:>6} {:>2} {:>6} {:>8.1}% {:>9.1} {:>7.1} {:>7} {:>4}",
+                ts,
                 k,
-                round,
-                peak_div * 100.0,
-                report.divergence * 100.0,
-                report.staleness_p99,
-                report.false_positives(),
-                report.false_negatives(),
+                held,
+                100.0 * peak,
+                periods_after(clean_at),
+                periods_after(bound),
+                fp,
+                fneg,
             );
-            fig.push_series(format!("divergence_pct_r{interval}_k{k}"), &div_series);
-            fig.push_series(format!("staleness_p99_r{interval}_k{k}"), &stale_series);
-            let fp_rates: Vec<(f64, f64)> = report
-                .levels
-                .iter()
-                .map(|l| (l.level as f64, 100.0 * l.fp_rate()))
-                .collect();
-            let fn_rates: Vec<(f64, f64)> = report
-                .levels
-                .iter()
-                .map(|l| (l.level as f64, 100.0 * l.fn_rate()))
-                .collect();
-            fig.push_series(format!("fp_rate_pct_by_level_r{interval}_k{k}"), &fp_rates);
-            fig.push_series(format!("fn_rate_pct_by_level_r{interval}_k{k}"), &fn_rates);
+            fig.push_series(format!("divergence_pct_ts{ts}_k{k}"), &series);
+            let rate = |count: fn(&CopyAudit) -> u64| -> Vec<(f64, f64)> {
+                (totals.iter().enumerate())
+                    .map(|(level, l)| {
+                        (
+                            level as f64,
+                            100.0 * count(l) as f64 / l.probes.max(1) as f64,
+                        )
+                    })
+                    .collect()
+            };
+            fig.push_series(
+                format!("fp_rate_pct_by_level_ts{ts}_k{k}"),
+                &rate(|l| l.false_positives),
+            );
+            fig.push_series(
+                format!("fn_rate_pct_by_level_ts{ts}_k{k}"),
+                &rate(|l| l.false_negatives),
+            );
         }
     }
-    assert!(
-        any_false_negatives > 0,
-        "a refresh taken while servers were dead must surface as false \
-         negatives after restart in at least one configuration"
-    );
 
     fig.push_note(format!(
-        "{n} servers x 1 record, {}-round phases healthy/killed/restarted; \
-         refresh every 1..4 audit rounds; disjoint-subtree victims",
-        healthy + dead + recovered
+        "{n} servers x 1 record, degree 3, TTL = 3 ts; k disjoint subtrees crash at once \
+         two periods after the federation converged; one sample every ts/2"
     ));
     fig.push_note(
-        "divergence spikes on kills (dead branch copies linger at overlay holders), \
-         partially reconverges on refreshes while dead, fully after restart + refresh; \
-         refreshes while dead prune live records -> false negatives until the next refresh",
+        "divergence is 0 when converged, jumps at the crash (the dead branches' copies and \
+         their ancestors' still hold the dead records), and is 0 again by \
+         crash + ttl + (levels + 1) ts; no copy ever prunes a live record (FN = 0)",
     );
     fig.write_default();
     write_chrome_trace_default(&fig.figure, &rec);
-    // Digest covers the last configuration's cluster + audit registry.
-    roads_bench::print_metrics_digest(&last_reg.snapshot());
 }

@@ -12,8 +12,6 @@
 //!                                       # retained tail queries
 //! roads-inspect slow <artifact>         # ranked tail table with latency
 //!                                       # attribution
-//! roads-inspect audit <artifact>        # per-level summary-fidelity table
-//!                                       # from an AUDIT.json artifact
 //! ```
 //!
 //! `<base>` is a result stem such as `results/fig3_latency_vs_nodes`; the
@@ -24,7 +22,7 @@
 //! Every document `summary`, `diff` and `check` read goes through the
 //! artifact layer ([`roads_telemetry::json::artifact`]): every declared
 //! field must be present and well-typed, each offending path is named
-//! (`series[0].y[2]`, `levels[0].probes`), then the document's own
+//! (`series[0].y[2]`, `servers[0].replies`), then the document's own
 //! `validate` re-enforces its cross-field invariants offline. A figure
 //! document (marker `schema_version`) must have as many `y` as `x`
 //! values per series and unique series and reference names. `check`
@@ -32,15 +30,11 @@
 //! that format — and fails when it is missing, malformed, contains zero
 //! complete (`ph == "X"`) spans, or a trace that is no span tree; the CI
 //! smoke test runs it over every `--quick` figure. A document carrying
-//! the marker key of another artifact — `SLOW_QUERIES`, `AUDIT` and
+//! the marker key of another artifact — `SLOW_QUERIES` and
 //! `CACHE_HEALTH` / `HEALTH` from `bench_suite`, one row each in
 //! [`roads_bench::artifacts::ARTIFACTS`] — takes that row's path instead
 //! and expects no trace file (its `validate`: for example, retained hop
 //! trees are trees).
-//!
-//! `audit` renders the per-level summary-fidelity table of an
-//! `AUDIT.json` artifact: ground-truth probes, FP/FN rates, overlay
-//! divergence and staleness per hierarchy level.
 //!
 //! `explain` renders every retained query of a `SLOW_QUERIES.json`
 //! artifact as a hop-by-hop waterfall plus the decision tree of *why*
@@ -69,7 +63,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `slow`, `audit`, `health`: the artifact views.
+    // `slow`, `health`: the artifact views.
     if let [cmd, path] = args.as_slice() {
         if let Some(render) = artifacts::view(cmd) {
             return print_view(path, render);
@@ -89,7 +83,6 @@ fn main() -> ExitCode {
             eprintln!("       roads-inspect health <health.json>");
             eprintln!("       roads-inspect explain <slow-queries.json> [query-id]");
             eprintln!("       roads-inspect slow <slow-queries.json>");
-            eprintln!("       roads-inspect audit <audit.json>");
             eprintln!("  <base> is a result stem, e.g. results/fig3_latency_vs_nodes");
             ExitCode::from(2)
         }

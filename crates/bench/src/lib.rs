@@ -14,7 +14,6 @@
 //! sweep for smoke testing).
 
 pub mod artifacts;
-pub mod audit_view;
 pub mod chart;
 pub mod explain_view;
 pub mod live;

@@ -64,18 +64,12 @@ fn artifact_run_writes_exactly_its_checkable_documents() {
     written.sort();
     assert_eq!(
         written,
-        [
-            "AUDIT.json",
-            "CACHE_HEALTH.json",
-            "HEALTH.json",
-            "SLOW_QUERIES.json"
-        ]
+        ["CACHE_HEALTH.json", "HEALTH.json", "SLOW_QUERIES.json"]
     );
 
     // `check` accepts every document, each through its own row.
     for (file, kind) in [
         ("SLOW_QUERIES.json", "slow-query report"),
-        ("AUDIT.json", "audit report"),
         ("CACHE_HEALTH.json", "health snapshot"),
         ("HEALTH.json", "health snapshot"),
     ] {
@@ -255,30 +249,31 @@ fn summary_prints_every_point_of_a_short_series() {
 /// `check`, naming the offending path.
 #[test]
 fn check_rejects_bad_counts_and_missing_required_fields_by_path() {
-    let audit = tmp("negative_probes_audit.json");
+    let negative = tmp("negative_replies_health.json");
     std::fs::write(
-        &audit,
-        r#"{"audit":1,"epoch":1,"ticks":2,"divergence":0,"staleness_p99":0,
-            "max_drift":0,"bloom_saturation":0,
-            "levels":[{"level":0,"entries":4,"probes":-1,"false_positives":0,
-                       "false_negatives":0,"diverged":0,"staleness_max":0,
-                       "live_probes":0,"live_false_positives":0}]}"#,
+        &negative,
+        r#"{"health":1,"inflight_queries":0,"queries":2,"retries":0,
+            "deadline_misses":0,"failovers":0,"cache_hits":0,"cache_misses":0,
+            "cache_expired":0,
+            "servers":[{"server":0,"alive":true,"queue_depth":0,"replies":-1,
+                        "dispatch_p99_ms":null}]}"#,
     )
     .unwrap();
-    let (ok, out) = inspect(&["check", audit.to_str().unwrap()]);
+    let (ok, out) = inspect(&["check", negative.to_str().unwrap()]);
     assert!(!ok, "a negative count must fail:\n{out}");
-    assert!(out.contains("levels[0].probes"), "{out}");
+    assert!(out.contains("servers[0].replies"), "{out}");
 
-    let fractional = tmp("fractional_ticks_audit.json");
+    let fractional = tmp("fractional_queries_health.json");
     std::fs::write(
         &fractional,
-        r#"{"audit":1,"epoch":1,"ticks":1.5,"divergence":0,"staleness_p99":0,
-            "max_drift":0,"bloom_saturation":0,"levels":[]}"#,
+        r#"{"health":1,"inflight_queries":0,"queries":1.5,"retries":0,
+            "deadline_misses":0,"failovers":0,"cache_hits":0,"cache_misses":0,
+            "cache_expired":0,"servers":[]}"#,
     )
     .unwrap();
     let (ok, out) = inspect(&["check", fractional.to_str().unwrap()]);
     assert!(!ok, "a fractional count must fail:\n{out}");
-    assert!(out.contains("ticks: ticks must be an integer"), "{out}");
+    assert!(out.contains("queries: queries must be an integer"), "{out}");
 
     let slow = tmp("hop_without_dur_slow.json");
     std::fs::write(

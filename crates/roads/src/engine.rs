@@ -109,7 +109,7 @@ fn aggregate_branch(
 
 /// The branch summary of server `id` from its `local` summary and its
 /// children's branch summaries, in child order — the one rule a build, a
-/// delta, the message plane and the audit plane aggregate a branch by:
+/// delta, the message plane and its copy audit aggregate a branch by:
 /// [`Summary::branch_of`], except that the `root`'s keeps no parts. No one
 /// would test them: the root has no parent and no sibling, and its
 /// descendants read it as an ancestor, which is shipped without parts.

@@ -35,15 +35,15 @@
 //!   branch summary back up; one TTL expires silent peers and stale
 //!   replicas alike. It carries summaries, not queries; its tests check
 //!   that it converges to the engine's summaries, over a given tree and
-//!   over the tree the servers build by joining.
+//!   over the tree the servers build by joining. Its copies are the only
+//!   stale summaries there are, and [`protocol::audit_copies`] audits them
+//!   against ground truth: divergence and per-level false positives and
+//!   false negatives.
 //! * [`maintenance`] — that server's place in the hierarchy (its
 //!   `Membership`): the join walk, failure detection, grandparent rejoin,
 //!   root election and split-brain merge; [`maintenance::extract_tree`]
 //!   reads the tree the servers hold.
 //! * [`metrics`] — latency statistics helpers.
-//! * [`audit`] — ground-truth auditing of the overlay: epoch-stamped
-//!   replica copies ([`ReplicaLedger`]), staleness ages, divergence scores
-//!   and per-level false-positive/false-negative probes.
 //! * [`planner`] — `plan_query` and its types, forwards kept for
 //!   `benchmark/`: a plan is [`RoadsNetwork::route`]'s answer at the entry.
 //! * [`store`] — the record store every server runs on: shared rows
@@ -55,7 +55,6 @@
 //!   fingerprints; entries age out by TTL and are invalidated per subtree
 //!   by record deltas (dirty-scope intersection + delta-summary match).
 
-pub mod audit;
 pub mod batch;
 pub mod cache;
 pub mod config;
@@ -72,9 +71,6 @@ pub mod store;
 pub mod tree;
 pub mod updates;
 
-pub use audit::{
-    audit_probe, authoritative_branch, DivergenceReport, LevelAudit, ReplicaEntry, ReplicaLedger,
-};
 pub use batch::QueryBatch;
 pub use cache::{execute_query_cached, query_fingerprint, CachedResult, ResultCache};
 pub use config::RoadsConfig;

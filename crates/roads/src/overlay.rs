@@ -19,8 +19,8 @@
 use crate::tree::{HierarchyTree, ServerId};
 
 /// Why a server replicates a particular branch summary (§III-C's three
-/// overlay constituents). The audit plane labels every ledger entry with
-/// its role so divergence can be attributed to a constituent.
+/// overlay constituents). A reader tests an ancestor's copy only for its
+/// attributes, so that copy travels without its parts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ReplicaRole {
     /// A sibling's branch.

@@ -39,13 +39,20 @@
 //! summaries these servers converge to are the engine's, byte for byte —
 //! after a cold start, after a branch crashes, after a record change, and
 //! over the tree the servers built by joining.
+//!
+//! These copies are the only stale summaries in the system: every live
+//! query routes on the engine's converged ones. [`audit_copies`] measures
+//! them against ground truth — how many differ from what the servers
+//! converge to under a crash ([`authoritative_branch`]), and how often a
+//! copy matches a query no live record matches (a false positive) or
+//! prunes one a live record matches (a false negative).
 
 use crate::config::RoadsConfig;
-use crate::engine::branch_summary_of;
+use crate::engine::{branch_summary_of, RoadsNetwork};
 use crate::maintenance::{lapsed, MemberState, Membership};
 use crate::tree::{HierarchyTree, ServerId};
 use roads_netsim::{Ctx, NodeId, Protocol, SimTime, Simulator, TimerTag, TrafficClass};
-use roads_records::{wire::MSG_HEADER_BYTES, Record, Schema, WireSize};
+use roads_records::{wire::MSG_HEADER_BYTES, Query, Record, Schema, WireSize};
 use roads_summary::Summary;
 use roads_telemetry::{EventKind, Timeline};
 use std::collections::BTreeMap;
@@ -456,11 +463,108 @@ pub fn run_with_timeline(
     processed
 }
 
+/// The authoritative branch summary of `target` under a liveness mask:
+/// what the servers converge to once the dead ones' copies have expired —
+/// `target`'s subtree aggregated bottom-up the way the network aggregates
+/// it (see [`Summary::branch_of`]), with every dead server's local summary
+/// left out. A dead server contributes neither records nor a box; its live
+/// descendants still do. With everyone live this equals
+/// [`RoadsNetwork::branch_summary`].
+pub fn authoritative_branch(net: &RoadsNetwork, target: ServerId, live: &[bool]) -> Summary {
+    let children: Vec<(u32, Summary)> = (net.tree().children(target).iter())
+        .map(|&c| (c.0, authoritative_branch(net, c, live)))
+        .collect();
+    let nothing;
+    let local = if live.get(target.index()) == Some(&false) {
+        nothing = Summary::empty(net.schema(), &net.config().summary);
+        &nothing
+    } else {
+        net.local_summary(target)
+    };
+    let children = children.iter().map(|(c, summary)| (*c, summary));
+    let root = net.tree().parent(target).is_none();
+    branch_summary_of(target.0, root, local, children)
+}
+
+/// What [`audit_copies`] found among the copies of the branches rooted at
+/// one tree level.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CopyAudit {
+    /// Fresh copies held by live servers: child entries and replicas.
+    pub copies: usize,
+    /// Copies that differ from the authoritative branch summary.
+    pub diverged: usize,
+    /// Query × copy probes evaluated.
+    pub probes: u64,
+    /// The copy matches a query no live record of its branch matches.
+    pub false_positives: u64,
+    /// The copy prunes a query a live record of its branch matches: a
+    /// query routed on it would miss results.
+    pub false_negatives: u64,
+}
+
+/// Audit the summaries the servers of `sim` hold of one another against
+/// ground truth, indexed by the depth of each copy's target in `net`'s
+/// tree — the tree the servers hold. Every live server's fresh child
+/// entries and fresh replicas are compared with [`authoritative_branch`]
+/// under `live`, an ancestor's copy without its parts, since that is how
+/// it travels. Each copy is then probed with every query: it says
+/// match or prune by [`Summary::may_match`], and the truth is whether a
+/// live server of its branch holds a matching record.
+pub fn audit_copies(
+    sim: &Simulator<RoadsServer>,
+    net: &RoadsNetwork,
+    live: &[bool],
+    queries: &[Query],
+) -> Vec<CopyAudit> {
+    let tree = net.tree();
+    let now_ms = sim.now().as_micros() / 1000;
+    let is_live = |s: ServerId| live.get(s.index()).copied().unwrap_or(true);
+    let mut levels = vec![CopyAudit::default(); tree.levels()];
+    // Authoritative summary and per-query truth, once per target.
+    let mut truth: BTreeMap<u32, (Summary, Vec<bool>)> = BTreeMap::new();
+    for (id, node) in sim.nodes() {
+        let holder = ServerId(id.0);
+        if !is_live(holder) {
+            continue;
+        }
+        let ttl = node.cfg.summary_ttl_ms;
+        let children = (node.member.fresh_children(now_ms, ttl)).map(|(c, _, s)| (c.0, s));
+        let replicas = (node.fresh_replicas(now_ms)).map(|(o, r)| (o, &r.summary));
+        for (target, copy) in children.chain(replicas) {
+            let (exact, truths) = truth.entry(target).or_insert_with(|| {
+                let t = ServerId(target);
+                let members = tree.subtree(t);
+                let matched = (queries.iter())
+                    .map(|q| {
+                        (members.iter()).any(|&s| is_live(s) && net.store(s).table().any_match(q))
+                    })
+                    .collect();
+                (authoritative_branch(net, t, live), matched)
+            });
+            let target = ServerId(target);
+            let level = &mut levels[tree.depth(target)];
+            level.copies += 1;
+            let diverged = if tree.on_root_path(target, holder) {
+                *copy != exact.without_parts()
+            } else {
+                copy != exact
+            };
+            level.diverged += usize::from(diverged);
+            for (q, &matched) in queries.iter().zip(truths.iter()) {
+                let says = copy.may_match(q);
+                level.probes += 1;
+                level.false_positives += u64::from(says && !matched);
+                level.false_negatives += u64::from(!says && matched);
+            }
+        }
+    }
+    levels
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::authoritative_branch;
-    use crate::engine::RoadsNetwork;
     use crate::maintenance::extract_tree;
     use crate::overlay::{replication_set, ReplicaRole};
     use roads_netsim::DelaySpace;
@@ -587,8 +691,8 @@ mod tests {
     }
 
     /// A whole non-root branch crashes: its copies fade from every live
-    /// holder without a teardown message, and every copy left is the audit
-    /// plane's authoritative branch summary under the crash.
+    /// holder without a teardown message, and every copy left is the
+    /// authoritative branch summary under the crash.
     #[test]
     fn crashed_server_fades_from_parent_view() {
         for shape in SHAPES {
@@ -952,6 +1056,90 @@ mod tests {
             assert_copies_stay_fresh(&mut sim, &tree, 8 * cfg.ts_ms);
             victim = tree.root();
         }
+    }
+
+    #[test]
+    fn authoritative_branch_matches_converged_state_when_all_live() {
+        let (_, net, _) = federation(SHAPES[2], 0);
+        let live = vec![true; net.len()];
+        for s in net.tree().servers() {
+            assert_eq!(
+                &authoritative_branch(&net, s, &live),
+                net.branch_summary(s),
+                "server {s}"
+            );
+        }
+    }
+
+    /// The copy audit's verdicts, by the level of each copy's target. 27
+    /// servers hold one record each at `s / 27`, alone in its histogram
+    /// bucket, and one narrow query per server asks for it: the converged
+    /// federation audits clean. A copy of a live leaf emptied of its record
+    /// prunes that record's query, one false negative at the leaf's level;
+    /// once the leaf crashes, its other copies still match the query, false
+    /// positives there, and the emptied copy is right again.
+    #[test]
+    fn copy_audit_counts_a_missing_live_record_as_fn_and_a_dead_one_as_fp() {
+        let n = 27;
+        let (schema, cfg) = (Schema::unit_numeric(1), config(3));
+        let tree = HierarchyTree::build(n, 3);
+        let records = roads_workload::line_records(n, 1);
+        let delays = DelaySpace::paper(n, 17);
+        let mut sim = build_simulation(cfg, schema.clone(), records.clone(), &tree, delays);
+        sim.run_until(SimTime::from_secs(40));
+        let net = RoadsNetwork::with_tree(schema.clone(), cfg, tree.clone(), records);
+        let queries: Vec<Query> = (0..n)
+            .map(|s| {
+                let v = s as f64 / n as f64;
+                roads_records::QueryBuilder::new(&schema, roads_records::QueryId(s as u64))
+                    .range("x0", v - 0.002, v + 0.002)
+                    .build()
+            })
+            .collect();
+        let mut live = vec![true; n];
+        let tally = |levels: &[CopyAudit], f: fn(&CopyAudit) -> u64| -> Vec<u64> {
+            levels.iter().map(f).collect()
+        };
+        let (fps, fns) = (
+            |l: &CopyAudit| l.false_positives,
+            |l: &CopyAudit| l.false_negatives,
+        );
+
+        let clean = audit_copies(&sim, &net, &live, &queries);
+        assert_eq!(clean.len(), tree.levels());
+        let expected: usize = (tree.servers().iter())
+            .map(|&s| tree.children(s).len() + net.replica_set(s).entries().len())
+            .sum();
+        assert_eq!(clean.iter().map(|l| l.copies).sum::<usize>(), expected);
+        for l in &clean {
+            assert_eq!(l.probes, (l.copies * n) as u64);
+            assert_eq!(
+                (l.diverged, l.false_positives, l.false_negatives),
+                (0, 0, 0)
+            );
+        }
+
+        let leaf = *tree.leaves().iter().max().expect("a leaf");
+        let sibling = *(tree.children(tree.parent(leaf).expect("a parent")).iter())
+            .find(|&&s| s != leaf)
+            .expect("a sibling");
+        let level = tree.depth(leaf);
+        let copy = (sim.node_mut(NodeId(sibling.0)).replicas.get_mut(&leaf.0))
+            .expect("a sibling replicates the leaf");
+        copy.summary = Summary::empty(&schema, &cfg.summary);
+        let missing = audit_copies(&sim, &net, &live, &queries);
+        let mut one_at_level = vec![0; tree.levels()];
+        one_at_level[level] = 1;
+        assert_eq!(tally(&missing, fns), one_at_level, "{missing:?}");
+        assert_eq!(tally(&missing, fps), vec![0; tree.levels()], "{missing:?}");
+        assert_eq!(missing[level].diverged, 1);
+
+        sim.node_mut(NodeId(leaf.0)).crash();
+        live[leaf.index()] = false;
+        let dead = audit_copies(&sim, &net, &live, &queries);
+        assert_eq!(tally(&dead, fns), vec![0; tree.levels()], "{dead:?}");
+        assert!(dead[level].false_positives > 0, "{dead:?}");
+        assert!(dead[level].diverged > 0, "{dead:?}");
     }
 
     #[test]

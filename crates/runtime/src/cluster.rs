@@ -61,7 +61,6 @@
 //! [`record_query_events`], [`hollow_contacts`]. Registry metrics alone
 //! are counted inline, so a scrape sees them while a query still runs.
 
-use crate::audit::{AuditMetrics, Liveness};
 use crate::config::RuntimeConfig;
 use crate::faults::{DispatchHandle, Dispatcher};
 use crate::health::{ClusterHealth, RuntimeMetrics, ServerHealth, ServerInstruments};
@@ -370,9 +369,8 @@ pub struct RoadsCluster {
     recorder: Option<Arc<Recorder>>,
     tail: Option<Arc<TailSampler>>,
     /// Per-server liveness and straggler flags, shared with every server
-    /// incarnation and with the auditor's liveness closure.
+    /// incarnation.
     board: Arc<Vec<ServerFlags>>,
-    audit: Option<Arc<AuditMetrics>>,
     /// TTL'd result cache, present when `cfg.cache_ttl_rounds > 0`. Keyed
     /// by (entry, requester, scope, query fingerprint); epochs advance via
     /// [`RoadsCluster::advance_cache_round`].
@@ -395,9 +393,12 @@ pub struct Attachments<'a> {
     /// Full health instrumentation into this registry: phase timing
     /// (`runtime.*_us` histograms), query/retry/deadline-miss/SLO
     /// counters, per-mode dispatch-latency histograms, per-server
-    /// queue-depth and liveness gauges, and labeled `runtime.fault_events`
-    /// counters. Every instrument is declared at startup, so a registry
-    /// snapshot is complete from the first moment.
+    /// queue-depth and liveness gauges, labeled `runtime.fault_events`
+    /// counters, and per tree level every branch reply of a finished
+    /// query (`audit.live_probes`) and every one that was a live false
+    /// positive (`audit.live_false_positives`, a hollow branch contact,
+    /// see [`hollow_contacts`]). Every instrument is declared at startup,
+    /// so a registry snapshot is complete from the first moment.
     pub registry: Option<&'a Registry>,
     /// A flight recorder: every driven query records its contact log as a
     /// span tree (wall-clock microseconds from query start) under a fresh
@@ -410,14 +411,6 @@ pub struct Attachments<'a> {
     /// span tree an attached recorder holds), everything else folds into
     /// the sampler's live histogram and is dropped.
     pub tail: Option<Arc<TailSampler>>,
-    /// Audit instruments: every branch-mode reply in a finished query's
-    /// contact log is folded into the per-level `audit.live_probes` /
-    /// `audit.live_false_positives` counters (a live false positive is a
-    /// hollow branch contact, see [`hollow_contacts`]).
-    /// Share the same [`AuditMetrics`] with a background
-    /// [`crate::audit::Auditor`] so sampled ground truth and live traffic
-    /// land in one scrape.
-    pub audit: Option<Arc<AuditMetrics>>,
 }
 
 impl<'a> Attachments<'a> {
@@ -450,7 +443,10 @@ impl RoadsCluster {
             let open: Arc<dyn SharingPolicy> = Arc::new(OpenPolicy);
             vec![open; n]
         });
-        let metrics = attach.registry.map(|reg| RuntimeMetrics::new(reg, n));
+        let levels = net.tree().levels();
+        let metrics = attach
+            .registry
+            .map(|reg| RuntimeMetrics::new(reg, n, levels));
         assert_eq!(net.len(), delays.len(), "delay space must cover servers");
         assert_eq!(net.len(), policies.len(), "one policy per server");
         let board = Arc::new(
@@ -472,7 +468,6 @@ impl RoadsCluster {
             recorder: attach.recorder,
             tail: attach.tail,
             board,
-            audit: attach.audit,
             cache: (cfg.cache_ttl_rounds > 0)
                 .then(|| Arc::new(ResultCache::new(cfg.cache_ttl_rounds))),
         };
@@ -560,26 +555,12 @@ impl RoadsCluster {
         purged
     }
 
-    /// A liveness oracle over this cluster's kill/crash/restart
-    /// bookkeeping, safe to hold across restarts (restart replaces the
-    /// server's cell, the board is stable). Feed it to
-    /// [`crate::audit::Auditor::start`].
-    pub fn liveness(&self) -> Liveness {
-        let board = Arc::clone(&self.board);
-        Arc::new(move |s: ServerId| {
-            board
-                .get(s.index())
-                .is_some_and(|f| f.alive.load(Ordering::Relaxed))
-        })
-    }
-
     /// The converged control state.
     pub fn network(&self) -> &RoadsNetwork {
         &self.net
     }
 
-    /// The converged control state, shared — what a background
-    /// [`crate::audit::Auditor`] audits against.
+    /// The converged control state, shared.
     pub fn shared_network(&self) -> Arc<RoadsNetwork> {
         Arc::clone(&self.net)
     }
@@ -804,7 +785,7 @@ impl RoadsCluster {
     /// its contact log is read: count the query against the SLO and
     /// deadline, then derive what each attached observer wants from `log`
     /// — the recorder its span tree, an explain (asked for, or for the
-    /// tail sampler) its provenance record, the audit plane its live
+    /// tail sampler) its provenance record, the registry its live
     /// false-positive probes. `entry` is what the entry did with the query
     /// (see [`explain_from_trace`]); a cache replay records no spans.
     fn finish(
@@ -829,6 +810,13 @@ impl RoadsCluster {
             if slo > 0 && outcome.response_ms > slo as f64 {
                 m.slo_violation.inc();
             }
+            // A branch dispatch only happens because a summary matched, so
+            // a hollow branch contact is a live false positive.
+            for (e, hollow) in log.iter().zip(hollow_contacts(log)) {
+                if e.mode == ContactMode::Branch && e.outcome == HopOutcome::Replied {
+                    m.observe_live(self.net.tree().depth(e.server), hollow);
+                }
+            }
         }
         let trace = match &self.recorder {
             Some(rec) if entry != ExplainDecision::CacheHit => {
@@ -846,15 +834,6 @@ impl RoadsCluster {
             records: outcome.records.len() as u64,
             ..explain_from_trace(&self.net, query, trace, log, entry)
         });
-        if let Some(audit) = &self.audit {
-            // A branch dispatch only happens because a summary matched, so
-            // a hollow branch contact is a live false positive.
-            for (e, hollow) in log.iter().zip(hollow_contacts(log)) {
-                if e.mode == ContactMode::Branch && e.outcome == HopOutcome::Replied {
-                    audit.observe_live(self.net.tree().depth(e.server), hollow);
-                }
-            }
-        }
         if let (Some(tail), Some(explain)) = (&self.tail, &explain) {
             // Failed only with no usable outcome — no server replied; a
             // partial answer is retained as incomplete.
@@ -883,7 +862,7 @@ impl RoadsCluster {
             deadline_ms: cfg.query_deadline_ms,
         };
         // Nobody to read the log: no closing stamps, no target lists.
-        let observed = want_explain || self.recorder.is_some() || self.audit.is_some();
+        let observed = want_explain || self.recorder.is_some() || metrics.is_some();
         let mut machine = QueryMachine::new(&self.net, query, faults, observed);
         let mut sends: Vec<Outbound> = Vec::new();
         let mut records: Vec<Record> = Vec::new();
@@ -1262,20 +1241,16 @@ mod tests {
 
     #[test]
     fn audit_counts_a_hollow_chain_all_the_way_up() {
-        // The audit plane reads the explain plane's rule (`hollow_contacts`):
+        // The live counters read the explain plane's rule (`hollow_contacts`):
         // a branch reply is a live false positive when nothing in its whole
         // redirect subtree returned a record — both links of a two-level
         // hollow chain, not only its leaf.
-        let net = test_net(13);
-        let audit = Arc::new(AuditMetrics::new(&Registry::new(), net.tree().levels()));
+        let reg = Registry::new();
         let c = RoadsCluster::start_with(
-            net,
+            test_net(13),
             DelaySpace::paper(13, 21),
             RuntimeConfig::test_fast(),
-            Attachments {
-                audit: Some(Arc::clone(&audit)),
-                ..Attachments::default()
-            },
+            Attachments::instrumented(&reg),
         );
         let tree = c.network().tree();
         let root = tree.root();
@@ -1305,23 +1280,25 @@ mod tests {
             failed_servers: Vec::new(),
             retries: 0,
         };
-        let live = |audit: &AuditMetrics| {
-            let sum = |f: fn(&crate::audit::LevelInstruments) -> u64| -> u64 {
-                audit.levels.iter().map(f).sum()
+        let live = |reg: &Registry| {
+            let counters = reg.snapshot().counters;
+            let sum = |family: &str| -> u64 {
+                let prefix = format!("{family}{{");
+                (counters.iter())
+                    .filter(|(name, _)| name.starts_with(&prefix))
+                    .map(|(_, &v)| v)
+                    .sum()
             };
-            (
-                sum(|l| l.live_probes.get()),
-                sum(|l| l.live_false_positives.get()),
-            )
+            (sum("audit.live_probes"), sum("audit.live_false_positives"))
         };
         c.finish(&q, outcome(&log), &log, ExplainDecision::Entry, false);
-        assert_eq!(live(&audit), (4, 2), "four branch replies, two hollow");
+        assert_eq!(live(&reg), (4, 2), "four branch replies, two hollow");
 
         // An unanswered leaf may have held records: it is no reply to
         // count, and it clears the branch that forwarded to it.
         log[3].outcome = HopOutcome::TimedOut;
         c.finish(&q, outcome(&log), &log, ExplainDecision::Entry, false);
-        assert_eq!(live(&audit), (4 + 3, 2), "three more replies, none hollow");
+        assert_eq!(live(&reg), (4 + 3, 2), "three more replies, none hollow");
         c.shutdown();
     }
 

@@ -162,23 +162,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn dispatcher_runs_jobs_in_due_order() {
-        let mut d = Dispatcher::start(None);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let now = Instant::now();
-        for (tag, off_ms) in [(1u64, 30u64), (2, 5), (3, 15)] {
-            let order = Arc::clone(&order);
-            d.handle().schedule(
-                now + Duration::from_millis(off_ms),
-                DispatchJob::test_probe(move || order.lock().push(tag)),
-            );
-        }
-        std::thread::sleep(Duration::from_millis(120));
-        assert_eq!(&*order.lock(), &[2, 3, 1]);
-        d.shutdown();
-    }
-
-    #[test]
     fn dispatcher_shutdown_discards_unmatured_jobs() {
         let mut d = Dispatcher::start(None);
         let ran = Arc::new(Mutex::new(false));

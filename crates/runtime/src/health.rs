@@ -9,10 +9,13 @@
 //! Naming follows the registry's label convention
 //! ([`roads_telemetry::labeled`]): per-server series are
 //! `runtime.server.<what>{server="N"}`, per-mode dispatch latency is
-//! `runtime.dispatch_latency_ms{mode="entry"|...}`, and injected faults
+//! `runtime.dispatch_latency_ms{mode="entry"|...}`, injected faults
 //! are one counter family
 //! `runtime.fault_events{kind="kill"|"restart"|"slow"|"restore"}` so a
-//! kill/restart/straggler storm shows up as labeled series on one chart.
+//! kill/restart/straggler storm shows up as labeled series on one chart,
+//! and the live false positives of real queries are counted per tree
+//! level, `audit.live_probes{level="N"}` and
+//! `audit.live_false_positives{level="N"}`.
 //!
 //! [`ClusterHealth`] is the pull API: a consistent-enough point-in-time
 //! table of per-server liveness, queue depth, reply count and
@@ -125,12 +128,26 @@ pub(crate) struct RuntimeMetrics {
     pub delta_shard_rebuilds: Arc<Counter>,
     /// Per-server instruments, indexed by `ServerId::index`.
     pub servers: Vec<ServerInstruments>,
+    /// Per-level live-probe instruments, indexed by the tree depth of the
+    /// contacted server.
+    pub levels: Vec<LevelInstruments>,
+}
+
+/// Per-tree-level counters of real branch replies, labeled `{level="N"}`.
+#[derive(Debug, Clone)]
+pub(crate) struct LevelInstruments {
+    /// `audit.live_probes`: branch replies of finished queries.
+    pub live_probes: Arc<Counter>,
+    /// `audit.live_false_positives`: branch replies whose summary matched
+    /// spuriously — hollow contacts, nothing found in their redirect
+    /// subtree.
+    pub live_false_positives: Arc<Counter>,
 }
 
 impl RuntimeMetrics {
     /// Resolve (and thereby declare) every instrument for an `n`-server
-    /// cluster in `reg`.
-    pub fn new(reg: &Registry, n: usize) -> Self {
+    /// cluster of `levels` tree levels in `reg`.
+    pub fn new(reg: &Registry, n: usize, levels: usize) -> Self {
         let mode_hist = |m: ContactMode| {
             reg.histogram(&labeled(
                 "runtime.dispatch_latency_ms",
@@ -150,6 +167,16 @@ impl RuntimeMetrics {
                 };
                 si.alive.set(1);
                 si
+            })
+            .collect();
+        let levels = (0..levels.max(1))
+            .map(|l| {
+                let id = l.to_string();
+                let lbl = [("level", id.as_str())];
+                LevelInstruments {
+                    live_probes: reg.counter(&labeled("audit.live_probes", &lbl)),
+                    live_false_positives: reg.counter(&labeled("audit.live_false_positives", &lbl)),
+                }
             })
             .collect();
         RuntimeMetrics {
@@ -188,6 +215,17 @@ impl RuntimeMetrics {
             delta_dirty_branches: reg.counter("roads.delta.dirty_branches"),
             delta_shard_rebuilds: reg.counter("roads.delta.shard_rebuilds"),
             servers,
+            levels,
+        }
+    }
+
+    /// Count one branch reply of a finished query from a server at tree
+    /// depth `level` (clamped to the deepest known level).
+    pub fn observe_live(&self, level: usize, false_positive: bool) {
+        let li = &self.levels[level.min(self.levels.len() - 1)];
+        li.live_probes.inc();
+        if false_positive {
+            li.live_false_positives.inc();
         }
     }
 
@@ -340,7 +378,7 @@ mod tests {
     #[test]
     fn metrics_declare_families_at_startup() {
         let reg = Registry::new();
-        let m = RuntimeMetrics::new(&reg, 3);
+        let m = RuntimeMetrics::new(&reg, 3, 2);
         assert_eq!(m.servers.len(), 3);
         let snap = reg.snapshot();
         assert_eq!(snap.counters["runtime.deadline_miss"], 0);
@@ -354,6 +392,10 @@ mod tests {
         );
         assert_eq!(
             snap.gauges[&labeled("runtime.server.queue_depth", &[("server", "2")])],
+            0
+        );
+        assert_eq!(
+            snap.counters[&labeled("audit.live_false_positives", &[("level", "1")])],
             0
         );
         // The histograms are declared too, still empty: the registry hands

@@ -49,27 +49,24 @@
 //!   series, read back through the registry's snapshot and summarized by
 //!   [`RoadsCluster::health`] into a [`ClusterHealth`] table — itself a
 //!   strict artifact (marker `health`) that `roads-inspect health`
-//!   prints.
-//! * [`audit`] — the summary-fidelity audit plane: a background
-//!   [`audit::Auditor`] thread samples ground truth on a budget against a
-//!   `roads_core` replica ledger, folds live branch-dispatch outcomes from
-//!   real queries into per-level FP/FN counters, exports everything as
-//!   `audit.*` registry families and writes a periodic `AUDIT.json`
-//!   artifact ([`audit::AuditReport`]).
+//!   prints. The same registry counts, per tree level, the branch replies
+//!   of real queries and those that were live false positives
+//!   (`audit.live_probes{level}`, `audit.live_false_positives{level}`).
+//!   The stale copies a federation holds are audited on the simulator
+//!   instead (`roads_core::protocol::audit_copies`, Figure 16): every live
+//!   query here routes on the converged summaries.
 //!
 //! Fig. 11's crossover — the central repository wins at low selectivity
 //! (fewer round trips), ROADS catches up and wins as selectivity grows
 //! (parallel retrieval across servers) — emerges from these mechanics.
 //! Fig. 13 (availability under crashes) exercises the fault plane.
 
-pub mod audit;
 pub mod central;
 pub mod cluster;
 pub mod config;
 pub(crate) mod faults;
 pub mod health;
 
-pub use audit::{AuditConfig, AuditLevelRow, AuditMetrics, AuditReport, Auditor, Liveness};
 pub use central::CentralCluster;
 pub use cluster::{Attachments, ContactMode, RoadsCluster, RuntimeOutcome};
 pub use config::RuntimeConfig;

@@ -27,30 +27,6 @@ impl fmt::Display for BloomMergeError {
 
 impl std::error::Error for BloomMergeError {}
 
-/// Fidelity probe of one Bloom filter: how full it is and how trustworthy
-/// its positive answers are at that fill level (see
-/// [`BloomFilter::saturation`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BloomSaturation {
-    /// Fraction of set bits (fill ratio), in `[0, 1]`.
-    pub load: f64,
-    /// Estimated false-positive probability at this load (`load^k`).
-    pub estimated_fp_rate: f64,
-    /// Elements inserted (including merged-in counts).
-    pub inserted: u64,
-    /// Filter size in bits.
-    pub bits: usize,
-}
-
-impl BloomSaturation {
-    /// A saturated filter answers "maybe" so often that it has stopped
-    /// pruning: conventionally load > 1/2 (the optimally-sized operating
-    /// point), at which the FP rate grows past `2^-k`.
-    pub fn is_saturated(&self) -> bool {
-        self.load > 0.5
-    }
-}
-
 /// Fixed-size Bloom filter over string values.
 ///
 /// Uses Kirsch–Mitzenmatcher double hashing: two independent 64-bit FNV-1a
@@ -145,46 +121,6 @@ impl BloomFilter {
         }
         self.inserted += other.inserted;
         Ok(())
-    }
-
-    /// Fraction of set bits (load factor); predicts the false-positive rate
-    /// as `load^k`.
-    pub fn load(&self) -> f64 {
-        let set: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
-        set as f64 / self.m_bits as f64
-    }
-
-    /// Estimated false-positive probability at current load.
-    pub fn estimated_fp_rate(&self) -> f64 {
-        self.load().powi(self.k as i32)
-    }
-
-    /// Fidelity probe: fill ratio plus the FP rate it implies, as one
-    /// report (the audit plane's per-summary `bloom` column).
-    pub fn saturation(&self) -> BloomSaturation {
-        BloomSaturation {
-            load: self.load(),
-            estimated_fp_rate: self.estimated_fp_rate(),
-            inserted: self.inserted,
-            bits: self.m_bits,
-        }
-    }
-
-    /// Fraction of bit positions on which two same-configured filters
-    /// disagree, in `[0, 1]` (`None` when the configurations differ). A
-    /// replica copy of a branch filter drifts from the authoritative one
-    /// exactly in these bits.
-    pub fn bit_difference(&self, other: &BloomFilter) -> Option<f64> {
-        if self.m_bits != other.m_bits || self.k != other.k {
-            return None;
-        }
-        let differing: u32 = self
-            .bits
-            .iter()
-            .zip(&other.bits)
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
-        Some(differing as f64 / self.m_bits as f64)
     }
 
     /// Reset all bits, keeping the configuration.
@@ -282,51 +218,6 @@ mod tests {
         }
         assert_eq!(a.wire_size(), empty_size);
         assert_eq!(empty_size, 5 + 8 * 16);
-    }
-
-    #[test]
-    fn load_and_fp_estimates_monotonic() {
-        let mut f = BloomFilter::new(256, 2);
-        let before = f.estimated_fp_rate();
-        for i in 0..50 {
-            f.insert(&format!("x{i}"));
-        }
-        assert!(f.load() > 0.0);
-        assert!(f.estimated_fp_rate() > before);
-    }
-
-    #[test]
-    fn saturation_reports_fill_and_fp() {
-        let mut f = BloomFilter::new(128, 2);
-        let empty = f.saturation();
-        assert_eq!(empty.load, 0.0);
-        assert_eq!(empty.estimated_fp_rate, 0.0);
-        assert!(!empty.is_saturated());
-        for i in 0..200 {
-            f.insert(&format!("v{i}"));
-        }
-        let full = f.saturation();
-        assert!(full.load > 0.5);
-        assert!(full.is_saturated());
-        assert_eq!(full.inserted, 200);
-        assert_eq!(full.bits, 128);
-        assert!((full.estimated_fp_rate - full.load.powi(2)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bit_difference_measures_divergence() {
-        let mut a = BloomFilter::new(512, 3);
-        let mut b = BloomFilter::new(512, 3);
-        assert_eq!(a.bit_difference(&b), Some(0.0));
-        a.insert("only-in-a");
-        let d = a.bit_difference(&b).unwrap();
-        assert!(d > 0.0 && d <= 3.0 / 512.0, "d={d}");
-        // Symmetric, and zero once the copies re-converge.
-        assert_eq!(a.bit_difference(&b), b.bit_difference(&a));
-        b.merge(&a).unwrap();
-        assert_eq!(a.bit_difference(&b), Some(0.0));
-        // Mismatched configs are not comparable.
-        assert_eq!(a.bit_difference(&BloomFilter::new(256, 3)), None);
     }
 
     #[test]

@@ -17,9 +17,6 @@
 //! * [`Summary`] — one summary per searchable attribute, aligned to a
 //!   [`roads_records::Schema`]; evaluates conjunctive queries conservatively
 //!   (no false negatives).
-//! * [`SummaryFidelity`] — fidelity probes for the audit plane: Bloom
-//!   saturation, histogram drift against the exact re-aggregate, value-set
-//!   Jaccard distance, per-attribute and per-summary reports.
 //!
 //! The TTLs the paper attaches to summaries ("data and summaries are
 //! soft-state and have TTLs associated with them") belong to the server
@@ -28,14 +25,12 @@
 
 pub mod attr_summary;
 pub mod bloom;
-pub mod fidelity;
 pub mod histogram;
 pub mod summary;
 pub mod value_set;
 
 pub use attr_summary::AttributeSummary;
-pub use bloom::{BloomFilter, BloomSaturation};
-pub use fidelity::{histogram_drift, AttrFidelity, SummaryFidelity};
+pub use bloom::BloomFilter;
 pub use histogram::Histogram;
 pub use summary::{CategoricalMode, Summary, SummaryConfig, SummaryVerdict};
 pub use value_set::ValueSet;

@@ -2,7 +2,7 @@
 //! writer, the strict reader, the marker test, `load` and `write`.
 //!
 //! Every strict JSON artifact of the workspace (the figure document
-//! `results/<figure>.json`, `SLOW_QUERIES`, `AUDIT`, the cluster health
+//! `results/<figure>.json`, `SLOW_QUERIES`, the cluster health
 //! snapshot and the records nested inside them) is a
 //! plain struct plus one [`json_fields!`] table
 //! naming its fields in on-disk order. The table derives [`JsonField`] for
@@ -15,7 +15,7 @@
 //! reports: every declared field must be present and well-typed, integers
 //! reject fractional, non-finite and out-of-range numbers (negative ones,
 //! for counts), and each problem is reported as `"<path>: <what>"`
-//! (`levels[0].probes`, `retained[2].explain.hops[1].outcome`), joined
+//! (`servers[0].replies`, `retained[2].explain.hops[1].outcome`), joined
 //! with `"; "`.
 //!
 //! [`json_fields!`]: crate::json_fields

@@ -1,6 +1,6 @@
 //! Workspace-wide telemetry for the ROADS reproduction.
 //!
-//! Nine pieces, all dependency-light and thread-safe:
+//! Eight pieces, all dependency-light and thread-safe:
 //!
 //! * [`registry`] — named monotonic [`Counter`]s, [`Gauge`]s and
 //!   log-bucketed latency [`Histogram`]s (fixed memory, shared across
@@ -20,8 +20,6 @@
 //!   trace-event / Perfetto exporter (`results/<figure>.trace.json`).
 //! * [`timeline`] — a fixed-interval gauge sampler producing
 //!   `timeline.<gauge>` time-series inside a [`FigureExport`].
-//! * [`periodic`] — [`Periodic`], the one paced background loop (spawn,
-//!   final tick on stop/drop, join) the auditor runs on.
 //! * [`explain`] — per-query provenance: a [`QueryExplain`] record built
 //!   along the query path, one hop per contact attempt with its routing
 //!   decision, summary kind, outcome and latency split, folded into a
@@ -45,7 +43,6 @@ pub mod event;
 pub mod explain;
 pub mod export;
 pub mod json;
-pub mod periodic;
 pub mod registry;
 pub mod span;
 pub mod stats;
@@ -62,7 +59,6 @@ pub use explain::{
 };
 pub use export::{results_dir, FigureExport, ReferencePoint, Series};
 pub use json::{Json, JsonField};
-pub use periodic::Periodic;
 pub use registry::{labeled, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use span::SpanTimer;
 pub use stats::LatencyStats;

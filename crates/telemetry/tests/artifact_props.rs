@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use roads_bench::artifacts::ARTIFACTS;
-use roads_runtime::{AuditLevelRow, AuditReport, ClusterHealth, ServerHealth};
+use roads_runtime::{ClusterHealth, ServerHealth};
 use roads_telemetry::{
     Exemplar, ExplainDecision, ExplainHop, FigureExport, HopOutcome, Json, LatencySplit,
     LatencyStats, MetricsSnapshot, QueryExplain, RetainReason, RetainedQuery, SlowDoc, SummaryKind,
@@ -170,28 +170,6 @@ fn slow_doc(g: &mut Gen) -> SlowDoc {
         dropped: g.count(),
         retained,
         exemplars,
-    }
-}
-
-fn audit_report(g: &mut Gen) -> AuditReport {
-    AuditReport {
-        epoch: g.count(),
-        ticks: g.count(),
-        divergence: g.float(),
-        staleness_p99: g.count(),
-        max_drift: g.float(),
-        bloom_saturation: g.float(),
-        levels: g.many(4, |g| AuditLevelRow {
-            level: g.below(16) as usize,
-            entries: g.count() as usize,
-            probes: g.count(),
-            false_positives: g.count(),
-            false_negatives: g.count(),
-            diverged: g.count() as usize,
-            staleness_max: g.count(),
-            live_probes: g.count(),
-            live_false_positives: g.count(),
-        }),
     }
 }
 
@@ -387,14 +365,6 @@ type Exerciser = fn(&mut Gen) -> Result<(), TestCaseError>;
 const EXERCISERS: &[(&str, Exerciser)] = &[
     (SlowDoc::MARKER, |g| {
         exercise(&slow_doc(g), SlowDoc::to_json, SlowDoc::from_json, g)
-    }),
-    (AuditReport::MARKER, |g| {
-        exercise(
-            &audit_report(g),
-            AuditReport::to_json,
-            AuditReport::from_json,
-            g,
-        )
     }),
     (ClusterHealth::MARKER, |g| {
         exercise(
