@@ -116,6 +116,11 @@ fn main() {
             let queries = probes(&net);
             let victims = disjoint_branches(&net, k);
             assert_eq!(victims.len(), k, "need {k} disjoint victims among {n}");
+            // What a converged federation holds: a copy of every child and
+            // of every member of each server's replication set.
+            let held: usize = (tree.servers().iter())
+                .map(|&s| tree.children(s).len() + net.replica_set(s).entries().len())
+                .sum();
 
             // Converge from cold soft state: the branch summaries climb one
             // level a period and the replicas come down one a period.
@@ -126,7 +131,7 @@ fn main() {
             let mut live = vec![true; n];
             let mut totals = vec![CopyAudit::default(); tree.levels()];
             let mut series: Vec<(f64, f64)> = Vec::new();
-            let (mut peak, mut clean_at, mut held) = (0.0f64, crash, 0);
+            let (mut peak, mut clean_at) = (0.0f64, crash);
             let mut t = converged;
             loop {
                 sim.run_until(SimTime::from_millis(t));
@@ -151,12 +156,8 @@ fn main() {
                     "ts {ts}, k {k}: a copy pruned a live record at {x} periods"
                 );
                 if t < crash {
-                    let expected: usize = (tree.servers().iter())
-                        .map(|&s| tree.children(s).len() + net.replica_set(s).entries().len())
-                        .sum();
-                    assert_eq!(copies, expected, "ts {ts}, k {k}: not converged");
+                    assert_eq!(copies, held, "ts {ts}, k {k}: not converged");
                     assert_eq!(diverged, 0, "ts {ts}, k {k}: converged copies diverge");
-                    held = copies;
                 } else if t == crash {
                     assert!(diverged > 0, "ts {ts}, k {k}: the crash diverged no copy");
                 } else if t >= bound {
