@@ -2,9 +2,13 @@
 //! update round and query evaluation touch.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
 use roads_records::{AttrId, Predicate, Query, QueryId, Schema};
 use roads_summary::{BloomFilter, Histogram, Summary, SummaryConfig};
-use roads_workload::{generate_node_records, RecordWorkloadConfig};
+use roads_workload::{
+    default_schema, generate_node_records, generate_queries, QueryWorkloadConfig,
+    RecordWorkloadConfig,
+};
 
 fn bench_histogram(c: &mut Criterion) {
     let mut g = c.benchmark_group("histogram");
@@ -104,6 +108,53 @@ fn bench_summary(c: &mut Criterion) {
     );
     g.bench_function("may_match_6dim", |b| {
         b.iter(|| black_box(&s1).may_match(black_box(&q)))
+    });
+
+    // The routing step on a network shaped like the benchmark's sim_churn
+    // workload: 64 servers of 500 records, 8 attributes, 128 buckets,
+    // degree 4, and its 4-range queries of a quarter of each domain, each
+    // with its entry server. Each iteration takes the next query in turn.
+    let schema = default_schema(8);
+    let records = generate_node_records(&RecordWorkloadConfig {
+        nodes: 64,
+        records_per_node: 500,
+        attrs: 8,
+        seed: 1,
+    });
+    let config = RoadsConfig {
+        max_children: 4,
+        summary: SummaryConfig::with_buckets(128),
+        ..RoadsConfig::paper_default()
+    };
+    let net = RoadsNetwork::build(schema.clone(), config, records);
+    let queries = generate_queries(
+        &schema,
+        &QueryWorkloadConfig {
+            count: 256,
+            dims: 4,
+            range_len: 0.25,
+            nodes: 64,
+            seed: 2,
+        },
+    );
+    // The branch summary with the most parts: what an entry tests for
+    // each branch it replicates.
+    let branch = (0..net.len() as u32)
+        .map(|s| net.branch_summary(ServerId(s)))
+        .max_by_key(|b| b.part_count())
+        .expect("a network of 64 servers");
+    let mut next = (0..queries.len()).cycle();
+    g.bench_function("may_match_branch_with_parts", |b| {
+        b.iter(|| {
+            let (q, _) = &queries[next.next().unwrap_or(0)];
+            black_box(branch).may_match(black_box(q))
+        })
+    });
+    g.bench_function("evaluate_entry", |b| {
+        b.iter(|| {
+            let (q, entry) = &queries[next.next().unwrap_or(0)];
+            black_box(&net).evaluate(ServerId(*entry as u32), black_box(q), true)
+        })
     });
     g.finish();
 }

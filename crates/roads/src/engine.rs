@@ -13,7 +13,7 @@ use crate::queryexec::SearchScope;
 use crate::store::{DeltaOutcome, RecordChange, RecordDelta, ServerStore};
 use crate::tree::{HierarchyTree, ServerId};
 use roads_records::{Query, Record, Schema, WireSize};
-use roads_summary::Summary;
+use roads_summary::{Probe, Summary};
 
 /// Execution options for [`RoadsNetwork`] construction.
 ///
@@ -357,13 +357,19 @@ impl RoadsNetwork {
         &self.replicas[s.index()]
     }
 
-    /// The children of `s` whose branch summaries may match `query`.
+    /// `query` compiled against the grid every summary of this network
+    /// shares, to be put to any number of them.
+    fn probe<'q>(&self, query: &'q Query) -> Probe<'q> {
+        Probe::compile(query, self.local_summary(self.tree.root()))
+    }
+
+    /// The children of `s` whose branch summaries `probe` admits.
     fn matching_children<'a>(
         &'a self,
         s: ServerId,
-        query: &'a Query,
+        probe: &'a Probe<'_>,
     ) -> impl Iterator<Item = ServerId> + 'a {
-        let matches = move |c: &ServerId| self.branch_summary[c.index()].may_match(query);
+        let matches = move |c: &ServerId| probe.admits(&self.branch_summary[c.index()]);
         self.tree.children(s).iter().copied().filter(matches)
     }
 
@@ -404,7 +410,8 @@ impl RoadsNetwork {
     /// [`RoadsNetwork::evaluate`] confined to `scope`, measured from `s`.
     /// The scope decides per replicated branch before it is expanded, so
     /// a branch and the contacts it expands into are kept or dropped
-    /// together.
+    /// together. The query is compiled once, and the one [`Probe`] tests
+    /// every summary the step reads.
     fn evaluate_within(
         &self,
         s: ServerId,
@@ -412,8 +419,9 @@ impl RoadsNetwork {
         entry: bool,
         scope: SearchScope,
     ) -> EvalResult {
-        let local_match = self.local_summary(s).may_match(query);
-        let child_targets = self.matching_children(s, query).collect();
+        let probe = self.probe(query);
+        let local_match = probe.admits(self.local_summary(s));
+        let child_targets = self.matching_children(s, &probe).collect();
         let mut replica_targets = Vec::new();
         let mut ancestor_targets = Vec::new();
         if entry {
@@ -421,7 +429,7 @@ impl RoadsNetwork {
             let replicas = &self.replicas[s.index()];
             ancestor_targets.extend(replicas.ancestors.iter().copied().filter(|&a| {
                 scope.admits_ancestor(depth, self.tree.depth(a))
-                    && self.local_summary(a).may_match(query)
+                    && probe.admits(self.local_summary(a))
             }));
             // A replica target hangs one level *below* the ancestor it is
             // reached through, so the two kinds consume scope differently
@@ -430,18 +438,20 @@ impl RoadsNetwork {
                 if !scope.admits_replica(depth, self.tree.depth(t)) {
                     continue;
                 }
-                let Some(tags) = self.branch_summary[t.index()].parts_holding(query) else {
+                let Some(tags) = probe.holding(&self.branch_summary[t.index()]) else {
                     continue;
                 };
-                if tags.is_empty() {
-                    replica_targets.push(t);
-                }
-                for part in tags.into_iter().map(ServerId) {
+                let mut expanded = false;
+                for part in tags.map(ServerId) {
+                    expanded = true;
                     if part == t {
                         ancestor_targets.push(t);
                     } else {
                         replica_targets.push(part);
                     }
+                }
+                if !expanded {
+                    replica_targets.push(t);
                 }
             }
         }
@@ -487,7 +497,8 @@ impl RoadsNetwork {
             // replicated here (§III-C): forward to its matching children;
             // this helper's own data is queried separately.
             ContactMode::Failover { dead } => {
-                let children = self.matching_children(dead, query);
+                let probe = self.probe(query);
+                let children = self.matching_children(dead, &probe);
                 (false, children.map(branch).collect())
             }
         }

@@ -17,6 +17,8 @@
 //! * [`Summary`] — one summary per searchable attribute, aligned to a
 //!   [`roads_records::Schema`]; evaluates conjunctive queries conservatively
 //!   (no false negatives).
+//! * [`Probe`] — a query compiled once against the summaries' shared grid,
+//!   then tested against each summary on its occupancy index.
 //!
 //! The TTLs the paper attaches to summaries ("data and summaries are
 //! soft-state and have TTLs associated with them") belong to the server
@@ -32,5 +34,5 @@ pub mod value_set;
 pub use attr_summary::AttributeSummary;
 pub use bloom::BloomFilter;
 pub use histogram::Histogram;
-pub use summary::{CategoricalMode, Summary, SummaryConfig, SummaryVerdict};
+pub use summary::{CategoricalMode, Probe, Summary, SummaryConfig, SummaryVerdict};
 pub use value_set::ValueSet;
