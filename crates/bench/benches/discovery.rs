@@ -11,12 +11,11 @@ use roads_records::{QueryBuilder, QueryId, Schema};
 use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
 use roads_summary::SummaryConfig;
 use roads_sword::SwordNetwork;
-use roads_telemetry::{Recorder, Registry, TailSampler};
+use roads_telemetry::{Registry, TailSampler};
 use roads_workload::{
     default_schema, generate_node_records, generate_queries, line_records, QueryWorkloadConfig,
     RecordWorkloadConfig,
 };
-use std::sync::Arc;
 
 fn setup(
     nodes: usize,
@@ -98,7 +97,7 @@ fn bench_query_exec(c: &mut Criterion) {
 }
 
 /// What observing the query path costs: `plain` is the simulated query
-/// with nothing observing it (there is one executor, so "recorder
+/// with nothing observing it (there is one executor, so "observer
 /// disabled" is this same call), and `live_off` / `live_all_on` is one
 /// live cluster bare against the same cluster with every plane attached.
 fn bench_recorder_overhead(c: &mut Criterion) {
@@ -160,12 +159,11 @@ fn bench_recorder_overhead(c: &mut Criterion) {
         cluster.shutdown();
     });
     // Every plane at once: instrumented registry (with the live
-    // false-positive counters on the reply path), flight recorder and
-    // tail sampler.
+    // false-positive counters on the reply path) and tail sampler, which
+    // explains every query.
     g.bench_function("live_all_on", |b| {
         let reg = Registry::new();
         let cluster = live_cluster(Attachments {
-            recorder: Some(Arc::new(Recorder::new(65_536))),
             tail: Some(TailSampler::shared()),
             ..Attachments::instrumented(&reg)
         });

@@ -48,7 +48,7 @@ use roads_netsim::DelaySpace;
 use roads_records::{QueryBuilder, QueryId};
 use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
 use roads_telemetry::{
-    labeled, results_dir, HopOutcome, Recorder, Registry, RetainReason, SlowDoc, TailSampler,
+    labeled, results_dir, HopOutcome, Registry, RetainReason, SlowDoc, TailSampler,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -136,16 +136,14 @@ fn main() {
         ..fault_config()
     };
     // Tail-based sampling over the whole live-cluster run: slow / failed /
-    // incomplete queries keep their explain record. The recorder gives
-    // each query its trace id, which the exemplars name.
-    let recorder = Arc::new(Recorder::new(65_536));
+    // incomplete queries keep their explain record, which the exemplars
+    // name by query id.
     let tail = TailSampler::shared();
     let cluster = RoadsCluster::start_with(
         net,
         DelaySpace::paper(n, 31),
         config,
         Attachments {
-            recorder: Some(Arc::clone(&recorder)),
             tail: Some(Arc::clone(&tail)),
             ..Attachments::instrumented(&reg)
         },

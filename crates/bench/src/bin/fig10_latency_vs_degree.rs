@@ -7,7 +7,7 @@
 //! bytes for the same reason.
 
 use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
-use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
+use roads_telemetry::{write_chrome_trace_default, FigureExport, Registry};
 
 fn main() {
     banner(
@@ -16,7 +16,7 @@ fn main() {
     );
     let base = figure_config();
     let reg = Registry::new();
-    let rec = Recorder::new(65_536);
+    let mut explains = Vec::new();
     let mut latency_pts = Vec::new();
     let mut bytes_pts = Vec::new();
     println!(
@@ -25,7 +25,8 @@ fn main() {
     );
     for degree in 4..=12 {
         let cfg = TrialConfig { degree, ..base };
-        let (r, _) = run_comparison(&cfg, Some(&reg), Some(&rec));
+        let (r, _, point) = run_comparison(&cfg, Some(&reg));
+        explains = point;
         let levels = roads_core::HierarchyTree::build(cfg.nodes, degree).levels();
         println!(
             "{:>6} {:>8} {:>14.1} {:>14.0} {:>12.1}",
@@ -49,6 +50,6 @@ fn main() {
     fig.push_note("paper: 1000 ms at degree 4 -> 650 ms at degree 12 (flatter tree)");
     fig.set_telemetry(reg.snapshot());
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &explains);
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

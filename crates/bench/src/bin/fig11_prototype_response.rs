@@ -18,11 +18,11 @@
 
 use roads_bench::chart::{render, Series};
 use roads_bench::parse_args;
-use roads_core::{RoadsConfig, RoadsNetwork, ServerId};
+use roads_core::{RequesterId, RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
 use roads_runtime::{Attachments, CentralCluster, RoadsCluster, RuntimeConfig};
 use roads_summary::SummaryConfig;
-use roads_telemetry::{write_chrome_trace_default, FigureExport, LatencyStats, Recorder, Registry};
+use roads_telemetry::{write_chrome_trace_default, FigureExport, LatencyStats, Registry};
 use roads_workload::{
     default_schema, generate_node_records, selectivity_query_groups, RecordWorkloadConfig,
 };
@@ -67,16 +67,13 @@ fn main() {
     };
     let delays = DelaySpace::paper(nodes, 7);
     let reg = Registry::new();
-    let rec = std::sync::Arc::new(Recorder::new(65_536));
+    let mut explains = Vec::new();
     let net = RoadsNetwork::build(schema.clone(), roads_cfg, records.clone());
     let roads = RoadsCluster::start_with(
         net,
         delays.clone(),
         runtime_cfg,
-        Attachments {
-            recorder: Some(std::sync::Arc::clone(&rec)),
-            ..Attachments::instrumented(&reg)
-        },
+        Attachments::instrumented(&reg),
     );
     let central = CentralCluster::start(schema, records, delays, 0, runtime_cfg);
 
@@ -93,7 +90,8 @@ fn main() {
         let mut recs = 0usize;
         for (i, q) in queries.iter().enumerate() {
             let start = ServerId((i % nodes) as u32);
-            let r = roads.query(q, start);
+            let (r, explain) = roads.query_with(q, start, RequesterId(0), true);
+            explains.extend(explain);
             recs = recs.max(r.records.len());
             roads_ms.push(r.response_ms);
             let c = central.query(q, i % nodes);
@@ -154,6 +152,6 @@ fn main() {
     );
     fig.set_telemetry(reg.snapshot());
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &explains);
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

@@ -105,5 +105,5 @@ fn main() {
     ));
     fig.push_note(format!("{expiries} TTL expiry events in the trace"));
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, Some(&*rec), &[]);
 }

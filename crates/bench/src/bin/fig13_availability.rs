@@ -18,13 +18,12 @@
 use roads_bench::chart::{render, Series};
 use roads_bench::live::{disjoint_branches, fault_config, line_net};
 use roads_bench::parse_args;
-use roads_core::ServerId;
+use roads_core::{RequesterId, ServerId};
 use roads_netsim::DelaySpace;
 use roads_records::{Query, QueryBuilder, QueryId};
 use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig, RuntimeOutcome};
-use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
+use roads_telemetry::{write_chrome_trace_default, FigureExport, QueryExplain, Registry};
 use std::collections::HashSet;
-use std::sync::Arc;
 
 const RECORDS_PER_SERVER: usize = 30;
 
@@ -36,13 +35,22 @@ struct Measured {
     complete: bool,
 }
 
-fn measure(c: &RoadsCluster, q: &Query, starts: &[ServerId], total_records: usize) -> Measured {
+/// Run `q` from each of `starts` on `c`, pushing each run's explain onto
+/// `explains`.
+fn measure(
+    c: &RoadsCluster,
+    q: &Query,
+    starts: &[ServerId],
+    total_records: usize,
+    explains: &mut Vec<QueryExplain>,
+) -> Measured {
     let mut recall_sum = 0.0;
     let mut ms_sum = 0.0;
     let mut retries = 0usize;
     let mut complete = true;
     for &start in starts {
-        let out: RuntimeOutcome = c.query(q, start);
+        let (out, explain): (RuntimeOutcome, _) = c.query_with(q, start, RequesterId(0), true);
+        explains.extend(explain);
         let ids: HashSet<u64> = out.records.iter().map(|r| r.id.0).collect();
         assert_eq!(ids.len(), out.records.len(), "no duplicate records");
         recall_sum += ids.len() as f64 / total_records as f64;
@@ -85,16 +93,13 @@ fn main() {
 
     // One cluster per failover setting; victims are killed incrementally
     // as k grows (the victim list is shared, so runs stay comparable).
-    let rec = Arc::new(Recorder::new(65_536));
+    let mut explains = Vec::new();
     let reg = Registry::new();
     let with_fo = RoadsCluster::start_with(
         line_net(n, RECORDS_PER_SERVER, 128),
         DelaySpace::paper(n, 31),
         runtime_cfg,
-        Attachments {
-            recorder: Some(Arc::clone(&rec)),
-            ..Attachments::instrumented(&reg)
-        },
+        Attachments::instrumented(&reg),
     );
     let without_fo = RoadsCluster::start(
         line_net(n, RECORDS_PER_SERVER, 128),
@@ -125,8 +130,8 @@ fn main() {
             assert!(with_fo.kill_server(v) && without_fo.kill_server(v));
             killed_so_far += 1;
         }
-        let fo = measure(&with_fo, &q, &starts, total_records);
-        let no = measure(&without_fo, &q, &starts, total_records);
+        let fo = measure(&with_fo, &q, &starts, total_records, &mut explains);
+        let no = measure(&without_fo, &q, &starts, total_records, &mut Vec::new());
         if k == 0 {
             assert!(
                 fo.complete && no.complete,
@@ -184,9 +189,9 @@ fn main() {
          dispatch timeout {} ms, {} retry, deadline {} ms",
         runtime_cfg.dispatch_timeout_ms, runtime_cfg.max_retries, runtime_cfg.query_deadline_ms
     ));
-    fig.push_note("trace: DispatchTimeout/Retry/Failover events from the failover-on cluster");
+    fig.push_note("trace: the failover-on cluster's query explains, timed-out, retry and failover hops included");
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &explains);
     // Digest covers the instrumented (failover-on) cluster.
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

@@ -22,11 +22,11 @@
 use roads_bench::chart::{render, Series};
 use roads_bench::live::{disjoint_branches, drive, fault_config, line_net, sliding_ranges};
 use roads_bench::parse_args;
-use roads_core::{QueryBatch, SearchScope, ServerId};
+use roads_core::{QueryBatch, RequesterId, SearchScope, ServerId};
 use roads_netsim::DelaySpace;
 use roads_records::Query;
 use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
-use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
+use roads_telemetry::{write_chrome_trace_default, FigureExport, QueryExplain, Registry};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -52,15 +52,11 @@ fn main() {
     };
 
     let reg = Registry::new();
-    let rec = Arc::new(Recorder::new(65_536));
     let healthy = RoadsCluster::start_with(
         line_net(n, RECORDS_PER_SERVER, 128),
         DelaySpace::paper(n, 31),
         runtime_cfg,
-        Attachments {
-            recorder: Some(Arc::clone(&rec)),
-            ..Attachments::instrumented(&reg)
-        },
+        Attachments::instrumented(&reg),
     );
     let degraded = RoadsCluster::start(
         line_net(n, RECORDS_PER_SERVER, 128),
@@ -172,6 +168,11 @@ fn main() {
         )
     );
     println!("(x axis: concurrent client threads)");
+    // The trace explains one untimed pass of each workload, so the timed
+    // loop above does no explain work.
+    let explains: Vec<QueryExplain> = (spread_queries.iter().chain(&root_queries))
+        .filter_map(|(q, entry)| healthy.query_with(q, *entry, RequesterId(0), true).1)
+        .collect();
     healthy.shutdown();
     degraded.shutdown();
 
@@ -200,6 +201,6 @@ fn main() {
         std::thread::available_parallelism().map_or(1, |p| p.get())
     ));
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &explains);
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

@@ -26,17 +26,23 @@ use roads_netsim::DelaySpace;
 use roads_records::{Query, QueryBuilder, QueryId};
 use roads_runtime::{Attachments, RoadsCluster};
 use roads_telemetry::{
-    write_chrome_trace_default, Attribution, FigureExport, QueryExplain, Recorder, Registry,
+    write_chrome_trace_default, Attribution, FigureExport, QueryExplain, Registry,
 };
-use std::sync::Arc;
 
 const RECORDS_PER_SERVER: usize = 30;
 
-/// Run the batch and return the p99-latency query's explain record (the
-/// batch is small, so p99 selects the slowest-but-one tail query).
-fn p99_explain(c: &RoadsCluster, q: &Query, entries: &[ServerId]) -> QueryExplain {
+/// Run the batch, append every query's explain record to `traced` and
+/// return the p99-latency query's (the batch is small, so p99 selects the
+/// slowest-but-one tail query).
+fn p99_explain(
+    c: &RoadsCluster,
+    q: &Query,
+    entries: &[ServerId],
+    traced: &mut Vec<QueryExplain>,
+) -> QueryExplain {
     let explain = |&e| c.query_with(q, e, RequesterId(0), true).1;
     let mut explains: Vec<QueryExplain> = entries.iter().filter_map(explain).collect();
+    traced.extend(explains.iter().cloned());
     explains.sort_by(|a, b| a.response_us.total_cmp(&b.response_us));
     let idx = ((explains.len() as f64 * 0.99).ceil() as usize).clamp(1, explains.len()) - 1;
     explains.swap_remove(idx)
@@ -67,15 +73,12 @@ fn main() {
     );
 
     let reg = Registry::new();
-    let rec = Arc::new(Recorder::new(65_536));
+    let mut traced = Vec::new();
     let cluster = RoadsCluster::start_with(
         line_net(n, RECORDS_PER_SERVER, 128),
         DelaySpace::paper(n, 31),
         runtime_cfg,
-        Attachments {
-            recorder: Some(Arc::clone(&rec)),
-            ..Attachments::instrumented(&reg)
-        },
+        Attachments::instrumented(&reg),
     );
     let root = cluster.network().tree().root();
     let q = QueryBuilder::new(cluster.network().schema(), QueryId(15))
@@ -112,7 +115,7 @@ fn main() {
             killed_so_far += 1;
         }
         for (mode, entries) in [("root", &rooted), ("spread", &spread)] {
-            let ex = p99_explain(&cluster, &q, entries);
+            let ex = p99_explain(&cluster, &q, entries, &mut traced);
             let a = ex.attribution();
             if k == 0 {
                 assert!(
@@ -171,6 +174,6 @@ fn main() {
          so components can exceed the end-to-end response time",
     );
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &traced);
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

@@ -220,5 +220,5 @@ fn main() {
          crash + ttl + (levels + 1) ts; no copy ever prunes a live record (FN = 0)",
     );
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, Some(&*rec), &[]);
 }

@@ -228,7 +228,7 @@ fn main() {
          the dirty branch closure; full rounds rebuild every local summary from its records",
     );
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, Some(&rec), &[]);
 }
 
 /// The change accounting every delta round must add up to: each change is

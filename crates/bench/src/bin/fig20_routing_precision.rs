@@ -22,15 +22,13 @@
 
 use roads_bench::{banner, figure_config, parse_args, TrialConfig};
 use roads_core::{
-    execute_query_with, explain_from_trace, record_query_events, update_round, ContactMode,
-    QueryOptions, RoadsNetwork, ServerId, TraceEvent,
+    execute_query_with, explain_from_trace, update_round, ContactMode, QueryOptions, RoadsNetwork,
+    ServerId, TraceEvent,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{Predicate, Query, Record, Value};
 use roads_summary::{Histogram, Summary};
-use roads_telemetry::{
-    write_chrome_trace_default, ExplainDecision, FigureExport, Recorder, TraceId,
-};
+use roads_telemetry::{write_chrome_trace_default, ExplainDecision, FigureExport, QueryExplain};
 use roads_workload::{
     default_schema, generate_node_records, generate_queries, QueryWorkloadConfig,
     RecordWorkloadConfig,
@@ -139,7 +137,9 @@ fn branches_within(net: &RoadsNetwork, budget: usize) -> Vec<Summary> {
     branch
 }
 
-fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig) {
+/// Measure `cfg` into `fig`'s series prefixed `name`, pushing every 16th
+/// query's explain onto `traced`.
+fn measure(fig: &mut FigureExport, traced: &mut Vec<QueryExplain>, name: &str, cfg: &TrialConfig) {
     let schema = default_schema(cfg.attrs);
     let records = generate_node_records(&RecordWorkloadConfig {
         nodes: cfg.nodes,
@@ -247,13 +247,10 @@ fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig
         let entry = ServerId(*start as u32);
         let (mut log, opts) = (Vec::new(), QueryOptions::default());
         let out = execute_query_with(&net, &delays, q, entry, &opts, Some(&mut log));
-        if qi % 16 == 0 {
-            record_query_events(rec, rec.next_trace_id(), &log);
-        }
         chains[longest_chain(&log)] += 1;
         // Hollow is the explain plane's `false_positive`: a Branch contact
         // whose whole redirect subtree returned nothing.
-        let explain = explain_from_trace(&net, q, TraceId::NONE, &log, ExplainDecision::Entry);
+        let explain = explain_from_trace(&net, q, &log, ExplainDecision::Entry);
         for (e, hop) in log.iter().zip(&explain.hops) {
             let one_server = || {
                 let below = tree.subtree(e.server);
@@ -268,6 +265,9 @@ fn measure(fig: &mut FigureExport, rec: &Recorder, name: &str, cfg: &TrialConfig
             };
             let level = &mut levels[tree.depth(e.server)];
             (0..COLUMNS.len()).for_each(|c| level[c] += tally[c]);
+        }
+        if qi % 16 == 0 {
+            traced.push(explain);
         }
         let holders = net.matching_servers(q);
         let below =
@@ -446,12 +446,12 @@ fn main() {
     let title = "Branch contacts, hollow contacts and wasted probes per query by hierarchy level";
     let mut fig = FigureExport::new("fig20_routing_precision", title)
         .axes("hierarchy depth of the contacted server", "per query");
-    let rec = Recorder::new(65_536);
-    measure(&mut fig, &rec, "paper", &paper);
-    measure(&mut fig, &rec, "benchmark", &benchmark);
+    let mut traced = Vec::new();
+    measure(&mut fig, &mut traced, "paper", &paper);
+    measure(&mut fig, &mut traced, "benchmark", &benchmark);
     fig.push_note("hollow = a Branch contact whose whole redirect subtree returned nothing; aggregation = no single server below has a matching local summary");
     fig.push_note("<name>_longest_chain_hops: share of queries by their longest redirect chain, in hops from the entry");
     fig.push_note("<name>_server_boxes_{exact,cells}: contacts per query of an oracle exact over each server's own test, its local histograms and one of b k-d boxes over its records (b = 0: histograms alone), exact or rounded outward to the parts' cells");
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &traced);
 }

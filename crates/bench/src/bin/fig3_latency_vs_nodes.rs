@@ -7,7 +7,7 @@
 
 use roads_bench::chart::{render, Series};
 use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
-use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
+use roads_telemetry::{write_chrome_trace_default, FigureExport, Registry};
 
 fn main() {
     banner(
@@ -16,7 +16,7 @@ fn main() {
     );
     let base = figure_config();
     let reg = Registry::new();
-    let rec = Recorder::new(65_536);
+    let mut explains = Vec::new();
     let mut traces = None;
     println!(
         "{:>6} {:>14} {:>14} {:>10} {:>8}",
@@ -31,7 +31,8 @@ fn main() {
     let mut sword_pts = Vec::new();
     for nodes in sweep {
         let cfg = TrialConfig { nodes, ..base };
-        let (r, report) = run_comparison(&cfg, Some(&reg), Some(&rec));
+        let (r, report, point) = run_comparison(&cfg, Some(&reg));
+        explains = point;
         // Keep the trace report of the paper's headline point (or the
         // closest we run), not the union across incomparable topologies.
         if nodes == base.nodes || traces.is_none() {
@@ -78,6 +79,6 @@ fn main() {
         fig.set_traces(t);
     }
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &explains);
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

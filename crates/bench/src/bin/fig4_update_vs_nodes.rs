@@ -6,7 +6,7 @@
 
 use roads_bench::chart::{render_log, Series};
 use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
-use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
+use roads_telemetry::{write_chrome_trace_default, FigureExport, Registry};
 
 fn main() {
     banner(
@@ -15,7 +15,7 @@ fn main() {
     );
     let base = figure_config();
     let reg = Registry::new();
-    let rec = Recorder::new(65_536);
+    let mut explains = Vec::new();
     println!(
         "{:>6} {:>16} {:>16} {:>16} {:>12}",
         "nodes", "ROADS (B/s)", "SWORD (B/s)", "Central (B/s)", "SWORD/ROADS"
@@ -30,7 +30,8 @@ fn main() {
     let mut central_pts = Vec::new();
     for nodes in sweep {
         let cfg = TrialConfig { nodes, ..base };
-        let (r, _) = run_comparison(&cfg, Some(&reg), Some(&rec));
+        let (r, _, point) = run_comparison(&cfg, Some(&reg));
+        explains = point;
         println!(
             "{:>6} {:>16.3e} {:>16.3e} {:>16.3e} {:>12.1}",
             nodes,
@@ -75,6 +76,6 @@ fn main() {
     fig.push_note("paper: 1-2 orders of magnitude between ROADS and SWORD (log-scale figure)");
     fig.set_telemetry(reg.snapshot());
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &explains);
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

@@ -6,7 +6,7 @@
 //! matches, while SWORD concentrates matching records on fewer DHT servers.
 
 use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
-use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
+use roads_telemetry::{write_chrome_trace_default, FigureExport, Registry};
 
 fn main() {
     banner(
@@ -15,7 +15,7 @@ fn main() {
     );
     let base = figure_config();
     let reg = Registry::new();
-    let rec = Recorder::new(65_536);
+    let mut explains = Vec::new();
     let mut roads_pts = Vec::new();
     let mut sword_pts = Vec::new();
     let mut ratio_pts = Vec::new();
@@ -30,7 +30,8 @@ fn main() {
     };
     for nodes in sweep {
         let cfg = TrialConfig { nodes, ..base };
-        let (r, _) = run_comparison(&cfg, Some(&reg), Some(&rec));
+        let (r, _, point) = run_comparison(&cfg, Some(&reg));
+        explains = point;
         println!(
             "{:>6} {:>14.0} {:>14.0} {:>12.2} {:>12.1} {:>12.1}",
             nodes,
@@ -60,6 +61,6 @@ fn main() {
     fig.push_note("paper: ROADS 2-5x higher query overhead than SWORD");
     fig.set_telemetry(reg.snapshot());
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &explains);
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

@@ -6,7 +6,7 @@
 //! largely the same."
 
 use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
-use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
+use roads_telemetry::{write_chrome_trace_default, FigureExport, Registry};
 
 fn main() {
     banner(
@@ -15,7 +15,7 @@ fn main() {
     );
     let base = figure_config();
     let reg = Registry::new();
-    let rec = Recorder::new(65_536);
+    let mut explains = Vec::new();
     let mut roads_pts = Vec::new();
     let mut sword_pts = Vec::new();
     println!(
@@ -27,7 +27,8 @@ fn main() {
             query_dims: dims,
             ..base
         };
-        let (r, _) = run_comparison(&cfg, Some(&reg), Some(&rec));
+        let (r, _, point) = run_comparison(&cfg, Some(&reg));
+        explains = point;
         println!(
             "{:>5} {:>14.1} {:>14.1} {:>12.1} {:>12.1}",
             dims,
@@ -54,6 +55,6 @@ fn main() {
     fig.push_note("paper: ROADS drops ~40% from 2 to 8 dims; SWORD flat");
     fig.set_telemetry(reg.snapshot());
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &explains);
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

@@ -7,7 +7,7 @@
 //! search scope flattens out."
 
 use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
-use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
+use roads_telemetry::{write_chrome_trace_default, FigureExport, Registry};
 
 fn main() {
     banner(
@@ -16,7 +16,7 @@ fn main() {
     );
     let base = figure_config();
     let reg = Registry::new();
-    let rec = Recorder::new(65_536);
+    let mut explains = Vec::new();
     let mut roads_pts = Vec::new();
     let mut sword_pts = Vec::new();
     println!(
@@ -28,7 +28,8 @@ fn main() {
             query_dims: dims,
             ..base
         };
-        let (r, _) = run_comparison(&cfg, Some(&reg), Some(&rec));
+        let (r, _, point) = run_comparison(&cfg, Some(&reg));
+        explains = point;
         println!(
             "{:>5} {:>14.0} {:>14.0} {:>12.1}",
             dims, r.roads_query_bytes, r.sword_query_bytes, r.roads_servers_contacted,
@@ -51,6 +52,6 @@ fn main() {
     fig.push_note("paper: SWORD linear up with dims; ROADS dips then rises");
     fig.set_telemetry(reg.snapshot());
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &explains);
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

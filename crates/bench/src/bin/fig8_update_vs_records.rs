@@ -6,7 +6,7 @@
 //! grows linearly."
 
 use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
-use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
+use roads_telemetry::{write_chrome_trace_default, FigureExport, Registry};
 
 fn main() {
     banner(
@@ -15,7 +15,7 @@ fn main() {
     );
     let base = figure_config();
     let reg = Registry::new();
-    let rec = Recorder::new(65_536);
+    let mut explains = Vec::new();
     let mut roads_pts = Vec::new();
     let mut sword_pts = Vec::new();
     let mut central_pts = Vec::new();
@@ -33,7 +33,8 @@ fn main() {
             records_per_node,
             ..base
         };
-        let (r, _) = run_comparison(&cfg, Some(&reg), Some(&rec));
+        let (r, _, point) = run_comparison(&cfg, Some(&reg));
+        explains = point;
         println!(
             "{:>8} {:>16.3e} {:>16.3e} {:>16.3e}",
             records_per_node, r.roads_update_bps, r.sword_update_bps, r.central_update_bps
@@ -58,6 +59,6 @@ fn main() {
     fig.push_note("paper: ROADS flat (constant-size summaries); SWORD linear in record count");
     fig.set_telemetry(reg.snapshot());
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &explains);
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

@@ -8,7 +8,7 @@
 //! increase in query overhead.
 
 use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
-use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
+use roads_telemetry::{write_chrome_trace_default, FigureExport, Registry};
 
 fn main() {
     banner(
@@ -17,7 +17,7 @@ fn main() {
     );
     let base = figure_config();
     let reg = Registry::new();
-    let rec = Recorder::new(65_536);
+    let mut explains = Vec::new();
     let mut latency_pts = Vec::new();
     let mut bytes_pts = Vec::new();
     println!(
@@ -31,7 +31,8 @@ fn main() {
             overlap_factor: Some(of),
             ..base
         };
-        let (r, _) = run_comparison(&cfg, Some(&reg), Some(&rec));
+        let (r, _, point) = run_comparison(&cfg, Some(&reg));
+        explains = point;
         println!(
             "{:>4.0} {:>14.1} {:>14.0} {:>12.1}",
             of, r.roads_latency.mean, r.roads_query_bytes, r.roads_servers_contacted
@@ -60,6 +61,6 @@ fn main() {
     fig.push_note("paper: latency rises ~8% (810 -> 860 ms) as Of grows 1 -> 12");
     fig.set_telemetry(reg.snapshot());
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &explains);
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

@@ -6,7 +6,7 @@
 //! quantifies the trade-off the paper fixes at m = 1000.
 
 use roads_bench::{banner, figure_config, run_comparison, TrialConfig};
-use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
+use roads_telemetry::{write_chrome_trace_default, FigureExport, Registry};
 
 fn main() {
     banner(
@@ -18,7 +18,7 @@ fn main() {
         ..figure_config()
     };
     let reg = Registry::new();
-    let rec = Recorder::new(65_536);
+    let mut explains = Vec::new();
     println!(
         "{:>8} {:>16} {:>14} {:>12} {:>14} {:>10}",
         "buckets", "ROADS upd (B/s)", "latency (ms)", "servers", "B/query", "FP rate"
@@ -29,7 +29,8 @@ fn main() {
     let mut paper_point = None;
     for buckets in [10, 50, 100, 250, 500, 1000, 2000] {
         let cfg = TrialConfig { buckets, ..base };
-        let (r, report) = run_comparison(&cfg, Some(&reg), Some(&rec));
+        let (r, report, point) = run_comparison(&cfg, Some(&reg));
+        explains = point;
         // False-positive redirect rate comes from the per-hop traces: a
         // contact, tree descent or overlay shortcut, whose whole redirect
         // subtree found nothing.
@@ -71,6 +72,6 @@ fn main() {
         fig.set_traces(t);
     }
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &explains);
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

@@ -140,6 +140,6 @@ fn main() {
     ));
     fig.set_telemetry(reg.snapshot());
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, Some(&rec), &[]);
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

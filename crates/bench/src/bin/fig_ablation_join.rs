@@ -123,7 +123,7 @@ fn main() {
     fig.push_series("random_mean_levels", &random_pts);
     fig.push_note("balance-aware joins keep the tree no deeper than random attachment");
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, Some(&rec), &[]);
     // This binary drives no query plane; the digest records that
     // explicitly rather than omitting the line.
     roads_bench::print_metrics_digest(&roads_telemetry::Registry::new().snapshot());

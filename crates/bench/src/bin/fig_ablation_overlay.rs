@@ -8,14 +8,11 @@
 //! touch the root.
 
 use roads_bench::{banner, figure_config, paper_workload};
-use roads_core::{
-    execute_query_with, explain_from_trace, record_query_events, QueryOptions, RoadsNetwork,
-    ServerId,
-};
+use roads_core::{execute_query_with, explain_from_trace, QueryOptions, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
 use roads_telemetry::{
     aggregate_traces, write_chrome_trace_default, ExplainDecision, FigureExport, LatencyStats,
-    Recorder, Registry, TraceId,
+    Registry,
 };
 
 fn main() {
@@ -30,7 +27,6 @@ fn main() {
     let root = net.tree().root();
 
     let reg = Registry::new();
-    let rec = Recorder::new(65_536);
     let mut on_lat = Vec::new();
     let mut off_lat = Vec::new();
     let mut on_root_hits = 0usize;
@@ -43,14 +39,7 @@ fn main() {
         let entry = ServerId(*start as u32);
         let mut trace = Vec::new();
         let on = execute_query_with(&net, &delays, q, entry, &opts, Some(&mut trace));
-        on_traces.push(explain_from_trace(
-            &net,
-            q,
-            TraceId::NONE,
-            &trace,
-            ExplainDecision::Entry,
-        ));
-        record_query_events(&rec, rec.next_trace_id(), &trace);
+        on_traces.push(explain_from_trace(&net, q, &trace, ExplainDecision::Entry));
         roads_core::record_query_outcome(&reg, &on);
         on_lat.push(on.latency_ms);
         on_bytes += on.query_bytes as f64;
@@ -65,13 +54,7 @@ fn main() {
         // the client at the root's side of the protocol.
         trace.clear();
         let off = execute_query_with(&net, &delays, q, root, &opts, Some(&mut trace));
-        off_traces.push(explain_from_trace(
-            &net,
-            q,
-            TraceId::NONE,
-            &trace,
-            ExplainDecision::Entry,
-        ));
+        off_traces.push(explain_from_trace(&net, q, &trace, ExplainDecision::Entry));
         off_lat.push(off.latency_ms + delays.delay_ms(*start, root.index()));
         off_bytes += off.query_bytes as f64;
     }
@@ -137,6 +120,6 @@ fn main() {
     // ablation is about.
     fig.set_traces(on_report);
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &on_traces);
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

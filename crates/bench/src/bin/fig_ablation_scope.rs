@@ -11,11 +11,13 @@
 
 use roads_bench::{banner, figure_config, paper_workload, TrialConfig};
 use roads_core::{
-    execute_query, execute_query_with, record_query_events, record_query_outcome, QueryOptions,
+    execute_query, execute_query_with, explain_from_trace, record_query_outcome, QueryOptions,
     RoadsNetwork, SearchScope, ServerId,
 };
 use roads_netsim::DelaySpace;
-use roads_telemetry::{write_chrome_trace_default, FigureExport, LatencyStats, Recorder, Registry};
+use roads_telemetry::{
+    write_chrome_trace_default, ExplainDecision, FigureExport, LatencyStats, Registry,
+};
 
 fn main() {
     banner(
@@ -45,7 +47,7 @@ fn main() {
         })
         .sum();
     let reg = Registry::new();
-    let rec = Recorder::new(65_536);
+    let mut explains = Vec::new();
     let mut recall_pts = Vec::new();
     let mut servers_pts = Vec::new();
     let mut latency_pts = Vec::new();
@@ -59,7 +61,7 @@ fn main() {
             let mut trace = Vec::new();
             let entry = ServerId(*s as u32);
             let out = execute_query_with(&net, &delays, q, entry, &opts, Some(&mut trace));
-            record_query_events(&rec, rec.next_trace_id(), &trace);
+            explains.push(explain_from_trace(&net, q, &trace, ExplainDecision::Entry));
             record_query_outcome(&reg, &out);
             recs += out.matching_records;
             servers += out.servers_contacted as f64;
@@ -101,6 +103,6 @@ fn main() {
     fig.push_series("latency_ms", &latency_pts);
     fig.set_telemetry(reg.snapshot());
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, None, &explains);
     roads_bench::print_metrics_digest(&reg.snapshot());
 }

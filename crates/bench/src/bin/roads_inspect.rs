@@ -1,5 +1,5 @@
-//! `roads-inspect` — offline inspector for figure results and flight
-//! recorder traces.
+//! `roads-inspect` — offline inspector for figure results and their
+//! traces.
 //!
 //! ```text
 //! roads-inspect summary <base>          # run summary + slowest-query critical path
@@ -16,8 +16,12 @@
 //!
 //! `<base>` is a result stem such as `results/fig3_latency_vs_nodes`; the
 //! inspector loads `<base>.json` (the [`FigureExport`] document) and, when
-//! present, `<base>.trace.json` (the Chrome/Perfetto flight-recorder
-//! export). A trailing `.json` on the argument is accepted and stripped.
+//! present, `<base>.trace.json` (the Chrome/Perfetto export: the flight
+//! recorder's message-plane events and the queries' explains, one slice
+//! per hop). A trailing `.json` on the argument is accepted and stripped.
+//! `summary` prints the critical path of the recorder's slowest trace, and
+//! the slowest query's: from the hop that closed last up its `caused_by`
+//! chain to the entry.
 //!
 //! Every document `summary`, `diff` and `check` read goes through the
 //! artifact layer ([`roads_telemetry::json::artifact`]): every declared
@@ -28,8 +32,10 @@
 //! values per series and unique series and reference names. `check`
 //! then also reads its trace file — hand-read, since Perfetto defines
 //! that format — and fails when it is missing, malformed, contains zero
-//! complete (`ph == "X"`) spans, or a trace that is no span tree; the CI
-//! smoke test runs it over every `--quick` figure. A document carrying
+//! complete (`ph == "X"`) spans, a recorder trace that is no span tree,
+//! or a query whose hops are no `caused_by` tree (the rule
+//! `SLOW_QUERIES.json` obeys, [`check_hop_tree`]); the CI smoke test runs
+//! it over every `--quick` figure. A document carrying
 //! the marker key of another artifact — `SLOW_QUERIES` and
 //! `CACHE_HEALTH` / `HEALTH` from `bench_suite`, one row each in
 //! [`roads_bench::artifacts::ARTIFACTS`] — takes that row's path instead
@@ -52,11 +58,12 @@
 //! [`ClusterHealth`]: roads_runtime::ClusterHealth
 //!
 //! [`FigureExport`]: roads_telemetry::FigureExport
+//! [`check_hop_tree`]: roads_telemetry::check_hop_tree
 
 use roads_bench::{artifacts, explain_view};
 use roads_telemetry::{
-    critical_path, json, slowest_trace, span_tree_root, trace_ids, Event, EventKind, FigureExport,
-    Json, SlowDoc, SpanId, TraceId,
+    check_hop_tree, critical_path, explains_from_chrome, json, slowest_trace, span_tree_root,
+    trace_ids, Event, EventKind, FigureExport, Json, QueryExplain, SlowDoc, SpanId, TraceId,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -142,6 +149,14 @@ fn parse_trace_events(doc: &Json) -> Result<Vec<Event>, String> {
     Ok(events)
 }
 
+/// A trace file read back: the recorder's events and the queries'
+/// explains.
+fn load_trace(path: &std::path::Path) -> Result<(Vec<Event>, Vec<QueryExplain>), String> {
+    let doc = json::load_json(path)?;
+    let explains = explains_from_chrome(&doc).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok((parse_trace_events(&doc)?, explains))
+}
+
 /// Load `<base>.json` strictly as a figure document.
 fn load_figure(base: &str) -> Result<FigureExport, String> {
     FigureExport::load(&expand(base).0)
@@ -189,13 +204,15 @@ fn summary(base: &str) -> ExitCode {
         }
     }
 
-    match json::load_json(&trace_path).and_then(|d| parse_trace_events(&d)) {
-        Ok(events) if !events.is_empty() => {
+    match load_trace(&trace_path) {
+        Ok((events, explains)) if !events.is_empty() || !explains.is_empty() => {
             let traces = trace_ids(&events);
+            let hops: usize = explains.iter().map(|ex| ex.hops.len()).sum();
             println!(
-                "trace  : {} events across {} traces ({})",
+                "trace  : {} events across {} traces, {} queries of {hops} hops ({})",
                 events.len(),
                 traces.len(),
+                explains.len(),
                 trace_path.display()
             );
             if let Some(slowest) = slowest_trace(&events) {
@@ -209,6 +226,29 @@ fn summary(base: &str) -> ExitCode {
                         e.node,
                         e.kind.as_str(),
                         e.detail
+                    );
+                }
+            }
+            // The first of the queries whose last hop closed latest.
+            let slowest = (explains.iter().enumerate())
+                .rev()
+                .max_by(|(_, a), (_, b)| a.end_us().total_cmp(&b.end_us()));
+            if let Some((k, ex)) = slowest {
+                println!(
+                    "critical path of slowest query (query {}, #{k} in the trace, {:.0}us):",
+                    ex.query_id,
+                    ex.end_us()
+                );
+                for j in ex.critical_path() {
+                    let h = &ex.hops[j];
+                    println!(
+                        "  t={:>9.0}us +{:>7.0}us  server-{:<4} {:<16} {:<12} local={}",
+                        h.at_us,
+                        h.dur_us,
+                        h.server,
+                        h.decision.as_str(),
+                        h.outcome.as_str(),
+                        h.local_matches
                     );
                 }
             }
@@ -285,22 +325,34 @@ fn check_one(base: &str) -> Result<String, String> {
         return (row.check)(&doc).map_err(|e| format!("{}: {e}", fig_path.display()));
     }
     FigureExport::from_json(&doc).map_err(|e| format!("{}: {e}", fig_path.display()))?;
-    let events = json::load_json(&trace_path).and_then(|d| parse_trace_events(&d))?;
-    let spans = events.iter().filter(|e| e.dur_us > 0).count();
+    let (events, explains) = load_trace(&trace_path)?;
+    let hops: usize = explains.iter().map(|ex| ex.hops.len()).sum();
+    let spans = events.iter().filter(|e| e.dur_us > 0).count() + hops;
     if spans == 0 {
         return Err(format!(
             "{}: no complete (ph=X) spans",
             trace_path.display()
         ));
     }
-    // Every recorded trace must form a valid span tree.
+    // Every recorded trace must form a valid span tree, and every query's
+    // hops a `caused_by` tree.
     let traces = trace_ids(&events);
     for &t in &traces {
         let tev: Vec<Event> = events.iter().filter(|e| e.trace == t).copied().collect();
         span_tree_root(&tev, t)
             .map_err(|e| format!("{}: trace {}: {e}", trace_path.display(), t.0))?;
     }
-    Ok(format!("{spans} spans, {} traces", traces.len()))
+    for (k, ex) in explains.iter().enumerate() {
+        check_hop_tree(ex.hops.iter().map(|h| h.caused_by)).map_err(|e| {
+            let (path, id) = (trace_path.display(), ex.query_id);
+            format!("{path}: query #{k} (id {id}): {e}")
+        })?;
+    }
+    Ok(format!(
+        "{spans} spans, {} traces, {} queries",
+        traces.len(),
+        explains.len()
+    ))
 }
 
 fn check(bases: &[String]) -> ExitCode {

@@ -146,7 +146,7 @@ fn main() {
     );
     fig.push_note("ROADS worst-server storage is summaries only; SWORD/Central hold records");
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, Some(&rec), &[]);
     // This binary drives no query plane; the digest records that
     // explicitly rather than omitting the line.
     roads_bench::print_metrics_digest(&roads_telemetry::Registry::new().snapshot());

@@ -81,7 +81,7 @@ fn main() {
         u.roads as u64,
     );
     fig.write_default();
-    write_chrome_trace_default(&fig.figure, &rec);
+    write_chrome_trace_default(&fig.figure, Some(&rec), &[]);
     // This binary drives no query plane; the digest records that
     // explicitly rather than omitting the line.
     roads_bench::print_metrics_digest(&roads_telemetry::Registry::new().snapshot());

@@ -43,9 +43,8 @@ pub fn render_waterfall(ex: &QueryExplain) -> String {
     let total_us = ex.response_us.max(1.0);
     let mut out = String::new();
     out.push_str(&format!(
-        "query {} (trace {}) entry server-{}: {:.2} ms, {} records, {}{}\n",
+        "query {} entry server-{}: {:.2} ms, {} records, {}{}\n",
         ex.query_id,
-        ex.trace_id,
         ex.entry,
         ex.response_us / 1_000.0,
         ex.records,
@@ -250,13 +249,13 @@ mod tests {
                 compute_us: 50.0,
                 backoff_us: 0.0,
             },
+            dead: None,
         }
     }
 
     fn explain() -> QueryExplain {
         QueryExplain {
             query_id: 7,
-            trace_id: 42,
             entry: 0,
             response_us: 900.0,
             complete: false,
@@ -284,7 +283,7 @@ mod tests {
     #[test]
     fn waterfall_lists_every_hop_with_outcome() {
         let text = render_waterfall(&explain());
-        assert!(text.contains("query 7 (trace 42)"), "{text}");
+        assert!(text.contains("query 7 entry server-0"), "{text}");
         assert!(text.contains("INCOMPLETE"), "{text}");
         assert!(text.contains("attribution:"), "{text}");
         for needle in ["entry", "summary-descent", "failover", "DOWN", "histogram"] {
@@ -330,14 +329,14 @@ mod tests {
 
     #[test]
     fn parser_rejects_corrupt_documents() {
-        let missing = Json::obj(vec![("slow_queries", Json::num(1.0))]);
+        let missing = Json::obj(vec![("slow_queries", Json::num(2.0))]);
         assert!(SlowDoc::from_json(&missing)
             .unwrap_err()
             .contains("threshold_ms"));
 
         // A retained entry whose explain lost its hops.
         let bad = Json::parse(
-            r#"{"slow_queries":1,"threshold_ms":1,"observed":1,"dropped":0,
+            r#"{"slow_queries":2,"threshold_ms":1,"observed":1,"dropped":0,
                 "retained":[{"reason":"slow","explain":{"query_id":1}}],"exemplars":[]}"#,
         )
         .unwrap();
@@ -346,7 +345,7 @@ mod tests {
 
         // An unknown retention reason.
         let bad_reason = Json::parse(
-            r#"{"slow_queries":1,"threshold_ms":1,"observed":1,"dropped":0,
+            r#"{"slow_queries":2,"threshold_ms":1,"observed":1,"dropped":0,
                 "retained":[{"reason":"meh","explain":{}}],"exemplars":[]}"#,
         )
         .unwrap();

@@ -19,17 +19,14 @@ pub mod explain_view;
 pub mod live;
 
 use roads_central::CentralRepository;
-use roads_core::{
-    execute_query_with, explain_from_trace, record_query_events, QueryOptions, RoadsConfig,
-    RoadsNetwork,
-};
+use roads_core::{execute_query_with, explain_from_trace, QueryOptions, RoadsConfig, RoadsNetwork};
 use roads_netsim::DelaySpace;
 use roads_records::{Query, Record, Schema};
 use roads_summary::SummaryConfig;
 use roads_sword::SwordNetwork;
 use roads_telemetry::{
-    aggregate_traces, ExplainDecision, LatencyStats, MetricsSnapshot, QueryExplain, Recorder,
-    Registry, TraceId, TraceReport,
+    aggregate_traces, ExplainDecision, LatencyStats, MetricsSnapshot, QueryExplain, Registry,
+    TraceReport,
 };
 use roads_workload::{
     default_schema, generate_node_records, generate_overlap_records, generate_queries,
@@ -174,18 +171,15 @@ pub fn paper_workload(
 /// With `telemetry`, every query is additionally recorded into the
 /// registry (counters + latency histograms under `roads.*`, `sword.*`,
 /// `central.*`) and every ROADS execution is explained, returning the
-/// aggregated [`TraceReport`]. With `recorder`, every executed query is
-/// fed into the flight [`Recorder`]: ROADS executions become causal span
-/// trees (one trace per query), SWORD and central executions become hop
-/// chains — all exportable as one Chrome/Perfetto trace via
-/// [`roads_telemetry::write_chrome_trace_default`]. With neither this is
-/// the uninstrumented comparison — no contact log, no counters, no extra
-/// allocation on the query path.
+/// aggregated [`TraceReport`] and the explains themselves — the queries'
+/// traces, which [`roads_telemetry::write_chrome_trace_default`] writes
+/// as one Chrome/Perfetto trace. Without it this is the uninstrumented
+/// comparison — no contact log, no counters, no extra allocation on the
+/// query path — and the explains are empty.
 pub fn run_comparison(
     cfg: &TrialConfig,
     telemetry: Option<&Registry>,
-    recorder: Option<&Recorder>,
-) -> (ComparisonResult, Option<TraceReport>) {
+) -> (ComparisonResult, Option<TraceReport>, Vec<QueryExplain>) {
     let mut roads_lat = Vec::new();
     let mut sword_lat = Vec::new();
     let mut roads_qb = 0.0;
@@ -216,33 +210,28 @@ pub fn run_comparison(
 
         for (q, start) in &queries {
             let entry = roads_core::ServerId(*start as u32);
-            let observed = telemetry.is_some() || recorder.is_some();
             let mut trace = Vec::new();
-            let log = observed.then_some(&mut trace);
+            let log = telemetry.is_some().then_some(&mut trace);
             let r = execute_query_with(&roads, &delays, q, entry, &QueryOptions::default(), log);
             if let Some(reg) = telemetry {
                 traces.push(explain_from_trace(
                     &roads,
                     q,
-                    TraceId::NONE,
                     &trace,
                     ExplainDecision::Entry,
                 ));
                 roads_core::record_query_outcome(reg, &r);
             }
-            if let Some(rec) = recorder {
-                record_query_events(rec, rec.next_trace_id(), &trace);
-            }
             roads_lat.push(r.latency_ms);
             roads_qb += r.query_bytes as f64;
             roads_contacted += r.servers_contacted as f64;
 
-            let s = sword.execute_query_recorded(&delays, q, *start, recorder);
+            let s = sword.execute_query(&delays, q, *start);
             if let Some(reg) = telemetry {
                 roads_sword::record_query_outcome(reg, &s);
                 roads_central::record_query_outcome(
                     reg,
-                    &central.execute_query_recorded(&delays, q, *start, recorder),
+                    &central.execute_query(&delays, q, *start),
                 );
             }
             sword_lat.push(s.latency_ms);
@@ -268,7 +257,7 @@ pub fn run_comparison(
         sword_servers_contacted: sword_contacted / total_queries,
     };
     let report = telemetry.map(|_| aggregate_traces(&traces, root, cfg.nodes));
-    (result, report)
+    (result, report, traces)
 }
 
 /// Parse the common CLI flags shared by all figure binaries: `--quick`
@@ -411,7 +400,8 @@ mod tests {
             runs: 1,
             ..TrialConfig::quick()
         };
-        let (r, _) = run_comparison(&cfg, None, None);
+        let (r, _, explains) = run_comparison(&cfg, None);
+        assert!(explains.is_empty(), "nothing explained unasked");
         assert!(r.roads_latency.mean > 0.0);
         assert!(r.sword_latency.mean > 0.0);
         assert!(r.roads_update_bps > 0.0);
@@ -429,7 +419,7 @@ mod tests {
             ..TrialConfig::quick()
         };
         let reg = Registry::new();
-        let (r, report) = run_comparison(&cfg, Some(&reg), None);
+        let (r, report, _) = run_comparison(&cfg, Some(&reg));
         assert_eq!(r.roads_latency.count, 20);
         let report = report.expect("telemetry requested");
         assert_eq!(report.queries, 20);
@@ -446,7 +436,8 @@ mod tests {
     }
 
     #[test]
-    fn recorded_comparison_fills_the_flight_recorder() {
+    fn explained_comparison_renders_every_query_as_a_hop_tree() {
+        use roads_telemetry::{check_hop_tree, chrome_trace_json, explains_from_chrome};
         let cfg = TrialConfig {
             nodes: 32,
             records_per_node: 20,
@@ -455,18 +446,23 @@ mod tests {
             runs: 1,
             ..TrialConfig::quick()
         };
-        let rec = Recorder::new(8192);
-        let (r, _) = run_comparison(&cfg, None, Some(&rec));
+        let (r, _, explains) = run_comparison(&cfg, Some(&Registry::new()));
         assert_eq!(r.roads_latency.count, 10);
-        let events = rec.events();
-        // One ROADS trace + one SWORD trace per query.
-        let traces = roads_telemetry::trace_ids(&events);
-        assert_eq!(traces.len(), 20, "10 roads + 10 sword traces");
-        // Every trace is a valid span tree.
-        for t in traces {
-            let tev = roads_telemetry::trace_events(&events, t);
-            roads_telemetry::span_tree_root(&tev, t)
-                .unwrap_or_else(|e| panic!("trace {}: {e}", t.0));
+        // One explain per ROADS query, each read back from the rendered
+        // trace as the same hop tree; SWORD and central are not traced.
+        let doc = chrome_trace_json(&[], &explains);
+        let back = explains_from_chrome(&doc).expect("the rendered hops read back");
+        assert_eq!(back.len(), 10);
+        for (ex, read) in explains.iter().zip(&back) {
+            assert_eq!(read.query_id, ex.query_id);
+            let tree = |e: &QueryExplain| -> Vec<_> {
+                e.hops.iter().map(|h| (h.server, h.caused_by)).collect()
+            };
+            assert_eq!(tree(read), tree(ex));
+            assert_eq!(
+                check_hop_tree(read.hops.iter().map(|h| h.caused_by)),
+                Ok(())
+            );
         }
     }
 
@@ -481,7 +477,7 @@ mod tests {
             overlap_factor: Some(4.0),
             ..TrialConfig::quick()
         };
-        let (r, _) = run_comparison(&cfg, None, None);
+        let (r, _, _) = run_comparison(&cfg, None);
         assert!(r.roads_latency.count == 10);
     }
 }

@@ -6,10 +6,29 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("roads-bench-tools-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// A directory of one test's own, `$TMPDIR/roads-bench-tools-<pid>-<test>`,
+/// created empty and removed with everything in it when the test ends,
+/// passed or failed.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(test: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("roads-bench-tools-{}-{test}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+
+    fn join(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn inspect(args: &[&str]) -> (bool, String) {
@@ -29,12 +48,12 @@ fn inspect(args: &[&str]) -> (bool, String) {
 
 #[test]
 fn artifact_run_writes_exactly_its_checkable_documents() {
-    let dir = tmp("artifact-run");
-    // A directory this test owns alone, emptied first: the assertion
-    // below is about exactly what one run writes.
-    let _ = std::fs::remove_dir_all(&dir);
+    // A directory this test owns alone, empty: the assertion below is
+    // about exactly what one run writes.
+    let scratch = Scratch::new("artifact-run");
+    let dir = &scratch.0;
     let run = Command::new(env!("CARGO_BIN_EXE_bench_suite"))
-        .env("ROADS_RESULTS_DIR", &dir)
+        .env("ROADS_RESULTS_DIR", dir)
         .output()
         .expect("bench_suite runs");
     assert!(
@@ -57,7 +76,7 @@ fn artifact_run_writes_exactly_its_checkable_documents() {
     );
 
     // Exactly these documents: no bench report.
-    let mut written: Vec<String> = std::fs::read_dir(&dir)
+    let mut written: Vec<String> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
@@ -101,21 +120,17 @@ fn artifact_run_writes_exactly_its_checkable_documents() {
     assert!(out.contains("waterfall"), "{out}");
     assert!(out.contains("decision tree:"), "{out}");
     assert!(out.contains("attribution:"), "{out}");
-    // Each retained query names its recorded trace; the hop tree is the
-    // explain's own, nothing of the recorder's ring is copied in.
-    assert!(out.contains("(trace "), "{out}");
-    assert!(
-        !out.contains("(trace 0)"),
-        "retained queries carry their trace:\n{out}"
-    );
+    // The hop tree is the explain's own: it is the query's trace.
     assert!(!out.contains("flight recorder:"), "{out}");
 }
 
 #[test]
 fn check_fails_cleanly_on_truncated_and_corrupt_artifacts() {
+    let scratch = Scratch::new("corrupt");
+    let tmp = |name: &str| scratch.join(name);
     // A slow-query report cut off mid-write (crashed bench run).
     let truncated = tmp("truncated_slow.json");
-    std::fs::write(&truncated, r#"{"slow_queries":1,"retained":[{"#).unwrap();
+    std::fs::write(&truncated, r#"{"slow_queries":2,"retained":[{"#).unwrap();
     let (ok, out) = inspect(&["check", truncated.to_str().unwrap()]);
     assert!(!ok, "truncated JSON must fail:\n{out}");
     assert!(out.contains("FAIL"), "{out}");
@@ -125,7 +140,7 @@ fn check_fails_cleanly_on_truncated_and_corrupt_artifacts() {
     let corrupt = tmp("corrupt_slow.json");
     std::fs::write(
         &corrupt,
-        r#"{"slow_queries":1,"threshold_ms":1.0,"observed":3,"dropped":2,
+        r#"{"slow_queries":2,"threshold_ms":1.0,"observed":3,"dropped":2,
             "retained":[{"reason":"slow","explain":{"query_id":9}}],"exemplars":[]}"#,
     )
     .unwrap();
@@ -137,7 +152,7 @@ fn check_fails_cleanly_on_truncated_and_corrupt_artifacts() {
     let bad_reason = tmp("bad_reason_slow.json");
     std::fs::write(
         &bad_reason,
-        r#"{"slow_queries":1,"threshold_ms":1.0,"observed":1,"dropped":0,
+        r#"{"slow_queries":2,"threshold_ms":1.0,"observed":1,"dropped":0,
             "retained":[{"reason":"mystery","explain":{}}],"exemplars":[]}"#,
     )
     .unwrap();
@@ -181,11 +196,11 @@ fn check_fails_cleanly_on_truncated_and_corrupt_artifacts() {
 #[test]
 fn check_routes_a_figure_document_to_its_trace_not_an_artifact_row() {
     use roads_telemetry::{write_chrome_trace, EventKind, FigureExport, Json, Recorder, SpanId};
-    let dir = tmp("figure-routing");
-    let _ = std::fs::remove_file(dir.join("figy.trace.json"));
+    let scratch = Scratch::new("figure-routing");
+    let dir = &scratch.0;
     let mut fig = FigureExport::new("figy", "routing fixture");
     fig.push_series("s", &[(1.0, 2.0)]);
-    let fig_path = fig.write_in(&dir).unwrap();
+    let fig_path = fig.write_in(dir).unwrap();
     let doc = Json::parse(&std::fs::read_to_string(&fig_path).unwrap()).unwrap();
     assert_eq!(doc.get("schema_version").and_then(Json::as_f64), Some(1.0));
     let base = dir.join("figy");
@@ -199,11 +214,87 @@ fn check_routes_a_figure_document_to_its_trace_not_an_artifact_row() {
     // With one complete span beside it, the figure checks.
     let rec = Recorder::new(16);
     let trace = rec.next_trace_id();
-    rec.record_span(trace, SpanId::NONE, 0, EventKind::QueryStart, 0, 5, 0);
-    write_chrome_trace("figy", &dir, &rec.events()).unwrap();
+    rec.record_span(trace, SpanId::NONE, 0, EventKind::Mark, 0, 5, 0);
+    write_chrome_trace("figy", dir, &rec.events(), &[]).unwrap();
     let (ok, out) = inspect(&["check", base.to_str().unwrap()]);
     assert!(ok, "check rejected a valid figure:\n{out}");
-    assert!(out.contains("1 spans, 1 traces"), "{out}");
+    assert!(out.contains("1 spans, 1 traces, 0 queries"), "{out}");
+}
+
+/// A query's trace is its explain: `check` reads each query's hop slices
+/// back as a `caused_by` tree and fails on one that is not, and `summary`
+/// prints the slowest query's critical path — up `caused_by` from the hop
+/// that closed last, not down the hop index.
+#[test]
+fn query_traces_are_checked_as_hop_trees_and_summarised_by_critical_path() {
+    use roads_telemetry::{
+        write_chrome_trace, ExplainDecision, ExplainHop, FigureExport, HopOutcome, LatencySplit,
+        QueryExplain,
+    };
+    let scratch = Scratch::new("query-traces");
+    let dir = &scratch.0;
+    let mut fig = FigureExport::new("figq", "query trace fixture");
+    fig.push_series("s", &[(1.0, 2.0)]);
+    fig.write_in(dir).unwrap();
+    let base = dir.join("figq");
+    let hop = |server: u32, decision, caused_by, at_us: f64, dur_us: f64| ExplainHop {
+        server,
+        decision,
+        summary: None,
+        false_positive: false,
+        outcome: HopOutcome::Replied,
+        at_us,
+        dur_us,
+        caused_by,
+        local_matches: 1,
+        split: LatencySplit::default(),
+        dead: None,
+    };
+    let descent = ExplainDecision::SummaryDescent;
+    // The slow query: hop 2 (server 7) closes last, caused by the entry,
+    // so its path skips hop 1 (server 5), dispatched between them.
+    let slow = QueryExplain {
+        query_id: 3,
+        entry: 2,
+        hops: vec![
+            hop(2, ExplainDecision::Entry, None, 0.0, 10.0),
+            hop(5, descent, Some(0), 10.0, 20.0),
+            hop(7, descent, Some(0), 11.0, 900.0),
+        ],
+        ..QueryExplain::default()
+    };
+    let quick = QueryExplain {
+        query_id: 4,
+        entry: 1,
+        hops: vec![hop(1, ExplainDecision::Entry, None, 0.0, 50.0)],
+        ..QueryExplain::default()
+    };
+    write_chrome_trace("figq", dir, &[], &[quick.clone(), slow.clone()]).unwrap();
+    let (ok, out) = inspect(&["check", base.to_str().unwrap()]);
+    assert!(ok, "check rejected a valid query trace:\n{out}");
+    assert!(out.contains("4 spans, 0 traces, 2 queries"), "{out}");
+    let (ok, out) = inspect(&["summary", base.to_str().unwrap()]);
+    assert!(ok, "{out}");
+    assert!(
+        out.contains("critical path of slowest query (query 3, #1"),
+        "{out}"
+    );
+    let path: Vec<&str> = (out.lines())
+        .filter(|l| l.trim_start().starts_with("t="))
+        .filter_map(|l| l.split_whitespace().find(|w| w.starts_with("server-")))
+        .collect();
+    assert_eq!(path, ["server-2", "server-7"], "{out}");
+
+    // A hop that names a later hop as its cause breaks the tree.
+    let mut looped = slow;
+    looped.hops[1].caused_by = Some(2);
+    write_chrome_trace("figq", dir, &[], &[quick, looped]).unwrap();
+    let (ok, out) = inspect(&["check", base.to_str().unwrap()]);
+    assert!(!ok, "a caused_by cycle must fail:\n{out}");
+    assert!(
+        out.contains("query #1 (id 3): hops[1]: caused_by 2 breaks the hop tree"),
+        "{out}"
+    );
 }
 
 /// `summary` shows every point of a short series, so an interior cell
@@ -212,7 +303,8 @@ fn check_routes_a_figure_document_to_its_trace_not_an_artifact_row() {
 #[test]
 fn summary_prints_every_point_of_a_short_series() {
     use roads_telemetry::FigureExport;
-    let dir = tmp("summary-points");
+    let scratch = Scratch::new("summary-points");
+    let dir = &scratch.0;
     let mut fig = FigureExport::new("figz", "summary fixture");
     let churn = [
         (0.001, 1000.0),
@@ -223,7 +315,7 @@ fn summary_prints_every_point_of_a_short_series() {
     fig.push_series("changes_per_round", &churn);
     let long: Vec<(f64, f64)> = (0..13).map(|i| (i as f64, 2.0 * i as f64)).collect();
     fig.push_series("long", &long);
-    fig.write_in(&dir).unwrap();
+    fig.write_in(dir).unwrap();
     let (ok, out) = inspect(&["summary", dir.join("figz").to_str().unwrap()]);
     assert!(ok, "{out}");
     let line = |name: &str| {
@@ -249,6 +341,8 @@ fn summary_prints_every_point_of_a_short_series() {
 /// `check`, naming the offending path.
 #[test]
 fn check_rejects_bad_counts_and_missing_required_fields_by_path() {
+    let scratch = Scratch::new("bad-counts");
+    let tmp = |name: &str| scratch.join(name);
     let negative = tmp("negative_replies_health.json");
     std::fs::write(
         &negative,
@@ -278,9 +372,9 @@ fn check_rejects_bad_counts_and_missing_required_fields_by_path() {
     let slow = tmp("hop_without_dur_slow.json");
     std::fs::write(
         &slow,
-        r#"{"slow_queries":1,"threshold_ms":1.0,"observed":1,"dropped":0,
+        r#"{"slow_queries":2,"threshold_ms":1.0,"observed":1,"dropped":0,
             "retained":[{"reason":"slow","explain":{
-                "query_id":9,"trace_id":0,"entry":0,"response_us":5000,
+                "query_id":9,"entry":0,"response_us":5000,
                 "complete":true,"deadline_hit":false,"records":1,
                 "attribution":{"queue_us":1,"network_us":2,"compute_us":3,
                                "retry_us":0,"failover_us":0},
@@ -313,6 +407,8 @@ fn health_renders_a_table_from_a_live_snapshot() {
     use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
     use roads_telemetry::Registry;
 
+    let scratch = Scratch::new("health");
+    let tmp = |name: &str| scratch.join(name);
     let n = 6;
     let net = line_net(n, 5, 64);
     let reg = Registry::new();

@@ -23,9 +23,9 @@ fn cfg(build_threads: usize) -> TrialConfig {
 
 #[test]
 fn comparison_series_identical_across_build_thread_counts() {
-    let sequential = run_comparison(&cfg(1), None, None);
+    let sequential = run_comparison(&cfg(1), None);
     for threads in [4, 64] {
-        let parallel = run_comparison(&cfg(threads), None, None);
+        let parallel = run_comparison(&cfg(threads), None);
         assert_eq!(
             sequential, parallel,
             "build_threads={threads} must reproduce the sequential series exactly"
@@ -35,8 +35,5 @@ fn comparison_series_identical_across_build_thread_counts() {
 
 #[test]
 fn comparison_series_identical_across_repeat_runs() {
-    assert_eq!(
-        run_comparison(&cfg(1), None, None),
-        run_comparison(&cfg(1), None, None)
-    );
+    assert_eq!(run_comparison(&cfg(1), None), run_comparison(&cfg(1), None));
 }

@@ -107,65 +107,6 @@ impl CentralRepository {
             matching_records,
         }
     }
-
-    /// [`execute_query`](Self::execute_query) that additionally records
-    /// the two-hop client→repository trace into the flight recorder: an
-    /// entry `QueryHop` span at the client, a nested `QueryHop` span at
-    /// the repository (detail = matches), and `QueryStart`/`QueryComplete`
-    /// instants on the entry span.
-    pub fn execute_query_recorded(
-        &self,
-        delays: &DelaySpace,
-        query: &Query,
-        start: usize,
-        rec: Option<&roads_telemetry::Recorder>,
-    ) -> CentralQueryOutcome {
-        let out = self.execute_query(delays, query, start);
-        if let Some(r) = rec {
-            use roads_telemetry::{Event, EventKind, SpanId};
-            let trace = r.next_trace_id();
-            let end_us = ((out.latency_ms * 1000.0).round().max(0.0) as u64).max(1);
-            let entry = r.record_span(
-                trace,
-                SpanId::NONE,
-                start as u32,
-                EventKind::QueryHop,
-                0,
-                end_us,
-                0,
-            );
-            r.record(Event {
-                at_us: 0,
-                dur_us: 0,
-                node: start as u32,
-                trace,
-                span: entry,
-                parent: SpanId::NONE,
-                kind: EventKind::QueryStart,
-                detail: trace.0,
-            });
-            r.record_span(
-                trace,
-                entry,
-                self.repo as u32,
-                EventKind::QueryHop,
-                end_us.saturating_sub(1),
-                1,
-                out.matching_records as u64,
-            );
-            r.record(Event {
-                at_us: end_us,
-                dur_us: 0,
-                node: start as u32,
-                trace,
-                span: entry,
-                parent: SpanId::NONE,
-                kind: EventKind::QueryComplete,
-                detail: out.matching_records as u64,
-            });
-        }
-        out
-    }
 }
 
 /// Record one central-repository query outcome into `reg` under the
@@ -203,36 +144,6 @@ mod tests {
             })
             .collect();
         (CentralRepository::build(0, records), schema)
-    }
-
-    #[test]
-    fn recorded_query_is_a_two_hop_span_tree() {
-        use roads_telemetry::{span_tree_root, trace_events, EventKind, Recorder, TraceId};
-        let (r, schema) = repo(10, 4);
-        let delays = DelaySpace::paper(10, 4);
-        let q = QueryBuilder::new(&schema, QueryId(1))
-            .range("x0", 0.0, 1.0)
-            .build();
-        let rec = Recorder::new(64);
-        let out = r.execute_query_recorded(&delays, &q, 7, Some(&rec));
-        assert_eq!(out.matching_records, 40);
-        let events = rec.events();
-        let tev = trace_events(&events, TraceId(1));
-        let root = span_tree_root(&tev, TraceId(1)).expect("valid span tree");
-        let hops: Vec<_> = tev
-            .iter()
-            .filter(|e| e.kind == EventKind::QueryHop)
-            .collect();
-        assert_eq!(hops.len(), 2, "client hop + repository hop");
-        assert_eq!(
-            tev.iter().find(|e| e.span == root).unwrap().node,
-            7,
-            "rooted at the client"
-        );
-        assert!(
-            hops.iter().any(|e| e.node == 0 && e.detail == 40),
-            "repository at index 0"
-        );
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub use policy::{
 };
 pub use queryexec::{
     execute_query, execute_query_planned, execute_query_with, explain_from_trace, hollow_contacts,
-    record_query_events, ForwardingMode, QueryOptions, QueryOutcome, SearchScope,
+    ForwardingMode, QueryOptions, QueryOutcome, SearchScope,
 };
 pub use store::{DeltaOutcome, RecordChange, RecordDelta, RecordStore, ServerStore};
 pub use tree::{HierarchyTree, ServerId, TreeError};

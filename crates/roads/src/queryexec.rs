@@ -20,7 +20,8 @@
 //! ([`RoadsNetwork::route`] + the local search), the delay space, the
 //! paper's byte and message accounting, steered by [`QueryOptions`] — and
 //! what both planes derive from the machine's contact log:
-//! [`explain_from_trace`], [`record_query_events`], [`hollow_contacts`].
+//! [`explain_from_trace`] (which is also the query's trace) and
+//! [`hollow_contacts`].
 
 use crate::engine::{ContactMode, RoadsNetwork};
 use crate::machine::{fault_decision, FaultSettings, Outbound, QueryMachine, TraceEvent};
@@ -29,10 +30,7 @@ use crate::tree::ServerId;
 use roads_netsim::DelaySpace;
 use roads_records::{wire::MSG_HEADER_BYTES, Query, WireSize};
 use roads_summary::SummaryVerdict;
-use roads_telemetry::{
-    Event, EventKind, ExplainDecision, ExplainHop, HopOutcome, QueryExplain, Recorder, SpanId,
-    SummaryKind, TraceId,
-};
+use roads_telemetry::{ExplainDecision, ExplainHop, HopOutcome, QueryExplain, SummaryKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -267,12 +265,15 @@ pub fn hollow_contacts(trace: &[TraceEvent]) -> Vec<bool> {
 /// the query is complete if every contact replied. A plane that measures
 /// those itself (the live cluster: wall-clock response, records after the
 /// owners' policies, the fault model's completeness proof) overrides
-/// them. `trace_id` links the record to flight-recorder events of the
-/// same execution ([`TraceId::NONE`] when none were recorded).
+/// them.
+///
+/// A stand-in's hop names the dead server it stands in for: a
+/// replacement entry's is the failed entry that caused it, a branch
+/// stand-in's the one its mode carries — which a stand-in asked after
+/// another failed does not have for its cause.
 pub fn explain_from_trace(
     net: &RoadsNetwork,
     query: &Query,
-    trace_id: TraceId,
     trace: &[TraceEvent],
     entry: ExplainDecision,
 ) -> QueryExplain {
@@ -304,12 +305,16 @@ pub fn explain_from_trace(
                 caused_by: e.caused_by,
                 local_matches: e.local_matches as u64,
                 split: e.split,
+                dead: match (decision, e.mode, e.caused_by) {
+                    (ExplainDecision::Failover, ContactMode::Failover { dead }, _) => Some(dead.0),
+                    (ExplainDecision::Failover, _, Some(failed)) => Some(trace[failed].server.0),
+                    _ => None,
+                },
             }
         })
         .collect();
     QueryExplain {
         query_id: query.id.0,
-        trace_id: trace_id.0,
         entry: trace.first().map_or(0, |e| e.server.0),
         response_us: to_us(trace.first().map_or(0.0, |e| e.closed_ms)),
         complete: trace.iter().all(replied),
@@ -317,72 +322,6 @@ pub fn explain_from_trace(
         records: trace.iter().map(|e| e.local_matches as u64).sum(),
         hops,
     }
-}
-
-/// Record a contact log into the flight recorder as a span tree under
-/// `trace_id` — the one producer of query span events on both planes. One
-/// span per contact, parented on the contact that caused it (the entry is
-/// the root): a `query-hop` span if it replied (detail = its local
-/// matches), a `dispatch-timeout` span if it did not (detail = retries
-/// behind it), each lasting until the contact closed. A retry adds a
-/// `retry` instant on the span of the attempt it replaces, a stand-in a
-/// `failover` instant naming the dead server, and `query-start` /
-/// `query-complete` instants on the entry's span bracket the lot. Returns
-/// the events it recorded, in recording order (none for an empty log);
-/// the first one is on the root span.
-pub fn record_query_events(rec: &Recorder, trace_id: TraceId, trace: &[TraceEvent]) -> Vec<Event> {
-    let Some(first) = trace.first() else {
-        return Vec::new();
-    };
-    let to_us = |ms: f64| (ms * 1000.0).round().max(0.0) as u64;
-    let spans: Vec<SpanId> = trace.iter().map(|_| rec.next_span_id()).collect();
-    // An event on the span, and the server, of contact `i`.
-    let on = |i: usize, at_ms: f64, dur_us: u64, kind: EventKind, detail: u64| Event {
-        at_us: to_us(at_ms),
-        dur_us,
-        node: trace[i].server.0,
-        trace: trace_id,
-        span: spans[i],
-        parent: trace[i].caused_by.map_or(SpanId::NONE, |p| spans[p]),
-        kind,
-        detail,
-    };
-    let mut events = vec![on(0, first.at_ms, 0, EventKind::QueryStart, trace_id.0)];
-    for (i, e) in trace.iter().enumerate() {
-        match (fault_decision(e.mode, e.tries, e.caused_by), e.caused_by) {
-            (Some(ExplainDecision::Retry), Some(failed)) => {
-                events.push(on(failed, e.at_ms, 0, EventKind::Retry, e.tries as u64));
-            }
-            (Some(_), Some(failed)) => {
-                let dead = match e.mode {
-                    ContactMode::Failover { dead } => dead,
-                    _ => trace[failed].server,
-                };
-                events.push(on(i, e.at_ms, 0, EventKind::Failover, dead.0 as u64));
-            }
-            _ => {}
-        }
-        let mut dur_us = to_us(e.closed_ms).saturating_sub(to_us(e.at_ms));
-        if i == 0 {
-            // The root renders as a complete slice even for single-hop
-            // queries.
-            dur_us = dur_us.max(1);
-        }
-        let (kind, detail) = match e.outcome {
-            HopOutcome::Replied => (EventKind::QueryHop, e.local_matches as u64),
-            _ => (EventKind::DispatchTimeout, e.tries as u64),
-        };
-        events.push(on(i, e.at_ms, dur_us, kind, detail));
-    }
-    let end_ms = trace
-        .iter()
-        .fold(first.closed_ms, |end, e| end.max(e.closed_ms));
-    let total_matches = trace.iter().map(|e| e.local_matches as u64).sum();
-    events.push(on(0, end_ms, 0, EventKind::QueryComplete, total_matches));
-    for &e in &events {
-        rec.record(e);
-    }
-    events
 }
 
 /// Execute `query` starting at `start`, over a converged [`RoadsNetwork`]
@@ -678,7 +617,7 @@ mod tests {
         // must be exercised alongside plain child descents.
         let leaf = *net.tree().leaves().iter().max().unwrap();
         let (out, trace) = traced(&net, &delays, &q, leaf, SearchScope::full());
-        let explain = explain_from_trace(&net, &q, TraceId::NONE, &trace, ExplainDecision::Entry);
+        let explain = explain_from_trace(&net, &q, &trace, ExplainDecision::Entry);
         assert_eq!(explain.entry, leaf.0);
         let r = aggregate_traces(&[explain], net.tree().root().0, net.len());
         assert_eq!(r.max_hops, out.servers_contacted);
@@ -695,51 +634,37 @@ mod tests {
 
     #[test]
     fn recorded_span_tree_is_acyclic_and_rooted_at_entry() {
-        use roads_telemetry::{critical_path, span_tree_root, Recorder};
+        use roads_telemetry::{check_hop_tree, chrome_trace_json, explains_from_chrome};
         let (net, delays) = network(30, 3);
         let q = QueryBuilder::new(net.schema(), QueryId(12))
             .range("x0", 0.0, 1.0)
             .build();
-        let rec = Recorder::new(4096);
-        let trace_id = rec.next_trace_id();
         let (out, trace) = traced(&net, &delays, &q, ServerId(11), SearchScope::full());
-        let recorded = record_query_events(&rec, trace_id, &trace);
-        let root = recorded.first().expect("non-empty trace").span;
-        let events = rec.events();
-        assert_eq!(recorded, events, "it returns what it recorded");
-        // `span_tree_root` validates acyclicity and single-rootedness.
-        assert_eq!(span_tree_root(&events, trace_id), Ok(root));
-        // …and the root span lives on the entry server.
-        let root_hop = events
-            .iter()
-            .find(|e| e.span == root && e.kind == EventKind::QueryHop)
-            .expect("root hop recorded");
-        assert_eq!(root_hop.node, 11);
-        // One hop span per contacted server, plus start/complete markers.
-        let hops = events
-            .iter()
-            .filter(|e| e.kind == EventKind::QueryHop)
-            .count();
-        assert_eq!(hops, out.servers_contacted);
+        let explain = explain_from_trace(&net, &q, &trace, ExplainDecision::Entry);
+        // The query's trace is its explain, rendered and read back.
+        let doc = chrome_trace_json(&[], &[explain]);
+        let read = explains_from_chrome(&doc).expect("the rendered hops read back");
+        let hops = &read[0].hops;
+        // One hop slice per contacted server, one tree rooted at the entry.
+        assert_eq!(hops.len(), out.servers_contacted);
+        assert_eq!(hops[0].server, 11);
+        assert_eq!(check_hop_tree(hops.iter().map(|h| h.caused_by)), Ok(()));
         // The critical path starts at the entry and is a real chain.
-        let path = critical_path(&events, trace_id);
-        assert_eq!(path.first().map(|e| e.span), Some(root));
+        let path = read[0].critical_path();
+        assert_eq!(path.first(), Some(&0));
         assert!(path.len() >= 2, "a 30-server broad query spans levels");
+        assert!(path.windows(2).all(|w| hops[w[1]].caused_by == Some(w[0])));
     }
 
     #[test]
     fn explained_execution_reconstructs_hop_sequence() {
-        use roads_telemetry::{span_tree_root, Recorder};
         let (net, delays) = network(30, 3);
         let q = QueryBuilder::new(net.schema(), QueryId(21))
             .range("x0", 0.0, 1.0)
             .build();
         let leaf = *net.tree().leaves().iter().max().unwrap();
-        let rec = Recorder::new(4096);
         let (out, trace) = traced(&net, &delays, &q, leaf, SearchScope::full());
-        let trace_id = rec.next_trace_id();
-        record_query_events(&rec, trace_id, &trace);
-        let explain = explain_from_trace(&net, &q, trace_id, &trace, ExplainDecision::Entry);
+        let explain = explain_from_trace(&net, &q, &trace, ExplainDecision::Entry);
 
         // One hop per contacted server, entry first.
         assert_eq!(explain.hops.len(), out.servers_contacted);
@@ -774,10 +699,7 @@ mod tests {
                 && h.decision != ExplainDecision::AncestorProbe)
             .all(|h| h.summary == Some(SummaryKind::Histogram)));
 
-        // The explain's causal structure matches the recorded span tree:
-        // same trace id, and the hop-caused_by graph has exactly one root.
-        let events = rec.events();
-        assert!(span_tree_root(&events, TraceId(explain.trace_id)).is_ok());
+        // The hop-caused_by graph has exactly one root.
         let roots = explain
             .hops
             .iter()
@@ -806,7 +728,7 @@ mod tests {
             .build();
         let leaf = *net.tree().leaves().iter().max().unwrap();
         let (_, trace) = traced(&net, &delays, &q, leaf, SearchScope::full());
-        let explain = explain_from_trace(&net, &q, TraceId::NONE, &trace, ExplainDecision::Entry);
+        let explain = explain_from_trace(&net, &q, &trace, ExplainDecision::Entry);
         let probes: Vec<(ServerId, ExplainDecision)> = (trace.iter().zip(&explain.hops))
             .filter(|(e, _)| e.mode == ContactMode::LocalOnly)
             .map(|(e, h)| (e.server, h.decision))
@@ -840,7 +762,7 @@ mod tests {
             .range("x0", 2.0, 3.0)
             .build();
         let (out, trace) = traced(&net, &delays, &q, ServerId(4), SearchScope::full());
-        let explain = explain_from_trace(&net, &q, TraceId::NONE, &trace, ExplainDecision::Entry);
+        let explain = explain_from_trace(&net, &q, &trace, ExplainDecision::Entry);
         assert_eq!(out.matching_records, 0);
         if explain.hops.len() > 1 {
             assert!(
@@ -874,7 +796,7 @@ mod tests {
             contact(3, ContactMode::LocalOnly, Some(0), 0), // a wasted probe is no branch
         ];
         let flagged = |log: &[TraceEvent]| -> Vec<u32> {
-            let explain = explain_from_trace(&net, &q, TraceId::NONE, log, ExplainDecision::Entry);
+            let explain = explain_from_trace(&net, &q, log, ExplainDecision::Entry);
             let hollow = explain.hops.iter().filter(|h| h.false_positive);
             hollow.map(|h| h.server).collect()
         };

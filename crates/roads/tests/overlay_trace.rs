@@ -4,15 +4,17 @@
 //! Without the overlay every query enters at the root, so every trace must
 //! visit it. With the overlay a leaf-entry query jumps straight to sibling
 //! branches via replicated summaries, so its trace contains overlay
-//! shortcuts — hops whose forwarder is not the tree parent.
+//! shortcuts — hops whose forwarder is not the tree parent. Scoped to
+//! one level, such a query's hop tree never reaches the root.
 
 use roads_core::{
-    execute_query_with, explain_from_trace, QueryOptions, RoadsConfig, RoadsNetwork, ServerId,
+    execute_query_with, explain_from_trace, QueryOptions, RoadsConfig, RoadsNetwork, SearchScope,
+    ServerId,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{AttrId, OwnerId, Predicate, Query, QueryId, Record, RecordId, Schema, Value};
 use roads_summary::SummaryConfig;
-use roads_telemetry::{aggregate_traces, ExplainDecision, QueryExplain, TraceId};
+use roads_telemetry::{aggregate_traces, check_hop_tree, ExplainDecision, QueryExplain};
 
 const NODES: usize = 27;
 
@@ -60,14 +62,24 @@ fn broad_query(id: u64) -> Query {
     )
 }
 
-/// The default execution of `q` from `entry`, explained.
-fn explained(net: &RoadsNetwork, delays: &DelaySpace, q: &Query, entry: ServerId) -> QueryExplain {
+/// The execution of `q` from `entry` under `opts`, explained.
+fn explained_with(
+    net: &RoadsNetwork,
+    delays: &DelaySpace,
+    q: &Query,
+    entry: ServerId,
+    opts: &QueryOptions,
+) -> QueryExplain {
     let mut trace = Vec::new();
-    let opts = QueryOptions::default();
-    let out = execute_query_with(net, delays, q, entry, &opts, Some(&mut trace));
-    let explain = explain_from_trace(net, q, TraceId::NONE, &trace, ExplainDecision::Entry);
+    let out = execute_query_with(net, delays, q, entry, opts, Some(&mut trace));
+    let explain = explain_from_trace(net, q, &trace, ExplainDecision::Entry);
     assert_eq!(explain.hops.len(), out.servers_contacted);
     explain
+}
+
+/// The default execution of `q` from `entry`, explained.
+fn explained(net: &RoadsNetwork, delays: &DelaySpace, q: &Query, entry: ServerId) -> QueryExplain {
+    explained_with(net, delays, q, entry, &QueryOptions::default())
 }
 
 fn shortcuts(explain: &QueryExplain) -> usize {
@@ -132,5 +144,34 @@ fn leaf_entry_traces_use_overlay_shortcuts() {
         report.root_load_share < 0.5,
         "root load share {} too high with overlay on",
         report.root_load_share
+    );
+}
+
+#[test]
+fn scoped_leaf_entry_hop_tree_takes_overlay_shortcuts_and_skips_root() {
+    let (net, _schema, delays) = network();
+    let root = net.tree().root();
+    let leaf = *net.tree().leaves().iter().max().unwrap();
+    assert_ne!(leaf, root);
+    // Level-1 scope: the entry searches its own branch, its overlay
+    // shortcuts (siblings + ancestors' siblings) and climbs at most one
+    // level — the root stays out of the picture.
+    let opts = QueryOptions::scoped(SearchScope::levels(1));
+    let t = explained_with(&net, &delays, &broad_query(42), leaf, &opts);
+    assert!(t.hops.len() > 1);
+    assert!(
+        t.hops.iter().all(|h| h.server != root.0),
+        "a level-1 scoped leaf query must never visit the root"
+    );
+    // One tree, rooted at the entry.
+    assert_eq!(check_hop_tree(t.hops.iter().map(|h| h.caused_by)), Ok(()));
+    assert_eq!((t.entry, t.hops[0].server), (leaf.0, leaf.0));
+    // An overlay-shortcut edge: a shortcut hop whose forwarder is not
+    // its tree parent.
+    let forwarder = |j: usize| t.hops[j].caused_by.map(|c| ServerId(t.hops[c].server));
+    assert!(
+        (1..t.hops.len()).any(|j| t.hops[j].decision == ExplainDecision::OverlayShortcut
+            && net.tree().parent(ServerId(t.hops[j].server)) != forwarder(j)),
+        "the hop tree must contain an overlay-shortcut edge (non-tree-parent forwarder)"
     );
 }

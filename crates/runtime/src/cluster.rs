@@ -44,7 +44,7 @@
 //! may call it at once: each call drives a [`QueryMachine`] of its own
 //! (contact log, visit ledger, failure bookkeeping) over its own reply
 //! channel, so outcomes — `retries`, `failed_servers`,
-//! `servers_contacted`, recorder events — are attributed to exactly the
+//! `servers_contacted`, explains — are attributed to exactly the
 //! query that caused them, never pooled across in-flight queries. The
 //! shared pieces (the dispatcher, the server cells) are multi-producer by
 //! construction. Admission is bounded by
@@ -57,9 +57,10 @@
 //! deliveries, notices and receive-timeouts become machine calls stamped
 //! with milliseconds since the query began. What describes a query after
 //! the fact is derived from the machine's log once, in the query's
-//! epilogue, by the functions the simulator uses: [`explain_from_trace`],
-//! [`record_query_events`], [`hollow_contacts`]. Registry metrics alone
-//! are counted inline, so a scrape sees them while a query still runs.
+//! epilogue, by the functions the simulator uses: [`explain_from_trace`]
+//! (the query's trace too) and [`hollow_contacts`]. Registry metrics
+//! alone are counted inline, so a scrape sees them while a query still
+//! runs.
 
 use crate::config::RuntimeConfig;
 use crate::faults::{DispatchHandle, Dispatcher};
@@ -69,15 +70,14 @@ use parking_lot::Mutex;
 use roads_core::policy::{apply_policy, OpenPolicy, RequesterId, SharingPolicy};
 pub use roads_core::ContactMode;
 use roads_core::{
-    explain_from_trace, fault_decision, hollow_contacts, record_query_events, CachedResult,
-    DeltaOutcome, FaultSettings, Outbound, QueryMachine, ResultCache, RoadsNetwork, SearchScope,
-    ServerId, TraceEvent,
+    explain_from_trace, fault_decision, hollow_contacts, CachedResult, DeltaOutcome, FaultSettings,
+    Outbound, QueryMachine, ResultCache, RoadsNetwork, SearchScope, ServerId, TraceEvent,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{Query, Record, WireSize};
 use roads_telemetry::{
     span::timed, ExplainDecision, Gauge, Histogram, HopOutcome, LatencySplit, QueryExplain,
-    Recorder, Registry, SpanTimer, TailSampler, TraceId,
+    Registry, SpanTimer, TailSampler,
 };
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -366,7 +366,6 @@ pub struct RoadsCluster {
     dispatcher: Dispatcher,
     gate: InflightGate,
     metrics: Option<RuntimeMetrics>,
-    recorder: Option<Arc<Recorder>>,
     tail: Option<Arc<TailSampler>>,
     /// Per-server liveness and straggler flags, shared with every server
     /// incarnation.
@@ -400,15 +399,10 @@ pub struct Attachments<'a> {
     /// see [`hollow_contacts`]). Every instrument is declared at startup,
     /// so a registry snapshot is complete from the first moment.
     pub registry: Option<&'a Registry>,
-    /// A flight recorder: every driven query records its contact log as a
-    /// span tree (wall-clock microseconds from query start) under a fresh
-    /// trace when it finishes — see [`record_query_events`].
-    pub recorder: Option<Arc<Recorder>>,
     /// A tail-based sampler: every query — driven or replayed from the
     /// result cache — derives its [`QueryExplain`] provenance record and
     /// offers it to the sampler on completion; slow / failed / incomplete
-    /// queries are retained with that record (whose trace id names the
-    /// span tree an attached recorder holds), everything else folds into
+    /// queries are retained with that record, everything else folds into
     /// the sampler's live histogram and is dropped.
     pub tail: Option<Arc<TailSampler>>,
 }
@@ -465,7 +459,6 @@ impl RoadsCluster {
             dispatcher: Dispatcher::start(metrics.as_ref().map(|m| Arc::clone(&m.timer_lag))),
             gate: InflightGate::new(cfg.max_inflight_queries),
             metrics,
-            recorder: attach.recorder,
             tail: attach.tail,
             board,
             cache: (cfg.cache_ttl_rounds > 0)
@@ -784,10 +777,9 @@ impl RoadsCluster {
     /// The one epilogue of a query, driven or replayed, and the one place
     /// its contact log is read: count the query against the SLO and
     /// deadline, then derive what each attached observer wants from `log`
-    /// — the recorder its span tree, an explain (asked for, or for the
-    /// tail sampler) its provenance record, the registry its live
-    /// false-positive probes. `entry` is what the entry did with the query
-    /// (see [`explain_from_trace`]); a cache replay records no spans.
+    /// — an explain (asked for, or for the tail sampler) its provenance
+    /// record, the registry its live false-positive probes. `entry` is
+    /// what the entry did with the query (see [`explain_from_trace`]).
     fn finish(
         &self,
         query: &Query,
@@ -818,21 +810,13 @@ impl RoadsCluster {
                 }
             }
         }
-        let trace = match &self.recorder {
-            Some(rec) if entry != ExplainDecision::CacheHit => {
-                let trace = rec.next_trace_id();
-                record_query_events(rec, trace, log);
-                trace
-            }
-            _ => TraceId::NONE,
-        };
         let explain = want_explain.then(|| QueryExplain {
             // Measured here, not modelled: the wall clock, the fault
             // model's completeness proof, what the owners' policies let out.
             response_us: outcome.response_ms * 1_000.0,
             complete: outcome.complete,
             records: outcome.records.len() as u64,
-            ..explain_from_trace(&self.net, query, trace, log, entry)
+            ..explain_from_trace(&self.net, query, log, entry)
         });
         if let (Some(tail), Some(explain)) = (&self.tail, &explain) {
             // Failed only with no usable outcome — no server replied; a
@@ -862,7 +846,7 @@ impl RoadsCluster {
             deadline_ms: cfg.query_deadline_ms,
         };
         // Nobody to read the log: no closing stamps, no target lists.
-        let observed = want_explain || self.recorder.is_some() || metrics.is_some();
+        let observed = want_explain || metrics.is_some();
         let mut machine = QueryMachine::new(&self.net, query, faults, observed);
         let mut sends: Vec<Outbound> = Vec::new();
         let mut records: Vec<Record> = Vec::new();
@@ -1508,43 +1492,29 @@ mod tests {
     }
 
     #[test]
-    fn recorded_live_query_builds_wall_clock_span_tree() {
-        use roads_telemetry::{span_tree_root, trace_events, EventKind};
-        let rec = Arc::new(Recorder::new(1024));
-        let c = RoadsCluster::start_with(
+    fn explained_live_query_builds_wall_clock_hop_tree() {
+        use roads_telemetry::check_hop_tree;
+        let c = RoadsCluster::start(
             test_net(9),
             DelaySpace::paper(9, 21),
             RuntimeConfig::test_fast(),
-            Attachments {
-                recorder: Some(Arc::clone(&rec)),
-                ..Attachments::default()
-            },
         );
         let q = QueryBuilder::new(c.network().schema(), QueryId(5))
             .range("x0", 0.0, 1.0)
             .range("x1", 0.0, 1.0)
             .build();
-        let out = c.query(&q, ServerId(4));
+        let (out, ex) = c.query_with(&q, ServerId(4), RequesterId(0), true);
+        let ex = ex.expect("an explain was asked for");
         assert_eq!(out.records.len(), 9 * 20);
-        let events = rec.events();
-        let tev = trace_events(&events, TraceId(1));
-        let root = span_tree_root(&tev, TraceId(1)).expect("valid span tree");
-        let hops: Vec<_> = tev
-            .iter()
-            .filter(|e| e.kind == EventKind::QueryHop)
-            .collect();
-        assert_eq!(hops.len(), out.servers_contacted);
-        let root_hop = hops.iter().find(|e| e.span == root).unwrap();
-        assert_eq!(root_hop.node, 4, "rooted at the entry server");
+        assert_eq!(check_hop_tree(ex.hops.iter().map(|h| h.caused_by)), Ok(()));
+        assert_eq!(ex.hops.len(), out.servers_contacted);
+        assert_eq!(ex.hops[0].server, 4, "rooted at the entry server");
         assert!(
-            hops.iter().all(|e| e.dur_us >= 1),
-            "hop spans carry wall-clock durations"
+            ex.hops.iter().all(|h| h.dur_us > 0.0),
+            "hops carry wall-clock durations"
         );
-        let total: u64 = hops.iter().map(|e| e.detail).sum();
-        assert_eq!(total, (9 * 20) as u64, "hop details sum to records");
-        assert!(tev
-            .iter()
-            .any(|e| e.kind == EventKind::QueryComplete && e.detail == (9 * 20) as u64));
+        let total: u64 = ex.hops.iter().map(|h| h.local_matches).sum();
+        assert_eq!(total, (9 * 20) as u64, "local matches sum to records");
         c.shutdown();
     }
 

@@ -1,8 +1,8 @@
 //! The query explain plane against the live runtime: per-hop provenance
 //! must reconcile exactly with the [`RuntimeOutcome`] it explains, and a
-//! tail-retained query's explain record must reconstruct the same hop
-//! sequence the flight recorder saw — healthy, and under kill/restart
-//! fault injection.
+//! tail-retained query's explain record must be the whole hop tree its
+//! rendered trace reads back as — healthy, and under kill/restart fault
+//! injection.
 
 use roads_core::{RequesterId, RoadsConfig, RoadsNetwork, ServerId};
 use roads_netsim::DelaySpace;
@@ -10,8 +10,8 @@ use roads_records::{Query, QueryBuilder, QueryId, Schema};
 use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig, RuntimeOutcome};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{
-    span_tree_root, trace_events, EventKind, ExplainDecision, HopOutcome, QueryExplain, Recorder,
-    Registry, RetainReason, SlowDoc, TailConfig, TailSampler, TraceId,
+    check_hop_tree, chrome_trace_json, explains_from_chrome, ExplainDecision, HopOutcome, Json,
+    QueryExplain, Registry, RetainReason, TailConfig, TailSampler,
 };
 use roads_workload::line_records;
 use std::collections::BTreeSet;
@@ -67,6 +67,14 @@ fn a_leaf(c: &RoadsCluster) -> ServerId {
 }
 
 /// The invariants tying an explain record to the outcome it explains.
+/// `ex` rendered into a Chrome trace document and read back.
+fn rendered(ex: &QueryExplain) -> QueryExplain {
+    let text = chrome_trace_json(&[], std::slice::from_ref(ex)).to_string();
+    let mut back = explains_from_chrome(&Json::parse(&text).unwrap()).unwrap();
+    assert_eq!(back.len(), 1);
+    back.remove(0)
+}
+
 fn assert_consistent(out: &RuntimeOutcome, ex: &QueryExplain) {
     assert_eq!(
         ex.distinct_responders(),
@@ -209,14 +217,12 @@ fn explain_counts_real_retries() {
 }
 
 /// Regression: a reply that lands after its attempt timed out and was
-/// retried used to leave a `DispatchTimeout` *and* a `QueryHop` event on
-/// one span while the hop read `Replied`. Hops and span events are now
-/// two derivations of one log entry, so a late reply re-stamps both: each
-/// contact has exactly one closing event, of the kind its hop's outcome
-/// says.
+/// retried used to leave a timeout *and* a reply recorded for one contact
+/// while the hop read `Replied`. A late reply re-stamps the one log
+/// entry the explain and its rendered trace both derive from: each
+/// contact reads back as one slice, with the outcome its hop says.
 #[test]
 fn late_reply_after_timeout_and_retry_agrees_across_planes() {
-    let rec = Arc::new(Recorder::new(1_024));
     let cfg = RuntimeConfig {
         base_query_cost_us: 100_000,
         dispatch_timeout_ms: 250,
@@ -225,11 +231,7 @@ fn late_reply_after_timeout_and_retry_agrees_across_planes() {
         query_deadline_ms: 8_000,
         ..RuntimeConfig::test_fast()
     };
-    let attach = Attachments {
-        recorder: Some(Arc::clone(&rec)),
-        ..Attachments::default()
-    };
-    let c = build_cluster_with(1, cfg, attach);
+    let c = build_cluster(1, cfg);
     let only = c.network().tree().root();
     // 400 ms per request: the first attempt answers at 400 ms — after its
     // 250 ms timeout and the retry — and the retry, queued behind it,
@@ -249,103 +251,27 @@ fn late_reply_after_timeout_and_retry_agrees_across_planes() {
     assert_eq!(ex.hops[1].caused_by, Some(0));
     assert!(ex.hops[0].dur_us >= 400_000.0, "closed by the late reply");
 
-    let events = trace_events(&rec.events(), TraceId(ex.trace_id));
-    span_tree_root(&events, TraceId(ex.trace_id)).expect("valid span tree");
-    let closing: Vec<_> = (events.iter())
-        .filter(|e| matches!(e.kind, EventKind::QueryHop | EventKind::DispatchTimeout))
-        .map(|e| (e.span, e.kind))
+    let rendered = rendered(&ex);
+    let read: Vec<_> = rendered
+        .hops
+        .iter()
+        .map(|h| (h.decision, h.outcome))
         .collect();
-    assert_eq!(closing.len(), 2, "one closing event per contact");
-    assert_ne!(closing[0].0, closing[1].0, "each on its own span");
-    assert_eq!(closing[0].1, EventKind::QueryHop);
-    assert_eq!(closing[1].1, EventKind::DispatchTimeout);
-    let retries: Vec<_> = (events.iter())
-        .filter(|e| e.kind == EventKind::Retry)
-        .collect();
-    assert_eq!(retries.len(), out.retries);
-    assert_eq!(retries[0].span, closing[0].0, "on the span it replaces");
-    c.shutdown();
-}
-
-/// The two derivations are independent of each other: a recorded query
-/// nobody asked to explain still leaves a valid span tree, and no explain.
-#[test]
-fn recorded_but_unexplained_query_still_builds_its_span_tree() {
-    let rec = Arc::new(Recorder::new(4_096));
-    let attach = Attachments {
-        recorder: Some(Arc::clone(&rec)),
-        ..Attachments::default()
-    };
-    let c = build_cluster_with(13, RuntimeConfig::test_fast(), attach);
-    let entry = a_leaf(&c);
-    let (out, ex) = c.query_with(&full_query(&c, 10), entry, RequesterId(0), false);
-    assert!(ex.is_none(), "no explain asked for, no sampler attached");
-    assert!(out.complete);
-    let events = trace_events(&rec.events(), TraceId(1));
-    let root = span_tree_root(&events, TraceId(1)).expect("valid span tree");
-    let hops: Vec<_> = (events.iter())
-        .filter(|e| e.kind == EventKind::QueryHop)
-        .collect();
-    assert_eq!(hops.len(), out.servers_contacted);
-    assert!(hops.iter().any(|e| e.span == root && e.node == entry.0));
-    c.shutdown();
-}
-
-/// A retained query keeps its whole hop tree, whatever the ring has
-/// evicted: a query from the root that descends two levels contacts more
-/// servers than a ring of two holds events, and the `SLOW_QUERIES.json`
-/// document it lands in still validates.
-#[test]
-fn retained_events_outlive_the_ring() {
-    let n = 13;
-    let rec = Arc::new(Recorder::new(2));
-    let tail = Arc::new(TailSampler::new(TailConfig {
-        capacity: 4,
-        min_samples: 1_000_000, // stay on the floor threshold
-        floor_ms: 0.0,          // every query is "slow"
-    }));
-    let c = build_cluster_with(
-        n,
-        RuntimeConfig::test_fast(),
-        Attachments {
-            recorder: Some(Arc::clone(&rec)),
-            tail: Some(Arc::clone(&tail)),
-            ..Attachments::default()
-        },
-    );
-    let tree = c.network().tree();
-    let root = tree.root();
-    assert!(
-        (0..n as u32).any(|s| tree.depth(ServerId(s)) == 2),
-        "the hierarchy has two levels below the root"
-    );
-    let out = c.query(&full_query(&c, 7), root);
-    assert!(out.complete);
-
-    let retained = tail.retained();
-    assert_eq!(retained.len(), 1);
-    assert_eq!(retained[0].reason, RetainReason::Slow);
-    SlowDoc::from_json(&tail.report().to_json()).expect("the retained hop tree is whole");
-    assert!(
-        retained[0].explain.hops.len() > rec.capacity(),
-        "the query made more hops than the ring holds events"
-    );
+    assert_eq!(read, expected, "one slice per contact, as its hop ended");
+    assert_eq!(rendered.hops[1].caused_by, Some(0), "the retry's arrow");
     c.shutdown();
 }
 
 /// Acceptance: a tail-retained query's explain record reconstructs its
-/// full hop sequence, verified against the flight-recorder span tree
-/// captured for the same trace.
+/// full hop tree, and its rendered trace reads back as that tree.
 #[test]
 fn retained_query_explain_reconstructs_span_tree() {
     let n = 13;
-    let rec = Arc::new(Recorder::new(65_536));
     let tail = failures_only_sampler(16);
     let c = build_cluster_with(
         n,
         RuntimeConfig::test_faulty(),
         Attachments {
-            recorder: Some(Arc::clone(&rec)),
             tail: Some(Arc::clone(&tail)),
             ..Attachments::default()
         },
@@ -371,58 +297,27 @@ fn retained_query_explain_reconstructs_span_tree() {
     let ex = &kept.explain;
     assert_consistent(&out, ex);
 
-    // The retained explain names its trace, and the recorder's events of
-    // that trace form a valid span tree.
-    assert!(ex.trace_id != 0, "recorder attached ⇒ real trace id");
-    let trace = TraceId(ex.trace_id);
-    let events = trace_events(&rec.events(), trace);
-    assert!(!events.is_empty());
-    span_tree_root(&events, trace).expect("the trace's events form a span tree");
-
-    // Hop-by-hop reconstruction: the explain record and the span tree
-    // describe the same execution. Every Replied hop is a QueryHop event
-    // on the same server; timeouts/mailbox failures are DispatchTimeout
-    // events; Retry and Failover decisions match their event kinds.
-    let replied: BTreeSet<u32> = ex
-        .hops
-        .iter()
-        .filter(|h| h.outcome == HopOutcome::Replied)
+    // The hops form one tree rooted at the entry, which the retained
+    // hops name: the dead leaf timed out or was found dead, every other
+    // contact replied, and the rendered trace reads back as the same
+    // servers, decisions and outcomes.
+    assert_eq!(check_hop_tree(ex.hops.iter().map(|h| h.caused_by)), Ok(()));
+    assert_eq!(ex.hops[0].server, c.network().tree().root().0);
+    let failed: BTreeSet<u32> = (ex.hops.iter())
+        .filter(|h| matches!(h.outcome, HopOutcome::TimedOut | HopOutcome::MailboxDown))
         .map(|h| h.server)
         .collect();
-    let hop_events: BTreeSet<u32> = events
-        .iter()
-        .filter(|e| e.kind == EventKind::QueryHop)
-        .map(|e| e.node)
-        .collect();
-    assert_eq!(replied, hop_events, "Replied hops ⇔ QueryHop events");
-    let failures = ex
-        .hops
-        .iter()
-        .filter(|h| matches!(h.outcome, HopOutcome::TimedOut | HopOutcome::MailboxDown))
-        .count();
-    let timeout_events = events
-        .iter()
-        .filter(|e| e.kind == EventKind::DispatchTimeout)
-        .count();
-    assert_eq!(failures, timeout_events, "failed hops ⇔ timeout events");
-    let failover_hops = ex
-        .hops
-        .iter()
-        .filter(|h| h.decision == ExplainDecision::Failover)
-        .count();
-    let failover_events = events
-        .iter()
-        .filter(|e| e.kind == EventKind::Failover)
-        .count();
-    assert_eq!(failover_hops, failover_events);
-    assert_eq!(
-        ex.retry_count(),
-        events.iter().filter(|e| e.kind == EventKind::Retry).count() as u64
-    );
+    assert_eq!(failed, BTreeSet::from([victim.0]));
+    let what = |e: &QueryExplain| -> Vec<_> {
+        (e.hops.iter())
+            .map(|h| (h.server, h.decision, h.outcome, h.caused_by))
+            .collect()
+    };
+    assert_eq!(what(&rendered(ex)), what(ex));
 
     // Exemplar: the latency bucket this query fell into links back to
-    // the retained trace.
-    assert_eq!(tail.exemplar(out.response_ms), Some(ex.trace_id));
+    // the retained query.
+    assert_eq!(tail.exemplar(out.response_ms), Some(ex.query_id));
     c.shutdown();
 }
 

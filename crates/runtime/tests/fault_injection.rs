@@ -574,7 +574,7 @@ fn late_reply_counts_each_server_once() {
 /// and re-contacting it only burns another failure cycle.
 #[test]
 fn failed_standin_helper_is_not_renominated() {
-    use roads_telemetry::{EventKind, Recorder};
+    use roads_telemetry::ExplainDecision;
     let n = 13;
     let schema = Schema::unit_numeric(1);
     let cfg = RoadsConfig {
@@ -640,15 +640,11 @@ fn failed_standin_helper_is_not_renominated() {
         .map(|_| Arc::new(roads_core::policy::OpenPolicy) as Arc<_>)
         .collect();
     policies[b.index()] = Arc::new(PanicPolicy);
-    let rec = Arc::new(Recorder::new(4096));
     let c = RoadsCluster::start_with(
         net,
         DelaySpace::paper(n, 77),
         RuntimeConfig::test_faulty(),
-        Attachments {
-            recorder: Some(Arc::clone(&rec)),
-            ..with_policies(policies)
-        },
+        with_policies(policies),
     );
     assert!(c.kill_server(a));
     assert!(c.kill_server(h));
@@ -657,7 +653,7 @@ fn failed_standin_helper_is_not_renominated() {
         .range("x0", 0.0, 0.5)
         .build();
     let root = c.network().tree().root();
-    let out = c.query(&q, root);
+    let (out, explain) = c.query_with(&q, root, RequesterId(0), true);
 
     // Both dead branches' children were recovered through stand-ins; only
     // the records held by the dead servers themselves (and `h`'s subtree,
@@ -674,31 +670,38 @@ fn failed_standin_helper_is_not_renominated() {
     assert!(out.retries >= 1, "the panicked server consumed its retry");
     // `h` was nominated exactly once (standing in for `a`); after dying
     // there, `b`'s later failover skipped straight past it.
-    let events = rec.events();
-    let nominations: Vec<_> = events
-        .iter()
-        .filter(|e| e.kind == EventKind::Failover && e.node == h.0)
+    let explain = explain.expect("an explain was asked for");
+    let nominations: Vec<_> = (explain.hops.iter())
+        .filter(|hop| hop.decision == ExplainDecision::Failover && hop.server == h.0)
         .collect();
     assert_eq!(
         nominations.len(),
         1,
         "a helper that died standing in must not be re-nominated"
     );
-    assert_eq!(nominations[0].detail, a.0 as u64);
+    assert_eq!(nominations[0].dead, Some(a.0));
+    // The stand-in asked after `h` died stands in for `a` too, though
+    // `h`'s failed hop, not `a`'s, caused it: only the hop itself can say
+    // whom it stands in for.
+    let server_of = |j: usize| explain.hops[j].server;
+    assert!(
+        (explain.hops.iter()).any(|hop| hop.dead == Some(a.0)
+            && hop.caused_by.is_some_and(|cause| server_of(cause) != a.0)),
+        "a stand-in for a failed stand-in names the server it replaces"
+    );
     c.shutdown();
 }
 
 /// Per-query attribution under concurrent churn. Four client threads
-/// share one dispatcher, one admission gate (capacity 2) and one
-/// flight recorder across three waves — healthy, after killing a leaf,
-/// after restarting it — while a second, panicking leaf dies for good in
-/// wave one. Every outcome must blame only servers that were actually
-/// dead during its wave, and the recorder's per-trace bookkeeping must
-/// reconcile exactly with what the outcomes report: concurrency must not
-/// pool retries or events across in-flight queries.
+/// share one dispatcher and one admission gate (capacity 2) across three
+/// waves — healthy, after killing a leaf, after restarting it — while a
+/// second, panicking leaf dies for good in wave one. Every outcome must
+/// blame only servers that were actually dead during its wave, and each
+/// query's explain must reconcile exactly with its own outcome:
+/// concurrency must not pool retries or hops across in-flight queries.
 #[test]
 fn concurrent_queries_attribute_faults_during_churn() {
-    use roads_telemetry::{EventKind, Recorder};
+    use roads_telemetry::{check_hop_tree, QueryExplain};
     let n = 13;
     let clients = 4usize;
     let cfg = RuntimeConfig {
@@ -717,33 +720,27 @@ fn concurrent_queries_attribute_faults_during_churn() {
         .map(|_| Arc::new(roads_core::policy::OpenPolicy) as Arc<_>)
         .collect();
     policies[panicker.index()] = Arc::new(PanicPolicy);
-    let rec = Arc::new(Recorder::new(65_536));
-    let c = RoadsCluster::start_with(
-        net,
-        DelaySpace::paper(n, 77),
-        cfg,
-        Attachments {
-            recorder: Some(Arc::clone(&rec)),
-            ..with_policies(policies)
-        },
-    );
+    let c = RoadsCluster::start_with(net, DelaySpace::paper(n, 77), cfg, with_policies(policies));
     let q = full_query(&c);
 
-    let mut outcomes: Vec<RuntimeOutcome> = Vec::new();
+    let mut outcomes: Vec<(RuntimeOutcome, QueryExplain)> = Vec::new();
     for wave in 0..3usize {
         match wave {
             1 => assert!(c.kill_server(churned)),
             2 => assert!(c.restart_server(churned)),
             _ => {}
         }
-        let wave_outs: Vec<RuntimeOutcome> = std::thread::scope(|s| {
+        let wave_outs: Vec<(RuntimeOutcome, QueryExplain)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..clients)
                 .map(|i| {
                     let (c, q) = (&c, &q);
                     // Entries spread over the hierarchy; in wave 1 one of
                     // them is the dead server itself (entry failover).
                     let entry = ServerId(((i * 5 + wave) % n) as u32);
-                    s.spawn(move || c.query(q, entry))
+                    s.spawn(move || {
+                        let (out, ex) = c.query_with(q, entry, RequesterId(0), true);
+                        (out, ex.expect("an explain was asked for"))
+                    })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -755,7 +752,7 @@ fn concurrent_queries_attribute_faults_during_churn() {
             dead.push(churned);
         }
         dead.sort();
-        for out in &wave_outs {
+        for (out, _) in &wave_outs {
             assert_eq!(
                 out.failed_servers, dead,
                 "wave {wave}: blamed set must be exactly the dead servers"
@@ -770,39 +767,17 @@ fn concurrent_queries_attribute_faults_during_churn() {
         outcomes.extend(wave_outs);
     }
 
-    // Reconcile the recorder against the outcomes. One trace per query,
-    // each a valid span tree with exactly one start/complete pair, and the
-    // per-trace Retry counts must match the per-outcome retry counts as a
-    // multiset — pooled or cross-attributed events would break this even
-    // if the totals happened to agree.
-    let events = rec.events();
-    let traces = roads_telemetry::trace_ids(&events);
-    assert_eq!(traces.len(), outcomes.len(), "one trace per query");
-    let mut retry_by_trace: Vec<usize> = Vec::new();
-    for t in traces {
-        let tev = roads_telemetry::trace_events(&events, t);
-        roads_telemetry::span_tree_root(&tev, t).unwrap_or_else(|e| panic!("trace {}: {e}", t.0));
+    // Reconcile each query's explain with its own outcome: one hop tree
+    // per query, holding exactly the retries that query reports —
+    // pooled or cross-attributed hops would break this.
+    for (out, ex) in &outcomes {
+        assert_eq!(check_hop_tree(ex.hops.iter().map(|h| h.caused_by)), Ok(()));
         assert_eq!(
-            tev.iter()
-                .filter(|e| e.kind == EventKind::QueryStart)
-                .count(),
-            1
+            ex.retry_count(),
+            out.retries as u64,
+            "explained retries must attribute to exactly the query that retried"
         );
-        assert_eq!(
-            tev.iter()
-                .filter(|e| e.kind == EventKind::QueryComplete)
-                .count(),
-            1
-        );
-        retry_by_trace.push(tev.iter().filter(|e| e.kind == EventKind::Retry).count());
     }
-    retry_by_trace.sort_unstable();
-    let mut retry_by_outcome: Vec<usize> = outcomes.iter().map(|o| o.retries).collect();
-    retry_by_outcome.sort_unstable();
-    assert_eq!(
-        retry_by_trace, retry_by_outcome,
-        "recorded retries must attribute to exactly the query that retried"
-    );
     c.shutdown();
 }
 

@@ -2,8 +2,8 @@
 //! constructor and query-function families could not say.
 //!
 //! * Every attachment combines: one cluster carrying tiered owner
-//!   policies *and* a registry *and* a flight recorder *and* a tail
-//!   sampler, with each plane's view taken from the same run.
+//!   policies *and* a registry *and* a tail sampler, with each plane's
+//!   view taken from the same run.
 //! * Both planes run one per-server step (`RoadsNetwork::route`) and keep
 //!   one contact log: with no faults the live cluster's log is the
 //!   simulator's client-redirect log entry for entry, and one derivation
@@ -23,8 +23,8 @@ use roads_records::{
 use roads_runtime::{Attachments, RoadsCluster, RuntimeConfig};
 use roads_summary::SummaryConfig;
 use roads_telemetry::{
-    labeled, span_tree_root, trace_events, EventKind, ExplainDecision, ExplainHop, HopOutcome,
-    QueryExplain, Recorder, Registry, SummaryKind, TailSampler, TraceId,
+    check_hop_tree, labeled, ExplainDecision, ExplainHop, HopOutcome, QueryExplain, Registry,
+    SummaryKind, TailSampler,
 };
 use roads_workload::line_records;
 use std::collections::BTreeMap;
@@ -63,7 +63,6 @@ fn every_attachment_combines_in_one_cluster() {
     policies[private.index()] = Arc::new(TieredPolicy::new([partner], []));
 
     let reg = Registry::new();
-    let rec = Arc::new(Recorder::new(65_536));
     let tail = TailSampler::shared();
     let c = RoadsCluster::start_with(
         net,
@@ -71,7 +70,6 @@ fn every_attachment_combines_in_one_cluster() {
         RuntimeConfig::test_fast(),
         Attachments {
             policies: Some(policies),
-            recorder: Some(Arc::clone(&rec)),
             tail: Some(Arc::clone(&tail)),
             ..Attachments::instrumented(&reg)
         },
@@ -101,20 +99,14 @@ fn every_attachment_combines_in_one_cluster() {
     let branch = labeled("runtime.dispatch_latency_ms", &[("mode", "branch")]);
     assert!(snap.histograms.contains_key(&branch), "no branch dispatch");
 
-    // Recorder: each query is a valid span tree rooted at the entry, one
-    // hop span per contacted server; the explain record names its trace.
-    let events = rec.events();
-    for (trace, out) in [(TraceId(1), &anon), (TraceId(2), &trusted)] {
-        let tev = trace_events(&events, trace);
-        let root_span = span_tree_root(&tev, trace).expect("valid span tree");
-        let hops: Vec<_> = tev
-            .iter()
-            .filter(|e| e.kind == EventKind::QueryHop)
-            .collect();
-        assert_eq!(hops.len(), out.servers_contacted);
-        assert!(hops.iter().any(|e| e.span == root_span && e.node == root.0));
-    }
-    assert_eq!(explain.trace_id, 2);
+    // Explain: one tree rooted at the entry, one hop per contacted
+    // server.
+    assert_eq!(
+        check_hop_tree(explain.hops.iter().map(|h| h.caused_by)),
+        Ok(())
+    );
+    assert_eq!(explain.hops.len(), trusted.servers_contacted);
+    assert_eq!(explain.hops[0].server, root.0);
 
     // Sampler: it was offered exactly the queries the registry counted.
     assert_eq!(tail.observed(), snap.counters["runtime.queries"]);
@@ -181,8 +173,7 @@ fn live_hops_are_the_simulators_client_redirect_contacts() {
         for entry in (0..n as u32).map(ServerId) {
             let mut trace = Vec::new();
             let sim = execute_query_with(&net, &delays, q, entry, &opts, Some(&mut trace));
-            let sim_explain =
-                explain_from_trace(&net, q, TraceId::NONE, &trace, ExplainDecision::Entry);
+            let sim_explain = explain_from_trace(&net, q, &trace, ExplainDecision::Entry);
             let (live, explain) = c.query_with(q, entry, RequesterId(0), true);
             let explain = explain.expect("explain was requested");
 
@@ -334,7 +325,7 @@ fn ancestor_probe_is_vouched_for_by_the_local_summary_on_both_planes() {
             &QueryOptions::default(),
             Some(&mut trace),
         );
-        explain_from_trace(&net, q, TraceId::NONE, &trace, ExplainDecision::Entry)
+        explain_from_trace(&net, q, &trace, ExplainDecision::Entry)
     };
     let sim = [simulated(&refused), simulated(&hollow)];
     let c = RoadsCluster::start(net.clone(), delays.clone(), RuntimeConfig::test_fast());

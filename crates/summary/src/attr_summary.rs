@@ -38,30 +38,12 @@ impl fmt::Display for AttrMergeError {
 impl std::error::Error for AttrMergeError {}
 
 impl AttributeSummary {
-    /// Conservative predicate evaluation: `false` guarantees no summarized
-    /// record satisfies the predicate; `true` means some record *may*.
-    ///
-    /// Predicates evaluated against a structurally wrong summary kind (e.g.
-    /// a range over a value set) answer `true` — the summary cannot prove
-    /// absence, and ROADS must never produce a false negative. (A
-    /// [`crate::Summary`] makes the same test through a [`crate::Probe`],
-    /// on its occupancy index for the ordered attributes.)
-    pub fn may_match(&self, pred: &Predicate) -> bool {
-        match (self, pred) {
-            (AttributeSummary::Hist(h), Predicate::Range { lo, hi, .. }) => {
-                h.may_match_range(*lo, *hi)
-            }
-            (AttributeSummary::Hist(h), Predicate::Eq { value, .. }) => {
-                value.as_f64().is_none_or(|v| h.may_match_range(v, v))
-            }
-            _ => self.may_hold(pred),
-        }
-    }
-
-    /// The categorical half of [`AttributeSummary::may_match`]: whether
-    /// this value set or Bloom filter may hold a value `pred` asks for.
-    /// Any other pair — a histogram, a range over a categorical attribute —
-    /// cannot prove absence here and answers `true`.
+    /// The categorical half of a [`crate::Probe`]'s test: whether this
+    /// value set or Bloom filter may hold a value `pred` asks for. Any
+    /// other pair — a histogram, a range over a categorical attribute —
+    /// cannot prove absence here and answers `true`, since ROADS must
+    /// never produce a false negative. (The ordered half tests a
+    /// [`crate::Summary`]'s occupancy index.)
     pub(crate) fn may_hold(&self, pred: &Predicate) -> bool {
         match (self, pred) {
             (AttributeSummary::Set(s), Predicate::Eq { value, .. }) => {
@@ -247,7 +229,10 @@ impl WireSize for AttributeSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roads_records::{AttrId, Value};
+    use crate::{CategoricalMode, Summary, SummaryConfig};
+    use roads_records::{
+        AttrDef, AttrId, OwnerId, Query, QueryId, Record, RecordId, Schema, Value,
+    };
 
     fn range(lo: f64, hi: f64) -> Predicate {
         Predicate::Range {
@@ -264,52 +249,87 @@ mod tests {
         }
     }
 
+    /// Whether the summary of one attribute `def` over `values`, under
+    /// `cfg`, may match `pred`: the routing test, through its probe.
+    fn may_match(def: AttrDef, cfg: &SummaryConfig, values: &[Value], pred: Predicate) -> bool {
+        let schema = Schema::new(vec![def]).unwrap();
+        let records: Vec<Record> = (values.iter().enumerate())
+            .map(|(i, v)| Record::new_unchecked(RecordId(i as u64), OwnerId(0), vec![v.clone()]))
+            .collect();
+        let summary = Summary::from_records(&schema, cfg, &records);
+        summary.may_match(&Query::new(QueryId(0), vec![pred]))
+    }
+
+    /// Over a unit axis of ten buckets holding 0.3.
+    fn hist_may_match(pred: Predicate) -> bool {
+        let def = AttrDef::numeric("x", 0.0, 1.0);
+        may_match(
+            def,
+            &SummaryConfig::with_buckets(10),
+            &[Value::Float(0.3)],
+            pred,
+        )
+    }
+
+    /// Over the exact set `values`.
+    fn set_may_match(values: &[&str], pred: Predicate) -> bool {
+        let values: Vec<Value> = values.iter().map(|&v| Value::Cat(v.into())).collect();
+        let cfg = SummaryConfig::with_buckets(10);
+        may_match(AttrDef::categorical("c"), &cfg, &values, pred)
+    }
+
     #[test]
     fn hist_range_eval() {
-        let s = AttributeSummary::Hist(Histogram::from_values(0.0, 1.0, 10, [0.3]));
-        assert!(s.may_match(&range(0.25, 0.5)));
-        assert!(!s.may_match(&range(0.6, 0.9)));
+        assert!(hist_may_match(range(0.25, 0.5)));
+        assert!(!hist_may_match(range(0.6, 0.9)));
     }
 
     #[test]
     fn hist_eq_numeric_point() {
-        let s = AttributeSummary::Hist(Histogram::from_values(0.0, 1.0, 10, [0.3]));
+        // Same bucket as 0.3: a conservative hit.
         let p = Predicate::Eq {
             attr: AttrId(0),
-            value: Value::Float(0.35), // same bucket as 0.3 → conservative hit
+            value: Value::Float(0.35),
         };
-        assert!(s.may_match(&p));
+        assert!(hist_may_match(p));
     }
 
     #[test]
     fn set_eval() {
-        let s = AttributeSummary::Set(ValueSet::from_values(["MPEG2"]));
-        assert!(s.may_match(&eq_cat("MPEG2")));
-        assert!(!s.may_match(&eq_cat("H264")));
+        assert!(set_may_match(&["MPEG2"], eq_cat("MPEG2")));
+        assert!(!set_may_match(&["MPEG2"], eq_cat("H264")));
     }
 
     #[test]
     fn bloom_eval_no_false_negative() {
-        let mut b = BloomFilter::new(512, 3);
-        b.insert("MPEG2");
-        let s = AttributeSummary::Bloom(b);
-        assert!(s.may_match(&eq_cat("MPEG2")));
+        let cfg = SummaryConfig {
+            categorical: CategoricalMode::Bloom {
+                bits: 512,
+                hashes: 3,
+            },
+            ..SummaryConfig::with_buckets(10)
+        };
+        let mpeg2 = [Value::Cat("MPEG2".into())];
+        assert!(may_match(
+            AttrDef::categorical("c"),
+            &cfg,
+            &mpeg2,
+            eq_cat("MPEG2")
+        ));
     }
 
     #[test]
     fn one_of_any_semantics() {
-        let s = AttributeSummary::Set(ValueSet::from_values(["a"]));
         let p = Predicate::OneOf {
             attr: AttrId(0),
             values: vec!["z".into(), "a".into()],
         };
-        assert!(s.may_match(&p));
+        assert!(set_may_match(&["a"], p));
     }
 
     #[test]
     fn range_over_set_is_conservative_true() {
-        let s = AttributeSummary::Set(ValueSet::from_values(["a"]));
-        assert!(s.may_match(&range(0.0, 1.0)));
+        assert!(set_may_match(&["a"], range(0.0, 1.0)));
     }
 
     #[test]
@@ -333,7 +353,8 @@ mod tests {
         let mut s = AttributeSummary::Set(ValueSet::from_values(["a"]));
         assert!(!s.can_unlearn(&Value::Cat("a".into())));
         assert!(!s.unlearn(&Value::Cat("a".into())));
-        assert!(s.may_match(&eq_cat("a")), "refused unlearn changes nothing");
+        let untouched = AttributeSummary::Set(ValueSet::from_values(["a"]));
+        assert_eq!(s, untouched, "refused unlearn changes nothing");
         let mut b = AttributeSummary::Bloom(BloomFilter::new(64, 2));
         assert!(!b.can_unlearn(&Value::Text("x".into())));
         assert!(!b.unlearn(&Value::Text("x".into())));
@@ -348,6 +369,6 @@ mod tests {
         let mut a = AttributeSummary::Hist(Histogram::from_values(0.0, 1.0, 4, [0.1]));
         let b = AttributeSummary::Hist(Histogram::from_values(0.0, 1.0, 4, [0.9]));
         a.merge(&b).unwrap();
-        assert!(a.may_match(&range(0.8, 1.0)));
+        assert!(matches!(&a, AttributeSummary::Hist(h) if h.may_match_range(0.8, 1.0)));
     }
 }

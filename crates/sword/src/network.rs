@@ -4,7 +4,6 @@
 use crate::ring::MultiRing;
 use roads_netsim::DelaySpace;
 use roads_records::{wire::MSG_HEADER_BYTES, Predicate, Query, Record, Schema, WireSize};
-use roads_telemetry::{Event, EventKind, Recorder, SpanId};
 
 /// Update-round accounting for SWORD: every record re-registered in every
 /// attribute ring, each copy routed in `O(log n)` hops (Eq. (2):
@@ -165,21 +164,6 @@ impl SwordNetwork {
         query: &Query,
         start: usize,
     ) -> SwordQueryOutcome {
-        self.execute_query_recorded(delays, query, start, None)
-    }
-
-    /// [`execute_query`](Self::execute_query) that additionally records
-    /// the finger route and segment sweep into the flight recorder as a
-    /// chain of nested `QueryHop` spans under a fresh trace (detail =
-    /// local matches at each sweep server), bracketed by
-    /// `QueryStart`/`QueryComplete` instants on the entry span.
-    pub fn execute_query_recorded(
-        &self,
-        delays: &DelaySpace,
-        query: &Query,
-        start: usize,
-        rec: Option<&Recorder>,
-    ) -> SwordQueryOutcome {
         assert_eq!(self.len(), delays.len(), "delay space must cover servers");
         let msg_bytes = (query.wire_size() + MSG_HEADER_BYTES) as u64;
         let mut out = SwordQueryOutcome {
@@ -205,7 +189,6 @@ impl SwordNetwork {
         let path = self.ring.route(start, head_pos);
         let mut now_ms = 0.0;
         let mut cur = start;
-        let mut chain: Vec<(usize, f64, u64)> = vec![(start, 0.0, 0)];
         out.servers_contacted += 1; // the start server itself
         for &hop in &path {
             now_ms += delays.delay_ms(cur, hop);
@@ -213,7 +196,6 @@ impl SwordNetwork {
             out.query_messages += 1;
             out.servers_contacted += 1;
             cur = hop;
-            chain.push((hop, now_ms, 0));
         }
         out.latency_ms = now_ms;
 
@@ -230,24 +212,12 @@ impl SwordNetwork {
                 out.servers_contacted += 1;
             }
             out.latency_ms = out.latency_ms.max(now_ms);
-            let mut local = 0u64;
             for &idx in &self.stored[server] {
                 let rec = &self.origins[idx as usize].1;
                 if query.matches(rec) && seen.insert(rec.id) {
                     out.matching_records += 1;
-                    local += 1;
                 }
             }
-            // The segment head is the route destination and is never
-            // counted as a separate contact; fold its matches into the
-            // last chain entry so hops mirror `servers_contacted`.
-            match chain.last_mut() {
-                Some(last) if i == 0 || last.0 == server => last.2 += local,
-                _ => chain.push((server, now_ms, local)),
-            }
-        }
-        if let Some(r) = rec {
-            record_sword_chain(r, &chain, &out);
         }
         out
     }
@@ -259,58 +229,6 @@ impl SwordNetwork {
             .filter(|(_, r)| query.matches(r))
             .count()
     }
-}
-
-/// Emit one executed SWORD query into the flight recorder: a nested
-/// `QueryHop` span chain following the finger route and segment sweep
-/// (each span runs from its server's arrival to query completion), with
-/// `QueryStart`/`QueryComplete` instants on the entry span.
-fn record_sword_chain(rec: &Recorder, chain: &[(usize, f64, u64)], out: &SwordQueryOutcome) {
-    let Some(&(entry, _, _)) = chain.first() else {
-        return;
-    };
-    let trace = rec.next_trace_id();
-    let to_us = |ms: f64| (ms * 1000.0).round().max(0.0) as u64;
-    let end_us = to_us(out.latency_ms);
-    let mut parent = SpanId::NONE;
-    let mut entry_span = SpanId::NONE;
-    for (i, &(node, at_ms, matches)) in chain.iter().enumerate() {
-        let at_us = to_us(at_ms);
-        let dur_us = end_us.saturating_sub(at_us).max(1);
-        let span = rec.record_span(
-            trace,
-            parent,
-            node as u32,
-            EventKind::QueryHop,
-            at_us,
-            dur_us,
-            matches,
-        );
-        if i == 0 {
-            entry_span = span;
-            rec.record(Event {
-                at_us,
-                dur_us: 0,
-                node: node as u32,
-                trace,
-                span,
-                parent: SpanId::NONE,
-                kind: EventKind::QueryStart,
-                detail: trace.0,
-            });
-        }
-        parent = span;
-    }
-    rec.record(Event {
-        at_us: end_us,
-        dur_us: 0,
-        node: entry as u32,
-        trace,
-        span: entry_span,
-        parent: SpanId::NONE,
-        kind: EventKind::QueryComplete,
-        detail: out.matching_records as u64,
-    });
 }
 
 /// Record one SWORD query outcome into `reg` under the `sword.*`
@@ -354,41 +272,6 @@ mod tests {
 
     fn network(n: usize, per_node: usize, attrs: usize) -> SwordNetwork {
         SwordNetwork::build(Schema::unit_numeric(attrs), records(n, per_node, attrs))
-    }
-
-    #[test]
-    fn recorded_query_forms_a_span_chain() {
-        use roads_telemetry::{span_tree_root, trace_events, Recorder, TraceId};
-        let net = network(20, 10, 4);
-        let delays = DelaySpace::paper(20, 3);
-        let q = QueryBuilder::new(net.schema(), QueryId(1))
-            .range("x0", 0.2, 0.4)
-            .build();
-        let rec = Recorder::new(1024);
-        let plain = net.execute_query(&delays, &q, 5);
-        let recorded = net.execute_query_recorded(&delays, &q, 5, Some(&rec));
-        assert_eq!(plain, recorded, "recording must not change the outcome");
-        let events = rec.events();
-        let tev = trace_events(&events, TraceId(1));
-        let root = span_tree_root(&tev, TraceId(1)).expect("valid span tree");
-        let root_ev = tev
-            .iter()
-            .find(|e| e.span == root && e.kind == EventKind::QueryHop)
-            .unwrap();
-        assert_eq!(root_ev.node, 5, "chain is rooted at the start server");
-        let hops = tev.iter().filter(|e| e.kind == EventKind::QueryHop).count();
-        assert_eq!(hops, recorded.servers_contacted);
-        assert!(tev
-            .iter()
-            .any(|e| e.kind == EventKind::QueryComplete
-                && e.detail == recorded.matching_records as u64));
-        // Each hop's local-match detail sums to the total.
-        let sum: u64 = tev
-            .iter()
-            .filter(|e| e.kind == EventKind::QueryHop)
-            .map(|e| e.detail)
-            .sum();
-        assert_eq!(sum, recorded.matching_records as u64);
     }
 
     #[test]

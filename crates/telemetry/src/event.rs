@@ -1,13 +1,14 @@
 //! Causal flight recorder.
 //!
 //! A [`Recorder`] is a bounded, thread-safe ring buffer of structured
-//! [`Event`]s: message sends and deliveries, summary publishes and merges,
-//! overlay replica installs/refreshes, TTL expiries, churn joins/leaves and
-//! query hops. Every event is stamped with a time (simulated microseconds
-//! or wall-clock microseconds — the producer decides, one run uses one
-//! clock), the node it happened on, and a ([`TraceId`], [`SpanId`],
-//! parent [`SpanId`]) triple so the events of one query or update round
-//! form a span tree rooted at the operation's entry point.
+//! [`Event`]s of the message plane: message sends and deliveries, summary
+//! publishes and merges, overlay replica installs/refreshes, TTL expiries
+//! and churn joins/leaves. Every event is stamped with a time (simulated
+//! microseconds or wall-clock microseconds — the producer decides, one
+//! run uses one clock), the node it happened on, and a ([`TraceId`],
+//! [`SpanId`], parent [`SpanId`]) triple so the events of one update round
+//! or timer chain form a span tree rooted at the operation's entry point.
+//! A query's trace is its [`QueryExplain`]: nothing here records queries.
 //!
 //! Events are `Copy` and recording takes one short mutex acquisition and
 //! zero allocations; when no recorder is attached the instrumented code
@@ -19,11 +20,13 @@
 //! [`Recorder::whole_traces`] — what a trace file holds — leaves them out,
 //! so every exported trace is a complete span tree.
 //!
-//! [`chrome_trace_json`] converts a recording into Chrome trace-event JSON
-//! that loads directly in Perfetto or `chrome://tracing`: nodes become
-//! named threads, events with a duration become complete (`"X"`) slices,
-//! point events become instants, and parent→child span edges become flow
-//! arrows.
+//! [`chrome_trace_json`] converts a recording, and the explains of the
+//! queries a run made, into Chrome trace-event JSON that loads directly
+//! in Perfetto or `chrome://tracing`: nodes become named threads, events
+//! with a duration become complete (`"X"`) slices, point events become
+//! instants, parent→child span edges become flow arrows, and each
+//! explain's hops become slices and arrows of their own
+//! ([`chrome_hop_events`]).
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -33,9 +36,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use crate::explain::{chrome_hop_events, QueryExplain};
 use crate::json::Json;
 
-/// Identifies one causal chain (a query, an update round, a timer tick).
+/// Identifies one causal chain (an update round, a timer tick).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TraceId(pub u64);
 
@@ -64,7 +68,7 @@ impl SpanId {
 }
 
 /// What happened. `detail` in [`Event`] is kind-specific (bytes for
-/// message events, counts for state events, matches for query hops).
+/// message events, counts for state events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// A message left a node (detail: payload bytes).
@@ -90,21 +94,6 @@ pub enum EventKind {
     ChurnJoin,
     /// A server left or was declared down (detail: departed node id).
     ChurnLeave,
-    /// A query entered the system (detail: workload query id).
-    QueryStart,
-    /// A query visited a server (detail: local matches found there).
-    QueryHop,
-    /// A query's last result reached the client (detail: total matches).
-    QueryComplete,
-    /// A dispatched sub-query got no reply within the per-dispatch timeout,
-    /// or its target was already dead at delivery (detail: tries so far).
-    DispatchTimeout,
-    /// A timed-out dispatch was re-sent after backoff (detail: retry
-    /// number, 1-based).
-    Retry,
-    /// A dead server's sub-query was re-routed to a replication-overlay
-    /// stand-in (detail: the dead server's node id; `node` is the helper).
-    Failover,
     /// A generic labelled span for coarse phases (detail: free-form).
     Mark,
 }
@@ -123,12 +112,6 @@ impl EventKind {
             EventKind::TtlExpire => "ttl-expire",
             EventKind::ChurnJoin => "churn-join",
             EventKind::ChurnLeave => "churn-leave",
-            EventKind::QueryStart => "query-start",
-            EventKind::QueryHop => "query-hop",
-            EventKind::QueryComplete => "query-complete",
-            EventKind::DispatchTimeout => "dispatch-timeout",
-            EventKind::Retry => "retry",
-            EventKind::Failover => "failover",
             EventKind::Mark => "mark",
         }
     }
@@ -147,12 +130,6 @@ impl EventKind {
             "ttl-expire" => EventKind::TtlExpire,
             "churn-join" => EventKind::ChurnJoin,
             "churn-leave" => EventKind::ChurnLeave,
-            "query-start" => EventKind::QueryStart,
-            "query-hop" => EventKind::QueryHop,
-            "query-complete" => EventKind::QueryComplete,
-            "dispatch-timeout" => EventKind::DispatchTimeout,
-            "retry" => EventKind::Retry,
-            "failover" => EventKind::Failover,
             "mark" => EventKind::Mark,
             _ => return None,
         })
@@ -459,11 +436,13 @@ pub fn slowest_trace(events: &[Event]) -> Option<TraceId> {
     best.map(|(_, t)| t)
 }
 
-/// Convert a recording to a Chrome trace-event document (the JSON object
-/// format, `{"traceEvents": [...]}`) loadable in Perfetto and
-/// `chrome://tracing`. Nodes map to threads (`tid` = node id) of one
-/// process; span parent edges become flow arrows.
-pub fn chrome_trace_json(events: &[Event]) -> Json {
+/// Convert a recording and the explains of a run's queries to a Chrome
+/// trace-event document (the JSON object format, `{"traceEvents": [...]}`)
+/// loadable in Perfetto and `chrome://tracing`. Nodes map to threads
+/// (`tid` = node id) of one process; span parent edges become flow
+/// arrows; the explains' hops follow the events ([`chrome_hop_events`]),
+/// their arrows numbered after the spans'.
+pub fn chrome_trace_json(events: &[Event], explains: &[QueryExplain]) -> Json {
     let mut out: Vec<Json> = Vec::with_capacity(events.len() * 2 + 8);
     out.push(meta_event(
         "process_name",
@@ -471,7 +450,10 @@ pub fn chrome_trace_json(events: &[Event]) -> Json {
         None,
         vec![("name", Json::str("roads"))],
     ));
-    let mut nodes: Vec<u32> = events.iter().map(|e| e.node).collect();
+    let hop_servers = explains
+        .iter()
+        .flat_map(|ex| ex.hops.iter().map(|h| h.server));
+    let mut nodes: Vec<u32> = events.iter().map(|e| e.node).chain(hop_servers).collect();
     nodes.sort_unstable();
     nodes.dedup();
     for n in &nodes {
@@ -519,12 +501,14 @@ pub fn chrome_trace_json(events: &[Event]) -> Json {
                 (span_site.get(&e.parent), span_site.get(&e.span))
             {
                 if span_site.get(&e.span) == Some(&(e.at_us, e.node)) {
-                    out.push(flow_event("s", e.span, pts, pnode));
-                    out.push(flow_event("f", e.span, sts.max(pts), snode));
+                    out.push(flow_event("s", e.span.0, pts as f64, pnode));
+                    out.push(flow_event("f", e.span.0, sts.max(pts) as f64, snode));
                 }
             }
         }
     }
+    let first_arrow = events.iter().map(|e| e.span.0).max().unwrap_or(0) + 1;
+    out.extend(chrome_hop_events(explains, first_arrow));
     Json::obj(vec![("traceEvents", Json::Arr(out))])
 }
 
@@ -541,15 +525,17 @@ fn meta_event(name: &str, pid: u32, tid: Option<u32>, args: Vec<(&str, Json)>) -
     Json::obj(fields)
 }
 
-fn flow_event(ph: &str, span: SpanId, ts: u64, node: u32) -> Json {
+/// One end (`ph` `"s"` or `"f"`) of flow arrow `id`, at `ts` on `node`'s
+/// thread.
+pub(crate) fn flow_event(ph: &str, id: u64, ts: f64, node: u32) -> Json {
     let mut fields = vec![
         ("name", Json::str("causal")),
         ("cat", Json::str("flow")),
         ("ph", Json::str(ph)),
-        ("id", Json::num(span.0 as f64)),
+        ("id", Json::num(id as f64)),
         ("pid", Json::num(0.0)),
         ("tid", Json::num(node as f64)),
-        ("ts", Json::num(ts as f64)),
+        ("ts", Json::num(ts)),
     ];
     if ph == "f" {
         fields.push(("bp", Json::str("e")));
@@ -563,34 +549,56 @@ pub fn write_chrome_trace(
     figure: &str,
     dir: impl AsRef<Path>,
     events: &[Event],
+    explains: &[QueryExplain],
 ) -> io::Result<PathBuf> {
     let dir = dir.as_ref();
     fs::create_dir_all(dir)?;
     let path = dir.join(format!("{figure}.trace.json"));
-    fs::write(&path, chrome_trace_json(events).to_string_pretty())?;
+    fs::write(
+        &path,
+        chrome_trace_json(events, explains).to_string_pretty(),
+    )?;
     Ok(path)
 }
 
-/// Write the recording's whole traces ([`Recorder::whole_traces`]) next
-/// to the figure's `.json` (honouring `ROADS_RESULTS_DIR`, default
+/// The most hops a trace file holds: [`write_chrome_trace_default`]
+/// keeps the newest explains whose hops fit, as the recorder's ring keeps
+/// the newest events, so a full-size run's tens of thousands of queries
+/// stay a file Perfetto opens.
+const TRACE_HOPS: usize = 16_384;
+
+/// Write the recording's whole traces ([`Recorder::whole_traces`]), if a
+/// recorder is given, and the newest of `explains` whose hops add up to
+/// at most 16 384 next to the figure's `.json` (honouring `ROADS_RESULTS_DIR`, default
 /// `results/`) and report the path on stdout. Like
 /// [`crate::FigureExport::write_default`], errors warn instead of
 /// aborting a finished run.
-pub fn write_chrome_trace_default(figure: &str, recorder: &Recorder) {
+pub fn write_chrome_trace_default(
+    figure: &str,
+    recorder: Option<&Recorder>,
+    explains: &[QueryExplain],
+) {
     let dir = crate::export::results_dir();
-    let (events, dropped) = recorder.whole_traces();
-    match write_chrome_trace(figure, &dir, &events) {
+    let (events, dropped) = recorder.map_or((Vec::new(), 0), Recorder::whole_traces);
+    let evicted = recorder.map_or(0, Recorder::evicted);
+    let mut hops = 0;
+    let kept = (explains.iter().rev())
+        .take_while(|ex| {
+            hops += ex.hops.len();
+            hops <= TRACE_HOPS
+        })
+        .count();
+    let explains = &explains[explains.len() - kept..];
+    match write_chrome_trace(figure, &dir, &events, explains) {
         Ok(path) => {
-            if recorder.evicted() > 0 {
-                println!(
-                    "wrote {} ({} events, {} evicted, {dropped} cut traces left out)",
-                    path.display(),
-                    events.len(),
-                    recorder.evicted()
-                );
-            } else {
-                println!("wrote {} ({} events)", path.display(), events.len());
+            let mut wrote = format!("wrote {} ({} events", path.display(), events.len());
+            if evicted > 0 {
+                wrote += &format!(", {evicted} evicted, {dropped} cut traces left out");
             }
+            if !explains.is_empty() {
+                wrote += &format!(", {kept} query explains");
+            }
+            println!("{wrote})");
         }
         Err(e) => eprintln!(
             "warning: could not write {}/{}.trace.json: {e}",
@@ -612,7 +620,7 @@ mod tests {
             trace: TraceId(trace),
             span: SpanId(span),
             parent: SpanId(parent),
-            kind: EventKind::QueryHop,
+            kind: EventKind::Mark,
             detail: 0,
         }
     }
@@ -718,14 +726,14 @@ mod tests {
         let mut complete = ev(5, 1, 2, 1);
         complete.dur_us = 7;
         let events = vec![ev(0, 1, 1, 0), complete];
-        let doc = chrome_trace_json(&events).to_string();
+        let doc = chrome_trace_json(&events, &[]).to_string();
         assert!(doc.starts_with(r#"{"traceEvents":["#));
         assert!(doc.contains(r#""ph":"M""#));
         assert!(doc.contains(r#""ph":"X""#));
         assert!(doc.contains(r#""ph":"i""#));
         assert!(doc.contains(r#""ph":"s""#));
         assert!(doc.contains(r#""dur":7"#));
-        assert!(doc.contains(r#""name":"query-hop""#));
+        assert!(doc.contains(r#""name":"mark""#));
     }
 
     #[test]
@@ -741,12 +749,6 @@ mod tests {
             EventKind::TtlExpire,
             EventKind::ChurnJoin,
             EventKind::ChurnLeave,
-            EventKind::QueryStart,
-            EventKind::QueryHop,
-            EventKind::QueryComplete,
-            EventKind::DispatchTimeout,
-            EventKind::Retry,
-            EventKind::Failover,
             EventKind::Mark,
         ] {
             assert_eq!(EventKind::parse(kind.as_str()), Some(kind));
@@ -760,7 +762,7 @@ mod tests {
             .join(format!("roads-event-test-{}", std::process::id()))
             .join("nested");
         let events = vec![ev(0, 1, 1, 0)];
-        let path = write_chrome_trace("fig_unit", &dir, &events)
+        let path = write_chrome_trace("fig_unit", &dir, &events, &[])
             .unwrap_or_else(|e| panic!("writing trace under {}: {e}", dir.display()));
         let body = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("reading back {}: {e}", path.display()));

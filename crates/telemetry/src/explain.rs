@@ -10,6 +10,11 @@
 //! retry backoff). Query-level [`Attribution`] folds the hop splits into
 //! the five components the tail-attribution figure stacks.
 //!
+//! An explain is also the query's trace: [`chrome_hop_events`] renders
+//! its hops into the Chrome/Perfetto export beside the flight
+//! recorder's message-plane events, and [`explains_from_chrome`] reads
+//! them back.
+//!
 //! The types live in `roads-telemetry` (the dependency-light base crate)
 //! so the contact log in `roads-core` can carry [`HopOutcome`] and
 //! [`LatencySplit`], and the tail sampler ([`crate::tail`]) can retain them without
@@ -17,7 +22,10 @@
 //! here ([`SummaryKind`]); the summary crate maps its concrete
 //! per-attribute representations into it.
 
+use crate::event::flow_event;
+use crate::json::{self, Json};
 use crate::{json_fields, json_labels};
+use std::collections::BTreeMap;
 
 /// Which summary representation drove a hop's match/prune decision.
 ///
@@ -203,6 +211,10 @@ pub struct ExplainHop {
     pub local_matches: u64,
     /// Measured latency components of this hop.
     pub split: LatencySplit,
+    /// On a [`ExplainDecision::Failover`] hop, the dead server it stands
+    /// in for. Not always the server of `caused_by`: a stand-in asked
+    /// after another stand-in failed is caused by that stand-in's hop.
+    pub dead: Option<u32>,
 }
 
 json_fields!(ExplainHop {
@@ -216,6 +228,7 @@ json_fields!(ExplainHop {
     caused_by?,
     local_matches,
     split,
+    dead?,
 });
 
 /// Query-level latency attribution, microseconds of *work time* per
@@ -255,8 +268,6 @@ json_fields!(Attribution {
 pub struct QueryExplain {
     /// The query's id.
     pub query_id: u64,
-    /// Flight-recorder trace id of the same execution (0 = no recorder).
-    pub trace_id: u64,
     /// Entry server.
     pub entry: u32,
     /// End-to-end response time, microseconds.
@@ -284,6 +295,28 @@ impl QueryExplain {
         seen.sort_unstable();
         seen.dedup();
         seen.len()
+    }
+
+    /// When the last hop closed, microseconds after the query began.
+    pub fn end_us(&self) -> f64 {
+        (self.hops.iter()).fold(0.0, |end, h| end.max(h.at_us + h.dur_us))
+    }
+
+    /// The query's critical path, entry first: the hop that closed last
+    /// (of two that closed together, the later one) and the `caused_by`
+    /// chain above it. Empty for a query with no hops.
+    pub fn critical_path(&self) -> Vec<usize> {
+        let end = |j: usize| self.hops[j].at_us + self.hops[j].dur_us;
+        let last = (0..self.hops.len()).max_by(|&a, &b| end(a).total_cmp(&end(b)).then(a.cmp(&b)));
+        let mut path: Vec<usize> = last.into_iter().collect();
+        while let Some(&j) = path.last() {
+            match self.hops[j].caused_by {
+                Some(cause) if cause < j => path.push(cause),
+                _ => break,
+            }
+        }
+        path.reverse();
+        path
     }
 
     /// Number of retry dispatches.
@@ -339,7 +372,6 @@ impl QueryExplain {
 // and a stored copy that disagrees with them marks a corrupt record.
 json_fields!(QueryExplain as q {
     query_id,
-    trace_id,
     entry,
     response_us,
     complete,
@@ -351,6 +383,120 @@ json_fields!(QueryExplain as q {
 
 json_labels!(SummaryKind, ExplainDecision, HopOutcome);
 
+/// The one rule a hop list obeys to be a redirect tree, whoever reads
+/// it: hop 0 (the entry) alone has no cause, and every other hop names
+/// an earlier one — so no hop sits on a `caused_by` cycle. The error
+/// names the first hop that breaks it.
+pub fn check_hop_tree(caused_by: impl IntoIterator<Item = Option<usize>>) -> Result<(), String> {
+    for (j, cause) in caused_by.into_iter().enumerate() {
+        let broken = match cause {
+            None if j > 0 => "no caused_by".to_string(),
+            Some(c) if c >= j => format!("caused_by {c}"),
+            _ => continue,
+        };
+        return Err(format!(
+            "hops[{j}]: {broken} breaks the hop tree \
+             (hop 0 alone has no cause, every other names an earlier hop)"
+        ));
+    }
+    Ok(())
+}
+
+/// The `cat` of a hop slice in a Chrome trace export.
+const HOP_CATEGORY: &str = "query";
+
+/// A hop slice's `args`: the hop whole, and its place — its explain's
+/// index in the rendered batch (query ids repeat), its query, its index.
+struct HopArgs {
+    explain: usize,
+    query: u64,
+    index: usize,
+    hop: ExplainHop,
+}
+
+json_fields!(HopArgs {
+    explain,
+    query,
+    index,
+    hop
+});
+
+/// Render `explains` as Chrome trace events, to sit beside the flight
+/// recorder's message-plane events in one export (see
+/// [`crate::chrome_trace_json`]): one complete slice per hop on its
+/// server's thread (`tid`), at its dispatch time after its query began,
+/// named by its [`ExplainDecision`], with the hop whole (its `caused_by`,
+/// outcome, local matches, …) and its place in `args`; and each
+/// `caused_by` as a flow arrow from the causing hop to its effect,
+/// numbered from `first_arrow`.
+pub fn chrome_hop_events(explains: &[QueryExplain], first_arrow: u64) -> Vec<Json> {
+    let mut out = Vec::new();
+    let mut arrow = first_arrow;
+    for (k, ex) in explains.iter().enumerate() {
+        for (j, h) in ex.hops.iter().enumerate() {
+            let (query, hop) = (ex.query_id, h.clone());
+            let args = HopArgs {
+                explain: k,
+                query,
+                index: j,
+                hop,
+            };
+            out.push(Json::obj(vec![
+                ("name", Json::str(h.decision.as_str())),
+                ("cat", Json::str(HOP_CATEGORY)),
+                ("ph", Json::str("X")),
+                ("pid", Json::num(0.0)),
+                ("tid", Json::num(h.server as f64)),
+                ("ts", Json::num(h.at_us)),
+                ("dur", Json::num(h.dur_us)),
+                ("args", json::JsonField::to_field(&args)),
+            ]));
+            if let Some(cause) = h.caused_by.and_then(|c| ex.hops.get(c)) {
+                let ts = h.at_us.max(cause.at_us);
+                out.push(flow_event("s", arrow, cause.at_us, cause.server));
+                out.push(flow_event("f", arrow, ts, h.server));
+                arrow += 1;
+            }
+        }
+    }
+    out
+}
+
+/// Read back the hops [`chrome_hop_events`] rendered into a Chrome trace
+/// document: one [`QueryExplain`] per rendered explain, in rendered
+/// order, holding its query id, its entry and its hops, whole; the rest
+/// of its header reads back as its default. Errors name a malformed
+/// slice, and a hop out of its place (one missing, repeated or out of
+/// order). Whether each hop list is a tree is [`check_hop_tree`]'s
+/// question.
+pub fn explains_from_chrome(doc: &Json) -> Result<Vec<QueryExplain>, String> {
+    let entries = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .ok_or("missing traceEvents array")?;
+    let mut by_explain: BTreeMap<usize, QueryExplain> = BTreeMap::new();
+    for (i, entry) in entries.iter().enumerate() {
+        if entry.get("cat").and_then(Json::as_str_val) != Some(HOP_CATEGORY) {
+            continue;
+        }
+        let args = entry.get("args").unwrap_or(&Json::Null);
+        let a: HopArgs = json::read(args).map_err(|e| format!("traceEvents[{i}].args: {e}"))?;
+        let ex = by_explain.entry(a.explain).or_insert_with(|| QueryExplain {
+            query_id: a.query,
+            entry: a.hop.server,
+            ..QueryExplain::default()
+        });
+        if a.index != ex.hops.len() {
+            let (k, j, want) = (a.explain, a.index, ex.hops.len());
+            return Err(format!(
+                "traceEvents[{i}]: explain {k} hop {j} where hop {want} belongs"
+            ));
+        }
+        ex.hops.push(a.hop);
+    }
+    Ok(by_explain.into_values().collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,7 +505,6 @@ mod tests {
     fn sample_explain() -> QueryExplain {
         QueryExplain {
             query_id: 7,
-            trace_id: 3,
             entry: 0,
             response_us: 5_000.0,
             complete: true,
@@ -382,6 +527,7 @@ mod tests {
                         compute_us: 300.0,
                         backoff_us: 0.0,
                     },
+                    dead: None,
                 },
                 ExplainHop {
                     server: 4,
@@ -394,6 +540,7 @@ mod tests {
                     caused_by: Some(0),
                     local_matches: 0,
                     split: LatencySplit::default(),
+                    dead: None,
                 },
                 ExplainHop {
                     server: 4,
@@ -411,6 +558,7 @@ mod tests {
                         compute_us: 200.0,
                         backoff_us: 100.0,
                     },
+                    dead: None,
                 },
                 ExplainHop {
                     server: 9,
@@ -419,7 +567,7 @@ mod tests {
                     false_positive: false,
                     outcome: HopOutcome::Replied,
                     at_us: 3_000.0,
-                    dur_us: 800.0,
+                    dur_us: 1_000.0,
                     caused_by: Some(0),
                     local_matches: 0,
                     split: LatencySplit {
@@ -428,6 +576,7 @@ mod tests {
                         compute_us: 100.0,
                         backoff_us: 0.0,
                     },
+                    dead: Some(5),
                 },
             ],
         }
@@ -498,6 +647,79 @@ mod tests {
         ] {
             assert_eq!(SummaryKind::parse(k.as_str()), Some(k));
         }
+    }
+
+    #[test]
+    fn the_critical_path_climbs_caused_by_from_the_last_hop_to_close() {
+        // The stand-in (hop 3, caused by the entry) closes last, at
+        // 4 000 us: its path skips hops 1 and 2, which precede it in
+        // dispatch order but did not cause it.
+        let e = sample_explain();
+        assert_eq!(e.end_us(), 4_000.0);
+        assert_eq!(e.critical_path(), [0, 3]);
+        // Closed together with the retry (at 3 900 us), the stand-in,
+        // dispatched later, still ends the path; closed earlier, it
+        // leaves the path to the retry's chain.
+        let mut tie = e.clone();
+        tie.hops[3].dur_us = 900.0;
+        assert_eq!(tie.critical_path(), [0, 3]);
+        tie.hops[3].dur_us = 800.0;
+        assert_eq!(tie.critical_path(), [0, 1, 2]);
+        assert!(QueryExplain::default().critical_path().is_empty());
+    }
+
+    #[test]
+    fn rendered_hops_read_back_as_their_explains() {
+        // Two renders of one query id: the `explain` arg keeps them apart.
+        let (a, mut b) = (sample_explain(), sample_explain());
+        b.hops.truncate(2);
+        let doc = Json::obj(vec![(
+            "traceEvents",
+            Json::Arr(chrome_hop_events(&[a.clone(), b.clone()], 1)),
+        )]);
+        let back = explains_from_chrome(&Json::parse(&doc.to_string()).unwrap()).unwrap();
+        let header = |e: &QueryExplain| QueryExplain {
+            query_id: e.query_id,
+            entry: e.entry,
+            hops: e.hops.clone(),
+            ..QueryExplain::default()
+        };
+        assert_eq!(back, [header(&a), header(&b)]);
+        // Each arrow starts on the server of the hop that caused its
+        // target: the stand-in's from the entry (server 0), not from the
+        // hop dispatched before it (server 4).
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let ends = |ph: &str| -> Vec<(f64, f64)> {
+            let num = |e: &Json, key: &str| e.get(key).and_then(Json::as_f64).unwrap();
+            (events.iter())
+                .filter(|e| e.get("ph").and_then(Json::as_str_val) == Some(ph))
+                .map(|e| (num(e, "id"), num(e, "tid")))
+                .collect()
+        };
+        assert_eq!(ends("s"), [(1.0, 0.0), (2.0, 4.0), (3.0, 0.0), (4.0, 0.0)]);
+        assert_eq!(ends("f"), [(1.0, 4.0), (2.0, 4.0), (3.0, 9.0), (4.0, 4.0)]);
+    }
+
+    #[test]
+    fn reading_hop_slices_back_names_what_is_wrong() {
+        let slices = chrome_hop_events(&[sample_explain()], 1);
+        let read = |events: Vec<Json>| {
+            explains_from_chrome(&Json::obj(vec![("traceEvents", Json::Arr(events))]))
+        };
+        // A hop left out leaves hop 3 where hop 2 belongs.
+        let mut gap = slices.clone();
+        gap.remove(4); // hop 2's: after hop 0's, then hop 1's and its arrow's two ends
+        let err = read(gap).unwrap_err();
+        assert!(err.contains("explain 0 hop 3 where hop 2 belongs"), "{err}");
+        // A hop without its outcome is named by its slice.
+        let text = Json::Arr(slices).to_string();
+        let bare = text.replacen(r#""outcome":"replied","#, "", 1);
+        let Json::Arr(bare) = Json::parse(&bare).unwrap() else {
+            unreachable!("an array stays an array")
+        };
+        let err = read(bare).unwrap_err();
+        assert!(err.contains("traceEvents[0].args: hop.outcome"), "{err}");
+        assert_eq!(read(Vec::new()), Ok(Vec::new()));
     }
 
     #[test]

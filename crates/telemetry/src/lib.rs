@@ -13,21 +13,24 @@
 //! * [`span`] — scoped wall-clock timers feeding histograms, used by the
 //!   threaded prototype runtime to attribute time to phases (local store
 //!   search, channel wait, result merge).
-//! * [`event`] — the causal flight recorder: a bounded ring buffer of
-//!   structured events ([`Event`]) stamped with node, time and
-//!   [`TraceId`]/[`SpanId`] causal parents, plus span-tree analysis
-//!   (root/acyclicity validation, critical paths) and a Chrome
-//!   trace-event / Perfetto exporter (`results/<figure>.trace.json`).
+//! * [`event`] — the causal flight recorder of the message plane: a
+//!   bounded ring buffer of structured events ([`Event`]) stamped with
+//!   node, time and [`TraceId`]/[`SpanId`] causal parents, plus span-tree
+//!   analysis (root/acyclicity validation, critical paths) and a Chrome
+//!   trace-event / Perfetto exporter (`results/<figure>.trace.json`) that
+//!   also renders query explains.
 //! * [`timeline`] — a fixed-interval gauge sampler producing
 //!   `timeline.<gauge>` time-series inside a [`FigureExport`].
 //! * [`explain`] — per-query provenance: a [`QueryExplain`] record built
 //!   along the query path, one hop per contact attempt with its routing
 //!   decision, summary kind, outcome and latency split, folded into a
 //!   query-level queue/network/compute/retry/failover [`Attribution`].
+//!   An explain is its query's trace: its hops render as Chrome slices
+//!   and `caused_by` arrows ([`chrome_hop_events`]) and read back
+//!   ([`explains_from_chrome`]) as a hop tree ([`check_hop_tree`]).
 //! * [`tail`] — tail-based sampling: a bounded [`TailSampler`] reservoir
-//!   retaining full explain records — each held once, its trace id
-//!   naming the recorder's span tree — only for slow / failed /
-//!   incomplete queries, with per-histogram-bucket exemplar trace ids
+//!   retaining full explain records only for slow / failed /
+//!   incomplete queries, with per-histogram-bucket exemplar query ids
 //!   linking p99 buckets to concrete queries.
 //! * [`json`] / [`export`] — a small hand-rolled JSON value type (writer
 //!   *and* parser), the artifact layer on top of it ([`json::artifact`]:
@@ -55,7 +58,8 @@ pub use event::{
     write_chrome_trace, write_chrome_trace_default, Event, EventKind, Recorder, SpanId, TraceId,
 };
 pub use explain::{
-    Attribution, ExplainDecision, ExplainHop, HopOutcome, LatencySplit, QueryExplain, SummaryKind,
+    check_hop_tree, chrome_hop_events, explains_from_chrome, Attribution, ExplainDecision,
+    ExplainHop, HopOutcome, LatencySplit, QueryExplain, SummaryKind,
 };
 pub use export::{results_dir, FigureExport, ReferencePoint, Series};
 pub use json::{Json, JsonField};

@@ -8,13 +8,12 @@
 //! always on), and only queries that are slow (above a live
 //! p99-tracked threshold), failed, or incomplete retain their full
 //! [`QueryExplain`] record in a bounded reservoir. The explain's hop tree
-//! is the one copy of what the query did: its trace id names the span
-//! tree an attached flight recorder holds, nothing here copies that.
-//! Histogram buckets carry the trace id of one retained query each
+//! is the one record of what the query did: its trace.
+//! Histogram buckets carry the query id of one retained query each
 //! (exemplar-style), so a p99 bucket in `SLOW_QUERIES.json` links back
 //! to a concrete, fully-explained query.
 
-use crate::explain::QueryExplain;
+use crate::explain::{check_hop_tree, QueryExplain};
 use crate::registry::Histogram;
 use crate::{artifact, json_fields, json_labels};
 use parking_lot::Mutex;
@@ -89,13 +88,13 @@ pub struct RetainedQuery {
     pub explain: QueryExplain,
 }
 
-/// One histogram exemplar: a latency bucket linked to a retained trace.
+/// One histogram exemplar: a latency bucket linked to a retained query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exemplar {
     /// The bucket's edge, ms.
     pub bucket_ms: f64,
-    /// Trace id of the newest retained query that landed in the bucket.
-    pub trace_id: u64,
+    /// Query id of the newest retained query that landed in the bucket.
+    pub query_id: u64,
 }
 
 /// The `SLOW_QUERIES.json` document: the reservoir of a [`TailSampler`]
@@ -116,14 +115,15 @@ pub struct SlowDoc {
     pub exemplars: Vec<Exemplar>,
 }
 
-/// Current `SLOW_QUERIES.json` schema version.
-pub const SLOW_SCHEMA_VERSION: u64 = 1;
+/// Current `SLOW_QUERIES.json` schema version: 2 since exemplars name
+/// query ids and explains carry no trace id.
+pub const SLOW_SCHEMA_VERSION: u64 = 2;
 
 json_labels!(RetainReason);
 json_fields!(RetainedQuery { reason, explain });
 json_fields!(Exemplar {
     bucket_ms,
-    trace_id
+    query_id
 });
 json_fields!(SlowDoc {
     "slow_queries" = SLOW_SCHEMA_VERSION,
@@ -136,28 +136,17 @@ json_fields!(SlowDoc {
 artifact!(SlowDoc, "slow_queries", SLOW_SCHEMA_VERSION);
 
 impl SlowDoc {
-    /// Each retained hop list is one tree, as the renderers read it: hop
-    /// 0 (the entry) is the only hop without a cause, and every other hop
-    /// names an earlier one — so no hop sits on a `caused_by` cycle. Every
-    /// exemplar names a retained query.
+    /// Each retained hop list is one tree, as the renderers read it
+    /// ([`check_hop_tree`]). Every exemplar names a retained query.
     fn validate(&self) -> Result<(), String> {
         for (i, q) in self.retained.iter().enumerate() {
-            for (j, hop) in q.explain.hops.iter().enumerate() {
-                let broken = match hop.caused_by {
-                    None if j > 0 => "no caused_by".to_string(),
-                    Some(c) if c >= j => format!("caused_by {c}"),
-                    _ => continue,
-                };
-                return Err(format!(
-                    "retained[{i}].explain.hops[{j}]: {broken} breaks the hop tree \
-                     (hop 0 alone has no cause, every other names an earlier hop)"
-                ));
-            }
+            check_hop_tree(q.explain.hops.iter().map(|h| h.caused_by))
+                .map_err(|e| format!("retained[{i}].explain.{e}"))?;
         }
         for (i, e) in self.exemplars.iter().enumerate() {
-            let trace = e.trace_id;
-            if !self.retained.iter().any(|q| q.explain.trace_id == trace) {
-                return Err(format!("exemplars[{i}]: trace {trace} is not retained"));
+            let query = e.query_id;
+            if !self.retained.iter().any(|q| q.explain.query_id == query) {
+                return Err(format!("exemplars[{i}]: query {query} is not retained"));
             }
         }
         Ok(())
@@ -174,13 +163,13 @@ struct TailState {
 }
 
 impl TailState {
-    /// Histogram bucket edge (as bits) → trace id of the newest retained
-    /// query with a trace that landed in that bucket.
+    /// Histogram bucket edge (as bits) → query id of the newest retained
+    /// query that landed in that bucket.
     fn exemplars(&self) -> BTreeMap<u64, u64> {
         let mut by_bucket = BTreeMap::new();
-        for q in self.retained.iter().filter(|q| q.explain.trace_id != 0) {
+        for q in &self.retained {
             let edge = Histogram::bucket_edge(q.explain.response_us / 1_000.0);
-            by_bucket.insert(edge.to_bits(), q.explain.trace_id);
+            by_bucket.insert(edge.to_bits(), q.explain.query_id);
         }
         by_bucket
     }
@@ -307,7 +296,7 @@ impl TailSampler {
         self.state.lock().retained.clone()
     }
 
-    /// Exemplar lookup: the trace id of the newest retained query in the
+    /// Exemplar lookup: the query id of the newest retained query in the
     /// histogram bucket `response_ms` falls into, if that bucket has one.
     pub fn exemplar(&self, response_ms: f64) -> Option<u64> {
         let edge = Histogram::bucket_edge(response_ms).to_bits();
@@ -345,9 +334,9 @@ impl TailSampler {
             exemplars: g
                 .exemplars()
                 .iter()
-                .map(|(&edge, &trace_id)| Exemplar {
+                .map(|(&edge, &query_id)| Exemplar {
                     bucket_ms: f64::from_bits(edge),
-                    trace_id,
+                    query_id,
                 })
                 .collect(),
         }
@@ -363,7 +352,6 @@ mod tests {
     fn explain_ms(id: u64, ms: f64, complete: bool) -> QueryExplain {
         QueryExplain {
             query_id: id,
-            trace_id: id + 100,
             entry: 0,
             response_us: ms * 1_000.0,
             complete,
@@ -380,6 +368,7 @@ mod tests {
                 caused_by: None,
                 local_matches: 0,
                 split: LatencySplit::default(),
+                dead: None,
             }],
         }
     }
@@ -483,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn exemplars_link_buckets_to_trace_ids() {
+    fn exemplars_link_buckets_to_query_ids() {
         let s = TailSampler::new(TailConfig {
             capacity: 8,
             min_samples: 1_000_000,
@@ -491,7 +480,7 @@ mod tests {
         });
         s.observe(explain_ms(1, 42.0, true), false);
         // The exact value and a same-bucket neighbour both resolve.
-        assert_eq!(s.exemplar(42.0), Some(101));
+        assert_eq!(s.exemplar(42.0), Some(1));
         // A far-away bucket has no exemplar.
         assert_eq!(s.exemplar(0.004), None);
     }
@@ -505,13 +494,13 @@ mod tests {
         });
         s.observe(explain_ms(1, 10.0, true), false);
         s.observe(explain_ms(2, 30.0, true), false);
-        // Full: trace 103 evicts trace 101, the least slow.
+        // Full: query 3 evicts query 1, the least slow.
         s.observe(explain_ms(3, 20.0, true), false);
-        assert_eq!(s.exemplar(10.0), None, "trace 101 was evicted");
-        assert_eq!(s.exemplar(20.0), Some(103));
+        assert_eq!(s.exemplar(10.0), None, "query 1 was evicted");
+        assert_eq!(s.exemplar(20.0), Some(3));
         let doc = s.report();
-        let traces: Vec<u64> = doc.exemplars.iter().map(|e| e.trace_id).collect();
-        assert_eq!(traces, [103, 102]);
+        let queries: Vec<u64> = doc.exemplars.iter().map(|e| e.query_id).collect();
+        assert_eq!(queries, [3, 2]);
         assert_eq!(SlowDoc::from_json(&doc.to_json()), Ok(doc));
     }
 

@@ -179,6 +179,7 @@ mod tests {
             caused_by: None,
             local_matches: 0,
             split: LatencySplit::default(),
+            dead: None,
         }
     }
 

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 /// Members written only when non-empty: removing one is not an error.
-const OMITTABLE: &[&str] = &["summary", "caused_by"];
+const OMITTABLE: &[&str] = &["summary", "caused_by", "dead"];
 
 /// Objects keyed by name (a metrics snapshot's instruments): removing an
 /// entry is not an error.
@@ -128,6 +128,7 @@ fn hop(g: &mut Gen, index: usize) -> ExplainHop {
             compute_us: g.float(),
             backoff_us: g.float(),
         },
+        dead: g.maybe(|g| g.below(1 << 20) as u32),
     }
 }
 
@@ -141,7 +142,6 @@ fn retained(g: &mut Gen) -> RetainedQuery {
         ]),
         explain: QueryExplain {
             query_id: g.count(),
-            trace_id: 1 + g.count(),
             entry: g.below(1 << 20) as u32,
             response_us: g.float(),
             complete: g.flag(),
@@ -154,14 +154,14 @@ fn retained(g: &mut Gen) -> RetainedQuery {
 
 fn slow_doc(g: &mut Gen) -> SlowDoc {
     let retained = g.many(3, retained);
-    // validate(): every exemplar names a retained trace.
-    let traces: Vec<u64> = retained.iter().map(|q| q.explain.trace_id).collect();
-    let exemplars = if traces.is_empty() {
+    // validate(): every exemplar names a retained query.
+    let queries: Vec<u64> = retained.iter().map(|q| q.explain.query_id).collect();
+    let exemplars = if queries.is_empty() {
         Vec::new()
     } else {
         g.many(3, |g| Exemplar {
             bucket_ms: g.float(),
-            trace_id: g.pick(&traces),
+            query_id: g.pick(&queries),
         })
     };
     SlowDoc {

@@ -186,7 +186,7 @@ proptest! {
     /// within capacity, in arrival order; failed and incomplete queries
     /// are kept ahead of slow ones (a slow query never displaces one);
     /// each retained explain equals the one offered; every exemplar names
-    /// a retained trace; and the report passes `SlowDoc::validate` and
+    /// a retained query; and the report passes `SlowDoc::validate` and
     /// round-trips.
     #[test]
     fn tail_retention_rules_hold_after_every_query(
@@ -214,11 +214,10 @@ proptest! {
                 caused_by: h.checked_sub(1).map(|c| c as usize),
                 local_matches: 0,
                 split: LatencySplit::default(),
+                dead: None,
             };
-            let trace = i as u64 + 1;
             let explain = QueryExplain {
                 query_id: i as u64,
-                trace_id: trace,
                 entry: 0,
                 response_us: ms * 1_000.0,
                 complete,
@@ -226,31 +225,31 @@ proptest! {
                 records: 0,
                 hops: (0..=hops).map(hop).collect(),
             };
-            offered.insert(trace, explain.clone());
+            offered.insert(i as u64, explain.clone());
             tail.observe(explain, failed);
 
             let retained = tail.retained();
             prop_assert!(retained.len() <= capacity, "{} retained", retained.len());
             prop_assert!(
-                retained.windows(2).all(|w| w[0].explain.trace_id < w[1].explain.trace_id),
+                retained.windows(2).all(|w| w[0].explain.query_id < w[1].explain.query_id),
                 "reservoir left arrival order"
             );
             let kept_outages = retained.iter().filter(|q| q.reason != RetainReason::Slow).count();
             prop_assert_eq!(kept_outages, outages.min(capacity), "a slow query displaced an outage");
             for q in &retained {
-                let t = q.explain.trace_id;
-                prop_assert_eq!(&q.explain, &offered[&t], "trace {} changed", t);
+                let id = q.explain.query_id;
+                prop_assert_eq!(&q.explain, &offered[&id], "query {} changed", id);
             }
             let report = tail.report();
             for e in &report.exemplars {
-                let named = retained.iter().find(|q| q.explain.trace_id == e.trace_id);
+                let named = retained.iter().find(|q| q.explain.query_id == e.query_id);
                 let Some(q) = named else {
                     return Err(TestCaseError::fail(format!(
-                        "exemplar names evicted trace {}", e.trace_id
+                        "exemplar names evicted query {}", e.query_id
                     )));
                 };
                 let ms = q.explain.response_us / 1_000.0;
-                prop_assert_eq!(tail.exemplar(ms), Some(e.trace_id));
+                prop_assert_eq!(tail.exemplar(ms), Some(e.query_id));
             }
             let text = report.to_json().to_string();
             let doc = Json::parse(&text).map_err(TestCaseError::fail)?;

@@ -9,9 +9,11 @@
 #   results/<name>.json        machine-readable export: series, measured-vs-
 #                              paper reference points, telemetry snapshot
 #                              (counters + latency percentiles incl. p99),
-#                              query traces
-#   results/<name>.trace.json  flight-recorder export in Chrome trace-event
-#                              format; open in ui.perfetto.dev
+#                              the queries' aggregated trace report
+#   results/<name>.trace.json  Chrome trace-event export, open in
+#                              ui.perfetto.dev: the queries' explains, one
+#                              slice per hop with caused_by arrows, and the
+#                              flight recorder's message-plane events
 set -euo pipefail
 ARGS="${*:-}"
 export ROADS_RESULTS_DIR="${ROADS_RESULTS_DIR:-results}"
